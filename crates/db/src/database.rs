@@ -6,8 +6,13 @@
 //! results arriving from venues, medal tallies, news, photos — goes
 //! through logged mutation methods so the trigger monitor sees precisely
 //! which records changed.
+//!
+//! Reads go through a [`DbView`]: one read lock for as many queries as the
+//! caller composes, rows by reference, every by-column query answered from
+//! a secondary index the write path maintains. The owned-`Vec` methods on
+//! [`OlympicDb`] are one-query views for callers that keep the rows.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -16,8 +21,23 @@ use crate::schema::{
     EventPhase, MedalCount, NewsArticle, NewsId, Photo, PhotoId, ResultId, ResultRow, Sport,
     SportId,
 };
-use crate::table::Table;
+use crate::table::{Index, Table};
 use crate::txn::{RecordChange, Transaction, TxnLog};
+
+/// Revision stamps of the data the cached page fragments are rendered
+/// from (result table of an event, medal table, headlines of a day). A
+/// mutation bumps the stamp of every fragment whose bytes it can change,
+/// under the same write lock as the rows, so a stamp and the rows read
+/// through one [`DbView`] always belong together.
+#[derive(Debug, Default)]
+struct Revisions {
+    /// Unlogged loads: seeding may rewrite any row a fragment prints
+    /// (athlete names, country codes), so it counts towards every stamp.
+    loads: u64,
+    results: FxHashMap<EventId, u64>,
+    medals: u64,
+    news: FxHashMap<u32, u64>,
+}
 
 #[derive(Debug, Default)]
 struct Tables {
@@ -26,11 +46,69 @@ struct Tables {
     athletes: Table<AthleteId, Athlete>,
     countries: Table<CountryId, Country>,
     results: Table<ResultId, ResultRow>,
-    results_by_event: FxHashMap<EventId, Vec<ResultId>>,
     medals: Table<CountryId, MedalCount>,
     news: Table<NewsId, NewsArticle>,
     photos: Table<PhotoId, Photo>,
+    events_by_day: Index<u32, EventId>,
+    events_by_sport: Index<SportId, EventId>,
+    athletes_by_country: Index<CountryId, AthleteId>,
+    athletes_by_sport: Index<SportId, AthleteId>,
+    results_by_event: Index<EventId, ResultId>,
+    results_by_athlete: Index<AthleteId, ResultId>,
+    news_by_day: Index<u32, NewsId>,
+    photos_by_event: Index<EventId, PhotoId>,
     next_result: u32,
+    revisions: Revisions,
+}
+
+impl Tables {
+    fn put_event(&mut self, e: Event) {
+        let (id, day, sport) = (e.id, e.day, e.sport);
+        if let Some(old) = self.events.upsert(id, e) {
+            self.events_by_day.remove(&old.day, id);
+            self.events_by_sport.remove(&old.sport, id);
+        }
+        self.events_by_day.insert(day, id);
+        self.events_by_sport.insert(sport, id);
+    }
+
+    fn put_athlete(&mut self, a: Athlete) {
+        let (id, country, sport) = (a.id, a.country, a.sport);
+        if let Some(old) = self.athletes.upsert(id, a) {
+            self.athletes_by_country.remove(&old.country, id);
+            self.athletes_by_sport.remove(&old.sport, id);
+        }
+        self.athletes_by_country.insert(country, id);
+        self.athletes_by_sport.insert(sport, id);
+    }
+
+    /// The caller bumps the event's results revision, once per batch.
+    fn put_result(&mut self, r: ResultRow) {
+        self.results_by_event.insert(r.event, r.id);
+        self.results_by_athlete.insert(r.athlete, r.id);
+        self.results.upsert(r.id, r);
+    }
+
+    /// Re-publishing an id replaces the story, possibly on another day.
+    fn put_news(&mut self, n: NewsArticle) {
+        let (id, day) = (n.id, n.day);
+        if let Some(old) = self.news.upsert(id, n) {
+            self.news_by_day.remove(&old.day, id);
+            *self.revisions.news.entry(old.day).or_default() += 1;
+        }
+        self.news_by_day.insert(day, id);
+        *self.revisions.news.entry(day).or_default() += 1;
+    }
+
+    fn put_photo(&mut self, p: Photo) {
+        let (id, about) = (p.id, p.about_event);
+        if let Some(old_event) = self.photos.upsert(id, p).and_then(|old| old.about_event) {
+            self.photos_by_event.remove(&old_event, id);
+        }
+        if let Some(event) = about {
+            self.photos_by_event.insert(event, id);
+        }
+    }
 }
 
 /// The Olympic site database.
@@ -56,26 +134,45 @@ impl OlympicDb {
         self.log.subscribe()
     }
 
+    /// A read snapshot: every query on it sees the same committed state.
+    ///
+    /// The view holds the tables' read lock until dropped, and the lock
+    /// prefers waiting writers: calling any other method of this database
+    /// on the same thread while a view is alive can deadlock behind a
+    /// commit. Query the view instead.
+    pub fn view(&self) -> DbView<'_> {
+        DbView {
+            t: self.tables.read(),
+        }
+    }
+
     // ----- unlogged initial loading -------------------------------------
 
     /// Load a sport (seeding; not logged).
     pub fn load_sport(&self, s: Sport) {
-        self.tables.write().sports.upsert(s.id, s);
+        let mut t = self.tables.write();
+        t.revisions.loads += 1;
+        t.sports.upsert(s.id, s);
     }
 
     /// Load an event (seeding; not logged).
     pub fn load_event(&self, e: Event) {
-        self.tables.write().events.upsert(e.id, e);
+        let mut t = self.tables.write();
+        t.revisions.loads += 1;
+        t.put_event(e);
     }
 
     /// Load an athlete (seeding; not logged).
     pub fn load_athlete(&self, a: Athlete) {
-        self.tables.write().athletes.upsert(a.id, a);
+        let mut t = self.tables.write();
+        t.revisions.loads += 1;
+        t.put_athlete(a);
     }
 
     /// Load a country (seeding; not logged). Starts its medal tally at 0.
     pub fn load_country(&self, c: Country) {
         let mut t = self.tables.write();
+        t.revisions.loads += 1;
         t.medals.upsert(c.id, MedalCount::default());
         t.countries.upsert(c.id, c);
     }
@@ -109,21 +206,20 @@ impl OlympicDb {
                     .map(|e| e.name.clone())
                     .unwrap_or_default()
             );
+            if !placements.is_empty() {
+                *t.revisions.results.entry(event).or_default() += 1;
+            }
             for (rank0, &(athlete, score)) in placements.iter().enumerate() {
                 t.next_result += 1;
                 let id = ResultId(t.next_result);
-                t.results.upsert(
+                t.put_result(ResultRow {
                     id,
-                    ResultRow {
-                        id,
-                        event,
-                        athlete,
-                        rank: rank0 as u32 + 1,
-                        score,
-                        is_final,
-                    },
-                );
-                t.results_by_event.entry(event).or_default().push(id);
+                    event,
+                    athlete,
+                    rank: rank0 as u32 + 1,
+                    score,
+                    is_final,
+                });
                 changes.push(RecordChange::update(athlete.data_key()));
                 if let Some(a) = t.athletes.get(athlete) {
                     changes.push(RecordChange::update(a.country.data_key()));
@@ -150,6 +246,7 @@ impl OlympicDb {
                         _ => tally.bronze += 1,
                     }
                 }
+                t.revisions.medals += 1;
                 changes.push(RecordChange::update(medals_data_key()));
             } else if let Some(e) = t.events.get_mut(event) {
                 if e.phase == EventPhase::Scheduled {
@@ -173,7 +270,7 @@ impl OlympicDb {
             changes.push(RecordChange::update(ev.data_key()));
         }
         let label = format!("news: {}", article.title);
-        self.tables.write().news.upsert(article.id, article);
+        self.tables.write().put_news(article);
         self.log.append(changes, label, day)
     }
 
@@ -185,172 +282,104 @@ impl OlympicDb {
             changes.push(RecordChange::update(ev.data_key()));
         }
         let label = format!("photo {}", photo.id);
-        self.tables.write().photos.upsert(photo.id, photo);
+        self.tables.write().put_photo(photo);
         self.log.append(changes, label, day)
     }
 
-    // ----- queries ---------------------------------------------------------
+    // ----- owned one-query reads --------------------------------------------
 
     /// Fetch a sport.
     pub fn sport(&self, id: SportId) -> Option<Sport> {
-        self.tables.read().sports.get(id).cloned()
+        self.view().sport(id).cloned()
     }
 
     /// Fetch an event.
     pub fn event(&self, id: EventId) -> Option<Event> {
-        self.tables.read().events.get(id).cloned()
+        self.view().event(id).cloned()
     }
 
     /// Fetch an athlete.
     pub fn athlete(&self, id: AthleteId) -> Option<Athlete> {
-        self.tables.read().athletes.get(id).cloned()
+        self.view().athlete(id).cloned()
     }
 
     /// Fetch a country.
     pub fn country(&self, id: CountryId) -> Option<Country> {
-        self.tables.read().countries.get(id).cloned()
+        self.view().country(id).cloned()
     }
 
     /// Fetch a news article.
     pub fn news(&self, id: NewsId) -> Option<NewsArticle> {
-        self.tables.read().news.get(id).cloned()
+        self.view().news(id).cloned()
     }
 
     /// All sports (id order).
     pub fn sports(&self) -> Vec<Sport> {
-        self.tables
-            .read()
-            .sports
-            .iter()
-            .map(|(_, s)| s.clone())
-            .collect()
+        let t = self.tables.read();
+        t.sports.iter().map(|(_, s)| s.clone()).collect()
     }
 
     /// All events (id order).
     pub fn events(&self) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect()
+        let t = self.tables.read();
+        t.events.iter().map(|(_, e)| e.clone()).collect()
     }
 
     /// All countries (id order).
     pub fn countries(&self) -> Vec<Country> {
-        self.tables
-            .read()
-            .countries
-            .iter()
-            .map(|(_, c)| c.clone())
-            .collect()
+        let t = self.tables.read();
+        t.countries.iter().map(|(_, c)| c.clone()).collect()
     }
 
     /// All athletes (id order).
     pub fn athletes(&self) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .iter()
-            .map(|(_, a)| a.clone())
-            .collect()
+        let t = self.tables.read();
+        t.athletes.iter().map(|(_, a)| a.clone()).collect()
     }
 
     /// Events concluding on `day`, id order.
     pub fn events_on_day(&self, day: u32) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .select(move |e| e.day == day)
-            .cloned()
-            .collect()
+        self.view().events_on_day(day).cloned().collect()
     }
 
     /// Events of a sport, id order.
     pub fn events_of_sport(&self, sport: SportId) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .select(move |e| e.sport == sport)
-            .cloned()
-            .collect()
+        self.view().events_of_sport(sport).cloned().collect()
     }
 
     /// Athletes of a country, id order.
     pub fn athletes_of_country(&self, country: CountryId) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .select(move |a| a.country == country)
-            .cloned()
-            .collect()
+        self.view().athletes_of_country(country).cloned().collect()
     }
 
     /// Athletes competing in a sport, id order.
     pub fn athletes_of_sport(&self, sport: SportId) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .select(move |a| a.sport == sport)
-            .cloned()
-            .collect()
+        self.view().athletes_of_sport(sport).cloned().collect()
     }
 
     /// Results recorded for an event, in insertion order.
     pub fn results_for_event(&self, event: EventId) -> Vec<ResultRow> {
-        let t = self.tables.read();
-        t.results_by_event
-            .get(&event)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|&id| t.results.get(id).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.view().results_for_event(event).cloned().collect()
     }
 
     /// Results involving an athlete, id order.
     pub fn results_for_athlete(&self, athlete: AthleteId) -> Vec<ResultRow> {
-        self.tables
-            .read()
-            .results
-            .select(move |r| r.athlete == athlete)
-            .cloned()
-            .collect()
+        self.view().results_for_athlete(athlete).cloned().collect()
     }
 
     /// Medal standings sorted by gold, then total, then id.
     pub fn medal_standings(&self) -> Vec<(CountryId, MedalCount)> {
-        let t = self.tables.read();
-        let mut rows: Vec<(CountryId, MedalCount)> =
-            t.medals.iter().map(|(id, m)| (id, *m)).collect();
-        rows.sort_by(|a, b| {
-            b.1.gold
-                .cmp(&a.1.gold)
-                .then(b.1.total().cmp(&a.1.total()))
-                .then(a.0.cmp(&b.0))
-        });
-        rows
+        self.view().medal_standings()
     }
 
     /// News published on `day`, id order.
     pub fn news_on_day(&self, day: u32) -> Vec<NewsArticle> {
-        self.tables
-            .read()
-            .news
-            .select(move |n| n.day == day)
-            .cloned()
-            .collect()
+        self.view().news_on_day(day).cloned().collect()
     }
 
     /// Photos about an event, id order.
     pub fn photos_for_event(&self, event: EventId) -> Vec<Photo> {
-        self.tables
-            .read()
-            .photos
-            .select(move |p| p.about_event == Some(event))
-            .cloned()
-            .collect()
+        self.view().photos_for_event(event).cloned().collect()
     }
 
     /// Row counts: (sports, events, athletes, countries, results, news,
@@ -366,6 +395,126 @@ impl OlympicDb {
             t.news.len(),
             t.photos.len(),
         )
+    }
+}
+
+/// The rows of `table` an index lists, in index (= key) order.
+fn rows<'a, K: Ord + Copy, R>(
+    table: &'a Table<K, R>,
+    keys: &'a [K],
+) -> impl Iterator<Item = &'a R> {
+    keys.iter().filter_map(move |&k| table.get(k))
+}
+
+/// One consistent read snapshot of the database (see [`OlympicDb::view`]):
+/// borrowed rows, indexed by-column queries, and the revision stamps of
+/// the fragment sources, all under a single read lock.
+pub struct DbView<'a> {
+    t: RwLockReadGuard<'a, Tables>,
+}
+
+impl DbView<'_> {
+    /// Fetch a sport.
+    pub fn sport(&self, id: SportId) -> Option<&Sport> {
+        self.t.sports.get(id)
+    }
+
+    /// Fetch an event.
+    pub fn event(&self, id: EventId) -> Option<&Event> {
+        self.t.events.get(id)
+    }
+
+    /// Fetch an athlete.
+    pub fn athlete(&self, id: AthleteId) -> Option<&Athlete> {
+        self.t.athletes.get(id)
+    }
+
+    /// Fetch a country.
+    pub fn country(&self, id: CountryId) -> Option<&Country> {
+        self.t.countries.get(id)
+    }
+
+    /// Fetch a news article.
+    pub fn news(&self, id: NewsId) -> Option<&NewsArticle> {
+        self.t.news.get(id)
+    }
+
+    /// Events concluding on `day`, id order.
+    pub fn events_on_day(&self, day: u32) -> impl Iterator<Item = &Event> {
+        rows(&self.t.events, self.t.events_by_day.get(&day))
+    }
+
+    /// Events of a sport, id order.
+    pub fn events_of_sport(&self, sport: SportId) -> impl Iterator<Item = &Event> {
+        rows(&self.t.events, self.t.events_by_sport.get(&sport))
+    }
+
+    /// Athletes of a country, id order.
+    pub fn athletes_of_country(&self, country: CountryId) -> impl Iterator<Item = &Athlete> {
+        rows(&self.t.athletes, self.t.athletes_by_country.get(&country))
+    }
+
+    /// Athletes competing in a sport, id order.
+    pub fn athletes_of_sport(&self, sport: SportId) -> impl Iterator<Item = &Athlete> {
+        rows(&self.t.athletes, self.t.athletes_by_sport.get(&sport))
+    }
+
+    /// Results recorded for an event, in insertion order.
+    pub fn results_for_event(&self, event: EventId) -> impl Iterator<Item = &ResultRow> {
+        rows(&self.t.results, self.t.results_by_event.get(&event))
+    }
+
+    /// Results involving an athlete, id order.
+    pub fn results_for_athlete(&self, athlete: AthleteId) -> impl Iterator<Item = &ResultRow> {
+        rows(&self.t.results, self.t.results_by_athlete.get(&athlete))
+    }
+
+    /// Medal standings sorted by gold, then total, then id.
+    pub fn medal_standings(&self) -> Vec<(CountryId, MedalCount)> {
+        let mut rows: Vec<(CountryId, MedalCount)> =
+            self.t.medals.iter().map(|(id, m)| (id, *m)).collect();
+        rows.sort_by(|a, b| {
+            b.1.gold
+                .cmp(&a.1.gold)
+                .then(b.1.total().cmp(&a.1.total()))
+                .then(a.0.cmp(&b.0))
+        });
+        rows
+    }
+
+    /// One country's medal tally.
+    pub fn medals_of(&self, country: CountryId) -> Option<MedalCount> {
+        self.t.medals.get(country).copied()
+    }
+
+    /// News published on `day`, id order.
+    pub fn news_on_day(&self, day: u32) -> impl Iterator<Item = &NewsArticle> {
+        rows(&self.t.news, self.t.news_by_day.get(&day))
+    }
+
+    /// Photos about an event, id order.
+    pub fn photos_for_event(&self, event: EventId) -> impl Iterator<Item = &Photo> {
+        rows(&self.t.photos, self.t.photos_by_event.get(&event))
+    }
+
+    /// Stamp of everything `event`'s result table is rendered from: moves
+    /// when results are recorded for it, and on any load.
+    pub fn results_revision(&self, event: EventId) -> u64 {
+        let r = &self.t.revisions;
+        r.loads + r.results.get(&event).copied().unwrap_or(0)
+    }
+
+    /// Stamp of the medal standings: moves when a final awards medals,
+    /// and on any load.
+    pub fn medals_revision(&self) -> u64 {
+        self.t.revisions.loads + self.t.revisions.medals
+    }
+
+    /// Stamp of the news of `day`: moves when a story is published on (or
+    /// moved off) that day, and on any load.
+    pub fn news_revision(&self, day: u32) -> u64 {
+        let r = &self.t.revisions;
+        r.loads + r.news.get(&day).copied().unwrap_or(0)
     }
 }
 
@@ -525,5 +674,320 @@ mod tests {
     fn results_for_unknown_event_panic() {
         let db = tiny_db();
         db.record_results(EventId(42), &[(AthleteId(1), 1.0)], false, 1);
+    }
+
+    // ----- revision stamps -------------------------------------------------
+
+    /// `tiny_db` plus a second event, so a stamp that must not move has
+    /// somewhere to stand.
+    fn two_event_db() -> OlympicDb {
+        let db = tiny_db();
+        db.load_event(Event {
+            id: EventId(2),
+            sport: SportId(1),
+            name: "Women's 5km Classical".into(),
+            day: 4,
+            hour: 9,
+            popularity: 1.0,
+            phase: EventPhase::Scheduled,
+        });
+        db
+    }
+
+    /// Every stamp a fragment can be validated against:
+    /// [results(1), results(2), medals, news(3), news(4)].
+    fn stamps(db: &OlympicDb) -> [u64; 5] {
+        let v = db.view();
+        [
+            v.results_revision(EventId(1)),
+            v.results_revision(EventId(2)),
+            v.medals_revision(),
+            v.news_revision(3),
+            v.news_revision(4),
+        ]
+    }
+
+    /// Which stamps `mutate` moved.
+    fn moved(db: &OlympicDb, mutate: impl FnOnce(&OlympicDb)) -> [bool; 5] {
+        let before = stamps(db);
+        mutate(db);
+        let after = stamps(db);
+        std::array::from_fn(|i| {
+            assert!(after[i] >= before[i], "stamp {i} went backwards");
+            after[i] != before[i]
+        })
+    }
+
+    fn story(id: u32, day: u32) -> NewsArticle {
+        NewsArticle {
+            id: NewsId(id),
+            day,
+            title: format!("story {id}"),
+            body: "…".into(),
+            about_event: Some(EventId(1)),
+        }
+    }
+
+    #[test]
+    fn partial_results_bump_only_their_event() {
+        let db = two_event_db();
+        let m = moved(&db, |db| {
+            db.record_results(EventId(1), &[(AthleteId(1), 50.0)], false, 3);
+        });
+        assert_eq!(m, [true, false, false, false, false]);
+    }
+
+    #[test]
+    fn final_results_bump_their_event_and_the_medals() {
+        let db = two_event_db();
+        let m = moved(&db, |db| {
+            db.record_results(EventId(2), &[(AthleteId(3), 9.0)], true, 4);
+        });
+        assert_eq!(m, [false, true, true, false, false]);
+    }
+
+    #[test]
+    fn news_bumps_its_day_and_a_republished_id_both_days() {
+        let db = two_event_db();
+        let m = moved(&db, |db| {
+            db.publish_news(story(1, 3));
+        });
+        assert_eq!(m, [false, false, false, true, false]);
+        // Same id, same day: the headline text can change.
+        let m = moved(&db, |db| {
+            db.publish_news(story(1, 3));
+        });
+        assert_eq!(m, [false, false, false, true, false]);
+        // Same id, other day: it leaves day 3's strip and joins day 4's.
+        let m = moved(&db, |db| {
+            db.publish_news(story(1, 4));
+        });
+        assert_eq!(m, [false, false, false, true, true]);
+        assert!(db.news_on_day(3).is_empty());
+        assert_eq!(db.news_on_day(4).len(), 1);
+    }
+
+    #[test]
+    fn photos_bump_nothing() {
+        let db = two_event_db();
+        let m = moved(&db, |db| {
+            db.add_photo(Photo {
+                id: PhotoId(1),
+                day: 3,
+                about_event: Some(EventId(1)),
+                bytes: 40_000,
+            });
+        });
+        assert_eq!(m, [false; 5]);
+    }
+
+    #[test]
+    fn every_load_bumps_every_stamp() {
+        let db = two_event_db();
+        let m = moved(&db, |db| {
+            db.load_sport(Sport {
+                id: SportId(2),
+                name: "Biathlon".into(),
+                venue: "Nozawa Onsen".into(),
+            })
+        });
+        assert_eq!(m, [true; 5], "load_sport");
+        let m = moved(&db, |db| {
+            db.load_event(Event {
+                id: EventId(3),
+                sport: SportId(1),
+                name: "Relay".into(),
+                day: 5,
+                hour: 11,
+                popularity: 1.0,
+                phase: EventPhase::Scheduled,
+            })
+        });
+        assert_eq!(m, [true; 5], "load_event");
+        let m = moved(&db, |db| {
+            db.load_athlete(Athlete {
+                id: AthleteId(1),
+                name: "Renamed".into(),
+                country: CountryId(2),
+                sport: SportId(1),
+            })
+        });
+        assert_eq!(m, [true; 5], "load_athlete");
+        let m = moved(&db, |db| {
+            db.load_country(Country {
+                id: CountryId(1),
+                code: "NOR".into(),
+                name: "Norge".into(),
+            })
+        });
+        assert_eq!(m, [true; 5], "load_country");
+    }
+
+    // ----- index ≡ scan ------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// A mutation over small id spaces, so re-loads and re-publications
+    /// move rows between index buckets.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Event {
+            id: u32,
+            day: u32,
+            sport: u32,
+        },
+        Athlete {
+            id: u32,
+            country: u32,
+            sport: u32,
+        },
+        Results {
+            event: u32,
+            first: u32,
+            n: u32,
+            is_final: bool,
+        },
+        News {
+            id: u32,
+            day: u32,
+        },
+        Photo {
+            id: u32,
+            event: Option<u32>,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1..6u32, 1..4u32, 1..3u32).prop_map(|(id, day, sport)| Op::Event { id, day, sport }),
+            (1..9u32, 1..3u32, 1..3u32).prop_map(|(id, country, sport)| Op::Athlete {
+                id,
+                country,
+                sport
+            }),
+            (1..6u32, 1..9u32, 1..4u32, any::<bool>()).prop_map(|(event, first, n, is_final)| {
+                Op::Results {
+                    event,
+                    first,
+                    n,
+                    is_final,
+                }
+            }),
+            (1..6u32, 1..4u32).prop_map(|(id, day)| Op::News { id, day }),
+            (1..6u32, proptest::option::of(1..6u32))
+                .prop_map(|(id, event)| Op::Photo { id, event }),
+        ]
+    }
+
+    fn apply(db: &OlympicDb, op: &Op) {
+        match *op {
+            Op::Event { id, day, sport } => db.load_event(Event {
+                id: EventId(id),
+                sport: SportId(sport),
+                name: format!("event {id}"),
+                day,
+                hour: 10,
+                popularity: 1.0,
+                phase: EventPhase::Scheduled,
+            }),
+            Op::Athlete { id, country, sport } => db.load_athlete(Athlete {
+                id: AthleteId(id),
+                name: format!("athlete {id}"),
+                country: CountryId(country),
+                sport: SportId(sport),
+            }),
+            Op::Results {
+                event,
+                first,
+                n,
+                is_final,
+            } => {
+                if db.event(EventId(event)).is_some() {
+                    let placements: Vec<(AthleteId, f64)> = (first..first + n)
+                        .map(|a| (AthleteId(a), a as f64))
+                        .collect();
+                    db.record_results(EventId(event), &placements, is_final, 1);
+                }
+            }
+            Op::News { id, day } => {
+                db.publish_news(story(id, day));
+            }
+            Op::Photo { id, event } => {
+                db.add_photo(Photo {
+                    id: PhotoId(id),
+                    day: 1,
+                    about_event: event.map(EventId),
+                    bytes: 1,
+                });
+            }
+        }
+    }
+
+    /// The oracle: filter one whole table, in key order.
+    fn scan<K: Ord + Copy, R: Clone>(
+        db: &OlympicDb,
+        table: impl Fn(&Tables) -> &Table<K, R>,
+        keep: impl Fn(&R) -> bool,
+    ) -> Vec<R> {
+        let t = db.tables.read();
+        let rows = table(&t).iter().filter(|(_, r)| keep(r));
+        rows.map(|(_, r)| r.clone()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any mutation sequence every indexed query returns exactly
+        /// what a filter over the whole table returns, in the same order.
+        #[test]
+        fn indexed_queries_equal_full_scans(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+            let db = OlympicDb::new();
+            for c in 1..3 {
+                db.load_country(Country {
+                    id: CountryId(c),
+                    code: format!("C{c}"),
+                    name: format!("Country {c}"),
+                });
+            }
+            for op in &ops {
+                apply(&db, op);
+            }
+            for day in 0..5 {
+                prop_assert_eq!(db.events_on_day(day), scan(&db, |t| &t.events, |e| e.day == day));
+                prop_assert_eq!(db.news_on_day(day), scan(&db, |t| &t.news, |n| n.day == day));
+            }
+            for sport in (0..4).map(SportId) {
+                prop_assert_eq!(
+                    db.events_of_sport(sport),
+                    scan(&db, |t| &t.events, |e| e.sport == sport)
+                );
+                prop_assert_eq!(
+                    db.athletes_of_sport(sport),
+                    scan(&db, |t| &t.athletes, |a| a.sport == sport)
+                );
+            }
+            for country in (0..4).map(CountryId) {
+                prop_assert_eq!(
+                    db.athletes_of_country(country),
+                    scan(&db, |t| &t.athletes, |a| a.country == country)
+                );
+            }
+            for event in (0..7).map(EventId) {
+                prop_assert_eq!(
+                    db.results_for_event(event),
+                    scan(&db, |t| &t.results, |r| r.event == event)
+                );
+                prop_assert_eq!(
+                    db.photos_for_event(event),
+                    scan(&db, |t| &t.photos, |p| p.about_event == Some(event))
+                );
+            }
+            for athlete in (0..13).map(AthleteId) {
+                prop_assert_eq!(
+                    db.results_for_athlete(athlete),
+                    scan(&db, |t| &t.results, |r| r.athlete == athlete)
+                );
+            }
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! exactly three things, all provided here:
 //!
 //! 1. **Typed tables** of domain rows (sports, events, athletes, countries,
-//!    results, medal tallies, news, photos) — [`schema`], [`table`].
+//!    results, medal tallies, news, photos) — [`schema`], [`table`] — read
+//!    through [`DbView`] snapshots: one lock, borrowed rows, indexed
+//!    by-column queries, revision stamps for the renderer's fragment memo.
 //! 2. **A transaction log**: every committed mutation appends a
 //!    [`txn::Transaction`] carrying the canonical *data keys* of the
 //!    changed records (the identities that become underlying-data vertices
@@ -27,7 +29,7 @@ pub mod seed;
 pub mod table;
 pub mod txn;
 
-pub use database::OlympicDb;
+pub use database::{DbView, OlympicDb};
 pub use replication::{DeliverOutcome, Replica};
 pub use schema::{
     Athlete, AthleteId, Country, CountryId, Event, EventId, EventPhase, MedalCount, NewsArticle,

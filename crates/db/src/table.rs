@@ -1,12 +1,15 @@
-//! A minimal typed table: a keyed row store with insert/update/scan and a
-//! change journal hook.
+//! A minimal typed table: a keyed row store with insert/update/scan, and
+//! the secondary index that stands in for a scan by a non-key column.
 //!
 //! Deliberately simple — the paper's system needs record-level change
 //! identification, not SQL. Rows are stored in a `BTreeMap` so scans are
 //! deterministic (id order), which keeps rendered pages and experiment
-//! output byte-stable.
+//! output byte-stable; an `Index` keeps its row keys in the same order,
+//! so reading through it returns exactly what filtering the scan would.
 
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 
 /// A typed table of rows keyed by `K`.
 #[derive(Debug, Clone)]
@@ -68,17 +71,54 @@ impl<K: Ord + Copy, R> Table<K, R> {
         self.rows.iter().map(|(k, r)| (*k, r))
     }
 
-    /// Rows matching a predicate, in key order.
-    pub fn select<'a, P>(&'a self, pred: P) -> impl Iterator<Item = &'a R>
-    where
-        P: Fn(&R) -> bool + 'a,
-    {
-        self.rows.values().filter(move |r| pred(r))
-    }
-
     /// All keys in order.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.rows.keys().copied()
+    }
+}
+
+/// A secondary index over one non-key column of a [`Table`]: column
+/// value → the keys of the rows holding it, in key order. The owner of
+/// the table maintains it on every write.
+#[derive(Debug)]
+pub(crate) struct Index<C, K> {
+    by: FxHashMap<C, Vec<K>>,
+}
+
+impl<C, K> Default for Index<C, K> {
+    fn default() -> Self {
+        Index {
+            by: FxHashMap::default(),
+        }
+    }
+}
+
+impl<C: Eq + Hash, K: Ord + Copy> Index<C, K> {
+    /// Record that the row at `key` holds `col` (no-op when already
+    /// recorded).
+    pub(crate) fn insert(&mut self, col: C, key: K) {
+        let keys = self.by.entry(col).or_default();
+        // Keys arrive ascending on the hot path (result ids), so look at
+        // the tail before searching.
+        if keys.last().is_none_or(|&last| last < key) {
+            keys.push(key);
+        } else if let Err(at) = keys.binary_search(&key) {
+            keys.insert(at, key);
+        }
+    }
+
+    /// Forget that the row at `key` holds `col`.
+    pub(crate) fn remove(&mut self, col: &C, key: K) {
+        if let Some(keys) = self.by.get_mut(col) {
+            if let Ok(at) = keys.binary_search(&key) {
+                keys.remove(at);
+            }
+        }
+    }
+
+    /// Keys of the rows holding `col`, ascending.
+    pub(crate) fn get(&self, col: &C) -> &[K] {
+        self.by.get(col).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -111,13 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn select_filters() {
-        let mut t: Table<u32, u32> = Table::new();
-        for k in 0..10 {
-            t.upsert(k, k);
+    fn index_keeps_keys_ascending_and_unique() {
+        let mut ix: Index<&str, u32> = Index::default();
+        for k in [5, 1, 3, 3, 9] {
+            ix.insert("a", k);
         }
-        let evens: Vec<u32> = t.select(|r| r % 2 == 0).copied().collect();
-        assert_eq!(evens, vec![0, 2, 4, 6, 8]);
+        ix.insert("b", 2);
+        assert_eq!(ix.get(&"a"), &[1, 3, 5, 9]);
+        ix.remove(&"a", 3);
+        ix.remove(&"a", 4);
+        ix.remove(&"c", 1);
+        assert_eq!(ix.get(&"a"), &[1, 5, 9]);
+        assert_eq!(ix.get(&"b"), &[2]);
+        assert!(ix.get(&"c").is_empty());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! `FragmentKey` is an ODG registration site, and within each arm we
 //! compare
 //!
-//! * the **reads** — `self.db.<method>(…)` calls, mapped to the data
-//!   family they touch (`events_on_day` reads `data:today:*` and
-//!   `data:event:*`, `medal_standings` reads `data:medals:*`, …) —
-//!   against
+//! * the **reads** — `db.<method>(…)` calls, on the render's `DbView`
+//!   or on `self.db` alike, mapped to the data family they touch
+//!   (`events_on_day` reads `data:today:*` and `data:event:*`,
+//!   `medal_standings` reads `data:medals:*`, …) — against
 //! * the **edges** — `deps.push(Dependency::…)` calls, classified by
 //!   the key expression (`today_data_key(day)` → today,
 //!   `FragmentKey::MedalTable` → a fragment edge, `c.data_key()` → the
@@ -38,7 +38,8 @@ use crate::rules::Diagnostic;
 /// Data-key families (the `<family>` in `data:<family>:<id>`).
 type Family = &'static str;
 
-/// `self.db.<method>(…)` → the data families the method reads.
+/// `db.<method>(…)` → the data families the method reads. Covers every
+/// query of `nagano_db::DbView`, which keeps the owned getters' names.
 const METHOD_FAMILIES: &[(&str, &[Family])] = &[
     ("athlete", &["athlete"]),
     ("athletes_of_country", &["country"]),
@@ -48,6 +49,7 @@ const METHOD_FAMILIES: &[(&str, &[Family])] = &[
     ("events_of_sport", &["sport"]),
     ("events_on_day", &["today", "event"]),
     ("medal_standings", &["medals"]),
+    ("medals_of", &["medals"]),
     ("news", &["news"]),
     ("news_on_day", &["today", "news"]),
     ("photos_for_event", &["event", "photo"]),

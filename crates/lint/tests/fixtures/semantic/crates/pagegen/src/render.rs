@@ -1,7 +1,8 @@
 // Fixture: pagegen renderer with ODG defects — `Standings` registers a
 // medals edge it never reads (O002), `Roster` reads country data with
-// no covering edge (O001). `ScheduleRow` coverage comes from
-// fragments.rs in this fixture workspace.
+// no covering edge (O001), and so does `Profile`, which reads through
+// the render's `DbView` instead of `self.db` (O001 again). `ScheduleRow`
+// coverage comes from fragments.rs in this fixture workspace.
 
 impl Renderer {
     fn render_page(&self, key: PageKey, html: &mut String, deps: &mut Vec<Dependency>) -> String {
@@ -32,6 +33,14 @@ impl Renderer {
                     let _ = writeln!(html, "<div>{}</div>", a.name);
                 }
                 "Roster".to_string()
+            }
+            PageKey::Profile(a) => {
+                // Uncovered read through the view: new results never reach this page.
+                let db = self.db.view();
+                for r in db.results_for_athlete(a) {
+                    let _ = writeln!(html, "<div>{}</div>", r.rank);
+                }
+                "Profile".to_string()
             }
         }
     }

@@ -1,6 +1,7 @@
-// Fixture: the renderer from fixtures/semantic with both ODG defects
+// Fixture: the renderer from fixtures/semantic with its ODG defects
 // fixed — `Standings` actually renders the medal box its edge tracks,
-// and `Roster` registers the country edge its read needs.
+// `Roster` registers the country edge its read needs, and `Profile`
+// registers the athlete edge its read through the `DbView` needs.
 
 impl Renderer {
     fn render_page(&self, key: PageKey, html: &mut String, deps: &mut Vec<Dependency>) -> String {
@@ -33,6 +34,14 @@ impl Renderer {
                     let _ = writeln!(html, "<div>{}</div>", a.name);
                 }
                 "Roster".to_string()
+            }
+            PageKey::Profile(a) => {
+                deps.push(Dependency::new(nagano_db::AthleteId(a.0).data_key()));
+                let db = self.db.view();
+                for r in db.results_for_athlete(a) {
+                    let _ = writeln!(html, "<div>{}</div>", r.rank);
+                }
+                "Profile".to_string()
             }
         }
     }

@@ -25,8 +25,10 @@ fn seeded_defects_fire_at_their_exact_sites() {
     assert_eq!(
         got,
         vec![
-            ("O002", "crates/pagegen/src/render.rs", 12),
-            ("O001", "crates/pagegen/src/render.rs", 31),
+            ("O002", "crates/pagegen/src/render.rs", 13),
+            ("O001", "crates/pagegen/src/render.rs", 32),
+            // The read through the render's `DbView`.
+            ("O001", "crates/pagegen/src/render.rs", 40),
             ("L001", "crates/trigger/src/ledger.rs", 19),
             ("L002", "crates/trigger/src/queue.rs", 28),
         ],

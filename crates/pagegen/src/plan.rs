@@ -51,7 +51,7 @@ pub(crate) fn filler_repeats(mut len: usize, target: usize) -> usize {
 /// A composed page as a rope of zero-copy slices: page head, skeleton
 /// segments, cached fragment bodies, padding, close — in wire order.
 /// Feed the parts straight to a vectored write, or flatten once with
-/// [`ComposedPage::into_bytes`] for cache distribution.
+/// [`ComposedPage::to_bytes`] for cache distribution.
 #[derive(Debug, Clone)]
 pub struct ComposedPage {
     /// The body slices in order; every part is non-empty.
@@ -71,11 +71,6 @@ impl ComposedPage {
     }
 
     /// Flatten into one contiguous body (single exact-size allocation).
-    pub fn into_bytes(self) -> Bytes {
-        self.to_bytes()
-    }
-
-    /// Flatten into one contiguous body without consuming the rope.
     pub fn to_bytes(&self) -> Bytes {
         let mut out = Vec::with_capacity(self.len);
         for p in &self.parts {
@@ -194,50 +189,58 @@ impl CompositionPlan {
         self.compose_cost_ms
     }
 
+    /// Visit the composed page's non-empty parts in wire order — head,
+    /// skeleton segments around the resolved fragment bodies, padding,
+    /// close — and return the total length. `None` as soon as a fragment
+    /// is missing.
+    fn walk<F, P>(&self, mut resolve: F, mut part: P) -> Option<usize>
+    where
+        F: FnMut(FragmentKey) -> Option<Bytes>,
+        P: FnMut(&Bytes),
+    {
+        let mut len = 0usize;
+        let mut emit = |len: &mut usize, b: &Bytes| {
+            if !b.is_empty() {
+                *len += b.len();
+                part(b);
+            }
+        };
+        emit(&mut len, &self.head);
+        for (segment, &slot) in self.segments.iter().zip(&self.slots) {
+            emit(&mut len, segment);
+            emit(&mut len, &resolve(slot)?);
+        }
+        emit(&mut len, &self.segments[self.slots.len()]);
+        emit(&mut len, &Bytes::from_static(b"\n"));
+        let filler = Bytes::from_static(FILLER.as_bytes());
+        for _ in 0..filler_repeats(len, self.target) {
+            emit(&mut len, &filler);
+        }
+        emit(&mut len, &Bytes::from_static(PAGE_CLOSE.as_bytes()));
+        Some(len)
+    }
+
     /// Compose the page as a zero-copy rope: `resolve` supplies each
     /// slot's cached inner HTML. Returns `None` if any fragment is
     /// missing (the caller regenerates or invalidates instead).
-    pub fn compose_parts<F>(&self, mut resolve: F) -> Option<ComposedPage>
+    pub fn compose_parts<F>(&self, resolve: F) -> Option<ComposedPage>
     where
         F: FnMut(FragmentKey) -> Option<Bytes>,
     {
         let mut parts: Vec<Bytes> = Vec::with_capacity(2 * self.slots.len() + 4);
-        let mut len = 0usize;
-        let push = |parts: &mut Vec<Bytes>, len: &mut usize, b: Bytes| {
-            if !b.is_empty() {
-                *len += b.len();
-                parts.push(b);
-            }
-        };
-        push(&mut parts, &mut len, self.head.clone());
-        for (i, &slot) in self.slots.iter().enumerate() {
-            push(&mut parts, &mut len, self.segments[i].clone());
-            push(&mut parts, &mut len, resolve(slot)?);
-        }
-        push(
-            &mut parts,
-            &mut len,
-            self.segments[self.slots.len()].clone(),
-        );
-        push(&mut parts, &mut len, Bytes::from_static(b"\n"));
-        let filler = Bytes::from_static(FILLER.as_bytes());
-        for _ in 0..filler_repeats(len, self.target) {
-            push(&mut parts, &mut len, filler.clone());
-        }
-        push(
-            &mut parts,
-            &mut len,
-            Bytes::from_static(PAGE_CLOSE.as_bytes()),
-        );
+        let len = self.walk(resolve, |b| parts.push(b.clone()))?;
         Some(ComposedPage { parts, len })
     }
 
-    /// Compose the page into one contiguous body.
+    /// Compose the page into one contiguous body, written straight into a
+    /// buffer reserved to the page's nominal size.
     pub fn compose<F>(&self, resolve: F) -> Option<Bytes>
     where
         F: FnMut(FragmentKey) -> Option<Bytes>,
     {
-        Some(self.compose_parts(resolve)?.into_bytes())
+        let mut body: Vec<u8> = Vec::with_capacity(self.target);
+        self.walk(resolve, |b| body.extend_from_slice(b))?;
+        Some(Bytes::from(body))
     }
 }
 

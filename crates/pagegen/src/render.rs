@@ -19,10 +19,11 @@
 //! changes propagate data → fragment → page exactly as in Figure 15.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use nagano_db::{EventPhase, OlympicDb};
+use nagano_db::{DbView, EventPhase, OlympicDb};
+use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{FragmentKey, PageKey};
@@ -66,14 +67,34 @@ pub struct RenderOutput {
     pub cost_ms: f64,
 }
 
+/// One memoised fragment render: the inner HTML and dependency list
+/// `compose_fragment` produced from a [`DbView`] whose stamp for the
+/// fragment's source data was `revision`.
+#[derive(Debug, Default)]
+struct FragmentMemo {
+    revision: u64,
+    html: String,
+    deps: Vec<Dependency>,
+}
+
 /// Renders pages from a database.
-#[derive(Debug, Clone)]
+///
+/// Every render reads the database through exactly one [`DbView`], so a
+/// body never mixes two committed states. Fragment HTML is memoised per
+/// renderer and spliced while the database's revision stamp for the
+/// fragment's source data — read from that same view — is the one it was
+/// rendered at; a fragment render is a pure function of that data, so a
+/// long-lived renderer and a fresh one return the same bytes.
+#[derive(Debug)]
 pub struct Renderer {
     db: Arc<OlympicDb>,
     cost: CostModel,
     /// When `Some(scale)`, rendering burns `cost_ms * scale` of real CPU
     /// (throughput experiments). `None` (default) renders at full speed.
     cpu_scale: Option<f64>,
+    /// Bounded by the fragment universe. Only ever locked for a lookup or
+    /// a store — never across a render, never before taking a view.
+    fragments: Mutex<FxHashMap<FragmentKey, FragmentMemo>>,
 }
 
 impl Renderer {
@@ -83,6 +104,7 @@ impl Renderer {
             db,
             cost: CostModel::new(),
             cpu_scale: None,
+            fragments: Mutex::default(),
         }
     }
 
@@ -111,9 +133,11 @@ impl Renderer {
 
     /// Render `key`.
     pub fn render(&self, key: PageKey) -> RenderOutput {
-        let mut html = String::with_capacity(4096);
+        // One buffer for the whole body: the inner HTML is composed into
+        // it, then the head is slid in front and the padding appended.
+        let mut html = String::with_capacity(target_bytes(key));
         let mut deps: Vec<Dependency> = Vec::new();
-        let title = self.compose(key, &mut html, &mut deps, None);
+        let title = self.compose(&self.db.view(), key, &mut html, &mut deps, None);
         let body = finalize(key, &title, html);
         let cost_ms = self.cost.cost_ms(key);
         if let Some(scale) = self.cpu_scale {
@@ -135,7 +159,7 @@ impl Renderer {
     pub fn render_fragment(&self, f: FragmentKey) -> RenderOutput {
         let mut html = String::with_capacity(1024);
         let mut deps: Vec<Dependency> = Vec::new();
-        self.compose_fragment(f, &mut html, &mut deps);
+        self.compose_fragment(&self.db.view(), f, &mut html, Some(&mut deps));
         let cost_ms = self.cost.cost_ms(PageKey::Fragment(f));
         if let Some(scale) = self.cpu_scale {
             spin_for(cost_ms, scale);
@@ -155,7 +179,7 @@ impl Renderer {
         let mut html = String::with_capacity(4096);
         let mut deps: Vec<Dependency> = Vec::new();
         let mut slots: Vec<(usize, FragmentKey)> = Vec::new();
-        let title = self.compose(key, &mut html, &mut deps, Some(&mut slots));
+        let title = self.compose(&self.db.view(), key, &mut html, &mut deps, Some(&mut slots));
         let skeleton_cost_ms = match key {
             // The fragment page's render cost is carried by the fragment
             // itself ([`Renderer::render_fragment`]).
@@ -181,8 +205,13 @@ impl Renderer {
     /// Build the page's inner HTML; returns the title. With `slots` set
     /// (composition-plan mode), fragments record slots instead of
     /// rendering inline and the returned HTML is the bare skeleton.
+    ///
+    /// `db` is the render's one read snapshot. Nothing below may reach for
+    /// `self.db`: a second read lock on this thread deadlocks behind a
+    /// waiting commit.
     fn compose(
         &self,
+        db: &DbView<'_>,
         key: PageKey,
         html: &mut String,
         deps: &mut Vec<Dependency>,
@@ -206,9 +235,9 @@ impl Renderer {
                     0.5,
                 ));
                 let _ = writeln!(html, "<h2>Day {day} at the Games</h2>");
-                self.inline_fragment(FragmentKey::MedalTable, html, slots.as_deref_mut());
-                self.inline_fragment(FragmentKey::Headlines(day), html, slots.as_deref_mut());
-                for event in self.db.events_on_day(day) {
+                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::Headlines(day), html, slots.as_deref_mut());
+                for event in db.events_on_day(day) {
                     deps.push(Dependency::weighted(
                         PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
                         2.0,
@@ -218,6 +247,7 @@ impl Renderer {
                     // own data edge — not just the fragment's.
                     deps.push(Dependency::weighted(event.id.data_key(), 1.0));
                     self.inline_fragment(
+                        db,
                         FragmentKey::ResultTable(event.id),
                         html,
                         slots.as_deref_mut(),
@@ -232,14 +262,12 @@ impl Renderer {
                     // Inline the top line of finished finals: this is what
                     // lets >25% of visitors stop at the home page.
                     if event.phase == EventPhase::Final {
-                        if let Some(winner) = self
-                            .db
+                        if let Some(winner) = db
                             .results_for_event(event.id)
-                            .iter()
                             .find(|r| r.is_final && r.rank == 1)
                         {
                             // nagano-lint: allow(O001) — athlete names are immutable after seeding; the winner line is refreshed by the `data:event:*` edge pushed above for this event
-                            if let Some(a) = self.db.athlete(winner.athlete) {
+                            if let Some(a) = db.athlete(winner.athlete) {
                                 let _ = writeln!(html, "<p>Gold: {}</p>", a.name);
                             }
                         }
@@ -252,22 +280,19 @@ impl Renderer {
                     PageKey::Fragment(FragmentKey::MedalTable).object_key(),
                 ));
                 let _ = writeln!(html, "<h2>Medal Standings</h2>");
-                self.inline_fragment(FragmentKey::MedalTable, html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
                 "Medal Standings".to_string()
             }
             PageKey::Sport(s) => {
                 deps.push(Dependency::new(nagano_db::SportId(s.0).data_key()));
-                let sport = self.db.sport(s);
-                let name = sport
-                    .as_ref()
-                    .map(|x| x.name.clone())
-                    .unwrap_or_else(|| "Unknown sport".into());
+                let name = db.sport(s).map_or("Unknown sport", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for event in self.db.events_of_sport(s) {
+                for event in db.events_of_sport(s) {
                     deps.push(Dependency::new(
                         PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
                     ));
                     self.inline_fragment(
+                        db,
                         FragmentKey::ResultTable(event.id),
                         html,
                         slots.as_deref_mut(),
@@ -280,26 +305,23 @@ impl Renderer {
                         event.day
                     );
                 }
-                name
+                name.to_string()
             }
             PageKey::Event(e) => {
                 deps.push(Dependency::new(
                     PageKey::Fragment(FragmentKey::ResultTable(e)).object_key(),
                 ));
-                self.inline_fragment(FragmentKey::ResultTable(e), html, slots.as_deref_mut());
-                let event = self.db.event(e);
-                let name = event
-                    .as_ref()
-                    .map(|x| x.name.clone())
-                    .unwrap_or_else(|| "Unknown event".into());
+                self.inline_fragment(db, FragmentKey::ResultTable(e), html, slots.as_deref_mut());
+                let event = db.event(e);
+                let name = event.map_or("Unknown event", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for photo in self.db.photos_for_event(e) {
+                for photo in db.photos_for_event(e) {
                     deps.push(Dependency::weighted(photo.id.data_key(), 0.5));
                     let _ = writeln!(html, "<img alt=\"photo {}\"/>", photo.id.0);
                 }
                 // Cross-links per the 1998 redesign: every page links to
                 // pertinent information in other sections.
-                if let Some(ev) = &event {
+                if let Some(ev) = event {
                     let _ = writeln!(
                         html,
                         "<nav><a href=\"{}\">All {} results</a> <a href=\"/medals\">Medals</a></nav>",
@@ -307,7 +329,7 @@ impl Renderer {
                         ev.sport
                     );
                 }
-                name
+                name.to_string()
             }
             PageKey::Country(c) => {
                 deps.push(Dependency::new(c.data_key()));
@@ -318,22 +340,16 @@ impl Renderer {
                     nagano_db::schema::medals_data_key(),
                     0.25,
                 ));
-                let country = self.db.country(c);
-                let name = country.map(|x| x.name).unwrap_or_else(|| "Unknown".into());
+                let name = db.country(c).map_or("Unknown", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                if let Some((_, m)) = self
-                    .db
-                    .medal_standings()
-                    .iter()
-                    .find(|(code, _)| *code == c)
-                {
+                if let Some(m) = db.medals_of(c) {
                     let _ = writeln!(
                         html,
                         "<p class=\"medal-box\">Gold {} · Silver {} · Bronze {}</p>",
                         m.gold, m.silver, m.bronze
                     );
                 }
-                for a in self.db.athletes_of_country(c).iter().take(50) {
+                for a in db.athletes_of_country(c).take(50) {
                     let _ = writeln!(
                         html,
                         "<div><a href=\"{}\">{}</a></div>",
@@ -341,17 +357,14 @@ impl Renderer {
                         a.name
                     );
                 }
-                name
+                name.to_string()
             }
             PageKey::Athlete(a) => {
                 deps.push(Dependency::new(a.data_key()));
-                let athlete = self.db.athlete(a);
-                let name = athlete
-                    .as_ref()
-                    .map(|x| x.name.clone())
-                    .unwrap_or_else(|| "Unknown".into());
+                let athlete = db.athlete(a);
+                let name = athlete.map_or("Unknown", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for r in self.db.results_for_athlete(a) {
+                for r in db.results_for_athlete(a) {
                     let _ = writeln!(
                         html,
                         "<div>Event <a href=\"{}\">{}</a>: rank {} ({:.2})</div>",
@@ -361,18 +374,18 @@ impl Renderer {
                         r.score
                     );
                 }
-                if let Some(at) = &athlete {
+                if let Some(at) = athlete {
                     let _ = writeln!(
                         html,
                         "<nav><a href=\"{}\">Team page</a></nav>",
                         PageKey::Country(at.country).to_url()
                     );
                 }
-                name
+                name.to_string()
             }
             PageKey::News(n) => {
                 deps.push(Dependency::new(n.data_key()));
-                match self.db.news(n) {
+                match db.news(n) {
                     Some(article) => {
                         let _ = writeln!(
                             html,
@@ -386,7 +399,7 @@ impl Renderer {
                                 PageKey::Event(ev).to_url()
                             );
                         }
-                        article.title
+                        article.title.clone()
                     }
                     None => "Story not found".to_string(),
                 }
@@ -394,7 +407,7 @@ impl Renderer {
             PageKey::NewsIndex(day) => {
                 deps.push(Dependency::new(nagano_db::schema::today_data_key(day)));
                 let _ = writeln!(html, "<h2>News — Day {day}</h2>");
-                for article in self.db.news_on_day(day) {
+                for article in db.news_on_day(day) {
                     deps.push(Dependency::weighted(article.id.data_key(), 0.5));
                     let _ = writeln!(
                         html,
@@ -406,9 +419,9 @@ impl Renderer {
                 format!("News for Day {day}")
             }
             PageKey::Venue(s) => {
-                let venue = self.db.sport(s).map(|x| x.venue).unwrap_or_default();
+                let venue = db.sport(s).map_or("", |x| x.venue.as_str());
                 let _ = writeln!(html, "<h2>{venue}</h2><p>Venue guide and transport.</p>");
-                venue
+                venue.to_string()
             }
             PageKey::Welcome => {
                 let _ = writeln!(html, "<h2>Welcome</h2><p>How to use this site.</p>");
@@ -425,16 +438,16 @@ impl Renderer {
                 );
                 "Fun".into()
             }
-            PageKey::Fragment(f) => match slots {
-                // Plan mode: the fragment page is pure slot — its data deps
-                // live on the shared fragment vertex, registered when the
-                // fragment itself regenerates.
-                Some(slots) => {
-                    slots.push((html.len(), f));
-                    fragment_title(f)
+            PageKey::Fragment(f) => {
+                match slots {
+                    // Plan mode: the fragment page is pure slot — its data
+                    // deps live on the shared fragment vertex, registered
+                    // when the fragment itself regenerates.
+                    Some(slots) => slots.push((html.len(), f)),
+                    None => self.compose_fragment(db, f, html, Some(deps)),
                 }
-                None => self.compose_fragment(f, html, deps),
-            },
+                fragment_title(f)
+            }
         }
     }
 
@@ -445,76 +458,124 @@ impl Renderer {
     /// current skeleton offset is recorded as a cached-fragment slot.
     fn inline_fragment(
         &self,
+        db: &DbView<'_>,
         f: FragmentKey,
         html: &mut String,
         slots: Option<&mut Vec<(usize, FragmentKey)>>,
     ) {
         match slots {
             Some(slots) => slots.push((html.len(), f)),
-            None => {
-                let mut fragment_deps = Vec::new();
-                self.compose_fragment(f, html, &mut fragment_deps);
-            }
+            None => self.compose_fragment(db, f, html, None),
         }
     }
 
+    /// Append the fragment's inner HTML to `html` and its data
+    /// dependencies to `deps` (when asked for). The one entry to fragment
+    /// rendering: it splices the memoised render while `db` still stamps
+    /// the fragment's source data with the revision the memo was rendered
+    /// at, and renders and memoises otherwise.
     fn compose_fragment(
         &self,
+        db: &DbView<'_>,
         f: FragmentKey,
         html: &mut String,
-        deps: &mut Vec<Dependency>,
-    ) -> String {
-        match f {
-            FragmentKey::ResultTable(e) => {
-                deps.push(Dependency::new(e.data_key()));
-                let _ = writeln!(html, "<table class=\"results\">");
-                for r in self.db.results_for_event(e) {
-                    let who = self
-                        .db
-                        // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
-                        .athlete(r.athlete)
-                        .map(|a| a.name)
-                        .unwrap_or_else(|| format!("athlete {}", r.athlete.0));
-                    let _ = writeln!(
-                        html,
-                        "<tr><td>{}</td><td>{}</td><td>{:.2}</td></tr>",
-                        r.rank, who, r.score
-                    );
+        deps: Option<&mut Vec<Dependency>>,
+    ) {
+        let revision = match f {
+            FragmentKey::ResultTable(e) => db.results_revision(e),
+            FragmentKey::MedalTable => db.medals_revision(),
+            FragmentKey::Headlines(day) => db.news_revision(day),
+        };
+        {
+            let memo = self.fragments.lock().expect(MEMO_POISONED);
+            if let Some(hit) = memo.get(&f).filter(|m| m.revision == revision) {
+                html.push_str(&hit.html);
+                if let Some(deps) = deps {
+                    deps.extend_from_slice(&hit.deps);
                 }
-                let _ = writeln!(html, "</table>");
-            }
-            FragmentKey::MedalTable => {
-                deps.push(Dependency::new(nagano_db::schema::medals_data_key()));
-                let _ = writeln!(html, "<table class=\"medals\">");
-                for (c, m) in self.db.medal_standings().iter().take(15) {
-                    let code = self
-                        .db
-                        // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
-                        .country(*c)
-                        .map(|x| x.code)
-                        .unwrap_or_else(|| c.to_string());
-                    let _ = writeln!(
-                        html,
-                        "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                        code, m.gold, m.silver, m.bronze
-                    );
-                }
-                let _ = writeln!(html, "</table>");
-            }
-            FragmentKey::Headlines(day) => {
-                deps.push(Dependency::weighted(
-                    nagano_db::schema::today_data_key(day),
-                    0.5,
-                ));
-                let _ = writeln!(html, "<ul class=\"headlines\">");
-                for article in self.db.news_on_day(day).iter().take(8) {
-                    deps.push(Dependency::new(article.id.data_key()));
-                    let _ = writeln!(html, "<li>{}</li>", article.title);
-                }
-                let _ = writeln!(html, "</ul>");
+                return;
             }
         }
-        fragment_title(f)
+        let start = html.len();
+        let mut own: Vec<Dependency> = Vec::new();
+        render_fragment_into(db, f, html, &mut own);
+        if let Some(deps) = deps {
+            deps.extend_from_slice(&own);
+        }
+        // A re-render refills the entry's buffers rather than replacing
+        // them: the memo's allocations are made once, when a fragment is
+        // first rendered, not once per revision.
+        let mut memo = self.fragments.lock().expect(MEMO_POISONED);
+        let entry = memo.entry(f).or_default();
+        entry.revision = revision;
+        entry.html.clear();
+        entry.html.push_str(&html[start..]);
+        entry.deps.clear();
+        entry.deps.append(&mut own);
+    }
+}
+
+/// An entry is refilled under the lock, so a panic in there leaves it
+/// half-written; the poisoned mutex then stops every later render instead
+/// of letting one splice it.
+const MEMO_POISONED: &str = "a render panicked while holding the fragment memo";
+
+/// Render fragment `f` from `db`: the pure function the memo caches.
+fn render_fragment_into(
+    db: &DbView<'_>,
+    f: FragmentKey,
+    html: &mut String,
+    deps: &mut Vec<Dependency>,
+) {
+    match f {
+        FragmentKey::ResultTable(e) => {
+            deps.push(Dependency::new(e.data_key()));
+            let _ = writeln!(html, "<table class=\"results\">");
+            for r in db.results_for_event(e) {
+                let _ = write!(html, "<tr><td>{}</td><td>", r.rank);
+                // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
+                match db.athlete(r.athlete) {
+                    Some(a) => html.push_str(&a.name),
+                    None => {
+                        let _ = write!(html, "athlete {}", r.athlete.0);
+                    }
+                }
+                let _ = writeln!(html, "</td><td>{:.2}</td></tr>", r.score);
+            }
+            let _ = writeln!(html, "</table>");
+        }
+        FragmentKey::MedalTable => {
+            deps.push(Dependency::new(nagano_db::schema::medals_data_key()));
+            let _ = writeln!(html, "<table class=\"medals\">");
+            for (c, m) in db.medal_standings().iter().take(15) {
+                let _ = write!(html, "<tr><td>");
+                // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
+                match db.country(*c) {
+                    Some(country) => html.push_str(&country.code),
+                    None => {
+                        let _ = write!(html, "{c}");
+                    }
+                }
+                let _ = writeln!(
+                    html,
+                    "</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+                    m.gold, m.silver, m.bronze
+                );
+            }
+            let _ = writeln!(html, "</table>");
+        }
+        FragmentKey::Headlines(day) => {
+            deps.push(Dependency::weighted(
+                nagano_db::schema::today_data_key(day),
+                0.5,
+            ));
+            let _ = writeln!(html, "<ul class=\"headlines\">");
+            for article in db.news_on_day(day).take(8) {
+                deps.push(Dependency::new(article.id.data_key()));
+                let _ = writeln!(html, "<li>{}</li>", article.title);
+            }
+            let _ = writeln!(html, "</ul>");
+        }
     }
 }
 
@@ -556,9 +617,11 @@ pub fn target_bytes(key: PageKey) -> usize {
     }
 }
 
-fn finalize(key: PageKey, title: &str, inner: String) -> Bytes {
-    let mut page = page_head(title);
-    page.push_str(&inner);
+/// Turn the composed inner HTML into the page body, in place: `page` was
+/// reserved to the family's nominal size, so sliding the head in front and
+/// padding behind it allocates nothing.
+fn finalize(key: PageKey, title: &str, mut page: String) -> Bytes {
+    page.insert_str(0, &page_head(title));
     page.push('\n');
     // Pad with content filler to the family's nominal size (stands in for
     // the inline imagery the real pages carried).
@@ -724,5 +787,147 @@ mod tests {
         let start = std::time::Instant::now();
         r.render(PageKey::Athlete(AthleteId(1)));
         assert!(start.elapsed().as_millis() >= 8);
+    }
+
+    /// How many of the home page's events `body` shows as final — or how
+    /// it fails to show one committed state: per event the result rows,
+    /// the phase label and the `Gold:` line must agree; the finals must be
+    /// a prefix of the day (they are committed in id order); and the medal
+    /// table must have counted exactly those finals.
+    fn finals_shown(body: &[u8]) -> Result<usize, String> {
+        let html = std::str::from_utf8(body).unwrap();
+        let mut chunks = html.split("<table class=\"results\">");
+        let before = chunks.next().unwrap();
+        let mut finals = 0;
+        let mut open_seen = false;
+        for (i, chunk) in chunks.enumerate() {
+            let (table, rest) = chunk.split_once("</table>").unwrap();
+            let rows = table.matches("<tr>").count();
+            let label_final = rest.contains("— final</section>");
+            let gold = rest.contains("<p>Gold: ");
+            if (rows > 0) != label_final || label_final != gold {
+                return Err(format!(
+                    "event {i} is torn: {rows} rows, final label {label_final}, gold line {gold}"
+                ));
+            }
+            if label_final && open_seen {
+                return Err(format!("event {i} is final after an open one"));
+            }
+            open_seen |= !label_final;
+            finals += label_final as usize;
+        }
+        let (_, medals) = before.split_once("<table class=\"medals\">").unwrap();
+        let golds: usize = medals
+            .split("<tr><td>")
+            .skip(1)
+            .map(|row| {
+                row.split("</td><td>")
+                    .nth(1)
+                    .unwrap()
+                    .parse::<usize>()
+                    .unwrap()
+            })
+            .sum();
+        if golds != finals {
+            return Err(format!(
+                "{golds} golds in the medal table, {finals} finals below it"
+            ));
+        }
+        Ok(finals)
+    }
+
+    #[test]
+    fn a_home_page_shows_one_committed_state_while_finals_land() {
+        use nagano_db::{Event, EventId};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const EVENTS: u32 = 40;
+        let (db, _) = seeded();
+        // Day 1 has no seeded events: give it forty of its own.
+        let sport = db.sports()[0].id;
+        for i in 0..EVENTS {
+            db.load_event(Event {
+                id: EventId(1_000 + i),
+                sport,
+                name: format!("Heat {i}"),
+                day: 1,
+                hour: 9,
+                popularity: 1.0,
+                phase: EventPhase::Scheduled,
+            });
+        }
+        let podium: Vec<(AthleteId, f64)> = db
+            .athletes_of_sport(sport)
+            .iter()
+            .take(3)
+            .enumerate()
+            .map(|(i, a)| (a.id, 100.0 - i as f64))
+            .collect();
+        let renders = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let torn = Arc::new(AtomicBool::new(false));
+        // Each thread reports in on every way out except a hang.
+        let (finished, watchdog) = mpsc::channel();
+
+        let committer = std::thread::spawn({
+            let (db, renders, done, torn, finished) = (
+                Arc::clone(&db),
+                Arc::clone(&renders),
+                Arc::clone(&done),
+                Arc::clone(&torn),
+                finished.clone(),
+            );
+            move || {
+                for i in 0..EVENTS {
+                    // Let each commit go as one render ends, so that it
+                    // lands inside the next.
+                    let seen = renders.load(SeqCst);
+                    while renders.load(SeqCst) == seen && !torn.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    db.record_results(EventId(1_000 + i), &podium, true, 1);
+                }
+                done.store(true, SeqCst);
+                let _ = finished.send(());
+            }
+        });
+        let rendering = std::thread::spawn(move || {
+            let r = Renderer::new(db);
+            let mut last = 0;
+            let mut verdict = Ok(());
+            while !done.load(SeqCst) {
+                match finals_shown(&r.render(PageKey::Home(1)).body) {
+                    Ok(shown) if shown >= last => last = shown,
+                    Ok(shown) => verdict = Err(format!("finals went back from {last} to {shown}")),
+                    Err(why) => verdict = Err(why),
+                }
+                if verdict.is_err() {
+                    torn.store(true, SeqCst);
+                    break;
+                }
+                renders.fetch_add(1, SeqCst);
+            }
+            let _ = finished.send(());
+            verdict.map(|()| r)
+        });
+
+        // A render path that takes a second read lock hangs as soon as a
+        // commit waits between the two, and the commit hangs behind it.
+        for _ in 0..2 {
+            watchdog
+                .recv_timeout(Duration::from_secs(60))
+                .expect("render and commit deadlocked (or ran for over a minute)");
+        }
+        committer.join().expect("committer panicked");
+        let r = rendering
+            .join()
+            .expect("renderer panicked")
+            .unwrap_or_else(|why| panic!("torn home page: {why}"));
+        assert_eq!(
+            finals_shown(&r.render(PageKey::Home(1)).body),
+            Ok(EVENTS as usize)
+        );
     }
 }

@@ -10,6 +10,10 @@
 //! the same *work*, not just reach the same bytes). Each content
 //! category also gets a plain named driver so a regression pinpoints the
 //! page family that broke.
+//!
+//! The same generators drive the renderer differential at the bottom: a
+//! long-lived `Renderer` (warm fragment memo) against a fresh one after
+//! every transaction of a prefix.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +21,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use nagano_cache::{CacheConfig, CacheFleet, FragmentStore};
-use nagano_db::{seed_games, AthleteId, GamesConfig, NewsArticle, NewsId, OlympicDb, Transaction};
+use nagano_db::{
+    seed_games, AthleteId, Event, GamesConfig, NewsArticle, NewsId, OlympicDb, Photo, PhotoId,
+    Transaction,
+};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
@@ -53,40 +60,45 @@ fn monitor_pair(
     (fragmented, legacy, registry)
 }
 
-/// Deterministic mixed transaction prefix: result batches against random
-/// events (random podium sizes, ~30% finals) interleaved with news
-/// stories on the touched days — together these dirty every fragment
-/// class (result tables, the medal table, headline strips).
+/// Transaction `i` of a deterministic mixed prefix: a result batch
+/// against a random event (random podium size, ~30% finals) or a news
+/// story on the touched day — together these dirty every fragment class
+/// (result tables, the medal table, headline strips).
+fn next_txn(
+    db: &OlympicDb,
+    rng: &mut DeterministicRng,
+    events: &[Event],
+    i: usize,
+) -> Arc<Transaction> {
+    let ev = &events[rng.index(events.len())];
+    if rng.chance(0.25) {
+        db.publish_news(NewsArticle {
+            id: NewsId(9_000 + i as u32),
+            day: ev.day,
+            title: format!("Late report {i}"),
+            body: format!("Fragment-equivalence probe on day {}", ev.day),
+            about_event: Some(ev.id),
+        })
+    } else {
+        let pool = db.athletes_of_sport(ev.sport);
+        let take = (3 + rng.index(5)).min(pool.len());
+        let placements: Vec<(AthleteId, f64)> = pool
+            .iter()
+            .take(take)
+            .enumerate()
+            .map(|(i, a)| (a.id, 95.0 - i as f64 - rng.f64()))
+            .collect();
+        db.record_results(ev.id, &placements, rng.chance(0.3), ev.day)
+    }
+}
+
 fn generate_txns(
     db: &Arc<OlympicDb>,
     rng: &mut DeterministicRng,
     n: usize,
 ) -> Vec<Arc<Transaction>> {
     let events = db.events();
-    (0..n)
-        .map(|i| {
-            let ev = &events[rng.index(events.len())];
-            if rng.chance(0.25) {
-                db.publish_news(NewsArticle {
-                    id: NewsId(9_000 + i as u32),
-                    day: ev.day,
-                    title: format!("Late report {i}"),
-                    body: format!("Fragment-equivalence probe on day {}", ev.day),
-                    about_event: Some(ev.id),
-                })
-            } else {
-                let pool = db.athletes_of_sport(ev.sport);
-                let take = (3 + rng.index(5)).min(pool.len());
-                let placements: Vec<(AthleteId, f64)> = pool
-                    .iter()
-                    .take(take)
-                    .enumerate()
-                    .map(|(i, a)| (a.id, 95.0 - i as f64 - rng.f64()))
-                    .collect();
-                db.record_results(ev.id, &placements, rng.chance(0.3), ev.day)
-            }
-        })
-        .collect()
+    (0..n).map(|i| next_txn(db, rng, &events, i)).collect()
 }
 
 /// Canonical cache view of fleet member `member`: url → (body, version).
@@ -271,6 +283,88 @@ fn home_and_welcome_pages_compose_identically() {
     check_category(&txns, &fragmented, &legacy, &["/day/", "/welcome"], 2);
 }
 
+/// The renderer differential: `warm` has rendered every earlier state of
+/// `db`, a fresh renderer none. For every registered page — fragment
+/// pages included — they must return the same bytes and the same
+/// dependencies, whole-page (`fragment_mode` off: `render`) and composed
+/// (`fragment_mode` on: `plan` + `render_fragment`).
+fn assert_warm_equals_fresh(
+    warm: &Renderer,
+    db: &Arc<OlympicDb>,
+    registry: &PageRegistry,
+    at: &str,
+) {
+    // A new oracle per page: nothing it splices was rendered for another.
+    let fresh = || Renderer::new(Arc::clone(db));
+    for key in registry.pages().iter().map(|(k, _)| *k) {
+        let (w, f) = (warm.render(key), fresh().render(key));
+        assert_eq!(w.body, f.body, "{at}: {key:?}: warm render diverges");
+        assert_eq!(w.deps, f.deps, "{at}: {key:?}: warm deps diverge");
+
+        let (wp, fp) = (warm.plan(key), fresh().plan(key));
+        assert_eq!(wp.deps(), fp.deps(), "{at}: {key:?}: plan deps diverge");
+        assert_eq!(wp.slots(), fp.slots(), "{at}: {key:?}: plan slots diverge");
+        let composed = wp
+            .compose(|slot| Some(warm.render_fragment(slot).body))
+            .expect("every slot resolves");
+        assert_eq!(composed, f.body, "{at}: {key:?}: warm composition diverges");
+        for &slot in wp.slots() {
+            let (ws, fs) = (warm.render_fragment(slot), fresh().render_fragment(slot));
+            assert_eq!(ws.body, fs.body, "{at}: {slot:?}: warm fragment diverges");
+            assert_eq!(
+                ws.deps, fs.deps,
+                "{at}: {slot:?}: warm fragment deps diverge"
+            );
+        }
+    }
+}
+
+fn check_renderer_differential(seed: u64, n: usize) {
+    let db = fresh_db();
+    let registry = PageRegistry::build(&db, 16);
+    let events = db.events();
+    let warm = Renderer::new(Arc::clone(&db));
+    let mut rng = DeterministicRng::seed_from_u64(seed);
+    assert_warm_equals_fresh(&warm, &db, &registry, "seeded");
+    for i in 0..n {
+        next_txn(&db, &mut rng, &events, i);
+        assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} txn {i}"));
+    }
+    // The mutations the random prefix never draws: a story re-published
+    // under its id on another day, and a photo.
+    let ev = &events[rng.index(events.len())];
+    let moved_to = ev.day % 16 + 1;
+    for day in [ev.day, moved_to] {
+        db.publish_news(NewsArticle {
+            id: NewsId(8_000),
+            day,
+            title: format!("Moving story, day {day}"),
+            body: "Re-published under one id".into(),
+            about_event: None,
+        });
+        assert_warm_equals_fresh(
+            &warm,
+            &db,
+            &registry,
+            &format!("seed {seed} story on {day}"),
+        );
+    }
+    db.add_photo(Photo {
+        id: PhotoId(8_000),
+        day: ev.day,
+        about_event: Some(ev.id),
+        bytes: 40_000,
+    });
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} photo"));
+}
+
+#[test]
+fn warm_renderer_equals_fresh_renderer_plain_seeds() {
+    for seed in [1, 42, 0x1998] {
+        check_renderer_differential(seed, 6);
+    }
+}
+
 #[test]
 fn fragment_equivalence_plain_seeds() {
     for seed in [1, 42, 0x1998] {
@@ -284,5 +378,10 @@ proptest! {
     #[test]
     fn prop_fragment_composition_is_byte_equivalent(seed in 0u64..(1u64 << 32), n in 1usize..7) {
         check_fragment_equivalence(seed, n);
+    }
+
+    #[test]
+    fn prop_warm_renderer_equals_fresh_renderer(seed in 0u64..(1u64 << 32), n in 1usize..7) {
+        check_renderer_differential(seed, n);
     }
 }
