@@ -117,6 +117,17 @@ pub struct PrebuiltHead {
 /// path.
 pub type HeadBuilder = Arc<dyn Fn(&Bytes, u64) -> PrebuiltHead + Send + Sync>;
 
+/// The head one member of a fleet built for the body being distributed,
+/// offered to the members after it: a head is a function of the builder,
+/// the body and the version, so a member with the same builder whose
+/// entry lands on the same version stores a clone instead of building
+/// its own.
+pub(crate) struct SharedHead {
+    builder: HeadBuilder,
+    version: u64,
+    head: PrebuiltHead,
+}
+
 /// A successful cache lookup.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
@@ -415,6 +426,30 @@ impl PageCache {
         self.head_builder.get().map(|b| b(body, version))
     }
 
+    /// The head for `body` at `version`: `shared`'s when it was built by
+    /// this cache's builder for this version, else a fresh one, which
+    /// replaces `shared`.
+    fn shared_head(
+        &self,
+        body: &Bytes,
+        version: u64,
+        shared: &mut Option<SharedHead>,
+    ) -> Option<PrebuiltHead> {
+        let builder = self.head_builder.get()?;
+        if let Some(s) = shared {
+            if s.version == version && Arc::ptr_eq(&s.builder, builder) {
+                return Some(s.head.clone());
+            }
+        }
+        let head = builder(body, version);
+        *shared = Some(SharedHead {
+            builder: Arc::clone(builder),
+            version,
+            head: head.clone(),
+        });
+        Some(head)
+    }
+
     /// Advance the cache clock (monotonic micros derived from `secs`).
     /// Stale-copy ages are measured against this clock, so the owner
     /// decides what "time" means — sim time in the cluster simulation.
@@ -494,6 +529,20 @@ impl PageCache {
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
     /// used by GreedyDual-Size.
     pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
+        self.put_sharing_head(key, body, cost, &mut None)
+    }
+
+    /// [`PageCache::put`] for one member of a distribution: the entry's
+    /// head comes from `shared` when that fits this member (see
+    /// [`SharedHead`]), so a fleet whose versions agree builds one head
+    /// per page, not one per member under each member's shard lock.
+    pub(crate) fn put_sharing_head(
+        &self,
+        key: &str,
+        body: Bytes,
+        cost: f64,
+        shared: &mut Option<SharedHead>,
+    ) -> u64 {
         let size = body.len() as u64;
         let mut shard = self.shard_for(key).lock();
         shard.tick += 1;
@@ -504,7 +553,7 @@ impl PageCache {
             let old = e.body.len() as u64;
             e.version += 1;
             version = e.version;
-            e.head = self.build_head(&body, version);
+            e.head = self.shared_head(&body, version, shared);
             e.body = body;
             e.cost = cost;
             e.stamp = tick;
@@ -522,7 +571,7 @@ impl PageCache {
         } else {
             let k: Arc<str> = Arc::from(key);
             version = 1;
-            let head = self.build_head(&body, 1);
+            let head = self.shared_head(&body, 1, shared);
             shard.map.insert(
                 Arc::clone(&k),
                 Entry {

@@ -78,10 +78,13 @@ impl CacheFleet {
     }
 
     /// Distribute a freshly rendered page to every member (the trigger
-    /// monitor's prefetch/update-in-place path).
+    /// monitor's prefetch/update-in-place path). The members share one
+    /// preserialised head as long as their versions of the page agree; a
+    /// member that took a local fill since builds its own.
     pub fn distribute(&self, key: &str, body: Bytes, cost: f64) {
+        let mut head = None;
         for m in &self.members {
-            m.put(key, body.clone(), cost);
+            m.put_sharing_head(key, body.clone(), cost, &mut head);
         }
     }
 
@@ -222,6 +225,85 @@ mod tests {
         // Bytes clones are refcounted views of one buffer.
         let got = fleet.member(0).peek("/x").unwrap().body;
         assert_eq!(got.as_ptr(), b.as_ptr());
+    }
+
+    /// A fleet whose heads spell out what they were built for, and a count
+    /// of how many were built.
+    fn fleet_with_counted_heads(n: usize) -> (CacheFleet, Arc<std::sync::atomic::AtomicUsize>) {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let fleet = CacheFleet::new(n, CacheConfig::default());
+        let built = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&built);
+        assert!(
+            fleet.set_head_builder(Arc::new(move |b: &Bytes, version: u64| {
+                count.fetch_add(1, SeqCst);
+                crate::PrebuiltHead {
+                    pre: Bytes::from(format!("len={}", b.len())),
+                    post: Bytes::from(format!("v{version}")),
+                }
+            }))
+        );
+        (fleet, built)
+    }
+
+    fn assert_heads_fit_their_entries(fleet: &CacheFleet, key: &str) {
+        for (i, m) in fleet.members().iter().enumerate() {
+            let page = m.peek(key).unwrap();
+            let head = page.head.expect("builder installed");
+            assert_eq!(head.pre, *format!("len={}", page.body.len()), "member {i}");
+            assert_eq!(head.post, *format!("v{}", page.version), "member {i}");
+        }
+    }
+
+    #[test]
+    fn distribute_builds_one_head_while_versions_agree() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let (fleet, built) = fleet_with_counted_heads(8);
+        for (round, text) in ["first", "second, longer"].into_iter().enumerate() {
+            fleet.distribute("/medals", body(text), 1.0);
+            assert_eq!(built.load(SeqCst), round + 1);
+            assert_heads_fit_their_entries(&fleet, "/medals");
+        }
+        // The members hold views of one head, as they do of one body.
+        let heads: Vec<_> = (0..8)
+            .map(|i| fleet.member(i).peek("/medals").unwrap().head.unwrap())
+            .collect();
+        assert!(heads
+            .iter()
+            .all(|h| h.pre.as_ptr() == heads[0].pre.as_ptr()));
+    }
+
+    #[test]
+    fn a_member_whose_version_differs_gets_its_own_head() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let (fleet, built) = fleet_with_counted_heads(4);
+        fleet.distribute("/medals", body("v1 everywhere"), 1.0);
+        // A demand fill on member 2 alone: its entry runs one ahead.
+        fleet.put_local(2, "/medals", body("local fill"), 1.0);
+        let before = built.load(SeqCst);
+        fleet.distribute("/medals", body("distributed again"), 1.0);
+        let versions: Vec<u64> = (0..4)
+            .map(|i| fleet.member(i).peek("/medals").unwrap().version)
+            .collect();
+        assert_eq!(versions, [2, 2, 3, 2]);
+        assert_heads_fit_their_entries(&fleet, "/medals");
+        // One for members 0 and 1, one for member 2, one for member 3.
+        assert_eq!(built.load(SeqCst) - before, 3);
+        // A member that builds heads differently shares none.
+        let odd = CacheFleet::new(2, CacheConfig::default());
+        odd.member(0)
+            .set_head_builder(Arc::new(|_: &Bytes, _| crate::PrebuiltHead {
+                pre: body("zero"),
+                post: body("zero"),
+            }));
+        odd.member(1)
+            .set_head_builder(Arc::new(|_: &Bytes, _| crate::PrebuiltHead {
+                pre: body("one"),
+                post: body("one"),
+            }));
+        odd.distribute("/x", body("page"), 1.0);
+        assert_eq!(odd.member(0).peek("/x").unwrap().head.unwrap().pre, "zero");
+        assert_eq!(odd.member(1).peek("/x").unwrap().head.unwrap().pre, "one");
     }
 
     #[test]

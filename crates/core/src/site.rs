@@ -777,6 +777,40 @@ mod tests {
     }
 
     #[test]
+    fn every_node_serves_its_own_version_after_a_shared_distribution() {
+        let s = site();
+        // A demand fill on node 1 alone: its entry now runs one version
+        // ahead of node 0's, and stays ahead through every distribution,
+        // which builds one head and shares it where the versions agree.
+        s.monitor().demand_fill(1, PageKey::Medals);
+        let ev = s.db().events()[0].clone();
+        let a = s.db().athletes_of_sport(ev.sport)[0].clone();
+        s.db().record_results(ev.id, &[(a.id, 9.0)], true, ev.day);
+        s.pump();
+        for (node, etag, other) in [(0, "\"v2\"", "\"v3\""), (1, "\"v3\"", "\"v2\"")] {
+            let cached = s.fleet().member(node).peek("/medals").unwrap();
+            let resp = s.respond(node, &get_request("/medals", None));
+            assert!(resp.prebuilt.is_some(), "node {node}: hit with a head");
+            let mut wire = Vec::new();
+            resp.write_to(&mut wire, true).unwrap();
+            let split = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let head = std::str::from_utf8(&wire[..split]).unwrap();
+            assert!(
+                head.contains(&format!("ETag: {etag}\r\n")),
+                "node {node}: {head}"
+            );
+            let length = format!("Content-Length: {}\r\n", cached.body.len());
+            assert!(head.contains(&length), "node {node}: {head}");
+            assert_eq!(&wire[split..], &cached.body[..], "node {node}");
+            // The tag it served revalidates on this node; the other's not.
+            let resp = s.respond(node, &get_request("/medals", Some(etag)));
+            assert_eq!(resp.status, nagano_httpd::Status::NotModified);
+            let resp = s.respond(node, &get_request("/medals", Some(other)));
+            assert_eq!(resp.status, nagano_httpd::Status::Ok);
+        }
+    }
+
+    #[test]
     fn respond_reuses_cached_body_allocation() {
         let s = site();
         let cached = s.fleet().member(0).peek("/medals").unwrap().body;

@@ -24,15 +24,17 @@ use crate::schema::{
 use crate::table::{Index, Table};
 use crate::txn::{RecordChange, Transaction, TxnLog};
 
-/// Revision stamps of the data the cached page fragments are rendered
-/// from (result table of an event, medal table, headlines of a day). A
-/// mutation bumps the stamp of every fragment whose bytes it can change,
-/// under the same write lock as the rows, so a stamp and the rows read
-/// through one [`DbView`] always belong together.
+/// Revision stamps of the data the memoised page sections are rendered
+/// from (result table and home-page line of an event, medal table,
+/// headlines of a day, roster of a country). A mutation bumps the stamp of
+/// every section whose bytes it can change, under the same write lock as
+/// the rows, so a stamp and the rows read through one [`DbView`] always
+/// belong together.
 #[derive(Debug, Default)]
 struct Revisions {
-    /// Unlogged loads: seeding may rewrite any row a fragment prints
-    /// (athlete names, country codes), so it counts towards every stamp.
+    /// Unlogged loads: seeding may rewrite any row a section prints
+    /// (athlete names, country codes, event names), so it counts towards
+    /// every stamp — and is the whole stamp of what only loads write.
     loads: u64,
     results: FxHashMap<EventId, u64>,
     medals: u64,
@@ -206,9 +208,6 @@ impl OlympicDb {
                     .map(|e| e.name.clone())
                     .unwrap_or_default()
             );
-            if !placements.is_empty() {
-                *t.revisions.results.entry(event).or_default() += 1;
-            }
             for (rank0, &(athlete, score)) in placements.iter().enumerate() {
                 t.next_result += 1;
                 let id = ResultId(t.next_result);
@@ -229,8 +228,10 @@ impl OlympicDb {
             if let Some(e) = t.events.get(event) {
                 changes.push(RecordChange::update(e.sport.data_key()));
             }
+            let mut phase_moved = false;
             if is_final {
                 if let Some(e) = t.events.get_mut(event) {
+                    phase_moved = e.phase != EventPhase::Final;
                     e.phase = EventPhase::Final;
                 }
                 let medal_countries: Vec<CountryId> = placements
@@ -250,8 +251,14 @@ impl OlympicDb {
                 changes.push(RecordChange::update(medals_data_key()));
             } else if let Some(e) = t.events.get_mut(event) {
                 if e.phase == EventPhase::Scheduled {
+                    phase_moved = true;
                     e.phase = EventPhase::InProgress;
                 }
+            }
+            // Rows or no rows, a phase that moved changes what the home
+            // page prints for the event.
+            if phase_moved || !placements.is_empty() {
+                *t.revisions.results.entry(event).or_default() += 1;
             }
             changes.push(RecordChange::update(today_data_key(day)));
         }
@@ -497,8 +504,16 @@ impl DbView<'_> {
         rows(&self.t.photos, self.t.photos_by_event.get(&event))
     }
 
-    /// Stamp of everything `event`'s result table is rendered from: moves
-    /// when results are recorded for it, and on any load.
+    /// Stamp of the rows no logged mutation writes — sports, countries,
+    /// athletes, and everything of an event but its phase: moves on any
+    /// load.
+    pub fn loads_revision(&self) -> u64 {
+        self.t.revisions.loads
+    }
+
+    /// Stamp of everything `event`'s result table and its line on the home
+    /// page are rendered from: moves when results are recorded for it or
+    /// its phase moves, and on any load.
     pub fn results_revision(&self, event: EventId) -> u64 {
         let r = &self.t.revisions;
         r.loads + r.results.get(&event).copied().unwrap_or(0)
@@ -694,9 +709,11 @@ mod tests {
         db
     }
 
-    /// Every stamp a fragment can be validated against:
-    /// [results(1), results(2), medals, news(3), news(4)].
-    fn stamps(db: &OlympicDb) -> [u64; 5] {
+    /// Every stamp a memoised section can be validated against:
+    /// [results(1), results(2), medals, news(3), news(4), loads] — result
+    /// table and home-page block of an event, medal table, headlines of a
+    /// day, country rosters.
+    fn stamps(db: &OlympicDb) -> [u64; 6] {
         let v = db.view();
         [
             v.results_revision(EventId(1)),
@@ -704,11 +721,12 @@ mod tests {
             v.medals_revision(),
             v.news_revision(3),
             v.news_revision(4),
+            v.loads_revision(),
         ]
     }
 
     /// Which stamps `mutate` moved.
-    fn moved(db: &OlympicDb, mutate: impl FnOnce(&OlympicDb)) -> [bool; 5] {
+    fn moved(db: &OlympicDb, mutate: impl FnOnce(&OlympicDb)) -> [bool; 6] {
         let before = stamps(db);
         mutate(db);
         let after = stamps(db);
@@ -734,7 +752,24 @@ mod tests {
         let m = moved(&db, |db| {
             db.record_results(EventId(1), &[(AthleteId(1), 50.0)], false, 3);
         });
-        assert_eq!(m, [true, false, false, false, false]);
+        assert_eq!(m, [true, false, false, false, false, false]);
+    }
+
+    #[test]
+    fn a_phase_that_moves_without_rows_bumps_its_event() {
+        let db = two_event_db();
+        let rowless = |is_final| {
+            moved(&db, |db| {
+                db.record_results(EventId(1), &[], is_final, 3);
+            })
+        };
+        // Scheduled → in progress: the home page's phase label changes.
+        assert_eq!(rowless(false), [true, false, false, false, false, false]);
+        // Already in progress, nothing recorded: nothing to show.
+        assert_eq!(rowless(false), [false; 6]);
+        // In progress → final; every final counts as a medal award.
+        assert_eq!(rowless(true), [true, false, true, false, false, false]);
+        assert_eq!(rowless(true), [false, false, true, false, false, false]);
     }
 
     #[test]
@@ -743,7 +778,7 @@ mod tests {
         let m = moved(&db, |db| {
             db.record_results(EventId(2), &[(AthleteId(3), 9.0)], true, 4);
         });
-        assert_eq!(m, [false, true, true, false, false]);
+        assert_eq!(m, [false, true, true, false, false, false]);
     }
 
     #[test]
@@ -752,17 +787,17 @@ mod tests {
         let m = moved(&db, |db| {
             db.publish_news(story(1, 3));
         });
-        assert_eq!(m, [false, false, false, true, false]);
+        assert_eq!(m, [false, false, false, true, false, false]);
         // Same id, same day: the headline text can change.
         let m = moved(&db, |db| {
             db.publish_news(story(1, 3));
         });
-        assert_eq!(m, [false, false, false, true, false]);
+        assert_eq!(m, [false, false, false, true, false, false]);
         // Same id, other day: it leaves day 3's strip and joins day 4's.
         let m = moved(&db, |db| {
             db.publish_news(story(1, 4));
         });
-        assert_eq!(m, [false, false, false, true, true]);
+        assert_eq!(m, [false, false, false, true, true, false]);
         assert!(db.news_on_day(3).is_empty());
         assert_eq!(db.news_on_day(4).len(), 1);
     }
@@ -778,7 +813,7 @@ mod tests {
                 bytes: 40_000,
             });
         });
-        assert_eq!(m, [false; 5]);
+        assert_eq!(m, [false; 6]);
     }
 
     #[test]
@@ -791,7 +826,7 @@ mod tests {
                 venue: "Nozawa Onsen".into(),
             })
         });
-        assert_eq!(m, [true; 5], "load_sport");
+        assert_eq!(m, [true; 6], "load_sport");
         let m = moved(&db, |db| {
             db.load_event(Event {
                 id: EventId(3),
@@ -803,7 +838,7 @@ mod tests {
                 phase: EventPhase::Scheduled,
             })
         });
-        assert_eq!(m, [true; 5], "load_event");
+        assert_eq!(m, [true; 6], "load_event");
         let m = moved(&db, |db| {
             db.load_athlete(Athlete {
                 id: AthleteId(1),
@@ -812,7 +847,7 @@ mod tests {
                 sport: SportId(1),
             })
         });
-        assert_eq!(m, [true; 5], "load_athlete");
+        assert_eq!(m, [true; 6], "load_athlete");
         let m = moved(&db, |db| {
             db.load_country(Country {
                 id: CountryId(1),
@@ -820,7 +855,7 @@ mod tests {
                 name: "Norge".into(),
             })
         });
-        assert_eq!(m, [true; 5], "load_country");
+        assert_eq!(m, [true; 6], "load_country");
     }
 
     // ----- index ≡ scan ------------------------------------------------------

@@ -8,7 +8,7 @@
 //! 1. **Typed tables** of domain rows (sports, events, athletes, countries,
 //!    results, medal tallies, news, photos) — [`schema`], [`table`] — read
 //!    through [`DbView`] snapshots: one lock, borrowed rows, indexed
-//!    by-column queries, revision stamps for the renderer's fragment memo.
+//!    by-column queries, revision stamps for the renderer's section memo.
 //! 2. **A transaction log**: every committed mutation appends a
 //!    [`txn::Transaction`] carrying the canonical *data keys* of the
 //!    changed records (the identities that become underlying-data vertices

@@ -433,17 +433,19 @@ impl Response {
 /// `ETag: "v<version>"`, blank line). Computed once per cache fill and
 /// amortised over every hit.
 pub fn prebuilt_html_head(body_len: usize, version: u64) -> (Bytes, Bytes) {
-    let mut pre = Vec::with_capacity(96);
-    pre.extend_from_slice(
+    // One buffer, two views of it.
+    let mut head = Vec::with_capacity(144);
+    head.extend_from_slice(
         b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: ",
     );
-    push_u64(&mut pre, body_len as u64);
-    pre.extend_from_slice(b"\r\n");
-    let mut post = Vec::with_capacity(48);
-    post.extend_from_slice(b"Server: nagano/0.1\r\nETag: \"v");
-    push_u64(&mut post, version);
-    post.extend_from_slice(b"\"\r\n\r\n");
-    (Bytes::from(pre), Bytes::from(post))
+    push_u64(&mut head, body_len as u64);
+    head.extend_from_slice(b"\r\n");
+    let split = head.len();
+    head.extend_from_slice(b"Server: nagano/0.1\r\nETag: \"v");
+    push_u64(&mut head, version);
+    head.extend_from_slice(b"\"\r\n\r\n");
+    let head = Bytes::from(head);
+    (head.slice(..split), head.slice(split..))
 }
 
 fn connection_line(keep_alive: bool) -> &'static [u8] {

@@ -17,6 +17,10 @@
 //!   `FragmentKey::MedalTable` → a fragment edge, `c.data_key()` → the
 //!   arm binder's family, …).
 //!
+//! A memoised page section (a country's roster, an event's block on the
+//! home page) is rendered by a closure written inside its page's arm, so
+//! its reads and its `deps.push` sites are audited as that arm's.
+//!
 //! Fragments are hybrid vertices (data → fragment → page, the paper's
 //! Figure 15), so a read is also covered when the arm registers a
 //! fragment edge whose own arm registers the data family — the
@@ -706,6 +710,51 @@ mod tests {
             ("crates/pagegen/src/frag.rs", frag),
         ]);
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn memoised_sections_keep_their_reads_and_edges_in_the_arm() {
+        // A memoised section is a closure handed to `compose_fragment`
+        // from inside the page's arm: its reads and its `deps.push` sites
+        // (on the closure's own `deps`) are the arm's.
+        let page = |edge: &str| {
+            format!(
+                "
+            fn compose(&self, db: &DbView, key: PageKey, deps: &mut Vec<Dependency>) {{
+                match key {{
+                    PageKey::Country(c) => {{
+                        deps.push(Dependency::new(c.data_key()));
+                        self.compose_fragment(db, Section::Roster(c), html, None, |html, _| {{
+                            for a in db.athletes_of_country(c).take(50) {{
+                                html.push_str(&a.name);
+                            }}
+                        }});
+                    }}
+                    PageKey::Home(day) => {{
+                        deps.push(Dependency::weighted(
+                            nagano_db::schema::today_data_key(day), 2.0));
+                        for event in db.events_on_day(day) {{
+                            let section = Section::HomeEvent(event.id);
+                            self.compose_fragment(db, section, html, Some(deps), |html, deps| {{
+                                {edge}
+                                let winner = db.results_for_event(event.id).next();
+                            }});
+                        }}
+                    }}
+                }}
+            }}
+        "
+            )
+        };
+        let covered = page("deps.push(Dependency::weighted(event.id.data_key(), 1.0));");
+        let diags = run_on(&[("crates/pagegen/src/r.rs", &covered)]);
+        assert!(diags.is_empty(), "{diags:?}");
+        let uncovered = page("");
+        let diags = run_on(&[("crates/pagegen/src/r.rs", &uncovered)]);
+        let o001: Vec<_> = diags.iter().filter(|d| d.rule == "O001").collect();
+        assert!(!o001.is_empty(), "{diags:?}");
+        assert!(o001.iter().all(|d| d.message.contains("data:event")));
+        assert!(o001.iter().any(|d| d.message.contains("results_for_event")));
     }
 
     #[test]

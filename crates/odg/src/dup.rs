@@ -394,6 +394,22 @@ mod tests {
     }
 
     #[test]
+    fn re_registering_a_dependency_keeps_the_simple_cache() {
+        let mut e = DupEngine::new();
+        e.add_dependency(n(1), n(2), 1.0).unwrap();
+        assert!(e.propagate_ids(&[n(1)]).used_simple_path);
+        let built = e.graph().generation();
+        // What every regeneration of an unchanged page does.
+        e.add_dependency(n(1), n(2), 1.0).unwrap();
+        assert_eq!(e.graph().generation(), built);
+        assert!(matches!(&e.simple_cache, Some((g, true, _)) if *g == built));
+        // A changed weight is a mutation, and is seen.
+        e.add_dependency(n(1), n(2), 3.0).unwrap();
+        assert!(e.graph().generation() > built);
+        assert!(!e.propagate_ids(&[n(1)]).used_simple_path);
+    }
+
+    #[test]
     fn simple_and_general_agree_on_simple_graphs() {
         let mut e = DupEngine::new();
         for d in 0..10 {

@@ -129,8 +129,9 @@ pub struct OdgSnapshot {
 pub struct Odg {
     nodes: FxHashMap<NodeId, Node>,
     edge_count: usize,
-    /// Bumped on every structural change; used by [`crate::DupEngine`] to
-    /// invalidate its cached simple-ODG specialisation.
+    /// Bumped on every structural change (never by a call that leaves the
+    /// graph as it was); used by [`crate::DupEngine`] to invalidate its
+    /// cached simple-ODG specialisation.
     generation: u64,
 }
 
@@ -150,7 +151,8 @@ impl Odg {
         self.edge_count
     }
 
-    /// Structural generation counter (bumps on any mutation).
+    /// Structural generation counter: bumps on every mutation that changes
+    /// a node, a kind, an edge or a weight, and on nothing else.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -186,15 +188,20 @@ impl Odg {
     /// when the existing kind differs (an item that turns out to be both
     /// data and object).
     pub fn ensure_node(&mut self, id: NodeId, kind: NodeKind) -> NodeKind {
-        self.generation += 1;
-        let entry = self.nodes.entry(id).or_insert_with(|| Node {
-            kind,
-            out: Vec::new(),
-            preds: Vec::new(),
+        let mut changed = false;
+        let entry = self.nodes.entry(id).or_insert_with(|| {
+            changed = true;
+            Node {
+                kind,
+                out: Vec::new(),
+                preds: Vec::new(),
+            }
         });
-        if entry.kind != kind {
+        if entry.kind != kind && entry.kind != NodeKind::Hybrid {
             entry.kind = NodeKind::Hybrid;
+            changed = true;
         }
+        self.generation += u64::from(changed);
         entry.kind
     }
 
@@ -233,6 +240,9 @@ impl Odg {
                 .get_mut(&from)
                 .ok_or(OdgError::UnknownNode(from))?;
             if let Some(e) = node.out.iter_mut().find(|e| e.to == to) {
+                if e.weight == weight {
+                    return Ok(());
+                }
                 e.weight = weight;
                 true
             } else {
@@ -713,6 +723,40 @@ mod tests {
         let g2 = g.generation();
         g.remove_edge(n(2), n(1));
         assert!(g.generation() > g2);
+    }
+
+    #[test]
+    fn generation_ignores_calls_that_change_nothing() {
+        let mut g = Odg::new();
+        g.ensure_node(n(1), NodeKind::UnderlyingData);
+        g.ensure_node(n(2), NodeKind::Object);
+        g.add_edge(n(1), n(2), 0.5).unwrap();
+        let settled = g.generation();
+        // Same node, same kind; same edge, same weight.
+        assert_eq!(
+            g.ensure_node(n(1), NodeKind::UnderlyingData),
+            NodeKind::UnderlyingData
+        );
+        assert_eq!(g.ensure_node(n(2), NodeKind::Object), NodeKind::Object);
+        g.add_edge(n(1), n(2), 0.5).unwrap();
+        assert!(!g.remove_edge(n(2), n(1)));
+        assert_eq!(g.generation(), settled);
+        // A new weight, a kind upgrade and a new node each count; asking
+        // again for the hybrid it already is does not.
+        g.add_edge(n(1), n(2), 2.0).unwrap();
+        assert!(g.generation() > settled);
+        let reweighted = g.generation();
+        assert_eq!(
+            g.ensure_node(n(2), NodeKind::UnderlyingData),
+            NodeKind::Hybrid
+        );
+        assert!(g.generation() > reweighted);
+        let upgraded = g.generation();
+        assert_eq!(g.ensure_node(n(2), NodeKind::Object), NodeKind::Hybrid);
+        assert_eq!(g.ensure_node(n(2), NodeKind::Hybrid), NodeKind::Hybrid);
+        assert_eq!(g.generation(), upgraded);
+        g.ensure_node(n(3), NodeKind::Object);
+        assert!(g.generation() > upgraded);
     }
 
     #[test]

@@ -26,12 +26,24 @@ impl FragmentKey {
     /// Canonical URL of the fragment (fragments are servable, e.g. for
     /// the CBS feed the paper mentions).
     pub fn to_url(self) -> String {
-        match self {
-            FragmentKey::ResultTable(e) => format!("/fragments/results/{}", e.0),
-            FragmentKey::MedalTable => "/fragments/medals".to_string(),
-            FragmentKey::Headlines(d) => format!("/fragments/headlines/{d}"),
+        PageKey::Fragment(self).to_url()
+    }
+}
+
+/// Append `n` in decimal without going through `fmt`: ids, days and ranks
+/// are written once per link or row of every regenerated page.
+pub(crate) fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Identity of one servable page.
@@ -78,28 +90,37 @@ impl PageKey {
     /// formats cache keys into a reused buffer instead of allocating a
     /// fresh `String` per request.
     pub fn push_url(self, out: &mut String) {
-        use std::fmt::Write;
-        // Writing to a String cannot fail; the results are ignorable.
-        let _ = match self {
-            PageKey::Home(d) => write!(out, "/day/{d}/"),
-            PageKey::Welcome => write!(out, "/welcome"),
-            PageKey::News(n) => write!(out, "/news/{}", n.0),
-            PageKey::NewsIndex(d) => write!(out, "/news/day/{d}"),
-            PageKey::Venue(s) => write!(out, "/venues/{}", s.0),
-            PageKey::Sport(s) => write!(out, "/sports/{}", s.0),
-            PageKey::Event(e) => write!(out, "/events/{}", e.0),
-            PageKey::Country(c) => write!(out, "/countries/{}", c.0),
-            PageKey::Athlete(a) => write!(out, "/athletes/{}", a.0),
-            PageKey::Medals => write!(out, "/medals"),
-            PageKey::Nagano => write!(out, "/nagano"),
-            PageKey::Fun => write!(out, "/fun"),
-            PageKey::Fragment(f) => return out.push_str(&f.to_url()),
+        let (prefix, id) = match self {
+            PageKey::Home(d) => {
+                out.push_str("/day/");
+                push_decimal(out, d);
+                return out.push('/');
+            }
+            PageKey::Welcome => return out.push_str("/welcome"),
+            PageKey::News(n) => ("/news/", n.0),
+            PageKey::NewsIndex(d) => ("/news/day/", d),
+            PageKey::Venue(s) => ("/venues/", s.0),
+            PageKey::Sport(s) => ("/sports/", s.0),
+            PageKey::Event(e) => ("/events/", e.0),
+            PageKey::Country(c) => ("/countries/", c.0),
+            PageKey::Athlete(a) => ("/athletes/", a.0),
+            PageKey::Medals => return out.push_str("/medals"),
+            PageKey::Nagano => return out.push_str("/nagano"),
+            PageKey::Fun => return out.push_str("/fun"),
+            PageKey::Fragment(FragmentKey::ResultTable(e)) => ("/fragments/results/", e.0),
+            PageKey::Fragment(FragmentKey::MedalTable) => return out.push_str("/fragments/medals"),
+            PageKey::Fragment(FragmentKey::Headlines(d)) => ("/fragments/headlines/", d),
         };
+        out.push_str(prefix);
+        push_decimal(out, id);
     }
 
     /// The ODG object-vertex name for this page.
     pub fn object_key(self) -> String {
-        format!("page:{}", self.to_url())
+        let mut out = String::with_capacity(32);
+        out.push_str("page:");
+        self.push_url(&mut out);
+        out
     }
 
     /// Parse a URL path back into a key. Returns `None` for unknown paths.
@@ -229,6 +250,32 @@ mod tests {
     }
 
     #[test]
+    fn urls_are_spelled_as_published() {
+        let spelled: Vec<String> = all_sample_keys().iter().map(|k| k.to_url()).collect();
+        assert_eq!(
+            spelled,
+            [
+                "/day/14/",
+                "/welcome",
+                "/news/7",
+                "/news/day/3",
+                "/venues/2",
+                "/sports/2",
+                "/events/11",
+                "/countries/4",
+                "/athletes/99",
+                "/medals",
+                "/nagano",
+                "/fun",
+                "/fragments/results/11",
+                "/fragments/medals",
+                "/fragments/headlines/5",
+            ]
+        );
+        assert_eq!(FragmentKey::Headlines(5).to_url(), "/fragments/headlines/5");
+    }
+
+    #[test]
     fn static_vs_dynamic_split() {
         assert!(!PageKey::Welcome.is_dynamic());
         assert!(!PageKey::Nagano.is_dynamic());
@@ -265,6 +312,15 @@ mod tests {
             buf.clear();
             key.push_url(&mut buf);
             assert_eq!(buf, key.to_url(), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn push_decimal_matches_fmt() {
+        for n in [0, 7, 10, 99, 100, 1998, 65_535, u32::MAX - 1, u32::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
         }
     }
 

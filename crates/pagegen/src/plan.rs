@@ -16,6 +16,8 @@
 //! proptest suite (`tests/tests/fragment_equivalence.rs`) holds this
 //! property over arbitrary seeds, days, and transaction prefixes.
 
+use std::sync::OnceLock;
+
 use bytes::Bytes;
 
 use crate::key::{FragmentKey, PageKey};
@@ -28,6 +30,45 @@ pub(crate) const FILLER: &str = "Olympic coverage continues around the clock fro
 /// The closing bytes of every finalised page.
 pub(crate) const PAGE_CLOSE: &str = "</body></html>";
 
+/// Fillers in the shared padding block: enough to pad an empty page of
+/// the largest family (the 55 KB home page) with one slice.
+const BLOCK_FILLERS: usize = 55_000 / FILLER.len() + 1;
+
+/// The bytes behind every page's inner HTML, built once per process.
+struct PageTail {
+    newline: Bytes,
+    /// `FILLER` × [`BLOCK_FILLERS`]; padding is a prefix slice of it.
+    fillers: Bytes,
+    close: Bytes,
+}
+
+fn page_tail() -> &'static PageTail {
+    static TAIL: OnceLock<PageTail> = OnceLock::new();
+    TAIL.get_or_init(|| PageTail {
+        newline: Bytes::from_static(b"\n"),
+        fillers: Bytes::from(FILLER.repeat(BLOCK_FILLERS)),
+        close: Bytes::from_static(PAGE_CLOSE.as_bytes()),
+    })
+}
+
+/// Visit the tail of a page whose head and inner HTML are `len` bytes and
+/// whose family targets `target`: newline, padding, close. The padding is
+/// one slice of the shared block (more only if a target ever outgrows it).
+/// Returns the tail's length.
+pub(crate) fn walk_tail(len: usize, target: usize, mut part: impl FnMut(&Bytes)) -> usize {
+    let tail = page_tail();
+    part(&tail.newline);
+    let mut fillers = filler_repeats(len + tail.newline.len(), target);
+    let padding = fillers * FILLER.len();
+    while fillers > 0 {
+        let n = fillers.min(BLOCK_FILLERS);
+        part(&tail.fillers.slice(..n * FILLER.len()));
+        fillers -= n;
+    }
+    part(&tail.close);
+    tail.newline.len() + padding + tail.close.len()
+}
+
 /// The page chrome above the skeleton: doctype, title, site header.
 pub(crate) fn page_head(title: &str) -> String {
     format!(
@@ -37,15 +78,24 @@ pub(crate) fn page_head(title: &str) -> String {
     )
 }
 
-/// How many `FILLER` repeats finalisation pads onto a page of `len` bytes
-/// targeting `target` (the legacy padding loop, on lengths alone).
-pub(crate) fn filler_repeats(mut len: usize, target: usize) -> usize {
-    let mut n = 0;
-    while len + FILLER.len() + PAGE_CLOSE.len() < target {
-        len += FILLER.len();
-        n += 1;
+/// Hand a finished buffer over as `Bytes` without copying it. A padded
+/// page ends less than one filler short of the size its buffer was
+/// reserved to; a buffer with more room to spare than that gives it back
+/// first, so nothing cached pins more than its length plus one filler.
+pub(crate) fn fitted(mut buf: Vec<u8>) -> Bytes {
+    if buf.capacity() - buf.len() > FILLER.len() {
+        buf.shrink_to_fit();
     }
-    n
+    Bytes::from(buf)
+}
+
+/// How many `FILLER` repeats finalisation pads onto a page of `len` bytes
+/// targeting `target`: fillers are added while one more, plus the close,
+/// still ends short of the target.
+fn filler_repeats(len: usize, target: usize) -> usize {
+    target
+        .saturating_sub(len + FILLER.len() + PAGE_CLOSE.len())
+        .div_ceil(FILLER.len())
 }
 
 /// A composed page as a rope of zero-copy slices: page head, skeleton
@@ -70,7 +120,9 @@ impl ComposedPage {
         self.len == 0
     }
 
-    /// Flatten into one contiguous body (single exact-size allocation).
+    /// Flatten into one contiguous body: the parts are copied once into a
+    /// buffer of exactly the body's length, which the returned `Bytes`
+    /// takes over.
     pub fn to_bytes(&self) -> Bytes {
         let mut out = Vec::with_capacity(self.len);
         for p in &self.parts {
@@ -111,7 +163,7 @@ impl CompositionPlan {
         skeleton_cost_ms: f64,
         compose_cost_ms: f64,
     ) -> Self {
-        let skeleton = Bytes::from(inner);
+        let skeleton = fitted(inner.into_bytes());
         let mut segments = Vec::with_capacity(slot_offsets.len() + 1);
         let mut slots = Vec::with_capacity(slot_offsets.len());
         let mut at = 0;
@@ -122,7 +174,7 @@ impl CompositionPlan {
             at = off;
         }
         segments.push(skeleton.slice(at..));
-        let head = Bytes::from(page_head(&title));
+        let head = fitted(page_head(&title).into_bytes());
         CompositionPlan {
             key,
             title,
@@ -211,13 +263,7 @@ impl CompositionPlan {
             emit(&mut len, &resolve(slot)?);
         }
         emit(&mut len, &self.segments[self.slots.len()]);
-        emit(&mut len, &Bytes::from_static(b"\n"));
-        let filler = Bytes::from_static(FILLER.as_bytes());
-        for _ in 0..filler_repeats(len, self.target) {
-            emit(&mut len, &filler);
-        }
-        emit(&mut len, &Bytes::from_static(PAGE_CLOSE.as_bytes()));
-        Some(len)
+        Some(len + walk_tail(len, self.target, part))
     }
 
     /// Compose the page as a zero-copy rope: `resolve` supplies each
@@ -233,14 +279,15 @@ impl CompositionPlan {
     }
 
     /// Compose the page into one contiguous body, written straight into a
-    /// buffer reserved to the page's nominal size.
+    /// buffer reserved to the page's nominal size, which the returned
+    /// `Bytes` takes over.
     pub fn compose<F>(&self, resolve: F) -> Option<Bytes>
     where
         F: FnMut(FragmentKey) -> Option<Bytes>,
     {
         let mut body: Vec<u8> = Vec::with_capacity(self.target);
         self.walk(resolve, |b| body.extend_from_slice(b))?;
-        Some(Bytes::from(body))
+        Some(fitted(body))
     }
 }
 
@@ -323,6 +370,48 @@ mod tests {
         assert!(rope.parts.iter().all(|p| !p.is_empty()));
         assert_eq!(rope.len(), rope.to_bytes().len());
         assert_eq!(rope.to_bytes(), plan.compose(resolve).unwrap());
+    }
+
+    #[test]
+    fn filler_arithmetic_matches_the_padding_loop() {
+        let looped = |mut len: usize, target: usize| {
+            let mut n = 0;
+            while len + FILLER.len() + PAGE_CLOSE.len() < target {
+                len += FILLER.len();
+                n += 1;
+            }
+            n
+        };
+        for target in [0, 70, 71, 72, 128, 129, 2_000, 55_000] {
+            for len in 0..target + 2 * FILLER.len() {
+                assert_eq!(
+                    filler_repeats(len, target),
+                    looped(len, target),
+                    "{len} → {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tail_longer_than_the_block_is_padded_in_several_slices() {
+        let target = 2 * BLOCK_FILLERS * FILLER.len() + 500;
+        let (mut tail, mut parts) = (Vec::new(), 0);
+        let len = walk_tail(10, target, |part| {
+            tail.extend_from_slice(part);
+            parts += 1;
+        });
+        assert_eq!(len, tail.len());
+        let fillers = filler_repeats(11, target);
+        assert!(fillers > 2 * BLOCK_FILLERS);
+        assert_eq!(
+            tail,
+            format!("\n{}{PAGE_CLOSE}", FILLER.repeat(fillers)).into_bytes()
+        );
+        assert_eq!(parts, 2 + 3, "newline, three slices of the block, close");
+        // Every page of the site is padded with one.
+        walk_tail(0, 55_000, |_| parts -= 1);
+        assert_eq!(parts, 2);
     }
 
     #[test]

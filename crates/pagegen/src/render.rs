@@ -22,12 +22,12 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use nagano_db::{DbView, EventPhase, OlympicDb};
+use nagano_db::{CountryId, DbView, EventId, EventPhase, OlympicDb};
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
-use crate::key::{FragmentKey, PageKey};
-use crate::plan::{filler_repeats, page_head, CompositionPlan, FILLER, PAGE_CLOSE};
+use crate::key::{push_decimal, FragmentKey, PageKey};
+use crate::plan::{fitted, page_head, walk_tail, CompositionPlan};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,11 +67,26 @@ pub struct RenderOutput {
     pub cost_ms: f64,
 }
 
-/// One memoised fragment render: the inner HTML and dependency list
+/// A memoised part of a page: one of the registered fragments, or a
+/// derived run of a page family's inner HTML that most regenerations of
+/// the page leave unchanged. Sections are private to the renderer — no
+/// registry entry, no ODG vertex, no URL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Section {
+    /// A registered fragment's inner HTML and data edges.
+    Fragment(FragmentKey),
+    /// The athlete links of a country page.
+    Roster(CountryId),
+    /// An event's block on its day's home page — the linked phase line and
+    /// the gold-medal line — with the two edges the page owes to it.
+    HomeEvent(EventId),
+}
+
+/// One memoised section render: the HTML and dependency list
 /// `compose_fragment` produced from a [`DbView`] whose stamp for the
-/// fragment's source data was `revision`.
+/// section's source data was `revision`.
 #[derive(Debug, Default)]
-struct FragmentMemo {
+struct SectionMemo {
     revision: u64,
     html: String,
     deps: Vec<Dependency>,
@@ -80,10 +95,10 @@ struct FragmentMemo {
 /// Renders pages from a database.
 ///
 /// Every render reads the database through exactly one [`DbView`], so a
-/// body never mixes two committed states. Fragment HTML is memoised per
+/// body never mixes two committed states. Section HTML is memoised per
 /// renderer and spliced while the database's revision stamp for the
-/// fragment's source data — read from that same view — is the one it was
-/// rendered at; a fragment render is a pure function of that data, so a
+/// section's source data — read from that same view — is the one it was
+/// rendered at; a section render is a pure function of that data, so a
 /// long-lived renderer and a fresh one return the same bytes.
 #[derive(Debug)]
 pub struct Renderer {
@@ -92,9 +107,10 @@ pub struct Renderer {
     /// When `Some(scale)`, rendering burns `cost_ms * scale` of real CPU
     /// (throughput experiments). `None` (default) renders at full speed.
     cpu_scale: Option<f64>,
-    /// Bounded by the fragment universe. Only ever locked for a lookup or
-    /// a store — never across a render, never before taking a view.
-    fragments: Mutex<FxHashMap<FragmentKey, FragmentMemo>>,
+    /// Bounded by the section universe (fragments, countries, events).
+    /// Only ever locked for a lookup or a store — never across a render,
+    /// never before taking a view.
+    sections: Mutex<FxHashMap<Section, SectionMemo>>,
 }
 
 impl Renderer {
@@ -104,7 +120,7 @@ impl Renderer {
             db,
             cost: CostModel::new(),
             cpu_scale: None,
-            fragments: Mutex::default(),
+            sections: Mutex::default(),
         }
     }
 
@@ -157,15 +173,15 @@ impl Renderer {
     /// whole-page render of `PageKey::Fragment(f)` registers: the page
     /// and the fragment share one ODG vertex.
     pub fn render_fragment(&self, f: FragmentKey) -> RenderOutput {
-        let mut html = String::with_capacity(1024);
+        let mut html = String::new();
         let mut deps: Vec<Dependency> = Vec::new();
-        self.compose_fragment(&self.db.view(), f, &mut html, Some(&mut deps));
+        self.fragment_section(&self.db.view(), f, &mut html, Some(&mut deps));
         let cost_ms = self.cost.cost_ms(PageKey::Fragment(f));
         if let Some(scale) = self.cpu_scale {
             spin_for(cost_ms, scale);
         }
         RenderOutput {
-            body: Bytes::from(html),
+            body: fitted(html.into_bytes()),
             deps,
             cost_ms,
         }
@@ -238,40 +254,47 @@ impl Renderer {
                 self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
                 self.inline_fragment(db, FragmentKey::Headlines(day), html, slots.as_deref_mut());
                 for event in db.events_on_day(day) {
-                    deps.push(Dependency::weighted(
-                        PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
-                        2.0,
-                    ));
-                    // The *skeleton* also reads event rows directly (phase
-                    // label, gold-winner line below), so the page needs its
-                    // own data edge — not just the fragment's.
-                    deps.push(Dependency::weighted(event.id.data_key(), 1.0));
                     self.inline_fragment(
                         db,
                         FragmentKey::ResultTable(event.id),
                         html,
                         slots.as_deref_mut(),
                     );
-                    let _ = writeln!(
-                        html,
-                        "<section class=\"event\"><a href=\"{}\">{}</a> — {}</section>",
-                        PageKey::Event(event.id).to_url(),
-                        event.name,
-                        phase_label(event.phase),
-                    );
-                    // Inline the top line of finished finals: this is what
-                    // lets >25% of visitors stop at the home page.
-                    if event.phase == EventPhase::Final {
-                        if let Some(winner) = db
-                            .results_for_event(event.id)
-                            .find(|r| r.is_final && r.rank == 1)
-                        {
-                            // nagano-lint: allow(O001) — athlete names are immutable after seeding; the winner line is refreshed by the `data:event:*` edge pushed above for this event
-                            if let Some(a) = db.athlete(winner.athlete) {
-                                let _ = writeln!(html, "<p>Gold: {}</p>", a.name);
+                    // Everything the page itself says about the event, and
+                    // the edges that go with it: unchanged until results
+                    // arrive for this very event.
+                    let section = Section::HomeEvent(event.id);
+                    self.compose_fragment(db, section, html, Some(&mut *deps), |html, deps| {
+                        deps.push(Dependency::weighted(
+                            PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
+                            2.0,
+                        ));
+                        // The *skeleton* also reads event rows directly
+                        // (phase label, gold-winner line below), so the
+                        // page needs its own data edge — not just the
+                        // fragment's.
+                        deps.push(Dependency::weighted(event.id.data_key(), 1.0));
+                        html.push_str("<section class=\"event\">");
+                        push_link(html, PageKey::Event(event.id), &event.name);
+                        html.push_str(" — ");
+                        html.push_str(phase_label(event.phase));
+                        html.push_str("</section>\n");
+                        // Inline the top line of finished finals: this is
+                        // what lets >25% of visitors stop at the home page.
+                        if event.phase == EventPhase::Final {
+                            if let Some(winner) = db
+                                .results_for_event(event.id)
+                                .find(|r| r.is_final && r.rank == 1)
+                            {
+                                // nagano-lint: allow(O001) — athlete names are immutable after seeding; the winner line is refreshed by the `data:event:*` edge pushed above for this event
+                                if let Some(a) = db.athlete(winner.athlete) {
+                                    html.push_str("<p>Gold: ");
+                                    html.push_str(&a.name);
+                                    html.push_str("</p>\n");
+                                }
                             }
                         }
-                    }
+                    });
                 }
                 format!("Nagano 1998 — Day {day}")
             }
@@ -297,13 +320,11 @@ impl Renderer {
                         html,
                         slots.as_deref_mut(),
                     );
-                    let _ = writeln!(
-                        html,
-                        "<div><a href=\"{}\">{}</a> (day {})</div>",
-                        PageKey::Event(event.id).to_url(),
-                        event.name,
-                        event.day
-                    );
+                    html.push_str("<div>");
+                    push_link(html, PageKey::Event(event.id), &event.name);
+                    html.push_str(" (day ");
+                    push_decimal(html, event.day);
+                    html.push_str(")</div>\n");
                 }
                 name.to_string()
             }
@@ -317,7 +338,9 @@ impl Renderer {
                 let _ = writeln!(html, "<h2>{name}</h2>");
                 for photo in db.photos_for_event(e) {
                     deps.push(Dependency::weighted(photo.id.data_key(), 0.5));
-                    let _ = writeln!(html, "<img alt=\"photo {}\"/>", photo.id.0);
+                    html.push_str("<img alt=\"photo ");
+                    push_decimal(html, photo.id.0);
+                    html.push_str("\"/>\n");
                 }
                 // Cross-links per the 1998 redesign: every page links to
                 // pertinent information in other sections.
@@ -349,14 +372,15 @@ impl Renderer {
                         m.gold, m.silver, m.bronze
                     );
                 }
-                for a in db.athletes_of_country(c).take(50) {
-                    let _ = writeln!(
-                        html,
-                        "<div><a href=\"{}\">{}</a></div>",
-                        PageKey::Athlete(a.id).to_url(),
-                        a.name
-                    );
-                }
+                // The roster is what a medal change regenerating every
+                // country page leaves alone.
+                self.compose_fragment(db, Section::Roster(c), html, None, |html, _| {
+                    for a in db.athletes_of_country(c).take(50) {
+                        html.push_str("<div>");
+                        push_link(html, PageKey::Athlete(a.id), &a.name);
+                        html.push_str("</div>\n");
+                    }
+                });
                 name.to_string()
             }
             PageKey::Athlete(a) => {
@@ -365,14 +389,13 @@ impl Renderer {
                 let name = athlete.map_or("Unknown", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
                 for r in db.results_for_athlete(a) {
-                    let _ = writeln!(
-                        html,
-                        "<div>Event <a href=\"{}\">{}</a>: rank {} ({:.2})</div>",
-                        PageKey::Event(r.event).to_url(),
-                        r.event.0,
-                        r.rank,
-                        r.score
-                    );
+                    html.push_str("<div>Event <a href=\"");
+                    PageKey::Event(r.event).push_url(html);
+                    html.push_str("\">");
+                    push_decimal(html, r.event.0);
+                    html.push_str("</a>: rank ");
+                    push_decimal(html, r.rank);
+                    let _ = writeln!(html, " ({:.2})</div>", r.score);
                 }
                 if let Some(at) = athlete {
                     let _ = writeln!(
@@ -409,12 +432,9 @@ impl Renderer {
                 let _ = writeln!(html, "<h2>News — Day {day}</h2>");
                 for article in db.news_on_day(day) {
                     deps.push(Dependency::weighted(article.id.data_key(), 0.5));
-                    let _ = writeln!(
-                        html,
-                        "<div><a href=\"{}\">{}</a></div>",
-                        PageKey::News(article.id).to_url(),
-                        article.title
-                    );
+                    html.push_str("<div>");
+                    push_link(html, PageKey::News(article.id), &article.title);
+                    html.push_str("</div>\n");
                 }
                 format!("News for Day {day}")
             }
@@ -444,7 +464,7 @@ impl Renderer {
                     // deps live on the shared fragment vertex, registered
                     // when the fragment itself regenerates.
                     Some(slots) => slots.push((html.len(), f)),
-                    None => self.compose_fragment(db, f, html, Some(deps)),
+                    None => self.fragment_section(db, f, html, Some(deps)),
                 }
                 fragment_title(f)
             }
@@ -465,30 +485,49 @@ impl Renderer {
     ) {
         match slots {
             Some(slots) => slots.push((html.len(), f)),
-            None => self.compose_fragment(db, f, html, None),
+            None => self.fragment_section(db, f, html, None),
         }
     }
 
-    /// Append the fragment's inner HTML to `html` and its data
-    /// dependencies to `deps` (when asked for). The one entry to fragment
-    /// rendering: it splices the memoised render while `db` still stamps
-    /// the fragment's source data with the revision the memo was rendered
-    /// at, and renders and memoises otherwise.
-    fn compose_fragment(
+    /// The registered fragment `f` as a memoised section: its inner HTML,
+    /// and its data dependencies when asked for.
+    fn fragment_section(
         &self,
         db: &DbView<'_>,
         f: FragmentKey,
         html: &mut String,
         deps: Option<&mut Vec<Dependency>>,
     ) {
-        let revision = match f {
-            FragmentKey::ResultTable(e) => db.results_revision(e),
-            FragmentKey::MedalTable => db.medals_revision(),
-            FragmentKey::Headlines(day) => db.news_revision(day),
+        self.compose_fragment(db, Section::Fragment(f), html, deps, |html, deps| {
+            render_fragment_into(db, f, html, deps)
+        });
+    }
+
+    /// Append `section`'s HTML to `html` and its dependencies to `deps`
+    /// (when asked for). The one entry to memoised rendering: it splices
+    /// the memoised render while `db` still stamps the section's source
+    /// data with the revision the memo was rendered at, and otherwise
+    /// calls `render` — a pure function of that data — and memoises what
+    /// it appended.
+    fn compose_fragment(
+        &self,
+        db: &DbView<'_>,
+        section: Section,
+        html: &mut String,
+        deps: Option<&mut Vec<Dependency>>,
+        render: impl FnOnce(&mut String, &mut Vec<Dependency>),
+    ) {
+        let revision = match section {
+            Section::Fragment(FragmentKey::ResultTable(e)) | Section::HomeEvent(e) => {
+                db.results_revision(e)
+            }
+            Section::Fragment(FragmentKey::MedalTable) => db.medals_revision(),
+            Section::Fragment(FragmentKey::Headlines(day)) => db.news_revision(day),
+            Section::Roster(_) => db.loads_revision(),
         };
         {
-            let memo = self.fragments.lock().expect(MEMO_POISONED);
-            if let Some(hit) = memo.get(&f).filter(|m| m.revision == revision) {
+            let memo = self.sections.lock().expect(MEMO_POISONED);
+            if let Some(hit) = memo.get(&section).filter(|m| m.revision == revision) {
                 html.push_str(&hit.html);
                 if let Some(deps) = deps {
                     deps.extend_from_slice(&hit.deps);
@@ -498,15 +537,15 @@ impl Renderer {
         }
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
-        render_fragment_into(db, f, html, &mut own);
+        render(html, &mut own);
         if let Some(deps) = deps {
             deps.extend_from_slice(&own);
         }
         // A re-render refills the entry's buffers rather than replacing
-        // them: the memo's allocations are made once, when a fragment is
+        // them: the memo's allocations are made once, when a section is
         // first rendered, not once per revision.
-        let mut memo = self.fragments.lock().expect(MEMO_POISONED);
-        let entry = memo.entry(f).or_default();
+        let mut memo = self.sections.lock().expect(MEMO_POISONED);
+        let entry = memo.entry(section).or_default();
         entry.revision = revision;
         entry.html.clear();
         entry.html.push_str(&html[start..]);
@@ -518,7 +557,7 @@ impl Renderer {
 /// An entry is refilled under the lock, so a panic in there leaves it
 /// half-written; the poisoned mutex then stops every later render instead
 /// of letting one splice it.
-const MEMO_POISONED: &str = "a render panicked while holding the fragment memo";
+const MEMO_POISONED: &str = "a render panicked while holding the section memo";
 
 /// Render fragment `f` from `db`: the pure function the memo caches.
 fn render_fragment_into(
@@ -530,25 +569,28 @@ fn render_fragment_into(
     match f {
         FragmentKey::ResultTable(e) => {
             deps.push(Dependency::new(e.data_key()));
-            let _ = writeln!(html, "<table class=\"results\">");
+            html.push_str("<table class=\"results\">\n");
             for r in db.results_for_event(e) {
-                let _ = write!(html, "<tr><td>{}</td><td>", r.rank);
+                html.push_str("<tr><td>");
+                push_decimal(html, r.rank);
+                html.push_str("</td><td>");
                 // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
                 match db.athlete(r.athlete) {
                     Some(a) => html.push_str(&a.name),
                     None => {
-                        let _ = write!(html, "athlete {}", r.athlete.0);
+                        html.push_str("athlete ");
+                        push_decimal(html, r.athlete.0);
                     }
                 }
                 let _ = writeln!(html, "</td><td>{:.2}</td></tr>", r.score);
             }
-            let _ = writeln!(html, "</table>");
+            html.push_str("</table>\n");
         }
         FragmentKey::MedalTable => {
             deps.push(Dependency::new(nagano_db::schema::medals_data_key()));
-            let _ = writeln!(html, "<table class=\"medals\">");
+            html.push_str("<table class=\"medals\">\n");
             for (c, m) in db.medal_standings().iter().take(15) {
-                let _ = write!(html, "<tr><td>");
+                html.push_str("<tr><td>");
                 // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
                 match db.country(*c) {
                     Some(country) => html.push_str(&country.code),
@@ -556,25 +598,27 @@ fn render_fragment_into(
                         let _ = write!(html, "{c}");
                     }
                 }
-                let _ = writeln!(
-                    html,
-                    "</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                    m.gold, m.silver, m.bronze
-                );
+                for n in [m.gold, m.silver, m.bronze] {
+                    html.push_str("</td><td>");
+                    push_decimal(html, n);
+                }
+                html.push_str("</td></tr>\n");
             }
-            let _ = writeln!(html, "</table>");
+            html.push_str("</table>\n");
         }
         FragmentKey::Headlines(day) => {
             deps.push(Dependency::weighted(
                 nagano_db::schema::today_data_key(day),
                 0.5,
             ));
-            let _ = writeln!(html, "<ul class=\"headlines\">");
+            html.push_str("<ul class=\"headlines\">\n");
             for article in db.news_on_day(day).take(8) {
                 deps.push(Dependency::new(article.id.data_key()));
-                let _ = writeln!(html, "<li>{}</li>", article.title);
+                html.push_str("<li>");
+                html.push_str(&article.title);
+                html.push_str("</li>\n");
             }
-            let _ = writeln!(html, "</ul>");
+            html.push_str("</ul>\n");
         }
     }
 }
@@ -587,6 +631,15 @@ fn fragment_title(f: FragmentKey) -> String {
         FragmentKey::MedalTable => "Medal Table".into(),
         FragmentKey::Headlines(day) => format!("Headlines Day {day}"),
     }
+}
+
+/// `<a href="{key's URL}">{text}</a>`.
+fn push_link(html: &mut String, key: PageKey, text: &str) {
+    html.push_str("<a href=\"");
+    key.push_url(html);
+    html.push_str("\">");
+    html.push_str(text);
+    html.push_str("</a>");
 }
 
 fn phase_label(p: EventPhase) -> &'static str {
@@ -619,17 +672,16 @@ pub fn target_bytes(key: PageKey) -> usize {
 
 /// Turn the composed inner HTML into the page body, in place: `page` was
 /// reserved to the family's nominal size, so sliding the head in front and
-/// padding behind it allocates nothing.
+/// padding behind it (content filler up to that size, standing in for the
+/// inline imagery the real pages carried) allocates nothing, and the
+/// buffer itself becomes the body.
 fn finalize(key: PageKey, title: &str, mut page: String) -> Bytes {
     page.insert_str(0, &page_head(title));
-    page.push('\n');
-    // Pad with content filler to the family's nominal size (stands in for
-    // the inline imagery the real pages carried).
-    for _ in 0..filler_repeats(page.len(), target_bytes(key)) {
-        page.push_str(FILLER);
-    }
-    page.push_str(PAGE_CLOSE);
-    Bytes::from(page)
+    let mut page = page.into_bytes();
+    walk_tail(page.len(), target_bytes(key), |part| {
+        page.extend_from_slice(part)
+    });
+    fitted(page)
 }
 
 #[cfg(test)]

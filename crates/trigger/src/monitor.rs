@@ -78,6 +78,16 @@ struct GraphState {
     names: Interner,
 }
 
+impl GraphState {
+    /// The page whose object vertex `id` is, if it is one.
+    fn page_of(&self, id: NodeId) -> Option<PageKey> {
+        self.names
+            .name(id)
+            .and_then(|n| n.strip_prefix("page:"))
+            .and_then(PageKey::parse)
+    }
+}
+
 /// One demand fill's result: the servable body — kept as a zero-copy rope
 /// when fragment mode composed it — plus the registered dependencies and
 /// the modelled CPU actually spent.
@@ -146,6 +156,13 @@ struct FragmentPlane {
 /// The trigger monitor.
 pub struct TriggerMonitor {
     graph: Mutex<GraphState>,
+    /// The dependency list last registered for each page that has an
+    /// object vertex. Registration only ever adds edges, so while a page
+    /// renders to the list recorded here every one of its edges is in the
+    /// graph and [`TriggerMonitor::register_render`] has nothing to do.
+    /// Written only under the graph lock, together with the vertex it
+    /// describes; read on its own, never while taking the graph lock.
+    registered: Mutex<FxHashMap<PageKey, Vec<Dependency>>>,
     renderer: Renderer,
     fleet: Arc<CacheFleet>,
     registry: Arc<PageRegistry>,
@@ -182,6 +199,7 @@ impl TriggerMonitor {
                 dup: DupEngine::new(),
                 names: Interner::new(),
             }),
+            registered: Mutex::new(FxHashMap::default()),
             renderer,
             fleet,
             registry,
@@ -331,12 +349,20 @@ impl TriggerMonitor {
 
     /// Register a rendered page's dependencies in the ODG (idempotent;
     /// re-registering after regeneration refreshes edges for pages whose
-    /// composition changed).
+    /// composition changed). The one entry to the graph's edges.
     pub fn register_render(&self, key: PageKey, out: &RenderOutput) {
         self.register_deps(key, &out.deps);
     }
 
     fn register_deps(&self, key: PageKey, deps: &[Dependency]) {
+        let unchanged = self
+            .registered
+            .lock()
+            .get(&key)
+            .is_some_and(|last| last == deps);
+        if unchanged {
+            return;
+        }
         let mut g = self.graph.lock();
         let object = g.names.intern(&key.object_key());
         g.dup
@@ -351,6 +377,7 @@ impl TriggerMonitor {
                 let _ = g.dup.add_dependency(data, object, 1.0);
             }
         }
+        self.registered.lock().insert(key, deps.to_vec());
     }
 
     /// Process one committed transaction (at sim time zero; callers with
@@ -418,15 +445,7 @@ impl TriggerMonitor {
                 .collect();
             let prop = g.dup.propagate_ids(&changed);
             let to_pages = |pairs: &[(NodeId, f64)], g: &GraphState| -> Vec<PageKey> {
-                pairs
-                    .iter()
-                    .filter_map(|&(id, _)| {
-                        g.names
-                            .name(id)
-                            .and_then(|n| n.strip_prefix("page:"))
-                            .and_then(PageKey::parse)
-                    })
-                    .collect()
+                pairs.iter().filter_map(|&(id, _)| g.page_of(id)).collect()
             };
             (
                 to_pages(&prop.stale, &g),
@@ -892,12 +911,7 @@ impl TriggerMonitor {
                 .stale
                 .iter()
                 .chain(prop.tolerated.iter())
-                .filter_map(|&(id, _)| {
-                    g.names
-                        .name(id)
-                        .and_then(|n| n.strip_prefix("page:"))
-                        .and_then(PageKey::parse)
-                })
+                .filter_map(|&(id, _)| g.page_of(id))
                 .collect();
             (pages, prop.visited)
         };
@@ -977,10 +991,23 @@ impl TriggerMonitor {
             self.stats.set_deferred_depth(queue.len() as u64);
         }
         let mut g = self.graph.lock();
-        match g.names.get(&key.object_key()) {
-            Some(id) => g.dup.graph_mut().remove_node(id).is_ok(),
-            None => false,
+        let Some(id) = g.names.get(&key.object_key()) else {
+            return false;
+        };
+        // The records go with the edges: the page's own, and — a fragment
+        // is a hybrid vertex — those of the pages it feeds, whose edge
+        // from it is removed too. Their next render must find nothing to
+        // compare against and register every edge anew.
+        {
+            let mut registered = self.registered.lock();
+            registered.remove(&key);
+            for edge in g.dup.graph().successors(id) {
+                if let Some(page) = g.page_of(edge.to) {
+                    registered.remove(&page);
+                }
+            }
         }
+        g.dup.graph_mut().remove_node(id).is_ok()
     }
 
     /// Demand-miss path used by server programs: render `key`, register
@@ -1265,15 +1292,88 @@ mod tests {
         // Retiring again (or an unknown page) reports false.
         assert!(!monitor.retire_page(key));
         // A retired page can come back via a demand fill, which re-links
-        // its dependencies.
+        // its dependencies — every one of them, although the page renders
+        // to the dependency list it was last registered with.
         monitor.demand_fill(0, key);
         assert!(monitor.fleet().member(0).peek(&key.to_url()).is_some());
+        assert_eq!(monitor.graph_size(), (nodes_before, edges_before));
         let txn = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(
             outcome.regenerated.contains(&key),
             "re-registered after refill"
         );
+    }
+
+    #[test]
+    fn a_retired_fragment_comes_back_for_the_pages_that_embed_it() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let before = monitor.graph_size();
+        // The medal table is a hybrid vertex: retiring it also removes its
+        // edge into every page that embeds it.
+        let table = PageKey::Fragment(FragmentKey::MedalTable);
+        assert!(monitor.retire_page(table));
+        monitor.demand_fill(0, table);
+        let ev = db.events()[0].clone();
+        for page in [PageKey::Medals, PageKey::Home(ev.day)] {
+            monitor.demand_fill(0, page);
+        }
+        assert_eq!(monitor.graph_size().0, before.0);
+        // Every home page embeds the table; only two have been filled.
+        assert!(monitor.graph_size().1 < before.1);
+        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
+        let outcome = monitor.process_txn(&txn);
+        assert!(outcome.regenerated.contains(&table));
+        assert!(
+            outcome.regenerated.contains(&PageKey::Medals),
+            "the medals page depends on nothing but the fragment: its edge must be back"
+        );
+    }
+
+    #[test]
+    fn a_dependency_that_appears_between_regenerations_is_registered() {
+        use nagano_db::{NewsArticle, NewsId, Photo, PhotoId};
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let ev = db.events()[0].clone();
+        let index = PageKey::NewsIndex(ev.day);
+        let strip = PageKey::Fragment(FragmentKey::Headlines(ev.day));
+        let story = |day| NewsArticle {
+            id: NewsId(7_000),
+            day,
+            title: format!("Filed on day {day}"),
+            body: "…".into(),
+            about_event: None,
+        };
+        // The story's first appearance: the day's pages regenerate through
+        // their `data:today` edge and now list `data:news:7000` as well.
+        let (_, edges_before) = monitor.graph_size();
+        let outcome = monitor.process_txn(&db.publish_news(story(ev.day)));
+        assert!(outcome.regenerated.contains(&index) && outcome.regenerated.contains(&strip));
+        assert_eq!(monitor.graph_size().1, edges_before + 2);
+        // Moved to another day, the story changes nothing of this day but
+        // `data:news:7000`: only the new edges can mark these pages.
+        let other_day = ev.day % 16 + 1;
+        let outcome = monitor.process_txn(&db.publish_news(story(other_day)));
+        assert!(outcome.regenerated.contains(&index), "news index edge");
+        assert!(outcome.regenerated.contains(&strip), "headline strip edge");
+
+        // Same for a photo: filed about the event it appears on the event
+        // page, which from then on depends on the photo record itself.
+        let page = PageKey::Event(ev.id);
+        let photo = |about_event| Photo {
+            id: PhotoId(7_000),
+            day: ev.day,
+            about_event,
+            bytes: 40_000,
+        };
+        let outcome = monitor.process_txn(&db.add_photo(photo(Some(ev.id))));
+        assert!(outcome.regenerated.contains(&page));
+        let refiled = db.add_photo(photo(None));
+        assert_eq!(refiled.changes.len(), 1, "only the photo record changes");
+        let outcome = monitor.process_txn(&refiled);
+        assert_eq!(outcome.regenerated, vec![page], "photo edge");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! page family that broke.
 //!
 //! The same generators drive the renderer differential at the bottom: a
-//! long-lived `Renderer` (warm fragment memo) against a fresh one after
-//! every transaction of a prefix.
+//! long-lived `Renderer` (warm section memo: fragments, country rosters,
+//! home-page event blocks) against a fresh one after every transaction of
+//! a prefix, and after mutations that change nothing but one section.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,8 +23,8 @@ use proptest::prelude::*;
 
 use nagano_cache::{CacheConfig, CacheFleet, FragmentStore};
 use nagano_db::{
-    seed_games, AthleteId, Event, GamesConfig, NewsArticle, NewsId, OlympicDb, Photo, PhotoId,
-    Transaction,
+    seed_games, Athlete, AthleteId, Event, EventPhase, GamesConfig, NewsArticle, NewsId, OlympicDb,
+    Photo, PhotoId, Transaction,
 };
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -356,6 +357,70 @@ fn check_renderer_differential(seed: u64, n: usize) {
         bytes: 40_000,
     });
     assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} photo"));
+
+    // Mutations that change only a memoised section's bytes. A final on
+    // this event first, so that its winner's name is on a home page.
+    let podium = final_podium(&db, ev.id);
+    db.record_results(ev.id, &podium, true, ev.day);
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} final"));
+    // The winner under another name (roster, gold line, result table),
+    // then in another country (two rosters).
+    let winner = db.athlete(podium[0].0).unwrap();
+    let renamed = Athlete {
+        name: format!("{} II", winner.name),
+        ..winner.clone()
+    };
+    db.load_athlete(renamed.clone());
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} renamed"));
+    let other_country = db
+        .countries()
+        .iter()
+        .map(|c| c.id)
+        .find(|&c| c != winner.country)
+        .unwrap();
+    db.load_athlete(Athlete {
+        country: other_country,
+        ..renamed
+    });
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} transferred"));
+    // The event under another name, then in another phase, by reload.
+    let renamed = Event {
+        name: format!("{} (rescheduled)", ev.name),
+        ..db.event(ev.id).unwrap()
+    };
+    db.load_event(renamed.clone());
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} event renamed"));
+    db.load_event(Event {
+        phase: EventPhase::InProgress,
+        ..renamed
+    });
+    assert_warm_equals_fresh(
+        &warm,
+        &db,
+        &registry,
+        &format!("seed {seed} event reopened"),
+    );
+    // A second final with the podium reversed: new rank-1 row.
+    let reversed: Vec<_> = podium.iter().rev().copied().collect();
+    db.record_results(ev.id, &reversed, true, ev.day);
+    assert_warm_equals_fresh(&warm, &db, &registry, &format!("seed {seed} second final"));
+    // A phase that moves with no rows recorded: only the home-page block
+    // of the event shows it.
+    if let Some(idle) = db
+        .events()
+        .into_iter()
+        .find(|e| e.phase == EventPhase::Scheduled)
+    {
+        for is_final in [false, true] {
+            db.record_results(idle.id, &[], is_final, idle.day);
+            assert_warm_equals_fresh(
+                &warm,
+                &db,
+                &registry,
+                &format!("seed {seed} rowless results, final {is_final}"),
+            );
+        }
+    }
 }
 
 #[test]
