@@ -14,7 +14,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
@@ -128,12 +131,36 @@ pub(crate) struct SharedHead {
     head: PrebuiltHead,
 }
 
+/// What one member did with a body distributed to it
+/// ([`PageCache::keep_or_put`]).
+pub(crate) enum Held {
+    /// Inserted, or replaced bytes that differed.
+    Put,
+    /// The member held these bytes already; its entry is untouched.
+    Kept,
+    /// [`Held::Kept`], and the entry was last distributed at this very
+    /// count of member-local changes: no member has changed on its own
+    /// since, so every one of them still holds what that distribution
+    /// left there.
+    Settled,
+}
+
+/// Byte equality, by address before content: a regeneration that changed
+/// nothing hands back the very allocation the fleet holds.
+fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
+    a.len() == b.len() && (a.as_ptr() == b.as_ptr() || a[..] == b[..])
+}
+
 /// A successful cache lookup.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
     /// The rendered page body.
     pub body: Bytes,
-    /// Monotonic per-entry version: 1 on insert, +1 per in-place update.
+    /// Monotonic per-entry version: 1 on insert, +1 whenever the body is
+    /// replaced. A distribution of byte-equal content replaces nothing
+    /// ([`crate::CacheFleet::distribute`]), so on an update-in-place site
+    /// the version — the HTTP `ETag` — changes iff the bytes change. A
+    /// node-local [`PageCache::put`] is always a new version.
     pub version: u64,
     /// Preserialised head computed at fill time, when a [`HeadBuilder`]
     /// is installed. Cloning is two refcount bumps.
@@ -205,6 +232,10 @@ struct Entry {
     /// version changes (see [`HeadBuilder`]).
     head: Option<PrebuiltHead>,
     cost: f64,
+    /// The fleet's count of member-local changes as the distribution that
+    /// last put or kept this entry began; `None` after a node-local put
+    /// or restore. Read on the fleet's first member only.
+    settled: Option<u64>,
     pinned: bool,
     freq: u64,
     /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
@@ -304,13 +335,15 @@ impl Shard {
     /// the immediate LFU/GDS victim and nothing new could ever stay cached.
     /// With `stale_now` set (a [`StalePolicy`] is active, value = current
     /// cache-clock micros), victims are tombstoned instead of dropped.
+    /// Returns whether anything was evicted.
     fn evict_to(
         &mut self,
         budget: u64,
         stats: &CacheStats,
         protect: Option<&str>,
         stale_now: Option<u64>,
-    ) {
+    ) -> bool {
+        let mut evicted = false;
         let mut skipped: Vec<Reverse<(Rank, u64, Arc<str>)>> = Vec::new();
         while self.bytes > budget {
             let Some(Reverse((rank, stamp, key))) = self.heap.pop() else {
@@ -334,6 +367,7 @@ impl Shard {
                     let size = e.body.len() as u64;
                     self.bytes -= size;
                     stats.evict(size);
+                    evicted = true;
                     if let Some(now_us) = stale_now {
                         self.tombstone(&key, e.body, e.version, now_us);
                     }
@@ -342,6 +376,7 @@ impl Shard {
         }
         // Protected records go back so the entry stays evictable later.
         self.heap.extend(skipped);
+        evicted
     }
 }
 
@@ -376,6 +411,15 @@ pub struct PageCache {
     now_us: AtomicU64,
     /// Optional head preserialiser, installed once by the serving layer.
     head_builder: OnceLock<HeadBuilder>,
+    /// Counts the changes to this cache's entries that were not one
+    /// member's part of a fleet distribution: a put, an invalidation, an
+    /// eviction, a clear, a restore. A fleet hands all its members one
+    /// counter ([`PageCache::counting_changes_on`]) and reads it to know
+    /// whether they still hold what it last distributed. Bumped *after*
+    /// the change it counts: a distribution that read the count before
+    /// the bump either met the change at that member or is followed by a
+    /// count its entries' [`Entry::settled`] no longer equal.
+    local_changes: Arc<AtomicU64>,
     stats: Arc<CacheStats>,
 }
 
@@ -398,6 +442,12 @@ impl Default for PageCache {
 impl PageCache {
     /// Create a cache from `config`.
     pub fn new(config: CacheConfig) -> Self {
+        Self::counting_changes_on(config, Arc::default())
+    }
+
+    /// [`PageCache::new`] for a member of a fleet: its local changes are
+    /// counted on the fleet's counter.
+    pub(crate) fn counting_changes_on(config: CacheConfig, local_changes: Arc<AtomicU64>) -> Self {
         let n = config.shards.max(1).next_power_of_two();
         let shards = (0..n).map(|_| Mutex::new(Shard::new())).collect();
         PageCache {
@@ -408,8 +458,13 @@ impl PageCache {
             stale: config.stale,
             now_us: AtomicU64::new(0),
             head_builder: OnceLock::new(),
+            local_changes,
             stats: Arc::new(CacheStats::default()),
         }
+    }
+
+    fn count_local_change(&self) {
+        self.local_changes.fetch_add(1, SeqCst);
     }
 
     /// Install the builder invoked on every insert/update/restore to
@@ -426,15 +481,19 @@ impl PageCache {
         self.head_builder.get().map(|b| b(body, version))
     }
 
-    /// The head for `body` at `version`: `shared`'s when it was built by
-    /// this cache's builder for this version, else a fresh one, which
-    /// replaces `shared`.
+    /// The head for `body` at `version`. A distribution offers `shared`:
+    /// its head is taken when it was built by this cache's builder for
+    /// this version, else a fresh one is built and replaces it. A local
+    /// fill offers nothing and records nothing.
     fn shared_head(
         &self,
         body: &Bytes,
         version: u64,
-        shared: &mut Option<SharedHead>,
+        shared: Option<&mut Option<SharedHead>>,
     ) -> Option<PrebuiltHead> {
+        let Some(shared) = shared else {
+            return self.build_head(body, version);
+        };
         let builder = self.head_builder.get()?;
         if let Some(s) = shared {
             if s.version == version && Arc::ptr_eq(&s.builder, builder) {
@@ -525,60 +584,110 @@ impl PageCache {
         })
     }
 
+    /// Look up `key`'s body alone, like [`PageCache::peek`] counting and
+    /// touching nothing.
+    pub fn peek_body(&self, key: &str) -> Option<Bytes> {
+        let shard = self.shard_for(key).lock();
+        shard.map.get(key).map(|e| e.body.clone())
+    }
+
     /// Insert or update-in-place. Returns the entry's new version (1 for a
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
     /// used by GreedyDual-Size.
-    pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
-        self.put_sharing_head(key, body, cost, &mut None)
+    pub fn put(&self, key: &str, mut body: Bytes, cost: f64) -> u64 {
+        let version = {
+            let mut shard = self.shard_for(key).lock();
+            self.place(&mut shard, key, &mut body, cost, None).1
+        };
+        self.count_local_change();
+        version
     }
 
-    /// [`PageCache::put`] for one member of a distribution: the entry's
-    /// head comes from `shared` when that fits this member (see
-    /// [`SharedHead`]), so a fleet whose versions agree builds one head
-    /// per page, not one per member under each member's shard lock.
-    pub(crate) fn put_sharing_head(
+    /// One member's part of a fleet distribution that began at `epoch`
+    /// member-local changes: keep the entry — body allocation, version,
+    /// head, cost, recency and statistics untouched — when it holds
+    /// `body`'s bytes already, else [`PageCache::put`] with the head taken
+    /// from `shared` when that fits this member (see [`SharedHead`]), so a
+    /// fleet whose versions agree builds one head per page, not one per
+    /// member under each member's shard lock. Either way `body` leaves as
+    /// the allocation this member holds: the next member, which as a rule
+    /// holds the same one, then compares by address.
+    pub(crate) fn keep_or_put(
         &self,
         key: &str,
-        body: Bytes,
+        body: &mut Bytes,
         cost: f64,
+        epoch: u64,
         shared: &mut Option<SharedHead>,
-    ) -> u64 {
-        let size = body.len() as u64;
+    ) -> Held {
         let mut shard = self.shard_for(key).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        let inflation = shard.inflation;
+        self.place(&mut shard, key, body, cost, Some((epoch, shared)))
+            .0
+    }
+
+    /// Put `body` under `key` in its (locked) `shard` — for a
+    /// `distribution` (its epoch and the head it shares), unless the entry
+    /// holds those bytes already. Returns what was done and the entry's
+    /// version.
+    fn place(
+        &self,
+        shard: &mut Shard,
+        key: &str,
+        body: &mut Bytes,
+        cost: f64,
+        distribution: Option<(u64, &mut Option<SharedHead>)>,
+    ) -> (Held, u64) {
+        let size = body.len() as u64;
+        let (settled, shared) = match distribution {
+            Some((epoch, shared)) => (Some(epoch), Some(shared)),
+            None => (None, None),
+        };
         let version;
         if let Some(e) = shard.map.get_mut(key) {
+            if settled.is_some() && same_bytes(&e.body, body) {
+                if e.settled == settled {
+                    return (Held::Settled, e.version);
+                }
+                e.settled = settled;
+                if e.body.as_ptr() != body.as_ptr() {
+                    *body = e.body.clone();
+                }
+                return (Held::Kept, e.version);
+            }
+            shard.tick += 1;
+            let tick = shard.tick;
             let old = e.body.len() as u64;
             e.version += 1;
             version = e.version;
-            e.head = self.shared_head(&body, version, shared);
-            e.body = body;
+            e.head = self.shared_head(body, version, shared);
+            e.body = body.clone();
             e.cost = cost;
+            e.settled = settled;
             e.stamp = tick;
             e.last_tick = tick;
-            let stamp = e.stamp;
             let freq = e.freq;
             shard.bytes = shard.bytes - old + size;
             self.stats.update(old, size);
             if self.policy.is_bounded() {
-                let rank = self.policy.rank(tick, freq, cost, size, inflation);
+                let rank = self.policy.rank(tick, freq, cost, size, shard.inflation);
                 if let Some(k) = shard.map.get_key_value(key).map(|(k, _)| Arc::clone(k)) {
-                    shard.heap.push(Reverse((rank, stamp, k)));
+                    shard.heap.push(Reverse((rank, tick, k)));
                 }
             }
         } else {
+            shard.tick += 1;
+            let tick = shard.tick;
             let k: Arc<str> = Arc::from(key);
             version = 1;
-            let head = self.shared_head(&body, 1, shared);
+            let head = self.shared_head(body, 1, shared);
             shard.map.insert(
                 Arc::clone(&k),
                 Entry {
-                    body,
+                    body: body.clone(),
                     version: 1,
                     head,
                     cost,
+                    settled,
                     pinned: false,
                     freq: 0,
                     window_hits: 0,
@@ -589,7 +698,7 @@ impl PageCache {
             shard.bytes += size;
             self.stats.insert(size);
             if self.policy.is_bounded() {
-                let rank = self.policy.rank(tick, 0, cost, size, inflation);
+                let rank = self.policy.rank(tick, 0, cost, size, shard.inflation);
                 shard.heap.push(Reverse((rank, tick, k)));
             }
         }
@@ -598,9 +707,11 @@ impl PageCache {
             shard.stale.remove(key);
         }
         if let Some(budget) = self.per_shard_budget {
-            shard.evict_to(budget, &self.stats, Some(key), self.stale_now());
+            if shard.evict_to(budget, &self.stats, Some(key), self.stale_now()) {
+                self.count_local_change();
+            }
         }
-        version
+        (Held::Put, version)
     }
 
     /// Remove `key`; returns whether it was present. Under a
@@ -615,6 +726,7 @@ impl PageCache {
             if let Some(now_us) = stale_now {
                 shard.tombstone(key, e.body, e.version, now_us);
             }
+            self.count_local_change();
             true
         } else {
             false
@@ -695,6 +807,7 @@ impl PageCache {
             shard.stale_epochs.clear();
             shard.flights.clear();
         }
+        self.count_local_change();
     }
 
     /// All cached keys (for diagnostics; takes each shard lock in turn).
@@ -760,6 +873,7 @@ impl PageCache {
             e.head = self.build_head(&body, version);
             e.body = body;
             e.cost = cost;
+            e.settled = None;
             e.version = version;
             e.stamp = tick;
             e.last_tick = tick;
@@ -775,6 +889,7 @@ impl PageCache {
                     version,
                     head,
                     cost,
+                    settled: None,
                     pinned: false,
                     freq: 0,
                     window_hits: 0,
@@ -795,6 +910,7 @@ impl PageCache {
         if let Some(budget) = self.per_shard_budget {
             shard.evict_to(budget, &self.stats, Some(key), self.stale_now());
         }
+        self.count_local_change();
     }
 
     // ---- stale tombstones -------------------------------------------------

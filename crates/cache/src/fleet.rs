@@ -7,12 +7,14 @@
 //! update/invalidate operations. `Bytes` bodies are reference-counted, so
 //! a distributed page costs one allocation regardless of fleet size.
 
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
-use crate::cache::{CacheConfig, CachedPage, HeadBuilder, PageCache};
+use crate::cache::{CacheConfig, CachedPage, HeadBuilder, Held, PageCache};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::stats::StatsSnapshot;
 
@@ -20,6 +22,12 @@ use crate::stats::StatsSnapshot;
 #[derive(Debug)]
 pub struct CacheFleet {
     members: Vec<Arc<PageCache>>,
+    /// Every change to a member's entries that was not part of a
+    /// distribution, counted by the members themselves.
+    local_changes: Arc<AtomicU64>,
+    /// Distributions take turns: "what the last distribution of this key
+    /// left on every member" has one answer.
+    distributing: Mutex<()>,
     /// Fleet-wide EWMA hotness, folded from the members' window-hit
     /// counters by [`CacheFleet::fold_hotness`]. Requests are spread over
     /// all members by the dispatcher, so hotness is meaningful only as an
@@ -32,10 +40,16 @@ impl CacheFleet {
     /// `config`.
     pub fn new(n: usize, config: CacheConfig) -> Self {
         assert!(n >= 1, "a fleet needs at least one cache");
+        let local_changes = Arc::new(AtomicU64::new(0));
         CacheFleet {
             members: (0..n)
-                .map(|_| Arc::new(PageCache::new(config.clone())))
+                .map(|_| {
+                    let counter = Arc::clone(&local_changes);
+                    Arc::new(PageCache::counting_changes_on(config.clone(), counter))
+                })
                 .collect(),
+            local_changes,
+            distributing: Mutex::new(()),
             hotness: HotnessTracker::default(),
         }
     }
@@ -77,15 +91,46 @@ impl CacheFleet {
         self.members[i].get(key)
     }
 
+    /// The body the last distribution of `key` left on the fleet (read
+    /// from the first member, counting and touching nothing) — what a
+    /// regeneration renders onto.
+    pub fn distributed_body(&self, key: &str) -> Option<Bytes> {
+        self.members[0].peek_body(key)
+    }
+
     /// Distribute a freshly rendered page to every member (the trigger
-    /// monitor's prefetch/update-in-place path). The members share one
-    /// preserialised head as long as their versions of the page agree; a
-    /// member that took a local fill since builds its own.
-    pub fn distribute(&self, key: &str, body: Bytes, cost: f64) {
+    /// monitor's prefetch/update-in-place path); returns whether any
+    /// member's bytes changed.
+    ///
+    /// A member that holds `body`'s bytes already keeps its entry as it
+    /// is — allocation, version, head, cost, recency — so a regeneration
+    /// that changed nothing changes no `ETag`. Bytes are compared by
+    /// address first: a member asked to keep an allocation other than the
+    /// one passed in hands its own on, so the members after it, which
+    /// share theirs with it, cost a pointer comparison each. And when the
+    /// first member's entry was last distributed at today's count of
+    /// member-local changes, no member has changed on its own since: they
+    /// all still hold those bytes, and the distribution ends there, after
+    /// one lock and one probe whatever the fleet's size.
+    ///
+    /// Members that do take the body share one preserialised head as long
+    /// as their versions of the page agree; one whose version runs ahead
+    /// (it took a local fill) builds its own.
+    pub fn distribute(&self, key: &str, mut body: Bytes, cost: f64) -> bool {
+        let _turn = self.distributing.lock();
+        // Read before any member is visited: a local change this misses
+        // is counted after it landed, hence after this.
+        let epoch = self.local_changes.load(SeqCst);
         let mut head = None;
-        for m in &self.members {
-            m.put_sharing_head(key, body.clone(), cost, &mut head);
+        let mut changed = false;
+        for (i, m) in self.members.iter().enumerate() {
+            match m.keep_or_put(key, &mut body, cost, epoch, &mut head) {
+                Held::Settled if i == 0 => return false,
+                Held::Settled | Held::Kept => {}
+                Held::Put => changed = true,
+            }
         }
+        changed
     }
 
     /// Broadcast an invalidation; returns how many members held the key.
@@ -271,6 +316,40 @@ mod tests {
         assert!(heads
             .iter()
             .all(|h| h.pre.as_ptr() == heads[0].pre.as_ptr()));
+    }
+
+    #[test]
+    fn a_distribution_that_changes_nothing_keeps_every_entry() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let (fleet, built) = fleet_with_counted_heads(8);
+        let first = body("standings");
+        assert!(fleet.distribute("/medals", first.clone(), 1.0));
+        let heads = built.load(SeqCst);
+        let updates = fleet.aggregate_stats().updates;
+        // The same bytes in a new allocation, then in the held one.
+        let held = fleet.distributed_body("/medals").unwrap();
+        for again in [body("standings"), held] {
+            assert!(!fleet.distribute("/medals", again, 9.0));
+        }
+        assert_eq!(built.load(SeqCst), heads);
+        assert_eq!(fleet.aggregate_stats().updates, updates);
+        for m in fleet.members() {
+            let page = m.peek("/medals").unwrap();
+            assert_eq!(page.version, 1);
+            assert_eq!(page.body.as_ptr(), first.as_ptr());
+        }
+        // A member that changed on its own is brought back by the next
+        // distribution, though it is of the bytes the others hold — and
+        // brought back to the allocation they share.
+        fleet.put_local(5, "/medals", body("a local fill"), 1.0);
+        assert!(fleet.distribute("/medals", body("standings"), 1.0));
+        let versions: Vec<u64> = (0..8)
+            .map(|i| fleet.member(i).peek("/medals").unwrap().version)
+            .collect();
+        assert_eq!(versions, [1, 1, 1, 1, 1, 3, 1, 1]);
+        let page = fleet.member(5).peek("/medals").unwrap();
+        assert_eq!(page.body.as_ptr(), first.as_ptr());
+        assert_heads_fit_their_entries(&fleet, "/medals");
     }
 
     #[test]

@@ -104,8 +104,9 @@ pub struct ServedPage {
     pub cache_hit: bool,
     /// Server-side cost in modelled CPU milliseconds.
     pub cost_ms: f64,
-    /// Cache version of the entry (1 on first insert, bumped on every
-    /// in-place update); doubles as the HTTP entity tag.
+    /// Cache version of the entry: 1 on first insert, bumped by every
+    /// in-place update that changes the bytes — a regeneration that
+    /// reproduces them keeps it. Doubles as the HTTP entity tag.
     pub version: u64,
     /// Whether the body is a tombstoned stale copy served because fresh
     /// regeneration was unavailable within budget (serve-stale-on-error).
@@ -117,7 +118,10 @@ pub struct ServedPage {
 }
 
 impl ServedPage {
-    /// The entity tag for this representation.
+    /// The entity tag for this representation. On an update-in-place site
+    /// it changes iff the page's bytes change: a client holding it is
+    /// answered `304` for as long as the page reads the same, however
+    /// often DUP had the page re-derived in between.
     pub fn etag(&self) -> String {
         format!("\"v{}\"", self.version)
     }
@@ -490,10 +494,12 @@ impl ServingSite {
     }
 
     /// The `/status` JSON document: registry size, ODG dimensions,
-    /// trigger progress (transactions, replication watermark, deferred-
-    /// regeneration queue depth and shed count), and per-node cache
-    /// occupancy. Hand-assembled with deterministic key order so same-
-    /// state sites produce byte-identical documents.
+    /// trigger progress (transactions, replication watermark, pages
+    /// regenerated and how many of them changed — the rest is the no-op
+    /// share of update-in-place — deferred-regeneration queue depth and
+    /// shed count), and per-node cache occupancy. Hand-assembled with
+    /// deterministic key order so same-state sites produce byte-identical
+    /// documents.
     pub fn status_json(&self) -> String {
         let trig = self.monitor.stats().snapshot();
         let (odg_nodes, odg_edges) = self.monitor.graph_size();
@@ -504,7 +510,8 @@ impl ServingSite {
         let mut out = String::with_capacity(512);
         out.push_str(&format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
-             \"trigger\":{{\"txns\":{},\"watermark\":{},\"deferred_depth\":{},\
+             \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
+             \"pages_changed\":{},\"deferred_depth\":{},\
              \"deferred_shed\":{}}},\"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\
              \"caches\":[",
             self.registry.len(),
@@ -512,6 +519,8 @@ impl ServingSite {
             odg_edges,
             trig.txns,
             self.monitor.watermark(),
+            trig.pages_regenerated,
+            trig.pages_changed,
             trig.deferred_depth,
             trig.deferred_shed,
             breaker_state,
@@ -719,6 +728,68 @@ mod tests {
         assert_ne!(new_etag, Some(etag));
         drop(client);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_final_changes_the_etag_of_podium_countries_only() {
+        let s = site();
+        let ev = s.db().events()[0].clone();
+        let podium: Vec<_> = s.db().athletes_of_sport(ev.sport)[..3].to_vec();
+        let on_podium = |c| podium.iter().any(|a| a.country == c);
+        let countries = s.db().countries();
+        let winner = podium[0].country;
+        let bystander = countries.iter().map(|c| c.id).find(|&c| !on_podium(c));
+        let bystander = bystander.expect("a country off the podium");
+        let tags = |path: &str| -> Vec<String> {
+            (0..s.fleet().len())
+                .map(|node| s.handle(node, path).unwrap().etag())
+                .collect()
+        };
+        let paths = [
+            PageKey::Country(bystander).to_url(),
+            PageKey::Country(winner).to_url(),
+            "/medals".to_string(),
+        ];
+        let before = paths.each_ref().map(|p| tags(p));
+
+        let placements: Vec<_> = podium
+            .iter()
+            .zip([9.0, 8.0, 7.0])
+            .map(|(a, score)| (a.id, score))
+            .collect();
+        s.db().record_results(ev.id, &placements, true, ev.day);
+        let outcome = s.pump();
+
+        // DUP had every country page re-derived; the medal box of all but
+        // the podium's came out as it was, and the client that holds the
+        // old tag is answered 304 by every node.
+        let regenerated_countries = countries.len() as u64;
+        assert!(outcome.regenerated > regenerated_countries);
+        let trigger = s.metrics().trigger;
+        assert_eq!(trigger.pages_regenerated, outcome.regenerated);
+        assert!(
+            trigger.pages_changed + (regenerated_countries - 3) <= trigger.pages_regenerated,
+            "{trigger:?}"
+        );
+        assert!(trigger.pages_changed > 0);
+        let status = s.status_json();
+        assert!(status.contains(&format!(
+            "\"pages_regenerated\":{},\"pages_changed\":{}",
+            trigger.pages_regenerated, trigger.pages_changed
+        )));
+        for (path, before) in paths.iter().zip(&before) {
+            let moved = *path != paths[0];
+            for (node, tag) in before.iter().enumerate() {
+                let resp = s.respond(node, &get_request(path, Some(tag)));
+                let expected = if moved {
+                    nagano_httpd::Status::Ok
+                } else {
+                    nagano_httpd::Status::NotModified
+                };
+                assert_eq!(resp.status, expected, "{path} on node {node}");
+            }
+            assert_eq!(tags(path) != *before, moved, "{path}");
+        }
     }
 
     fn get_request(path: &str, inm: Option<&str>) -> Request {

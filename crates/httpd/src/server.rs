@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -133,6 +133,9 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     served: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
+    /// The workers' end of the accept → worker queue, kept to report its
+    /// depth; nothing is received through it.
+    queue: Receiver<TcpStream>,
 }
 
 impl Server {
@@ -237,6 +240,7 @@ impl Server {
             workers,
             served,
             shed,
+            queue: rx,
         })
     }
 
@@ -248,6 +252,29 @@ impl Server {
     /// Requests served so far.
     pub fn served(&self) -> u64 {
         self.served.load(Relaxed)
+    }
+
+    /// Accepted connections waiting for a worker right now (at most
+    /// [`ServerConfig::backlog`]).
+    pub fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Spin until exactly `n` accepted connections wait for a worker, for
+    /// at most `timeout`; returns whether they do. For tests and drills
+    /// that overflow the queue on purpose: `connect` returning says the
+    /// kernel has the connection, not that the accept thread has queued
+    /// it, nor that a worker has taken it.
+    pub fn wait_for_pending(&self, n: usize, timeout: Duration) -> bool {
+        // nagano-lint: allow(D001) — a real accept thread is awaited in host time; tests and drills only
+        let started = Instant::now();
+        while self.pending() != n {
+            if started.elapsed() >= timeout {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
     }
 
     /// Connections shed with a 503 because the pending queue was full.
@@ -533,7 +560,7 @@ mod tests {
 
         // Fill the single pending-queue slot.
         let queued = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
         // The next connection must be shed: 503 + Retry-After, closed,
         // without the client even sending a request.
@@ -661,7 +688,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("handler never started");
         let queued = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
         // The breaker opened meanwhile: the site publishes a new value,
         // and the next shed advertises it — not the static 7.

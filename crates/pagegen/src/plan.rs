@@ -69,6 +69,16 @@ pub(crate) fn walk_tail(len: usize, target: usize, mut part: impl FnMut(&Bytes))
     tail.newline.len() + padding + tail.close.len()
 }
 
+/// Whether `tail` is what [`walk_tail`] appends behind `len` bytes of head
+/// and inner HTML of a page targeting `target`.
+pub(crate) fn is_tail(tail: &[u8], len: usize, target: usize) -> bool {
+    let mut rest = Some(tail);
+    walk_tail(len, target, |part| {
+        rest = rest.and_then(|rest| rest.strip_prefix(&part[..]));
+    });
+    rest.is_some_and(<[u8]>::is_empty)
+}
+
 /// The page chrome above the skeleton: doctype, title, site header.
 pub(crate) fn page_head(title: &str) -> String {
     format!(

@@ -27,7 +27,7 @@ use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{push_decimal, FragmentKey, PageKey};
-use crate::plan::{fitted, page_head, walk_tail, CompositionPlan};
+use crate::plan::{fitted, is_tail, page_head, walk_tail, CompositionPlan};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,12 +149,25 @@ impl Renderer {
 
     /// Render `key`.
     pub fn render(&self, key: PageKey) -> RenderOutput {
+        self.render_onto(key, None)
+    }
+
+    /// Render `key` for a caller that holds `previous`, the body the page
+    /// had so far: when the page comes out as those very bytes, the body
+    /// returned *is* `previous` — the same allocation, told apart from a
+    /// new one by address — and no new one is finished. That is decided
+    /// after the page is composed and before it is padded, by comparing
+    /// head, inner HTML and padding with `previous` in place; whatever
+    /// `previous` holds, the body returned is byte for byte what
+    /// [`Renderer::render`] returns. Dependencies and cost are those of
+    /// the render either way.
+    pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
         // One buffer for the whole body: the inner HTML is composed into
         // it, then the head is slid in front and the padding appended.
         let mut html = String::with_capacity(target_bytes(key));
         let mut deps: Vec<Dependency> = Vec::new();
         let title = self.compose(&self.db.view(), key, &mut html, &mut deps, None);
-        let body = finalize(key, &title, html);
+        let body = finalize(key, &title, html, previous);
         let cost_ms = self.cost.cost_ms(key);
         if let Some(scale) = self.cpu_scale {
             spin_for(cost_ms, scale);
@@ -670,18 +683,32 @@ pub fn target_bytes(key: PageKey) -> usize {
     }
 }
 
-/// Turn the composed inner HTML into the page body, in place: `page` was
-/// reserved to the family's nominal size, so sliding the head in front and
-/// padding behind it (content filler up to that size, standing in for the
-/// inline imagery the real pages carried) allocates nothing, and the
-/// buffer itself becomes the body.
-fn finalize(key: PageKey, title: &str, mut page: String) -> Bytes {
-    page.insert_str(0, &page_head(title));
+/// Turn the composed inner HTML into the page body — unless `previous` is
+/// that body already, and is handed back instead. Otherwise in place:
+/// `page` was reserved to the family's nominal size, so sliding the head
+/// in front and padding behind it (content filler up to that size,
+/// standing in for the inline imagery the real pages carried) allocates
+/// nothing, and the buffer itself becomes the body.
+fn finalize(key: PageKey, title: &str, mut page: String, previous: Option<&Bytes>) -> Bytes {
+    let head = page_head(title);
+    let target = target_bytes(key);
+    if let Some(previous) = previous.filter(|p| is_finalized(p, &head, &page, target)) {
+        return previous.clone();
+    }
+    page.insert_str(0, &head);
     let mut page = page.into_bytes();
-    walk_tail(page.len(), target_bytes(key), |part| {
-        page.extend_from_slice(part)
-    });
+    walk_tail(page.len(), target, |part| page.extend_from_slice(part));
     fitted(page)
+}
+
+/// Whether `body` is what [`finalize`] makes of `head` and `inner` for a
+/// family targeting `target` bytes: head, inner HTML, then exactly the
+/// tail that would be appended. A page that changed fails at its first
+/// changed byte.
+fn is_finalized(body: &[u8], head: &str, inner: &str, target: usize) -> bool {
+    body.strip_prefix(head.as_bytes())
+        .and_then(|rest| rest.strip_prefix(inner.as_bytes()))
+        .is_some_and(|tail| is_tail(tail, head.len() + inner.len(), target))
 }
 
 #[cfg(test)]

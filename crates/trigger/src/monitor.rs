@@ -30,6 +30,10 @@ const DEFERRED_CAP: usize = 4096;
 pub struct TxnOutcome {
     /// Pages regenerated and distributed.
     pub regenerated: Vec<PageKey>,
+    /// How many of `regenerated` came out as other bytes than a serving
+    /// cache held: the rest were re-derived, found unchanged, and kept
+    /// their version on every node.
+    pub changed: usize,
     /// Pages invalidated.
     pub invalidated: Vec<PageKey>,
     /// Affected pages tolerated as slightly stale (threshold policy).
@@ -76,16 +80,27 @@ fn modeled_latency(visited: usize, invalidated: usize, render_ms: f64) -> SimDur
 struct GraphState {
     dup: DupEngine,
     names: Interner,
+    /// The page each object vertex stands for, by vertex id: written
+    /// where the vertex is registered, cleared where it is retired.
+    pages: Vec<Option<PageKey>>,
 }
 
 impl GraphState {
     /// The page whose object vertex `id` is, if it is one.
     fn page_of(&self, id: NodeId) -> Option<PageKey> {
-        self.names
-            .name(id)
-            .and_then(|n| n.strip_prefix("page:"))
-            .and_then(PageKey::parse)
+        self.pages.get(id.0 as usize).copied().flatten()
     }
+}
+
+/// What one refresh of a stale set did.
+#[derive(Default)]
+struct Regenerated {
+    /// The keys distributed, in the caller's order.
+    keys: Vec<PageKey>,
+    /// Summed modelled CPU.
+    render_ms: f64,
+    /// How many of `keys` changed a serving cache's bytes.
+    changed: usize,
 }
 
 /// One demand fill's result: the servable body — kept as a zero-copy rope
@@ -198,6 +213,7 @@ impl TriggerMonitor {
             graph: Mutex::new(GraphState {
                 dup: DupEngine::new(),
                 names: Interner::new(),
+                pages: Vec::new(),
             }),
             registered: Mutex::new(FxHashMap::default()),
             renderer,
@@ -365,6 +381,11 @@ impl TriggerMonitor {
         }
         let mut g = self.graph.lock();
         let object = g.names.intern(&key.object_key());
+        let slot = object.0 as usize;
+        if g.pages.len() <= slot {
+            g.pages.resize(slot + 1, None);
+        }
+        g.pages[slot] = Some(key);
         g.dup
             .graph_mut()
             .ensure_node(object, nagano_odg::NodeKind::Object);
@@ -479,12 +500,13 @@ impl TriggerMonitor {
 
         match self.policy {
             ConsistencyPolicy::UpdateInPlace => {
-                let (regenerated, render_ms) = self.regenerate(&stale);
+                let regen = self.regenerate(&stale);
                 TxnOutcome {
-                    regenerated,
+                    regenerated: regen.keys,
+                    changed: regen.changed,
                     tolerated,
                     visited,
-                    latency: modeled_latency(visited, 0, render_ms),
+                    latency: modeled_latency(visited, 0, regen.render_ms),
                     ..Default::default()
                 }
             }
@@ -540,12 +562,13 @@ impl TriggerMonitor {
                     }
                 }
 
-                let (regenerated, render_ms) = self.regenerate(&to_regen);
+                let regen = self.regenerate(&to_regen);
                 let deferred = self.defer(overflow, now, &mut invalidated, &mut saved_ms);
                 self.stats.record_regen_saved(saved_ms);
                 TxnOutcome {
-                    latency: modeled_latency(visited, invalidated.len(), render_ms),
-                    regenerated,
+                    latency: modeled_latency(visited, invalidated.len(), regen.render_ms),
+                    regenerated: regen.keys,
+                    changed: regen.changed,
                     invalidated,
                     tolerated,
                     deferred,
@@ -611,14 +634,22 @@ impl TriggerMonitor {
     }
 
     /// Refresh `keys`: whole-page renders in legacy mode, fragment
-    /// renders + recompositions in fragment mode. Both return the
-    /// distributed keys and the summed modelled CPU, added to
-    /// `nagano_trigger_regen_cpu_ms_total`.
-    fn regenerate(&self, keys: &[PageKey]) -> (Vec<PageKey>, f64) {
-        match &self.fragments {
+    /// renders + recompositions in fragment mode. Both distribute every
+    /// key, add the summed modelled CPU to
+    /// `nagano_trigger_regen_cpu_ms_total`, and count the keys whose bytes
+    /// changed in `nagano_trigger_pages_changed_total`.
+    fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
+        if keys.is_empty() {
+            return Regenerated::default();
+        }
+        let regen = match &self.fragments {
             Some(plane) => self.regenerate_fragmented(plane, keys),
             None => self.regenerate_whole(keys),
-        }
+        };
+        self.clear_stale_marks(&regen.keys);
+        self.stats.record_regen_cpu(regen.render_ms);
+        self.stats.record_pages_changed(regen.changed as u64);
+        regen
     }
 
     /// Fragment-mode refresh: re-render only the dirty *fragments* (in
@@ -627,14 +658,7 @@ impl TriggerMonitor {
     /// plans and the store. The partial-regeneration saving (ROADMAP
     /// item 3) is exactly this: one shared fragment renders once and its
     /// hundred embedding pages recompose for static-class cost each.
-    fn regenerate_fragmented(
-        &self,
-        plane: &FragmentPlane,
-        keys: &[PageKey],
-    ) -> (Vec<PageKey>, f64) {
-        if keys.is_empty() {
-            return (Vec::new(), 0.0);
-        }
+    fn regenerate_fragmented(&self, plane: &FragmentPlane, keys: &[PageKey]) -> Regenerated {
         // 1. Dirty fragments: render inner bodies in parallel, refresh
         //    the store, re-register the shared vertex's data edges.
         let fragment_keys: Vec<FragmentKey> = keys
@@ -684,6 +708,7 @@ impl TriggerMonitor {
         // 3. Recompose and distribute every key in the caller's order.
         let mut regenerated = Vec::with_capacity(keys.len());
         let mut recomposed = 0u64;
+        let mut changed = 0;
         for &key in keys {
             // The preamble planned every key it kept, but defend against
             // a plan dropped between locks: replan instead of panicking.
@@ -723,7 +748,7 @@ impl TriggerMonitor {
             };
             render_ms += plan.compose_cost_ms();
             let cost = plan.skeleton_cost_ms() + plan.compose_cost_ms();
-            self.fleet.distribute(&key.to_url(), body, cost);
+            changed += usize::from(self.fleet.distribute(&key.to_url(), body, cost));
             if !freshly_planned && !need_plan.contains(&key) && !matches!(key, PageKey::Fragment(_))
             {
                 recomposed += 1;
@@ -731,31 +756,45 @@ impl TriggerMonitor {
             regenerated.push(key);
         }
         self.stats.record_pages_recomposed(recomposed);
-        self.clear_stale_marks(&regenerated);
-        self.stats.record_regen_cpu(render_ms);
-        (regenerated, render_ms)
+        Regenerated {
+            keys: regenerated,
+            render_ms,
+            changed,
+        }
     }
 
-    /// Render `keys` in parallel (pure DB reads), then register and
-    /// distribute sequentially in the given order.
-    fn regenerate_whole(&self, keys: &[PageKey]) -> (Vec<PageKey>, f64) {
-        if keys.is_empty() {
-            return (Vec::new(), 0.0);
-        }
-        let rendered: Vec<(PageKey, RenderOutput)> = keys
-            .par_iter()
-            .map(|&k| (k, self.renderer.render(k)))
-            .collect();
-        let render_ms: f64 = rendered.iter().map(|(_, out)| out.cost_ms).sum();
-        let mut regenerated = Vec::with_capacity(rendered.len());
-        for (key, out) in rendered {
+    /// Re-derive each of `keys` from the database, in the given order,
+    /// onto the body the fleet holds for it: a page that comes out as
+    /// those bytes is recognised before a body is built for it
+    /// ([`Renderer::render_onto`]) and costs the fleet a comparison
+    /// ([`CacheFleet::distribute`]).
+    ///
+    /// Sequential by design, unlike the fragment renders of
+    /// [`TriggerMonitor::regenerate_fragmented`]: a page is probed,
+    /// rendered, registered and distributed before the next is probed, so
+    /// no more than one new body is alive at a time and a kept page never
+    /// leaves this thread's cache lines. The `par_iter` this replaced ran
+    /// sequentially under the vendored `rayon` shim; under the real crate
+    /// it would fork ~44 renders of ~1 µs each per transaction, which two
+    /// regeneration threads did not repay on the 2-vCPU guest this was
+    /// measured on (DESIGN §13a). A site that models render CPU with
+    /// `cpu_scale` spins here one page after the other.
+    fn regenerate_whole(&self, keys: &[PageKey]) -> Regenerated {
+        let mut regen = Regenerated {
+            keys: keys.to_vec(),
+            ..Default::default()
+        };
+        let mut url = String::new();
+        for &key in keys {
+            url.clear();
+            key.push_url(&mut url);
+            let held = self.fleet.distributed_body(&url);
+            let out = self.renderer.render_onto(key, held.as_ref());
             self.register_render(key, &out);
-            self.fleet.distribute(&key.to_url(), out.body, out.cost_ms);
-            regenerated.push(key);
+            regen.render_ms += out.cost_ms;
+            regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
         }
-        self.clear_stale_marks(&regenerated);
-        self.stats.record_regen_cpu(render_ms);
-        (regenerated, render_ms)
+        regen
     }
 
     /// Park hot-but-over-budget pages on the deferred queue. The queue is
@@ -856,7 +895,7 @@ impl TriggerMonitor {
             queue.extend(requeue);
             self.stats.set_deferred_depth(queue.len() as u64);
         }
-        let (regenerated, _render_ms) = self.regenerate(&selected);
+        let regenerated = self.regenerate(&selected).keys;
         self.stats.record_drained_regen(regenerated.len() as u64);
         regenerated
     }
@@ -1006,6 +1045,9 @@ impl TriggerMonitor {
                     registered.remove(&page);
                 }
             }
+        }
+        if let Some(page) = g.pages.get_mut(id.0 as usize) {
+            *page = None;
         }
         g.dup.graph_mut().remove_node(id).is_ok()
     }

@@ -13,6 +13,9 @@ use nagano_telemetry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 pub struct TriggerStats {
     txns: Counter,
     pages_regenerated: Counter,
+    /// Regenerated pages whose bytes changed in a serving cache; the rest
+    /// of `pages_regenerated` is the no-op share of update-in-place.
+    pages_changed: Counter,
     pages_invalidated: Counter,
     pages_tolerated: Counter,
     nodes_visited: Counter,
@@ -50,6 +53,7 @@ impl Default for TriggerStats {
         TriggerStats {
             txns: Counter::new(),
             pages_regenerated: Counter::new(),
+            pages_changed: Counter::new(),
             pages_invalidated: Counter::new(),
             pages_tolerated: Counter::new(),
             nodes_visited: Counter::new(),
@@ -77,6 +81,9 @@ pub struct TriggerStatsSnapshot {
     pub txns: u64,
     /// Pages regenerated and distributed (update-in-place path).
     pub pages_regenerated: u64,
+    /// Of those, the pages that came out as other bytes than a serving
+    /// cache held (the others kept their version on every node).
+    pub pages_changed: u64,
     /// Pages invalidated.
     pub pages_invalidated: u64,
     /// Affected pages left in place under a staleness threshold.
@@ -200,6 +207,11 @@ impl TriggerStats {
         self.pages_recomposed.add(pages);
     }
 
+    /// Record regenerated pages whose bytes changed in a serving cache.
+    pub fn record_pages_changed(&self, pages: u64) {
+        self.pages_changed.add(pages);
+    }
+
     /// Record pages regenerated outside a transaction record (the
     /// deferred-queue drain path).
     pub fn record_drained_regen(&self, pages: u64) {
@@ -227,6 +239,11 @@ impl TriggerStats {
             "nagano_trigger_pages_regenerated_total",
             labels,
             &self.pages_regenerated,
+        );
+        registry.bind_counter(
+            "nagano_trigger_pages_changed_total",
+            labels,
+            &self.pages_changed,
         );
         registry.bind_counter(
             "nagano_trigger_pages_invalidated_total",
@@ -295,6 +312,7 @@ impl TriggerStats {
         TriggerStatsSnapshot {
             txns: self.txns.get(),
             pages_regenerated: self.pages_regenerated.get(),
+            pages_changed: self.pages_changed.get(),
             pages_invalidated: self.pages_invalidated.get(),
             pages_tolerated: self.pages_tolerated.get(),
             nodes_visited: self.nodes_visited.get(),
@@ -374,6 +392,7 @@ mod tests {
         s.record_regen_saved(80.6);
         s.record_deferred(3);
         s.record_drained_regen(2);
+        s.record_pages_changed(1);
         s.record_weighted_staleness(30.0);
         s.record_weighted_staleness(90.0);
         let snap = s.snapshot();
@@ -381,6 +400,7 @@ mod tests {
         assert_eq!(snap.regen_saved_ms, 81);
         assert_eq!(snap.pages_deferred, 3);
         assert_eq!(snap.pages_regenerated, 2);
+        assert_eq!(snap.pages_changed, 1);
         assert_eq!(snap.weighted_staleness_count, 2);
         // The sum is mean * count; the log-bucketed histogram makes it
         // approximate, not exact.
@@ -393,6 +413,8 @@ mod tests {
         assert!(text.contains("nagano_trigger_regen_saved_ms_total{site=\"tokyo\"} 81"));
         assert!(text.contains("nagano_trigger_regen_cpu_ms_total{site=\"tokyo\"} 120"));
         assert!(text.contains("nagano_trigger_pages_deferred_total{site=\"tokyo\"} 3"));
+        assert!(text.contains("nagano_trigger_pages_regenerated_total{site=\"tokyo\"} 2"));
+        assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
         assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
     }
 

@@ -118,7 +118,7 @@ fn admin_plane_leaves_overload_shedding_untouched() {
         .recv_timeout(Duration::from_secs(5))
         .expect("handler never started");
     let queued = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
     // Overflow is shed on the accept thread exactly as without the
     // plane: 503 + Retry-After before any routing happens.
@@ -144,6 +144,9 @@ fn admin_plane_leaves_overload_shedding_untouched() {
     assert_eq!(code, 200);
     assert_eq!(&body[..], b"slow");
     drop(queued);
+    // The worker takes the dropped connection out of the one slot before
+    // the next connection needs it.
+    assert!(server.wait_for_pending(0, Duration::from_secs(10)));
     let mut client = HttpClient::connect(addr).unwrap();
     let (code, _) = client.get("/healthz").unwrap();
     assert_eq!(code, 200);

@@ -194,7 +194,7 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
         .recv_timeout(Duration::from_secs(5))
         .expect("slow handler never started");
     let queued = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
     // The overflow connection gets a 503 + Retry-After, then EOF: shed
     // connections are closed, not kept alive.
@@ -214,6 +214,9 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
     release_tx.send(()).unwrap();
     assert_eq!(busy.join().unwrap(), 200);
     drop(queued);
+    // The worker takes the dropped connection out of the one slot before
+    // the next connection needs it.
+    assert!(server.wait_for_pending(0, Duration::from_secs(10)));
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut r = BufReader::new(s.try_clone().unwrap());
