@@ -12,8 +12,6 @@
 //!   --day N            popularity day for the page mix     [8]
 //!   --closed-loop      ignore pacing; back-to-back capacity run
 //!   --workers N        self-served httpd worker threads    [env/8]
-//!   --legacy           self-served site uses the pre-rearchitecture
-//!                      write path (no prebuilt heads, BufWriter)
 //!   --quick            self-served site uses the small Games
 //!   --digest-only      print the schedule fingerprint and exit
 //!   --json             emit the full report as JSON
@@ -40,7 +38,6 @@ struct Opts {
     day: u32,
     closed_loop: bool,
     workers: Option<usize>,
-    legacy: bool,
     quick: bool,
     digest_only: bool,
     json: bool,
@@ -57,7 +54,6 @@ fn parse_opts() -> Opts {
         day: 8,
         closed_loop: false,
         workers: None,
-        legacy: false,
         quick: false,
         digest_only: false,
         json: false,
@@ -88,7 +84,6 @@ fn parse_opts() -> Opts {
             "--day" => opts.day = parse_num(&value(), "--day"),
             "--workers" => opts.workers = Some(parse_num(&value(), "--workers")),
             "--closed-loop" => opts.closed_loop = true,
-            "--legacy" => opts.legacy = true,
             "--quick" => opts.quick = true,
             "--digest-only" => opts.digest_only = true,
             "--json" => opts.json = true,
@@ -112,7 +107,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT] [--seed N] [--connections N] [--rate N]\n\
          \x20              [--duration SECS] [--inm F] [--day N] [--closed-loop]\n\
-         \x20              [--workers N] [--legacy] [--quick] [--digest-only] [--json]"
+         \x20              [--workers N] [--quick] [--digest-only] [--json]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -122,12 +117,11 @@ fn main() {
 
     // Page mix: the Olympic popularity table for the chosen day, from a
     // site of the chosen scale (no prewarm needed just for the table).
-    let mut site_cfg = if opts.quick {
+    let site_cfg = if opts.quick {
         SiteConfig::small()
     } else {
         SiteConfig::full()
     };
-    site_cfg.prebuilt_heads = !opts.legacy;
     let pages: Vec<(String, f64)> = {
         let mut table_cfg = site_cfg.clone();
         table_cfg.prewarm = false;
@@ -161,21 +155,19 @@ fn main() {
     }
 
     // Target: an external server, or a self-served prewarmed site.
-    let mut server_cfg = opts
+    let server_cfg = opts
         .workers
         .map_or_else(ServerConfig::from_env, |w| ServerConfig {
             workers: w.max(1),
             ..ServerConfig::from_env()
         });
-    server_cfg.legacy_write_path = opts.legacy;
     let self_served = opts.addr.is_none();
     let (addr, server) = match opts.addr {
         Some(addr) => (addr, None),
         None => {
             eprintln!(
-                "booting {} site ({} write path, {} workers)...",
+                "booting {} site ({} workers)...",
                 if opts.quick { "small" } else { "full" },
-                if opts.legacy { "legacy" } else { "zero-copy" },
                 server_cfg.workers,
             );
             let site = Arc::new(ServingSite::build(site_cfg));

@@ -3,7 +3,6 @@
 pub mod ablations;
 pub mod caching;
 pub mod figures;
-pub mod fragments;
 pub mod hybrid;
 pub mod serving;
 pub mod slo;
@@ -51,11 +50,10 @@ pub fn cluster_config(config: &ExpConfig, policy: ConsistencyPolicy) -> ClusterC
         ),
         slo_rules: ClusterConfig::default_slo_rules(),
         audit_convergence: false,
-        fragment_mode: false,
     }
 }
 
-type ReportKey = (u64, u64, bool, ConsistencyPolicy, bool);
+type ReportKey = (u64, u64, bool, ConsistencyPolicy);
 
 fn report_cache() -> &'static Mutex<FxHashMap<ReportKey, Arc<ClusterReport>>> {
     static CACHE: OnceLock<Mutex<FxHashMap<ReportKey, Arc<ClusterReport>>>> = OnceLock::new();
@@ -71,37 +69,11 @@ pub fn full_report(config: &ExpConfig) -> Arc<ClusterReport> {
 
 /// Memoized full-Games simulation under an arbitrary policy.
 pub fn report_for_policy(config: &ExpConfig, policy: ConsistencyPolicy) -> Arc<ClusterReport> {
-    report_for(config, policy, false)
-}
-
-/// Memoized full-Games simulation under an arbitrary policy, optionally
-/// in fragment mode (DESIGN.md §14). Fragment-mode telemetry exports land
-/// beside the legacy policy's under a `-fragments` suffix so the two runs
-/// never clobber each other.
-pub fn report_for(
-    config: &ExpConfig,
-    policy: ConsistencyPolicy,
-    fragment_mode: bool,
-) -> Arc<ClusterReport> {
-    let key: ReportKey = (
-        config.scale.to_bits(),
-        config.seed,
-        config.quick,
-        policy,
-        fragment_mode,
-    );
+    let key: ReportKey = (config.scale.to_bits(), config.seed, config.quick, policy);
     if let Some(r) = report_cache().lock().unwrap().get(&key) {
         return Arc::clone(r);
     }
-    let mut cluster = cluster_config(config, policy);
-    if fragment_mode {
-        cluster.fragment_mode = true;
-        cluster.export_dir = Some(
-            std::path::PathBuf::from("target/experiments/telemetry")
-                .join(format!("{}-fragments", policy.slug())),
-        );
-    }
-    let report = Arc::new(ClusterSim::new(cluster).run());
+    let report = Arc::new(ClusterSim::new(cluster_config(config, policy)).run());
     report_cache()
         .lock()
         .unwrap()

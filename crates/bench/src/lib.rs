@@ -37,8 +37,7 @@
 //! | `soak` | random-failure soak across the Games (availability) |
 //! | `chaos` | data-plane fault injection: scripted lossy/partitioned links + monitor crashes |
 //! | `resilience` | serving-plane fault injection: render slowdown, backend outages, cache cold-restart |
-//! | `serving` | real-TCP serving hot path: baseline vs zero-copy, latency percentiles + capacity |
-//! | `fragments` | fragment-level caching vs whole-page regeneration on the day-8 workload |
+//! | `serving` | real-TCP serving hot path: latency percentiles + capacity on a seed-deterministic schedule |
 //! | `summary` | one-screen headline scoreboard |
 
 #![forbid(unsafe_code)]
@@ -107,7 +106,7 @@ impl ExpResult {
 }
 
 /// All experiment ids in canonical order.
-pub const ALL_EXPERIMENTS: [&str; 29] = [
+pub const ALL_EXPERIMENTS: [&str; 28] = [
     "fig18",
     "fig20",
     "fig21",
@@ -135,7 +134,6 @@ pub const ALL_EXPERIMENTS: [&str; 29] = [
     "chaos",
     "resilience",
     "serving",
-    "fragments",
     "summary",
 ];
 
@@ -170,7 +168,6 @@ pub fn run_experiment(id: &str, config: &ExpConfig) -> Option<ExpResult> {
         "chaos" => e::systems::chaos(config),
         "resilience" => e::systems::resilience(config),
         "serving" => e::serving::serving(config),
-        "fragments" => e::fragments::fragments(config),
         "summary" => e::systems::summary(config),
         _ => return None,
     })

@@ -139,9 +139,11 @@ impl CacheFleet {
     }
 
     /// Insert into a single member only (a demand-miss fill on one serving
-    /// node, the pre-DUP behaviour).
-    pub fn put_local(&self, i: usize, key: &str, body: Bytes, cost: f64) {
-        self.members[i].put(key, body, cost);
+    /// node, the pre-DUP behaviour). Returns the version the member gave
+    /// the entry — the only moment it is known for certain: on a bounded
+    /// cache the entry may be evicted before anyone can look it up.
+    pub fn put_local(&self, i: usize, key: &str, body: Bytes, cost: f64) -> u64 {
+        self.members[i].put(key, body, cost)
     }
 
     /// Aggregate statistics over all members.
@@ -388,7 +390,8 @@ mod tests {
     #[test]
     fn local_fill_stays_local() {
         let fleet = CacheFleet::new(3, CacheConfig::default());
-        fleet.put_local(1, "/event", body("data"), 10.0);
+        assert_eq!(fleet.put_local(1, "/event", body("data"), 10.0), 1);
+        assert_eq!(fleet.put_local(1, "/event", body("more"), 10.0), 2);
         assert!(fleet.get_from(1, "/event").is_some());
         assert!(fleet.get_from(0, "/event").is_none());
         assert!(fleet.get_from(2, "/event").is_none());

@@ -18,10 +18,6 @@
 //!   memory is scarce.
 //! * [`CacheFleet`] — the eight per-frame serving caches fed by the
 //!   trigger monitor's distributor (Figure 6).
-//! * [`FragmentStore`] — inner-HTML bodies of §2's page *fragments*
-//!   (result tables, the medal box, headlines), the splice material for
-//!   composition-plan serving (DESIGN.md §14). Same sharded zero-copy
-//!   machinery as the page cache, keyed by fragment URL.
 //! * [`hotness`] — per-page EWMA access frequency, folded from the
 //!   members' hit counters once per sim minute; the hybrid propagation
 //!   policy uses it to regenerate hot pages and invalidate the cold tail
@@ -37,7 +33,6 @@
 
 pub mod cache;
 pub mod fleet;
-pub mod fragment;
 pub mod hotness;
 pub mod policy;
 pub mod stats;
@@ -47,7 +42,6 @@ pub use cache::{
     StaleCopy, StalePolicy,
 };
 pub use fleet::CacheFleet;
-pub use fragment::{FragmentEntry, FragmentStore, FragmentStoreStats};
 pub use hotness::HotnessTracker;
 pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -102,11 +102,6 @@ pub struct ClusterConfig {
     /// [`ClusterReport::stale_pages`]. Off by default (it costs one full
     /// render sweep per site); the convergence property tests turn it on.
     pub audit_convergence: bool,
-    /// Run every site's trigger monitor in fragment mode (DESIGN.md §14):
-    /// fragments are cached and regenerated independently and pages
-    /// recompose from cached plans. Off by default (legacy whole-page
-    /// regeneration), so existing experiments export identically.
-    pub fragment_mode: bool,
 }
 
 impl Default for ClusterConfig {
@@ -127,7 +122,6 @@ impl Default for ClusterConfig {
             export_dir: None,
             slo_rules: ClusterConfig::default_slo_rules(),
             audit_convergence: false,
-            fragment_mode: false,
         }
     }
 }
@@ -554,15 +548,12 @@ impl ClusterSim {
             .iter()
             .map(|spec| {
                 let fleet = Arc::new(CacheFleet::new(1, cache_config.clone()));
-                let mut m = TriggerMonitor::new(
+                let m = TriggerMonitor::new(
                     Renderer::new(Arc::clone(&db)),
                     fleet,
                     Arc::clone(&registry),
                     cfg.policy,
                 );
-                if cfg.fragment_mode {
-                    m = m.with_fragments(Arc::new(nagano_cache::FragmentStore::new()));
-                }
                 m.prewarm();
                 let labels = [("site", spec.name)];
                 m.stats().bind(&telemetry.registry, &labels);

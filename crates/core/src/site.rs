@@ -52,20 +52,10 @@ pub struct SiteConfig {
     /// Warm every page and build the full ODG at construction (the
     /// production prefetch). Disable to study cold-start behaviour.
     pub prewarm: bool,
-    /// Preserialise each cache entry's HTTP head at fill time so hits
-    /// skip header formatting entirely. Disable to measure the
-    /// pre-rearchitecture baseline (`BENCH_serving.json`).
-    pub prebuilt_heads: bool,
     /// Per-request latency budget in seconds: a miss that coalesces onto
     /// another node-local regeneration waits at most this long before
     /// falling back to a stale copy (DESIGN.md §11).
     pub request_budget_secs: f64,
-    /// Serve pages as compositions over an independently cached fragment
-    /// store (DESIGN.md §14): dirty fragments re-render once, embedding
-    /// pages recompose, and demand fills return the skeleton/fragment
-    /// slices for vectored writes. Off by default (legacy whole-page
-    /// rendering).
-    pub fragment_mode: bool,
 }
 
 impl SiteConfig {
@@ -79,9 +69,7 @@ impl SiteConfig {
             staleness: StalenessPolicy::Strict,
             cpu_scale: None,
             prewarm: true,
-            prebuilt_heads: true,
             request_budget_secs: 2.0,
-            fragment_mode: false,
         }
     }
 
@@ -111,10 +99,6 @@ pub struct ServedPage {
     /// Whether the body is a tombstoned stale copy served because fresh
     /// regeneration was unavailable within budget (serve-stale-on-error).
     pub stale: bool,
-    /// For fragment-mode demand fills: the skeleton and fragment slices
-    /// whose concatenation is `body`, each a refcounted view of a cache
-    /// buffer, ready for one vectored write (DESIGN.md §14).
-    pub parts: Option<Vec<Bytes>>,
 }
 
 impl ServedPage {
@@ -182,28 +166,22 @@ impl ServingSite {
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
         let fleet = Arc::new(CacheFleet::new(config.fleet_size, config.cache.clone()));
-        if config.prebuilt_heads {
-            // Installed before the prewarm below so every prefetched page
-            // carries a ready-to-send head from its first fill.
-            fleet.set_head_builder(Arc::new(|body: &Bytes, version: u64| {
-                let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
-                nagano_cache::PrebuiltHead { pre, post }
-            }));
-        }
+        // Installed before the prewarm below so every prefetched page
+        // carries a ready-to-send head from its first fill.
+        fleet.set_head_builder(Arc::new(|body: &Bytes, version: u64| {
+            let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
+            nagano_cache::PrebuiltHead { pre, post }
+        }));
         let mut renderer = Renderer::new(Arc::clone(&db));
         if let Some(scale) = config.cpu_scale {
             renderer = renderer.with_simulated_cpu(scale);
         }
-        let mut monitor = TriggerMonitor::new(
+        let monitor = Arc::new(TriggerMonitor::new(
             renderer,
             Arc::clone(&fleet),
             Arc::clone(&registry),
             config.policy,
-        );
-        if config.fragment_mode {
-            monitor = monitor.with_fragments(Arc::new(nagano_cache::FragmentStore::new()));
-        }
-        let monitor = Arc::new(monitor);
+        ));
         monitor.set_staleness_policy(config.staleness);
         let txn_rx = db.subscribe();
         if config.prewarm {
@@ -268,7 +246,6 @@ impl ServingSite {
                 cost_ms: 0.5,
                 version: page.version,
                 stale: false,
-                parts: None,
             });
         }
         Some(self.handle_miss(node, key, &url, now))
@@ -288,7 +265,6 @@ impl ServingSite {
                 cost_ms: 0.5,
                 version: page.version,
                 stale: false,
-                parts: None,
             },
             FlightOutcome::TimedOut => {
                 // The leader overran the budget or failed: fall back to
@@ -301,9 +277,8 @@ impl ServingSite {
                         cost_ms: 0.5,
                         version: copy.version,
                         stale: true,
-                        parts: None,
                     },
-                    None => self.regenerate(node, key, url),
+                    None => self.regenerate(node, key),
                 }
             }
             FlightOutcome::Lead(token) => {
@@ -319,15 +294,14 @@ impl ServingSite {
                             cost_ms: 0.5,
                             version: copy.version,
                             stale: true,
-                            parts: None,
                         };
                     }
                     // No stale copy to fail fast with: attempt the
                     // render anyway rather than turn away a request the
                     // backend might still serve.
-                    return self.regenerate(node, key, url);
+                    return self.regenerate(node, key);
                 }
-                let page = self.regenerate(node, key, url);
+                let page = self.regenerate(node, key);
                 member.complete_flight(token, member.peek(url));
                 page
             }
@@ -372,10 +346,6 @@ impl ServingSite {
             let etag = page.etag();
             if req.if_none_match.as_deref() == Some(etag.as_str()) {
                 Response::not_modified(etag)
-            } else if let Some(parts) = page.parts {
-                // Fragment-mode fill: the skeleton and fragment slices go
-                // out through one vectored write, never flattened again.
-                Response::composed(parts).with_etag(etag)
             } else {
                 Response::html(page.body).with_etag(etag)
             }
@@ -385,23 +355,16 @@ impl ServingSite {
     /// Demand-fill `key` on `node` and record the outcome in the breaker
     /// (the in-process renderer cannot fail, so this always succeeds;
     /// the failure edges are exercised by the cluster simulation).
-    fn regenerate(&self, node: usize, key: PageKey, url: &str) -> ServedPage {
-        let out = self.monitor.demand_fill_rich(node, key);
+    fn regenerate(&self, node: usize, key: PageKey) -> ServedPage {
+        let fill = self.monitor.demand_fill(node, key);
         self.breaker.lock().record_success();
         self.publish_retry_after();
-        let version = self
-            .fleet
-            .member(node)
-            .peek(url)
-            .map(|p| p.version)
-            .unwrap_or(1);
         ServedPage {
-            body: out.body,
+            body: fill.body,
             cache_hit: false,
-            cost_ms: out.cost_ms,
-            version,
+            cost_ms: fill.cost_ms,
+            version: fill.version,
             stale: false,
-            parts: out.parts,
         }
     }
 
@@ -803,24 +766,22 @@ mod tests {
 
     #[test]
     fn respond_prebuilt_hit_serves_identical_bytes_to_formatted_path() {
-        let fast = site();
-        let mut cfg = SiteConfig::small();
-        cfg.prebuilt_heads = false;
-        let slow = ServingSite::build(cfg);
+        let s = site();
         for path in ["/medals", "/day/3/", "/welcome"] {
-            let req = get_request(path, None);
-            let a = fast.respond(0, &req);
-            let b = slow.respond(0, &req);
-            assert!(a.prebuilt.is_some(), "{path}: fast path took slow route");
-            assert!(
-                b.prebuilt.is_none(),
-                "{path}: baseline unexpectedly prebuilt"
-            );
+            let hit = s.respond(0, &get_request(path, None));
+            assert!(hit.prebuilt.is_some(), "{path}: hit without a head");
+            // The reference: the same entry's body and version, every
+            // header formatted by the oracle writer.
+            let cached = s.fleet().member(0).peek(path).unwrap();
+            let formatted =
+                Response::html(cached.body).with_etag(format!("\"v{}\"", cached.version));
             for keep_alive in [true, false] {
                 let mut fast_bytes = Vec::new();
                 let mut slow_bytes = Vec::new();
-                a.write_to(&mut fast_bytes, keep_alive).unwrap();
-                b.write_to(&mut slow_bytes, keep_alive).unwrap();
+                hit.write_to(&mut fast_bytes, keep_alive).unwrap();
+                formatted
+                    .write_to_legacy(&mut slow_bytes, keep_alive)
+                    .unwrap();
                 assert_eq!(
                     fast_bytes, slow_bytes,
                     "{path} keep_alive={keep_alive}: wire bytes diverge"
@@ -1043,69 +1004,6 @@ mod tests {
         let page = s.handle(0, "/medals").unwrap();
         assert!(!page.stale && !page.cache_hit);
         assert!(!page.body.is_empty());
-    }
-
-    fn fragment_site() -> ServingSite {
-        let mut cfg = SiteConfig::small();
-        cfg.fragment_mode = true;
-        ServingSite::build(cfg)
-    }
-
-    #[test]
-    fn fragment_mode_serves_identical_bytes_to_legacy() {
-        let frag = fragment_site();
-        let legacy = site();
-        assert!(frag.monitor().fragment_mode());
-        for path in ["/welcome", "/medals", "/day/3/", "/sports/1", "/events/2"] {
-            let a = frag.handle(0, path).unwrap();
-            let b = legacy.handle(0, path).unwrap();
-            assert!(a.cache_hit && b.cache_hit);
-            assert_eq!(a.body, b.body, "{path}: composed body diverges");
-        }
-        // And after an update flows through the trigger monitor.
-        for s in [&frag, &legacy] {
-            let ev = s.db().events()[0].clone();
-            let a = s.db().athletes_of_sport(ev.sport)[0].clone();
-            s.db().record_results(ev.id, &[(a.id, 9.0)], true, ev.day);
-            s.pump();
-        }
-        for path in ["/welcome", "/medals", "/events/1"] {
-            let a = frag.handle(0, path).unwrap();
-            let b = legacy.handle(0, path).unwrap();
-            assert_eq!(a.body, b.body, "{path}: post-update body diverges");
-        }
-    }
-
-    #[test]
-    fn fragment_mode_demand_fill_serves_composed_parts() {
-        let mut cfg = SiteConfig::small();
-        cfg.fragment_mode = true;
-        cfg.prewarm = false;
-        let s = ServingSite::build(cfg);
-        let page = s.handle(0, "/medals").unwrap();
-        assert!(!page.cache_hit);
-        let parts = page.parts.as_ref().expect("fragment fill returns parts");
-        assert!(parts.len() > 1, "skeleton plus at least one fragment");
-        let flat: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        assert_eq!(&page.body[..], &flat[..], "parts concatenate to body");
-        // The HTTP layer sends those parts as a composed response whose
-        // wire bytes match a contiguous-body response exactly.
-        let mut cold = SiteConfig::small();
-        cold.prewarm = false;
-        let legacy = ServingSite::build(cold);
-        let req = get_request("/day/2/", None);
-        let a = s.respond(0, &req);
-        assert!(a.parts.is_some(), "miss response is composed");
-        let b = legacy.respond(0, &req);
-        for keep_alive in [true, false] {
-            let mut via_parts = Vec::new();
-            a.write_to(&mut via_parts, keep_alive).unwrap();
-            let mut via_body = Vec::new();
-            b.write_to(&mut via_body, keep_alive).unwrap();
-            assert_eq!(via_parts, via_body, "wire bytes diverge");
-        }
-        // A second request hits the freshly filled local cache.
-        assert!(s.handle(0, "/medals").unwrap().cache_hit);
     }
 
     #[test]

@@ -203,11 +203,6 @@ pub struct Response {
     pub content_type: &'static str,
     /// Body bytes.
     pub body: Bytes,
-    /// Body as a sequence of cached slices (fragment-composed pages,
-    /// DESIGN.md §14). When set, `body` stays empty and the writer sends
-    /// every part through one vectored write without ever flattening them
-    /// into a contiguous buffer.
-    pub parts: Option<Vec<Bytes>>,
     /// Entity tag, if the resource has a validator (cached pages use
     /// their cache version).
     pub etag: Option<String>,
@@ -229,42 +224,9 @@ impl Response {
             status: Status::Ok,
             content_type: "text/html; charset=utf-8",
             body,
-            parts: None,
             etag: None,
             retry_after: None,
             prebuilt: None,
-        }
-    }
-
-    /// 200 text/html response whose body is composed from cached slices
-    /// (a page skeleton interleaved with fragment bodies). Byte-for-byte
-    /// equivalent on the wire to [`Response::html`] of the concatenation,
-    /// pinned by the `composed_matches_flattened_html_bytes` test.
-    pub fn composed(parts: Vec<Bytes>) -> Self {
-        Response {
-            status: Status::Ok,
-            content_type: "text/html; charset=utf-8",
-            body: Bytes::new(),
-            parts: Some(parts),
-            etag: None,
-            retry_after: None,
-            prebuilt: None,
-        }
-    }
-
-    /// [`Response::composed`] with preserialised head fragments from
-    /// [`prebuilt_html_head`] — the fragment-mode serving hot path:
-    /// `pre + Connection + post + part0 + part1 + ...` in one vectored
-    /// write, no header formatting and no body flattening.
-    pub fn composed_prebuilt(pre: Bytes, post: Bytes, parts: Vec<Bytes>) -> Self {
-        Response {
-            status: Status::Ok,
-            content_type: "text/html; charset=utf-8",
-            body: Bytes::new(),
-            parts: Some(parts),
-            etag: None,
-            retry_after: None,
-            prebuilt: Some((pre, post)),
         }
     }
 
@@ -276,7 +238,6 @@ impl Response {
             status: Status::Ok,
             content_type: "text/html; charset=utf-8",
             body,
-            parts: None,
             etag: None,
             retry_after: None,
             prebuilt: Some((pre, post)),
@@ -295,7 +256,6 @@ impl Response {
             status: Status::NotModified,
             content_type: "text/html; charset=utf-8",
             body: Bytes::new(),
-            parts: None,
             etag: Some(etag.into()),
             retry_after: None,
             prebuilt: None,
@@ -308,7 +268,6 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             body: Bytes::copy_from_slice(body.as_bytes()),
-            parts: None,
             etag: None,
             retry_after: None,
             prebuilt: None,
@@ -329,15 +288,6 @@ impl Response {
         resp
     }
 
-    /// Total body length in bytes: the sum of `parts` for a composed
-    /// response, else `body.len()`. This is what `Content-Length` carries.
-    pub fn body_len(&self) -> usize {
-        match &self.parts {
-            Some(parts) => parts.iter().map(|p| p.len()).sum(),
-            None => self.body.len(),
-        }
-    }
-
     /// Serialise the status line and every header (through the blank
     /// line) into `out`, which is cleared first. Byte-for-byte identical
     /// to the historical multi-`write!` serialisation, pinned by the
@@ -354,7 +304,7 @@ impl Response {
         out.extend_from_slice(b"Content-Type: ");
         out.extend_from_slice(self.content_type.as_bytes());
         out.extend_from_slice(b"\r\nContent-Length: ");
-        push_u64(out, self.body_len() as u64);
+        push_u64(out, self.body.len() as u64);
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(connection_line(keep_alive));
         out.extend_from_slice(b"Server: nagano/0.1\r\n");
@@ -389,21 +339,19 @@ impl Response {
         scratch: &mut Vec<u8>,
     ) -> io::Result<()> {
         self.serialize_head(keep_alive, scratch);
-        match &self.parts {
-            Some(parts) => write_all_vectored_many(w, scratch, parts)?,
-            None => write_all_vectored(w, scratch, &self.body)?,
-        }
+        write_all_vectored(w, scratch, &self.body)?;
         w.flush()
     }
 
-    /// The pre-rearchitecture serialisation: one formatted `write!` per
-    /// header group plus a separate body `write_all`. Kept verbatim as
-    /// the measured baseline for `BENCH_serving.json` (the server's
-    /// `legacy_write_path` mode) and as the oracle for the byte-
-    /// equivalence test. Prebuilt heads fall back to the buffered path so
-    /// both modes stay byte-identical on the wire.
+    /// The test oracle for response bytes, selected by nothing: the
+    /// historical serialisation, one formatted `write!` per header group
+    /// plus a separate body `write_all`, kept verbatim so the
+    /// byte-equivalence tests compare [`Response::write_to`] and the
+    /// prebuilt heads against an independent formatting of the same
+    /// response. A response that carries a prebuilt head has no fields to
+    /// format from and goes through the buffered path.
     pub fn write_to_legacy<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        if self.prebuilt.is_some() || self.parts.is_some() {
+        if self.prebuilt.is_some() {
             return self.write_to(w, keep_alive);
         }
         write!(
@@ -511,71 +459,6 @@ fn write_all_vectored<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Resu
         }
     }
     Ok(())
-}
-
-/// Write `head` then every buffer in `parts` with as few writes as the
-/// transport allows: the fragment-composed generalisation of
-/// [`write_all_vectored`]. One `write_vectored` covers head + all parts in
-/// the common case; partial writes advance a cursor over the logical
-/// concatenation and retry from the first unfinished buffer.
-fn write_all_vectored_many<W: Write>(w: &mut W, head: &[u8], parts: &[Bytes]) -> io::Result<()> {
-    // Treat head + parts as one logical sequence of buffers.
-    let buf_at = |i: usize| -> &[u8] {
-        if i == 0 {
-            head
-        } else {
-            &parts[i - 1]
-        }
-    };
-    let total_bufs = 1 + parts.len();
-    let mut idx = 0usize; // first buffer with unwritten bytes
-    let mut off = 0usize; // offset within that buffer
-    let mut slices: Vec<IoSlice> = Vec::with_capacity(total_bufs);
-    loop {
-        while idx < total_bufs && off == buf_at(idx).len() {
-            idx += 1;
-            off = 0;
-        }
-        if idx == total_bufs {
-            return Ok(());
-        }
-        slices.clear();
-        slices.push(IoSlice::new(&buf_at(idx)[off..]));
-        for i in idx + 1..total_bufs {
-            let b = buf_at(i);
-            if !b.is_empty() {
-                slices.push(IoSlice::new(b));
-            }
-        }
-        let result = if slices.len() == 1 {
-            w.write(&buf_at(idx)[off..])
-        } else {
-            w.write_vectored(&slices)
-        };
-        match result {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole response",
-                ))
-            }
-            Ok(mut n) => {
-                while n > 0 {
-                    let rem = buf_at(idx).len() - off;
-                    if n >= rem {
-                        n -= rem;
-                        idx += 1;
-                        off = 0;
-                    } else {
-                        off += n;
-                        n = 0;
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Read one response from a buffered stream: returns (status code, body).
@@ -767,96 +650,6 @@ mod tests {
         let mut d = Vec::new();
         slow.write_to(&mut d, true).unwrap();
         assert_eq!(c, d);
-    }
-
-    /// Writer that accepts at most `cap` bytes per call (and ignores all
-    /// but the first slice of a vectored write), to force the partial-
-    /// write resume paths.
-    struct Dribble {
-        out: Vec<u8>,
-        cap: usize,
-    }
-
-    impl Write for Dribble {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let n = buf.len().min(self.cap);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn composed_matches_flattened_html_bytes() {
-        // A fragment-composed body must hit the wire byte-identical to
-        // the same bytes served as one contiguous buffer — head
-        // (Content-Length included) and body both.
-        let parts = vec![
-            Bytes::from_static(b"<html><body>"),
-            Bytes::new(), // empty slots must vanish, not corrupt
-            Bytes::from_static(b"<table>frag one</table>"),
-            Bytes::from_static(b"middle"),
-            Bytes::from_static(b"<ul>frag two</ul>"),
-            Bytes::from_static(b"</body></html>"),
-        ];
-        let flat: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        let composed = Response::composed(parts.clone()).with_etag("\"v9\"");
-        let whole = Response::html(Bytes::from(flat.clone())).with_etag("\"v9\"");
-        assert_eq!(composed.body_len(), flat.len());
-        for keep_alive in [true, false] {
-            let mut a = Vec::new();
-            composed.write_to(&mut a, keep_alive).unwrap();
-            let mut b = Vec::new();
-            whole.write_to(&mut b, keep_alive).unwrap();
-            assert_eq!(
-                a, b,
-                "composed wire bytes diverged (keep_alive={keep_alive})"
-            );
-            let mut c = Vec::new();
-            composed.write_to_legacy(&mut c, keep_alive).unwrap();
-            assert_eq!(a, c, "legacy fallback diverged (keep_alive={keep_alive})");
-        }
-        // Partial writes of every dribble size reassemble the same bytes.
-        let mut want = Vec::new();
-        composed.write_to(&mut want, true).unwrap();
-        for cap in 1..8 {
-            let mut d = Dribble {
-                out: Vec::new(),
-                cap,
-            };
-            composed.write_to(&mut d, true).unwrap();
-            assert_eq!(d.out, want, "dribble cap {cap} corrupted the stream");
-        }
-    }
-
-    #[test]
-    fn composed_prebuilt_matches_prebuilt_whole_page() {
-        let parts = vec![
-            Bytes::from_static(b"<html>"),
-            Bytes::from_static(b"<p>fragment</p>"),
-            Bytes::from_static(b"</html>"),
-        ];
-        let flat: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        let (pre, post) = prebuilt_html_head(flat.len(), 7);
-        let fast = Response::composed_prebuilt(pre.clone(), post.clone(), parts);
-        let slow = Response::prebuilt(pre, post, Bytes::from(flat));
-        for keep_alive in [true, false] {
-            let mut a = Vec::new();
-            fast.write_to(&mut a, keep_alive).unwrap();
-            let mut b = Vec::new();
-            slow.write_to(&mut b, keep_alive).unwrap();
-            assert_eq!(a, b, "composed prebuilt diverged (keep_alive={keep_alive})");
-        }
-        let (code, body) = read_response(&mut BufReader::new({
-            let mut buf = Vec::new();
-            fast.write_to(&mut buf, false).unwrap();
-            std::io::Cursor::new(buf)
-        }))
-        .unwrap();
-        assert_eq!(code, 200);
-        assert_eq!(&body[..], b"<html><p>fragment</p></html>");
     }
 
     #[test]

@@ -78,12 +78,6 @@ pub struct ServerConfig {
     /// When set, shed responses read their `Retry-After` from this live
     /// hint at shed time instead of the static `retry_after_secs`.
     pub retry_after_hint: Option<RetryAfterHint>,
-    /// Serve responses through the pre-rearchitecture write path (a
-    /// `BufWriter` plus one small formatted write per header group)
-    /// instead of the single vectored write. Wire bytes are identical;
-    /// only the syscall/copy profile differs. Kept so the serving
-    /// benchmark can measure before/after in one binary.
-    pub legacy_write_path: bool,
 }
 
 impl Default for ServerConfig {
@@ -94,7 +88,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             retry_after_secs: 2,
             retry_after_hint: None,
-            legacy_write_path: false,
         }
     }
 }
@@ -102,10 +95,9 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Defaults with overrides from the environment — the knob the load
     /// harness uses to sweep server shapes without a rebuild:
-    /// `NAGANO_HTTPD_WORKERS` (worker threads), `NAGANO_HTTPD_BACKLOG`
-    /// (pending-connection queue), and `NAGANO_HTTPD_LEGACY_WRITE=1`
-    /// (pre-rearchitecture write path for before/after measurements).
-    /// Unset or unparsable variables keep their defaults.
+    /// `NAGANO_HTTPD_WORKERS` (worker threads) and `NAGANO_HTTPD_BACKLOG`
+    /// (pending-connection queue). Unset or unparsable variables keep
+    /// their defaults.
     pub fn from_env() -> Self {
         let mut cfg = ServerConfig::default();
         if let Some(n) = env_usize("NAGANO_HTTPD_WORKERS") {
@@ -113,9 +105,6 @@ impl ServerConfig {
         }
         if let Some(n) = env_usize("NAGANO_HTTPD_BACKLOG") {
             cfg.backlog = n.max(1);
-        }
-        if let Ok(v) = std::env::var("NAGANO_HTTPD_LEGACY_WRITE") {
-            cfg.legacy_write_path = v.trim() == "1" || v.trim().eq_ignore_ascii_case("true");
         }
         cfg
     }
@@ -172,20 +161,11 @@ impl Server {
             let timeout = config.read_timeout;
             let worker_shutdown = Arc::clone(&shutdown);
             let observer = observer.clone();
-            let legacy = config.legacy_write_path;
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("httpd-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(
-                            rx,
-                            handler,
-                            served,
-                            timeout,
-                            worker_shutdown,
-                            observer,
-                            legacy,
-                        )
+                        worker_loop(rx, handler, served, timeout, worker_shutdown, observer)
                     })?,
             );
         }
@@ -317,30 +297,6 @@ fn shed_connection(stream: TcpStream, retry_after_secs: u32) {
     let _ = writer.flush();
 }
 
-/// A connection's write half. The fast path writes straight to the
-/// socket — head from the reused scratch buffer plus the refcounted body
-/// in one vectored write, no intermediate copy. The legacy variant keeps
-/// the pre-rearchitecture `BufWriter` + multi-`write!` profile for
-/// before/after benchmarking.
-enum ConnWriter {
-    Fast(TcpStream),
-    Legacy(BufWriter<TcpStream>),
-}
-
-impl ConnWriter {
-    fn send(
-        &mut self,
-        response: &Response,
-        keep_alive: bool,
-        scratch: &mut Vec<u8>,
-    ) -> std::io::Result<()> {
-        match self {
-            ConnWriter::Fast(stream) => response.write_with_scratch(stream, keep_alive, scratch),
-            ConnWriter::Legacy(writer) => response.write_to_legacy(writer, keep_alive),
-        }
-    }
-}
-
 fn worker_loop(
     rx: Receiver<TcpStream>,
     handler: Arc<dyn Handler>,
@@ -348,7 +304,6 @@ fn worker_loop(
     timeout: Duration,
     shutdown: Arc<AtomicBool>,
     observer: Option<RequestObserver>,
-    legacy_write_path: bool,
 ) {
     // Parse and head-serialisation scratch, reused for every request the
     // worker ever serves: steady-state keep-alive traffic allocates
@@ -356,7 +311,7 @@ fn worker_loop(
     let mut parse = RequestReader::new();
     let mut request = Request::empty();
     let mut head = Vec::with_capacity(256);
-    while let Ok(stream) = rx.recv() {
+    while let Ok(mut stream) = rx.recv() {
         // Short poll interval so keep-alive workers notice shutdown fast;
         // idle connections are re-polled until `timeout` worth of silence.
         let poll = Duration::from_millis(50);
@@ -364,12 +319,10 @@ fn worker_loop(
         let Ok(read_half) = stream.try_clone() else {
             continue;
         };
+        // Requests are read through `reader`; responses go straight to
+        // `stream`, head from the reused scratch buffer plus the
+        // refcounted body in one vectored write.
         let mut reader = BufReader::new(read_half);
-        let mut writer = if legacy_write_path {
-            ConnWriter::Legacy(BufWriter::new(stream))
-        } else {
-            ConnWriter::Fast(stream)
-        };
         let mut idle = Duration::ZERO;
         loop {
             match parse.read_into(&mut reader, &mut request) {
@@ -391,7 +344,11 @@ fn worker_loop(
                 }
                 Err(ParseError::Io(_)) => break,
                 Err(ParseError::Malformed(msg)) => {
-                    let _ = writer.send(&Response::text(Status::BadRequest, msg), false, &mut head);
+                    let _ = Response::text(Status::BadRequest, msg).write_with_scratch(
+                        &mut stream,
+                        false,
+                        &mut head,
+                    );
                     break;
                 }
             }
@@ -408,10 +365,13 @@ fn worker_loop(
             };
             served.fetch_add(1, Relaxed);
             if let Some(obs) = &observer {
-                obs(&request, response.status.code(), response.body_len() as u64);
+                obs(&request, response.status.code(), response.body.len() as u64);
             }
             let keep = request.keep_alive;
-            if writer.send(&response, keep, &mut head).is_err() {
+            if response
+                .write_with_scratch(&mut stream, keep, &mut head)
+                .is_err()
+            {
                 break;
             }
             if !keep {
@@ -591,57 +551,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_write_path_serves_identical_bytes() {
-        use std::io::{Read, Write};
-        fn raw_get(addr: SocketAddr) -> Vec<u8> {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"GET /page HTTP/1.1\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut buf = Vec::new();
-            s.read_to_end(&mut buf).unwrap();
-            buf
-        }
-        let handler: Arc<dyn Handler> = Arc::new(|_req: &Request| {
-            Response::html(Bytes::from_static(b"<p>same bytes</p>")).with_etag("\"v3\"")
-        });
-        let fast =
-            Server::bind("127.0.0.1:0", Arc::clone(&handler), ServerConfig::default()).unwrap();
-        let legacy = Server::bind(
-            "127.0.0.1:0",
-            handler,
-            ServerConfig {
-                legacy_write_path: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a = raw_get(fast.addr());
-        let b = raw_get(legacy.addr());
-        assert!(!a.is_empty());
-        assert_eq!(
-            a, b,
-            "write-path modes must be indistinguishable on the wire"
-        );
-        fast.shutdown();
-        legacy.shutdown();
-    }
-
-    #[test]
     fn config_from_env_reads_worker_knobs() {
         std::env::set_var("NAGANO_HTTPD_WORKERS", "3");
         std::env::set_var("NAGANO_HTTPD_BACKLOG", "17");
-        std::env::set_var("NAGANO_HTTPD_LEGACY_WRITE", "1");
         let cfg = ServerConfig::from_env();
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.backlog, 17);
-        assert!(cfg.legacy_write_path);
         std::env::remove_var("NAGANO_HTTPD_WORKERS");
         std::env::remove_var("NAGANO_HTTPD_BACKLOG");
-        std::env::remove_var("NAGANO_HTTPD_LEGACY_WRITE");
         let cfg = ServerConfig::from_env();
         assert_eq!(cfg.workers, ServerConfig::default().workers);
         assert_eq!(cfg.backlog, ServerConfig::default().backlog);
-        assert!(!cfg.legacy_write_path);
     }
 
     #[test]

@@ -671,9 +671,9 @@ mod tests {
 
     #[test]
     fn cached_fragment_slot_form_is_recognized() {
-        // The composition-plan renderer passes a slot recorder as a
-        // third argument; the audit must still see the inline and the
-        // loop-local `event.….data_key()` edge (LOCAL_NAMES).
+        // A call spread over several lines, with arguments after the
+        // buffer: the audit must still see the inline and the loop-local
+        // `event.….data_key()` edge (LOCAL_NAMES).
         let page = "
             fn compose(&self, key: PageKey, deps: &mut Vec<Dependency>) {
                 match key {

@@ -71,24 +71,6 @@ impl CostModel {
         base * jitter * self.dynamic_scale
     }
 
-    /// Cost of rendering only a composed page's *skeleton* (the markup
-    /// outside its fragment slots). Fragment bodies dominate composed-page
-    /// generation — the result tables, medal box, and headline queries are
-    /// the expensive database work — so the skeleton is modelled at 40% of
-    /// the whole-page cost. Only meaningful for pages with slots; slotless
-    /// pages have no skeleton/fragment split.
-    pub fn skeleton_cost_ms(&self, key: PageKey) -> f64 {
-        0.4 * self.cost_ms(key)
-    }
-
-    /// Cost of splicing `slots` cached fragment bodies into a skeleton: a
-    /// fixed dispatch overhead plus a per-slot buffer hand-off. Orders of
-    /// magnitude below regeneration — this is what makes recomposition
-    /// "cheap" in the fragment-granularity propagation story.
-    pub fn compose_cost_ms(&self, slots: usize) -> f64 {
-        1.0 + 0.25 * slots as f64
-    }
-
     /// Cost of serving a page straight from the cache (a hash lookup plus
     /// a buffer hand-off — the paper serves cached dynamic pages "at
     /// roughly the same rates as static pages").
@@ -184,17 +166,6 @@ mod tests {
     fn cache_hit_is_static_class_or_cheaper() {
         let m = CostModel::new();
         assert!(m.cache_hit_cost_ms() <= 2.0);
-    }
-
-    #[test]
-    fn skeleton_and_compose_undercut_whole_page_regeneration() {
-        let m = CostModel::new();
-        let k = PageKey::Home(8);
-        let whole = m.cost_ms(k);
-        assert!(m.skeleton_cost_ms(k) < whole * 0.5);
-        // Recomposing even a fragment-heavy page is static-class work.
-        assert!(m.compose_cost_ms(12) < 10.0);
-        assert!(m.compose_cost_ms(0) < m.compose_cost_ms(12));
     }
 
     #[test]

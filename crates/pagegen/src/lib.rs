@@ -16,11 +16,6 @@
 //!   *and the dependency list* the application must register with DUP
 //!   ("an application program is responsible for communicating data
 //!   dependencies ... to the cache").
-//! * [`plan`] — *composition plans* (DESIGN.md §14): the same render pass
-//!   with fragments recorded as slots instead of inlined, so serving can
-//!   splice cached fragment bodies between static skeleton segments and
-//!   regeneration can touch one dirty fragment instead of every embedding
-//!   page.
 //! * [`cost`] — the generation cost model: static pages take 2–10 ms of
 //!   CPU; dynamic pages one to two orders of magnitude more (the paper's
 //!   reference \[8\]).
@@ -32,14 +27,13 @@
 
 pub mod cost;
 pub mod key;
-pub mod plan;
+mod plan;
 pub mod registry;
 pub mod render;
 pub mod structure;
 
 pub use cost::CostModel;
 pub use key::{FragmentKey, PageKey};
-pub use plan::{ComposedPage, CompositionPlan};
 pub use registry::{PageMeta, PageRegistry};
 pub use render::{Dependency, RenderOutput, Renderer};
 pub use structure::{NavigationModel, SiteStructure};

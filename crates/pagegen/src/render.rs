@@ -27,7 +27,7 @@ use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{push_decimal, FragmentKey, PageKey};
-use crate::plan::{fitted, is_tail, page_head, walk_tail, CompositionPlan};
+use crate::plan::{fitted, is_tail, page_head, walk_tail};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +166,7 @@ impl Renderer {
         // it, then the head is slid in front and the padding appended.
         let mut html = String::with_capacity(target_bytes(key));
         let mut deps: Vec<Dependency> = Vec::new();
-        let title = self.compose(&self.db.view(), key, &mut html, &mut deps, None);
+        let title = self.compose(&self.db.view(), key, &mut html, &mut deps);
         let body = finalize(key, &title, html, previous);
         let cost_ms = self.cost.cost_ms(key);
         if let Some(scale) = self.cpu_scale {
@@ -179,61 +179,7 @@ impl Renderer {
         }
     }
 
-    /// Render just the fragment's inner HTML — the bytes a composition
-    /// plan splices into its slots. The body is *not* a servable page
-    /// (no chrome, no padding; compose the owning [`CompositionPlan`]
-    /// for that). The dependency list is identical to the one a legacy
-    /// whole-page render of `PageKey::Fragment(f)` registers: the page
-    /// and the fragment share one ODG vertex.
-    pub fn render_fragment(&self, f: FragmentKey) -> RenderOutput {
-        let mut html = String::new();
-        let mut deps: Vec<Dependency> = Vec::new();
-        self.fragment_section(&self.db.view(), f, &mut html, Some(&mut deps));
-        let cost_ms = self.cost.cost_ms(PageKey::Fragment(f));
-        if let Some(scale) = self.cpu_scale {
-            spin_for(cost_ms, scale);
-        }
-        RenderOutput {
-            body: fitted(html.into_bytes()),
-            deps,
-            cost_ms,
-        }
-    }
-
-    /// Build the page's composition plan: the same `compose` pass as
-    /// [`Renderer::render`], but every `inline_fragment` records a slot
-    /// instead of rendering — so composing the plan with fresh fragment
-    /// bodies is byte-identical to the whole-page render by construction.
-    pub fn plan(&self, key: PageKey) -> CompositionPlan {
-        let mut html = String::with_capacity(4096);
-        let mut deps: Vec<Dependency> = Vec::new();
-        let mut slots: Vec<(usize, FragmentKey)> = Vec::new();
-        let title = self.compose(&self.db.view(), key, &mut html, &mut deps, Some(&mut slots));
-        let skeleton_cost_ms = match key {
-            // The fragment page's render cost is carried by the fragment
-            // itself ([`Renderer::render_fragment`]).
-            PageKey::Fragment(_) => 0.0,
-            _ if slots.is_empty() => self.cost.cost_ms(key),
-            _ => self.cost.skeleton_cost_ms(key),
-        };
-        if let Some(scale) = self.cpu_scale {
-            spin_for(skeleton_cost_ms, scale);
-        }
-        let compose_cost_ms = self.cost.compose_cost_ms(slots.len());
-        CompositionPlan::assemble(
-            key,
-            title,
-            html,
-            slots,
-            deps,
-            skeleton_cost_ms,
-            compose_cost_ms,
-        )
-    }
-
-    /// Build the page's inner HTML; returns the title. With `slots` set
-    /// (composition-plan mode), fragments record slots instead of
-    /// rendering inline and the returned HTML is the bare skeleton.
+    /// Build the page's inner HTML; returns the title.
     ///
     /// `db` is the render's one read snapshot. Nothing below may reach for
     /// `self.db`: a second read lock on this thread deadlocks behind a
@@ -244,7 +190,6 @@ impl Renderer {
         key: PageKey,
         html: &mut String,
         deps: &mut Vec<Dependency>,
-        mut slots: Option<&mut Vec<(usize, FragmentKey)>>,
     ) -> String {
         match key {
             PageKey::Home(day) => {
@@ -264,15 +209,10 @@ impl Renderer {
                     0.5,
                 ));
                 let _ = writeln!(html, "<h2>Day {day} at the Games</h2>");
-                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
-                self.inline_fragment(db, FragmentKey::Headlines(day), html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::MedalTable, html);
+                self.inline_fragment(db, FragmentKey::Headlines(day), html);
                 for event in db.events_on_day(day) {
-                    self.inline_fragment(
-                        db,
-                        FragmentKey::ResultTable(event.id),
-                        html,
-                        slots.as_deref_mut(),
-                    );
+                    self.inline_fragment(db, FragmentKey::ResultTable(event.id), html);
                     // Everything the page itself says about the event, and
                     // the edges that go with it: unchanged until results
                     // arrive for this very event.
@@ -316,7 +256,7 @@ impl Renderer {
                     PageKey::Fragment(FragmentKey::MedalTable).object_key(),
                 ));
                 let _ = writeln!(html, "<h2>Medal Standings</h2>");
-                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::MedalTable, html);
                 "Medal Standings".to_string()
             }
             PageKey::Sport(s) => {
@@ -327,12 +267,7 @@ impl Renderer {
                     deps.push(Dependency::new(
                         PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
                     ));
-                    self.inline_fragment(
-                        db,
-                        FragmentKey::ResultTable(event.id),
-                        html,
-                        slots.as_deref_mut(),
-                    );
+                    self.inline_fragment(db, FragmentKey::ResultTable(event.id), html);
                     html.push_str("<div>");
                     push_link(html, PageKey::Event(event.id), &event.name);
                     html.push_str(" (day ");
@@ -345,7 +280,7 @@ impl Renderer {
                 deps.push(Dependency::new(
                     PageKey::Fragment(FragmentKey::ResultTable(e)).object_key(),
                 ));
-                self.inline_fragment(db, FragmentKey::ResultTable(e), html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::ResultTable(e), html);
                 let event = db.event(e);
                 let name = event.map_or("Unknown event", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
@@ -472,13 +407,7 @@ impl Renderer {
                 "Fun".into()
             }
             PageKey::Fragment(f) => {
-                match slots {
-                    // Plan mode: the fragment page is pure slot — its data
-                    // deps live on the shared fragment vertex, registered
-                    // when the fragment itself regenerates.
-                    Some(slots) => slots.push((html.len(), f)),
-                    None => self.fragment_section(db, f, html, Some(deps)),
-                }
+                self.fragment_section(db, f, html, Some(deps));
                 fragment_title(f)
             }
         }
@@ -487,19 +416,9 @@ impl Renderer {
     /// Render a fragment's HTML into a composed page *without* adding the
     /// fragment's own data dependencies — the page depends on the fragment
     /// object; the fragment depends on the raw data (Figure 15's two-level
-    /// composition). In plan mode (`slots` set) nothing is rendered: the
-    /// current skeleton offset is recorded as a cached-fragment slot.
-    fn inline_fragment(
-        &self,
-        db: &DbView<'_>,
-        f: FragmentKey,
-        html: &mut String,
-        slots: Option<&mut Vec<(usize, FragmentKey)>>,
-    ) {
-        match slots {
-            Some(slots) => slots.push((html.len(), f)),
-            None => self.fragment_section(db, f, html, None),
-        }
+    /// composition).
+    fn inline_fragment(&self, db: &DbView<'_>, f: FragmentKey, html: &mut String) {
+        self.fragment_section(db, f, html, None);
     }
 
     /// The registered fragment `f` as a memoised section: its inner HTML,
@@ -636,8 +555,7 @@ fn render_fragment_into(
     }
 }
 
-/// The fragment page's title, computable without touching the database —
-/// plan mode needs it even when the fragment body comes from the cache.
+/// The fragment page's title.
 fn fragment_title(f: FragmentKey) -> String {
     match f {
         FragmentKey::ResultTable(e) => format!("Results {}", e.0),

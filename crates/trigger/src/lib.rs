@@ -22,11 +22,10 @@
 //!   - `Conservative96` — the 1996 baseline: invalidate entire content
 //!     sections, "significantly more pages ... than were necessary".
 //!
-//!   In **fragment mode** ([`monitor::TriggerMonitor::with_fragments`],
-//!   DESIGN.md §14) the same policies act at fragment granularity: dirty
-//!   fragments re-render once into the shared fragment store and the
-//!   pages embedding them *recompose* from cached plans for static-class
-//!   cost, instead of each re-rendering the fragment inline.
+//!   Page fragments are registered pages of their own and hybrid ODG
+//!   vertices (DESIGN.md §14): a data change marks the fragment, the
+//!   fragment marks every page embedding it, and the renderer's section
+//!   memo splices the fragment's one fresh render into each of them.
 //! * [`runner`] — a background thread driving the monitor from a
 //!   transaction subscription (the live deployment shape).
 //! * [`stats`] — counters and freshness tracking (event recorded → page

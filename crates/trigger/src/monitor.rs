@@ -9,12 +9,10 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use nagano_cache::{CacheFleet, FragmentStore};
+use nagano_cache::CacheFleet;
 use nagano_db::Transaction;
 use nagano_odg::{DupEngine, Interner, NodeId, StalenessPolicy};
-use nagano_pagegen::{
-    CompositionPlan, Dependency, FragmentKey, PageKey, PageRegistry, RenderOutput, Renderer,
-};
+use nagano_pagegen::{Dependency, PageKey, PageRegistry, RenderOutput, Renderer};
 use nagano_simcore::{SimDuration, SimTime};
 
 use crate::policy::ConsistencyPolicy;
@@ -103,69 +101,20 @@ struct Regenerated {
     changed: usize,
 }
 
-/// One demand fill's result: the servable body — kept as a zero-copy rope
-/// when fragment mode composed it — plus the registered dependencies and
-/// the modelled CPU actually spent.
+/// One demand fill's result: the body now cached on the node that took
+/// the miss, the version that cache gave it, the registered dependencies
+/// and the modelled CPU spent.
 #[derive(Debug, Clone)]
 pub struct DemandFill {
     /// The finished page body.
     pub body: Bytes,
-    /// The body as composition parts in wire order, when fragment mode
-    /// built it as a rope (`None` on the whole-page path). Hand these to
-    /// a vectored write untouched.
-    pub parts: Option<Vec<Bytes>>,
+    /// The cache version the fill was stored under — what the response's
+    /// entity tag must name, whatever happens to the entry afterwards.
+    pub version: u64,
     /// Dependencies registered for the page.
     pub deps: Vec<Dependency>,
-    /// Modelled CPU spent producing the body (fragments actually
-    /// rendered + skeleton replan + composition; the whole-page render
-    /// cost in legacy mode).
+    /// Modelled CPU spent rendering the body.
     pub cost_ms: f64,
-}
-
-/// Composition plans plus the fragment→embedding-pages reverse index,
-/// guarded by one mutex so the index can never drift from the plans.
-#[derive(Default)]
-struct PlanIndex {
-    plans: FxHashMap<PageKey, Arc<CompositionPlan>>,
-    embedders: FxHashMap<FragmentKey, FxHashSet<PageKey>>,
-}
-
-impl PlanIndex {
-    fn insert(&mut self, plan: Arc<CompositionPlan>) {
-        let key = plan.key();
-        self.remove(key);
-        for &f in plan.slots() {
-            self.embedders.entry(f).or_default().insert(key);
-        }
-        self.plans.insert(key, plan);
-    }
-
-    fn remove(&mut self, key: PageKey) {
-        if let Some(old) = self.plans.remove(&key) {
-            for f in old.slots() {
-                if let Some(set) = self.embedders.get_mut(f) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        self.embedders.remove(f);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The fragment serving plane (DESIGN.md §14): the store of independently
-/// cached fragment bodies plus every page's composition plan. Present only
-/// when the monitor was built [`TriggerMonitor::with_fragments`].
-///
-/// Invariant: **a plan in the index always has a fresh skeleton.** The
-/// batch path drops the plan of any affected page whose skeleton data
-/// reads intersect the batch's changed keys, so every later recompose —
-/// batch, drain, or demand fill, none of which know the original changed
-/// set — can trust a found plan and replan only on a missing one.
-struct FragmentPlane {
-    store: Arc<FragmentStore>,
-    index: Mutex<PlanIndex>,
 }
 
 /// The trigger monitor.
@@ -195,9 +144,6 @@ pub struct TriggerMonitor {
     /// whose regeneration missed the per-batch budget, drained
     /// hottest-first by [`TriggerMonitor::drain_deferred`].
     deferred: Mutex<FxHashSet<PageKey>>,
-    /// `Some` in fragment mode: fragments are cached and regenerated
-    /// independently, pages recompose from plans (DESIGN.md §14).
-    fragments: Option<FragmentPlane>,
 }
 
 impl TriggerMonitor {
@@ -224,31 +170,7 @@ impl TriggerMonitor {
             watermark: AtomicU64::new(0),
             stale_since: Mutex::new(FxHashMap::default()),
             deferred: Mutex::new(FxHashSet::default()),
-            fragments: None,
         }
-    }
-
-    /// Switch the monitor to fragment mode: fragment bodies live in
-    /// `store`, pages carry composition plans and recompose instead of
-    /// re-rendering when only their fragments changed. Call before
-    /// [`TriggerMonitor::prewarm`] so the plans and the store are built
-    /// together.
-    pub fn with_fragments(mut self, store: Arc<FragmentStore>) -> Self {
-        self.fragments = Some(FragmentPlane {
-            store,
-            index: Mutex::new(PlanIndex::default()),
-        });
-        self
-    }
-
-    /// Whether fragment mode is active.
-    pub fn fragment_mode(&self) -> bool {
-        self.fragments.is_some()
-    }
-
-    /// The fragment store (fragment mode only).
-    pub fn fragment_store(&self) -> Option<&Arc<FragmentStore>> {
-        self.fragments.as_ref().map(|p| &p.store)
     }
 
     /// Set the DUP staleness policy (threshold tolerance of
@@ -288,9 +210,6 @@ impl TriggerMonitor {
     /// Returns the number of pages warmed.
     pub fn prewarm(&self) -> usize {
         let keys: Vec<PageKey> = self.registry.pages().iter().map(|(k, _)| *k).collect();
-        if let Some(plane) = &self.fragments {
-            return self.prewarm_fragmented(plane, &keys);
-        }
         // Render in parallel (pure reads of the DB), then register and
         // distribute sequentially — graph mutation is the cheap part.
         let rendered: Vec<(PageKey, RenderOutput)> = keys
@@ -305,77 +224,15 @@ impl TriggerMonitor {
         n
     }
 
-    /// Fragment-mode prewarm: render every fragment body once into the
-    /// store, then plan every page and compose it from the store. Ends in
-    /// the same warm fleet and ODG as the legacy pass at strictly less
-    /// render work — a shared fragment renders once, not once per
-    /// embedding page.
-    fn prewarm_fragmented(&self, plane: &FragmentPlane, keys: &[PageKey]) -> usize {
-        let fragment_keys: Vec<FragmentKey> = keys
-            .iter()
-            .filter_map(|k| match k {
-                PageKey::Fragment(f) => Some(*f),
-                _ => None,
-            })
-            .collect();
-        let rendered: Vec<(FragmentKey, RenderOutput)> = fragment_keys
-            .par_iter()
-            .map(|&f| (f, self.renderer.render_fragment(f)))
-            .collect();
-        for (f, out) in &rendered {
-            let page = PageKey::Fragment(*f);
-            self.register_render(page, out);
-            plane
-                .store
-                .put(&page.to_url(), out.body.clone(), out.cost_ms);
-        }
-        let plans: Vec<Arc<CompositionPlan>> = keys
-            .par_iter()
-            .map(|&k| Arc::new(self.renderer.plan(k)))
-            .collect();
-        for plan in plans {
-            let key = plan.key();
-            self.register_deps(key, plan.deps());
-            // Every slot was just rendered; should one be missing anyway
-            // (evicted mid-prewarm), a whole-page render fills the gap —
-            // prewarm must never panic a node.
-            let body = match self.compose_from_store(plane, &plan) {
-                Some(body) => body,
-                None => self.renderer.render(key).body,
-            };
-            // The cache entry's cost is what recreating the body takes
-            // with a warm fragment store (GreedyDual-Size currency).
-            let cost = plan.skeleton_cost_ms() + plan.compose_cost_ms();
-            self.fleet.distribute(&key.to_url(), body, cost);
-            plane.index.lock().insert(plan);
-        }
-        keys.len()
-    }
-
-    /// Compose `plan` from the fragment store, or `None` if a slot
-    /// fragment is missing.
-    fn compose_from_store(&self, plane: &FragmentPlane, plan: &CompositionPlan) -> Option<Bytes> {
-        plan.compose(|f| {
-            plane
-                .store
-                .peek(&PageKey::Fragment(f).to_url())
-                .map(|e| e.body)
-        })
-    }
-
     /// Register a rendered page's dependencies in the ODG (idempotent;
     /// re-registering after regeneration refreshes edges for pages whose
     /// composition changed). The one entry to the graph's edges.
     pub fn register_render(&self, key: PageKey, out: &RenderOutput) {
-        self.register_deps(key, &out.deps);
-    }
-
-    fn register_deps(&self, key: PageKey, deps: &[Dependency]) {
         let unchanged = self
             .registered
             .lock()
             .get(&key)
-            .is_some_and(|last| last == deps);
+            .is_some_and(|last| *last == out.deps);
         if unchanged {
             return;
         }
@@ -389,7 +246,7 @@ impl TriggerMonitor {
         g.dup
             .graph_mut()
             .ensure_node(object, nagano_odg::NodeKind::Object);
-        for dep in deps {
+        for dep in &out.deps {
             let data = g.names.intern(&dep.data_key);
             // A non-finite/non-positive weight is a renderer bug; keep
             // the invalidation edge alive with unit weight rather than
@@ -398,7 +255,7 @@ impl TriggerMonitor {
                 let _ = g.dup.add_dependency(data, object, 1.0);
             }
         }
-        self.registered.lock().insert(key, deps.to_vec());
+        self.registered.lock().insert(key, out.deps.clone());
     }
 
     /// Process one committed transaction (at sim time zero; callers with
@@ -474,29 +331,6 @@ impl TriggerMonitor {
                 prop.visited,
             )
         };
-
-        // Fragment mode: a plan whose *skeleton* read changed data can no
-        // longer be trusted — drop it so the next refresh replans. Every
-        // plan surviving this pass is skeleton-fresh, which is what lets
-        // the drain/demand/recover paths (which never see the changed
-        // set) recompose from any plan they find.
-        if let Some(plane) = &self.fragments {
-            let changed: FxHashSet<&str> = txns
-                .iter()
-                .flat_map(|t| t.changes.iter())
-                .map(|c| c.data_key.as_str())
-                .collect();
-            let mut index = plane.index.lock();
-            for key in stale.iter().chain(tolerated.iter()) {
-                let dirty = index
-                    .plans
-                    .get(key)
-                    .is_some_and(|p| p.skeleton_depends_on(|d| changed.contains(d)));
-                if dirty {
-                    index.remove(*key);
-                }
-            }
-        }
 
         match self.policy {
             ConsistencyPolicy::UpdateInPlace => {
@@ -579,207 +413,43 @@ impl TriggerMonitor {
         }
     }
 
-    /// Drop `key` from every serving cache; in fragment mode a fragment
-    /// also loses its store entry, so embedding pages can never recompose
-    /// from obsolete bytes.
+    /// Drop `key` from every serving cache.
     fn invalidate_everywhere(&self, key: PageKey) {
-        if let (Some(plane), PageKey::Fragment(_)) = (&self.fragments, key) {
-            plane.store.invalidate(&key.to_url());
-        }
         self.fleet.invalidate_everywhere(&key.to_url());
     }
 
-    /// Modelled CPU to refresh `key` right now: the whole-page render in
-    /// legacy mode; in fragment mode the fragment render for fragments,
-    /// or a compose (plus a skeleton replan when the plan was dropped)
-    /// for composed pages. This is the currency of the hybrid budget and
-    /// of `regen_saved_ms`.
+    /// Modelled CPU to refresh `key` right now: its whole-page render. This
+    /// is the currency of the hybrid budget and of `regen_saved_ms`.
     fn regen_cost_ms(&self, key: PageKey) -> f64 {
-        let cm = self.renderer.cost_model();
-        let Some(plane) = &self.fragments else {
-            return cm.cost_ms(key);
-        };
-        match key {
-            PageKey::Fragment(_) => cm.cost_ms(key),
-            _ => match plane.index.lock().plans.get(&key) {
-                Some(p) => p.compose_cost_ms(),
-                None => cm.skeleton_cost_ms(key) + cm.compose_cost_ms(0),
-            },
-        }
+        self.renderer.cost_model().cost_ms(key)
     }
 
-    /// Hotness for the hybrid ranking. A fragment inherits the hottest of
-    /// its own URL and every page embedding it: refreshing a shared
-    /// fragment is exactly what keeps those hot pages fresh, so its
-    /// priority must not be its (rarely fetched) own URL's.
+    /// Hotness for the hybrid ranking: the page's own traffic.
     fn hotness(&self, key: PageKey, minute: u64) -> f64 {
-        let own = self.fleet.hotness(&key.to_url(), minute);
-        let Some(plane) = &self.fragments else {
-            return own;
-        };
-        let PageKey::Fragment(f) = key else {
-            return own;
-        };
-        let embedders: Vec<PageKey> = plane
-            .index
-            .lock()
-            .embedders
-            .get(&f)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        embedders
-            .iter()
-            .map(|p| self.fleet.hotness(&p.to_url(), minute))
-            .fold(own, f64::max)
+        self.fleet.hotness(&key.to_url(), minute)
     }
 
-    /// Refresh `keys`: whole-page renders in legacy mode, fragment
-    /// renders + recompositions in fragment mode. Both distribute every
-    /// key, add the summed modelled CPU to
-    /// `nagano_trigger_regen_cpu_ms_total`, and count the keys whose bytes
+    /// Re-derive each of `keys` from the database, in the given order,
+    /// onto the body the fleet holds for it, and distribute it: a page
+    /// that comes out as those bytes is recognised before a body is built
+    /// for it ([`Renderer::render_onto`]) and costs the fleet a comparison
+    /// ([`CacheFleet::distribute`]). Adds the summed modelled CPU to
+    /// `nagano_trigger_regen_cpu_ms_total` and counts the keys whose bytes
     /// changed in `nagano_trigger_pages_changed_total`.
+    ///
+    /// Sequential by design: a page is probed, rendered, registered and
+    /// distributed before the next is probed, so no more than one new body
+    /// is alive at a time and a kept page never leaves this thread's cache
+    /// lines. The `par_iter` this replaced ran sequentially under the
+    /// vendored `rayon` shim; under the real crate it would fork ~44
+    /// renders of ~1 µs each per transaction, which two regeneration
+    /// threads did not repay on the 2-vCPU guest this was measured on
+    /// (DESIGN §13a). A site that models render CPU with `cpu_scale` spins
+    /// here one page after the other.
     fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
         if keys.is_empty() {
             return Regenerated::default();
         }
-        let regen = match &self.fragments {
-            Some(plane) => self.regenerate_fragmented(plane, keys),
-            None => self.regenerate_whole(keys),
-        };
-        self.clear_stale_marks(&regen.keys);
-        self.stats.record_regen_cpu(regen.render_ms);
-        self.stats.record_pages_changed(regen.changed as u64);
-        regen
-    }
-
-    /// Fragment-mode refresh: re-render only the dirty *fragments* (in
-    /// parallel), replan only the pages whose skeleton the batch
-    /// preamble found dirty, and recompose everything else from cached
-    /// plans and the store. The partial-regeneration saving (ROADMAP
-    /// item 3) is exactly this: one shared fragment renders once and its
-    /// hundred embedding pages recompose for static-class cost each.
-    fn regenerate_fragmented(&self, plane: &FragmentPlane, keys: &[PageKey]) -> Regenerated {
-        // 1. Dirty fragments: render inner bodies in parallel, refresh
-        //    the store, re-register the shared vertex's data edges.
-        let fragment_keys: Vec<FragmentKey> = keys
-            .iter()
-            .filter_map(|k| match k {
-                PageKey::Fragment(f) => Some(*f),
-                _ => None,
-            })
-            .collect();
-        let rendered: Vec<(FragmentKey, RenderOutput)> = fragment_keys
-            .par_iter()
-            .map(|&f| (f, self.renderer.render_fragment(f)))
-            .collect();
-        let mut render_ms: f64 = rendered.iter().map(|(_, out)| out.cost_ms).sum();
-        for (f, out) in &rendered {
-            let page = PageKey::Fragment(*f);
-            self.register_render(page, out);
-            plane
-                .store
-                .put(&page.to_url(), out.body.clone(), out.cost_ms);
-        }
-        self.stats
-            .record_fragments_regenerated(rendered.len() as u64);
-
-        // 2. Replan pages with no surviving plan (skeleton dirty, or
-        //    never planned), in parallel.
-        let need_plan: FxHashSet<PageKey> = {
-            let index = plane.index.lock();
-            keys.iter()
-                .copied()
-                .filter(|k| !index.plans.contains_key(k))
-                .collect()
-        };
-        let new_plans: Vec<Arc<CompositionPlan>> = need_plan
-            .iter()
-            .copied()
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&k| Arc::new(self.renderer.plan(k)))
-            .collect();
-        for plan in new_plans {
-            render_ms += plan.skeleton_cost_ms();
-            self.register_deps(plan.key(), plan.deps());
-            plane.index.lock().insert(plan);
-        }
-
-        // 3. Recompose and distribute every key in the caller's order.
-        let mut regenerated = Vec::with_capacity(keys.len());
-        let mut recomposed = 0u64;
-        let mut changed = 0;
-        for &key in keys {
-            // The preamble planned every key it kept, but defend against
-            // a plan dropped between locks: replan instead of panicking.
-            let cached = plane.index.lock().plans.get(&key).cloned();
-            let (plan, freshly_planned) = match cached {
-                Some(p) => (p, false),
-                None => {
-                    let p = Arc::new(self.renderer.plan(key));
-                    render_ms += p.skeleton_cost_ms();
-                    self.register_deps(key, p.deps());
-                    plane.index.lock().insert(Arc::clone(&p));
-                    (p, true)
-                }
-            };
-            // A slot fragment can be missing (invalidated by an earlier
-            // batch) without being in this one: render it on demand so a
-            // composition never serves a hole.
-            for &f in plan.slots() {
-                let url = PageKey::Fragment(f).to_url();
-                if !plane.store.contains(&url) {
-                    let out = self.renderer.render_fragment(f);
-                    render_ms += out.cost_ms;
-                    self.register_render(PageKey::Fragment(f), &out);
-                    plane.store.put(&url, out.body.clone(), out.cost_ms);
-                    self.stats.record_fragments_regenerated(1);
-                }
-            }
-            // Slots were ensured just above; a slot evicted in between
-            // falls back to a whole-page render rather than panicking.
-            let body = match self.compose_from_store(plane, &plan) {
-                Some(body) => body,
-                None => {
-                    let out = self.renderer.render(key);
-                    render_ms += out.cost_ms;
-                    out.body
-                }
-            };
-            render_ms += plan.compose_cost_ms();
-            let cost = plan.skeleton_cost_ms() + plan.compose_cost_ms();
-            changed += usize::from(self.fleet.distribute(&key.to_url(), body, cost));
-            if !freshly_planned && !need_plan.contains(&key) && !matches!(key, PageKey::Fragment(_))
-            {
-                recomposed += 1;
-            }
-            regenerated.push(key);
-        }
-        self.stats.record_pages_recomposed(recomposed);
-        Regenerated {
-            keys: regenerated,
-            render_ms,
-            changed,
-        }
-    }
-
-    /// Re-derive each of `keys` from the database, in the given order,
-    /// onto the body the fleet holds for it: a page that comes out as
-    /// those bytes is recognised before a body is built for it
-    /// ([`Renderer::render_onto`]) and costs the fleet a comparison
-    /// ([`CacheFleet::distribute`]).
-    ///
-    /// Sequential by design, unlike the fragment renders of
-    /// [`TriggerMonitor::regenerate_fragmented`]: a page is probed,
-    /// rendered, registered and distributed before the next is probed, so
-    /// no more than one new body is alive at a time and a kept page never
-    /// leaves this thread's cache lines. The `par_iter` this replaced ran
-    /// sequentially under the vendored `rayon` shim; under the real crate
-    /// it would fork ~44 renders of ~1 µs each per transaction, which two
-    /// regeneration threads did not repay on the 2-vCPU guest this was
-    /// measured on (DESIGN §13a). A site that models render CPU with
-    /// `cpu_scale` spins here one page after the other.
-    fn regenerate_whole(&self, keys: &[PageKey]) -> Regenerated {
         let mut regen = Regenerated {
             keys: keys.to_vec(),
             ..Default::default()
@@ -794,6 +464,9 @@ impl TriggerMonitor {
             regen.render_ms += out.cost_ms;
             regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
         }
+        self.clear_stale_marks(&regen.keys);
+        self.stats.record_regen_cpu(regen.render_ms);
+        self.stats.record_pages_changed(regen.changed as u64);
         regen
     }
 
@@ -1017,9 +690,6 @@ impl TriggerMonitor {
     ///
     /// Returns whether the page was known to the graph.
     pub fn retire_page(&self, key: PageKey) -> bool {
-        if let Some(plane) = &self.fragments {
-            plane.index.lock().remove(key);
-        }
         self.invalidate_everywhere(key);
         // A retired page is gone on purpose, not stale: drop any pending
         // mark or deferred regeneration.
@@ -1054,104 +724,21 @@ impl TriggerMonitor {
 
     /// Demand-miss path used by server programs: render `key`, register
     /// its dependencies, and fill **one** serving cache (the node that
-    /// took the miss). Returns the rendered output.
-    pub fn demand_fill(&self, node: usize, key: PageKey) -> RenderOutput {
-        let fill = self.demand_fill_rich(node, key);
-        RenderOutput {
-            body: fill.body,
-            deps: fill.deps,
-            cost_ms: fill.cost_ms,
-        }
-    }
-
-    /// [`TriggerMonitor::demand_fill`] keeping the fragment-mode rope:
-    /// `parts`, when present, go to the vectored writer untouched, so a
-    /// miss response never flattens the composition either.
-    pub fn demand_fill_rich(&self, node: usize, key: PageKey) -> DemandFill {
-        let Some(plane) = &self.fragments else {
-            let out = self.renderer.render(key);
-            self.register_render(key, &out);
-            self.fleet
-                .put_local(node, &key.to_url(), out.body.clone(), out.cost_ms);
-            // The page is fresh again (at least where the miss landed);
-            // the staleness clock stops for it.
-            self.stale_since.lock().remove(&key);
-            return DemandFill {
-                body: out.body,
-                parts: None,
-                deps: out.deps,
-                cost_ms: out.cost_ms,
-            };
-        };
-        let mut cost_ms = 0.0;
-        // Bound separately: a `match` scrutinee's lock temporary would
-        // live across the arms, and the `None` arm re-locks the index.
-        let existing = plane.index.lock().plans.get(&key).cloned();
-        let plan = match existing {
-            Some(p) => p,
-            None => {
-                // No surviving plan: the skeleton is (or may be) dirty —
-                // replan, which also re-registers the page's edges.
-                let p = Arc::new(self.renderer.plan(key));
-                cost_ms += p.skeleton_cost_ms();
-                self.register_deps(key, p.deps());
-                plane.index.lock().insert(Arc::clone(&p));
-                p
-            }
-        };
-        // A demand fill promises fresh bytes (the legacy path re-renders
-        // everything): refresh any slot fragment that is missing from
-        // the store or carries a stale mark.
-        for &f in plan.slots() {
-            let fkey = PageKey::Fragment(f);
-            let url = fkey.to_url();
-            let stale = self.stale_since.lock().contains_key(&fkey);
-            if stale || !plane.store.contains(&url) {
-                let out = self.renderer.render_fragment(f);
-                cost_ms += out.cost_ms;
-                self.register_render(fkey, &out);
-                plane.store.put(&url, out.body.clone(), out.cost_ms);
-                self.stats.record_fragments_regenerated(1);
-                self.stale_since.lock().remove(&fkey);
-            }
-        }
-        let composed = plan.compose_parts(|f| {
-            plane
-                .store
-                .peek(&PageKey::Fragment(f).to_url())
-                .map(|e| e.body)
-        });
-        // Slots were refreshed just above; should one vanish anyway (a
-        // concurrent store eviction), serve a whole-page render — a
-        // demand fill must never fail a request.
-        let Some(rope) = composed else {
-            let out = self.renderer.render(key);
-            cost_ms += out.cost_ms;
-            self.register_render(key, &out);
-            self.fleet
-                .put_local(node, &key.to_url(), out.body.clone(), out.cost_ms);
-            self.stale_since.lock().remove(&key);
-            return DemandFill {
-                body: out.body,
-                parts: None,
-                deps: out.deps,
-                cost_ms,
-            };
-        };
-        cost_ms += plan.compose_cost_ms();
-        let body = rope.to_bytes();
-        self.fleet.put_local(
-            node,
-            &key.to_url(),
-            body.clone(),
-            plan.skeleton_cost_ms() + plan.compose_cost_ms(),
-        );
+    /// took the miss).
+    pub fn demand_fill(&self, node: usize, key: PageKey) -> DemandFill {
+        let out = self.renderer.render(key);
+        self.register_render(key, &out);
+        let version = self
+            .fleet
+            .put_local(node, &key.to_url(), out.body.clone(), out.cost_ms);
+        // The page is fresh again (at least where the miss landed); the
+        // staleness clock stops for it.
         self.stale_since.lock().remove(&key);
         DemandFill {
-            body,
-            parts: Some(rope.parts),
-            deps: plan.deps().to_vec(),
-            cost_ms,
+            body: out.body,
+            version,
+            deps: out.deps,
+            cost_ms: out.cost_ms,
         }
     }
 }
@@ -1159,15 +746,20 @@ impl TriggerMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nagano_cache::CacheConfig;
+    use nagano_cache::{CacheConfig, ReplacementPolicy};
     use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb};
+    use nagano_pagegen::FragmentKey;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
+        setup_on(CacheFleet::new(2, CacheConfig::default()), policy)
+    }
+
+    fn setup_on(fleet: CacheFleet, policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = Arc::new(CacheFleet::new(2, CacheConfig::default()));
-        let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(&db)), fleet, registry, policy);
+        let renderer = Renderer::new(Arc::clone(&db));
+        let monitor = TriggerMonitor::new(renderer, Arc::new(fleet), registry, policy);
         (db, monitor)
     }
 
@@ -1204,9 +796,9 @@ mod tests {
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
-        assert!(outcome.regenerated.contains(&PageKey::Fragment(
-            nagano_pagegen::FragmentKey::ResultTable(ev.id)
-        )));
+        assert!(outcome
+            .regenerated
+            .contains(&PageKey::Fragment(FragmentKey::ResultTable(ev.id))));
         assert!(outcome.regenerated.contains(&PageKey::Medals));
         assert!(outcome.regenerated.contains(&PageKey::Home(ev.day)));
         assert!(outcome.invalidated.is_empty());
@@ -1310,6 +902,26 @@ mod tests {
         assert!(monitor.fleet().member(1).peek(&key.to_url()).is_none());
         let (nodes, edges) = monitor.graph_size();
         assert!(nodes >= 2 && edges >= 1);
+    }
+
+    #[test]
+    fn demand_fill_reports_the_version_its_put_was_given() {
+        // One shard that holds one page: whatever is put next evicts it.
+        let one_page = CacheConfig::bounded(12_000, ReplacementPolicy::Lru).with_shards(1);
+        let (_db, monitor) = setup_on(CacheFleet::new(1, one_page), ConsistencyPolicy::Invalidate);
+        let (medals, welcome) = (PageKey::Medals, PageKey::Welcome);
+        assert_eq!(monitor.demand_fill(0, medals).version, 1);
+        let fill = monitor.demand_fill(0, medals);
+        assert_eq!(fill.version, 2, "a second fill updates the entry in place");
+        // The put of another fill lands before anyone looks the first up:
+        // a lookup now finds nothing to read a version from.
+        monitor.demand_fill(0, welcome);
+        let member = monitor.fleet().member(0);
+        assert!(member.peek(&medals.to_url()).is_none(), "evicted");
+        assert_eq!(member.peek(&welcome.to_url()).unwrap().version, 1);
+        // The page's later, genuine version 1 is another representation
+        // than the one that was tagged 2.
+        assert_eq!(monitor.demand_fill(0, medals).version, 1);
     }
 
     #[test]
@@ -1681,147 +1293,6 @@ mod tests {
         monitor.demand_fill(0, key);
         monitor.observe_request(key, t0 + SimDuration::from_mins(60));
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 2);
-    }
-
-    fn setup_fragmented(
-        policy: ConsistencyPolicy,
-    ) -> (Arc<OlympicDb>, TriggerMonitor, TriggerMonitor) {
-        // A fragment-mode monitor and a legacy monitor over the SAME db,
-        // with separate fleets, for equivalence checks.
-        let db = Arc::new(OlympicDb::new());
-        seed_games(&db, &GamesConfig::small());
-        let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fragmented = TriggerMonitor::new(
-            Renderer::new(Arc::clone(&db)),
-            Arc::new(CacheFleet::new(2, CacheConfig::default())),
-            Arc::clone(&registry),
-            policy,
-        )
-        .with_fragments(Arc::new(nagano_cache::FragmentStore::new()));
-        let legacy = TriggerMonitor::new(
-            Renderer::new(Arc::clone(&db)),
-            Arc::new(CacheFleet::new(2, CacheConfig::default())),
-            registry,
-            policy,
-        );
-        (db, fragmented, legacy)
-    }
-
-    #[test]
-    fn fragment_prewarm_matches_legacy_bodies_exactly() {
-        let (_db, fragmented, legacy) = setup_fragmented(ConsistencyPolicy::UpdateInPlace);
-        assert!(fragmented.fragment_mode());
-        assert!(!legacy.fragment_mode());
-        let n1 = fragmented.prewarm();
-        let n2 = legacy.prewarm();
-        assert_eq!(n1, n2);
-        for (url, body, _cost, _version) in legacy.fleet().member(0).export_entries() {
-            let composed = fragmented
-                .fleet()
-                .member(0)
-                .peek(&url)
-                .unwrap_or_else(|| panic!("{url} missing from fragment-mode fleet"));
-            assert_eq!(composed.body, body, "{url}: body diverges");
-        }
-        assert!(!fragmented.fragment_store().unwrap().is_empty());
-    }
-
-    #[test]
-    fn fragment_update_in_place_stays_byte_equivalent_after_txns() {
-        let (db, fragmented, legacy) = setup_fragmented(ConsistencyPolicy::UpdateInPlace);
-        fragmented.prewarm();
-        legacy.prewarm();
-        let ev = db.events()[0].clone();
-        for i in 0..3 {
-            let txn = db.record_results(ev.id, &podium(&db, ev.id), i == 2, ev.day);
-            let a = fragmented.process_txn(&txn);
-            let b = legacy.process_txn(&txn);
-            let sorted = |mut v: Vec<PageKey>| {
-                v.sort();
-                v
-            };
-            assert_eq!(
-                sorted(a.regenerated.clone()),
-                sorted(b.regenerated.clone()),
-                "stale sets diverge"
-            );
-        }
-        for (url, body, _cost, _version) in legacy.fleet().member(0).export_entries() {
-            let composed = fragmented.fleet().member(0).peek(&url).unwrap();
-            assert_eq!(composed.body, body, "{url}: body diverges");
-        }
-    }
-
-    #[test]
-    fn fragment_mode_renders_one_fragment_and_recomposes_embedders() {
-        let (db, monitor, _) = setup_fragmented(ConsistencyPolicy::UpdateInPlace);
-        monitor.prewarm();
-        let before = monitor.stats().snapshot();
-        let ev = db.events()[0].clone();
-        // A non-final result touches data:event:N plus data:today:{day}:
-        // under strict UIP exactly the ResultTable and that day's
-        // Headlines fragments re-render; embedding pages recompose.
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(outcome
-            .regenerated
-            .contains(&PageKey::Fragment(FragmentKey::ResultTable(ev.id))));
-        assert!(outcome
-            .regenerated
-            .contains(&PageKey::Fragment(FragmentKey::Headlines(ev.day))));
-        let after = monitor.stats().snapshot();
-        assert_eq!(
-            after.fragments_regenerated - before.fragments_regenerated,
-            2,
-            "exactly the two dirty fragments re-render"
-        );
-        assert!(
-            after.pages_recomposed > before.pages_recomposed,
-            "embedding pages recompose"
-        );
-    }
-
-    #[test]
-    fn fragment_invalidate_drops_store_entries_and_demand_fill_restores() {
-        let (db, monitor, _) = setup_fragmented(ConsistencyPolicy::Invalidate);
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        let frag = PageKey::Fragment(nagano_pagegen::FragmentKey::ResultTable(ev.id));
-        let store = Arc::clone(monitor.fragment_store().unwrap());
-        assert!(store.contains(&frag.to_url()));
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(outcome.invalidated.contains(&frag));
-        assert!(
-            !store.contains(&frag.to_url()),
-            "stale fragment must leave the store"
-        );
-        // A demand miss on an embedding page restores the fragment and
-        // serves bytes identical to a whole-page render.
-        let fill = monitor.demand_fill_rich(0, PageKey::Event(ev.id));
-        assert!(store.contains(&frag.to_url()));
-        assert!(fill.parts.is_some());
-        let legacy = Renderer::new(Arc::clone(&db)).render(PageKey::Event(ev.id));
-        assert_eq!(fill.body, legacy.body);
-    }
-
-    #[test]
-    fn fragment_hotness_inherits_from_embedding_pages() {
-        let (db, monitor, _) = setup_fragmented(ConsistencyPolicy::hybrid(0.5, None));
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        // Heat ONLY the medals page; its MedalTable fragment is never
-        // fetched by URL, yet must rank hot enough to regenerate.
-        heat_pages(&monitor, &[PageKey::Medals.to_url()], 50);
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn_at(&txn, SimTime::from_mins(2));
-        let medal_frag = PageKey::Fragment(nagano_pagegen::FragmentKey::MedalTable);
-        assert!(
-            outcome.regenerated.contains(&medal_frag),
-            "shared fragment must inherit embedder hotness; regenerated {:?}",
-            outcome.regenerated
-        );
-        assert!(outcome.regenerated.contains(&PageKey::Medals));
     }
 
     #[test]

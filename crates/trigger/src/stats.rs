@@ -28,12 +28,6 @@ pub struct TriggerStats {
     deferred_depth: Gauge,
     /// Pages shed to invalidation because the deferral FIFO was full.
     deferred_shed: Counter,
-    /// Fragment bodies re-rendered into the fragment store (fragment
-    /// mode only — DESIGN.md §14).
-    fragments_regenerated: Counter,
-    /// Pages recomposed from a cached plan + cached fragments, with no
-    /// skeleton re-render (fragment mode only).
-    pages_recomposed: Counter,
     /// Modeled regeneration CPU actually spent, in milliseconds.
     regen_cpu_ms: Counter,
     /// Modeled regeneration CPU avoided by invalidating cold pages
@@ -61,8 +55,6 @@ impl Default for TriggerStats {
             pages_deferred: Counter::new(),
             deferred_depth: Gauge::new(),
             deferred_shed: Counter::new(),
-            fragments_regenerated: Counter::new(),
-            pages_recomposed: Counter::new(),
             regen_cpu_ms: Counter::new(),
             regen_saved_ms: Counter::new(),
             latency: HistogramHandle::for_latency(),
@@ -99,12 +91,6 @@ pub struct TriggerStatsSnapshot {
     /// Pages shed to invalidation because the deferral FIFO was at
     /// capacity.
     pub deferred_shed: u64,
-    /// Fragment bodies re-rendered into the fragment store (fragment
-    /// mode).
-    pub fragments_regenerated: u64,
-    /// Pages recomposed from cached plan + fragments without a skeleton
-    /// re-render (fragment mode).
-    pub pages_recomposed: u64,
     /// Modeled regeneration CPU spent, in milliseconds.
     pub regen_cpu_ms: u64,
     /// Modeled regeneration CPU avoided via cold-page invalidation, in
@@ -196,17 +182,6 @@ impl TriggerStats {
         self.deferred_shed.add(pages);
     }
 
-    /// Record fragment bodies re-rendered into the fragment store.
-    pub fn record_fragments_regenerated(&self, fragments: u64) {
-        self.fragments_regenerated.add(fragments);
-    }
-
-    /// Record pages recomposed from a cached plan (no skeleton
-    /// re-render).
-    pub fn record_pages_recomposed(&self, pages: u64) {
-        self.pages_recomposed.add(pages);
-    }
-
     /// Record regenerated pages whose bytes changed in a serving cache.
     pub fn record_pages_changed(&self, pages: u64) {
         self.pages_changed.add(pages);
@@ -277,16 +252,6 @@ impl TriggerStats {
             &self.deferred_shed,
         );
         registry.bind_counter(
-            "nagano_trigger_fragments_regenerated_total",
-            labels,
-            &self.fragments_regenerated,
-        );
-        registry.bind_counter(
-            "nagano_trigger_pages_recomposed_total",
-            labels,
-            &self.pages_recomposed,
-        );
-        registry.bind_counter(
             "nagano_trigger_regen_cpu_ms_total",
             labels,
             &self.regen_cpu_ms,
@@ -320,8 +285,6 @@ impl TriggerStats {
             pages_deferred: self.pages_deferred.get(),
             deferred_depth: self.deferred_depth.get(),
             deferred_shed: self.deferred_shed.get(),
-            fragments_regenerated: self.fragments_regenerated.get(),
-            pages_recomposed: self.pages_recomposed.get(),
             regen_cpu_ms: self.regen_cpu_ms.get(),
             regen_saved_ms: self.regen_saved_ms.get(),
             weighted_staleness_count: staleness_count,
@@ -416,22 +379,6 @@ mod tests {
         assert!(text.contains("nagano_trigger_pages_regenerated_total{site=\"tokyo\"} 2"));
         assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
         assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
-    }
-
-    #[test]
-    fn fragment_counters_accumulate_and_export() {
-        use nagano_telemetry::{prometheus_text, MetricsRegistry};
-        let reg = MetricsRegistry::new();
-        let s = TriggerStats::default();
-        s.bind(&reg, &[("site", "tokyo")]);
-        s.record_fragments_regenerated(1);
-        s.record_pages_recomposed(40);
-        let snap = s.snapshot();
-        assert_eq!(snap.fragments_regenerated, 1);
-        assert_eq!(snap.pages_recomposed, 40);
-        let text = prometheus_text(&reg);
-        assert!(text.contains("nagano_trigger_fragments_regenerated_total{site=\"tokyo\"} 1"));
-        assert!(text.contains("nagano_trigger_pages_recomposed_total{site=\"tokyo\"} 40"));
     }
 
     #[test]

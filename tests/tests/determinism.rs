@@ -216,59 +216,6 @@ fn same_seed_resilience_runs_export_byte_identical_telemetry() {
     }
 }
 
-/// Like [`run_exporting`], but with fragment-level caching on: plan
-/// index builds, fragment-store refreshes, recomposition ordering, and
-/// the fragment counters are all on the deterministic surface.
-fn run_fragment_exporting(seed: u64, tag: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join("determinism")
-        .join(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    ClusterSim::new(ClusterConfig {
-        scale: 20_000.0,
-        seed,
-        games: GamesConfig::small(),
-        start_day: 10,
-        end_day: 10,
-        policy: nagano_trigger::ConsistencyPolicy::hybrid(0.5, Some(400)),
-        fragment_mode: true,
-        export_dir: Some(dir.clone()),
-        ..Default::default()
-    })
-    .run();
-    dir
-}
-
-#[test]
-fn same_seed_fragment_runs_export_byte_identical_telemetry() {
-    // Fragment mode renders dirty fragments in parallel before the
-    // ordered distribute loop; two same-seed runs must still replay
-    // byte-identically — no rayon scheduling order may leak.
-    let a = run_fragment_exporting(42, "fragment42_a");
-    let b = run_fragment_exporting(42, "fragment42_b");
-    for name in EXPORTS {
-        let left = std::fs::read(a.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
-        let right = std::fs::read(b.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
-        assert!(!left.is_empty(), "{name} must not be empty");
-        assert_eq!(
-            left, right,
-            "{name} differs between two same-seed fragment runs — \
-             fragment composition leaked nondeterminism into telemetry"
-        );
-    }
-    // The fragment counters are part of the exported surface.
-    let prom = std::fs::read_to_string(a.join("metrics.prom")).expect("read fragment metrics.prom");
-    for metric in [
-        "nagano_trigger_fragments_regenerated_total",
-        "nagano_trigger_pages_recomposed_total",
-    ] {
-        assert!(
-            prom.contains(metric),
-            "{metric} missing from fragment export"
-        );
-    }
-}
-
 #[test]
 fn different_seeds_actually_change_the_exports() {
     // Guard against the vacuous version of the test above: if the

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use nagano_cache::{CacheConfig, CacheFleet, FragmentStore};
+use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -24,17 +24,11 @@ fn fresh_db() -> Arc<OlympicDb> {
     db
 }
 
-/// A prewarmed monitor over `db` with a two-member fleet; with
-/// `fragments` set the monitor runs in fragment-composition mode
-/// (DESIGN.md §14), so the degenerate identities below are also checked
-/// at fragment granularity.
-fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy, fragments: bool) -> TriggerMonitor {
+/// A prewarmed monitor over `db` with a two-member fleet.
+fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
     let fleet = Arc::new(CacheFleet::new(2, CacheConfig::default()));
-    let mut monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), fleet, registry, policy);
-    if fragments {
-        monitor = monitor.with_fragments(Arc::new(FragmentStore::new()));
-    }
+    let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), fleet, registry, policy);
     monitor.prewarm();
     monitor
 }
@@ -116,13 +110,12 @@ fn check_degenerate_equivalence(
     n: usize,
     hybrid: ConsistencyPolicy,
     pure: ConsistencyPolicy,
-    fragments: bool,
 ) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid_monitor = monitor_for(&db, hybrid, fragments);
-    let pure_monitor = monitor_for(&db, pure, fragments);
+    let hybrid_monitor = monitor_for(&db, hybrid);
+    let pure_monitor = monitor_for(&db, pure);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
         let h = hybrid_monitor.process_txn_at(txn, now);
@@ -155,12 +148,12 @@ fn check_degenerate_equivalence(
 /// Hybrid with everything hot and no budget regenerates exactly what
 /// `UpdateInPlace` regenerates (the regenerated/invalidated split must
 /// match, not just the union).
-fn check_hybrid_full_hot_is_update_in_place(seed: u64, n: usize, fragments: bool) {
+fn check_hybrid_full_hot_is_update_in_place(seed: u64, n: usize) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(1.0, None), fragments);
-    let uip = monitor_for(&db, ConsistencyPolicy::UpdateInPlace, fragments);
+    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(1.0, None));
+    let uip = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
         let h = hybrid.process_txn_at(txn, now);
@@ -180,12 +173,12 @@ fn check_hybrid_full_hot_is_update_in_place(seed: u64, n: usize, fragments: bool
 
 /// Hybrid with everything cold invalidates exactly what `Invalidate`
 /// invalidates.
-fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize, fragments: bool) {
+fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(0.0, Some(400)), fragments);
-    let inv = monitor_for(&db, ConsistencyPolicy::Invalidate, fragments);
+    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(0.0, Some(400)));
+    let inv = monitor_for(&db, ConsistencyPolicy::Invalidate);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
         let h = hybrid.process_txn_at(txn, now);
@@ -243,8 +236,8 @@ fn check_batch_matches_sequential(seed: u64, n: usize) {
         let db = fresh_db();
         let mut rng = DeterministicRng::seed_from_u64(seed);
         let txns = generate_txns(&db, &mut rng, n);
-        let batched = monitor_for(&db, policy, false);
-        let sequential = monitor_for(&db, policy, false);
+        let batched = monitor_for(&db, policy);
+        let sequential = monitor_for(&db, policy);
         // Identical traffic on both monitors: the hot/cold split is a
         // pure function of the (shared) hotness profile, so it cannot
         // depend on batching.
@@ -281,36 +274,27 @@ fn check_batch_matches_sequential(seed: u64, n: usize) {
 
 #[test]
 fn hybrid_full_hot_matches_update_in_place() {
-    // The sentinels must hold whole-page AND at fragment granularity:
-    // fragment mode changes what a "page" is (fragments are first-class
-    // regeneration targets), not what the scheduler admits.
-    for fragments in [false, true] {
-        for seed in [1, 42, 0x1998] {
-            check_hybrid_full_hot_is_update_in_place(seed, 4, fragments);
-            check_degenerate_equivalence(
-                seed,
-                4,
-                ConsistencyPolicy::hybrid(1.0, None),
-                ConsistencyPolicy::UpdateInPlace,
-                fragments,
-            );
-        }
+    for seed in [1, 42, 0x1998] {
+        check_hybrid_full_hot_is_update_in_place(seed, 4);
+        check_degenerate_equivalence(
+            seed,
+            4,
+            ConsistencyPolicy::hybrid(1.0, None),
+            ConsistencyPolicy::UpdateInPlace,
+        );
     }
 }
 
 #[test]
 fn hybrid_full_cold_matches_invalidate() {
-    for fragments in [false, true] {
-        for seed in [1, 42, 0x1998] {
-            check_hybrid_full_cold_is_invalidate(seed, 4, fragments);
-            check_degenerate_equivalence(
-                seed,
-                4,
-                ConsistencyPolicy::hybrid(0.0, Some(400)),
-                ConsistencyPolicy::Invalidate,
-                fragments,
-            );
-        }
+    for seed in [1, 42, 0x1998] {
+        check_hybrid_full_cold_is_invalidate(seed, 4);
+        check_degenerate_equivalence(
+            seed,
+            4,
+            ConsistencyPolicy::hybrid(0.0, Some(400)),
+            ConsistencyPolicy::Invalidate,
+        );
     }
 }
 
@@ -326,26 +310,12 @@ proptest! {
 
     #[test]
     fn prop_hybrid_full_hot_matches_update_in_place(seed in 0u64..(1u64 << 32), n in 1usize..6) {
-        check_hybrid_full_hot_is_update_in_place(seed, n, false);
+        check_hybrid_full_hot_is_update_in_place(seed, n);
     }
 
     #[test]
     fn prop_hybrid_full_cold_matches_invalidate(seed in 0u64..(1u64 << 32), n in 1usize..6) {
-        check_hybrid_full_cold_is_invalidate(seed, n, false);
-    }
-
-    #[test]
-    fn prop_fragment_hybrid_full_hot_matches_update_in_place(
-        seed in 0u64..(1u64 << 32), n in 1usize..6
-    ) {
-        check_hybrid_full_hot_is_update_in_place(seed, n, true);
-    }
-
-    #[test]
-    fn prop_fragment_hybrid_full_cold_matches_invalidate(
-        seed in 0u64..(1u64 << 32), n in 1usize..6
-    ) {
-        check_hybrid_full_cold_is_invalidate(seed, n, true);
+        check_hybrid_full_cold_is_invalidate(seed, n);
     }
 
     #[test]
