@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use rustc_hash::FxHashMap;
 
-use nagano_cluster::{ClusterConfig, ClusterReport, ClusterSim};
+use nagano_cluster::{ClusterConfig, ClusterReport, ClusterSim, ServingResilience};
 use nagano_db::GamesConfig;
 use nagano_trigger::ConsistencyPolicy;
 
@@ -42,7 +42,7 @@ pub fn cluster_config(config: &ExpConfig, policy: ConsistencyPolicy) -> ClusterC
         failure_plan: Vec::new(),
         fault_plan: Vec::new(),
         serving_fault_plan: Vec::new(),
-        resilience: None,
+        resilience: ServingResilience::default(),
         us_congestion: (7, 9, 1.45),
         updates_on_serving_nodes: false,
         export_dir: Some(

@@ -6,7 +6,7 @@ use serde_json::json;
 
 use nagano_cluster::{
     random_fault_plan, random_soak_plan, scripted_chaos_plan, scripted_serving_plan, ClusterSim,
-    FailureKind, FailurePlanEntry, ServingResilience, SITES,
+    FailureKind, FailurePlanEntry, SITES,
 };
 use nagano_pagegen::{NavigationModel, SiteStructure};
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -376,14 +376,13 @@ pub fn nav(config: &ExpConfig) -> ExpResult {
 /// backend outages, and a cache cold-restart — served by the resilience
 /// stack (single-flight coalescing, stale tombstones, per-request
 /// deadlines, seeded retry backoff, circuit breakers). The same day with
-/// resilience on but no faults is the comparison baseline.
+/// no faults is the comparison baseline.
 pub fn resilience(config: &ExpConfig) -> ExpResult {
     let day = 10;
     let build = |faulted: bool| {
         let mut cfg = cluster_config(config, ConsistencyPolicy::Invalidate);
         cfg.start_day = day;
         cfg.end_day = day;
-        cfg.resilience = Some(ServingResilience::default());
         cfg.export_dir =
             faulted.then(|| std::path::PathBuf::from("target/experiments/telemetry/resilience"));
         if faulted {

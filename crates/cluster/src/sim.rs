@@ -67,14 +67,13 @@ pub struct ClusterConfig {
     pub fault_plan: Vec<DataFaultPlanEntry>,
     /// Scheduled serving-plane faults: render slowdowns, backend outages,
     /// and cache cold-restarts (see [`crate::faults::ServingFaultKind`]).
-    /// Empty by default; meaningful only with [`ClusterConfig::resilience`]
-    /// set (the legacy serving path has no fault hooks).
+    /// Empty by default.
     pub serving_fault_plan: Vec<ServingFaultPlanEntry>,
     /// Serving-path resilience: stale tombstones, per-request deadlines,
     /// seeded retry backoff, and a per-site circuit breaker (DESIGN.md
-    /// §11). `None` — the default — keeps the pre-resilience serving
-    /// path byte-for-byte, so existing experiments export identically.
-    pub resilience: Option<ServingResilience>,
+    /// §11). On a fault-free run none of it is ever taken: no stale
+    /// serve, no trip, no retry.
+    pub resilience: ServingResilience,
     /// External congestion on US paths: `(first_day, last_day, factor)` —
     /// Figure 22's days 7–9 anomaly was "caused by problems external to
     /// the site".
@@ -116,7 +115,7 @@ impl Default for ClusterConfig {
             failure_plan: Vec::new(),
             fault_plan: Vec::new(),
             serving_fault_plan: Vec::new(),
-            resilience: None,
+            resilience: ServingResilience::default(),
             us_congestion: (7, 9, 1.45),
             updates_on_serving_nodes: false,
             export_dir: None,
@@ -540,10 +539,7 @@ impl ClusterSim {
         // One trigger monitor + single-member cache fleet per site, each
         // binding its live trigger/cache cells into the shared registry
         // under a `site` label.
-        let cache_config = match &cfg.resilience {
-            Some(r) => CacheConfig::default().with_stale(r.stale),
-            None => CacheConfig::default(),
-        };
+        let cache_config = CacheConfig::default().with_stale(cfg.resilience.stale);
         let monitors: Vec<TriggerMonitor> = SITES
             .iter()
             .map(|spec| {
@@ -652,15 +648,13 @@ impl ClusterSim {
         let mut commit_times: Vec<SimTime> = Vec::new();
         let mut watches: Vec<ConvergenceRecord> = Vec::new();
 
-        // Serving-plane fault state. Dormant (and cost-free) unless a
-        // resilience config and a serving fault plan are present.
-        let resilience = cfg.resilience.as_ref();
+        // Serving-plane fault state. Dormant without a serving fault plan.
+        let res = &cfg.resilience;
         let mut slowdown: [f64; 4] = [1.0; 4];
         let mut backend_down: [bool; 4] = [false; 4];
-        let mut breakers: Vec<CircuitBreaker> = {
-            let bc = resilience.map(|r| r.breaker).unwrap_or_default();
-            (0..SITES.len()).map(|_| CircuitBreaker::new(bc)).collect()
-        };
+        let mut breakers: Vec<CircuitBreaker> = (0..SITES.len())
+            .map(|_| CircuitBreaker::new(res.breaker))
+            .collect();
         // Per-site in-flight regenerations: url → when the render lands.
         // Requests arriving before `done_at` coalesce onto the flight
         // instead of rendering again (the DES view of the per-shard
@@ -795,12 +789,10 @@ impl ClusterSim {
         for minute in start_min..end_min + SETTLE_MINUTES {
             let minute_end = SimTime::from_mins(minute + 1);
             // Advance the cache clocks: stale-tombstone ages are measured
-            // on sim time, not wall time. No-op without a stale policy.
-            if resilience.is_some() {
-                let secs = SimTime::from_mins(minute).as_secs_f64();
-                for m in &monitors {
-                    m.fleet().set_now_secs(secs);
-                }
+            // on sim time, not wall time.
+            let secs = SimTime::from_mins(minute).as_secs_f64();
+            for m in &monitors {
+                m.fleet().set_now_secs(secs);
             }
             // Drain events due in this minute first.
             while let Some((at, ev)) = queue.pop_before(minute_end) {
@@ -1277,11 +1269,9 @@ impl ClusterSim {
             // settle tail too so deferred work cannot be stranded.
             for s in 0..SITES.len() {
                 monitors[s].fleet().fold_hotness(minute);
-                if resilience.is_some() {
-                    // Expire over-age tombstones so the stale maps stay
-                    // bounded by the policy, not the run length.
-                    monitors[s].fleet().member(0).prune_stale();
-                }
+                // Expire over-age tombstones so the stale maps stay
+                // bounded by the policy, not the run length.
+                monitors[s].fleet().member(0).prune_stale();
                 if monitor_up[s] {
                     let drained = monitors[s].drain_deferred(minute_end);
                     if !drained.is_empty() {
@@ -1381,102 +1371,89 @@ impl ClusterSim {
                 let url = sample.page.to_url();
                 let monitor = &monitors[site.0];
                 monitor.observe_request(sample.page, t_mid);
-                let served: Option<(u64, f64, bool)> = if let Some(res) = resilience {
-                    let member = monitor.fleet().member(0);
-                    let now_secs = t_mid.as_secs_f64();
-                    let budget = res.request_budget_secs;
-                    let flight = inflight[site.0].get(&url).copied().filter(|&d| d > t_mid);
-                    match monitor.fleet().get_from(0, &url) {
-                        Some(page) => {
-                            if let Some(done_at) = flight {
-                                // The body is cached but its regeneration
-                                // is still in flight from an earlier
-                                // request: this follower coalesces onto
-                                // the flight and waits out the remainder
-                                // instead of rendering again.
-                                member.stats_handle().coalesce();
-                                let wait_secs = (done_at - t_mid).as_secs_f64();
-                                if wait_secs <= budget {
-                                    Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
-                                } else if let Some(stale) = member.serve_stale(&url) {
-                                    Some((stale.body.len() as u64, 0.5, false))
-                                } else {
-                                    Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
-                                }
-                            } else {
-                                Some((page.body.len() as u64, 0.5, true))
-                            }
-                        }
-                        None if backend_down[site.0] => {
-                            inflight[site.0].remove(&url);
-                            let breaker = &mut breakers[site.0];
-                            let mut latency_ms = 0.5;
-                            if breaker.allow(now_secs) {
-                                // One failed render attempt; the bounded
-                                // seeded-backoff retry loop only runs when
-                                // no stale copy can answer instead.
-                                breaker.record_failure(now_secs);
-                                latency_ms += 5.0;
-                                if member.peek_stale(&url).is_none() {
-                                    let mut backoff = RetryBackoff::new(
-                                        res.retry_base_secs,
-                                        res.retry_max_secs,
-                                        res.retry_max_attempts,
-                                    );
-                                    while let Some(delay) = backoff.next_delay(&mut resilience_rng)
-                                    {
-                                        breaker.record_failure(now_secs);
-                                        report.render_retries += 1;
-                                        latency_ms += 5.0 + delay * 1_000.0;
-                                    }
-                                }
-                            }
-                            member
-                                .serve_stale(&url)
-                                .map(|stale| (stale.body.len() as u64, latency_ms, false))
-                        }
-                        None => {
-                            inflight[site.0].remove(&url);
-                            // This request leads the regeneration; an
-                            // active slowdown stretches the modelled cost.
-                            let stale_before = member.peek_stale(&url);
-                            let out = monitor.demand_fill(0, sample.page);
-                            report.demand_fills += 1;
-                            let breaker = &mut breakers[site.0];
-                            breaker.allow(now_secs); // half-open probe when recovering
-                            breaker.record_success();
-                            if let Some(s) = &stale_before {
-                                report.stale_regens += 1;
-                                *stale_regen_pairs
-                                    .entry((site.0, url.clone(), s.epoch))
-                                    .or_insert(0) += 1;
-                            }
-                            let cost_ms = out.cost_ms * slowdown[site.0];
-                            let done_at = t_mid + SimDuration::from_secs_f64(cost_ms / 1_000.0);
-                            inflight[site.0].insert(url.clone(), done_at);
-                            if cost_ms / 1_000.0 <= budget {
-                                Some((out.body.len() as u64, cost_ms, false))
-                            } else if let Some(stale) = stale_before {
-                                // Deadline exceeded: answer from the
-                                // tombstone now — the fresh body already
-                                // landed for the next request.
-                                member.stats_handle().stale_serve();
+                let member = monitor.fleet().member(0);
+                let now_secs = t_mid.as_secs_f64();
+                let budget = res.request_budget_secs;
+                let flight = inflight[site.0].get(&url).copied().filter(|&d| d > t_mid);
+                let served: Option<(u64, f64, bool)> = match monitor.fleet().get_from(0, &url) {
+                    Some(page) => {
+                        if let Some(done_at) = flight {
+                            // The body is cached but its regeneration
+                            // is still in flight from an earlier
+                            // request: this follower coalesces onto
+                            // the flight and waits out the remainder
+                            // instead of rendering again.
+                            member.stats_handle().coalesce();
+                            let wait_secs = (done_at - t_mid).as_secs_f64();
+                            if wait_secs <= budget {
+                                Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
+                            } else if let Some(stale) = member.serve_stale(&url) {
                                 Some((stale.body.len() as u64, 0.5, false))
                             } else {
-                                Some((out.body.len() as u64, cost_ms, false))
+                                Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
                             }
+                        } else {
+                            Some((page.body.len() as u64, 0.5, true))
                         }
                     }
-                } else {
-                    // The pre-resilience serving path, verbatim.
-                    Some(match monitor.fleet().get_from(0, &url) {
-                        Some(page) => (page.body.len() as u64, 0.5, true),
-                        None => {
-                            let out = monitor.demand_fill(0, sample.page);
-                            report.demand_fills += 1;
-                            (out.body.len() as u64, out.cost_ms, false)
+                    None if backend_down[site.0] => {
+                        inflight[site.0].remove(&url);
+                        let breaker = &mut breakers[site.0];
+                        let mut latency_ms = 0.5;
+                        if breaker.allow(now_secs) {
+                            // One failed render attempt; the bounded
+                            // seeded-backoff retry loop only runs when
+                            // no stale copy can answer instead.
+                            breaker.record_failure(now_secs);
+                            latency_ms += 5.0;
+                            if member.peek_stale(&url).is_none() {
+                                let mut backoff = RetryBackoff::new(
+                                    res.retry_base_secs,
+                                    res.retry_max_secs,
+                                    res.retry_max_attempts,
+                                );
+                                while let Some(delay) = backoff.next_delay(&mut resilience_rng) {
+                                    breaker.record_failure(now_secs);
+                                    report.render_retries += 1;
+                                    latency_ms += 5.0 + delay * 1_000.0;
+                                }
+                            }
                         }
-                    })
+                        member
+                            .serve_stale(&url)
+                            .map(|stale| (stale.body.len() as u64, latency_ms, false))
+                    }
+                    None => {
+                        inflight[site.0].remove(&url);
+                        // This request leads the regeneration; an
+                        // active slowdown stretches the modelled cost.
+                        let stale_before = member.peek_stale(&url);
+                        let out = monitor.demand_fill(0, sample.page);
+                        report.demand_fills += 1;
+                        let breaker = &mut breakers[site.0];
+                        breaker.allow(now_secs); // half-open probe when recovering
+                        breaker.record_success();
+                        if let Some(s) = &stale_before {
+                            report.stale_regens += 1;
+                            *stale_regen_pairs
+                                .entry((site.0, url.clone(), s.epoch))
+                                .or_insert(0) += 1;
+                        }
+                        let cost_ms = out.cost_ms * slowdown[site.0];
+                        let done_at = t_mid + SimDuration::from_secs_f64(cost_ms / 1_000.0);
+                        inflight[site.0].insert(url.clone(), done_at);
+                        if cost_ms / 1_000.0 <= budget {
+                            Some((out.body.len() as u64, cost_ms, false))
+                        } else if let Some(stale) = stale_before {
+                            // Deadline exceeded: answer from the
+                            // tombstone now — the fresh body already
+                            // landed for the next request.
+                            member.stats_handle().stale_serve();
+                            Some((stale.body.len() as u64, 0.5, false))
+                        } else {
+                            Some((out.body.len() as u64, cost_ms, false))
+                        }
+                    }
                 };
                 let Some((bytes, mut server_ms, cache_hit)) = served else {
                     // Backend down, breaker open or retries exhausted, and
@@ -2248,11 +2225,10 @@ mod tests {
     }
 
     /// Update-dense days with the invalidate policy (so misses and stale
-    /// tombstones actually occur) and resilience switched on.
+    /// tombstones actually occur).
     fn resilience_config() -> ClusterConfig {
         let mut cfg = fault_config();
         cfg.policy = ConsistencyPolicy::Invalidate;
-        cfg.resilience = Some(ServingResilience::default());
         cfg
     }
 
@@ -2359,7 +2335,7 @@ mod tests {
     }
 
     #[test]
-    fn resilience_off_keeps_the_serving_counters_quiet() {
+    fn a_fault_free_run_keeps_the_serving_counters_quiet() {
         let report = ClusterSim::new(quick_config()).run();
         assert_eq!(report.cache.stale_served, 0);
         assert_eq!(report.cache.coalesced, 0);

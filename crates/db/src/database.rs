@@ -187,7 +187,12 @@ impl OlympicDb {
     ///
     /// This is the hot mutation of the Games: one call corresponds to one
     /// "new results received" moment in Figure 15, and its transaction
-    /// names every underlying datum the change touches.
+    /// names every underlying datum the change touches — a country once
+    /// per placed athlete of it (the `dedup_by` below only drops
+    /// neighbours, and an athlete's key sits between). A consumer that
+    /// weighs changes must count a key once per transaction, as
+    /// `TriggerMonitor` does; the list itself stays as it is, because the
+    /// benchmark pins every change-set of the schedule by digest.
     pub fn record_results(
         &self,
         event: EventId,

@@ -1,13 +1,15 @@
-//! `nagano-lint` — workspace determinism, robustness & ODG-semantics linter.
+//! `nagano-lint` — workspace determinism, robustness & lock-order linter.
 //!
 //! The reproduction's north star (DESIGN.md §8, ROADMAP) is that the
 //! simulation is *deterministic*: same seed → same propagation traces,
 //! same freshness percentiles, byte-identical telemetry exports. This
 //! crate enforces that contract statically, plus the robustness rule
 //! that the serving hot path never panics, plus — since the v2
-//! cross-file engine — the semantic invariants the paper's design
-//! depends on: a deadlock-free lock order and a *complete, minimal*
-//! Object Dependence Graph:
+//! cross-file engine — a deadlock-free lock order. (That the Object
+//! Dependence Graph is complete is not a lint: the renderer cannot read
+//! a row without registering its edge, `nagano-pagegen`'s `reads`
+//! module, and `tests/fragment_equivalence.rs` checks cache ≡ fresh
+//! render after every transaction.)
 //!
 //! | rule | enforces |
 //! |------|----------|
@@ -16,8 +18,6 @@
 //! | D003 | no `std::collections::HashMap`/`HashSet` (randomized order) |
 //! | L001 | no cycles in the cross-file lock-acquisition graph (deadlock) |
 //! | L002 | no guard held across a blocking call in serving crates |
-//! | O001 | every renderer data read is covered by a registered ODG edge |
-//! | O002 | no dead ODG edges (registered but never read) |
 //! | R001 | no `.unwrap()`/`.expect()` in `httpd`/`cache`/`trigger`/`odg` |
 //! | R002 | no unbounded crossbeam channels in serving/propagation crates |
 //! | R003 | retry loops bounded with seeded backoff — no bare `loop` retries or unjittered sleeps |
@@ -27,15 +27,13 @@
 //! Linting runs in two passes. Pass 1 ([`model`]) lexes every
 //! production file once, runs the per-file token rules, and builds a
 //! cross-file workspace model (fn symbol table, lock acquisitions with
-//! live-guard tracking, resolvable call edges, and the pagegen
-//! read/edge inventory). Pass 2 runs the semantic rules over that
-//! model: [`locks`] (L001/L002) and [`odg_audit`] (O001/O002).
+//! live-guard tracking, resolvable call edges). Pass 2 runs the
+//! semantic rules over that model: [`locks`] (L001/L002).
 //!
-//! Intentional exceptions carry an inline allowlist annotation with a
-//! mandatory reason (syntax in DESIGN.md §10); a malformed annotation
-//! is itself an error (A000). Test code (`#[cfg(test)]` / `#[test]`)
-//! is exempt. Pre-existing debt can alternatively be budgeted in a
-//! [`Baseline`] file and ratcheted down over time.
+//! An intentional exception carries an inline allowlist annotation with
+//! a mandatory reason (syntax in DESIGN.md §10) — there is no other way
+//! to carry one; a malformed annotation is itself an error (A000). Test
+//! code (`#[cfg(test)]` / `#[test]`) is exempt.
 //!
 //! The analyzer is dependency-free by design: it lexes Rust directly
 //! (comments, strings, raw strings, and test items handled in
@@ -45,12 +43,10 @@
 //! `(file, line, rule, message)` and byte-identical across runs, so
 //! lint results fall under the same determinism gate as the telemetry.
 
-mod baseline;
 mod export;
 mod lexer;
 mod locks;
 mod model;
-mod odg_audit;
 mod rules;
 
 use std::collections::BTreeMap;
@@ -58,7 +54,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineOutcome};
 pub use export::{render_json, render_sarif};
 pub use lexer::{lex, strip_tests, Allow, LexOutput, MalformedAllow, TokKind, Token};
 pub use rules::{lint_metric_docs, lint_source, Diagnostic, RuleInfo, RULES};
@@ -124,8 +119,8 @@ fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Lint every production source file under `root`: the per-file token
-/// rules, then the cross-file semantic passes (lock graph + ODG audit)
-/// over the workspace model. When the root has a `DESIGN.md`, every
+/// rules, then the cross-file semantic pass (lock graph) over the
+/// workspace model. When the root has a `DESIGN.md`, every
 /// metric registered in code must also appear in its metric table
 /// (rule T002's documentation half).
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
@@ -154,7 +149,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     // by an annotation in the file it is reported against).
     let workspace = model::WorkspaceModel::build(&sources);
     let mut semantic = locks::run(&workspace);
-    semantic.extend(odg_audit::run(&sources));
     let allows_by_file: BTreeMap<&str, &[Allow]> = sources
         .iter()
         .map(|s| (s.rel.as_str(), s.allows.as_slice()))

@@ -1,24 +1,21 @@
 //! CLI entry point: `cargo run -p nagano-lint [-- OPTIONS]`.
 //!
-//! Exits 0 when the workspace is clean (after baseline application), 1
-//! when there are findings, and 2 on I/O or usage errors. `--json`
-//! emits the machine-readable form consumed by tooling, `--sarif` the
-//! SARIF 2.1.0 document CI uploads; the default output is one finding
-//! per line in `rule file:line message` shape with an indented
-//! suggestion.
+//! Exits 0 when the workspace is clean, 1 when there are findings, and
+//! 2 on I/O or usage errors. `--json` emits the machine-readable form
+//! consumed by tooling, `--sarif` the SARIF 2.1.0 document CI uploads;
+//! the default output is one finding per line in `rule file:line
+//! message` shape with an indented suggestion.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nagano_lint::{lint_workspace, render_json, render_sarif, Baseline, RULES};
+use nagano_lint::{lint_workspace, render_json, render_sarif, RULES};
 
 struct Options {
     json: bool,
     sarif: bool,
     sarif_file: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     expect: Option<BTreeSet<String>>,
     root: Option<PathBuf>,
 }
@@ -28,8 +25,6 @@ fn main() -> ExitCode {
         json: false,
         sarif: false,
         sarif_file: None,
-        baseline: None,
-        write_baseline: None,
         expect: None,
         root: None,
     };
@@ -44,17 +39,16 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--sarif-file" | "--baseline" | "--write-baseline" | "--root" => {
+            "--sarif-file" | "--root" => {
                 let Some(p) = args.next() else {
                     eprintln!("{arg} requires a path");
                     return ExitCode::from(2);
                 };
                 let p = PathBuf::from(p);
-                match arg.as_str() {
-                    "--sarif-file" => opts.sarif_file = Some(p),
-                    "--baseline" => opts.baseline = Some(p),
-                    "--write-baseline" => opts.write_baseline = Some(p),
-                    _ => opts.root = Some(p),
+                if arg == "--sarif-file" {
+                    opts.sarif_file = Some(p);
+                } else {
+                    opts.root = Some(p);
                 }
             }
             "--expect" => match args.next() {
@@ -73,14 +67,12 @@ fn main() -> ExitCode {
             },
             "-h" | "--help" => {
                 println!(
-                    "nagano-lint: workspace determinism, robustness & ODG-semantics linter\n\n\
+                    "nagano-lint: workspace determinism, robustness & lock-order linter\n\n\
                      usage: cargo run -p nagano-lint [-- OPTIONS]\n\n\
                      options:\n  \
                      --json                  machine-readable output\n  \
                      --sarif                 SARIF 2.1.0 output on stdout\n  \
                      --sarif-file <path>     also write the SARIF document to <path>\n  \
-                     --baseline <path>       suppress findings budgeted in <path> (ratchet)\n  \
-                     --write-baseline <path> write a baseline covering today's findings\n  \
                      --expect <ID,ID,...>    exit 0 iff exactly these rule ids fire (fixture CI)\n  \
                      --rules                 list the rule registry\n  \
                      --root <path>           workspace root (default: this repo)"
@@ -102,52 +94,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &opts.write_baseline {
-        let text = Baseline::from_report(&report.diagnostics).render();
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("nagano-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "nagano-lint: baseline covering {} finding(s) written to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Apply the baseline ratchet. A missing baseline file is an error,
-    // not an empty baseline: CI passing because the file went missing
-    // would defeat the gate.
-    let mut diagnostics = report.diagnostics;
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("nagano-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("nagano-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let outcome = baseline.apply(diagnostics);
-        for note in &outcome.slack {
-            eprintln!("nagano-lint: baseline slack: {note}");
-        }
-        if outcome.suppressed > 0 {
-            eprintln!(
-                "nagano-lint: {} finding(s) suppressed by the baseline",
-                outcome.suppressed
-            );
-        }
-        diagnostics = outcome.remaining;
-    }
+    let diagnostics = report.diagnostics;
 
     // The SARIF artifact is written whatever the verdict — CI uploads
     // it from failing runs too.

@@ -1,9 +1,8 @@
 //! Pass 1 of the semantic analysis: a cross-file model of the workspace.
 //!
 //! The token rules in [`crate::rules`] look at one file at a time. The
-//! semantic rules (L001/L002 in [`crate::locks`], O001/O002 in
-//! [`crate::odg_audit`]) need to see the workspace whole: which `fn`
-//! items exist, which locks each one acquires, which guards are still
+//! semantic rules (L001/L002 in [`crate::locks`]) need to see the
+//! workspace whole: which `fn` items exist, which locks each one acquires, which guards are still
 //! live at each call site, and which calls can be resolved to other
 //! workspace functions. This module builds that model from the same
 //! hand-rolled token stream — no `syn`, no type information — so every

@@ -62,16 +62,6 @@ pub const RULES: &[RuleInfo] = &[
                   in serving/propagation crates",
     },
     RuleInfo {
-        id: "O001",
-        summary: "every data read in a pagegen renderer arm must be covered by a \
-                  registered ODG edge (directly or via a fragment edge)",
-    },
-    RuleInfo {
-        id: "O002",
-        summary: "no dead ODG edges — a registered dependency whose data the arm never \
-                  reads is a wasted invalidation",
-    },
-    RuleInfo {
         id: "R001",
         summary: "no .unwrap()/.expect() in serving hot-path crates (httpd, cache, trigger, odg)",
     },

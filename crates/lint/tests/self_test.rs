@@ -61,7 +61,7 @@ fn every_registered_rule_has_a_firing_and_a_clean_fixture() {
                     "{lower}_clean.rs must be clean, got {clean:?}"
                 );
             }
-            "L001" | "L002" | "O001" | "O002" => {
+            "L001" | "L002" => {
                 assert!(
                     semantic_fired.contains(id),
                     "fixtures/semantic must fire {id}, got {semantic_fired:?}"
@@ -82,11 +82,8 @@ fn every_registered_rule_has_a_firing_and_a_clean_fixture() {
 #[test]
 fn the_semantic_workspace_fires_exactly_the_semantic_rules() {
     // The same contract CI's lint-fixtures step enforces with
-    // `--expect L001,L002,O001,O002`.
+    // `--expect L001,L002`.
     let fired = fired_by_workspace("semantic");
-    let expected: BTreeSet<String> = ["L001", "L002", "O001", "O002"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let expected: BTreeSet<String> = ["L001", "L002"].iter().map(|s| s.to_string()).collect();
     assert_eq!(fired, expected);
 }

@@ -15,7 +15,9 @@
 //! * [`render`] — renders any page from the database, returning the body
 //!   *and the dependency list* the application must register with DUP
 //!   ("an application program is responsible for communicating data
-//!   dependencies ... to the cache").
+//!   dependencies ... to the cache"). The list is a by-product of the
+//!   reads: the renderer reaches the database only through the private
+//!   `reads` module, whose every query pushes the edge for what it read.
 //! * [`cost`] — the generation cost model: static pages take 2–10 ms of
 //!   CPU; dynamic pages one to two orders of magnitude more (the paper's
 //!   reference \[8\]).
@@ -28,6 +30,7 @@
 pub mod cost;
 pub mod key;
 mod plan;
+mod reads;
 pub mod registry;
 pub mod render;
 pub mod structure;

@@ -9,9 +9,11 @@
 //! 2. the **dependency list** — the underlying data and embedded fragments
 //!    this page's content was derived from. The paper: "An application
 //!    program is responsible for communicating data dependencies between
-//!    underlying data and objects to the cache." The trigger monitor
-//!    registers these edges in the ODG after every (re)generation, so the
-//!    graph tracks the page space as it evolves;
+//!    underlying data and objects to the cache." Nothing in this file
+//!    writes that list: every row is read through `reads::Reads`, and the
+//!    read pushes the edge. The trigger monitor registers the edges in
+//!    the ODG after every (re)generation, so the graph tracks the page
+//!    space as it evolves;
 //! 3. the modelled CPU **cost** (used for accounting and GreedyDual-Size).
 //!
 //! Composed pages (home, sport, event) embed fragments by *reference to
@@ -22,12 +24,13 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use nagano_db::{CountryId, DbView, EventId, EventPhase, OlympicDb};
+use nagano_db::{CountryId, EventId, EventPhase, OlympicDb};
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{push_decimal, FragmentKey, PageKey};
 use crate::plan::{fitted, is_tail, page_head, walk_tail};
+use crate::reads::Reads;
 
 /// One dependency edge to register with DUP: `data_key → this page`.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,24 +39,6 @@ pub struct Dependency {
     pub data_key: String,
     /// Importance weight for the edge.
     pub weight: f64,
-}
-
-impl Dependency {
-    /// Unit-weight dependency.
-    pub fn new(data_key: impl Into<String>) -> Self {
-        Dependency {
-            data_key: data_key.into(),
-            weight: 1.0,
-        }
-    }
-
-    /// Weighted dependency.
-    pub fn weighted(data_key: impl Into<String>, weight: f64) -> Self {
-        Dependency {
-            data_key: data_key.into(),
-            weight,
-        }
-    }
 }
 
 /// The result of rendering one page.
@@ -82,8 +67,8 @@ enum Section {
     HomeEvent(EventId),
 }
 
-/// One memoised section render: the HTML and dependency list
-/// `compose_fragment` produced from a [`DbView`] whose stamp for the
+/// One memoised section render: the HTML `compose_fragment` produced, and
+/// the edges its reads registered, from a snapshot whose stamp for the
 /// section's source data was `revision`.
 #[derive(Debug, Default)]
 struct SectionMemo {
@@ -94,7 +79,7 @@ struct SectionMemo {
 
 /// Renders pages from a database.
 ///
-/// Every render reads the database through exactly one [`DbView`], so a
+/// Every render reads the database through exactly one snapshot, so a
 /// body never mixes two committed states. Section HTML is memoised per
 /// renderer and spliced while the database's revision stamp for the
 /// section's source data — read from that same view — is the one it was
@@ -166,7 +151,7 @@ impl Renderer {
         // it, then the head is slid in front and the padding appended.
         let mut html = String::with_capacity(target_bytes(key));
         let mut deps: Vec<Dependency> = Vec::new();
-        let title = self.compose(&self.db.view(), key, &mut html, &mut deps);
+        let title = Reads::over(&self.db, &mut deps, |r| self.compose(r, key, &mut html));
         let body = finalize(key, &title, html, previous);
         let cost_ms = self.cost.cost_ms(key);
         if let Some(scale) = self.cpu_scale {
@@ -181,66 +166,40 @@ impl Renderer {
 
     /// Build the page's inner HTML; returns the title.
     ///
-    /// `db` is the render's one read snapshot. Nothing below may reach for
-    /// `self.db`: a second read lock on this thread deadlocks behind a
-    /// waiting commit.
-    fn compose(
-        &self,
-        db: &DbView<'_>,
-        key: PageKey,
-        html: &mut String,
-        deps: &mut Vec<Dependency>,
-    ) -> String {
+    /// `r` is the render's one read snapshot, and the page's dependency
+    /// list with it. Nothing below may reach for `self.db`: a second read
+    /// lock on this thread deadlocks behind a waiting commit.
+    fn compose(&self, r: &mut Reads<'_>, key: PageKey, html: &mut String) -> String {
         match key {
             PageKey::Home(day) => {
-                deps.push(Dependency::weighted(
-                    nagano_db::schema::today_data_key(day),
-                    2.0,
-                ));
-                // Embedded fragments: medal table, headlines, and the
-                // result tables of every event concluding today. Fragment
-                // dependencies use the fragment *object* key (hybrid
-                // vertices).
-                deps.push(Dependency::new(
-                    PageKey::Fragment(FragmentKey::MedalTable).object_key(),
-                ));
-                deps.push(Dependency::weighted(
-                    PageKey::Fragment(FragmentKey::Headlines(day)).object_key(),
-                    0.5,
-                ));
+                let events = r.events_on_day(day, 2.0);
                 let _ = writeln!(html, "<h2>Day {day} at the Games</h2>");
-                self.inline_fragment(db, FragmentKey::MedalTable, html);
-                self.inline_fragment(db, FragmentKey::Headlines(day), html);
-                for event in db.events_on_day(day) {
-                    self.inline_fragment(db, FragmentKey::ResultTable(event.id), html);
-                    // Everything the page itself says about the event, and
-                    // the edges that go with it: unchanged until results
-                    // arrive for this very event.
-                    let section = Section::HomeEvent(event.id);
-                    self.compose_fragment(db, section, html, Some(&mut *deps), |html, deps| {
-                        deps.push(Dependency::weighted(
-                            PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
-                            2.0,
-                        ));
-                        // The *skeleton* also reads event rows directly
-                        // (phase label, gold-winner line below), so the
-                        // page needs its own data edge — not just the
-                        // fragment's.
-                        deps.push(Dependency::weighted(event.id.data_key(), 1.0));
+                // Embedded fragments: medal table, headlines, and the
+                // result tables of every event concluding today.
+                self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
+                self.inline_fragment(r, FragmentKey::Headlines(day), 0.5, html);
+                for event in events {
+                    self.inline_fragment(r, FragmentKey::ResultTable(event.id), 2.0, html);
+                    // Everything the page itself says about the event:
+                    // unchanged until results arrive for this very event.
+                    // The *skeleton* reads event rows directly (phase
+                    // label, gold-winner line), so the page gets a data
+                    // edge of its own — not just the fragment's.
+                    self.compose_fragment(r, Section::HomeEvent(event.id), html, |r, html| {
                         html.push_str("<section class=\"event\">");
-                        push_link(html, PageKey::Event(event.id), &event.name);
+                        push_link(html, PageKey::Event(event.id), event.name);
                         html.push_str(" — ");
-                        html.push_str(phase_label(event.phase));
+                        let phase = r.phase(&event);
+                        html.push_str(phase_label(phase));
                         html.push_str("</section>\n");
                         // Inline the top line of finished finals: this is
                         // what lets >25% of visitors stop at the home page.
-                        if event.phase == EventPhase::Final {
-                            if let Some(winner) = db
+                        if phase == EventPhase::Final {
+                            if let Some(winner) = r
                                 .results_for_event(event.id)
-                                .find(|r| r.is_final && r.rank == 1)
+                                .find(|row| row.is_final && row.rank == 1)
                             {
-                                // nagano-lint: allow(O001) — athlete names are immutable after seeding; the winner line is refreshed by the `data:event:*` edge pushed above for this event
-                                if let Some(a) = db.athlete(winner.athlete) {
+                                if let Some(a) = r.athlete(winner.athlete) {
                                     html.push_str("<p>Gold: ");
                                     html.push_str(&a.name);
                                     html.push_str("</p>\n");
@@ -252,24 +211,18 @@ impl Renderer {
                 format!("Nagano 1998 — Day {day}")
             }
             PageKey::Medals => {
-                deps.push(Dependency::new(
-                    PageKey::Fragment(FragmentKey::MedalTable).object_key(),
-                ));
                 let _ = writeln!(html, "<h2>Medal Standings</h2>");
-                self.inline_fragment(db, FragmentKey::MedalTable, html);
+                self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
                 "Medal Standings".to_string()
             }
             PageKey::Sport(s) => {
-                deps.push(Dependency::new(nagano_db::SportId(s.0).data_key()));
-                let name = db.sport(s).map_or("Unknown sport", |x| x.name.as_str());
+                let events = r.events_of_sport(s);
+                let name = r.sport(s).map_or("Unknown sport", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for event in db.events_of_sport(s) {
-                    deps.push(Dependency::new(
-                        PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
-                    ));
-                    self.inline_fragment(db, FragmentKey::ResultTable(event.id), html);
+                for event in events {
+                    self.inline_fragment(r, FragmentKey::ResultTable(event.id), 1.0, html);
                     html.push_str("<div>");
-                    push_link(html, PageKey::Event(event.id), &event.name);
+                    push_link(html, PageKey::Event(event.id), event.name);
                     html.push_str(" (day ");
                     push_decimal(html, event.day);
                     html.push_str(")</div>\n");
@@ -277,15 +230,11 @@ impl Renderer {
                 name.to_string()
             }
             PageKey::Event(e) => {
-                deps.push(Dependency::new(
-                    PageKey::Fragment(FragmentKey::ResultTable(e)).object_key(),
-                ));
-                self.inline_fragment(db, FragmentKey::ResultTable(e), html);
-                let event = db.event(e);
-                let name = event.map_or("Unknown event", |x| x.name.as_str());
+                self.inline_fragment(r, FragmentKey::ResultTable(e), 1.0, html);
+                let event = r.event(e);
+                let name = event.map_or("Unknown event", |x| x.name);
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for photo in db.photos_for_event(e) {
-                    deps.push(Dependency::weighted(photo.id.data_key(), 0.5));
+                for photo in r.photos_for_event(e, 0.5) {
                     html.push_str("<img alt=\"photo ");
                     push_decimal(html, photo.id.0);
                     html.push_str("\"/>\n");
@@ -303,17 +252,10 @@ impl Renderer {
                 name.to_string()
             }
             PageKey::Country(c) => {
-                deps.push(Dependency::new(c.data_key()));
-                // The country page shows its medal box: a change to the
-                // standings slightly affects every country page (weight
-                // below 1 lets the threshold policy tolerate it).
-                deps.push(Dependency::weighted(
-                    nagano_db::schema::medals_data_key(),
-                    0.25,
-                ));
-                let name = db.country(c).map_or("Unknown", |x| x.name.as_str());
+                let medals = r.medals_of(c);
+                let name = r.country(c).map_or("Unknown", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                if let Some(m) = db.medals_of(c) {
+                if let Some(m) = medals {
                     let _ = writeln!(
                         html,
                         "<p class=\"medal-box\">Gold {} · Silver {} · Bronze {}</p>",
@@ -322,8 +264,8 @@ impl Renderer {
                 }
                 // The roster is what a medal change regenerating every
                 // country page leaves alone.
-                self.compose_fragment(db, Section::Roster(c), html, None, |html, _| {
-                    for a in db.athletes_of_country(c).take(50) {
+                self.compose_fragment(r, Section::Roster(c), html, |r, html| {
+                    for a in r.athletes_of_country(c).take(50) {
                         html.push_str("<div>");
                         push_link(html, PageKey::Athlete(a.id), &a.name);
                         html.push_str("</div>\n");
@@ -332,18 +274,18 @@ impl Renderer {
                 name.to_string()
             }
             PageKey::Athlete(a) => {
-                deps.push(Dependency::new(a.data_key()));
-                let athlete = db.athlete(a);
+                let results = r.results_for_athlete(a);
+                let athlete = r.athlete(a);
                 let name = athlete.map_or("Unknown", |x| x.name.as_str());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for r in db.results_for_athlete(a) {
+                for row in results {
                     html.push_str("<div>Event <a href=\"");
-                    PageKey::Event(r.event).push_url(html);
+                    PageKey::Event(row.event).push_url(html);
                     html.push_str("\">");
-                    push_decimal(html, r.event.0);
+                    push_decimal(html, row.event.0);
                     html.push_str("</a>: rank ");
-                    push_decimal(html, r.rank);
-                    let _ = writeln!(html, " ({:.2})</div>", r.score);
+                    push_decimal(html, row.rank);
+                    let _ = writeln!(html, " ({:.2})</div>", row.score);
                 }
                 if let Some(at) = athlete {
                     let _ = writeln!(
@@ -354,32 +296,27 @@ impl Renderer {
                 }
                 name.to_string()
             }
-            PageKey::News(n) => {
-                deps.push(Dependency::new(n.data_key()));
-                match db.news(n) {
-                    Some(article) => {
+            PageKey::News(n) => match r.news(n) {
+                Some(article) => {
+                    let _ = writeln!(
+                        html,
+                        "<h2>{}</h2><article>{}</article>",
+                        article.title, article.body
+                    );
+                    if let Some(ev) = article.about_event {
                         let _ = writeln!(
                             html,
-                            "<h2>{}</h2><article>{}</article>",
-                            article.title, article.body
+                            "<nav><a href=\"{}\">Event results</a></nav>",
+                            PageKey::Event(ev).to_url()
                         );
-                        if let Some(ev) = article.about_event {
-                            let _ = writeln!(
-                                html,
-                                "<nav><a href=\"{}\">Event results</a></nav>",
-                                PageKey::Event(ev).to_url()
-                            );
-                        }
-                        article.title.clone()
                     }
-                    None => "Story not found".to_string(),
+                    article.title.clone()
                 }
-            }
+                None => "Story not found".to_string(),
+            },
             PageKey::NewsIndex(day) => {
-                deps.push(Dependency::new(nagano_db::schema::today_data_key(day)));
                 let _ = writeln!(html, "<h2>News — Day {day}</h2>");
-                for article in db.news_on_day(day) {
-                    deps.push(Dependency::weighted(article.id.data_key(), 0.5));
+                for article in r.news_on_day(day, 1.0, 0.5) {
                     html.push_str("<div>");
                     push_link(html, PageKey::News(article.id), &article.title);
                     html.push_str("</div>\n");
@@ -387,7 +324,7 @@ impl Renderer {
                 format!("News for Day {day}")
             }
             PageKey::Venue(s) => {
-                let venue = db.sport(s).map_or("", |x| x.venue.as_str());
+                let venue = r.sport(s).map_or("", |x| x.venue.as_str());
                 let _ = writeln!(html, "<h2>{venue}</h2><p>Venue guide and transport.</p>");
                 venue.to_string()
             }
@@ -407,72 +344,60 @@ impl Renderer {
                 "Fun".into()
             }
             PageKey::Fragment(f) => {
-                self.fragment_section(db, f, html, Some(deps));
+                self.fragment_section(r, f, html);
                 fragment_title(f)
             }
         }
     }
 
-    /// Render a fragment's HTML into a composed page *without* adding the
-    /// fragment's own data dependencies — the page depends on the fragment
-    /// object; the fragment depends on the raw data (Figure 15's two-level
+    /// Splice fragment `f` into a composed page, which then depends on the
+    /// fragment *object* at `weight` and not on the data the fragment
+    /// reads: the fragment depends on that (Figure 15's two-level
     /// composition).
-    fn inline_fragment(&self, db: &DbView<'_>, f: FragmentKey, html: &mut String) {
-        self.fragment_section(db, f, html, None);
+    fn inline_fragment(&self, r: &mut Reads<'_>, f: FragmentKey, weight: f64, html: &mut String) {
+        self.fragment_section(&mut r.inline_fragment(f, weight), f, html);
     }
 
-    /// The registered fragment `f` as a memoised section: its inner HTML,
-    /// and its data dependencies when asked for.
-    fn fragment_section(
-        &self,
-        db: &DbView<'_>,
-        f: FragmentKey,
-        html: &mut String,
-        deps: Option<&mut Vec<Dependency>>,
-    ) {
-        self.compose_fragment(db, Section::Fragment(f), html, deps, |html, deps| {
-            render_fragment_into(db, f, html, deps)
+    /// The registered fragment `f` as a memoised section.
+    fn fragment_section(&self, r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
+        self.compose_fragment(r, Section::Fragment(f), html, |r, html| {
+            render_fragment_into(r, f, html)
         });
     }
 
-    /// Append `section`'s HTML to `html` and its dependencies to `deps`
-    /// (when asked for). The one entry to memoised rendering: it splices
-    /// the memoised render while `db` still stamps the section's source
-    /// data with the revision the memo was rendered at, and otherwise
-    /// calls `render` — a pure function of that data — and memoises what
-    /// it appended.
+    /// Append `section`'s HTML to `html` and register its edges with `r`.
+    /// The one entry to memoised rendering: it splices the memoised render
+    /// while `r` still stamps the section's source data with the revision
+    /// the memo was rendered at, and otherwise calls `render` — a pure
+    /// function of that data, reading through a handle that registers in a
+    /// list of the section's own — and memoises what it appended.
     fn compose_fragment(
         &self,
-        db: &DbView<'_>,
+        r: &mut Reads<'_>,
         section: Section,
         html: &mut String,
-        deps: Option<&mut Vec<Dependency>>,
-        render: impl FnOnce(&mut String, &mut Vec<Dependency>),
+        render: impl FnOnce(&mut Reads<'_>, &mut String),
     ) {
         let revision = match section {
             Section::Fragment(FragmentKey::ResultTable(e)) | Section::HomeEvent(e) => {
-                db.results_revision(e)
+                r.results_revision(e)
             }
-            Section::Fragment(FragmentKey::MedalTable) => db.medals_revision(),
-            Section::Fragment(FragmentKey::Headlines(day)) => db.news_revision(day),
-            Section::Roster(_) => db.loads_revision(),
+            Section::Fragment(FragmentKey::MedalTable) => r.medals_revision(),
+            Section::Fragment(FragmentKey::Headlines(day)) => r.news_revision(day),
+            Section::Roster(_) => r.loads_revision(),
         };
         {
             let memo = self.sections.lock().expect(MEMO_POISONED);
             if let Some(hit) = memo.get(&section).filter(|m| m.revision == revision) {
                 html.push_str(&hit.html);
-                if let Some(deps) = deps {
-                    deps.extend_from_slice(&hit.deps);
-                }
+                r.register(&hit.deps);
                 return;
             }
         }
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
-        render(html, &mut own);
-        if let Some(deps) = deps {
-            deps.extend_from_slice(&own);
-        }
+        render(&mut r.section(&mut own), html);
+        r.register(&own);
         // A re-render refills the entry's buffers rather than replacing
         // them: the memo's allocations are made once, when a section is
         // first rendered, not once per revision.
@@ -491,40 +416,31 @@ impl Renderer {
 /// of letting one splice it.
 const MEMO_POISONED: &str = "a render panicked while holding the section memo";
 
-/// Render fragment `f` from `db`: the pure function the memo caches.
-fn render_fragment_into(
-    db: &DbView<'_>,
-    f: FragmentKey,
-    html: &mut String,
-    deps: &mut Vec<Dependency>,
-) {
+/// Render fragment `f` from `r`: the pure function the memo caches.
+fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
     match f {
         FragmentKey::ResultTable(e) => {
-            deps.push(Dependency::new(e.data_key()));
             html.push_str("<table class=\"results\">\n");
-            for r in db.results_for_event(e) {
+            for row in r.results_for_event(e) {
                 html.push_str("<tr><td>");
-                push_decimal(html, r.rank);
+                push_decimal(html, row.rank);
                 html.push_str("</td><td>");
-                // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
-                match db.athlete(r.athlete) {
+                match r.athlete(row.athlete) {
                     Some(a) => html.push_str(&a.name),
                     None => {
                         html.push_str("athlete ");
-                        push_decimal(html, r.athlete.0);
+                        push_decimal(html, row.athlete.0);
                     }
                 }
-                let _ = writeln!(html, "</td><td>{:.2}</td></tr>", r.score);
+                let _ = writeln!(html, "</td><td>{:.2}</td></tr>", row.score);
             }
             html.push_str("</table>\n");
         }
         FragmentKey::MedalTable => {
-            deps.push(Dependency::new(nagano_db::schema::medals_data_key()));
             html.push_str("<table class=\"medals\">\n");
-            for (c, m) in db.medal_standings().iter().take(15) {
+            for (c, m) in r.medal_standings().iter().take(15) {
                 html.push_str("<tr><td>");
-                // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
-                match db.country(*c) {
+                match r.country(*c) {
                     Some(country) => html.push_str(&country.code),
                     None => {
                         let _ = write!(html, "{c}");
@@ -539,13 +455,8 @@ fn render_fragment_into(
             html.push_str("</table>\n");
         }
         FragmentKey::Headlines(day) => {
-            deps.push(Dependency::weighted(
-                nagano_db::schema::today_data_key(day),
-                0.5,
-            ));
             html.push_str("<ul class=\"headlines\">\n");
-            for article in db.news_on_day(day).take(8) {
-                deps.push(Dependency::new(article.id.data_key()));
+            for article in r.news_on_day(day, 0.5, 1.0).take(8) {
                 html.push_str("<li>");
                 html.push_str(&article.title);
                 html.push_str("</li>\n");

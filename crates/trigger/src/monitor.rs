@@ -88,6 +88,28 @@ impl GraphState {
     fn page_of(&self, id: NodeId) -> Option<PageKey> {
         self.pages.get(id.0 as usize).copied().flatten()
     }
+
+    /// The vertices `txns` changed, for a unit-magnitude propagation: the
+    /// propagation adds a magnitude per occurrence, so each key counts
+    /// once per transaction that names it, however often that one lists
+    /// it (`record_results` lists a country per placed athlete). Keys no
+    /// page ever depended on are skipped.
+    fn changed_ids(&self, txns: &[&Transaction]) -> Vec<NodeId> {
+        let mut changed = Vec::new();
+        for txn in txns {
+            let first = changed.len();
+            for id in txn
+                .changes
+                .iter()
+                .filter_map(|c| self.names.get(&c.data_key))
+            {
+                if !changed[first..].contains(&id) {
+                    changed.push(id);
+                }
+            }
+        }
+        changed
+    }
 }
 
 /// What one refresh of a stale set did.
@@ -311,16 +333,9 @@ impl TriggerMonitor {
     }
 
     fn process_precise(&self, txns: &[&Transaction], now: SimTime) -> TxnOutcome {
-        // Resolve changed data keys; unknown keys (no page ever depended
-        // on them) are skipped. Duplicates across the batch collapse in
-        // the propagation's per-node accumulation.
         let (stale, tolerated, visited) = {
             let mut g = self.graph.lock();
-            let changed: Vec<NodeId> = txns
-                .iter()
-                .flat_map(|t| t.changes.iter())
-                .filter_map(|c| g.names.get(&c.data_key))
-                .collect();
+            let changed = g.changed_ids(txns);
             let prop = g.dup.propagate_ids(&changed);
             let to_pages = |pairs: &[(NodeId, f64)], g: &GraphState| -> Vec<PageKey> {
                 pairs.iter().filter_map(|&(id, _)| g.page_of(id)).collect()
@@ -613,11 +628,7 @@ impl TriggerMonitor {
     fn process_conservative(&self, txns: &[&Transaction]) -> TxnOutcome {
         let (affected_pages, visited) = {
             let mut g = self.graph.lock();
-            let changed: Vec<NodeId> = txns
-                .iter()
-                .flat_map(|t| t.changes.iter())
-                .filter_map(|c| g.names.get(&c.data_key))
-                .collect();
+            let changed = g.changed_ids(txns);
             let prop = g.dup.propagate_ids(&changed);
             let pages: Vec<PageKey> = prop
                 .stale
@@ -1315,5 +1326,38 @@ mod tests {
         for t in &outcome.tolerated {
             assert!(!outcome.regenerated.contains(t));
         }
+    }
+
+    #[test]
+    fn two_placed_athletes_of_one_country_weigh_on_its_page_once() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        // Two finals with the same two athletes of one country on the
+        // podium. The country page reads `data:country:C` at 1 and the
+        // standings at 0.25: each final makes it 1.25 stale, whatever the
+        // number of its athletes placed.
+        let athletes = db.athletes();
+        let placed = athletes
+            .iter()
+            .find_map(|a| {
+                let mate = athletes
+                    .iter()
+                    .find(|b| b.country == a.country && b.id != a.id)?;
+                Some([(a.id, 9.0), (mate.id, 8.0)])
+            })
+            .expect("two athletes of one country");
+        let (first, second) = (db.events()[0].clone(), db.events()[1].clone());
+        let country = PageKey::Country(db.athlete(placed[0].0).unwrap().country);
+
+        monitor.set_staleness_policy(StalenessPolicy::Threshold(1.25));
+        let txn = db.record_results(first.id, &placed, true, first.day);
+        let outcome = monitor.process_txn(&txn);
+        assert!(outcome.regenerated.contains(&country), "1.25 reaches 1.25");
+
+        monitor.set_staleness_policy(StalenessPolicy::Threshold(1.25 + f64::EPSILON));
+        let txn = db.record_results(second.id, &placed, true, second.day);
+        let outcome = monitor.process_txn(&txn);
+        assert!(outcome.tolerated.contains(&country), "and no further");
+        assert!(!outcome.regenerated.contains(&country));
     }
 }

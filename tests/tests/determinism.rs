@@ -8,9 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use nagano_cluster::{
-    scripted_chaos_plan, scripted_serving_plan, ClusterConfig, ClusterSim, ServingResilience,
-};
+use nagano_cluster::{scripted_chaos_plan, scripted_serving_plan, ClusterConfig, ClusterSim};
 use nagano_db::GamesConfig;
 use nagano_simcore::SimTime;
 
@@ -161,8 +159,8 @@ fn same_seed_hybrid_runs_export_byte_identical_telemetry() {
     }
 }
 
-/// Like [`run_exporting`], but with the serving-plane resilience
-/// machinery on and the scripted serving-fault schedule active: render
+/// Like [`run_exporting`], but with the scripted serving-fault schedule
+/// active, so that the serving-plane resilience machinery is taken: render
 /// slowdowns, a backend outage (breaker trips + seeded retry backoff),
 /// and a cache cold-restart are all on the deterministic surface.
 fn run_resilience_exporting(seed: u64, tag: &str) -> PathBuf {
@@ -178,7 +176,6 @@ fn run_resilience_exporting(seed: u64, tag: &str) -> PathBuf {
         end_day: 10,
         policy: nagano_trigger::ConsistencyPolicy::Invalidate,
         serving_fault_plan: scripted_serving_plan(10),
-        resilience: Some(ServingResilience::default()),
         export_dir: Some(dir.clone()),
         ..Default::default()
     })

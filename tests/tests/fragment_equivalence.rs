@@ -191,8 +191,9 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// The Games' own update schedule — result postings, finals, a photo after
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
-/// nothing stale after any update. Returns (updates, pages regenerated).
-fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize) {
+/// nothing stale after any update. Returns (updates, pages regenerated,
+/// pages that came out as other bytes).
+fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize) {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let registry = PageRegistry::build(&db, 16);
@@ -201,14 +202,16 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize) {
         &mut DeterministicRng::seed_from_u64(seed ^ 0x5550_4441_5445),
     );
     let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x0041_5050_4c59);
-    let mut regenerated = 0;
+    let (mut regenerated, mut changed) = (0, 0);
     for (i, update) in schedule.updates().iter().enumerate() {
         let txn = UpdateSchedule::apply(update, &db, &mut rng);
-        regenerated += monitor.process_txn(&txn).regenerated.len();
+        let outcome = monitor.process_txn(&txn);
+        regenerated += outcome.regenerated.len();
+        changed += outcome.changed;
         let at = format!("schedule seed {seed}, update {i} ({:?})", update.kind);
         assert_cache_is_fresh(&monitor, &db, Some(&registry), &at);
     }
-    (schedule.len(), regenerated)
+    (schedule.len(), regenerated, changed)
 }
 
 /// Named per-category driver: each transaction of the script is committed
@@ -534,11 +537,17 @@ fn fragment_equivalence_plain_seeds() {
 fn no_page_is_stale_after_any_update_of_the_games_schedule() {
     // Seed 7 files its first photo as update 14 of the small Games and as
     // update 6 of the full ones.
-    let (updates, regenerated) = check_schedule_replay(&GamesConfig::small(), 7);
-    assert!(updates > 50 && regenerated > updates, "{updates} updates");
-    let (updates, regenerated) = check_schedule_replay(&GamesConfig::full(), 7);
-    assert_eq!(updates, 304);
-    assert!(regenerated > 10_000, "{regenerated} pages regenerated");
+    // Work counts pinned with the bytes: a dead edge — registered, never
+    // read — raises `regenerated` and leaves `changed`; a missing one is a
+    // stale page in the replay itself.
+    assert_eq!(
+        check_schedule_replay(&GamesConfig::small(), 7),
+        (78, 918, 656)
+    );
+    assert_eq!(
+        check_schedule_replay(&GamesConfig::full(), 7),
+        (304, 13_658, 6_097)
+    );
 }
 
 proptest! {
