@@ -218,6 +218,8 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
         ]
     };
     let mut json_rows = Vec::new();
+    // Smallest and largest general/simple time ratio over the sweep.
+    let mut ratio = (f64::INFINITY, 0.0f64);
     for &(n_data, n_obj, fanout) in shapes {
         let mut engine = DupEngine::new();
         for d in 0..n_data {
@@ -244,6 +246,8 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
             engine.propagate_general(&changes);
         }
         let general_us = t0.elapsed().as_micros() as f64 / reps as f64;
+        let r = general_us / simple_us.max(f64::MIN_POSITIVE);
+        ratio = (ratio.0.min(r), ratio.1.max(r));
         table.row([
             format!("{n_data} x {n_obj}, f={fanout}"),
             crate::fmt::thousands(engine.graph().edge_count() as f64),
@@ -284,12 +288,16 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
 
     let verdict = format!(
         "Paper: one typical cross-country update changed 128 Web pages; DUP finds the \
-         affected set by graph traversal, with a simple-ODG fast path.\n\
-         Measured: one final '{}' update with {} entrants affected {} pages; the bipartite \
-         fast path beats the general traversal at every size above.",
+         affected set by graph traversal, and is 'considerably easier to implement' on a \
+         simple ODG.\n\
+         Measured: one final '{}' update with {} entrants affected {} pages; the general \
+         traversal (slot table, reused scratch) takes {:.1}-{:.1}x the bipartite lookup's \
+         time above: the simple ODG's advantage is the ease the paper names, not speed.",
         ev.name,
         placements.len(),
-        affected
+        affected,
+        ratio.0,
+        ratio.1
     );
     ExpResult {
         id: "odg",

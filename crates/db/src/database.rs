@@ -200,18 +200,19 @@ impl OlympicDb {
         is_final: bool,
         day: u32,
     ) -> Arc<Transaction> {
-        let mut changes: Vec<RecordChange> = Vec::new();
+        // An athlete and a country per placement; event, sport, medals
+        // and day after them.
+        let mut changes: Vec<RecordChange> = Vec::with_capacity(2 * placements.len() + 4);
         let label;
         {
             let mut t = self.tables.write();
-            assert!(t.events.contains(event), "unknown event {event}");
+            let name = match t.events.get(event) {
+                Some(e) => e.name.as_str(),
+                None => panic!("unknown event {event}"),
+            };
             label = format!(
-                "{} results for {}",
-                if is_final { "final" } else { "partial" },
-                t.events
-                    .get(event)
-                    .map(|e| e.name.clone())
-                    .unwrap_or_default()
+                "{} results for {name}",
+                if is_final { "final" } else { "partial" }
             );
             for (rank0, &(athlete, score)) in placements.iter().enumerate() {
                 t.next_result += 1;
@@ -468,7 +469,14 @@ impl DbView<'_> {
 
     /// Athletes competing in a sport, id order.
     pub fn athletes_of_sport(&self, sport: SportId) -> impl Iterator<Item = &Athlete> {
-        rows(&self.t.athletes, self.t.athletes_by_sport.get(&sport))
+        rows(&self.t.athletes, self.athlete_ids_of_sport(sport))
+    }
+
+    /// The ids of the athletes competing in a sport, in order, straight
+    /// off the index: for a caller that draws from the entry list and
+    /// never looks at a row.
+    pub fn athlete_ids_of_sport(&self, sport: SportId) -> &[AthleteId] {
+        self.t.athletes_by_sport.get(&sport)
     }
 
     /// Results recorded for an event, in insertion order.
@@ -1005,6 +1013,9 @@ mod tests {
                     db.athletes_of_sport(sport),
                     scan(&db, |t| &t.athletes, |a| a.sport == sport)
                 );
+                let ids = db.view().athlete_ids_of_sport(sport).to_vec();
+                let rows = db.athletes_of_sport(sport);
+                prop_assert_eq!(ids, rows.iter().map(|a| a.id).collect::<Vec<_>>());
             }
             for country in (0..4).map(CountryId) {
                 prop_assert_eq!(

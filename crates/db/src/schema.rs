@@ -7,6 +7,33 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Append `n` in decimal without going through `fmt`: a data key is
+/// spelled once per changed record of every commit and once per read of
+/// every render, and ids, days and ranks once per link or row of every
+/// regenerated page.
+pub fn push_decimal(out: &mut String, n: impl Into<u64>) {
+    let mut n = n.into();
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// `prefix` followed by `n`, allocated once.
+fn keyed(prefix: &str, n: u32) -> String {
+    let mut key = String::with_capacity(prefix.len() + 10);
+    key.push_str(prefix);
+    push_decimal(&mut key, n);
+    key
+}
+
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
@@ -18,7 +45,7 @@ macro_rules! id_type {
         impl $name {
             /// Canonical data-key string for this record.
             pub fn data_key(self) -> String {
-                format!(concat!("data:", $prefix, ":{}"), self.0)
+                keyed(concat!("data:", $prefix, ":"), self.0)
             }
         }
 
@@ -203,7 +230,7 @@ pub fn medals_data_key() -> String {
 
 /// The data key for a per-day "today" summary record.
 pub fn today_data_key(day: u32) -> String {
-    format!("data:today:{day}")
+    keyed("data:today:", day)
 }
 
 #[cfg(test)]
@@ -216,6 +243,37 @@ mod tests {
         assert_eq!(AthleteId(7).data_key(), "data:athlete:7");
         assert_eq!(medals_data_key(), "data:medals:standings");
         assert_eq!(today_data_key(3), "data:today:3");
+        // Every family, at both ends of the id space.
+        for n in [0, u32::MAX] {
+            assert_eq!(SportId(n).data_key(), format!("data:sport:{n}"));
+            assert_eq!(EventId(n).data_key(), format!("data:event:{n}"));
+            assert_eq!(AthleteId(n).data_key(), format!("data:athlete:{n}"));
+            assert_eq!(CountryId(n).data_key(), format!("data:country:{n}"));
+            assert_eq!(ResultId(n).data_key(), format!("data:result:{n}"));
+            assert_eq!(NewsId(n).data_key(), format!("data:news:{n}"));
+            assert_eq!(PhotoId(n).data_key(), format!("data:photo:{n}"));
+            assert_eq!(today_data_key(n), format!("data:today:{n}"));
+        }
+        assert_eq!(today_data_key(u32::MAX), "data:today:4294967295");
+    }
+
+    #[test]
+    fn push_decimal_matches_fmt() {
+        for n in [
+            0,
+            7,
+            10,
+            99,
+            100,
+            1998,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

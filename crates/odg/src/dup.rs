@@ -44,6 +44,37 @@ impl StalenessPolicy {
             StalenessPolicy::Threshold(t) => staleness >= t,
         }
     }
+
+    /// The acyclic verdict: affected objects sorted into the stale and the
+    /// tolerated, each by id. An object that accumulated nothing is
+    /// neither.
+    fn verdicts(
+        self,
+        staleness: impl IntoIterator<Item = (NodeId, f64)>,
+        visited: usize,
+        used_simple_path: bool,
+    ) -> Propagation {
+        let staleness = staleness.into_iter();
+        // Sized once, for the usual verdict: stale.
+        let mut stale = Vec::with_capacity(staleness.size_hint().1.unwrap_or(0));
+        let mut tolerated = Vec::new();
+        for (id, s) in staleness.filter(|&(_, s)| s != 0.0) {
+            if self.is_stale(s) {
+                stale.push((id, s));
+            } else {
+                tolerated.push((id, s));
+            }
+        }
+        stale.sort_unstable_by_key(|&(id, _)| id);
+        tolerated.sort_unstable_by_key(|&(id, _)| id);
+        Propagation {
+            stale,
+            tolerated,
+            visited,
+            used_simple_path,
+            cycle_fallback: false,
+        }
+    }
 }
 
 /// Result of one propagation.
@@ -75,6 +106,67 @@ impl Propagation {
     }
 }
 
+/// What the general traversal knows of one slot. A cell means something
+/// only while its `mark` is the current epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// The epoch in which the slot was last reached.
+    mark: u32,
+    /// Edges into the slot from reached slots not yet ordered.
+    indeg: u32,
+    /// Staleness accumulated by the slot.
+    acc: f64,
+}
+
+/// Working memory of the general traversal, kept between propagations so
+/// that one allocates nothing but its result.
+///
+/// A propagation starts by taking the next epoch, which un-reaches every
+/// slot at once — those of vertices added since, and one a removed vertex
+/// left to a new one, included — without touching any.
+#[derive(Debug, Default)]
+struct Scratch {
+    epoch: u32,
+    /// One cell per slot of the graph's table.
+    cells: Vec<Cell>,
+    /// The slots reached, in discovery order; the search's own queue.
+    reached: Vec<u32>,
+    /// Kahn's queue, which read front to back is the topological order.
+    order: Vec<u32>,
+}
+
+impl Scratch {
+    /// Start a propagation over a table of `slots` slots.
+    fn begin(&mut self, slots: usize) {
+        if self.cells.len() < slots {
+            self.cells.resize(slots, Cell::default());
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: marks from 2³² propagations ago must not read as
+            // this one's, and 0 is what fresh cells are marked with.
+            self.cells.fill(Cell::default());
+            self.epoch = 1;
+        }
+        self.reached.clear();
+        self.order.clear();
+    }
+
+    /// Count `slot` as reached, if it is not yet, and hand out its cell.
+    fn reach(&mut self, slot: u32) -> &mut Cell {
+        let cell = &mut self.cells[slot as usize];
+        if cell.mark != self.epoch {
+            *cell = Cell {
+                mark: self.epoch,
+                indeg: 0,
+                acc: 0.0,
+            };
+            self.reached.push(slot);
+        }
+        cell
+    }
+}
+
 /// The DUP engine: an [`Odg`] plus propagation state.
 ///
 /// ```
@@ -96,6 +188,7 @@ pub struct DupEngine {
     /// Cached simple-ODG specialisation, keyed by the graph generation at
     /// which it was built.
     simple_cache: Option<(u64, bool, SimpleOdg)>,
+    scratch: Scratch,
 }
 
 impl DupEngine {
@@ -109,8 +202,7 @@ impl DupEngine {
     pub fn with_graph(odg: Odg) -> Self {
         DupEngine {
             odg,
-            policy: StalenessPolicy::Strict,
-            simple_cache: None,
+            ..Self::default()
         }
     }
 
@@ -151,33 +243,41 @@ impl DupEngine {
 
     /// Propagate a batch of unit-magnitude changes.
     pub fn propagate_ids(&mut self, changed: &[NodeId]) -> Propagation {
-        let changes: Vec<(NodeId, f64)> = changed.iter().map(|&id| (id, 1.0)).collect();
-        self.propagate(&changes)
+        self.run(changed.iter().map(|&id| (id, 1.0)))
     }
 
     /// Propagate a batch of changes with explicit magnitudes.
     pub fn propagate(&mut self, changes: &[(NodeId, f64)]) -> Propagation {
+        self.run(changes.iter().copied())
+    }
+
+    fn run(&mut self, changes: impl Iterator<Item = (NodeId, f64)>) -> Propagation {
         self.refresh_simple_cache();
-        if let Some((_, true, simple)) = &self.simple_cache {
-            // Fast path: bipartite lookup; every affected object gets the
-            // summed magnitude of the data feeding it. A changed node that
-            // is itself an object is stale directly (matching the general
-            // path, which includes sources in the accumulation).
-            let mut staleness: FxHashMap<NodeId, f64> = FxHashMap::default();
-            for &(d, m) in changes {
-                if self.odg.kind(d).map(NodeKind::is_object).unwrap_or(false) {
-                    *staleness.entry(d).or_insert(0.0) += m;
-                }
-                for &o in simple.objects_for(d) {
-                    *staleness.entry(o).or_insert(0.0) += m;
-                }
+        let Some((_, true, simple)) = &self.simple_cache else {
+            return self.traverse(changes);
+        };
+        // Fast path: bipartite lookup; every affected object gets the
+        // summed magnitude of the data feeding it. A changed node that
+        // is itself an object is stale directly (matching the general
+        // path, which includes sources in the accumulation).
+        let mut staleness: FxHashMap<NodeId, f64> = FxHashMap::default();
+        let mut data: Vec<NodeId> = Vec::with_capacity(changes.size_hint().0);
+        for (d, m) in changes {
+            match self.odg.kind(d) {
+                None => continue,
+                Some(kind) if kind.is_object() => *staleness.entry(d).or_insert(0.0) += m,
+                Some(_) => data.push(d),
             }
-            let visited = changes.len() + staleness.len();
-            let mut prop = self.finish(staleness, visited);
-            prop.used_simple_path = true;
-            return prop;
+            for &o in simple.objects_for(d) {
+                *staleness.entry(o).or_insert(0.0) += m;
+            }
         }
-        self.propagate_general(changes)
+        // Vertices reached, as the traversal counts them: each changed
+        // datum the graph knows once, and each object affected.
+        data.sort_unstable();
+        data.dedup();
+        let visited = data.len() + staleness.len();
+        self.policy.verdicts(staleness, visited, true)
     }
 
     fn refresh_simple_cache(&mut self) {
@@ -197,83 +297,82 @@ impl DupEngine {
     /// Force the general (traversal) algorithm even on simple graphs —
     /// used by the ablation benchmarks to quantify the fast path's benefit.
     pub fn propagate_general(&mut self, changes: &[(NodeId, f64)]) -> Propagation {
-        let sources: Vec<NodeId> = changes
-            .iter()
-            .map(|&(id, _)| id)
-            .filter(|&id| self.odg.contains(id))
-            .collect();
-        let reachable = self.odg.reachable(&sources);
-        let visited = reachable.len();
-
-        match self.odg.topo_order_within(&reachable) {
-            Some(order) => {
-                let mut acc: FxHashMap<NodeId, f64> = FxHashMap::default();
-                for &(id, m) in changes {
-                    if self.odg.contains(id) {
-                        *acc.entry(id).or_insert(0.0) += m;
-                    }
-                }
-                for &v in &order {
-                    let contribution = acc.get(&v).copied().unwrap_or(0.0);
-                    if contribution == 0.0 {
-                        continue;
-                    }
-                    for e in self.odg.successors(v) {
-                        *acc.entry(e.to).or_insert(0.0) += contribution * e.weight;
-                    }
-                }
-                // Only objects are cacheable; sources that are pure data do
-                // not appear in the result.
-                let staleness: FxHashMap<NodeId, f64> = acc
-                    .into_iter()
-                    .filter(|(id, _)| self.odg.kind(*id).map(NodeKind::is_object).unwrap_or(false))
-                    .collect();
-                self.finish(staleness, visited)
-            }
-            None => {
-                // Cyclic affected subgraph: conservative fallback. Weight
-                // accumulation is not well-defined on a cycle, so treat
-                // every reachable object as fully stale.
-                let staleness: FxHashMap<NodeId, f64> = reachable
-                    .iter()
-                    .filter(|&&id| self.odg.kind(id).map(NodeKind::is_object).unwrap_or(false))
-                    .map(|&id| (id, f64::INFINITY))
-                    .collect();
-                let mut prop = Propagation {
-                    cycle_fallback: true,
-                    ..Default::default()
-                };
-                let mut stale: Vec<(NodeId, f64)> = staleness.into_iter().collect();
-                stale.sort_unstable_by_key(|&(id, _)| id);
-                prop.stale = stale;
-                prop.visited = visited;
-                prop
-            }
-        }
+        self.traverse(changes.iter().copied())
     }
 
-    fn finish(&self, staleness: FxHashMap<NodeId, f64>, visited: usize) -> Propagation {
-        let mut stale = Vec::new();
-        let mut tolerated = Vec::new();
-        for (id, s) in staleness {
-            if s == 0.0 {
-                continue;
-            }
-            if self.policy.is_stale(s) {
-                stale.push((id, s));
-            } else {
-                tolerated.push((id, s));
+    /// The general algorithm, over the slot table and the engine's
+    /// scratch: the id → slot map is asked once per change, every edge is
+    /// followed by slot, and nothing is allocated but the result.
+    ///
+    /// One search from the changed vertices reaches the affected subgraph
+    /// and counts, for each vertex in it, the edges into it from within
+    /// it. Kahn's algorithm over those counts hands each vertex on once
+    /// everything feeding it has been — by which time its staleness is
+    /// final — so ordering and accumulating are one pass. The order is
+    /// that of the changes and of the edge lists: no hash decides it.
+    fn traverse(&mut self, changes: impl Iterator<Item = (NodeId, f64)>) -> Propagation {
+        let (odg, scratch) = (&self.odg, &mut self.scratch);
+        scratch.begin(odg.slot_count());
+        for (id, magnitude) in changes {
+            if let Some(slot) = odg.slot_of(id) {
+                scratch.reach(slot).acc += magnitude;
             }
         }
-        stale.sort_unstable_by_key(|&(id, _)| id);
-        tolerated.sort_unstable_by_key(|&(id, _)| id);
-        Propagation {
-            stale,
-            tolerated,
-            visited,
-            used_simple_path: false,
-            cycle_fallback: false,
+        let mut next = 0;
+        while let Some(&v) = scratch.reached.get(next) {
+            next += 1;
+            for e in &odg.node(v).out {
+                scratch.reach(e.slot).indeg += 1;
+            }
         }
+
+        let Scratch {
+            cells,
+            reached,
+            order,
+            ..
+        } = scratch;
+        order.extend(reached.iter().filter(|&&s| cells[s as usize].indeg == 0));
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            let contribution = cells[v as usize].acc;
+            for e in &odg.node(v).out {
+                let to = &mut cells[e.slot as usize];
+                if contribution != 0.0 {
+                    to.acc += contribution * e.weight;
+                }
+                to.indeg -= 1;
+                if to.indeg == 0 {
+                    order.push(e.slot);
+                }
+            }
+        }
+
+        // Only objects are cacheable; vertices that are pure data do not
+        // appear in the result.
+        let objects = reached.iter().filter_map(|&s| {
+            let node = odg.node(s);
+            node.kind
+                .is_object()
+                .then_some((node.id, cells[s as usize].acc))
+        });
+        let visited = reached.len();
+        if order.len() < visited {
+            // Cyclic affected subgraph: conservative fallback. Weight
+            // accumulation is not well-defined on a cycle, so treat
+            // every reachable object as fully stale.
+            let mut stale: Vec<(NodeId, f64)> =
+                objects.map(|(id, _)| (id, f64::INFINITY)).collect();
+            stale.sort_unstable_by_key(|&(id, _)| id);
+            return Propagation {
+                stale,
+                visited,
+                cycle_fallback: true,
+                ..Default::default()
+            };
+        }
+        self.policy.verdicts(objects, visited, false)
     }
 }
 
@@ -426,6 +525,50 @@ mod tests {
             fast.stale_ids().collect::<Vec<_>>(),
             slow.stale_ids().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn visited_counts_vertices_reached_on_both_paths() {
+        // 1 → {10, 11}, 2 → {11}: a simple graph.
+        let mut e = DupEngine::new();
+        e.add_dependency(n(1), n(10), 1.0).unwrap();
+        e.add_dependency(n(1), n(11), 1.0).unwrap();
+        e.add_dependency(n(2), n(11), 1.0).unwrap();
+        // An id the graph has never seen reaches nothing; one named twice
+        // is still one vertex (and twice the magnitude).
+        let changed = [n(1), n(42), n(1), n(2)];
+        let fast = e.propagate_ids(&changed);
+        assert!(fast.used_simple_path);
+        assert_eq!(fast.visited, 4, "1, 2, 10 and 11");
+        assert_eq!(fast.stale, vec![(n(10), 2.0), (n(11), 3.0)]);
+        let changes: Vec<(NodeId, f64)> = changed.iter().map(|&c| (c, 1.0)).collect();
+        let general = e.propagate_general(&changes);
+        assert_eq!(general.visited, fast.visited);
+        assert_eq!(general.stale, fast.stale);
+        // A changed object is reached too, once.
+        let fast = e.propagate_ids(&[n(10), n(10), n(1)]);
+        assert!(fast.used_simple_path);
+        assert_eq!(fast.visited, 3, "1, 10 and 11");
+    }
+
+    #[test]
+    fn scratch_marks_do_not_outlive_an_epoch_wrap() {
+        let mut e = DupEngine::new();
+        e.add_dependency(n(1), n(2), 0.5).unwrap();
+        e.add_dependency(n(3), n(4), 0.5).unwrap();
+        // Epoch 1 marks the slots of 1 and 2.
+        assert_eq!(e.propagate_ids(&[n(1)]).stale, vec![(n(2), 0.5)]);
+        // 2³² propagations later the counter is back at 1: those marks
+        // must not read as this propagation's.
+        e.scratch.epoch = u32::MAX;
+        let p = e.propagate_ids(&[n(1)]);
+        assert_eq!(e.scratch.epoch, 1);
+        assert_eq!(p.stale, vec![(n(2), 0.5)]);
+        assert_eq!(p.visited, 2);
+        // Nor is 0, which fresh scratch is filled with, ever an epoch.
+        e.scratch.epoch = u32::MAX;
+        assert_eq!(e.propagate_ids(&[n(3)]).stale, vec![(n(4), 0.5)]);
+        assert_eq!(e.propagate_ids(&[n(1), n(3)]).affected_count(), 2);
     }
 
     #[test]

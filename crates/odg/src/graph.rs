@@ -5,6 +5,13 @@
 //! underlying data ("it is possible for an item to constitute both an
 //! object and underlying data" — [`NodeKind::Hybrid`]); an edge from `v` to
 //! `u` indicates that a change to `v` also affects `u`.
+//!
+//! Vertices live in a **slot table**: a `Vec` of nodes, and one
+//! `NodeId → slot` map beside it. An edge names its target by id *and* by
+//! slot, so a traversal asks the map once per vertex it is handed and then
+//! follows slots; ids stay arbitrary (sparse, huge) and the table stays as
+//! dense as the graph. A removed vertex vacates its slot for the next one
+//! added.
 
 use std::fmt;
 
@@ -51,19 +58,27 @@ impl NodeKind {
 /// A weighted dependence edge. The weight is "correlated with the importance
 /// of data dependencies" (Figure 1): higher means a change matters more to
 /// the downstream object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// The affected node.
     pub to: NodeId,
     /// Importance of the dependence; `1.0` for unweighted graphs.
     pub weight: f64,
+    /// Where `to` lives in the slot table, for as long as the edge exists:
+    /// removing a vertex removes every edge into it first.
+    pub(crate) slot: u32,
 }
 
+/// One slot of the table.
 #[derive(Debug, Clone)]
-struct Node {
-    kind: NodeKind,
-    out: Vec<Edge>,
+pub(crate) struct Node {
+    pub(crate) id: NodeId,
+    pub(crate) kind: NodeKind,
+    pub(crate) out: Vec<Edge>,
     preds: Vec<NodeId>,
+    /// Cleared when the vertex is removed: the slot then holds no edges,
+    /// none points at it, and it waits on the free list.
+    occupied: bool,
 }
 
 /// Errors from graph mutation.
@@ -127,7 +142,12 @@ pub struct OdgSnapshot {
 /// node removal and reverse queries cheap.
 #[derive(Debug, Default, Clone)]
 pub struct Odg {
-    nodes: FxHashMap<NodeId, Node>,
+    /// The slot table, vacated slots (listed in `free`) included.
+    slots: Vec<Node>,
+    /// Where each vertex lives.
+    index: FxHashMap<NodeId, u32>,
+    /// Vacated slots, reused last-vacated-first.
+    free: Vec<u32>,
     edge_count: usize,
     /// Bumped on every structural change (never by a call that leaves the
     /// graph as it was); used by [`crate::DupEngine`] to invalidate its
@@ -143,7 +163,7 @@ impl Odg {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     /// Number of edges.
@@ -159,28 +179,75 @@ impl Odg {
 
     /// Whether `id` exists.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// The kind of node `id`.
     pub fn kind(&self, id: NodeId) -> Option<NodeKind> {
-        self.nodes.get(&id).map(|n| n.kind)
+        self.get(id).map(|n| n.kind)
+    }
+
+    /// The slot `id` lives in: the one hash lookup a traversal pays per
+    /// vertex it is handed by id.
+    pub(crate) fn slot_of(&self, id: NodeId) -> Option<u32> {
+        self.index.get(&id).copied()
+    }
+
+    /// Slots in the table, vacated ones included: what per-slot scratch
+    /// must be sized to.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The vertex in `slot`, which an edge or [`Odg::slot_of`] named:
+    /// neither ever names a vacated slot.
+    pub(crate) fn node(&self, slot: u32) -> &Node {
+        &self.slots[slot as usize]
+    }
+
+    fn node_mut(&mut self, slot: u32) -> &mut Node {
+        &mut self.slots[slot as usize]
+    }
+
+    fn get(&self, id: NodeId) -> Option<&Node> {
+        self.slot_of(id).map(|slot| self.node(slot))
+    }
+
+    /// The occupied slots, in table order.
+    fn nodes(&self) -> impl Iterator<Item = &Node> {
+        self.slots.iter().filter(|n| n.occupied)
+    }
+
+    /// Put a vertex the index does not know into a slot.
+    fn insert(&mut self, id: NodeId, kind: NodeKind) {
+        let node = Node {
+            id,
+            kind,
+            out: Vec::new(),
+            preds: Vec::new(),
+            occupied: true,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = node;
+                slot
+            }
+            None => {
+                // One slot per distinct `u32` id at most: the cast is exact.
+                self.slots.push(node);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(id, slot);
+        self.generation += 1;
     }
 
     /// Insert a new node. Errors if the id already exists.
     pub fn add_node(&mut self, id: NodeId, kind: NodeKind) -> Result<(), OdgError> {
-        if self.nodes.contains_key(&id) {
+        if self.contains(id) {
             return Err(OdgError::DuplicateNode(id));
         }
-        self.nodes.insert(
-            id,
-            Node {
-                kind,
-                out: Vec::new(),
-                preds: Vec::new(),
-            },
-        );
-        self.generation += 1;
+        self.insert(id, kind);
         Ok(())
     }
 
@@ -188,36 +255,40 @@ impl Odg {
     /// when the existing kind differs (an item that turns out to be both
     /// data and object).
     pub fn ensure_node(&mut self, id: NodeId, kind: NodeKind) -> NodeKind {
-        let mut changed = false;
-        let entry = self.nodes.entry(id).or_insert_with(|| {
-            changed = true;
-            Node {
-                kind,
-                out: Vec::new(),
-                preds: Vec::new(),
-            }
-        });
-        if entry.kind != kind && entry.kind != NodeKind::Hybrid {
-            entry.kind = NodeKind::Hybrid;
-            changed = true;
+        let Some(slot) = self.slot_of(id) else {
+            self.insert(id, kind);
+            return kind;
+        };
+        let node = self.node_mut(slot);
+        let upgraded = node.kind != kind && node.kind != NodeKind::Hybrid;
+        if upgraded {
+            node.kind = NodeKind::Hybrid;
         }
-        self.generation += u64::from(changed);
-        entry.kind
+        let kind = node.kind;
+        self.generation += u64::from(upgraded);
+        kind
     }
 
     /// Remove a node and all incident edges. Errors if the node is unknown.
     pub fn remove_node(&mut self, id: NodeId) -> Result<(), OdgError> {
-        let node = self.nodes.remove(&id).ok_or(OdgError::UnknownNode(id))?;
-        self.edge_count -= node.out.len();
-        for e in &node.out {
-            if let Some(succ) = self.nodes.get_mut(&e.to) {
-                succ.preds.retain(|&p| p != id);
-            }
+        let slot = self.index.remove(&id).ok_or(OdgError::UnknownNode(id))?;
+        let node = self.node_mut(slot);
+        node.occupied = false;
+        let (out, preds) = (
+            std::mem::take(&mut node.out),
+            std::mem::take(&mut node.preds),
+        );
+        self.free.push(slot);
+        self.edge_count -= out.len();
+        // A self-loop finds its own slot emptied, and its own id unknown.
+        for e in &out {
+            self.node_mut(e.slot).preds.retain(|&p| p != id);
         }
-        for p in &node.preds {
-            if let Some(pred) = self.nodes.get_mut(p) {
+        for &p in &preds {
+            if let Some(pred_slot) = self.slot_of(p) {
+                let pred = self.node_mut(pred_slot);
                 let before = pred.out.len();
-                pred.out.retain(|e| e.to != id);
+                pred.out.retain(|e| e.slot != slot);
                 self.edge_count -= before - pred.out.len();
             }
         }
@@ -231,36 +302,19 @@ impl Odg {
         if !(weight.is_finite() && weight > 0.0) {
             return Err(OdgError::BadWeight);
         }
-        if !self.nodes.contains_key(&from) {
-            return Err(OdgError::UnknownNode(from));
-        }
-        let exists = {
-            let node = self
-                .nodes
-                .get_mut(&from)
-                .ok_or(OdgError::UnknownNode(from))?;
-            if let Some(e) = node.out.iter_mut().find(|e| e.to == to) {
-                if e.weight == weight {
-                    return Ok(());
-                }
-                e.weight = weight;
-                true
-            } else {
-                false
+        let from_slot = self.slot_of(from).ok_or(OdgError::UnknownNode(from))?;
+        if let Some(e) = self.node_mut(from_slot).out.iter_mut().find(|e| e.to == to) {
+            if e.weight == weight {
+                return Ok(());
             }
-        };
-        if !exists {
+            e.weight = weight;
+        } else {
             // Backlink first: both endpoints are still untouched if `to`
             // is unknown, so a failed call leaves the graph unchanged.
-            self.nodes
-                .get_mut(&to)
-                .ok_or(OdgError::UnknownNode(to))?
-                .preds
-                .push(from);
-            if let Some(node) = self.nodes.get_mut(&from) {
-                node.out.push(Edge { to, weight });
-                self.edge_count += 1;
-            }
+            let slot = self.slot_of(to).ok_or(OdgError::UnknownNode(to))?;
+            self.node_mut(slot).preds.push(from);
+            self.node_mut(from_slot).out.push(Edge { to, weight, slot });
+            self.edge_count += 1;
         }
         self.generation += 1;
         Ok(())
@@ -268,41 +322,36 @@ impl Odg {
 
     /// Remove the edge `from → to`; returns whether it existed.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let Some(node) = self.nodes.get_mut(&from) else {
+        let Some(from_slot) = self.slot_of(from) else {
             return false;
         };
-        let before = node.out.len();
-        node.out.retain(|e| e.to != to);
-        let removed = node.out.len() != before;
-        if removed {
-            self.edge_count -= 1;
-            if let Some(succ) = self.nodes.get_mut(&to) {
-                let pos = succ.preds.iter().position(|&p| p == from);
-                if let Some(pos) = pos {
-                    succ.preds.swap_remove(pos);
-                }
-            }
-            self.generation += 1;
+        let out = &mut self.node_mut(from_slot).out;
+        let Some(at) = out.iter().position(|e| e.to == to) else {
+            return false;
+        };
+        let edge = out.remove(at);
+        self.edge_count -= 1;
+        let preds = &mut self.node_mut(edge.slot).preds;
+        if let Some(at) = preds.iter().position(|&p| p == from) {
+            preds.swap_remove(at);
         }
-        removed
+        self.generation += 1;
+        true
     }
 
     /// Successors (the nodes affected by a change to `id`).
     pub fn successors(&self, id: NodeId) -> &[Edge] {
-        self.nodes.get(&id).map(|n| n.out.as_slice()).unwrap_or(&[])
+        self.get(id).map(|n| n.out.as_slice()).unwrap_or(&[])
     }
 
     /// Predecessors (the nodes whose changes affect `id`).
     pub fn predecessors(&self, id: NodeId) -> &[NodeId] {
-        self.nodes
-            .get(&id)
-            .map(|n| n.preds.as_slice())
-            .unwrap_or(&[])
+        self.get(id).map(|n| n.preds.as_slice()).unwrap_or(&[])
     }
 
     /// Iterate all node ids (arbitrary order).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
+        self.nodes().map(|n| n.id)
     }
 
     /// Whether this is a **simple ODG** per §2 of the paper:
@@ -314,7 +363,7 @@ impl Odg {
     /// DUP is "considerably easier to implement if the ODG is simple"; the
     /// engine switches to a bipartite fast path when this holds.
     pub fn is_simple(&self) -> bool {
-        self.nodes.iter().all(|(_, n)| match n.kind {
+        self.nodes().all(|n| match n.kind {
             NodeKind::Hybrid => false,
             NodeKind::UnderlyingData => n.preds.is_empty() && n.out.iter().all(|e| e.weight == 1.0),
             NodeKind::Object => n.out.is_empty(),
@@ -391,7 +440,7 @@ impl Odg {
     /// Aggregate statistics.
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats {
-            nodes: self.nodes.len(),
+            nodes: self.node_count(),
             edges: self.edge_count,
             data_nodes: 0,
             object_nodes: 0,
@@ -400,7 +449,7 @@ impl Odg {
             max_in_degree: 0,
             weighted_edges: 0,
         };
-        for node in self.nodes.values() {
+        for node in self.nodes() {
             match node.kind {
                 NodeKind::UnderlyingData => stats.data_nodes += 1,
                 NodeKind::Object => stats.object_nodes += 1,
@@ -413,22 +462,46 @@ impl Odg {
         stats
     }
 
-    /// Verify internal invariants: forward and reverse adjacency agree,
-    /// every edge endpoint exists, the edge count is exact, and weights
-    /// are positive and finite. Returns a description of the first
-    /// violation found. Cheap enough for debug assertions on graphs of
-    /// hundreds of thousands of edges.
+    /// Verify internal invariants: the index, the slot table and the free
+    /// list describe the same vertices, forward and reverse adjacency
+    /// agree, every edge names the slot its target lives in, the edge
+    /// count is exact, and weights are positive and finite. Returns a
+    /// description of the first violation found. Cheap enough for debug
+    /// assertions on graphs of hundreds of thousands of edges.
     pub fn validate(&self) -> Result<(), String> {
+        let occupied = self.nodes().count();
+        if occupied != self.index.len() || occupied + self.free.len() != self.slots.len() {
+            return Err(format!(
+                "slot table drift: {occupied} occupied, {} indexed, {} free, {} slots",
+                self.index.len(),
+                self.free.len(),
+                self.slots.len()
+            ));
+        }
+        let vacated = |n: &Node| !n.occupied && n.out.is_empty() && n.preds.is_empty();
+        if let Some(&slot) = self.free.iter().find(|&&s| !vacated(self.node(s))) {
+            return Err(format!("free slot {slot} is occupied"));
+        }
         let mut counted = 0usize;
-        for (&id, node) in &self.nodes {
+        for (slot, node) in self.slots.iter().enumerate() {
+            if !node.occupied {
+                continue;
+            }
+            let id = node.id;
+            if self.slot_of(id) != Some(slot as u32) {
+                return Err(format!("{id} sits in slot {slot}, which the index denies"));
+            }
             for e in &node.out {
                 counted += 1;
                 if !(e.weight.is_finite() && e.weight > 0.0) {
                     return Err(format!("edge {id}->{} has bad weight {}", e.to, e.weight));
                 }
-                let Some(succ) = self.nodes.get(&e.to) else {
+                let Some(succ) = self.get(e.to) else {
                     return Err(format!("edge {id}->{} points at a missing node", e.to));
                 };
+                if self.slot_of(e.to) != Some(e.slot) {
+                    return Err(format!("edge {id}->{} names slot {}", e.to, e.slot));
+                }
                 if !succ.preds.contains(&id) {
                     return Err(format!(
                         "edge {id}->{} missing from reverse adjacency",
@@ -437,7 +510,7 @@ impl Odg {
                 }
             }
             for &p in &node.preds {
-                let Some(pred) = self.nodes.get(&p) else {
+                let Some(pred) = self.get(p) else {
                     return Err(format!("pred {p} of {id} is a missing node"));
                 };
                 if !pred.out.iter().any(|e| e.to == id) {
@@ -455,15 +528,13 @@ impl Odg {
     }
 
     /// Export a serialisable snapshot (sorted, so snapshots of equal
-    /// graphs compare equal regardless of hash order).
+    /// graphs compare equal regardless of how they were built).
     pub fn snapshot(&self) -> OdgSnapshot {
-        let mut nodes: Vec<(u32, NodeKind)> =
-            self.nodes.iter().map(|(id, n)| (id.0, n.kind)).collect();
+        let mut nodes: Vec<(u32, NodeKind)> = self.nodes().map(|n| (n.id.0, n.kind)).collect();
         nodes.sort_unstable_by_key(|&(id, _)| id);
         let mut edges: Vec<(u32, u32, f64)> = self
-            .nodes
-            .iter()
-            .flat_map(|(&from, n)| n.out.iter().map(move |e| (from.0, e.to.0, e.weight)))
+            .nodes()
+            .flat_map(|n| n.out.iter().map(move |e| (n.id.0, e.to.0, e.weight)))
             .collect();
         edges.sort_unstable_by_key(|a| (a.0, a.1));
         OdgSnapshot { nodes, edges }

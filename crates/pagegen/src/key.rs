@@ -5,6 +5,7 @@
 //! cache keys and — prefixed via [`PageKey::object_key`] — as the object
 //! vertices of the dependence graph.
 
+use nagano_db::schema::push_decimal;
 use nagano_db::{AthleteId, CountryId, EventId, NewsId, SportId};
 use serde::{Deserialize, Serialize};
 
@@ -28,22 +29,6 @@ impl FragmentKey {
     pub fn to_url(self) -> String {
         PageKey::Fragment(self).to_url()
     }
-}
-
-/// Append `n` in decimal without going through `fmt`: ids, days and ranks
-/// are written once per link or row of every regenerated page.
-pub(crate) fn push_decimal(out: &mut String, mut n: u32) {
-    let mut digits = [0u8; 10];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Identity of one servable page.
@@ -309,15 +294,6 @@ mod tests {
             "Fun",
         ] {
             assert!(cats.contains(want), "missing category {want}");
-        }
-    }
-
-    #[test]
-    fn push_decimal_matches_fmt() {
-        for n in [0, 7, 10, 99, 100, 1998, 65_535, u32::MAX - 1, u32::MAX] {
-            let mut out = String::from("x");
-            push_decimal(&mut out, n);
-            assert_eq!(out, format!("x{n}"));
         }
     }
 

@@ -29,6 +29,7 @@
 
 pub mod cost;
 pub mod key;
+mod num;
 mod plan;
 mod reads;
 pub mod registry;

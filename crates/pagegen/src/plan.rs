@@ -69,11 +69,15 @@ pub(crate) fn is_tail(tail: &[u8], len: usize, target: usize) -> bool {
 
 /// The page chrome above the skeleton: doctype, title, site header.
 pub(crate) fn page_head(title: &str) -> String {
-    format!(
-        "<!doctype html><html><head><title>{title}</title></head><body>\n\
+    const OPEN: &str = "<!doctype html><html><head><title>";
+    const CLOSE: &str = "</title></head><body>\n\
          <header><a href=\"/day/1/\">Nagano 1998</a> · <a href=\"/medals\">Medals</a> · \
-         <a href=\"/news/day/1\">News</a></header>\n"
-    )
+         <a href=\"/news/day/1\">News</a></header>\n";
+    let mut head = String::with_capacity(OPEN.len() + title.len() + CLOSE.len());
+    head.push_str(OPEN);
+    head.push_str(title);
+    head.push_str(CLOSE);
+    head
 }
 
 /// Hand a finished buffer over as `Bytes` without copying it. A padded
@@ -119,6 +123,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_head_is_spelled_as_published() {
+        assert_eq!(
+            page_head("Medal Standings"),
+            "<!doctype html><html><head><title>Medal Standings</title></head><body>\n\
+             <header><a href=\"/day/1/\">Nagano 1998</a> · <a href=\"/medals\">Medals</a> \
+             · <a href=\"/news/day/1\">News</a></header>\n"
+        );
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //! the fragment object*, which makes fragments hybrid vertices: data
 //! changes propagate data → fragment → page exactly as in Figure 15.
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use nagano_db::schema::push_decimal;
 use nagano_db::{CountryId, EventId, EventPhase, OlympicDb};
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
-use crate::key::{push_decimal, FragmentKey, PageKey};
+use crate::key::{FragmentKey, PageKey};
+use crate::num::push_fixed2;
 use crate::plan::{fitted, is_tail, page_head, walk_tail};
 use crate::reads::Reads;
 
@@ -173,7 +174,9 @@ impl Renderer {
         match key {
             PageKey::Home(day) => {
                 let events = r.events_on_day(day, 2.0);
-                let _ = writeln!(html, "<h2>Day {day} at the Games</h2>");
+                html.push_str("<h2>Day ");
+                push_decimal(html, day);
+                html.push_str(" at the Games</h2>\n");
                 // Embedded fragments: medal table, headlines, and the
                 // result tables of every event concluding today.
                 self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
@@ -208,17 +211,17 @@ impl Renderer {
                         }
                     });
                 }
-                format!("Nagano 1998 — Day {day}")
+                numbered("Nagano 1998 — Day ", day)
             }
             PageKey::Medals => {
-                let _ = writeln!(html, "<h2>Medal Standings</h2>");
+                html.push_str("<h2>Medal Standings</h2>\n");
                 self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
                 "Medal Standings".to_string()
             }
             PageKey::Sport(s) => {
                 let events = r.events_of_sport(s);
                 let name = r.sport(s).map_or("Unknown sport", |x| x.name.as_str());
-                let _ = writeln!(html, "<h2>{name}</h2>");
+                push_heading(html, name);
                 for event in events {
                     self.inline_fragment(r, FragmentKey::ResultTable(event.id), 1.0, html);
                     html.push_str("<div>");
@@ -233,7 +236,7 @@ impl Renderer {
                 self.inline_fragment(r, FragmentKey::ResultTable(e), 1.0, html);
                 let event = r.event(e);
                 let name = event.map_or("Unknown event", |x| x.name);
-                let _ = writeln!(html, "<h2>{name}</h2>");
+                push_heading(html, name);
                 for photo in r.photos_for_event(e, 0.5) {
                     html.push_str("<img alt=\"photo ");
                     push_decimal(html, photo.id.0);
@@ -242,25 +245,27 @@ impl Renderer {
                 // Cross-links per the 1998 redesign: every page links to
                 // pertinent information in other sections.
                 if let Some(ev) = event {
-                    let _ = writeln!(
-                        html,
-                        "<nav><a href=\"{}\">All {} results</a> <a href=\"/medals\">Medals</a></nav>",
-                        PageKey::Sport(ev.sport).to_url(),
-                        ev.sport
-                    );
+                    html.push_str("<nav><a href=\"");
+                    PageKey::Sport(ev.sport).push_url(html);
+                    // The sport by its `Display` form.
+                    html.push_str("\">All sport");
+                    push_decimal(html, ev.sport.0);
+                    html.push_str(" results</a> <a href=\"/medals\">Medals</a></nav>\n");
                 }
                 name.to_string()
             }
             PageKey::Country(c) => {
                 let medals = r.medals_of(c);
                 let name = r.country(c).map_or("Unknown", |x| x.name.as_str());
-                let _ = writeln!(html, "<h2>{name}</h2>");
+                push_heading(html, name);
                 if let Some(m) = medals {
-                    let _ = writeln!(
-                        html,
-                        "<p class=\"medal-box\">Gold {} · Silver {} · Bronze {}</p>",
-                        m.gold, m.silver, m.bronze
-                    );
+                    html.push_str("<p class=\"medal-box\">Gold ");
+                    push_decimal(html, m.gold);
+                    html.push_str(" · Silver ");
+                    push_decimal(html, m.silver);
+                    html.push_str(" · Bronze ");
+                    push_decimal(html, m.bronze);
+                    html.push_str("</p>\n");
                 }
                 // The roster is what a medal change regenerating every
                 // country page leaves alone.
@@ -277,7 +282,7 @@ impl Renderer {
                 let results = r.results_for_athlete(a);
                 let athlete = r.athlete(a);
                 let name = athlete.map_or("Unknown", |x| x.name.as_str());
-                let _ = writeln!(html, "<h2>{name}</h2>");
+                push_heading(html, name);
                 for row in results {
                     html.push_str("<div>Event <a href=\"");
                     PageKey::Event(row.event).push_url(html);
@@ -285,62 +290,57 @@ impl Renderer {
                     push_decimal(html, row.event.0);
                     html.push_str("</a>: rank ");
                     push_decimal(html, row.rank);
-                    let _ = writeln!(html, " ({:.2})</div>", row.score);
+                    html.push_str(" (");
+                    push_fixed2(html, row.score);
+                    html.push_str(")</div>\n");
                 }
                 if let Some(at) = athlete {
-                    let _ = writeln!(
-                        html,
-                        "<nav><a href=\"{}\">Team page</a></nav>",
-                        PageKey::Country(at.country).to_url()
-                    );
+                    push_nav(html, PageKey::Country(at.country), "Team page");
                 }
                 name.to_string()
             }
             PageKey::News(n) => match r.news(n) {
                 Some(article) => {
-                    let _ = writeln!(
-                        html,
-                        "<h2>{}</h2><article>{}</article>",
-                        article.title, article.body
-                    );
+                    html.push_str("<h2>");
+                    html.push_str(&article.title);
+                    html.push_str("</h2><article>");
+                    html.push_str(&article.body);
+                    html.push_str("</article>\n");
                     if let Some(ev) = article.about_event {
-                        let _ = writeln!(
-                            html,
-                            "<nav><a href=\"{}\">Event results</a></nav>",
-                            PageKey::Event(ev).to_url()
-                        );
+                        push_nav(html, PageKey::Event(ev), "Event results");
                     }
                     article.title.clone()
                 }
                 None => "Story not found".to_string(),
             },
             PageKey::NewsIndex(day) => {
-                let _ = writeln!(html, "<h2>News — Day {day}</h2>");
+                html.push_str("<h2>News — Day ");
+                push_decimal(html, day);
+                html.push_str("</h2>\n");
                 for article in r.news_on_day(day, 1.0, 0.5) {
                     html.push_str("<div>");
                     push_link(html, PageKey::News(article.id), &article.title);
                     html.push_str("</div>\n");
                 }
-                format!("News for Day {day}")
+                numbered("News for Day ", day)
             }
             PageKey::Venue(s) => {
                 let venue = r.sport(s).map_or("", |x| x.venue.as_str());
-                let _ = writeln!(html, "<h2>{venue}</h2><p>Venue guide and transport.</p>");
+                html.push_str("<h2>");
+                html.push_str(venue);
+                html.push_str("</h2><p>Venue guide and transport.</p>\n");
                 venue.to_string()
             }
             PageKey::Welcome => {
-                let _ = writeln!(html, "<h2>Welcome</h2><p>How to use this site.</p>");
+                html.push_str("<h2>Welcome</h2><p>How to use this site.</p>\n");
                 "Welcome".into()
             }
             PageKey::Nagano => {
-                let _ = writeln!(html, "<h2>Nagano, Japan</h2><p>Host city guide.</p>");
+                html.push_str("<h2>Nagano, Japan</h2><p>Host city guide.</p>\n");
                 "Nagano".into()
             }
             PageKey::Fun => {
-                let _ = writeln!(
-                    html,
-                    "<h2>Fun &amp; Games</h2><p>Activities for children.</p>"
-                );
+                html.push_str("<h2>Fun &amp; Games</h2><p>Activities for children.</p>\n");
                 "Fun".into()
             }
             PageKey::Fragment(f) => {
@@ -432,7 +432,9 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
                         push_decimal(html, row.athlete.0);
                     }
                 }
-                let _ = writeln!(html, "</td><td>{:.2}</td></tr>", row.score);
+                html.push_str("</td><td>");
+                push_fixed2(html, row.score);
+                html.push_str("</td></tr>\n");
             }
             html.push_str("</table>\n");
         }
@@ -443,7 +445,9 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
                 match r.country(*c) {
                     Some(country) => html.push_str(&country.code),
                     None => {
-                        let _ = write!(html, "{c}");
+                        // The country by its `Display` form.
+                        html.push_str("country");
+                        push_decimal(html, c.0);
                     }
                 }
                 for n in [m.gold, m.silver, m.bronze] {
@@ -469,10 +473,32 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
 /// The fragment page's title.
 fn fragment_title(f: FragmentKey) -> String {
     match f {
-        FragmentKey::ResultTable(e) => format!("Results {}", e.0),
+        FragmentKey::ResultTable(e) => numbered("Results ", e.0),
         FragmentKey::MedalTable => "Medal Table".into(),
-        FragmentKey::Headlines(day) => format!("Headlines Day {day}"),
+        FragmentKey::Headlines(day) => numbered("Headlines Day ", day),
     }
+}
+
+/// `{label}{n}`: the titles that count.
+fn numbered(label: &str, n: u32) -> String {
+    let mut title = String::with_capacity(label.len() + 10);
+    title.push_str(label);
+    push_decimal(&mut title, n);
+    title
+}
+
+/// `<h2>{name}</h2>` on a line of its own.
+fn push_heading(html: &mut String, name: &str) {
+    html.push_str("<h2>");
+    html.push_str(name);
+    html.push_str("</h2>\n");
+}
+
+/// A one-link `<nav>` on a line of its own.
+fn push_nav(html: &mut String, key: PageKey, text: &str) {
+    html.push_str("<nav>");
+    push_link(html, key, text);
+    html.push_str("</nav>\n");
 }
 
 /// `<a href="{key's URL}">{text}</a>`.

@@ -153,19 +153,22 @@ impl UpdateSchedule {
     ) -> Arc<Transaction> {
         match update.kind {
             UpdateKind::Results { event, is_final } => {
-                let ev = db.event(event).expect("scheduled event exists");
-                let pool = db.athletes_of_sport(ev.sport);
+                // The entry list by id, through a view that is gone before
+                // `record_results` asks for the write lock: the lock
+                // prefers writers, so a view still alive would deadlock.
+                let mut pool: Vec<AthleteId> = {
+                    let view = db.view();
+                    let sport = view.event(event).expect("scheduled event exists").sport;
+                    view.athlete_ids_of_sport(sport).to_vec()
+                };
                 assert!(!pool.is_empty(), "sport without athletes");
                 let n = (8 + rng.index(23)).min(pool.len());
                 // Deterministic shuffle-by-selection of n distinct athletes.
-                let mut picked: Vec<AthleteId> = Vec::with_capacity(n);
-                let mut indices: Vec<usize> = (0..pool.len()).collect();
                 for k in 0..n {
-                    let j = k + rng.index(indices.len() - k);
-                    indices.swap(k, j);
-                    picked.push(pool[indices[k]].id);
+                    let j = k + rng.index(pool.len() - k);
+                    pool.swap(k, j);
                 }
-                let placements: Vec<(AthleteId, f64)> = picked
+                let placements: Vec<(AthleteId, f64)> = pool[..n]
                     .iter()
                     .enumerate()
                     .map(|(i, &a)| (a, 100.0 - i as f64 - rng.f64()))
