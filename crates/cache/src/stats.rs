@@ -84,8 +84,12 @@ impl CacheStats {
     /// `old_bytes → new_bytes`.
     pub fn update(&self, old_bytes: u64, new_bytes: u64) {
         self.updates.incr();
-        self.shrink(old_bytes);
-        self.grow(new_bytes);
+        // A padded page keeps its length: the common replacement leaves
+        // both gauges where every earlier `grow` put them.
+        if old_bytes != new_bytes {
+            self.shrink(old_bytes);
+            self.grow(new_bytes);
+        }
     }
 
     /// Record an invalidation freeing `bytes`.
@@ -196,6 +200,23 @@ mod tests {
         assert_eq!(snap.invalidations, 1);
         assert_eq!(snap.bytes_current, 0);
         assert_eq!(snap.bytes_peak, 150);
+    }
+
+    #[test]
+    fn a_replacement_of_equal_size_reads_like_a_shrink_and_a_grow() {
+        let (updated, by_hand) = (CacheStats::default(), CacheStats::default());
+        for s in [&updated, &by_hand] {
+            s.insert(100);
+            s.insert(40);
+            s.evict(40);
+        }
+        updated.update(100, 100);
+        by_hand.shrink(100);
+        by_hand.grow(100);
+        let (a, b) = (updated.snapshot(), by_hand.snapshot());
+        assert_eq!((a.bytes_current, a.bytes_peak), (100, 140));
+        assert_eq!((b.bytes_current, b.bytes_peak), (100, 140));
+        assert_eq!(a.updates, 1);
     }
 
     #[test]

@@ -24,8 +24,9 @@ use crate::schema::{
 use crate::table::{Index, Table};
 use crate::txn::{RecordChange, Transaction, TxnLog};
 
-/// Revision stamps of the data the memoised page sections are rendered
-/// from (result table and home-page line of an event, medal table,
+/// Revision stamps of the data the memoised page sections — and, summed
+/// over what a page read, whole pages — are rendered from (result table
+/// and home-page line of an event, medal table, medal box of a country,
 /// headlines of a day, roster of a country). A mutation bumps the stamp of
 /// every section whose bytes it can change, under the same write lock as
 /// the rows, so a stamp and the rows read through one [`DbView`] always
@@ -38,6 +39,9 @@ struct Revisions {
     loads: u64,
     results: FxHashMap<EventId, u64>,
     medals: u64,
+    /// One country's tally: a final bumps its podium countries' only,
+    /// where `medals` moves for every country at once.
+    medal_rows: FxHashMap<CountryId, u64>,
     news: FxHashMap<u32, u64>,
 }
 
@@ -252,6 +256,7 @@ impl OlympicDb {
                         1 => tally.silver += 1,
                         _ => tally.bronze += 1,
                     }
+                    *t.revisions.medal_rows.entry(*c).or_default() += 1;
                 }
                 t.revisions.medals += 1;
                 changes.push(RecordChange::update(medals_data_key()));
@@ -538,6 +543,13 @@ impl DbView<'_> {
         self.t.revisions.loads + self.t.revisions.medals
     }
 
+    /// Stamp of `country`'s own medal tally: moves when a final puts one
+    /// of its athletes on the podium (once per medal), and on any load.
+    pub fn medal_row_revision(&self, country: CountryId) -> u64 {
+        let r = &self.t.revisions;
+        r.loads + r.medal_rows.get(&country).copied().unwrap_or(0)
+    }
+
     /// Stamp of the news of `day`: moves when a story is published on (or
     /// moved off) that day, and on any load.
     pub fn news_revision(&self, day: u32) -> u64 {
@@ -722,11 +734,12 @@ mod tests {
         db
     }
 
-    /// Every stamp a memoised section can be validated against:
-    /// [results(1), results(2), medals, news(3), news(4), loads] — result
-    /// table and home-page block of an event, medal table, headlines of a
-    /// day, country rosters.
-    fn stamps(db: &OlympicDb) -> [u64; 6] {
+    /// Every stamp a memoised section or a page can be validated against:
+    /// [results(1), results(2), medals, news(3), news(4), loads,
+    /// medal_row(1), medal_row(2)] — result table and home-page block of
+    /// an event, medal table, headlines of a day, country rosters, the
+    /// medal box of a country page.
+    fn stamps(db: &OlympicDb) -> [u64; 8] {
         let v = db.view();
         [
             v.results_revision(EventId(1)),
@@ -735,11 +748,13 @@ mod tests {
             v.news_revision(3),
             v.news_revision(4),
             v.loads_revision(),
+            v.medal_row_revision(CountryId(1)),
+            v.medal_row_revision(CountryId(2)),
         ]
     }
 
     /// Which stamps `mutate` moved.
-    fn moved(db: &OlympicDb, mutate: impl FnOnce(&OlympicDb)) -> [bool; 6] {
+    fn moved(db: &OlympicDb, mutate: impl FnOnce(&OlympicDb)) -> [bool; 8] {
         let before = stamps(db);
         mutate(db);
         let after = stamps(db);
@@ -765,7 +780,7 @@ mod tests {
         let m = moved(&db, |db| {
             db.record_results(EventId(1), &[(AthleteId(1), 50.0)], false, 3);
         });
-        assert_eq!(m, [true, false, false, false, false, false]);
+        assert_eq!(m, [true, false, false, false, false, false, false, false]);
     }
 
     #[test]
@@ -777,12 +792,22 @@ mod tests {
             })
         };
         // Scheduled → in progress: the home page's phase label changes.
-        assert_eq!(rowless(false), [true, false, false, false, false, false]);
+        assert_eq!(
+            rowless(false),
+            [true, false, false, false, false, false, false, false]
+        );
         // Already in progress, nothing recorded: nothing to show.
-        assert_eq!(rowless(false), [false; 6]);
-        // In progress → final; every final counts as a medal award.
-        assert_eq!(rowless(true), [true, false, true, false, false, false]);
-        assert_eq!(rowless(true), [false, false, true, false, false, false]);
+        assert_eq!(rowless(false), [false; 8]);
+        // In progress → final; every final counts as a medal award, but
+        // one without a podium moves no country's tally.
+        assert_eq!(
+            rowless(true),
+            [true, false, true, false, false, false, false, false]
+        );
+        assert_eq!(
+            rowless(true),
+            [false, false, true, false, false, false, false, false]
+        );
     }
 
     #[test]
@@ -791,7 +816,40 @@ mod tests {
         let m = moved(&db, |db| {
             db.record_results(EventId(2), &[(AthleteId(3), 9.0)], true, 4);
         });
-        assert_eq!(m, [false, true, true, false, false, false]);
+        // Athlete 3 competes for country 2.
+        assert_eq!(m, [false, true, true, false, false, false, false, true]);
+    }
+
+    #[test]
+    fn a_final_bumps_its_podium_countries_rows_once_per_medal() {
+        let db = two_event_db();
+        db.load_country(Country {
+            id: CountryId(3),
+            code: "FIN".into(),
+            name: "Finland".into(),
+        });
+        db.load_athlete(Athlete {
+            id: AthleteId(5),
+            name: "Athlete 5".into(),
+            country: CountryId(3),
+            sport: SportId(1),
+        });
+        let rows = |db: &OlympicDb| {
+            let v = db.view();
+            [1, 2, 3].map(|c| v.medal_row_revision(CountryId(c)))
+        };
+        let before = rows(&db);
+        // Gold to country 2, silver and bronze to country 1; country 3 is
+        // placed fourth and named by the transaction, but wins nothing.
+        let placements = [3, 1, 2, 5].map(|a| (AthleteId(a), 10.0 - a as f64));
+        let txn = db.record_results(EventId(1), &placements, true, 3);
+        assert!(txn.changes.iter().any(|c| c.data_key == "data:country:3"));
+        let after = rows(&db);
+        assert_eq!(
+            [0, 1, 2].map(|i| after[i] - before[i]),
+            [2, 1, 0],
+            "one bump per medal, none without"
+        );
     }
 
     #[test]
@@ -800,17 +858,17 @@ mod tests {
         let m = moved(&db, |db| {
             db.publish_news(story(1, 3));
         });
-        assert_eq!(m, [false, false, false, true, false, false]);
+        assert_eq!(m, [false, false, false, true, false, false, false, false]);
         // Same id, same day: the headline text can change.
         let m = moved(&db, |db| {
             db.publish_news(story(1, 3));
         });
-        assert_eq!(m, [false, false, false, true, false, false]);
+        assert_eq!(m, [false, false, false, true, false, false, false, false]);
         // Same id, other day: it leaves day 3's strip and joins day 4's.
         let m = moved(&db, |db| {
             db.publish_news(story(1, 4));
         });
-        assert_eq!(m, [false, false, false, true, true, false]);
+        assert_eq!(m, [false, false, false, true, true, false, false, false]);
         assert!(db.news_on_day(3).is_empty());
         assert_eq!(db.news_on_day(4).len(), 1);
     }
@@ -826,7 +884,7 @@ mod tests {
                 bytes: 40_000,
             });
         });
-        assert_eq!(m, [false; 6]);
+        assert_eq!(m, [false; 8]);
     }
 
     #[test]
@@ -839,7 +897,7 @@ mod tests {
                 venue: "Nozawa Onsen".into(),
             })
         });
-        assert_eq!(m, [true; 6], "load_sport");
+        assert_eq!(m, [true; 8], "load_sport");
         let m = moved(&db, |db| {
             db.load_event(Event {
                 id: EventId(3),
@@ -851,7 +909,7 @@ mod tests {
                 phase: EventPhase::Scheduled,
             })
         });
-        assert_eq!(m, [true; 6], "load_event");
+        assert_eq!(m, [true; 8], "load_event");
         let m = moved(&db, |db| {
             db.load_athlete(Athlete {
                 id: AthleteId(1),
@@ -860,7 +918,7 @@ mod tests {
                 sport: SportId(1),
             })
         });
-        assert_eq!(m, [true; 6], "load_athlete");
+        assert_eq!(m, [true; 8], "load_athlete");
         let m = moved(&db, |db| {
             db.load_country(Country {
                 id: CountryId(1),
@@ -868,7 +926,7 @@ mod tests {
                 name: "Norge".into(),
             })
         });
-        assert_eq!(m, [true; 6], "load_country");
+        assert_eq!(m, [true; 8], "load_country");
     }
 
     // ----- index ≡ scan ------------------------------------------------------

@@ -12,14 +12,23 @@
 //! **What registers nothing.** A logged mutation — a result batch, a
 //! story, a photo — is what DUP propagates; a row only the unlogged
 //! seeding loads write names no data key any transaction will ever carry.
-//! Those lookups are the methods below that take `&self`: the names of
-//! athletes, countries and sports, a country's roster, and of an event
-//! everything but its phase ([`EventInfo`]). A page printing an athlete's
+//! Those lookups are the last five methods below: the names of athletes,
+//! countries and sports, a country's roster, and of an event everything
+//! but its phase ([`EventInfo`]). A page printing an athlete's
 //! name beside a result is refreshed by the edge of the read that found
 //! the result, not by one for the name.
 //!
 //! **Weights** are the caller's where today's pages differ in how much a
 //! datum matters to them, and fixed here where they do not.
+//!
+//! **Reading is also dating.** The same methods say which of the
+//! database's typed revision stamps ([`Source`]) moves whenever their
+//! answer can — or that none does: a row is reached through
+//! [`Reads::rows`] alone, which takes that decision and logs it in the
+//! page's [`Coverage`]. While every stamp a page logged reads what it
+//! read then, a render would make every read it made and get every
+//! answer it got: the page cannot have changed (DESIGN.md §14a, "Page
+//! freshness").
 
 use nagano_db::schema::{medals_data_key, today_data_key};
 use nagano_db::{
@@ -29,6 +38,78 @@ use nagano_db::{
 
 use crate::key::{FragmentKey, PageKey};
 use crate::render::Dependency;
+
+/// The typed revision stamp of `nagano-db` that covers a read: the one a
+/// mutation bumps whenever it can change the read's answer. Every stamp is
+/// monotonic and counts the unlogged loads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Source {
+    /// [`DbView::loads_revision`]: rows only seeding writes.
+    Loads,
+    /// [`DbView::results_revision`]: an event's result rows and phase.
+    Results(EventId),
+    /// [`DbView::medals_revision`]: the standings as a whole.
+    Medals,
+    /// [`DbView::medal_row_revision`]: one country's tally.
+    MedalRow(CountryId),
+    /// [`DbView::news_revision`]: the stories of a day.
+    News(u32),
+}
+
+/// What the reads of one page, or of one section, were covered by: each
+/// source once, and the sum of their stamps as the reads saw them. Stamps
+/// only grow, so the sum is reached again only with every source where it
+/// was.
+#[derive(Debug, Default)]
+pub(crate) struct Coverage {
+    sources: Vec<Source>,
+    stamps: u64,
+    /// A read was made that no stamp covers: nothing short of composing
+    /// the page again says whether it changed.
+    uncovered: bool,
+}
+
+impl Coverage {
+    fn log(&mut self, view: &DbView<'_>, source: Option<Source>) {
+        match source {
+            None => self.uncovered = true,
+            // Nothing more to learn: the page will be composed whatever
+            // else it reads (an athlete page's first read decides that).
+            Some(_) if self.uncovered => {}
+            Some(source) if self.sources.contains(&source) => {}
+            Some(source) => {
+                self.sources.push(source);
+                self.stamps += stamp(view, source);
+            }
+        }
+    }
+
+    /// Take over what `other` logged, into the buffer this one has.
+    pub(crate) fn refill(&mut self, other: &Coverage) {
+        self.sources.clear();
+        self.sources.extend_from_slice(&other.sources);
+        self.stamps = other.stamps;
+        self.uncovered = other.uncovered;
+    }
+
+    /// Whether every read was covered, and by `source` or by the loads
+    /// (which every stamp counts): what holds of a section memoised under
+    /// `source`'s stamp.
+    pub(crate) fn is_within(&self, source: Source) -> bool {
+        let within = |s: &Source| *s == source || *s == Source::Loads;
+        !self.uncovered && self.sources.iter().all(within)
+    }
+}
+
+fn stamp(view: &DbView<'_>, source: Source) -> u64 {
+    match source {
+        Source::Loads => view.loads_revision(),
+        Source::Results(event) => view.results_revision(event),
+        Source::Medals => view.medals_revision(),
+        Source::MedalRow(country) => view.medal_row_revision(country),
+        Source::News(day) => view.news_revision(day),
+    }
+}
 
 /// Of an event, what no logged mutation writes. Its phase is read — and
 /// registered — through [`Reads::phase`].
@@ -53,18 +134,23 @@ impl<'v> EventInfo<'v> {
     }
 }
 
-/// One read snapshot of the database and the dependency list the reads
-/// made through this handle are registered in.
+/// One read snapshot of the database, the dependency list the reads made
+/// through this handle are registered in, and the log of what covers them.
 pub(crate) struct Reads<'v> {
+    /// Rows are read through [`Reads::rows`] only.
     view: &'v DbView<'v>,
     /// `None` while a fragment is spliced into a page: the page owes an
     /// edge to the fragment object ([`Reads::inline_fragment`] pushed it),
     /// not to the data the fragment reads.
     deps: Option<&'v mut Vec<Dependency>>,
+    /// `None` when nobody will ask: a render onto nothing is kept by no
+    /// memo, and a section is held against its source in debug builds only.
+    coverage: Option<&'v mut Coverage>,
 }
 
 impl<'v> Reads<'v> {
-    /// Run `render` over one read snapshot of `db`, registering in `deps`.
+    /// Run `render` over one read snapshot of `db`, registering in `deps`
+    /// and logging in `coverage`, if any.
     ///
     /// The snapshot holds the tables' read lock, which prefers waiting
     /// writers: `render` must not reach for `db` itself, or it deadlocks
@@ -72,35 +158,69 @@ impl<'v> Reads<'v> {
     pub(crate) fn over<T>(
         db: &OlympicDb,
         deps: &mut Vec<Dependency>,
+        coverage: Option<&mut Coverage>,
         render: impl FnOnce(&mut Reads<'_>) -> T,
     ) -> T {
         let view = db.view();
         render(&mut Reads {
             view: &view,
             deps: Some(deps),
+            coverage,
         })
     }
 
-    /// A handle over the same snapshot registering in `deps` instead: what
-    /// a memoised section is rendered through, so that its edges can be
-    /// kept with its HTML.
-    pub(crate) fn section<'s>(&'s self, deps: &'s mut Vec<Dependency>) -> Reads<'s> {
+    /// A handle over the same snapshot registering in `deps` and logging
+    /// in `within` instead: what a memoised section is rendered through, so
+    /// that its edges can be kept with its HTML and its reads held against
+    /// the source it is memoised under ([`Reads::stamp`]).
+    pub(crate) fn section<'s>(
+        &'s self,
+        deps: &'s mut Vec<Dependency>,
+        within: Option<&'s mut Coverage>,
+    ) -> Reads<'s> {
         Reads {
             view: self.view,
             deps: Some(deps),
+            coverage: within,
         }
     }
 
     /// Register the hybrid edge `page:/fragments/… → this page` of
     /// Figure 15 and return the handle `f` is to be spliced through — the
     /// only one that registers nothing, so a fragment cannot be spliced
-    /// without its edge.
+    /// without its edge. What `f` reads is logged as this page's all the
+    /// same: its bytes become this page's.
     pub(crate) fn inline_fragment(&mut self, f: FragmentKey, weight: f64) -> Reads<'_> {
         self.push(PageKey::Fragment(f).object_key(), weight);
         Reads {
             view: self.view,
             deps: None,
+            coverage: self.coverage.as_deref_mut(),
         }
+    }
+
+    /// Whether every source `logged` names still reads, in this snapshot,
+    /// what it read when it was logged — and no read went uncovered.
+    pub(crate) fn finds_unmoved(&self, logged: &Coverage) -> bool {
+        let now = logged.sources.iter().map(|&s| stamp(self.view, s));
+        !logged.uncovered && now.sum::<u64>() == logged.stamps
+    }
+
+    /// The snapshot, for a read whose answer moves only when `source`'s
+    /// stamp does — `None`: when no stamp says.
+    fn rows(&mut self, source: Option<Source>) -> &'v DbView<'v> {
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            coverage.log(self.view, source);
+        }
+        self.view
+    }
+
+    /// `source`'s stamp in this snapshot, logged as covering what the
+    /// caller goes on to splice or render under it: the one statement of
+    /// what a memoised section is valid by, for its memo and for the page
+    /// around it.
+    pub(crate) fn stamp(&mut self, source: Source) -> u64 {
+        stamp(self.rows(Some(source)), source)
     }
 
     /// Register edges a section was memoised with.
@@ -132,7 +252,9 @@ impl<'v> Reads<'v> {
         weight: f64,
     ) -> impl Iterator<Item = EventInfo<'v>> + 'v {
         self.push(today_data_key(day), weight);
-        self.view.events_on_day(day).map(EventInfo::of)
+        self.rows(Some(Source::Loads))
+            .events_on_day(day)
+            .map(EventInfo::of)
     }
 
     /// Events of a sport, id order: `data:sport:sport`.
@@ -141,12 +263,15 @@ impl<'v> Reads<'v> {
         sport: SportId,
     ) -> impl Iterator<Item = EventInfo<'v>> + 'v {
         self.push(sport.data_key(), 1.0);
-        self.view.events_of_sport(sport).map(EventInfo::of)
+        self.rows(Some(Source::Loads))
+            .events_of_sport(sport)
+            .map(EventInfo::of)
     }
 
     /// The phase `event` is in: `data:event:id`.
     pub(crate) fn phase(&mut self, event: &EventInfo<'_>) -> EventPhase {
         self.push(event.id.data_key(), 1.0);
+        self.rows(Some(Source::Results(event.id)));
         event.phase
     }
 
@@ -156,7 +281,8 @@ impl<'v> Reads<'v> {
         event: EventId,
     ) -> impl Iterator<Item = &'v ResultRow> + 'v {
         self.push(event.data_key(), 1.0);
-        self.view.results_for_event(event)
+        self.rows(Some(Source::Results(event)))
+            .results_for_event(event)
     }
 
     /// Results involving an athlete, id order: `data:athlete:athlete`.
@@ -165,13 +291,13 @@ impl<'v> Reads<'v> {
         athlete: AthleteId,
     ) -> impl Iterator<Item = &'v ResultRow> + 'v {
         self.push(athlete.data_key(), 1.0);
-        self.view.results_for_athlete(athlete)
+        self.rows(None).results_for_athlete(athlete)
     }
 
     /// Medal standings, best first: `data:medals:standings`.
     pub(crate) fn medal_standings(&mut self) -> Vec<(CountryId, MedalCount)> {
         self.push(medals_data_key(), 1.0);
-        self.view.medal_standings()
+        self.rows(Some(Source::Medals)).medal_standings()
     }
 
     /// One country's tally: `data:country:country`, and the standings at a
@@ -180,13 +306,14 @@ impl<'v> Reads<'v> {
     pub(crate) fn medals_of(&mut self, country: CountryId) -> Option<MedalCount> {
         self.push(country.data_key(), 1.0);
         self.push(medals_data_key(), 0.25);
-        self.view.medals_of(country)
+        self.rows(Some(Source::MedalRow(country)))
+            .medals_of(country)
     }
 
     /// A story: `data:news:id`.
     pub(crate) fn news(&mut self, id: NewsId) -> Option<&'v NewsArticle> {
         self.push(id.data_key(), 1.0);
-        self.view.news(id)
+        self.rows(None).news(id)
     }
 
     /// Stories published on `day`, id order: `data:today:day` at
@@ -200,7 +327,7 @@ impl<'v> Reads<'v> {
         story_weight: f64,
     ) -> impl Iterator<Item = &'v NewsArticle> + '_ {
         self.push(today_data_key(day), day_weight);
-        self.view
+        self.rows(Some(Source::News(day)))
             .news_on_day(day)
             .inspect(move |story| self.push(story.id.data_key(), story_weight))
     }
@@ -213,7 +340,7 @@ impl<'v> Reads<'v> {
         event: EventId,
         weight: f64,
     ) -> impl Iterator<Item = &'v Photo> + '_ {
-        self.view
+        self.rows(None)
             .photos_for_event(event)
             .inspect(move |photo| self.push(photo.id.data_key(), weight))
     }
@@ -221,52 +348,30 @@ impl<'v> Reads<'v> {
     // ----- lookups of what only seeding writes: no edge -------------------
 
     /// A sport's name and venue.
-    pub(crate) fn sport(&self, id: SportId) -> Option<&'v Sport> {
-        self.view.sport(id)
+    pub(crate) fn sport(&mut self, id: SportId) -> Option<&'v Sport> {
+        self.rows(Some(Source::Loads)).sport(id)
     }
 
     /// A country's name and code.
-    pub(crate) fn country(&self, id: CountryId) -> Option<&'v Country> {
-        self.view.country(id)
+    pub(crate) fn country(&mut self, id: CountryId) -> Option<&'v Country> {
+        self.rows(Some(Source::Loads)).country(id)
     }
 
     /// An athlete's name, country and sport.
-    pub(crate) fn athlete(&self, id: AthleteId) -> Option<&'v Athlete> {
-        self.view.athlete(id)
+    pub(crate) fn athlete(&mut self, id: AthleteId) -> Option<&'v Athlete> {
+        self.rows(Some(Source::Loads)).athlete(id)
     }
 
     /// Athletes of a country, id order.
     pub(crate) fn athletes_of_country(
-        &self,
+        &mut self,
         country: CountryId,
     ) -> impl Iterator<Item = &'v Athlete> + 'v {
-        self.view.athletes_of_country(country)
+        self.rows(Some(Source::Loads)).athletes_of_country(country)
     }
 
     /// An event's name, day and sport.
-    pub(crate) fn event(&self, id: EventId) -> Option<EventInfo<'v>> {
-        self.view.event(id).map(EventInfo::of)
-    }
-
-    // ----- revision stamps of the memoised sections' sources --------------
-
-    /// See [`DbView::loads_revision`].
-    pub(crate) fn loads_revision(&self) -> u64 {
-        self.view.loads_revision()
-    }
-
-    /// See [`DbView::results_revision`].
-    pub(crate) fn results_revision(&self, event: EventId) -> u64 {
-        self.view.results_revision(event)
-    }
-
-    /// See [`DbView::medals_revision`].
-    pub(crate) fn medals_revision(&self) -> u64 {
-        self.view.medals_revision()
-    }
-
-    /// See [`DbView::news_revision`].
-    pub(crate) fn news_revision(&self, day: u32) -> u64 {
-        self.view.news_revision(day)
+    pub(crate) fn event(&mut self, id: EventId) -> Option<EventInfo<'v>> {
+        self.rows(Some(Source::Loads)).event(id).map(EventInfo::of)
     }
 }

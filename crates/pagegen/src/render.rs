@@ -31,7 +31,7 @@ use crate::cost::{spin_for, CostModel};
 use crate::key::{FragmentKey, PageKey};
 use crate::num::push_fixed2;
 use crate::plan::{fitted, is_tail, page_head, walk_tail};
-use crate::reads::Reads;
+use crate::reads::{Coverage, Reads, Source};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,10 +47,15 @@ pub struct Dependency {
 pub struct RenderOutput {
     /// Rendered HTML.
     pub body: Bytes,
-    /// Dependencies to register in the ODG.
-    pub deps: Vec<Dependency>,
+    /// Dependencies to register in the ODG. Shared: a page rendered onto
+    /// the body it had comes back with the very list it had, as long as it
+    /// lists the same edges.
+    pub deps: Arc<[Dependency]>,
     /// Modelled CPU cost in milliseconds.
     pub cost_ms: f64,
+    /// Whether the page was answered from the revision stamps of what it
+    /// read last time, without being composed.
+    pub revalidated: bool,
 }
 
 /// A memoised part of a page: one of the registered fragments, or a
@@ -68,6 +73,22 @@ enum Section {
     HomeEvent(EventId),
 }
 
+impl Section {
+    /// The one source whose stamp moves whenever the section's bytes can:
+    /// what its memo entry is valid by, and what a page that splices it
+    /// logs for it.
+    fn source(self) -> Source {
+        match self {
+            Section::Fragment(FragmentKey::ResultTable(e)) | Section::HomeEvent(e) => {
+                Source::Results(e)
+            }
+            Section::Fragment(FragmentKey::MedalTable) => Source::Medals,
+            Section::Fragment(FragmentKey::Headlines(day)) => Source::News(day),
+            Section::Roster(_) => Source::Loads,
+        }
+    }
+}
+
 /// One memoised section render: the HTML `compose_fragment` produced, and
 /// the edges its reads registered, from a snapshot whose stamp for the
 /// section's source data was `revision`.
@@ -78,6 +99,21 @@ struct SectionMemo {
     deps: Vec<Dependency>,
 }
 
+/// What [`Renderer::render_onto`] last made of a page it was given a body
+/// for: the body and dependency list it returned, and what covered the
+/// reads behind them, all of one compose.
+#[derive(Debug)]
+struct PageMemo {
+    coverage: Coverage,
+    /// A reference, not a copy: while it is held, no other allocation can
+    /// come to lie at its address.
+    body: Bytes,
+    deps: Arc<[Dependency]>,
+    /// The page's modelled cost, which the model spells the page's URL
+    /// out to work out: kept so that a kept page allocates nothing.
+    cost_ms: f64,
+}
+
 /// Renders pages from a database.
 ///
 /// Every render reads the database through exactly one snapshot, so a
@@ -85,7 +121,10 @@ struct SectionMemo {
 /// renderer and spliced while the database's revision stamp for the
 /// section's source data — read from that same view — is the one it was
 /// rendered at; a section render is a pure function of that data, so a
-/// long-lived renderer and a fresh one return the same bytes.
+/// long-lived renderer and a fresh one return the same bytes. A page
+/// rendered onto the body this renderer last returned for it is not
+/// composed at all while the stamps of everything it read stand where
+/// they stood.
 #[derive(Debug)]
 pub struct Renderer {
     db: Arc<OlympicDb>,
@@ -97,6 +136,9 @@ pub struct Renderer {
     /// Only ever locked for a lookup or a store — never across a render,
     /// never before taking a view.
     sections: Mutex<FxHashMap<Section, SectionMemo>>,
+    /// One entry per page ever rendered onto a body: at most a body per
+    /// page. Locked like `sections`.
+    pages: Mutex<FxHashMap<PageKey, PageMemo>>,
 }
 
 impl Renderer {
@@ -107,6 +149,7 @@ impl Renderer {
             cost: CostModel::new(),
             cpu_scale: None,
             sections: Mutex::default(),
+            pages: Mutex::default(),
         }
     }
 
@@ -141,28 +184,126 @@ impl Renderer {
     /// Render `key` for a caller that holds `previous`, the body the page
     /// had so far: when the page comes out as those very bytes, the body
     /// returned *is* `previous` — the same allocation, told apart from a
-    /// new one by address — and no new one is finished. That is decided
-    /// after the page is composed and before it is padded, by comparing
-    /// head, inner HTML and padding with `previous` in place; whatever
+    /// new one by address — and no new one is finished. Whatever
     /// `previous` holds, the body returned is byte for byte what
-    /// [`Renderer::render`] returns. Dependencies and cost are those of
-    /// the render either way.
+    /// [`Renderer::render`] returns, and dependencies and cost are those
+    /// of that render.
+    ///
+    /// That is decided in one of two places. When `previous` is the
+    /// allocation this renderer returned for the page last time, and every
+    /// revision stamp the reads behind it logged reads, in this render's
+    /// snapshot, what it read then, the page is not composed: a compose
+    /// would make the same reads and get the same rows. Otherwise the page
+    /// is composed and, before it is padded, compared with `previous` in
+    /// place: head, inner HTML and padding.
     pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
         // One buffer for the whole body: the inner HTML is composed into
         // it, then the head is slid in front and the padding appended.
-        let mut html = String::with_capacity(target_bytes(key));
+        let mut html = String::new();
         let mut deps: Vec<Dependency> = Vec::new();
-        let title = Reads::over(&self.db, &mut deps, |r| self.compose(r, key, &mut html));
-        let body = finalize(key, &title, html, previous);
-        let cost_ms = self.cost.cost_ms(key);
+        // What covers the reads is of use to the next render onto the body
+        // this one returns: a render onto nothing has no such successor.
+        let mut coverage = previous.map(|_| Coverage::default());
+        let (kept, title) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
+            let kept = previous.and_then(|held| self.unmoved(r, key, held));
+            if kept.is_some() && !COMPOSE_WHAT_IS_KEPT {
+                return (kept, String::new());
+            }
+            html.reserve_exact(target_bytes(key));
+            (kept, self.compose(r, key, &mut html))
+        });
+        let out = match kept.zip(previous) {
+            Some(((list, cost_ms), held)) => {
+                if COMPOSE_WHAT_IS_KEPT {
+                    let composed = finalize(key, &title, html, None);
+                    assert!(composed == *held, "{key}: kept by its stamps, but changed");
+                    assert_eq!(deps[..], list[..], "{key}: kept by its stamps");
+                    assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: kept by its stamps");
+                }
+                RenderOutput {
+                    body: held.clone(),
+                    deps: list,
+                    cost_ms,
+                    revalidated: true,
+                }
+            }
+            None => {
+                let body = finalize(key, &title, html, previous);
+                let cost_ms = self.cost.cost_ms(key);
+                let deps = match coverage {
+                    Some(coverage) => self.remember(key, &body, deps, cost_ms, coverage),
+                    None => deps.into(),
+                };
+                RenderOutput {
+                    body,
+                    deps,
+                    cost_ms,
+                    revalidated: false,
+                }
+            }
+        };
         if let Some(scale) = self.cpu_scale {
-            spin_for(cost_ms, scale);
+            spin_for(out.cost_ms, scale);
         }
-        RenderOutput {
-            body,
-            deps,
-            cost_ms,
+        out
+    }
+
+    /// The dependency list and cost `key` was last returned with, if
+    /// `held` is the body it was last returned with — that allocation, not
+    /// its bytes — and nothing the reads behind them were covered by has
+    /// moved since, as `r`'s snapshot sees it.
+    fn unmoved(
+        &self,
+        r: &Reads<'_>,
+        key: PageKey,
+        held: &Bytes,
+    ) -> Option<(Arc<[Dependency]>, f64)> {
+        let pages = self.pages.lock().expect(MEMO_POISONED);
+        let last = pages.get(&key)?;
+        (std::ptr::eq::<[u8]>(&*last.body, &**held) && r.finds_unmoved(&last.coverage))
+            .then(|| (Arc::clone(&last.deps), last.cost_ms))
+    }
+
+    /// Keep what a compose of `key` came to for [`Renderer::unmoved`], in
+    /// place of what the last one did, and return the dependency list to
+    /// hand out: the one kept so far when `deps` lists what it lists.
+    fn remember(
+        &self,
+        key: PageKey,
+        body: &Bytes,
+        deps: Vec<Dependency>,
+        cost_ms: f64,
+        coverage: Coverage,
+    ) -> Arc<[Dependency]> {
+        use std::collections::hash_map::Entry;
+        match self.pages.lock().expect(MEMO_POISONED).entry(key) {
+            // Refilled like a section's entry: nothing of a page's is
+            // allocated anew per revision but a list that changed.
+            Entry::Occupied(entry) => {
+                let last = entry.into_mut();
+                last.coverage.refill(&coverage);
+                last.body = body.clone();
+                if last.deps[..] != deps[..] {
+                    last.deps = deps.into();
+                }
+                Arc::clone(&last.deps)
+            }
+            Entry::Vacant(entry) => {
+                let last = entry.insert(PageMemo {
+                    coverage,
+                    body: body.clone(),
+                    deps: deps.into(),
+                    cost_ms,
+                });
+                Arc::clone(&last.deps)
+            }
         }
+    }
+
+    /// Let go of the body last returned for `key`: for a caller that no
+    /// longer holds it and will not render the page onto it again.
+    pub fn forget(&self, key: PageKey) {
+        self.pages.lock().expect(MEMO_POISONED).remove(&key);
     }
 
     /// Build the page's inner HTML; returns the title.
@@ -378,14 +519,8 @@ impl Renderer {
         html: &mut String,
         render: impl FnOnce(&mut Reads<'_>, &mut String),
     ) {
-        let revision = match section {
-            Section::Fragment(FragmentKey::ResultTable(e)) | Section::HomeEvent(e) => {
-                r.results_revision(e)
-            }
-            Section::Fragment(FragmentKey::MedalTable) => r.medals_revision(),
-            Section::Fragment(FragmentKey::Headlines(day)) => r.news_revision(day),
-            Section::Roster(_) => r.loads_revision(),
-        };
+        let source = section.source();
+        let revision = r.stamp(source);
         {
             let memo = self.sections.lock().expect(MEMO_POISONED);
             if let Some(hit) = memo.get(&section).filter(|m| m.revision == revision) {
@@ -396,7 +531,12 @@ impl Renderer {
         }
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
-        render(&mut r.section(&mut own), html);
+        let mut within = cfg!(debug_assertions).then(Coverage::default);
+        render(&mut r.section(&mut own, within.as_mut()), html);
+        debug_assert!(
+            within.as_ref().is_some_and(|w| w.is_within(source)),
+            "{section:?} is memoised under {source:?}, but read under {within:?}"
+        );
         r.register(&own);
         // A re-render refills the entry's buffers rather than replacing
         // them: the memo's allocations are made once, when a section is
@@ -414,7 +554,13 @@ impl Renderer {
 /// An entry is refilled under the lock, so a panic in there leaves it
 /// half-written; the poisoned mutex then stops every later render instead
 /// of letting one splice it.
-const MEMO_POISONED: &str = "a render panicked while holding the section memo";
+const MEMO_POISONED: &str = "a render panicked while holding a memo";
+
+/// A build with debug assertions — the one every test suite runs — also
+/// composes each page it keeps by its stamps, and panics unless that comes
+/// to the bytes and the dependency list it kept. An optimised build
+/// compiles none of it.
+const COMPOSE_WHAT_IS_KEPT: bool = cfg!(debug_assertions);
 
 /// Render fragment `f` from `r`: the pure function the memo caches.
 fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {

@@ -98,7 +98,7 @@ proptest! {
             } else {
                 prop_assert!(a.deps.is_empty(), "static {} has dependencies", key);
             }
-            for dep in &a.deps {
+            for dep in a.deps.iter() {
                 prop_assert!(dep.weight.is_finite() && dep.weight > 0.0);
                 prop_assert!(
                     dep.data_key.starts_with("data:") || dep.data_key.starts_with("page:"),

@@ -32,6 +32,9 @@ pub struct TxnOutcome {
     /// cache held: the rest were re-derived, found unchanged, and kept
     /// their version on every node.
     pub changed: usize,
+    /// How many of the others were not composed either: the renderer
+    /// answered them from the revision stamps of what they read.
+    pub revalidated: usize,
     /// Pages invalidated.
     pub invalidated: Vec<PageKey>,
     /// Affected pages tolerated as slightly stale (threshold policy).
@@ -121,6 +124,8 @@ struct Regenerated {
     render_ms: f64,
     /// How many of `keys` changed a serving cache's bytes.
     changed: usize,
+    /// How many of `keys` the renderer did not compose.
+    revalidated: usize,
 }
 
 /// One demand fill's result: the body now cached on the node that took
@@ -134,7 +139,7 @@ pub struct DemandFill {
     /// entity tag must name, whatever happens to the entry afterwards.
     pub version: u64,
     /// Dependencies registered for the page.
-    pub deps: Vec<Dependency>,
+    pub deps: Arc<[Dependency]>,
     /// Modelled CPU spent rendering the body.
     pub cost_ms: f64,
 }
@@ -143,12 +148,14 @@ pub struct DemandFill {
 pub struct TriggerMonitor {
     graph: Mutex<GraphState>,
     /// The dependency list last registered for each page that has an
-    /// object vertex. Registration only ever adds edges, so while a page
-    /// renders to the list recorded here every one of its edges is in the
-    /// graph and [`TriggerMonitor::register_render`] has nothing to do.
-    /// Written only under the graph lock, together with the vertex it
-    /// describes; read on its own, never while taking the graph lock.
-    registered: Mutex<FxHashMap<PageKey, Vec<Dependency>>>,
+    /// object vertex — the renderer's own, shared. Registration only ever
+    /// adds edges, so while a page renders to the list recorded here every
+    /// one of its edges is in the graph and
+    /// [`TriggerMonitor::register_render`] has nothing to do.
+    /// Other edges are written only under the graph lock, together with
+    /// the vertex they describe (another list of the same edges at any
+    /// time); read on its own, never while taking the graph lock.
+    registered: Mutex<FxHashMap<PageKey, Arc<[Dependency]>>>,
     renderer: Renderer,
     fleet: Arc<CacheFleet>,
     registry: Arc<PageRegistry>,
@@ -250,13 +257,15 @@ impl TriggerMonitor {
     /// re-registering after regeneration refreshes edges for pages whose
     /// composition changed). The one entry to the graph's edges.
     pub fn register_render(&self, key: PageKey, out: &RenderOutput) {
-        let unchanged = self
-            .registered
-            .lock()
-            .get(&key)
-            .is_some_and(|last| *last == out.deps);
-        if unchanged {
-            return;
+        match self.registered.lock().get_mut(&key) {
+            Some(last) if Arc::ptr_eq(last, &out.deps) => return,
+            // The same edges in another list: keep that one, which is the
+            // one the renderer will hand out until the edges change.
+            Some(last) if **last == *out.deps => {
+                *last = Arc::clone(&out.deps);
+                return;
+            }
+            _ => {}
         }
         let mut g = self.graph.lock();
         let object = g.names.intern(&key.object_key());
@@ -268,7 +277,7 @@ impl TriggerMonitor {
         g.dup
             .graph_mut()
             .ensure_node(object, nagano_odg::NodeKind::Object);
-        for dep in &out.deps {
+        for dep in out.deps.iter() {
             let data = g.names.intern(&dep.data_key);
             // A non-finite/non-positive weight is a renderer bug; keep
             // the invalidation edge alive with unit weight rather than
@@ -277,7 +286,7 @@ impl TriggerMonitor {
                 let _ = g.dup.add_dependency(data, object, 1.0);
             }
         }
-        self.registered.lock().insert(key, out.deps.clone());
+        self.registered.lock().insert(key, Arc::clone(&out.deps));
     }
 
     /// Process one committed transaction (at sim time zero; callers with
@@ -353,6 +362,7 @@ impl TriggerMonitor {
                 TxnOutcome {
                     regenerated: regen.keys,
                     changed: regen.changed,
+                    revalidated: regen.revalidated,
                     tolerated,
                     visited,
                     latency: modeled_latency(visited, 0, regen.render_ms),
@@ -418,6 +428,7 @@ impl TriggerMonitor {
                     latency: modeled_latency(visited, invalidated.len(), regen.render_ms),
                     regenerated: regen.keys,
                     changed: regen.changed,
+                    revalidated: regen.revalidated,
                     invalidated,
                     tolerated,
                     deferred,
@@ -428,9 +439,11 @@ impl TriggerMonitor {
         }
     }
 
-    /// Drop `key` from every serving cache.
+    /// Drop `key` from every serving cache, and the renderer's reference
+    /// to the body it last made of it with them.
     fn invalidate_everywhere(&self, key: PageKey) {
         self.fleet.invalidate_everywhere(&key.to_url());
+        self.renderer.forget(key);
     }
 
     /// Modelled CPU to refresh `key` right now: its whole-page render. This
@@ -447,10 +460,12 @@ impl TriggerMonitor {
     /// Re-derive each of `keys` from the database, in the given order,
     /// onto the body the fleet holds for it, and distribute it: a page
     /// that comes out as those bytes is recognised before a body is built
-    /// for it ([`Renderer::render_onto`]) and costs the fleet a comparison
-    /// ([`CacheFleet::distribute`]). Adds the summed modelled CPU to
-    /// `nagano_trigger_regen_cpu_ms_total` and counts the keys whose bytes
-    /// changed in `nagano_trigger_pages_changed_total`.
+    /// for it — before it is composed, when nothing it read last time has
+    /// moved ([`Renderer::render_onto`]) — and costs the fleet a
+    /// comparison ([`CacheFleet::distribute`]). Adds the summed modelled
+    /// CPU to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
+    /// bytes changed in `nagano_trigger_pages_changed_total`, the keys
+    /// that were not composed in `nagano_trigger_pages_revalidated_total`.
     ///
     /// Sequential by design: a page is probed, rendered, registered and
     /// distributed before the next is probed, so no more than one new body
@@ -474,14 +489,22 @@ impl TriggerMonitor {
             url.clear();
             key.push_url(&mut url);
             let held = self.fleet.distributed_body(&url);
+            if held.is_none() {
+                // Evicted: the renderer's reference to the body it made
+                // last must not outlive the fleet's by more than this.
+                self.renderer.forget(key);
+            }
             let out = self.renderer.render_onto(key, held.as_ref());
             self.register_render(key, &out);
             regen.render_ms += out.cost_ms;
+            regen.revalidated += usize::from(out.revalidated);
             regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
         }
         self.clear_stale_marks(&regen.keys);
         self.stats.record_regen_cpu(regen.render_ms);
         self.stats.record_pages_changed(regen.changed as u64);
+        self.stats
+            .record_pages_revalidated(regen.revalidated as u64);
         regen
     }
 

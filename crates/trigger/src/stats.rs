@@ -16,6 +16,9 @@ pub struct TriggerStats {
     /// Regenerated pages whose bytes changed in a serving cache; the rest
     /// of `pages_regenerated` is the no-op share of update-in-place.
     pages_changed: Counter,
+    /// Regenerated pages the renderer answered from the revision stamps
+    /// of what they read, without composing them: part of the no-op share.
+    pages_revalidated: Counter,
     pages_invalidated: Counter,
     pages_tolerated: Counter,
     nodes_visited: Counter,
@@ -48,6 +51,7 @@ impl Default for TriggerStats {
             txns: Counter::new(),
             pages_regenerated: Counter::new(),
             pages_changed: Counter::new(),
+            pages_revalidated: Counter::new(),
             pages_invalidated: Counter::new(),
             pages_tolerated: Counter::new(),
             nodes_visited: Counter::new(),
@@ -76,6 +80,9 @@ pub struct TriggerStatsSnapshot {
     /// Of those, the pages that came out as other bytes than a serving
     /// cache held (the others kept their version on every node).
     pub pages_changed: u64,
+    /// Of the others, the pages that were not even composed: every
+    /// revision stamp their last render read under stood where it stood.
+    pub pages_revalidated: u64,
     /// Pages invalidated.
     pub pages_invalidated: u64,
     /// Affected pages left in place under a staleness threshold.
@@ -187,6 +194,11 @@ impl TriggerStats {
         self.pages_changed.add(pages);
     }
 
+    /// Record regenerated pages that were answered from revision stamps.
+    pub fn record_pages_revalidated(&self, pages: u64) {
+        self.pages_revalidated.add(pages);
+    }
+
     /// Record pages regenerated outside a transaction record (the
     /// deferred-queue drain path).
     pub fn record_drained_regen(&self, pages: u64) {
@@ -219,6 +231,11 @@ impl TriggerStats {
             "nagano_trigger_pages_changed_total",
             labels,
             &self.pages_changed,
+        );
+        registry.bind_counter(
+            "nagano_trigger_pages_revalidated_total",
+            labels,
+            &self.pages_revalidated,
         );
         registry.bind_counter(
             "nagano_trigger_pages_invalidated_total",
@@ -278,6 +295,7 @@ impl TriggerStats {
             txns: self.txns.get(),
             pages_regenerated: self.pages_regenerated.get(),
             pages_changed: self.pages_changed.get(),
+            pages_revalidated: self.pages_revalidated.get(),
             pages_invalidated: self.pages_invalidated.get(),
             pages_tolerated: self.pages_tolerated.get(),
             nodes_visited: self.nodes_visited.get(),
@@ -356,6 +374,7 @@ mod tests {
         s.record_deferred(3);
         s.record_drained_regen(2);
         s.record_pages_changed(1);
+        s.record_pages_revalidated(4);
         s.record_weighted_staleness(30.0);
         s.record_weighted_staleness(90.0);
         let snap = s.snapshot();
@@ -364,6 +383,7 @@ mod tests {
         assert_eq!(snap.pages_deferred, 3);
         assert_eq!(snap.pages_regenerated, 2);
         assert_eq!(snap.pages_changed, 1);
+        assert_eq!(snap.pages_revalidated, 4);
         assert_eq!(snap.weighted_staleness_count, 2);
         // The sum is mean * count; the log-bucketed histogram makes it
         // approximate, not exact.
@@ -378,6 +398,7 @@ mod tests {
         assert!(text.contains("nagano_trigger_pages_deferred_total{site=\"tokyo\"} 3"));
         assert!(text.contains("nagano_trigger_pages_regenerated_total{site=\"tokyo\"} 2"));
         assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
+        assert!(text.contains("nagano_trigger_pages_revalidated_total{site=\"tokyo\"} 4"));
         assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
     }
 

@@ -23,7 +23,12 @@
 //! a prefix, and after mutations that change nothing but one section —
 //! rendering onto nothing, onto the body it returned one state earlier
 //! (handed back exactly when the page did not change), and onto bodies
-//! that are the page's but for one byte.
+//! that are the page's but for one byte. Rendering onto the body it
+//! returned last is also where the renderer may skip composing the page
+//! altogether (DESIGN.md §14a, "Page freshness"): the tests after the
+//! differential's helpers pin which pages that happens to after a final
+//! and after a mutation that moves one revision source alone, and race it
+//! against commits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -192,8 +197,8 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
 /// nothing stale after any update. Returns (updates, pages regenerated,
-/// pages that came out as other bytes).
-fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize) {
+/// pages that came out as other bytes, pages that were not composed).
+fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize, usize) {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let registry = PageRegistry::build(&db, 16);
@@ -202,16 +207,22 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize
         &mut DeterministicRng::seed_from_u64(seed ^ 0x5550_4441_5445),
     );
     let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x0041_5050_4c59);
-    let (mut regenerated, mut changed) = (0, 0);
+    let (mut regenerated, mut changed, mut revalidated) = (0, 0, 0);
     for (i, update) in schedule.updates().iter().enumerate() {
         let txn = UpdateSchedule::apply(update, &db, &mut rng);
         let outcome = monitor.process_txn(&txn);
         regenerated += outcome.regenerated.len();
         changed += outcome.changed;
+        revalidated += outcome.revalidated;
         let at = format!("schedule seed {seed}, update {i} ({:?})", update.kind);
         assert_cache_is_fresh(&monitor, &db, Some(&registry), &at);
     }
-    (schedule.len(), regenerated, changed)
+    let stats = monitor.stats().snapshot();
+    assert_eq!(
+        (stats.pages_changed, stats.pages_revalidated),
+        (changed as u64, revalidated as u64)
+    );
+    (schedule.len(), regenerated, changed, revalidated)
 }
 
 /// Named per-category driver: each transaction of the script is committed
@@ -263,6 +274,17 @@ fn final_podium(db: &OlympicDb, ev: nagano_db::EventId) -> Vec<(AthleteId, f64)>
         .enumerate()
         .map(|(i, a)| (a.id, 90.0 - i as f64))
         .collect()
+}
+
+/// A country none of whose athletes is among `placed`.
+fn a_country_off(db: &OlympicDb, placed: &[(AthleteId, f64)]) -> nagano_db::CountryId {
+    let placed: Vec<_> = placed
+        .iter()
+        .map(|&(a, _)| db.athlete(a).unwrap().country)
+        .collect();
+    let countries = db.countries();
+    let off = countries.iter().rev().find(|c| !placed.contains(&c.id));
+    off.expect("a country off the podium").id
 }
 
 #[test]
@@ -513,6 +535,315 @@ fn check_renderer_differential(seed: u64, n: usize) {
     }
 }
 
+/// Render `key` onto the body held for it, hold what comes back, and say
+/// whether the renderer composed the page to get there.
+fn composed(warm: &Renderer, held: &mut BTreeMap<PageKey, Bytes>, key: PageKey) -> bool {
+    let out = warm.render_onto(key, held.get(&key));
+    held.insert(key, out.body);
+    !out.revalidated
+}
+
+/// `warm` and the body it last returned for every page, which it knows to
+/// be that: the state an update-in-place site regenerates from.
+fn warm_site(db: &Arc<OlympicDb>, registry: &PageRegistry) -> (Renderer, BTreeMap<PageKey, Bytes>) {
+    let warm = Renderer::new(Arc::clone(db));
+    let mut held = BTreeMap::new();
+    assert_warm_equals_fresh(&warm, db, registry, &mut held, "prewarm");
+    assert_warm_equals_fresh(&warm, db, registry, &mut held, "first regeneration");
+    (warm, held)
+}
+
+#[test]
+fn a_final_is_composed_for_its_podium_countries_only() {
+    let db = fresh_db();
+    let registry = PageRegistry::build(&db, 16);
+    let countries: Vec<_> = db.countries().iter().map(|c| c.id).collect();
+    let warm = Renderer::new(Arc::clone(&db));
+    let mut held = BTreeMap::new();
+    let composed_now = |held: &mut BTreeMap<PageKey, Bytes>| -> Vec<bool> {
+        let pages = countries.iter().map(|&c| PageKey::Country(c));
+        pages.map(|key| composed(&warm, held, key)).collect()
+    };
+    // Onto nothing, and onto a body the renderer has not been seen to
+    // return for the page: composed. From then on, not.
+    assert!(composed_now(&mut held).iter().all(|&c| c), "no body held");
+    assert!(composed_now(&mut held).iter().all(|&c| c), "unknown body");
+    assert!(composed_now(&mut held).iter().all(|&c| !c), "nothing moved");
+
+    let ev = db.events()[0].clone();
+    let podium = final_podium(&db, ev.id);
+    db.record_results(ev.id, &podium, true, ev.day);
+    let on_podium = |c| {
+        let athlete = |&(a, _): &(AthleteId, f64)| db.athlete(a).unwrap().country == c;
+        podium.iter().any(athlete)
+    };
+    let expected: Vec<bool> = countries.iter().map(|&c| on_podium(c)).collect();
+    assert!(expected.contains(&true) && expected.contains(&false));
+    let before = held.clone();
+    assert_eq!(composed_now(&mut held), expected, "after a final");
+    for (&c, &moved) in countries.iter().zip(&expected) {
+        let key = PageKey::Country(c);
+        assert_eq!(held[&key].as_ptr() != before[&key].as_ptr(), moved, "{key}");
+    }
+    assert!(composed_now(&mut held).iter().all(|&c| !c), "settled again");
+    assert_warm_equals_fresh(&warm, &db, &registry, &mut held, "after the final");
+}
+
+/// One mutation per revision source a read can be covered by, each moving
+/// that source alone: the pages that read under it are composed, a page
+/// that does not is not, and every page is what a fresh renderer makes.
+#[test]
+fn each_revision_source_moved_alone_is_noticed_by_its_readers() {
+    let db = fresh_db();
+    let registry = PageRegistry::build(&db, 16);
+    let (warm, mut held) = warm_site(&db, &registry);
+    let mut check = |at: &str, read_it: &[PageKey], did_not: &[PageKey]| {
+        for &key in read_it {
+            assert!(composed(&warm, &mut held, key), "{at}: {key} not composed");
+        }
+        for &key in did_not {
+            assert!(!composed(&warm, &mut held, key), "{at}: {key} composed");
+        }
+        assert_warm_equals_fresh(&warm, &db, &registry, &mut held, at);
+    };
+    let events = db.events();
+    let ev = &events[0];
+    let podium = final_podium(&db, ev.id);
+    let country_of = |i: usize| db.athlete(podium[i].0).unwrap().country;
+    let bystander = a_country_off(&db, &podium);
+
+    // `Results(e)`: a phase that moves with no row recorded.
+    let other_day = PageKey::Home(ev.day % 16 + 1);
+    db.record_results(ev.id, &[], false, ev.day);
+    check(
+        "rowless phase move",
+        &[PageKey::Home(ev.day), PageKey::Sport(ev.sport)],
+        &[other_day, PageKey::Country(bystander), PageKey::Medals],
+    );
+
+    // `Medals` and `MedalRow` of the podium's countries: a final, and a
+    // second one with the podium reversed.
+    let reversed: Vec<_> = podium.iter().rev().copied().collect();
+    for (at, placements) in [("final", &podium), ("second final", &reversed)] {
+        db.record_results(ev.id, placements, true, ev.day);
+        check(
+            at,
+            &[
+                PageKey::Country(country_of(0)),
+                PageKey::Country(country_of(2)),
+                PageKey::Medals,
+                other_day,
+            ],
+            &[PageKey::Country(bystander), PageKey::NewsIndex(ev.day)],
+        );
+    }
+
+    // `News(d)` of both days: a story re-published onto another day.
+    let (from, to) = (ev.day, ev.day % 16 + 1);
+    let third = to % 16 + 1;
+    let story = |day| NewsArticle {
+        id: NewsId(8_000),
+        day,
+        title: format!("Moving story, day {day}"),
+        body: "Re-published under one id".into(),
+        about_event: None,
+    };
+    db.publish_news(story(from));
+    check(
+        "story published",
+        &[PageKey::NewsIndex(from), PageKey::Home(from)],
+        &[PageKey::NewsIndex(to), PageKey::Home(to), PageKey::Medals],
+    );
+    db.publish_news(story(to));
+    check(
+        "story moved",
+        &[
+            PageKey::NewsIndex(from),
+            PageKey::Home(from),
+            PageKey::NewsIndex(to),
+            PageKey::Home(to),
+        ],
+        &[
+            PageKey::NewsIndex(third),
+            PageKey::Home(third),
+            PageKey::Country(bystander),
+        ],
+    );
+
+    // `Loads`: an athlete transferred between countries. Every stamp
+    // counts the loads, so only a page that reads nothing sits it out.
+    let winner = db.athlete(podium[0].0).unwrap();
+    db.load_athlete(Athlete {
+        country: bystander,
+        ..winner.clone()
+    });
+    check(
+        "athlete transferred",
+        &[
+            PageKey::Country(winner.country),
+            PageKey::Country(bystander),
+            PageKey::Medals,
+        ],
+        &[PageKey::Welcome],
+    );
+}
+
+/// Finals land on one thread while another renders the day's home page,
+/// the medals page and two country pages onto the bodies it holds. Every
+/// body that comes back — the held one or a new one — must be the page of
+/// a state that was committed while the render ran: that of a replica
+/// database the same finals are applied to one by one. (In this build the
+/// renderer also composes every page it keeps, under the view it kept it
+/// by, and compares.)
+#[test]
+fn held_bodies_come_back_only_for_the_state_seen_while_finals_land() {
+    use nagano_db::EventId;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const FINALS: usize = 40;
+    // Day 1 has no seeded events: give it forty of its own, in both.
+    let build = || {
+        let db = fresh_db();
+        let sport = db.sports()[0].id;
+        for i in 0..FINALS as u32 {
+            db.load_event(Event {
+                id: EventId(1_000 + i),
+                sport,
+                name: format!("Heat {i}"),
+                day: 1,
+                hour: 9,
+                popularity: 1.0,
+                phase: EventPhase::Scheduled,
+            });
+        }
+        db
+    };
+    let (db, replica) = (build(), build());
+    let podium = final_podium(&db, EventId(1_000));
+    let commit = |db: &OlympicDb, i: usize| {
+        db.record_results(EventId(1_000 + i as u32), &podium, true, 1);
+    };
+    let winner = db.athlete(podium[0].0).unwrap().country;
+    let bystander = a_country_off(&db, &podium);
+    let keys = [
+        PageKey::Home(1),
+        PageKey::Medals,
+        PageKey::Country(winner),
+        PageKey::Country(bystander),
+    ];
+    // states[k]: the four pages once k finals have landed.
+    let fresh =
+        |db: &Arc<OlympicDb>| keys.map(|key| Renderer::new(Arc::clone(db)).render(key).body);
+    let mut states = vec![fresh(&replica)];
+    for i in 0..FINALS {
+        commit(&replica, i);
+        states.push(fresh(&replica));
+    }
+    let states = Arc::new(states);
+
+    // Finals begun and finals landed: the state a render sees lies between
+    // `landed` read before it and `begun` read after it.
+    let begun = Arc::new(AtomicUsize::new(0));
+    let landed = Arc::new(AtomicUsize::new(0));
+    let renders = Arc::new(AtomicUsize::new(0));
+    let failed = Arc::new(AtomicBool::new(false));
+    let (finished, watchdog) = mpsc::channel();
+
+    let committer = std::thread::spawn({
+        let (db, begun, landed, renders, failed, finished) = (
+            Arc::clone(&db),
+            Arc::clone(&begun),
+            Arc::clone(&landed),
+            Arc::clone(&renders),
+            Arc::clone(&failed),
+            finished.clone(),
+        );
+        let podium = podium.clone();
+        move || {
+            for i in 0..FINALS {
+                // Let each final go as one render ends, so that it lands
+                // inside the next.
+                let seen = renders.load(SeqCst);
+                while renders.load(SeqCst) == seen && !failed.load(SeqCst) {
+                    std::thread::yield_now();
+                }
+                begun.store(i + 1, SeqCst);
+                db.record_results(EventId(1_000 + i as u32), &podium, true, 1);
+                landed.store(i + 1, SeqCst);
+            }
+            let _ = finished.send(());
+        }
+    });
+    let rendering = std::thread::spawn({
+        let (db, landed, states) = (Arc::clone(&db), Arc::clone(&landed), Arc::clone(&states));
+        move || {
+            let warm = Renderer::new(db);
+            let mut held: Vec<Option<Bytes>> = vec![None; keys.len()];
+            let (mut kept, mut verdict) = (0, Ok(()));
+            let mut done = false;
+            while !done && verdict.is_ok() {
+                // One more pass once every final has landed.
+                done = landed.load(SeqCst) == FINALS;
+                for (page, key) in keys.iter().enumerate() {
+                    let lo = landed.load(SeqCst);
+                    let out = warm.render_onto(*key, held[page].as_ref());
+                    let hi = begun.load(SeqCst);
+                    if !(lo..=hi).any(|k| states[k][page] == out.body) {
+                        verdict = Err(format!("{key} is of no state between {lo} and {hi}"));
+                        failed.store(true, SeqCst);
+                        break;
+                    }
+                    let is_held = |h: &Bytes| h.as_ptr() == out.body.as_ptr();
+                    kept += usize::from(held[page].as_ref().is_some_and(is_held));
+                    held[page] = Some(out.body);
+                    renders.fetch_add(1, SeqCst);
+                }
+            }
+            let _ = finished.send(());
+            verdict.map(|()| (kept, held))
+        }
+    });
+
+    for _ in 0..2 {
+        watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("render and commit deadlocked (or ran for over a minute)");
+    }
+    committer.join().expect("committer panicked");
+    let (kept, held) = rendering
+        .join()
+        .expect("renderer panicked")
+        .unwrap_or_else(|why| panic!("{why}"));
+    assert!(kept > 0, "no render was handed its held body back");
+    for (page, body) in held.iter().enumerate() {
+        assert!(
+            body.as_ref() == Some(&states[FINALS][page]),
+            "{}: not the last state",
+            keys[page]
+        );
+    }
+}
+
+/// With debug assertions on, the renderer composes every page it keeps by
+/// its stamps and panics on a difference: every suite of the workspace
+/// then cross-checks each revalidation it causes. A test profile that
+/// turns them off (or a run of this suite with `--release`) would lose
+/// that silently.
+#[test]
+fn the_test_profile_compiles_the_renderers_oracle_in() {
+    let mut compiled_in = false;
+    debug_assert!({
+        compiled_in = true;
+        compiled_in
+    });
+    assert!(
+        compiled_in,
+        "built without debug assertions: no page kept by its stamps is composed to compare"
+    );
+}
+
 #[test]
 fn warm_renderer_equals_fresh_renderer_plain_seeds() {
     for seed in [1, 42, 0x1998] {
@@ -535,18 +866,22 @@ fn fragment_equivalence_plain_seeds() {
 
 #[test]
 fn no_page_is_stale_after_any_update_of_the_games_schedule() {
-    // Seed 7 files its first photo as update 14 of the small Games and as
-    // update 6 of the full ones.
+    // The first photo is filed as update 14 of the small Games (seed 7)
+    // and as update 6 of the full ones (seed 1998: the replay the
+    // benchmark's ledger counts, DESIGN.md §13a).
     // Work counts pinned with the bytes: a dead edge — registered, never
     // read — raises `regenerated` and leaves `changed`; a missing one is a
-    // stale page in the replay itself.
+    // stale page in the replay itself; a read that lost its stamp lowers
+    // `revalidated`, one logged under too coarse a stamp as well. (One
+    // logged under a stamp that does not cover it fails the renderer's
+    // debug-build oracle, which composes every page it keeps.)
     assert_eq!(
         check_schedule_replay(&GamesConfig::small(), 7),
-        (78, 918, 656)
+        (78, 918, 656, 252)
     );
     assert_eq!(
-        check_schedule_replay(&GamesConfig::full(), 7),
-        (304, 13_658, 6_097)
+        check_schedule_replay(&GamesConfig::full(), 1998),
+        (304, 13_499, 5_994, 7_326)
     );
 }
 
@@ -567,6 +902,13 @@ proptest! {
         };
         check_cache_equals_fresh(seed, n, policy, batched);
     }
+
+}
+
+proptest! {
+    // The oracle of a path that skips composing: 96 prefixes, ~6 s beside
+    // the schedule replay above, which takes longer on the other core.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn prop_warm_renderer_equals_fresh_renderer(seed in 0u64..(1u64 << 32), n in 1usize..7) {

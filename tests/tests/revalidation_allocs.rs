@@ -1,0 +1,145 @@
+//! A regeneration the renderer answers from revision stamps allocates
+//! nothing between the probe and the distribution.
+//!
+//! A binary of its own, because it counts through the global allocator.
+//! The render half holds of an optimised build only — a build with debug
+//! assertions composes every page it keeps, to compare (DESIGN.md §14a,
+//! "Page freshness") — so CI also runs this file with `--release`; the
+//! registration and the distribution allocate nothing in either build.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
+use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
+
+thread_local! {
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // A thread that is being torn down has nowhere left to count.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every call is handed to `System` unchanged; the counter is a
+// `const`-initialised thread-local `Cell`, which allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What `f` returns, and how often this thread allocated meanwhile.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn podium(db: &OlympicDb, event: EventId) -> Vec<(AthleteId, f64)> {
+    let sport = db.event(event).unwrap().sport;
+    let athletes = db.athletes_of_sport(sport);
+    let scored = athletes.iter().take(3).zip([9.0, 8.0, 7.0]);
+    scored.map(|(a, score)| (a.id, score)).collect()
+}
+
+#[test]
+fn a_revalidated_regeneration_allocates_nothing() {
+    let db = Arc::new(OlympicDb::new());
+    seed_games(&db, &GamesConfig::small());
+    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let monitor = TriggerMonitor::new(
+        Renderer::new(Arc::clone(&db)),
+        Arc::clone(&fleet),
+        Arc::new(PageRegistry::build(&db, 16)),
+        ConsistencyPolicy::UpdateInPlace,
+    );
+    monitor.prewarm();
+    // The stages of `TriggerMonitor::regenerate`, one at a time, for every
+    // country page — what a final marks stale — with a renderer of the
+    // test's own in the monitor's place. Returns, per country, whether
+    // the page was composed.
+    let regenerating = Renderer::new(Arc::clone(&db));
+    let countries = db.countries();
+    let regenerate_countries = || -> Vec<bool> {
+        let fresh = Renderer::new(Arc::clone(&db));
+        let mut url = String::with_capacity(64);
+        let regenerate = |country: &nagano_db::Country| {
+            let key = PageKey::Country(country.id);
+            url.clear();
+            key.push_url(&mut url);
+            let held = fleet.distributed_body(&url).expect("update in place");
+            let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
+            assert!(out.body == fresh.render(key).body, "{key} is stale");
+            let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
+            let (changed, behind) = counted(|| {
+                monitor.register_render(key, &out);
+                fleet.distribute(&url, out.body, out.cost_ms)
+            });
+            assert_eq!(changed, !kept, "{key}");
+            if revalidated {
+                assert!(kept, "{key}");
+                if !cfg!(debug_assertions) {
+                    assert_eq!(rendering, 0, "{key}: allocated while revalidating");
+                }
+                assert_eq!(behind, 0, "{key}: allocated behind the renderer");
+            }
+            !revalidated
+        };
+        countries.iter().map(regenerate).collect()
+    };
+
+    // The first final finds the renderer knowing nothing of the bodies
+    // the fleet was prewarmed with; the second finds it knowing them all.
+    let events = db.events();
+    let placed = |event| -> Vec<_> {
+        let placed = podium(&db, event);
+        let country = |&(a, _): &(AthleteId, f64)| db.athlete(a).unwrap().country;
+        placed.iter().map(country).collect()
+    };
+    db.record_results(
+        events[0].id,
+        &podium(&db, events[0].id),
+        true,
+        events[0].day,
+    );
+    assert!(regenerate_countries().iter().all(|&composed| composed));
+    db.record_results(
+        events[1].id,
+        &podium(&db, events[1].id),
+        true,
+        events[1].day,
+    );
+    let on_podium = placed(events[1].id);
+    let expected: Vec<bool> = countries
+        .iter()
+        .map(|c| on_podium.contains(&c.id))
+        .collect();
+    assert!(expected.contains(&true) && expected.contains(&false));
+    assert_eq!(regenerate_countries(), expected);
+}
