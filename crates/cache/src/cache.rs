@@ -2,22 +2,28 @@
 //!
 //! Keys are page identities (URL paths); values are immutable rendered
 //! bodies ([`bytes::Bytes`], so distributing a page to eight serving caches
-//! shares one allocation). The lock per shard is a `parking_lot::Mutex`;
-//! with the default 16 shards and short critical sections, contention is
-//! negligible next to page generation costs.
+//! shares one allocation). The caches of a fleet are the columns of one
+//! sharded table: a row per page with a cell per member, and beside a
+//! shard's rows each member's own eviction queue, byte count, tombstones
+//! and flights. A [`PageCache`] is one column of a table — a standalone
+//! cache the only column of its own — so a lookup takes one shard lock and
+//! probes one map, and so does a distribution to every member
+//! ([`crate::CacheFleet::distribute`]). The lock per shard is a
+//! `parking_lot::Mutex`; a table has [`CacheConfig::shards`] of them per
+//! member, and with the default 16 and short critical sections contention
+//! is negligible next to page generation costs.
 //!
-//! Eviction uses a lazy-deletion priority queue per shard: every
-//! touch/insert pushes a `(rank, key, stamp)` record; stale records (stamp
-//! mismatch) are discarded when popped. This gives O(log n) amortised
-//! eviction for all three bounded policies without intrusive lists.
+//! Eviction uses a lazy-deletion priority queue per member and shard:
+//! every touch/insert pushes a `(rank, key, stamp)` record; stale records
+//! (stamp mismatch) are discarded when popped. This gives O(log n)
+//! amortised eviction for all three bounded policies without intrusive
+//! lists.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{Relaxed, SeqCst},
-};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
@@ -49,10 +55,11 @@ impl StalePolicy {
 /// Configuration for a [`PageCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Number of shards (rounded up to a power of two, min 1).
+    /// Number of shards per cache (min 1; a table's count — this times
+    /// its members — is rounded up to a power of two).
     pub shards: usize,
-    /// Total byte budget across all shards; `None` = unbounded (the
-    /// paper's production configuration).
+    /// One cache's total byte budget across all shards; `None` =
+    /// unbounded (the paper's production configuration).
     pub max_bytes: Option<u64>,
     /// Eviction policy when `max_bytes` is set.
     pub policy: ReplacementPolicy,
@@ -120,29 +127,9 @@ pub struct PrebuiltHead {
 /// path.
 pub type HeadBuilder = Arc<dyn Fn(&Bytes, u64) -> PrebuiltHead + Send + Sync>;
 
-/// The head one member of a fleet built for the body being distributed,
-/// offered to the members after it: a head is a function of the builder,
-/// the body and the version, so a member with the same builder whose
-/// entry lands on the same version stores a clone instead of building
-/// its own.
-pub(crate) struct SharedHead {
-    builder: HeadBuilder,
-    version: u64,
-    head: PrebuiltHead,
-}
-
-/// What one member did with a body distributed to it
-/// ([`PageCache::keep_or_put`]).
-pub(crate) enum Held {
-    /// Inserted, or replaced bytes that differed.
-    Put,
-    /// The member held these bytes already; its entry is untouched.
-    Kept,
-    /// [`Held::Kept`], and the entry was last distributed at this very
-    /// count of member-local changes: no member has changed on its own
-    /// since, so every one of them still holds what that distribution
-    /// left there.
-    Settled,
+/// Whether two buffers are one allocation.
+fn same_allocation(a: &Bytes, b: &Bytes) -> bool {
+    a.as_ptr() == b.as_ptr() && a.len() == b.len()
 }
 
 /// Byte equality, by address before content: a regeneration that changed
@@ -224,6 +211,7 @@ struct StaleEntry {
     since_us: u64,
 }
 
+/// One member's copy of a page: a cell of the page's [`Row`].
 #[derive(Debug)]
 struct Entry {
     body: Bytes,
@@ -232,24 +220,49 @@ struct Entry {
     /// version changes (see [`HeadBuilder`]).
     head: Option<PrebuiltHead>,
     cost: f64,
-    /// The fleet's count of member-local changes as the distribution that
-    /// last put or kept this entry began; `None` after a node-local put
-    /// or restore. Read on the fleet's first member only.
-    settled: Option<u64>,
     pinned: bool,
     freq: u64,
     /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
     /// input to the fleet-level EWMA hotness tracker.
     window_hits: u64,
     last_tick: u64,
-    /// Identity of the entry's newest heap record, drawn from the shard's
-    /// monotonic tick so stale records — including ones surviving from a
-    /// previous incarnation of the same key — never match.
+    /// Identity of the entry's newest heap record, drawn from its
+    /// column's monotonic tick so stale records — including ones
+    /// surviving from a previous incarnation of the same key — never
+    /// match.
     stamp: u64,
 }
 
-struct Shard {
-    map: FxHashMap<Arc<str>, Entry>,
+impl Entry {
+    fn page(&self) -> CachedPage {
+        CachedPage {
+            body: self.body.clone(),
+            version: self.version,
+            head: self.head.clone(),
+        }
+    }
+}
+
+/// One page across the fleet: a cell per member, side by side, so that
+/// what a distribution finds on every member is read off one map probe. A
+/// row lives as long as one of its cells is filled.
+struct Row {
+    /// The map's own key, at hand for an eviction record or a dirty mark.
+    key: Arc<str>,
+    cells: Box<[Option<Entry>]>,
+}
+
+impl Row {
+    fn is_empty(&self) -> bool {
+        self.cells.iter().all(Option::is_none)
+    }
+}
+
+type Rows = FxHashMap<Arc<str>, Row>;
+
+/// One member's state in one shard, beside the rows its cells are in.
+#[derive(Default)]
+struct Column {
     heap: BinaryHeap<Reverse<(Rank, u64, Arc<str>)>>,
     tick: u64,
     bytes: u64,
@@ -271,21 +284,7 @@ struct Shard {
     flights: FxHashMap<Arc<str>, Arc<Flight>>,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            map: FxHashMap::default(),
-            heap: BinaryHeap::new(),
-            tick: 0,
-            bytes: 0,
-            inflation: 0.0,
-            dirty: Vec::new(),
-            stale: FxHashMap::default(),
-            stale_epochs: FxHashMap::default(),
-            flights: FxHashMap::default(),
-        }
-    }
-
+impl Column {
     /// Move a removed entry's body into the stale tombstone store,
     /// bumping the key's stale epoch.
     fn tombstone(&mut self, key: &str, body: Bytes, version: u64, now_us: u64) {
@@ -309,74 +308,319 @@ impl Shard {
         );
     }
 
-    fn touch(&mut self, key: &Arc<str>, policy: ReplacementPolicy) {
-        self.tick += 1;
-        let inflation = self.inflation;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(key) {
-            e.freq += 1;
-            if e.window_hits == 0 {
-                self.dirty.push(Arc::clone(key));
-            }
-            e.window_hits += 1;
-            e.last_tick = tick;
-            e.stamp = tick;
-            if policy.is_bounded() {
-                let rank = policy.rank(tick, e.freq, e.cost, e.body.len() as u64, inflation);
-                self.heap.push(Reverse((rank, e.stamp, Arc::clone(key))));
-            }
+    /// Give `entry`, which has just been written at `self.tick`, its place
+    /// in the eviction queue.
+    fn enqueue(&mut self, key: &Arc<str>, entry: &Entry, policy: ReplacementPolicy) {
+        if policy.is_bounded() {
+            let size = entry.body.len() as u64;
+            let rank = policy.rank(self.tick, entry.freq, entry.cost, size, self.inflation);
+            self.heap
+                .push(Reverse((rank, entry.stamp, Arc::clone(key))));
         }
     }
+}
 
-    /// Pop victims until `bytes <= budget` or nothing evictable remains.
+struct Shard {
+    rows: Rows,
+    /// Indexed like a row's cells.
+    columns: Box<[Column]>,
+}
+
+impl Shard {
+    /// Pop column `c`'s victims until its `bytes <= budget` or nothing
+    /// evictable remains.
     ///
     /// `protect` shields the entry that triggered the eviction (the page
     /// just inserted): without it, a fresh entry with zero hits would be
     /// the immediate LFU/GDS victim and nothing new could ever stay cached.
     /// With `stale_now` set (a [`StalePolicy`] is active, value = current
     /// cache-clock micros), victims are tombstoned instead of dropped.
-    /// Returns whether anything was evicted.
     fn evict_to(
         &mut self,
+        c: usize,
         budget: u64,
         stats: &CacheStats,
-        protect: Option<&str>,
+        protect: &str,
         stale_now: Option<u64>,
-    ) -> bool {
-        let mut evicted = false;
+    ) {
+        let column = &mut self.columns[c];
         let mut skipped: Vec<Reverse<(Rank, u64, Arc<str>)>> = Vec::new();
-        while self.bytes > budget {
-            let Some(Reverse((rank, stamp, key))) = self.heap.pop() else {
+        while column.bytes > budget {
+            let Some(Reverse((rank, stamp, key))) = column.heap.pop() else {
                 // Nothing evictable (everything pinned or heap drained):
                 // allow overflow rather than loop forever.
                 break;
             };
-            if Some(&*key) == protect {
+            if *key == *protect {
                 skipped.push(Reverse((rank, stamp, key)));
                 continue;
             }
-            let evict = match self.map.get(&key) {
-                Some(e) if e.stamp == stamp && !e.pinned => true,
-                _ => false, // stale record or pinned entry
+            let Some(row) = self.rows.get_mut(&key) else {
+                continue; // stale record
             };
-            if evict {
-                if let Rank::Value(v) = rank {
-                    self.inflation = self.inflation.max(v.0);
-                }
-                if let Some(e) = self.map.remove(&key) {
-                    let size = e.body.len() as u64;
-                    self.bytes -= size;
-                    stats.evict(size);
-                    evicted = true;
-                    if let Some(now_us) = stale_now {
-                        self.tombstone(&key, e.body, e.version, now_us);
-                    }
-                }
+            let Some(e) = row.cells[c].take_if(|e| e.stamp == stamp && !e.pinned) else {
+                continue; // stale record or pinned entry
+            };
+            if row.is_empty() {
+                self.rows.remove(&key);
+            }
+            if let Rank::Value(v) = rank {
+                column.inflation = column.inflation.max(v.0);
+            }
+            let size = e.body.len() as u64;
+            column.bytes -= size;
+            stats.evict(size);
+            if let Some(now_us) = stale_now {
+                column.tombstone(&key, e.body, e.version, now_us);
             }
         }
         // Protected records go back so the entry stays evictable later.
-        self.heap.extend(skipped);
-        evicted
+        column.heap.extend(skipped);
+    }
+}
+
+/// How a body comes to a member ([`Table::place`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Put {
+    /// By a fleet distribution: a member that holds these bytes already
+    /// keeps its entry as it is — allocation, version, head, cost,
+    /// recency, statistics.
+    Distributed,
+    /// By a fill of that member alone: always a new version.
+    Local,
+    /// From a peer, at the peer's version.
+    Restored(u64),
+}
+
+/// What a member has of its own outside the shards.
+#[derive(Default)]
+struct Member {
+    /// Cache-clock time in microseconds, advanced by the owner via
+    /// [`PageCache::set_now_secs`]; stale ages are measured against it.
+    /// Simulations feed it sim time, real deployments wall time — the
+    /// cache itself never reads a clock (determinism contract, D001).
+    now_us: AtomicU64,
+    /// Optional head preserialiser, installed once by the serving layer.
+    head_builder: OnceLock<HeadBuilder>,
+    stats: Arc<CacheStats>,
+}
+
+/// The store behind a fleet's caches: one sharded map from page key to
+/// [`Row`], a column per member. A shard's lock covers its rows and every
+/// member's [`Column`] beside them, so whatever is done to one key — on
+/// one member or on all of them — is done under one lock, and a reader of
+/// any member sees a distribution either whole or not at all.
+pub(crate) struct Table {
+    shards: Box<[Mutex<Shard>]>,
+    mask: usize,
+    /// A member's byte budget for its column of one shard.
+    per_shard_budget: Option<u64>,
+    policy: ReplacementPolicy,
+    stale: Option<StalePolicy>,
+    members: Box<[Member]>,
+}
+
+impl std::fmt::Debug for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table")
+            .field("shards", &self.shards.len())
+            .field("members", &self.members.len())
+            .field("policy", &self.policy)
+            .finish()
+    }
+}
+
+impl Table {
+    /// A table for `members` caches of `config` each. It has
+    /// `config.shards` locks per member — what that many caches of their
+    /// own would have between them — and splits each member's byte budget
+    /// evenly over them.
+    pub(crate) fn new(config: &CacheConfig, members: usize) -> Arc<Self> {
+        let n = (config.shards.max(1) * members).next_power_of_two();
+        let shard = || Shard {
+            rows: Rows::default(),
+            columns: (0..members).map(|_| Column::default()).collect(),
+        };
+        Arc::new(Table {
+            shards: (0..n).map(|_| Mutex::new(shard())).collect(),
+            mask: n - 1,
+            per_shard_budget: config.max_bytes.map(|b| b / n as u64),
+            policy: config.policy,
+            stale: config.stale,
+            members: (0..members).map(|_| Member::default()).collect(),
+        })
+    }
+
+    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) & self.mask]
+    }
+
+    /// Member `c`'s cache-clock micros when a stale policy is active.
+    fn stale_now(&self, c: usize) -> Option<u64> {
+        self.stale.map(|_| self.members[c].now_us.load(Relaxed))
+    }
+
+    /// Put `body` under `key` on each member in `columns`, under one lock
+    /// and off one probe. Returns whether any entry was written, and the
+    /// version the last of those members has the page at.
+    ///
+    /// Cells written one after the other share what can be shared. The
+    /// body: a member asked to keep an allocation other than the one
+    /// passed in hands its own on, so a cell that is then written joins
+    /// the allocation its neighbours hold. The comparison: cells as a rule
+    /// hold one allocation, and the one a cell was just found to differ
+    /// in is not compared again. The head: it is a function of builder,
+    /// body and version, so a cell written at the version its left
+    /// neighbour has, for the same builder, takes that neighbour's.
+    pub(crate) fn place(
+        &self,
+        key: &str,
+        mut body: Bytes,
+        cost: f64,
+        columns: Range<usize>,
+        how: Put,
+    ) -> (bool, u64) {
+        let size = body.len() as u64;
+        // Declared before the lock is taken, so that the body this holds
+        // last is freed after the lock is released.
+        let mut replaced: Option<Bytes> = None;
+        let mut shard = self.shard_for(key).lock();
+        let Shard {
+            rows,
+            columns: state,
+        } = &mut *shard;
+        let row = match rows.get_mut(key) {
+            Some(row) => row,
+            None => {
+                let k: Arc<str> = Arc::from(key);
+                rows.entry(Arc::clone(&k)).or_insert(Row {
+                    key: k,
+                    cells: (0..self.members.len()).map(|_| None).collect(),
+                })
+            }
+        };
+        let mut version = 0;
+        // Only a bounded table evicts, and only there is this filled.
+        let mut written: Vec<usize> = Vec::new();
+        let mut changed = false;
+        for c in columns.clone() {
+            let (left, cell) = row.cells[..=c].split_at_mut(c);
+            let cell = &mut cell[0];
+            if let Some(e) = cell.as_ref().filter(|_| how == Put::Distributed) {
+                let differs = replaced
+                    .as_ref()
+                    .is_some_and(|r| same_allocation(r, &e.body));
+                if !differs && same_bytes(&e.body, &body) {
+                    if !same_allocation(&e.body, &body) {
+                        body = e.body.clone();
+                    }
+                    version = e.version;
+                    continue;
+                }
+            }
+            let member = &self.members[c];
+            let column = &mut state[c];
+            column.tick += 1;
+            version = match how {
+                Put::Restored(version) => version,
+                _ => cell.as_ref().map_or(0, |e| e.version) + 1,
+            };
+            let neighbour = left
+                .last()
+                .and_then(Option::as_ref)
+                .filter(|_| c > columns.start);
+            let head = member.head_builder.get().map(|builder| {
+                let shared = neighbour.filter(|n| {
+                    n.version == version
+                        && self.members[c - 1]
+                            .head_builder
+                            .get()
+                            .is_some_and(|theirs| Arc::ptr_eq(theirs, builder))
+                });
+                match shared.and_then(|n| n.head.as_ref()) {
+                    Some(head) => head.clone(),
+                    None => builder(&body, version),
+                }
+            });
+            match cell {
+                Some(e) => {
+                    let old = std::mem::replace(&mut e.body, body.clone());
+                    e.version = version;
+                    e.head = head;
+                    e.cost = cost;
+                    e.stamp = column.tick;
+                    e.last_tick = column.tick;
+                    column.bytes = column.bytes - old.len() as u64 + size;
+                    member.stats.update(old.len() as u64, size);
+                    replaced = Some(old);
+                }
+                None => {
+                    *cell = Some(Entry {
+                        body: body.clone(),
+                        version,
+                        head,
+                        cost,
+                        pinned: false,
+                        freq: 0,
+                        window_hits: 0,
+                        last_tick: column.tick,
+                        stamp: column.tick,
+                    });
+                    column.bytes += size;
+                    member.stats.insert(size);
+                }
+            }
+            if let Some(e) = cell {
+                column.enqueue(&row.key, e, self.policy);
+            }
+            // A fresh body supersedes any tombstoned stale copy of the key.
+            if self.stale.is_some() {
+                column.stale.remove(key);
+            }
+            if self.per_shard_budget.is_some() {
+                written.push(c);
+            }
+            changed = true;
+        }
+        if let Some(budget) = self.per_shard_budget {
+            for c in written {
+                let stats = &self.members[c].stats;
+                shard.evict_to(c, budget, stats, key, self.stale_now(c));
+            }
+        }
+        (changed, version)
+    }
+
+    /// Remove `key` from each member in `columns`; returns how many held
+    /// it. Under a [`StalePolicy`] a removed body is kept as that member's
+    /// servable tombstone.
+    pub(crate) fn invalidate(&self, key: &str, columns: Range<usize>) -> usize {
+        let mut shard = self.shard_for(key).lock();
+        let Shard {
+            rows,
+            columns: state,
+        } = &mut *shard;
+        let Some(row) = rows.get_mut(key) else {
+            return 0;
+        };
+        let mut held = 0;
+        for c in columns {
+            if let Some(e) = row.cells[c].take() {
+                let size = e.body.len() as u64;
+                state[c].bytes -= size;
+                self.members[c].stats.invalidate(size);
+                if let Some(now_us) = self.stale_now(c) {
+                    state[c].tombstone(key, e.body, e.version, now_us);
+                }
+                held += 1;
+            }
+        }
+        if row.is_empty() {
+            rows.remove(key);
+        }
+        held
     }
 }
 
@@ -399,35 +643,16 @@ impl Shard {
 /// assert_eq!(cache.stats().misses, 0);
 /// ```
 pub struct PageCache {
-    shards: Vec<Mutex<Shard>>,
-    mask: usize,
-    per_shard_budget: Option<u64>,
-    policy: ReplacementPolicy,
-    stale: Option<StalePolicy>,
-    /// Cache-clock time in microseconds, advanced by the owner via
-    /// [`PageCache::set_now_secs`]; stale ages are measured against it.
-    /// Simulations feed it sim time, real deployments wall time — the
-    /// cache itself never reads a clock (determinism contract, D001).
-    now_us: AtomicU64,
-    /// Optional head preserialiser, installed once by the serving layer.
-    head_builder: OnceLock<HeadBuilder>,
-    /// Counts the changes to this cache's entries that were not one
-    /// member's part of a fleet distribution: a put, an invalidation, an
-    /// eviction, a clear, a restore. A fleet hands all its members one
-    /// counter ([`PageCache::counting_changes_on`]) and reads it to know
-    /// whether they still hold what it last distributed. Bumped *after*
-    /// the change it counts: a distribution that read the count before
-    /// the bump either met the change at that member or is followed by a
-    /// count its entries' [`Entry::settled`] no longer equal.
-    local_changes: Arc<AtomicU64>,
-    stats: Arc<CacheStats>,
+    table: Arc<Table>,
+    /// Which of the table's members this is.
+    column: usize,
 }
 
 impl std::fmt::Debug for PageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
-            .field("shards", &self.shards.len())
-            .field("policy", &self.policy)
+            .field("shards", &self.table.shards.len())
+            .field("policy", &self.table.policy)
             .field("len", &self.len())
             .finish()
     }
@@ -440,31 +665,42 @@ impl Default for PageCache {
 }
 
 impl PageCache {
-    /// Create a cache from `config`.
+    /// Create a cache from `config`: the one member of a table of its own.
     pub fn new(config: CacheConfig) -> Self {
-        Self::counting_changes_on(config, Arc::default())
+        Self::member_of(Table::new(&config, 1), 0)
     }
 
-    /// [`PageCache::new`] for a member of a fleet: its local changes are
-    /// counted on the fleet's counter.
-    pub(crate) fn counting_changes_on(config: CacheConfig, local_changes: Arc<AtomicU64>) -> Self {
-        let n = config.shards.max(1).next_power_of_two();
-        let shards = (0..n).map(|_| Mutex::new(Shard::new())).collect();
-        PageCache {
-            shards,
-            mask: n - 1,
-            per_shard_budget: config.max_bytes.map(|b| b / n as u64),
-            policy: config.policy,
-            stale: config.stale,
-            now_us: AtomicU64::new(0),
-            head_builder: OnceLock::new(),
-            local_changes,
-            stats: Arc::new(CacheStats::default()),
+    /// Member `column` of `table`.
+    pub(crate) fn member_of(table: Arc<Table>, column: usize) -> Self {
+        PageCache { table, column }
+    }
+
+    fn member(&self) -> &Member {
+        &self.table.members[self.column]
+    }
+
+    /// Run `f` on `key`'s shard: its rows and this member's column.
+    fn with_shard<T>(&self, key: &str, f: impl FnOnce(&mut Rows, &mut Column) -> T) -> T {
+        let mut shard = self.table.shard_for(key).lock();
+        let Shard { rows, columns } = &mut *shard;
+        f(rows, &mut columns[self.column])
+    }
+
+    /// Run `f` on every shard in index order, as [`PageCache::with_shard`]
+    /// does on one.
+    fn for_each_shard(&self, mut f: impl FnMut(&mut Rows, &mut Column)) {
+        for s in self.table.shards.iter() {
+            let mut shard = s.lock();
+            let Shard { rows, columns } = &mut *shard;
+            f(rows, &mut columns[self.column]);
         }
     }
 
-    fn count_local_change(&self) {
-        self.local_changes.fetch_add(1, SeqCst);
+    /// Run `f` on this member's entry for `key`, if it has one.
+    fn with_entry<T>(&self, key: &str, f: impl FnOnce(&Entry) -> T) -> Option<T> {
+        let shard = self.table.shard_for(key).lock();
+        let entry = shard.rows.get(key)?.cells[self.column].as_ref()?;
+        Some(f(entry))
     }
 
     /// Install the builder invoked on every insert/update/restore to
@@ -474,39 +710,7 @@ impl PageCache {
     /// Returns `false` if a builder was already installed (the first one
     /// wins).
     pub fn set_head_builder(&self, builder: HeadBuilder) -> bool {
-        self.head_builder.set(builder).is_ok()
-    }
-
-    fn build_head(&self, body: &Bytes, version: u64) -> Option<PrebuiltHead> {
-        self.head_builder.get().map(|b| b(body, version))
-    }
-
-    /// The head for `body` at `version`. A distribution offers `shared`:
-    /// its head is taken when it was built by this cache's builder for
-    /// this version, else a fresh one is built and replaces it. A local
-    /// fill offers nothing and records nothing.
-    fn shared_head(
-        &self,
-        body: &Bytes,
-        version: u64,
-        shared: Option<&mut Option<SharedHead>>,
-    ) -> Option<PrebuiltHead> {
-        let Some(shared) = shared else {
-            return self.build_head(body, version);
-        };
-        let builder = self.head_builder.get()?;
-        if let Some(s) = shared {
-            if s.version == version && Arc::ptr_eq(&s.builder, builder) {
-                return Some(s.head.clone());
-            }
-        }
-        let head = builder(body, version);
-        *shared = Some(SharedHead {
-            builder: Arc::clone(builder),
-            version,
-            head: head.clone(),
-        });
-        Some(head)
+        self.member().head_builder.set(builder).is_ok()
     }
 
     /// Advance the cache clock (monotonic micros derived from `secs`).
@@ -514,223 +718,77 @@ impl PageCache {
     /// decides what "time" means — sim time in the cluster simulation.
     pub fn set_now_secs(&self, secs: f64) {
         let us = (secs.max(0.0) * 1e6) as u64;
-        self.now_us.fetch_max(us, Relaxed);
+        self.member().now_us.fetch_max(us, Relaxed);
     }
 
     fn now_us(&self) -> u64 {
-        self.now_us.load(Relaxed)
-    }
-
-    /// Current cache-clock micros when a stale policy is active.
-    fn stale_now(&self) -> Option<u64> {
-        self.stale.map(|_| self.now_us())
-    }
-
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.mask]
+        self.member().now_us.load(Relaxed)
     }
 
     /// The replacement policy in effect.
     pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
+        self.table.policy
     }
 
     /// Shared handle to the statistics block.
     pub fn stats_handle(&self) -> Arc<CacheStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.member().stats)
     }
 
     /// Snapshot of the statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.member().stats.snapshot()
     }
 
     /// Look up `key`, recording a hit or miss and touching recency state.
     pub fn get(&self, key: &str) -> Option<CachedPage> {
-        let mut shard = self.shard_for(key).lock();
-        let found = shard.map.get_key_value(key).map(|(k, e)| {
-            (
-                Arc::clone(k),
-                CachedPage {
-                    body: e.body.clone(),
-                    version: e.version,
-                    head: e.head.clone(),
-                },
-            )
+        let policy = self.table.policy;
+        let page = self.with_shard(key, |rows, column| {
+            let row = rows.get_mut(key)?;
+            let e = row.cells[self.column].as_mut()?;
+            column.tick += 1;
+            e.freq += 1;
+            if e.window_hits == 0 {
+                column.dirty.push(Arc::clone(&row.key));
+            }
+            e.window_hits += 1;
+            e.last_tick = column.tick;
+            e.stamp = column.tick;
+            column.enqueue(&row.key, e, policy);
+            Some(e.page())
         });
-        match found {
-            Some((k, page)) => {
-                shard.touch(&k, self.policy);
-                self.stats.hit();
-                Some(page)
-            }
-            None => {
-                self.stats.miss();
-                None
-            }
+        match page {
+            Some(_) => self.member().stats.hit(),
+            None => self.member().stats.miss(),
         }
+        page
     }
 
     /// Look up without counting a hit/miss or touching recency — used by
     /// the trigger monitor to inspect state without skewing measurements.
     pub fn peek(&self, key: &str) -> Option<CachedPage> {
-        let shard = self.shard_for(key).lock();
-        shard.map.get(key).map(|e| CachedPage {
-            body: e.body.clone(),
-            version: e.version,
-            head: e.head.clone(),
-        })
+        self.with_entry(key, Entry::page)
     }
 
     /// Look up `key`'s body alone, like [`PageCache::peek`] counting and
     /// touching nothing.
     pub fn peek_body(&self, key: &str) -> Option<Bytes> {
-        let shard = self.shard_for(key).lock();
-        shard.map.get(key).map(|e| e.body.clone())
+        self.with_entry(key, |e| e.body.clone())
     }
 
     /// Insert or update-in-place. Returns the entry's new version (1 for a
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
     /// used by GreedyDual-Size.
-    pub fn put(&self, key: &str, mut body: Bytes, cost: f64) -> u64 {
-        let version = {
-            let mut shard = self.shard_for(key).lock();
-            self.place(&mut shard, key, &mut body, cost, None).1
-        };
-        self.count_local_change();
-        version
-    }
-
-    /// One member's part of a fleet distribution that began at `epoch`
-    /// member-local changes: keep the entry — body allocation, version,
-    /// head, cost, recency and statistics untouched — when it holds
-    /// `body`'s bytes already, else [`PageCache::put`] with the head taken
-    /// from `shared` when that fits this member (see [`SharedHead`]), so a
-    /// fleet whose versions agree builds one head per page, not one per
-    /// member under each member's shard lock. Either way `body` leaves as
-    /// the allocation this member holds: the next member, which as a rule
-    /// holds the same one, then compares by address.
-    pub(crate) fn keep_or_put(
-        &self,
-        key: &str,
-        body: &mut Bytes,
-        cost: f64,
-        epoch: u64,
-        shared: &mut Option<SharedHead>,
-    ) -> Held {
-        let mut shard = self.shard_for(key).lock();
-        self.place(&mut shard, key, body, cost, Some((epoch, shared)))
-            .0
-    }
-
-    /// Put `body` under `key` in its (locked) `shard` — for a
-    /// `distribution` (its epoch and the head it shares), unless the entry
-    /// holds those bytes already. Returns what was done and the entry's
-    /// version.
-    fn place(
-        &self,
-        shard: &mut Shard,
-        key: &str,
-        body: &mut Bytes,
-        cost: f64,
-        distribution: Option<(u64, &mut Option<SharedHead>)>,
-    ) -> (Held, u64) {
-        let size = body.len() as u64;
-        let (settled, shared) = match distribution {
-            Some((epoch, shared)) => (Some(epoch), Some(shared)),
-            None => (None, None),
-        };
-        let version;
-        if let Some(e) = shard.map.get_mut(key) {
-            if settled.is_some() && same_bytes(&e.body, body) {
-                if e.settled == settled {
-                    return (Held::Settled, e.version);
-                }
-                e.settled = settled;
-                if e.body.as_ptr() != body.as_ptr() {
-                    *body = e.body.clone();
-                }
-                return (Held::Kept, e.version);
-            }
-            shard.tick += 1;
-            let tick = shard.tick;
-            let old = e.body.len() as u64;
-            e.version += 1;
-            version = e.version;
-            e.head = self.shared_head(body, version, shared);
-            e.body = body.clone();
-            e.cost = cost;
-            e.settled = settled;
-            e.stamp = tick;
-            e.last_tick = tick;
-            let freq = e.freq;
-            shard.bytes = shard.bytes - old + size;
-            self.stats.update(old, size);
-            if self.policy.is_bounded() {
-                let rank = self.policy.rank(tick, freq, cost, size, shard.inflation);
-                if let Some(k) = shard.map.get_key_value(key).map(|(k, _)| Arc::clone(k)) {
-                    shard.heap.push(Reverse((rank, tick, k)));
-                }
-            }
-        } else {
-            shard.tick += 1;
-            let tick = shard.tick;
-            let k: Arc<str> = Arc::from(key);
-            version = 1;
-            let head = self.shared_head(body, 1, shared);
-            shard.map.insert(
-                Arc::clone(&k),
-                Entry {
-                    body: body.clone(),
-                    version: 1,
-                    head,
-                    cost,
-                    settled,
-                    pinned: false,
-                    freq: 0,
-                    window_hits: 0,
-                    last_tick: tick,
-                    stamp: tick,
-                },
-            );
-            shard.bytes += size;
-            self.stats.insert(size);
-            if self.policy.is_bounded() {
-                let rank = self.policy.rank(tick, 0, cost, size, shard.inflation);
-                shard.heap.push(Reverse((rank, tick, k)));
-            }
-        }
-        // A fresh body supersedes any tombstoned stale copy of the key.
-        if self.stale.is_some() {
-            shard.stale.remove(key);
-        }
-        if let Some(budget) = self.per_shard_budget {
-            if shard.evict_to(budget, &self.stats, Some(key), self.stale_now()) {
-                self.count_local_change();
-            }
-        }
-        (Held::Put, version)
+    pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
+        let only = self.column..self.column + 1;
+        self.table.place(key, body, cost, only, Put::Local).1
     }
 
     /// Remove `key`; returns whether it was present. Under a
     /// [`StalePolicy`] the removed body is kept as a servable tombstone.
     pub fn invalidate(&self, key: &str) -> bool {
-        let stale_now = self.stale_now();
-        let mut shard = self.shard_for(key).lock();
-        if let Some(e) = shard.map.remove(key) {
-            let size = e.body.len() as u64;
-            shard.bytes -= size;
-            self.stats.invalidate(size);
-            if let Some(now_us) = stale_now {
-                shard.tombstone(key, e.body, e.version, now_us);
-            }
-            self.count_local_change();
-            true
-        } else {
-            false
-        }
+        let only = self.column..self.column + 1;
+        self.table.invalidate(key, only) == 1
     }
 
     /// Invalidate a batch; returns how many were present.
@@ -741,41 +799,51 @@ impl PageCache {
     /// Pin or unpin an entry (pinned entries are never evicted). Returns
     /// whether the key was present.
     pub fn set_pinned(&self, key: &str, pinned: bool) -> bool {
-        let mut shard = self.shard_for(key).lock();
-        shard.tick += 1;
-        let fresh_stamp = shard.tick;
-        let inflation = shard.inflation;
-        let policy = self.policy;
-        let rec = if let Some(e) = shard.map.get_mut(key) {
+        let policy = self.table.policy;
+        self.with_shard(key, |rows, column| {
+            column.tick += 1;
+            let Some(row) = rows.get_mut(key) else {
+                return false;
+            };
+            let Some(e) = row.cells[self.column].as_mut() else {
+                return false;
+            };
             e.pinned = pinned;
             if !pinned && policy.is_bounded() {
                 // Re-enter the eviction queue at the entry's *original*
                 // recency: unpinning is not an access.
-                e.stamp = fresh_stamp;
-                let rank = policy.rank(e.last_tick, e.freq, e.cost, e.body.len() as u64, inflation);
-                Some((rank, e.stamp))
-            } else {
-                None
+                e.stamp = column.tick;
+                let size = e.body.len() as u64;
+                let rank = policy.rank(e.last_tick, e.freq, e.cost, size, column.inflation);
+                let record = (rank, e.stamp, Arc::clone(&row.key));
+                column.heap.push(Reverse(record));
             }
-        } else {
-            return false;
-        };
-        if let Some((rank, stamp)) = rec {
-            if let Some(k) = shard.map.get_key_value(key).map(|(k, _)| Arc::clone(k)) {
-                shard.heap.push(Reverse((rank, stamp, k)));
-            }
-        }
-        true
+            true
+        })
     }
 
     /// Whether `key` is cached.
     pub fn contains(&self, key: &str) -> bool {
-        self.shard_for(key).lock().map.contains_key(key)
+        self.with_entry(key, |_| ()).is_some()
+    }
+
+    /// This member's entries, shard by shard, each in its shard's map
+    /// order, as `f` sees them.
+    fn collect_entries<T>(&self, mut f: impl FnMut(&Arc<str>, &Entry) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        self.for_each_shard(|rows, _| {
+            for (k, row) in rows.iter() {
+                if let Some(e) = &row.cells[self.column] {
+                    out.push(f(k, e));
+                }
+            }
+        });
+        out
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.collect_entries(|_, _| ()).len()
     }
 
     /// Whether the cache is empty.
@@ -783,57 +851,52 @@ impl PageCache {
         self.len() == 0
     }
 
+    /// Rows of the table this cache is a column of: the pages that this
+    /// member or another of its fleet holds (for diagnostics).
+    pub fn rows(&self) -> usize {
+        let mut total = 0;
+        self.for_each_shard(|rows, _| total += rows.len());
+        total
+    }
+
     /// Bytes currently cached.
     pub fn bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        let mut total = 0;
+        self.for_each_shard(|_, column| total += column.bytes);
+        total
     }
 
     /// Drop every entry (counted as invalidations). This is a *cold*
     /// restart: stale tombstones and in-flight regenerations are wiped
     /// too, so a crashed shard recovers with nothing to serve stale from.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.lock();
-            let keys: Vec<Arc<str>> = shard.map.keys().cloned().collect();
-            for k in keys {
-                if let Some(e) = shard.map.remove(&k) {
+        let stats = &self.member().stats;
+        self.for_each_shard(|rows, column| {
+            rows.retain(|_, row| {
+                if let Some(e) = row.cells[self.column].take() {
                     let size = e.body.len() as u64;
-                    shard.bytes -= size;
-                    self.stats.invalidate(size);
+                    column.bytes -= size;
+                    stats.invalidate(size);
                 }
-            }
-            shard.heap.clear();
-            shard.stale.clear();
-            shard.stale_epochs.clear();
-            shard.flights.clear();
-        }
-        self.count_local_change();
+                !row.is_empty()
+            });
+            column.heap.clear();
+            column.stale.clear();
+            column.stale_epochs.clear();
+            column.flights.clear();
+        });
     }
 
     /// All cached keys (for diagnostics; takes each shard lock in turn).
     pub fn keys(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.lock().map.keys().map(|k| k.to_string()));
-        }
-        out
+        self.collect_entries(|k, _| k.to_string())
     }
 
     /// Export every entry: `(key, body, cost, version)`. Bodies are
     /// refcounted views, so exporting is cheap. Used to resynchronise a
     /// recovered serving node from a healthy peer.
     pub fn export_entries(&self) -> Vec<(String, Bytes, f64, u64)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            let shard = s.lock();
-            out.extend(
-                shard
-                    .map
-                    .iter()
-                    .map(|(k, e)| (k.to_string(), e.body.clone(), e.cost, e.version)),
-            );
-        }
-        out
+        self.collect_entries(|k, e| (k.to_string(), e.body.clone(), e.cost, e.version))
     }
 
     /// Collect and reset per-entry hit counts accumulated since the last
@@ -845,17 +908,16 @@ impl PageCache {
     /// order, keys in first-hit order within a shard.
     pub fn drain_window_hits(&self) -> Vec<(Arc<str>, u64)> {
         let mut out = Vec::new();
-        for s in &self.shards {
-            let mut shard = s.lock();
-            let dirty = std::mem::take(&mut shard.dirty);
-            for key in dirty {
-                if let Some(e) = shard.map.get_mut(&key) {
-                    if e.window_hits > 0 {
-                        out.push((key, std::mem::take(&mut e.window_hits)));
-                    }
+        self.for_each_shard(|rows, column| {
+            for key in std::mem::take(&mut column.dirty) {
+                let cell = rows
+                    .get_mut(&key)
+                    .and_then(|row| row.cells[self.column].as_mut());
+                if let Some(e) = cell.filter(|e| e.window_hits > 0) {
+                    out.push((key, std::mem::take(&mut e.window_hits)));
                 }
             }
-        }
+        });
         out
     }
 
@@ -864,53 +926,9 @@ impl PageCache {
     /// resynced node agrees with its peers' entity tags. Counted as an
     /// insert or update in the statistics.
     pub fn restore_entry(&self, key: &str, body: Bytes, cost: f64, version: u64) {
-        let size = body.len() as u64;
-        let mut shard = self.shard_for(key).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(e) = shard.map.get_mut(key) {
-            let old = e.body.len() as u64;
-            e.head = self.build_head(&body, version);
-            e.body = body;
-            e.cost = cost;
-            e.settled = None;
-            e.version = version;
-            e.stamp = tick;
-            e.last_tick = tick;
-            shard.bytes = shard.bytes - old + size;
-            self.stats.update(old, size);
-        } else {
-            let k: Arc<str> = Arc::from(key);
-            let head = self.build_head(&body, version);
-            shard.map.insert(
-                Arc::clone(&k),
-                Entry {
-                    body,
-                    version,
-                    head,
-                    cost,
-                    settled: None,
-                    pinned: false,
-                    freq: 0,
-                    window_hits: 0,
-                    last_tick: tick,
-                    stamp: tick,
-                },
-            );
-            shard.bytes += size;
-            self.stats.insert(size);
-            if self.policy.is_bounded() {
-                let rank = self.policy.rank(tick, 0, cost, size, shard.inflation);
-                shard.heap.push(Reverse((rank, tick, k)));
-            }
-        }
-        if self.stale.is_some() {
-            shard.stale.remove(key);
-        }
-        if let Some(budget) = self.per_shard_budget {
-            shard.evict_to(budget, &self.stats, Some(key), self.stale_now());
-        }
-        self.count_local_change();
+        let only = self.column..self.column + 1;
+        self.table
+            .place(key, body, cost, only, Put::Restored(version));
     }
 
     // ---- stale tombstones -------------------------------------------------
@@ -921,7 +939,7 @@ impl PageCache {
     /// always `None`.
     pub fn serve_stale(&self, key: &str) -> Option<StaleCopy> {
         let copy = self.lookup_stale(key, true)?;
-        self.stats.stale_serve();
+        self.member().stats.stale_serve();
         Some(copy)
     }
 
@@ -932,22 +950,23 @@ impl PageCache {
     }
 
     fn lookup_stale(&self, key: &str, prune_expired: bool) -> Option<StaleCopy> {
-        let policy = self.stale?;
+        let policy = self.table.stale?;
         let now_us = self.now_us();
-        let mut shard = self.shard_for(key).lock();
-        let e = shard.stale.get(key)?;
-        let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
-        if age_secs > policy.max_age_secs {
-            if prune_expired {
-                shard.stale.remove(key);
+        self.with_shard(key, |_, column| {
+            let e = column.stale.get(key)?;
+            let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
+            if age_secs > policy.max_age_secs {
+                if prune_expired {
+                    column.stale.remove(key);
+                }
+                return None;
             }
-            return None;
-        }
-        Some(StaleCopy {
-            body: e.body.clone(),
-            version: e.version,
-            epoch: e.epoch,
-            age_secs,
+            Some(StaleCopy {
+                body: e.body.clone(),
+                version: e.version,
+                epoch: e.epoch,
+                age_secs,
+            })
         })
     }
 
@@ -956,31 +975,30 @@ impl PageCache {
     /// Single-flight regeneration is pinned to "exactly one per
     /// (key, stale-epoch)" by the resilience property tests.
     pub fn stale_epoch(&self, key: &str) -> u64 {
-        self.shard_for(key)
-            .lock()
-            .stale_epochs
-            .get(key)
-            .copied()
+        self.with_shard(key, |_, column| column.stale_epochs.get(key).copied())
             .unwrap_or(0)
     }
 
     /// Number of tombstoned stale copies currently held.
     pub fn stale_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().stale.len()).sum()
+        let mut total = 0;
+        self.for_each_shard(|_, column| total += column.stale.len());
+        total
     }
 
     /// Drop every tombstone older than the policy's age bound. Called by
     /// the owner's heartbeat so dead keys do not accumulate.
     pub fn prune_stale(&self) {
-        let Some(policy) = self.stale else { return };
+        let Some(policy) = self.table.stale else {
+            return;
+        };
         let horizon_us = (policy.max_age_secs * 1e6) as u64;
         let now_us = self.now_us();
-        for s in &self.shards {
-            let mut shard = s.lock();
-            shard
+        self.for_each_shard(|_, column| {
+            column
                 .stale
                 .retain(|_, e| now_us.saturating_sub(e.since_us) <= horizon_us);
-        }
+        });
     }
 
     // ---- single-flight regeneration ---------------------------------------
@@ -997,19 +1015,20 @@ impl PageCache {
     /// the flight is still open removes the (presumed dead) flight so the
     /// next miss can lead again.
     pub fn join_or_lead(&self, key: &str, deadline: Duration) -> FlightOutcome {
-        let flight = {
-            let mut shard = self.shard_for(key).lock();
-            match shard.flights.get(key) {
-                Some(f) => Arc::clone(f),
-                None => {
-                    let k: Arc<str> = Arc::from(key);
-                    let f = Arc::new(Flight::default());
-                    shard.flights.insert(Arc::clone(&k), Arc::clone(&f));
-                    return FlightOutcome::Lead(FlightToken { key: k, flight: f });
-                }
+        let joined = self.with_shard(key, |_, column| match column.flights.get(key) {
+            Some(f) => Ok(Arc::clone(f)),
+            None => {
+                let k: Arc<str> = Arc::from(key);
+                let f = Arc::new(Flight::default());
+                column.flights.insert(Arc::clone(&k), Arc::clone(&f));
+                Err(FlightToken { key: k, flight: f })
             }
+        });
+        let flight = match joined {
+            Ok(flight) => flight,
+            Err(token) => return FlightOutcome::Lead(token),
         };
-        self.stats.coalesce();
+        self.member().stats.coalesce();
         let guard = match flight.state.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -1031,12 +1050,7 @@ impl PageCache {
             if timeout {
                 // Presume the leader dead: clear the flight (if it is
                 // still the same one) so the next miss can lead.
-                let mut shard = self.shard_for(key).lock();
-                if let Some(current) = shard.flights.get(key) {
-                    if Arc::ptr_eq(current, &flight) {
-                        shard.flights.remove(key);
-                    }
-                }
+                self.retire_flight(key, &flight);
             }
             FlightOutcome::TimedOut
         }
@@ -1056,12 +1070,20 @@ impl PageCache {
             state.result = page;
         }
         token.flight.cv.notify_all();
-        let mut shard = self.shard_for(&token.key).lock();
-        if let Some(current) = shard.flights.get(&*token.key) {
-            if Arc::ptr_eq(current, &token.flight) {
-                shard.flights.remove(&*token.key);
+        self.retire_flight(&token.key, &token.flight);
+    }
+
+    /// Take `flight` off `key`, unless another has taken its place.
+    fn retire_flight(&self, key: &str, flight: &Arc<Flight>) {
+        self.with_shard(key, |_, column| {
+            if column
+                .flights
+                .get(key)
+                .is_some_and(|f| Arc::ptr_eq(f, flight))
+            {
+                column.flights.remove(key);
             }
-        }
+        });
     }
 }
 

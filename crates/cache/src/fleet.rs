@@ -4,30 +4,26 @@
 //! renders updated pages once and **distributes** them to the eight
 //! uniprocessor serving nodes. [`CacheFleet`] models that arrangement: one
 //! logical page store replicated across N member caches, with broadcast
-//! update/invalidate operations. `Bytes` bodies are reference-counted, so
-//! a distributed page costs one allocation regardless of fleet size.
+//! update/invalidate operations. The members are the columns of one table
+//! (see [`crate::cache`]), so a broadcast takes one lock and probes one
+//! map whatever the fleet's size, and `Bytes` bodies are
+//! reference-counted, so a distributed page costs one allocation.
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
-use crate::cache::{CacheConfig, CachedPage, HeadBuilder, Held, PageCache};
+use crate::cache::{CacheConfig, CachedPage, HeadBuilder, PageCache, Put, Table};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::stats::StatsSnapshot;
 
 /// A set of replicated serving caches fed by one distributor.
 #[derive(Debug)]
 pub struct CacheFleet {
+    table: Arc<Table>,
+    /// A handle per column of `table`.
     members: Vec<Arc<PageCache>>,
-    /// Every change to a member's entries that was not part of a
-    /// distribution, counted by the members themselves.
-    local_changes: Arc<AtomicU64>,
-    /// Distributions take turns: "what the last distribution of this key
-    /// left on every member" has one answer.
-    distributing: Mutex<()>,
     /// Fleet-wide EWMA hotness, folded from the members' window-hit
     /// counters by [`CacheFleet::fold_hotness`]. Requests are spread over
     /// all members by the dispatcher, so hotness is meaningful only as an
@@ -37,19 +33,17 @@ pub struct CacheFleet {
 
 impl CacheFleet {
     /// Build a fleet of `n` members (n >= 1), each configured with
-    /// `config`.
+    /// `config`: the columns of one table of `config.shards × n` locks,
+    /// over which each member's byte budget, if it has one, is split
+    /// evenly.
     pub fn new(n: usize, config: CacheConfig) -> Self {
         assert!(n >= 1, "a fleet needs at least one cache");
-        let local_changes = Arc::new(AtomicU64::new(0));
+        let table = Table::new(&config, n);
         CacheFleet {
             members: (0..n)
-                .map(|_| {
-                    let counter = Arc::clone(&local_changes);
-                    Arc::new(PageCache::counting_changes_on(config.clone(), counter))
-                })
+                .map(|i| Arc::new(PageCache::member_of(Arc::clone(&table), i)))
                 .collect(),
-            local_changes,
-            distributing: Mutex::new(()),
+            table,
             hotness: HotnessTracker::default(),
         }
     }
@@ -104,38 +98,21 @@ impl CacheFleet {
     ///
     /// A member that holds `body`'s bytes already keeps its entry as it
     /// is — allocation, version, head, cost, recency — so a regeneration
-    /// that changed nothing changes no `ETag`. Bytes are compared by
-    /// address first: a member asked to keep an allocation other than the
-    /// one passed in hands its own on, so the members after it, which
-    /// share theirs with it, cost a pointer comparison each. And when the
-    /// first member's entry was last distributed at today's count of
-    /// member-local changes, no member has changed on its own since: they
-    /// all still hold those bytes, and the distribution ends there, after
-    /// one lock and one probe whatever the fleet's size.
-    ///
-    /// Members that do take the body share one preserialised head as long
-    /// as their versions of the page agree; one whose version runs ahead
-    /// (it took a local fill) builds its own.
-    pub fn distribute(&self, key: &str, mut body: Bytes, cost: f64) -> bool {
-        let _turn = self.distributing.lock();
-        // Read before any member is visited: a local change this misses
-        // is counted after it landed, hence after this.
-        let epoch = self.local_changes.load(SeqCst);
-        let mut head = None;
-        let mut changed = false;
-        for (i, m) in self.members.iter().enumerate() {
-            match m.keep_or_put(key, &mut body, cost, epoch, &mut head) {
-                Held::Settled if i == 0 => return false,
-                Held::Settled | Held::Kept => {}
-                Held::Put => changed = true,
-            }
-        }
-        changed
+    /// that changed nothing changes no `ETag`. The members' entries lie
+    /// side by side in the page's row, which is found once and walked
+    /// under its shard's lock: a lookup on any member sees the page as it
+    /// was before the distribution or as it is after, on every member
+    /// alike. Members that do take the body share its allocation, and one
+    /// preserialised head as long as their versions of the page agree; one
+    /// whose version runs ahead (it took a local fill) builds its own.
+    pub fn distribute(&self, key: &str, body: Bytes, cost: f64) -> bool {
+        let all = 0..self.members.len();
+        self.table.place(key, body, cost, all, Put::Distributed).0
     }
 
     /// Broadcast an invalidation; returns how many members held the key.
     pub fn invalidate_everywhere(&self, key: &str) -> usize {
-        self.members.iter().filter(|m| m.invalidate(key)).count()
+        self.table.invalidate(key, 0..self.members.len())
     }
 
     /// Insert into a single member only (a demand-miss fill on one serving

@@ -93,11 +93,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults with overrides from the environment — the knob the load
-    /// harness uses to sweep server shapes without a rebuild:
-    /// `NAGANO_HTTPD_WORKERS` (worker threads) and `NAGANO_HTTPD_BACKLOG`
-    /// (pending-connection queue). Unset or unparsable variables keep
-    /// their defaults.
+    /// Defaults with overrides from the environment: `NAGANO_HTTPD_WORKERS`
+    /// (worker threads) and `NAGANO_HTTPD_BACKLOG` (pending-connection
+    /// queue). Unset or unparsable variables keep their defaults. Read by
+    /// `nagano-bench`'s `loadgen` binary when it serves the site itself and
+    /// by its `serving` experiment (`BENCH_serving.json`), to sweep server
+    /// shapes without a rebuild; the wall-clock harness in `benchmark/`
+    /// fixes its server's shape in code and reads no `NAGANO_*` variable.
     pub fn from_env() -> Self {
         let mut cfg = ServerConfig::default();
         if let Some(n) = env_usize("NAGANO_HTTPD_WORKERS") {

@@ -23,7 +23,7 @@
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use nagano_db::schema::push_decimal;
+use nagano_db::schema::{keyed, push_decimal};
 use nagano_db::{CountryId, EventId, EventPhase, OlympicDb};
 use rustc_hash::FxHashMap;
 
@@ -110,7 +110,8 @@ struct PageMemo {
     body: Bytes,
     deps: Arc<[Dependency]>,
     /// The page's modelled cost, which the model spells the page's URL
-    /// out to work out: kept so that a kept page allocates nothing.
+    /// out to work out: kept so that a kept page allocates nothing and a
+    /// composed one does not hash its URL again.
     cost_ms: f64,
 }
 
@@ -229,11 +230,11 @@ impl Renderer {
             }
             None => {
                 let body = finalize(key, &title, html, previous);
-                let cost_ms = self.cost.cost_ms(key);
-                let deps = match coverage {
-                    Some(coverage) => self.remember(key, &body, deps, cost_ms, coverage),
-                    None => deps.into(),
+                let (deps, cost_ms) = match coverage {
+                    Some(coverage) => self.remember(key, &body, deps, coverage),
+                    None => (deps.into(), self.cost.cost_ms(key)),
                 };
+                debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: composed");
                 RenderOutput {
                     body,
                     deps,
@@ -266,17 +267,18 @@ impl Renderer {
 
     /// Keep what a compose of `key` came to for [`Renderer::unmoved`], in
     /// place of what the last one did, and return the dependency list to
-    /// hand out: the one kept so far when `deps` lists what it lists.
+    /// hand out — the one kept so far when `deps` lists what it lists —
+    /// and the page's cost, worked out when the page is first kept.
     fn remember(
         &self,
         key: PageKey,
         body: &Bytes,
         deps: Vec<Dependency>,
-        cost_ms: f64,
         coverage: Coverage,
-    ) -> Arc<[Dependency]> {
+    ) -> (Arc<[Dependency]>, f64) {
         use std::collections::hash_map::Entry;
-        match self.pages.lock().expect(MEMO_POISONED).entry(key) {
+        let mut pages = self.pages.lock().expect(MEMO_POISONED);
+        let last = match pages.entry(key) {
             // Refilled like a section's entry: nothing of a page's is
             // allocated anew per revision but a list that changed.
             Entry::Occupied(entry) => {
@@ -286,18 +288,16 @@ impl Renderer {
                 if last.deps[..] != deps[..] {
                     last.deps = deps.into();
                 }
-                Arc::clone(&last.deps)
+                last
             }
-            Entry::Vacant(entry) => {
-                let last = entry.insert(PageMemo {
-                    coverage,
-                    body: body.clone(),
-                    deps: deps.into(),
-                    cost_ms,
-                });
-                Arc::clone(&last.deps)
-            }
-        }
+            Entry::Vacant(entry) => entry.insert(PageMemo {
+                coverage,
+                body: body.clone(),
+                deps: deps.into(),
+                cost_ms: self.cost.cost_ms(key),
+            }),
+        };
+        (Arc::clone(&last.deps), last.cost_ms)
     }
 
     /// Let go of the body last returned for `key`: for a caller that no
@@ -352,7 +352,7 @@ impl Renderer {
                         }
                     });
                 }
-                numbered("Nagano 1998 — Day ", day)
+                keyed("Nagano 1998 — Day ", day)
             }
             PageKey::Medals => {
                 html.push_str("<h2>Medal Standings</h2>\n");
@@ -463,7 +463,7 @@ impl Renderer {
                     push_link(html, PageKey::News(article.id), &article.title);
                     html.push_str("</div>\n");
                 }
-                numbered("News for Day ", day)
+                keyed("News for Day ", day)
             }
             PageKey::Venue(s) => {
                 let venue = r.sport(s).map_or("", |x| x.venue.as_str());
@@ -619,18 +619,10 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
 /// The fragment page's title.
 fn fragment_title(f: FragmentKey) -> String {
     match f {
-        FragmentKey::ResultTable(e) => numbered("Results ", e.0),
+        FragmentKey::ResultTable(e) => keyed("Results ", e.0),
         FragmentKey::MedalTable => "Medal Table".into(),
-        FragmentKey::Headlines(day) => numbered("Headlines Day ", day),
+        FragmentKey::Headlines(day) => keyed("Headlines Day ", day),
     }
-}
-
-/// `{label}{n}`: the titles that count.
-fn numbered(label: &str, n: u32) -> String {
-    let mut title = String::with_capacity(label.len() + 10);
-    title.push_str(label);
-    push_decimal(&mut title, n);
-    title
 }
 
 /// `<h2>{name}</h2>` on a line of its own.
