@@ -127,17 +127,7 @@ impl CacheFleet {
     pub fn aggregate_stats(&self) -> StatsSnapshot {
         let mut total = StatsSnapshot::default();
         for m in &self.members {
-            let s = m.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.inserts += s.inserts;
-            total.updates += s.updates;
-            total.invalidations += s.invalidations;
-            total.evictions += s.evictions;
-            total.stale_served += s.stale_served;
-            total.coalesced += s.coalesced;
-            total.bytes_current += s.bytes_current;
-            total.bytes_peak += s.bytes_peak;
+            total += m.stats();
         }
         total
     }

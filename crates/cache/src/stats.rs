@@ -63,6 +63,22 @@ impl StatsSnapshot {
     }
 }
 
+/// Field-wise sum: the statistics of several caches taken together.
+impl std::ops::AddAssign for StatsSnapshot {
+    fn add_assign(&mut self, s: StatsSnapshot) {
+        self.hits += s.hits;
+        self.misses += s.misses;
+        self.inserts += s.inserts;
+        self.updates += s.updates;
+        self.invalidations += s.invalidations;
+        self.evictions += s.evictions;
+        self.stale_served += s.stale_served;
+        self.coalesced += s.coalesced;
+        self.bytes_current += s.bytes_current;
+        self.bytes_peak += s.bytes_peak;
+    }
+}
+
 impl CacheStats {
     /// Record a hit.
     pub fn hit(&self) {

@@ -5,13 +5,14 @@
 //! delays), MSIRP routing over the live cluster state, and the request
 //! model — and measures everything the paper's evaluation section reports.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
+use nagano::serve::{self, Decision, Observation, Render};
 use nagano::{BreakerConfig, CircuitBreaker, RetryBackoff};
-use nagano_cache::{CacheConfig, CacheFleet, StalePolicy, StatsSnapshot};
+use nagano_cache::{CacheConfig, CacheFleet, PageCache, StaleCopy, StalePolicy, StatsSnapshot};
 use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, Transaction, TxnId};
 use nagano_httpd::HttpdMetrics;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -20,10 +21,10 @@ use nagano_simcore::{
     TimeSeries, Welford,
 };
 use nagano_telemetry::{
-    json_snapshot, prometheus_text, slo_json, Counter, SloEngine, SloOutcome, SloRule, Telemetry,
-    Trace, TraceKind,
+    json_snapshot, prometheus_text, slo_json, Counter, Gauge, HistogramHandle, SloEngine,
+    SloOutcome, SloRule, Telemetry, Trace, TraceKind,
 };
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
+use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TxnOutcome};
 use nagano_workload::{Region, RequestModel, UpdateSchedule};
 
 use crate::faults::{
@@ -380,312 +381,17 @@ impl ClusterReport {
     }
 }
 
-enum SimEvent {
-    /// An update reaches the master database.
-    MasterUpdate(usize),
-    /// A shipped transaction arrives at the receiving end of a
-    /// replication edge (index into [`REPLICATION_EDGES`]).
-    EdgeDeliver(usize, Arc<Transaction>),
-    /// A site attempts a watermark catch-up pull over its current feed.
-    CatchUp(usize),
-    /// A routing-tier failure-plan entry fires.
-    Failure(usize),
-    /// A data-plane fault-plan entry fires.
-    DataFault(usize),
-    /// A serving-plane fault-plan entry fires.
-    ServingFault(usize),
-    /// Hourly telemetry snapshot (only scheduled when `export_dir` is set).
-    TelemetryFlush,
-}
-
-/// Ship one transaction over a replication edge, applying whatever fault
-/// is active on it: schedules an [`SimEvent::EdgeDeliver`], or drops the
-/// shipment (partitioned link, lossy loss). `fault_rng` is only drawn
-/// when a fault is active, so fault-free runs never touch it.
-#[allow(clippy::too_many_arguments)]
-fn ship(
-    queue: &mut EventQueue<SimEvent>,
-    fault_rng: &mut DeterministicRng,
-    edge_fault: &[Option<LinkFault>; 5],
-    dropped: &mut u64,
-    dropped_total: &Counter,
-    edge: usize,
-    at: SimTime,
-    txn: &Arc<Transaction>,
-) {
-    let base = SimDuration::from_secs(REPLICATION_EDGES[edge].base_delay_secs);
-    let deliver_at = match edge_fault[edge] {
-        None => at + base,
-        Some(LinkFault::Partition) => {
-            *dropped += 1;
-            dropped_total.incr();
-            return;
-        }
-        Some(LinkFault::Lossy { drop_permille }) => {
-            if fault_rng.chance(drop_permille as f64 / 1000.0) {
-                *dropped += 1;
-                dropped_total.incr();
-                return;
-            }
-            at + base
-        }
-        Some(LinkFault::Delay { extra_secs }) => at + base + SimDuration::from_secs(extra_secs),
-        Some(LinkFault::Reorder { jitter_secs }) => {
-            at + base + SimDuration::from_secs(fault_rng.index(jitter_secs as usize + 1) as u64)
-        }
-    };
-    queue.schedule(deliver_at, SimEvent::EdgeDeliver(edge, Arc::clone(txn)));
-}
-
-/// Generate a random failure soak plan: `events_per_day` component
-/// failures per day across `start_day..=end_day`, each restored after 30
-/// to 90 minutes. At most one complex-level failure is in flight at a
-/// time (the production site's redundancy budget assumed no simultaneous
-/// multi-complex outage; none occurred).
-pub fn random_soak_plan(
-    start_day: u32,
-    end_day: u32,
-    events_per_day: u32,
-    seed: u64,
-) -> Vec<FailurePlanEntry> {
-    let mut rng = DeterministicRng::seed_from_u64(seed);
-    let cluster = ClusterState::new();
-    let mut plan = Vec::new();
-    // (restore_minute, site) of the currently scheduled complex outage.
-    let mut complex_busy_until: i64 = -1;
-    for day in start_day..=end_day {
-        for _ in 0..events_per_day {
-            let at_min = (day as u64 - 1) * 1440 + rng.index(1380) as u64;
-            let duration = 30 + rng.index(61) as u64; // 30..=90 minutes
-            let mut kind = cluster.random_failure_target(&mut rng);
-            if let FailureKind::Complex { .. } = kind {
-                if (at_min as i64) <= complex_busy_until {
-                    // Another complex is already down: demote to a frame
-                    // failure at the same site.
-                    let site = match kind {
-                        FailureKind::Complex { site } => site,
-                        _ => unreachable!(),
-                    };
-                    kind = FailureKind::Frame { site, frame: 0 };
-                } else {
-                    complex_busy_until = (at_min + duration) as i64;
-                }
-            }
-            plan.push(FailurePlanEntry {
-                at: SimTime::from_mins(at_min),
-                kind,
-                up: false,
-            });
-            plan.push(FailurePlanEntry {
-                at: SimTime::from_mins(at_min + duration),
-                kind,
-                up: true,
-            });
-        }
-    }
-    plan.sort_by_key(|e| e.at);
-    plan
-}
-
-/// One serving trace is recorded per this many requests (prime, so the
-/// sample is not phase-locked to any per-minute request pattern).
-const SERVING_TRACE_SAMPLE: u64 = 199;
-
-/// An in-flight update-lineage tree for one master transaction: rooted at
-/// `nagano_cluster_txn_receipt`, it gains a distribute → traversal →
-/// apply chain per site and closes each site's branch with a
-/// `nagano_cache_first_fresh_hit` leaf when a request first serves a page
-/// the transaction touched. The trace completes (and is pushed into the
-/// propagation ring) once every site has both applied and served; updates
-/// still waiting at the horizon flush in transaction order.
-struct PendingTrace {
-    trace: Trace,
-    /// Index of the `nagano_cluster_txn_receipt` root span.
-    root: usize,
-    /// Sites that have applied the transaction.
-    applied: usize,
-    /// Per-site: a fresh serve has been observed.
-    served: [bool; 4],
-    /// Per-site index of the `nagano_cache_apply` span, the parent for
-    /// that site's first-fresh-hit leaf.
-    apply_span: [Option<usize>; 4],
-}
-
-/// The simulation driver.
-pub struct ClusterSim {
-    config: ClusterConfig,
-}
-
-impl ClusterSim {
-    /// New simulation with `config`.
-    pub fn new(config: ClusterConfig) -> Self {
-        assert!(config.start_day >= 1 && config.end_day >= config.start_day);
-        ClusterSim { config }
-    }
-
-    /// Run to completion.
-    pub fn run(&self) -> ClusterReport {
-        let cfg = &self.config;
-        let mut rng = DeterministicRng::seed_from_u64(cfg.seed);
-        let db = Arc::new(OlympicDb::new());
-        seed_games(&db, &cfg.games);
-        let registry = Arc::new(PageRegistry::build(&db, cfg.games.days));
-        let model = RequestModel::new(&db, Arc::clone(&registry), cfg.scale);
-        let mut update_rng = rng.fork(1);
-        let schedule = UpdateSchedule::generate(&db, &mut update_rng);
-
-        let telemetry = Arc::new(Telemetry::new());
-
-        // One trigger monitor + single-member cache fleet per site, each
-        // binding its live trigger/cache cells into the shared registry
-        // under a `site` label.
-        let cache_config = CacheConfig::default().with_stale(cfg.resilience.stale);
-        let monitors: Vec<TriggerMonitor> = SITES
-            .iter()
-            .map(|spec| {
-                let fleet = Arc::new(CacheFleet::new(1, cache_config.clone()));
-                let m = TriggerMonitor::new(
-                    Renderer::new(Arc::clone(&db)),
-                    fleet,
-                    Arc::clone(&registry),
-                    cfg.policy,
-                );
-                m.prewarm();
-                let labels = [("site", spec.name)];
-                m.stats().bind(&telemetry.registry, &labels);
-                m.fleet()
-                    .member(0)
-                    .stats_handle()
-                    .bind(&telemetry.registry, &labels);
-                m
-            })
-            .collect();
-
-        // Per-site request counters (the simulated httpd front end).
-        let httpd_metrics: Vec<HttpdMetrics> = SITES
-            .iter()
-            .map(|spec| {
-                let m = HttpdMetrics::new();
-                m.bind(&telemetry.registry, &[("site", spec.name)]);
-                m
-            })
-            .collect();
-
-        let requests_total = telemetry
-            .registry
-            .counter("nagano_cluster_requests_total", &[]);
-        let failed_total = telemetry
-            .registry
-            .counter("nagano_cluster_failed_requests_total", &[]);
-        let applied_total = telemetry
-            .registry
-            .counter("nagano_cluster_updates_applied_total", &[]);
-        let freshness_hist =
-            telemetry
-                .registry
-                .histogram("nagano_cluster_freshness_seconds", &[], 1e-3, 600.0);
-        // Wide range: a cold page's first fresh serve can trail the
-        // commit by hours of simulated time.
-        let update_to_serve_hist = telemetry.registry.histogram(
-            "nagano_cluster_update_to_serve_seconds",
-            &[],
-            1e-3,
-            2_000_000.0,
-        );
-        let retries_total = telemetry
-            .registry
-            .counter("nagano_cluster_retries_total", &[]);
-        let dropped_total = telemetry
-            .registry
-            .counter("nagano_cluster_replication_dropped_total", &[]);
-        let catch_up_total = telemetry
-            .registry
-            .counter("nagano_cluster_catch_up_txns_total", &[]);
-        let lag_gauges: Vec<_> = SITES
-            .iter()
-            .map(|spec| {
-                telemetry.registry.gauge(
-                    "nagano_cluster_replication_lag_txns",
-                    &[("site", spec.name)],
-                )
-            })
-            .collect();
-        let staleness_hists: Vec<_> = SITES
-            .iter()
-            .map(|spec| {
-                telemetry.registry.histogram(
-                    "nagano_cluster_staleness_seconds",
-                    &[("site", spec.name)],
-                    1e-3,
-                    100_000.0,
-                )
-            })
-            .collect();
-
-        // The Figure-5 replication endpoints, in site order, driven in
-        // pull mode so that the simulated links decide exactly which
-        // transactions arrive (and when): master feeds Schaumburg and
-        // Tokyo; Columbus and Bethesda chain off Schaumburg.
-        let replicas: Vec<Replica> = {
-            let schaumburg = Replica::attach_pull(SITES[0].name, Arc::clone(&db));
-            let columbus = Replica::attach_downstream_pull(SITES[1].name, &schaumburg);
-            let bethesda = Replica::attach_downstream_pull(SITES[2].name, &schaumburg);
-            let tokyo = Replica::attach_pull(SITES[3].name, Arc::clone(&db));
-            vec![schaumburg, columbus, bethesda, tokyo]
-        };
-
-        // Data-plane fault state. The fault RNG (forked below, after the
-        // workload streams) is drawn only while a fault is active, so
-        // fault-free runs are unchanged by its existence.
-        let mut edge_fault: [Option<LinkFault>; 5] = [None; 5];
-        let mut monitor_up = [true; 4];
-        let mut catchup_pending = [false; 4];
-        let mut catchup_attempts = [0u32; 4];
-        let mut gave_up = [false; 4];
-        let mut failed_over = false;
-        // Master commit time per txn id (index id-1), for staleness and
-        // freshness accounting on every delivery path.
-        let mut commit_times: Vec<SimTime> = Vec::new();
-        let mut watches: Vec<ConvergenceRecord> = Vec::new();
-
-        // Serving-plane fault state. Dormant without a serving fault plan.
-        let res = &cfg.resilience;
-        let mut slowdown: [f64; 4] = [1.0; 4];
-        let mut backend_down: [bool; 4] = [false; 4];
-        let mut breakers: Vec<CircuitBreaker> = (0..SITES.len())
-            .map(|_| CircuitBreaker::new(res.breaker))
-            .collect();
-        // Per-site in-flight regenerations: url → when the render lands.
-        // Requests arriving before `done_at` coalesce onto the flight
-        // instead of rendering again (the DES view of the per-shard
-        // single-flight maps in `nagano-cache`).
-        let mut inflight: Vec<FxHashMap<String, SimTime>> =
-            (0..SITES.len()).map(|_| FxHashMap::default()).collect();
-        // Regenerations per (site, url, stale-epoch): the stampede
-        // measurement — each site owns its cache, so each may take
-        // exactly one regeneration per stale epoch of a key.
-        let mut stale_regen_pairs: FxHashMap<(usize, String, u64), u64> = FxHashMap::default();
-
-        let mut cluster = ClusterState::new();
-        let msirp = Msirp::nagano();
-
-        let horizon_days = cfg.end_day as u64;
-        let mut report = ClusterReport {
+impl ClusterReport {
+    /// A report with nothing counted yet, sized for `cfg`'s horizon.
+    fn empty(cfg: &ClusterConfig, telemetry: &Arc<Telemetry>) -> Self {
+        let horizon = SimDuration::from_days(cfg.end_day as u64);
+        let minutes = || TimeSeries::new(SimDuration::from_mins(1), horizon);
+        ClusterReport {
             scale: cfg.scale,
             total_requests: 0,
             failed_requests: 0,
-            per_minute: TimeSeries::new(
-                SimDuration::from_mins(1),
-                SimDuration::from_days(horizon_days),
-            ),
-            per_site_minute: (0..4)
-                .map(|_| {
-                    TimeSeries::new(
-                        SimDuration::from_mins(1),
-                        SimDuration::from_days(horizon_days),
-                    )
-                })
-                .collect(),
+            per_minute: minutes(),
+            per_site_minute: (0..4).map(|_| minutes()).collect(),
             by_region: FxHashMap::default(),
             bytes_per_day: vec![0.0; cfg.end_day as usize],
             response_by_day_region: FxHashMap::default(),
@@ -722,956 +428,1162 @@ impl ClusterSim {
             monitor_watermarks: [0; 4],
             master_txns: 0,
             stale_pages: None,
-            telemetry: Arc::clone(&telemetry),
-        };
+            telemetry: Arc::clone(telemetry),
+        }
+    }
+}
 
-        // Seed the event queue: master updates + failure plan.
-        let mut queue: EventQueue<SimEvent> = EventQueue::new();
-        for (i, u) in schedule.updates().iter().enumerate() {
-            if u.day >= cfg.start_day && u.day <= cfg.end_day {
-                queue.schedule(u.at, SimEvent::MasterUpdate(i));
+enum SimEvent {
+    /// An update reaches the master database.
+    MasterUpdate(usize),
+    /// A shipped transaction arrives at the receiving end of a
+    /// replication edge (index into [`REPLICATION_EDGES`]).
+    EdgeDeliver(usize, Arc<Transaction>),
+    /// A site attempts a watermark catch-up pull over its current feed.
+    CatchUp(usize),
+    /// A routing-tier failure-plan entry fires.
+    Failure(usize),
+    /// A data-plane fault-plan entry fires.
+    DataFault(usize),
+    /// A serving-plane fault-plan entry fires.
+    ServingFault(usize),
+    /// Hourly telemetry snapshot (only scheduled when `export_dir` is set).
+    TelemetryFlush,
+}
+
+/// Generate a random failure soak plan: `events_per_day` component
+/// failures per day across `start_day..=end_day`, each restored after 30
+/// to 90 minutes. At most one complex-level failure is in flight at a
+/// time (the production site's redundancy budget assumed no simultaneous
+/// multi-complex outage; none occurred).
+pub fn random_soak_plan(
+    start_day: u32,
+    end_day: u32,
+    events_per_day: u32,
+    seed: u64,
+) -> Vec<FailurePlanEntry> {
+    let mut rng = DeterministicRng::seed_from_u64(seed);
+    let cluster = ClusterState::new();
+    let mut plan = Vec::new();
+    // (restore_minute, site) of the currently scheduled complex outage.
+    let mut complex_busy_until: i64 = -1;
+    for day in start_day..=end_day {
+        for _ in 0..events_per_day {
+            let at_min = (day as u64 - 1) * 1440 + rng.index(1380) as u64;
+            let duration = 30 + rng.index(61) as u64; // 30..=90 minutes
+            let mut kind = cluster.random_failure_target(&mut rng);
+            if let FailureKind::Complex { site } = kind {
+                if (at_min as i64) <= complex_busy_until {
+                    // Another complex is already down: demote to a frame
+                    // failure at the same site.
+                    kind = FailureKind::Frame { site, frame: 0 };
+                } else {
+                    complex_busy_until = (at_min + duration) as i64;
+                }
+            }
+            for (at, up) in [(at_min, false), (at_min + duration, true)] {
+                let at = SimTime::from_mins(at);
+                plan.push(FailurePlanEntry { at, kind, up });
             }
         }
-        for (i, f) in cfg.failure_plan.iter().enumerate() {
-            queue.schedule(f.at, SimEvent::Failure(i));
-        }
-        for (i, f) in cfg.fault_plan.iter().enumerate() {
-            queue.schedule(f.at, SimEvent::DataFault(i));
-        }
-        for (i, f) in cfg.serving_fault_plan.iter().enumerate() {
-            queue.schedule(f.at, SimEvent::ServingFault(i));
-        }
+    }
+    plan.sort_by_key(|e| e.at);
+    plan
+}
+
+/// One serving trace is recorded per this many requests (prime, so the
+/// sample is not phase-locked to any per-minute request pattern).
+const SERVING_TRACE_SAMPLE: u64 = 199;
+
+/// A short settle tail after the last simulated minute drains
+/// replication still in flight at the horizon (commits in the final
+/// minutes whose deliveries land just past it), so that a run whose
+/// faults have all healed always ends converged.
+const SETTLE_MINUTES: u64 = 10;
+
+/// An in-flight update-lineage tree for one master transaction: rooted at
+/// `nagano_cluster_txn_receipt`, it gains a distribute → traversal →
+/// apply chain per site and closes each site's branch with a
+/// `nagano_cache_first_fresh_hit` leaf when a request first serves a page
+/// the transaction touched. The trace completes (and is pushed into the
+/// propagation ring) once every site has both applied and served; updates
+/// still waiting at the horizon flush in transaction order.
+struct PendingTrace {
+    trace: Trace,
+    /// Index of the `nagano_cluster_txn_receipt` root span.
+    root: usize,
+    /// Sites that have applied the transaction.
+    applied: usize,
+    /// Per-site: a fresh serve has been observed.
+    served: [bool; 4],
+    /// Per-site index of the `nagano_cache_apply` span, the parent for
+    /// that site's first-fresh-hit leaf.
+    apply_span: [Option<usize>; 4],
+}
+
+/// How transactions reached a site's trigger monitor — the shape of the
+/// lineage branch [`SimState::record_apply`] writes for them.
+#[derive(Clone, Copy)]
+enum Via {
+    /// Streamed over a replication edge; `shed` pages left the Hybrid
+    /// deferred queue while it was applied.
+    Stream { shed: u64 },
+    /// Pulled by a watermark catch-up.
+    CatchUp,
+    /// Replayed from the local log by a restarted monitor.
+    Recovery,
+}
+
+/// What a served request came to: body bytes, server time (ms), and
+/// whether the cache answered it outright.
+type Served = (u64, f64, bool);
+
+/// One serving complex as the driver sees it: trigger monitor and cache,
+/// replica of the master log, and the fault and resilience state of both
+/// planes.
+struct Complex {
+    monitor: TriggerMonitor,
+    /// The simulated httpd front end's request counters.
+    httpd: HttpdMetrics,
+    replica: Replica,
+    lag: Gauge,
+    staleness: HistogramHandle,
+    /// While the monitor is down the replica still advances its log; DUP
+    /// runs at recovery.
+    monitor_up: bool,
+    catchup_pending: bool,
+    catchup_attempts: u32,
+    /// Catch-up retries are exhausted: quiet until the link heals.
+    gave_up: bool,
+    last_apply_minute: i64,
+    /// Render cost multiplier of an active `RenderSlowdown`.
+    slowdown: f64,
+    backend_down: bool,
+    breaker: CircuitBreaker,
+    /// In-flight regenerations: url → when the render lands. Requests
+    /// arriving before then coalesce onto the flight instead of rendering
+    /// again (the DES view of the per-shard single-flight maps in
+    /// `nagano-cache`).
+    inflight: FxHashMap<String, SimTime>,
+    /// Pages an update refreshed (regenerated or invalidated) whose first
+    /// subsequent fresh serve has not been observed yet → the owning
+    /// transaction. Newer writes overwrite older claims.
+    fresh_waiting: FxHashMap<PageKey, TxnId>,
+}
+
+/// The run-wide cells of the shared registry.
+struct Counters {
+    requests: Counter,
+    failed: Counter,
+    applied: Counter,
+    retries: Counter,
+    dropped: Counter,
+    catch_up: Counter,
+    freshness: HistogramHandle,
+    update_to_serve: HistogramHandle,
+}
+
+/// Everything a run carries from one event and one minute to the next.
+struct SimState<'a> {
+    cfg: &'a ClusterConfig,
+    db: Arc<OlympicDb>,
+    registry: Arc<PageRegistry>,
+    model: RequestModel,
+    schedule: UpdateSchedule,
+    telemetry: Arc<Telemetry>,
+    complexes: Vec<Complex>,
+    counters: Counters,
+    cluster: ClusterState,
+    msirp: Msirp,
+    queue: EventQueue<SimEvent>,
+    report: ClusterReport,
+    slo_engine: SloEngine,
+    /// Data-plane faults active on the five replication edges.
+    edge_fault: [Option<LinkFault>; 5],
+    failed_over: bool,
+    /// Master commit time per txn id (index id-1), for staleness and
+    /// freshness accounting on every delivery path.
+    commit_times: Vec<SimTime>,
+    watches: Vec<ConvergenceRecord>,
+    /// Regenerations per (site, url, stale-epoch): the stampede
+    /// measurement — each site owns its cache, so each may take exactly
+    /// one regeneration per stale epoch of a key.
+    stale_regen_pairs: FxHashMap<(usize, String, u64), u64>,
+    /// Update-lineage trees in flight, by transaction.
+    pending_traces: FxHashMap<TxnId, PendingTrace>,
+    /// Per-hour registry snapshots, written out after the run.
+    hourly_snapshots: Vec<String>,
+    req_rng: DeterministicRng,
+    apply_rng: DeterministicRng,
+    /// Drawn only while a data-plane fault is active, so fault-free runs
+    /// never touch it.
+    fault_rng: DeterministicRng,
+    /// Serving-plane backoff jitter, drawn only on failed-render retries.
+    resilience_rng: DeterministicRng,
+}
+
+impl<'a> SimState<'a> {
+    fn new(cfg: &'a ClusterConfig) -> Self {
+        let mut rng = DeterministicRng::seed_from_u64(cfg.seed);
+        let db = Arc::new(OlympicDb::new());
+        seed_games(&db, &cfg.games);
+        let registry = Arc::new(PageRegistry::build(&db, cfg.games.days));
+        let model = RequestModel::new(&db, Arc::clone(&registry), cfg.scale);
+        let schedule = UpdateSchedule::generate(&db, &mut rng.fork(1));
+        let telemetry = Arc::new(Telemetry::new());
+        let reg = &telemetry.registry;
+        let counters = Counters {
+            requests: reg.counter("nagano_cluster_requests_total", &[]),
+            failed: reg.counter("nagano_cluster_failed_requests_total", &[]),
+            applied: reg.counter("nagano_cluster_updates_applied_total", &[]),
+            retries: reg.counter("nagano_cluster_retries_total", &[]),
+            dropped: reg.counter("nagano_cluster_replication_dropped_total", &[]),
+            catch_up: reg.counter("nagano_cluster_catch_up_txns_total", &[]),
+            freshness: reg.histogram("nagano_cluster_freshness_seconds", &[], 1e-3, 600.0),
+            // Wide range: a cold page's first fresh serve can trail the
+            // commit by hours of simulated time.
+            update_to_serve: reg.histogram(
+                "nagano_cluster_update_to_serve_seconds",
+                &[],
+                1e-3,
+                2_000_000.0,
+            ),
+        };
         // SLO rules are authored in code; a malformed line is a bug, not
         // a runtime condition.
-        let mut slo_engine = SloEngine::new(
+        let slo_engine = SloEngine::new(
             cfg.slo_rules
                 .iter()
                 .map(|line| SloRule::parse(line).expect("invalid ClusterConfig SLO rule"))
                 .collect(),
         );
-        if cfg.export_dir.is_some() || !slo_engine.is_empty() {
+        // Forked in this order so the workload streams match fault-free
+        // runs of earlier revisions draw for draw.
+        let (req_rng, apply_rng, fault_rng, resilience_rng) =
+            (rng.fork(2), rng.fork(3), rng.fork(4), rng.fork(5));
+        let mut sim = SimState {
+            cfg,
+            complexes: complexes(cfg, &db, &registry, &telemetry),
+            report: ClusterReport::empty(cfg, &telemetry),
+            db,
+            registry,
+            model,
+            schedule,
+            telemetry,
+            counters,
+            cluster: ClusterState::new(),
+            msirp: Msirp::nagano(),
+            queue: EventQueue::new(),
+            slo_engine,
+            edge_fault: [None; 5],
+            failed_over: false,
+            commit_times: Vec::new(),
+            watches: Vec::new(),
+            stale_regen_pairs: FxHashMap::default(),
+            pending_traces: FxHashMap::default(),
+            hourly_snapshots: Vec::new(),
+            req_rng,
+            apply_rng,
+            fault_rng,
+            resilience_rng,
+        };
+        sim.seed_queue();
+        sim
+    }
+
+    /// Master updates, the three plans, and the hourly flushes.
+    fn seed_queue(&mut self) {
+        let cfg = self.cfg;
+        for (i, u) in self.schedule.updates().iter().enumerate() {
+            if u.day >= cfg.start_day && u.day <= cfg.end_day {
+                self.queue.schedule(u.at, SimEvent::MasterUpdate(i));
+            }
+        }
+        for (i, f) in cfg.failure_plan.iter().enumerate() {
+            self.queue.schedule(f.at, SimEvent::Failure(i));
+        }
+        for (i, f) in cfg.fault_plan.iter().enumerate() {
+            self.queue.schedule(f.at, SimEvent::DataFault(i));
+        }
+        for (i, f) in cfg.serving_fault_plan.iter().enumerate() {
+            self.queue.schedule(f.at, SimEvent::ServingFault(i));
+        }
+        if cfg.export_dir.is_some() || !self.slo_engine.is_empty() {
             let start_hour = (cfg.start_day as u64 - 1) * 24;
             let end_hour = cfg.end_day as u64 * 24;
             for hour in (start_hour + 1)..=end_hour {
-                queue.schedule(SimTime::from_hours(hour), SimEvent::TelemetryFlush);
+                self.queue
+                    .schedule(SimTime::from_hours(hour), SimEvent::TelemetryFlush);
             }
         }
+    }
 
-        // Update-lineage trees in flight, by transaction.
-        let mut pending_traces: FxHashMap<TxnId, PendingTrace> = FxHashMap::default();
-        // Per-site: pages an update refreshed (regenerated or invalidated)
-        // whose first subsequent fresh serve has not been observed yet →
-        // the owning transaction. Newer writes overwrite older claims.
-        let mut fresh_waiting: Vec<FxHashMap<PageKey, TxnId>> =
-            (0..SITES.len()).map(|_| FxHashMap::default()).collect();
-        let hybrid_policy = matches!(cfg.policy, ConsistencyPolicy::Hybrid(_));
-        // Per-hour registry snapshots, written out after the run.
-        let mut hourly_snapshots: Vec<String> = Vec::new();
+    // ---- data plane ---------------------------------------------------------
 
-        let mut last_apply_minute: [i64; 4] = [i64::MIN; 4];
-        let start_min = (cfg.start_day as u64 - 1) * 1440;
-        let end_min = cfg.end_day as u64 * 1440;
-        let mut req_rng = rng.fork(2);
-        let mut apply_rng = rng.fork(3);
-        // Forked last so the workload streams above match fault-free runs
-        // of earlier revisions draw-for-draw.
-        let mut fault_rng = rng.fork(4);
-        // Serving-plane backoff jitter. Forked after the data-plane fault
-        // stream for the same reason, and drawn only on failed-render
-        // retry paths, so runs without serving faults never touch it.
-        let mut resilience_rng = rng.fork(5);
+    fn on_master_update(&mut self, i: usize, at: SimTime) {
+        let update = self.schedule.updates()[i];
+        let txn = UpdateSchedule::apply(&update, &self.db, &mut self.apply_rng);
+        debug_assert_eq!(txn.id.0 as usize, self.commit_times.len() + 1);
+        self.commit_times.push(at);
+        let mut trace = Trace::new(TraceKind::Propagation, txn.id.0);
+        let root = trace.add_span("nagano_cluster_txn_receipt", txn.label.clone(), at, at);
+        let pending = PendingTrace {
+            trace,
+            root,
+            applied: 0,
+            served: [false; 4],
+            apply_span: [None; 4],
+        };
+        self.pending_traces.insert(txn.id, pending);
+        // Ship over the two master-fed edges; the chained edges fan out
+        // when Schaumburg applies.
+        for edge in [0, 1] {
+            self.ship(edge, at, &txn);
+        }
+    }
 
-        // A short settle tail after the last simulated minute drains
-        // replication still in flight at the horizon (commits in the
-        // final minutes whose deliveries land just past it), so that a
-        // run whose faults have all healed always ends converged.
-        const SETTLE_MINUTES: u64 = 10;
-        for minute in start_min..end_min + SETTLE_MINUTES {
-            let minute_end = SimTime::from_mins(minute + 1);
-            // Advance the cache clocks: stale-tombstone ages are measured
-            // on sim time, not wall time.
-            let secs = SimTime::from_mins(minute).as_secs_f64();
-            for m in &monitors {
-                m.fleet().set_now_secs(secs);
+    /// Ship one transaction over a replication edge, applying whatever
+    /// fault is active on it: schedules an [`SimEvent::EdgeDeliver`], or
+    /// drops the shipment (partitioned link, lossy loss).
+    fn ship(&mut self, edge: usize, at: SimTime, txn: &Arc<Transaction>) {
+        let due = at + SimDuration::from_secs(REPLICATION_EDGES[edge].base_delay_secs);
+        let deliver_at = match self.edge_fault[edge] {
+            None => Some(due),
+            Some(LinkFault::Partition) => None,
+            Some(LinkFault::Lossy { drop_permille }) => {
+                let lost = self.fault_rng.chance(drop_permille as f64 / 1000.0);
+                (!lost).then_some(due)
             }
-            // Drain events due in this minute first.
-            while let Some((at, ev)) = queue.pop_before(minute_end) {
-                match ev {
-                    SimEvent::MasterUpdate(i) => {
-                        let update = schedule.updates()[i];
-                        let txn = UpdateSchedule::apply(&update, &db, &mut apply_rng);
-                        debug_assert_eq!(txn.id.0 as usize, commit_times.len() + 1);
-                        commit_times.push(at);
-                        let mut trace = Trace::new(TraceKind::Propagation, txn.id.0);
-                        let root =
-                            trace.add_span("nagano_cluster_txn_receipt", txn.label.clone(), at, at);
-                        pending_traces.insert(
-                            txn.id,
-                            PendingTrace {
-                                trace,
-                                root,
-                                applied: 0,
-                                served: [false; 4],
-                                apply_span: [None; 4],
-                            },
-                        );
-                        // Ship over the two master-fed edges; the chained
-                        // edges fan out when Schaumburg applies.
-                        for edge in [0, 1] {
-                            ship(
-                                &mut queue,
-                                &mut fault_rng,
-                                &edge_fault,
-                                &mut report.replication_dropped,
-                                &dropped_total,
-                                edge,
-                                at,
-                                &txn,
-                            );
-                        }
-                    }
-                    SimEvent::EdgeDeliver(edge, txn) => {
-                        let s = REPLICATION_EDGES[edge].to;
-                        match replicas[s].deliver(&txn) {
-                            DeliverOutcome::Applied => {
-                                report.updates_applied += 1;
-                                applied_total.incr();
-                                let commit_at = commit_times[txn.id.0 as usize - 1];
-                                // While the monitor is down the replica still
-                                // advances its log; DUP runs at recovery.
-                                if monitor_up[s] {
-                                    let shed_before = if hybrid_policy {
-                                        monitors[s].stats().snapshot().deferred_shed
-                                    } else {
-                                        0
-                                    };
-                                    let outcome = monitors[s].process_txn_at(&txn, at);
-                                    last_apply_minute[s] = at.minute_index() as i64;
-                                    let day_idx = at.day().min(cfg.end_day) as usize - 1;
-                                    report.regen_per_day[day_idx] +=
-                                        outcome.regenerated.len() as u64;
-                                    // Visible-latency model: replication delay
-                                    // (already elapsed at `at`) plus
-                                    // regeneration spread over the SMP's
-                                    // render workers.
-                                    let regen_cost_ms: f64 = outcome
-                                        .regenerated
-                                        .iter()
-                                        .map(|&k| {
-                                            monitors[s]
-                                                .fleet()
-                                                .member(0)
-                                                .peek(&k.to_url())
-                                                .map(|_| 1.0)
-                                                .unwrap_or(0.0)
-                                        })
-                                        .sum::<f64>()
-                                        * 150.0
-                                        / 8.0;
-                                    let applied_at =
-                                        at + SimDuration::from_secs_f64(regen_cost_ms / 1_000.0);
-                                    let visible = applied_at - commit_at;
-                                    report.freshness.push(visible.as_secs_f64());
-                                    freshness_hist.record(visible.as_secs_f64());
-                                    report.freshness_max =
-                                        report.freshness_max.max(visible.as_secs_f64());
-                                    if let Some(p) = pending_traces.get_mut(&txn.id) {
-                                        let site = SITES[s].name;
-                                        let dist = p.trace.add_child(
-                                            p.root,
-                                            "nagano_cluster_distribute",
-                                            format!("site={site}"),
-                                            commit_at,
-                                            at,
-                                        );
-                                        let odg = p.trace.add_child(
-                                            dist,
-                                            "nagano_odg_traversal",
-                                            format!("site={site} visited={}", outcome.visited),
-                                            at,
-                                            at,
-                                        );
-                                        let apply = p.trace.add_child(
-                                            odg,
-                                            "nagano_cache_apply",
-                                            format!(
-                                                "site={site} regenerated={} invalidated={} tolerated={}",
-                                                outcome.regenerated.len(),
-                                                outcome.invalidated.len(),
-                                                outcome.tolerated.len()
-                                            ),
-                                            at,
-                                            applied_at,
-                                        );
-                                        if hybrid_policy {
-                                            p.trace.add_child(
-                                                apply,
-                                                "nagano_trigger_rank",
-                                                format!(
-                                                    "site={site} hot={} cold={}",
-                                                    outcome.regenerated.len()
-                                                        + outcome.deferred.len(),
-                                                    outcome.invalidated.len()
-                                                ),
-                                                at,
-                                                at,
-                                            );
-                                            if !outcome.deferred.is_empty() {
-                                                p.trace.add_child(
-                                                    apply,
-                                                    "nagano_trigger_defer",
-                                                    format!(
-                                                        "site={site} pages={}",
-                                                        outcome.deferred.len()
-                                                    ),
-                                                    at,
-                                                    at,
-                                                );
-                                            }
-                                            let shed = monitors[s]
-                                                .stats()
-                                                .snapshot()
-                                                .deferred_shed
-                                                .saturating_sub(shed_before);
-                                            if shed > 0 {
-                                                p.trace.add_child(
-                                                    apply,
-                                                    "nagano_trigger_shed",
-                                                    format!("site={site} pages={shed}"),
-                                                    at,
-                                                    at,
-                                                );
-                                            }
-                                        }
-                                        p.apply_span[s] = Some(apply);
-                                        p.applied += 1;
-                                        for &k in outcome
-                                            .regenerated
-                                            .iter()
-                                            .chain(outcome.invalidated.iter())
-                                        {
-                                            fresh_waiting[s].insert(k, txn.id);
-                                        }
-                                    }
-                                }
-                                // Schaumburg re-publishes to its chained
-                                // sites.
-                                if s == 0 {
-                                    for chained in [2, 3] {
-                                        ship(
-                                            &mut queue,
-                                            &mut fault_rng,
-                                            &edge_fault,
-                                            &mut report.replication_dropped,
-                                            &dropped_total,
-                                            chained,
-                                            at,
-                                            &txn,
-                                        );
-                                    }
-                                }
-                            }
-                            DeliverOutcome::Duplicate => {
-                                report.replication_duplicates += 1;
-                            }
-                            DeliverOutcome::Gap { .. } => {
-                                // A message ahead of the watermark arrived:
-                                // something before it was lost or reordered.
-                                // Pull the gap shortly (one pull covers any
-                                // number of gap signals).
-                                if !catchup_pending[s] && !gave_up[s] {
-                                    catchup_pending[s] = true;
-                                    queue.schedule(
-                                        at + SimDuration::from_secs(1),
-                                        SimEvent::CatchUp(s),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    SimEvent::CatchUp(s) => {
-                        catchup_pending[s] = false;
-                        let mut edge = if s == 0 && failed_over {
-                            DR_EDGE
-                        } else {
-                            PRIMARY_FEED[s]
-                        };
-                        // A partitioned primary Schaumburg feed triggers the
-                        // paper's disaster-recovery path: re-feed from
-                        // Tokyo's re-published log.
-                        if s == 0
-                            && !failed_over
-                            && matches!(edge_fault[edge], Some(LinkFault::Partition))
-                            && !matches!(edge_fault[DR_EDGE], Some(LinkFault::Partition))
-                        {
-                            replicas[0].fail_over(&replicas[3]);
-                            failed_over = true;
-                            edge = DR_EDGE;
-                        }
-                        let fault = edge_fault[edge];
-                        let attempt_fails = match fault {
-                            Some(LinkFault::Partition) => true,
-                            Some(LinkFault::Lossy { drop_permille }) => {
-                                fault_rng.chance(drop_permille as f64 / 1000.0)
-                            }
-                            _ => false,
-                        };
-                        if attempt_fails {
-                            report.retries += 1;
-                            retries_total.incr();
-                            catchup_attempts[s] += 1;
-                            if catchup_attempts[s] <= MAX_CATCHUP_RETRIES {
-                                let backoff =
-                                    CATCHUP_BASE_BACKOFF_SECS << (catchup_attempts[s] - 1).min(6);
-                                catchup_pending[s] = true;
-                                queue.schedule(
-                                    at + SimDuration::from_secs(backoff),
-                                    SimEvent::CatchUp(s),
-                                );
-                            } else {
-                                // Quiesce until the link heals; the heal
-                                // entry reschedules the pull.
-                                gave_up[s] = true;
-                            }
-                        } else {
-                            catchup_attempts[s] = 0;
-                            gave_up[s] = false;
-                            // The pull pays the edge's base transfer delay
-                            // (plus any injected extra latency) — catching
-                            // up is replication, not teleportation.
-                            let mut pull_secs = REPLICATION_EDGES[edge].base_delay_secs;
-                            if let Some(LinkFault::Delay { extra_secs }) = fault {
-                                pull_secs += extra_secs;
-                            }
-                            let applied_at = at + SimDuration::from_secs(pull_secs);
-                            let missed = replicas[s].catch_up();
-                            if !missed.is_empty() {
-                                for txn in &missed {
-                                    report.updates_applied += 1;
-                                    applied_total.incr();
-                                    report.catch_up_applied += 1;
-                                    catch_up_total.incr();
-                                    let staleness = (applied_at
-                                        - commit_times[txn.id.0 as usize - 1])
-                                        .as_secs_f64();
-                                    report.staleness_hist.record(staleness);
-                                    staleness_hists[s].record(staleness);
-                                    report.staleness_max = report.staleness_max.max(staleness);
-                                }
-                                if monitor_up[s] {
-                                    // One DUP propagation over the union of
-                                    // the pulled transactions.
-                                    let outcome = monitors[s].process_batch_at(&missed, applied_at);
-                                    last_apply_minute[s] = applied_at.minute_index() as i64;
-                                    let day_idx = applied_at.day().min(cfg.end_day) as usize - 1;
-                                    report.regen_per_day[day_idx] +=
-                                        outcome.regenerated.len() as u64;
-                                    // Lineage under faults: these txns
-                                    // reached the site by pull, and the
-                                    // batch DUP pass is attributed to the
-                                    // newest of them (its write wins).
-                                    let site = SITES[s].name;
-                                    for txn in &missed {
-                                        if let Some(p) = pending_traces.get_mut(&txn.id) {
-                                            let commit_at = commit_times[txn.id.0 as usize - 1];
-                                            let dist = p.trace.add_child(
-                                                p.root,
-                                                "nagano_cluster_distribute",
-                                                format!("site={site} via=catch-up"),
-                                                commit_at,
-                                                applied_at,
-                                            );
-                                            let apply = p.trace.add_child(
-                                                dist,
-                                                "nagano_cache_apply",
-                                                format!("site={site} via=catch-up"),
-                                                applied_at,
-                                                applied_at,
-                                            );
-                                            p.apply_span[s] = Some(apply);
-                                            p.applied += 1;
-                                        }
-                                    }
-                                    if let Some(last) = missed.last() {
-                                        if pending_traces.contains_key(&last.id) {
-                                            for &k in outcome
-                                                .regenerated
-                                                .iter()
-                                                .chain(outcome.invalidated.iter())
-                                            {
-                                                fresh_waiting[s].insert(k, last.id);
-                                            }
-                                        }
-                                    }
-                                }
-                                if s == 0 {
-                                    for txn in &missed {
-                                        for chained in [2, 3] {
-                                            ship(
-                                                &mut queue,
-                                                &mut fault_rng,
-                                                &edge_fault,
-                                                &mut report.replication_dropped,
-                                                &dropped_total,
-                                                chained,
-                                                applied_at,
-                                                txn,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    SimEvent::DataFault(i) => {
-                        let entry = cfg.fault_plan[i];
-                        match entry.kind {
-                            DataFaultKind::Link { edge, fault } => {
-                                if !entry.up {
-                                    edge_fault[edge] = Some(fault);
-                                } else {
-                                    edge_fault[edge] = None;
-                                    if edge == 0 && failed_over {
-                                        replicas[0].restore_primary();
-                                        failed_over = false;
-                                    }
-                                    let s = REPLICATION_EDGES[edge].to;
-                                    gave_up[s] = false;
-                                    catchup_attempts[s] = 0;
-                                    if !catchup_pending[s] {
-                                        catchup_pending[s] = true;
-                                        queue.schedule(
-                                            at + SimDuration::from_secs(1),
-                                            SimEvent::CatchUp(s),
-                                        );
-                                    }
-                                    watches.push(ConvergenceRecord {
-                                        label: format!(
-                                            "{} {:?}",
-                                            REPLICATION_EDGES[edge].name, fault
-                                        ),
-                                        site: s,
-                                        healed_at: at,
-                                        converged_at: None,
-                                    });
-                                }
-                            }
-                            DataFaultKind::MonitorCrash { site } => {
-                                if !entry.up {
-                                    monitor_up[site] = false;
-                                } else {
-                                    monitor_up[site] = true;
-                                    // Restart: resume from the monitor's
-                                    // processed watermark — replay the local
-                                    // log tail through DUP so no stale page
-                                    // survives recovery.
-                                    let missed = replicas[site]
-                                        .local_log()
-                                        .since(TxnId(monitors[site].watermark()));
-                                    let outcome = monitors[site].recover_at(&missed, at);
-                                    report.recoveries += 1;
-                                    last_apply_minute[site] = at.minute_index() as i64;
-                                    let day_idx = at.day().min(cfg.end_day) as usize - 1;
-                                    report.regen_per_day[day_idx] +=
-                                        outcome.regenerated.len() as u64;
-                                    // Lineage: the replica already held the
-                                    // log tail (distribution happened while
-                                    // the monitor was down); recovery is the
-                                    // DUP replay that makes caches catch up.
-                                    let site_name = SITES[site].name;
-                                    for txn in &missed {
-                                        if let Some(p) = pending_traces.get_mut(&txn.id) {
-                                            let odg = p.trace.add_child(
-                                                p.root,
-                                                "nagano_odg_traversal",
-                                                format!("site={site_name} via=recovery"),
-                                                at,
-                                                at,
-                                            );
-                                            let apply = p.trace.add_child(
-                                                odg,
-                                                "nagano_cache_apply",
-                                                format!("site={site_name} via=recovery"),
-                                                at,
-                                                at,
-                                            );
-                                            p.apply_span[site] = Some(apply);
-                                            p.applied += 1;
-                                        }
-                                    }
-                                    if let Some(last) = missed.last() {
-                                        if pending_traces.contains_key(&last.id) {
-                                            for &k in outcome
-                                                .regenerated
-                                                .iter()
-                                                .chain(outcome.invalidated.iter())
-                                            {
-                                                fresh_waiting[site].insert(k, last.id);
-                                            }
-                                        }
-                                    }
-                                    for txn in &missed {
-                                        let staleness = (at - commit_times[txn.id.0 as usize - 1])
-                                            .as_secs_f64();
-                                        report.staleness_hist.record(staleness);
-                                        staleness_hists[site].record(staleness);
-                                        report.staleness_max = report.staleness_max.max(staleness);
-                                    }
-                                    watches.push(ConvergenceRecord {
-                                        label: format!("monitor-crash {}", SITES[site].name),
-                                        site,
-                                        healed_at: at,
-                                        converged_at: None,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    SimEvent::Failure(i) => {
-                        let entry = cfg.failure_plan[i];
-                        cluster.apply(entry.kind, entry.up);
-                    }
-                    SimEvent::ServingFault(i) => {
-                        let entry = cfg.serving_fault_plan[i];
-                        match entry.kind {
-                            ServingFaultKind::RenderSlowdown { site, factor } => {
-                                slowdown[site] = if entry.up { 1.0 } else { factor };
-                            }
-                            ServingFaultKind::BackendOutage { site } => {
-                                backend_down[site] = !entry.up;
-                            }
-                            ServingFaultKind::CacheShardCrash { site, node } => {
-                                // Cold restart: live entries, tombstones,
-                                // and coalescing state all vanish — the
-                                // stampede window single-flight flattens.
-                                let fleet = monitors[site].fleet();
-                                fleet.member(node.min(fleet.len() - 1)).clear();
-                                inflight[site].clear();
-                            }
-                        }
-                    }
-                    SimEvent::TelemetryFlush => {
-                        let hour = at.minute_index() / 60;
-                        slo_engine.observe_hour(hour, &telemetry.registry);
-                        if cfg.export_dir.is_some() {
-                            hourly_snapshots.push(format!(
-                                "{{\"hour\":{hour},\"snapshot\":{}}}",
-                                json_snapshot(&telemetry.registry)
-                            ));
-                        }
+            Some(LinkFault::Delay { extra_secs }) => Some(due + SimDuration::from_secs(extra_secs)),
+            Some(LinkFault::Reorder { jitter_secs }) => {
+                let jitter = self.fault_rng.index(jitter_secs as usize + 1) as u64;
+                Some(due + SimDuration::from_secs(jitter))
+            }
+        };
+        let Some(deliver_at) = deliver_at else {
+            self.report.replication_dropped += 1;
+            return self.counters.dropped.incr();
+        };
+        let deliver = SimEvent::EdgeDeliver(edge, Arc::clone(txn));
+        self.queue.schedule(deliver_at, deliver);
+    }
+
+    fn on_edge_deliver(&mut self, edge: usize, txn: &Arc<Transaction>, at: SimTime) {
+        let s = REPLICATION_EDGES[edge].to;
+        match self.complexes[s].replica.deliver(txn) {
+            DeliverOutcome::Applied => {
+                self.report.updates_applied += 1;
+                self.counters.applied.incr();
+                if self.complexes[s].monitor_up {
+                    let monitor = &self.complexes[s].monitor;
+                    let shed_before = monitor.stats().snapshot().deferred_shed;
+                    let outcome = monitor.process_txn_at(txn, at);
+                    let shed = monitor.stats().snapshot().deferred_shed - shed_before;
+                    let txns = std::slice::from_ref(txn);
+                    self.record_apply(s, txns, &outcome, at, Via::Stream { shed });
+                }
+                // Schaumburg re-publishes to its chained sites.
+                if s == 0 {
+                    for chained in [2, 3] {
+                        self.ship(chained, at, txn);
                     }
                 }
             }
-
-            // Hotness heartbeat: fold each fleet's window-hit counters into
-            // its EWMA, then give the Hybrid deferred queue a budgeted
-            // drain slice (no-op under other policies). Runs during the
-            // settle tail too so deferred work cannot be stranded.
-            for s in 0..SITES.len() {
-                monitors[s].fleet().fold_hotness(minute);
-                // Expire over-age tombstones so the stale maps stay
-                // bounded by the policy, not the run length.
-                monitors[s].fleet().member(0).prune_stale();
-                if monitor_up[s] {
-                    let drained = monitors[s].drain_deferred(minute_end);
-                    if !drained.is_empty() {
-                        let day_idx = minute_end.day().min(cfg.end_day) as usize - 1;
-                        report.regen_per_day[day_idx] += drained.len() as u64;
-                        last_apply_minute[s] = minute_end.minute_index() as i64;
-                    }
-                }
-            }
-
-            // Data-plane heartbeat: refresh lag gauges, schedule catch-up
-            // pulls across faulted feeds (and across the DR re-feed while
-            // failed over — it is pull-only, nothing streams on it), and
-            // close convergence watches.
-            for s in 0..SITES.len() {
-                lag_gauges[s].set(replicas[s].lag());
-                let feed_edge = if s == 0 && failed_over {
-                    DR_EDGE
-                } else {
-                    PRIMARY_FEED[s]
-                };
-                let behind = replicas[s].feed_len() > replicas[s].applied().0;
-                let pull_needed = (s == 0 && failed_over) || edge_fault[feed_edge].is_some();
-                if behind && pull_needed && !catchup_pending[s] && !gave_up[s] {
-                    catchup_pending[s] = true;
-                    queue.schedule(minute_end, SimEvent::CatchUp(s));
-                }
-            }
-            if !watches.is_empty() {
-                let master_len = db.log().len() as u64;
-                for w in watches.iter_mut().filter(|w| w.converged_at.is_none()) {
-                    let applied = replicas[w.site].applied().0;
-                    if monitor_up[w.site]
-                        && applied == master_len
-                        && monitors[w.site].watermark() == applied
-                    {
-                        w.converged_at = Some(minute_end);
-                    }
-                }
-            }
-            if minute >= end_min {
-                continue; // settle tail: no client traffic past the horizon
-            }
-
-            // Generate this minute's client requests.
-            let t_mid = SimTime::from_mins(minute) + SimDuration::from_secs(30);
-            let count = model.sample_minute_count(t_mid, &mut req_rng);
-            let day = t_mid.day();
-            let day_idx = day.min(cfg.end_day) as usize - 1;
-            for _ in 0..count {
-                report.total_requests += 1;
-                requests_total.incr();
-                // Deterministic 1-in-N sampling keeps the serving-trace
-                // ring representative without recording every request.
-                let sampled = report.total_requests % SERVING_TRACE_SAMPLE == 1;
-                let mut trace =
-                    sampled.then(|| Trace::new(TraceKind::Serving, report.total_requests));
-                let sample = model.sample_request(t_mid, &mut req_rng);
-                *report.by_region.entry(sample.region).or_insert(0) += 1;
-                let addr = cluster.next_dns_address();
-                let adverts = cluster.adverts(&msirp, addr);
-                let RouteDecision::Site(site) = msirp.route(sample.region, addr, &adverts) else {
-                    report.failed_requests += 1;
-                    failed_total.incr();
-                    if let Some(mut trace) = trace {
-                        trace.span_with("nagano_cluster_route", "no-site", t_mid, t_mid);
-                        telemetry.serving.push(trace);
-                    }
-                    continue;
-                };
-                let route_idx = trace.as_mut().map(|tr| {
-                    tr.add_span(
-                        "nagano_cluster_route",
-                        format!(
-                            "region={} site={}",
-                            sample.region.label(),
-                            SITES[site.0].name
-                        ),
-                        t_mid,
-                        t_mid,
-                    )
-                });
-                // Dispatcher picks a node (advisors skip dead ones); with
-                // a single logical cache per site the node only matters
-                // for load accounting.
-                if cluster.site_mut(site).pick_node().is_none() {
-                    report.failed_requests += 1;
-                    failed_total.incr();
-                    httpd_metrics[site.0].observe(503, 0);
-                    if let Some(mut trace) = trace {
-                        let route = route_idx.expect("sampled trace has a route span");
-                        trace.add_child(route, "nagano_cluster_dispatch", "no-node", t_mid, t_mid);
-                        telemetry.serving.push(trace);
-                    }
-                    continue;
-                }
-                let url = sample.page.to_url();
-                let monitor = &monitors[site.0];
-                monitor.observe_request(sample.page, t_mid);
-                let member = monitor.fleet().member(0);
-                let now_secs = t_mid.as_secs_f64();
-                let budget = res.request_budget_secs;
-                let flight = inflight[site.0].get(&url).copied().filter(|&d| d > t_mid);
-                let served: Option<(u64, f64, bool)> = match monitor.fleet().get_from(0, &url) {
-                    Some(page) => {
-                        if let Some(done_at) = flight {
-                            // The body is cached but its regeneration
-                            // is still in flight from an earlier
-                            // request: this follower coalesces onto
-                            // the flight and waits out the remainder
-                            // instead of rendering again.
-                            member.stats_handle().coalesce();
-                            let wait_secs = (done_at - t_mid).as_secs_f64();
-                            if wait_secs <= budget {
-                                Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
-                            } else if let Some(stale) = member.serve_stale(&url) {
-                                Some((stale.body.len() as u64, 0.5, false))
-                            } else {
-                                Some((page.body.len() as u64, 0.5 + wait_secs * 1_000.0, false))
-                            }
-                        } else {
-                            Some((page.body.len() as u64, 0.5, true))
-                        }
-                    }
-                    None if backend_down[site.0] => {
-                        inflight[site.0].remove(&url);
-                        let breaker = &mut breakers[site.0];
-                        let mut latency_ms = 0.5;
-                        if breaker.allow(now_secs) {
-                            // One failed render attempt; the bounded
-                            // seeded-backoff retry loop only runs when
-                            // no stale copy can answer instead.
-                            breaker.record_failure(now_secs);
-                            latency_ms += 5.0;
-                            if member.peek_stale(&url).is_none() {
-                                let mut backoff = RetryBackoff::new(
-                                    res.retry_base_secs,
-                                    res.retry_max_secs,
-                                    res.retry_max_attempts,
-                                );
-                                while let Some(delay) = backoff.next_delay(&mut resilience_rng) {
-                                    breaker.record_failure(now_secs);
-                                    report.render_retries += 1;
-                                    latency_ms += 5.0 + delay * 1_000.0;
-                                }
-                            }
-                        }
-                        member
-                            .serve_stale(&url)
-                            .map(|stale| (stale.body.len() as u64, latency_ms, false))
-                    }
-                    None => {
-                        inflight[site.0].remove(&url);
-                        // This request leads the regeneration; an
-                        // active slowdown stretches the modelled cost.
-                        let stale_before = member.peek_stale(&url);
-                        let out = monitor.demand_fill(0, sample.page);
-                        report.demand_fills += 1;
-                        let breaker = &mut breakers[site.0];
-                        breaker.allow(now_secs); // half-open probe when recovering
-                        breaker.record_success();
-                        if let Some(s) = &stale_before {
-                            report.stale_regens += 1;
-                            *stale_regen_pairs
-                                .entry((site.0, url.clone(), s.epoch))
-                                .or_insert(0) += 1;
-                        }
-                        let cost_ms = out.cost_ms * slowdown[site.0];
-                        let done_at = t_mid + SimDuration::from_secs_f64(cost_ms / 1_000.0);
-                        inflight[site.0].insert(url.clone(), done_at);
-                        if cost_ms / 1_000.0 <= budget {
-                            Some((out.body.len() as u64, cost_ms, false))
-                        } else if let Some(stale) = stale_before {
-                            // Deadline exceeded: answer from the
-                            // tombstone now — the fresh body already
-                            // landed for the next request.
-                            member.stats_handle().stale_serve();
-                            Some((stale.body.len() as u64, 0.5, false))
-                        } else {
-                            Some((out.body.len() as u64, cost_ms, false))
-                        }
-                    }
-                };
-                let Some((bytes, mut server_ms, cache_hit)) = served else {
-                    // Backend down, breaker open or retries exhausted, and
-                    // no stale copy within its age bound: the 503 path.
-                    report.failed_requests += 1;
-                    failed_total.incr();
-                    httpd_metrics[site.0].observe(503, 0);
-                    if let Some(mut trace) = trace {
-                        let route = route_idx.expect("sampled trace has a route span");
-                        let lookup =
-                            trace.add_child(route, "nagano_cache_lookup", "miss", t_mid, t_mid);
-                        trace.add_child(
-                            lookup,
-                            "nagano_pagegen_render",
-                            "backend-down",
-                            t_mid,
-                            t_mid,
-                        );
-                        telemetry.serving.push(trace);
-                    }
-                    continue;
-                };
-                // §2: in the 1996 design the serving processors also ran
-                // the updates, so service slows in the minutes around an
-                // apply (regeneration competes for the same CPUs).
-                let near_update = (minute as i64)
-                    .saturating_sub(last_apply_minute[site.0])
-                    .unsigned_abs()
-                    <= 2;
-                if cfg.updates_on_serving_nodes && near_update {
-                    server_ms = server_ms * 8.0 + 150.0;
-                }
-                if near_update {
-                    report.service_near_updates.push(server_ms);
-                } else {
-                    report.service_away_from_updates.push(server_ms);
-                }
-                report.serve_latency.record(server_ms / 1_000.0);
-                report.per_minute.incr(t_mid);
-                report.per_site_minute[site.0].incr(t_mid);
-                report.bytes_per_day[day_idx] += bytes as f64;
-                httpd_metrics[site.0].observe(200, bytes);
-
-                // Update-lineage leaf: the first request that serves one
-                // of an update's refreshed pages closes that site's branch
-                // of the propagation tree, and the commit → serve gap is
-                // the end-to-end freshness sample. Requests are generated
-                // at the minute midpoint, so a request can precede an
-                // apply recorded later in the same minute — leave the
-                // entry for the next request in that case.
-                if let Some(&txn_id) = fresh_waiting[site.0].get(&sample.page) {
-                    match pending_traces.get_mut(&txn_id) {
-                        Some(p) if !p.served[site.0] => {
-                            let apply = p.apply_span[site.0].unwrap_or(p.root);
-                            let apply_end = p.trace.spans[apply].end;
-                            if t_mid >= apply_end {
-                                fresh_waiting[site.0].remove(&sample.page);
-                                p.served[site.0] = true;
-                                let commit_at = commit_times[txn_id.0 as usize - 1];
-                                p.trace.add_child(
-                                    apply,
-                                    "nagano_cache_first_fresh_hit",
-                                    format!("site={} url={url}", SITES[site.0].name),
-                                    apply_end,
-                                    t_mid,
-                                );
-                                update_to_serve_hist.record((t_mid - commit_at).as_secs_f64());
-                                if p.applied == SITES.len() && p.served.iter().all(|&done| done) {
-                                    let p = pending_traces.remove(&txn_id).expect("pending trace");
-                                    telemetry.propagation.push(p.trace);
-                                }
-                            }
-                        }
-                        _ => {
-                            // The owning trace already served this site
-                            // through another page (or completed): the
-                            // claim is stale.
-                            fresh_waiting[site.0].remove(&sample.page);
-                        }
-                    }
-                }
-
-                if let Some(mut trace) = trace {
-                    let done = t_mid + SimDuration::from_secs_f64(server_ms / 1_000.0);
-                    let route = route_idx.expect("sampled trace has a route span");
-                    let lookup = trace.add_child(
-                        route,
-                        "nagano_cache_lookup",
-                        if cache_hit { "hit" } else { "miss" },
-                        t_mid,
-                        t_mid,
-                    );
-                    trace.add_child(
-                        lookup,
-                        "nagano_pagegen_render",
-                        format!("url={url} bytes={bytes}"),
-                        t_mid,
-                        done,
-                    );
-                    telemetry.serving.push(trace);
-                }
-
-                // Response-time sampling: the paper's Figure 22 methodology
-                // (28.8 kbps modem fetching the current home page).
-                if sample.link == LinkClass::Modem28_8 {
-                    if let PageKey::Home(_) = sample.page {
-                        let mut link = LinkModel::new(LinkClass::Modem28_8);
-                        let (c_lo, c_hi, factor) = cfg.us_congestion;
-                        let is_us = matches!(sample.region, Region::UsEast | Region::UsWest);
-                        if is_us && (c_lo..=c_hi).contains(&day) {
-                            link = link.with_congestion(factor);
-                        }
-                        let server = SimDuration::from_secs_f64(
-                            (server_ms + region_latency_ms(sample.region, site)) / 1_000.0,
-                        );
-                        let est = link.sample(bytes, server, &mut req_rng);
-                        report
-                            .response_by_day_region
-                            .entry((day, sample.region))
-                            .or_default()
-                            .push(est.response_secs);
-                        report.modem_responses.record(est.response_secs);
-                    }
+            DeliverOutcome::Duplicate => self.report.replication_duplicates += 1,
+            // A message ahead of the watermark arrived: something before
+            // it was lost or reordered. Pull the gap shortly (one pull
+            // covers any number of gap signals).
+            DeliverOutcome::Gap { .. } => {
+                let c = &self.complexes[s];
+                if !c.catchup_pending && !c.gave_up {
+                    self.schedule_pull(s, at + SimDuration::from_secs(1));
                 }
             }
         }
+    }
 
+    fn schedule_pull(&mut self, s: usize, at: SimTime) {
+        self.complexes[s].catchup_pending = true;
+        self.queue.schedule(at, SimEvent::CatchUp(s));
+    }
+
+    /// The edge `s` pulls over: its primary feed, or the DR re-feed
+    /// while Schaumburg is failed over.
+    fn feed_edge(&self, s: usize) -> usize {
+        if s == 0 && self.failed_over {
+            DR_EDGE
+        } else {
+            PRIMARY_FEED[s]
+        }
+    }
+
+    fn on_catch_up(&mut self, s: usize, at: SimTime) {
+        self.complexes[s].catchup_pending = false;
+        let mut edge = self.feed_edge(s);
+        let partitioned = |fault: Option<LinkFault>| matches!(fault, Some(LinkFault::Partition));
+        // A partitioned primary Schaumburg feed triggers the paper's
+        // disaster-recovery path: re-feed from Tokyo's re-published log.
+        if s == 0
+            && !self.failed_over
+            && partitioned(self.edge_fault[edge])
+            && !partitioned(self.edge_fault[DR_EDGE])
+        {
+            let (schaumburg, tokyo) = (&self.complexes[0], &self.complexes[3]);
+            schaumburg.replica.fail_over(&tokyo.replica);
+            self.failed_over = true;
+            edge = DR_EDGE;
+        }
+        let fault = self.edge_fault[edge];
+        let attempt_fails = match fault {
+            Some(LinkFault::Partition) => true,
+            Some(LinkFault::Lossy { drop_permille }) => {
+                self.fault_rng.chance(drop_permille as f64 / 1000.0)
+            }
+            _ => false,
+        };
+        if attempt_fails {
+            self.report.retries += 1;
+            self.counters.retries.incr();
+            let c = &mut self.complexes[s];
+            c.catchup_attempts += 1;
+            if c.catchup_attempts <= MAX_CATCHUP_RETRIES {
+                let backoff = CATCHUP_BASE_BACKOFF_SECS << (c.catchup_attempts - 1).min(6);
+                self.schedule_pull(s, at + SimDuration::from_secs(backoff));
+            } else {
+                // Quiesce until the link heals; the heal entry
+                // reschedules the pull.
+                c.gave_up = true;
+            }
+            return;
+        }
+        let c = &mut self.complexes[s];
+        c.catchup_attempts = 0;
+        c.gave_up = false;
+        // The pull pays the edge's base transfer delay (plus any injected
+        // extra latency) — catching up is replication, not teleportation.
+        let mut pull_secs = REPLICATION_EDGES[edge].base_delay_secs;
+        if let Some(LinkFault::Delay { extra_secs }) = fault {
+            pull_secs += extra_secs;
+        }
+        let applied_at = at + SimDuration::from_secs(pull_secs);
+        let missed = c.replica.catch_up();
+        if missed.is_empty() {
+            return;
+        }
+        let pulled = missed.len() as u64;
+        self.report.updates_applied += pulled;
+        self.counters.applied.add(pulled);
+        self.report.catch_up_applied += pulled;
+        self.counters.catch_up.add(pulled);
+        self.record_staleness(s, &missed, applied_at);
+        if self.complexes[s].monitor_up {
+            // One DUP propagation over the union of the pulled
+            // transactions.
+            let monitor = &self.complexes[s].monitor;
+            let outcome = monitor.process_batch_at(&missed, applied_at);
+            self.record_apply(s, &missed, &outcome, applied_at, Via::CatchUp);
+        }
+        if s == 0 {
+            for txn in &missed {
+                for chained in [2, 3] {
+                    self.ship(chained, applied_at, txn);
+                }
+            }
+        }
+    }
+
+    fn on_data_fault(&mut self, i: usize, at: SimTime) {
+        let entry = self.cfg.fault_plan[i];
+        match entry.kind {
+            DataFaultKind::Link { edge, fault } if !entry.up => self.edge_fault[edge] = Some(fault),
+            DataFaultKind::Link { edge, fault } => {
+                self.edge_fault[edge] = None;
+                if edge == 0 && self.failed_over {
+                    self.complexes[0].replica.restore_primary();
+                    self.failed_over = false;
+                }
+                let s = REPLICATION_EDGES[edge].to;
+                let c = &mut self.complexes[s];
+                c.gave_up = false;
+                c.catchup_attempts = 0;
+                if !c.catchup_pending {
+                    self.schedule_pull(s, at + SimDuration::from_secs(1));
+                }
+                let label = format!("{} {:?}", REPLICATION_EDGES[edge].name, fault);
+                self.watch(label, s, at);
+            }
+            DataFaultKind::MonitorCrash { site } if !entry.up => {
+                self.complexes[site].monitor_up = false;
+            }
+            DataFaultKind::MonitorCrash { site } => {
+                let c = &mut self.complexes[site];
+                c.monitor_up = true;
+                // Restart: resume from the monitor's processed watermark —
+                // replay the local log tail through DUP so no stale page
+                // survives recovery. The replica already held the tail
+                // (distribution happened while the monitor was down).
+                let missed = c.replica.local_log().since(TxnId(c.monitor.watermark()));
+                let outcome = c.monitor.recover_at(&missed, at);
+                self.report.recoveries += 1;
+                self.record_apply(site, &missed, &outcome, at, Via::Recovery);
+                self.record_staleness(site, &missed, at);
+                self.watch(format!("monitor-crash {}", SITES[site].name), site, at);
+            }
+        }
+    }
+
+    /// Open a convergence watch for `site`, healed at `at`.
+    fn watch(&mut self, label: String, site: usize, at: SimTime) {
+        self.watches.push(ConvergenceRecord {
+            label,
+            site,
+            healed_at: at,
+            converged_at: None,
+        });
+    }
+
+    /// Book the DUP pass that applied `txns` at site `s` at `at`: apply
+    /// clock, the day's regenerations, each traced transaction's lineage
+    /// branch, the pages whose first fresh serve closes it (claimed by
+    /// the newest transaction), and a streamed one's freshness sample.
+    fn record_apply(
+        &mut self,
+        s: usize,
+        txns: &[Arc<Transaction>],
+        outcome: &TxnOutcome,
+        at: SimTime,
+        via: Via,
+    ) {
+        let complex = &mut self.complexes[s];
+        complex.last_apply_minute = at.minute_index() as i64;
+        let day_idx = at.day().min(self.cfg.end_day) as usize - 1;
+        self.report.regen_per_day[day_idx] += outcome.regenerated.len() as u64;
+        let mut applied_at = at;
+        if let Via::Stream { .. } = via {
+            // Visible-latency model: replication delay (already elapsed
+            // at `at`) plus regeneration spread over the SMP's render
+            // workers (DESIGN.md §6).
+            let member = complex.monitor.fleet().member(0);
+            let held = outcome
+                .regenerated
+                .iter()
+                .filter(|k| member.peek(&k.to_url()).is_some())
+                .count();
+            applied_at = at + SimDuration::from_secs_f64(held as f64 * 150.0 / 8.0 / 1_000.0);
+            let visible = (applied_at - self.commit_times[txns[0].id.0 as usize - 1]).as_secs_f64();
+            self.report.freshness.push(visible);
+            self.counters.freshness.record(visible);
+            self.report.freshness_max = self.report.freshness_max.max(visible);
+        }
+        let site = SITES[s].name;
+        let hybrid = matches!(self.cfg.policy, ConsistencyPolicy::Hybrid(_));
+        for txn in txns {
+            let Some(p) = self.pending_traces.get_mut(&txn.id) else {
+                continue;
+            };
+            let commit_at = self.commit_times[txn.id.0 as usize - 1];
+            let t = &mut p.trace;
+            let apply = match via {
+                Via::Stream { shed } => {
+                    let label = format!("site={site}");
+                    let dist =
+                        t.add_child(p.root, "nagano_cluster_distribute", label, commit_at, at);
+                    let visited = format!("site={site} visited={}", outcome.visited);
+                    let odg = t.add_child(dist, "nagano_odg_traversal", visited, at, at);
+                    let counts = format!(
+                        "site={site} regenerated={} invalidated={} tolerated={}",
+                        outcome.regenerated.len(),
+                        outcome.invalidated.len(),
+                        outcome.tolerated.len()
+                    );
+                    let apply = t.add_child(odg, "nagano_cache_apply", counts, at, applied_at);
+                    if hybrid {
+                        hybrid_spans(t, apply, site, outcome, shed, at);
+                    }
+                    apply
+                }
+                Via::CatchUp => {
+                    let label = format!("site={site} via=catch-up");
+                    let dist =
+                        t.add_child(p.root, "nagano_cluster_distribute", &label, commit_at, at);
+                    t.add_child(dist, "nagano_cache_apply", label, at, at)
+                }
+                Via::Recovery => {
+                    let label = format!("site={site} via=recovery");
+                    let odg = t.add_child(p.root, "nagano_odg_traversal", &label, at, at);
+                    t.add_child(odg, "nagano_cache_apply", label, at, at)
+                }
+            };
+            p.apply_span[s] = Some(apply);
+            p.applied += 1;
+        }
+        if let Some(last) = txns.last() {
+            if self.pending_traces.contains_key(&last.id) {
+                for &k in outcome.regenerated.iter().chain(&outcome.invalidated) {
+                    complex.fresh_waiting.insert(k, last.id);
+                }
+            }
+        }
+    }
+
+    /// Staleness under failure: commit → `at` for transactions that
+    /// reached site `s` by catch-up or recovery rather than streaming.
+    fn record_staleness(&mut self, s: usize, txns: &[Arc<Transaction>], at: SimTime) {
+        for txn in txns {
+            let staleness = (at - self.commit_times[txn.id.0 as usize - 1]).as_secs_f64();
+            self.report.staleness_hist.record(staleness);
+            self.complexes[s].staleness.record(staleness);
+            self.report.staleness_max = self.report.staleness_max.max(staleness);
+        }
+    }
+
+    // ---- serving plane ------------------------------------------------------
+
+    fn on_serving_fault(&mut self, i: usize) {
+        let entry = self.cfg.serving_fault_plan[i];
+        match entry.kind {
+            ServingFaultKind::RenderSlowdown { site, factor } => {
+                self.complexes[site].slowdown = if entry.up { 1.0 } else { factor };
+            }
+            ServingFaultKind::BackendOutage { site } => {
+                self.complexes[site].backend_down = !entry.up;
+            }
+            ServingFaultKind::CacheShardCrash { site, node } => {
+                // Cold restart: live entries, tombstones, and coalescing
+                // state all vanish — the stampede window single-flight
+                // flattens.
+                let c = &mut self.complexes[site];
+                let fleet = c.monitor.fleet();
+                fleet.member(node.min(fleet.len() - 1)).clear();
+                c.inflight.clear();
+            }
+        }
+    }
+
+    fn on_telemetry_flush(&mut self, at: SimTime) {
+        let hour = at.minute_index() / 60;
+        self.slo_engine.observe_hour(hour, &self.telemetry.registry);
+        if self.cfg.export_dir.is_some() {
+            self.hourly_snapshots.push(format!(
+                "{{\"hour\":{hour},\"snapshot\":{}}}",
+                json_snapshot(&self.telemetry.registry)
+            ));
+        }
+    }
+
+    /// The per-minute heartbeat, run during the settle tail too so that
+    /// deferred work and catch-up pulls cannot be stranded.
+    fn heartbeat(&mut self, minute: u64, minute_end: SimTime) {
+        for c in &mut self.complexes {
+            // Hotness: fold each fleet's window-hit counters into its
+            // EWMA, then give the Hybrid deferred queue a budgeted drain
+            // slice (no-op under other policies).
+            c.monitor.fleet().fold_hotness(minute);
+            // Expire over-age tombstones so the stale maps stay bounded
+            // by the policy, not the run length.
+            c.monitor.fleet().member(0).prune_stale();
+            if c.monitor_up {
+                let drained = c.monitor.drain_deferred(minute_end);
+                if !drained.is_empty() {
+                    let day_idx = minute_end.day().min(self.cfg.end_day) as usize - 1;
+                    self.report.regen_per_day[day_idx] += drained.len() as u64;
+                    c.last_apply_minute = minute_end.minute_index() as i64;
+                }
+            }
+        }
+        // Data plane: refresh lag gauges, schedule catch-up pulls across
+        // faulted feeds (and across the DR re-feed while failed over — it
+        // is pull-only, nothing streams on it), and close convergence
+        // watches.
+        for s in 0..SITES.len() {
+            let feed = self.feed_edge(s);
+            let c = &self.complexes[s];
+            c.lag.set(c.replica.lag());
+            let behind = c.replica.feed_len() > c.replica.applied().0;
+            let pull_needed = (s == 0 && self.failed_over) || self.edge_fault[feed].is_some();
+            if behind && pull_needed && !c.catchup_pending && !c.gave_up {
+                self.schedule_pull(s, minute_end);
+            }
+        }
+        let master_len = self.db.log().len() as u64;
+        for w in self.watches.iter_mut().filter(|w| w.converged_at.is_none()) {
+            let c = &self.complexes[w.site];
+            let applied = c.replica.applied().0;
+            if c.monitor_up && applied == master_len && c.monitor.watermark() == applied {
+                w.converged_at = Some(minute_end);
+            }
+        }
+    }
+
+    /// This minute's client requests, all issued at its midpoint.
+    fn client_minute(&mut self, minute: u64) {
+        let t_mid = SimTime::from_mins(minute) + SimDuration::from_secs(30);
+        let count = self.model.sample_minute_count(t_mid, &mut self.req_rng);
+        for _ in 0..count {
+            self.request(minute, t_mid);
+        }
+    }
+
+    /// Route, dispatch and serve one client request, and account for it.
+    fn request(&mut self, minute: u64, t_mid: SimTime) {
+        self.report.total_requests += 1;
+        self.counters.requests.incr();
+        // Deterministic 1-in-N sampling keeps the serving-trace ring
+        // representative without recording every request.
+        let sampled = self.report.total_requests % SERVING_TRACE_SAMPLE == 1;
+        let mut trace = sampled.then(|| Trace::new(TraceKind::Serving, self.report.total_requests));
+        let sample = self.model.sample_request(t_mid, &mut self.req_rng);
+        *self.report.by_region.entry(sample.region).or_insert(0) += 1;
+        let addr = self.cluster.next_dns_address();
+        let adverts = self.cluster.adverts(&self.msirp, addr);
+        let RouteDecision::Site(site) = self.msirp.route(sample.region, addr, &adverts) else {
+            if let Some(t) = trace.as_mut() {
+                t.span_with("nagano_cluster_route", "no-site", t_mid, t_mid);
+            }
+            return self.fail(None, trace);
+        };
+        let s = site.0;
+        let route = trace.as_mut().map(|t| {
+            let label = format!("region={} site={}", sample.region.label(), SITES[s].name);
+            t.add_span("nagano_cluster_route", label, t_mid, t_mid)
+        });
+        // Dispatcher picks a node (advisors skip dead ones); with a single
+        // logical cache per site the node only matters for load
+        // accounting.
+        if self.cluster.site_mut(site).pick_node().is_none() {
+            if let (Some(t), Some(route)) = (trace.as_mut(), route) {
+                t.add_child(route, "nagano_cluster_dispatch", "no-node", t_mid, t_mid);
+            }
+            return self.fail(Some(s), trace);
+        }
+        let url = sample.page.to_url();
+        let Some((bytes, mut server_ms, cache_hit)) =
+            self.serve_request(s, sample.page, &url, t_mid)
+        else {
+            // Backend down, breaker open or retries exhausted, and no
+            // stale copy within its age bound: the 503 path.
+            if let (Some(t), Some(route)) = (trace.as_mut(), route) {
+                let lookup = t.add_child(route, "nagano_cache_lookup", "miss", t_mid, t_mid);
+                let render = "nagano_pagegen_render";
+                t.add_child(lookup, render, "backend-down", t_mid, t_mid);
+            }
+            return self.fail(Some(s), trace);
+        };
+        // §2: in the 1996 design the serving processors also ran the
+        // updates, so service slows in the minutes around an apply
+        // (regeneration competes for the same CPUs).
+        let since_apply = (minute as i64).saturating_sub(self.complexes[s].last_apply_minute);
+        let near_update = since_apply.unsigned_abs() <= 2;
+        if self.cfg.updates_on_serving_nodes && near_update {
+            server_ms = server_ms * 8.0 + 150.0;
+        }
+        if near_update {
+            self.report.service_near_updates.push(server_ms);
+        } else {
+            self.report.service_away_from_updates.push(server_ms);
+        }
+        self.report.serve_latency.record(server_ms / 1_000.0);
+        self.report.per_minute.incr(t_mid);
+        self.report.per_site_minute[s].incr(t_mid);
+        let day = t_mid.day();
+        self.report.bytes_per_day[day.min(self.cfg.end_day) as usize - 1] += bytes as f64;
+        self.complexes[s].httpd.observe(200, bytes);
+        self.close_lineage(s, sample.page, &url, t_mid);
+        if let (Some(mut t), Some(route)) = (trace, route) {
+            let done = t_mid + SimDuration::from_secs_f64(server_ms / 1_000.0);
+            let lookup_label = if cache_hit { "hit" } else { "miss" };
+            let lookup = t.add_child(route, "nagano_cache_lookup", lookup_label, t_mid, t_mid);
+            let render = format!("url={url} bytes={bytes}");
+            t.add_child(lookup, "nagano_pagegen_render", render, t_mid, done);
+            self.telemetry.serving.push(t);
+        }
+        // Response-time sampling: the paper's Figure 22 methodology
+        // (28.8 kbps modem fetching the current home page).
+        if sample.link == LinkClass::Modem28_8 && matches!(sample.page, PageKey::Home(_)) {
+            let mut link = LinkModel::new(LinkClass::Modem28_8);
+            let (c_lo, c_hi, factor) = self.cfg.us_congestion;
+            let is_us = matches!(sample.region, Region::UsEast | Region::UsWest);
+            if is_us && (c_lo..=c_hi).contains(&day) {
+                link = link.with_congestion(factor);
+            }
+            let server = SimDuration::from_secs_f64(
+                (server_ms + region_latency_ms(sample.region, site)) / 1_000.0,
+            );
+            let est = link.sample(bytes, server, &mut self.req_rng);
+            let by_day = self
+                .report
+                .response_by_day_region
+                .entry((day, sample.region));
+            by_day.or_default().push(est.response_secs);
+            self.report.modem_responses.record(est.response_secs);
+        }
+    }
+
+    /// Count a request no complex served, with a 503 at site `s`'s front
+    /// end when it got that far.
+    fn fail(&mut self, s: Option<usize>, trace: Option<Trace>) {
+        self.report.failed_requests += 1;
+        self.counters.failed.incr();
+        if let Some(s) = s {
+            self.complexes[s].httpd.observe(503, 0);
+        }
+        if let Some(trace) = trace {
+            self.telemetry.serving.push(trace);
+        }
+    }
+
+    /// Serve `page` at complex `s` at sim time `t` — the DES driver of
+    /// [`nagano::serve`]: observe the cache, the flight map, the breaker
+    /// and the backend, ask the table, and carry out its answer. `None`
+    /// is a 503.
+    fn serve_request(&mut self, s: usize, page: PageKey, url: &str, t: SimTime) -> Option<Served> {
+        let c = &mut self.complexes[s];
+        c.monitor.observe_request(page, t);
+        let member = Arc::clone(c.monitor.fleet().member(0));
+        let cached = member.get(url);
+        if cached.is_none() {
+            // A demand fill caches its body at once and keeps the flight
+            // open for as long as the render takes: with the body gone,
+            // so is the flight.
+            c.inflight.remove(url);
+        }
+        let lands_in = c.inflight.get(url).filter(|&&done| done > t);
+        let lands_in = lands_in.map(|&done| (done - t).as_secs_f64());
+        if lands_in.is_some() {
+            member.stats_handle().coalesce();
+        }
+        let stale = member.peek_stale(url);
+        let observed = Observation {
+            fresh: cached.is_some(),
+            flight: lands_in,
+            tombstone: stale.is_some(),
+            breaker_admits: c.breaker.allow(t.as_secs_f64()),
+            backend_reachable: !c.backend_down,
+            budget_secs: self.cfg.resilience.request_budget_secs,
+        };
+        let wait_ms = lands_in.unwrap_or(0.0) * 1_000.0;
+        match serve::decide(&observed) {
+            Decision::Hit => cached.map(|page| (page.body.len() as u64, 0.5, true)),
+            Decision::Join => cached.map(|page| (page.body.len() as u64, 0.5 + wait_ms, false)),
+            Decision::ServeStale => stale.map(|copy| serve_stale(&member, copy, 0.5)),
+            Decision::Fill => self.fill(s, page, url, t, stale),
+            Decision::Fail => None,
+        }
+    }
+
+    /// Render `page` for a request at complex `s`: a demand fill that
+    /// opens a flight for its (slowdown-stretched) modelled cost, or —
+    /// the backend being down — a failed attempt and its bounded, seeded
+    /// retries. [`serve::after_render`] says what the request gets.
+    fn fill(
+        &mut self,
+        s: usize,
+        page: PageKey,
+        url: &str,
+        t: SimTime,
+        stale: Option<StaleCopy>,
+    ) -> Option<Served> {
+        let (now, tombstone) = (t.as_secs_f64(), stale.is_some());
+        let res = &self.cfg.resilience;
+        let budget = res.request_budget_secs;
+        let c = &mut self.complexes[s];
+        let member = Arc::clone(c.monitor.fleet().member(0));
+        if c.backend_down {
+            let (base, max) = (res.retry_base_secs, res.retry_max_secs);
+            let mut backoff = RetryBackoff::new(base, max, res.retry_max_attempts);
+            c.breaker.record_failure(now);
+            // The lookup's 0.5 ms, then 5 ms an attempt.
+            let mut latency_ms = 5.5;
+            loop {
+                let retries_left = backoff.remaining() > 0;
+                match serve::after_render(Render::Failed { retries_left }, tombstone, budget) {
+                    Decision::Fill => {
+                        let delay = backoff.next_delay(&mut self.resilience_rng);
+                        c.breaker.record_failure(now);
+                        self.report.render_retries += 1;
+                        latency_ms += 5.0 + delay.expect("an attempt is left") * 1_000.0;
+                    }
+                    Decision::ServeStale => {
+                        return stale.map(|copy| serve_stale(&member, copy, latency_ms))
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        let out = c.monitor.demand_fill(0, page);
+        self.report.demand_fills += 1;
+        c.breaker.record_success();
+        if let Some(copy) = &stale {
+            self.report.stale_regens += 1;
+            let epoch = (s, url.to_string(), copy.epoch);
+            *self.stale_regen_pairs.entry(epoch).or_insert(0) += 1;
+        }
+        let cost_ms = out.cost_ms * c.slowdown;
+        let secs = cost_ms / 1_000.0;
+        let lands = t + SimDuration::from_secs_f64(secs);
+        c.inflight.insert(url.to_string(), lands);
+        let decision = serve::after_render(Render::Done { secs }, tombstone, budget);
+        match (decision, stale) {
+            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&member, copy, 0.5)),
+            _ => Some((out.body.len() as u64, cost_ms, false)),
+        }
+    }
+
+    /// Update-lineage leaf: the first request that serves one of an
+    /// update's refreshed pages closes that site's branch of the
+    /// propagation tree, and the commit → serve gap is the end-to-end
+    /// freshness sample. Requests are generated at the minute midpoint,
+    /// so a request can precede an apply recorded later in the same
+    /// minute — leave the entry for the next request in that case.
+    fn close_lineage(&mut self, s: usize, page: PageKey, url: &str, t: SimTime) {
+        let waiting = &mut self.complexes[s].fresh_waiting;
+        let Some(&txn_id) = waiting.get(&page) else {
+            return;
+        };
+        let pending = self.pending_traces.get_mut(&txn_id);
+        let Some(p) = pending.filter(|p| !p.served[s]) else {
+            // The owning trace already served this site through another
+            // page (or completed): the claim is stale.
+            waiting.remove(&page);
+            return;
+        };
+        let apply = p.apply_span[s].unwrap_or(p.root);
+        let apply_end = p.trace.spans[apply].end;
+        if t < apply_end {
+            return;
+        }
+        waiting.remove(&page);
+        p.served[s] = true;
+        let commit_at = self.commit_times[txn_id.0 as usize - 1];
+        let label = format!("site={} url={url}", SITES[s].name);
+        let leaf = "nagano_cache_first_fresh_hit";
+        p.trace.add_child(apply, leaf, label, apply_end, t);
+        let update_to_serve = (t - commit_at).as_secs_f64();
+        self.counters.update_to_serve.record(update_to_serve);
+        if p.applied == SITES.len() && p.served.iter().all(|&done| done) {
+            let p = self.pending_traces.remove(&txn_id).expect("pending trace");
+            self.telemetry.propagation.push(p.trace);
+        }
+    }
+
+    // ---- end of run ---------------------------------------------------------
+
+    fn finish(mut self) -> ClusterReport {
         // Updates still awaiting an apply or a serve at the horizon flush
         // as-is, in transaction order, so same-seed runs export identical
         // trace sets.
-        let mut unfinished: Vec<(TxnId, PendingTrace)> = pending_traces.into_iter().collect();
+        let mut unfinished: Vec<_> = self.pending_traces.drain().collect();
         unfinished.sort_by_key(|(id, _)| id.0);
         for (_, p) in unfinished {
-            telemetry.propagation.push(p.trace);
+            self.telemetry.propagation.push(p.trace);
         }
-
-        // Aggregate cache stats across sites.
-        let mut agg = StatsSnapshot::default();
-        for m in &monitors {
-            let s = m.fleet().aggregate_stats();
-            agg.hits += s.hits;
-            agg.misses += s.misses;
-            agg.inserts += s.inserts;
-            agg.updates += s.updates;
-            agg.invalidations += s.invalidations;
-            agg.evictions += s.evictions;
-            agg.bytes_current += s.bytes_current;
-            agg.bytes_peak += s.bytes_peak;
-            agg.stale_served += s.stale_served;
-            agg.coalesced += s.coalesced;
-        }
-        report.cache = agg;
-        report.stale_regen_keys = stale_regen_pairs.len() as u64;
-        report.breaker_trips = breakers.iter().map(CircuitBreaker::trips).sum();
-        for m in &monitors {
-            let s = m.stats().snapshot();
+        let report = &mut self.report;
+        for c in &self.complexes {
+            report.cache += c.monitor.fleet().aggregate_stats();
+            let s = c.monitor.stats().snapshot();
             report.regen_cpu_ms += s.regen_cpu_ms;
             report.regen_saved_ms += s.regen_saved_ms;
             report.weighted_staleness_sum_secs += s.weighted_staleness_sum_secs;
             report.weighted_staleness_samples += s.weighted_staleness_count;
         }
-        report.freshness_hist = freshness_hist.snapshot();
-        report.update_to_serve = update_to_serve_hist.snapshot();
-        report.slo = slo_engine.finish(&telemetry.registry);
-        report.master_txns = db.log().len() as u64;
-        for s in 0..SITES.len() {
-            report.site_watermarks[s] = replicas[s].applied().0;
-            report.monitor_watermarks[s] = monitors[s].watermark();
+        report.stale_regen_keys = self.stale_regen_pairs.len() as u64;
+        report.breaker_trips = self.complexes.iter().map(|c| c.breaker.trips()).sum();
+        report.freshness_hist = self.counters.freshness.snapshot();
+        report.update_to_serve = self.counters.update_to_serve.snapshot();
+        report.slo = self.slo_engine.finish(&self.telemetry.registry);
+        report.master_txns = self.db.log().len() as u64;
+        for (s, c) in self.complexes.iter().enumerate() {
+            report.site_watermarks[s] = c.replica.applied().0;
+            report.monitor_watermarks[s] = c.monitor.watermark();
         }
-        report.convergence = watches;
+        report.convergence = std::mem::take(&mut self.watches);
+        if self.cfg.audit_convergence {
+            self.report.stale_pages = Some(self.audit());
+        }
+        if let Some(dir) = &self.cfg.export_dir {
+            self.export(dir);
+        }
+        self.report
+    }
 
-        if cfg.audit_convergence {
-            // Prove cache convergence the hard way: re-render every
-            // registry page and compare bodies against each site's cache.
-            // An absent entry is safe (invalidate policy, eviction, cold);
-            // a *mismatching* body is a stale page.
-            let renderer = Renderer::new(Arc::clone(&db));
-            let mut stale = 0u64;
-            for (key, _) in registry.pages() {
-                let fresh = renderer.render(*key);
-                for m in &monitors {
-                    if let Some(cached) = m.fleet().member(0).peek(&key.to_url()) {
-                        if cached.body != fresh.body {
-                            stale += 1;
-                        }
+    /// Prove cache convergence the hard way: re-render every registry
+    /// page and compare bodies against each site's cache. An absent entry
+    /// is safe (invalidate policy, eviction, cold); a *mismatching* body
+    /// is a stale page.
+    fn audit(&self) -> u64 {
+        let renderer = Renderer::new(Arc::clone(&self.db));
+        let mut stale = 0u64;
+        for (key, _) in self.registry.pages() {
+            let fresh = renderer.render(*key);
+            for c in &self.complexes {
+                if let Some(cached) = c.monitor.fleet().member(0).peek(&key.to_url()) {
+                    if cached.body != fresh.body {
+                        stale += 1;
                     }
                 }
             }
-            report.stale_pages = Some(stale);
         }
+        stale
+    }
 
-        if let Some(dir) = &cfg.export_dir {
-            // Export failures (read-only fs, missing parents) must not
-            // invalidate a completed multi-minute simulation; the report
-            // itself still carries the full telemetry.
-            let _ = std::fs::create_dir_all(dir);
-            let _ = std::fs::write(
-                dir.join("metrics.prom"),
-                prometheus_text(&telemetry.registry),
-            );
-            let _ = std::fs::write(dir.join("metrics.json"), json_snapshot(&telemetry.registry));
-            let mut lines = hourly_snapshots.join("\n");
-            lines.push('\n');
-            let _ = std::fs::write(dir.join("telemetry_hourly.jsonl"), lines);
-            let mut traces = String::new();
-            for t in telemetry
-                .propagation
-                .traces()
-                .iter()
-                .chain(telemetry.serving.traces().iter())
-            {
-                traces.push_str(&t.to_json());
-                traces.push('\n');
-            }
-            let _ = std::fs::write(dir.join("traces.jsonl"), traces);
-            let _ = std::fs::write(dir.join("slo.json"), slo_json(&report.slo));
+    /// Write the final exports. Failures (read-only fs, missing parents)
+    /// must not invalidate a completed multi-minute simulation; the report
+    /// itself still carries the full telemetry.
+    fn export(&self, dir: &Path) {
+        let registry = &self.telemetry.registry;
+        let _ = std::fs::create_dir_all(dir);
+        let _ = std::fs::write(dir.join("metrics.prom"), prometheus_text(registry));
+        let _ = std::fs::write(dir.join("metrics.json"), json_snapshot(registry));
+        let mut lines = self.hourly_snapshots.join("\n");
+        lines.push('\n');
+        let _ = std::fs::write(dir.join("telemetry_hourly.jsonl"), lines);
+        let mut traces = String::new();
+        let (propagation, serving) = (
+            self.telemetry.propagation.traces(),
+            self.telemetry.serving.traces(),
+        );
+        for t in propagation.iter().chain(serving.iter()) {
+            traces.push_str(&t.to_json());
+            traces.push('\n');
         }
-        report
+        let _ = std::fs::write(dir.join("traces.jsonl"), traces);
+        let _ = std::fs::write(dir.join("slo.json"), slo_json(&self.report.slo));
+    }
+}
+
+/// A request answered from `member`'s tombstone after `latency_ms`,
+/// counted as a stale serve.
+fn serve_stale(member: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
+    member.stats_handle().stale_serve();
+    (copy.body.len() as u64, latency_ms, false)
+}
+
+/// The Hybrid scheduler's children of a streamed apply span: the
+/// hot/cold ranking, and the pages it deferred or shed.
+fn hybrid_spans(
+    t: &mut Trace,
+    apply: usize,
+    site: &str,
+    outcome: &TxnOutcome,
+    shed: u64,
+    at: SimTime,
+) {
+    let hot = outcome.regenerated.len() + outcome.deferred.len();
+    let rank = format!("site={site} hot={hot} cold={}", outcome.invalidated.len());
+    t.add_child(apply, "nagano_trigger_rank", rank, at, at);
+    if !outcome.deferred.is_empty() {
+        let pages = format!("site={site} pages={}", outcome.deferred.len());
+        t.add_child(apply, "nagano_trigger_defer", pages, at, at);
+    }
+    if shed > 0 {
+        let pages = format!("site={site} pages={shed}");
+        t.add_child(apply, "nagano_trigger_shed", pages, at, at);
+    }
+}
+
+/// The four complexes in site order: a trigger monitor over a one-member
+/// cache fleet each, its cells bound into the registry under a `site`
+/// label, and the Figure-5 replicas in pull mode, so that the simulated
+/// links decide exactly which transactions arrive (and when): master
+/// feeds Schaumburg and Tokyo; Columbus and Bethesda chain off Schaumburg.
+fn complexes(
+    cfg: &ClusterConfig,
+    db: &Arc<OlympicDb>,
+    registry: &Arc<PageRegistry>,
+    telemetry: &Telemetry,
+) -> Vec<Complex> {
+    let cache_config = CacheConfig::default().with_stale(cfg.resilience.stale);
+    let schaumburg = Replica::attach_pull(SITES[0].name, Arc::clone(db));
+    let columbus = Replica::attach_downstream_pull(SITES[1].name, &schaumburg);
+    let bethesda = Replica::attach_downstream_pull(SITES[2].name, &schaumburg);
+    let tokyo = Replica::attach_pull(SITES[3].name, Arc::clone(db));
+    let reg = &telemetry.registry;
+    SITES
+        .iter()
+        .zip([schaumburg, columbus, bethesda, tokyo])
+        .map(|(spec, replica)| {
+            let labels = [("site", spec.name)];
+            let monitor = TriggerMonitor::new(
+                Renderer::new(Arc::clone(db)),
+                Arc::new(CacheFleet::new(1, cache_config.clone())),
+                Arc::clone(registry),
+                cfg.policy,
+            );
+            monitor.prewarm();
+            monitor.stats().bind(reg, &labels);
+            monitor.fleet().member(0).stats_handle().bind(reg, &labels);
+            let httpd = HttpdMetrics::new();
+            httpd.bind(reg, &labels);
+            let staleness = "nagano_cluster_staleness_seconds";
+            Complex {
+                monitor,
+                httpd,
+                replica,
+                lag: reg.gauge("nagano_cluster_replication_lag_txns", &labels),
+                staleness: reg.histogram(staleness, &labels, 1e-3, 100_000.0),
+                monitor_up: true,
+                catchup_pending: false,
+                catchup_attempts: 0,
+                gave_up: false,
+                last_apply_minute: i64::MIN,
+                slowdown: 1.0,
+                backend_down: false,
+                breaker: CircuitBreaker::new(cfg.resilience.breaker),
+                inflight: FxHashMap::default(),
+                fresh_waiting: FxHashMap::default(),
+            }
+        })
+        .collect()
+}
+
+/// The simulation driver.
+pub struct ClusterSim {
+    config: ClusterConfig,
+}
+
+impl ClusterSim {
+    /// New simulation with `config`.
+    pub fn new(config: ClusterConfig) -> Self {
+        assert!(config.start_day >= 1 && config.end_day >= config.start_day);
+        ClusterSim { config }
+    }
+
+    /// Run to completion: minute by minute, drain the events due, beat
+    /// the heart, and serve the minute's client requests.
+    pub fn run(&self) -> ClusterReport {
+        let cfg = &self.config;
+        let mut sim = SimState::new(cfg);
+        let start_min = (cfg.start_day as u64 - 1) * 1440;
+        let end_min = cfg.end_day as u64 * 1440;
+        for minute in start_min..end_min + SETTLE_MINUTES {
+            let minute_end = SimTime::from_mins(minute + 1);
+            // Advance the cache clocks: stale-tombstone ages are measured
+            // on sim time, not wall time.
+            let secs = SimTime::from_mins(minute).as_secs_f64();
+            for c in &sim.complexes {
+                c.monitor.fleet().set_now_secs(secs);
+            }
+            while let Some((at, ev)) = sim.queue.pop_before(minute_end) {
+                match ev {
+                    SimEvent::MasterUpdate(i) => sim.on_master_update(i, at),
+                    SimEvent::EdgeDeliver(edge, txn) => sim.on_edge_deliver(edge, &txn, at),
+                    SimEvent::CatchUp(s) => sim.on_catch_up(s, at),
+                    SimEvent::Failure(i) => {
+                        let entry = cfg.failure_plan[i];
+                        sim.cluster.apply(entry.kind, entry.up);
+                    }
+                    SimEvent::DataFault(i) => sim.on_data_fault(i, at),
+                    SimEvent::ServingFault(i) => sim.on_serving_fault(i),
+                    SimEvent::TelemetryFlush => sim.on_telemetry_flush(at),
+                }
+            }
+            sim.heartbeat(minute, minute_end);
+            // The settle tail has no client traffic past the horizon.
+            if minute < end_min {
+                sim.client_minute(minute);
+            }
+        }
+        sim.finish()
     }
 }
 
@@ -2332,6 +2244,68 @@ mod tests {
         assert_eq!(a.stale_regens, b.stale_regens);
         assert_eq!(a.render_retries, b.render_retries);
         assert_eq!(a.breaker_trips, b.breaker_trips);
+    }
+
+    /// Rows (a), (b) and (d) of the serve table (`nagano::serve`), which
+    /// only the simulation reaches: a backend outage on Schaumburg that
+    /// heals inside the breaker's open window, then a render slowdown
+    /// past the request budget. Three runs of one seed: `short` has the
+    /// stock 10 s window, which closes before the next minute's requests;
+    /// `long` one that spans the heal; `slow` adds the slowdown to `long`.
+    #[test]
+    fn misses_are_answered_as_the_serve_table_says() {
+        let window = |kind, from, to| {
+            [(from, false), (to, true)].map(|(at, up)| ServingFaultPlanEntry { at, kind, up })
+        };
+        let run = |open_secs: f64, slowdown: bool| {
+            let mut cfg = resilience_config();
+            cfg.scale = 2_000.0;
+            cfg.resilience.breaker.open_secs = open_secs;
+            let outage = ServingFaultKind::BackendOutage { site: 0 };
+            cfg.serving_fault_plan =
+                window(outage, SimTime::at(10, 8, 0), SimTime::at(10, 9, 0)).to_vec();
+            if slowdown {
+                let slow = ServingFaultKind::RenderSlowdown {
+                    site: 0,
+                    factor: 2_000.0,
+                };
+                let (from, to) = (SimTime::at(10, 18, 0), SimTime::at(11, 12, 0));
+                cfg.serving_fault_plan.extend(window(slow, from, to));
+            }
+            ClusterSim::new(cfg).run()
+        };
+        let short = run(10.0, false);
+        let long = run(8.0 * 3_600.0, false);
+        let slow = run(8.0 * 3_600.0, true);
+        // (b) With the backend down, a refused miss without a tombstone
+        // fails at once — no attempt, no retry, no second trip; with the
+        // backend back it renders rather than turn the request away. So
+        // the requests that fail are those that fail when the window
+        // closes between one minute's requests and the next.
+        assert!(short.failed_requests > 0);
+        assert_eq!(long.failed_requests, short.failed_requests);
+        assert_eq!(long.breaker_trips, 1);
+        assert!(short.breaker_trips > 1);
+        assert!(long.render_retries < short.render_retries);
+        // (a) For the hours the open window outlasts the outage, a miss
+        // with a tombstone is answered from it instead of rendered.
+        assert!(
+            long.cache.stale_served > short.cache.stale_served,
+            "{} vs {}",
+            long.cache.stale_served,
+            short.cache.stale_served
+        );
+        assert!(long.demand_fills < short.demand_fills);
+        assert!(long.stale_regens < short.stale_regens);
+        // (d) A render past the budget still fills the cache, but the
+        // request that led it gets the tombstone when there is one, and
+        // the requests behind it join its flight.
+        assert_eq!(slow.failed_requests, long.failed_requests);
+        assert_eq!(slow.render_retries, long.render_retries);
+        assert_eq!(slow.demand_fills, long.demand_fills);
+        assert_eq!(slow.stale_regens, long.stale_regens);
+        assert!(slow.cache.stale_served > long.cache.stale_served);
+        assert!(slow.cache.coalesced > long.cache.coalesced);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Serving-path resilience primitives (DESIGN.md §11).
 //!
-//! Three small, clock-free building blocks shared by the live serving
-//! site and the cluster simulation:
+//! Two small, clock-free building blocks shared by the live serving
+//! site and the cluster simulation (the request budget is compared in
+//! one place, [`crate::serve`]):
 //!
 //! * [`CircuitBreaker`] — a three-state (Closed → Open → HalfOpen)
 //!   breaker around the render/db backend. Time is *passed in* as
@@ -10,9 +11,6 @@
 //! * [`RetryBackoff`] — bounded exponential backoff with full jitter
 //!   drawn from a caller-supplied [`DeterministicRng`], so retry
 //!   schedules are reproducible under a fixed seed (D002-clean).
-//! * [`Deadline`] — a per-request latency budget propagated into render
-//!   dispatch; followers of a single-flight regeneration wait at most
-//!   the remaining budget before falling back to a stale copy.
 
 use nagano_simcore::DeterministicRng;
 
@@ -148,11 +146,6 @@ impl CircuitBreaker {
         };
     }
 
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
     /// State name for status documents: `"closed"`, `"open"`, or
     /// `"half_open"`.
     pub fn state_name(&self) -> &'static str {
@@ -234,42 +227,6 @@ impl RetryBackoff {
     /// Reset to attempt 0 (after a success).
     pub fn reset(&mut self) {
         self.attempt = 0;
-    }
-}
-
-/// A per-request latency budget.
-///
-/// Created at request admission with the caller's clock; render dispatch
-/// and single-flight waits check the remaining budget instead of
-/// sleeping unboundedly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deadline {
-    start: f64,
-    budget_secs: f64,
-}
-
-impl Deadline {
-    /// A deadline of `budget_secs` starting at `now`.
-    pub fn new(now: f64, budget_secs: f64) -> Self {
-        Deadline {
-            start: now,
-            budget_secs,
-        }
-    }
-
-    /// Seconds left at `now` (0 when expired).
-    pub fn remaining(&self, now: f64) -> f64 {
-        (self.start + self.budget_secs - now).max(0.0)
-    }
-
-    /// Has the budget run out at `now`?
-    pub fn expired(&self, now: f64) -> bool {
-        self.remaining(now) <= 0.0
-    }
-
-    /// The total budget.
-    pub fn budget_secs(&self) -> f64 {
-        self.budget_secs
     }
 }
 
@@ -367,16 +324,5 @@ mod tests {
         bo.reset();
         assert_eq!(bo.attempts(), 0);
         assert!(bo.next_delay(&mut rng).is_some());
-    }
-
-    #[test]
-    fn deadline_budget_accounting() {
-        let d = Deadline::new(100.0, 2.5);
-        assert!((d.remaining(100.0) - 2.5).abs() < 1e-12);
-        assert!((d.remaining(101.0) - 1.5).abs() < 1e-12);
-        assert!(!d.expired(102.0));
-        assert!(d.expired(102.5));
-        assert_eq!(d.remaining(200.0), 0.0);
-        assert_eq!(d.budget_secs(), 2.5);
     }
 }

@@ -4,12 +4,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use nagano_cache::{CacheConfig, CacheFleet, FlightOutcome, StatsSnapshot};
+use nagano_cache::{
+    CacheConfig, CacheFleet, FlightOutcome, FlightToken, PageCache, StaleCopy, StatsSnapshot,
+};
 use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
 use nagano_httpd::{Handler, Request, Response, RetryAfterHint, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
@@ -17,6 +19,7 @@ use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot};
 
 use crate::resilience::CircuitBreaker;
+use crate::serve::{self, Decision, Observation, Render};
 
 thread_local! {
     /// Per-worker URL-formatting buffer for the request hot path:
@@ -54,7 +57,8 @@ pub struct SiteConfig {
     pub prewarm: bool,
     /// Per-request latency budget in seconds: a miss that coalesces onto
     /// another node-local regeneration waits at most this long before
-    /// falling back to a stale copy (DESIGN.md §11).
+    /// falling back to a stale copy, and a miss whose own render takes
+    /// longer is answered from the stale copy (DESIGN.md §11a).
     pub request_budget_secs: f64,
 }
 
@@ -108,6 +112,23 @@ impl ServedPage {
     /// often DUP had the page re-derived in between.
     pub fn etag(&self) -> String {
         format!("\"v{}\"", self.version)
+    }
+
+    /// A page answered from what a cache holds, as a miss.
+    fn cached(body: Bytes, version: u64, stale: bool) -> Self {
+        ServedPage {
+            body,
+            cache_hit: false,
+            cost_ms: 0.5,
+            version,
+            stale,
+        }
+    }
+
+    /// A miss answered from `member`'s tombstone, counted as a stale serve.
+    fn stale(member: &PageCache, copy: StaleCopy) -> Self {
+        member.stats_handle().stale_serve();
+        ServedPage::cached(copy.body, copy.version, true)
     }
 }
 
@@ -232,79 +253,105 @@ impl ServingSite {
     /// server-program path: check the cache; on a miss, coalesce onto any
     /// in-flight regeneration of the same page (single-flight), otherwise
     /// generate, cache locally, and register dependencies. When the
-    /// breaker is open or a coalesced wait overruns the request budget,
-    /// a tombstoned stale copy is served instead (`stale: true`).
-    /// Returns `None` for paths that are not part of the site.
+    /// breaker is open, or a coalesced wait or the render overruns the
+    /// request budget, a tombstoned stale copy is served instead
+    /// (`stale: true`; [`crate::serve`] has the table). Returns `None` for
+    /// paths that are not part of the site.
     pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
         let key = PageKey::parse(path)?;
         let url = key.to_url();
         let now = self.ticks.fetch_add(1, Relaxed) as f64;
         if let Some(page) = self.fleet.get_from(node, &url) {
+            let served = ServedPage::cached(page.body, page.version, false);
             return Some(ServedPage {
-                body: page.body,
                 cache_hit: true,
-                cost_ms: 0.5,
-                version: page.version,
-                stale: false,
+                ..served
             });
         }
         Some(self.handle_miss(node, key, &url, now))
     }
 
     /// The slow path shared by [`ServingSite::handle`] and
-    /// [`ServingSite::respond`]: single-flight coalescing, breaker
-    /// admission, serve-stale fallback, demand regeneration. `now` is the
-    /// request tick observed before the cache lookup.
+    /// [`ServingSite::respond`]: observe the key's flight, freshness,
+    /// tombstone and breaker, and do what [`serve::decide`] says (DESIGN.md
+    /// §11a). `now` is the request tick observed before the cache lookup.
     fn handle_miss(&self, node: usize, key: PageKey, url: &str, now: f64) -> ServedPage {
         let member = self.fleet.member(node);
-        let budget = Duration::from_secs_f64(self.request_budget_secs);
-        match member.join_or_lead(url, budget) {
-            FlightOutcome::Joined(page) => ServedPage {
-                body: page.body,
-                cache_hit: false,
-                cost_ms: 0.5,
-                version: page.version,
-                stale: false,
-            },
-            FlightOutcome::TimedOut => {
-                // The leader overran the budget or failed: fall back to
-                // a stale copy; with none, regenerate ourselves —
-                // availability over latency.
-                match member.serve_stale(url) {
-                    Some(copy) => ServedPage {
-                        body: copy.body,
-                        cache_hit: false,
-                        cost_ms: 0.5,
-                        version: copy.version,
-                        stale: true,
-                    },
-                    None => self.regenerate(node, key),
+        let budget_secs = self.request_budget_secs;
+        loop {
+            let flight = member.join_or_lead(url, Duration::from_secs_f64(budget_secs));
+            let (fresh, stale) = (member.peek(url), member.peek_stale(url));
+            let breaker_admits = self.breaker.lock().allow(now);
+            let observed = Observation {
+                fresh: fresh.is_some(),
+                // A follower has waited already: its flight landed, or it
+                // did not within the budget.
+                flight: match flight {
+                    FlightOutcome::Lead(_) => None,
+                    FlightOutcome::Joined(_) => Some(0.0),
+                    FlightOutcome::TimedOut => Some(f64::INFINITY),
+                },
+                tombstone: stale.is_some(),
+                breaker_admits,
+                backend_reachable: true, // the in-process renderer cannot fail
+                budget_secs,
+            };
+            match (serve::decide(&observed), flight) {
+                (Decision::Join, FlightOutcome::Joined(page)) => {
+                    return ServedPage::cached(page.body, page.version, false)
                 }
-            }
-            FlightOutcome::Lead(token) => {
-                // The guard is a statement temporary: it must be gone
-                // before `regenerate` re-locks the breaker below.
-                let admitted = self.breaker.lock().allow(now);
-                if !admitted {
-                    member.complete_flight(token, None);
-                    if let Some(copy) = member.serve_stale(url) {
-                        return ServedPage {
-                            body: copy.body,
-                            cache_hit: false,
-                            cost_ms: 0.5,
-                            version: copy.version,
-                            stale: true,
-                        };
+                // (c) Lead the flight's replacement, or join the follower
+                // that leads it.
+                (Decision::Join, FlightOutcome::TimedOut) => continue,
+                (Decision::Fill, FlightOutcome::Lead(token)) => {
+                    return self.fill(node, key, url, token, stale)
+                }
+                // Filled between this request's miss and its lead.
+                (Decision::Hit, FlightOutcome::Lead(token)) => {
+                    member.complete_flight(token, fresh.clone());
+                    let page = fresh.expect("the table hits only a fresh entry");
+                    return ServedPage::cached(page.body, page.version, false);
+                }
+                (Decision::ServeStale, flight) => {
+                    if let FlightOutcome::Lead(token) = flight {
+                        member.complete_flight(token, None);
                     }
-                    // No stale copy to fail fast with: attempt the
-                    // render anyway rather than turn away a request the
-                    // backend might still serve.
-                    return self.regenerate(node, key);
+                    let copy = stale.expect("the table serves only a held tombstone");
+                    return ServedPage::stale(member, copy);
                 }
-                let page = self.regenerate(node, key);
-                member.complete_flight(token, member.peek(url));
-                page
+                (decision, _) => unreachable!("{decision:?} for a site's miss"),
             }
+        }
+    }
+
+    /// Lead the regeneration of `key`: demand-fill it on `node`, record
+    /// the success in the breaker (the in-process renderer cannot fail;
+    /// the failure edges are the cluster simulation's), hand the page to
+    /// the flight's followers, and answer as [`serve::after_render`] says.
+    fn fill(
+        &self,
+        node: usize,
+        key: PageKey,
+        url: &str,
+        token: FlightToken,
+        stale: Option<StaleCopy>,
+    ) -> ServedPage {
+        // nagano-lint: allow(D001) — the request budget is a promise to a real client, kept in host time
+        let started = Instant::now();
+        let fill = self.monitor.demand_fill(node, key);
+        let secs = started.elapsed().as_secs_f64();
+        self.breaker.lock().record_success();
+        self.publish_retry_after();
+        let member = self.fleet.member(node);
+        member.complete_flight(token, member.peek(url));
+        let budget = self.request_budget_secs;
+        let decision = serve::after_render(Render::Done { secs }, stale.is_some(), budget);
+        match (decision, stale) {
+            (Decision::ServeStale, Some(copy)) => ServedPage::stale(member, copy),
+            _ => ServedPage {
+                cost_ms: fill.cost_ms,
+                ..ServedPage::cached(fill.body, fill.version, false)
+            },
         }
     }
 
@@ -350,22 +397,6 @@ impl ServingSite {
                 Response::html(page.body).with_etag(etag)
             }
         })
-    }
-
-    /// Demand-fill `key` on `node` and record the outcome in the breaker
-    /// (the in-process renderer cannot fail, so this always succeeds;
-    /// the failure edges are exercised by the cluster simulation).
-    fn regenerate(&self, node: usize, key: PageKey) -> ServedPage {
-        let fill = self.monitor.demand_fill(node, key);
-        self.breaker.lock().record_success();
-        self.publish_retry_after();
-        ServedPage {
-            body: fill.body,
-            cache_hit: false,
-            cost_ms: fill.cost_ms,
-            version: fill.version,
-            stale: false,
-        }
     }
 
     /// Run `f` against the backend circuit breaker (status inspection,
@@ -1004,6 +1035,53 @@ mod tests {
         let page = s.handle(0, "/medals").unwrap();
         assert!(!page.stale && !page.cache_hit);
         assert!(!page.body.is_empty());
+    }
+
+    #[test]
+    fn followers_past_the_budget_without_a_tombstone_render_once() {
+        let mut cfg = SiteConfig::small();
+        cfg.prewarm = false;
+        cfg.request_budget_secs = 0.05;
+        let s = Arc::new(ServingSite::build(cfg));
+        let member = Arc::clone(s.fleet().member(0));
+        // A leader that outlives every follower's budget.
+        let FlightOutcome::Lead(token) = member.join_or_lead("/medals", Duration::from_secs(1))
+        else {
+            panic!("nothing was in flight");
+        };
+        let followers: Vec<_> = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || s.handle(0, "/medals").unwrap())
+            })
+            .collect();
+        let pages: Vec<ServedPage> = followers.into_iter().map(|t| t.join().unwrap()).collect();
+        member.complete_flight(token, None);
+        // One follower led the replacement flight and the others joined
+        // it: one render, so one insert at version 1 and no update.
+        let stats = member.stats();
+        assert_eq!((stats.inserts, stats.updates), (1, 0), "{stats:?}");
+        for page in pages {
+            assert!(!page.stale && !page.body.is_empty());
+            assert_eq!(page.version, 1);
+        }
+    }
+
+    #[test]
+    fn a_render_past_the_budget_is_answered_from_the_tombstone() {
+        let mut cfg = SiteConfig::small();
+        cfg.cache = CacheConfig::default().with_stale(nagano_cache::StalePolicy::bounded(3600.0));
+        cfg.request_budget_secs = 0.0;
+        let s = ServingSite::build(cfg);
+        let before = s.handle(0, "/medals").unwrap();
+        s.fleet().invalidate_everywhere("/medals");
+        let page = s.handle(0, "/medals").unwrap();
+        assert!(page.stale, "no render fits a zero budget");
+        assert_eq!(page.body, before.body);
+        assert_eq!(s.metrics().cache.stale_served, 1);
+        // The fresh body landed for the next request.
+        let next = s.handle(0, "/medals").unwrap();
+        assert!(next.cache_hit && !next.stale);
     }
 
     #[test]
