@@ -1,16 +1,17 @@
-//! Offline compat shim for `bytes`: just [`Bytes`], an immutable,
-//! cheaply cloneable byte buffer backed by a shared `Vec<u8>`. The
-//! workspace uses the shared-ownership read path plus [`Bytes::slice`]
-//! subviews (no `BytesMut`): a slice shares the parent's allocation and
-//! narrows the visible window, so splitting a page skeleton into
-//! fragment-slot segments never copies. Like the real crate,
-//! `Bytes::from(Vec<u8>)` takes the vector's allocation over — spare
-//! capacity included — instead of copying it.
+//! Offline compat shim for `bytes`: [`Bytes`], an immutable, cheaply
+//! cloneable byte buffer backed by a shared `Vec<u8>`, and as much of
+//! [`BytesMut`] as [`Bytes::try_into_mut`] needs. The workspace uses the
+//! shared-ownership read path plus [`Bytes::slice`] subviews: a slice
+//! shares the parent's allocation and narrows the visible window, so a
+//! view never copies. Like the real crate, `Bytes::from(Vec<u8>)` takes
+//! the vector's allocation over — spare capacity included — instead of
+//! copying it, and `try_into_mut` hands a buffer nobody else holds back
+//! for writing in place.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte buffer. `clone()` is an `Arc`
@@ -95,6 +96,48 @@ impl Bytes {
             start: self.start + begin,
             end: self.start + end,
         }
+    }
+
+    /// The buffer as a [`BytesMut`] when no clone or slice of it is alive
+    /// anywhere; otherwise `self`, unchanged. Nothing can see the bytes
+    /// change while the `BytesMut` is written.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        if Arc::get_mut(&mut self.data).is_some() {
+            Ok(BytesMut { owned: self })
+        } else {
+            Err(self)
+        }
+    }
+}
+
+/// A byte buffer owned by one handle, writable in place. This shim has
+/// the real crate's way in ([`Bytes::try_into_mut`]) and way out
+/// ([`BytesMut::freeze`]), and writes within the length it came with.
+#[derive(Debug)]
+pub struct BytesMut {
+    /// Never shared: no other handle to `owned.data` exists.
+    owned: Bytes,
+}
+
+impl BytesMut {
+    /// Hand the buffer over as `Bytes` again, allocation and all.
+    pub fn freeze(self) -> Bytes {
+        self.owned
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.owned.as_slice()
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        let Bytes { data, start, end } = &mut self.owned;
+        let shared = Arc::get_mut(data).expect("a BytesMut is the one handle to its buffer");
+        &mut shared.buf[*start..*end]
     }
 }
 
@@ -291,6 +334,39 @@ mod tests {
             assert_eq!(&empty[..], b"");
             assert!(empty.slice(..).is_empty());
         }
+    }
+
+    #[test]
+    fn a_buffer_held_once_is_written_in_place() {
+        let b = Bytes::from(b"0123456789".to_vec());
+        let at = b.as_ptr();
+        let mut m = b.try_into_mut().expect("nobody else holds it");
+        m[..3].copy_from_slice(b"abc");
+        assert_eq!(&m[..], b"abc3456789");
+        let b = m.freeze();
+        assert_eq!(b, "abc3456789");
+        assert_eq!(b.as_ptr(), at, "the same allocation");
+        // A slice nobody shares any more is that window of it.
+        let tail = b.slice(4..);
+        drop(b);
+        let mut m = tail.try_into_mut().expect("the parent is gone");
+        m[0] = b'-';
+        assert_eq!(m.freeze(), "-56789");
+    }
+
+    #[test]
+    fn a_buffer_held_twice_is_not() {
+        let b = Bytes::from(b"shared body".to_vec());
+        let clone = b.clone();
+        let b = b.try_into_mut().expect_err("a clone is alive");
+        assert_eq!(b, "shared body");
+        let view = clone.slice(7..);
+        let clone = clone
+            .try_into_mut()
+            .expect_err("the parent and a slice are alive");
+        let view = view.try_into_mut().expect_err("its parent is alive");
+        drop((b, clone));
+        assert!(view.try_into_mut().is_ok(), "the last handle");
     }
 
     #[test]

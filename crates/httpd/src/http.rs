@@ -2,7 +2,7 @@
 //! site needs: GET/HEAD requests, status + Content-Length responses,
 //! keep-alive negotiation.
 
-use std::io::{self, BufRead, IoSlice, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 use bytes::Bytes;
 
@@ -111,13 +111,22 @@ impl Request {
     }
 }
 
-/// Reusable request-parsing scratch. A worker keeps one per connection so
-/// every request on a keep-alive stream reuses the same line buffer and
-/// the same method/path `String` allocations instead of allocating fresh
-/// ones per header line.
+/// The longest request head read: a head that has not ended by then is
+/// refused as malformed, and the connection closed.
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Reusable request-parsing scratch. A worker keeps one, so every request
+/// it reads reuses the same head buffer and the same method/path `String`
+/// allocations instead of allocating fresh ones per header line.
 #[derive(Debug, Default)]
 pub struct RequestReader {
-    line: String,
+    /// The head of the request being read, as far as it has arrived. A
+    /// read that times out or would block leaves it here, and the next
+    /// call goes on where it stopped: a head split across segments that
+    /// arrive a poll interval apart is still one head.
+    head: Vec<u8>,
+    /// Where in `head` the line being read begins.
+    line_start: usize,
 }
 
 impl RequestReader {
@@ -126,64 +135,99 @@ impl RequestReader {
         RequestReader::default()
     }
 
+    /// Forget a partly read head: for a reader moving to another
+    /// connection.
+    pub(crate) fn reset(&mut self) {
+        self.head.clear();
+        self.line_start = 0;
+    }
+
     /// Read one request from a buffered stream into `req`, reusing both
-    /// buffers. On error `req`'s contents are unspecified.
+    /// buffers. On error `req`'s contents are unspecified. An I/O error
+    /// keeps what had arrived of the head for the next call; any other
+    /// outcome starts the next call on a new head.
     pub fn read_into<R: BufRead>(
         &mut self,
         reader: &mut R,
         req: &mut Request,
     ) -> Result<(), ParseError> {
-        self.line.clear();
-        if reader.read_line(&mut self.line)? == 0 {
-            return Err(ParseError::ConnectionClosed);
-        }
-        req.method.clear();
-        req.path.clear();
-        req.if_none_match = None;
-        {
-            let mut parts = self.line.split_whitespace();
-            let method = parts
-                .next()
-                .ok_or(ParseError::Malformed("missing method"))?;
-            let path = parts.next().ok_or(ParseError::Malformed("missing path"))?;
-            let version = parts.next().unwrap_or("HTTP/1.0");
-            req.minor_version = match version {
-                "HTTP/1.1" => 1,
-                "HTTP/1.0" => 0,
-                _ => return Err(ParseError::Malformed("unsupported version")),
-            };
-            req.method.push_str(method);
-            req.path.push_str(path);
-        }
-        req.method.make_ascii_uppercase();
-        // Headers: we act on Connection and If-None-Match.
-        req.keep_alive = req.minor_version == 1;
         loop {
-            self.line.clear();
-            if reader.read_line(&mut self.line)? == 0 {
+            // One byte past the cap is enough to tell a head too long;
+            // `read_until` keeps what it appended when it fails.
+            let room = MAX_HEAD_BYTES + 1 - self.head.len();
+            let read = reader
+                .by_ref()
+                .take(room as u64)
+                .read_until(b'\n', &mut self.head)?;
+            if self.head.len() > MAX_HEAD_BYTES {
+                self.reset();
+                return Err(ParseError::Malformed("request head too large"));
+            }
+            if read == 0 {
+                self.reset();
                 return Err(ParseError::ConnectionClosed);
             }
-            let header = self.line.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("connection") {
-                    let v = value.trim();
-                    if v.eq_ignore_ascii_case("close") {
-                        req.keep_alive = false;
-                    } else if v.eq_ignore_ascii_case("keep-alive") {
-                        req.keep_alive = true;
-                    }
-                } else if name.eq_ignore_ascii_case("if-none-match") {
-                    req.if_none_match = Some(value.trim().to_string());
+            // The head ends at its first blank line.
+            if self.head.ends_with(b"\n") {
+                if self.head[self.line_start..].trim_ascii().is_empty() {
+                    break;
                 }
-            } else {
-                return Err(ParseError::Malformed("bad header"));
+                self.line_start = self.head.len();
             }
         }
-        Ok(())
+        let parsed = parse_head(&self.head, req);
+        self.reset();
+        parsed
     }
+}
+
+/// Parse a whole request head — request line, headers, blank line — into
+/// `req`.
+fn parse_head(head: &[u8], req: &mut Request) -> Result<(), ParseError> {
+    let head = std::str::from_utf8(head).map_err(|_| ParseError::Malformed("head is not UTF-8"))?;
+    let mut lines = head.split('\n');
+    req.method.clear();
+    req.path.clear();
+    req.if_none_match = None;
+    {
+        let mut parts = lines.next().unwrap_or_default().split_whitespace();
+        let method = parts
+            .next()
+            .ok_or(ParseError::Malformed("missing method"))?;
+        let path = parts.next().ok_or(ParseError::Malformed("missing path"))?;
+        let version = parts.next().unwrap_or("HTTP/1.0");
+        req.minor_version = match version {
+            "HTTP/1.1" => 1,
+            "HTTP/1.0" => 0,
+            _ => return Err(ParseError::Malformed("unsupported version")),
+        };
+        req.method.push_str(method);
+        req.path.push_str(path);
+    }
+    req.method.make_ascii_uppercase();
+    // Headers: we act on Connection and If-None-Match.
+    req.keep_alive = req.minor_version == 1;
+    for line in lines {
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("connection") {
+                let v = value.trim();
+                if v.eq_ignore_ascii_case("close") {
+                    req.keep_alive = false;
+                } else if v.eq_ignore_ascii_case("keep-alive") {
+                    req.keep_alive = true;
+                }
+            } else if name.eq_ignore_ascii_case("if-none-match") {
+                req.if_none_match = Some(value.trim().to_string());
+            }
+        } else {
+            return Err(ParseError::Malformed("bad header"));
+        }
+    }
+    Ok(())
 }
 
 /// Read one request from a buffered stream.

@@ -326,6 +326,9 @@ fn worker_loop(
         // refcounted body in one vectored write.
         let mut reader = BufReader::new(read_half);
         let mut idle = Duration::ZERO;
+        // A head the last connection left half read is no part of this
+        // one's; within a connection, a head split across polls resumes.
+        parse.reset();
         loop {
             match parse.read_into(&mut reader, &mut request) {
                 Ok(()) => {
@@ -432,6 +435,63 @@ mod tests {
         assert_eq!(code, 404);
         let (code, _) = client.request("POST", "/x").unwrap();
         assert_eq!(code, 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_head_split_across_polls_is_one_request() {
+        use crate::http::read_response;
+        let server = echo_server();
+        let wire = b"GET /medals HTTP/1.1\r\nHost: x\r\n\r\n";
+        // Inside the method, the path, the version, at the end of the
+        // request line, inside a header, and before the blank line; each
+        // pause is longer than the worker's 50 ms poll.
+        for cut in [2, 9, 18, 21, 26, wire.len() - 2] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(&wire[..cut]).unwrap();
+            std::thread::sleep(Duration::from_millis(120));
+            stream.write_all(&wire[cut..]).unwrap();
+            let (code, body) = read_response(&mut BufReader::new(&stream)).unwrap();
+            assert_eq!(
+                (code, &body[..]),
+                (200, &b"<p>/medals</p>"[..]),
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(server.served(), 6);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_and_the_worker_serves_on() {
+        use crate::http::MAX_HEAD_BYTES;
+        use std::io::Read;
+        let handler: Arc<dyn Handler> =
+            Arc::new(|_: &Request| Response::html(Bytes::from_static(b"ok")));
+        let config = ServerConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let server = Server::bind("127.0.0.1:0", handler, config).unwrap();
+        // A request line that never ends, one byte past the cap: all of it
+        // is read, so the close that follows the answer is not a reset.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let endless = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES + 1 - 5));
+        stream.write_all(endless.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{raw}");
+        assert!(raw.contains("Connection: close\r\n"), "{raw}");
+        // The one worker is free for the next connection.
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        assert_eq!(client.get("/next").unwrap().0, 200);
+        assert_eq!(server.served(), 1);
         server.shutdown();
     }
 

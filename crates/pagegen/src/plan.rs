@@ -1,134 +1,151 @@
 //! The byte layout of a finished page: head, inner HTML, tail.
 //!
-//! [`crate::Renderer::render_onto`] composes a page's inner HTML and hands
-//! it to finalisation, which slides [`page_head`] in front and appends
-//! the tail [`walk_tail`] visits — newline, padding up to the family's
-//! nominal size, close. The same primitives answer "is this body already
-//! that page?" ([`is_tail`]) without building anything, which is what
-//! lets a regeneration that changed nothing hand the held body back.
+//! The tail is a newline, padding up to the family's nominal size, and the
+//! close. The padding is aligned to the close: fewer spaces than one
+//! filler, then whole fillers that end where the close begins. So every
+//! page that fits its family's target is exactly that long, and any two
+//! such pages agree from the first filler of either to the end — which is
+//! what lets a page be written over a finished page of its size by
+//! rewriting content, gap and the fillers shorter content uncovers
+//! ([`write_over`]). The same primitives answer "is this body already that
+//! page?" ([`is_page`]) without building anything, which is what lets a
+//! regeneration that changed nothing hand the held body back.
 
 use std::sync::OnceLock;
 
-use bytes::Bytes;
-
-/// Padding filler appended by finalisation (stands in for the inline
-/// imagery the real 1998 pages carried).
+/// Padding filler (stands in for the inline imagery the real 1998 pages
+/// carried).
 const FILLER: &str = "Olympic coverage continues around the clock from Nagano. ";
 
-/// The closing bytes of every finalised page.
+/// The closing bytes of every finished page.
 const PAGE_CLOSE: &str = "</body></html>";
+
+/// The gap before the first filler is shorter than one.
+const SPACES: [u8; FILLER.len()] = [b' '; FILLER.len()];
 
 /// Fillers in the shared padding block: enough to pad an empty page of
 /// the largest family (the 55 KB home page) with one slice.
 const BLOCK_FILLERS: usize = 55_000 / FILLER.len() + 1;
 
-/// The bytes behind every page's inner HTML, built once per process.
-struct PageTail {
-    newline: Bytes,
-    /// `FILLER` × [`BLOCK_FILLERS`]; padding is a prefix slice of it.
-    fillers: Bytes,
-    close: Bytes,
-}
-
-fn page_tail() -> &'static PageTail {
-    static TAIL: OnceLock<PageTail> = OnceLock::new();
-    TAIL.get_or_init(|| PageTail {
-        newline: Bytes::from_static(b"\n"),
-        fillers: Bytes::from(FILLER.repeat(BLOCK_FILLERS)),
-        close: Bytes::from_static(PAGE_CLOSE.as_bytes()),
-    })
-}
-
-/// Visit the tail of a page whose head and inner HTML are `len` bytes and
-/// whose family targets `target`: newline, padding, close. The padding is
-/// one slice of the shared block (more only if a target ever outgrows it).
-/// Returns the tail's length.
-pub(crate) fn walk_tail(len: usize, target: usize, mut part: impl FnMut(&Bytes)) -> usize {
-    let tail = page_tail();
-    part(&tail.newline);
-    let mut fillers = filler_repeats(len + tail.newline.len(), target);
-    let padding = fillers * FILLER.len();
-    while fillers > 0 {
-        let n = fillers.min(BLOCK_FILLERS);
-        part(&tail.fillers.slice(..n * FILLER.len()));
-        fillers -= n;
+/// Visit `n` fillers as slices of a block built once per process: one
+/// slice, unless a target ever outgrows the block.
+fn for_fillers(mut n: usize, mut part: impl FnMut(&[u8])) {
+    static BLOCK: OnceLock<Vec<u8>> = OnceLock::new();
+    let block = BLOCK.get_or_init(|| FILLER.repeat(BLOCK_FILLERS).into_bytes());
+    while n > 0 {
+        let slice = n.min(BLOCK_FILLERS);
+        part(&block[..slice * FILLER.len()]);
+        n -= slice;
     }
-    part(&tail.close);
-    tail.newline.len() + padding + tail.close.len()
 }
 
-/// Whether `tail` is what [`walk_tail`] appends behind `len` bytes of head
-/// and inner HTML of a page targeting `target`.
-pub(crate) fn is_tail(tail: &[u8], len: usize, target: usize) -> bool {
-    let mut rest = Some(tail);
-    walk_tail(len, target, |part| {
-        rest = rest.and_then(|rest| rest.strip_prefix(&part[..]));
+/// The padding behind `len` bytes of head and inner HTML in a family
+/// targeting `target`, as (spaces, fillers) — `None` when newline and
+/// close alone reach past the target, and the page goes unpadded.
+fn padding(len: usize, target: usize) -> Option<(usize, usize)> {
+    let room = target.checked_sub(len + 1 + PAGE_CLOSE.len())?;
+    Some((room % FILLER.len(), room / FILLER.len()))
+}
+
+/// What a finished page begins with, in order: the page chrome above the
+/// skeleton — doctype, title, site header — and the inner HTML.
+pub(crate) struct Content<'a>([&'a str; 4]);
+
+impl<'a> Content<'a> {
+    /// The head titled `title`, then `inner`.
+    pub(crate) fn new(title: &'a str, inner: &'a str) -> Self {
+        const OPEN: &str = "<!doctype html><html><head><title>";
+        const CLOSE: &str = "</title></head><body>\n\
+             <header><a href=\"/day/1/\">Nagano 1998</a> · <a href=\"/medals\">Medals</a> · \
+             <a href=\"/news/day/1\">News</a></header>\n";
+        Content([OPEN, title, CLOSE, inner])
+    }
+
+    /// Bytes of head and inner HTML together.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|part| part.len()).sum()
+    }
+
+    /// Visit the page `self` begins: head, inner HTML, then the tail of a
+    /// family targeting `target` — newline, spaces, fillers, close.
+    fn walk(&self, target: usize, mut part: impl FnMut(&[u8])) {
+        for content in self.0 {
+            part(content.as_bytes());
+        }
+        part(b"\n");
+        if let Some((spaces, fillers)) = padding(self.len(), target) {
+            part(&SPACES[..spaces]);
+            for_fillers(fillers, &mut part);
+        }
+        part(PAGE_CLOSE.as_bytes());
+    }
+}
+
+/// `content` finished as a page of a family targeting `target`, in a
+/// buffer allocated to exactly its length: the target, if it fits.
+pub(crate) fn finished(content: &Content<'_>, target: usize) -> Vec<u8> {
+    let mut page = Vec::with_capacity(target.max(content.len() + 1 + PAGE_CLOSE.len()));
+    content.walk(target, |part| page.extend_from_slice(part));
+    page
+}
+
+/// Whether `body` is what [`finished`] makes of `content` for a family
+/// targeting `target`. A page that changed fails at its first changed
+/// byte.
+pub(crate) fn is_page(body: &[u8], content: &Content<'_>, target: usize) -> bool {
+    let mut rest = Some(body);
+    content.walk(target, |part| {
+        rest = rest.and_then(|rest| rest.strip_prefix(part));
     });
     rest.is_some_and(<[u8]>::is_empty)
 }
 
-/// The page chrome above the skeleton: doctype, title, site header.
-pub(crate) fn page_head(title: &str) -> String {
-    const OPEN: &str = "<!doctype html><html><head><title>";
-    const CLOSE: &str = "</title></head><body>\n\
-         <header><a href=\"/day/1/\">Nagano 1998</a> · <a href=\"/medals\">Medals</a> · \
-         <a href=\"/news/day/1\">News</a></header>\n";
-    let mut head = String::with_capacity(OPEN.len() + title.len() + CLOSE.len());
-    head.push_str(OPEN);
-    head.push_str(title);
-    head.push_str(CLOSE);
-    head
-}
-
-/// Hand a finished buffer over as `Bytes` without copying it. A padded
-/// page ends less than one filler short of the size its buffer was
-/// reserved to; a buffer with more room to spare than that gives it back
-/// first, so nothing cached pins more than its length plus one filler.
-pub(crate) fn fitted(mut buf: Vec<u8>) -> Bytes {
-    if buf.capacity() - buf.len() > FILLER.len() {
-        buf.shrink_to_fit();
+/// Turn `page` — a page [`finished`] for a family targeting its length,
+/// whose head and inner HTML were `old` bytes — into the page of
+/// `content`, writing content, newline, spaces and the fillers that
+/// shorter content uncovers: the rest it has already. Returns `false`,
+/// leaving `page` as it was, when `content` does not fit.
+pub(crate) fn write_over(page: &mut [u8], old: usize, content: &Content<'_>) -> bool {
+    let target = page.len();
+    let (Some((spaces, _)), Some((old_spaces, _))) =
+        (padding(content.len(), target), padding(old, target))
+    else {
+        return false;
+    };
+    // Both pages' fillers end where the close begins: where one's begin
+    // is a whole number of fillers from where the other's do.
+    let fillers_at = content.len() + 1 + spaces;
+    let uncovered = (old + 1 + old_spaces).saturating_sub(fillers_at) / FILLER.len();
+    let mut at = 0;
+    let mut write = |part: &[u8]| {
+        page[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    };
+    for part in content.0 {
+        write(part.as_bytes());
     }
-    Bytes::from(buf)
-}
-
-/// How many `FILLER` repeats finalisation pads onto a page of `len` bytes
-/// targeting `target`: fillers are added while one more, plus the close,
-/// still ends short of the target.
-fn filler_repeats(len: usize, target: usize) -> usize {
-    target
-        .saturating_sub(len + FILLER.len() + PAGE_CLOSE.len())
-        .div_ceil(FILLER.len())
+    write(b"\n");
+    write(&SPACES[..spaces]);
+    for_fillers(uncovered, write);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn filler_arithmetic_matches_the_padding_loop() {
-        let looped = |mut len: usize, target: usize| {
-            let mut n = 0;
-            while len + FILLER.len() + PAGE_CLOSE.len() < target {
-                len += FILLER.len();
-                n += 1;
-            }
-            n
-        };
-        for target in [0, 70, 71, 72, 128, 129, 2_000, 55_000] {
-            for len in 0..target + 2 * FILLER.len() {
-                assert_eq!(
-                    filler_repeats(len, target),
-                    looped(len, target),
-                    "{len} → {target}"
-                );
-            }
-        }
+    const F: usize = FILLER.len();
+
+    /// The longest inner HTML a page titled "t" can have and still fit.
+    fn room(target: usize) -> usize {
+        target - Content::new("t", "").len() - 1 - PAGE_CLOSE.len()
     }
 
     #[test]
     fn the_head_is_spelled_as_published() {
         assert_eq!(
-            page_head("Medal Standings"),
+            Content::new("Medal Standings", "").0.concat(),
             "<!doctype html><html><head><title>Medal Standings</title></head><body>\n\
              <header><a href=\"/day/1/\">Nagano 1998</a> · <a href=\"/medals\">Medals</a> \
              · <a href=\"/news/day/1\">News</a></header>\n"
@@ -136,23 +153,67 @@ mod tests {
     }
 
     #[test]
-    fn a_tail_longer_than_the_block_is_padded_in_several_slices() {
-        let target = 2 * BLOCK_FILLERS * FILLER.len() + 500;
-        let (mut tail, mut parts) = (Vec::new(), 0);
-        let len = walk_tail(10, target, |part| {
-            tail.extend_from_slice(part);
-            parts += 1;
-        });
-        assert_eq!(len, tail.len());
-        let fillers = filler_repeats(11, target);
-        assert!(fillers > 2 * BLOCK_FILLERS);
-        assert_eq!(
-            tail,
-            format!("\n{}{PAGE_CLOSE}", FILLER.repeat(fillers)).into_bytes()
-        );
-        assert_eq!(parts, 2 + 3, "newline, three slices of the block, close");
-        // Every page of the site is padded with one.
-        walk_tail(0, 55_000, |_| parts -= 1);
-        assert_eq!(parts, 2);
+    fn a_fitting_page_is_exactly_its_target_long() {
+        let head = Content::new("t", "").len();
+        // Targets at the edge of fitting, of the site's families, and past
+        // the shared block of fillers.
+        for target in [head + 15, head + 16, 2_000, 55_000, 2 * 55_000 + 500] {
+            for inner in (0..400).chain(room(target).saturating_sub(2 * F)..room(target) + 3) {
+                let inner = "x".repeat(inner);
+                let content = Content::new("t", &inner);
+                let page = finished(&content, target);
+                assert!(is_page(&page, &content, target));
+                assert_eq!(page.capacity(), page.len(), "allocated to its length");
+                let tail = page[content.len()..].strip_prefix(b"\n").unwrap();
+                let tail = tail.strip_suffix(PAGE_CLOSE.as_bytes()).unwrap();
+                if inner.len() > room(target) {
+                    assert!(tail.is_empty(), "{} bytes past {target}", page.len());
+                    continue;
+                }
+                assert_eq!(page.len(), target, "{} bytes of inner HTML", inner.len());
+                let spaces = tail.iter().take_while(|&&b| b == b' ').count();
+                assert!(spaces < F);
+                let fillers = &tail[spaces..];
+                assert_eq!(fillers, FILLER.repeat(fillers.len() / F).as_bytes());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any page written over any finished page of its size is the
+        /// page finishing it afresh makes: content shorter, equal or
+        /// longer by up to two fillers and part of one, or of any other
+        /// length; content that does not fit leaves the buffer as it was.
+        #[test]
+        fn writing_over_a_finished_page_equals_finishing_afresh(
+            target in prop_oneof![Just(3_000usize), Just(55_000), Just(2 * 55_000 + 500)],
+            old_at in prop_oneof![Just(1.0f64), 0.0..1.0f64],
+            fillers in 0..=2usize,
+            bytes in prop_oneof![Just(0usize), 0..F],
+            longer in any::<bool>(),
+            anywhere in prop_oneof![Just(None), (0.0..1.1f64).prop_map(Some)],
+        ) {
+            let fits = room(target);
+            let old_inner = (old_at * fits as f64) as usize;
+            let new_inner = match anywhere {
+                Some(at) => (at * fits as f64) as usize,
+                None if longer => old_inner + fillers * F + bytes,
+                None => old_inner.saturating_sub(fillers * F + bytes),
+            };
+            let (old_html, new_html) = ("o".repeat(old_inner), "n".repeat(new_inner));
+            let old = Content::new("t", &old_html);
+            let new = Content::new("t", &new_html);
+            let mut page = finished(&old, target);
+            prop_assert_eq!(page.len(), target);
+            let fresh = finished(&new, target);
+            if write_over(&mut page, old.len(), &new) {
+                prop_assert!(page == fresh, "{new_inner} bytes over {old_inner}, target {target}");
+            } else {
+                prop_assert!(new_inner > fits);
+                prop_assert!(page == finished(&old, target));
+            }
+        }
     }
 }

@@ -20,6 +20,7 @@
 //! the fragment object*, which makes fragments hybrid vertices: data
 //! changes propagate data → fragment → page exactly as in Figure 15.
 
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -30,7 +31,7 @@ use rustc_hash::FxHashMap;
 use crate::cost::{spin_for, CostModel};
 use crate::key::{FragmentKey, PageKey};
 use crate::num::push_fixed2;
-use crate::plan::{fitted, is_tail, page_head, walk_tail};
+use crate::plan::{finished, is_page, write_over, Content};
 use crate::reads::{Coverage, Reads, Source};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
@@ -106,13 +107,31 @@ struct SectionMemo {
 struct PageMemo {
     coverage: Coverage,
     /// A reference, not a copy: while it is held, no other allocation can
-    /// come to lie at its address.
-    body: Bytes,
+    /// come to lie at its address, nor can it be written over.
+    body: Body,
     deps: Arc<[Dependency]>,
     /// The page's modelled cost, which the model spells the page's URL
     /// out to work out: kept so that a kept page allocates nothing and a
     /// composed one does not hash its URL again.
     cost_ms: f64,
+}
+
+/// A finished page's body, as the page memo holds it and as it is parked
+/// once a regeneration replaced it, to be written over by the next page
+/// of its size when nothing else holds it any more.
+#[derive(Debug)]
+struct Body {
+    bytes: Bytes,
+    /// Bytes of head and inner HTML in `bytes`: where a page written over
+    /// it has to begin writing padding.
+    content_len: usize,
+}
+
+thread_local! {
+    /// The buffer a page's inner HTML is composed in, one per rendering
+    /// thread: cleared, never freed, so composing allocates only while a
+    /// thread's largest page is still growing it.
+    static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
 }
 
 /// Renders pages from a database.
@@ -140,6 +159,9 @@ pub struct Renderer {
     /// One entry per page ever rendered onto a body: at most a body per
     /// page. Locked like `sections`.
     pages: Mutex<FxHashMap<PageKey, PageMemo>>,
+    /// At most one replaced body per `target_bytes` value. Locked on its
+    /// own: never while `sections` or `pages` is held.
+    parked: Mutex<FxHashMap<usize, Body>>,
 }
 
 impl Renderer {
@@ -151,6 +173,7 @@ impl Renderer {
             cpu_scale: None,
             sections: Mutex::default(),
             pages: Mutex::default(),
+            parked: Mutex::default(),
         }
     }
 
@@ -195,12 +218,15 @@ impl Renderer {
     /// revision stamp the reads behind it logged reads, in this render's
     /// snapshot, what it read then, the page is not composed: a compose
     /// would make the same reads and get the same rows. Otherwise the page
-    /// is composed and, before it is padded, compared with `previous` in
+    /// is composed and, before it is finished, compared with `previous` in
     /// place: head, inner HTML and padding.
+    ///
+    /// A page that changed is written over the body its size's last
+    /// replaced page was parked with when nothing holds that any more, and
+    /// into a buffer of its own length otherwise.
     pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
-        // One buffer for the whole body: the inner HTML is composed into
-        // it, then the head is slid in front and the padding appended.
-        let mut html = String::new();
+        let mut html = SCRATCH.take();
+        html.clear();
         let mut deps: Vec<Dependency> = Vec::new();
         // What covers the reads is of use to the next render onto the body
         // this one returns: a render onto nothing has no such successor.
@@ -210,14 +236,15 @@ impl Renderer {
             if kept.is_some() && !COMPOSE_WHAT_IS_KEPT {
                 return (kept, String::new());
             }
-            html.reserve_exact(target_bytes(key));
             (kept, self.compose(r, key, &mut html))
         });
+        let content = Content::new(&title, &html);
+        let target = target_bytes(key);
         let out = match kept.zip(previous) {
             Some(((list, cost_ms), held)) => {
                 if COMPOSE_WHAT_IS_KEPT {
-                    let composed = finalize(key, &title, html, None);
-                    assert!(composed == *held, "{key}: kept by its stamps, but changed");
+                    let composed = finished(&content, target);
+                    assert!(composed == **held, "{key}: kept by its stamps, but changed");
                     assert_eq!(deps[..], list[..], "{key}: kept by its stamps");
                     assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: kept by its stamps");
                 }
@@ -229,9 +256,12 @@ impl Renderer {
                 }
             }
             None => {
-                let body = finalize(key, &title, html, previous);
+                let body = match previous.filter(|held| is_page(held, &content, target)) {
+                    Some(held) => held.clone(),
+                    None => self.finish(&content, target),
+                };
                 let (deps, cost_ms) = match coverage {
-                    Some(coverage) => self.remember(key, &body, deps, coverage),
+                    Some(coverage) => self.remember(key, &body, content.len(), deps, coverage),
                     None => (deps.into(), self.cost.cost_ms(key)),
                 };
                 debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: composed");
@@ -243,10 +273,52 @@ impl Renderer {
                 }
             }
         };
+        SCRATCH.set(html);
         if let Some(scale) = self.cpu_scale {
             spin_for(out.cost_ms, scale);
         }
         out
+    }
+
+    /// The body of a page that changed: written over the body parked for
+    /// its size when nothing else holds that, else allocated afresh.
+    fn finish(&self, content: &Content<'_>, target: usize) -> Bytes {
+        let parked = self.parked.lock().expect(MEMO_POISONED).remove(&target);
+        if let Some(Body { bytes, content_len }) = parked {
+            // No fleet cell, tombstone, page memo or response in flight
+            // can see the bytes change: none of them holds the buffer.
+            if let Ok(mut page) = bytes.try_into_mut() {
+                if write_over(&mut page, content_len, content) {
+                    let body = page.freeze();
+                    if COMPOSE_WHAT_IS_KEPT {
+                        let afresh = finished(content, target);
+                        assert!(
+                            body == afresh,
+                            "written over a parked body, but not as afresh"
+                        );
+                    }
+                    return body;
+                }
+                let bytes = page.freeze();
+                self.park(target, Body { bytes, content_len });
+            }
+        }
+        Bytes::from(finished(content, target))
+    }
+
+    /// Keep `body`, a page of a family targeting `target` bytes, for
+    /// [`Renderer::finish`] — in place of whatever was parked for that
+    /// size. A page that outgrew its target is no page of that size to
+    /// write over.
+    fn park(&self, target: usize, body: Body) {
+        if body.bytes.len() == target {
+            // What was parked before is let go of after the lock is.
+            let _replaced = self
+                .parked
+                .lock()
+                .expect(MEMO_POISONED)
+                .insert(target, body);
+        }
     }
 
     /// The dependency list and cost `key` was last returned with, if
@@ -261,43 +333,55 @@ impl Renderer {
     ) -> Option<(Arc<[Dependency]>, f64)> {
         let pages = self.pages.lock().expect(MEMO_POISONED);
         let last = pages.get(&key)?;
-        (std::ptr::eq::<[u8]>(&*last.body, &**held) && r.finds_unmoved(&last.coverage))
+        (std::ptr::eq::<[u8]>(&*last.body.bytes, &**held) && r.finds_unmoved(&last.coverage))
             .then(|| (Arc::clone(&last.deps), last.cost_ms))
     }
 
     /// Keep what a compose of `key` came to for [`Renderer::unmoved`], in
     /// place of what the last one did, and return the dependency list to
     /// hand out — the one kept so far when `deps` lists what it lists —
-    /// and the page's cost, worked out when the page is first kept.
+    /// and the page's cost, worked out when the page is first kept. A body
+    /// it replaces is parked.
     fn remember(
         &self,
         key: PageKey,
         body: &Bytes,
+        content_len: usize,
         deps: Vec<Dependency>,
         coverage: Coverage,
     ) -> (Arc<[Dependency]>, f64) {
         use std::collections::hash_map::Entry;
         let mut pages = self.pages.lock().expect(MEMO_POISONED);
-        let last = match pages.entry(key) {
+        let (last, replaced) = match pages.entry(key) {
             // Refilled like a section's entry: nothing of a page's is
             // allocated anew per revision but a list that changed.
             Entry::Occupied(entry) => {
                 let last = entry.into_mut();
                 last.coverage.refill(&coverage);
-                last.body = body.clone();
+                let bytes = body.clone();
+                let replaced = std::mem::replace(&mut last.body, Body { bytes, content_len });
                 if last.deps[..] != deps[..] {
                     last.deps = deps.into();
                 }
-                last
+                (last, Some(replaced))
             }
-            Entry::Vacant(entry) => entry.insert(PageMemo {
-                coverage,
-                body: body.clone(),
-                deps: deps.into(),
-                cost_ms: self.cost.cost_ms(key),
-            }),
+            Entry::Vacant(entry) => {
+                let bytes = body.clone();
+                let last = entry.insert(PageMemo {
+                    coverage,
+                    body: Body { bytes, content_len },
+                    deps: deps.into(),
+                    cost_ms: self.cost.cost_ms(key),
+                });
+                (last, None)
+            }
         };
-        (Arc::clone(&last.deps), last.cost_ms)
+        let kept = (Arc::clone(&last.deps), last.cost_ms);
+        drop(pages);
+        if let Some(replaced) = replaced.filter(|old| !std::ptr::eq(&*old.bytes, &**body)) {
+            self.park(target_bytes(key), replaced);
+        }
+        kept
     }
 
     /// Let go of the body last returned for `key`: for a caller that no
@@ -558,8 +642,9 @@ const MEMO_POISONED: &str = "a render panicked while holding a memo";
 
 /// A build with debug assertions — the one every test suite runs — also
 /// composes each page it keeps by its stamps, and panics unless that comes
-/// to the bytes and the dependency list it kept. An optimised build
-/// compiles none of it.
+/// to the bytes and the dependency list it kept; and finishes each page it
+/// writes over a parked body afresh, and panics unless the two agree. An
+/// optimised build compiles none of it.
 const COMPOSE_WHAT_IS_KEPT: bool = cfg!(debug_assertions);
 
 /// Render fragment `f` from `r`: the pure function the memo caches.
@@ -656,9 +741,10 @@ fn phase_label(p: EventPhase) -> &'static str {
     }
 }
 
-/// Nominal transfer size per page family — bodies are padded up to this so
-/// the link model sees realistic byte counts (home pages carried ~55 KB of
-/// markup + inline previews; the site-wide mean request was ~10 KB).
+/// Nominal transfer size per page family — a body is exactly this long
+/// unless its content alone is longer, so the link model sees realistic
+/// byte counts (home pages carried ~55 KB of markup + inline previews; the
+/// site-wide mean request was ~10 KB).
 pub fn target_bytes(key: PageKey) -> usize {
     match key {
         PageKey::Home(_) => 55_000,
@@ -674,34 +760,6 @@ pub fn target_bytes(key: PageKey) -> usize {
         PageKey::Fragment(FragmentKey::MedalTable) => 3_000,
         PageKey::Fragment(FragmentKey::Headlines(_)) => 2_000,
     }
-}
-
-/// Turn the composed inner HTML into the page body — unless `previous` is
-/// that body already, and is handed back instead. Otherwise in place:
-/// `page` was reserved to the family's nominal size, so sliding the head
-/// in front and padding behind it (content filler up to that size,
-/// standing in for the inline imagery the real pages carried) allocates
-/// nothing, and the buffer itself becomes the body.
-fn finalize(key: PageKey, title: &str, mut page: String, previous: Option<&Bytes>) -> Bytes {
-    let head = page_head(title);
-    let target = target_bytes(key);
-    if let Some(previous) = previous.filter(|p| is_finalized(p, &head, &page, target)) {
-        return previous.clone();
-    }
-    page.insert_str(0, &head);
-    let mut page = page.into_bytes();
-    walk_tail(page.len(), target, |part| page.extend_from_slice(part));
-    fitted(page)
-}
-
-/// Whether `body` is what [`finalize`] makes of `head` and `inner` for a
-/// family targeting `target` bytes: head, inner HTML, then exactly the
-/// tail that would be appended. A page that changed fails at its first
-/// changed byte.
-fn is_finalized(body: &[u8], head: &str, inner: &str, target: usize) -> bool {
-    body.strip_prefix(head.as_bytes())
-        .and_then(|rest| rest.strip_prefix(inner.as_bytes()))
-        .is_some_and(|tail| is_tail(tail, head.len() + inner.len(), target))
 }
 
 #[cfg(test)]
@@ -833,12 +891,7 @@ mod tests {
             PageKey::Medals,
         ] {
             let out = r.render(key);
-            let target = target_bytes(key);
-            assert!(
-                out.body.len() >= target - 100 && out.body.len() <= target + 2048,
-                "{key}: {} vs target {target}",
-                out.body.len()
-            );
+            assert_eq!(out.body.len(), target_bytes(key), "{key}");
         }
     }
 

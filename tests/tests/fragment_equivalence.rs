@@ -197,8 +197,11 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
 /// nothing stale after any update. Returns (updates, pages regenerated,
-/// pages that came out as other bytes, pages that were not composed).
-fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize, usize) {
+/// pages that came out as other bytes, pages that were not composed, the
+/// fleet digest): the digest is FNV-1a-64 over member 0's entries after
+/// the replay, sorted by url, each as url, body and version (8 bytes,
+/// little-endian).
+fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize, usize, u64) {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let registry = PageRegistry::build(&db, 16);
@@ -222,7 +225,17 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize
         (stats.pages_changed, stats.pages_revalidated),
         (changed as u64, revalidated as u64)
     );
-    (schedule.len(), regenerated, changed, revalidated)
+    let mut entries = monitor.fleet().member(0).export_entries();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for (url, body, _cost, version) in &entries {
+        for bytes in [url.as_bytes(), body, &version.to_le_bytes()] {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (schedule.len(), regenerated, changed, revalidated, digest)
 }
 
 /// Named per-category driver: each transaction of the script is committed
@@ -875,13 +888,15 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule() {
     // `revalidated`, one logged under too coarse a stamp as well. (One
     // logged under a stamp that does not cover it fails the renderer's
     // debug-build oracle, which composes every page it keeps.)
+    // The fleet digest pins the served bytes and versions themselves: the
+    // full replay's is the one DESIGN.md §13a's ledger records.
     assert_eq!(
         check_schedule_replay(&GamesConfig::small(), 7),
-        (78, 918, 656, 252)
+        (78, 918, 656, 252, 0xec1a_9efa_f8f3_16c8)
     );
     assert_eq!(
         check_schedule_replay(&GamesConfig::full(), 1998),
-        (304, 13_499, 5_994, 7_326)
+        (304, 13_499, 5_994, 7_326, 0x91ed_1afc_e3e6_9bf7)
     );
 }
 

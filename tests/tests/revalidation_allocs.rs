@@ -1,11 +1,14 @@
 //! A regeneration the renderer answers from revision stamps allocates
-//! nothing between the probe and the distribution.
+//! nothing between the probe and the distribution; one whose bytes change
+//! allocates no body once a body of its page's size is parked to be
+//! written over (DESIGN.md §14a, "One body buffer").
 //!
 //! A binary of its own, because it counts through the global allocator.
-//! The render half holds of an optimised build only — a build with debug
-//! assertions composes every page it keeps, to compare (DESIGN.md §14a,
-//! "Page freshness") — so CI also runs this file with `--release`; the
-//! registration and the distribution allocate nothing in either build.
+//! The render halves hold of an optimised build only — a build with debug
+//! assertions composes every page it keeps and finishes every page it
+//! writes over afresh, to compare — so CI also runs this file with
+//! `--release`; the registration and the distribution of a kept page
+//! allocate nothing in either build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,14 +22,23 @@ use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
 thread_local! {
     /// Allocations and reallocations made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Those of them of at least [`LARGE`] bytes.
+    static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
+
+/// The smallest allocation counted as large: below the size of every page
+/// but a fragment's (2–3 KB), above any row, list or head.
+const LARGE: usize = 4 * 1024;
 
 struct Counting;
 
 impl Counting {
-    fn count() {
+    fn count(size: usize) {
         // A thread that is being torn down has nowhere left to count.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        if size >= LARGE {
+            let _ = LARGE_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
     }
 }
 
@@ -34,7 +46,7 @@ impl Counting {
 // `const`-initialised thread-local `Cell`, which allocates nothing itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,6 +71,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What `f` returns, and how often this thread allocated [`LARGE`] bytes
+/// or more meanwhile.
+fn counted_large<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LARGE_ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, LARGE_ALLOCATIONS.with(Cell::get) - before)
 }
 
 fn podium(db: &OlympicDb, event: EventId) -> Vec<(AthleteId, f64)> {
@@ -142,4 +162,62 @@ fn a_revalidated_regeneration_allocates_nothing() {
         .collect();
     assert!(expected.contains(&true) && expected.contains(&false));
     assert_eq!(regenerate_countries(), expected);
+}
+
+#[test]
+fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
+    let db = Arc::new(OlympicDb::new());
+    seed_games(&db, &GamesConfig::small());
+    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let monitor = TriggerMonitor::new(
+        Renderer::new(Arc::clone(&db)),
+        Arc::clone(&fleet),
+        Arc::new(PageRegistry::build(&db, 16)),
+        ConsistencyPolicy::UpdateInPlace,
+    );
+    monitor.prewarm();
+    // Every posting of an event's results adds a row to the page of each
+    // athlete it places: every one of those pages changes, and all are of
+    // one size.
+    let event = db.events()[0].clone();
+    let placed = podium(&db, event.id);
+    let regenerating = Renderer::new(Arc::clone(&db));
+    let fresh = Renderer::new(Arc::clone(&db));
+    let mut url = String::with_capacity(64);
+    let mut large = Vec::new();
+    for posting in 0..4 {
+        let scores: Vec<_> = placed
+            .iter()
+            .map(|&(a, s)| (a, s + posting as f64))
+            .collect();
+        db.record_results(event.id, &scores, false, event.day);
+        for &(athlete, _) in &placed {
+            let key = PageKey::Athlete(athlete);
+            url.clear();
+            key.push_url(&mut url);
+            let held = fleet.distributed_body(&url).expect("update in place");
+            let (out, allocated) = counted_large(|| {
+                let out = regenerating.render_onto(key, Some(&held));
+                monitor.register_render(key, &out);
+                let body = out.body.clone();
+                assert!(
+                    fleet.distribute(&url, out.body, out.cost_ms),
+                    "{key} changed"
+                );
+                body
+            });
+            assert!(out == fresh.render(key).body, "{key} is stale");
+            large.push(allocated);
+        }
+    }
+    // The first posting finds the renderer knowing no body of these pages,
+    // so there is nothing to park; from the second on, every page's old
+    // body is parked as it is replaced, and the next page is written over
+    // it — all but the first page of the second posting, which found none
+    // parked yet.
+    let pages = placed.len();
+    assert!(large[..=pages].iter().all(|&n| n >= 1), "{large:?}");
+    if !cfg!(debug_assertions) {
+        assert!(large[pages + 1..].iter().all(|&n| n == 0), "{large:?}");
+    }
 }
