@@ -29,10 +29,66 @@ thread_local! {
         std::cell::RefCell::new(String::with_capacity(32));
 }
 
-/// Parse a `"vN"` entity tag back to the cache version it names;
-/// `None` for any other validator shape (weak tags, junk).
-fn etag_version(etag: &str) -> Option<u64> {
-    etag.strip_prefix("\"v")?.strip_suffix('"')?.parse().ok()
+/// Whether an `If-None-Match` field value matches the entity tag of cache
+/// version `version`, `"v<version>"` (RFC 9110 §13.1.2): `*`, or a
+/// comma-separated list of entity tags one of which has that opaque tag,
+/// weak (`W/"v7"`) or strong — the weak comparison. A value that is
+/// neither matches nothing, so the request is answered in full.
+fn none_match(field: &str, version: u64) -> bool {
+    let field = field.trim_matches(OWS);
+    if field == "*" {
+        return true;
+    }
+    let mut found = false;
+    let mut rest = field;
+    while !rest.is_empty() {
+        // A list may hold empty elements (RFC 9110 §5.6.1).
+        rest = rest.trim_start_matches([',', ' ', '\t']);
+        if rest.is_empty() {
+            break;
+        }
+        let tag = rest.strip_prefix("W/").unwrap_or(rest);
+        let Some((opaque, after)) = tag.strip_prefix('"').and_then(|tag| tag.split_once('"'))
+        else {
+            return false;
+        };
+        // `etagc`: visible characters but the quote, and obs-text.
+        if !opaque
+            .bytes()
+            .all(|b| b == b'!' || (b >= b'#' && b != 0x7f))
+        {
+            return false;
+        }
+        found |= names_version(opaque, version);
+        rest = after.trim_start_matches(OWS);
+        if !rest.is_empty() && !rest.starts_with(',') {
+            return false;
+        }
+    }
+    found
+}
+
+/// Optional whitespace around list elements.
+const OWS: [char; 2] = [' ', '\t'];
+
+/// Whether `opaque`, an entity tag between its quotes, is the one cache
+/// version `version` is served with: `v` and the version in decimal,
+/// character for character.
+fn names_version(opaque: &str, version: u64) -> bool {
+    let Some(digits) = opaque.strip_prefix('v') else {
+        return false;
+    };
+    let mut spelled = [0u8; 20];
+    let (mut at, mut n) = (spelled.len(), version);
+    loop {
+        at -= 1;
+        spelled[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    digits.as_bytes() == &spelled[at..]
 }
 
 /// Configuration for a serving site.
@@ -377,7 +433,7 @@ impl ServingSite {
                 // Revalidation is version arithmetic on the hit — the
                 // render pool is never consulted for a 304.
                 if let Some(inm) = req.if_none_match.as_deref() {
-                    if etag_version(inm) == Some(page.version) {
+                    if none_match(inm, page.version) {
                         return Response::not_modified(format!("\"v{}\"", page.version));
                     }
                 }
@@ -391,7 +447,8 @@ impl ServingSite {
             }
             let page = self.handle_miss(node, key, &url, now);
             let etag = page.etag();
-            if req.if_none_match.as_deref() == Some(etag.as_str()) {
+            let inm = req.if_none_match.as_deref();
+            if inm.is_some_and(|inm| none_match(inm, page.version)) {
                 Response::not_modified(etag)
             } else {
                 Response::html(page.body).with_etag(etag)
@@ -490,7 +547,8 @@ impl ServingSite {
     /// The `/status` JSON document: registry size, ODG dimensions,
     /// trigger progress (transactions, replication watermark, pages
     /// regenerated and how many of them changed — the rest is the no-op
-    /// share of update-in-place — deferred-regeneration queue depth and
+    /// share of update-in-place — and were patched rather than composed,
+    /// deferred-regeneration queue depth and
     /// shed count), and per-node cache occupancy. Hand-assembled with
     /// deterministic key order so same-state sites produce byte-identical
     /// documents.
@@ -505,7 +563,7 @@ impl ServingSite {
         out.push_str(&format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
-             \"pages_changed\":{},\"deferred_depth\":{},\
+             \"pages_changed\":{},\"pages_patched\":{},\"deferred_depth\":{},\
              \"deferred_shed\":{}}},\"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\
              \"caches\":[",
             self.registry.len(),
@@ -515,6 +573,7 @@ impl ServingSite {
             self.monitor.watermark(),
             trig.pages_regenerated,
             trig.pages_changed,
+            trig.pages_patched,
             trig.deferred_depth,
             trig.deferred_shed,
             breaker_state,
@@ -768,8 +827,8 @@ mod tests {
         assert!(trigger.pages_changed > 0);
         let status = s.status_json();
         assert!(status.contains(&format!(
-            "\"pages_regenerated\":{},\"pages_changed\":{}",
-            trigger.pages_regenerated, trigger.pages_changed
+            "\"pages_regenerated\":{},\"pages_changed\":{},\"pages_patched\":{}",
+            trigger.pages_regenerated, trigger.pages_changed, trigger.pages_patched
         )));
         for (path, before) in paths.iter().zip(&before) {
             let moved = *path != paths[0];
@@ -837,6 +896,62 @@ mod tests {
         let after = s.metrics().trigger;
         assert_eq!(before.pages_regenerated, after.pages_regenerated);
         assert_eq!(before.regen_cpu_ms, after.regen_cpu_ms);
+    }
+
+    #[test]
+    fn if_none_match_is_matched_as_rfc_9110_says() {
+        for (field, matches) in [
+            ("\"v7\"", true),
+            ("W/\"v7\"", true),
+            ("\"v6\", \"v7\"", true),
+            ("\"v6\",W/\"v7\"", true),
+            ("\t\"v7\" ", true),
+            ("\"v6\",, \"v7\",", true),
+            ("\"a,b\", \"v7\"", true),
+            ("*", true),
+            ("\"v6\"", false),
+            ("\"v70\"", false),
+            ("\"v07\"", false),
+            ("\"v+7\"", false),
+            ("\"V7\"", false),
+            ("w/\"v7\"", false),
+            // Malformed: matches nothing, so the page is served in full.
+            ("", false),
+            (",", false),
+            ("v7", false),
+            ("\"v7", false),
+            ("W/v7", false),
+            ("\"v7\"x", false),
+            ("\"v6\" \"v7\"", false),
+            ("*, \"v7\"", false),
+            ("\"v 6\", \"v7\"", false),
+        ] {
+            assert_eq!(none_match(field, 7), matches, "{field:?}");
+        }
+        assert!(none_match("\"v0\"", 0));
+        assert!(none_match(&format!("W/\"v{}\"", u64::MAX), u64::MAX));
+    }
+
+    #[test]
+    fn weak_listed_and_star_validators_revalidate_on_a_hit_and_on_a_miss() {
+        let warm = site();
+        let cold = ServingSite::build(SiteConfig {
+            prewarm: false,
+            ..SiteConfig::small()
+        });
+        // A first request for a page a cold site holds nowhere is a miss,
+        // which fills version 1 — the version every prewarmed page has.
+        let fields = ["W/\"v1\"", "\"v0\", \"v1\"", "*"];
+        for (field, path) in fields.into_iter().zip(["/medals", "/welcome", "/day/3/"]) {
+            assert!(cold.fleet().member(0).peek(path).is_none(), "{path}");
+            for (s, how) in [(&cold, "miss"), (&warm, "hit")] {
+                let resp = s.respond(0, &get_request(path, Some(field)));
+                assert_eq!(resp.status, nagano_httpd::Status::NotModified, "{how}");
+                assert!(resp.body.is_empty(), "{field} on a {how}");
+            }
+            let resp = warm.respond(0, &get_request(path, Some("W/\"v2\", \"v3\"")));
+            assert_eq!(resp.status, nagano_httpd::Status::Ok, "{path}");
+        }
     }
 
     #[test]

@@ -127,6 +127,9 @@ pub struct RequestReader {
     head: Vec<u8>,
     /// Where in `head` the line being read begins.
     line_start: usize,
+    /// The `If-None-Match` buffer of a request that sent none, kept for
+    /// the next one that does.
+    validator: String,
 }
 
 impl RequestReader {
@@ -175,20 +178,26 @@ impl RequestReader {
                 self.line_start = self.head.len();
             }
         }
-        let parsed = parse_head(&self.head, req);
+        let parsed = parse_head(&self.head, req, &mut self.validator);
         self.reset();
         parsed
     }
 }
 
 /// Parse a whole request head — request line, headers, blank line — into
-/// `req`.
-fn parse_head(head: &[u8], req: &mut Request) -> Result<(), ParseError> {
+/// `req`, writing its validator into the buffer of the last one, or into
+/// `spare`, which keeps the buffer when the request sends none.
+fn parse_head(head: &[u8], req: &mut Request, spare: &mut String) -> Result<(), ParseError> {
     let head = std::str::from_utf8(head).map_err(|_| ParseError::Malformed("head is not UTF-8"))?;
     let mut lines = head.split('\n');
     req.method.clear();
     req.path.clear();
-    req.if_none_match = None;
+    let mut validator = req
+        .if_none_match
+        .take()
+        .unwrap_or_else(|| std::mem::take(spare));
+    validator.clear();
+    let mut validated = false;
     {
         let mut parts = lines.next().unwrap_or_default().split_whitespace();
         let method = parts
@@ -221,11 +230,21 @@ fn parse_head(head: &[u8], req: &mut Request) -> Result<(), ParseError> {
                     req.keep_alive = true;
                 }
             } else if name.eq_ignore_ascii_case("if-none-match") {
-                req.if_none_match = Some(value.trim().to_string());
+                // Lines of one field are one list (RFC 9110 §5.3).
+                if validated {
+                    validator.push_str(", ");
+                }
+                validator.push_str(value.trim());
+                validated = true;
             }
         } else {
             return Err(ParseError::Malformed("bad header"));
         }
+    }
+    if validated {
+        req.if_none_match = Some(validator);
+    } else {
+        *spare = validator;
     }
     Ok(())
 }
@@ -627,6 +646,23 @@ mod tests {
         assert_eq!(r.if_none_match.as_deref(), Some("\"v3\""));
         let r = parse("GET /m HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(r.if_none_match, None);
+    }
+
+    #[test]
+    fn validators_are_read_into_one_buffer_and_lines_of_one_field_join() {
+        let wire = "GET /a HTTP/1.1\r\nIf-None-Match: \"v3\", \"v4\", \"v5\", \"v6\"\r\n\r\n\
+                    GET /b HTTP/1.1\r\n\r\n\
+                    GET /c HTTP/1.1\r\nif-none-match: W/\"v7\"\r\nIf-None-Match:  \"v8\" \r\n\r\n";
+        let mut reader = BufReader::new(wire.as_bytes());
+        let (mut scratch, mut req) = (RequestReader::new(), Request::empty());
+        scratch.read_into(&mut reader, &mut req).unwrap();
+        let buffer = req.if_none_match.as_ref().unwrap().as_ptr();
+        scratch.read_into(&mut reader, &mut req).unwrap();
+        assert_eq!(req.if_none_match, None);
+        scratch.read_into(&mut reader, &mut req).unwrap();
+        let validator = req.if_none_match.as_ref().unwrap();
+        assert_eq!(validator, "W/\"v7\", \"v8\"");
+        assert_eq!(validator.as_ptr(), buffer, "one buffer for every validator");
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! ([`write_over`]). The same primitives answer "is this body already that
 //! page?" ([`is_page`]) without building anything, which is what lets a
 //! regeneration that changed nothing hand the held body back.
+//!
+//! What a page begins with is a list of [`Parts`]: the head and the inner
+//! HTML of a composed page ([`Content`]), or the runs of a held body
+//! between the sections a patch rewrites and those sections' new HTML.
 
 use std::sync::OnceLock;
 
@@ -47,7 +51,16 @@ fn padding(len: usize, target: usize) -> Option<(usize, usize)> {
     Some((room % FILLER.len(), room / FILLER.len()))
 }
 
-/// What a finished page begins with, in order: the page chrome above the
+/// Head and inner HTML, as the runs of bytes a finished page begins with.
+pub(crate) trait Parts {
+    /// Bytes of head and inner HTML together.
+    fn len(&self) -> usize;
+
+    /// Visit the runs, in order.
+    fn each(&self, part: impl FnMut(&[u8]));
+}
+
+/// What a composed page begins with, in order: the page chrome above the
 /// skeleton — doctype, title, site header — and the inner HTML.
 pub(crate) struct Content<'a>([&'a str; 4]);
 
@@ -60,41 +73,46 @@ impl<'a> Content<'a> {
              <a href=\"/news/day/1\">News</a></header>\n";
         Content([OPEN, title, CLOSE, inner])
     }
+}
 
-    /// Bytes of head and inner HTML together.
-    pub(crate) fn len(&self) -> usize {
+impl Parts for Content<'_> {
+    fn len(&self) -> usize {
         self.0.iter().map(|part| part.len()).sum()
     }
 
-    /// Visit the page `self` begins: head, inner HTML, then the tail of a
-    /// family targeting `target` — newline, spaces, fillers, close.
-    fn walk(&self, target: usize, mut part: impl FnMut(&[u8])) {
+    fn each(&self, mut part: impl FnMut(&[u8])) {
         for content in self.0 {
             part(content.as_bytes());
         }
-        part(b"\n");
-        if let Some((spaces, fillers)) = padding(self.len(), target) {
-            part(&SPACES[..spaces]);
-            for_fillers(fillers, &mut part);
-        }
-        part(PAGE_CLOSE.as_bytes());
     }
+}
+
+/// Visit the page `content` begins: its parts, then the tail of a family
+/// targeting `target` — newline, spaces, fillers, close.
+fn walk(content: &impl Parts, target: usize, mut part: impl FnMut(&[u8])) {
+    content.each(&mut part);
+    part(b"\n");
+    if let Some((spaces, fillers)) = padding(content.len(), target) {
+        part(&SPACES[..spaces]);
+        for_fillers(fillers, &mut part);
+    }
+    part(PAGE_CLOSE.as_bytes());
 }
 
 /// `content` finished as a page of a family targeting `target`, in a
 /// buffer allocated to exactly its length: the target, if it fits.
-pub(crate) fn finished(content: &Content<'_>, target: usize) -> Vec<u8> {
+pub(crate) fn finished(content: &impl Parts, target: usize) -> Vec<u8> {
     let mut page = Vec::with_capacity(target.max(content.len() + 1 + PAGE_CLOSE.len()));
-    content.walk(target, |part| page.extend_from_slice(part));
+    walk(content, target, |part| page.extend_from_slice(part));
     page
 }
 
 /// Whether `body` is what [`finished`] makes of `content` for a family
 /// targeting `target`. A page that changed fails at its first changed
 /// byte.
-pub(crate) fn is_page(body: &[u8], content: &Content<'_>, target: usize) -> bool {
+pub(crate) fn is_page(body: &[u8], content: &impl Parts, target: usize) -> bool {
     let mut rest = Some(body);
-    content.walk(target, |part| {
+    walk(content, target, |part| {
         rest = rest.and_then(|rest| rest.strip_prefix(part));
     });
     rest.is_some_and(<[u8]>::is_empty)
@@ -105,7 +123,7 @@ pub(crate) fn is_page(body: &[u8], content: &Content<'_>, target: usize) -> bool
 /// `content`, writing content, newline, spaces and the fillers that
 /// shorter content uncovers: the rest it has already. Returns `false`,
 /// leaving `page` as it was, when `content` does not fit.
-pub(crate) fn write_over(page: &mut [u8], old: usize, content: &Content<'_>) -> bool {
+pub(crate) fn write_over(page: &mut [u8], old: usize, content: &impl Parts) -> bool {
     let target = page.len();
     let (Some((spaces, _)), Some((old_spaces, _))) =
         (padding(content.len(), target), padding(old, target))
@@ -121,13 +139,20 @@ pub(crate) fn write_over(page: &mut [u8], old: usize, content: &Content<'_>) -> 
         page[at..at + part.len()].copy_from_slice(part);
         at += part.len();
     };
-    for part in content.0 {
-        write(part.as_bytes());
-    }
+    content.each(&mut write);
     write(b"\n");
     write(&SPACES[..spaces]);
     for_fillers(uncovered, write);
     true
+}
+
+/// The `old` to write over `page` with when what its head and inner HTML
+/// were is not known: all of it but a newline and the close, so that
+/// [`write_over`] rewrites every byte before the close — `None` unless
+/// `page` ends with the close, the one part it leaves as it is.
+pub(crate) fn unknown_content(page: &[u8]) -> Option<usize> {
+    let old = page.len().checked_sub(1 + PAGE_CLOSE.len())?;
+    page.ends_with(PAGE_CLOSE.as_bytes()).then_some(old)
 }
 
 #[cfg(test)]
@@ -177,6 +202,76 @@ mod tests {
                 assert_eq!(fillers, FILLER.repeat(fillers.len() / F).as_bytes());
             }
         }
+    }
+
+    /// Head and inner HTML cut into runs anywhere, as a patch hands them.
+    struct Runs<'a>(Vec<&'a [u8]>);
+
+    impl Parts for Runs<'_> {
+        fn len(&self) -> usize {
+            self.0.iter().map(|run| run.len()).sum()
+        }
+
+        fn each(&self, mut part: impl FnMut(&[u8])) {
+            for run in &self.0 {
+                part(run);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A page finished, compared or written over from runs is the page
+        /// of the bytes they run through, wherever they are cut.
+        #[test]
+        fn a_page_of_runs_is_the_page_of_their_bytes(
+            target in prop_oneof![Just(3_000usize), Just(55_000)],
+            inner in prop_oneof![Just(0usize), 0..3_200usize],
+            old in 0..3_200usize,
+            cuts in proptest::collection::vec(0.0..1.0f64, 0..6),
+        ) {
+            let html = "n".repeat(inner);
+            let content = Content::new("t", &html);
+            let mut bytes = Vec::new();
+            content.each(|part| bytes.extend_from_slice(part));
+            let cut = |c: &f64| (c * bytes.len() as f64) as usize;
+            let mut at: Vec<usize> = cuts.iter().map(cut).collect();
+            at.sort_unstable();
+            let mut runs = Runs(Vec::new());
+            let mut from = 0;
+            for cut in at.into_iter().chain([bytes.len()]) {
+                runs.0.push(&bytes[from..cut]);
+                from = cut;
+            }
+            let page = finished(&content, target);
+            prop_assert!(finished(&runs, target) == page);
+            prop_assert!(is_page(&page, &runs, target));
+            let old_html = "o".repeat(old);
+            let old = Content::new("t", &old_html);
+            let mut over = finished(&old, target);
+            if over.len() == target && write_over(&mut over, old.len(), &runs) {
+                prop_assert!(over == page);
+            }
+        }
+    }
+
+    /// Any bytes of a page's length that end with the close, written over
+    /// as if their content were unknown, become the page.
+    #[test]
+    fn writing_over_unknown_content_rewrites_all_of_it() {
+        let html = "n".repeat(1_000);
+        let content = Content::new("t", &html);
+        for target in [3_000, 55_000] {
+            let fresh = finished(&content, target);
+            let mut junk = vec![b'#'; target];
+            assert_eq!(unknown_content(&junk), None, "no close");
+            junk[target - PAGE_CLOSE.len()..].copy_from_slice(PAGE_CLOSE.as_bytes());
+            let old = unknown_content(&junk).unwrap();
+            assert!(write_over(&mut junk, old, &content));
+            assert!(junk == fresh, "target {target}");
+        }
+        assert_eq!(unknown_content(PAGE_CLOSE.as_bytes()), None);
     }
 
     proptest! {

@@ -28,7 +28,10 @@
 //! page's [`Coverage`]. While every stamp a page logged reads what it
 //! read then, a render would make every read it made and get every
 //! answer it got: the page cannot have changed (DESIGN.md §14a, "Page
-//! freshness").
+//! freshness"). A memoised section the page splices is dated apart from
+//! those reads, by a [`Splice`] of its own: while the page's own reads
+//! stand, a section that moved changes those bytes of the page and no
+//! others.
 
 use nagano_db::schema::{medals_data_key, today_data_key};
 use nagano_db::{
@@ -37,7 +40,7 @@ use nagano_db::{
 };
 
 use crate::key::{FragmentKey, PageKey};
-use crate::render::Dependency;
+use crate::render::{Dependency, Splice};
 
 /// The typed revision stamp of `nagano-db` that covers a read: the one a
 /// mutation bumps whenever it can change the read's answer. Every stamp is
@@ -57,9 +60,10 @@ pub(crate) enum Source {
 }
 
 /// What the reads of one page, or of one section, were covered by: each
-/// source once, and the sum of their stamps as the reads saw them. Stamps
-/// only grow, so the sum is reached again only with every source where it
-/// was.
+/// source its own reads logged, once, and the sum of their stamps as the
+/// reads saw them — stamps only grow, so the sum is reached again only
+/// with every source where it was; and, apart from them, the sections the
+/// page spliced, in page order.
 #[derive(Debug, Default)]
 pub(crate) struct Coverage {
     sources: Vec<Source>,
@@ -67,6 +71,7 @@ pub(crate) struct Coverage {
     /// A read was made that no stamp covers: nothing short of composing
     /// the page again says whether it changed.
     uncovered: bool,
+    splices: Vec<Splice>,
 }
 
 impl Coverage {
@@ -84,12 +89,32 @@ impl Coverage {
         }
     }
 
-    /// Take over what `other` logged, into the buffer this one has.
+    /// Take over what `other` logged, into the buffers this one has.
     pub(crate) fn refill(&mut self, other: &Coverage) {
         self.sources.clear();
         self.sources.extend_from_slice(&other.sources);
         self.stamps = other.stamps;
         self.uncovered = other.uncovered;
+        self.splices.clear();
+        self.splices.extend_from_slice(&other.splices);
+    }
+
+    /// Move the splices `head` bytes on: from the inner HTML they were
+    /// composed into to the body finished from it.
+    pub(crate) fn offset(&mut self, head: usize) {
+        for splice in &mut self.splices {
+            splice.start += head as u32;
+        }
+    }
+
+    /// The sections spliced, in page order.
+    pub(crate) fn splices(&self) -> &[Splice] {
+        &self.splices
+    }
+
+    /// The same, to be rewritten in place.
+    pub(crate) fn splices_mut(&mut self) -> &mut [Splice] {
+        &mut self.splices
     }
 
     /// Whether every read was covered, and by `source` or by the loads
@@ -172,7 +197,7 @@ impl<'v> Reads<'v> {
     /// A handle over the same snapshot registering in `deps` and logging
     /// in `within` instead: what a memoised section is rendered through, so
     /// that its edges can be kept with its HTML and its reads held against
-    /// the source it is memoised under ([`Reads::stamp`]).
+    /// the source it is memoised under (`Section::source`).
     pub(crate) fn section<'s>(
         &'s self,
         deps: &'s mut Vec<Dependency>,
@@ -188,8 +213,8 @@ impl<'v> Reads<'v> {
     /// Register the hybrid edge `page:/fragments/… → this page` of
     /// Figure 15 and return the handle `f` is to be spliced through — the
     /// only one that registers nothing, so a fragment cannot be spliced
-    /// without its edge. What `f` reads is logged as this page's all the
-    /// same: its bytes become this page's.
+    /// without its edge. The splice of `f` is logged as this page's all
+    /// the same: its bytes become this page's.
     pub(crate) fn inline_fragment(&mut self, f: FragmentKey, weight: f64) -> Reads<'_> {
         self.push(PageKey::Fragment(f).object_key(), weight);
         Reads {
@@ -200,7 +225,8 @@ impl<'v> Reads<'v> {
     }
 
     /// Whether every source `logged` names still reads, in this snapshot,
-    /// what it read when it was logged — and no read went uncovered.
+    /// what it read when it was logged — and no read went uncovered: the
+    /// page's own reads, not its splices.
     pub(crate) fn finds_unmoved(&self, logged: &Coverage) -> bool {
         let now = logged.sources.iter().map(|&s| stamp(self.view, s));
         !logged.uncovered && now.sum::<u64>() == logged.stamps
@@ -215,12 +241,19 @@ impl<'v> Reads<'v> {
         self.view
     }
 
-    /// `source`'s stamp in this snapshot, logged as covering what the
-    /// caller goes on to splice or render under it: the one statement of
-    /// what a memoised section is valid by, for its memo and for the page
-    /// around it.
-    pub(crate) fn stamp(&mut self, source: Source) -> u64 {
-        stamp(self.rows(Some(source)), source)
+    /// `source`'s stamp in this snapshot: what a memoised section is
+    /// valid by, and what the page splicing it dates that splice by. It is
+    /// not logged among the page's own reads — [`Reads::spliced`] logs
+    /// the splice.
+    pub(crate) fn stamp(&self, source: Source) -> u64 {
+        stamp(self.view, source)
+    }
+
+    /// Log that the page spliced a section, as `splice` says.
+    pub(crate) fn spliced(&mut self, splice: Splice) {
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            coverage.splices.push(splice);
+        }
     }
 
     /// Register edges a section was memoised with.

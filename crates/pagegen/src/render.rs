@@ -21,17 +21,18 @@
 //! changes propagate data → fragment → page exactly as in Figure 15.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use nagano_db::schema::{keyed, push_decimal};
-use nagano_db::{CountryId, EventId, EventPhase, OlympicDb};
+use nagano_db::{AthleteId, CountryId, EventId, EventPhase, NewsId, OlympicDb, SportId};
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{FragmentKey, PageKey};
 use crate::num::push_fixed2;
-use crate::plan::{finished, is_page, write_over, Content};
+use crate::plan::{finished, is_page, unknown_content, write_over, Content, Parts};
 use crate::reads::{Coverage, Reads, Source};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
@@ -57,6 +58,12 @@ pub struct RenderOutput {
     /// Whether the page was answered from the revision stamps of what it
     /// read last time, without being composed.
     pub revalidated: bool,
+    /// Whether the page was answered by rewriting, in the body it was
+    /// handed, the sections it splices whose stamps moved — without being
+    /// composed: nothing else it read had moved, and each of those
+    /// sections was memoised at its new stamp with the edges the page had
+    /// registered from it.
+    pub patched: bool,
 }
 
 /// A memoised part of a page: one of the registered fragments, or a
@@ -64,7 +71,7 @@ pub struct RenderOutput {
 /// the page leave unchanged. Sections are private to the renderer — no
 /// registry entry, no ODG vertex, no URL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Section {
+pub(crate) enum Section {
     /// A registered fragment's inner HTML and data edges.
     Fragment(FragmentKey),
     /// The athlete links of a country page.
@@ -77,7 +84,7 @@ enum Section {
 impl Section {
     /// The one source whose stamp moves whenever the section's bytes can:
     /// what its memo entry is valid by, and what a page that splices it
-    /// logs for it.
+    /// dates the splice by.
     fn source(self) -> Source {
         match self {
             Section::Fragment(FragmentKey::ResultTable(e)) | Section::HomeEvent(e) => {
@@ -98,11 +105,45 @@ struct SectionMemo {
     revision: u64,
     html: String,
     deps: Vec<Dependency>,
+    /// How often `deps` was refilled with other edges than it held: a
+    /// splice that recorded this count registered this very list.
+    edges: u64,
+}
+
+/// One section a page spliced at its top level: the stamp of the
+/// section's source its HTML was rendered at, where that HTML lies in the
+/// page — in the inner HTML while the page is composed, in the finished
+/// body once the page memo keeps it — and which of the lists its memo
+/// entry held the page registered ([`SectionMemo::edges`]).
+///
+/// 32 bytes, offsets in `u32`: a list of splices is then allocated in the
+/// size classes the dependency list of every compose passes through, and
+/// takes a chunk one of those left free. At 40 bytes, the lists the page
+/// memo keeps raised the peak RSS of a process that regenerates on a
+/// thread of its own by a quarter (DESIGN.md §14a, "Memory").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Splice {
+    pub(crate) section: Section,
+    pub(crate) revision: u64,
+    pub(crate) edges: u64,
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Splice>() == 32);
+
+impl Splice {
+    /// Where the section's HTML lies.
+    fn range(&self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// What [`Renderer::render_onto`] last made of a page it was given a body
 /// for: the body and dependency list it returned, and what covered the
-/// reads behind them, all of one compose.
+/// reads behind them — the page's own reads, and its splices at their
+/// offsets in the body.
 #[derive(Debug)]
 struct PageMemo {
     coverage: Coverage,
@@ -114,6 +155,9 @@ struct PageMemo {
     /// out to work out: kept so that a kept page allocates nothing and a
     /// composed one does not hash its URL again.
     cost_ms: f64,
+    /// Bumped by every store: a patch stores only over the entry it was
+    /// worked out from.
+    generation: u64,
 }
 
 /// A finished page's body, as the page memo holds it and as it is parked
@@ -127,11 +171,90 @@ struct Body {
     content_len: usize,
 }
 
+/// How [`Renderer::render_onto`] answers a page it is handed a body for.
+enum Answer {
+    /// Nothing the held body was made from moved: it is the page.
+    Unmoved(Kept),
+    /// Only sections the page splices moved, and each one's memo entry
+    /// stands at its new stamp with the edges the page registered from it:
+    /// the page is the held body with those sections rewritten.
+    Patch(Kept),
+    /// Neither: the page is composed.
+    Compose,
+}
+
+/// What the page memo kept beside the body a render was handed.
+struct Kept {
+    deps: Arc<[Dependency]>,
+    cost_ms: f64,
+    content_len: usize,
+    generation: u64,
+}
+
+/// A spliced section a patch rewrites.
+#[derive(Debug)]
+struct Moved {
+    /// Its place among the page memo's splices.
+    index: usize,
+    /// The splice as the page memo recorded it.
+    was: Splice,
+    /// The stamp of its source now.
+    now: u64,
+    /// Where its HTML now lies in the patch's scratch.
+    fresh: Range<usize>,
+}
+
+/// A held page with the sections that moved rewritten: the runs of the
+/// held head and inner HTML around them, and each one's HTML now.
+struct Patched<'a> {
+    /// The held body's head and inner HTML.
+    held: &'a [u8],
+    /// The moved sections' HTML now, one after the other.
+    fresh: &'a [u8],
+    moved: &'a [Moved],
+}
+
+impl Patched<'_> {
+    fn now(&self, moved: &Moved) -> &[u8] {
+        &self.fresh[moved.fresh.clone()]
+    }
+
+    fn was(&self, moved: &Moved) -> &[u8] {
+        &self.held[moved.was.range()]
+    }
+
+    /// Whether every moved section came out as the bytes it replaces.
+    fn is_held(&self) -> bool {
+        self.moved.iter().all(|m| self.now(m) == self.was(m))
+    }
+}
+
+impl Parts for Patched<'_> {
+    fn len(&self) -> usize {
+        let len = |len, m: &Moved| len - m.was.range().len() + m.fresh.len();
+        self.moved.iter().fold(self.held.len(), len)
+    }
+
+    fn each(&self, mut part: impl FnMut(&[u8])) {
+        let mut from = 0;
+        for m in self.moved {
+            let was = m.was.range();
+            part(&self.held[from..was.start]);
+            part(self.now(m));
+            from = was.end;
+        }
+        part(&self.held[from..]);
+    }
+}
+
 thread_local! {
-    /// The buffer a page's inner HTML is composed in, one per rendering
-    /// thread: cleared, never freed, so composing allocates only while a
-    /// thread's largest page is still growing it.
+    /// The buffer a page's inner HTML is composed in — or a patch copies
+    /// the moved sections' HTML into — one per rendering thread: cleared,
+    /// never freed, so rendering allocates only while a thread's largest
+    /// page is still growing it.
     static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
+    /// The sections a patch rewrites, kept like `SCRATCH`.
+    static MOVED: Cell<Vec<Moved>> = const { Cell::new(Vec::new()) };
 }
 
 /// Renders pages from a database.
@@ -144,7 +267,8 @@ thread_local! {
 /// long-lived renderer and a fresh one return the same bytes. A page
 /// rendered onto the body this renderer last returned for it is not
 /// composed at all while the stamps of everything it read stand where
-/// they stood.
+/// they stood, nor while only sections it splices moved and each of them
+/// is memoised at its new stamp: that body is patched instead.
 #[derive(Debug)]
 pub struct Renderer {
     db: Arc<OlympicDb>,
@@ -157,7 +281,7 @@ pub struct Renderer {
     /// never before taking a view.
     sections: Mutex<FxHashMap<Section, SectionMemo>>,
     /// One entry per page ever rendered onto a body: at most a body per
-    /// page. Locked like `sections`.
+    /// page. Locked like `sections`, and never while `sections` is held.
     pages: Mutex<FxHashMap<PageKey, PageMemo>>,
     /// At most one replaced body per `target_bytes` value. Locked on its
     /// own: never while `sections` or `pages` is held.
@@ -213,55 +337,83 @@ impl Renderer {
     /// [`Renderer::render`] returns, and dependencies and cost are those
     /// of that render.
     ///
-    /// That is decided in one of two places. When `previous` is the
-    /// allocation this renderer returned for the page last time, and every
-    /// revision stamp the reads behind it logged reads, in this render's
-    /// snapshot, what it read then, the page is not composed: a compose
-    /// would make the same reads and get the same rows. Otherwise the page
-    /// is composed and, before it is finished, compared with `previous` in
-    /// place: head, inner HTML and padding.
+    /// When `previous` is the allocation this renderer returned for the
+    /// page last time, the revision stamps logged by the reads behind it
+    /// are read in this render's snapshot first, and the page may not be
+    /// composed at all. If they all read what they read then, the page is
+    /// `previous`: a compose would make the same reads and get the same
+    /// rows. If only stamps of sections the page splices moved, and each
+    /// of those sections is memoised at its new stamp with the edges the
+    /// page registered from it, the page is `previous` with those
+    /// sections' bytes replaced: a compose would make the same reads of
+    /// its own and splice the same sections, those ones as they read now.
+    /// Otherwise the page is composed and, before it is finished, compared
+    /// with `previous` in place: head, inner HTML and padding.
     ///
     /// A page that changed is written over the body its size's last
     /// replaced page was parked with when nothing holds that any more, and
     /// into a buffer of its own length otherwise.
     pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
-        let mut html = SCRATCH.take();
+        let (mut html, mut moved) = (SCRATCH.take(), MOVED.take());
         html.clear();
+        moved.clear();
         let mut deps: Vec<Dependency> = Vec::new();
         // What covers the reads is of use to the next render onto the body
         // this one returns: a render onto nothing has no such successor.
         let mut coverage = previous.map(|_| Coverage::default());
-        let (kept, title) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
-            let kept = previous.and_then(|held| self.unmoved(r, key, held));
-            if kept.is_some() && !COMPOSE_WHAT_IS_KEPT {
-                return (kept, String::new());
-            }
-            (kept, self.compose(r, key, &mut html))
+        // A page that is not composed is composed all the same in a build
+        // with debug assertions, into a buffer of its own, to compare.
+        let mut oracle = String::new();
+        let (answer, title) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
+            let answer = match previous {
+                Some(held) => self.answer(r, key, held, &mut html, &mut moved),
+                None => Answer::Compose,
+            };
+            let title = match answer {
+                Answer::Compose => {
+                    html.clear();
+                    self.compose(r, key, &mut html)
+                }
+                _ if COMPOSE_WHAT_IS_KEPT => self.compose(r, key, &mut oracle),
+                _ => String::new(),
+            };
+            (answer, title)
         });
-        let content = Content::new(&title, &html);
         let target = target_bytes(key);
-        let out = match kept.zip(previous) {
-            Some(((list, cost_ms), held)) => {
-                if COMPOSE_WHAT_IS_KEPT {
-                    let composed = finished(&content, target);
-                    assert!(composed == **held, "{key}: kept by its stamps, but changed");
-                    assert_eq!(deps[..], list[..], "{key}: kept by its stamps");
-                    assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: kept by its stamps");
-                }
+        let out = match (answer, previous) {
+            (Answer::Unmoved(kept), Some(held)) => RenderOutput {
+                body: held.clone(),
+                deps: kept.deps,
+                cost_ms: kept.cost_ms,
+                revalidated: true,
+                patched: false,
+            },
+            (Answer::Patch(kept), Some(held)) => {
+                let patched = Patched {
+                    held: &held[..kept.content_len],
+                    fresh: html.as_bytes(),
+                    moved: &moved,
+                };
                 RenderOutput {
-                    body: held.clone(),
-                    deps: list,
-                    cost_ms,
-                    revalidated: true,
+                    body: self.patch(key, held, &patched, kept.generation),
+                    deps: kept.deps,
+                    cost_ms: kept.cost_ms,
+                    revalidated: false,
+                    patched: true,
                 }
             }
-            None => {
+            _ => {
+                let content = Content::new(&title, &html);
                 let body = match previous.filter(|held| is_page(held, &content, target)) {
                     Some(held) => held.clone(),
                     None => self.finish(&content, target),
                 };
+                let deps = std::mem::take(&mut deps);
                 let (deps, cost_ms) = match coverage {
-                    Some(coverage) => self.remember(key, &body, content.len(), deps, coverage),
+                    Some(mut coverage) => {
+                        coverage.offset(content.len() - html.len());
+                        self.remember(key, &body, content.len(), deps, coverage, previous)
+                    }
                     None => (deps.into(), self.cost.cost_ms(key)),
                 };
                 debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: composed");
@@ -270,19 +422,129 @@ impl Renderer {
                     deps,
                     cost_ms,
                     revalidated: false,
+                    patched: false,
                 }
             }
         };
+        if COMPOSE_WHAT_IS_KEPT && (out.revalidated || out.patched) {
+            let how = if out.patched {
+                "patched"
+            } else {
+                "kept by its stamps"
+            };
+            let composed = finished(&Content::new(&title, &oracle), target);
+            assert!(composed == *out.body, "{key}: {how}, but not as composed");
+            assert_eq!(deps[..], out.deps[..], "{key}: {how}");
+            assert_eq!(out.cost_ms, self.cost.cost_ms(key), "{key}: {how}");
+        }
         SCRATCH.set(html);
+        MOVED.set(moved);
         if let Some(scale) = self.cpu_scale {
             spin_for(out.cost_ms, scale);
         }
         out
     }
 
+    /// How a render of `key` onto `held` is answered in `r`'s snapshot,
+    /// from what the page memo kept of the body it last returned for the
+    /// page — if `held` is that body: that allocation, not its bytes. A
+    /// patch leaves the moved sections' HTML in `fresh` and says in
+    /// `moved` where it goes. A section memoised behind its stamp, or with
+    /// other edges than the page registered from it, makes the page
+    /// composed, which brings the memo entry up.
+    fn answer(
+        &self,
+        r: &Reads<'_>,
+        key: PageKey,
+        held: &Bytes,
+        fresh: &mut String,
+        moved: &mut Vec<Moved>,
+    ) -> Answer {
+        let kept = {
+            let pages = self.pages.lock().expect(MEMO_POISONED);
+            let Some(last) = pages.get(&key) else {
+                return Answer::Compose;
+            };
+            let same = std::ptr::eq::<[u8]>(&*last.body.bytes, &**held);
+            if !same || !r.finds_unmoved(&last.coverage) {
+                return Answer::Compose;
+            }
+            for (index, &was) in last.coverage.splices().iter().enumerate() {
+                let now = r.stamp(was.section.source());
+                if now != was.revision {
+                    moved.push(Moved {
+                        index,
+                        was,
+                        now,
+                        fresh: 0..0,
+                    });
+                }
+            }
+            Kept {
+                deps: Arc::clone(&last.deps),
+                cost_ms: last.cost_ms,
+                content_len: last.body.content_len,
+                generation: last.generation,
+            }
+        };
+        if moved.is_empty() {
+            return Answer::Unmoved(kept);
+        }
+        let sections = self.sections.lock().expect(MEMO_POISONED);
+        for m in moved.iter_mut() {
+            let current = |memo: &&SectionMemo| memo.revision == m.now && memo.edges == m.was.edges;
+            let Some(memo) = sections.get(&m.was.section).filter(current) else {
+                return Answer::Compose;
+            };
+            let start = fresh.len();
+            fresh.push_str(&memo.html);
+            m.fresh = start..fresh.len();
+        }
+        Answer::Patch(kept)
+    }
+
+    /// The page `held` becomes as `patched`: `held` itself when every
+    /// moved section came out as the bytes it replaces, else written over
+    /// the body parked for its size, or into one of its own. The page memo
+    /// entry the patch was worked out from — at `generation` — then keeps
+    /// it in place of `held`, which is parked, with the moved splices at
+    /// their new stamps and every splice where it now lies.
+    fn patch(&self, key: PageKey, held: &Bytes, patched: &Patched<'_>, generation: u64) -> Bytes {
+        let target = target_bytes(key);
+        let body = if patched.is_held() {
+            held.clone()
+        } else {
+            self.finish(patched, target)
+        };
+        let mut pages = self.pages.lock().expect(MEMO_POISONED);
+        // A render of the page that stored since leaves its own entry.
+        let Some(last) = pages.get_mut(&key).filter(|l| l.generation == generation) else {
+            return body;
+        };
+        let (mut grown, mut shrunk) = (0, 0);
+        let mut moved = patched.moved.iter().peekable();
+        for (index, splice) in last.coverage.splices_mut().iter_mut().enumerate() {
+            splice.start = splice.start - shrunk + grown;
+            if let Some(m) = moved.next_if(|m| m.index == index) {
+                let len = m.fresh.len() as u32;
+                (grown, shrunk) = (grown + len, shrunk + splice.len);
+                (splice.revision, splice.len) = (m.now, len);
+            }
+        }
+        last.generation += 1;
+        let bytes = body.clone();
+        let content_len = patched.len();
+        let replaced = std::mem::replace(&mut last.body, Body { bytes, content_len });
+        drop(pages);
+        if !std::ptr::eq::<[u8]>(&*replaced.bytes, &*body) {
+            self.park(target, replaced);
+        }
+        body
+    }
+
     /// The body of a page that changed: written over the body parked for
     /// its size when nothing else holds that, else allocated afresh.
-    fn finish(&self, content: &Content<'_>, target: usize) -> Bytes {
+    fn finish(&self, content: &impl Parts, target: usize) -> Bytes {
         let parked = self.parked.lock().expect(MEMO_POISONED).remove(&target);
         if let Some(Body { bytes, content_len }) = parked {
             // No fleet cell, tombstone, page memo or response in flight
@@ -321,27 +583,12 @@ impl Renderer {
         }
     }
 
-    /// The dependency list and cost `key` was last returned with, if
-    /// `held` is the body it was last returned with — that allocation, not
-    /// its bytes — and nothing the reads behind them were covered by has
-    /// moved since, as `r`'s snapshot sees it.
-    fn unmoved(
-        &self,
-        r: &Reads<'_>,
-        key: PageKey,
-        held: &Bytes,
-    ) -> Option<(Arc<[Dependency]>, f64)> {
-        let pages = self.pages.lock().expect(MEMO_POISONED);
-        let last = pages.get(&key)?;
-        (std::ptr::eq::<[u8]>(&*last.body.bytes, &**held) && r.finds_unmoved(&last.coverage))
-            .then(|| (Arc::clone(&last.deps), last.cost_ms))
-    }
-
-    /// Keep what a compose of `key` came to for [`Renderer::unmoved`], in
+    /// Keep what a compose of `key` came to for [`Renderer::answer`], in
     /// place of what the last one did, and return the dependency list to
     /// hand out — the one kept so far when `deps` lists what it lists —
     /// and the page's cost, worked out when the page is first kept. A body
-    /// it replaces is parked.
+    /// it replaces is parked: the one kept so far, or, when the page is
+    /// first kept, the `previous` one its caller held.
     fn remember(
         &self,
         key: PageKey,
@@ -349,6 +596,7 @@ impl Renderer {
         content_len: usize,
         deps: Vec<Dependency>,
         coverage: Coverage,
+        previous: Option<&Bytes>,
     ) -> (Arc<[Dependency]>, f64) {
         use std::collections::hash_map::Entry;
         let mut pages = self.pages.lock().expect(MEMO_POISONED);
@@ -358,6 +606,7 @@ impl Renderer {
             Entry::Occupied(entry) => {
                 let last = entry.into_mut();
                 last.coverage.refill(&coverage);
+                last.generation += 1;
                 let bytes = body.clone();
                 let replaced = std::mem::replace(&mut last.body, Body { bytes, content_len });
                 if last.deps[..] != deps[..] {
@@ -372,8 +621,15 @@ impl Renderer {
                     body: Body { bytes, content_len },
                     deps: deps.into(),
                     cost_ms: self.cost.cost_ms(key),
+                    generation: 0,
                 });
-                (last, None)
+                // A body this renderer never returned — a prewarmed one —
+                // is superseded all the same, what it held unknown.
+                let held = previous.and_then(|held| {
+                    let bytes = held.clone();
+                    unknown_content(held).map(|content_len| Body { bytes, content_len })
+                });
+                (last, held)
             }
         };
         let kept = (Arc::clone(&last.deps), last.cost_ms);
@@ -397,158 +653,18 @@ impl Renderer {
     /// lock on this thread deadlocks behind a waiting commit.
     fn compose(&self, r: &mut Reads<'_>, key: PageKey, html: &mut String) -> String {
         match key {
-            PageKey::Home(day) => {
-                let events = r.events_on_day(day, 2.0);
-                html.push_str("<h2>Day ");
-                push_decimal(html, day);
-                html.push_str(" at the Games</h2>\n");
-                // Embedded fragments: medal table, headlines, and the
-                // result tables of every event concluding today.
-                self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
-                self.inline_fragment(r, FragmentKey::Headlines(day), 0.5, html);
-                for event in events {
-                    self.inline_fragment(r, FragmentKey::ResultTable(event.id), 2.0, html);
-                    // Everything the page itself says about the event:
-                    // unchanged until results arrive for this very event.
-                    // The *skeleton* reads event rows directly (phase
-                    // label, gold-winner line), so the page gets a data
-                    // edge of its own — not just the fragment's.
-                    self.compose_fragment(r, Section::HomeEvent(event.id), html, |r, html| {
-                        html.push_str("<section class=\"event\">");
-                        push_link(html, PageKey::Event(event.id), event.name);
-                        html.push_str(" — ");
-                        let phase = r.phase(&event);
-                        html.push_str(phase_label(phase));
-                        html.push_str("</section>\n");
-                        // Inline the top line of finished finals: this is
-                        // what lets >25% of visitors stop at the home page.
-                        if phase == EventPhase::Final {
-                            if let Some(winner) = r
-                                .results_for_event(event.id)
-                                .find(|row| row.is_final && row.rank == 1)
-                            {
-                                if let Some(a) = r.athlete(winner.athlete) {
-                                    html.push_str("<p>Gold: ");
-                                    html.push_str(&a.name);
-                                    html.push_str("</p>\n");
-                                }
-                            }
-                        }
-                    });
-                }
-                keyed("Nagano 1998 — Day ", day)
-            }
+            PageKey::Home(day) => self.home(r, day, html),
             PageKey::Medals => {
                 html.push_str("<h2>Medal Standings</h2>\n");
                 self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
                 "Medal Standings".to_string()
             }
-            PageKey::Sport(s) => {
-                let events = r.events_of_sport(s);
-                let name = r.sport(s).map_or("Unknown sport", |x| x.name.as_str());
-                push_heading(html, name);
-                for event in events {
-                    self.inline_fragment(r, FragmentKey::ResultTable(event.id), 1.0, html);
-                    html.push_str("<div>");
-                    push_link(html, PageKey::Event(event.id), event.name);
-                    html.push_str(" (day ");
-                    push_decimal(html, event.day);
-                    html.push_str(")</div>\n");
-                }
-                name.to_string()
-            }
-            PageKey::Event(e) => {
-                self.inline_fragment(r, FragmentKey::ResultTable(e), 1.0, html);
-                let event = r.event(e);
-                let name = event.map_or("Unknown event", |x| x.name);
-                push_heading(html, name);
-                for photo in r.photos_for_event(e, 0.5) {
-                    html.push_str("<img alt=\"photo ");
-                    push_decimal(html, photo.id.0);
-                    html.push_str("\"/>\n");
-                }
-                // Cross-links per the 1998 redesign: every page links to
-                // pertinent information in other sections.
-                if let Some(ev) = event {
-                    html.push_str("<nav><a href=\"");
-                    PageKey::Sport(ev.sport).push_url(html);
-                    // The sport by its `Display` form.
-                    html.push_str("\">All sport");
-                    push_decimal(html, ev.sport.0);
-                    html.push_str(" results</a> <a href=\"/medals\">Medals</a></nav>\n");
-                }
-                name.to_string()
-            }
-            PageKey::Country(c) => {
-                let medals = r.medals_of(c);
-                let name = r.country(c).map_or("Unknown", |x| x.name.as_str());
-                push_heading(html, name);
-                if let Some(m) = medals {
-                    html.push_str("<p class=\"medal-box\">Gold ");
-                    push_decimal(html, m.gold);
-                    html.push_str(" · Silver ");
-                    push_decimal(html, m.silver);
-                    html.push_str(" · Bronze ");
-                    push_decimal(html, m.bronze);
-                    html.push_str("</p>\n");
-                }
-                // The roster is what a medal change regenerating every
-                // country page leaves alone.
-                self.compose_fragment(r, Section::Roster(c), html, |r, html| {
-                    for a in r.athletes_of_country(c).take(50) {
-                        html.push_str("<div>");
-                        push_link(html, PageKey::Athlete(a.id), &a.name);
-                        html.push_str("</div>\n");
-                    }
-                });
-                name.to_string()
-            }
-            PageKey::Athlete(a) => {
-                let results = r.results_for_athlete(a);
-                let athlete = r.athlete(a);
-                let name = athlete.map_or("Unknown", |x| x.name.as_str());
-                push_heading(html, name);
-                for row in results {
-                    html.push_str("<div>Event <a href=\"");
-                    PageKey::Event(row.event).push_url(html);
-                    html.push_str("\">");
-                    push_decimal(html, row.event.0);
-                    html.push_str("</a>: rank ");
-                    push_decimal(html, row.rank);
-                    html.push_str(" (");
-                    push_fixed2(html, row.score);
-                    html.push_str(")</div>\n");
-                }
-                if let Some(at) = athlete {
-                    push_nav(html, PageKey::Country(at.country), "Team page");
-                }
-                name.to_string()
-            }
-            PageKey::News(n) => match r.news(n) {
-                Some(article) => {
-                    html.push_str("<h2>");
-                    html.push_str(&article.title);
-                    html.push_str("</h2><article>");
-                    html.push_str(&article.body);
-                    html.push_str("</article>\n");
-                    if let Some(ev) = article.about_event {
-                        push_nav(html, PageKey::Event(ev), "Event results");
-                    }
-                    article.title.clone()
-                }
-                None => "Story not found".to_string(),
-            },
-            PageKey::NewsIndex(day) => {
-                html.push_str("<h2>News — Day ");
-                push_decimal(html, day);
-                html.push_str("</h2>\n");
-                for article in r.news_on_day(day, 1.0, 0.5) {
-                    html.push_str("<div>");
-                    push_link(html, PageKey::News(article.id), &article.title);
-                    html.push_str("</div>\n");
-                }
-                keyed("News for Day ", day)
-            }
+            PageKey::Sport(s) => self.sport(r, s, html),
+            PageKey::Event(e) => self.event(r, e, html),
+            PageKey::Country(c) => self.country(r, c, html),
+            PageKey::Athlete(a) => athlete(r, a, html),
+            PageKey::News(n) => story(r, n, html),
+            PageKey::NewsIndex(day) => news_index(r, day, html),
             PageKey::Venue(s) => {
                 let venue = r.sport(s).map_or("", |x| x.venue.as_str());
                 html.push_str("<h2>");
@@ -575,6 +691,116 @@ impl Renderer {
         }
     }
 
+    /// The home page of `day`: the medal table, the day's headlines, and
+    /// per event concluding that day its result table and its block.
+    fn home(&self, r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
+        let events = r.events_on_day(day, 2.0);
+        html.push_str("<h2>Day ");
+        push_decimal(html, day);
+        html.push_str(" at the Games</h2>\n");
+        // Embedded fragments: medal table, headlines, and the result
+        // tables of every event concluding today.
+        self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
+        self.inline_fragment(r, FragmentKey::Headlines(day), 0.5, html);
+        for event in events {
+            self.inline_fragment(r, FragmentKey::ResultTable(event.id), 2.0, html);
+            // Everything the page itself says about the event: unchanged
+            // until results arrive for this very event. The *skeleton*
+            // reads event rows directly (phase label, gold-winner line), so
+            // the page gets a data edge of its own — not just the
+            // fragment's.
+            self.compose_fragment(r, Section::HomeEvent(event.id), html, |r, html| {
+                html.push_str("<section class=\"event\">");
+                push_link(html, PageKey::Event(event.id), event.name);
+                html.push_str(" — ");
+                let phase = r.phase(&event);
+                html.push_str(phase_label(phase));
+                html.push_str("</section>\n");
+                // Inline the top line of finished finals: this is what lets
+                // >25% of visitors stop at the home page.
+                if phase == EventPhase::Final {
+                    if let Some(winner) = r
+                        .results_for_event(event.id)
+                        .find(|row| row.is_final && row.rank == 1)
+                    {
+                        if let Some(a) = r.athlete(winner.athlete) {
+                            html.push_str("<p>Gold: ");
+                            html.push_str(&a.name);
+                            html.push_str("</p>\n");
+                        }
+                    }
+                }
+            });
+        }
+        keyed("Nagano 1998 — Day ", day)
+    }
+
+    /// A sport's page: per event its result table and a line linking it.
+    fn sport(&self, r: &mut Reads<'_>, s: SportId, html: &mut String) -> String {
+        let events = r.events_of_sport(s);
+        let name = r.sport(s).map_or("Unknown sport", |x| x.name.as_str());
+        push_heading(html, name);
+        for event in events {
+            self.inline_fragment(r, FragmentKey::ResultTable(event.id), 1.0, html);
+            html.push_str("<div>");
+            push_link(html, PageKey::Event(event.id), event.name);
+            html.push_str(" (day ");
+            push_decimal(html, event.day);
+            html.push_str(")</div>\n");
+        }
+        name.to_string()
+    }
+
+    /// An event's page: its result table, its photos, and cross-links.
+    fn event(&self, r: &mut Reads<'_>, e: EventId, html: &mut String) -> String {
+        self.inline_fragment(r, FragmentKey::ResultTable(e), 1.0, html);
+        let event = r.event(e);
+        let name = event.map_or("Unknown event", |x| x.name);
+        push_heading(html, name);
+        for photo in r.photos_for_event(e, 0.5) {
+            html.push_str("<img alt=\"photo ");
+            push_decimal(html, photo.id.0);
+            html.push_str("\"/>\n");
+        }
+        // Cross-links per the 1998 redesign: every page links to pertinent
+        // information in other sections.
+        if let Some(ev) = event {
+            html.push_str("<nav><a href=\"");
+            PageKey::Sport(ev.sport).push_url(html);
+            // The sport by its `Display` form.
+            html.push_str("\">All sport");
+            push_decimal(html, ev.sport.0);
+            html.push_str(" results</a> <a href=\"/medals\">Medals</a></nav>\n");
+        }
+        name.to_string()
+    }
+
+    /// A country's page: its medal box and its roster.
+    fn country(&self, r: &mut Reads<'_>, c: CountryId, html: &mut String) -> String {
+        let medals = r.medals_of(c);
+        let name = r.country(c).map_or("Unknown", |x| x.name.as_str());
+        push_heading(html, name);
+        if let Some(m) = medals {
+            html.push_str("<p class=\"medal-box\">Gold ");
+            push_decimal(html, m.gold);
+            html.push_str(" · Silver ");
+            push_decimal(html, m.silver);
+            html.push_str(" · Bronze ");
+            push_decimal(html, m.bronze);
+            html.push_str("</p>\n");
+        }
+        // The roster is what a medal change regenerating every country
+        // page leaves alone.
+        self.compose_fragment(r, Section::Roster(c), html, |r, html| {
+            for a in r.athletes_of_country(c).take(50) {
+                html.push_str("<div>");
+                push_link(html, PageKey::Athlete(a.id), &a.name);
+                html.push_str("</div>\n");
+            }
+        });
+        name.to_string()
+    }
+
     /// Splice fragment `f` into a composed page, which then depends on the
     /// fragment *object* at `weight` and not on the data the fragment
     /// reads: the fragment depends on that (Figure 15's two-level
@@ -590,12 +816,11 @@ impl Renderer {
         });
     }
 
-    /// Append `section`'s HTML to `html` and register its edges with `r`.
-    /// The one entry to memoised rendering: it splices the memoised render
-    /// while `r` still stamps the section's source data with the revision
-    /// the memo was rendered at, and otherwise calls `render` — a pure
-    /// function of that data, reading through a handle that registers in a
-    /// list of the section's own — and memoises what it appended.
+    /// Append `section`'s HTML to `html`, register its edges with `r` and
+    /// log the splice. The one entry to memoised rendering: it splices the
+    /// memoised render while `r` still stamps the section's source data
+    /// with the revision the memo was rendered at, and otherwise has
+    /// [`Renderer::render_section`] render and memoise it.
     fn compose_fragment(
         &self,
         r: &mut Reads<'_>,
@@ -603,16 +828,46 @@ impl Renderer {
         html: &mut String,
         render: impl FnOnce(&mut Reads<'_>, &mut String),
     ) {
-        let source = section.source();
-        let revision = r.stamp(source);
-        {
+        let revision = r.stamp(section.source());
+        let start = html.len();
+        let hit = {
             let memo = self.sections.lock().expect(MEMO_POISONED);
-            if let Some(hit) = memo.get(&section).filter(|m| m.revision == revision) {
-                html.push_str(&hit.html);
-                r.register(&hit.deps);
-                return;
-            }
-        }
+            memo.get(&section)
+                .filter(|m| m.revision == revision)
+                .map(|hit| {
+                    html.push_str(&hit.html);
+                    r.register(&hit.deps);
+                    hit.edges
+                })
+        };
+        let edges = match hit {
+            Some(edges) => edges,
+            None => self.render_section(r, section, revision, html, render),
+        };
+        // A page is far short of 4 GiB.
+        let (start, len) = (start as u32, (html.len() - start) as u32);
+        r.spliced(Splice {
+            section,
+            revision,
+            edges,
+            start,
+            len,
+        });
+    }
+
+    /// Append `render`'s HTML of `section` to `html` — a pure function of
+    /// the section's source data, reading through a handle that registers
+    /// in a list of the section's own — register that list with `r`, and
+    /// memoise both at `revision`. Returns the entry's edge count.
+    fn render_section(
+        &self,
+        r: &mut Reads<'_>,
+        section: Section,
+        revision: u64,
+        html: &mut String,
+        render: impl FnOnce(&mut Reads<'_>, &mut String),
+    ) -> u64 {
+        let source = section.source();
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
         let mut within = cfg!(debug_assertions).then(Coverage::default);
@@ -630,9 +885,65 @@ impl Renderer {
         entry.revision = revision;
         entry.html.clear();
         entry.html.push_str(&html[start..]);
-        entry.deps.clear();
-        entry.deps.append(&mut own);
+        if entry.deps != own {
+            entry.deps.clear();
+            entry.deps.append(&mut own);
+            entry.edges += 1;
+        }
+        entry.edges
     }
+}
+
+/// An athlete's page: every result, and a link to the team page.
+fn athlete(r: &mut Reads<'_>, a: AthleteId, html: &mut String) -> String {
+    let results = r.results_for_athlete(a);
+    let athlete = r.athlete(a);
+    let name = athlete.map_or("Unknown", |x| x.name.as_str());
+    push_heading(html, name);
+    for row in results {
+        html.push_str("<div>Event <a href=\"");
+        PageKey::Event(row.event).push_url(html);
+        html.push_str("\">");
+        push_decimal(html, row.event.0);
+        html.push_str("</a>: rank ");
+        push_decimal(html, row.rank);
+        html.push_str(" (");
+        push_fixed2(html, row.score);
+        html.push_str(")</div>\n");
+    }
+    if let Some(at) = athlete {
+        push_nav(html, PageKey::Country(at.country), "Team page");
+    }
+    name.to_string()
+}
+
+/// A story's page.
+fn story(r: &mut Reads<'_>, n: NewsId, html: &mut String) -> String {
+    let Some(article) = r.news(n) else {
+        return "Story not found".to_string();
+    };
+    html.push_str("<h2>");
+    html.push_str(&article.title);
+    html.push_str("</h2><article>");
+    html.push_str(&article.body);
+    html.push_str("</article>\n");
+    if let Some(ev) = article.about_event {
+        push_nav(html, PageKey::Event(ev), "Event results");
+    }
+    article.title.clone()
+}
+
+/// The news index of `day`: a link per story.
+fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
+    html.push_str("<h2>News — Day ");
+    push_decimal(html, day);
+    html.push_str("</h2>\n");
+    for article in r.news_on_day(day, 1.0, 0.5) {
+        html.push_str("<div>");
+        push_link(html, PageKey::News(article.id), &article.title);
+        html.push_str("</div>\n");
+    }
+    keyed("News for Day ", day)
 }
 
 /// An entry is refilled under the lock, so a panic in there leaves it
@@ -641,10 +952,11 @@ impl Renderer {
 const MEMO_POISONED: &str = "a render panicked while holding a memo";
 
 /// A build with debug assertions — the one every test suite runs — also
-/// composes each page it keeps by its stamps, and panics unless that comes
-/// to the bytes and the dependency list it kept; and finishes each page it
-/// writes over a parked body afresh, and panics unless the two agree. An
-/// optimised build compiles none of it.
+/// composes each page it keeps by its stamps or patches, under the same
+/// view, and panics unless that comes to the bytes, the dependency list and
+/// the cost it answered with — a page patched back to the held body
+/// included; and finishes each page it writes over a parked body afresh,
+/// and panics unless the two agree. An optimised build compiles none of it.
 const COMPOSE_WHAT_IS_KEPT: bool = cfg!(debug_assertions);
 
 /// Render fragment `f` from `r`: the pure function the memo caches.

@@ -35,6 +35,10 @@ pub struct TxnOutcome {
     /// How many of the others were not composed either: the renderer
     /// answered them from the revision stamps of what they read.
     pub revalidated: usize,
+    /// How many of `regenerated` the renderer patched instead of composing:
+    /// it rewrote, in the body the fleet held, the spliced sections that
+    /// had moved. Changed or not.
+    pub patched: usize,
     /// Pages invalidated.
     pub invalidated: Vec<PageKey>,
     /// Affected pages tolerated as slightly stale (threshold policy).
@@ -126,6 +130,8 @@ struct Regenerated {
     changed: usize,
     /// How many of `keys` the renderer did not compose.
     revalidated: usize,
+    /// How many of `keys` the renderer patched.
+    patched: usize,
 }
 
 /// One demand fill's result: the body now cached on the node that took
@@ -363,6 +369,7 @@ impl TriggerMonitor {
                     regenerated: regen.keys,
                     changed: regen.changed,
                     revalidated: regen.revalidated,
+                    patched: regen.patched,
                     tolerated,
                     visited,
                     latency: modeled_latency(visited, 0, regen.render_ms),
@@ -429,6 +436,7 @@ impl TriggerMonitor {
                     regenerated: regen.keys,
                     changed: regen.changed,
                     revalidated: regen.revalidated,
+                    patched: regen.patched,
                     invalidated,
                     tolerated,
                     deferred,
@@ -465,7 +473,8 @@ impl TriggerMonitor {
     /// comparison ([`CacheFleet::distribute`]). Adds the summed modelled
     /// CPU to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
     /// bytes changed in `nagano_trigger_pages_changed_total`, the keys
-    /// that were not composed in `nagano_trigger_pages_revalidated_total`.
+    /// that were not composed in `nagano_trigger_pages_revalidated_total`
+    /// and the keys patched in `nagano_trigger_pages_patched_total`.
     ///
     /// Sequential by design: a page is probed, rendered, registered and
     /// distributed before the next is probed, so no more than one new body
@@ -498,6 +507,7 @@ impl TriggerMonitor {
             self.register_render(key, &out);
             regen.render_ms += out.cost_ms;
             regen.revalidated += usize::from(out.revalidated);
+            regen.patched += usize::from(out.patched);
             regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
         }
         self.clear_stale_marks(&regen.keys);
@@ -505,6 +515,7 @@ impl TriggerMonitor {
         self.stats.record_pages_changed(regen.changed as u64);
         self.stats
             .record_pages_revalidated(regen.revalidated as u64);
+        self.stats.record_pages_patched(regen.patched as u64);
         regen
     }
 

@@ -19,6 +19,9 @@ pub struct TriggerStats {
     /// Regenerated pages the renderer answered from the revision stamps
     /// of what they read, without composing them: part of the no-op share.
     pages_revalidated: Counter,
+    /// Regenerated pages the renderer patched: the sections that moved
+    /// rewritten in the body held, the page not composed.
+    pages_patched: Counter,
     pages_invalidated: Counter,
     pages_tolerated: Counter,
     nodes_visited: Counter,
@@ -52,6 +55,7 @@ impl Default for TriggerStats {
             pages_regenerated: Counter::new(),
             pages_changed: Counter::new(),
             pages_revalidated: Counter::new(),
+            pages_patched: Counter::new(),
             pages_invalidated: Counter::new(),
             pages_tolerated: Counter::new(),
             nodes_visited: Counter::new(),
@@ -83,6 +87,9 @@ pub struct TriggerStatsSnapshot {
     /// Of the others, the pages that were not even composed: every
     /// revision stamp their last render read under stood where it stood.
     pub pages_revalidated: u64,
+    /// Pages patched rather than composed: only sections they splice had
+    /// moved, and those were rewritten in the body held. Changed or not.
+    pub pages_patched: u64,
     /// Pages invalidated.
     pub pages_invalidated: u64,
     /// Affected pages left in place under a staleness threshold.
@@ -199,6 +206,11 @@ impl TriggerStats {
         self.pages_revalidated.add(pages);
     }
 
+    /// Record regenerated pages that were patched rather than composed.
+    pub fn record_pages_patched(&self, pages: u64) {
+        self.pages_patched.add(pages);
+    }
+
     /// Record pages regenerated outside a transaction record (the
     /// deferred-queue drain path).
     pub fn record_drained_regen(&self, pages: u64) {
@@ -236,6 +248,11 @@ impl TriggerStats {
             "nagano_trigger_pages_revalidated_total",
             labels,
             &self.pages_revalidated,
+        );
+        registry.bind_counter(
+            "nagano_trigger_pages_patched_total",
+            labels,
+            &self.pages_patched,
         );
         registry.bind_counter(
             "nagano_trigger_pages_invalidated_total",
@@ -296,6 +313,7 @@ impl TriggerStats {
             pages_regenerated: self.pages_regenerated.get(),
             pages_changed: self.pages_changed.get(),
             pages_revalidated: self.pages_revalidated.get(),
+            pages_patched: self.pages_patched.get(),
             pages_invalidated: self.pages_invalidated.get(),
             pages_tolerated: self.pages_tolerated.get(),
             nodes_visited: self.nodes_visited.get(),
@@ -375,6 +393,7 @@ mod tests {
         s.record_drained_regen(2);
         s.record_pages_changed(1);
         s.record_pages_revalidated(4);
+        s.record_pages_patched(5);
         s.record_weighted_staleness(30.0);
         s.record_weighted_staleness(90.0);
         let snap = s.snapshot();
@@ -384,6 +403,7 @@ mod tests {
         assert_eq!(snap.pages_regenerated, 2);
         assert_eq!(snap.pages_changed, 1);
         assert_eq!(snap.pages_revalidated, 4);
+        assert_eq!(snap.pages_patched, 5);
         assert_eq!(snap.weighted_staleness_count, 2);
         // The sum is mean * count; the log-bucketed histogram makes it
         // approximate, not exact.
@@ -399,6 +419,7 @@ mod tests {
         assert!(text.contains("nagano_trigger_pages_regenerated_total{site=\"tokyo\"} 2"));
         assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
         assert!(text.contains("nagano_trigger_pages_revalidated_total{site=\"tokyo\"} 4"));
+        assert!(text.contains("nagano_trigger_pages_patched_total{site=\"tokyo\"} 5"));
         assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
     }
 

@@ -25,10 +25,11 @@
 //! (handed back exactly when the page did not change), and onto bodies
 //! that are the page's but for one byte. Rendering onto the body it
 //! returned last is also where the renderer may skip composing the page
-//! altogether (DESIGN.md §14a, "Page freshness"): the tests after the
-//! differential's helpers pin which pages that happens to after a final
-//! and after a mutation that moves one revision source alone, and race it
-//! against commits.
+//! altogether (DESIGN.md §14a, "Page freshness") — keeping the body, or
+//! patching the sections of it that moved: the tests after the
+//! differential's helpers pin which pages that happens to after a final,
+//! a standings move, a result posting, a story and a mutation that moves
+//! one revision source alone, and race it against commits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,7 +42,7 @@ use nagano_db::{
     seed_games, Athlete, AthleteId, Event, EventPhase, GamesConfig, NewsArticle, NewsId, OlympicDb,
     Photo, PhotoId, Transaction,
 };
-use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+use nagano_pagegen::{Dependency, FragmentKey, PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
 use nagano_workload::UpdateSchedule;
@@ -197,11 +198,11 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
 /// nothing stale after any update. Returns (updates, pages regenerated,
-/// pages that came out as other bytes, pages that were not composed, the
-/// fleet digest): the digest is FNV-1a-64 over member 0's entries after
-/// the replay, sorted by url, each as url, body and version (8 bytes,
-/// little-endian).
-fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize, usize, u64) {
+/// pages that came out as other bytes, pages answered from their stamps,
+/// pages patched, the fleet digest): the digest is FNV-1a-64 over member
+/// 0's entries after the replay, sorted by url, each as url, body and
+/// version (8 bytes, little-endian).
+fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let registry = PageRegistry::build(&db, 16);
@@ -210,20 +211,25 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize
         &mut DeterministicRng::seed_from_u64(seed ^ 0x5550_4441_5445),
     );
     let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x0041_5050_4c59);
-    let (mut regenerated, mut changed, mut revalidated) = (0, 0, 0);
+    let (mut regenerated, mut changed, mut revalidated, mut patched) = (0, 0, 0, 0);
     for (i, update) in schedule.updates().iter().enumerate() {
         let txn = UpdateSchedule::apply(update, &db, &mut rng);
         let outcome = monitor.process_txn(&txn);
         regenerated += outcome.regenerated.len();
         changed += outcome.changed;
         revalidated += outcome.revalidated;
+        patched += outcome.patched;
         let at = format!("schedule seed {seed}, update {i} ({:?})", update.kind);
         assert_cache_is_fresh(&monitor, &db, Some(&registry), &at);
     }
     let stats = monitor.stats().snapshot();
     assert_eq!(
-        (stats.pages_changed, stats.pages_revalidated),
-        (changed as u64, revalidated as u64)
+        (
+            stats.pages_changed,
+            stats.pages_revalidated,
+            stats.pages_patched
+        ),
+        (changed as u64, revalidated as u64, patched as u64)
     );
     let mut entries = monitor.fleet().member(0).export_entries();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -235,8 +241,12 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> (usize, usize, usize
             }
         }
     }
-    (schedule.len(), regenerated, changed, revalidated, digest)
+    let len = schedule.len();
+    (len, regenerated, changed, revalidated, patched, digest)
 }
+
+/// What [`check_schedule_replay`] returns.
+type Replay = (usize, usize, usize, usize, usize, u64);
 
 /// Named per-category driver: each transaction of the script is committed
 /// (by the iterator) and then processed; afterwards every cached page
@@ -549,11 +559,55 @@ fn check_renderer_differential(seed: u64, n: usize) {
 }
 
 /// Render `key` onto the body held for it, hold what comes back, and say
-/// whether the renderer composed the page to get there.
-fn composed(warm: &Renderer, held: &mut BTreeMap<PageKey, Bytes>, key: PageKey) -> bool {
+/// whether anything the page was made from had moved: whether the renderer
+/// composed or patched it rather than hand the held body back by its
+/// stamps.
+fn moved(warm: &Renderer, held: &mut BTreeMap<PageKey, Bytes>, key: PageKey) -> bool {
     let out = warm.render_onto(key, held.get(&key));
     held.insert(key, out.body);
     !out.revalidated
+}
+
+/// How [`answered`] found a page answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// By its stamps: the held body.
+    Kept,
+    /// Patched, and the moved sections came out as the bytes they replace:
+    /// the held body.
+    PatchedToHeld,
+    /// Patched into a body of other bytes.
+    Patched,
+    /// Composed.
+    Composed,
+}
+
+/// Render `key` onto the body held for it, hold what comes back — which
+/// must be what a fresh renderer makes of `db` — and say how the renderer
+/// answered.
+fn answered(
+    warm: &Renderer,
+    db: &Arc<OlympicDb>,
+    held: &mut BTreeMap<PageKey, Bytes>,
+    key: PageKey,
+) -> Answer {
+    let out = warm.render_onto(key, held.get(&key));
+    let fresh = Renderer::new(Arc::clone(db)).render(key);
+    assert_eq!(out.body, fresh.body, "{key}: diverges from a fresh render");
+    assert_eq!(
+        out.deps, fresh.deps,
+        "{key}: deps diverge from a fresh render"
+    );
+    let same = held
+        .get(&key)
+        .is_some_and(|h| h.as_ptr() == out.body.as_ptr());
+    held.insert(key, out.body);
+    match (out.revalidated, out.patched, same) {
+        (true, _, _) => Answer::Kept,
+        (false, true, true) => Answer::PatchedToHeld,
+        (false, true, false) => Answer::Patched,
+        (false, false, _) => Answer::Composed,
+    }
 }
 
 /// `warm` and the body it last returned for every page, which it knows to
@@ -575,7 +629,7 @@ fn a_final_is_composed_for_its_podium_countries_only() {
     let mut held = BTreeMap::new();
     let composed_now = |held: &mut BTreeMap<PageKey, Bytes>| -> Vec<bool> {
         let pages = countries.iter().map(|&c| PageKey::Country(c));
-        pages.map(|key| composed(&warm, held, key)).collect()
+        pages.map(|key| moved(&warm, held, key)).collect()
     };
     // Onto nothing, and onto a body the renderer has not been seen to
     // return for the page: composed. From then on, not.
@@ -603,8 +657,9 @@ fn a_final_is_composed_for_its_podium_countries_only() {
 }
 
 /// One mutation per revision source a read can be covered by, each moving
-/// that source alone: the pages that read under it are composed, a page
-/// that does not is not, and every page is what a fresh renderer makes.
+/// that source alone: the pages that read under it are composed or
+/// patched, a page that does not is kept, and every page is what a fresh
+/// renderer makes.
 #[test]
 fn each_revision_source_moved_alone_is_noticed_by_its_readers() {
     let db = fresh_db();
@@ -612,10 +667,13 @@ fn each_revision_source_moved_alone_is_noticed_by_its_readers() {
     let (warm, mut held) = warm_site(&db, &registry);
     let mut check = |at: &str, read_it: &[PageKey], did_not: &[PageKey]| {
         for &key in read_it {
-            assert!(composed(&warm, &mut held, key), "{at}: {key} not composed");
+            assert!(
+                moved(&warm, &mut held, key),
+                "{at}: {key} kept by its stamps"
+            );
         }
         for &key in did_not {
-            assert!(!composed(&warm, &mut held, key), "{at}: {key} composed");
+            assert!(!moved(&warm, &mut held, key), "{at}: {key} not kept");
         }
         assert_warm_equals_fresh(&warm, &db, &registry, &mut held, at);
     };
@@ -699,6 +757,171 @@ fn each_revision_source_moved_alone_is_noticed_by_its_readers() {
         ],
         &[PageKey::Welcome],
     );
+}
+
+/// After a final on day `d`, every other day's home page differs only in
+/// the medal table it splices: the first to splice it finds the table's
+/// memo behind and is composed, which brings the memo up, and each of the
+/// others is patched — the table rewritten in the body it had, the very
+/// dependency list it had handed back.
+#[test]
+fn after_a_final_the_other_days_home_pages_are_patched() {
+    let db = fresh_db();
+    let registry = PageRegistry::build(&db, 16);
+    let (warm, mut held) = warm_site(&db, &registry);
+    let ev = db.events()[0].clone();
+    let others: Vec<PageKey> = (1..=16)
+        .filter(|&day| day != ev.day)
+        .map(PageKey::Home)
+        .collect();
+    let lists: Vec<Arc<[Dependency]>> = others
+        .iter()
+        .map(|key| warm.render_onto(*key, held.get(key)).deps)
+        .collect();
+    db.record_results(ev.id, &final_podium(&db, ev.id), true, ev.day);
+    for (i, (&key, list)) in others.iter().zip(&lists).enumerate() {
+        let out = warm.render_onto(key, held.get(&key));
+        let fresh = Renderer::new(Arc::clone(&db)).render(key).body;
+        assert!(out.body == fresh, "{key}: diverges from a fresh render");
+        assert_ne!(out.body.as_ptr(), held[&key].as_ptr(), "{key} changed");
+        assert_eq!((out.patched, out.revalidated), (i > 0, false), "{key}");
+        assert!(Arc::ptr_eq(&out.deps, list), "{key}: the list it had");
+        held.insert(key, out.body);
+    }
+    let patched = warm.render_onto(others[1], held.get(&others[1]));
+    assert!(patched.revalidated, "a patched body is kept by its stamps");
+    assert_warm_equals_fresh(&warm, &db, &registry, &mut held, "after the final");
+}
+
+/// Fifteen countries with a medal of each colour fill the medal table; a
+/// final whose podium is three other countries moves the standings and
+/// leaves every row of the table as it was. Every page that splices the
+/// table but the final's own day — the other days' home pages, the medals
+/// page, the table's fragment page — is then patched back to the body the
+/// fleet holds: the same allocation, the same version.
+#[test]
+fn a_standings_move_off_the_medal_table_is_patched_back_to_the_held_body() {
+    let db = seeded_db(&GamesConfig::full());
+    // An athlete of each of eighteen countries.
+    let athlete_of = |c| db.athletes_of_country(c).first().map(|a: &Athlete| a.id);
+    let countries = db.countries();
+    let athletes: Vec<AthleteId> = countries
+        .iter()
+        .filter_map(|c| athlete_of(c.id))
+        .take(18)
+        .collect();
+    let (table, off) = athletes.split_at(15);
+    let ev = db.events()[0].clone();
+    let podium = |athletes: [AthleteId; 3]| athletes.map(|a| (a, 1.0));
+    for i in 0..15 {
+        let medallists = [table[i], table[(i + 1) % 15], table[(i + 2) % 15]];
+        db.record_results(ev.id, &podium(medallists), true, ev.day);
+    }
+    let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
+    let fleet = monitor.fleet();
+    let pages: Vec<PageKey> = (1..=16)
+        .filter(|&day| day != ev.day)
+        .map(PageKey::Home)
+        .chain([PageKey::Medals, PageKey::Fragment(FragmentKey::MedalTable)])
+        .collect();
+    let entry = |key: PageKey| fleet.member(0).peek(&key.to_url()).unwrap();
+    let table = || db.medal_standings()[..15].to_vec();
+    let rows = table();
+    let off_table_final = |medallists| db.record_results(ev.id, &podium(medallists), true, ev.day);
+    // The first such final finds the renderer knowing no body the fleet
+    // holds, and composes; the second finds it knowing each page's.
+    let first = monitor.process_txn(&off_table_final([off[0], off[1], off[2]]));
+    assert_eq!(first.patched, 0);
+    let before: Vec<_> = pages.iter().map(|&key| entry(key)).collect();
+    let second = monitor.process_txn(&off_table_final([off[1], off[2], off[0]]));
+    assert_eq!(table(), rows, "the table's rows moved");
+    for (&key, before) in pages.iter().zip(&before) {
+        let after = entry(key);
+        assert_eq!(after.version, before.version, "{key}: version bumped");
+        assert_eq!(
+            after.body.as_ptr(),
+            before.body.as_ptr(),
+            "{key}: another body"
+        );
+    }
+    // All of them but the first to splice the table, which is composed and
+    // brings the table's memo up, were patched back — and two more pages
+    // patched to new bytes: the event's result table and its sport's page,
+    // once the event's day composed the table.
+    assert_eq!(second.patched, pages.len() - 1 + 2, "{second:?}");
+    assert_eq!(
+        monitor.stats().snapshot().pages_patched,
+        second.patched as u64
+    );
+}
+
+/// A posting that adds a row to one event's result table moves that table
+/// alone on its sport's page: once the table's fragment page has brought
+/// its memo up, the sport page is patched, and every section after the
+/// table lies where it lay, shifted by the row. The day's home page is
+/// composed: it is the only page that splices the event's own block, which
+/// the posting moved too.
+#[test]
+fn a_result_table_that_grows_a_row_is_patched_into_its_sport_page() {
+    let db = fresh_db();
+    // A second event of the first event's sport: its table follows the
+    // first's on the sport's page.
+    let ev = db.events()[0].clone();
+    db.load_event(Event {
+        id: nagano_db::EventId(1_000),
+        name: "Second heat".into(),
+        ..ev.clone()
+    });
+    let registry = PageRegistry::build(&db, 16);
+    let (warm, mut held) = warm_site(&db, &registry);
+    let sport = PageKey::Sport(ev.sport);
+    let tables = |body: &[u8]| -> Vec<usize> {
+        let page = std::str::from_utf8(body).unwrap();
+        let at = page.match_indices("<table class=\"results\">");
+        at.map(|(at, _)| at).collect()
+    };
+    let before = tables(&held[&sport]);
+    let athlete = db.athletes_of_sport(ev.sport)[0].id;
+    db.record_results(ev.id, &[(athlete, 9.5)], false, ev.day);
+    let fragment = PageKey::Fragment(FragmentKey::ResultTable(ev.id));
+    let mut answer = |key| answered(&warm, &db, &mut held, key);
+    assert_eq!(answer(fragment), Answer::Composed, "{fragment}");
+    assert_eq!(answer(PageKey::Home(ev.day)), Answer::Composed);
+    assert_eq!(answer(sport), Answer::Patched, "{sport}");
+    let after = tables(&held[&sport]);
+    let grown = after[1] - before[1];
+    assert!(after[0] == before[0] && grown > 0, "{before:?} → {after:?}");
+    let shifted: Vec<usize> = before[1..].iter().map(|at| at + grown).collect();
+    assert_eq!(after[1..], shifted, "every table after the one that grew");
+}
+
+/// A story published on day `d` changes the day's headline strip and the
+/// edges it lists: the home page of that day is composed, though its own
+/// reads stood and the strip's memo was up to date. The same story
+/// re-published under a new title lists the same edges, and the page is
+/// patched.
+#[test]
+fn a_new_story_composes_its_days_home_page_and_a_retitled_one_patches_it() {
+    let db = fresh_db();
+    let registry = PageRegistry::build(&db, 16);
+    let (warm, mut held) = warm_site(&db, &registry);
+    let day = db.events()[0].day;
+    let strip = PageKey::Fragment(FragmentKey::Headlines(day));
+    let mut answer = |key| answered(&warm, &db, &mut held, key);
+    for (title, home) in [
+        ("Stop-press", Answer::Composed),
+        ("Corrected", Answer::Patched),
+    ] {
+        db.publish_news(NewsArticle {
+            id: NewsId(9_000),
+            day,
+            title: title.into(),
+            body: "A story of the day".into(),
+            about_event: None,
+        });
+        assert_eq!(answer(strip), Answer::Composed, "{title}: {strip}");
+        assert_eq!(answer(PageKey::Home(day)), home, "{title}");
+    }
 }
 
 /// Finals land on one thread while another renders the day's home page,
@@ -885,18 +1108,21 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule() {
     // Work counts pinned with the bytes: a dead edge — registered, never
     // read — raises `regenerated` and leaves `changed`; a missing one is a
     // stale page in the replay itself; a read that lost its stamp lowers
-    // `revalidated`, one logged under too coarse a stamp as well. (One
-    // logged under a stamp that does not cover it fails the renderer's
-    // debug-build oracle, which composes every page it keeps.)
+    // `revalidated`, one logged under too coarse a stamp as well; a splice
+    // left unlogged or dated wrong moves `patched`. (One logged under a
+    // stamp that does not cover it fails the renderer's debug-build
+    // oracle, which composes every page it keeps or patches.) `patched`
+    // counts pages patched to new bytes and back to the held body alike:
+    // 1,302 and 96 on the full Games.
     // The fleet digest pins the served bytes and versions themselves: the
     // full replay's is the one DESIGN.md §13a's ledger records.
     assert_eq!(
         check_schedule_replay(&GamesConfig::small(), 7),
-        (78, 918, 656, 252, 0xec1a_9efa_f8f3_16c8)
+        (78, 918, 656, 252, 228, 0xec1a_9efa_f8f3_16c8)
     );
     assert_eq!(
         check_schedule_replay(&GamesConfig::full(), 1998),
-        (304, 13_499, 5_994, 7_326, 0x91ed_1afc_e3e6_9bf7)
+        (304, 13_499, 5_994, 7_326, 1_398, 0x91ed_1afc_e3e6_9bf7)
     );
 }
 

@@ -1,7 +1,9 @@
 //! A regeneration the renderer answers from revision stamps allocates
-//! nothing between the probe and the distribution; one whose bytes change
-//! allocates no body once a body of its page's size is parked to be
-//! written over (DESIGN.md §14a, "One body buffer").
+//! nothing between the probe and the distribution; one it patches
+//! allocates nothing in the renderer once warm (DESIGN.md §14a, "Page
+//! freshness"); one whose bytes change allocates no body once a body of
+//! its page's size is parked to be written over (DESIGN.md §14a, "One
+//! body buffer").
 //!
 //! A binary of its own, because it counts through the global allocator.
 //! The render halves hold of an optimised build only — a build with debug
@@ -210,14 +212,72 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
             large.push(allocated);
         }
     }
-    // The first posting finds the renderer knowing no body of these pages,
-    // so there is nothing to park; from the second on, every page's old
-    // body is parked as it is replaced, and the next page is written over
-    // it — all but the first page of the second posting, which found none
-    // parked yet.
-    let pages = placed.len();
-    assert!(large[..=pages].iter().all(|&n| n >= 1), "{large:?}");
+    // Every page's old body is parked as it is replaced — on a page's
+    // first regeneration the prewarmed body the renderer never returned,
+    // its content unknown — and the next page is written over it: all but
+    // the very first page, which found none parked yet.
+    assert!(large[0] >= 1, "{large:?}");
     if !cfg!(debug_assertions) {
-        assert!(large[pages + 1..].iter().all(|&n| n == 0), "{large:?}");
+        assert!(large[1..].iter().all(|&n| n == 0), "{large:?}");
+    }
+}
+
+#[test]
+fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
+    let db = Arc::new(OlympicDb::new());
+    seed_games(&db, &GamesConfig::small());
+    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let monitor = TriggerMonitor::new(
+        Renderer::new(Arc::clone(&db)),
+        Arc::clone(&fleet),
+        Arc::new(PageRegistry::build(&db, 16)),
+        ConsistencyPolicy::UpdateInPlace,
+    );
+    monitor.prewarm();
+    // A final moves the medal table every home page splices, and the
+    // block of its own event on its day's. Each final below regenerates
+    // the sixteen home pages, in day order, the way
+    // `TriggerMonitor::regenerate` does, with a renderer of the test's
+    // own: per page, its day, whether it was patched and how often the
+    // render allocated.
+    let regenerating = Renderer::new(Arc::clone(&db));
+    let fresh = Renderer::new(Arc::clone(&db));
+    let mut url = String::with_capacity(64);
+    let mut regenerate_home_pages = |event: &nagano_db::Event| -> Vec<(u32, bool, u64)> {
+        db.record_results(event.id, &podium(&db, event.id), true, event.day);
+        let pages = (1..=16).map(|day| {
+            let key = PageKey::Home(day);
+            url.clear();
+            key.push_url(&mut url);
+            let held = fleet.distributed_body(&url).expect("update in place");
+            let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
+            assert!(out.body == fresh.render(key).body, "{key} is stale");
+            monitor.register_render(key, &out);
+            assert!(
+                fleet.distribute(&url, out.body, out.cost_ms),
+                "{key} changed"
+            );
+            (day, out.patched, rendering)
+        });
+        pages.collect()
+    };
+    // The first final finds the renderer knowing no body the fleet holds:
+    // every page is composed. In the next two, so is the first page to
+    // splice the moved table, which brings the table's memo up, and the
+    // page of the final's own day; the other days' pages are patched. The
+    // second final also warms the thread's scratch and parks a home page's
+    // body for the next to be written over; in the third, a patched page
+    // allocates nothing.
+    let events = db.events();
+    let first = regenerate_home_pages(&events[0]);
+    assert!(first.iter().all(|&(_, patched, _)| !patched), "{first:?}");
+    for (i, event) in events[1..3].iter().enumerate() {
+        let pages = regenerate_home_pages(event);
+        for &(day, patched, allocated) in &pages {
+            assert_eq!(patched, day != 1 && day != event.day, "{pages:?}");
+            if i == 1 && patched && !cfg!(debug_assertions) {
+                assert_eq!(allocated, 0, "day {day}: {pages:?}");
+            }
+        }
     }
 }
