@@ -2,14 +2,15 @@
 //! serving throughput, DUP propagation scaling, and the cache memory
 //! footprint.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde_json::json;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_db::{seed_games, OlympicDb};
-use nagano_httpd::{Handler, LoadRunner, Request, Response, Server, ServerConfig};
+use nagano_httpd::{Handler, Request, Response, Server, ServerConfig};
 use nagano_odg::{DupEngine, NodeId};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimDuration, SimTime};
@@ -19,6 +20,7 @@ use rustc_hash::FxHashMap;
 
 use super::{full_report, games_for, report_for_policy};
 use crate::fmt::TextTable;
+use crate::loadgen::{execute, LoadPlan, PlanConfig, RunReport};
 use crate::{ExpConfig, ExpResult};
 
 /// The headline comparison: hit rate under each consistency strategy.
@@ -107,15 +109,35 @@ fn ttl_and_nocache(config: &ExpConfig) -> (f64, f64) {
     (ttl_rate, 0.0) // no-cache: every request generates
 }
 
+/// Closed-loop capacity at `addr`: 8 keep-alive connections, each issuing
+/// its share of about `requests` GETs back to back, the pages drawn
+/// evenly from `paths` by `seed`.
+fn capacity(addr: SocketAddr, paths: &[String], requests: f64, seed: u64) -> RunReport {
+    let pages: Vec<(String, f64)> = paths.iter().map(|p| (p.clone(), 1.0)).collect();
+    let plan = LoadPlan::generate(
+        PlanConfig {
+            seed,
+            connections: 8,
+            rate_rps: requests,
+            duration_secs: 1.0,
+            inm_fraction: 0.0,
+            closed_loop: true,
+        },
+        &pages,
+    );
+    execute(&plan, addr)
+}
+
 /// Serving throughput over real sockets: static pages vs cached dynamic
 /// pages vs uncached dynamic generation.
 pub fn throughput(config: &ExpConfig) -> ExpResult {
-    let duration = if config.quick {
-        Duration::from_millis(400)
+    // Requests per configuration, quick or full: an uncached page burns
+    // its modelled ~150 ms of CPU, so those runs are a few dozen.
+    let (cached_requests, uncached_requests) = if config.quick {
+        (20_000.0, 16.0)
     } else {
-        Duration::from_secs(2)
+        (100_000.0, 80.0)
     };
-    let clients = 8;
     let server_cfg = || ServerConfig {
         workers: 8,
         ..Default::default()
@@ -134,7 +156,7 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
         "/nagano".to_string(),
         "/fun".to_string(),
     ];
-    let static_report = LoadRunner::new(clients, static_paths).run(server.addr(), duration);
+    let static_report = capacity(server.addr(), &static_paths, cached_requests, config.seed);
 
     let events = site.db().events();
     let dynamic_paths: Vec<String> = events
@@ -143,8 +165,7 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
         .map(|e| PageKey::Event(e.id).to_url())
         .chain([PageKey::Medals.to_url(), PageKey::Home(7).to_url()])
         .collect();
-    let cached_report =
-        LoadRunner::new(clients, dynamic_paths.clone()).run(server.addr(), duration);
+    let cached_report = capacity(server.addr(), &dynamic_paths, cached_requests, config.seed);
     server.shutdown();
 
     // Uncached dynamic: regenerate on every request, burning the modelled
@@ -156,11 +177,15 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
             None => Response::not_found(),
         });
     let uncached_server = Server::bind("127.0.0.1:0", uncached_handler, server_cfg()).unwrap();
-    let uncached_report =
-        LoadRunner::new(clients, dynamic_paths).run(uncached_server.addr(), duration);
+    let uncached_report = capacity(
+        uncached_server.addr(),
+        &dynamic_paths,
+        uncached_requests,
+        config.seed,
+    );
     uncached_server.shutdown();
 
-    let mut table = TextTable::new(["configuration", "pages/s", "mean latency (ms)"]);
+    let mut table = TextTable::new(["configuration", "pages/s", "p50 latency (ms)"]);
     for (name, r) in [
         ("static pages", &static_report),
         ("cached dynamic (DUP)", &cached_report),
@@ -168,29 +193,28 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
     ] {
         table.row([
             name.to_string(),
-            format!("{:.0}", r.rps()),
-            format!("{:.2}", r.mean_latency_ms),
+            format!("{:.0}", r.rps),
+            format!("{:.2}", r.p50_ms),
         ]);
     }
-    let ratio_cached = cached_report.rps() / static_report.rps().max(1.0);
-    let speedup = cached_report.rps() / uncached_report.rps().max(0.1);
+    let ratio_cached = cached_report.rps / static_report.rps.max(1.0);
+    let speedup = cached_report.rps / uncached_report.rps.max(0.1);
     let verdict = format!(
         "Paper: cached dynamic pages served 'at roughly the same rates as static pages'; \
          a single server serves several hundred cacheable dynamic pages/s, while uncached \
          dynamic generation is orders of magnitude slower.\n\
          Measured: cached-dynamic/static ratio {ratio_cached:.2}; caching speedup over \
          uncached generation {speedup:.0}x; uncached {:.0} pages/s vs cached {:.0}.",
-        uncached_report.rps(),
-        cached_report.rps()
+        uncached_report.rps, cached_report.rps
     );
     ExpResult {
         id: "throughput",
         title: "Serving throughput: static vs cached-dynamic vs uncached-dynamic (real sockets)",
         rendered: table.render(),
         json: json!({
-            "static_rps": static_report.rps(),
-            "cached_rps": cached_report.rps(),
-            "uncached_rps": uncached_report.rps(),
+            "static_rps": static_report.rps,
+            "cached_rps": cached_report.rps,
+            "uncached_rps": uncached_report.rps,
             "cached_vs_static": ratio_cached,
             "cache_speedup": speedup,
         }),

@@ -459,7 +459,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use nagano_httpd::{Request, Response, Server, ServerConfig};
+    use nagano_httpd::{none_match, Request, Response, Server, ServerConfig};
 
     fn sample_pages() -> Vec<(String, f64)> {
         vec![
@@ -531,11 +531,11 @@ mod tests {
     #[test]
     fn executor_drives_a_live_server() {
         let handler = Arc::new(|req: &Request| {
-            let etag = "\"v7\"".to_string();
-            if req.if_none_match.as_deref() == Some(etag.as_str()) {
-                Response::not_modified(etag)
+            let validator = req.if_none_match.as_deref();
+            if validator.is_some_and(|field| none_match(field, 7)) {
+                Response::not_modified(7)
             } else {
-                Response::html(Bytes::from_static(b"<html>load</html>")).with_etag(etag)
+                Response::page(Bytes::from_static(b"<html>load</html>"), 7)
             }
         });
         let server = Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap();

@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -108,25 +108,6 @@ impl CacheConfig {
     }
 }
 
-/// Opaque preserialised response-head fragments stored alongside a cache
-/// entry: the bytes before and after whatever per-request piece the
-/// serving layer splices in. The cache never interprets them — it only
-/// computes them once per fill (via the installed [`HeadBuilder`]) so
-/// every hit skips header formatting entirely.
-#[derive(Debug, Clone)]
-pub struct PrebuiltHead {
-    /// Head bytes preceding the per-request fragment.
-    pub pre: Bytes,
-    /// Head bytes following it (through the end of the head).
-    pub post: Bytes,
-}
-
-/// Builds the preserialised head for a `(body, version)` pair. Installed
-/// once per cache by the serving layer — the cache stays protocol-
-/// agnostic — and invoked on insert/update/restore, never on the hit
-/// path.
-pub type HeadBuilder = Arc<dyn Fn(&Bytes, u64) -> PrebuiltHead + Send + Sync>;
-
 /// Whether two buffers are one allocation.
 fn same_allocation(a: &Bytes, b: &Bytes) -> bool {
     a.as_ptr() == b.as_ptr() && a.len() == b.len()
@@ -149,9 +130,6 @@ pub struct CachedPage {
     /// the version — the HTTP `ETag` — changes iff the bytes change. A
     /// node-local [`PageCache::put`] is always a new version.
     pub version: u64,
-    /// Preserialised head computed at fill time, when a [`HeadBuilder`]
-    /// is installed. Cloning is two refcount bumps.
-    pub head: Option<PrebuiltHead>,
 }
 
 /// A stale copy served in place of a fresh body.
@@ -216,9 +194,6 @@ struct StaleEntry {
 struct Entry {
     body: Bytes,
     version: u64,
-    /// Preserialised response head, recomputed whenever the body or
-    /// version changes (see [`HeadBuilder`]).
-    head: Option<PrebuiltHead>,
     cost: f64,
     pinned: bool,
     freq: u64,
@@ -238,7 +213,6 @@ impl Entry {
         CachedPage {
             body: self.body.clone(),
             version: self.version,
-            head: self.head.clone(),
         }
     }
 }
@@ -383,8 +357,8 @@ impl Shard {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Put {
     /// By a fleet distribution: a member that holds these bytes already
-    /// keeps its entry as it is — allocation, version, head, cost,
-    /// recency, statistics.
+    /// keeps its entry as it is — allocation, version, cost, recency,
+    /// statistics.
     Distributed,
     /// By a fill of that member alone: always a new version.
     Local,
@@ -400,8 +374,6 @@ struct Member {
     /// Simulations feed it sim time, real deployments wall time — the
     /// cache itself never reads a clock (determinism contract, D001).
     now_us: AtomicU64,
-    /// Optional head preserialiser, installed once by the serving layer.
-    head_builder: OnceLock<HeadBuilder>,
     stats: Arc<CacheStats>,
 }
 
@@ -471,9 +443,7 @@ impl Table {
     /// passed in hands its own on, so a cell that is then written joins
     /// the allocation its neighbours hold. The comparison: cells as a rule
     /// hold one allocation, and the one a cell was just found to differ
-    /// in is not compared again. The head: it is a function of builder,
-    /// body and version, so a cell written at the version its left
-    /// neighbour has, for the same builder, takes that neighbour's.
+    /// in is not compared again.
     pub(crate) fn place(
         &self,
         key: &str,
@@ -505,9 +475,8 @@ impl Table {
         // Only a bounded table evicts, and only there is this filled.
         let mut written: Vec<usize> = Vec::new();
         let mut changed = false;
-        for c in columns.clone() {
-            let (left, cell) = row.cells[..=c].split_at_mut(c);
-            let cell = &mut cell[0];
+        for c in columns {
+            let cell = &mut row.cells[c];
             if let Some(e) = cell.as_ref().filter(|_| how == Put::Distributed) {
                 let differs = replaced
                     .as_ref()
@@ -527,28 +496,10 @@ impl Table {
                 Put::Restored(version) => version,
                 _ => cell.as_ref().map_or(0, |e| e.version) + 1,
             };
-            let neighbour = left
-                .last()
-                .and_then(Option::as_ref)
-                .filter(|_| c > columns.start);
-            let head = member.head_builder.get().map(|builder| {
-                let shared = neighbour.filter(|n| {
-                    n.version == version
-                        && self.members[c - 1]
-                            .head_builder
-                            .get()
-                            .is_some_and(|theirs| Arc::ptr_eq(theirs, builder))
-                });
-                match shared.and_then(|n| n.head.as_ref()) {
-                    Some(head) => head.clone(),
-                    None => builder(&body, version),
-                }
-            });
             match cell {
                 Some(e) => {
                     let old = std::mem::replace(&mut e.body, body.clone());
                     e.version = version;
-                    e.head = head;
                     e.cost = cost;
                     e.stamp = column.tick;
                     e.last_tick = column.tick;
@@ -560,7 +511,6 @@ impl Table {
                     *cell = Some(Entry {
                         body: body.clone(),
                         version,
-                        head,
                         cost,
                         pinned: false,
                         freq: 0,
@@ -701,16 +651,6 @@ impl PageCache {
         let shard = self.table.shard_for(key).lock();
         let entry = shard.rows.get(key)?.cells[self.column].as_ref()?;
         Some(f(entry))
-    }
-
-    /// Install the builder invoked on every insert/update/restore to
-    /// preserialise the entry's response head. Install it before the
-    /// first fill (typically right after construction, before prewarm):
-    /// entries filled earlier stay headless until their next update.
-    /// Returns `false` if a builder was already installed (the first one
-    /// wins).
-    pub fn set_head_builder(&self, builder: HeadBuilder) -> bool {
-        self.member().head_builder.set(builder).is_ok()
     }
 
     /// Advance the cache clock (monotonic micros derived from `secs`).
@@ -1454,7 +1394,6 @@ mod tests {
             Some(CachedPage {
                 body: body("fresh"),
                 version: 1,
-                head: None,
             }),
         );
         // The flight is retired: the next miss leads again.
@@ -1538,52 +1477,6 @@ mod tests {
             c.join_or_lead("/k", Duration::from_millis(1)),
             FlightOutcome::Lead(_)
         ));
-    }
-
-    #[test]
-    fn head_builder_runs_on_fill_not_on_hit() {
-        use std::sync::atomic::AtomicUsize;
-        let c = PageCache::default();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&calls);
-        let installed = c.set_head_builder(Arc::new(move |body: &Bytes, version: u64| {
-            counter.fetch_add(1, Relaxed);
-            PrebuiltHead {
-                pre: Bytes::copy_from_slice(format!("len={}", body.len()).as_bytes()),
-                post: Bytes::copy_from_slice(format!("v={version}").as_bytes()),
-            }
-        }));
-        assert!(installed);
-        // The first builder wins; a second install is refused.
-        assert!(!c.set_head_builder(Arc::new(|_: &Bytes, _| PrebuiltHead {
-            pre: Bytes::new(),
-            post: Bytes::new(),
-        })));
-        c.put("/a", body("12345"), 1.0);
-        assert_eq!(calls.load(Relaxed), 1);
-        for _ in 0..10 {
-            let h = c.get("/a").unwrap().head.unwrap();
-            assert_eq!(&h.pre[..], b"len=5");
-            assert_eq!(&h.post[..], b"v=1");
-        }
-        assert_eq!(calls.load(Relaxed), 1, "hits never rebuild the head");
-        // Update-in-place recomputes for the new body and version.
-        c.put("/a", body("123"), 1.0);
-        let h = c.peek("/a").unwrap().head.unwrap();
-        assert_eq!(&h.pre[..], b"len=3");
-        assert_eq!(&h.post[..], b"v=2");
-        // Restore (peer resync) builds for the copied version.
-        c.restore_entry("/b", body("xy"), 1.0, 9);
-        let h = c.peek("/b").unwrap().head.unwrap();
-        assert_eq!(&h.pre[..], b"len=2");
-        assert_eq!(&h.post[..], b"v=9");
-    }
-
-    #[test]
-    fn without_head_builder_pages_are_headless() {
-        let c = PageCache::default();
-        c.put("/a", body("x"), 1.0);
-        assert!(c.get("/a").unwrap().head.is_none());
     }
 
     #[test]

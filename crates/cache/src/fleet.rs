@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rustc_hash::FxHashMap;
 
-use crate::cache::{CacheConfig, CachedPage, HeadBuilder, PageCache, Put, Table};
+use crate::cache::{CacheConfig, CachedPage, PageCache, Put, Table};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::stats::StatsSnapshot;
 
@@ -63,17 +63,6 @@ impl CacheFleet {
         &self.members[i]
     }
 
-    /// Install `builder` on every member (see
-    /// [`PageCache::set_head_builder`]); returns `false` if any member
-    /// already had one.
-    pub fn set_head_builder(&self, builder: HeadBuilder) -> bool {
-        let mut all = true;
-        for m in &self.members {
-            all &= m.set_head_builder(Arc::clone(&builder));
-        }
-        all
-    }
-
     /// All members.
     pub fn members(&self) -> &[Arc<PageCache>] {
         &self.members
@@ -97,14 +86,13 @@ impl CacheFleet {
     /// member's bytes changed.
     ///
     /// A member that holds `body`'s bytes already keeps its entry as it
-    /// is — allocation, version, head, cost, recency — so a regeneration
-    /// that changed nothing changes no `ETag`. The members' entries lie
-    /// side by side in the page's row, which is found once and walked
-    /// under its shard's lock: a lookup on any member sees the page as it
-    /// was before the distribution or as it is after, on every member
-    /// alike. Members that do take the body share its allocation, and one
-    /// preserialised head as long as their versions of the page agree; one
-    /// whose version runs ahead (it took a local fill) builds its own.
+    /// is — allocation, version, cost, recency — so a regeneration that
+    /// changed nothing changes no `ETag`. The members' entries lie side by
+    /// side in the page's row, which is found once and walked under its
+    /// shard's lock: a lookup on any member sees the page as it was before
+    /// the distribution or as it is after, on every member alike. Members
+    /// that do take the body share its allocation, each at its own next
+    /// version: one that took a local fill stays a version ahead.
     pub fn distribute(&self, key: &str, body: Bytes, cost: f64) -> bool {
         let all = 0..self.members.len();
         self.table.place(key, body, cost, all, Put::Distributed).0
@@ -241,66 +229,17 @@ mod tests {
         assert_eq!(got.as_ptr(), b.as_ptr());
     }
 
-    /// A fleet whose heads spell out what they were built for, and a count
-    /// of how many were built.
-    fn fleet_with_counted_heads(n: usize) -> (CacheFleet, Arc<std::sync::atomic::AtomicUsize>) {
-        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-        let fleet = CacheFleet::new(n, CacheConfig::default());
-        let built = Arc::new(AtomicUsize::new(0));
-        let count = Arc::clone(&built);
-        assert!(
-            fleet.set_head_builder(Arc::new(move |b: &Bytes, version: u64| {
-                count.fetch_add(1, SeqCst);
-                crate::PrebuiltHead {
-                    pre: Bytes::from(format!("len={}", b.len())),
-                    post: Bytes::from(format!("v{version}")),
-                }
-            }))
-        );
-        (fleet, built)
-    }
-
-    fn assert_heads_fit_their_entries(fleet: &CacheFleet, key: &str) {
-        for (i, m) in fleet.members().iter().enumerate() {
-            let page = m.peek(key).unwrap();
-            let head = page.head.expect("builder installed");
-            assert_eq!(head.pre, *format!("len={}", page.body.len()), "member {i}");
-            assert_eq!(head.post, *format!("v{}", page.version), "member {i}");
-        }
-    }
-
-    #[test]
-    fn distribute_builds_one_head_while_versions_agree() {
-        use std::sync::atomic::Ordering::SeqCst;
-        let (fleet, built) = fleet_with_counted_heads(8);
-        for (round, text) in ["first", "second, longer"].into_iter().enumerate() {
-            fleet.distribute("/medals", body(text), 1.0);
-            assert_eq!(built.load(SeqCst), round + 1);
-            assert_heads_fit_their_entries(&fleet, "/medals");
-        }
-        // The members hold views of one head, as they do of one body.
-        let heads: Vec<_> = (0..8)
-            .map(|i| fleet.member(i).peek("/medals").unwrap().head.unwrap())
-            .collect();
-        assert!(heads
-            .iter()
-            .all(|h| h.pre.as_ptr() == heads[0].pre.as_ptr()));
-    }
-
     #[test]
     fn a_distribution_that_changes_nothing_keeps_every_entry() {
-        use std::sync::atomic::Ordering::SeqCst;
-        let (fleet, built) = fleet_with_counted_heads(8);
+        let fleet = CacheFleet::new(8, CacheConfig::default());
         let first = body("standings");
         assert!(fleet.distribute("/medals", first.clone(), 1.0));
-        let heads = built.load(SeqCst);
         let updates = fleet.aggregate_stats().updates;
         // The same bytes in a new allocation, then in the held one.
         let held = fleet.distributed_body("/medals").unwrap();
         for again in [body("standings"), held] {
             assert!(!fleet.distribute("/medals", again, 9.0));
         }
-        assert_eq!(built.load(SeqCst), heads);
         assert_eq!(fleet.aggregate_stats().updates, updates);
         for m in fleet.members() {
             let page = m.peek("/medals").unwrap();
@@ -318,40 +257,6 @@ mod tests {
         assert_eq!(versions, [1, 1, 1, 1, 1, 3, 1, 1]);
         let page = fleet.member(5).peek("/medals").unwrap();
         assert_eq!(page.body.as_ptr(), first.as_ptr());
-        assert_heads_fit_their_entries(&fleet, "/medals");
-    }
-
-    #[test]
-    fn a_member_whose_version_differs_gets_its_own_head() {
-        use std::sync::atomic::Ordering::SeqCst;
-        let (fleet, built) = fleet_with_counted_heads(4);
-        fleet.distribute("/medals", body("v1 everywhere"), 1.0);
-        // A demand fill on member 2 alone: its entry runs one ahead.
-        fleet.put_local(2, "/medals", body("local fill"), 1.0);
-        let before = built.load(SeqCst);
-        fleet.distribute("/medals", body("distributed again"), 1.0);
-        let versions: Vec<u64> = (0..4)
-            .map(|i| fleet.member(i).peek("/medals").unwrap().version)
-            .collect();
-        assert_eq!(versions, [2, 2, 3, 2]);
-        assert_heads_fit_their_entries(&fleet, "/medals");
-        // One for members 0 and 1, one for member 2, one for member 3.
-        assert_eq!(built.load(SeqCst) - before, 3);
-        // A member that builds heads differently shares none.
-        let odd = CacheFleet::new(2, CacheConfig::default());
-        odd.member(0)
-            .set_head_builder(Arc::new(|_: &Bytes, _| crate::PrebuiltHead {
-                pre: body("zero"),
-                post: body("zero"),
-            }));
-        odd.member(1)
-            .set_head_builder(Arc::new(|_: &Bytes, _| crate::PrebuiltHead {
-                pre: body("one"),
-                post: body("one"),
-            }));
-        odd.distribute("/x", body("page"), 1.0);
-        assert_eq!(odd.member(0).peek("/x").unwrap().head.unwrap().pre, "zero");
-        assert_eq!(odd.member(1).peek("/x").unwrap().head.unwrap().pre, "one");
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub mod policy;
 pub mod stats;
 
 pub use cache::{
-    CacheConfig, CachedPage, FlightOutcome, FlightToken, HeadBuilder, PageCache, PrebuiltHead,
-    StaleCopy, StalePolicy,
+    CacheConfig, CachedPage, FlightOutcome, FlightToken, PageCache, StaleCopy, StalePolicy,
 };
 pub use fleet::CacheFleet;
 pub use hotness::HotnessTracker;

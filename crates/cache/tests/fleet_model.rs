@@ -7,8 +7,8 @@
 //! byte-equal and pointer-equal bodies), local fills, lookups,
 //! invalidations, crashes, restores, resyncs and evictions, every member
 //! must hold what a map applying "bytes differ ⇒ version + 1, else
-//! untouched" holds — body, version, and a head built for both — whether it
-//! is a standalone `PageCache`, the only member of a fleet or one of eight.
+//! untouched" holds — body and version — whether it is a standalone
+//! `PageCache`, the only member of a fleet or one of eight.
 //! And the table holds a row for exactly the pages some member holds.
 //!
 //! The last test races lookups, a local writer and two distributors on
@@ -22,7 +22,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use nagano_cache::{CacheConfig, CacheFleet, PageCache, PrebuiltHead, ReplacementPolicy};
+use nagano_cache::{CacheConfig, CacheFleet, PageCache, ReplacementPolicy};
 
 /// Members the operations name; a smaller subject takes them modulo its
 /// size.
@@ -103,13 +103,6 @@ fn naive_put(member: &mut Naive, key: &str, body: &[u8], keep_equal: bool) -> bo
     }
 }
 
-fn telling_head(body: &Bytes, version: u64) -> PrebuiltHead {
-    PrebuiltHead {
-        pre: Bytes::from(format!("len={}", body.len())),
-        post: Bytes::from(format!("v{version}")),
-    }
-}
-
 /// What the operations are driven through: a fleet, or a cache built on
 /// its own, which is a fleet of one without the fleet's calls.
 enum Subject {
@@ -120,16 +113,8 @@ enum Subject {
 impl Subject {
     fn new(config: CacheConfig, members: Option<usize>) -> Self {
         match members {
-            Some(n) => {
-                let fleet = CacheFleet::new(n, config);
-                assert!(fleet.set_head_builder(Arc::new(telling_head)));
-                Subject::Fleet(fleet)
-            }
-            None => {
-                let cache = PageCache::new(config);
-                assert!(cache.set_head_builder(Arc::new(telling_head)));
-                Subject::Standalone(Arc::new(cache))
-            }
+            Some(n) => Subject::Fleet(CacheFleet::new(n, config)),
+            None => Subject::Standalone(Arc::new(PageCache::new(config))),
         }
     }
 
@@ -262,15 +247,6 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
             prop_assert_eq!(real.len(), naive.len(), "step {}: member {}", step, m);
             let bytes: usize = naive.values().map(|(body, _)| body.len()).sum();
             prop_assert_eq!(real.bytes(), bytes as u64, "step {}: member {}", step, m);
-            for (key, (body, version)) in &held {
-                let head = real.peek(key).and_then(|page| page.head);
-                let head = head.map(|h| (h.pre.to_vec(), h.post.to_vec()));
-                let fits = (
-                    format!("len={}", body.len()).into_bytes(),
-                    format!("v{version}").into_bytes(),
-                );
-                prop_assert_eq!(head, Some(fits), "step {}: member {}: {}", step, m, key);
-            }
         }
         // No row outlives its last cell: the table has a row for every
         // page some member holds, and for no other.
@@ -325,7 +301,6 @@ fn lookups_local_writes_and_distributions_of_one_key_race() {
     let (done, watchdog) = mpsc::channel();
     let race = std::thread::spawn(move || {
         let fleet = CacheFleet::new(MEMBERS, CacheConfig::default());
-        assert!(fleet.set_head_builder(Arc::new(telling_head)));
         let distributed = |who: usize, round: usize| format!("distributor {who} round {round:06}");
         fleet.distribute(KEY, Bytes::from(distributed(0, 0)), 1.0);
         let start = Barrier::new(5);
@@ -366,9 +341,6 @@ fn lookups_local_writes_and_distributions_of_one_key_race() {
                             "member {m} read {:?}",
                             page.body
                         );
-                        let head = page.head.expect("builder installed");
-                        assert_eq!(head.pre, *format!("len={}", page.body.len()));
-                        assert_eq!(head.post, *format!("v{}", page.version));
                         if let Some((version, body)) = &last {
                             assert!(page.version >= *version, "member {m}: version fell");
                             if page.version == *version {

@@ -13,7 +13,7 @@ use nagano_cache::{
     CacheConfig, CacheFleet, FlightOutcome, FlightToken, PageCache, StaleCopy, StatsSnapshot,
 };
 use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
-use nagano_httpd::{Handler, Request, Response, RetryAfterHint, Server, ServerConfig};
+use nagano_httpd::{none_match, Handler, Request, Response, RetryAfterHint, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot};
@@ -23,72 +23,10 @@ use crate::serve::{self, Decision, Observation, Render};
 
 thread_local! {
     /// Per-worker URL-formatting buffer for the request hot path:
-    /// [`ServingSite::respond`] renders the cache key into this instead
-    /// of allocating a `String` per request.
+    /// [`ServingSite::handle`] and [`ServingSite::respond`] render the
+    /// cache key into this instead of allocating a `String` per request.
     static URL_SCRATCH: std::cell::RefCell<String> =
         std::cell::RefCell::new(String::with_capacity(32));
-}
-
-/// Whether an `If-None-Match` field value matches the entity tag of cache
-/// version `version`, `"v<version>"` (RFC 9110 §13.1.2): `*`, or a
-/// comma-separated list of entity tags one of which has that opaque tag,
-/// weak (`W/"v7"`) or strong — the weak comparison. A value that is
-/// neither matches nothing, so the request is answered in full.
-fn none_match(field: &str, version: u64) -> bool {
-    let field = field.trim_matches(OWS);
-    if field == "*" {
-        return true;
-    }
-    let mut found = false;
-    let mut rest = field;
-    while !rest.is_empty() {
-        // A list may hold empty elements (RFC 9110 §5.6.1).
-        rest = rest.trim_start_matches([',', ' ', '\t']);
-        if rest.is_empty() {
-            break;
-        }
-        let tag = rest.strip_prefix("W/").unwrap_or(rest);
-        let Some((opaque, after)) = tag.strip_prefix('"').and_then(|tag| tag.split_once('"'))
-        else {
-            return false;
-        };
-        // `etagc`: visible characters but the quote, and obs-text.
-        if !opaque
-            .bytes()
-            .all(|b| b == b'!' || (b >= b'#' && b != 0x7f))
-        {
-            return false;
-        }
-        found |= names_version(opaque, version);
-        rest = after.trim_start_matches(OWS);
-        if !rest.is_empty() && !rest.starts_with(',') {
-            return false;
-        }
-    }
-    found
-}
-
-/// Optional whitespace around list elements.
-const OWS: [char; 2] = [' ', '\t'];
-
-/// Whether `opaque`, an entity tag between its quotes, is the one cache
-/// version `version` is served with: `v` and the version in decimal,
-/// character for character.
-fn names_version(opaque: &str, version: u64) -> bool {
-    let Some(digits) = opaque.strip_prefix('v') else {
-        return false;
-    };
-    let mut spelled = [0u8; 20];
-    let (mut at, mut n) = (spelled.len(), version);
-    loop {
-        at -= 1;
-        spelled[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    digits.as_bytes() == &spelled[at..]
 }
 
 /// Configuration for a serving site.
@@ -154,7 +92,9 @@ pub struct ServedPage {
     pub cost_ms: f64,
     /// Cache version of the entry: 1 on first insert, bumped by every
     /// in-place update that changes the bytes — a regeneration that
-    /// reproduces them keeps it. Doubles as the HTTP entity tag.
+    /// reproduces them keeps it. Doubles as the HTTP entity tag, so a
+    /// client holding it is answered `304` for as long as the page reads
+    /// the same, however often DUP had the page re-derived in between.
     pub version: u64,
     /// Whether the body is a tombstoned stale copy served because fresh
     /// regeneration was unavailable within budget (serve-stale-on-error).
@@ -162,14 +102,6 @@ pub struct ServedPage {
 }
 
 impl ServedPage {
-    /// The entity tag for this representation. On an update-in-place site
-    /// it changes iff the page's bytes change: a client holding it is
-    /// answered `304` for as long as the page reads the same, however
-    /// often DUP had the page re-derived in between.
-    pub fn etag(&self) -> String {
-        format!("\"v{}\"", self.version)
-    }
-
     /// A page answered from what a cache holds, as a miss.
     fn cached(body: Bytes, version: u64, stale: bool) -> Self {
         ServedPage {
@@ -243,12 +175,6 @@ impl ServingSite {
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
         let fleet = Arc::new(CacheFleet::new(config.fleet_size, config.cache.clone()));
-        // Installed before the prewarm below so every prefetched page
-        // carries a ready-to-send head from its first fill.
-        fleet.set_head_builder(Arc::new(|body: &Bytes, version: u64| {
-            let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
-            nagano_cache::PrebuiltHead { pre, post }
-        }));
         let mut renderer = Renderer::new(Arc::clone(&db));
         if let Some(scale) = config.cpu_scale {
             renderer = renderer.with_simulated_cpu(scale);
@@ -314,23 +240,32 @@ impl ServingSite {
     /// (`stale: true`; [`crate::serve`] has the table). Returns `None` for
     /// paths that are not part of the site.
     pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
-        let key = PageKey::parse(path)?;
-        let url = key.to_url();
-        let now = self.ticks.fetch_add(1, Relaxed) as f64;
-        if let Some(page) = self.fleet.get_from(node, &url) {
-            let served = ServedPage::cached(page.body, page.version, false);
-            return Some(ServedPage {
-                cache_hit: true,
-                ..served
-            });
-        }
-        Some(self.handle_miss(node, key, &url, now))
+        Some(self.serve(node, PageKey::parse(path)?))
     }
 
-    /// The slow path shared by [`ServingSite::handle`] and
-    /// [`ServingSite::respond`]: observe the key's flight, freshness,
-    /// tombstone and breaker, and do what [`serve::decide`] says (DESIGN.md
-    /// §11a). `now` is the request tick observed before the cache lookup.
+    /// The one lookup behind [`ServingSite::handle`] and
+    /// [`ServingSite::respond`]: take a request tick, look `key` up on
+    /// `node`, and answer a miss as [`ServingSite::handle_miss`] does.
+    fn serve(&self, node: usize, key: PageKey) -> ServedPage {
+        URL_SCRATCH.with(|cell| {
+            let mut url = cell.borrow_mut();
+            url.clear();
+            key.push_url(&mut url);
+            let now = self.ticks.fetch_add(1, Relaxed) as f64;
+            match self.fleet.get_from(node, &url) {
+                Some(page) => ServedPage {
+                    cache_hit: true,
+                    ..ServedPage::cached(page.body, page.version, false)
+                },
+                None => self.handle_miss(node, key, &url, now),
+            }
+        })
+    }
+
+    /// The slow path of [`ServingSite::serve`]: observe the key's flight,
+    /// freshness, tombstone and breaker, and do what [`serve::decide`] says
+    /// (DESIGN.md §11a). `now` is the request tick observed before the
+    /// cache lookup.
     fn handle_miss(&self, node: usize, key: PageKey, url: &str, now: f64) -> ServedPage {
         let member = self.fleet.member(node);
         let budget_secs = self.request_budget_secs;
@@ -411,49 +346,25 @@ impl ServingSite {
         }
     }
 
-    /// Serve one parsed HTTP request from serving node `node` — the
-    /// zero-copy hot path behind [`ServingSite::http_handler`]. A cache
-    /// hit whose entry carries a preserialised head becomes a prebuilt
-    /// [`Response`]: no header formatting, no ETag `String`, and the body
-    /// is a refcount bump of the cached buffer. A matching
-    /// `If-None-Match` validator is answered 304 straight from the
-    /// entry's version without ever touching the render pool. Misses and
-    /// headless entries fall through to the [`ServingSite::handle`]
-    /// machinery (single-flight, breaker, serve-stale).
+    /// Serve one parsed HTTP request from serving node `node` — the path
+    /// behind [`ServingSite::http_handler`]: the page as
+    /// [`ServingSite::handle`] serves it, its body a refcount bump of the
+    /// cached buffer, answered `304` when the `If-None-Match` validator
+    /// names its version (so revalidating a hit never touches the render
+    /// pool) and `200` with that version as the entity tag otherwise.
     pub fn respond(&self, node: usize, req: &Request) -> Response {
         let Some(key) = PageKey::parse(&req.path) else {
             return Response::not_found();
         };
-        URL_SCRATCH.with(|cell| {
-            let mut url = cell.borrow_mut();
-            url.clear();
-            key.push_url(&mut url);
-            let now = self.ticks.fetch_add(1, Relaxed) as f64;
-            if let Some(page) = self.fleet.get_from(node, &url) {
-                // Revalidation is version arithmetic on the hit — the
-                // render pool is never consulted for a 304.
-                if let Some(inm) = req.if_none_match.as_deref() {
-                    if none_match(inm, page.version) {
-                        return Response::not_modified(format!("\"v{}\"", page.version));
-                    }
-                }
-                return match page.head {
-                    Some(head) => Response::prebuilt(head.pre, head.post, page.body),
-                    None => {
-                        let etag = format!("\"v{}\"", page.version);
-                        Response::html(page.body).with_etag(etag)
-                    }
-                };
-            }
-            let page = self.handle_miss(node, key, &url, now);
-            let etag = page.etag();
-            let inm = req.if_none_match.as_deref();
-            if inm.is_some_and(|inm| none_match(inm, page.version)) {
-                Response::not_modified(etag)
-            } else {
-                Response::html(page.body).with_etag(etag)
-            }
-        })
+        let page = self.serve(node, key);
+        let validator = req.if_none_match.as_deref();
+        let mut response = if validator.is_some_and(|field| none_match(field, page.version)) {
+            Response::not_modified(page.version)
+        } else {
+            Response::page(page.body, page.version)
+        };
+        response.stale = page.stale;
+        response
     }
 
     /// Run `f` against the backend circuit breaker (status inspection,
@@ -793,9 +704,9 @@ mod tests {
         let winner = podium[0].country;
         let bystander = countries.iter().map(|c| c.id).find(|&c| !on_podium(c));
         let bystander = bystander.expect("a country off the podium");
-        let tags = |path: &str| -> Vec<String> {
+        let tags = |path: &str| -> Vec<u64> {
             (0..s.fleet().len())
-                .map(|node| s.handle(node, path).unwrap().etag())
+                .map(|node| s.handle(node, path).unwrap().version)
                 .collect()
         };
         let paths = [
@@ -832,8 +743,9 @@ mod tests {
         )));
         for (path, before) in paths.iter().zip(&before) {
             let moved = *path != paths[0];
-            for (node, tag) in before.iter().enumerate() {
-                let resp = s.respond(node, &get_request(path, Some(tag)));
+            for (node, version) in before.iter().enumerate() {
+                let tag = format!("\"v{version}\"");
+                let resp = s.respond(node, &get_request(path, Some(&tag)));
                 let expected = if moved {
                     nagano_httpd::Status::Ok
                 } else {
@@ -855,32 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn respond_prebuilt_hit_serves_identical_bytes_to_formatted_path() {
-        let s = site();
-        for path in ["/medals", "/day/3/", "/welcome"] {
-            let hit = s.respond(0, &get_request(path, None));
-            assert!(hit.prebuilt.is_some(), "{path}: hit without a head");
-            // The reference: the same entry's body and version, every
-            // header formatted by the oracle writer.
-            let cached = s.fleet().member(0).peek(path).unwrap();
-            let formatted =
-                Response::html(cached.body).with_etag(format!("\"v{}\"", cached.version));
-            for keep_alive in [true, false] {
-                let mut fast_bytes = Vec::new();
-                let mut slow_bytes = Vec::new();
-                hit.write_to(&mut fast_bytes, keep_alive).unwrap();
-                formatted
-                    .write_to_legacy(&mut slow_bytes, keep_alive)
-                    .unwrap();
-                assert_eq!(
-                    fast_bytes, slow_bytes,
-                    "{path} keep_alive={keep_alive}: wire bytes diverge"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn respond_304_never_touches_the_render_pool() {
         let s = site();
         let before = s.metrics().trigger;
@@ -896,40 +782,6 @@ mod tests {
         let after = s.metrics().trigger;
         assert_eq!(before.pages_regenerated, after.pages_regenerated);
         assert_eq!(before.regen_cpu_ms, after.regen_cpu_ms);
-    }
-
-    #[test]
-    fn if_none_match_is_matched_as_rfc_9110_says() {
-        for (field, matches) in [
-            ("\"v7\"", true),
-            ("W/\"v7\"", true),
-            ("\"v6\", \"v7\"", true),
-            ("\"v6\",W/\"v7\"", true),
-            ("\t\"v7\" ", true),
-            ("\"v6\",, \"v7\",", true),
-            ("\"a,b\", \"v7\"", true),
-            ("*", true),
-            ("\"v6\"", false),
-            ("\"v70\"", false),
-            ("\"v07\"", false),
-            ("\"v+7\"", false),
-            ("\"V7\"", false),
-            ("w/\"v7\"", false),
-            // Malformed: matches nothing, so the page is served in full.
-            ("", false),
-            (",", false),
-            ("v7", false),
-            ("\"v7", false),
-            ("W/v7", false),
-            ("\"v7\"x", false),
-            ("\"v6\" \"v7\"", false),
-            ("*, \"v7\"", false),
-            ("\"v 6\", \"v7\"", false),
-        ] {
-            assert_eq!(none_match(field, 7), matches, "{field:?}");
-        }
-        assert!(none_match("\"v0\"", 0));
-        assert!(none_match(&format!("W/\"v{}\"", u64::MAX), u64::MAX));
     }
 
     #[test]
@@ -959,7 +811,7 @@ mod tests {
         let s = site();
         // A demand fill on node 1 alone: its entry now runs one version
         // ahead of node 0's, and stays ahead through every distribution,
-        // which builds one head and shares it where the versions agree.
+        // which shares one body between them.
         s.monitor().demand_fill(1, PageKey::Medals);
         let ev = s.db().events()[0].clone();
         let a = s.db().athletes_of_sport(ev.sport)[0].clone();
@@ -968,7 +820,6 @@ mod tests {
         for (node, etag, other) in [(0, "\"v2\"", "\"v3\""), (1, "\"v3\"", "\"v2\"")] {
             let cached = s.fleet().member(node).peek("/medals").unwrap();
             let resp = s.respond(node, &get_request("/medals", None));
-            assert!(resp.prebuilt.is_some(), "node {node}: hit with a head");
             let mut wire = Vec::new();
             resp.write_to(&mut wire, true).unwrap();
             let split = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;

@@ -266,62 +266,44 @@ pub struct Response {
     pub content_type: &'static str,
     /// Body bytes.
     pub body: Bytes,
-    /// Entity tag, if the resource has a validator (cached pages use
-    /// their cache version).
-    pub etag: Option<String>,
+    /// Cache version of the page the response carries, if it has one: the
+    /// entity tag, `ETag: "v<version>"` on the wire.
+    pub version: Option<u64>,
     /// `Retry-After` header in seconds (load-shedding 503s tell the
     /// client when to come back).
     pub retry_after: Option<u32>,
-    /// Preserialised head fragments for the cache-hit fast path: the
-    /// bytes before and after the per-request `Connection:` header. When
-    /// set, serialisation copies these instead of formatting `status` /
-    /// `content_type` / `etag` (which are kept populated only as far as
-    /// the observer/logging path needs them).
-    pub prebuilt: Option<(Bytes, Bytes)>,
+    /// Whether the page answered with is a tombstoned stale copy
+    /// (serve-stale-on-error). Not on the wire: for the access log.
+    pub stale: bool,
 }
 
 impl Response {
-    /// 200 text/html response.
+    /// 200 text/html response without an entity tag.
     pub fn html(body: Bytes) -> Self {
         Response {
             status: Status::Ok,
             content_type: "text/html; charset=utf-8",
             body,
-            etag: None,
+            version: None,
             retry_after: None,
-            prebuilt: None,
+            stale: false,
         }
     }
 
-    /// 200 text/html response for a cached page with preserialised head
-    /// fragments from [`prebuilt_html_head`]: the serving hot path writes
-    /// `pre + Connection + post + body` without re-formatting any header.
-    pub fn prebuilt(pre: Bytes, post: Bytes, body: Bytes) -> Self {
+    /// 200 text/html response for a page at cache version `version`.
+    pub fn page(body: Bytes, version: u64) -> Self {
         Response {
-            status: Status::Ok,
-            content_type: "text/html; charset=utf-8",
-            body,
-            etag: None,
-            retry_after: None,
-            prebuilt: Some((pre, post)),
+            version: Some(version),
+            ..Response::html(body)
         }
     }
 
-    /// Attach an entity tag.
-    pub fn with_etag(mut self, etag: impl Into<String>) -> Self {
-        self.etag = Some(etag.into());
-        self
-    }
-
-    /// 304 response reusing the validator.
-    pub fn not_modified(etag: impl Into<String>) -> Self {
+    /// 304 response: the client's copy, at cache version `version`, is
+    /// current.
+    pub fn not_modified(version: u64) -> Self {
         Response {
             status: Status::NotModified,
-            content_type: "text/html; charset=utf-8",
-            body: Bytes::new(),
-            etag: Some(etag.into()),
-            retry_after: None,
-            prebuilt: None,
+            ..Response::page(Bytes::new(), version)
         }
     }
 
@@ -331,9 +313,9 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             body: Bytes::copy_from_slice(body.as_bytes()),
-            etag: None,
+            version: None,
             retry_after: None,
-            prebuilt: None,
+            stale: false,
         }
     }
 
@@ -352,29 +334,26 @@ impl Response {
     }
 
     /// Serialise the status line and every header (through the blank
-    /// line) into `out`, which is cleared first. Byte-for-byte identical
-    /// to the historical multi-`write!` serialisation, pinned by the
-    /// `head_serialisation_matches_legacy_bytes` test.
+    /// line) into `out`, which is cleared first: the one encoder of every
+    /// response, hit or miss. The bytes are pinned as literals by the
+    /// `every_response_shape_is_these_bytes_on_the_wire` test.
     pub fn serialize_head(&self, keep_alive: bool, out: &mut Vec<u8>) {
         out.clear();
-        if let Some((pre, post)) = &self.prebuilt {
-            out.extend_from_slice(pre);
-            out.extend_from_slice(connection_line(keep_alive));
-            out.extend_from_slice(post);
-            return;
-        }
         out.extend_from_slice(self.status.line().as_bytes());
         out.extend_from_slice(b"Content-Type: ");
         out.extend_from_slice(self.content_type.as_bytes());
         out.extend_from_slice(b"\r\nContent-Length: ");
         push_u64(out, self.body.len() as u64);
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(connection_line(keep_alive));
+        out.extend_from_slice(if keep_alive {
+            b"\r\nConnection: keep-alive\r\n"
+        } else {
+            b"\r\nConnection: close\r\n"
+        });
         out.extend_from_slice(b"Server: nagano/0.1\r\n");
-        if let Some(etag) = &self.etag {
-            out.extend_from_slice(b"ETag: ");
-            out.extend_from_slice(etag.as_bytes());
-            out.extend_from_slice(b"\r\n");
+        if let Some(version) = self.version {
+            out.extend_from_slice(b"ETag: \"v");
+            push_u64(out, version);
+            out.extend_from_slice(b"\"\r\n");
         }
         if let Some(secs) = self.retry_after {
             out.extend_from_slice(b"Retry-After: ");
@@ -405,71 +384,60 @@ impl Response {
         write_all_vectored(w, scratch, &self.body)?;
         w.flush()
     }
+}
 
-    /// The test oracle for response bytes, selected by nothing: the
-    /// historical serialisation, one formatted `write!` per header group
-    /// plus a separate body `write_all`, kept verbatim so the
-    /// byte-equivalence tests compare [`Response::write_to`] and the
-    /// prebuilt heads against an independent formatting of the same
-    /// response. A response that carries a prebuilt head has no fields to
-    /// format from and goes through the buffered path.
-    pub fn write_to_legacy<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        if self.prebuilt.is_some() {
-            return self.write_to(w, keep_alive);
-        }
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\nServer: nagano/0.1\r\n",
-            self.status.code(),
-            self.status.reason(),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
-        if let Some(etag) = &self.etag {
-            write!(w, "ETag: {etag}\r\n")?;
-        }
-        if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
-        }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
-        w.flush()
+/// Whether an `If-None-Match` field value matches the entity tag of cache
+/// version `version`, `"v<version>"` (RFC 9110 §13.1.2): `*`, or a
+/// comma-separated list of entity tags one of which has that opaque tag,
+/// weak (`W/"v7"`) or strong — the weak comparison. A value that is
+/// neither matches nothing, so the request is answered in full.
+pub fn none_match(field: &str, version: u64) -> bool {
+    let field = field.trim_matches(OWS);
+    if field == "*" {
+        return true;
     }
-}
-
-/// Build the preserialised head fragments for a cached 200 text/html page
-/// of `body_len` bytes at cache version `version`: everything before the
-/// per-request `Connection:` header and everything after it (`Server`,
-/// `ETag: "v<version>"`, blank line). Computed once per cache fill and
-/// amortised over every hit.
-pub fn prebuilt_html_head(body_len: usize, version: u64) -> (Bytes, Bytes) {
-    // One buffer, two views of it.
-    let mut head = Vec::with_capacity(144);
-    head.extend_from_slice(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: ",
-    );
-    push_u64(&mut head, body_len as u64);
-    head.extend_from_slice(b"\r\n");
-    let split = head.len();
-    head.extend_from_slice(b"Server: nagano/0.1\r\nETag: \"v");
-    push_u64(&mut head, version);
-    head.extend_from_slice(b"\"\r\n\r\n");
-    let head = Bytes::from(head);
-    (head.slice(..split), head.slice(split..))
-}
-
-fn connection_line(keep_alive: bool) -> &'static [u8] {
-    if keep_alive {
-        b"Connection: keep-alive\r\n"
-    } else {
-        b"Connection: close\r\n"
+    let mut found = false;
+    let mut rest = field;
+    while !rest.is_empty() {
+        // A list may hold empty elements (RFC 9110 §5.6.1).
+        rest = rest.trim_start_matches([',', ' ', '\t']);
+        if rest.is_empty() {
+            break;
+        }
+        let tag = rest.strip_prefix("W/").unwrap_or(rest);
+        let Some((opaque, after)) = tag.strip_prefix('"').and_then(|tag| tag.split_once('"'))
+        else {
+            return false;
+        };
+        // `etagc`: visible characters but the quote, and obs-text.
+        if !opaque
+            .bytes()
+            .all(|b| b == b'!' || (b >= b'#' && b != 0x7f))
+        {
+            return false;
+        }
+        found |= names_version(opaque, version);
+        rest = after.trim_start_matches(OWS);
+        if !rest.is_empty() && !rest.starts_with(',') {
+            return false;
+        }
     }
+    found
 }
 
-/// Append `n` in decimal without going through `fmt`.
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+/// Optional whitespace around list elements.
+const OWS: [char; 2] = [' ', '\t'];
+
+/// Whether `opaque`, an entity tag between its quotes, is the one cache
+/// version `version` is served with: `v` and the version in decimal,
+/// character for character.
+fn names_version(opaque: &str, version: u64) -> bool {
     let mut digits = [0u8; 20];
+    opaque.strip_prefix('v').map(str::as_bytes) == Some(decimal(version, &mut digits))
+}
+
+/// `n` in decimal, written into the end of `digits`, without `fmt`.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
     let mut i = digits.len();
     loop {
         i -= 1;
@@ -479,7 +447,12 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
             break;
         }
     }
-    out.extend_from_slice(&digits[i..]);
+    &digits[i..]
+}
+
+/// Append `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(decimal(n, &mut [0; 20]));
 }
 
 /// Write `head` then `body` with as few writes as the transport allows:
@@ -524,13 +497,8 @@ fn write_all_vectored<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Resu
     Ok(())
 }
 
-/// Read one response from a buffered stream: returns (status code, body).
-pub fn read_response<R: BufRead>(reader: &mut R) -> Result<(u16, Bytes), ParseError> {
-    let (code, body, _) = read_response_full(reader)?;
-    Ok((code, body))
-}
-
-/// Read one response: returns (status code, body, etag).
+/// Read one response from a buffered stream: returns (status code, body,
+/// entity tag).
 pub fn read_response_full<R: BufRead>(
     reader: &mut R,
 ) -> Result<(u16, Bytes, Option<String>), ParseError> {
@@ -621,9 +589,10 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 15\r\n"));
         assert!(text.contains("Connection: keep-alive"));
-        let (code, body) = read_response(&mut BufReader::new(&buf[..])).unwrap();
+        let (code, body, etag) = read_response_full(&mut BufReader::new(&buf[..])).unwrap();
         assert_eq!(code, 200);
         assert_eq!(&body[..], b"<html>hi</html>");
+        assert_eq!(etag, None);
     }
 
     #[test]
@@ -676,60 +645,74 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: close"));
-        let (code, _) = read_response(&mut BufReader::new(&buf[..])).unwrap();
+        let (code, _, _) = read_response_full(&mut BufReader::new(&buf[..])).unwrap();
         assert_eq!(code, 503);
     }
 
     #[test]
-    fn head_serialisation_matches_legacy_bytes() {
-        // The single-buffer serialiser must be byte-identical to the old
-        // multi-`write!` path for every response shape the site emits.
-        let cases: Vec<Response> = vec![
-            Response::html(Bytes::from_static(b"<html>hello</html>")),
-            Response::html(Bytes::from_static(b"body")).with_etag("\"v7\""),
-            Response::html(Bytes::new()),
-            Response::not_modified("\"v12345\""),
-            Response::text(Status::BadRequest, "bad header\n"),
-            Response::text(Status::MethodNotAllowed, "only GET/HEAD\n"),
-            Response::text(Status::InternalError, "internal server error\n"),
-            Response::not_found(),
-            Response::overloaded(0),
-            Response::overloaded(4_294_967_295),
+    fn every_response_shape_is_these_bytes_on_the_wire() {
+        const HTML: &str = "Content-Type: text/html; charset=utf-8\r\n";
+        const TEXT: &str = "Content-Type: text/plain; charset=utf-8\r\n";
+        let cases: Vec<(Response, String)> = vec![
+            (
+                Response::page(Bytes::from_static(b"<html>hello</html>"), 7),
+                format!("HTTP/1.1 200 OK\r\n{HTML}Content-Length: 18\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\nETag: \"v7\"\r\n\r\n<html>hello</html>"),
+            ),
+            (
+                Response::page(Bytes::from_static(b"body"), u64::MAX),
+                format!("HTTP/1.1 200 OK\r\n{HTML}Content-Length: 4\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\nETag: \"v18446744073709551615\"\r\n\r\nbody"),
+            ),
+            (
+                Response::html(Bytes::from_static(b"<html>hello</html>")),
+                format!("HTTP/1.1 200 OK\r\n{HTML}Content-Length: 18\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\n<html>hello</html>"),
+            ),
+            (
+                Response::html(Bytes::new()),
+                format!("HTTP/1.1 200 OK\r\n{HTML}Content-Length: 0\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\n"),
+            ),
+            (
+                Response::not_modified(12345),
+                format!("HTTP/1.1 304 Not Modified\r\n{HTML}Content-Length: 0\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\nETag: \"v12345\"\r\n\r\n"),
+            ),
+            (
+                Response::text(Status::BadRequest, "request head too large"),
+                format!("HTTP/1.1 400 Bad Request\r\n{TEXT}Content-Length: 22\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\nrequest head too large"),
+            ),
+            (
+                Response::not_found(),
+                format!("HTTP/1.1 404 Not Found\r\n{TEXT}Content-Length: 10\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\nnot found\n"),
+            ),
+            (
+                Response::text(Status::MethodNotAllowed, "only GET/HEAD\n"),
+                format!("HTTP/1.1 405 Method Not Allowed\r\n{TEXT}Content-Length: 14\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\nonly GET/HEAD\n"),
+            ),
+            (
+                Response::text(Status::InternalError, "internal server error\n"),
+                format!("HTTP/1.1 500 Internal Server Error\r\n{TEXT}Content-Length: 22\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\n\r\ninternal server error\n"),
+            ),
+            (
+                Response::overloaded(0),
+                format!("HTTP/1.1 503 Service Unavailable\r\n{TEXT}Content-Length: 25\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\nRetry-After: 0\r\n\r\nserver overloaded; retry\n"),
+            ),
+            (
+                Response::overloaded(u32::MAX),
+                format!("HTTP/1.1 503 Service Unavailable\r\n{TEXT}Content-Length: 25\r\nConnection: keep-alive\r\nServer: nagano/0.1\r\nRetry-After: 4294967295\r\n\r\nserver overloaded; retry\n"),
+            ),
         ];
-        for resp in &cases {
-            for keep_alive in [true, false] {
-                let mut new = Vec::new();
-                resp.write_to(&mut new, keep_alive).unwrap();
-                let mut old = Vec::new();
-                resp.write_to_legacy(&mut old, keep_alive).unwrap();
+        for (resp, keep_alive_bytes) in &cases {
+            let close_bytes =
+                keep_alive_bytes.replacen("Connection: keep-alive\r\n", "Connection: close\r\n", 1);
+            for (keep_alive, expected) in [(true, keep_alive_bytes), (false, &close_bytes)] {
+                let mut wire = Vec::new();
+                resp.write_to(&mut wire, keep_alive).unwrap();
                 assert_eq!(
-                    new, old,
-                    "write_to diverged from legacy for {:?} keep_alive={keep_alive}",
+                    String::from_utf8(wire).unwrap(),
+                    *expected,
+                    "{:?} keep_alive={keep_alive}",
                     resp.status
                 );
             }
         }
-    }
-
-    #[test]
-    fn prebuilt_head_matches_formatted_head() {
-        let body = Bytes::from_static(b"<html>cached page</html>");
-        let (pre, post) = prebuilt_html_head(body.len(), 42);
-        let fast = Response::prebuilt(pre, post, body.clone());
-        let slow = Response::html(body).with_etag("\"v42\"");
-        for keep_alive in [true, false] {
-            let mut a = Vec::new();
-            fast.write_to(&mut a, keep_alive).unwrap();
-            let mut b = Vec::new();
-            slow.write_to(&mut b, keep_alive).unwrap();
-            assert_eq!(a, b, "prebuilt head diverged (keep_alive={keep_alive})");
-        }
-        // And the legacy writer falls back to the same bytes.
-        let mut c = Vec::new();
-        fast.write_to_legacy(&mut c, true).unwrap();
-        let mut d = Vec::new();
-        slow.write_to(&mut d, true).unwrap();
-        assert_eq!(c, d);
     }
 
     #[test]
@@ -758,7 +741,7 @@ mod tests {
 
     #[test]
     fn etag_roundtrip_and_304() {
-        let resp = Response::html(Bytes::from_static(b"body")).with_etag("\"v7\"");
+        let resp = Response::page(Bytes::from_static(b"body"), 7);
         let mut buf = Vec::new();
         resp.write_to(&mut buf, true).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
@@ -768,12 +751,46 @@ mod tests {
         assert_eq!(&body[..], b"body");
         assert_eq!(etag.as_deref(), Some("\"v7\""));
 
-        let nm = Response::not_modified("\"v7\"");
+        let nm = Response::not_modified(7);
         let mut buf = Vec::new();
         nm.write_to(&mut buf, true).unwrap();
         let (code, body, etag) = read_response_full(&mut BufReader::new(&buf[..])).unwrap();
         assert_eq!(code, 304);
         assert!(body.is_empty());
         assert_eq!(etag.as_deref(), Some("\"v7\""));
+    }
+
+    #[test]
+    fn if_none_match_is_matched_as_rfc_9110_says() {
+        for (field, matches) in [
+            ("\"v7\"", true),
+            ("W/\"v7\"", true),
+            ("\"v6\", \"v7\"", true),
+            ("\"v6\",W/\"v7\"", true),
+            ("\t\"v7\" ", true),
+            ("\"v6\",, \"v7\",", true),
+            ("\"a,b\", \"v7\"", true),
+            ("*", true),
+            ("\"v6\"", false),
+            ("\"v70\"", false),
+            ("\"v07\"", false),
+            ("\"v+7\"", false),
+            ("\"V7\"", false),
+            ("w/\"v7\"", false),
+            // Malformed: matches nothing, so the page is served in full.
+            ("", false),
+            (",", false),
+            ("v7", false),
+            ("\"v7", false),
+            ("W/v7", false),
+            ("\"v7\"x", false),
+            ("\"v6\" \"v7\"", false),
+            ("*, \"v7\"", false),
+            ("\"v 6\", \"v7\"", false),
+        ] {
+            assert_eq!(none_match(field, 7), matches, "{field:?}");
+        }
+        assert!(none_match("\"v0\"", 0));
+        assert!(none_match(&format!("W/\"v{}\"", u64::MAX), u64::MAX));
     }
 }

@@ -14,6 +14,8 @@ use std::sync::Mutex;
 
 use rustc_hash::FxHashMap;
 
+use crate::http::{Request, Response};
+
 /// One access-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
@@ -85,6 +87,20 @@ fn unescape_clf_path(path: &str) -> String {
 }
 
 impl LogEntry {
+    /// The record of `req`, answered with `resp`, from `host` at
+    /// `epoch_secs`: what a [`crate::RequestObserver`] logs.
+    pub fn served(host: &str, epoch_secs: u64, req: &Request, resp: &Response) -> LogEntry {
+        LogEntry {
+            host: host.to_string(),
+            epoch_secs,
+            method: req.method.clone(),
+            path: req.path.clone(),
+            status: resp.status.code(),
+            bytes: resp.body.len() as u64,
+            stale: resp.stale,
+        }
+    }
+
     /// Render in NCSA Common Log Format (ident/authuser always `-`;
     /// the timestamp renders as `[<epoch_secs>]` — simulations have no
     /// calendar). Paths are percent-encoded so spaces and quotes survive

@@ -73,7 +73,7 @@ impl HttpdMetrics {
     /// `Server::bind_with_observer`.
     pub fn observer(self: &Arc<Self>) -> RequestObserver {
         let me = Arc::clone(self);
-        Arc::new(move |_req, status, bytes| me.observe(status, bytes))
+        Arc::new(move |_req, resp| me.observe(resp.status.code(), resp.body.len() as u64))
     }
 
     /// Register the live cells into `registry` under the `nagano_httpd_*`
@@ -103,6 +103,7 @@ impl HttpdMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use nagano_telemetry::prometheus_text;
 
     #[test]
@@ -145,7 +146,10 @@ mod tests {
             keep_alive: true,
             if_none_match: None,
         };
-        obs(&req, 200, 99);
+        obs(
+            &req,
+            &crate::http::Response::html(Bytes::from(vec![b'x'; 99])),
+        );
         assert_eq!(m.requests(), 1);
         assert_eq!(m.response_bytes(), 99);
     }

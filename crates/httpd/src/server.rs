@@ -22,9 +22,10 @@ pub trait Handler: Send + Sync + 'static {
     fn handle(&self, req: &Request) -> Response;
 }
 
-/// Observer invoked after each request is served: `(request, status,
-/// body_bytes)`. Used for access logging.
-pub type RequestObserver = Arc<dyn Fn(&Request, u16, u64) + Send + Sync>;
+/// Observer invoked with each request and the response it is answered
+/// with, before the response is written. Used for access logging and
+/// request metrics.
+pub type RequestObserver = Arc<dyn Fn(&Request, &Response) + Send + Sync>;
 
 impl<F> Handler for F
 where
@@ -370,7 +371,7 @@ fn worker_loop(
             };
             served.fetch_add(1, Relaxed);
             if let Some(obs) = &observer {
-                obs(&request, response.status.code(), response.body.len() as u64);
+                obs(&request, &response);
             }
             let keep = request.keep_alive;
             if response
@@ -429,18 +430,21 @@ mod tests {
 
     #[test]
     fn not_found_and_method_checks() {
+        use crate::http::read_response_full;
         let server = echo_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (code, _) = client.get("/missing").unwrap();
         assert_eq!(code, 404);
-        let (code, _) = client.request("POST", "/x").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"POST /x HTTP/1.1\r\n\r\n").unwrap();
+        let (code, _, _) = read_response_full(&mut BufReader::new(&stream)).unwrap();
         assert_eq!(code, 405);
         server.shutdown();
     }
 
     #[test]
     fn a_head_split_across_polls_is_one_request() {
-        use crate::http::read_response;
+        use crate::http::read_response_full;
         let server = echo_server();
         let wire = b"GET /medals HTTP/1.1\r\nHost: x\r\n\r\n";
         // Inside the method, the path, the version, at the end of the
@@ -454,7 +458,7 @@ mod tests {
             stream.write_all(&wire[..cut]).unwrap();
             std::thread::sleep(Duration::from_millis(120));
             stream.write_all(&wire[cut..]).unwrap();
-            let (code, body) = read_response(&mut BufReader::new(&stream)).unwrap();
+            let (code, body, _) = read_response_full(&mut BufReader::new(&stream)).unwrap();
             assert_eq!(
                 (code, &body[..]),
                 (200, &b"<p>/medals</p>"[..]),

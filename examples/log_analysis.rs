@@ -24,20 +24,13 @@ fn main() {
     let log = Arc::new(AccessLog::new(Vec::new()));
     let observer: RequestObserver = {
         let log = Arc::clone(&log);
-        Arc::new(move |req, status, bytes| {
-            let _ = log.log(&LogEntry {
-                host: "203.0.113.1".into(),
-                // nagano-lint: allow(D001) — real HTTP traffic demo stamps real timestamps
-                epoch_secs: SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_secs())
-                    .unwrap_or(0),
-                method: req.method.clone(),
-                path: req.path.clone(),
-                status,
-                bytes,
-                stale: false,
-            });
+        Arc::new(move |req, resp| {
+            // nagano-lint: allow(D001) — real HTTP traffic demo stamps real timestamps
+            let epoch_secs = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0);
+            let _ = log.log(&LogEntry::served("203.0.113.1", epoch_secs, req, resp));
         })
     };
     let server = Server::bind_with_observer(

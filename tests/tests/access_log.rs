@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use nagano::cache::{CacheConfig, StalePolicy};
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{
     AccessLog, HttpClient, LogAnalysis, LogEntry, RequestObserver, Server, ServerConfig,
@@ -10,25 +11,17 @@ use nagano_httpd::{
 use std::io::BufReader;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-#[test]
-fn served_requests_are_logged_and_analyzable() {
-    let site = Arc::new(ServingSite::build(SiteConfig::small()));
+type Log = Arc<AccessLog<Vec<u8>>>;
+
+/// Serve `site` from node 0 with every request logged in CLF into a fresh
+/// log.
+fn logged_server(site: &Arc<ServingSite>) -> (Server, Log) {
     let log = Arc::new(AccessLog::new(Vec::new()));
     let observer: RequestObserver = {
         let log = Arc::clone(&log);
-        Arc::new(move |req, status, bytes| {
-            let _ = log.log(&LogEntry {
-                host: "203.0.113.9".into(),
-                epoch_secs: SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .unwrap()
-                    .as_secs(),
-                method: req.method.clone(),
-                path: req.path.clone(),
-                status,
-                bytes,
-                stale: false,
-            });
+        Arc::new(move |req, resp| {
+            let now = SystemTime::now().duration_since(UNIX_EPOCH).unwrap();
+            let _ = log.log(&LogEntry::served("203.0.113.9", now.as_secs(), req, resp));
         })
     };
     let server = Server::bind_with_observer(
@@ -38,6 +31,41 @@ fn served_requests_are_logged_and_analyzable() {
         Some(observer),
     )
     .unwrap();
+    (server, log)
+}
+
+/// The log's text once `server`, its last other holder, is shut down.
+fn log_text(server: Server, log: Log) -> String {
+    server.shutdown();
+    let buf = Arc::try_unwrap(log)
+        .map_err(|_| "log still shared")
+        .unwrap()
+        .into_inner();
+    String::from_utf8(buf).unwrap()
+}
+
+/// A site that keeps invalidated pages as stale copies for an hour.
+fn stale_site() -> ServingSite {
+    let mut cfg = SiteConfig::small();
+    cfg.cache = CacheConfig::default().with_stale(StalePolicy::bounded(3600.0));
+    ServingSite::build(cfg)
+}
+
+/// Invalidate `/medals` everywhere (tombstoning it) and trip the backend
+/// breaker: the next read of it falls back to the stale copy.
+fn invalidate_medals_and_trip_the_breaker(site: &ServingSite) {
+    site.fleet().invalidate_everywhere("/medals");
+    site.with_breaker(|b| {
+        for _ in 0..10 {
+            b.record_failure(0.0);
+        }
+    });
+}
+
+#[test]
+fn served_requests_are_logged_and_analyzable() {
+    let site = Arc::new(ServingSite::build(SiteConfig::small()));
+    let (server, log) = logged_server(&site);
 
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for _ in 0..5 {
@@ -48,14 +76,9 @@ fn served_requests_are_logged_and_analyzable() {
     }
     client.get("/no/such/page").unwrap();
     drop(client);
-    server.shutdown();
 
-    // Recover the log buffer and analyse it.
-    let buf = Arc::try_unwrap(log)
-        .map_err(|_| "log still shared")
-        .unwrap()
-        .into_inner();
-    let analysis = LogAnalysis::from_reader(BufReader::new(&buf[..])).unwrap();
+    let text = log_text(server, log);
+    let analysis = LogAnalysis::from_reader(BufReader::new(text.as_bytes())).unwrap();
     assert_eq!(analysis.total, 9);
     assert_eq!(analysis.malformed, 0);
     assert_eq!(
@@ -77,11 +100,7 @@ fn served_requests_are_logged_and_analyzable() {
 
 #[test]
 fn stale_serves_are_counted_separately_from_fresh() {
-    use nagano::cache::{CacheConfig, StalePolicy};
-
-    let mut cfg = SiteConfig::small();
-    cfg.cache = CacheConfig::default().with_stale(StalePolicy::bounded(3600.0));
-    let site = ServingSite::build(cfg);
+    let site = stale_site();
     let log = AccessLog::new(Vec::new());
     let serve_and_log = |path: &str, secs: u64| {
         let page = site.handle(0, path).expect("served");
@@ -100,15 +119,7 @@ fn stale_serves_are_counted_separately_from_fresh() {
     serve_and_log("/medals", 0); // fresh hit
     serve_and_log("/day/3/", 1); // fresh hit
 
-    // The page is invalidated and the backend breaker trips: the next
-    // read falls back to the tombstoned stale copy.
-    site.fleet()
-        .invalidate_everywhere(&nagano::pagegen::PageKey::parse("/medals").unwrap().to_url());
-    site.with_breaker(|b| {
-        for _ in 0..10 {
-            b.record_failure(0.0);
-        }
-    });
+    invalidate_medals_and_trip_the_breaker(&site);
     serve_and_log("/medals", 2); // stale serve
 
     let analysis = LogAnalysis::from_reader(BufReader::new(&log.into_inner()[..])).unwrap();
@@ -118,4 +129,29 @@ fn stale_serves_are_counted_separately_from_fresh() {
     assert!((analysis.stale_share() - 1.0 / 3.0).abs() < 1e-12);
     // The stale marker round-trips through the CLF text.
     assert_eq!(analysis.malformed, 0);
+}
+
+#[test]
+fn a_stale_serve_through_the_live_server_is_logged_stale() {
+    let site = Arc::new(stale_site());
+    let (server, log) = logged_server(&site);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let (code, fresh) = client.get("/medals").unwrap();
+    assert_eq!(code, 200);
+    invalidate_medals_and_trip_the_breaker(&site);
+    let (code, stale) = client.get("/medals").unwrap();
+    assert_eq!(
+        (code, &stale),
+        (200, &fresh),
+        "the stale copy is the page as it was"
+    );
+    drop(client);
+
+    let text = log_text(server, log);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(!lines[0].ends_with(" stale"), "{}", lines[0]);
+    assert!(lines[1].ends_with(" stale"), "{}", lines[1]);
+    let analysis = LogAnalysis::from_reader(BufReader::new(text.as_bytes())).unwrap();
+    assert_eq!((analysis.stale, analysis.fresh()), (1, 1));
 }

@@ -5,8 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
+use nagano_bench::loadgen::{execute, LoadPlan, PlanConfig};
 use nagano_db::AthleteId;
-use nagano_httpd::{HttpClient, LoadRunner, ServerConfig};
+use nagano_httpd::{HttpClient, ServerConfig};
 use nagano_pagegen::PageKey;
 
 #[test]
@@ -24,17 +25,32 @@ fn live_updates_under_http_load_lose_nothing() {
         )
         .unwrap();
 
-    // Load over the hot pages the updates keep touching.
+    // Load over the hot pages the updates keep touching: 4 connections,
+    // about 1,600 reads paced over the 800 ms the update burst takes.
     let events = site.db().events();
-    let paths: Vec<String> = vec![
-        PageKey::Medals.to_url(),
-        PageKey::Home(3).to_url(),
-        PageKey::Event(events[0].id).to_url(),
-        PageKey::Sport(events[0].sport).to_url(),
-    ];
-    let load = LoadRunner::new(4, paths);
+    let pages: Vec<(String, f64)> = [
+        PageKey::Medals,
+        PageKey::Home(3),
+        PageKey::Event(events[0].id),
+        PageKey::Sport(events[0].sport),
+    ]
+    .into_iter()
+    .map(|key| (key.to_url(), 1.0))
+    .collect();
+    let plan = LoadPlan::generate(
+        PlanConfig {
+            seed: 1998,
+            connections: 4,
+            rate_rps: 2_000.0,
+            duration_secs: 0.8,
+            inm_fraction: 0.0,
+            closed_loop: false,
+        },
+        &pages,
+    );
+    let planned = plan.requests.len() as u64;
     let addr = server.addr();
-    let load_handle = std::thread::spawn(move || load.run(addr, Duration::from_millis(800)));
+    let load_handle = std::thread::spawn(move || execute(&plan, addr));
 
     // Meanwhile, a burst of result updates lands.
     let ev = events[0].clone();
@@ -54,7 +70,8 @@ fn live_updates_under_http_load_lose_nothing() {
     let report = load_handle.join().unwrap();
     let processed = runner.stop();
     assert_eq!(report.errors, 0, "no failed requests under live updates");
-    assert!(report.requests > 500, "requests {}", report.requests);
+    assert_eq!((report.ok200, report.completed), (planned, planned));
+    assert!(planned > 500, "requests {planned}");
     assert_eq!(processed, 20, "every update processed");
 
     // Update-in-place: the load never caused a miss on node 0 beyond the
