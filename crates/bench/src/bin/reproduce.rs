@@ -66,8 +66,16 @@ fn main() {
         if config.quick { "quick" } else { "full" }
     );
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "run times are reported in host time"
+    )]
     let started = std::time::Instant::now();
     for id in &ids {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "run times are reported in host time"
+        )]
         let t0 = std::time::Instant::now();
         match run_experiment(id, &config) {
             Some(result) => {

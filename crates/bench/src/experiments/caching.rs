@@ -258,6 +258,10 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
         // Warm the simple-path cache, then time both paths.
         let warm = engine.propagate_ids(&changed);
         let reps = if config.quick { 20 } else { 200 };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the paths are timed in host time"
+        )]
         let t0 = Instant::now();
         for _ in 0..reps {
             let p = engine.propagate_ids(&changed);
@@ -265,6 +269,10 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
         }
         let simple_us = t0.elapsed().as_micros() as f64 / reps as f64;
         let changes: Vec<(NodeId, f64)> = changed.iter().map(|&c| (c, 1.0)).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the paths are timed in host time"
+        )]
         let t0 = Instant::now();
         for _ in 0..reps {
             engine.propagate_general(&changes);

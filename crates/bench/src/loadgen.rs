@@ -268,7 +268,10 @@ pub fn execute(plan: &LoadPlan, addr: SocketAddr) -> RunReport {
         per_conn[r.conn as usize].push(*r);
     }
     let closed_loop = plan.config.closed_loop;
-    // nagano-lint: allow(D001) — the harness measures real-socket wall-clock latency by design
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness measures real-socket wall-clock latency by design"
+    )]
     let start = Instant::now();
     let tallies: Vec<ConnTally> = std::thread::scope(|s| {
         let handles: Vec<_> = per_conn
@@ -395,11 +398,10 @@ fn drive_connection(
         // from it. If we are already late (server backlog), the delay is
         // the server's fault and stays in the measurement.
         let sched = start + Duration::from_micros(r.at_micros);
+        #[expect(clippy::disallowed_methods, reason = "real-socket latency measurement")]
         let t0 = if closed_loop {
-            // nagano-lint: allow(D001) — real-socket latency measurement
             Instant::now()
         } else {
-            // nagano-lint: allow(D001) — real-socket latency measurement
             let now = Instant::now();
             if sched > now {
                 std::thread::sleep(sched - now);

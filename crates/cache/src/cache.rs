@@ -372,7 +372,7 @@ struct Member {
     /// Cache-clock time in microseconds, advanced by the owner via
     /// [`PageCache::set_now_secs`]; stale ages are measured against it.
     /// Simulations feed it sim time, real deployments wall time — the
-    /// cache itself never reads a clock (determinism contract, D001).
+    /// cache itself never reads a clock (determinism contract, DESIGN §10).
     now_us: AtomicU64,
     stats: Arc<CacheStats>,
 }

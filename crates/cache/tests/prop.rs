@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy};
 
@@ -24,12 +24,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// An unbounded cache behaves exactly like a HashMap.
+    /// An unbounded cache behaves exactly like a map.
     #[test]
     fn unbounded_cache_is_a_map(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let cache = PageCache::new(CacheConfig::unbounded().with_shards(4));
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-        let mut versions: HashMap<String, u64> = HashMap::new();
+        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut versions: BTreeMap<String, u64> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Put(k, s) => {

@@ -525,9 +525,8 @@ struct PendingTrace {
 /// lineage branch [`SimState::record_apply`] writes for them.
 #[derive(Clone, Copy)]
 enum Via {
-    /// Streamed over a replication edge; `shed` pages left the Hybrid
-    /// deferred queue while it was applied.
-    Stream { shed: u64 },
+    /// Streamed over a replication edge.
+    Stream,
     /// Pulled by a watermark catch-up.
     CatchUp,
     /// Replayed from the local log by a restarted monitor.
@@ -775,12 +774,9 @@ impl<'a> SimState<'a> {
                 self.report.updates_applied += 1;
                 self.counters.applied.incr();
                 if self.complexes[s].monitor_up {
-                    let monitor = &self.complexes[s].monitor;
-                    let shed_before = monitor.stats().snapshot().deferred_shed;
-                    let outcome = monitor.process_txn_at(txn, at);
-                    let shed = monitor.stats().snapshot().deferred_shed - shed_before;
+                    let outcome = self.complexes[s].monitor.process_txn_at(txn, at);
                     let txns = std::slice::from_ref(txn);
-                    self.record_apply(s, txns, &outcome, at, Via::Stream { shed });
+                    self.record_apply(s, txns, &outcome, at, Via::Stream);
                 }
                 // Schaumburg re-publishes to its chained sites.
                 if s == 0 {
@@ -959,7 +955,7 @@ impl<'a> SimState<'a> {
         let day_idx = at.day().min(self.cfg.end_day) as usize - 1;
         self.report.regen_per_day[day_idx] += outcome.regenerated.len() as u64;
         let mut applied_at = at;
-        if let Via::Stream { .. } = via {
+        if let Via::Stream = via {
             // Visible-latency model: replication delay (already elapsed
             // at `at`) plus regeneration spread over the SMP's render
             // workers (DESIGN.md §6).
@@ -984,7 +980,7 @@ impl<'a> SimState<'a> {
             let commit_at = self.commit_times[txn.id.0 as usize - 1];
             let t = &mut p.trace;
             let apply = match via {
-                Via::Stream { shed } => {
+                Via::Stream => {
                     let label = format!("site={site}");
                     let dist =
                         t.add_child(p.root, "nagano_cluster_distribute", label, commit_at, at);
@@ -998,7 +994,7 @@ impl<'a> SimState<'a> {
                     );
                     let apply = t.add_child(odg, "nagano_cache_apply", counts, at, applied_at);
                     if hybrid {
-                        hybrid_spans(t, apply, site, outcome, shed, at);
+                        hybrid_spans(t, apply, site, outcome, at);
                     }
                     apply
                 }
@@ -1151,9 +1147,6 @@ impl<'a> SimState<'a> {
         // logical cache per site the node only matters for load
         // accounting.
         if self.cluster.site_mut(site).pick_node().is_none() {
-            if let (Some(t), Some(route)) = (trace.as_mut(), route) {
-                t.add_child(route, "nagano_cluster_dispatch", "no-node", t_mid, t_mid);
-            }
             return self.fail(Some(s), trace);
         }
         let url = sample.page.to_url();
@@ -1459,25 +1452,14 @@ fn serve_stale(member: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
 }
 
 /// The Hybrid scheduler's children of a streamed apply span: the
-/// hot/cold ranking, and the pages it deferred or shed.
-fn hybrid_spans(
-    t: &mut Trace,
-    apply: usize,
-    site: &str,
-    outcome: &TxnOutcome,
-    shed: u64,
-    at: SimTime,
-) {
+/// hot/cold ranking, and the pages it deferred.
+fn hybrid_spans(t: &mut Trace, apply: usize, site: &str, outcome: &TxnOutcome, at: SimTime) {
     let hot = outcome.regenerated.len() + outcome.deferred.len();
     let rank = format!("site={site} hot={hot} cold={}", outcome.invalidated.len());
     t.add_child(apply, "nagano_trigger_rank", rank, at, at);
     if !outcome.deferred.is_empty() {
         let pages = format!("site={site} pages={}", outcome.deferred.len());
         t.add_child(apply, "nagano_trigger_defer", pages, at, at);
-    }
-    if shed > 0 {
-        let pages = format!("site={site} pages={shed}");
-        t.add_child(apply, "nagano_trigger_shed", pages, at, at);
     }
 }
 

@@ -7,10 +7,10 @@
 //! * [`CircuitBreaker`] — a three-state (Closed → Open → HalfOpen)
 //!   breaker around the render/db backend. Time is *passed in* as
 //!   seconds (sim-time in the DES, a request tick count on the live
-//!   site), so the type never reads a wall clock (D001-clean).
+//!   site), so the type never reads a wall clock.
 //! * [`RetryBackoff`] — bounded exponential backoff with full jitter
 //!   drawn from a caller-supplied [`DeterministicRng`], so retry
-//!   schedules are reproducible under a fixed seed (D002-clean).
+//!   schedules are reproducible under a fixed seed.
 
 use nagano_simcore::DeterministicRng;
 

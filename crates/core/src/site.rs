@@ -327,7 +327,10 @@ impl ServingSite {
         token: FlightToken,
         stale: Option<StaleCopy>,
     ) -> ServedPage {
-        // nagano-lint: allow(D001) — the request budget is a promise to a real client, kept in host time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the request budget is a promise to a real client, kept in host time"
+        )]
         let started = Instant::now();
         let fill = self.monitor.demand_fill(node, key);
         let secs = started.elapsed().as_secs_f64();

@@ -296,8 +296,8 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        use rustc_hash::FxHashSet;
+        let mut set = FxHashSet::default();
         set.insert(EventId(1));
         set.insert(EventId(1));
         set.insert(EventId(2));

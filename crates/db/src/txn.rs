@@ -12,9 +12,10 @@ use parking_lot::Mutex;
 
 /// Default bound on a subscriber's pending-transaction queue. A consumer
 /// that falls further behind than this is **disconnected** rather than
-/// buffered without limit (lint rule R002): it must notice the gap
-/// between its applied watermark and the log and catch up with
-/// [`TxnLog::since`] — the same recovery path a rejoining replica uses.
+/// buffered without limit (DESIGN §10 bans unbounded queues): it must
+/// notice the gap between its applied watermark and the log and catch up
+/// with [`TxnLog::since`] — the same recovery path a rejoining replica
+/// uses.
 pub const SUBSCRIBER_CAPACITY: usize = 1024;
 
 /// Monotonic transaction identifier.
@@ -220,7 +221,7 @@ mod tests {
             log.append(vec![], format!("t{i}"), 1);
         }
         // The first two fit the queue; the third overflowed and pruned
-        // the subscriber (bounded back-pressure, rule R002).
+        // the subscriber (bounded back-pressure).
         let mut streamed = Vec::new();
         while let Ok(txn) = rx.try_recv() {
             streamed.push(txn.id);

@@ -38,7 +38,7 @@ proptest! {
         let mut expected_golds = 0u32;
         let mut expected_silvers = 0u32;
         let mut expected_bronzes = 0u32;
-        let mut news_ids = std::collections::HashSet::new();
+        let mut news_ids = std::collections::BTreeSet::new();
         for op in &ops {
             match op {
                 Op::Results(e, n, is_final) => {

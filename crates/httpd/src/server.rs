@@ -249,7 +249,10 @@ impl Server {
     /// kernel has the connection, not that the accept thread has queued
     /// it, nor that a worker has taken it.
     pub fn wait_for_pending(&self, n: usize, timeout: Duration) -> bool {
-        // nagano-lint: allow(D001) — a real accept thread is awaited in host time; tests and drills only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a real accept thread is awaited in host time; tests and drills only"
+        )]
         let started = Instant::now();
         while self.pending() != n {
             if started.elapsed() >= timeout {

@@ -3,21 +3,15 @@
 //! Produces identifier / string-literal / punctuation tokens with line
 //! numbers, discarding comments, char literals, lifetimes, and numeric
 //! literals. This is deliberately not a full Rust grammar — it is just
-//! enough to make the token patterns in [`crate::rules`] reliable:
+//! enough to make the lock model in [`crate::model`] reliable:
 //!
 //! * text inside comments and string literals can never produce an
-//!   identifier token (so `"Instant::now"` in a message is not a hit);
+//!   identifier token (so `".lock()"` in a message is not a hit);
 //! * raw strings (`r#"…"#`), byte strings, and raw identifiers
 //!   (`r#fn`) are disambiguated;
-//! * tuple-index chains keep their dots (`x.0.unwrap()` still yields
-//!   `.` `unwrap` `(`);
+//! * tuple-index chains keep their dots (`self.0.lock()` still yields
+//!   `.` `lock` `(`);
 //! * lifetimes (`'a`) are not confused with char literals (`'a'`).
-//!
-//! Line comments are additionally scanned for allowlist annotations of
-//! the form `allow(<RULE>) — <reason>` behind the marker described in
-//! DESIGN.md §10; well-formed ones are collected as [`Allow`] records,
-//! and comments that carry the marker but do not parse are reported as
-//! [`MalformedAllow`] so a typo cannot silently disable a rule.
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,39 +34,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A well-formed allowlist annotation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// Rule id being allowed, e.g. `D001`.
-    pub rule: String,
-    /// The mandatory human reason.
-    pub reason: String,
-    /// Line the annotation comment is on.
-    pub line: u32,
-}
-
-/// A comment that carries the annotation marker but does not parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MalformedAllow {
-    /// Line the comment is on.
-    pub line: u32,
-    /// What is wrong with it.
-    pub detail: String,
-}
-
-/// Everything the lexer extracts from one source file.
-#[derive(Debug, Default)]
-pub struct LexOutput {
-    /// Code tokens, in order.
-    pub tokens: Vec<Token>,
-    /// Well-formed allowlist annotations.
-    pub allows: Vec<Allow>,
-    /// Annotation-marker comments that failed to parse.
-    pub malformed: Vec<MalformedAllow>,
-}
-
-const ALLOW_MARKER: &str = concat!("nagano-lint", ":");
-
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }
@@ -81,10 +42,10 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lex `source` into tokens and allowlist annotations.
-pub fn lex(source: &str) -> LexOutput {
+/// Lex `source` into code tokens, in order.
+pub fn lex(source: &str) -> Vec<Token> {
     let cs: Vec<char> = source.chars().collect();
-    let mut out = LexOutput::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < cs.len() {
@@ -95,14 +56,9 @@ pub fn lex(source: &str) -> LexOutput {
         } else if c.is_whitespace() {
             i += 1;
         } else if c == '/' && cs.get(i + 1) == Some(&'/') {
-            let start = i + 2;
-            let mut j = start;
-            while j < cs.len() && cs[j] != '\n' {
-                j += 1;
+            while i < cs.len() && cs[i] != '\n' {
+                i += 1;
             }
-            let text: String = cs[start..j].iter().collect();
-            scan_comment(&text, line, &mut out);
-            i = j;
         } else if c == '/' && cs.get(i + 1) == Some(&'*') {
             let mut depth = 1u32;
             let mut j = i + 2;
@@ -124,7 +80,7 @@ pub fn lex(source: &str) -> LexOutput {
         } else if c == '"' {
             let start_line = line;
             let (j, text) = lex_plain_string(&cs, i + 1, &mut line);
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::StrLit(text),
                 line: start_line,
             });
@@ -141,7 +97,7 @@ pub fn lex(source: &str) -> LexOutput {
             let word: String = cs[i..j].iter().collect();
             i = ident_or_literal(&cs, j, word, &mut line, &mut out);
         } else {
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Punct(c),
                 line,
             });
@@ -160,13 +116,13 @@ fn ident_or_literal(
     end: usize,
     word: String,
     line: &mut u32,
-    out: &mut LexOutput,
+    out: &mut Vec<Token>,
 ) -> usize {
     let next = cs.get(end).copied();
     if (word == "b" || word == "c") && next == Some('"') {
         let start_line = *line;
         let (j, text) = lex_plain_string(cs, end + 1, line);
-        out.tokens.push(Token {
+        out.push(Token {
             kind: TokKind::StrLit(text),
             line: start_line,
         });
@@ -185,7 +141,7 @@ fn ident_or_literal(
         if cs.get(j) == Some(&'"') {
             let start_line = *line;
             let (j, text) = lex_raw_string(cs, j + 1, hashes, line);
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::StrLit(text),
                 line: start_line,
             });
@@ -196,14 +152,14 @@ fn ident_or_literal(
             while k < cs.len() && is_ident_continue(cs[k]) {
                 k += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Ident(cs[j..k].iter().collect()),
                 line: *line,
             });
             return k;
         }
     }
-    out.tokens.push(Token {
+    out.push(Token {
         kind: TokKind::Ident(word),
         line: *line,
     });
@@ -306,48 +262,6 @@ fn lex_number(cs: &[char], i: usize) -> usize {
         }
     }
     j
-}
-
-/// Inspect one line comment for an allowlist annotation.
-fn scan_comment(text: &str, line: u32, out: &mut LexOutput) {
-    let Some(pos) = text.find(ALLOW_MARKER) else {
-        return;
-    };
-    let rest = text[pos + ALLOW_MARKER.len()..].trim_start();
-    match parse_allow(rest) {
-        Ok((rule, reason)) => out.allows.push(Allow { rule, reason, line }),
-        Err(detail) => out.malformed.push(MalformedAllow {
-            line,
-            detail: detail.to_string(),
-        }),
-    }
-}
-
-/// Parse `allow(<RULE>) — <reason>` (an ASCII `-`/`--` separator is
-/// accepted too). The reason is mandatory.
-fn parse_allow(rest: &str) -> Result<(String, String), &'static str> {
-    let Some(rest) = rest.strip_prefix("allow(") else {
-        return Err("expected `allow(<RULE>)` after the marker");
-    };
-    let Some(close) = rest.find(')') else {
-        return Err("unclosed `allow(`");
-    };
-    let rule = rest[..close].trim();
-    if rule.is_empty() || !rule.chars().all(|c| c.is_ascii_alphanumeric()) {
-        return Err("rule id must be alphanumeric, e.g. `allow(D001)`");
-    }
-    let mut tail = rest[close + 1..].trim_start();
-    for sep in ["—", "--", "-"] {
-        if let Some(t) = tail.strip_prefix(sep) {
-            tail = t;
-            break;
-        }
-    }
-    let reason = tail.trim();
-    if reason.is_empty() {
-        return Err("a reason is required after the rule id");
-    }
-    Ok((rule.to_string(), reason.to_string()))
 }
 
 /// Remove `#[cfg(test)]` / `#[test]` items from a token stream, so the
@@ -471,7 +385,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter_map(|t| match t.kind {
                 TokKind::Ident(s) => Some(s),
@@ -499,7 +412,7 @@ mod tests {
     #[test]
     fn tuple_index_keeps_the_method_dot() {
         let out = lex("x.0.unwrap()");
-        let kinds: Vec<&TokKind> = out.tokens.iter().map(|t| &t.kind).collect();
+        let kinds: Vec<&TokKind> = out.iter().map(|t| &t.kind).collect();
         assert!(kinds
             .windows(2)
             .any(|w| w[0] == &TokKind::Punct('.') && w[1] == &TokKind::Ident("unwrap".into())));
@@ -524,28 +437,10 @@ mod tests {
         let src = "let a = \"x\ny\";\n/* b\nc */\nlet z = 9;";
         let out = lex(src);
         let z = out
-            .tokens
             .iter()
             .find(|t| t.kind == TokKind::Ident("z".into()))
             .map(|t| t.line);
         assert_eq!(z, Some(5));
-    }
-
-    #[test]
-    fn allow_annotations_parse_with_reasons() {
-        let src = format!(
-            "// {m} allow(D001) — host profiling\nlet x = 1; // {m} allow(R001) - startup\n// {m} allow(T001)\n",
-            m = ALLOW_MARKER
-        );
-        let out = lex(&src);
-        assert_eq!(out.allows.len(), 2);
-        assert_eq!(out.allows[0].rule, "D001");
-        assert_eq!(out.allows[0].reason, "host profiling");
-        assert_eq!(out.allows[0].line, 1);
-        assert_eq!(out.allows[1].rule, "R001");
-        assert_eq!(out.allows[1].line, 2);
-        assert_eq!(out.malformed.len(), 1, "missing reason is malformed");
-        assert_eq!(out.malformed[0].line, 3);
     }
 
     #[test]
@@ -555,13 +450,12 @@ mod tests {
         let src = "let s = r##\"quote \"# inside\"##;\nlet after = Instant;\n";
         let out = lex(src);
         let after = out
-            .tokens
             .iter()
             .find(|t| t.kind == TokKind::Ident("after".into()));
         assert!(after.is_some(), "lexer desynced after raw string");
         assert_eq!(after.map(|t| t.line), Some(2));
         assert!(matches!(
-            &out.tokens.iter().find(|t| matches!(t.kind, TokKind::StrLit(_))).map(|t| &t.kind),
+            &out.iter().find(|t| matches!(t.kind, TokKind::StrLit(_))).map(|t| &t.kind),
             Some(TokKind::StrLit(s)) if s.contains("\"#")
         ));
     }
@@ -571,7 +465,6 @@ mod tests {
         let src = "let s = r#\"line one\nline two\nline three\"#;\nlet z = 1;";
         let out = lex(src);
         let z = out
-            .tokens
             .iter()
             .find(|t| t.kind == TokKind::Ident("z".into()))
             .map(|t| t.line);
@@ -587,7 +480,6 @@ mod tests {
         assert!(!ids.iter().any(|s| s == "thread_rng" || s == "OsRng"));
         assert!(ids.iter().any(|s| s == "elapsed"));
         let strs = lex(src)
-            .tokens
             .into_iter()
             .filter(|t| matches!(t.kind, TokKind::StrLit(_)))
             .count();
@@ -603,7 +495,6 @@ mod tests {
         // Line counting survives newlines inside nested comments.
         let src2 = "/* a\n/* b\n*/\nc */\nlet z = 1;";
         let z = lex(src2)
-            .tokens
             .iter()
             .find(|t| t.kind == TokKind::Ident("z".into()))
             .map(|t| t.line);
@@ -621,7 +512,7 @@ mod tests {
             )]
             mod tests { fn gone() { let _ = Instant::now(); } }
         ";
-        let out = strip_tests(&lex(src).tokens);
+        let out = strip_tests(&lex(src));
         let ids: Vec<String> = out
             .iter()
             .filter_map(|t| match &t.kind {
@@ -637,13 +528,13 @@ mod tests {
     #[test]
     fn file_level_cfg_test_exempts_the_whole_file() {
         let src = "#![cfg(test)]\nfn helper() { let _ = Instant::now(); }";
-        assert!(strip_tests(&lex(src).tokens).is_empty());
+        assert!(strip_tests(&lex(src)).is_empty());
         // A non-test inner attribute keeps the file.
         let src2 = "#![allow(dead_code)]\nfn helper() {}";
-        assert!(!strip_tests(&lex(src2).tokens).is_empty());
+        assert!(!strip_tests(&lex(src2)).is_empty());
         // A *module-level* inner cfg(test) does not exempt the file.
         let src3 = "mod m { #![cfg(test)] }\nfn keep() {}";
-        let ids: Vec<String> = strip_tests(&lex(src3).tokens)
+        let ids: Vec<String> = strip_tests(&lex(src3))
             .iter()
             .filter_map(|t| match &t.kind {
                 TokKind::Ident(s) => Some(s.clone()),
@@ -666,7 +557,7 @@ mod tests {
             #[derive(Debug)]
             struct Kept;
         ";
-        let out = strip_tests(&lex(src).tokens);
+        let out = strip_tests(&lex(src));
         let ids: Vec<String> = out
             .iter()
             .filter_map(|t| match &t.kind {

@@ -21,7 +21,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::model::WorkspaceModel;
-use crate::rules::Diagnostic;
+
+/// One finding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Diagnostic {
+    /// Rule id (`L001` or `L002`).
+    pub rule: &'static str,
+    /// Repo-relative path, `/`-separated.
+    pub file: String,
+    /// 1-based line number.
+    pub line: u32,
+    /// What is wrong.
+    pub message: String,
+    /// How to fix it.
+    pub suggestion: String,
+}
 
 /// Crates where holding a lock across a blocking call is a finding.
 const L002_SCOPE: &[&str] = &[

@@ -1,7 +1,6 @@
 //! Pass 1 of the semantic analysis: a cross-file model of the workspace.
 //!
-//! The token rules in [`crate::rules`] look at one file at a time. The
-//! semantic rules (L001/L002 in [`crate::locks`]) need to see the
+//! The lock rules (L001/L002 in [`crate::locks`]) need to see the
 //! workspace whole: which `fn` items exist, which locks each one acquires, which guards are still
 //! live at each call site, and which calls can be resolved to other
 //! workspace functions. This module builds that model from the same
@@ -31,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, strip_tests, Allow, TokKind, Token};
+use crate::lexer::{lex, strip_tests, TokKind, Token};
 
 /// One parsed production source file (tests already stripped).
 #[derive(Debug)]
@@ -42,19 +41,15 @@ pub struct SourceFile {
     pub krate: String,
     /// Production token stream.
     pub tokens: Vec<Token>,
-    /// Allowlist annotations found in the file.
-    pub allows: Vec<Allow>,
 }
 
 impl SourceFile {
     /// Lex and test-strip one file.
     pub fn parse(rel: &str, source: &str) -> SourceFile {
-        let lexed = lex(source);
         SourceFile {
             rel: rel.to_string(),
             krate: crate_of(rel),
-            tokens: strip_tests(&lexed.tokens),
-            allows: lexed.allows,
+            tokens: strip_tests(&lex(source)),
         }
     }
 }
@@ -373,7 +368,7 @@ fn extract_fns(file: &SourceFile, out: &mut Vec<FnModel>) {
             calls: Vec::new(),
             blocking: Vec::new(),
         };
-        walk_body(file, toks, *bs, *be, &nested, &mut f);
+        walk_body(toks, *bs, *be, &nested, &mut f);
         out.push(f);
     }
 }
@@ -401,14 +396,7 @@ fn skip_brace(toks: &[Token], i: usize) -> usize {
 /// Walk one fn body tracking live guards; record acquisitions, calls,
 /// and blocking operations. `body` is the index of the opening `{`;
 /// `end` is just past the closing `}`.
-fn walk_body(
-    file: &SourceFile,
-    toks: &[Token],
-    body: usize,
-    end: usize,
-    nested: &[(usize, usize)],
-    f: &mut FnModel,
-) {
+fn walk_body(toks: &[Token], body: usize, end: usize, nested: &[(usize, usize)], f: &mut FnModel) {
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0i32;
     // `let`-pattern tracking: binder = last ident before the `=`.
@@ -542,7 +530,6 @@ fn walk_body(
         }
         i += 1;
     }
-    let _ = file;
 }
 
 /// Is the ident at `i` a zero-argument `.lock()` / `.read()` /

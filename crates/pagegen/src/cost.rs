@@ -94,7 +94,10 @@ fn fxhash_key(s: &str) -> u64 {
 /// capacity).
 pub fn spin_for(ms: f64, scale: f64) -> u64 {
     let budget = Duration::from_secs_f64((ms * scale / 1_000.0).max(0.0));
-    // nagano-lint: allow(D001) — burning real CPU is this function's purpose; only benches call it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "burning real CPU is this function's purpose; only benches call it"
+    )]
     let start = Instant::now();
     let mut acc: u64 = 0;
     while start.elapsed() < budget {
@@ -169,6 +172,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock is what this test measures"
+    )]
     fn spin_for_burns_roughly_the_budget() {
         let start = std::time::Instant::now();
         spin_for(20.0, 1.0);

@@ -280,8 +280,8 @@ mod tests {
 
     #[test]
     fn categories_cover_the_paper_list() {
-        use std::collections::HashSet;
-        let cats: HashSet<&str> = all_sample_keys().iter().map(|k| k.category()).collect();
+        use std::collections::BTreeSet;
+        let cats: BTreeSet<&str> = all_sample_keys().iter().map(|k| k.category()).collect();
         for want in [
             "Today",
             "Welcome",

@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn covers_every_category() {
         let reg = registry();
-        use std::collections::HashSet;
-        let cats: HashSet<&str> = reg.pages().iter().map(|(k, _)| k.category()).collect();
+        use std::collections::BTreeSet;
+        let cats: BTreeSet<&str> = reg.pages().iter().map(|(k, _)| k.category()).collect();
         assert!(cats.len() >= 8, "categories {cats:?}");
     }
 

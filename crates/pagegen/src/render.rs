@@ -1221,6 +1221,10 @@ mod tests {
         let (db, _) = seeded();
         // Scale 0.1: a 120ms athlete page burns ~12ms.
         let r = Renderer::new(db).with_simulated_cpu(0.1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the wall clock is what this test measures"
+        )]
         let start = std::time::Instant::now();
         r.render(PageKey::Athlete(AthleteId(1)));
         assert!(start.elapsed().as_millis() >= 8);

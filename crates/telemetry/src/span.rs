@@ -13,7 +13,7 @@
 //! wall-clock — so a fixed seed reproduces byte-identical traces.
 //!
 //! Span names follow the same `nagano_<subsystem>_<name>` convention as
-//! metrics (enforced by lint rule T002): `nagano_cluster_txn_receipt`,
+//! metrics (checked by `tests/tests/signal_names.rs`): `nagano_cluster_txn_receipt`,
 //! `nagano_odg_traversal`, `nagano_cache_apply`, ...
 //!
 //! Completed traces land in a bounded [`TraceBuffer`] ring: old traces

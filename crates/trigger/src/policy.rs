@@ -109,8 +109,8 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        use std::collections::HashSet;
-        let labels: HashSet<&str> = [
+        use std::collections::BTreeSet;
+        let labels: BTreeSet<&str> = [
             ConsistencyPolicy::UpdateInPlace,
             ConsistencyPolicy::Invalidate,
             ConsistencyPolicy::hybrid(0.5, None),
@@ -139,8 +139,8 @@ mod tests {
 
     #[test]
     fn slugs_distinguish_hybrid_parameterisations() {
-        use std::collections::HashSet;
-        let slugs: HashSet<String> = [
+        use std::collections::BTreeSet;
+        let slugs: BTreeSet<String> = [
             ConsistencyPolicy::UpdateInPlace,
             ConsistencyPolicy::Invalidate,
             ConsistencyPolicy::hybrid(0.25, Some(400)),

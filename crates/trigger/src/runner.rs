@@ -54,6 +54,10 @@ impl TriggerRunner {
         coalesce: bool,
     ) -> Self {
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "one-time startup spawn, not a per-request path; no thread means no monitor at all"
+        )]
         let handle = std::thread::Builder::new()
             .name("trigger-monitor".into())
             .spawn(move || {
@@ -94,7 +98,6 @@ impl TriggerRunner {
                     }
                 }
             })
-            // nagano-lint: allow(R001) — one-time startup spawn, not a per-request path; no thread means no monitor at all
             .expect("spawn trigger monitor thread");
         TriggerRunner {
             handle: Some(handle),
@@ -103,13 +106,15 @@ impl TriggerRunner {
     }
 
     /// Stop the thread after it drains pending transactions; returns the
-    /// number processed over its lifetime.
+    /// number processed over its lifetime. A panic on the thread is
+    /// raised again here, not read as nothing processed.
     pub fn stop(mut self) -> u64 {
         let _ = self.stop.send(());
-        self.handle
-            .take()
-            .map(|h| h.join().unwrap_or(0))
-            .unwrap_or(0)
+        match self.handle.take().map(JoinHandle::join) {
+            Some(Ok(processed)) => processed,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => 0,
+        }
     }
 }
 
@@ -117,7 +122,10 @@ impl TriggerRunner {
 /// An empty and a disconnected channel both come back as `None`: the
 /// blocking receive that follows tells them apart.
 fn poll(rx: &Receiver<Arc<Transaction>>, patience: Duration) -> Option<Arc<Transaction>> {
-    // nagano-lint: allow(D001) — bounds a busy-wait of a real thread in host time, like the `recv_timeout` it precedes; nothing modelled reads it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds a busy-wait of a real thread in host time, like the `recv_timeout` it precedes; nothing modelled reads it"
+    )]
     let started = Instant::now();
     loop {
         if let Ok(txn) = rx.try_recv() {
@@ -151,8 +159,11 @@ fn flush(monitor: &TriggerMonitor, batch: &mut Vec<Arc<Transaction>>, coalesce: 
 impl Drop for TriggerRunner {
     fn drop(&mut self) {
         let _ = self.stop.send(());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some(Err(panic)) = self.handle.take().map(JoinHandle::join) {
+            // A second panic while one unwinds would abort the process.
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -253,7 +264,7 @@ mod tests {
         assert!(poll(&rx, Duration::ZERO).is_some());
         assert!(poll(&rx, soon).is_none());
         // A disconnected channel reads as empty; `recv_timeout` reports it.
-        let (tx, gone) = crossbeam::channel::unbounded::<Arc<Transaction>>();
+        let (tx, gone) = crossbeam::channel::bounded::<Arc<Transaction>>(1);
         drop(tx);
         assert!(poll(&gone, soon).is_none());
     }
@@ -270,9 +281,38 @@ mod tests {
             registry,
             ConsistencyPolicy::Invalidate,
         ));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = crossbeam::channel::bounded(1);
         let runner = TriggerRunner::spawn(monitor, rx);
         drop(tx); // disconnect; thread must exit on its own
         assert_eq!(runner.stop(), 0);
+    }
+
+    #[test]
+    fn a_panic_on_the_runner_thread_reaches_stop() {
+        let db = Arc::new(OlympicDb::new());
+        seed_games(&db, &GamesConfig::small());
+        let registry = Arc::new(PageRegistry::build(&db, 16));
+        let fleet = Arc::new(CacheFleet::new(1, CacheConfig::default()));
+        // An infinite CPU budget panics in `spin_for` on the first
+        // regeneration; the pages are registered from a normal renderer's
+        // output, the way `prewarm` registers its own.
+        let monitor = Arc::new(TriggerMonitor::new(
+            Renderer::new(Arc::clone(&db)).with_simulated_cpu(f64::INFINITY),
+            Arc::clone(&fleet),
+            Arc::clone(&registry),
+            ConsistencyPolicy::UpdateInPlace,
+        ));
+        let normal = Renderer::new(Arc::clone(&db));
+        for &(key, _) in registry.pages() {
+            let out = normal.render(key);
+            monitor.register_render(key, &out);
+            fleet.distribute(&key.to_url(), out.body, out.cost_ms);
+        }
+        let runner = TriggerRunner::spawn(monitor, db.subscribe());
+        let ev = db.events()[0].clone();
+        let athletes = db.athletes_of_sport(ev.sport);
+        db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
+        let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.stop()));
+        assert!(stopped.is_err(), "stop() returned {stopped:?}");
     }
 }

@@ -478,11 +478,11 @@ mod tests {
 
     #[test]
     fn request_samples_cover_regions_and_links() {
-        use std::collections::HashSet;
+        use rustc_hash::FxHashSet;
         let (_, m) = model(1000.0);
         let mut rng = DeterministicRng::seed_from_u64(2);
-        let mut regions = HashSet::new();
-        let mut links = HashSet::new();
+        let mut regions = FxHashSet::default();
+        let mut links = FxHashSet::default();
         for _ in 0..5_000 {
             let s = m.sample_request(SimTime::at(6, 20, 0), &mut rng);
             regions.insert(s.region);

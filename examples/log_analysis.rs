@@ -25,7 +25,10 @@ fn main() {
     let observer: RequestObserver = {
         let log = Arc::clone(&log);
         Arc::new(move |req, resp| {
-            // nagano-lint: allow(D001) — real HTTP traffic demo stamps real timestamps
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "real HTTP traffic demo stamps real timestamps"
+            )]
             let epoch_secs = SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs())

@@ -9,9 +9,12 @@ use nagano_httpd::{
     AccessLog, HttpClient, LogAnalysis, LogEntry, RequestObserver, Server, ServerConfig,
 };
 use std::io::BufReader;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 type Log = Arc<AccessLog<Vec<u8>>>;
+
+/// The time every logged request is stamped with: the opening day of the
+/// Games, 1998-02-07 00:00 UTC, in seconds since the Unix epoch.
+const STAMP_SECS: u64 = 886_809_600;
 
 /// Serve `site` from node 0 with every request logged in CLF into a fresh
 /// log.
@@ -20,8 +23,7 @@ fn logged_server(site: &Arc<ServingSite>) -> (Server, Log) {
     let observer: RequestObserver = {
         let log = Arc::clone(&log);
         Arc::new(move |req, resp| {
-            let now = SystemTime::now().duration_since(UNIX_EPOCH).unwrap();
-            let _ = log.log(&LogEntry::served("203.0.113.9", now.as_secs(), req, resp));
+            let _ = log.log(&LogEntry::served("203.0.113.9", STAMP_SECS, req, resp));
         })
     };
     let server = Server::bind_with_observer(
