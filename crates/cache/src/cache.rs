@@ -543,6 +543,20 @@ impl Table {
         (changed, version)
     }
 
+    /// The first member's body for `key`, and whether every member holds
+    /// that very allocation: one probe of the page's row, counting and
+    /// touching nothing.
+    pub(crate) fn distributed(&self, key: &str) -> Option<(Bytes, bool)> {
+        let shard = self.shard_for(key).lock();
+        let row = shard.rows.get(key)?;
+        let first = &row.cells[0].as_ref()?.body;
+        let held = |cell: &Option<Entry>| {
+            cell.as_ref()
+                .is_some_and(|e| same_allocation(&e.body, first))
+        };
+        Some((first.clone(), row.cells.iter().all(held)))
+    }
+
     /// Remove `key` from each member in `columns`; returns how many held
     /// it. Under a [`StalePolicy`] a removed body is kept as that member's
     /// servable tombstone.

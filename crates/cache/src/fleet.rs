@@ -18,6 +18,23 @@ use crate::cache::{CacheConfig, CachedPage, PageCache, Put, Table};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::stats::StatsSnapshot;
 
+/// A page as the fleet holds it ([`CacheFleet::distributed`]).
+#[derive(Debug, Clone)]
+pub struct Distributed {
+    /// The first member's body.
+    pub body: Bytes,
+    /// Whether every member holds that very allocation.
+    pub everywhere: bool,
+}
+
+impl Distributed {
+    /// Whether `body` is the allocation every member holds: a
+    /// distribution of it would keep every entry as it is.
+    pub fn is_everywhere(&self, body: &Bytes) -> bool {
+        self.everywhere && std::ptr::eq::<[u8]>(&*self.body, &**body)
+    }
+}
+
 /// A set of replicated serving caches fed by one distributor.
 #[derive(Debug)]
 pub struct CacheFleet {
@@ -74,11 +91,14 @@ impl CacheFleet {
         self.members[i].get(key)
     }
 
-    /// The body the last distribution of `key` left on the fleet (read
-    /// from the first member, counting and touching nothing) — what a
-    /// regeneration renders onto.
-    pub fn distributed_body(&self, key: &str) -> Option<Bytes> {
-        self.members[0].peek_body(key)
+    /// What the last distribution of `key` left on the fleet, read off the
+    /// page's row counting and touching nothing: the first member's body —
+    /// what a regeneration renders onto — and whether every member holds
+    /// that very allocation, in which case a distribution of it would keep
+    /// every entry as it is.
+    pub fn distributed(&self, key: &str) -> Option<Distributed> {
+        let (body, everywhere) = self.table.distributed(key)?;
+        Some(Distributed { body, everywhere })
     }
 
     /// Distribute a freshly rendered page to every member (the trigger
@@ -236,8 +256,10 @@ mod tests {
         assert!(fleet.distribute("/medals", first.clone(), 1.0));
         let updates = fleet.aggregate_stats().updates;
         // The same bytes in a new allocation, then in the held one.
-        let held = fleet.distributed_body("/medals").unwrap();
-        for again in [body("standings"), held] {
+        let held = fleet.distributed("/medals").unwrap();
+        assert!(held.is_everywhere(&first));
+        assert!(!held.is_everywhere(&body("standings")));
+        for again in [body("standings"), held.body] {
             assert!(!fleet.distribute("/medals", again, 9.0));
         }
         assert_eq!(fleet.aggregate_stats().updates, updates);
@@ -250,7 +272,12 @@ mod tests {
         // distribution, though it is of the bytes the others hold — and
         // brought back to the allocation they share.
         fleet.put_local(5, "/medals", body("a local fill"), 1.0);
+        let held = fleet.distributed("/medals").unwrap();
+        assert!(!held.everywhere, "member 5 holds its own fill");
+        assert_eq!(held.body.as_ptr(), first.as_ptr());
         assert!(fleet.distribute("/medals", body("standings"), 1.0));
+        assert!(fleet.distributed("/medals").unwrap().is_everywhere(&first));
+        assert!(fleet.distributed("/nowhere").is_none());
         let versions: Vec<u64> = (0..8)
             .map(|i| fleet.member(i).peek("/medals").unwrap().version)
             .collect();

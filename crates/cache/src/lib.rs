@@ -41,7 +41,7 @@ pub mod stats;
 pub use cache::{
     CacheConfig, CachedPage, FlightOutcome, FlightToken, PageCache, StaleCopy, StalePolicy,
 };
-pub use fleet::CacheFleet;
+pub use fleet::{CacheFleet, Distributed};
 pub use hotness::HotnessTracker;
 pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

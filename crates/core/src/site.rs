@@ -461,8 +461,8 @@ impl ServingSite {
     /// The `/status` JSON document: registry size, ODG dimensions,
     /// trigger progress (transactions, replication watermark, pages
     /// regenerated and how many of them changed — the rest is the no-op
-    /// share of update-in-place — and were patched rather than composed,
-    /// deferred-regeneration queue depth and
+    /// share of update-in-place — were answered by their stamps, and were
+    /// patched rather than composed, deferred-regeneration queue depth and
     /// shed count), and per-node cache occupancy. Hand-assembled with
     /// deterministic key order so same-state sites produce byte-identical
     /// documents.
@@ -477,9 +477,9 @@ impl ServingSite {
         out.push_str(&format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
-             \"pages_changed\":{},\"pages_patched\":{},\"deferred_depth\":{},\
-             \"deferred_shed\":{}}},\"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\
-             \"caches\":[",
+             \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{},\
+             \"deferred_depth\":{},\"deferred_shed\":{}}},\
+             \"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\"caches\":[",
             self.registry.len(),
             odg_nodes,
             odg_edges,
@@ -487,6 +487,7 @@ impl ServingSite {
             self.monitor.watermark(),
             trig.pages_regenerated,
             trig.pages_changed,
+            trig.pages_revalidated,
             trig.pages_patched,
             trig.deferred_depth,
             trig.deferred_shed,
@@ -741,9 +742,19 @@ mod tests {
         assert!(trigger.pages_changed > 0);
         let status = s.status_json();
         assert!(status.contains(&format!(
-            "\"pages_regenerated\":{},\"pages_changed\":{},\"pages_patched\":{}",
-            trigger.pages_regenerated, trigger.pages_changed, trigger.pages_patched
+            "\"pages_regenerated\":{},\"pages_changed\":{},\"pages_revalidated\":{},\
+             \"pages_patched\":{}",
+            trigger.pages_regenerated,
+            trigger.pages_changed,
+            trigger.pages_revalidated,
+            trigger.pages_patched
         )));
+        // Kept by their stamps and patched are two ways of not composing.
+        assert!(
+            trigger.pages_revalidated + trigger.pages_patched <= trigger.pages_regenerated,
+            "{trigger:?}"
+        );
+        assert!(trigger.pages_revalidated >= regenerated_countries - 3);
         for (path, before) in paths.iter().zip(&before) {
             let moved = *path != paths[0];
             for (node, version) in before.iter().enumerate() {

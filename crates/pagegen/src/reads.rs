@@ -210,6 +210,17 @@ impl<'v> Reads<'v> {
         }
     }
 
+    /// A handle over the same snapshot that registers and logs nothing:
+    /// what a patch brings a section up through, for the page it patches
+    /// keeps the dependency list and the splices it had.
+    pub(crate) fn unregistered(&self) -> Reads<'_> {
+        Reads {
+            view: self.view,
+            deps: None,
+            coverage: None,
+        }
+    }
+
     /// Register the hybrid edge `page:/fragments/… → this page` of
     /// Figure 15 and return the handle `f` is to be spliced through — the
     /// only one that registers nothing, so a fragment cannot be spliced

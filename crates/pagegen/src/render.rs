@@ -61,8 +61,8 @@ pub struct RenderOutput {
     /// Whether the page was answered by rewriting, in the body it was
     /// handed, the sections it splices whose stamps moved — without being
     /// composed: nothing else it read had moved, and each of those
-    /// sections was memoised at its new stamp with the edges the page had
-    /// registered from it.
+    /// sections, brought up to its new stamp if its memo was behind, lists
+    /// the edges the page had registered from it.
     pub patched: bool,
 }
 
@@ -97,7 +97,7 @@ impl Section {
     }
 }
 
-/// One memoised section render: the HTML `compose_fragment` produced, and
+/// One memoised section render: the HTML [`section_html`] produced, and
 /// the edges its reads registered, from a snapshot whose stamp for the
 /// section's source data was `revision`.
 #[derive(Debug, Default)]
@@ -176,8 +176,9 @@ enum Answer {
     /// Nothing the held body was made from moved: it is the page.
     Unmoved(Kept),
     /// Only sections the page splices moved, and each one's memo entry
-    /// stands at its new stamp with the edges the page registered from it:
-    /// the page is the held body with those sections rewritten.
+    /// stands — or was brought — at its new stamp with the edges the page
+    /// registered from it: the page is the held body with those sections
+    /// rewritten.
     Patch(Kept),
     /// Neither: the page is composed.
     Compose,
@@ -265,10 +266,11 @@ thread_local! {
 /// section's source data — read from that same view — is the one it was
 /// rendered at; a section render is a pure function of that data, so a
 /// long-lived renderer and a fresh one return the same bytes. A page
-/// rendered onto the body this renderer last returned for it is not
-/// composed at all while the stamps of everything it read stand where
-/// they stood, nor while only sections it splices moved and each of them
-/// is memoised at its new stamp: that body is patched instead.
+/// rendered onto the body this renderer last returned for it — or
+/// prewarmed with [`Renderer::render_remembered`] — is not composed at all
+/// while the stamps of everything it read stand where they stood, nor
+/// while only sections it splices moved and each of them still lists the
+/// edges it had: that body is patched instead.
 #[derive(Debug)]
 pub struct Renderer {
     db: Arc<OlympicDb>,
@@ -324,9 +326,19 @@ impl Renderer {
         &self.cost
     }
 
-    /// Render `key`.
+    /// Render `key`. The page memo neither reads nor keeps anything of it:
+    /// what a caller that hands the body to one holder, or to none, asks.
     pub fn render(&self, key: PageKey) -> RenderOutput {
-        self.render_onto(key, None)
+        self.render_with(key, None, false)
+    }
+
+    /// Render `key` for a caller that hands the body to every holder it
+    /// will render the page onto next — prewarming a fleet: as
+    /// [`Renderer::render`], and the page memo keeps the body, as it keeps
+    /// what [`Renderer::render_onto`] returns, so that the page's first
+    /// regeneration is answered like every later one.
+    pub fn render_remembered(&self, key: PageKey) -> RenderOutput {
+        self.render_with(key, None, true)
     }
 
     /// Render `key` for a caller that holds `previous`, the body the page
@@ -342,25 +354,32 @@ impl Renderer {
     /// are read in this render's snapshot first, and the page may not be
     /// composed at all. If they all read what they read then, the page is
     /// `previous`: a compose would make the same reads and get the same
-    /// rows. If only stamps of sections the page splices moved, and each
-    /// of those sections is memoised at its new stamp with the edges the
-    /// page registered from it, the page is `previous` with those
-    /// sections' bytes replaced: a compose would make the same reads of
-    /// its own and splice the same sections, those ones as they read now.
-    /// Otherwise the page is composed and, before it is finished, compared
-    /// with `previous` in place: head, inner HTML and padding.
+    /// rows. If only stamps of sections the page splices moved, the page
+    /// is `previous` with those sections' bytes replaced — each rendered
+    /// under this snapshot if its memo entry is behind — as long as each
+    /// lists the edges the page registered from it: a compose would make
+    /// the same reads of its own and splice the same sections, those ones
+    /// as they read now. Otherwise the page is composed and, before it is
+    /// finished, compared with `previous` in place: head, inner HTML and
+    /// padding.
     ///
     /// A page that changed is written over the body its size's last
     /// replaced page was parked with when nothing holds that any more, and
     /// into a buffer of its own length otherwise.
     pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
+        self.render_with(key, previous, previous.is_some())
+    }
+
+    /// The one render: onto `previous`, if any, and with `keep` remembered
+    /// in the page memo for the next render onto the body returned.
+    fn render_with(&self, key: PageKey, previous: Option<&Bytes>, keep: bool) -> RenderOutput {
         let (mut html, mut moved) = (SCRATCH.take(), MOVED.take());
         html.clear();
         moved.clear();
         let mut deps: Vec<Dependency> = Vec::new();
         // What covers the reads is of use to the next render onto the body
-        // this one returns: a render onto nothing has no such successor.
-        let mut coverage = previous.map(|_| Coverage::default());
+        // this one returns, if it is to be remembered.
+        let mut coverage = keep.then(Coverage::default);
         // A page that is not composed is composed all the same in a build
         // with debug assertions, into a buffer of its own, to compare.
         let mut oracle = String::new();
@@ -449,9 +468,10 @@ impl Renderer {
     /// from what the page memo kept of the body it last returned for the
     /// page — if `held` is that body: that allocation, not its bytes. A
     /// patch leaves the moved sections' HTML in `fresh` and says in
-    /// `moved` where it goes. A section memoised behind its stamp, or with
-    /// other edges than the page registered from it, makes the page
-    /// composed, which brings the memo entry up.
+    /// `moved` where it goes. A moved section memoised behind its stamp is
+    /// rendered here, under the same snapshot, and memoised at its new
+    /// stamp; one that then lists other edges than the page registered
+    /// from it makes the page composed.
     fn answer(
         &self,
         r: &Reads<'_>,
@@ -490,14 +510,24 @@ impl Renderer {
         if moved.is_empty() {
             return Answer::Unmoved(kept);
         }
-        let sections = self.sections.lock().expect(MEMO_POISONED);
         for m in moved.iter_mut() {
-            let current = |memo: &&SectionMemo| memo.revision == m.now && memo.edges == m.was.edges;
-            let Some(memo) = sections.get(&m.was.section).filter(current) else {
-                return Answer::Compose;
+            let (section, start) = (m.was.section, fresh.len());
+            let hit = {
+                let sections = self.sections.lock().expect(MEMO_POISONED);
+                let current = sections.get(&section).filter(|memo| memo.revision == m.now);
+                current.map(|memo| {
+                    fresh.push_str(&memo.html);
+                    memo.edges
+                })
             };
-            let start = fresh.len();
-            fresh.push_str(&memo.html);
+            // The page's list is the one it had: nothing is registered.
+            let edges = match hit {
+                Some(edges) => edges,
+                None => self.render_section(&mut r.unregistered(), section, m.now, fresh),
+            };
+            if edges != m.was.edges {
+                return Answer::Compose;
+            }
             m.fresh = start..fresh.len();
         }
         Answer::Patch(kept)
@@ -623,8 +653,9 @@ impl Renderer {
                     cost_ms: self.cost.cost_ms(key),
                     generation: 0,
                 });
-                // A body this renderer never returned — a prewarmed one —
-                // is superseded all the same, what it held unknown.
+                // A body this renderer never returned — a demand fill's, or
+                // one of a page it forgot — is superseded all the same,
+                // what it held unknown.
                 let held = previous.and_then(|held| {
                     let bytes = held.clone();
                     unknown_content(held).map(|content_len| Body { bytes, content_len })
@@ -644,6 +675,13 @@ impl Renderer {
     /// longer holds it and will not render the page onto it again.
     pub fn forget(&self, key: PageKey) {
         self.pages.lock().expect(MEMO_POISONED).remove(&key);
+    }
+
+    /// Whether the page memo holds a body for `key`: one returned by
+    /// [`Renderer::render_onto`] or [`Renderer::render_remembered`] and not
+    /// forgotten since.
+    pub fn remembers(&self, key: PageKey) -> bool {
+        self.pages.lock().expect(MEMO_POISONED).contains_key(&key)
     }
 
     /// Build the page's inner HTML; returns the title.
@@ -685,7 +723,7 @@ impl Renderer {
                 "Fun".into()
             }
             PageKey::Fragment(f) => {
-                self.fragment_section(r, f, html);
+                self.compose_fragment(r, Section::Fragment(f), html);
                 fragment_title(f)
             }
         }
@@ -705,32 +743,8 @@ impl Renderer {
         for event in events {
             self.inline_fragment(r, FragmentKey::ResultTable(event.id), 2.0, html);
             // Everything the page itself says about the event: unchanged
-            // until results arrive for this very event. The *skeleton*
-            // reads event rows directly (phase label, gold-winner line), so
-            // the page gets a data edge of its own — not just the
-            // fragment's.
-            self.compose_fragment(r, Section::HomeEvent(event.id), html, |r, html| {
-                html.push_str("<section class=\"event\">");
-                push_link(html, PageKey::Event(event.id), event.name);
-                html.push_str(" — ");
-                let phase = r.phase(&event);
-                html.push_str(phase_label(phase));
-                html.push_str("</section>\n");
-                // Inline the top line of finished finals: this is what lets
-                // >25% of visitors stop at the home page.
-                if phase == EventPhase::Final {
-                    if let Some(winner) = r
-                        .results_for_event(event.id)
-                        .find(|row| row.is_final && row.rank == 1)
-                    {
-                        if let Some(a) = r.athlete(winner.athlete) {
-                            html.push_str("<p>Gold: ");
-                            html.push_str(&a.name);
-                            html.push_str("</p>\n");
-                        }
-                    }
-                }
-            });
+            // until results arrive for this very event.
+            self.compose_fragment(r, Section::HomeEvent(event.id), html);
         }
         keyed("Nagano 1998 — Day ", day)
     }
@@ -791,13 +805,7 @@ impl Renderer {
         }
         // The roster is what a medal change regenerating every country
         // page leaves alone.
-        self.compose_fragment(r, Section::Roster(c), html, |r, html| {
-            for a in r.athletes_of_country(c).take(50) {
-                html.push_str("<div>");
-                push_link(html, PageKey::Athlete(a.id), &a.name);
-                html.push_str("</div>\n");
-            }
-        });
+        self.compose_fragment(r, Section::Roster(c), html);
         name.to_string()
     }
 
@@ -806,28 +814,19 @@ impl Renderer {
     /// reads: the fragment depends on that (Figure 15's two-level
     /// composition).
     fn inline_fragment(&self, r: &mut Reads<'_>, f: FragmentKey, weight: f64, html: &mut String) {
-        self.fragment_section(&mut r.inline_fragment(f, weight), f, html);
-    }
-
-    /// The registered fragment `f` as a memoised section.
-    fn fragment_section(&self, r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
-        self.compose_fragment(r, Section::Fragment(f), html, |r, html| {
-            render_fragment_into(r, f, html)
-        });
+        self.compose_fragment(
+            &mut r.inline_fragment(f, weight),
+            Section::Fragment(f),
+            html,
+        );
     }
 
     /// Append `section`'s HTML to `html`, register its edges with `r` and
-    /// log the splice. The one entry to memoised rendering: it splices the
-    /// memoised render while `r` still stamps the section's source data
-    /// with the revision the memo was rendered at, and otherwise has
-    /// [`Renderer::render_section`] render and memoise it.
-    fn compose_fragment(
-        &self,
-        r: &mut Reads<'_>,
-        section: Section,
-        html: &mut String,
-        render: impl FnOnce(&mut Reads<'_>, &mut String),
-    ) {
+    /// log the splice. The one entry to memoised rendering in a compose: it
+    /// splices the memoised render while `r` still stamps the section's
+    /// source data with the revision the memo was rendered at, and
+    /// otherwise has [`Renderer::render_section`] render and memoise it.
+    fn compose_fragment(&self, r: &mut Reads<'_>, section: Section, html: &mut String) {
         let revision = r.stamp(section.source());
         let start = html.len();
         let hit = {
@@ -842,7 +841,7 @@ impl Renderer {
         };
         let edges = match hit {
             Some(edges) => edges,
-            None => self.render_section(r, section, revision, html, render),
+            None => self.render_section(r, section, revision, html),
         };
         // A page is far short of 4 GiB.
         let (start, len) = (start as u32, (html.len() - start) as u32);
@@ -855,23 +854,23 @@ impl Renderer {
         });
     }
 
-    /// Append `render`'s HTML of `section` to `html` — a pure function of
-    /// the section's source data, reading through a handle that registers
-    /// in a list of the section's own — register that list with `r`, and
-    /// memoise both at `revision`. Returns the entry's edge count.
+    /// Append `section`'s HTML to `html` — [`section_html`], reading
+    /// through a handle that registers in a list of the section's own —
+    /// register that list with `r`, and memoise both at `revision`: the one
+    /// store into the section memo, whether a compose or a patch found the
+    /// entry behind. Returns the entry's edge count.
     fn render_section(
         &self,
         r: &mut Reads<'_>,
         section: Section,
         revision: u64,
         html: &mut String,
-        render: impl FnOnce(&mut Reads<'_>, &mut String),
     ) -> u64 {
         let source = section.source();
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
         let mut within = cfg!(debug_assertions).then(Coverage::default);
-        render(&mut r.section(&mut own, within.as_mut()), html);
+        section_html(&mut r.section(&mut own, within.as_mut()), section, html);
         debug_assert!(
             within.as_ref().is_some_and(|w| w.is_within(source)),
             "{section:?} is memoised under {source:?}, but read under {within:?}"
@@ -959,10 +958,12 @@ const MEMO_POISONED: &str = "a render panicked while holding a memo";
 /// and panics unless the two agree. An optimised build compiles none of it.
 const COMPOSE_WHAT_IS_KEPT: bool = cfg!(debug_assertions);
 
-/// Render fragment `f` from `r`: the pure function the memo caches.
-fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
-    match f {
-        FragmentKey::ResultTable(e) => {
+/// Render `section` from `r`: the pure function of the section's source
+/// data the memo caches, and the one section renderer — a compose and a
+/// patch that finds the memo behind both render through it.
+fn section_html(r: &mut Reads<'_>, section: Section, html: &mut String) {
+    match section {
+        Section::Fragment(FragmentKey::ResultTable(e)) => {
             html.push_str("<table class=\"results\">\n");
             for row in r.results_for_event(e) {
                 html.push_str("<tr><td>");
@@ -981,7 +982,7 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
             }
             html.push_str("</table>\n");
         }
-        FragmentKey::MedalTable => {
+        Section::Fragment(FragmentKey::MedalTable) => {
             html.push_str("<table class=\"medals\">\n");
             for (c, m) in r.medal_standings().iter().take(15) {
                 html.push_str("<tr><td>");
@@ -1001,7 +1002,7 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
             }
             html.push_str("</table>\n");
         }
-        FragmentKey::Headlines(day) => {
+        Section::Fragment(FragmentKey::Headlines(day)) => {
             html.push_str("<ul class=\"headlines\">\n");
             for article in r.news_on_day(day, 0.5, 1.0).take(8) {
                 html.push_str("<li>");
@@ -1009,6 +1010,39 @@ fn render_fragment_into(r: &mut Reads<'_>, f: FragmentKey, html: &mut String) {
                 html.push_str("</li>\n");
             }
             html.push_str("</ul>\n");
+        }
+        Section::Roster(c) => {
+            for a in r.athletes_of_country(c).take(50) {
+                html.push_str("<div>");
+                push_link(html, PageKey::Athlete(a.id), &a.name);
+                html.push_str("</div>\n");
+            }
+        }
+        // The page reads the event's rows itself here (phase label,
+        // gold-winner line), so it gets a data edge of its own — not just
+        // the result table's.
+        Section::HomeEvent(e) => {
+            let Some(event) = r.event(e) else {
+                return;
+            };
+            html.push_str("<section class=\"event\">");
+            push_link(html, PageKey::Event(e), event.name);
+            html.push_str(" — ");
+            let phase = r.phase(&event);
+            html.push_str(phase_label(phase));
+            html.push_str("</section>\n");
+            // Inline the top line of finished finals: this is what lets
+            // >25% of visitors stop at the home page.
+            if phase == EventPhase::Final {
+                let winner = r
+                    .results_for_event(e)
+                    .find(|row| row.is_final && row.rank == 1);
+                if let Some(a) = winner.and_then(|w| r.athlete(w.athlete)) {
+                    html.push_str("<p>Gold: ");
+                    html.push_str(&a.name);
+                    html.push_str("</p>\n");
+                }
+            }
         }
     }
 }

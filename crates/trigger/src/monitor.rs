@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use nagano_cache::CacheFleet;
@@ -229,6 +228,11 @@ impl TriggerMonitor {
         &self.fleet
     }
 
+    /// The renderer regenerations render onto the fleet's bodies with.
+    pub fn renderer(&self) -> &Renderer {
+        &self.renderer
+    }
+
     /// Number of (nodes, edges) currently in the ODG.
     pub fn graph_size(&self) -> (usize, usize) {
         let g = self.graph.lock();
@@ -242,21 +246,40 @@ impl TriggerMonitor {
     /// (i.e. the OS page cache); holding them in the serving cache is the
     /// equivalent steady state.
     ///
+    /// Every body goes to the whole fleet, so the renderer remembers it
+    /// ([`Renderer::render_remembered`]): a page's first regeneration is
+    /// answered by its stamps or patched like every later one.
+    ///
     /// Returns the number of pages warmed.
     pub fn prewarm(&self) -> usize {
-        let keys: Vec<PageKey> = self.registry.pages().iter().map(|(k, _)| *k).collect();
-        // Render in parallel (pure reads of the DB), then register and
-        // distribute sequentially — graph mutation is the cheap part.
-        let rendered: Vec<(PageKey, RenderOutput)> = keys
-            .par_iter()
-            .map(|&k| (k, self.renderer.render(k)))
+        let pages = self.registry.pages();
+        // Every page rendered, then every page registered and distributed:
+        // interleaving the steps per page cost ~0.8 ms more CPU on a
+        // ~7.8 ms full-Games prewarm (2-vCPU guest), each pass keeping its
+        // own tables in cache.
+        let rendered: Vec<RenderOutput> = pages
+            .iter()
+            .map(|&(key, _)| self.renderer.render_remembered(key))
             .collect();
-        let n = rendered.len();
-        for (key, out) in rendered {
+        let mut url = String::new();
+        for (&(key, _), out) in pages.iter().zip(rendered) {
+            url.clear();
+            key.push_url(&mut url);
             self.register_render(key, &out);
-            self.fleet.distribute(&key.to_url(), out.body, out.cost_ms);
+            self.fleet.distribute(&url, out.body, out.cost_ms);
         }
-        n
+        // A bounded fleet may have evicted a page for a later one: the
+        // renderer must not hold on to a body the fleet let go of.
+        if self.fleet.member(0).policy().is_bounded() {
+            for &(key, _) in pages {
+                url.clear();
+                key.push_url(&mut url);
+                if self.fleet.distributed(&url).is_none() {
+                    self.renderer.forget(key);
+                }
+            }
+        }
+        pages.len()
     }
 
     /// Register a rendered page's dependencies in the ODG (idempotent;
@@ -469,8 +492,10 @@ impl TriggerMonitor {
     /// onto the body the fleet holds for it, and distribute it: a page
     /// that comes out as those bytes is recognised before a body is built
     /// for it — before it is composed, when nothing it read last time has
-    /// moved ([`Renderer::render_onto`]) — and costs the fleet a
-    /// comparison ([`CacheFleet::distribute`]). Adds the summed modelled
+    /// moved ([`Renderer::render_onto`]) — and costs the fleet nothing when
+    /// every member holds the very allocation handed back
+    /// ([`CacheFleet::distributed`]), a comparison otherwise
+    /// ([`CacheFleet::distribute`]). Adds the summed modelled
     /// CPU to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
     /// bytes changed in `nagano_trigger_pages_changed_total`, the keys
     /// that were not composed in `nagano_trigger_pages_revalidated_total`
@@ -497,18 +522,24 @@ impl TriggerMonitor {
         for &key in keys {
             url.clear();
             key.push_url(&mut url);
-            let held = self.fleet.distributed_body(&url);
+            let held = self.fleet.distributed(&url);
             if held.is_none() {
                 // Evicted: the renderer's reference to the body it made
                 // last must not outlive the fleet's by more than this.
                 self.renderer.forget(key);
             }
-            let out = self.renderer.render_onto(key, held.as_ref());
+            let out = self
+                .renderer
+                .render_onto(key, held.as_ref().map(|h| &h.body));
             self.register_render(key, &out);
             regen.render_ms += out.cost_ms;
             regen.revalidated += usize::from(out.revalidated);
             regen.patched += usize::from(out.patched);
-            regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
+            // Handed back the allocation every member holds: a
+            // distribution would keep every entry as it is.
+            if !held.is_some_and(|h| h.is_everywhere(&out.body)) {
+                regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
+            }
         }
         self.clear_stale_marks(&regen.keys);
         self.stats.record_regen_cpu(regen.render_ms);
@@ -792,7 +823,7 @@ impl TriggerMonitor {
 mod tests {
     use super::*;
     use nagano_cache::{CacheConfig, ReplacementPolicy};
-    use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb};
+    use nagano_db::{seed_games, AthleteId, CountryId, GamesConfig, OlympicDb};
     use nagano_pagegen::FragmentKey;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
@@ -829,6 +860,74 @@ mod tests {
         let (nodes, edges) = monitor.graph_size();
         assert!(nodes > warmed, "graph has data + object nodes");
         assert!(edges > 0);
+    }
+
+    #[test]
+    fn the_first_final_after_prewarm_is_answered_like_every_later_one() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let registry = PageRegistry::build(&db, 16);
+        for &(key, _) in registry.pages() {
+            assert!(monitor.renderer().remembers(key), "{key} not remembered");
+        }
+        let ev = db.events()[0].clone();
+        let before = db.medal_standings();
+        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
+        let outcome = monitor.process_txn(&txn);
+        let after = db.medal_standings();
+        let moved = |c: &CountryId| {
+            let tally = |rows: &[(CountryId, nagano_db::MedalCount)]| {
+                rows.iter().find(|(id, _)| id == c).map(|&(_, m)| m)
+            };
+            tally(&before) != tally(&after)
+        };
+        // Only a page with a read no stamp covers — an athlete's, an
+        // event's — or a country page whose tally moved has to be composed.
+        // That is every page that was: no home page is, though all sixteen
+        // splice the medal table the final moved, and the final's own day
+        // its event's block and result table as well.
+        let must_compose = |key: &&PageKey| match key {
+            PageKey::Athlete(_) | PageKey::Event(_) => true,
+            PageKey::Country(c) => moved(c),
+            _ => false,
+        };
+        let regenerated = &outcome.regenerated;
+        let composed = regenerated.len() - outcome.revalidated - outcome.patched;
+        assert_eq!(
+            composed,
+            regenerated.iter().filter(must_compose).count(),
+            "{outcome:?}"
+        );
+        let homes = regenerated.iter().filter(|k| matches!(k, PageKey::Home(_)));
+        assert_eq!(homes.count(), 16, "{outcome:?}");
+        // A country page whose tally did not move is answered by its
+        // stamps: it splices nothing that moved, so it cannot be patched.
+        let unmoved = regenerated.iter().filter(|k| match k {
+            PageKey::Country(c) => !moved(c),
+            _ => false,
+        });
+        let unmoved = unmoved.count();
+        assert!(unmoved > 0 && outcome.revalidated >= unmoved, "{outcome:?}");
+    }
+
+    #[test]
+    fn prewarm_leaves_no_page_memo_for_a_page_the_fleet_evicted() {
+        // Two shards of two members, each a few pages' worth: prewarm
+        // evicts most of what it distributes.
+        let small = CacheConfig::bounded(60_000, ReplacementPolicy::Lru).with_shards(1);
+        let (db, monitor) = setup_on(CacheFleet::new(2, small), ConsistencyPolicy::UpdateInPlace);
+        let warmed = monitor.prewarm();
+        let registry = PageRegistry::build(&db, 16);
+        let member = monitor.fleet().member(0);
+        let held = |key: PageKey| member.peek(&key.to_url()).is_some();
+        let (mut kept, mut evicted) = (0, 0);
+        for &(key, _) in registry.pages() {
+            assert_eq!(monitor.renderer().remembers(key), held(key), "{key}");
+            kept += usize::from(held(key));
+            evicted += usize::from(!held(key));
+        }
+        assert_eq!(kept + evicted, warmed);
+        assert!(kept > 0 && evicted > 0, "{kept} kept, {evicted} evicted");
     }
 
     #[test]
