@@ -14,7 +14,7 @@ use nagano_bench::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
 /// Experiments that additionally write a `BENCH_<id>.json` copy — the
 /// perf-trajectory artifacts CI uploads so later changes have a recorded
 /// baseline to compare against.
-const BENCH_IDS: &[&str] = &["hybrid", "slo", "resilience", "serving"];
+const BENCH_IDS: &[&str] = &["hybrid", "slo", "resilience"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -4,7 +4,6 @@ pub mod ablations;
 pub mod caching;
 pub mod figures;
 pub mod hybrid;
-pub mod serving;
 pub mod slo;
 pub mod systems;
 pub mod tables;

@@ -37,14 +37,12 @@
 //! | `soak` | random-failure soak across the Games (availability) |
 //! | `chaos` | data-plane fault injection: scripted lossy/partitioned links + monitor crashes |
 //! | `resilience` | serving-plane fault injection: render slowdown, backend outages, cache cold-restart |
-//! | `serving` | real-TCP serving hot path: latency percentiles + capacity on a seed-deterministic schedule |
 //! | `summary` | one-screen headline scoreboard |
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fmt;
-pub mod loadgen;
 
 use serde_json::Value;
 
@@ -106,7 +104,7 @@ impl ExpResult {
 }
 
 /// All experiment ids in canonical order.
-pub const ALL_EXPERIMENTS: [&str; 28] = [
+pub const ALL_EXPERIMENTS: [&str; 27] = [
     "fig18",
     "fig20",
     "fig21",
@@ -133,7 +131,6 @@ pub const ALL_EXPERIMENTS: [&str; 28] = [
     "soak",
     "chaos",
     "resilience",
-    "serving",
     "summary",
 ];
 
@@ -167,7 +164,6 @@ pub fn run_experiment(id: &str, config: &ExpConfig) -> Option<ExpResult> {
         "soak" => e::systems::soak(config),
         "chaos" => e::systems::chaos(config),
         "resilience" => e::systems::resilience(config),
-        "serving" => e::serving::serving(config),
         "summary" => e::systems::summary(config),
         _ => return None,
     })

@@ -147,12 +147,6 @@ impl CacheFleet {
         }
     }
 
-    /// Serve member `i`'s tombstoned stale copy of `key`, if any is
-    /// within its stale policy's age bound.
-    pub fn serve_stale_from(&self, i: usize, key: &str) -> Option<crate::StaleCopy> {
-        self.members[i].serve_stale(key)
-    }
-
     /// Clear every member.
     pub fn clear(&self) {
         for m in &self.members {

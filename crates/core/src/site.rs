@@ -397,11 +397,6 @@ impl ServingSite {
         self.retry_hint.set_secs(secs);
     }
 
-    /// Requests admitted so far — the breaker's clock.
-    pub fn request_ticks(&self) -> u64 {
-        self.ticks.load(Relaxed)
-    }
-
     /// Synchronously process every transaction committed since the last
     /// pump (tests and replay harnesses; live deployments use
     /// [`ServingSite::spawn_trigger_runner`]).

@@ -1,5 +1,6 @@
-//! A blocking keep-alive HTTP client, for tests and examples. Load is
-//! generated by `nagano-bench`'s `loadgen` (closed and open loop).
+//! A blocking keep-alive HTTP client, for tests, examples and the
+//! `throughput` experiment's closed loop. It reconnects once when the
+//! server has closed an idle connection.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -73,5 +74,41 @@ impl HttpClient {
             ),
             ParseError::Malformed(m) => std::io::Error::new(std::io::ErrorKind::InvalidData, m),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    use crate::http::{Request, Response};
+    use crate::server::{Handler, Server, ServerConfig};
+
+    #[test]
+    fn get_reconnects_after_the_server_closes_an_idle_connection() {
+        let handler: Arc<dyn Handler> =
+            Arc::new(|_req: &Request| Response::html(Bytes::from_static(b"<p>up</p>")));
+        let server = Server::bind(
+            "127.0.0.1:0",
+            handler,
+            ServerConfig {
+                read_timeout: Duration::from_millis(100),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let first = client.writer.get_ref().local_addr().unwrap();
+        assert_eq!(client.get("/a").unwrap().0, 200);
+
+        // Silent past the idle close: a peek reads 0 bytes once the
+        // server's FIN is in, and the next `get` finds the connection closed.
+        assert_eq!(client.reader.get_ref().peek(&mut [0]).unwrap(), 0);
+        assert_eq!(client.get("/b").unwrap().0, 200);
+        let second = client.writer.get_ref().local_addr().unwrap();
+        assert_ne!(first, second, "the second get rode a new connection");
+        assert_eq!(server.served(), 2);
+        server.shutdown();
     }
 }

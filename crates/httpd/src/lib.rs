@@ -14,8 +14,7 @@
 //! * [`server`] — a blocking accept loop feeding a fixed worker pool over
 //!   a crossbeam channel; handlers implement [`Handler`].
 //! * [`client`] — a blocking keep-alive client (real sockets, real
-//!   bytes) for tests and examples; load is generated by `nagano-bench`'s
-//!   `loadgen`.
+//!   bytes) for tests, examples and the `throughput` experiment.
 //! * [`log`] — NCSA Common Log Format access logging and the log
 //!   aggregations that drove the paper's 1998 redesign (§3.1).
 //! * [`metrics`] — per-endpoint request counters ([`HttpdMetrics`]) that

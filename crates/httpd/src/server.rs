@@ -93,30 +93,6 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Defaults with overrides from the environment: `NAGANO_HTTPD_WORKERS`
-    /// (worker threads) and `NAGANO_HTTPD_BACKLOG` (pending-connection
-    /// queue). Unset or unparsable variables keep their defaults. Read by
-    /// `nagano-bench`'s `loadgen` binary when it serves the site itself and
-    /// by its `serving` experiment (`BENCH_serving.json`), to sweep server
-    /// shapes without a rebuild; the wall-clock harness in `benchmark/`
-    /// fixes its server's shape in code and reads no `NAGANO_*` variable.
-    pub fn from_env() -> Self {
-        let mut cfg = ServerConfig::default();
-        if let Some(n) = env_usize("NAGANO_HTTPD_WORKERS") {
-            cfg.workers = n.max(1);
-        }
-        if let Some(n) = env_usize("NAGANO_HTTPD_BACKLOG") {
-            cfg.backlog = n.max(1);
-        }
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// A running server; dropping it shuts the server down.
 pub struct Server {
     addr: SocketAddr,
@@ -617,20 +593,6 @@ mod tests {
         drop(queued);
         assert_eq!(server.served(), 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn config_from_env_reads_worker_knobs() {
-        std::env::set_var("NAGANO_HTTPD_WORKERS", "3");
-        std::env::set_var("NAGANO_HTTPD_BACKLOG", "17");
-        let cfg = ServerConfig::from_env();
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.backlog, 17);
-        std::env::remove_var("NAGANO_HTTPD_WORKERS");
-        std::env::remove_var("NAGANO_HTTPD_BACKLOG");
-        let cfg = ServerConfig::from_env();
-        assert_eq!(cfg.workers, ServerConfig::default().workers);
-        assert_eq!(cfg.backlog, ServerConfig::default().backlog);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl NodeKind {
     pub fn is_object(self) -> bool {
         matches!(self, NodeKind::Object | NodeKind::Hybrid)
     }
-
-    /// Whether changes can originate at this node.
-    pub fn is_data(self) -> bool {
-        matches!(self, NodeKind::UnderlyingData | NodeKind::Hybrid)
-    }
 }
 
 /// A weighted dependence edge. The weight is "correlated with the importance

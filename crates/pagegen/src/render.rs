@@ -303,12 +303,6 @@ impl Renderer {
         }
     }
 
-    /// Use a custom cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Burn real CPU proportional to the modelled cost (scale 1.0 =
     /// model-accurate; tests use small scales).
     pub fn with_simulated_cpu(mut self, scale: f64) -> Self {

@@ -109,13 +109,6 @@ impl LinkModel {
         self.class
     }
 
-    /// Override the connection-setup round-trip count.
-    pub fn with_setup_rtts(mut self, rtts: f64) -> Self {
-        assert!(rtts >= 0.0);
-        self.setup_rtts = rtts;
-        self
-    }
-
     /// Set the congestion multiplier (>= 1).
     pub fn with_congestion(mut self, c: f64) -> Self {
         assert!(c >= 1.0, "congestion factor must be >= 1");

@@ -79,11 +79,6 @@ impl Welford {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (+inf if empty).
     pub fn min(&self) -> f64 {
         self.min

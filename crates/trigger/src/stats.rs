@@ -223,12 +223,6 @@ impl TriggerStats {
         self.weighted_staleness.record(secs);
     }
 
-    /// The live latency distribution (seconds), for binding or direct
-    /// percentile queries.
-    pub fn latency_histogram(&self) -> HistogramHandle {
-        self.latency.clone()
-    }
-
     /// Register this monitor's live cells into `registry` under the
     /// `nagano_trigger_*` names, tagged with `labels` (typically
     /// `site=<name>`).

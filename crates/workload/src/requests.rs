@@ -109,18 +109,6 @@ impl RequestModel {
         }
     }
 
-    /// Override the calendar (tests/ablation).
-    pub fn with_calendar(mut self, calendar: GamesCalendar) -> Self {
-        self.calendar = calendar;
-        self
-    }
-
-    /// Override the geographic mix.
-    pub fn with_geo(mut self, geo: GeoMix) -> Self {
-        self.geo = geo;
-        self
-    }
-
     /// The scale divisor.
     pub fn scale(&self) -> f64 {
         self.scale
