@@ -2,10 +2,10 @@
 //! Figure 5 and the per-site trigger monitors, faulted on the sim clock.
 //!
 //! The routing tier already degrades elegantly ([`crate::state`]); this
-//! module stresses the *propagation* tier. A [`DataFaultPlan`] is a
-//! seeded, sim-clock-scheduled list of link faults (drop / delay /
-//! reorder / full partition) on each replication edge plus crash/restart
-//! faults on per-site trigger monitors. The simulation applies them and
+//! module stresses the *propagation* tier. A data fault plan is a
+//! seeded, sim-clock-scheduled list of [`DataFaultPlanEntry`]s: link
+//! faults (drop / delay / reorder / full partition) on each replication
+//! edge plus crash/restart faults on per-site trigger monitors. The simulation applies them and
 //! every component behind the fault recovers from its watermark:
 //! replicas pull the gap with `TxnLog::since`, Schaumburg fails over to
 //! the Tokyo re-feed when its primary feed is partitioned, and a

@@ -507,7 +507,7 @@ impl ServingSite {
         out
     }
 
-    /// The page handler for `node` wrapped in an [`AdminPlane`]:
+    /// The page handler for `node` wrapped in an [`nagano_httpd::AdminPlane`]:
     /// `/metrics` scrapes `registry` as Prometheus text, `/healthz`
     /// probes liveness, `/status` returns [`ServingSite::status_json`],
     /// and every other path serves pages as [`ServingSite::http_handler`].

@@ -13,7 +13,6 @@
 //! [`OlympicDb`] are one-query views for callers that keep the rows.
 
 use parking_lot::{RwLock, RwLockReadGuard};
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 use crate::schema::{
@@ -21,7 +20,7 @@ use crate::schema::{
     EventPhase, MedalCount, NewsArticle, NewsId, Photo, PhotoId, ResultId, ResultRow, Sport,
     SportId,
 };
-use crate::table::{Index, Table};
+use crate::table::{Counters, Index, Slot, Table};
 use crate::txn::{RecordChange, Transaction, TxnLog};
 
 /// Revision stamps of the data the memoised page sections — and, summed
@@ -37,12 +36,12 @@ struct Revisions {
     /// (athlete names, country codes, event names), so it counts towards
     /// every stamp — and is the whole stamp of what only loads write.
     loads: u64,
-    results: FxHashMap<EventId, u64>,
+    results: Counters<EventId>,
     medals: u64,
     /// One country's tally: a final bumps its podium countries' only,
     /// where `medals` moves for every country at once.
-    medal_rows: FxHashMap<CountryId, u64>,
-    news: FxHashMap<u32, u64>,
+    medal_rows: Counters<CountryId>,
+    news: Counters<u32>,
 }
 
 #[derive(Debug, Default)]
@@ -71,8 +70,8 @@ impl Tables {
     fn put_event(&mut self, e: Event) {
         let (id, day, sport) = (e.id, e.day, e.sport);
         if let Some(old) = self.events.upsert(id, e) {
-            self.events_by_day.remove(&old.day, id);
-            self.events_by_sport.remove(&old.sport, id);
+            self.events_by_day.remove(old.day, id);
+            self.events_by_sport.remove(old.sport, id);
         }
         self.events_by_day.insert(day, id);
         self.events_by_sport.insert(sport, id);
@@ -81,8 +80,8 @@ impl Tables {
     fn put_athlete(&mut self, a: Athlete) {
         let (id, country, sport) = (a.id, a.country, a.sport);
         if let Some(old) = self.athletes.upsert(id, a) {
-            self.athletes_by_country.remove(&old.country, id);
-            self.athletes_by_sport.remove(&old.sport, id);
+            self.athletes_by_country.remove(old.country, id);
+            self.athletes_by_sport.remove(old.sport, id);
         }
         self.athletes_by_country.insert(country, id);
         self.athletes_by_sport.insert(sport, id);
@@ -99,17 +98,17 @@ impl Tables {
     fn put_news(&mut self, n: NewsArticle) {
         let (id, day) = (n.id, n.day);
         if let Some(old) = self.news.upsert(id, n) {
-            self.news_by_day.remove(&old.day, id);
-            *self.revisions.news.entry(old.day).or_default() += 1;
+            self.news_by_day.remove(old.day, id);
+            self.revisions.news.bump(old.day);
         }
         self.news_by_day.insert(day, id);
-        *self.revisions.news.entry(day).or_default() += 1;
+        self.revisions.news.bump(day);
     }
 
     fn put_photo(&mut self, p: Photo) {
         let (id, about) = (p.id, p.about_event);
         if let Some(old_event) = self.photos.upsert(id, p).and_then(|old| old.about_event) {
-            self.photos_by_event.remove(&old_event, id);
+            self.photos_by_event.remove(old_event, id);
         }
         if let Some(event) = about {
             self.photos_by_event.insert(event, id);
@@ -249,14 +248,16 @@ impl OlympicDb {
                     .take(3)
                     .filter_map(|&(a, _)| t.athletes.get(a).map(|x| x.country))
                     .collect();
-                for (i, c) in medal_countries.iter().enumerate() {
-                    let tally = t.medals.get_mut(*c).expect("country loaded");
+                for (i, &c) in medal_countries.iter().enumerate() {
+                    // A podium athlete's country may never have been
+                    // loaded: its tally starts here, like a loaded one's.
+                    let tally = t.medals.get_or_insert_default(c);
                     match i {
                         0 => tally.gold += 1,
                         1 => tally.silver += 1,
                         _ => tally.bronze += 1,
                     }
-                    *t.revisions.medal_rows.entry(*c).or_default() += 1;
+                    t.revisions.medal_rows.bump(c);
                 }
                 t.revisions.medals += 1;
                 changes.push(RecordChange::update(medals_data_key()));
@@ -269,7 +270,7 @@ impl OlympicDb {
             // Rows or no rows, a phase that moved changes what the home
             // page prints for the event.
             if phase_moved || !placements.is_empty() {
-                *t.revisions.results.entry(event).or_default() += 1;
+                t.revisions.results.bump(event);
             }
             changes.push(RecordChange::update(today_data_key(day)));
         }
@@ -417,10 +418,7 @@ impl OlympicDb {
 }
 
 /// The rows of `table` an index lists, in index (= key) order.
-fn rows<'a, K: Ord + Copy, R>(
-    table: &'a Table<K, R>,
-    keys: &'a [K],
-) -> impl Iterator<Item = &'a R> {
+fn rows<'a, K: Slot, R>(table: &'a Table<K, R>, keys: &'a [K]) -> impl Iterator<Item = &'a R> {
     keys.iter().filter_map(move |&k| table.get(k))
 }
 
@@ -459,17 +457,17 @@ impl DbView<'_> {
 
     /// Events concluding on `day`, id order.
     pub fn events_on_day(&self, day: u32) -> impl Iterator<Item = &Event> {
-        rows(&self.t.events, self.t.events_by_day.get(&day))
+        rows(&self.t.events, self.t.events_by_day.get(day))
     }
 
     /// Events of a sport, id order.
     pub fn events_of_sport(&self, sport: SportId) -> impl Iterator<Item = &Event> {
-        rows(&self.t.events, self.t.events_by_sport.get(&sport))
+        rows(&self.t.events, self.t.events_by_sport.get(sport))
     }
 
     /// Athletes of a country, id order.
     pub fn athletes_of_country(&self, country: CountryId) -> impl Iterator<Item = &Athlete> {
-        rows(&self.t.athletes, self.t.athletes_by_country.get(&country))
+        rows(&self.t.athletes, self.t.athletes_by_country.get(country))
     }
 
     /// Athletes competing in a sport, id order.
@@ -481,17 +479,17 @@ impl DbView<'_> {
     /// off the index: for a caller that draws from the entry list and
     /// never looks at a row.
     pub fn athlete_ids_of_sport(&self, sport: SportId) -> &[AthleteId] {
-        self.t.athletes_by_sport.get(&sport)
+        self.t.athletes_by_sport.get(sport)
     }
 
     /// Results recorded for an event, in insertion order.
     pub fn results_for_event(&self, event: EventId) -> impl Iterator<Item = &ResultRow> {
-        rows(&self.t.results, self.t.results_by_event.get(&event))
+        rows(&self.t.results, self.t.results_by_event.get(event))
     }
 
     /// Results involving an athlete, id order.
     pub fn results_for_athlete(&self, athlete: AthleteId) -> impl Iterator<Item = &ResultRow> {
-        rows(&self.t.results, self.t.results_by_athlete.get(&athlete))
+        rows(&self.t.results, self.t.results_by_athlete.get(athlete))
     }
 
     /// Medal standings sorted by gold, then total, then id.
@@ -514,12 +512,12 @@ impl DbView<'_> {
 
     /// News published on `day`, id order.
     pub fn news_on_day(&self, day: u32) -> impl Iterator<Item = &NewsArticle> {
-        rows(&self.t.news, self.t.news_by_day.get(&day))
+        rows(&self.t.news, self.t.news_by_day.get(day))
     }
 
     /// Photos about an event, id order.
     pub fn photos_for_event(&self, event: EventId) -> impl Iterator<Item = &Photo> {
-        rows(&self.t.photos, self.t.photos_by_event.get(&event))
+        rows(&self.t.photos, self.t.photos_by_event.get(event))
     }
 
     /// Stamp of the rows no logged mutation writes — sports, countries,
@@ -534,7 +532,7 @@ impl DbView<'_> {
     /// its phase moves, and on any load.
     pub fn results_revision(&self, event: EventId) -> u64 {
         let r = &self.t.revisions;
-        r.loads + r.results.get(&event).copied().unwrap_or(0)
+        r.loads + r.results.get(event)
     }
 
     /// Stamp of the medal standings: moves when a final awards medals,
@@ -547,14 +545,14 @@ impl DbView<'_> {
     /// of its athletes on the podium (once per medal), and on any load.
     pub fn medal_row_revision(&self, country: CountryId) -> u64 {
         let r = &self.t.revisions;
-        r.loads + r.medal_rows.get(&country).copied().unwrap_or(0)
+        r.loads + r.medal_rows.get(country)
     }
 
     /// Stamp of the news of `day`: moves when a story is published on (or
     /// moved off) that day, and on any load.
     pub fn news_revision(&self, day: u32) -> u64 {
         let r = &self.t.revisions;
-        r.loads + r.news.get(&day).copied().unwrap_or(0)
+        r.loads + r.news.get(day)
     }
 }
 
@@ -707,6 +705,30 @@ mod tests {
         assert_eq!(db.events_of_sport(SportId(1)).len(), 1);
         assert_eq!(db.athletes_of_country(CountryId(1)).len(), 2);
         assert_eq!(db.athletes_of_sport(SportId(1)).len(), 4);
+    }
+
+    #[test]
+    fn a_podium_country_never_loaded_gets_its_tally_row() {
+        let db = tiny_db();
+        db.load_athlete(Athlete {
+            id: AthleteId(5),
+            name: "Athlete 5".into(),
+            country: CountryId(9),
+            sport: SportId(1),
+        });
+        let placements = [(AthleteId(5), 3.0), (AthleteId(1), 2.0)];
+        let txn = db.record_results(EventId(1), &placements, true, 3);
+        assert_eq!(db.log().len(), 1, "the final is logged, once");
+        assert_eq!(db.log().get(txn.id).map(|t| t.id), Some(txn.id));
+        assert!(txn.changes.iter().any(|c| c.data_key == "data:country:9"));
+        let gold = MedalCount {
+            gold: 1,
+            ..MedalCount::default()
+        };
+        assert_eq!(db.medal_standings()[0], (CountryId(9), gold));
+        assert_eq!(db.view().medals_of(CountryId(9)), Some(gold));
+        assert!(db.country(CountryId(9)).is_none());
+        assert_eq!(db.event(EventId(1)).unwrap().phase, EventPhase::Final);
     }
 
     #[test]
@@ -1030,7 +1052,7 @@ mod tests {
     }
 
     /// The oracle: filter one whole table, in key order.
-    fn scan<K: Ord + Copy, R: Clone>(
+    fn scan<K: Slot, R: Clone>(
         db: &OlympicDb,
         table: impl Fn(&Tables) -> &Table<K, R>,
         keep: impl Fn(&R) -> bool,

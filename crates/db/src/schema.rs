@@ -50,6 +50,12 @@ macro_rules! id_type {
             }
         }
 
+        impl crate::table::Slot for $name {
+            fn slot(self) -> usize {
+                self.0 as usize
+            }
+        }
+
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

@@ -12,15 +12,15 @@
 //! | L001 | no cycles in the cross-file lock-acquisition graph (deadlock) |
 //! | L002 | no guard held across a blocking call in serving crates |
 //!
-//! Linting runs in two passes. Pass 1 ([`model`]) lexes every
+//! Linting runs in two passes. Pass 1 (`model`) lexes every
 //! production file once and builds a cross-file workspace model (fn
 //! symbol table, lock acquisitions with live-guard tracking, resolvable
-//! call edges). Pass 2 ([`locks`]) runs L001/L002 over that model. Test
+//! call edges). Pass 2 (`locks`) runs L001/L002 over that model. Test
 //! code (`#[cfg(test)]` / `#[test]`) is stripped before either pass.
 //!
 //! The analyzer is dependency-free by design: it lexes Rust directly
 //! (comments, strings, raw strings, and test items handled in
-//! [`lexer`]). Findings are sorted by `(file, line, rule, message)`, so
+//! `lexer`). Findings are sorted by `(file, line, rule, message)`, so
 //! two runs over one tree report the same thing. The sweep over this
 //! workspace is a test: `tests/semantic.rs`,
 //! `the_workspace_has_no_lock_order_findings`.

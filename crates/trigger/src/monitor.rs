@@ -48,7 +48,7 @@ pub struct TxnOutcome {
     /// ODG nodes visited by the propagation.
     pub visited: usize,
     /// Modeled processing latency on the sim clock — a deterministic
-    /// function of the work done (see [`modeled_latency`]), never the
+    /// function of the work done (see `modeled_latency`), never the
     /// host wall clock, so same-seed runs export identical latency
     /// distributions.
     pub latency: SimDuration,
