@@ -42,7 +42,6 @@ pub fn cluster_config(config: &ExpConfig, policy: ConsistencyPolicy) -> ClusterC
         fault_plan: Vec::new(),
         serving_fault_plan: Vec::new(),
         resilience: ServingResilience::default(),
-        us_congestion: (7, 9, 1.45),
         updates_on_serving_nodes: false,
         export_dir: Some(
             std::path::PathBuf::from("target/experiments/telemetry").join(policy.slug()),

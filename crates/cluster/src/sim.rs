@@ -75,10 +75,6 @@ pub struct ClusterConfig {
     /// §11). On a fault-free run none of it is ever taken: no stale
     /// serve, no trip, no retry.
     pub resilience: ServingResilience,
-    /// External congestion on US paths: `(first_day, last_day, factor)` —
-    /// Figure 22's days 7–9 anomaly was "caused by problems external to
-    /// the site".
-    pub us_congestion: (u32, u32, f64),
     /// 1996-style co-location: updates run **on the serving processors**,
     /// so page service slows down around update bursts. The 1998 design
     /// ran updates "on different processors from the ones serving pages"
@@ -117,7 +113,6 @@ impl Default for ClusterConfig {
             fault_plan: Vec::new(),
             serving_fault_plan: Vec::new(),
             resilience: ServingResilience::default(),
-            us_congestion: (7, 9, 1.45),
             updates_on_serving_nodes: false,
             export_dir: None,
             slo_rules: ClusterConfig::default_slo_rules(),
@@ -1191,10 +1186,13 @@ impl<'a> SimState<'a> {
             self.telemetry.serving.push(t);
         }
         // Response-time sampling: the paper's Figure 22 methodology
-        // (28.8 kbps modem fetching the current home page).
+        // (28.8 kbps modem fetching the current home page). Its days 7–9
+        // anomaly was "caused by problems external to the site": US paths
+        // congested, by this factor, over those days.
+        const US_CONGESTION: (u32, u32, f64) = (7, 9, 1.45);
         if sample.link == LinkClass::Modem28_8 && matches!(sample.page, PageKey::Home(_)) {
             let mut link = LinkModel::new(LinkClass::Modem28_8);
-            let (c_lo, c_hi, factor) = self.cfg.us_congestion;
+            let (c_lo, c_hi, factor) = US_CONGESTION;
             let is_us = matches!(sample.region, Region::UsEast | Region::UsWest);
             if is_us && (c_lo..=c_hi).contains(&day) {
                 link = link.with_congestion(factor);

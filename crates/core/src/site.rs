@@ -43,9 +43,6 @@ pub struct SiteConfig {
     pub policy: ConsistencyPolicy,
     /// DUP staleness policy.
     pub staleness: StalenessPolicy,
-    /// When set, page generation burns real CPU at `cost × scale`
-    /// (throughput experiments).
-    pub cpu_scale: Option<f64>,
     /// Warm every page and build the full ODG at construction (the
     /// production prefetch). Disable to study cold-start behaviour.
     pub prewarm: bool,
@@ -65,7 +62,6 @@ impl SiteConfig {
             cache: CacheConfig::default(),
             policy: ConsistencyPolicy::UpdateInPlace,
             staleness: StalenessPolicy::Strict,
-            cpu_scale: None,
             prewarm: true,
             request_budget_secs: 2.0,
         }
@@ -175,12 +171,8 @@ impl ServingSite {
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
         let fleet = Arc::new(CacheFleet::new(config.fleet_size, config.cache.clone()));
-        let mut renderer = Renderer::new(Arc::clone(&db));
-        if let Some(scale) = config.cpu_scale {
-            renderer = renderer.with_simulated_cpu(scale);
-        }
         let monitor = Arc::new(TriggerMonitor::new(
-            renderer,
+            Renderer::new(Arc::clone(&db)),
             Arc::clone(&fleet),
             Arc::clone(&registry),
             config.policy,

@@ -2,14 +2,15 @@
 //!
 //! Given a batch of changed underlying data, [`DupEngine::propagate`]
 //! determines which cached objects have become obsolete and *how* obsolete
-//! (their accumulated staleness), per §2 of the paper:
+//! (their accumulated staleness), per §2 of the paper. One traversal
+//! serves every graph shape:
 //!
-//! * **Simple ODGs** take a bipartite fast path: one hash lookup per
-//!   changed datum (see [`crate::SimpleOdg`]).
-//! * **General ODGs** are traversed in topological order of the affected
-//!   subgraph, accumulating weighted staleness: a change of magnitude `m`
-//!   at `v` contributes `m · w(v→u)` to each successor `u`, and
-//!   contributions sum across paths.
+//! * The affected subgraph is walked in topological order, accumulating
+//!   weighted staleness: a change of magnitude `m` at `v` contributes
+//!   `m · w(v→u)` to each successor `u`, and contributions sum across
+//!   paths. On a **simple ODG** (bipartite, unweighted) that is the
+//!   paper's direct lookup: each object gets the summed magnitude of the
+//!   changed data feeding it.
 //! * **Cyclic ODGs** (possible, since applications register arbitrary
 //!   dependencies) fall back to a conservative rule: every reachable object
 //!   is treated as fully stale. Correctness (no stale page served believing
@@ -20,10 +21,7 @@
 //! the paper notes "it is often possible to save considerable CPU cycles by
 //! allowing pages to remain in the cache which are only slightly obsolete".
 
-use rustc_hash::FxHashMap;
-
 use crate::graph::{NodeId, NodeKind, Odg, OdgError};
-use crate::simple::SimpleOdg;
 
 /// How accumulated staleness maps to the stale/tolerated verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -52,7 +50,6 @@ impl StalenessPolicy {
         self,
         staleness: impl IntoIterator<Item = (NodeId, f64)>,
         visited: usize,
-        used_simple_path: bool,
     ) -> Propagation {
         let staleness = staleness.into_iter();
         // Sized once, for the usual verdict: stale.
@@ -71,7 +68,6 @@ impl StalenessPolicy {
             stale,
             tolerated,
             visited,
-            used_simple_path,
             cycle_fallback: false,
         }
     }
@@ -88,8 +84,6 @@ pub struct Propagation {
     pub tolerated: Vec<(NodeId, f64)>,
     /// Number of graph nodes visited by the traversal (work metric).
     pub visited: usize,
-    /// Whether the bipartite simple-ODG fast path was used.
-    pub used_simple_path: bool,
     /// Whether the conservative cyclic fallback fired.
     pub cycle_fallback: bool,
 }
@@ -106,7 +100,7 @@ impl Propagation {
     }
 }
 
-/// What the general traversal knows of one slot. A cell means something
+/// What the traversal knows of one slot. A cell means something
 /// only while its `mark` is the current epoch.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cell {
@@ -118,7 +112,7 @@ struct Cell {
     acc: f64,
 }
 
-/// Working memory of the general traversal, kept between propagations so
+/// Working memory of the traversal, kept between propagations so
 /// that one allocates nothing but its result.
 ///
 /// A propagation starts by taking the next epoch, which un-reaches every
@@ -179,15 +173,11 @@ impl Scratch {
 ///
 /// let prop = dup.propagate_ids(&[NodeId(1)]);
 /// assert_eq!(prop.stale.len(), 2);
-/// assert!(prop.used_simple_path); // bipartite + unweighted = simple ODG
 /// ```
 #[derive(Debug, Default)]
 pub struct DupEngine {
     odg: Odg,
     policy: StalenessPolicy,
-    /// Cached simple-ODG specialisation, keyed by the graph generation at
-    /// which it was built.
-    simple_cache: Option<(u64, bool, SimpleOdg)>,
     scratch: Scratch,
 }
 
@@ -221,8 +211,8 @@ impl DupEngine {
         &self.odg
     }
 
-    /// Mutable access to the graph (invalidates the simple-path cache via
-    /// the generation counter, so no explicit flush is needed).
+    /// Mutable access to the graph: the next propagation sees every
+    /// change made through it.
     pub fn graph_mut(&mut self) -> &mut Odg {
         &mut self.odg
     }
@@ -243,64 +233,15 @@ impl DupEngine {
 
     /// Propagate a batch of unit-magnitude changes.
     pub fn propagate_ids(&mut self, changed: &[NodeId]) -> Propagation {
-        self.run(changed.iter().map(|&id| (id, 1.0)))
+        self.traverse(changed.iter().map(|&id| (id, 1.0)))
     }
 
     /// Propagate a batch of changes with explicit magnitudes.
     pub fn propagate(&mut self, changes: &[(NodeId, f64)]) -> Propagation {
-        self.run(changes.iter().copied())
-    }
-
-    fn run(&mut self, changes: impl Iterator<Item = (NodeId, f64)>) -> Propagation {
-        self.refresh_simple_cache();
-        let Some((_, true, simple)) = &self.simple_cache else {
-            return self.traverse(changes);
-        };
-        // Fast path: bipartite lookup; every affected object gets the
-        // summed magnitude of the data feeding it. A changed node that
-        // is itself an object is stale directly (matching the general
-        // path, which includes sources in the accumulation).
-        let mut staleness: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let mut data: Vec<NodeId> = Vec::with_capacity(changes.size_hint().0);
-        for (d, m) in changes {
-            match self.odg.kind(d) {
-                None => continue,
-                Some(kind) if kind.is_object() => *staleness.entry(d).or_insert(0.0) += m,
-                Some(_) => data.push(d),
-            }
-            for &o in simple.objects_for(d) {
-                *staleness.entry(o).or_insert(0.0) += m;
-            }
-        }
-        // Vertices reached, as the traversal counts them: each changed
-        // datum the graph knows once, and each object affected.
-        data.sort_unstable();
-        data.dedup();
-        let visited = data.len() + staleness.len();
-        self.policy.verdicts(staleness, visited, true)
-    }
-
-    fn refresh_simple_cache(&mut self) {
-        let gen = self.odg.generation();
-        let fresh = matches!(&self.simple_cache, Some((g, _, _)) if *g == gen);
-        if !fresh {
-            let is_simple = self.odg.is_simple();
-            let simple = if is_simple {
-                SimpleOdg::from_graph(&self.odg)
-            } else {
-                SimpleOdg::new()
-            };
-            self.simple_cache = Some((gen, is_simple, simple));
-        }
-    }
-
-    /// Force the general (traversal) algorithm even on simple graphs —
-    /// used by the ablation benchmarks to quantify the fast path's benefit.
-    pub fn propagate_general(&mut self, changes: &[(NodeId, f64)]) -> Propagation {
         self.traverse(changes.iter().copied())
     }
 
-    /// The general algorithm, over the slot table and the engine's
+    /// The traversal, over the slot table and the engine's
     /// scratch: the id → slot map is asked once per change, every edge is
     /// followed by slot, and nothing is allocated but the result.
     ///
@@ -372,7 +313,7 @@ impl DupEngine {
                 ..Default::default()
             };
         }
-        self.policy.verdicts(objects, visited, false)
+        self.policy.verdicts(objects, visited)
     }
 }
 
@@ -407,7 +348,6 @@ mod tests {
     fn figure1_change_to_go2() {
         let mut e = figure1_engine();
         let p = e.propagate_ids(&[n(2)]);
-        assert!(!p.used_simple_path);
         assert!(!p.cycle_fallback);
         let ids: Vec<u32> = p.stale_ids().map(|x| x.0).collect();
         assert_eq!(ids, vec![5, 6, 7]);
@@ -459,96 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn simple_graph_uses_fast_path() {
-        let mut e = DupEngine::new();
-        let mut g = Odg::new();
-        g.add_node(n(1), NodeKind::UnderlyingData).unwrap();
-        g.add_node(n(2), NodeKind::Object).unwrap();
-        g.add_node(n(3), NodeKind::Object).unwrap();
-        g.add_edge(n(1), n(2), 1.0).unwrap();
-        g.add_edge(n(1), n(3), 1.0).unwrap();
-        *e.graph_mut() = g;
-        let p = e.propagate_ids(&[n(1)]);
-        assert!(p.used_simple_path);
-        let ids: Vec<u32> = p.stale_ids().map(|x| x.0).collect();
-        assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn simple_cache_invalidates_on_mutation() {
-        let mut e = DupEngine::new();
-        e.graph_mut()
-            .add_node(n(1), NodeKind::UnderlyingData)
-            .unwrap();
-        e.graph_mut().add_node(n(2), NodeKind::Object).unwrap();
-        e.graph_mut().add_edge(n(1), n(2), 1.0).unwrap();
-        assert!(e.propagate_ids(&[n(1)]).used_simple_path);
-        // A weighted edge makes the graph non-simple; the cached fast path
-        // must be dropped automatically.
-        e.graph_mut().add_node(n(3), NodeKind::Object).unwrap();
-        e.graph_mut().add_edge(n(1), n(3), 2.0).unwrap();
-        let p = e.propagate_ids(&[n(1)]);
-        assert!(!p.used_simple_path);
-        assert_eq!(p.stale.len(), 2);
-    }
-
-    #[test]
-    fn re_registering_a_dependency_keeps_the_simple_cache() {
-        let mut e = DupEngine::new();
-        e.add_dependency(n(1), n(2), 1.0).unwrap();
-        assert!(e.propagate_ids(&[n(1)]).used_simple_path);
-        let built = e.graph().generation();
-        // What every regeneration of an unchanged page does.
-        e.add_dependency(n(1), n(2), 1.0).unwrap();
-        assert_eq!(e.graph().generation(), built);
-        assert!(matches!(&e.simple_cache, Some((g, true, _)) if *g == built));
-        // A changed weight is a mutation, and is seen.
-        e.add_dependency(n(1), n(2), 3.0).unwrap();
-        assert!(e.graph().generation() > built);
-        assert!(!e.propagate_ids(&[n(1)]).used_simple_path);
-    }
-
-    #[test]
-    fn simple_and_general_agree_on_simple_graphs() {
-        let mut e = DupEngine::new();
-        for d in 0..10 {
-            for o in 0..5 {
-                e.add_dependency(n(d), n(100 + d * 5 + o), 1.0).unwrap();
-            }
-        }
-        let changed = [n(0), n(3), n(7)];
-        let fast = e.propagate_ids(&changed);
-        assert!(fast.used_simple_path);
-        let changes: Vec<(NodeId, f64)> = changed.iter().map(|&c| (c, 1.0)).collect();
-        let slow = e.propagate_general(&changes);
-        assert_eq!(
-            fast.stale_ids().collect::<Vec<_>>(),
-            slow.stale_ids().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn visited_counts_vertices_reached_on_both_paths() {
-        // 1 → {10, 11}, 2 → {11}: a simple graph.
+    fn visited_counts_each_vertex_reached_once() {
+        // 1 → {10, 11}, 2 → {11}: a simple ODG.
         let mut e = DupEngine::new();
         e.add_dependency(n(1), n(10), 1.0).unwrap();
         e.add_dependency(n(1), n(11), 1.0).unwrap();
         e.add_dependency(n(2), n(11), 1.0).unwrap();
         // An id the graph has never seen reaches nothing; one named twice
         // is still one vertex (and twice the magnitude).
-        let changed = [n(1), n(42), n(1), n(2)];
-        let fast = e.propagate_ids(&changed);
-        assert!(fast.used_simple_path);
-        assert_eq!(fast.visited, 4, "1, 2, 10 and 11");
-        assert_eq!(fast.stale, vec![(n(10), 2.0), (n(11), 3.0)]);
-        let changes: Vec<(NodeId, f64)> = changed.iter().map(|&c| (c, 1.0)).collect();
-        let general = e.propagate_general(&changes);
-        assert_eq!(general.visited, fast.visited);
-        assert_eq!(general.stale, fast.stale);
+        let p = e.propagate_ids(&[n(1), n(42), n(1), n(2)]);
+        assert_eq!(p.visited, 4, "1, 2, 10 and 11");
+        assert_eq!(p.stale, vec![(n(10), 2.0), (n(11), 3.0)]);
         // A changed object is reached too, once.
-        let fast = e.propagate_ids(&[n(10), n(10), n(1)]);
-        assert!(fast.used_simple_path);
-        assert_eq!(fast.visited, 3, "1, 10 and 11");
+        let p = e.propagate_ids(&[n(10), n(10), n(1)]);
+        assert_eq!(p.visited, 3, "1, 10 and 11");
     }
 
     #[test]
@@ -574,7 +438,7 @@ mod tests {
     #[test]
     fn simple_path_reports_directly_changed_objects() {
         // Regression: a change to an *object* node in a simple graph must
-        // mark that object stale, exactly as the general traversal does.
+        // mark that object stale, whether or not any data feeds it.
         let mut e = DupEngine::new();
         e.graph_mut()
             .add_node(n(1), NodeKind::UnderlyingData)
@@ -582,12 +446,8 @@ mod tests {
         e.graph_mut().add_node(n(2), NodeKind::Object).unwrap();
         e.graph_mut().add_node(n(3), NodeKind::Object).unwrap();
         e.graph_mut().add_edge(n(1), n(2), 1.0).unwrap();
-        let p = e.propagate_ids(&[n(3)]);
-        assert!(p.used_simple_path);
-        assert_eq!(p.stale_ids().collect::<Vec<_>>(), vec![n(3)]);
-        // And it agrees with the general path.
-        let g = e.propagate_general(&[(n(3), 1.0)]);
-        assert_eq!(g.stale_ids().collect::<Vec<_>>(), vec![n(3)]);
+        assert_eq!(e.propagate_ids(&[n(3)]).stale, vec![(n(3), 1.0)]);
+        assert_eq!(e.propagate_ids(&[n(2)]).stale, vec![(n(2), 1.0)]);
     }
 
     #[test]
@@ -611,14 +471,13 @@ mod tests {
 
     #[test]
     fn threshold_boundary_general_path() {
-        // 1 → 2 (w 0.75) → 3: the weighted edge forces the general
-        // traversal; both 2 and 3 accumulate exactly 0.75.
+        // 1 → 2 (w 0.75) → 3, a general ODG: a weighted edge and a hybrid
+        // vertex. Both 2 and 3 accumulate exactly 0.75.
         let mut e = DupEngine::new();
         e.add_dependency(n(1), n(2), 0.75).unwrap();
         e.add_dependency(n(2), n(3), 1.0).unwrap();
         e.set_policy(StalenessPolicy::Threshold(0.75));
         let p = e.propagate_ids(&[n(1)]);
-        assert!(!p.used_simple_path);
         // Exactly at threshold is STALE (`>=`), not tolerated — the
         // conservative side of the boundary.
         assert_eq!(p.stale_ids().collect::<Vec<_>>(), vec![n(2), n(3)]);
@@ -634,40 +493,33 @@ mod tests {
 
     #[test]
     fn threshold_boundary_simple_path() {
-        // Unweighted bipartite graph: the fast path must apply the same
-        // `>=` boundary rule as the general traversal.
+        // An unweighted bipartite (simple) graph, where contributions sum:
+        // the same `>=` boundary rule.
         let mut e = DupEngine::new();
         e.add_dependency(n(1), n(10), 1.0).unwrap();
         e.add_dependency(n(2), n(10), 1.0).unwrap();
         e.set_policy(StalenessPolicy::Threshold(2.0));
         let p = e.propagate_ids(&[n(1), n(2)]);
-        assert!(p.used_simple_path);
         // Object 10 accumulates exactly 2.0: at-threshold is stale.
-        assert_eq!(p.stale_ids().collect::<Vec<_>>(), vec![n(10)]);
+        assert_eq!(p.stale, vec![(n(10), 2.0)]);
         assert!(p.tolerated.is_empty());
         // Epsilon above the accumulated staleness: tolerated instead.
         e.set_policy(StalenessPolicy::Threshold(2.0 + 4.0 * f64::EPSILON));
         let p = e.propagate_ids(&[n(1), n(2)]);
-        assert!(p.used_simple_path);
         assert!(p.stale.is_empty());
-        assert_eq!(p.tolerated.len(), 1);
-        // And the general path agrees on both sides of the boundary.
-        let g = e.propagate_general(&[(n(1), 1.0), (n(2), 1.0)]);
-        assert!(g.stale.is_empty());
-        assert_eq!(g.tolerated.len(), 1);
+        assert_eq!(p.tolerated, vec![(n(10), 2.0)]);
     }
 
     #[test]
     fn cycle_outside_affected_subgraph_stays_precise() {
         let mut e = DupEngine::new();
-        // Weighted chain (general path) plus a cycle the change never
-        // reaches: the fallback must not fire for unaffected cycles.
+        // A weighted chain plus a cycle the change never reaches: the
+        // fallback must not fire for unaffected cycles.
         e.add_dependency(n(1), n(2), 1.5).unwrap();
         e.add_dependency(n(10), n(11), 1.0).unwrap();
         e.add_dependency(n(11), n(10), 1.0).unwrap();
         let p = e.propagate_ids(&[n(1)]);
         assert!(!p.cycle_fallback);
-        assert!(!p.used_simple_path);
         assert_eq!(p.stale_ids().collect::<Vec<_>>(), vec![n(2)]);
         let s2 = p.stale[0].1;
         assert!((s2 - 1.5).abs() < 1e-12, "precise weight, got {s2}");

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// Dense identifier for a graph node. Produced by
@@ -144,10 +144,6 @@ pub struct Odg {
     /// Vacated slots, reused last-vacated-first.
     free: Vec<u32>,
     edge_count: usize,
-    /// Bumped on every structural change (never by a call that leaves the
-    /// graph as it was); used by [`crate::DupEngine`] to invalidate its
-    /// cached simple-ODG specialisation.
-    generation: u64,
 }
 
 impl Odg {
@@ -164,12 +160,6 @@ impl Odg {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// Structural generation counter: bumps on every mutation that changes
-    /// a node, a kind, an edge or a weight, and on nothing else.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Whether `id` exists.
@@ -234,7 +224,6 @@ impl Odg {
             }
         };
         self.index.insert(id, slot);
-        self.generation += 1;
     }
 
     /// Insert a new node. Errors if the id already exists.
@@ -255,13 +244,10 @@ impl Odg {
             return kind;
         };
         let node = self.node_mut(slot);
-        let upgraded = node.kind != kind && node.kind != NodeKind::Hybrid;
-        if upgraded {
+        if node.kind != kind {
             node.kind = NodeKind::Hybrid;
         }
-        let kind = node.kind;
-        self.generation += u64::from(upgraded);
-        kind
+        node.kind
     }
 
     /// Remove a node and all incident edges. Errors if the node is unknown.
@@ -287,7 +273,6 @@ impl Odg {
                 self.edge_count -= before - pred.out.len();
             }
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -299,9 +284,6 @@ impl Odg {
         }
         let from_slot = self.slot_of(from).ok_or(OdgError::UnknownNode(from))?;
         if let Some(e) = self.node_mut(from_slot).out.iter_mut().find(|e| e.to == to) {
-            if e.weight == weight {
-                return Ok(());
-            }
             e.weight = weight;
         } else {
             // Backlink first: both endpoints are still untouched if `to`
@@ -311,7 +293,6 @@ impl Odg {
             self.node_mut(from_slot).out.push(Edge { to, weight, slot });
             self.edge_count += 1;
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -330,7 +311,6 @@ impl Odg {
         if let Some(at) = preds.iter().position(|&p| p == from) {
             preds.swap_remove(at);
         }
-        self.generation += 1;
         true
     }
 
@@ -347,89 +327,6 @@ impl Odg {
     /// Iterate all node ids (arbitrary order).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes().map(|n| n.id)
-    }
-
-    /// Whether this is a **simple ODG** per §2 of the paper:
-    /// * every underlying-data vertex has no incoming edge,
-    /// * every object vertex has no outgoing edge,
-    /// * no hybrid vertices, and
-    /// * all weights are 1 (unweighted).
-    ///
-    /// DUP is "considerably easier to implement if the ODG is simple"; the
-    /// engine switches to a bipartite fast path when this holds.
-    pub fn is_simple(&self) -> bool {
-        self.nodes().all(|n| match n.kind {
-            NodeKind::Hybrid => false,
-            NodeKind::UnderlyingData => n.preds.is_empty() && n.out.iter().all(|e| e.weight == 1.0),
-            NodeKind::Object => n.out.is_empty(),
-        })
-    }
-
-    /// All nodes reachable from `sources` (excluding unaffected nodes);
-    /// plain unweighted BFS. Includes the sources themselves.
-    pub fn reachable(&self, sources: &[NodeId]) -> FxHashSet<NodeId> {
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut queue: Vec<NodeId> = Vec::with_capacity(sources.len());
-        for &s in sources {
-            if self.contains(s) && seen.insert(s) {
-                queue.push(s);
-            }
-        }
-        while let Some(v) = queue.pop() {
-            for e in self.successors(v) {
-                if seen.insert(e.to) {
-                    queue.push(e.to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Detect whether the subgraph induced by `nodes` contains a directed
-    /// cycle (iterative three-colour DFS).
-    pub fn has_cycle_within(&self, nodes: &FxHashSet<NodeId>) -> bool {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour: FxHashMap<NodeId, Colour> =
-            nodes.iter().map(|&n| (n, Colour::White)).collect();
-        for &start in nodes {
-            if colour[&start] != Colour::White {
-                continue;
-            }
-            // Stack of (node, next-successor-index).
-            let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
-            colour.insert(start, Colour::Grey);
-            while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-                let succs = self.successors(v);
-                let mut advanced = false;
-                while *i < succs.len() {
-                    let to = succs[*i].to;
-                    *i += 1;
-                    if !nodes.contains(&to) {
-                        continue;
-                    }
-                    match colour[&to] {
-                        Colour::Grey => return true,
-                        Colour::White => {
-                            colour.insert(to, Colour::Grey);
-                            stack.push((to, 0));
-                            advanced = true;
-                            break;
-                        }
-                        Colour::Black => {}
-                    }
-                }
-                if !advanced && stack.last().map(|&(n, _)| n) == Some(v) {
-                    colour.insert(v, Colour::Black);
-                    stack.pop();
-                }
-            }
-        }
-        false
     }
 
     /// Aggregate statistics.
@@ -534,44 +431,6 @@ impl Odg {
         edges.sort_unstable_by_key(|a| (a.0, a.1));
         OdgSnapshot { nodes, edges }
     }
-
-    /// Topological order of the subgraph induced by `nodes` (Kahn's
-    /// algorithm). Returns `None` if the subgraph has a cycle.
-    pub fn topo_order_within(&self, nodes: &FxHashSet<NodeId>) -> Option<Vec<NodeId>> {
-        let mut indeg: FxHashMap<NodeId, usize> = FxHashMap::default();
-        for &n in nodes {
-            indeg.entry(n).or_insert(0);
-            for e in self.successors(n) {
-                if nodes.contains(&e.to) {
-                    *indeg.entry(e.to).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut ready: Vec<NodeId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        // Sort for determinism: HashMap iteration order is unstable.
-        ready.sort_unstable();
-        let mut order = Vec::with_capacity(nodes.len());
-        while let Some(n) = ready.pop() {
-            order.push(n);
-            for e in self.successors(n) {
-                if let Some(d) = indeg.get_mut(&e.to) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(e.to);
-                    }
-                }
-            }
-        }
-        if order.len() == nodes.len() {
-            Some(order)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -608,11 +467,11 @@ mod tests {
     fn figure1_reachability_matches_paper() {
         // "If node go2 changes ... DUP determines that nodes go5 and go6
         // also change. By transitivity, go7 also changes."
-        let g = figure1();
-        let reached = g.reachable(&[n(2)]);
-        let mut ids: Vec<u32> = reached.iter().map(|x| x.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![2, 5, 6, 7]);
+        let mut dup = crate::DupEngine::with_graph(figure1());
+        let p = dup.propagate_ids(&[n(2)]);
+        let ids: Vec<u32> = p.stale_ids().map(|x| x.0).collect();
+        assert_eq!(ids, vec![5, 6, 7]);
+        assert_eq!(p.visited, 4, "go2 and the three it reaches");
     }
 
     #[test]
@@ -681,9 +540,11 @@ mod tests {
         assert!(g.remove_edge(n(2), n(5)));
         assert!(!g.remove_edge(n(2), n(5)));
         assert_eq!(g.edge_count(), 6);
-        let reached = g.reachable(&[n(2)]);
-        assert!(!reached.contains(&n(5)));
-        assert!(reached.contains(&n(6))); // still via go2->go6
+        // go2 still feeds go6; go5 hears only from go1.
+        let to: Vec<NodeId> = g.successors(n(2)).iter().map(|e| e.to).collect();
+        assert_eq!(to, vec![n(6)]);
+        assert_eq!(g.predecessors(n(5)), &[n(1)]);
+        g.validate().expect("well-formed after removal");
     }
 
     #[test]
@@ -696,6 +557,7 @@ mod tests {
         assert!(g.successors(n(1)).is_empty());
         assert!(!g.predecessors(n(7)).contains(&n(5)));
         assert_eq!(g.remove_node(n(5)), Err(OdgError::UnknownNode(n(5))));
+        g.validate().expect("well-formed after removal");
     }
 
     #[test]
@@ -710,95 +572,14 @@ mod tests {
     }
 
     #[test]
-    fn figure1_is_not_simple_but_figure2_is() {
-        // Figure 1 has hybrid nodes and a weighted edge — not simple.
-        assert!(!figure1().is_simple());
-        // Figure 2: pure bipartite data -> object, unweighted.
-        let mut g = Odg::new();
-        for i in 1..=2 {
-            g.add_node(n(i), NodeKind::UnderlyingData).unwrap();
-        }
-        for i in 3..=5 {
-            g.add_node(n(i), NodeKind::Object).unwrap();
-        }
-        g.add_edge(n(1), n(3), 1.0).unwrap();
-        g.add_edge(n(1), n(4), 1.0).unwrap();
-        g.add_edge(n(2), n(4), 1.0).unwrap();
-        g.add_edge(n(2), n(5), 1.0).unwrap();
-        assert!(g.is_simple());
-    }
-
-    #[test]
-    fn weighted_bipartite_is_not_simple() {
-        let mut g = Odg::new();
-        g.add_node(n(1), NodeKind::UnderlyingData).unwrap();
-        g.add_node(n(2), NodeKind::Object).unwrap();
-        g.add_edge(n(1), n(2), 2.0).unwrap();
-        assert!(!g.is_simple());
-    }
-
-    #[test]
-    fn cycle_detection() {
-        let mut g = Odg::new();
-        for i in 1..=3 {
-            g.add_node(n(i), NodeKind::Hybrid).unwrap();
-        }
-        g.add_edge(n(1), n(2), 1.0).unwrap();
-        g.add_edge(n(2), n(3), 1.0).unwrap();
-        let all = g.reachable(&[n(1)]);
-        assert!(!g.has_cycle_within(&all));
-        g.add_edge(n(3), n(1), 1.0).unwrap();
-        let all = g.reachable(&[n(1)]);
-        assert!(g.has_cycle_within(&all));
-    }
-
-    #[test]
-    fn topo_order_respects_edges() {
-        let g = figure1();
-        let sub = g.reachable(&[n(1), n(2), n(3), n(4)]);
-        let order = g.topo_order_within(&sub).expect("figure 1 is a DAG");
-        let pos = |id: NodeId| order.iter().position(|&x| x == id).unwrap();
-        assert!(pos(n(1)) < pos(n(5)));
-        assert!(pos(n(2)) < pos(n(5)));
-        assert!(pos(n(5)) < pos(n(7)));
-        assert!(pos(n(6)) < pos(n(7)));
-        assert_eq!(order.len(), 7);
-    }
-
-    #[test]
-    fn topo_order_detects_cycles() {
-        let mut g = Odg::new();
-        g.add_node(n(1), NodeKind::Hybrid).unwrap();
-        g.add_node(n(2), NodeKind::Hybrid).unwrap();
-        g.add_edge(n(1), n(2), 1.0).unwrap();
-        g.add_edge(n(2), n(1), 1.0).unwrap();
-        let all = g.reachable(&[n(1)]);
-        assert!(g.topo_order_within(&all).is_none());
-    }
-
-    #[test]
-    fn generation_bumps_on_mutation() {
-        let mut g = Odg::new();
-        let g0 = g.generation();
-        g.add_node(n(1), NodeKind::Object).unwrap();
-        assert!(g.generation() > g0);
-        let g1 = g.generation();
-        g.add_node(n(2), NodeKind::UnderlyingData).unwrap();
-        g.add_edge(n(2), n(1), 1.0).unwrap();
-        assert!(g.generation() > g1);
-        let g2 = g.generation();
-        g.remove_edge(n(2), n(1));
-        assert!(g.generation() > g2);
-    }
-
-    #[test]
-    fn generation_ignores_calls_that_change_nothing() {
+    fn re_registering_leaves_the_graph_as_it_was() {
         let mut g = Odg::new();
         g.ensure_node(n(1), NodeKind::UnderlyingData);
         g.ensure_node(n(2), NodeKind::Object);
         g.add_edge(n(1), n(2), 0.5).unwrap();
-        let settled = g.generation();
-        // Same node, same kind; same edge, same weight.
+        let settled = g.snapshot();
+        // What every regeneration of an unchanged page does: the same
+        // nodes with the same kinds, the same edge with the same weight.
         assert_eq!(
             g.ensure_node(n(1), NodeKind::UnderlyingData),
             NodeKind::UnderlyingData
@@ -806,23 +587,26 @@ mod tests {
         assert_eq!(g.ensure_node(n(2), NodeKind::Object), NodeKind::Object);
         g.add_edge(n(1), n(2), 0.5).unwrap();
         assert!(!g.remove_edge(n(2), n(1)));
-        assert_eq!(g.generation(), settled);
-        // A new weight, a kind upgrade and a new node each count; asking
-        // again for the hybrid it already is does not.
+        assert_eq!(g.snapshot(), settled);
+        assert_eq!(g.edge_count(), 1);
+        // A new weight and a kind upgrade each show; asking again for the
+        // hybrid it already is does not.
         g.add_edge(n(1), n(2), 2.0).unwrap();
-        assert!(g.generation() > settled);
-        let reweighted = g.generation();
+        assert_eq!(g.snapshot().edges, vec![(1, 2, 2.0)]);
+        assert_eq!(g.edge_count(), 1);
         assert_eq!(
             g.ensure_node(n(2), NodeKind::UnderlyingData),
             NodeKind::Hybrid
         );
-        assert!(g.generation() > reweighted);
-        let upgraded = g.generation();
+        let upgraded = g.snapshot();
+        assert_eq!(
+            upgraded.nodes,
+            vec![(1, NodeKind::UnderlyingData), (2, NodeKind::Hybrid)]
+        );
         assert_eq!(g.ensure_node(n(2), NodeKind::Object), NodeKind::Hybrid);
         assert_eq!(g.ensure_node(n(2), NodeKind::Hybrid), NodeKind::Hybrid);
-        assert_eq!(g.generation(), upgraded);
-        g.ensure_node(n(3), NodeKind::Object);
-        assert!(g.generation() > upgraded);
+        assert_eq!(g.snapshot(), upgraded);
+        g.validate().expect("well-formed");
     }
 
     #[test]
@@ -837,6 +621,54 @@ mod tests {
         assert_eq!(s.max_out_degree, 2); // go2 feeds go5 and go6
         assert_eq!(s.max_in_degree, 3); // go7 composed from go4, go5, go6
         assert_eq!(s.weighted_edges, 1); // the weight-5 edge
+    }
+
+    #[test]
+    fn cycle_detection() {
+        let mut g = Odg::new();
+        for i in 1..=3 {
+            g.add_node(n(i), NodeKind::Hybrid).unwrap();
+        }
+        g.add_edge(n(1), n(2), 1.0).unwrap();
+        g.add_edge(n(2), n(3), 1.0).unwrap();
+        let mut dup = crate::DupEngine::with_graph(g);
+        assert!(!dup.propagate_ids(&[n(1)]).cycle_fallback);
+        dup.graph_mut().add_edge(n(3), n(1), 1.0).unwrap();
+        assert!(dup.propagate_ids(&[n(1)]).cycle_fallback);
+    }
+
+    #[test]
+    fn topo_order_respects_edges() {
+        // Every datum changes: go7 sums what go4, go5 and go6 hand it, so
+        // it is right only if go5 and go6 were finished before it was.
+        let mut dup = crate::DupEngine::with_graph(figure1());
+        let p = dup.propagate_ids(&[n(1), n(2), n(3), n(4)]);
+        assert!(!p.cycle_fallback);
+        assert_eq!(p.visited, 7);
+        // go5 = 5 + 1, go6 = 1 + 1, go7 = 1 + go5 + go6.
+        assert_eq!(p.stale, vec![(n(5), 6.0), (n(6), 2.0), (n(7), 9.0)]);
+    }
+
+    #[test]
+    fn topo_order_detects_cycles() {
+        let mut g = Odg::new();
+        g.add_node(n(1), NodeKind::Hybrid).unwrap();
+        g.add_node(n(2), NodeKind::Hybrid).unwrap();
+        g.add_edge(n(1), n(2), 1.0).unwrap();
+        g.add_edge(n(2), n(1), 1.0).unwrap();
+        let p = crate::DupEngine::with_graph(g).propagate_ids(&[n(1)]);
+        assert!(p.cycle_fallback);
+        assert_eq!(p.visited, 2);
+    }
+
+    #[test]
+    fn reachable_ignores_unknown_sources() {
+        let mut dup = crate::DupEngine::with_graph(figure1());
+        assert_eq!(dup.propagate_ids(&[n(42)]).visited, 0);
+        // Beside a known one, an unknown id reaches nothing either.
+        let p = dup.propagate_ids(&[n(42), n(4)]);
+        assert_eq!(p.visited, 2, "go4 and go7");
+        assert_eq!(p.stale, vec![(n(7), 1.0)]);
     }
 
     #[test]
@@ -867,12 +699,5 @@ mod tests {
         assert_eq!(back, snap);
         // Equal graphs produce equal snapshots.
         assert_eq!(figure1().snapshot(), snap);
-    }
-
-    #[test]
-    fn reachable_ignores_unknown_sources() {
-        let g = figure1();
-        let r = g.reachable(&[n(42)]);
-        assert!(r.is_empty());
     }
 }

@@ -22,8 +22,9 @@
 //!   dense [`NodeId`]s.
 //! * [`Odg`] — the mutable dependence graph with weighted edges.
 //! * [`DupEngine`] — the propagation algorithm: affected-set computation,
-//!   weighted staleness accumulation, cycle handling, and the **simple ODG**
-//!   bipartite fast path the paper singles out as the common case.
+//!   weighted staleness accumulation and cycle handling, in one traversal
+//!   for every graph shape; on the paper's **simple ODG** (bipartite,
+//!   unweighted) it comes to the direct data → objects lookup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +33,7 @@
 pub mod dup;
 pub mod graph;
 pub mod interner;
-pub mod simple;
 
 pub use dup::{DupEngine, Propagation, StalenessPolicy};
 pub use graph::{Edge, NodeId, NodeKind, Odg, OdgError};
 pub use interner::Interner;
-pub use simple::SimpleOdg;

@@ -508,8 +508,9 @@ impl TriggerMonitor {
     /// vendored `rayon` shim; under the real crate it would fork ~44
     /// renders of ~1 µs each per transaction, which two regeneration
     /// threads did not repay on the 2-vCPU guest this was measured on
-    /// (DESIGN §13a). A site that models render CPU with `cpu_scale` spins
-    /// here one page after the other.
+    /// (DESIGN §13a). A renderer that models render CPU
+    /// ([`Renderer::with_simulated_cpu`]) spins here one page after the
+    /// other.
     fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
         if keys.is_empty() {
             return Regenerated::default();

@@ -37,22 +37,6 @@ impl TriggerRunner {
     /// transaction at a time. The thread exits when the runner is
     /// stopped/dropped or the sender side of `rx` disconnects.
     pub fn spawn(monitor: Arc<TriggerMonitor>, rx: Receiver<Arc<Transaction>>) -> Self {
-        Self::spawn_inner(monitor, rx, false)
-    }
-
-    /// Spawn a **coalescing** runner: everything queued when the thread
-    /// wakes is processed as one batch with a single DUP propagation — a
-    /// page touched by five updates in a burst is regenerated once. This
-    /// is how the production monitor absorbed result bursts.
-    pub fn spawn_coalescing(monitor: Arc<TriggerMonitor>, rx: Receiver<Arc<Transaction>>) -> Self {
-        Self::spawn_inner(monitor, rx, true)
-    }
-
-    fn spawn_inner(
-        monitor: Arc<TriggerMonitor>,
-        rx: Receiver<Arc<Transaction>>,
-        coalesce: bool,
-    ) -> Self {
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
         #[expect(
             clippy::expect_used,
@@ -71,7 +55,7 @@ impl TriggerRunner {
                         while let Ok(txn) = rx.try_recv() {
                             batch.push(txn);
                         }
-                        processed += flush(&monitor, &mut batch, coalesce);
+                        processed += flush(&monitor, &mut batch);
                         return processed;
                     }
                     let polled = in_burst.then(|| poll(&rx, POLL_AFTER_TXN)).flatten();
@@ -87,12 +71,12 @@ impl TriggerRunner {
                             while let Ok(more) = rx.try_recv() {
                                 batch.push(more);
                             }
-                            processed += flush(&monitor, &mut batch, coalesce);
+                            processed += flush(&monitor, &mut batch);
                             in_burst = true;
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
-                            processed += flush(&monitor, &mut batch, coalesce);
+                            processed += flush(&monitor, &mut batch);
                             return processed;
                         }
                     }
@@ -140,19 +124,11 @@ fn poll(rx: &Receiver<Arc<Transaction>>, patience: Duration) -> Option<Arc<Trans
     }
 }
 
-fn flush(monitor: &TriggerMonitor, batch: &mut Vec<Arc<Transaction>>, coalesce: bool) -> u64 {
-    if batch.is_empty() {
-        return 0;
-    }
+fn flush(monitor: &TriggerMonitor, batch: &mut Vec<Arc<Transaction>>) -> u64 {
     let n = batch.len() as u64;
-    if coalesce {
-        monitor.process_batch(batch);
-    } else {
-        for txn in batch.iter() {
-            monitor.process_txn(txn);
-        }
+    for txn in batch.drain(..) {
+        monitor.process_txn(&txn);
     }
-    batch.clear();
     n
 }
 
@@ -211,43 +187,6 @@ mod tests {
         assert_eq!(stats.txns, 3);
         assert!(stats.pages_regenerated >= 3, "{stats:?}");
         assert!((1..stats.pages_regenerated).contains(&stats.pages_changed));
-    }
-
-    #[test]
-    fn coalescing_runner_batches_bursts() {
-        let db = Arc::new(OlympicDb::new());
-        seed_games(&db, &GamesConfig::small());
-        let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = Arc::new(CacheFleet::new(1, CacheConfig::default()));
-        let monitor = Arc::new(TriggerMonitor::new(
-            Renderer::new(Arc::clone(&db)),
-            Arc::clone(&fleet),
-            registry,
-            ConsistencyPolicy::UpdateInPlace,
-        ));
-        monitor.prewarm();
-        let rx = db.subscribe();
-        // Commit the burst BEFORE the runner starts so it wakes to a full
-        // queue and coalesces everything into one propagation.
-        let ev = db.events()[0].clone();
-        let athletes = db.athletes_of_sport(ev.sport);
-        for _ in 0..5 {
-            db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
-        }
-        let runner = TriggerRunner::spawn_coalescing(Arc::clone(&monitor), rx);
-        let processed = runner.stop();
-        assert_eq!(processed, 5, "all five transactions consumed");
-        let s = monitor.stats().snapshot();
-        assert!(
-            s.txns <= 2,
-            "expected coalesced batches, got {} propagation(s)",
-            s.txns
-        );
-        // Content is fresh regardless of batching.
-        let url = PageKey::Event(ev.id).to_url();
-        let body = fleet.member(0).peek(&url).unwrap().body;
-        let html = String::from_utf8(body.to_vec()).unwrap();
-        assert!(html.contains(&athletes[0].name));
     }
 
     #[test]

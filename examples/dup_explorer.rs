@@ -1,6 +1,6 @@
 //! DUP explorer: builds the paper's Figure 1 object dependence graph and
-//! walks through propagation, weighted staleness, the threshold policy,
-//! and the simple-ODG fast path.
+//! walks through propagation, weighted staleness and the threshold policy,
+//! then Figure 2's simple ODG through the same traversal.
 //!
 //! Run with: `cargo run -p nagano-examples --bin dup_explorer`
 
@@ -34,14 +34,13 @@ fn main() {
     }
     let stats = engine.graph().stats();
     println!(
-        "graph: {} nodes ({} data, {} hybrid, {} object), {} edges ({} weighted), simple = {}",
+        "graph: {} nodes ({} data, {} hybrid, {} object), {} edges ({} weighted)",
         stats.nodes,
         stats.data_nodes,
         stats.hybrid_nodes,
         stats.object_nodes,
         stats.edges,
-        stats.weighted_edges,
-        engine.graph().is_simple()
+        stats.weighted_edges
     );
     engine.graph().validate().expect("graph invariants hold");
     println!(
@@ -87,8 +86,9 @@ fn main() {
     }
     println!();
 
-    // The simple-ODG fast path (Figure 2).
-    println!("-- simple ODG (Figure 2): bipartite fast path --");
+    // A simple ODG (Figure 2): bipartite and unweighted, so the traversal
+    // comes to the direct data -> objects lookup.
+    println!("-- simple ODG (Figure 2): the same traversal --");
     let mut simple = DupEngine::new();
     let mut names2 = Interner::new();
     for d in 1..=2 {
@@ -103,9 +103,9 @@ fn main() {
     let u1 = names2.get("u1").unwrap();
     let prop = simple.propagate_ids(&[u1]);
     println!(
-        "  u1 changed -> {} objects affected, used_simple_path = {}",
+        "  u1 changed -> {} objects affected, {} nodes visited",
         prop.stale.len(),
-        prop.used_simple_path
+        prop.visited
     );
     for (node, _) in &prop.stale {
         println!("    {}", names2.name(*node).unwrap());

@@ -71,7 +71,7 @@ fn odg_reproduces_large_fanout() {
     assert!(!sweep.is_empty());
     for row in sweep {
         assert!(row["affected"].as_u64().unwrap() > 0);
-        assert!(row["simple_us"].as_f64().unwrap() > 0.0);
+        assert!(row["propagate_us"].as_f64().unwrap() > 0.0);
     }
 }
 
