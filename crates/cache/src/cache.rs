@@ -23,7 +23,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
@@ -316,6 +316,7 @@ impl Shard {
         stats: &CacheStats,
         protect: &str,
         stale_now: Option<u64>,
+        let_go: &LetGo,
     ) {
         let column = &mut self.columns[c];
         let mut skipped: Vec<Reverse<(Rank, u64, Arc<str>)>> = Vec::new();
@@ -344,6 +345,7 @@ impl Shard {
             let size = e.body.len() as u64;
             column.bytes -= size;
             stats.evict(size);
+            let_go.note();
             if let Some(now_us) = stale_now {
                 column.tombstone(&key, e.body, e.version, now_us);
             }
@@ -390,6 +392,7 @@ pub(crate) struct Table {
     policy: ReplacementPolicy,
     stale: Option<StalePolicy>,
     members: Box<[Member]>,
+    let_go: LetGo,
 }
 
 impl std::fmt::Debug for Table {
@@ -420,6 +423,7 @@ impl Table {
             policy: config.policy,
             stale: config.stale,
             members: (0..members).map(|_| Member::default()).collect(),
+            let_go: LetGo::default(),
         })
     }
 
@@ -534,10 +538,14 @@ impl Table {
             }
             changed = true;
         }
+        if how != Put::Distributed {
+            self.let_go.note();
+        }
         if let Some(budget) = self.per_shard_budget {
             for c in written {
                 let stats = &self.members[c].stats;
-                shard.evict_to(c, budget, stats, key, self.stale_now(c));
+                let now = self.stale_now(c);
+                shard.evict_to(c, budget, stats, key, now, &self.let_go);
             }
         }
         (changed, version)
@@ -581,10 +589,41 @@ impl Table {
                 held += 1;
             }
         }
+        if held > 0 {
+            self.let_go.note();
+        }
         if row.is_empty() {
             rows.remove(key);
         }
         held
+    }
+
+    /// Whether every member holds, of every page it holds, the body the
+    /// last distribution gave it, and every page distributed since it was
+    /// built: see [`LetGo`].
+    pub(crate) fn undisturbed(&self) -> bool {
+        !self.let_go.0.load(Relaxed)
+    }
+}
+
+/// Set for good the first time a member lets a page go — invalidated,
+/// evicted, cleared — or is given bytes for one outside a distribution: a
+/// local fill or a restore. Until then every member holds every page
+/// distributed to it as the bytes distributed last, so a distributor that
+/// remembers those need not ask the fleet ([`crate::CacheFleet::undisturbed`]).
+#[derive(Default)]
+struct LetGo(AtomicBool);
+
+impl LetGo {
+    /// Read before it is written, so that a bounded fleet's misses do not
+    /// each write a line every core reads. `Relaxed`: it publishes nothing
+    /// — a distributor that finds it set asks the fleet, under its locks —
+    /// and a note racing a regeneration may go unseen by it, as a local
+    /// fill racing one always could land after its probe.
+    fn note(&self) {
+        if !self.0.load(Relaxed) {
+            self.0.store(true, Relaxed);
+        }
     }
 }
 
@@ -700,15 +739,19 @@ impl PageCache {
         let page = self.with_shard(key, |rows, column| {
             let row = rows.get_mut(key)?;
             let e = row.cells[self.column].as_mut()?;
-            column.tick += 1;
-            e.freq += 1;
             if e.window_hits == 0 {
                 column.dirty.push(Arc::clone(&row.key));
             }
             e.window_hits += 1;
-            e.last_tick = column.tick;
-            e.stamp = column.tick;
-            column.enqueue(&row.key, e, policy);
+            // Recency and frequency rank a bounded member's eviction queue
+            // and nothing else: a hit on an unbounded one writes neither.
+            if policy.is_bounded() {
+                column.tick += 1;
+                e.freq += 1;
+                e.last_tick = column.tick;
+                e.stamp = column.tick;
+                column.enqueue(&row.key, e, policy);
+            }
             Some(e.page())
         });
         match page {
@@ -831,6 +874,7 @@ impl PageCache {
                     let size = e.body.len() as u64;
                     column.bytes -= size;
                     stats.invalidate(size);
+                    self.table.let_go.note();
                 }
                 !row.is_empty()
             });
@@ -1133,6 +1177,32 @@ mod tests {
         assert!(c.contains("/c"));
         assert!(c.contains("/d"));
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn an_unbounded_hit_writes_no_recency() {
+        let recency = |c: &PageCache| {
+            c.with_shard("/a", |rows, column| {
+                let e = rows["/a"].cells[0].as_ref().unwrap();
+                (column.tick, e.freq, e.last_tick, e.stamp)
+            })
+        };
+        let c = PageCache::default();
+        c.put("/a", body("1"), 1.0);
+        let before = recency(&c);
+        for _ in 0..3 {
+            assert!(c.get("/a").is_some());
+        }
+        assert_eq!(recency(&c), before);
+        // The hotness window still counts every hit.
+        let hits = c.drain_window_hits();
+        assert_eq!((hits.len(), hits[0].1), (1, 3));
+        // A bounded member's hit ranks the entry anew.
+        let b = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
+        b.put("/a", body("1"), 1.0);
+        let (tick, freq, _, _) = recency(&b);
+        b.get("/a");
+        assert_eq!(recency(&b), (tick + 1, freq + 1, tick + 1, tick + 1));
     }
 
     #[test]

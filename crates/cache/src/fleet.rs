@@ -118,6 +118,17 @@ impl CacheFleet {
         self.table.place(key, body, cost, all, Put::Distributed).0
     }
 
+    /// Whether nothing but [`CacheFleet::distribute`] has written to the
+    /// fleet since it was built, nor has a member let a page go: no
+    /// invalidation, eviction, [`CacheFleet::put_local`], restore or clear
+    /// (so no [`CacheFleet::resync`]). While it holds, every member holds
+    /// every page distributed to it as the bytes distributed last, and a
+    /// distributor that remembers those need not ask. Once false, false
+    /// for good. One load.
+    pub fn undisturbed(&self) -> bool {
+        self.table.undisturbed()
+    }
+
     /// Broadcast an invalidation; returns how many members held the key.
     pub fn invalidate_everywhere(&self, key: &str) -> usize {
         self.table.invalidate(key, 0..self.members.len())
@@ -278,6 +289,44 @@ mod tests {
         assert_eq!(versions, [1, 1, 1, 1, 1, 3, 1, 1]);
         let page = fleet.member(5).peek("/medals").unwrap();
         assert_eq!(page.body.as_ptr(), first.as_ptr());
+    }
+
+    #[test]
+    fn anything_but_a_distribution_disturbs_the_fleet_for_good() {
+        let disturb: [fn(&CacheFleet); 6] = [
+            |f| {
+                f.put_local(1, "/a", body("local"), 1.0);
+            },
+            |f| f.member(2).restore_entry("/b", body("/b"), 1.0, 1),
+            |f| assert_eq!(f.invalidate_everywhere("/a"), 3),
+            |f| assert!(f.member(0).invalidate("/b")),
+            |f| f.member(1).clear(),
+            |f| {
+                f.resync(0, 2);
+            },
+        ];
+        for (i, disturb) in disturb.into_iter().enumerate() {
+            let fleet = CacheFleet::new(3, CacheConfig::default());
+            for key in ["/a", "/b"] {
+                fleet.distribute(key, body(key), 1.0);
+            }
+            fleet.distribute("/a", body("/a, again"), 1.0);
+            assert!(fleet.invalidate_everywhere("/nowhere") == 0 && fleet.undisturbed());
+            disturb(&fleet);
+            assert!(!fleet.undisturbed(), "disturbance {i}");
+            fleet.distribute("/a", body("/a"), 1.0);
+            assert!(!fleet.undisturbed(), "disturbance {i}: for good");
+        }
+
+        // Two shards of one 10-byte page per member: a third page evicts.
+        let bounded = CacheConfig::bounded(20, crate::ReplacementPolicy::Lru).with_shards(1);
+        let fleet = CacheFleet::new(2, bounded);
+        fleet.distribute("/x", body("0123456789"), 1.0);
+        assert!(fleet.undisturbed());
+        for key in ["/y", "/z"] {
+            fleet.distribute(key, body("0123456789"), 1.0);
+        }
+        assert!(fleet.aggregate_stats().evictions > 0 && !fleet.undisturbed());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! String interning: external identities (page URLs, database record keys)
 //! to dense [`NodeId`]s used throughout the graph.
 
+use std::sync::Arc;
+
 use rustc_hash::FxHashMap;
 
 use crate::graph::NodeId;
@@ -8,11 +10,12 @@ use crate::graph::NodeId;
 /// Bidirectional map between external string identities and [`NodeId`]s.
 ///
 /// Ids are dense (`0..len`), so downstream structures can index arrays by
-/// id. Interning the same name twice returns the same id.
+/// id. Interning the same name twice returns the same id. Each name is
+/// allocated once: the map's key and the id's entry share it.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    by_name: FxHashMap<Box<str>, NodeId>,
-    names: Vec<Box<str>>,
+    by_name: FxHashMap<Arc<str>, NodeId>,
+    names: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -27,9 +30,9 @@ impl Interner {
             return id;
         }
         let id = NodeId(self.names.len() as u32);
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.by_name.insert(boxed, id);
+        let shared: Arc<str> = name.into();
+        self.names.push(Arc::clone(&shared));
+        self.by_name.insert(shared, id);
         id
     }
 
@@ -92,6 +95,14 @@ mod tests {
         assert_eq!(i.get("result:xc:10km"), Some(id));
         assert_eq!(i.get("missing"), None);
         assert_eq!(i.name(NodeId(99)), None);
+    }
+
+    #[test]
+    fn a_name_is_allocated_once() {
+        let mut i = Interner::new();
+        let id = i.intern("data:medals:standings");
+        let (key, _) = i.by_name.get_key_value("data:medals:standings").unwrap();
+        assert!(Arc::ptr_eq(key, &i.names[id.0 as usize]));
     }
 
     #[test]

@@ -479,21 +479,13 @@ impl Renderer {
             let Some(last) = pages.get(&key) else {
                 return Answer::Compose;
             };
-            let same = std::ptr::eq::<[u8]>(&*last.body.bytes, &**held);
-            if !same || !r.finds_unmoved(&last.coverage) {
+            if !std::ptr::eq::<[u8]>(&*last.body.bytes, &**held) {
                 return Answer::Compose;
             }
-            for (index, &was) in last.coverage.splices().iter().enumerate() {
-                let now = r.stamp(was.section.source());
-                if now != was.revision {
-                    moved.push(Moved {
-                        index,
-                        was,
-                        now,
-                        fresh: 0..0,
-                    });
-                }
-            }
+            let Some(now) = moved_splices(r, last) else {
+                return Answer::Compose;
+            };
+            moved.extend(now);
             Kept {
                 deps: Arc::clone(&last.deps),
                 cost_ms: last.cost_ms,
@@ -666,9 +658,14 @@ impl Renderer {
     }
 
     /// Let go of the body last returned for `key`: for a caller that no
-    /// longer holds it and will not render the page onto it again.
-    pub fn forget(&self, key: PageKey) {
-        self.pages.lock().expect(MEMO_POISONED).remove(&key);
+    /// longer holds it and will not render the page onto it again. Returns
+    /// whether there was one.
+    pub fn forget(&self, key: PageKey) -> bool {
+        self.pages
+            .lock()
+            .expect(MEMO_POISONED)
+            .remove(&key)
+            .is_some()
     }
 
     /// Whether the page memo holds a body for `key`: one returned by
@@ -676,6 +673,61 @@ impl Renderer {
     /// forgotten since.
     pub fn remembers(&self, key: PageKey) -> bool {
         self.pages.lock().expect(MEMO_POISONED).contains_key(&key)
+    }
+
+    /// Answer, in one pass over one snapshot and under one lock of the page
+    /// memo, every page of `keys` this renderer remembers whose revision
+    /// stamps all stand where they stood — its own reads' and every spliced
+    /// section's, the rule [`Renderer::render_onto`] answers a page
+    /// [`RenderOutput::revalidated`] by: such a page is the body this
+    /// renderer last returned for it. Returns, in `keys`' order, the cost
+    /// the memo kept for each page so answered and `None` for the others,
+    /// which the caller renders as before.
+    ///
+    /// `held(key, body)` says whether the caller still holds `body`, the
+    /// body last returned for the page, as its bytes: a page it does not
+    /// is not answered. It is asked under the memo's lock, of unmoved
+    /// pages only.
+    pub fn answer_unmoved(
+        &self,
+        keys: &[PageKey],
+        mut held: impl FnMut(PageKey, &Bytes) -> bool,
+    ) -> Vec<Option<f64>> {
+        let answers: Vec<Option<f64>> = Reads::over(&self.db, &mut Vec::new(), None, |r| {
+            // What a build with debug assertions composes to compare.
+            let mut kept = Vec::new();
+            let answers = {
+                let pages = self.pages.lock().expect(MEMO_POISONED);
+                let answer = |key: &PageKey| {
+                    let last = pages.get(key)?;
+                    let mut moved = moved_splices(r, last)?;
+                    if moved.next().is_some() || !held(*key, &last.body.bytes) {
+                        return None;
+                    }
+                    if COMPOSE_WHAT_IS_KEPT {
+                        let deps = Arc::clone(&last.deps);
+                        kept.push((*key, last.body.bytes.clone(), deps, last.cost_ms));
+                    }
+                    Some(last.cost_ms)
+                };
+                keys.iter().map(answer).collect()
+            };
+            for (key, body, deps, cost_ms) in kept {
+                let (mut html, mut own) = (String::new(), Vec::new());
+                let title = self.compose(&mut r.section(&mut own, None), key, &mut html);
+                let composed = finished(&Content::new(&title, &html), target_bytes(key));
+                assert!(composed == *body, "{key}: unmoved, but not as composed");
+                assert_eq!(own[..], deps[..], "{key}: unmoved");
+                assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: unmoved");
+            }
+            answers
+        });
+        if let Some(scale) = self.cpu_scale {
+            for &cost_ms in answers.iter().flatten() {
+                spin_for(cost_ms, scale);
+            }
+        }
+        answers
     }
 
     /// Build the page's inner HTML; returns the title.
@@ -937,6 +989,29 @@ fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
         html.push_str("</div>\n");
     }
     keyed("News for Day ", day)
+}
+
+/// The one rule by which a page the memo remembers as `last` is answered
+/// without being composed, in `r`'s snapshot: `None` when a read of its own
+/// moved, else the splices whose sections' stamps moved, each with its
+/// stamp now — none: the page is `last`'s body.
+fn moved_splices<'m>(
+    r: &'m Reads<'m>,
+    last: &'m PageMemo,
+) -> Option<impl Iterator<Item = Moved> + 'm> {
+    if !r.finds_unmoved(&last.coverage) {
+        return None;
+    }
+    let splices = last.coverage.splices().iter().enumerate();
+    Some(splices.filter_map(|(index, &was)| {
+        let now = r.stamp(was.section.source());
+        (now != was.revision).then_some(Moved {
+            index,
+            was,
+            now,
+            fresh: 0..0,
+        })
+    }))
 }
 
 /// An entry is refilled under the lock, so a panic in there leaves it

@@ -268,16 +268,19 @@ impl TriggerMonitor {
             self.register_render(key, &out);
             self.fleet.distribute(&url, out.body, out.cost_ms);
         }
-        // A bounded fleet may have evicted a page for a later one: the
-        // renderer must not hold on to a body the fleet let go of.
-        if self.fleet.member(0).policy().is_bounded() {
+        // A bounded fleet may have evicted a page for a later one, and is
+        // disturbed if it did: the renderer must not hold on to a body the
+        // fleet let go of.
+        if !self.fleet.undisturbed() {
+            let mut forgotten = 0;
             for &(key, _) in pages {
                 url.clear();
                 key.push_url(&mut url);
                 if self.fleet.distributed(&url).is_none() {
-                    self.renderer.forget(key);
+                    forgotten += u64::from(self.renderer.forget(key));
                 }
             }
+            self.stats.record_pages_forgotten(forgotten);
         }
         pages.len()
     }
@@ -489,12 +492,17 @@ impl TriggerMonitor {
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
-    /// onto the body the fleet holds for it, and distribute it: a page
-    /// that comes out as those bytes is recognised before a body is built
-    /// for it — before it is composed, when nothing it read last time has
-    /// moved ([`Renderer::render_onto`]) — and costs the fleet nothing when
-    /// every member holds the very allocation handed back
-    /// ([`CacheFleet::distributed`]), a comparison otherwise
+    /// onto the body the fleet holds for it, and distribute it. Every page
+    /// the renderer remembers whose stamps all stand is answered first, in
+    /// one pass ([`Renderer::answer_unmoved`]) that renders, registers and
+    /// distributes nothing: while nothing but distributions has written to
+    /// the fleet ([`CacheFleet::undisturbed`]) every member holds the bytes
+    /// remembered, and such a page costs a check; after, a check and a
+    /// probe of the fleet, which must hold them everywhere. Of the others,
+    /// a page that comes out as the bytes the fleet holds is recognised
+    /// before a body is built for it ([`Renderer::render_onto`]) and costs
+    /// the fleet nothing when every member holds the very allocation
+    /// handed back ([`CacheFleet::distributed`]), a comparison otherwise
     /// ([`CacheFleet::distribute`]). Adds the summed modelled
     /// CPU to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
     /// bytes changed in `nagano_trigger_pages_changed_total`, the keys
@@ -520,14 +528,29 @@ impl TriggerMonitor {
             ..Default::default()
         };
         let mut url = String::new();
-        for &key in keys {
+        let undisturbed = self.fleet.undisturbed();
+        let unmoved = self.renderer.answer_unmoved(keys, |key, body| {
+            undisturbed || {
+                url.clear();
+                key.push_url(&mut url);
+                let held = self.fleet.distributed(&url);
+                held.is_some_and(|held| held.is_everywhere(body))
+            }
+        });
+        let mut forgotten = 0;
+        for (&key, unmoved) in keys.iter().zip(unmoved) {
+            if let Some(cost_ms) = unmoved {
+                regen.render_ms += cost_ms;
+                regen.revalidated += 1;
+                continue;
+            }
             url.clear();
             key.push_url(&mut url);
             let held = self.fleet.distributed(&url);
             if held.is_none() {
                 // Evicted: the renderer's reference to the body it made
                 // last must not outlive the fleet's by more than this.
-                self.renderer.forget(key);
+                forgotten += u64::from(self.renderer.forget(key));
             }
             let out = self
                 .renderer
@@ -548,6 +571,7 @@ impl TriggerMonitor {
         self.stats
             .record_pages_revalidated(regen.revalidated as u64);
         self.stats.record_pages_patched(regen.patched as u64);
+        self.stats.record_pages_forgotten(forgotten);
         regen
     }
 
@@ -783,13 +807,16 @@ impl TriggerMonitor {
         // The records go with the edges: the page's own, and — a fragment
         // is a hybrid vertex — those of the pages it feeds, whose edge
         // from it is removed too. Their next render must find nothing to
-        // compare against and register every edge anew.
+        // compare against and register every edge anew; so the renderer
+        // forgets the fed pages too (the page's own memo went with its
+        // invalidation), or it would answer them unmoved, unregistered.
         {
             let mut registered = self.registered.lock();
             registered.remove(&key);
             for edge in g.dup.graph().successors(id) {
                 if let Some(page) = g.page_of(edge.to) {
                     registered.remove(&page);
+                    self.renderer.forget(page);
                 }
             }
         }
@@ -929,6 +956,7 @@ mod tests {
         }
         assert_eq!(kept + evicted, warmed);
         assert!(kept > 0 && evicted > 0, "{kept} kept, {evicted} evicted");
+        assert_eq!(monitor.stats().snapshot().pages_forgotten, evicted as u64);
     }
 
     #[test]
@@ -1128,6 +1156,136 @@ mod tests {
             outcome.regenerated.contains(&PageKey::Medals),
             "the medals page depends on nothing but the fragment: its edge must be back"
         );
+    }
+
+    #[test]
+    fn a_retired_fragments_embedders_register_it_again_at_their_next_mark() {
+        use nagano_db::{Photo, PhotoId};
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let events = db.events();
+        let ev = events[0].clone();
+        let other = events.iter().find(|e| e.day != ev.day).unwrap().clone();
+        let (table, home) = (
+            PageKey::Fragment(FragmentKey::MedalTable),
+            PageKey::Home(ev.day),
+        );
+        assert!(monitor.retire_page(table));
+        monitor.demand_fill(0, table);
+        // A photo of the day's event marks its home page and moves none of
+        // its stamps: forgotten with its record, the page is composed and
+        // registers every edge it reads, the medal table's among them.
+        let photo = db.add_photo(Photo {
+            id: PhotoId(7_001),
+            day: ev.day,
+            about_event: Some(ev.id),
+            bytes: 40_000,
+        });
+        let outcome = monitor.process_txn(&photo);
+        assert!(outcome.regenerated.contains(&home), "{outcome:?}");
+        // A final of another day reaches the page through the table alone.
+        let txn = db.record_results(other.id, &podium(&db, other.id), true, other.day);
+        let outcome = monitor.process_txn(&txn);
+        assert!(
+            outcome.regenerated.contains(&home),
+            "the medal table's edge into the home page is back"
+        );
+    }
+
+    /// A country page the first event's final marks and leaves as it was —
+    /// one off its podium: the one pass answers it while its memo stands.
+    fn unmoved_by_the_first_final(db: &OlympicDb) -> PageKey {
+        let ev = db.events()[0].id;
+        let placed: Vec<CountryId> = podium(db, ev)
+            .iter()
+            .map(|&(a, _)| db.athlete(a).unwrap().country)
+            .collect();
+        let countries = db.countries();
+        let off = countries.iter().find(|c| !placed.contains(&c.id)).unwrap();
+        PageKey::Country(off.id)
+    }
+
+    /// Process the first event's final, which marks `key`, on a fleet that
+    /// no longer holds the page as the monitor left it, and check that every
+    /// member then holds a fresh render of it.
+    fn the_first_final_refreshes(db: &Arc<OlympicDb>, monitor: &TriggerMonitor, key: PageKey) {
+        assert!(!monitor.fleet().undisturbed());
+        let ev = db.events()[0].clone();
+        let txn = db.record_results(ev.id, &podium(db, ev.id), true, ev.day);
+        assert!(monitor.process_txn(&txn).regenerated.contains(&key));
+        let fresh = Renderer::new(Arc::clone(db)).render(key).body;
+        for (i, member) in monitor.fleet().members().iter().enumerate() {
+            let held = member.peek(&key.to_url()).map(|p| p.body);
+            assert_eq!(held.as_ref(), Some(&fresh), "member {i}: {key}");
+        }
+    }
+
+    #[test]
+    fn a_page_filled_on_one_member_is_not_answered_from_its_memo() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let key = unmoved_by_the_first_final(&db);
+        let other = Bytes::from_static(b"a fill of other bytes");
+        monitor.fleet().put_local(1, &key.to_url(), other, 1.0);
+        the_first_final_refreshes(&db, &monitor, key);
+    }
+
+    #[test]
+    fn a_page_restored_on_one_member_is_not_answered_from_its_memo() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let key = unmoved_by_the_first_final(&db);
+        let other = Bytes::from_static(b"a copy of other bytes");
+        monitor
+            .fleet()
+            .member(1)
+            .restore_entry(&key.to_url(), other, 1.0, 9);
+        the_first_final_refreshes(&db, &monitor, key);
+    }
+
+    #[test]
+    fn an_invalidated_page_is_distributed_again_at_its_next_mark() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let key = unmoved_by_the_first_final(&db);
+        assert_eq!(monitor.fleet().invalidate_everywhere(&key.to_url()), 2);
+        the_first_final_refreshes(&db, &monitor, key);
+        assert_eq!(monitor.stats().snapshot().pages_forgotten, 1);
+    }
+
+    #[test]
+    fn a_page_evicted_by_a_distribution_is_distributed_again_at_its_next_mark() {
+        // Room for the whole small site several times over: only the
+        // oversized pages below evict.
+        const BUDGET: u64 = 64 << 20;
+        let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
+        let fleet = CacheFleet::new(2, bounded);
+        let (db, monitor) = setup_on(fleet, ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        assert!(monitor.fleet().undisturbed());
+        let key = unmoved_by_the_first_final(&db);
+        let (url, fleet) = (key.to_url(), monitor.fleet());
+        // A page of a shard's whole budget evicts every other page of its
+        // shard: distribute such pages until one lands in the page's.
+        let shards = (16 * 2) as u64;
+        let fill = Bytes::from(vec![0; (BUDGET / shards) as usize]);
+        for n in 0.. {
+            if fleet.distributed(&url).is_none() {
+                break;
+            }
+            fleet.distribute(&format!("/junk/{n}"), fill.clone(), 1.0);
+        }
+        the_first_final_refreshes(&db, &monitor, key);
+        assert!(monitor.stats().snapshot().pages_forgotten >= 1);
+    }
+
+    #[test]
+    fn a_cleared_member_is_filled_again_at_the_next_mark() {
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let key = unmoved_by_the_first_final(&db);
+        monitor.fleet().member(1).clear();
+        the_first_final_refreshes(&db, &monitor, key);
     }
 
     #[test]

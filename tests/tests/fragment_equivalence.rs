@@ -13,7 +13,8 @@
 //! failed to mark, an edge a regeneration failed to register, a memoised
 //! section spliced past its revision: each shows up here as a stale page,
 //! by name. The same check runs over a replay of the Games' whole update
-//! schedule (the benchmark's `check_site`, after every update), and each
+//! schedule (the benchmark's `check_site`, after every update) — once more
+//! on a fleet disturbed behind the monitor's back — and each
 //! content category also gets a plain named driver so a regression
 //! pinpoints the page family that broke.
 //!
@@ -37,7 +38,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bytes::Bytes;
-use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_cache::{CacheConfig, CacheFleet, ReplacementPolicy};
 use nagano_db::{
     seed_games, Athlete, AthleteId, Event, EventPhase, GamesConfig, NewsArticle, NewsId, OlympicDb,
     Photo, PhotoId, Transaction,
@@ -59,9 +60,18 @@ fn fresh_db() -> Arc<OlympicDb> {
 
 /// A prewarmed monitor over `db` with a two-member fleet.
 fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
+    monitor_on(db, CacheConfig::default(), policy)
+}
+
+/// A prewarmed monitor over `db` with a two-member fleet of `config`.
+fn monitor_on(
+    db: &Arc<OlympicDb>,
+    config: CacheConfig,
+    policy: ConsistencyPolicy,
+) -> TriggerMonitor {
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(db)),
-        Arc::new(CacheFleet::new(2, CacheConfig::default())),
+        Arc::new(CacheFleet::new(2, config)),
         Arc::new(PageRegistry::build(db, 16)),
         policy,
     );
@@ -197,30 +207,49 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// The Games' own update schedule — result postings, finals, a photo after
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
-/// nothing stale after any update. Returns (updates, pages regenerated,
-/// pages that came out as other bytes, pages answered from their stamps,
-/// pages patched, the fleet digest): the digest is FNV-1a-64 over member
-/// 0's entries after the replay, sorted by url, each as url, body and
-/// version (8 bytes, little-endian).
+/// nothing stale after any update ([`replay_schedule`]) and nothing but the
+/// monitor's distributions writing to the fleet, so that a regeneration
+/// never asks it about a page it answers unmoved. Returns
+/// (updates, pages regenerated, pages that came out as other bytes, pages
+/// answered from their stamps, pages patched, the fleet digest): the
+/// digest is FNV-1a-64 over member 0's entries after the replay, sorted by
+/// url, each as url, body and version (8 bytes, little-endian).
 fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
-    let registry = PageRegistry::build(&db, 16);
+    let replay = replay_schedule(&db, &monitor, seed, true, |_| {});
+    assert!(monitor.fleet().undisturbed(), "schedule seed {seed}");
+    replay
+}
+
+/// Replay the schedule of seed `seed` on `monitor`'s site, calling
+/// `disturb` with an update's index before the update is committed. After
+/// every update, every body a member holds is a fresh render; with
+/// `complete`, every registered page is held.
+fn replay_schedule(
+    db: &Arc<OlympicDb>,
+    monitor: &TriggerMonitor,
+    seed: u64,
+    complete: bool,
+    mut disturb: impl FnMut(usize),
+) -> Replay {
+    let registry = PageRegistry::build(db, 16);
     let schedule = UpdateSchedule::generate(
-        &db,
+        db,
         &mut DeterministicRng::seed_from_u64(seed ^ 0x5550_4441_5445),
     );
     let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x0041_5050_4c59);
     let (mut regenerated, mut changed, mut revalidated, mut patched) = (0, 0, 0, 0);
     for (i, update) in schedule.updates().iter().enumerate() {
-        let txn = UpdateSchedule::apply(update, &db, &mut rng);
+        disturb(i);
+        let txn = UpdateSchedule::apply(update, db, &mut rng);
         let outcome = monitor.process_txn(&txn);
         regenerated += outcome.regenerated.len();
         changed += outcome.changed;
         revalidated += outcome.revalidated;
         patched += outcome.patched;
         let at = format!("schedule seed {seed}, update {i} ({:?})", update.kind);
-        assert_cache_is_fresh(&monitor, &db, Some(&registry), &at);
+        assert_cache_is_fresh(monitor, db, complete.then_some(&registry), &at);
     }
     let stats = monitor.stats().snapshot();
     assert_eq!(
@@ -1130,6 +1159,116 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule() {
         check_schedule_replay(&GamesConfig::full(), 1998),
         (304, 13_499, 5_994, 7_401, 1_768, 0x91ed_1afc_e3e6_9bf7)
     );
+}
+
+/// The ways a fleet comes to hold other than what the monitor last
+/// distributed, taken in turn by the disturbed replay.
+#[derive(Debug, Clone, Copy)]
+enum Disturbance {
+    /// A demand fill of one page on one member.
+    LocalFill,
+    /// An oversized fill that evicts every other page of its shard on one
+    /// member, invalidated again.
+    Eviction,
+    /// One member cleared and resynchronised from the other.
+    ClearAndResync,
+    /// One page invalidated on every member.
+    Invalidation,
+    /// A fragment retired, and demand-filled again with every page that
+    /// embeds it, which registers their edges anew.
+    Retirement,
+}
+
+#[test]
+fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet() {
+    // The full replay, with the fleet disturbed behind the monitor's back
+    // every eight updates from the eighth on: from there a regeneration
+    // must ask the fleet before it answers a page unmoved, and retiring a
+    // fragment must forget the pages it fed, or it answers them from a
+    // memo no member holds, or unregistered (DESIGN.md §14a, "Page
+    // freshness").
+    const EVERY: usize = 8;
+    const SHARDS: usize = 16;
+    const KINDS: [Disturbance; 5] = [
+        Disturbance::LocalFill,
+        Disturbance::Eviction,
+        Disturbance::ClearAndResync,
+        Disturbance::Invalidation,
+        Disturbance::Retirement,
+    ];
+    let seed = 1998;
+    let db = seeded_db(&GamesConfig::full());
+    let registry = PageRegistry::build(&db, 16);
+    // Four times what every page of the site targets: nothing but the
+    // oversized fills evicts, each a shard's whole budget.
+    let budget = 4 * registry
+        .pages()
+        .iter()
+        .map(|(_, m)| m.bytes as u64)
+        .sum::<u64>();
+    let config = CacheConfig::bounded(budget, ReplacementPolicy::Lru).with_shards(SHARDS);
+    let monitor = monitor_on(&db, config, ConsistencyPolicy::UpdateInPlace);
+    let fleet = Arc::clone(monitor.fleet());
+    let members = fleet.members().len();
+    let shards = (SHARDS * members).next_power_of_two() as u64;
+    let fill = Bytes::from(vec![b'x'; (budget / shards) as usize]);
+    let pages: Vec<PageKey> = registry.pages().iter().map(|&(k, _)| k).collect();
+    let fragments: Vec<PageKey> = pages
+        .iter()
+        .copied()
+        .filter(|k| matches!(k, PageKey::Fragment(_)))
+        .collect();
+    let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x4449_5354);
+    let mut seen = [0; KINDS.len()];
+    let replay = replay_schedule(&db, &monitor, seed, false, |i| {
+        if i % EVERY != EVERY - 1 {
+            return;
+        }
+        let kind = (i / EVERY) % KINDS.len();
+        seen[kind] += 1;
+        let node = rng.index(members);
+        match KINDS[kind] {
+            Disturbance::LocalFill => {
+                monitor.demand_fill(node, pages[rng.index(pages.len())]);
+            }
+            Disturbance::Eviction => {
+                let junk = format!("/junk/{i}");
+                let before = fleet.member(node).len();
+                fleet.put_local(node, &junk, fill.clone(), 1.0);
+                assert!(fleet.member(node).invalidate(&junk));
+                assert!(
+                    fleet.member(node).len() < before,
+                    "update {i}: nothing evicted"
+                );
+            }
+            Disturbance::ClearAndResync => {
+                fleet.member(node).clear();
+                fleet.resync(1 - node, node);
+            }
+            Disturbance::Invalidation => {
+                let key = pages[rng.index(pages.len())];
+                fleet.invalidate_everywhere(&key.to_url());
+            }
+            Disturbance::Retirement => {
+                let fragment = fragments[rng.index(fragments.len())];
+                let edge = fragment.object_key();
+                let fresh = Renderer::new(Arc::clone(&db));
+                let embedders: Vec<PageKey> = pages
+                    .iter()
+                    .copied()
+                    .filter(|&k| fresh.render(k).deps.iter().any(|d| d.data_key == edge))
+                    .collect();
+                assert!(monitor.retire_page(fragment), "update {i}: {fragment}");
+                for key in [fragment].into_iter().chain(embedders) {
+                    assert!(!monitor.renderer().remembers(key), "update {i}: {key}");
+                    monitor.demand_fill(node, key);
+                }
+            }
+        }
+    });
+    assert_eq!(replay.0, 304);
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    assert!(!fleet.undisturbed());
 }
 
 proptest! {
