@@ -8,12 +8,13 @@ pub mod slo;
 pub mod systems;
 pub mod tables;
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxHashMap;
 
 use nagano_cluster::{ClusterConfig, ClusterReport, ClusterSim, ServingResilience};
 use nagano_db::GamesConfig;
+use nagano_simcore::sync::Mutex;
 use nagano_trigger::ConsistencyPolicy;
 
 use crate::ExpConfig;
@@ -68,12 +69,12 @@ pub fn full_report(config: &ExpConfig) -> Arc<ClusterReport> {
 /// Memoized full-Games simulation under an arbitrary policy.
 pub fn report_for_policy(config: &ExpConfig, policy: ConsistencyPolicy) -> Arc<ClusterReport> {
     let key: ReportKey = (config.scale.to_bits(), config.seed, config.quick, policy);
-    if let Some(r) = report_cache().lock().unwrap().get(&key) {
+    if let Some(r) = report_cache().checked_lock().unwrap().get(&key) {
         return Arc::clone(r);
     }
     let report = Arc::new(ClusterSim::new(cluster_config(config, policy)).run());
     report_cache()
-        .lock()
+        .checked_lock()
         .unwrap()
         .insert(key, Arc::clone(&report));
     report

@@ -9,7 +9,7 @@
 //! cache the only column of its own — so a lookup takes one shard lock and
 //! probes one map, and so does a distribution to every member
 //! ([`crate::CacheFleet::distribute`]). The lock per shard is a
-//! `parking_lot::Mutex`; a table has [`CacheConfig::shards`] of them per
+//! `sync::Mutex`; a table has [`CacheConfig::shards`] of them per
 //! member, and with the default 16 and short critical sections contention
 //! is negligible next to page generation costs.
 //!
@@ -24,11 +24,11 @@ use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use nagano_telemetry::sync::{Condvar, Mutex};
 use rustc_hash::{FxHashMap, FxHasher};
 
 use crate::policy::{Rank, ReplacementPolicy};
@@ -149,7 +149,7 @@ pub struct StaleCopy {
 /// One in-flight regeneration that concurrent misses coalesce onto.
 #[derive(Debug, Default)]
 struct Flight {
-    state: StdMutex<FlightState>,
+    state: Mutex<FlightState>,
     cv: Condvar,
 }
 
@@ -1027,17 +1027,9 @@ impl PageCache {
             Err(token) => return FlightOutcome::Lead(token),
         };
         self.member().stats.coalesce();
-        let guard = match flight.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let (state, timeout) = match flight.cv.wait_timeout_while(guard, deadline, |s| !s.done) {
-            Ok((g, t)) => (g, t.timed_out()),
-            Err(poisoned) => {
-                let (g, t) = poisoned.into_inner();
-                (g, t.timed_out())
-            }
-        };
+        let (state, waited) = flight
+            .cv
+            .wait_timeout_while(flight.state.lock(), deadline, |s| !s.done);
         if state.done {
             match &state.result {
                 Some(page) => FlightOutcome::Joined(page.clone()),
@@ -1045,7 +1037,7 @@ impl PageCache {
             }
         } else {
             drop(state);
-            if timeout {
+            if waited.timed_out() {
                 // Presume the leader dead: clear the flight (if it is
                 // still the same one) so the next miss can lead.
                 self.retire_flight(key, &flight);
@@ -1060,10 +1052,7 @@ impl PageCache {
     /// [`PageCache::put`] before completing.
     pub fn complete_flight(&self, token: FlightToken, page: Option<CachedPage>) {
         {
-            let mut state = match token.flight.state.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut state = token.flight.state.lock();
             state.done = true;
             state.result = page;
         }
@@ -1088,6 +1077,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nagano_telemetry::sync::blocking;
 
     fn body(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -1347,7 +1337,7 @@ mod tests {
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            blocking!(h.join()).unwrap();
         }
         // Accounting invariant: current bytes equals sum of live entries.
         let live_bytes: u64 = c
@@ -1503,12 +1493,12 @@ mod tests {
             }));
         }
         // Give followers a moment to attach, then publish.
-        thread::sleep(Duration::from_millis(20));
+        blocking!(thread::sleep(Duration::from_millis(20)));
         c.put("/page", body("fresh"), 1.0);
         let page = c.peek("/page").unwrap();
         c.complete_flight(token, Some(page));
         for j in joiners {
-            match j.join().unwrap() {
+            match blocking!(j.join()).unwrap() {
                 FlightOutcome::Joined(page) => assert_eq!(&page.body[..], b"fresh"),
                 // A follower that raced in after completion leads a
                 // fresh flight; it must still see the cached body.
@@ -1534,9 +1524,9 @@ mod tests {
             let c = Arc::clone(&c);
             thread::spawn(move || c.join_or_lead("/page", Duration::from_secs(5)))
         };
-        thread::sleep(Duration::from_millis(20));
+        blocking!(thread::sleep(Duration::from_millis(20)));
         c.complete_flight(token, None);
-        match follower.join().unwrap() {
+        match blocking!(follower.join()).unwrap() {
             FlightOutcome::TimedOut => {}
             FlightOutcome::Lead(t) => c.complete_flight(t, None),
             FlightOutcome::Joined(_) => panic!("failed flight must not produce a body"),

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use nagano_telemetry::sync::Mutex;
 use rustc_hash::FxHashMap;
 
 /// The per-minute EWMA smoothing factor used fleet-wide. 0.3 weights the

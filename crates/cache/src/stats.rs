@@ -198,6 +198,7 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nagano_telemetry::sync::blocking;
 
     #[test]
     fn counts_accumulate() {
@@ -272,7 +273,7 @@ mod tests {
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            blocking!(h.join()).unwrap();
         }
         assert_eq!(s.snapshot().hits, 80_000);
     }

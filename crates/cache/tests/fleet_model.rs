@@ -23,6 +23,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use nagano_cache::{CacheConfig, CacheFleet, PageCache, ReplacementPolicy};
+use nagano_telemetry::sync::blocking;
 
 /// Members the operations name; a smaller subject takes them modulo its
 /// size.
@@ -373,5 +374,5 @@ fn lookups_local_writes_and_distributions_of_one_key_race() {
     if let Err(mpsc::RecvTimeoutError::Timeout) = watchdog.recv_timeout(Duration::from_secs(60)) {
         panic!("the race did not finish within 60 s: a deadlock");
     }
-    race.join().expect("the race panicked");
+    blocking!(race.join()).expect("the race panicked");
 }

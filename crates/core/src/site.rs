@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use nagano_cache::{
     CacheConfig, CacheFleet, FlightOutcome, FlightToken, PageCache, StaleCopy, StatsSnapshot,
@@ -16,6 +15,7 @@ use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
 use nagano_httpd::{none_match, Handler, Request, Response, RetryAfterHint, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+use nagano_simcore::sync::Mutex;
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot};
 
 use crate::resilience::CircuitBreaker;
@@ -573,6 +573,7 @@ impl ServingSite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nagano_simcore::sync::blocking;
 
     fn site() -> ServingSite {
         ServingSite::build(SiteConfig::small())
@@ -1024,7 +1025,10 @@ mod tests {
                 std::thread::spawn(move || s.handle(0, "/medals").unwrap())
             })
             .collect();
-        let pages: Vec<ServedPage> = followers.into_iter().map(|t| t.join().unwrap()).collect();
+        let pages: Vec<ServedPage> = followers
+            .into_iter()
+            .map(|t| blocking!(t.join()).unwrap())
+            .collect();
         member.complete_flight(token, None);
         // One follower led the replacement flight and the others joined
         // it: one render, so one insert at version 1 and no update.

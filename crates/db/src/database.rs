@@ -12,8 +12,9 @@
 //! a secondary index the write path maintains. The owned-`Vec` methods on
 //! [`OlympicDb`] are one-query views for callers that keep the rows.
 
-use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
+
+use nagano_simcore::sync::{RwLock, RwLockReadGuard};
 
 use crate::schema::{
     medals_data_key, today_data_key, Athlete, AthleteId, Country, CountryId, Event, EventId,
@@ -144,7 +145,7 @@ impl OlympicDb {
     /// The view holds the tables' read lock until dropped, and the lock
     /// prefers waiting writers: calling any other method of this database
     /// on the same thread while a view is alive can deadlock behind a
-    /// commit. Query the view instead.
+    /// commit (a debug build panics there instead). Query the view instead.
     pub fn view(&self) -> DbView<'_> {
         DbView {
             t: self.tables.read(),

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
+use nagano_simcore::sync::Mutex;
 
 use crate::database::OlympicDb;
 use crate::txn::{Transaction, TxnId, TxnLog};

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
+use nagano_simcore::sync::Mutex;
 
 /// Default bound on a subscriber's pending-transaction queue. A consumer
 /// that falls further behind than this is **disconnected** rather than

@@ -10,8 +10,8 @@
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
-use std::sync::Mutex;
 
+use nagano_telemetry::sync::Mutex;
 use rustc_hash::FxHashMap;
 
 use crate::http::{Request, Response};
@@ -172,18 +172,12 @@ impl<W: Write + Send> AccessLog<W> {
     /// `writeln!`, so the worst case is a single torn line, and access
     /// logging must outlive any one request.
     pub fn log(&self, entry: &LogEntry) -> std::io::Result<()> {
-        let mut w = match self.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        writeln!(w, "{}", entry.to_clf())
+        writeln!(self.writer.lock(), "{}", entry.to_clf())
     }
 
     /// Flush and recover the writer.
     pub fn into_inner(self) -> W {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.writer.into_inner()
     }
 }
 

@@ -13,6 +13,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use nagano_telemetry::sync::blocking;
 
 use crate::http::{ParseError, Request, RequestReader, Response, Status};
 
@@ -254,10 +255,10 @@ impl Server {
         // Poke the accept loop out of `incoming()`.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            let _ = blocking!(h.join());
         }
         for h in self.workers.drain(..) {
-            let _ = h.join();
+            let _ = blocking!(h.join());
         }
     }
 }
@@ -293,7 +294,7 @@ fn worker_loop(
     let mut parse = RequestReader::new();
     let mut request = Request::empty();
     let mut head = Vec::with_capacity(256);
-    while let Ok(mut stream) = rx.recv() {
+    while let Ok(mut stream) = blocking!(rx.recv()) {
         // Short poll interval so keep-alive workers notice shutdown fast;
         // idle connections are re-polled until `timeout` worth of silence.
         let poll = Duration::from_millis(50);
@@ -435,7 +436,7 @@ mod tests {
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
             stream.write_all(&wire[..cut]).unwrap();
-            std::thread::sleep(Duration::from_millis(120));
+            blocking!(std::thread::sleep(Duration::from_millis(120)));
             stream.write_all(&wire[cut..]).unwrap();
             let (code, body, _) = read_response_full(&mut BufReader::new(&stream)).unwrap();
             assert_eq!(
@@ -493,7 +494,7 @@ mod tests {
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            blocking!(h.join()).unwrap();
         }
         assert_eq!(server.served(), 400);
         server.shutdown();
@@ -536,8 +537,8 @@ mod tests {
         let (started_tx, started_rx) = channel::bounded::<()>(1);
         let (release_tx, release_rx) = channel::bounded::<()>(1);
         let handler: Arc<dyn Handler> = Arc::new(move |_req: &Request| {
-            let _ = started_tx.send(());
-            let _ = release_rx.recv();
+            let _ = blocking!(started_tx.send(()));
+            let _ = blocking!(release_rx.recv());
             Response::html(Bytes::from_static(b"slow"))
         });
         let server = Server::bind(
@@ -559,9 +560,7 @@ mod tests {
             let mut client = HttpClient::connect(addr).unwrap();
             client.get("/slow").unwrap()
         });
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("handler never started");
+        blocking!(started_rx.recv_timeout(Duration::from_secs(5))).expect("handler never started");
 
         // Fill the single pending-queue slot.
         let queued = TcpStream::connect(addr).unwrap();
@@ -586,8 +585,8 @@ mod tests {
         assert_eq!(server.shed(), 1);
 
         // Releasing the worker drains the queue normally.
-        release_tx.send(()).unwrap();
-        let (code, body) = busy.join().unwrap();
+        blocking!(release_tx.send(())).unwrap();
+        let (code, body) = blocking!(busy.join()).unwrap();
         assert_eq!(code, 200);
         assert_eq!(&body[..], b"slow");
         drop(queued);
@@ -613,8 +612,8 @@ mod tests {
         let (started_tx, started_rx) = channel::bounded::<()>(1);
         let (release_tx, release_rx) = channel::bounded::<()>(1);
         let handler: Arc<dyn Handler> = Arc::new(move |_req: &Request| {
-            let _ = started_tx.send(());
-            let _ = release_rx.recv();
+            let _ = blocking!(started_tx.send(()));
+            let _ = blocking!(release_rx.recv());
             Response::html(Bytes::from_static(b"slow"))
         });
         let hint = RetryAfterHint::new(2);
@@ -635,9 +634,7 @@ mod tests {
             let mut client = HttpClient::connect(addr).unwrap();
             client.get("/slow").unwrap()
         });
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("handler never started");
+        blocking!(started_rx.recv_timeout(Duration::from_secs(5))).expect("handler never started");
         let queued = TcpStream::connect(addr).unwrap();
         assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
@@ -655,8 +652,8 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
         assert!(raw.contains("Retry-After: 42\r\n"), "{raw}");
 
-        release_tx.send(()).unwrap();
-        busy.join().unwrap();
+        blocking!(release_tx.send(())).unwrap();
+        blocking!(busy.join()).unwrap();
         drop(queued);
         server.shutdown();
     }
@@ -664,10 +661,9 @@ mod tests {
     #[test]
     fn shutdown_is_clean_and_idempotent_on_drop() {
         let server = echo_server();
-        let addr = server.addr();
         server.shutdown();
-        // Further connections may connect (OS backlog) but get no service;
-        // binding a new server on a fresh port still works.
+        // A new server binds and serves after the first is gone, whichever
+        // port the kernel hands it: the one just freed is allowed.
         let server2 = Server::bind(
             "127.0.0.1:0",
             Arc::new(|_: &Request| Response::html(Bytes::from_static(b"x"))),
@@ -677,7 +673,10 @@ mod tests {
             },
         )
         .unwrap();
-        assert_ne!(server2.addr(), addr);
+        let mut client = HttpClient::connect(server2.addr()).unwrap();
+        let (code, body) = client.get("/again").unwrap();
+        assert_eq!((code, &body[..]), (200, &b"x"[..]));
+        drop(client);
         drop(server2); // drop path also shuts down
     }
 }

@@ -22,11 +22,12 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use nagano_db::schema::{keyed, push_decimal};
 use nagano_db::{AthleteId, CountryId, EventId, EventPhase, NewsId, OlympicDb, SportId};
+use nagano_simcore::sync::Mutex;
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
@@ -475,7 +476,7 @@ impl Renderer {
         moved: &mut Vec<Moved>,
     ) -> Answer {
         let kept = {
-            let pages = self.pages.lock().expect(MEMO_POISONED);
+            let pages = self.pages.checked_lock().expect(MEMO_POISONED);
             let Some(last) = pages.get(&key) else {
                 return Answer::Compose;
             };
@@ -499,7 +500,7 @@ impl Renderer {
         for m in moved.iter_mut() {
             let (section, start) = (m.was.section, fresh.len());
             let hit = {
-                let sections = self.sections.lock().expect(MEMO_POISONED);
+                let sections = self.sections.checked_lock().expect(MEMO_POISONED);
                 let current = sections.get(&section).filter(|memo| memo.revision == m.now);
                 current.map(|memo| {
                     fresh.push_str(&memo.html);
@@ -532,7 +533,7 @@ impl Renderer {
         } else {
             self.finish(patched, target)
         };
-        let mut pages = self.pages.lock().expect(MEMO_POISONED);
+        let mut pages = self.pages.checked_lock().expect(MEMO_POISONED);
         // A render of the page that stored since leaves its own entry.
         let Some(last) = pages.get_mut(&key).filter(|l| l.generation == generation) else {
             return body;
@@ -561,7 +562,11 @@ impl Renderer {
     /// The body of a page that changed: written over the body parked for
     /// its size when nothing else holds that, else allocated afresh.
     fn finish(&self, content: &impl Parts, target: usize) -> Bytes {
-        let parked = self.parked.lock().expect(MEMO_POISONED).remove(&target);
+        let parked = self
+            .parked
+            .checked_lock()
+            .expect(MEMO_POISONED)
+            .remove(&target);
         if let Some(Body { bytes, content_len }) = parked {
             // No fleet cell, tombstone, page memo or response in flight
             // can see the bytes change: none of them holds the buffer.
@@ -593,7 +598,7 @@ impl Renderer {
             // What was parked before is let go of after the lock is.
             let _replaced = self
                 .parked
-                .lock()
+                .checked_lock()
                 .expect(MEMO_POISONED)
                 .insert(target, body);
         }
@@ -615,7 +620,7 @@ impl Renderer {
         previous: Option<&Bytes>,
     ) -> (Arc<[Dependency]>, f64) {
         use std::collections::hash_map::Entry;
-        let mut pages = self.pages.lock().expect(MEMO_POISONED);
+        let mut pages = self.pages.checked_lock().expect(MEMO_POISONED);
         let (last, replaced) = match pages.entry(key) {
             // Refilled like a section's entry: nothing of a page's is
             // allocated anew per revision but a list that changed.
@@ -662,7 +667,7 @@ impl Renderer {
     /// whether there was one.
     pub fn forget(&self, key: PageKey) -> bool {
         self.pages
-            .lock()
+            .checked_lock()
             .expect(MEMO_POISONED)
             .remove(&key)
             .is_some()
@@ -672,7 +677,10 @@ impl Renderer {
     /// [`Renderer::render_onto`] or [`Renderer::render_remembered`] and not
     /// forgotten since.
     pub fn remembers(&self, key: PageKey) -> bool {
-        self.pages.lock().expect(MEMO_POISONED).contains_key(&key)
+        self.pages
+            .checked_lock()
+            .expect(MEMO_POISONED)
+            .contains_key(&key)
     }
 
     /// Answer, in one pass over one snapshot and under one lock of the page
@@ -697,7 +705,7 @@ impl Renderer {
             // What a build with debug assertions composes to compare.
             let mut kept = Vec::new();
             let answers = {
-                let pages = self.pages.lock().expect(MEMO_POISONED);
+                let pages = self.pages.checked_lock().expect(MEMO_POISONED);
                 let answer = |key: &PageKey| {
                     let last = pages.get(key)?;
                     let mut moved = moved_splices(r, last)?;
@@ -876,7 +884,7 @@ impl Renderer {
         let revision = r.stamp(section.source());
         let start = html.len();
         let hit = {
-            let memo = self.sections.lock().expect(MEMO_POISONED);
+            let memo = self.sections.checked_lock().expect(MEMO_POISONED);
             memo.get(&section)
                 .filter(|m| m.revision == revision)
                 .map(|hit| {
@@ -925,7 +933,7 @@ impl Renderer {
         // A re-render refills the entry's buffers rather than replacing
         // them: the memo's allocations are made once, when a section is
         // first rendered, not once per revision.
-        let mut memo = self.sections.lock().expect(MEMO_POISONED);
+        let mut memo = self.sections.checked_lock().expect(MEMO_POISONED);
         let entry = memo.entry(section).or_default();
         entry.revision = revision;
         entry.html.clear();
@@ -1181,6 +1189,7 @@ pub fn target_bytes(key: PageKey) -> usize {
 mod tests {
     use super::*;
     use nagano_db::{seed_games, AthleteId, CountryId, GamesConfig, NewsArticle, NewsId};
+    use nagano_simcore::sync::blocking;
 
     fn seeded() -> (Arc<OlympicDb>, nagano_db::EventId) {
         let db = Arc::new(OlympicDb::new());
@@ -1464,9 +1473,8 @@ mod tests {
                 .recv_timeout(Duration::from_secs(60))
                 .expect("render and commit deadlocked (or ran for over a minute)");
         }
-        committer.join().expect("committer panicked");
-        let r = rendering
-            .join()
+        blocking!(committer.join()).expect("committer panicked");
+        let r = blocking!(rendering.join())
             .expect("renderer panicked")
             .unwrap_or_else(|why| panic!("torn home page: {why}"));
         assert_eq!(

@@ -17,6 +17,8 @@
 //!   histograms with percentile queries, binned time series.
 //! * [`link`] — client-link transfer models (28.8 kbps modems, LAN/T1 links,
 //!   external-congestion injection) used by Tables 1–2 and Figure 22.
+//! * [`sync`] — the workspace's locks and its one way to block
+//!   ([`blocking!`]), which check lock order in a debug build.
 //!
 //! Everything is deterministic given a seed: no wall-clock reads, no global
 //! RNG state.
@@ -28,6 +30,7 @@ pub mod events;
 pub mod link;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod time;
 
 pub use events::EventQueue;

@@ -37,6 +37,10 @@ pub mod registry;
 pub mod slo;
 pub mod span;
 
+/// The workspace's order-checked locks, for the crates that reach
+/// `nagano-simcore` only through this one: cache and httpd.
+pub use nagano_simcore::sync;
+
 pub use export::{
     json_snapshot, parse_prometheus_line, prom_escape, prom_unescape, prometheus_text,
 };

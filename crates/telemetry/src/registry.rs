@@ -10,7 +10,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use nagano_simcore::sync::Mutex;
 
 use nagano_simcore::Histogram;
 
@@ -100,32 +102,35 @@ impl HistogramHandle {
 
     /// Record one observation.
     pub fn record(&self, x: f64) {
-        self.0.lock().expect("histogram poisoned").record(x);
+        self.0.checked_lock().expect("histogram poisoned").record(x);
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.0.lock().expect("histogram poisoned").count()
+        self.0.checked_lock().expect("histogram poisoned").count()
     }
 
     /// Percentile query, `q` in `[0, 100]`.
     pub fn percentile(&self, q: f64) -> f64 {
-        self.0.lock().expect("histogram poisoned").percentile(q)
+        self.0
+            .checked_lock()
+            .expect("histogram poisoned")
+            .percentile(q)
     }
 
     /// Exact mean of observations.
     pub fn mean(&self) -> f64 {
-        self.0.lock().expect("histogram poisoned").mean()
+        self.0.checked_lock().expect("histogram poisoned").mean()
     }
 
     /// Exact maximum of observations (`-inf` when empty).
     pub fn max(&self) -> f64 {
-        self.0.lock().expect("histogram poisoned").max()
+        self.0.checked_lock().expect("histogram poisoned").max()
     }
 
     /// A point-in-time copy of the underlying histogram.
     pub fn snapshot(&self) -> Histogram {
-        self.0.lock().expect("histogram poisoned").clone()
+        self.0.checked_lock().expect("histogram poisoned").clone()
     }
 }
 
@@ -199,7 +204,7 @@ impl MetricsRegistry {
     /// If the key is already registered as a different metric kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = (name.to_string(), canonical_labels(labels));
-        let mut map = self.inner.lock().expect("registry poisoned");
+        let mut map = self.inner.checked_lock().expect("registry poisoned");
         match map
             .entry(key)
             .or_insert_with(|| Metric::Counter(Counter::new()))
@@ -215,7 +220,7 @@ impl MetricsRegistry {
     /// If the key is already registered as a different metric kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = (name.to_string(), canonical_labels(labels));
-        let mut map = self.inner.lock().expect("registry poisoned");
+        let mut map = self.inner.checked_lock().expect("registry poisoned");
         match map
             .entry(key)
             .or_insert_with(|| Metric::Gauge(Gauge::new()))
@@ -237,7 +242,7 @@ impl MetricsRegistry {
         hi: f64,
     ) -> HistogramHandle {
         let key = (name.to_string(), canonical_labels(labels));
-        let mut map = self.inner.lock().expect("registry poisoned");
+        let mut map = self.inner.checked_lock().expect("registry poisoned");
         match map
             .entry(key)
             .or_insert_with(|| Metric::Histogram(HistogramHandle::new(lo, hi)))
@@ -253,7 +258,7 @@ impl MetricsRegistry {
     pub fn bind_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
         let key = (name.to_string(), canonical_labels(labels));
         self.inner
-            .lock()
+            .checked_lock()
             .expect("registry poisoned")
             .insert(key, Metric::Counter(counter.clone()));
     }
@@ -262,7 +267,7 @@ impl MetricsRegistry {
     pub fn bind_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: &Gauge) {
         let key = (name.to_string(), canonical_labels(labels));
         self.inner
-            .lock()
+            .checked_lock()
             .expect("registry poisoned")
             .insert(key, Metric::Gauge(gauge.clone()));
     }
@@ -271,14 +276,14 @@ impl MetricsRegistry {
     pub fn bind_histogram(&self, name: &str, labels: &[(&str, &str)], hist: &HistogramHandle) {
         let key = (name.to_string(), canonical_labels(labels));
         self.inner
-            .lock()
+            .checked_lock()
             .expect("registry poisoned")
             .insert(key, Metric::Histogram(hist.clone()));
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry poisoned").len()
+        self.inner.checked_lock().expect("registry poisoned").len()
     }
 
     /// Whether the registry is empty.
@@ -288,7 +293,7 @@ impl MetricsRegistry {
 
     /// Sample every metric, in deterministic (name, labels) order.
     pub fn samples(&self) -> Vec<MetricSample> {
-        let map = self.inner.lock().expect("registry poisoned");
+        let map = self.inner.checked_lock().expect("registry poisoned");
         map.iter()
             .map(|((name, labels), metric)| MetricSample {
                 name: name.clone(),

@@ -21,8 +21,8 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
+use nagano_simcore::sync::Mutex;
 use nagano_simcore::{SimDuration, SimTime};
 
 /// Which pipeline a trace follows.
@@ -294,7 +294,7 @@ impl TraceBuffer {
 
     /// Record a completed trace, evicting the oldest when full.
     pub fn push(&self, trace: Trace) {
-        let mut ring = self.inner.lock().expect("trace buffer poisoned");
+        let mut ring = self.inner.checked_lock().expect("trace buffer poisoned");
         if ring.traces.len() == ring.cap {
             ring.traces.pop_front();
             ring.dropped += 1;
@@ -305,7 +305,7 @@ impl TraceBuffer {
     /// Number of traces currently held.
     pub fn len(&self) -> usize {
         self.inner
-            .lock()
+            .checked_lock()
             .expect("trace buffer poisoned")
             .traces
             .len()
@@ -318,13 +318,16 @@ impl TraceBuffer {
 
     /// How many traces were evicted to respect the bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace buffer poisoned").dropped
+        self.inner
+            .checked_lock()
+            .expect("trace buffer poisoned")
+            .dropped
     }
 
     /// Copy out every held trace, oldest first.
     pub fn traces(&self) -> Vec<Trace> {
         self.inner
-            .lock()
+            .checked_lock()
             .expect("trace buffer poisoned")
             .traces
             .iter()

@@ -5,13 +5,13 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use nagano_cache::CacheFleet;
 use nagano_db::Transaction;
 use nagano_odg::{DupEngine, Interner, NodeId, StalenessPolicy};
 use nagano_pagegen::{Dependency, PageKey, PageRegistry, RenderOutput, Renderer};
+use nagano_simcore::sync::Mutex;
 use nagano_simcore::{SimDuration, SimTime};
 
 use crate::policy::ConsistencyPolicy;

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nagano_db::Transaction;
+use nagano_simcore::sync::blocking;
 
 use crate::monitor::TriggerMonitor;
 
@@ -62,7 +63,7 @@ impl TriggerRunner {
                     in_burst = false;
                     let next = match polled {
                         Some(txn) => Ok(txn),
-                        None => rx.recv_timeout(Duration::from_millis(10)),
+                        None => blocking!(rx.recv_timeout(Duration::from_millis(10))),
                     };
                     match next {
                         Ok(txn) => {
@@ -93,8 +94,8 @@ impl TriggerRunner {
     /// number processed over its lifetime. A panic on the thread is
     /// raised again here, not read as nothing processed.
     pub fn stop(mut self) -> u64 {
-        let _ = self.stop.send(());
-        match self.handle.take().map(JoinHandle::join) {
+        let _ = blocking!(self.stop.send(()));
+        match blocking!(self.handle.take().map(JoinHandle::join)) {
             Some(Ok(processed)) => processed,
             Some(Err(panic)) => std::panic::resume_unwind(panic),
             None => 0,
@@ -134,8 +135,8 @@ fn flush(monitor: &TriggerMonitor, batch: &mut Vec<Arc<Transaction>>) -> u64 {
 
 impl Drop for TriggerRunner {
     fn drop(&mut self) {
-        let _ = self.stop.send(());
-        if let Some(Err(panic)) = self.handle.take().map(JoinHandle::join) {
+        let _ = blocking!(self.stop.send(()));
+        if let Some(Err(panic)) = blocking!(self.handle.take().map(JoinHandle::join)) {
             // A second panic while one unwinds would abort the process.
             if !std::thread::panicking() {
                 std::panic::resume_unwind(panic);

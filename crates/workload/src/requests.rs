@@ -12,11 +12,11 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 use nagano_db::OlympicDb;
 use nagano_pagegen::{PageKey, PageRegistry};
+use nagano_simcore::sync::Mutex;
 use nagano_simcore::{DeterministicRng, LinkClass, SimTime};
 
 use crate::calendar::GamesCalendar;

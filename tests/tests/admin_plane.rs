@@ -13,6 +13,7 @@ use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{
     AdminPlane, Handler, HttpClient, Request, Response, Server, ServerConfig, Status, StatusFn,
 };
+use nagano_simcore::sync::blocking;
 use nagano_telemetry::{parse_prometheus_line, MetricsRegistry};
 
 #[test]
@@ -88,8 +89,8 @@ fn admin_plane_leaves_overload_shedding_untouched() {
     let (started_tx, started_rx) = channel::bounded::<()>(1);
     let (release_tx, release_rx) = channel::bounded::<()>(1);
     let slow: Arc<dyn Handler> = Arc::new(move |_req: &Request| {
-        let _ = started_tx.send(());
-        let _ = release_rx.recv();
+        let _ = blocking!(started_tx.send(()));
+        let _ = blocking!(release_rx.recv());
         Response::text(Status::Ok, "slow")
     });
     let registry = Arc::new(MetricsRegistry::new());
@@ -114,9 +115,7 @@ fn admin_plane_leaves_overload_shedding_untouched() {
         let mut client = HttpClient::connect(addr).unwrap();
         client.get("/slow").unwrap()
     });
-    started_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("handler never started");
+    blocking!(started_rx.recv_timeout(Duration::from_secs(5))).expect("handler never started");
     let queued = TcpStream::connect(addr).unwrap();
     assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
@@ -139,8 +138,8 @@ fn admin_plane_leaves_overload_shedding_untouched() {
 
     // Release the worker; the queued connection and fresh admin scrapes
     // both drain normally.
-    release_tx.send(()).unwrap();
-    let (code, body) = busy.join().unwrap();
+    blocking!(release_tx.send(())).unwrap();
+    let (code, body) = blocking!(busy.join()).unwrap();
     assert_eq!(code, 200);
     assert_eq!(&body[..], b"slow");
     drop(queued);

@@ -12,6 +12,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use nagano::{BreakerConfig, CircuitBreaker, RetryBackoff};
 use nagano_cache::{CacheConfig, FlightOutcome, PageCache, StalePolicy};
+use nagano_simcore::sync::blocking;
 use nagano_simcore::DeterministicRng;
 use proptest::prelude::*;
 
@@ -38,14 +39,14 @@ fn stampede_round(cache: &Arc<PageCache>, key: &str, followers: usize, fresh: &s
         })
         .collect();
     // Let followers attach, then render once and publish.
-    thread::sleep(Duration::from_millis(10));
+    blocking!(thread::sleep(Duration::from_millis(10)));
     cache.put(key, Bytes::copy_from_slice(fresh.as_bytes()), 1.0);
     let page = cache.peek(key).expect("leader just inserted the body");
     cache.complete_flight(token, Some(page));
     let renders = 1usize;
 
     for h in handles {
-        match h.join().expect("follower thread panicked") {
+        match blocking!(h.join()).expect("follower thread panicked") {
             // The single-flight contract: followers get the leader's
             // body without rendering.
             FlightOutcome::Joined(page) => assert_eq!(&page.body[..], fresh.as_bytes()),

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{Handler, Request, Response, Server, ServerConfig, Status};
+use nagano_simcore::sync::blocking;
 
 /// One parsed raw response: status code, headers (lowercased names), and
 /// the exact body bytes that followed the header block.
@@ -163,8 +164,8 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
     let (release_tx, release_rx) = channel::bounded::<()>(1);
     let handler: Arc<dyn Handler> = Arc::new(move |req: &Request| {
         if req.path == "/slow" {
-            let _ = started_tx.send(());
-            let _ = release_rx.recv();
+            let _ = blocking!(started_tx.send(()));
+            let _ = blocking!(release_rx.recv());
             return Response::text(Status::Ok, "slow");
         }
         pages.handle(req)
@@ -190,9 +191,7 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
         send_get(&mut s, "/slow", None, true);
         read_raw_response(&mut r).code
     });
-    started_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("slow handler never started");
+    blocking!(started_rx.recv_timeout(Duration::from_secs(5))).expect("slow handler never started");
     let queued = TcpStream::connect(addr).unwrap();
     assert!(server.wait_for_pending(1, Duration::from_secs(10)));
 
@@ -211,8 +210,8 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
 
     // Release the worker: the pinned request finishes and page traffic —
     // including 304 revalidation — resumes on fresh connections.
-    release_tx.send(()).unwrap();
-    assert_eq!(busy.join().unwrap(), 200);
+    blocking!(release_tx.send(())).unwrap();
+    assert_eq!(blocking!(busy.join()).unwrap(), 200);
     drop(queued);
     // The worker takes the dropped connection out of the one slot before
     // the next connection needs it.

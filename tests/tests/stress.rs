@@ -9,6 +9,7 @@ use nagano::{ServingSite, SiteConfig};
 use nagano_db::AthleteId;
 use nagano_httpd::{HttpClient, ServerConfig};
 use nagano_pagegen::PageKey;
+use nagano_simcore::sync::blocking;
 
 #[test]
 fn live_updates_under_http_load_lose_nothing() {
@@ -74,7 +75,7 @@ fn live_updates_under_http_load_lose_nothing() {
                 .collect();
             site.db()
                 .record_results(ev.id, &placements, round == 19, ev.day);
-            std::thread::sleep(Duration::from_millis(20));
+            blocking!(std::thread::sleep(Duration::from_millis(20)));
         }
         done.store(true, Relaxed);
 
