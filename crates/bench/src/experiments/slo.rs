@@ -44,7 +44,10 @@ fn policies() -> Vec<(&'static str, ConsistencyPolicy)> {
 /// Evaluate the freshness SLOs and lineage-derived update-to-serve
 /// percentiles for every policy.
 pub fn slo(config: &ExpConfig) -> ExpResult {
-    let rules = ClusterConfig::default_slo_rules();
+    let rules: Vec<String> = ClusterConfig::default_slo_rules()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     let mut table = TextTable::new([
         "policy",
         "u2s p50 (s)",

@@ -13,14 +13,14 @@
 //! member, and with the default 16 and short critical sections contention
 //! is negligible next to page generation costs.
 //!
-//! Eviction uses a lazy-deletion priority queue per member and shard:
-//! every touch/insert pushes a `(rank, key, stamp)` record; stale records
-//! (stamp mismatch) are discarded when popped. This gives O(log n)
-//! amortised eviction for all three bounded policies without intrusive
-//! lists.
+//! A bounded cache evicts the least recently used entry. Each member and
+//! shard keeps a queue of touches, oldest first: every write and every
+//! hit pushes a `(stamp, key)` record at the back, eviction pops from the
+//! front, and a record whose stamp its entry no longer carries is skipped.
+//! Stamps come from a counter that only grows, so the queue is in
+//! eviction order without being sorted. An unbounded cache keeps no queue.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -31,7 +31,7 @@ use bytes::Bytes;
 use nagano_telemetry::sync::{Condvar, Mutex};
 use rustc_hash::{FxHashMap, FxHasher};
 
-use crate::policy::{Rank, ReplacementPolicy};
+use crate::policy::ReplacementPolicy;
 use crate::stats::{CacheStats, StatsSnapshot};
 
 /// Retention policy for stale copies: evicted or invalidated bodies are
@@ -59,10 +59,9 @@ pub struct CacheConfig {
     /// its members — is rounded up to a power of two).
     pub shards: usize,
     /// One cache's total byte budget across all shards; `None` =
-    /// unbounded (the paper's production configuration).
+    /// unbounded (the paper's production configuration). A bounded cache
+    /// evicts the least recently used entry.
     pub max_bytes: Option<u64>,
-    /// Eviction policy when `max_bytes` is set.
-    pub policy: ReplacementPolicy,
     /// When set, evicted/invalidated bodies become servable stale
     /// tombstones; `None` (the default) drops them outright.
     pub stale: Option<StalePolicy>,
@@ -73,7 +72,6 @@ impl Default for CacheConfig {
         CacheConfig {
             shards: 16,
             max_bytes: None,
-            policy: ReplacementPolicy::Unbounded,
             stale: None,
         }
     }
@@ -85,13 +83,12 @@ impl CacheConfig {
         Self::default()
     }
 
-    /// Bounded cache with the given budget and policy.
-    pub fn bounded(max_bytes: u64, policy: ReplacementPolicy) -> Self {
+    /// Bounded cache with the given budget. It evicts the least recently
+    /// used entry: LRU is the one [`ReplacementPolicy`].
+    pub fn bounded(max_bytes: u64, _: ReplacementPolicy) -> Self {
         CacheConfig {
-            shards: 16,
             max_bytes: Some(max_bytes),
-            policy,
-            stale: None,
+            ..Self::default()
         }
     }
 
@@ -195,13 +192,10 @@ struct Entry {
     body: Bytes,
     version: u64,
     cost: f64,
-    pinned: bool,
-    freq: u64,
     /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
     /// input to the fleet-level EWMA hotness tracker.
     window_hits: u64,
-    last_tick: u64,
-    /// Identity of the entry's newest heap record, drawn from its
+    /// Identity of the entry's newest touch record, drawn from its
     /// column's monotonic tick so stale records — including ones
     /// surviving from a previous incarnation of the same key — never
     /// match.
@@ -234,14 +228,20 @@ impl Row {
 
 type Rows = FxHashMap<Arc<str>, Row>;
 
+/// Stale records a column's touch queue may hold beyond twice its
+/// entries before [`Column::trim`] drops them.
+const TOUCH_SLACK: usize = 16;
+
 /// One member's state in one shard, beside the rows its cells are in.
 #[derive(Default)]
 struct Column {
-    heap: BinaryHeap<Reverse<(Rank, u64, Arc<str>)>>,
+    /// A bounded member's touches, `(stamp, key)`, oldest first: the
+    /// front is the next eviction candidate unless its stamp is stale.
+    touches: VecDeque<(u64, Arc<str>)>,
     tick: u64,
     bytes: u64,
-    /// GreedyDual-Size inflation term L.
-    inflation: f64,
+    /// The member's entries in this shard.
+    entries: usize,
     /// Keys whose `window_hits` went 0 → nonzero since the last drain, so
     /// draining walks only touched entries rather than the whole map.
     dirty: Vec<Arc<str>>,
@@ -282,14 +282,23 @@ impl Column {
         );
     }
 
-    /// Give `entry`, which has just been written at `self.tick`, its place
-    /// in the eviction queue.
-    fn enqueue(&mut self, key: &Arc<str>, entry: &Entry, policy: ReplacementPolicy) {
-        if policy.is_bounded() {
-            let size = entry.body.len() as u64;
-            let rank = policy.rank(self.tick, entry.freq, entry.cost, size, self.inflation);
-            self.heap
-                .push(Reverse((rank, entry.stamp, Arc::clone(key))));
+    /// Stamp `entry` with the next tick and push its touch at the back.
+    fn touch(&mut self, key: &Arc<str>, entry: &mut Entry) {
+        self.tick += 1;
+        entry.stamp = self.tick;
+        self.touches.push_back((self.tick, Arc::clone(key)));
+    }
+
+    /// Drop the stale records once they outnumber the live ones by more
+    /// than [`TOUCH_SLACK`], so a member whose pages fit does not grow
+    /// its queue with every hit. Order is kept; what is left is one
+    /// record per entry (`c` is this column's index in a row's cells).
+    fn trim(&mut self, rows: &Rows, c: usize) {
+        if self.touches.len() > 2 * self.entries + TOUCH_SLACK {
+            self.touches.retain(|(stamp, key)| {
+                let cell = rows.get(key).and_then(|row| row.cells[c].as_ref());
+                cell.is_some_and(|e| e.stamp == *stamp)
+            });
         }
     }
 }
@@ -301,12 +310,12 @@ struct Shard {
 }
 
 impl Shard {
-    /// Pop column `c`'s victims until its `bytes <= budget` or nothing
-    /// evictable remains.
+    /// Pop column `c`'s least recently used entries until its
+    /// `bytes <= budget` or only `protect` is left.
     ///
-    /// `protect` shields the entry that triggered the eviction (the page
-    /// just inserted): without it, a fresh entry with zero hits would be
-    /// the immediate LFU/GDS victim and nothing new could ever stay cached.
+    /// `protect` is the entry that triggered the eviction, the page just
+    /// written: a put never evicts it, so an entry larger than the budget
+    /// stays until the next put. Its record is the queue's last.
     /// With `stale_now` set (a [`StalePolicy`] is active, value = current
     /// cache-clock micros), victims are tombstoned instead of dropped.
     fn evict_to(
@@ -319,39 +328,34 @@ impl Shard {
         let_go: &LetGo,
     ) {
         let column = &mut self.columns[c];
-        let mut skipped: Vec<Reverse<(Rank, u64, Arc<str>)>> = Vec::new();
         while column.bytes > budget {
-            let Some(Reverse((rank, stamp, key))) = column.heap.pop() else {
-                // Nothing evictable (everything pinned or heap drained):
-                // allow overflow rather than loop forever.
+            let Some((stamp, key)) = column.touches.pop_front() else {
                 break;
             };
-            if *key == *protect {
-                skipped.push(Reverse((rank, stamp, key)));
-                continue;
-            }
             let Some(row) = self.rows.get_mut(&key) else {
                 continue; // stale record
             };
-            let Some(e) = row.cells[c].take_if(|e| e.stamp == stamp && !e.pinned) else {
-                continue; // stale record or pinned entry
+            let cell = &mut row.cells[c];
+            if *key == *protect && cell.as_ref().is_some_and(|e| e.stamp == stamp) {
+                column.touches.push_front((stamp, key));
+                break;
+            }
+            let Some(e) = cell.take_if(|e| e.stamp == stamp) else {
+                continue; // stale record
             };
             if row.is_empty() {
                 self.rows.remove(&key);
             }
-            if let Rank::Value(v) = rank {
-                column.inflation = column.inflation.max(v.0);
-            }
             let size = e.body.len() as u64;
             column.bytes -= size;
+            column.entries -= 1;
             stats.evict(size);
             let_go.note();
             if let Some(now_us) = stale_now {
                 column.tombstone(&key, e.body, e.version, now_us);
             }
         }
-        // Protected records go back so the entry stays evictable later.
-        column.heap.extend(skipped);
+        column.trim(&self.rows, c);
     }
 }
 
@@ -387,9 +391,9 @@ struct Member {
 pub(crate) struct Table {
     shards: Box<[Mutex<Shard>]>,
     mask: usize,
-    /// A member's byte budget for its column of one shard.
+    /// A member's byte budget for its column of one shard; `None` for
+    /// an unbounded table, which keeps no touch queue.
     per_shard_budget: Option<u64>,
-    policy: ReplacementPolicy,
     stale: Option<StalePolicy>,
     members: Box<[Member]>,
     let_go: LetGo,
@@ -400,7 +404,7 @@ impl std::fmt::Debug for Table {
         f.debug_struct("Table")
             .field("shards", &self.shards.len())
             .field("members", &self.members.len())
-            .field("policy", &self.policy)
+            .field("per_shard_budget", &self.per_shard_budget)
             .finish()
     }
 }
@@ -420,7 +424,6 @@ impl Table {
             shards: (0..n).map(|_| Mutex::new(shard())).collect(),
             mask: n - 1,
             per_shard_budget: config.max_bytes.map(|b| b / n as u64),
-            policy: config.policy,
             stale: config.stale,
             members: (0..members).map(|_| Member::default()).collect(),
             let_go: LetGo::default(),
@@ -495,46 +498,40 @@ impl Table {
             }
             let member = &self.members[c];
             let column = &mut state[c];
-            column.tick += 1;
             version = match how {
                 Put::Restored(version) => version,
                 _ => cell.as_ref().map_or(0, |e| e.version) + 1,
             };
-            match cell {
+            let e = match cell {
                 Some(e) => {
                     let old = std::mem::replace(&mut e.body, body.clone());
                     e.version = version;
                     e.cost = cost;
-                    e.stamp = column.tick;
-                    e.last_tick = column.tick;
                     column.bytes = column.bytes - old.len() as u64 + size;
                     member.stats.update(old.len() as u64, size);
                     replaced = Some(old);
+                    e
                 }
                 None => {
-                    *cell = Some(Entry {
+                    column.bytes += size;
+                    column.entries += 1;
+                    member.stats.insert(size);
+                    cell.insert(Entry {
                         body: body.clone(),
                         version,
                         cost,
-                        pinned: false,
-                        freq: 0,
                         window_hits: 0,
-                        last_tick: column.tick,
-                        stamp: column.tick,
-                    });
-                    column.bytes += size;
-                    member.stats.insert(size);
+                        stamp: 0,
+                    })
                 }
-            }
-            if let Some(e) = cell {
-                column.enqueue(&row.key, e, self.policy);
+            };
+            if self.per_shard_budget.is_some() {
+                column.touch(&row.key, e);
+                written.push(c);
             }
             // A fresh body supersedes any tombstoned stale copy of the key.
             if self.stale.is_some() {
                 column.stale.remove(key);
-            }
-            if self.per_shard_budget.is_some() {
-                written.push(c);
             }
             changed = true;
         }
@@ -582,6 +579,7 @@ impl Table {
             if let Some(e) = row.cells[c].take() {
                 let size = e.body.len() as u64;
                 state[c].bytes -= size;
+                state[c].entries -= 1;
                 self.members[c].stats.invalidate(size);
                 if let Some(now_us) = self.stale_now(c) {
                     state[c].tombstone(key, e.body, e.version, now_us);
@@ -655,7 +653,6 @@ impl std::fmt::Debug for PageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
             .field("shards", &self.table.shards.len())
-            .field("policy", &self.table.policy)
             .field("len", &self.len())
             .finish()
     }
@@ -718,11 +715,6 @@ impl PageCache {
         self.member().now_us.load(Relaxed)
     }
 
-    /// The replacement policy in effect.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.table.policy
-    }
-
     /// Shared handle to the statistics block.
     pub fn stats_handle(&self) -> Arc<CacheStats> {
         Arc::clone(&self.member().stats)
@@ -735,7 +727,7 @@ impl PageCache {
 
     /// Look up `key`, recording a hit or miss and touching recency state.
     pub fn get(&self, key: &str) -> Option<CachedPage> {
-        let policy = self.table.policy;
+        let bounded = self.table.per_shard_budget.is_some();
         let page = self.with_shard(key, |rows, column| {
             let row = rows.get_mut(key)?;
             let e = row.cells[self.column].as_mut()?;
@@ -743,16 +735,14 @@ impl PageCache {
                 column.dirty.push(Arc::clone(&row.key));
             }
             e.window_hits += 1;
-            // Recency and frequency rank a bounded member's eviction queue
-            // and nothing else: a hit on an unbounded one writes neither.
-            if policy.is_bounded() {
-                column.tick += 1;
-                e.freq += 1;
-                e.last_tick = column.tick;
-                e.stamp = column.tick;
-                column.enqueue(&row.key, e, policy);
+            let page = e.page();
+            // Recency orders a bounded member's eviction queue and nothing
+            // else: a hit on an unbounded one writes none.
+            if bounded {
+                column.touch(&row.key, e);
+                column.trim(rows, self.column);
             }
-            Some(e.page())
+            Some(page)
         });
         match page {
             Some(_) => self.member().stats.hit(),
@@ -775,7 +765,7 @@ impl PageCache {
 
     /// Insert or update-in-place. Returns the entry's new version (1 for a
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
-    /// used by GreedyDual-Size.
+    /// kept with the entry and handed on by [`PageCache::export_entries`].
     pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
         let only = self.column..self.column + 1;
         self.table.place(key, body, cost, only, Put::Local).1
@@ -786,37 +776,6 @@ impl PageCache {
     pub fn invalidate(&self, key: &str) -> bool {
         let only = self.column..self.column + 1;
         self.table.invalidate(key, only) == 1
-    }
-
-    /// Invalidate a batch; returns how many were present.
-    pub fn invalidate_many<'a, I: IntoIterator<Item = &'a str>>(&self, keys: I) -> usize {
-        keys.into_iter().filter(|k| self.invalidate(k)).count()
-    }
-
-    /// Pin or unpin an entry (pinned entries are never evicted). Returns
-    /// whether the key was present.
-    pub fn set_pinned(&self, key: &str, pinned: bool) -> bool {
-        let policy = self.table.policy;
-        self.with_shard(key, |rows, column| {
-            column.tick += 1;
-            let Some(row) = rows.get_mut(key) else {
-                return false;
-            };
-            let Some(e) = row.cells[self.column].as_mut() else {
-                return false;
-            };
-            e.pinned = pinned;
-            if !pinned && policy.is_bounded() {
-                // Re-enter the eviction queue at the entry's *original*
-                // recency: unpinning is not an access.
-                e.stamp = column.tick;
-                let size = e.body.len() as u64;
-                let rank = policy.rank(e.last_tick, e.freq, e.cost, size, column.inflation);
-                let record = (rank, e.stamp, Arc::clone(&row.key));
-                column.heap.push(Reverse(record));
-            }
-            true
-        })
     }
 
     /// Whether `key` is cached.
@@ -873,12 +832,13 @@ impl PageCache {
                 if let Some(e) = row.cells[self.column].take() {
                     let size = e.body.len() as u64;
                     column.bytes -= size;
+                    column.entries -= 1;
                     stats.invalidate(size);
                     self.table.let_go.note();
                 }
                 !row.is_empty()
             });
-            column.heap.clear();
+            column.touches.clear();
             column.stale.clear();
             column.stale_epochs.clear();
             column.flights.clear();
@@ -1122,16 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_many_counts_present() {
-        let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
-        c.put("/b", body("2"), 1.0);
-        let n = c.invalidate_many(["/a", "/b", "/c"]);
-        assert_eq!(n, 2);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn peek_does_not_count() {
         let c = PageCache::default();
         c.put("/a", body("1"), 1.0);
@@ -1174,7 +1124,7 @@ mod tests {
         let recency = |c: &PageCache| {
             c.with_shard("/a", |rows, column| {
                 let e = rows["/a"].cells[0].as_ref().unwrap();
-                (column.tick, e.freq, e.last_tick, e.stamp)
+                (column.tick, e.stamp, column.touches.len())
             })
         };
         let c = PageCache::default();
@@ -1190,53 +1140,41 @@ mod tests {
         // A bounded member's hit ranks the entry anew.
         let b = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
         b.put("/a", body("1"), 1.0);
-        let (tick, freq, _, _) = recency(&b);
+        let (tick, _, queued) = recency(&b);
         b.get("/a");
-        assert_eq!(recency(&b), (tick + 1, freq + 1, tick + 1, tick + 1));
+        assert_eq!(recency(&b), (tick + 1, tick + 1, queued + 1));
     }
 
     #[test]
-    fn lfu_evicts_least_frequent() {
-        let c = PageCache::new(CacheConfig::bounded(30, ReplacementPolicy::Lfu).with_shards(1));
-        c.put("/a", body("aaaaaaaaaa"), 1.0);
-        c.put("/b", body("bbbbbbbbbb"), 1.0);
-        c.put("/c", body("cccccccccc"), 1.0);
-        for _ in 0..5 {
-            c.get("/a");
-            c.get("/c");
+    fn hits_on_pages_that_fit_keep_the_touch_queue_short() {
+        let c =
+            PageCache::new(CacheConfig::bounded(1 << 20, ReplacementPolicy::Lru).with_shards(1));
+        for i in 0..10 {
+            c.put(&format!("/p{i}"), body("page"), 1.0);
         }
-        c.get("/b");
-        c.put("/d", body("dddddddddd"), 1.0);
-        assert!(!c.contains("/b"));
-        assert!(c.contains("/a") && c.contains("/c") && c.contains("/d"));
+        for i in 0..100_000 {
+            assert!(c.get(&format!("/p{}", i % 10)).is_some());
+        }
+        let queued = c.with_shard("/p0", |_, column| column.touches.len());
+        assert!(queued <= 2 * 10 + TOUCH_SLACK, "{queued} touch records");
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
-    fn gds_prefers_cheap_victim() {
+    fn a_byte_budget_alone_bounds_the_cache() {
         let c = PageCache::new(
-            CacheConfig::bounded(30, ReplacementPolicy::GreedyDualSize).with_shards(1),
+            CacheConfig {
+                max_bytes: Some(64),
+                ..CacheConfig::default()
+            }
+            .with_shards(1),
         );
-        c.put("/cheap", body("aaaaaaaaaa"), 1.0);
-        c.put("/dear", body("bbbbbbbbbb"), 500.0);
-        c.put("/mid", body("cccccccccc"), 50.0);
-        c.put("/new", body("dddddddddd"), 50.0);
-        assert!(!c.contains("/cheap"));
-        assert!(c.contains("/dear"));
-    }
-
-    #[test]
-    fn pinned_entries_survive_eviction() {
-        let c = PageCache::new(CacheConfig::bounded(20, ReplacementPolicy::Lru).with_shards(1));
-        c.put("/home", body("aaaaaaaaaa"), 1.0);
-        assert!(c.set_pinned("/home", true));
-        c.put("/x", body("bbbbbbbbbb"), 1.0);
-        c.put("/y", body("cccccccccc"), 1.0); // would evict /home under LRU
-        assert!(c.contains("/home"));
-        // Unpinning makes it evictable again.
-        c.set_pinned("/home", false);
-        c.put("/z", body("dddddddddd"), 1.0);
-        assert!(!c.contains("/home"));
-        assert!(!c.set_pinned("/missing", true));
+        for i in 0..10 {
+            c.put(&format!("/p{i}"), Bytes::from(vec![b'x'; 16]), 1.0);
+        }
+        let held = c.bytes();
+        assert!(held <= 64, "{held} bytes under a 64-byte budget");
+        assert_eq!((c.len(), c.stats().evictions), (4, 6));
     }
 
     #[test]

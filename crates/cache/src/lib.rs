@@ -9,13 +9,10 @@
 //! Layout:
 //! * [`PageCache`] — a sharded concurrent map from page keys to immutable
 //!   byte bodies, with statistics and optional capacity bounds.
-//! * [`policy`] — replacement policies for the bounded configuration:
-//!   LRU, LFU, and GreedyDual-Size (the cost-aware algorithm of the
-//!   paper's reference \[1\], Cao & Irani). At the Olympics site "all dynamic
-//!   pages could be cached in memory without overflow ... the system never
-//!   had to apply a cache replacement algorithm" — the unbounded default —
-//!   but the bounded policies let the experiments show what happens when
-//!   memory is scarce.
+//! * [`policy`] — the replacement rule of a bounded cache: LRU. At the
+//!   Olympics site "all dynamic pages could be cached in memory without
+//!   overflow ... the system never had to apply a cache replacement
+//!   algorithm" — the unbounded default.
 //! * [`CacheFleet`] — the eight per-frame serving caches fed by the
 //!   trigger monitor's distributor (Figure 6).
 //! * [`hotness`] — per-page EWMA access frequency, folded from the

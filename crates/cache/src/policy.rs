@@ -1,147 +1,14 @@
-//! Replacement policies for the bounded cache configuration.
+//! The replacement rule of a bounded cache.
 //!
 //! The Olympics deployment sized memory so that "the system never had to
-//! apply a cache replacement algorithm", so [`ReplacementPolicy::Unbounded`]
-//! is the faithful default. The bounded policies exist for the memory
-//! experiment and for downstream users with smaller machines:
-//!
-//! * **LRU** — classic recency.
-//! * **LFU** — frequency with recency tie-break.
-//! * **GreedyDual-Size** — the cost-aware policy from Cao & Irani
-//!   (reference \[1\] of the paper): entries are ranked by
-//!   `L + generation_cost / size`, so pages that are cheap to regenerate or
-//!   large are preferred victims. `L` is the inflation term, raised to the
-//!   rank of each evicted entry.
+//! apply a cache replacement algorithm": a cache is unbounded unless
+//! [`crate::CacheConfig::max_bytes`] is set. A bounded cache evicts the
+//! least recently used entry, the one rule there is; the `small_cache`
+//! workload of the benchmark harness runs it.
 
-use std::cmp::Ordering;
-
-/// Which eviction policy a cache uses when a byte budget is configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// How a bounded cache picks its victims: by least recent use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
-    /// Never evict (the paper's production configuration).
-    #[default]
-    Unbounded,
     /// Evict the least recently used entry.
     Lru,
-    /// Evict the least frequently used entry (ties broken by recency).
-    Lfu,
-    /// Evict by GreedyDual-Size rank `L + cost/size`.
-    GreedyDualSize,
-}
-
-/// A total-ordered f64 for use in priority queues.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F64Ord(pub f64);
-
-impl Eq for F64Ord {}
-
-impl PartialOrd for F64Ord {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for F64Ord {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Eviction rank of one entry. Lower ranks are evicted first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rank {
-    /// LRU: last-access tick.
-    Recency(u64),
-    /// LFU: (frequency, last-access tick).
-    Frequency(u64, u64),
-    /// GDS: inflated value `L + cost/size`.
-    Value(F64Ord),
-}
-
-impl ReplacementPolicy {
-    /// Compute the rank of an entry under this policy.
-    ///
-    /// `tick` is the shard's logical access clock, `freq` the entry's hit
-    /// count, `cost` its generation cost (milliseconds of CPU), `size` its
-    /// byte size, and `inflation` the shard's current GDS `L`.
-    pub fn rank(self, tick: u64, freq: u64, cost: f64, size: u64, inflation: f64) -> Rank {
-        match self {
-            ReplacementPolicy::Unbounded | ReplacementPolicy::Lru => Rank::Recency(tick),
-            ReplacementPolicy::Lfu => Rank::Frequency(freq, tick),
-            ReplacementPolicy::GreedyDualSize => {
-                Rank::Value(F64Ord(inflation + cost / size.max(1) as f64))
-            }
-        }
-    }
-
-    /// Whether this policy ever evicts.
-    pub fn is_bounded(self) -> bool {
-        !matches!(self, ReplacementPolicy::Unbounded)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lru_orders_by_recency() {
-        let p = ReplacementPolicy::Lru;
-        let old = p.rank(1, 100, 1.0, 10, 0.0);
-        let new = p.rank(2, 1, 1.0, 10, 0.0);
-        assert!(old < new);
-    }
-
-    #[test]
-    fn lfu_orders_by_frequency_then_recency() {
-        let p = ReplacementPolicy::Lfu;
-        let rare = p.rank(9, 1, 1.0, 10, 0.0);
-        let common = p.rank(1, 50, 1.0, 10, 0.0);
-        assert!(rare < common);
-        let older = p.rank(1, 5, 1.0, 10, 0.0);
-        let newer = p.rank(2, 5, 1.0, 10, 0.0);
-        assert!(older < newer);
-    }
-
-    #[test]
-    fn gds_prefers_cheap_and_large_victims() {
-        let p = ReplacementPolicy::GreedyDualSize;
-        let cheap = p.rank(0, 0, 1.0, 1000, 0.0);
-        let expensive = p.rank(0, 0, 100.0, 1000, 0.0);
-        assert!(cheap < expensive);
-        let large = p.rank(0, 0, 10.0, 100_000, 0.0);
-        let small = p.rank(0, 0, 10.0, 100, 0.0);
-        assert!(large < small);
-    }
-
-    #[test]
-    fn gds_inflation_raises_rank() {
-        let p = ReplacementPolicy::GreedyDualSize;
-        let before = p.rank(0, 0, 10.0, 100, 0.0);
-        let after = p.rank(0, 0, 10.0, 100, 5.0);
-        assert!(before < after);
-    }
-
-    #[test]
-    fn gds_handles_zero_size() {
-        // size.max(1) guards the division.
-        let p = ReplacementPolicy::GreedyDualSize;
-        let r = p.rank(0, 0, 10.0, 0, 0.0);
-        assert_eq!(r, Rank::Value(F64Ord(10.0)));
-    }
-
-    #[test]
-    fn f64ord_total_order() {
-        let mut v = vec![F64Ord(3.0), F64Ord(1.0), F64Ord(2.0)];
-        v.sort();
-        assert_eq!(v, vec![F64Ord(1.0), F64Ord(2.0), F64Ord(3.0)]);
-    }
-
-    #[test]
-    fn bounded_flag() {
-        assert!(!ReplacementPolicy::Unbounded.is_bounded());
-        assert!(ReplacementPolicy::Lru.is_bounded());
-        assert!(ReplacementPolicy::Lfu.is_bounded());
-        assert!(ReplacementPolicy::GreedyDualSize.is_bounded());
-    }
 }

@@ -180,19 +180,6 @@ impl CacheStats {
             bytes_peak: self.bytes_peak.get(),
         }
     }
-
-    /// Zero the event counters (byte gauges are left alone: they track
-    /// live state, not events).
-    pub fn reset_events(&self) {
-        self.hits.reset();
-        self.misses.reset();
-        self.inserts.reset();
-        self.updates.reset();
-        self.invalidations.reset();
-        self.evictions.reset();
-        self.stale_served.reset();
-        self.coalesced.reset();
-    }
 }
 
 #[cfg(test)]
@@ -245,18 +232,6 @@ mod tests {
         }
         s.miss();
         assert!((s.snapshot().hit_rate() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_keeps_gauges() {
-        let s = CacheStats::default();
-        s.insert(500);
-        s.hit();
-        s.reset_events();
-        let snap = s.snapshot();
-        assert_eq!(snap.hits, 0);
-        assert_eq!(snap.inserts, 0);
-        assert_eq!(snap.bytes_current, 500);
     }
 
     #[test]

@@ -279,11 +279,10 @@ proptest! {
     #[test]
     fn a_fleet_under_eviction_pressure_is_eight_maps(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        gds in any::<bool>(),
     ) {
-        let policy = if gds { ReplacementPolicy::GreedyDualSize } else { ReplacementPolicy::Lru };
+        let lru = CacheConfig::bounded(40, ReplacementPolicy::Lru).with_shards(1);
         for members in SUBJECTS {
-            check(CacheConfig::bounded(40, policy).with_shards(1), members, &ops)?;
+            check(lru.clone(), members, &ops)?;
         }
     }
 }

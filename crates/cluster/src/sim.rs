@@ -21,8 +21,8 @@ use nagano_simcore::{
     TimeSeries, Welford,
 };
 use nagano_telemetry::{
-    json_snapshot, prometheus_text, slo_json, Counter, Gauge, HistogramHandle, SloEngine,
-    SloOutcome, SloRule, Telemetry, Trace, TraceKind,
+    json_snapshot, prometheus_text, slo_json, Counter, Gauge, HistogramHandle, Objective,
+    SloEngine, SloOutcome, SloRule, Telemetry, Trace, TraceKind,
 };
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TxnOutcome};
 use nagano_workload::{Region, RequestModel, UpdateSchedule};
@@ -87,12 +87,11 @@ pub struct ClusterConfig {
     /// directory (typically `target/experiments/`). `None` disables all
     /// file output.
     pub export_dir: Option<PathBuf>,
-    /// Service-level objectives evaluated over the run, one rule per line
-    /// in the [`SloRule`] syntax (`name: 99% of <metric> < 30`,
-    /// `name: p99 of <metric> < 60`). Burn rates are tracked over hourly
-    /// sim-time snapshots; verdicts land in [`ClusterReport::slo`] and the
-    /// `slo.json` export. Defaults to [`ClusterConfig::default_slo_rules`].
-    pub slo_rules: Vec<String>,
+    /// Service-level objectives evaluated over the run. Burn rates are
+    /// tracked over hourly sim-time snapshots; verdicts land in
+    /// [`ClusterReport::slo`] and the `slo.json` export. Defaults to
+    /// [`ClusterConfig::default_slo_rules`].
+    pub slo_rules: Vec<SloRule>,
     /// After the run, re-render every registry page and compare against
     /// each site's cache fleet, counting mismatches into
     /// [`ClusterReport::stale_pages`]. Off by default (it costs one full
@@ -125,10 +124,21 @@ impl ClusterConfig {
     /// The stock objectives: the paper's 60-second propagation bound,
     /// both as a good-fraction rule (burn-rate tracked) and a percentile
     /// rule over the same freshness histogram.
-    pub fn default_slo_rules() -> Vec<String> {
+    pub fn default_slo_rules() -> Vec<SloRule> {
+        let rule = |name: &str, objective| SloRule {
+            name: name.to_string(),
+            metric: "nagano_cluster_freshness_seconds".to_string(),
+            objective,
+        };
         vec![
-            "fresh-60s: 99% of nagano_cluster_freshness_seconds < 60".to_string(),
-            "fresh-p99: p99 of nagano_cluster_freshness_seconds < 60".to_string(),
+            rule(
+                "fresh-60s",
+                Objective::FractionBelow {
+                    bound: 60.0,
+                    min_fraction: 0.99,
+                },
+            ),
+            rule("fresh-p99", Objective::QuantileBelow { q: 99.0, max: 60.0 }),
         ]
     }
 }
@@ -643,14 +653,7 @@ impl<'a> SimState<'a> {
                 2_000_000.0,
             ),
         };
-        // SLO rules are authored in code; a malformed line is a bug, not
-        // a runtime condition.
-        let slo_engine = SloEngine::new(
-            cfg.slo_rules
-                .iter()
-                .map(|line| SloRule::parse(line).expect("invalid ClusterConfig SLO rule"))
-                .collect(),
-        );
+        let slo_engine = SloEngine::new(cfg.slo_rules.clone());
         // Forked in this order so the workload streams match fault-free
         // runs of earlier revisions draw for draw.
         let (req_rng, apply_rng, fault_rng, resilience_rng) =
@@ -1943,7 +1946,14 @@ mod tests {
         // An absurdly tight freshness bound: every sample is bad, so the
         // rule fails and the multi-window burn-rate alert pages.
         let mut cfg = quick_config();
-        cfg.slo_rules = vec!["impossible: 99% of nagano_cluster_freshness_seconds < 0.002".into()];
+        cfg.slo_rules = vec![SloRule {
+            name: "impossible".into(),
+            metric: "nagano_cluster_freshness_seconds".into(),
+            objective: Objective::FractionBelow {
+                bound: 0.002,
+                min_fraction: 0.99,
+            },
+        }];
         let report = ClusterSim::new(cfg).run();
         assert_eq!(report.slo.len(), 1);
         assert!(!report.slo[0].pass);

@@ -43,9 +43,6 @@ pub struct SiteConfig {
     pub policy: ConsistencyPolicy,
     /// DUP staleness policy.
     pub staleness: StalenessPolicy,
-    /// Warm every page and build the full ODG at construction (the
-    /// production prefetch). Disable to study cold-start behaviour.
-    pub prewarm: bool,
     /// Per-request latency budget in seconds: a miss that coalesces onto
     /// another node-local regeneration waits at most this long before
     /// falling back to a stale copy, and a miss whose own render takes
@@ -62,7 +59,6 @@ impl SiteConfig {
             cache: CacheConfig::default(),
             policy: ConsistencyPolicy::UpdateInPlace,
             staleness: StalenessPolicy::Strict,
-            prewarm: true,
             request_budget_secs: 2.0,
         }
     }
@@ -158,14 +154,11 @@ pub struct ServingSite {
     /// Live `Retry-After` advisory for shed 503s, derived from breaker
     /// state; installed into servers bound via [`ServingSite::serve_http`].
     retry_hint: RetryAfterHint,
-    /// Healthy-state `Retry-After` floor (the bound server's static
-    /// `retry_after_secs`), advertised while the breaker is closed.
-    retry_floor: AtomicU64,
 }
 
 impl ServingSite {
     /// Seed the Games, build the registry, construct the trigger monitor,
-    /// and (by default) prewarm every page.
+    /// and prewarm every page (the production prefetch).
     pub fn build(config: SiteConfig) -> Self {
         let db = Arc::new(OlympicDb::new());
         let marquee = seed_games(&db, &config.games);
@@ -179,9 +172,7 @@ impl ServingSite {
         ));
         monitor.set_staleness_policy(config.staleness);
         let txn_rx = db.subscribe();
-        if config.prewarm {
-            monitor.prewarm();
-        }
+        monitor.prewarm();
         ServingSite {
             db,
             registry,
@@ -192,8 +183,7 @@ impl ServingSite {
             breaker: Mutex::new(CircuitBreaker::default()),
             ticks: AtomicU64::new(0),
             request_budget_secs: config.request_budget_secs,
-            retry_hint: RetryAfterHint::new(2),
-            retry_floor: AtomicU64::new(2),
+            retry_hint: RetryAfterHint::default(),
         }
     }
 
@@ -373,7 +363,7 @@ impl ServingSite {
 
     /// The live `Retry-After` advisory derived from breaker state. An
     /// open breaker advertises its remaining open window; a healthy site
-    /// advertises the bound server's static floor.
+    /// advertises [`RetryAfterHint::HEALTHY_SECS`].
     pub fn retry_after_hint(&self) -> RetryAfterHint {
         self.retry_hint.clone()
     }
@@ -384,7 +374,7 @@ impl ServingSite {
         let secs = if window > 0.0 {
             window.ceil() as u32
         } else {
-            self.retry_floor.load(Relaxed) as u32
+            RetryAfterHint::HEALTHY_SECS
         };
         self.retry_hint.set_secs(secs);
     }
@@ -419,10 +409,9 @@ impl ServingSite {
         Arc::new(move |req: &Request| site.respond(node, req))
     }
 
-    /// Bind an HTTP server for serving node `node`. Unless the caller
-    /// installed its own hint, shed 503s advertise the site's live
-    /// breaker-derived `Retry-After` (the configured `retry_after_secs`
-    /// becomes the healthy-state floor).
+    /// Bind an HTTP server for serving node `node`. Shed 503s advertise
+    /// the site's live breaker-derived `Retry-After`, which replaces the
+    /// config's [`ServerConfig::retry_after`].
     pub fn serve_http(
         self: &Arc<Self>,
         addr: &str,
@@ -433,16 +422,12 @@ impl ServingSite {
         Server::bind(addr, self.http_handler(node), config)
     }
 
-    /// Attach the site's live `Retry-After` hint to `config` (no-op if
-    /// the caller supplied a hint of its own).
-    fn install_retry_hint(&self, mut config: ServerConfig) -> ServerConfig {
-        if config.retry_after_hint.is_none() {
-            self.retry_floor
-                .store(u64::from(config.retry_after_secs), Relaxed);
-            self.publish_retry_after();
-            config.retry_after_hint = Some(self.retry_hint.clone());
+    /// `config` advertising the site's live `Retry-After` hint.
+    fn install_retry_hint(&self, config: ServerConfig) -> ServerConfig {
+        ServerConfig {
+            retry_after: self.retry_hint.clone(),
+            ..config
         }
-        config
     }
 
     /// The `/status` JSON document: registry size, ODG dimensions,
@@ -597,11 +582,16 @@ mod tests {
         assert!(s.handle(0, "/nonexistent").is_none());
     }
 
+    /// A site built from `config` whose fleet then lets every page go.
+    fn cold(config: SiteConfig) -> ServingSite {
+        let s = ServingSite::build(config);
+        s.fleet().clear();
+        s
+    }
+
     #[test]
     fn cold_site_demand_fills() {
-        let mut cfg = SiteConfig::small();
-        cfg.prewarm = false;
-        let s = ServingSite::build(cfg);
+        let s = cold(SiteConfig::small());
         let first = s.handle(0, "/medals").unwrap();
         assert!(!first.cache_hit);
         assert!(first.cost_ms > 10.0);
@@ -791,10 +781,7 @@ mod tests {
     #[test]
     fn weak_listed_and_star_validators_revalidate_on_a_hit_and_on_a_miss() {
         let warm = site();
-        let cold = ServingSite::build(SiteConfig {
-            prewarm: false,
-            ..SiteConfig::small()
-        });
+        let cold = cold(SiteConfig::small());
         // A first request for a page a cold site holds nowhere is a miss,
         // which fills version 1 — the version every prewarmed page has.
         let fields = ["W/\"v1\"", "\"v0\", \"v1\"", "*"];
@@ -959,18 +946,13 @@ mod tests {
     #[test]
     fn retry_after_hint_tracks_breaker_state() {
         let s = Arc::new(site());
-        let server = s
-            .serve_http(
-                "127.0.0.1:0",
-                0,
-                ServerConfig {
-                    retry_after_secs: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let config = ServerConfig {
+            retry_after: RetryAfterHint::new(7),
+            ..Default::default()
+        };
+        let server = s.serve_http("127.0.0.1:0", 0, config).unwrap();
         let hint = s.retry_after_hint();
-        assert_eq!(hint.get_secs(), 3, "healthy floor = configured static");
+        assert_eq!(hint.get_secs(), 2, "healthy: 2 s, not the config's");
         // Breaker opens (default window 10 tick-seconds): the hint now
         // advertises the remaining open window.
         s.with_breaker(|b| {
@@ -986,15 +968,13 @@ mod tests {
             b.record_success();
             b.record_success();
         });
-        assert_eq!(hint.get_secs(), 3);
+        assert_eq!(hint.get_secs(), 2);
         server.shutdown();
     }
 
     #[test]
     fn open_breaker_without_stale_copy_still_serves() {
-        let mut cfg = SiteConfig::small();
-        cfg.prewarm = false;
-        let s = ServingSite::build(cfg);
+        let s = cold(SiteConfig::small());
         s.with_breaker(|b| {
             for _ in 0..10 {
                 b.record_failure(0.0);
@@ -1009,11 +989,12 @@ mod tests {
 
     #[test]
     fn followers_past_the_budget_without_a_tombstone_render_once() {
-        let mut cfg = SiteConfig::small();
-        cfg.prewarm = false;
-        cfg.request_budget_secs = 0.05;
-        let s = Arc::new(ServingSite::build(cfg));
+        let s = Arc::new(cold(SiteConfig {
+            request_budget_secs: 0.05,
+            ..SiteConfig::small()
+        }));
         let member = Arc::clone(s.fleet().member(0));
+        let cold = member.stats();
         // A leader that outlives every follower's budget.
         let FlightOutcome::Lead(token) = member.join_or_lead("/medals", Duration::from_secs(1))
         else {
@@ -1033,7 +1014,8 @@ mod tests {
         // One follower led the replacement flight and the others joined
         // it: one render, so one insert at version 1 and no update.
         let stats = member.stats();
-        assert_eq!((stats.inserts, stats.updates), (1, 0), "{stats:?}");
+        let filled = (stats.inserts - cold.inserts, stats.updates - cold.updates);
+        assert_eq!(filled, (1, 0), "{stats:?}");
         for page in pages {
             assert!(!page.stale && !page.body.is_empty());
             assert_eq!(page.version, 1);

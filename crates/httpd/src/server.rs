@@ -41,12 +41,21 @@ where
 ///
 /// The serving site updates it from current breaker/backoff state (an
 /// open breaker advertises its remaining open window; a healthy site
-/// advertises its configured floor), so shed clients are told when a
-/// retry actually has a chance — instead of a static constant.
-#[derive(Debug, Clone, Default)]
+/// advertises [`RetryAfterHint::HEALTHY_SECS`]), so shed clients are told
+/// when a retry actually has a chance — instead of a static constant.
+#[derive(Debug, Clone)]
 pub struct RetryAfterHint(Arc<AtomicU32>);
 
+impl Default for RetryAfterHint {
+    fn default() -> Self {
+        RetryAfterHint::new(Self::HEALTHY_SECS)
+    }
+}
+
 impl RetryAfterHint {
+    /// What a server with nothing wrong advertises, and the default.
+    pub const HEALTHY_SECS: u32 = 2;
+
     /// A hint starting at `secs`.
     pub fn new(secs: u32) -> Self {
         RetryAfterHint(Arc::new(AtomicU32::new(secs)))
@@ -74,12 +83,10 @@ pub struct ServerConfig {
     pub backlog: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
-    /// Static `Retry-After` seconds advertised on shed (503) responses
-    /// when no [`ServerConfig::retry_after_hint`] is installed.
-    pub retry_after_secs: u32,
-    /// When set, shed responses read their `Retry-After` from this live
-    /// hint at shed time instead of the static `retry_after_secs`.
-    pub retry_after_hint: Option<RetryAfterHint>,
+    /// `Retry-After` advertised on shed (503) responses, read at shed
+    /// time: a fixed 2 s by default. A serving site installs its live,
+    /// breaker-derived hint here.
+    pub retry_after: RetryAfterHint,
 }
 
 impl Default for ServerConfig {
@@ -88,8 +95,7 @@ impl Default for ServerConfig {
             workers: 8,
             backlog: 128,
             read_timeout: Duration::from_secs(5),
-            retry_after_secs: 2,
-            retry_after_hint: None,
+            retry_after: RetryAfterHint::default(),
         }
     }
 }
@@ -152,8 +158,7 @@ impl Server {
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_shed = Arc::clone(&shed);
-        let retry_after_static = config.retry_after_secs;
-        let retry_after_hint = config.retry_after_hint.clone();
+        let retry_after = config.retry_after.clone();
         let accept_thread = std::thread::Builder::new()
             .name("httpd-accept".into())
             .spawn(move || {
@@ -178,11 +183,7 @@ impl Server {
                                     // it unboundedly (load shedding is the
                                     // fault tier below a node outage).
                                     accept_shed.fetch_add(1, Relaxed);
-                                    let retry_after = retry_after_hint
-                                        .as_ref()
-                                        .map(RetryAfterHint::get_secs)
-                                        .unwrap_or(retry_after_static);
-                                    shed_connection(s, retry_after);
+                                    shed_connection(s, retry_after.get_secs());
                                 }
                                 Err(TrySendError::Disconnected(_)) => break,
                             }
@@ -547,7 +548,7 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 backlog: 1,
-                retry_after_secs: 7,
+                retry_after: RetryAfterHint::new(7),
                 ..Default::default()
             },
         )
@@ -623,8 +624,7 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 backlog: 1,
-                retry_after_secs: 7,
-                retry_after_hint: Some(hint.clone()),
+                retry_after: hint.clone(),
                 ..Default::default()
             },
         )

@@ -324,11 +324,6 @@ impl Odg {
         self.get(id).map(|n| n.preds.as_slice()).unwrap_or(&[])
     }
 
-    /// Iterate all node ids (arbitrary order).
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes().map(|n| n.id)
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats {

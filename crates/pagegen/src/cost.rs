@@ -3,9 +3,9 @@
 //! §2: "A static page typically requires 2 to 10 milliseconds of CPU time
 //! to generate. By contrast, a dynamic page can consume several orders of
 //! magnitude more CPU time" (the paper's reference \[8\]). Costs here are
-//! *modelled* CPU milliseconds used by the simulation and by GreedyDual-
-//! Size; when a benchmark needs to burn real CPU (the server-throughput
-//! experiment) it calls [`spin_for`] with a scale factor.
+//! *modelled* CPU milliseconds used by the simulation; when a benchmark
+//! needs to burn real CPU (the server-throughput experiment) it calls
+//! [`spin_for`] with a scale factor.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

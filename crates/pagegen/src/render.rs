@@ -14,7 +14,7 @@
 //!    read pushes the edge. The trigger monitor registers the edges in
 //!    the ODG after every (re)generation, so the graph tracks the page
 //!    space as it evolves;
-//! 3. the modelled CPU **cost** (used for accounting and GreedyDual-Size).
+//! 3. the modelled CPU **cost** (used for accounting).
 //!
 //! Composed pages (home, sport, event) embed fragments by *reference to
 //! the fragment object*, which makes fragments hybrid vertices: data

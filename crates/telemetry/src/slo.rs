@@ -3,7 +3,8 @@
 //!
 //! The paper's implicit freshness contract ("an update is visible at
 //! every serving site within seconds") becomes an explicit, evaluable
-//! rule here. A [`SloRule`] is parsed from one line of text:
+//! rule here. A [`SloRule`] is a value built in code; it displays as one
+//! line of text, the form reports quote:
 //!
 //! ```text
 //! fresh-30s: 99% of nagano_cluster_update_to_serve_seconds < 30
@@ -62,65 +63,6 @@ pub struct SloRule {
 }
 
 impl SloRule {
-    /// Parse one rule line; see the module docs for the two forms.
-    pub fn parse(line: &str) -> Result<SloRule, String> {
-        let (name, rest) = line
-            .split_once(':')
-            .ok_or_else(|| format!("SLO rule {line:?}: missing `name:` prefix"))?;
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!("SLO rule {line:?}: empty rule name"));
-        }
-        let tokens: Vec<&str> = rest.split_whitespace().collect();
-        let [spec, of, metric, lt, threshold] = tokens[..] else {
-            return Err(format!(
-                "SLO rule {line:?}: expected `<spec> of <metric> < <threshold>`"
-            ));
-        };
-        if of != "of" || lt != "<" {
-            return Err(format!(
-                "SLO rule {line:?}: expected `<spec> of <metric> < <threshold>`"
-            ));
-        }
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| format!("SLO rule {line:?}: bad threshold {threshold:?}"))?;
-        if !threshold.is_finite() || threshold <= 0.0 {
-            return Err(format!(
-                "SLO rule {line:?}: threshold must be finite and positive"
-            ));
-        }
-        let objective = if let Some(pct) = spec.strip_suffix('%') {
-            let pct: f64 = pct
-                .parse()
-                .map_err(|_| format!("SLO rule {line:?}: bad percentage {spec:?}"))?;
-            if !(0.0 < pct && pct <= 100.0) {
-                return Err(format!("SLO rule {line:?}: percentage out of (0, 100]"));
-            }
-            Objective::FractionBelow {
-                bound: threshold,
-                min_fraction: pct / 100.0,
-            }
-        } else if let Some(q) = spec.strip_prefix('p') {
-            let q: f64 = q
-                .parse()
-                .map_err(|_| format!("SLO rule {line:?}: bad percentile {spec:?}"))?;
-            if !(0.0 < q && q < 100.0) {
-                return Err(format!("SLO rule {line:?}: percentile out of (0, 100)"));
-            }
-            Objective::QuantileBelow { q, max: threshold }
-        } else {
-            return Err(format!(
-                "SLO rule {line:?}: spec {spec:?} is neither `p<q>` nor `<pct>%`"
-            ));
-        };
-        Ok(SloRule {
-            name: name.to_string(),
-            metric: metric.to_string(),
-            objective,
-        })
-    }
-
     /// The allowed bad fraction, for rules that have one
     /// (`FractionBelow`); burn-rate tracking only applies to these.
     pub fn error_budget(&self) -> Option<f64> {
@@ -139,6 +81,20 @@ impl SloRule {
                 bound,
                 min_fraction,
             } => format!("{}% < {bound}", min_fraction * 100.0),
+        }
+    }
+}
+
+impl std::fmt::Display for SloRule {
+    /// The rule's line form, e.g. `fresh-60s: 99% of m < 60`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (name, metric) = (&self.name, &self.metric);
+        match self.objective {
+            Objective::QuantileBelow { q, max } => write!(f, "{name}: p{q} of {metric} < {max}"),
+            Objective::FractionBelow {
+                bound,
+                min_fraction,
+            } => write!(f, "{name}: {}% of {metric} < {bound}", min_fraction * 100.0),
         }
     }
 }
@@ -390,43 +346,35 @@ pub fn slo_json(outcomes: &[SloOutcome]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_both_rule_forms() {
-        let r = SloRule::parse("fresh-30s: 99% of nagano_cluster_update_to_serve_seconds < 30")
-            .unwrap();
-        assert_eq!(r.name, "fresh-30s");
-        assert_eq!(r.metric, "nagano_cluster_update_to_serve_seconds");
-        assert_eq!(
-            r.objective,
-            Objective::FractionBelow {
-                bound: 30.0,
-                min_fraction: 0.99
-            }
-        );
-        assert_eq!(r.error_budget(), Some(1.0 - 0.99));
-        assert_eq!(r.objective_text(), "99% < 30");
-
-        let r = SloRule::parse("serve-p99: p99.9 of nagano_httpd_request_seconds < 0.25").unwrap();
-        assert_eq!(r.objective, Objective::QuantileBelow { q: 99.9, max: 0.25 });
-        assert_eq!(r.error_budget(), None);
-        assert_eq!(r.objective_text(), "p99.9 < 0.25");
+    /// `name: <pct>% of m < <bound>`.
+    fn fraction(name: &str, pct: f64, bound: f64) -> SloRule {
+        SloRule {
+            name: name.into(),
+            metric: "m".into(),
+            objective: Objective::FractionBelow {
+                bound,
+                min_fraction: pct / 100.0,
+            },
+        }
     }
 
     #[test]
-    fn rejects_malformed_rules() {
-        for bad in [
-            "no colon here",
-            "n: q99 of m < 1",    // spec neither p<q> nor <pct>%
-            "n: p99 of m < nope", // threshold not a number
-            "n: p99 of m < -1",   // threshold not positive
-            "n: p0 of m < 1",     // percentile out of range
-            "n: 101% of m < 1",   // percentage out of range
-            "n: p99 of m > 1",    // only `<` supported
-            "n: p99 m < 1",       // missing `of`
-            ": p99 of m < 1",     // empty name
-        ] {
-            assert!(SloRule::parse(bad).is_err(), "{bad:?} should not parse");
-        }
+    fn a_rule_displays_as_its_line() {
+        let fresh = fraction("fresh-30s", 99.0, 30.0);
+        assert_eq!(fresh.to_string(), "fresh-30s: 99% of m < 30");
+        assert_eq!(fresh.error_budget(), Some(1.0 - 0.99));
+        assert_eq!(fresh.objective_text(), "99% < 30");
+        let tail = SloRule {
+            name: "serve-p99".into(),
+            metric: "nagano_httpd_request_seconds".into(),
+            objective: Objective::QuantileBelow { q: 99.9, max: 0.25 },
+        };
+        assert_eq!(
+            tail.to_string(),
+            "serve-p99: p99.9 of nagano_httpd_request_seconds < 0.25"
+        );
+        assert_eq!(tail.error_budget(), None);
+        assert_eq!(tail.objective_text(), "p99.9 < 0.25");
     }
 
     fn registry_with(name: &str, values: &[f64]) -> MetricsRegistry {
@@ -441,7 +389,11 @@ mod tests {
     #[test]
     fn quantile_rule_passes_and_fails() {
         let reg = registry_with("m", &[1.0; 100]);
-        let rule = SloRule::parse("r: p99 of m < 2").unwrap();
+        let rule = SloRule {
+            name: "r".into(),
+            metric: "m".into(),
+            objective: Objective::QuantileBelow { q: 99.0, max: 2.0 },
+        };
         let out = SloEngine::new(vec![rule.clone()]).finish(&reg);
         assert!(out[0].pass, "{out:?}");
         assert_eq!(out[0].count, 100);
@@ -458,8 +410,8 @@ mod tests {
         let mut values = vec![0.5; 95];
         values.extend([100.0; 5]);
         let reg = registry_with("m", &values);
-        let lenient = SloRule::parse("ok: 90% of m < 1").unwrap();
-        let strict = SloRule::parse("no: 99% of m < 1").unwrap();
+        let lenient = fraction("ok", 90.0, 1.0);
+        let strict = fraction("no", 99.0, 1.0);
         let out = SloEngine::new(vec![lenient, strict]).finish(&reg);
         assert!(out[0].pass, "{out:?}");
         assert!(!out[1].pass, "{out:?}");
@@ -469,7 +421,10 @@ mod tests {
     #[test]
     fn absent_metric_is_a_vacuous_pass() {
         let reg = MetricsRegistry::new();
-        let rule = SloRule::parse("r: 99% of missing < 1").unwrap();
+        let rule = SloRule {
+            metric: "missing".into(),
+            ..fraction("r", 99.0, 1.0)
+        };
         let out = SloEngine::new(vec![rule]).finish(&reg);
         assert!(out[0].pass);
         assert_eq!(out[0].count, 0);
@@ -479,7 +434,7 @@ mod tests {
     fn sustained_burn_pages_once_on_the_rising_edge() {
         // Budget 1%: a steady 10% bad rate burns at 10× — over both the
         // 1 h and 6 h windows once six hours accumulate.
-        let rule = SloRule::parse("r: 99% of m < 1").unwrap();
+        let rule = fraction("r", 99.0, 1.0);
         let reg = MetricsRegistry::new();
         let h = reg.histogram("m", &[], 1e-3, 1_000.0);
         let mut engine = SloEngine::new(vec![rule]);
@@ -506,7 +461,7 @@ mod tests {
 
     #[test]
     fn healthy_service_never_alerts() {
-        let rule = SloRule::parse("r: 99% of m < 1").unwrap();
+        let rule = fraction("r", 99.0, 1.0);
         let reg = MetricsRegistry::new();
         let h = reg.histogram("m", &[], 1e-3, 1_000.0);
         let mut engine = SloEngine::new(vec![rule]);
@@ -523,7 +478,7 @@ mod tests {
 
     #[test]
     fn slo_json_is_deterministic_and_well_formed() {
-        let rule = SloRule::parse("r: 99% of m < 1").unwrap();
+        let rule = fraction("r", 99.0, 1.0);
         let reg = registry_with("m", &[0.5; 10]);
         let engine = SloEngine::new(vec![rule]);
         let json = slo_json(&engine.finish(&reg));

@@ -47,16 +47,18 @@ impl TriggerRunner {
             .name("trigger-monitor".into())
             .spawn(move || {
                 let mut processed = 0u64;
-                let mut batch: Vec<Arc<Transaction>> = Vec::new();
+                let mut process = |txn: Arc<Transaction>| {
+                    monitor.process_txn(&txn);
+                    processed += 1;
+                };
                 // A transaction was processed just now: poll before parking.
                 let mut in_burst = false;
                 loop {
                     if stop_rx.try_recv().is_ok() {
                         // Drain whatever is already queued, then exit.
                         while let Ok(txn) = rx.try_recv() {
-                            batch.push(txn);
+                            process(txn);
                         }
-                        processed += flush(&monitor, &mut batch);
                         return processed;
                     }
                     let polled = in_burst.then(|| poll(&rx, POLL_AFTER_TXN)).flatten();
@@ -67,19 +69,11 @@ impl TriggerRunner {
                     };
                     match next {
                         Ok(txn) => {
-                            batch.push(txn);
-                            // Grab anything else already waiting.
-                            while let Ok(more) = rx.try_recv() {
-                                batch.push(more);
-                            }
-                            processed += flush(&monitor, &mut batch);
+                            process(txn);
                             in_burst = true;
                         }
                         Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            processed += flush(&monitor, &mut batch);
-                            return processed;
-                        }
+                        Err(RecvTimeoutError::Disconnected) => return processed,
                     }
                 }
             })
@@ -123,14 +117,6 @@ fn poll(rx: &Receiver<Arc<Transaction>>, patience: Duration) -> Option<Arc<Trans
             std::hint::spin_loop();
         }
     }
-}
-
-fn flush(monitor: &TriggerMonitor, batch: &mut Vec<Arc<Transaction>>) -> u64 {
-    let n = batch.len() as u64;
-    for txn in batch.drain(..) {
-        monitor.process_txn(&txn);
-    }
-    n
 }
 
 impl Drop for TriggerRunner {

@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{
-    AdminPlane, Handler, HttpClient, Request, Response, Server, ServerConfig, Status, StatusFn,
+    AdminPlane, Handler, HttpClient, Request, Response, RetryAfterHint, Server, ServerConfig,
+    Status, StatusFn,
 };
 use nagano_simcore::sync::blocking;
 use nagano_telemetry::{parse_prometheus_line, MetricsRegistry};
@@ -103,7 +104,7 @@ fn admin_plane_leaves_overload_shedding_untouched() {
         ServerConfig {
             workers: 1,
             backlog: 1,
-            retry_after_secs: 3,
+            retry_after: RetryAfterHint::new(3),
             ..Default::default()
         },
     )

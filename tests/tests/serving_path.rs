@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
-use nagano_httpd::{Handler, Request, Response, Server, ServerConfig, Status};
+use nagano_httpd::{Handler, Request, Response, RetryAfterHint, Server, ServerConfig, Status};
 use nagano_simcore::sync::blocking;
 
 /// One parsed raw response: status code, headers (lowercased names), and
@@ -176,7 +176,7 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
         ServerConfig {
             workers: 1,
             backlog: 1,
-            retry_after_secs: 4,
+            retry_after: RetryAfterHint::new(4),
             ..Default::default()
         },
     )
