@@ -1,27 +1,27 @@
 //! The sharded concurrent page cache.
 //!
-//! Keys are page identities (URL paths); values are immutable rendered
+//! Keys are page slots ([`crate::key`]); values are immutable rendered
 //! bodies ([`bytes::Bytes`], so distributing a page to eight serving caches
 //! shares one allocation). The caches of a fleet are the columns of one
 //! sharded table: a row per page with a cell per member, and beside a
 //! shard's rows each member's own eviction queue, byte count, tombstones
-//! and flights. A [`PageCache`] is one column of a table — a standalone
-//! cache the only column of its own — so a lookup takes one shard lock and
-//! probes one map, and so does a distribution to every member
-//! ([`crate::CacheFleet::distribute`]). The lock per shard is a
+//! and flights. Slot `s` lives in shard `s & mask`, at index `s >> shift`
+//! of that shard's rows. A [`PageCache`] is one column of a table — a
+//! standalone cache the only column of its own — so a lookup takes one
+//! shard lock and indexes one vector, and so does a distribution to every
+//! member ([`crate::CacheFleet::distribute`]). The lock per shard is a
 //! `sync::Mutex`; a table has [`CacheConfig::shards`] of them per
 //! member, and with the default 16 and short critical sections contention
 //! is negligible next to page generation costs.
 //!
 //! A bounded cache evicts the least recently used entry. Each member and
 //! shard keeps a queue of touches, oldest first: every write and every
-//! hit pushes a `(stamp, key)` record at the back, eviction pops from the
+//! hit pushes a `(stamp, slot)` record at the back, eviction pops from the
 //! front, and a record whose stamp its entry no longer carries is skipped.
 //! Stamps come from a counter that only grows, so the queue is in
 //! eviction order without being sorted. An unbounded cache keeps no queue.
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -29,8 +29,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use nagano_telemetry::sync::{Condvar, Mutex};
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHashMap;
 
+use crate::key::{KeySpace, PageRef};
 use crate::policy::ReplacementPolicy;
 use crate::stats::{CacheStats, StatsSnapshot};
 
@@ -136,8 +137,8 @@ pub struct StaleCopy {
     pub body: Bytes,
     /// The version that body carried.
     pub version: u64,
-    /// Stale epoch: increments every time the key goes live → stale, so
-    /// single-flight can pin "one regeneration per (key, stale-epoch)".
+    /// Stale epoch: increments every time the page goes live → stale, so
+    /// single-flight can pin "one regeneration per (page, stale-epoch)".
     pub epoch: u64,
     /// Seconds of cache-clock time the copy has been stale.
     pub age_secs: f64,
@@ -162,7 +163,7 @@ struct FlightState {
 /// their deadline, after which one of them takes the flight over.
 #[derive(Debug)]
 pub struct FlightToken {
-    key: Arc<str>,
+    slot: u32,
     flight: Arc<Flight>,
 }
 
@@ -197,7 +198,7 @@ struct Entry {
     window_hits: u64,
     /// Identity of the entry's newest touch record, drawn from its
     /// column's monotonic tick so stale records — including ones
-    /// surviving from a previous incarnation of the same key — never
+    /// surviving from a previous incarnation of the same page — never
     /// match.
     stamp: u64,
 }
@@ -212,11 +213,9 @@ impl Entry {
 }
 
 /// One page across the fleet: a cell per member, side by side, so that
-/// what a distribution finds on every member is read off one map probe. A
-/// row lives as long as one of its cells is filled.
+/// what a distribution finds on every member is read off one row. A row
+/// lives as long as one of its cells is filled.
 struct Row {
-    /// The map's own key, at hand for an eviction record or a dirty mark.
-    key: Arc<str>,
     cells: Box<[Option<Entry>]>,
 }
 
@@ -226,7 +225,57 @@ impl Row {
     }
 }
 
-type Rows = FxHashMap<Arc<str>, Row>;
+/// A shard's rows, by `slot >> shift`; `None` where no member holds the
+/// page.
+struct Rows {
+    at: Vec<Option<Row>>,
+    shift: u32,
+}
+
+impl Rows {
+    fn index(&self, slot: u32) -> usize {
+        (slot >> self.shift) as usize
+    }
+
+    fn get(&self, slot: u32) -> Option<&Row> {
+        self.at.get(self.index(slot))?.as_ref()
+    }
+
+    fn get_mut(&mut self, slot: u32) -> Option<&mut Row> {
+        let i = self.index(slot);
+        self.at.get_mut(i)?.as_mut()
+    }
+
+    /// `slot`'s row, made with `members` empty cells if it has none.
+    fn get_or_insert(&mut self, slot: u32, members: usize) -> &mut Row {
+        let i = self.index(slot);
+        if i >= self.at.len() {
+            self.at.resize_with(i + 1, || None);
+        }
+        self.at[i].get_or_insert_with(|| Row {
+            cells: (0..members).map(|_| None).collect(),
+        })
+    }
+
+    /// Drop `slot`'s row if no cell of it is filled.
+    fn remove_if_empty(&mut self, slot: u32) {
+        let i = self.index(slot);
+        if let Some(row) = self.at.get_mut(i) {
+            if row.as_ref().is_some_and(Row::is_empty) {
+                *row = None;
+            }
+        }
+    }
+
+    /// The rows held, each with its slot, in slot order; `shard` is the
+    /// shard's index, the low bits of each slot.
+    fn iter(&self, shard: u32) -> impl Iterator<Item = (u32, &Row)> {
+        self.at
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, row)| Some(((i as u32) << self.shift | shard, row.as_ref()?)))
+    }
+}
 
 /// Stale records a column's touch queue may hold beyond twice its
 /// entries before [`Column::trim`] drops them.
@@ -235,44 +284,40 @@ const TOUCH_SLACK: usize = 16;
 /// One member's state in one shard, beside the rows its cells are in.
 #[derive(Default)]
 struct Column {
-    /// A bounded member's touches, `(stamp, key)`, oldest first: the
+    /// A bounded member's touches, `(stamp, slot)`, oldest first: the
     /// front is the next eviction candidate unless its stamp is stale.
-    touches: VecDeque<(u64, Arc<str>)>,
+    touches: VecDeque<(u64, u32)>,
     tick: u64,
     bytes: u64,
     /// The member's entries in this shard.
     entries: usize,
-    /// Keys whose `window_hits` went 0 → nonzero since the last drain, so
-    /// draining walks only touched entries rather than the whole map.
-    dirty: Vec<Arc<str>>,
+    /// Slots whose `window_hits` went 0 → nonzero since the last drain, so
+    /// draining walks only touched entries rather than every row.
+    dirty: Vec<u32>,
     /// Tombstoned stale copies (only populated under a [`StalePolicy`]).
     /// Not charged against the byte budget: bodies are refcounted views
     /// and the store is bounded by the policy's max age via pruning.
-    stale: FxHashMap<Arc<str>, StaleEntry>,
-    /// Count of live → stale transitions per key. Kept separately from
+    stale: FxHashMap<u32, StaleEntry>,
+    /// Count of live → stale transitions per page. Kept separately from
     /// `stale` so the epoch survives a fresh body superseding (and
     /// removing) the tombstone — single-flight pins "one regeneration per
-    /// (key, stale-epoch)" against this counter.
-    stale_epochs: FxHashMap<Arc<str>, u64>,
-    /// In-flight single-flight regenerations keyed by page.
-    flights: FxHashMap<Arc<str>, Arc<Flight>>,
+    /// (page, stale-epoch)" against this counter.
+    stale_epochs: FxHashMap<u32, u64>,
+    /// In-flight single-flight regenerations by page.
+    flights: FxHashMap<u32, Arc<Flight>>,
 }
 
 impl Column {
     /// Move a removed entry's body into the stale tombstone store,
-    /// bumping the key's stale epoch.
-    fn tombstone(&mut self, key: &str, body: Bytes, version: u64, now_us: u64) {
-        let k: Arc<str> = match self.stale_epochs.get_key_value(key) {
-            Some((k, _)) => Arc::clone(k),
-            None => Arc::from(key),
-        };
+    /// bumping the page's stale epoch.
+    fn tombstone(&mut self, slot: u32, body: Bytes, version: u64, now_us: u64) {
         let epoch = {
-            let e = self.stale_epochs.entry(Arc::clone(&k)).or_insert(0);
+            let e = self.stale_epochs.entry(slot).or_insert(0);
             *e += 1;
             *e
         };
         self.stale.insert(
-            k,
+            slot,
             StaleEntry {
                 body,
                 version,
@@ -283,10 +328,10 @@ impl Column {
     }
 
     /// Stamp `entry` with the next tick and push its touch at the back.
-    fn touch(&mut self, key: &Arc<str>, entry: &mut Entry) {
+    fn touch(&mut self, slot: u32, entry: &mut Entry) {
         self.tick += 1;
         entry.stamp = self.tick;
-        self.touches.push_back((self.tick, Arc::clone(key)));
+        self.touches.push_back((self.tick, slot));
     }
 
     /// Drop the stale records once they outnumber the live ones by more
@@ -295,9 +340,9 @@ impl Column {
     /// record per entry (`c` is this column's index in a row's cells).
     fn trim(&mut self, rows: &Rows, c: usize) {
         if self.touches.len() > 2 * self.entries + TOUCH_SLACK {
-            self.touches.retain(|(stamp, key)| {
-                let cell = rows.get(key).and_then(|row| row.cells[c].as_ref());
-                cell.is_some_and(|e| e.stamp == *stamp)
+            self.touches.retain(|&(stamp, slot)| {
+                let cell = rows.get(slot).and_then(|row| row.cells[c].as_ref());
+                cell.is_some_and(|e| e.stamp == stamp)
             });
         }
     }
@@ -323,36 +368,34 @@ impl Shard {
         c: usize,
         budget: u64,
         stats: &CacheStats,
-        protect: &str,
+        protect: u32,
         stale_now: Option<u64>,
         let_go: &LetGo,
     ) {
         let column = &mut self.columns[c];
         while column.bytes > budget {
-            let Some((stamp, key)) = column.touches.pop_front() else {
+            let Some((stamp, slot)) = column.touches.pop_front() else {
                 break;
             };
-            let Some(row) = self.rows.get_mut(&key) else {
+            let Some(row) = self.rows.get_mut(slot) else {
                 continue; // stale record
             };
             let cell = &mut row.cells[c];
-            if *key == *protect && cell.as_ref().is_some_and(|e| e.stamp == stamp) {
-                column.touches.push_front((stamp, key));
+            if slot == protect && cell.as_ref().is_some_and(|e| e.stamp == stamp) {
+                column.touches.push_front((stamp, slot));
                 break;
             }
             let Some(e) = cell.take_if(|e| e.stamp == stamp) else {
                 continue; // stale record
             };
-            if row.is_empty() {
-                self.rows.remove(&key);
-            }
+            self.rows.remove_if_empty(slot);
             let size = e.body.len() as u64;
             column.bytes -= size;
             column.entries -= 1;
             stats.evict(size);
             let_go.note();
             if let Some(now_us) = stale_now {
-                column.tombstone(&key, e.body, e.version, now_us);
+                column.tombstone(slot, e.body, e.version, now_us);
             }
         }
         column.trim(&self.rows, c);
@@ -383,14 +426,16 @@ struct Member {
     stats: Arc<CacheStats>,
 }
 
-/// The store behind a fleet's caches: one sharded map from page key to
+/// The store behind a fleet's caches: one sharded table from page slot to
 /// [`Row`], a column per member. A shard's lock covers its rows and every
-/// member's [`Column`] beside them, so whatever is done to one key — on
+/// member's [`Column`] beside them, so whatever is done to one page — on
 /// one member or on all of them — is done under one lock, and a reader of
 /// any member sees a distribution either whole or not at all.
 pub(crate) struct Table {
     shards: Box<[Mutex<Shard>]>,
     mask: usize,
+    /// The names [`PageRef`]s other than slots are resolved in.
+    keys: Option<Arc<dyn KeySpace>>,
     /// A member's byte budget for its column of one shard; `None` for
     /// an unbounded table, which keeps no touch queue.
     per_shard_budget: Option<u64>,
@@ -413,16 +458,24 @@ impl Table {
     /// A table for `members` caches of `config` each. It has
     /// `config.shards` locks per member — what that many caches of their
     /// own would have between them — and splits each member's byte budget
-    /// evenly over them.
-    pub(crate) fn new(config: &CacheConfig, members: usize) -> Arc<Self> {
+    /// evenly over them. Page names resolve in `keys`, if given.
+    pub(crate) fn new(
+        config: &CacheConfig,
+        members: usize,
+        keys: Option<Arc<dyn KeySpace>>,
+    ) -> Arc<Self> {
         let n = (config.shards.max(1) * members).next_power_of_two();
         let shard = || Shard {
-            rows: Rows::default(),
+            rows: Rows {
+                at: Vec::new(),
+                shift: n.trailing_zeros(),
+            },
             columns: (0..members).map(|_| Column::default()).collect(),
         };
         Arc::new(Table {
             shards: (0..n).map(|_| Mutex::new(shard())).collect(),
             mask: n - 1,
+            keys,
             per_shard_budget: config.max_bytes.map(|b| b / n as u64),
             stale: config.stale,
             members: (0..members).map(|_| Member::default()).collect(),
@@ -430,10 +483,30 @@ impl Table {
         })
     }
 
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.mask]
+    fn shard_for(&self, slot: u32) -> &Mutex<Shard> {
+        &self.shards[slot as usize & self.mask]
+    }
+
+    /// The slot `key` names; `None` for a name outside the key space.
+    pub(crate) fn slot(&self, key: impl PageRef) -> Option<u32> {
+        key.slot_in(self.keys.as_deref())
+    }
+
+    /// The slot `key` names, which a write must have.
+    pub(crate) fn slot_to_write(&self, key: impl PageRef) -> u32 {
+        match self.slot(key) {
+            Some(slot) => slot,
+            None => panic!("a page is written by slot, or by a name in the fleet's key space"),
+        }
+    }
+
+    /// The name of the page in `slot`: its key space's, or the slot in
+    /// decimal.
+    pub(crate) fn name(&self, slot: u32) -> String {
+        match &self.keys {
+            Some(keys) => keys.name(slot),
+            None => slot.to_string(),
+        }
     }
 
     /// Member `c`'s cache-clock micros when a stale policy is active.
@@ -453,7 +526,7 @@ impl Table {
     /// in is not compared again.
     pub(crate) fn place(
         &self,
-        key: &str,
+        slot: u32,
         mut body: Bytes,
         cost: f64,
         columns: Range<usize>,
@@ -463,21 +536,12 @@ impl Table {
         // Declared before the lock is taken, so that the body this holds
         // last is freed after the lock is released.
         let mut replaced: Option<Bytes> = None;
-        let mut shard = self.shard_for(key).lock();
+        let mut shard = self.shard_for(slot).lock();
         let Shard {
             rows,
             columns: state,
         } = &mut *shard;
-        let row = match rows.get_mut(key) {
-            Some(row) => row,
-            None => {
-                let k: Arc<str> = Arc::from(key);
-                rows.entry(Arc::clone(&k)).or_insert(Row {
-                    key: k,
-                    cells: (0..self.members.len()).map(|_| None).collect(),
-                })
-            }
-        };
+        let row = rows.get_or_insert(slot, self.members.len());
         let mut version = 0;
         // Only a bounded table evicts, and only there is this filled.
         let mut written: Vec<usize> = Vec::new();
@@ -526,12 +590,12 @@ impl Table {
                 }
             };
             if self.per_shard_budget.is_some() {
-                column.touch(&row.key, e);
+                column.touch(slot, e);
                 written.push(c);
             }
-            // A fresh body supersedes any tombstoned stale copy of the key.
+            // A fresh body supersedes any tombstoned stale copy of the page.
             if self.stale.is_some() {
-                column.stale.remove(key);
+                column.stale.remove(&slot);
             }
             changed = true;
         }
@@ -542,18 +606,18 @@ impl Table {
             for c in written {
                 let stats = &self.members[c].stats;
                 let now = self.stale_now(c);
-                shard.evict_to(c, budget, stats, key, now, &self.let_go);
+                shard.evict_to(c, budget, stats, slot, now, &self.let_go);
             }
         }
         (changed, version)
     }
 
-    /// The first member's body for `key`, and whether every member holds
-    /// that very allocation: one probe of the page's row, counting and
+    /// The first member's body for `slot`, and whether every member holds
+    /// that very allocation: one look at the page's row, counting and
     /// touching nothing.
-    pub(crate) fn distributed(&self, key: &str) -> Option<(Bytes, bool)> {
-        let shard = self.shard_for(key).lock();
-        let row = shard.rows.get(key)?;
+    pub(crate) fn distributed(&self, slot: u32) -> Option<(Bytes, bool)> {
+        let shard = self.shard_for(slot).lock();
+        let row = shard.rows.get(slot)?;
         let first = &row.cells[0].as_ref()?.body;
         let held = |cell: &Option<Entry>| {
             cell.as_ref()
@@ -562,16 +626,16 @@ impl Table {
         Some((first.clone(), row.cells.iter().all(held)))
     }
 
-    /// Remove `key` from each member in `columns`; returns how many held
+    /// Remove `slot` from each member in `columns`; returns how many held
     /// it. Under a [`StalePolicy`] a removed body is kept as that member's
     /// servable tombstone.
-    pub(crate) fn invalidate(&self, key: &str, columns: Range<usize>) -> usize {
-        let mut shard = self.shard_for(key).lock();
+    pub(crate) fn invalidate(&self, slot: u32, columns: Range<usize>) -> usize {
+        let mut shard = self.shard_for(slot).lock();
         let Shard {
             rows,
             columns: state,
         } = &mut *shard;
-        let Some(row) = rows.get_mut(key) else {
+        let Some(row) = rows.get_mut(slot) else {
             return 0;
         };
         let mut held = 0;
@@ -582,7 +646,7 @@ impl Table {
                 state[c].entries -= 1;
                 self.members[c].stats.invalidate(size);
                 if let Some(now_us) = self.stale_now(c) {
-                    state[c].tombstone(key, e.body, e.version, now_us);
+                    state[c].tombstone(slot, e.body, e.version, now_us);
                 }
                 held += 1;
             }
@@ -590,9 +654,7 @@ impl Table {
         if held > 0 {
             self.let_go.note();
         }
-        if row.is_empty() {
-            rows.remove(key);
-        }
+        rows.remove_if_empty(slot);
         held
     }
 
@@ -625,24 +687,29 @@ impl LetGo {
     }
 }
 
-/// A concurrent cache of rendered pages.
+/// A concurrent cache of rendered pages, keyed by page slot.
 ///
 /// ```
 /// use bytes::Bytes;
 /// use nagano_cache::PageCache;
 ///
+/// // A page's slot is its key: the site's page space numbers every page.
+/// const MEDALS: u32 = 48;
 /// let cache = PageCache::default();
-/// cache.put("/medals", Bytes::from_static(b"<html>v1</html>"), 150.0);
-/// assert_eq!(cache.get("/medals").unwrap().version, 1);
+/// cache.put(MEDALS, Bytes::from_static(b"<html>v1</html>"), 150.0);
+/// assert_eq!(cache.get(MEDALS).unwrap().version, 1);
 ///
 /// // The trigger monitor updates stale pages *in place*: the entry is
 /// // replaced, never missing, and its version bumps (the HTTP ETag).
-/// cache.put("/medals", Bytes::from_static(b"<html>v2</html>"), 150.0);
-/// let page = cache.get("/medals").unwrap();
+/// cache.put(MEDALS, Bytes::from_static(b"<html>v2</html>"), 150.0);
+/// let page = cache.get(MEDALS).unwrap();
 /// assert_eq!(&page.body[..], b"<html>v2</html>");
 /// assert_eq!(page.version, 2);
 /// assert_eq!(cache.stats().misses, 0);
 /// ```
+///
+/// Every call that takes a page takes a [`PageRef`]: a slot, or — on a
+/// member of a fleet built with a [`KeySpace`] — a name it resolves.
 pub struct PageCache {
     table: Arc<Table>,
     /// Which of the table's members this is.
@@ -667,7 +734,7 @@ impl Default for PageCache {
 impl PageCache {
     /// Create a cache from `config`: the one member of a table of its own.
     pub fn new(config: CacheConfig) -> Self {
-        Self::member_of(Table::new(&config, 1), 0)
+        Self::member_of(Table::new(&config, 1, None), 0)
     }
 
     /// Member `column` of `table`.
@@ -679,27 +746,28 @@ impl PageCache {
         &self.table.members[self.column]
     }
 
-    /// Run `f` on `key`'s shard: its rows and this member's column.
-    fn with_shard<T>(&self, key: &str, f: impl FnOnce(&mut Rows, &mut Column) -> T) -> T {
-        let mut shard = self.table.shard_for(key).lock();
+    /// Run `f` on `slot`'s shard: its rows and this member's column.
+    fn with_shard<T>(&self, slot: u32, f: impl FnOnce(&mut Rows, &mut Column) -> T) -> T {
+        let mut shard = self.table.shard_for(slot).lock();
         let Shard { rows, columns } = &mut *shard;
         f(rows, &mut columns[self.column])
     }
 
     /// Run `f` on every shard in index order, as [`PageCache::with_shard`]
-    /// does on one.
-    fn for_each_shard(&self, mut f: impl FnMut(&mut Rows, &mut Column)) {
-        for s in self.table.shards.iter() {
+    /// does on one, with the shard's index.
+    fn for_each_shard(&self, mut f: impl FnMut(u32, &mut Rows, &mut Column)) {
+        for (i, s) in self.table.shards.iter().enumerate() {
             let mut shard = s.lock();
             let Shard { rows, columns } = &mut *shard;
-            f(rows, &mut columns[self.column]);
+            f(i as u32, rows, &mut columns[self.column]);
         }
     }
 
     /// Run `f` on this member's entry for `key`, if it has one.
-    fn with_entry<T>(&self, key: &str, f: impl FnOnce(&Entry) -> T) -> Option<T> {
-        let shard = self.table.shard_for(key).lock();
-        let entry = shard.rows.get(key)?.cells[self.column].as_ref()?;
+    fn with_entry<T>(&self, key: impl PageRef, f: impl FnOnce(&Entry) -> T) -> Option<T> {
+        let slot = self.table.slot(key)?;
+        let shard = self.table.shard_for(slot).lock();
+        let entry = shard.rows.get(slot)?.cells[self.column].as_ref()?;
         Some(f(entry))
     }
 
@@ -726,23 +794,24 @@ impl PageCache {
     }
 
     /// Look up `key`, recording a hit or miss and touching recency state.
-    pub fn get(&self, key: &str) -> Option<CachedPage> {
+    pub fn get(&self, key: impl PageRef) -> Option<CachedPage> {
         let bounded = self.table.per_shard_budget.is_some();
-        let page = self.with_shard(key, |rows, column| {
-            let row = rows.get_mut(key)?;
-            let e = row.cells[self.column].as_mut()?;
-            if e.window_hits == 0 {
-                column.dirty.push(Arc::clone(&row.key));
-            }
-            e.window_hits += 1;
-            let page = e.page();
-            // Recency orders a bounded member's eviction queue and nothing
-            // else: a hit on an unbounded one writes none.
-            if bounded {
-                column.touch(&row.key, e);
-                column.trim(rows, self.column);
-            }
-            Some(page)
+        let page = self.table.slot(key).and_then(|slot| {
+            self.with_shard(slot, |rows, column| {
+                let e = rows.get_mut(slot)?.cells[self.column].as_mut()?;
+                if e.window_hits == 0 {
+                    column.dirty.push(slot);
+                }
+                e.window_hits += 1;
+                let page = e.page();
+                // Recency orders a bounded member's eviction queue and
+                // nothing else: a hit on an unbounded one writes none.
+                if bounded {
+                    column.touch(slot, e);
+                    column.trim(rows, self.column);
+                }
+                Some(page)
+            })
         });
         match page {
             Some(_) => self.member().stats.hit(),
@@ -753,44 +822,51 @@ impl PageCache {
 
     /// Look up without counting a hit/miss or touching recency — used by
     /// the trigger monitor to inspect state without skewing measurements.
-    pub fn peek(&self, key: &str) -> Option<CachedPage> {
+    pub fn peek(&self, key: impl PageRef) -> Option<CachedPage> {
         self.with_entry(key, Entry::page)
     }
 
     /// Look up `key`'s body alone, like [`PageCache::peek`] counting and
     /// touching nothing.
-    pub fn peek_body(&self, key: &str) -> Option<Bytes> {
+    pub fn peek_body(&self, key: impl PageRef) -> Option<Bytes> {
         self.with_entry(key, |e| e.body.clone())
     }
 
     /// Insert or update-in-place. Returns the entry's new version (1 for a
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
     /// kept with the entry and handed on by [`PageCache::export_entries`].
-    pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space: it names no slot.
+    pub fn put(&self, key: impl PageRef, body: Bytes, cost: f64) -> u64 {
+        let slot = self.table.slot_to_write(key);
         let only = self.column..self.column + 1;
-        self.table.place(key, body, cost, only, Put::Local).1
+        self.table.place(slot, body, cost, only, Put::Local).1
     }
 
     /// Remove `key`; returns whether it was present. Under a
     /// [`StalePolicy`] the removed body is kept as a servable tombstone.
-    pub fn invalidate(&self, key: &str) -> bool {
+    pub fn invalidate(&self, key: impl PageRef) -> bool {
         let only = self.column..self.column + 1;
-        self.table.invalidate(key, only) == 1
+        self.table
+            .slot(key)
+            .is_some_and(|slot| self.table.invalidate(slot, only) == 1)
     }
 
     /// Whether `key` is cached.
-    pub fn contains(&self, key: &str) -> bool {
+    pub fn contains(&self, key: impl PageRef) -> bool {
         self.with_entry(key, |_| ()).is_some()
     }
 
-    /// This member's entries, shard by shard, each in its shard's map
-    /// order, as `f` sees them.
-    fn collect_entries<T>(&self, mut f: impl FnMut(&Arc<str>, &Entry) -> T) -> Vec<T> {
+    /// This member's entries, shard by shard in index order, each shard's
+    /// in slot order, as `f` sees them.
+    fn collect_entries<T>(&self, mut f: impl FnMut(u32, &Entry) -> T) -> Vec<T> {
         let mut out = Vec::new();
-        self.for_each_shard(|rows, _| {
-            for (k, row) in rows.iter() {
+        self.for_each_shard(|i, rows, _| {
+            for (slot, row) in rows.iter(i) {
                 if let Some(e) = &row.cells[self.column] {
-                    out.push(f(k, e));
+                    out.push(f(slot, e));
                 }
             }
         });
@@ -799,7 +875,9 @@ impl PageCache {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.collect_entries(|_, _| ()).len()
+        let mut total = 0;
+        self.for_each_shard(|_, _, column| total += column.entries);
+        total
     }
 
     /// Whether the cache is empty.
@@ -811,14 +889,14 @@ impl PageCache {
     /// member or another of its fleet holds (for diagnostics).
     pub fn rows(&self) -> usize {
         let mut total = 0;
-        self.for_each_shard(|rows, _| total += rows.len());
+        self.for_each_shard(|i, rows, _| total += rows.iter(i).count());
         total
     }
 
     /// Bytes currently cached.
     pub fn bytes(&self) -> u64 {
         let mut total = 0;
-        self.for_each_shard(|_, column| total += column.bytes);
+        self.for_each_shard(|_, _, column| total += column.bytes);
         total
     }
 
@@ -827,8 +905,9 @@ impl PageCache {
     /// too, so a crashed shard recovers with nothing to serve stale from.
     pub fn clear(&self) {
         let stats = &self.member().stats;
-        self.for_each_shard(|rows, column| {
-            rows.retain(|_, row| {
+        self.for_each_shard(|_, rows, column| {
+            for cell in rows.at.iter_mut() {
+                let Some(row) = cell else { continue };
                 if let Some(e) = row.cells[self.column].take() {
                     let size = e.body.len() as u64;
                     column.bytes -= size;
@@ -836,8 +915,10 @@ impl PageCache {
                     stats.invalidate(size);
                     self.table.let_go.note();
                 }
-                !row.is_empty()
-            });
+                if row.is_empty() {
+                    *cell = None;
+                }
+            }
             column.touches.clear();
             column.stale.clear();
             column.stale_epochs.clear();
@@ -845,34 +926,42 @@ impl PageCache {
         });
     }
 
-    /// All cached keys (for diagnostics; takes each shard lock in turn).
-    pub fn keys(&self) -> Vec<String> {
-        self.collect_entries(|k, _| k.to_string())
+    /// The slots of every cached page (for diagnostics; takes each shard
+    /// lock in turn).
+    pub fn slots(&self) -> Vec<u32> {
+        self.collect_entries(|slot, _| slot)
     }
 
-    /// Export every entry: `(key, body, cost, version)`. Bodies are
-    /// refcounted views, so exporting is cheap. Used to resynchronise a
-    /// recovered serving node from a healthy peer.
+    /// Every entry: `(slot, body, cost, version)`. Bodies are refcounted
+    /// views, so listing them is cheap. Used to resynchronise a recovered
+    /// serving node from a healthy peer.
+    pub fn entries(&self) -> Vec<(u32, Bytes, f64, u64)> {
+        self.collect_entries(|slot, e| (slot, e.body.clone(), e.cost, e.version))
+    }
+
+    /// [`PageCache::entries`] with each page named: `(name, body, cost,
+    /// version)`, the name its key space gives the slot (the slot in
+    /// decimal without one) — the adapter for callers that hold URLs.
     pub fn export_entries(&self) -> Vec<(String, Bytes, f64, u64)> {
-        self.collect_entries(|k, e| (k.to_string(), e.body.clone(), e.cost, e.version))
+        self.collect_entries(|slot, e| (self.table.name(slot), e.body.clone(), e.cost, e.version))
     }
 
     /// Collect and reset per-entry hit counts accumulated since the last
-    /// drain: `(key, hits)` for every entry touched in the window. Walks
+    /// drain: `(slot, hits)` for every entry touched in the window. Walks
     /// only the per-shard dirty lists, so cost is proportional to the
-    /// number of *distinct* pages hit, not the cache size. Keys evicted or
-    /// invalidated since they were hit are silently dropped (their window
-    /// counts die with the entry). Order is deterministic: shards in index
-    /// order, keys in first-hit order within a shard.
-    pub fn drain_window_hits(&self) -> Vec<(Arc<str>, u64)> {
+    /// number of *distinct* pages hit, not the cache size. Pages evicted
+    /// or invalidated since they were hit are silently dropped (their
+    /// window counts die with the entry). Order is deterministic: shards in
+    /// index order, pages in first-hit order within a shard.
+    pub fn drain_window_hits(&self) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        self.for_each_shard(|rows, column| {
-            for key in std::mem::take(&mut column.dirty) {
+        self.for_each_shard(|_, rows, column| {
+            for slot in std::mem::take(&mut column.dirty) {
                 let cell = rows
-                    .get_mut(&key)
+                    .get_mut(slot)
                     .and_then(|row| row.cells[self.column].as_mut());
                 if let Some(e) = cell.filter(|e| e.window_hits > 0) {
-                    out.push((key, std::mem::take(&mut e.window_hits)));
+                    out.push((slot, std::mem::take(&mut e.window_hits)));
                 }
             }
         });
@@ -883,10 +972,15 @@ impl PageCache {
     /// [`PageCache::put`], the version is copied rather than bumped, so a
     /// resynced node agrees with its peers' entity tags. Counted as an
     /// insert or update in the statistics.
-    pub fn restore_entry(&self, key: &str, body: Bytes, cost: f64, version: u64) {
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space, as [`PageCache::put`].
+    pub fn restore_entry(&self, key: impl PageRef, body: Bytes, cost: f64, version: u64) {
+        let slot = self.table.slot_to_write(key);
         let only = self.column..self.column + 1;
         self.table
-            .place(key, body, cost, only, Put::Restored(version));
+            .place(slot, body, cost, only, Put::Restored(version));
     }
 
     // ---- stale tombstones -------------------------------------------------
@@ -895,7 +989,7 @@ impl PageCache {
     /// policy's age bound. Counts a stale serve; an over-age copy is
     /// pruned and `None` returned. Without a [`StalePolicy`] this is
     /// always `None`.
-    pub fn serve_stale(&self, key: &str) -> Option<StaleCopy> {
+    pub fn serve_stale(&self, key: impl PageRef) -> Option<StaleCopy> {
         let copy = self.lookup_stale(key, true)?;
         self.member().stats.stale_serve();
         Some(copy)
@@ -903,19 +997,20 @@ impl PageCache {
 
     /// Like [`PageCache::serve_stale`] but without counting a stale serve
     /// — used to *check* fallback coverage without skewing measurements.
-    pub fn peek_stale(&self, key: &str) -> Option<StaleCopy> {
+    pub fn peek_stale(&self, key: impl PageRef) -> Option<StaleCopy> {
         self.lookup_stale(key, false)
     }
 
-    fn lookup_stale(&self, key: &str, prune_expired: bool) -> Option<StaleCopy> {
+    fn lookup_stale(&self, key: impl PageRef, prune_expired: bool) -> Option<StaleCopy> {
         let policy = self.table.stale?;
+        let slot = self.table.slot(key)?;
         let now_us = self.now_us();
-        self.with_shard(key, |_, column| {
-            let e = column.stale.get(key)?;
+        self.with_shard(slot, |_, column| {
+            let e = column.stale.get(&slot)?;
             let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
             if age_secs > policy.max_age_secs {
                 if prune_expired {
-                    column.stale.remove(key);
+                    column.stale.remove(&slot);
                 }
                 return None;
             }
@@ -928,31 +1023,34 @@ impl PageCache {
         })
     }
 
-    /// The key's current stale epoch: 0 while it has never been
+    /// The page's current stale epoch: 0 while it has never been
     /// tombstoned, otherwise the number of live → stale transitions.
     /// Single-flight regeneration is pinned to "exactly one per
-    /// (key, stale-epoch)" by the resilience property tests.
-    pub fn stale_epoch(&self, key: &str) -> u64 {
-        self.with_shard(key, |_, column| column.stale_epochs.get(key).copied())
+    /// (page, stale-epoch)" by the resilience property tests.
+    pub fn stale_epoch(&self, key: impl PageRef) -> u64 {
+        let Some(slot) = self.table.slot(key) else {
+            return 0;
+        };
+        self.with_shard(slot, |_, column| column.stale_epochs.get(&slot).copied())
             .unwrap_or(0)
     }
 
     /// Number of tombstoned stale copies currently held.
     pub fn stale_len(&self) -> usize {
         let mut total = 0;
-        self.for_each_shard(|_, column| total += column.stale.len());
+        self.for_each_shard(|_, _, column| total += column.stale.len());
         total
     }
 
     /// Drop every tombstone older than the policy's age bound. Called by
-    /// the owner's heartbeat so dead keys do not accumulate.
+    /// the owner's heartbeat so dead pages do not accumulate.
     pub fn prune_stale(&self) {
         let Some(policy) = self.table.stale else {
             return;
         };
         let horizon_us = (policy.max_age_secs * 1e6) as u64;
         let now_us = self.now_us();
-        self.for_each_shard(|_, column| {
+        self.for_each_shard(|_, _, column| {
             column
                 .stale
                 .retain(|_, e| now_us.saturating_sub(e.since_us) <= horizon_us);
@@ -972,14 +1070,18 @@ impl PageCache {
     /// [`PageCache::serve_stale`]). A follower whose wait expires while
     /// the flight is still open removes the (presumed dead) flight so the
     /// next miss can lead again.
-    pub fn join_or_lead(&self, key: &str, deadline: Duration) -> FlightOutcome {
-        let joined = self.with_shard(key, |_, column| match column.flights.get(key) {
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space, as [`PageCache::put`].
+    pub fn join_or_lead(&self, key: impl PageRef, deadline: Duration) -> FlightOutcome {
+        let slot = self.table.slot_to_write(key);
+        let joined = self.with_shard(slot, |_, column| match column.flights.get(&slot) {
             Some(f) => Ok(Arc::clone(f)),
             None => {
-                let k: Arc<str> = Arc::from(key);
                 let f = Arc::new(Flight::default());
-                column.flights.insert(Arc::clone(&k), Arc::clone(&f));
-                Err(FlightToken { key: k, flight: f })
+                column.flights.insert(slot, Arc::clone(&f));
+                Err(FlightToken { slot, flight: f })
             }
         });
         let flight = match joined {
@@ -1000,7 +1102,7 @@ impl PageCache {
             if waited.timed_out() {
                 // Presume the leader dead: clear the flight (if it is
                 // still the same one) so the next miss can lead.
-                self.retire_flight(key, &flight);
+                self.retire_flight(slot, &flight);
             }
             FlightOutcome::TimedOut
         }
@@ -1017,18 +1119,18 @@ impl PageCache {
             state.result = page;
         }
         token.flight.cv.notify_all();
-        self.retire_flight(&token.key, &token.flight);
+        self.retire_flight(token.slot, &token.flight);
     }
 
-    /// Take `flight` off `key`, unless another has taken its place.
-    fn retire_flight(&self, key: &str, flight: &Arc<Flight>) {
-        self.with_shard(key, |_, column| {
+    /// Take `flight` off `slot`, unless another has taken its place.
+    fn retire_flight(&self, slot: u32, flight: &Arc<Flight>) {
+        self.with_shard(slot, |_, column| {
             if column
                 .flights
-                .get(key)
+                .get(&slot)
                 .is_some_and(|f| Arc::ptr_eq(f, flight))
             {
-                column.flights.remove(key);
+                column.flights.remove(&slot);
             }
         });
     }
@@ -1037,6 +1139,20 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Pages by slot.
+    const A: u32 = 1;
+    const B: u32 = 2;
+    const C: u32 = 3;
+    const D: u32 = 4;
+    const HOME: u32 = 5;
+    const MEDALS: u32 = 6;
+    const K: u32 = 7;
+    const PAGE: u32 = 8;
+    const BIG: u32 = 9;
+    const OLD: u32 = 10;
+    const NEW: u32 = 11;
+    const NOWHERE: u32 = 999;
     use nagano_telemetry::sync::blocking;
 
     fn body(s: &str) -> Bytes {
@@ -1046,10 +1162,10 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let c = PageCache::default();
-        assert!(c.get("/home").is_none());
-        let v = c.put("/home", body("<html>day 1</html>"), 50.0);
+        assert!(c.get(HOME).is_none());
+        let v = c.put(HOME, body("<html>day 1</html>"), 50.0);
         assert_eq!(v, 1);
-        let page = c.get("/home").unwrap();
+        let page = c.get(HOME).unwrap();
         assert_eq!(&page.body[..], b"<html>day 1</html>");
         assert_eq!(page.version, 1);
         let s = c.stats();
@@ -1059,10 +1175,10 @@ mod tests {
     #[test]
     fn update_in_place_bumps_version() {
         let c = PageCache::default();
-        c.put("/medals", body("gold: 0"), 10.0);
-        let v2 = c.put("/medals", body("gold: 1"), 10.0);
+        c.put(MEDALS, body("gold: 0"), 10.0);
+        let v2 = c.put(MEDALS, body("gold: 1"), 10.0);
         assert_eq!(v2, 2);
-        let page = c.get("/medals").unwrap();
+        let page = c.get(MEDALS).unwrap();
         assert_eq!(&page.body[..], b"gold: 1");
         assert_eq!(page.version, 2);
         let s = c.stats();
@@ -1073,10 +1189,10 @@ mod tests {
     #[test]
     fn invalidate_removes() {
         let c = PageCache::default();
-        c.put("/a", body("x"), 1.0);
-        assert!(c.invalidate("/a"));
-        assert!(!c.invalidate("/a"));
-        assert!(c.get("/a").is_none());
+        c.put(A, body("x"), 1.0);
+        assert!(c.invalidate(A));
+        assert!(!c.invalidate(A));
+        assert!(c.get(A).is_none());
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.bytes(), 0);
     }
@@ -1084,9 +1200,9 @@ mod tests {
     #[test]
     fn peek_does_not_count() {
         let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
-        c.peek("/a");
-        c.peek("/zzz");
+        c.put(A, body("1"), 1.0);
+        c.peek(A);
+        c.peek(NOWHERE);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (0, 0));
     }
@@ -1094,10 +1210,10 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_sizes() {
         let c = PageCache::default();
-        c.put("/a", body("1234"), 1.0);
-        c.put("/b", body("12345678"), 1.0);
+        c.put(A, body("1234"), 1.0);
+        c.put(B, body("12345678"), 1.0);
         assert_eq!(c.bytes(), 12);
-        c.put("/a", body("12"), 1.0); // shrink in place
+        c.put(A, body("12"), 1.0); // shrink in place
         assert_eq!(c.bytes(), 10);
         assert_eq!(c.stats().bytes_current, 10);
         assert_eq!(c.stats().bytes_peak, 12);
@@ -1107,31 +1223,31 @@ mod tests {
     fn lru_evicts_least_recent() {
         // Single shard so the budget applies globally.
         let c = PageCache::new(CacheConfig::bounded(30, ReplacementPolicy::Lru).with_shards(1));
-        c.put("/a", body("aaaaaaaaaa"), 1.0); // 10 bytes
-        c.put("/b", body("bbbbbbbbbb"), 1.0);
-        c.put("/c", body("cccccccccc"), 1.0);
-        c.get("/a"); // /b is now least recent
-        c.put("/d", body("dddddddddd"), 1.0); // forces one eviction
-        assert!(c.contains("/a"));
-        assert!(!c.contains("/b"));
-        assert!(c.contains("/c"));
-        assert!(c.contains("/d"));
+        c.put(A, body("aaaaaaaaaa"), 1.0); // 10 bytes
+        c.put(B, body("bbbbbbbbbb"), 1.0);
+        c.put(C, body("cccccccccc"), 1.0);
+        c.get(A); // /b is now least recent
+        c.put(D, body("dddddddddd"), 1.0); // forces one eviction
+        assert!(c.contains(A));
+        assert!(!c.contains(B));
+        assert!(c.contains(C));
+        assert!(c.contains(D));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn an_unbounded_hit_writes_no_recency() {
         let recency = |c: &PageCache| {
-            c.with_shard("/a", |rows, column| {
-                let e = rows["/a"].cells[0].as_ref().unwrap();
+            c.with_shard(A, |rows, column| {
+                let e = rows.get(A).unwrap().cells[0].as_ref().unwrap();
                 (column.tick, e.stamp, column.touches.len())
             })
         };
         let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
+        c.put(A, body("1"), 1.0);
         let before = recency(&c);
         for _ in 0..3 {
-            assert!(c.get("/a").is_some());
+            assert!(c.get(A).is_some());
         }
         assert_eq!(recency(&c), before);
         // The hotness window still counts every hit.
@@ -1139,9 +1255,9 @@ mod tests {
         assert_eq!((hits.len(), hits[0].1), (1, 3));
         // A bounded member's hit ranks the entry anew.
         let b = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
-        b.put("/a", body("1"), 1.0);
+        b.put(A, body("1"), 1.0);
         let (tick, _, queued) = recency(&b);
-        b.get("/a");
+        b.get(A);
         assert_eq!(recency(&b), (tick + 1, tick + 1, queued + 1));
     }
 
@@ -1150,12 +1266,12 @@ mod tests {
         let c =
             PageCache::new(CacheConfig::bounded(1 << 20, ReplacementPolicy::Lru).with_shards(1));
         for i in 0..10 {
-            c.put(&format!("/p{i}"), body("page"), 1.0);
+            c.put(i, body("page"), 1.0);
         }
         for i in 0..100_000 {
-            assert!(c.get(&format!("/p{}", i % 10)).is_some());
+            assert!(c.get(i % 10).is_some());
         }
-        let queued = c.with_shard("/p0", |_, column| column.touches.len());
+        let queued = c.with_shard(0, |_, column| column.touches.len());
         assert!(queued <= 2 * 10 + TOUCH_SLACK, "{queued} touch records");
         assert_eq!(c.stats().evictions, 0);
     }
@@ -1170,7 +1286,7 @@ mod tests {
             .with_shards(1),
         );
         for i in 0..10 {
-            c.put(&format!("/p{i}"), Bytes::from(vec![b'x'; 16]), 1.0);
+            c.put(i, Bytes::from(vec![b'x'; 16]), 1.0);
         }
         let held = c.bytes();
         assert!(held <= 64, "{held} bytes under a 64-byte budget");
@@ -1180,7 +1296,7 @@ mod tests {
     #[test]
     fn oversized_entry_does_not_loop() {
         let c = PageCache::new(CacheConfig::bounded(5, ReplacementPolicy::Lru).with_shards(1));
-        c.put("/big", body("0123456789"), 1.0);
+        c.put(BIG, body("0123456789"), 1.0);
         // Entry itself exceeds the budget: the eviction loop removes it
         // and stops (nothing left to evict).
         assert!(c.bytes() <= 10);
@@ -1190,7 +1306,7 @@ mod tests {
     fn clear_empties_everything() {
         let c = PageCache::default();
         for i in 0..100 {
-            c.put(&format!("/p{i}"), body("data"), 1.0);
+            c.put(i, body("data"), 1.0);
         }
         assert_eq!(c.len(), 100);
         c.clear();
@@ -1202,51 +1318,47 @@ mod tests {
     #[test]
     fn keys_lists_all() {
         let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
-        c.put("/b", body("2"), 1.0);
-        let mut keys = c.keys();
-        keys.sort();
-        assert_eq!(keys, vec!["/a", "/b"]);
+        c.put(A, body("1"), 1.0);
+        c.put(B, body("2"), 1.0);
+        let mut slots = c.slots();
+        slots.sort();
+        assert_eq!(slots, vec![A, B]);
     }
 
     #[test]
     fn drain_window_hits_collects_and_resets() {
         let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
-        c.put("/b", body("2"), 1.0);
-        c.put("/c", body("3"), 1.0);
+        c.put(A, body("1"), 1.0);
+        c.put(B, body("2"), 1.0);
+        c.put(C, body("3"), 1.0);
         for _ in 0..3 {
-            c.get("/a");
+            c.get(A);
         }
-        c.get("/b");
-        c.peek("/c"); // peek must not count as traffic
-        c.get("/zzz"); // miss must not count as traffic
-        let mut hits: Vec<(String, u64)> = c
-            .drain_window_hits()
-            .into_iter()
-            .map(|(k, n)| (k.to_string(), n))
-            .collect();
+        c.get(B);
+        c.peek(C); // peek must not count as traffic
+        c.get(NOWHERE); // miss must not count as traffic
+        let mut hits = c.drain_window_hits();
         hits.sort();
-        assert_eq!(hits, vec![("/a".into(), 3), ("/b".into(), 1)]);
+        assert_eq!(hits, vec![(A, 3), (B, 1)]);
         // The drain resets the window: nothing new means nothing drained.
         assert!(c.drain_window_hits().is_empty());
         // A fresh window starts counting from zero.
-        c.get("/a");
+        c.get(A);
         let again = c.drain_window_hits();
         assert_eq!(again.len(), 1);
-        assert_eq!((&*again[0].0, again[0].1), ("/a", 1));
+        assert_eq!(again[0], (A, 1));
     }
 
     #[test]
     fn drain_window_hits_skips_invalidated_entries() {
         let c = PageCache::default();
-        c.put("/a", body("1"), 1.0);
-        c.get("/a");
-        c.invalidate("/a");
+        c.put(A, body("1"), 1.0);
+        c.get(A);
+        c.invalidate(A);
         assert!(c.drain_window_hits().is_empty());
         // Re-inserting and hitting again re-enters the dirty list cleanly.
-        c.put("/a", body("2"), 1.0);
-        c.get("/a");
+        c.put(A, body("2"), 1.0);
+        c.get(A);
         assert_eq!(c.drain_window_hits().len(), 1);
     }
 
@@ -1259,16 +1371,16 @@ mod tests {
             let c = Arc::clone(&c);
             handles.push(thread::spawn(move || {
                 for i in 0..2_000u32 {
-                    let key = format!("/page{}", (i * 7 + t) % 50);
+                    let key = (i * 7 + t) % 50;
                     match i % 4 {
                         0 => {
-                            c.put(&key, Bytes::from(vec![b'x'; 64]), 5.0);
+                            c.put(key, Bytes::from(vec![b'x'; 64]), 5.0);
                         }
                         3 if i % 16 == 3 => {
-                            c.invalidate(&key);
+                            c.invalidate(key);
                         }
                         _ => {
-                            c.get(&key);
+                            c.get(key);
                         }
                     }
                 }
@@ -1279,8 +1391,8 @@ mod tests {
         }
         // Accounting invariant: current bytes equals sum of live entries.
         let live_bytes: u64 = c
-            .keys()
-            .iter()
+            .slots()
+            .into_iter()
             .map(|k| c.peek(k).map(|p| p.body.len() as u64).unwrap_or(0))
             .sum();
         assert_eq!(c.bytes(), live_bytes);
@@ -1294,44 +1406,44 @@ mod tests {
     #[test]
     fn invalidation_tombstones_under_stale_policy() {
         let c = PageCache::new(stale_config(60.0));
-        c.put("/a", body("v1"), 1.0);
-        c.put("/a", body("v2"), 1.0);
-        assert!(c.invalidate("/a"));
-        assert!(c.get("/a").is_none(), "live entry is gone");
-        let copy = c.serve_stale("/a").unwrap();
+        c.put(A, body("v1"), 1.0);
+        c.put(A, body("v2"), 1.0);
+        assert!(c.invalidate(A));
+        assert!(c.get(A).is_none(), "live entry is gone");
+        let copy = c.serve_stale(A).unwrap();
         assert_eq!(&copy.body[..], b"v2");
         assert_eq!(copy.version, 2);
         assert_eq!(copy.epoch, 1);
         assert_eq!(c.stats().stale_served, 1);
         // A fresh body supersedes the tombstone.
-        c.put("/a", body("v3"), 1.0);
-        assert!(c.serve_stale("/a").is_none());
+        c.put(A, body("v3"), 1.0);
+        assert!(c.serve_stale(A).is_none());
         assert_eq!(c.stale_len(), 0);
     }
 
     #[test]
     fn stale_epoch_counts_live_to_stale_transitions() {
         let c = PageCache::new(stale_config(60.0));
-        assert_eq!(c.stale_epoch("/a"), 0);
-        c.put("/a", body("v1"), 1.0);
-        c.invalidate("/a");
-        assert_eq!(c.stale_epoch("/a"), 1);
-        c.put("/a", body("v2"), 1.0);
-        c.invalidate("/a");
-        assert_eq!(c.stale_epoch("/a"), 2);
+        assert_eq!(c.stale_epoch(A), 0);
+        c.put(A, body("v1"), 1.0);
+        c.invalidate(A);
+        assert_eq!(c.stale_epoch(A), 1);
+        c.put(A, body("v2"), 1.0);
+        c.invalidate(A);
+        assert_eq!(c.stale_epoch(A), 2);
     }
 
     #[test]
     fn stale_age_is_bounded_by_the_policy() {
         let c = PageCache::new(stale_config(30.0));
-        c.put("/a", body("v1"), 1.0);
+        c.put(A, body("v1"), 1.0);
         c.set_now_secs(100.0);
-        c.invalidate("/a");
+        c.invalidate(A);
         c.set_now_secs(120.0);
-        let copy = c.peek_stale("/a").unwrap();
+        let copy = c.peek_stale(A).unwrap();
         assert!((copy.age_secs - 20.0).abs() < 1e-9);
         c.set_now_secs(131.0); // 31 s stale > 30 s bound
-        assert!(c.serve_stale("/a").is_none());
+        assert!(c.serve_stale(A).is_none());
         assert_eq!(c.stale_len(), 0, "expired tombstone pruned on lookup");
         assert_eq!(c.stats().stale_served, 0, "expired copy never counted");
     }
@@ -1339,15 +1451,15 @@ mod tests {
     #[test]
     fn prune_stale_drops_expired_tombstones() {
         let c = PageCache::new(stale_config(10.0));
-        c.put("/old", body("x"), 1.0);
-        c.invalidate("/old");
+        c.put(OLD, body("x"), 1.0);
+        c.invalidate(OLD);
         c.set_now_secs(5.0);
-        c.put("/new", body("y"), 1.0);
-        c.invalidate("/new");
+        c.put(NEW, body("y"), 1.0);
+        c.invalidate(NEW);
         c.set_now_secs(11.0);
         c.prune_stale();
         assert_eq!(c.stale_len(), 1);
-        assert!(c.peek_stale("/new").is_some());
+        assert!(c.peek_stale(NEW).is_some());
     }
 
     #[test]
@@ -1357,11 +1469,11 @@ mod tests {
                 .with_shards(1)
                 .with_stale(StalePolicy::bounded(60.0)),
         );
-        c.put("/a", body("aaaaaaaaaa"), 1.0);
-        c.put("/b", body("bbbbbbbbbb"), 1.0);
-        c.put("/c", body("cccccccccc"), 1.0); // evicts /a
-        assert!(!c.contains("/a"));
-        let copy = c.serve_stale("/a").unwrap();
+        c.put(A, body("aaaaaaaaaa"), 1.0);
+        c.put(B, body("bbbbbbbbbb"), 1.0);
+        c.put(C, body("cccccccccc"), 1.0); // evicts /a
+        assert!(!c.contains(A));
+        let copy = c.serve_stale(A).unwrap();
         assert_eq!(&copy.body[..], b"aaaaaaaaaa");
         assert_eq!(c.stats().evictions, 1);
     }
@@ -1369,34 +1481,34 @@ mod tests {
     #[test]
     fn clear_is_a_cold_restart() {
         let c = PageCache::new(stale_config(60.0));
-        c.put("/a", body("v1"), 1.0);
-        c.invalidate("/a");
+        c.put(A, body("v1"), 1.0);
+        c.invalidate(A);
         assert_eq!(c.stale_len(), 1);
         c.clear();
         assert_eq!(c.stale_len(), 0);
-        assert!(c.serve_stale("/a").is_none());
+        assert!(c.serve_stale(A).is_none());
     }
 
     #[test]
     fn without_stale_policy_nothing_is_tombstoned() {
         let c = PageCache::default();
-        c.put("/a", body("v1"), 1.0);
-        c.invalidate("/a");
-        assert!(c.serve_stale("/a").is_none());
-        assert_eq!(c.stale_epoch("/a"), 0);
+        c.put(A, body("v1"), 1.0);
+        c.invalidate(A);
+        assert!(c.serve_stale(A).is_none());
+        assert_eq!(c.stale_epoch(A), 0);
         assert_eq!(c.stale_len(), 0);
     }
 
     #[test]
     fn single_flight_has_one_leader_and_counted_followers() {
         let c = PageCache::default();
-        let token = match c.join_or_lead("/k", Duration::from_millis(10)) {
+        let token = match c.join_or_lead(K, Duration::from_millis(10)) {
             FlightOutcome::Lead(t) => t,
             other => panic!("first caller must lead, got {other:?}"),
         };
         // A second caller while the flight is open times out (nobody
         // completes it yet) and counts one coalesced miss.
-        match c.join_or_lead("/k", Duration::from_millis(5)) {
+        match c.join_or_lead(K, Duration::from_millis(5)) {
             FlightOutcome::TimedOut => {}
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -1410,7 +1522,7 @@ mod tests {
         );
         // The flight is retired: the next miss leads again.
         assert!(matches!(
-            c.join_or_lead("/k", Duration::from_millis(1)),
+            c.join_or_lead(K, Duration::from_millis(1)),
             FlightOutcome::Lead(_)
         ));
     }
@@ -1419,7 +1531,7 @@ mod tests {
     fn followers_join_the_leaders_result_across_threads() {
         use std::thread;
         let c = Arc::new(PageCache::default());
-        let token = match c.join_or_lead("/page", Duration::from_secs(5)) {
+        let token = match c.join_or_lead(PAGE, Duration::from_secs(5)) {
             FlightOutcome::Lead(t) => t,
             other => panic!("expected lead, got {other:?}"),
         };
@@ -1427,13 +1539,13 @@ mod tests {
         for _ in 0..4 {
             let c = Arc::clone(&c);
             joiners.push(thread::spawn(move || {
-                c.join_or_lead("/page", Duration::from_secs(5))
+                c.join_or_lead(PAGE, Duration::from_secs(5))
             }));
         }
         // Give followers a moment to attach, then publish.
         blocking!(thread::sleep(Duration::from_millis(20)));
-        c.put("/page", body("fresh"), 1.0);
-        let page = c.peek("/page").unwrap();
+        c.put(PAGE, body("fresh"), 1.0);
+        let page = c.peek(PAGE).unwrap();
         c.complete_flight(token, Some(page));
         for j in joiners {
             match blocking!(j.join()).unwrap() {
@@ -1441,7 +1553,7 @@ mod tests {
                 // A follower that raced in after completion leads a
                 // fresh flight; it must still see the cached body.
                 FlightOutcome::Lead(t) => {
-                    let cached = c.peek("/page").unwrap();
+                    let cached = c.peek(PAGE).unwrap();
                     assert_eq!(&cached.body[..], b"fresh");
                     c.complete_flight(t, Some(cached));
                 }
@@ -1454,13 +1566,13 @@ mod tests {
     fn failed_flight_wakes_followers_without_a_body() {
         use std::thread;
         let c = Arc::new(PageCache::default());
-        let token = match c.join_or_lead("/page", Duration::from_secs(5)) {
+        let token = match c.join_or_lead(PAGE, Duration::from_secs(5)) {
             FlightOutcome::Lead(t) => t,
             other => panic!("expected lead, got {other:?}"),
         };
         let follower = {
             let c = Arc::clone(&c);
-            thread::spawn(move || c.join_or_lead("/page", Duration::from_secs(5)))
+            thread::spawn(move || c.join_or_lead(PAGE, Duration::from_secs(5)))
         };
         blocking!(thread::sleep(Duration::from_millis(20)));
         c.complete_flight(token, None);
@@ -1474,7 +1586,7 @@ mod tests {
     #[test]
     fn timed_out_follower_clears_a_dead_flight() {
         let c = PageCache::default();
-        let token = match c.join_or_lead("/k", Duration::from_millis(1)) {
+        let token = match c.join_or_lead(K, Duration::from_millis(1)) {
             FlightOutcome::Lead(t) => t,
             other => panic!("expected lead, got {other:?}"),
         };
@@ -1482,11 +1594,11 @@ mod tests {
         // expired wait clears the flight so the key is not wedged.
         std::mem::forget(token);
         assert!(matches!(
-            c.join_or_lead("/k", Duration::from_millis(5)),
+            c.join_or_lead(K, Duration::from_millis(5)),
             FlightOutcome::TimedOut
         ));
         assert!(matches!(
-            c.join_or_lead("/k", Duration::from_millis(1)),
+            c.join_or_lead(K, Duration::from_millis(1)),
             FlightOutcome::Lead(_)
         ));
     }
@@ -1495,7 +1607,7 @@ mod tests {
     fn eviction_respects_total_budget_across_fill() {
         let c = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
         for i in 0..200 {
-            c.put(&format!("/p{i}"), Bytes::from(vec![0u8; 50]), 1.0);
+            c.put(i, Bytes::from(vec![0u8; 50]), 1.0);
         }
         assert!(c.bytes() <= 1_000, "bytes {}", c.bytes());
         assert!(c.len() <= 20);

@@ -5,8 +5,8 @@
 //! uniprocessor serving nodes. [`CacheFleet`] models that arrangement: one
 //! logical page store replicated across N member caches, with broadcast
 //! update/invalidate operations. The members are the columns of one table
-//! (see [`crate::cache`]), so a broadcast takes one lock and probes one
-//! map whatever the fleet's size, and `Bytes` bodies are
+//! (see [`crate::cache`]), so a broadcast takes one lock and indexes one
+//! row whatever the fleet's size, and `Bytes` bodies are
 //! reference-counted, so a distributed page costs one allocation.
 
 use std::sync::Arc;
@@ -16,6 +16,7 @@ use rustc_hash::FxHashMap;
 
 use crate::cache::{CacheConfig, CachedPage, PageCache, Put, Table};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
+use crate::key::{KeySpace, PageRef};
 use crate::stats::StatsSnapshot;
 
 /// A page as the fleet holds it ([`CacheFleet::distributed`]).
@@ -52,10 +53,21 @@ impl CacheFleet {
     /// Build a fleet of `n` members (n >= 1), each configured with
     /// `config`: the columns of one table of `config.shards × n` locks,
     /// over which each member's byte budget, if it has one, is split
-    /// evenly.
+    /// evenly. Pages are named by slot alone.
     pub fn new(n: usize, config: CacheConfig) -> Self {
+        Self::build(n, config, None)
+    }
+
+    /// [`CacheFleet::new`] whose pages may also be named in `keys`: every
+    /// call that takes a [`PageRef`] resolves a name there, and
+    /// [`PageCache::export_entries`] names each slot by it.
+    pub fn with_keys(n: usize, config: CacheConfig, keys: Arc<dyn KeySpace>) -> Self {
+        Self::build(n, config, Some(keys))
+    }
+
+    fn build(n: usize, config: CacheConfig, keys: Option<Arc<dyn KeySpace>>) -> Self {
         assert!(n >= 1, "a fleet needs at least one cache");
-        let table = Table::new(&config, n);
+        let table = Table::new(&config, n, keys);
         CacheFleet {
             members: (0..n)
                 .map(|i| Arc::new(PageCache::member_of(Arc::clone(&table), i)))
@@ -87,7 +99,7 @@ impl CacheFleet {
 
     /// Serve a lookup from member `i` (a request routed to serving node
     /// `i` by the dispatcher).
-    pub fn get_from(&self, i: usize, key: &str) -> Option<CachedPage> {
+    pub fn get_from(&self, i: usize, key: impl PageRef) -> Option<CachedPage> {
         self.members[i].get(key)
     }
 
@@ -96,8 +108,8 @@ impl CacheFleet {
     /// what a regeneration renders onto — and whether every member holds
     /// that very allocation, in which case a distribution of it would keep
     /// every entry as it is.
-    pub fn distributed(&self, key: &str) -> Option<Distributed> {
-        let (body, everywhere) = self.table.distributed(key)?;
+    pub fn distributed(&self, key: impl PageRef) -> Option<Distributed> {
+        let (body, everywhere) = self.table.distributed(self.table.slot(key)?)?;
         Some(Distributed { body, everywhere })
     }
 
@@ -113,9 +125,14 @@ impl CacheFleet {
     /// the distribution or as it is after, on every member alike. Members
     /// that do take the body share its allocation, each at its own next
     /// version: one that took a local fill stays a version ahead.
-    pub fn distribute(&self, key: &str, body: Bytes, cost: f64) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space: it names no slot.
+    pub fn distribute(&self, key: impl PageRef, body: Bytes, cost: f64) -> bool {
+        let slot = self.table.slot_to_write(key);
         let all = 0..self.members.len();
-        self.table.place(key, body, cost, all, Put::Distributed).0
+        self.table.place(slot, body, cost, all, Put::Distributed).0
     }
 
     /// Whether nothing but [`CacheFleet::distribute`] has written to the
@@ -130,15 +147,18 @@ impl CacheFleet {
     }
 
     /// Broadcast an invalidation; returns how many members held the key.
-    pub fn invalidate_everywhere(&self, key: &str) -> usize {
-        self.table.invalidate(key, 0..self.members.len())
+    pub fn invalidate_everywhere(&self, key: impl PageRef) -> usize {
+        let all = 0..self.members.len();
+        self.table
+            .slot(key)
+            .map_or(0, |slot| self.table.invalidate(slot, all))
     }
 
     /// Insert into a single member only (a demand-miss fill on one serving
     /// node, the pre-DUP behaviour). Returns the version the member gave
     /// the entry — the only moment it is known for certain: on a bounded
     /// cache the entry may be evicted before anyone can look it up.
-    pub fn put_local(&self, i: usize, key: &str, body: Bytes, cost: f64) -> u64 {
+    pub fn put_local(&self, i: usize, key: impl PageRef, body: Bytes, cost: f64) -> u64 {
         self.members[i].put(key, body, cost)
     }
 
@@ -168,28 +188,25 @@ impl CacheFleet {
     /// Fold every member's window-hit counters into the fleet EWMA as of
     /// sim minute `minute`. Called once per minute by the cluster
     /// heartbeat; between folds the members just bump per-entry counters
-    /// under their existing shard locks. Counts for the same key across
+    /// under their existing shard locks. Counts for the same page across
     /// members are summed before folding so fleet size never skews the
     /// EWMA scale.
     pub fn fold_hotness(&self, minute: u64) {
-        let mut window: FxHashMap<Arc<str>, u64> = FxHashMap::default();
-        let mut order: Vec<Arc<str>> = Vec::new();
+        let mut window: FxHashMap<u32, u64> = FxHashMap::default();
+        let mut order: Vec<u32> = Vec::new();
         for m in &self.members {
-            for (key, n) in m.drain_window_hits() {
-                match window.get_mut(&key) {
+            for (slot, n) in m.drain_window_hits() {
+                match window.get_mut(&slot) {
                     Some(total) => *total += n,
                     None => {
-                        window.insert(Arc::clone(&key), n);
-                        order.push(key);
+                        window.insert(slot, n);
+                        order.push(slot);
                     }
                 }
             }
         }
         self.hotness.fold(
-            order.into_iter().map(|k| {
-                let n = window[&k];
-                (k, n)
-            }),
+            order.into_iter().map(|slot| (slot, window[&slot])),
             minute,
             EWMA_ALPHA,
         );
@@ -197,8 +214,10 @@ impl CacheFleet {
 
     /// Current EWMA hotness of `key` as of sim minute `minute` (0.0 for
     /// pages with no tracked traffic).
-    pub fn hotness(&self, key: &str, minute: u64) -> f64 {
-        self.hotness.get(key, minute, EWMA_ALPHA)
+    pub fn hotness(&self, key: impl PageRef, minute: u64) -> f64 {
+        self.table
+            .slot(key)
+            .map_or(0.0, |slot| self.hotness.get(slot, minute, EWMA_ALPHA))
     }
 
     /// Hot/cold split threshold: a page is hot iff its hotness is `>=`
@@ -214,12 +233,12 @@ impl CacheFleet {
     /// Returns the number of entries copied.
     pub fn resync(&self, from: usize, to: usize) -> usize {
         assert_ne!(from, to, "cannot resync a member from itself");
-        let entries = self.members[from].export_entries();
+        let entries = self.members[from].entries();
         let n = entries.len();
         let target = &self.members[to];
         target.clear();
-        for (key, body, cost, version) in entries {
-            target.restore_entry(&key, body, cost, version);
+        for (slot, body, cost, version) in entries {
+            target.restore_entry(slot, body, cost, version);
         }
         n
     }
@@ -229,6 +248,21 @@ impl CacheFleet {
 mod tests {
     use super::*;
 
+    // Pages by slot.
+    const A: u32 = 1;
+    const B: u32 = 2;
+    const C: u32 = 3;
+    const X: u32 = 4;
+    const Y: u32 = 5;
+    const Z: u32 = 6;
+    const MEDALS: u32 = 7;
+    const TODAY: u32 = 8;
+    const EVENT: u32 = 9;
+    const HOT: u32 = 10;
+    const COLD: u32 = 11;
+    const JUNK: u32 = 12;
+    const NOWHERE: u32 = 999;
+
     fn body(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
@@ -236,9 +270,9 @@ mod tests {
     #[test]
     fn distribute_reaches_all_members() {
         let fleet = CacheFleet::new(8, CacheConfig::default());
-        fleet.distribute("/today", body("<html>results</html>"), 40.0);
+        fleet.distribute(TODAY, body("<html>results</html>"), 40.0);
         for i in 0..8 {
-            let page = fleet.get_from(i, "/today").unwrap();
+            let page = fleet.get_from(i, TODAY).unwrap();
             assert_eq!(&page.body[..], b"<html>results</html>");
         }
         assert_eq!(fleet.aggregate_stats().hits, 8);
@@ -248,9 +282,9 @@ mod tests {
     fn distribute_shares_the_body_allocation() {
         let fleet = CacheFleet::new(4, CacheConfig::default());
         let b = body("shared");
-        fleet.distribute("/x", b.clone(), 1.0);
+        fleet.distribute(X, b.clone(), 1.0);
         // Bytes clones are refcounted views of one buffer.
-        let got = fleet.member(0).peek("/x").unwrap().body;
+        let got = fleet.member(0).peek(X).unwrap().body;
         assert_eq!(got.as_ptr(), b.as_ptr());
     }
 
@@ -258,36 +292,36 @@ mod tests {
     fn a_distribution_that_changes_nothing_keeps_every_entry() {
         let fleet = CacheFleet::new(8, CacheConfig::default());
         let first = body("standings");
-        assert!(fleet.distribute("/medals", first.clone(), 1.0));
+        assert!(fleet.distribute(MEDALS, first.clone(), 1.0));
         let updates = fleet.aggregate_stats().updates;
         // The same bytes in a new allocation, then in the held one.
-        let held = fleet.distributed("/medals").unwrap();
+        let held = fleet.distributed(MEDALS).unwrap();
         assert!(held.is_everywhere(&first));
         assert!(!held.is_everywhere(&body("standings")));
         for again in [body("standings"), held.body] {
-            assert!(!fleet.distribute("/medals", again, 9.0));
+            assert!(!fleet.distribute(MEDALS, again, 9.0));
         }
         assert_eq!(fleet.aggregate_stats().updates, updates);
         for m in fleet.members() {
-            let page = m.peek("/medals").unwrap();
+            let page = m.peek(MEDALS).unwrap();
             assert_eq!(page.version, 1);
             assert_eq!(page.body.as_ptr(), first.as_ptr());
         }
         // A member that changed on its own is brought back by the next
         // distribution, though it is of the bytes the others hold — and
         // brought back to the allocation they share.
-        fleet.put_local(5, "/medals", body("a local fill"), 1.0);
-        let held = fleet.distributed("/medals").unwrap();
+        fleet.put_local(5, MEDALS, body("a local fill"), 1.0);
+        let held = fleet.distributed(MEDALS).unwrap();
         assert!(!held.everywhere, "member 5 holds its own fill");
         assert_eq!(held.body.as_ptr(), first.as_ptr());
-        assert!(fleet.distribute("/medals", body("standings"), 1.0));
-        assert!(fleet.distributed("/medals").unwrap().is_everywhere(&first));
-        assert!(fleet.distributed("/nowhere").is_none());
+        assert!(fleet.distribute(MEDALS, body("standings"), 1.0));
+        assert!(fleet.distributed(MEDALS).unwrap().is_everywhere(&first));
+        assert!(fleet.distributed(NOWHERE).is_none());
         let versions: Vec<u64> = (0..8)
-            .map(|i| fleet.member(i).peek("/medals").unwrap().version)
+            .map(|i| fleet.member(i).peek(MEDALS).unwrap().version)
             .collect();
         assert_eq!(versions, [1, 1, 1, 1, 1, 3, 1, 1]);
-        let page = fleet.member(5).peek("/medals").unwrap();
+        let page = fleet.member(5).peek(MEDALS).unwrap();
         assert_eq!(page.body.as_ptr(), first.as_ptr());
     }
 
@@ -295,11 +329,11 @@ mod tests {
     fn anything_but_a_distribution_disturbs_the_fleet_for_good() {
         let disturb: [fn(&CacheFleet); 6] = [
             |f| {
-                f.put_local(1, "/a", body("local"), 1.0);
+                f.put_local(1, A, body("local"), 1.0);
             },
-            |f| f.member(2).restore_entry("/b", body("/b"), 1.0, 1),
-            |f| assert_eq!(f.invalidate_everywhere("/a"), 3),
-            |f| assert!(f.member(0).invalidate("/b")),
+            |f| f.member(2).restore_entry(B, body("/b"), 1.0, 1),
+            |f| assert_eq!(f.invalidate_everywhere(A), 3),
+            |f| assert!(f.member(0).invalidate(B)),
             |f| f.member(1).clear(),
             |f| {
                 f.resync(0, 2);
@@ -307,23 +341,23 @@ mod tests {
         ];
         for (i, disturb) in disturb.into_iter().enumerate() {
             let fleet = CacheFleet::new(3, CacheConfig::default());
-            for key in ["/a", "/b"] {
-                fleet.distribute(key, body(key), 1.0);
+            for key in [A, B] {
+                fleet.distribute(key, body(&key.to_string()), 1.0);
             }
-            fleet.distribute("/a", body("/a, again"), 1.0);
-            assert!(fleet.invalidate_everywhere("/nowhere") == 0 && fleet.undisturbed());
+            fleet.distribute(A, body("/a, again"), 1.0);
+            assert!(fleet.invalidate_everywhere(NOWHERE) == 0 && fleet.undisturbed());
             disturb(&fleet);
             assert!(!fleet.undisturbed(), "disturbance {i}");
-            fleet.distribute("/a", body("/a"), 1.0);
+            fleet.distribute(A, body("/a"), 1.0);
             assert!(!fleet.undisturbed(), "disturbance {i}: for good");
         }
 
         // Two shards of one 10-byte page per member: a third page evicts.
         let bounded = CacheConfig::bounded(20, crate::ReplacementPolicy::Lru).with_shards(1);
         let fleet = CacheFleet::new(2, bounded);
-        fleet.distribute("/x", body("0123456789"), 1.0);
+        fleet.distribute(X, body("0123456789"), 1.0);
         assert!(fleet.undisturbed());
-        for key in ["/y", "/z"] {
+        for key in [Y, Z] {
             fleet.distribute(key, body("0123456789"), 1.0);
         }
         assert!(fleet.aggregate_stats().evictions > 0 && !fleet.undisturbed());
@@ -332,27 +366,27 @@ mod tests {
     #[test]
     fn local_fill_stays_local() {
         let fleet = CacheFleet::new(3, CacheConfig::default());
-        assert_eq!(fleet.put_local(1, "/event", body("data"), 10.0), 1);
-        assert_eq!(fleet.put_local(1, "/event", body("more"), 10.0), 2);
-        assert!(fleet.get_from(1, "/event").is_some());
-        assert!(fleet.get_from(0, "/event").is_none());
-        assert!(fleet.get_from(2, "/event").is_none());
+        assert_eq!(fleet.put_local(1, EVENT, body("data"), 10.0), 1);
+        assert_eq!(fleet.put_local(1, EVENT, body("more"), 10.0), 2);
+        assert!(fleet.get_from(1, EVENT).is_some());
+        assert!(fleet.get_from(0, EVENT).is_none());
+        assert!(fleet.get_from(2, EVENT).is_none());
     }
 
     #[test]
     fn invalidate_everywhere_counts() {
         let fleet = CacheFleet::new(4, CacheConfig::default());
-        fleet.distribute("/a", body("1"), 1.0);
-        fleet.put_local(0, "/b", body("2"), 1.0);
-        assert_eq!(fleet.invalidate_everywhere("/a"), 4);
-        assert_eq!(fleet.invalidate_everywhere("/b"), 1);
-        assert_eq!(fleet.invalidate_everywhere("/c"), 0);
+        fleet.distribute(A, body("1"), 1.0);
+        fleet.put_local(0, B, body("2"), 1.0);
+        assert_eq!(fleet.invalidate_everywhere(A), 4);
+        assert_eq!(fleet.invalidate_everywhere(B), 1);
+        assert_eq!(fleet.invalidate_everywhere(C), 0);
     }
 
     #[test]
     fn clear_all() {
         let fleet = CacheFleet::new(2, CacheConfig::default());
-        fleet.distribute("/a", body("1"), 1.0);
+        fleet.distribute(A, body("1"), 1.0);
         fleet.clear();
         assert!(fleet.member(0).is_empty());
         assert!(fleet.member(1).is_empty());
@@ -367,42 +401,39 @@ mod tests {
     #[test]
     fn resync_rebuilds_a_recovered_node() {
         let fleet = CacheFleet::new(3, CacheConfig::default());
-        fleet.distribute("/a", body("alpha"), 10.0);
-        fleet.distribute("/a", body("alpha-v2"), 10.0); // version 2
-        fleet.distribute("/b", body("beta"), 5.0);
+        fleet.distribute(A, body("alpha"), 10.0);
+        fleet.distribute(A, body("alpha-v2"), 10.0); // version 2
+        fleet.distribute(B, body("beta"), 5.0);
         // Node 2 dies and comes back cold with junk.
         fleet.member(2).clear();
-        fleet.put_local(2, "/stale-junk", body("x"), 1.0);
+        fleet.put_local(2, JUNK, body("x"), 1.0);
         let copied = fleet.resync(0, 2);
         assert_eq!(copied, 2);
-        assert!(
-            fleet.member(2).peek("/stale-junk").is_none(),
-            "junk cleared"
-        );
+        assert!(fleet.member(2).peek(JUNK).is_none(), "junk cleared");
         // Content AND versions agree with the healthy peer.
-        for key in ["/a", "/b"] {
+        for key in [A, B] {
             let healthy = fleet.member(0).peek(key).unwrap();
             let resynced = fleet.member(2).peek(key).unwrap();
             assert_eq!(healthy.body, resynced.body, "{key}");
             assert_eq!(healthy.version, resynced.version, "{key}");
         }
-        assert_eq!(fleet.member(2).peek("/a").unwrap().version, 2);
+        assert_eq!(fleet.member(2).peek(A).unwrap().version, 2);
     }
 
     #[test]
     fn hotness_folds_across_members() {
         let fleet = CacheFleet::new(2, CacheConfig::default());
-        fleet.distribute("/hot", body("h"), 1.0);
-        fleet.distribute("/cold", body("c"), 1.0);
+        fleet.distribute(HOT, body("h"), 1.0);
+        fleet.distribute(COLD, body("c"), 1.0);
         // Traffic lands on different members; hotness is the fleet sum.
         for _ in 0..5 {
-            fleet.get_from(0, "/hot");
-            fleet.get_from(1, "/hot");
+            fleet.get_from(0, HOT);
+            fleet.get_from(1, HOT);
         }
-        fleet.get_from(0, "/cold");
+        fleet.get_from(0, COLD);
         fleet.fold_hotness(1);
-        let hot = fleet.hotness("/hot", 1);
-        let cold = fleet.hotness("/cold", 1);
+        let hot = fleet.hotness(HOT, 1);
+        let cold = fleet.hotness(COLD, 1);
         assert!(hot > cold, "hot {hot} vs cold {cold}");
         assert_eq!(hot, crate::hotness::EWMA_ALPHA * 10.0);
         // Top-half split puts /hot above the threshold and /cold below.
@@ -411,6 +442,45 @@ mod tests {
         // Sentinels pass straight through.
         assert_eq!(fleet.hotness_threshold(0, 1), f64::INFINITY);
         assert_eq!(fleet.hotness_threshold(1000, 1), f64::NEG_INFINITY);
+    }
+
+    /// Names slot `n` `/p{n}`.
+    #[derive(Debug)]
+    struct Numbered;
+
+    impl KeySpace for Numbered {
+        fn slot(&self, name: &str) -> Option<u32> {
+            name.strip_prefix("/p")?.parse().ok()
+        }
+
+        fn name(&self, slot: u32) -> String {
+            format!("/p{slot}")
+        }
+    }
+
+    #[test]
+    fn names_resolve_in_the_key_space() {
+        let fleet = CacheFleet::with_keys(2, CacheConfig::default(), Arc::new(Numbered));
+        assert!(fleet.distribute("/p7", body("seven"), 1.0));
+        assert_eq!(&fleet.get_from(1, 7).unwrap().body[..], b"seven");
+        assert!(fleet.member(0).contains("/p7") && fleet.member(0).contains(7));
+        assert!(fleet.get_from(0, "/nowhere").is_none());
+        let entries = fleet.member(0).export_entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].0.as_str(), entries[0].3), ("/p7", 1));
+        // Without a key space no name resolves, and a slot exports as
+        // itself.
+        let plain = CacheFleet::new(1, CacheConfig::default());
+        plain.distribute(7, body("seven"), 1.0);
+        assert!(plain.get_from(0, "/p7").is_none());
+        assert_eq!(plain.member(0).export_entries()[0].0, "7");
+    }
+
+    #[test]
+    #[should_panic(expected = "key space")]
+    fn a_name_outside_the_key_space_is_not_written() {
+        let fleet = CacheFleet::with_keys(1, CacheConfig::default(), Arc::new(Numbered));
+        fleet.distribute("/nowhere", body("x"), 1.0);
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //!   is next folded into or read, via `f64::powi` (exactly reproducible,
 //!   unlike a per-minute running product in a different fold order).
 //! * **Windowed input.** The caches accumulate hits per entry and hand
-//!   over only the touched keys ([`crate::PageCache::drain_window_hits`]).
+//!   over only the touched pages ([`crate::PageCache::drain_window_hits`]).
 //!
 //! Everything here is driven by the sim clock (a minute index) and seeded
 //! request order — no wall clock, no OS entropy — so same-seed runs
 //! produce bit-identical hotness values (DESIGN.md §10).
-
-use std::sync::Arc;
 
 use nagano_telemetry::sync::Mutex;
 use rustc_hash::FxHashMap;
@@ -62,10 +60,10 @@ impl Cell {
     }
 }
 
-/// EWMA hotness per page key, with lazy decay. See the module docs.
+/// EWMA hotness per page slot, with lazy decay. See the module docs.
 #[derive(Debug, Default)]
 pub struct HotnessTracker {
-    cells: Mutex<FxHashMap<Arc<str>, Cell>>,
+    cells: Mutex<FxHashMap<u32, Cell>>,
 }
 
 impl HotnessTracker {
@@ -74,18 +72,18 @@ impl HotnessTracker {
     /// smoothing factor in `(0, 1]`.
     pub fn fold<I>(&self, hits: I, minute: u64, alpha: f64)
     where
-        I: IntoIterator<Item = (Arc<str>, u64)>,
+        I: IntoIterator<Item = (u32, u64)>,
     {
         let mut cells = self.cells.lock();
-        for (key, n) in hits {
+        for (slot, n) in hits {
             let add = alpha * n as f64;
-            match cells.get_mut(&key) {
+            match cells.get_mut(&slot) {
                 Some(cell) => {
                     cell.value = cell.decayed(minute, alpha) + add;
                     cell.minute = cell.minute.max(minute);
                 }
                 None => {
-                    cells.insert(key, Cell { value: add, minute });
+                    cells.insert(slot, Cell { value: add, minute });
                 }
             }
         }
@@ -94,11 +92,11 @@ impl HotnessTracker {
         }
     }
 
-    /// Current hotness of `key` as of `minute` (0.0 if never tracked).
-    pub fn get(&self, key: &str, minute: u64, alpha: f64) -> f64 {
+    /// Current hotness of `slot` as of `minute` (0.0 if never tracked).
+    pub fn get(&self, slot: u32, minute: u64, alpha: f64) -> f64 {
         self.cells
             .lock()
-            .get(key)
+            .get(&slot)
             .map(|c| c.decayed(minute, alpha))
             .unwrap_or(0.0)
     }
@@ -124,7 +122,7 @@ impl HotnessTracker {
     ///   split degrades conservatively to invalidate-everything.
     ///
     /// Ties at the threshold value all count as hot; the caller's ranking
-    /// breaks exact ties deterministically by page key.
+    /// breaks exact ties deterministically by page.
     pub fn threshold(&self, hot_permille: u16, minute: u64, alpha: f64) -> f64 {
         if hot_permille == 0 {
             return f64::INFINITY;
@@ -151,33 +149,29 @@ impl HotnessTracker {
 mod tests {
     use super::*;
 
-    fn key(s: &str) -> Arc<str> {
-        Arc::from(s)
-    }
-
     #[test]
     fn fold_accumulates_and_decays() {
         let t = HotnessTracker::default();
-        t.fold([(key("/a"), 10)], 1, 0.5);
-        assert_eq!(t.get("/a", 1, 0.5), 5.0);
+        t.fold([(1, 10)], 1, 0.5);
+        assert_eq!(t.get(1, 1, 0.5), 5.0);
         // One minute idle halves it (alpha = 0.5), lazily on read.
-        assert_eq!(t.get("/a", 2, 0.5), 2.5);
+        assert_eq!(t.get(1, 2, 0.5), 2.5);
         // Folding more hits decays first, then adds.
-        t.fold([(key("/a"), 4)], 3, 0.5);
-        assert_eq!(t.get("/a", 3, 0.5), 5.0 * 0.25 + 2.0);
+        t.fold([(1, 4)], 3, 0.5);
+        assert_eq!(t.get(1, 3, 0.5), 5.0 * 0.25 + 2.0);
     }
 
     #[test]
     fn unknown_key_is_cold() {
         let t = HotnessTracker::default();
-        assert_eq!(t.get("/nope", 5, 0.3), 0.0);
+        assert_eq!(t.get(99, 5, 0.3), 0.0);
     }
 
     #[test]
     fn threshold_sentinels() {
         let t = HotnessTracker::default();
         assert_eq!(t.threshold(500, 1, 0.3), f64::INFINITY, "empty tracker");
-        t.fold([(key("/a"), 1)], 1, 0.3);
+        t.fold([(1, 1)], 1, 0.3);
         assert_eq!(t.threshold(0, 1, 0.3), f64::INFINITY);
         assert_eq!(t.threshold(1000, 1, 0.3), f64::NEG_INFINITY);
     }
@@ -185,21 +179,21 @@ mod tests {
     #[test]
     fn threshold_selects_the_quantile() {
         let t = HotnessTracker::default();
-        for (k, n) in [("/a", 100), ("/b", 50), ("/c", 10), ("/d", 1)] {
-            t.fold([(key(k), n)], 1, 0.5);
+        for (k, n) in [(1, 100), (2, 50), (3, 10), (4, 1)] {
+            t.fold([(k, n)], 1, 0.5);
         }
-        // 500‰ of 4 pages = top 2: threshold is /b's value.
+        // 500‰ of 4 pages = top 2: threshold is page 2's value.
         let thr = t.threshold(500, 1, 0.5);
         assert_eq!(thr, 25.0);
-        assert!(t.get("/a", 1, 0.5) >= thr);
-        assert!(t.get("/b", 1, 0.5) >= thr);
-        assert!(t.get("/c", 1, 0.5) < thr);
+        assert!(t.get(1, 1, 0.5) >= thr);
+        assert!(t.get(2, 1, 0.5) >= thr);
+        assert!(t.get(3, 1, 0.5) < thr);
     }
 
     #[test]
     fn tiny_quantile_of_tiny_population_is_nothing() {
         let t = HotnessTracker::default();
-        t.fold([(key("/a"), 1)], 1, 0.5);
+        t.fold([(1, 1)], 1, 0.5);
         // 100‰ of one page rounds to zero pages hot.
         assert_eq!(t.threshold(100, 1, 0.5), f64::INFINITY);
     }
@@ -207,11 +201,11 @@ mod tests {
     #[test]
     fn prune_drops_long_cold_pages() {
         let t = HotnessTracker::default();
-        t.fold([(key("/a"), 1)], 1, 0.5);
+        t.fold([(1, 1)], 1, 0.5);
         assert_eq!(t.len(), 1);
         // Hours later a fold at a prune-cadence minute sweeps it out.
-        t.fold([(key("/b"), 1)], 600, 0.5);
+        t.fold([(2, 1)], 600, 0.5);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get("/a", 600, 0.5), 0.0);
+        assert_eq!(t.get(1, 600, 0.5), 0.0);
     }
 }

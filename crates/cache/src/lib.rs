@@ -7,8 +7,11 @@
 //! 100%.
 //!
 //! Layout:
-//! * [`PageCache`] — a sharded concurrent map from page keys to immutable
-//!   byte bodies, with statistics and optional capacity bounds.
+//! * [`key`] — pages are keyed by a dense `u32` slot the caller assigns;
+//!   a fleet may carry a [`KeySpace`] that resolves names (URLs) to slots
+//!   for callers that hold only those.
+//! * [`PageCache`] — a sharded concurrent table from page slots to
+//!   immutable byte bodies, with statistics and optional capacity bounds.
 //! * [`policy`] — the replacement rule of a bounded cache: LRU. At the
 //!   Olympics site "all dynamic pages could be cached in memory without
 //!   overflow ... the system never had to apply a cache replacement
@@ -20,7 +23,7 @@
 //!   policy uses it to regenerate hot pages and invalidate the cold tail
 //!   (DESIGN.md §12).
 //! * Serving-path resilience (DESIGN.md §11): per-shard *single-flight*
-//!   maps so concurrent misses for one key coalesce into one
+//!   maps so concurrent misses for one page coalesce into one
 //!   regeneration ([`PageCache::join_or_lead`]), and an optional
 //!   [`StalePolicy`] that tombstones evicted/invalidated bodies for
 //!   bounded-age serve-stale-on-error ([`PageCache::serve_stale`]).
@@ -32,6 +35,7 @@
 pub mod cache;
 pub mod fleet;
 pub mod hotness;
+pub mod key;
 pub mod policy;
 pub mod stats;
 
@@ -40,5 +44,6 @@ pub use cache::{
 };
 pub use fleet::{CacheFleet, Distributed};
 pub use hotness::HotnessTracker;
+pub use key::{KeySpace, PageRef};
 pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -78,19 +78,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn url(key: u8) -> String {
-    format!("/p{key}")
+/// The page's slot.
+fn slot(key: u8) -> u32 {
+    u32::from(key)
 }
 
 fn content(key: u8, choice: u8) -> Vec<u8> {
     vec![b'a' + choice; 8 + (key as usize + choice as usize) % 5]
 }
 
-/// One naive member: key → (body, version).
-type Naive = BTreeMap<String, (Vec<u8>, u64)>;
+/// One naive member: slot → (body, version).
+type Naive = BTreeMap<u32, (Vec<u8>, u64)>;
 
-fn naive_put(member: &mut Naive, key: &str, body: &[u8], keep_equal: bool) -> bool {
-    match member.get_mut(key) {
+fn naive_put(member: &mut Naive, key: u32, body: &[u8], keep_equal: bool) -> bool {
+    match member.get_mut(&key) {
         Some((held, _)) if keep_equal && held == body => false,
         Some((held, version)) => {
             *held = body.to_vec();
@@ -98,7 +99,7 @@ fn naive_put(member: &mut Naive, key: &str, body: &[u8], keep_equal: bool) -> bo
             true
         }
         None => {
-            member.insert(key.to_string(), (body.to_vec(), 1));
+            member.insert(key, (body.to_vec(), 1));
             true
         }
     }
@@ -128,7 +129,7 @@ impl Subject {
 
     /// Distribute; on a standalone cache, what a distribution is to a
     /// fleet of one: a put, unless the bytes are held already.
-    fn distribute(&self, key: &str, body: Bytes, cost: f64) -> bool {
+    fn distribute(&self, key: u32, body: Bytes, cost: f64) -> bool {
         match self {
             Subject::Fleet(fleet) => fleet.distribute(key, body, cost),
             Subject::Standalone(cache) => {
@@ -141,7 +142,7 @@ impl Subject {
         }
     }
 
-    fn invalidate_everywhere(&self, key: &str) -> usize {
+    fn invalidate_everywhere(&self, key: u32) -> usize {
         match self {
             Subject::Fleet(fleet) => fleet.invalidate_everywhere(key),
             Subject::Standalone(cache) => usize::from(cache.invalidate(key)),
@@ -170,61 +171,61 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
     let n = subject.members().len();
     let mut model: Vec<Naive> = vec![Naive::new(); n];
     for (step, op) in ops.iter().enumerate() {
-        let mut written: Option<String> = None;
+        let mut written: Option<u32> = None;
         match op {
             Op::Distribute(k, body) => {
-                let key = url(*k);
+                let key = slot(*k);
                 let body = match body {
                     Body::Fresh(c) => Bytes::from(content(*k, *c)),
-                    Body::EqualTo(m) => match subject.members()[m % n].peek(&key) {
+                    Body::EqualTo(m) => match subject.members()[m % n].peek(key) {
                         Some(page) => Bytes::copy_from_slice(&page.body),
                         None => Bytes::from(content(*k, 0)),
                     },
                     Body::Held => subject.members()[0]
-                        .peek_body(&key)
+                        .peek_body(key)
                         .unwrap_or_else(|| Bytes::from(content(*k, 1))),
                 };
                 let mut expected = false;
                 for member in &mut model {
-                    expected |= naive_put(member, &key, &body, true);
+                    expected |= naive_put(member, key, &body, true);
                 }
-                let changed = subject.distribute(&key, body, 1.0 + f64::from(*k));
+                let changed = subject.distribute(key, body, 1.0 + f64::from(*k));
                 prop_assert_eq!(changed, expected, "step {}: {:?}", step, op);
                 written = Some(key);
             }
             Op::PutLocal(m, k, c) => {
-                let key = url(*k);
+                let key = slot(*k);
                 let body = content(*k, *c);
-                naive_put(&mut model[m % n], &key, &body, false);
-                let version = subject.members()[m % n].put(&key, Bytes::from(body), 2.0);
+                naive_put(&mut model[m % n], key, &body, false);
+                let version = subject.members()[m % n].put(key, Bytes::from(body), 2.0);
                 prop_assert_eq!(version, model[m % n][&key].1, "step {}: {:?}", step, op);
                 written = Some(key);
             }
             Op::Get(m, k) => {
-                let page = subject.members()[m % n].get(&url(*k));
+                let page = subject.members()[m % n].get(slot(*k));
                 let page = page.map(|page| (page.body.to_vec(), page.version));
-                prop_assert_eq!(page.as_ref(), model[m % n].get(&url(*k)), "step {}", step);
+                prop_assert_eq!(page.as_ref(), model[m % n].get(&slot(*k)), "step {}", step);
             }
             Op::Invalidate(m, k) => {
-                let was = subject.members()[m % n].invalidate(&url(*k));
-                prop_assert_eq!(was, model[m % n].remove(&url(*k)).is_some());
+                let was = subject.members()[m % n].invalidate(slot(*k));
+                prop_assert_eq!(was, model[m % n].remove(&slot(*k)).is_some());
             }
             Op::InvalidateEverywhere(k) => {
                 let held = model
                     .iter_mut()
-                    .filter_map(|member| member.remove(&url(*k)))
+                    .filter_map(|member| member.remove(&slot(*k)))
                     .count();
-                prop_assert_eq!(subject.invalidate_everywhere(&url(*k)), held);
+                prop_assert_eq!(subject.invalidate_everywhere(slot(*k)), held);
             }
             Op::Clear(m) => {
                 subject.members()[m % n].clear();
                 model[m % n].clear();
             }
             Op::Restore(m, k, c, version) => {
-                let key = url(*k);
+                let key = slot(*k);
                 let body = content(*k, *c);
-                model[m % n].insert(key.clone(), (body.clone(), *version));
-                subject.members()[m % n].restore_entry(&key, Bytes::from(body), 2.0, *version);
+                model[m % n].insert(key, (body.clone(), *version));
+                subject.members()[m % n].restore_entry(key, Bytes::from(body), 2.0, *version);
                 written = Some(key);
             }
             Op::Resync(from, to) => {
@@ -237,10 +238,10 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
         }
         for (m, (real, naive)) in subject.members().iter().zip(&mut model).enumerate() {
             if bounded {
-                naive.retain(|key, _| Some(key) == written.as_ref() || real.contains(key));
+                naive.retain(|&key, _| Some(key) == written || real.contains(key));
             }
             let held: Naive = real
-                .export_entries()
+                .entries()
                 .into_iter()
                 .map(|(key, body, _cost, version)| (key, (body.to_vec(), version)))
                 .collect();
@@ -251,7 +252,7 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
         }
         // No row outlives its last cell: the table has a row for every
         // page some member holds, and for no other.
-        let pages: BTreeSet<&String> = model.iter().flat_map(Naive::keys).collect();
+        let pages: BTreeSet<&u32> = model.iter().flat_map(Naive::keys).collect();
         for real in subject.members() {
             prop_assert_eq!(real.rows(), pages.len(), "step {}: {:?}", step, op);
         }
@@ -297,7 +298,7 @@ proptest! {
 #[test]
 fn lookups_local_writes_and_distributions_of_one_key_race() {
     const ROUNDS: usize = 20_000;
-    const KEY: &str = "/medals";
+    const KEY: u32 = 48;
     let (done, watchdog) = mpsc::channel();
     let race = std::thread::spawn(move || {
         let fleet = CacheFleet::new(MEMBERS, CacheConfig::default());

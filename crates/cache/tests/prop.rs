@@ -28,27 +28,27 @@ proptest! {
     #[test]
     fn unbounded_cache_is_a_map(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let cache = PageCache::new(CacheConfig::unbounded().with_shards(4));
-        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        let mut versions: BTreeMap<String, u64> = BTreeMap::new();
+        let mut model: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        let mut versions: BTreeMap<u32, u64> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Put(k, s) => {
-                    let key = format!("/p{k}");
+                    let key = u32::from(k);
                     let data = vec![k; s as usize];
-                    let v = cache.put(&key, Bytes::from(data.clone()), 1.0);
-                    model.insert(key.clone(), data);
+                    let v = cache.put(key, Bytes::from(data.clone()), 1.0);
+                    model.insert(key, data);
                     let expect = versions.entry(key).or_insert(0);
                     *expect += 1;
                     prop_assert_eq!(v, *expect);
                 }
                 Op::Get(k) => {
-                    let key = format!("/p{k}");
-                    let got = cache.get(&key).map(|p| p.body.to_vec());
+                    let key = u32::from(k);
+                    let got = cache.get(key).map(|p| p.body.to_vec());
                     prop_assert_eq!(got, model.get(&key).cloned());
                 }
                 Op::Invalidate(k) => {
-                    let key = format!("/p{k}");
-                    let was = cache.invalidate(&key);
+                    let key = u32::from(k);
+                    let was = cache.invalidate(key);
                     prop_assert_eq!(was, model.remove(&key).is_some());
                     versions.remove(&key);
                 }
@@ -70,12 +70,12 @@ proptest! {
             CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru).with_shards(1),
         );
         // Reference: Vec of keys, most recently used last.
-        let mut order: Vec<String> = Vec::new();
+        let mut order: Vec<u32> = Vec::new();
         for op in ops {
             match op {
                 Op::Put(k, _) => {
-                    let key = format!("/p{k}");
-                    cache.put(&key, Bytes::from(vec![k; ENTRY]), 1.0);
+                    let key = u32::from(k);
+                    cache.put(key, Bytes::from(vec![k; ENTRY]), 1.0);
                     order.retain(|x| x != &key);
                     order.push(key);
                     while order.len() * ENTRY > BUDGET as usize {
@@ -83,8 +83,8 @@ proptest! {
                     }
                 }
                 Op::Get(k) => {
-                    let key = format!("/p{k}");
-                    let hit = cache.get(&key).is_some();
+                    let key = u32::from(k);
+                    let hit = cache.get(key).is_some();
                     let model_hit = order.contains(&key);
                     prop_assert_eq!(hit, model_hit, "key {}", key);
                     if model_hit {
@@ -93,8 +93,8 @@ proptest! {
                     }
                 }
                 Op::Invalidate(k) => {
-                    let key = format!("/p{k}");
-                    let was = cache.invalidate(&key);
+                    let key = u32::from(k);
+                    let was = cache.invalidate(key);
                     let model_was = order.contains(&key);
                     order.retain(|x| x != &key);
                     prop_assert_eq!(was, model_was);
@@ -114,7 +114,7 @@ proptest! {
             CacheConfig::bounded(64, ReplacementPolicy::Lru).with_shards(1),
         );
         for (k, s) in ops {
-            cache.put(&format!("/p{k}"), Bytes::from(vec![0u8; s as usize]), k as f64);
+            cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]), k as f64);
             prop_assert!(cache.bytes() <= 64, "bytes {}", cache.bytes());
         }
     }
@@ -128,14 +128,14 @@ proptest! {
         for op in ops {
             match op {
                 Op::Put(k, s) => {
-                    cache.put(&format!("/p{k}"), Bytes::from(vec![0u8; s as usize]), 1.0);
+                    cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]), 1.0);
                 }
                 Op::Get(k) => {
-                    cache.get(&format!("/p{k}"));
+                    cache.get(u32::from(k));
                     gets += 1;
                 }
                 Op::Invalidate(k) => {
-                    cache.invalidate(&format!("/p{k}"));
+                    cache.invalidate(u32::from(k));
                 }
             }
         }

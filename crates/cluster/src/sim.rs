@@ -294,7 +294,7 @@ pub struct ClusterReport {
     /// Demand regenerations that replaced a stale tombstone — the work
     /// the single-flight map is supposed to keep at one per stale epoch.
     pub stale_regens: u64,
-    /// Distinct `(site, url, stale-epoch)` tuples behind
+    /// Distinct `(site, page, stale-epoch)` tuples behind
     /// [`Self::stale_regens`].
     pub stale_regen_keys: u64,
     /// Circuit-breaker closed→open transitions summed across sites.
@@ -356,7 +356,7 @@ impl ClusterReport {
         out
     }
 
-    /// Mean regenerations per distinct `(url, stale-epoch)` pair that was
+    /// Mean regenerations per distinct `(page, stale-epoch)` pair that was
     /// rendered out of staleness — 1.0 when request coalescing is
     /// airtight, climbing toward the stampede size without it.
     pub fn regens_per_stale_key(&self) -> f64 {
@@ -564,11 +564,11 @@ struct Complex {
     slowdown: f64,
     backend_down: bool,
     breaker: CircuitBreaker,
-    /// In-flight regenerations: url → when the render lands. Requests
+    /// In-flight regenerations: page slot → when the render lands. Requests
     /// arriving before then coalesce onto the flight instead of rendering
     /// again (the DES view of the per-shard single-flight maps in
     /// `nagano-cache`).
-    inflight: FxHashMap<String, SimTime>,
+    inflight: FxHashMap<u32, SimTime>,
     /// Pages an update refreshed (regenerated or invalidated) whose first
     /// subsequent fresh serve has not been observed yet → the owning
     /// transaction. Newer writes overwrite older claims.
@@ -609,10 +609,10 @@ struct SimState<'a> {
     /// freshness accounting on every delivery path.
     commit_times: Vec<SimTime>,
     watches: Vec<ConvergenceRecord>,
-    /// Regenerations per (site, url, stale-epoch): the stampede
+    /// Regenerations per (site, page slot, stale-epoch): the stampede
     /// measurement — each site owns its cache, so each may take exactly
     /// one regeneration per stale epoch of a key.
-    stale_regen_pairs: FxHashMap<(usize, String, u64), u64>,
+    stale_regen_pairs: FxHashMap<(usize, u32, u64), u64>,
     /// Update-lineage trees in flight, by transaction.
     pending_traces: FxHashMap<TxnId, PendingTrace>,
     /// Per-hour registry snapshots, written out after the run.
@@ -958,10 +958,12 @@ impl<'a> SimState<'a> {
             // at `at`) plus regeneration spread over the SMP's render
             // workers (DESIGN.md §6).
             let member = complex.monitor.fleet().member(0);
+            let space = self.registry.space();
             let held = outcome
                 .regenerated
                 .iter()
-                .filter(|k| member.peek(&k.to_url()).is_some())
+                .filter_map(|&k| space.slot(k))
+                .filter(|&slot| member.contains(slot))
                 .count();
             applied_at = at + SimDuration::from_secs_f64(held as f64 * 150.0 / 8.0 / 1_000.0);
             let visible = (applied_at - self.commit_times[txns[0].id.0 as usize - 1]).as_secs_f64();
@@ -1148,9 +1150,10 @@ impl<'a> SimState<'a> {
             return self.fail(Some(s), trace);
         }
         let url = sample.page.to_url();
-        let Some((bytes, mut server_ms, cache_hit)) =
-            self.serve_request(s, sample.page, &url, t_mid)
-        else {
+        // The request model samples pages of the site, each with a slot.
+        let slot = self.registry.space().slot(sample.page);
+        let served = slot.and_then(|slot| self.serve_request(s, sample.page, slot, t_mid));
+        let Some((bytes, mut server_ms, cache_hit)) = served else {
             // Backend down, breaker open or retries exhausted, and no
             // stale copy within its age bound: the 503 path.
             if let (Some(t), Some(route)) = (trace.as_mut(), route) {
@@ -1230,23 +1233,23 @@ impl<'a> SimState<'a> {
     /// [`nagano::serve`]: observe the cache, the flight map, the breaker
     /// and the backend, ask the table, and carry out its answer. `None`
     /// is a 503.
-    fn serve_request(&mut self, s: usize, page: PageKey, url: &str, t: SimTime) -> Option<Served> {
+    fn serve_request(&mut self, s: usize, page: PageKey, slot: u32, t: SimTime) -> Option<Served> {
         let c = &mut self.complexes[s];
         c.monitor.observe_request(page, t);
         let member = Arc::clone(c.monitor.fleet().member(0));
-        let cached = member.get(url);
+        let cached = member.get(slot);
         if cached.is_none() {
             // A demand fill caches its body at once and keeps the flight
             // open for as long as the render takes: with the body gone,
             // so is the flight.
-            c.inflight.remove(url);
+            c.inflight.remove(&slot);
         }
-        let lands_in = c.inflight.get(url).filter(|&&done| done > t);
+        let lands_in = c.inflight.get(&slot).filter(|&&done| done > t);
         let lands_in = lands_in.map(|&done| (done - t).as_secs_f64());
         if lands_in.is_some() {
             member.stats_handle().coalesce();
         }
-        let stale = member.peek_stale(url);
+        let stale = member.peek_stale(slot);
         let observed = Observation {
             fresh: cached.is_some(),
             flight: lands_in,
@@ -1260,7 +1263,7 @@ impl<'a> SimState<'a> {
             Decision::Hit => cached.map(|page| (page.body.len() as u64, 0.5, true)),
             Decision::Join => cached.map(|page| (page.body.len() as u64, 0.5 + wait_ms, false)),
             Decision::ServeStale => stale.map(|copy| serve_stale(&member, copy, 0.5)),
-            Decision::Fill => self.fill(s, page, url, t, stale),
+            Decision::Fill => self.fill(s, page, slot, t, stale),
             Decision::Fail => None,
         }
     }
@@ -1273,7 +1276,7 @@ impl<'a> SimState<'a> {
         &mut self,
         s: usize,
         page: PageKey,
-        url: &str,
+        slot: u32,
         t: SimTime,
         stale: Option<StaleCopy>,
     ) -> Option<Served> {
@@ -1309,13 +1312,13 @@ impl<'a> SimState<'a> {
         c.breaker.record_success();
         if let Some(copy) = &stale {
             self.report.stale_regens += 1;
-            let epoch = (s, url.to_string(), copy.epoch);
+            let epoch = (s, slot, copy.epoch);
             *self.stale_regen_pairs.entry(epoch).or_insert(0) += 1;
         }
         let cost_ms = out.cost_ms * c.slowdown;
         let secs = cost_ms / 1_000.0;
         let lands = t + SimDuration::from_secs_f64(secs);
-        c.inflight.insert(url.to_string(), lands);
+        c.inflight.insert(slot, lands);
         let decision = serve::after_render(Render::Done { secs }, tombstone, budget);
         match (decision, stale) {
             (Decision::ServeStale, Some(copy)) => Some(serve_stale(&member, copy, 0.5)),
@@ -1407,10 +1410,14 @@ impl<'a> SimState<'a> {
     fn audit(&self) -> u64 {
         let renderer = Renderer::new(Arc::clone(&self.db));
         let mut stale = 0u64;
+        let space = self.registry.space();
         for (key, _) in self.registry.pages() {
             let fresh = renderer.render(*key);
+            let Some(slot) = space.slot(*key) else {
+                continue;
+            };
             for c in &self.complexes {
-                if let Some(cached) = c.monitor.fleet().member(0).peek(&key.to_url()) {
+                if let Some(cached) = c.monitor.fleet().member(0).peek(slot) {
                     if cached.body != fresh.body {
                         stale += 1;
                     }

@@ -16,18 +16,12 @@ use nagano_httpd::{none_match, Handler, Request, Response, RetryAfterHint, Serve
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::sync::Mutex;
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot};
+use nagano_trigger::{
+    ConsistencyPolicy, PageUrls, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot,
+};
 
 use crate::resilience::CircuitBreaker;
 use crate::serve::{self, Decision, Observation, Render};
-
-thread_local! {
-    /// Per-worker URL-formatting buffer for the request hot path:
-    /// [`ServingSite::handle`] and [`ServingSite::respond`] render the
-    /// cache key into this instead of allocating a `String` per request.
-    static URL_SCRATCH: std::cell::RefCell<String> =
-        std::cell::RefCell::new(String::with_capacity(32));
-}
 
 /// Configuration for a serving site.
 #[derive(Debug, Clone)]
@@ -163,7 +157,11 @@ impl ServingSite {
         let db = Arc::new(OlympicDb::new());
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
-        let fleet = Arc::new(CacheFleet::new(config.fleet_size, config.cache.clone()));
+        let fleet = Arc::new(CacheFleet::with_keys(
+            config.fleet_size,
+            config.cache.clone(),
+            PageUrls::of(&registry),
+        ));
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)),
             Arc::clone(&fleet),
@@ -202,7 +200,9 @@ impl ServingSite {
         &self.monitor
     }
 
-    /// The serving cache fleet.
+    /// The serving cache fleet. Its pages are keyed by slot in the
+    /// registry's page space ([`PageRegistry::space`]); a URL names one
+    /// through the fleet's [`PageUrls`] key space.
     pub fn fleet(&self) -> &Arc<CacheFleet> {
         &self.fleet
     }
@@ -220,40 +220,44 @@ impl ServingSite {
     /// breaker is open, or a coalesced wait or the render overruns the
     /// request budget, a tombstoned stale copy is served instead
     /// (`stale: true`; [`crate::serve`] has the table). Returns `None` for
-    /// paths that are not part of the site.
+    /// paths that are not part of the site: a path that does not parse,
+    /// or names a day, entity or story the Games do not have.
     pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
-        Some(self.serve(node, PageKey::parse(path)?))
+        let (key, slot) = self.page(path)?;
+        Some(self.serve(node, key, slot))
+    }
+
+    /// The page `path` names and its slot, if it is a page of the site.
+    fn page(&self, path: &str) -> Option<(PageKey, u32)> {
+        let key = PageKey::parse(path)?;
+        Some((key, self.registry.space().slot(key)?))
     }
 
     /// The one lookup behind [`ServingSite::handle`] and
-    /// [`ServingSite::respond`]: take a request tick, look `key` up on
-    /// `node`, and answer a miss as [`ServingSite::handle_miss`] does.
-    fn serve(&self, node: usize, key: PageKey) -> ServedPage {
-        URL_SCRATCH.with(|cell| {
-            let mut url = cell.borrow_mut();
-            url.clear();
-            key.push_url(&mut url);
-            let now = self.ticks.fetch_add(1, Relaxed) as f64;
-            match self.fleet.get_from(node, &url) {
-                Some(page) => ServedPage {
-                    cache_hit: true,
-                    ..ServedPage::cached(page.body, page.version, false)
-                },
-                None => self.handle_miss(node, key, &url, now),
-            }
-        })
+    /// [`ServingSite::respond`]: take a request tick, look page `key`, in
+    /// `slot`, up on `node`, and answer a miss as
+    /// [`ServingSite::handle_miss`] does.
+    fn serve(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
+        let now = self.ticks.fetch_add(1, Relaxed) as f64;
+        match self.fleet.get_from(node, slot) {
+            Some(page) => ServedPage {
+                cache_hit: true,
+                ..ServedPage::cached(page.body, page.version, false)
+            },
+            None => self.handle_miss(node, key, slot, now),
+        }
     }
 
     /// The slow path of [`ServingSite::serve`]: observe the key's flight,
     /// freshness, tombstone and breaker, and do what [`serve::decide`] says
     /// (DESIGN.md §11a). `now` is the request tick observed before the
     /// cache lookup.
-    fn handle_miss(&self, node: usize, key: PageKey, url: &str, now: f64) -> ServedPage {
+    fn handle_miss(&self, node: usize, key: PageKey, slot: u32, now: f64) -> ServedPage {
         let member = self.fleet.member(node);
         let budget_secs = self.request_budget_secs;
         loop {
-            let flight = member.join_or_lead(url, Duration::from_secs_f64(budget_secs));
-            let (fresh, stale) = (member.peek(url), member.peek_stale(url));
+            let flight = member.join_or_lead(slot, Duration::from_secs_f64(budget_secs));
+            let (fresh, stale) = (member.peek(slot), member.peek_stale(slot));
             let breaker_admits = self.breaker.lock().allow(now);
             let observed = Observation {
                 fresh: fresh.is_some(),
@@ -277,7 +281,7 @@ impl ServingSite {
                 // that leads it.
                 (Decision::Join, FlightOutcome::TimedOut) => continue,
                 (Decision::Fill, FlightOutcome::Lead(token)) => {
-                    return self.fill(node, key, url, token, stale)
+                    return self.fill(node, key, slot, token, stale)
                 }
                 // Filled between this request's miss and its lead.
                 (Decision::Hit, FlightOutcome::Lead(token)) => {
@@ -305,7 +309,7 @@ impl ServingSite {
         &self,
         node: usize,
         key: PageKey,
-        url: &str,
+        slot: u32,
         token: FlightToken,
         stale: Option<StaleCopy>,
     ) -> ServedPage {
@@ -319,7 +323,7 @@ impl ServingSite {
         self.breaker.lock().record_success();
         self.publish_retry_after();
         let member = self.fleet.member(node);
-        member.complete_flight(token, member.peek(url));
+        member.complete_flight(token, member.peek(slot));
         let budget = self.request_budget_secs;
         let decision = serve::after_render(Render::Done { secs }, stale.is_some(), budget);
         match (decision, stale) {
@@ -338,10 +342,10 @@ impl ServingSite {
     /// names its version (so revalidating a hit never touches the render
     /// pool) and `200` with that version as the entity tag otherwise.
     pub fn respond(&self, node: usize, req: &Request) -> Response {
-        let Some(key) = PageKey::parse(&req.path) else {
+        let Some((key, slot)) = self.page(&req.path) else {
             return Response::not_found();
         };
-        let page = self.serve(node, key);
+        let page = self.serve(node, key, slot);
         let validator = req.if_none_match.as_deref();
         let mut response = if validator.is_some_and(|field| none_match(field, page.version)) {
             Response::not_modified(page.version)
@@ -559,6 +563,7 @@ impl ServingSite {
 mod tests {
     use super::*;
     use nagano_simcore::sync::blocking;
+    use std::collections::BTreeMap;
 
     fn site() -> ServingSite {
         ServingSite::build(SiteConfig::small())
@@ -580,6 +585,57 @@ mod tests {
         assert!(page.cost_ms < 1.0);
         assert!(s.handle(1, "/day/3/").unwrap().cache_hit);
         assert!(s.handle(0, "/nonexistent").is_none());
+    }
+
+    #[test]
+    fn ids_the_games_do_not_have_are_not_pages() {
+        let s = site();
+        let (rows, graph) = (s.fleet().member(0).len(), s.monitor().graph_size());
+        let mut paths: Vec<String> = ["/athletes/4294967295", "/day/0/", "/news/99999"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        paths.extend((1_000_000..1_000_100).map(|id| format!("/athletes/{id}")));
+        for path in &paths {
+            assert!(s.handle(0, path).is_none(), "{path}");
+            let response = s.respond(0, &get_request(path, None));
+            assert_eq!(response.status, nagano_httpd::Status::NotFound, "{path}");
+        }
+        assert_eq!(s.fleet().member(0).len(), rows, "nothing cached");
+        assert_eq!(s.monitor().graph_size(), graph, "nothing registered");
+    }
+
+    #[test]
+    fn the_fleets_url_adapters_agree_with_its_slots() {
+        let s = site();
+        let (fleet, space) = (s.fleet(), s.registry().space());
+        let exported: BTreeMap<String, (Bytes, u64)> = fleet
+            .member(0)
+            .export_entries()
+            .into_iter()
+            .map(|(url, body, _, version)| (url, (body, version)))
+            .collect();
+        assert_eq!(exported.len(), s.registry().len());
+        for &(key, _) in s.registry().pages() {
+            let (url, slot) = (key.to_url(), space.slot(key).unwrap());
+            let by_url = fleet.get_from(0, &url).unwrap();
+            let by_slot = fleet.member(0).peek(slot).unwrap();
+            assert_eq!(
+                (&by_url.body, by_url.version),
+                (&by_slot.body, by_slot.version)
+            );
+            assert_eq!(
+                exported[&url],
+                (by_slot.body.clone(), by_slot.version),
+                "{url}"
+            );
+            assert!(fleet.member(0).contains(&url));
+            // A distribution by URL lands in the page's slot.
+            let body = Bytes::from(format!("{url}, again"));
+            assert!(fleet.distribute(&url, body.clone(), 1.0), "{url}");
+            assert_eq!(fleet.member(1).peek(slot).unwrap().body, body, "{url}");
+        }
+        assert!(fleet.get_from(0, "/athletes/4294967295").is_none());
     }
 
     /// A site built from `config` whose fleet then lets every page go.

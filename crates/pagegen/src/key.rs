@@ -1,9 +1,9 @@
 //! Typed page identities.
 //!
 //! Every servable URL on the site maps to one [`PageKey`]; every key has a
-//! canonical URL (`to_url`) and parses back (`parse`). Keys double as the
-//! cache keys and — prefixed via [`PageKey::object_key`] — as the object
-//! vertices of the dependence graph.
+//! canonical URL (`to_url`) and parses back (`parse`). Below the parser a
+//! page is keyed by its slot in the page space ([`crate::PageSpace`]); a
+//! dependency on a fragment names it by [`PageKey::object_key`].
 
 use nagano_db::schema::push_decimal;
 use nagano_db::{AthleteId, CountryId, EventId, NewsId, SportId};
@@ -71,9 +71,8 @@ impl PageKey {
         out
     }
 
-    /// Append the canonical URL path to `out` — the serving hot path
-    /// formats cache keys into a reused buffer instead of allocating a
-    /// fresh `String` per request.
+    /// Append the canonical URL path to `out` — the renderer writes the
+    /// links of a page into its body without a `String` per link.
     pub fn push_url(self, out: &mut String) {
         let (prefix, id) = match self {
             PageKey::Home(d) => {
@@ -106,6 +105,12 @@ impl PageKey {
         out.push_str("page:");
         self.push_url(&mut out);
         out
+    }
+
+    /// The page whose object-vertex name `name` is ([`PageKey::object_key`]),
+    /// if it is one: a dependency on it is the hybrid edge of Figure 15.
+    pub fn from_object_key(name: &str) -> Option<PageKey> {
+        PageKey::parse(name.strip_prefix("page:")?)
     }
 
     /// Parse a URL path back into a key. Returns `None` for unknown paths.
@@ -232,6 +237,11 @@ mod tests {
     fn object_key_prefixes_url() {
         assert_eq!(PageKey::Medals.object_key(), "page:/medals");
         assert_eq!(PageKey::Event(EventId(3)).object_key(), "page:/events/3");
+        for key in all_sample_keys() {
+            assert_eq!(PageKey::from_object_key(&key.object_key()), Some(key));
+        }
+        assert_eq!(PageKey::from_object_key("/medals"), None);
+        assert_eq!(PageKey::from_object_key("data:medals"), None);
     }
 
     #[test]

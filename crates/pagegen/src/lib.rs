@@ -12,6 +12,8 @@
 //! * [`registry`] — enumerates the full page space for a seeded Games and
 //!   carries per-page metadata (dynamic vs static, nominal byte size,
 //!   popularity weight).
+//! * [`space`] — every page's dense slot ([`PageSpace`]), the key the
+//!   serving caches and the trigger monitor index pages by.
 //! * [`render`] — renders any page from the database, returning the body
 //!   *and the dependency list* the application must register with DUP
 //!   ("an application program is responsible for communicating data
@@ -35,10 +37,12 @@ mod plan;
 mod reads;
 pub mod registry;
 pub mod render;
+pub mod space;
 pub mod structure;
 
 pub use cost::CostModel;
 pub use key::{FragmentKey, PageKey};
 pub use registry::{PageMeta, PageRegistry};
 pub use render::{Dependency, RenderOutput, Renderer};
+pub use space::PageSpace;
 pub use structure::{NavigationModel, SiteStructure};

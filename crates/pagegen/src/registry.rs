@@ -6,10 +6,10 @@
 //! count scales with the seeded dataset and language multiplier.
 
 use nagano_db::OlympicDb;
-use rustc_hash::FxHashMap;
 
 use crate::key::{FragmentKey, PageKey};
 use crate::render::target_bytes;
+use crate::space::PageSpace;
 
 /// Metadata for one page in the registry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,9 @@ pub struct PageMeta {
 #[derive(Debug, Clone)]
 pub struct PageRegistry {
     pages: Vec<(PageKey, PageMeta)>,
-    index: FxHashMap<PageKey, usize>,
+    space: PageSpace,
+    /// Slot → 1 + the page's position in `pages`; 0 where no page is.
+    at: Vec<u32>,
     days: u32,
 }
 
@@ -78,12 +80,19 @@ impl PageRegistry {
             push(PageKey::News(article.id), 15.0);
         }
 
-        let index = pages
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| (*k, i))
-            .collect();
-        PageRegistry { pages, index, days }
+        let space = PageSpace::build(db, days);
+        let mut at = vec![0; space.len() as usize];
+        for (i, (key, _)) in pages.iter().enumerate() {
+            if let Some(slot) = space.slot(*key) {
+                at[slot as usize] = i as u32 + 1;
+            }
+        }
+        PageRegistry {
+            pages,
+            space,
+            at,
+            days,
+        }
     }
 
     /// Number of days covered.
@@ -96,9 +105,16 @@ impl PageRegistry {
         &self.pages
     }
 
+    /// The slot layout of the Games the registry enumerates: every page
+    /// here has a slot, in registry order.
+    pub fn space(&self) -> &PageSpace {
+        &self.space
+    }
+
     /// Metadata for one page.
     pub fn meta(&self, key: PageKey) -> Option<PageMeta> {
-        self.index.get(&key).map(|&i| self.pages[i].1)
+        let i = *self.at.get(self.space.slot(key)? as usize)?;
+        (i > 0).then(|| self.pages[i as usize - 1].1)
     }
 
     /// Number of pages.
@@ -206,6 +222,22 @@ mod tests {
         assert_eq!(reg.meta(key), Some(meta));
         assert_eq!(reg.weights().len(), reg.len());
         assert!(reg.weights().iter().all(|&w| w > 0.0));
+    }
+
+    #[test]
+    fn every_page_has_a_slot_in_registry_order() {
+        let reg = registry();
+        let slots: Vec<u32> = reg
+            .pages()
+            .iter()
+            .map(|&(k, _)| reg.space().slot(k).unwrap())
+            .collect();
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "slot order");
+        assert!(reg.meta(PageKey::Home(17)).is_none());
+        // A story the Games have not filed has a slot, but no metadata.
+        let unfiled = PageKey::News(nagano_db::NewsId(16_999));
+        assert!(reg.space().slot(unfiled).is_some());
+        assert!(reg.meta(unfiled).is_none());
     }
 
     #[test]

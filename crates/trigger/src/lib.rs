@@ -11,9 +11,9 @@
 //! * [`monitor::TriggerMonitor`] — consumes database transactions, resolves
 //!   changed records to ODG vertices, runs DUP, and applies a
 //!   [`policy::ConsistencyPolicy`]:
-//!   - `UpdateInPlace` — regenerate affected pages (in parallel, with
-//!     rayon) and push them into every serving cache; pages are never
-//!     missing, which is how the 1998 site reached ~100% hit rates;
+//!   - `UpdateInPlace` — regenerate affected pages one after the other
+//!     and push each into every serving cache; pages are never missing,
+//!     which is how the 1998 site reached ~100% hit rates;
 //!   - `Invalidate` — precise DUP invalidation (pages regenerate on the
 //!     next demand miss);
 //!   - `Hybrid` — hotness-aware split (DESIGN.md §12): regenerate stale
@@ -26,10 +26,16 @@
 //!   vertices (DESIGN.md §14): a data change marks the fragment, the
 //!   fragment marks every page embedding it, and the renderer's section
 //!   memo splices the fragment's one fresh render into each of them.
+//!
+//!   A page is keyed by its slot in the registry's page space
+//!   ([`nagano_pagegen::PageSpace`]) from there on: its vertex in the
+//!   graph, its registered dependency list, and its row in the fleet.
 //! * [`runner`] — a background thread driving the monitor from a
 //!   transaction subscription (the live deployment shape).
 //! * [`stats`] — counters and freshness tracking (event recorded → page
 //!   visible), backing the `fresh` and `regen` experiments.
+//! * [`urls`] — [`PageUrls`], the page space as a fleet's key space, for
+//!   callers that name pages by URL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +45,10 @@ pub mod monitor;
 pub mod policy;
 pub mod runner;
 pub mod stats;
+pub mod urls;
 
 pub use monitor::{DemandFill, TriggerMonitor, TxnOutcome};
 pub use policy::{ConsistencyPolicy, HybridConfig};
 pub use runner::TriggerRunner;
 pub use stats::{TriggerStats, TriggerStatsSnapshot};
+pub use urls::PageUrls;

@@ -10,7 +10,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use nagano_cache::CacheFleet;
 use nagano_db::Transaction;
 use nagano_odg::{DupEngine, Interner, NodeId, StalenessPolicy};
-use nagano_pagegen::{Dependency, PageKey, PageRegistry, RenderOutput, Renderer};
+use nagano_pagegen::{Dependency, PageKey, PageRegistry, PageSpace, RenderOutput, Renderer};
 use nagano_simcore::sync::Mutex;
 use nagano_simcore::{SimDuration, SimTime};
 
@@ -81,18 +81,50 @@ fn modeled_latency(visited: usize, invalidated: usize, render_ms: f64) -> SimDur
 /// State shared behind one mutex: the graph and the name interner change
 /// together (registering a render adds names *and* edges), so a single
 /// lock avoids ordering bugs between them.
+///
+/// A page's vertex is its slot in the page space; the data vertices are
+/// interned above that range, `space.len()` plus the name's interned id.
 struct GraphState {
     dup: DupEngine,
+    /// Names of the data vertices.
     names: Interner,
-    /// The page each object vertex stands for, by vertex id: written
-    /// where the vertex is registered, cleared where it is retired.
-    pages: Vec<Option<PageKey>>,
+    space: PageSpace,
 }
 
 impl GraphState {
     /// The page whose object vertex `id` is, if it is one.
     fn page_of(&self, id: NodeId) -> Option<PageKey> {
-        self.pages.get(id.0 as usize).copied().flatten()
+        self.space.key(id.0)
+    }
+
+    /// The page vertex named `name`, if it is a page's object name
+    /// ([`PageKey::object_key`]): a dependency on it is the hybrid edge of
+    /// Figure 15, from a fragment to the pages that embed it.
+    fn page_vertex(&self, name: &str) -> Option<NodeId> {
+        let key = PageKey::from_object_key(name)?;
+        self.space.slot(key).map(NodeId)
+    }
+
+    /// The vertex of the data the interner numbered `id`.
+    fn data_vertex(&self, id: NodeId) -> NodeId {
+        NodeId(self.space.len() + id.0)
+    }
+
+    /// `name`'s vertex, if it has one.
+    fn find(&self, name: &str) -> Option<NodeId> {
+        self.page_vertex(name)
+            .or_else(|| Some(self.data_vertex(self.names.get(name)?)))
+    }
+
+    /// `name`'s vertex, a data vertex interned if it is new.
+    fn intern(&mut self, name: &str) -> NodeId {
+        match self.page_vertex(name) {
+            Some(id) => id,
+            None => {
+                let id = self.names.intern(name);
+                self.data_vertex(id)
+            }
+        }
     }
 
     /// The vertices `txns` changed, for a unit-magnitude propagation: the
@@ -104,11 +136,7 @@ impl GraphState {
         let mut changed = Vec::new();
         for txn in txns {
             let first = changed.len();
-            for id in txn
-                .changes
-                .iter()
-                .filter_map(|c| self.names.get(&c.data_key))
-            {
+            for id in txn.changes.iter().filter_map(|c| self.find(&c.data_key)) {
                 if !changed[first..].contains(&id) {
                     changed.push(id);
                 }
@@ -153,14 +181,14 @@ pub struct DemandFill {
 pub struct TriggerMonitor {
     graph: Mutex<GraphState>,
     /// The dependency list last registered for each page that has an
-    /// object vertex — the renderer's own, shared. Registration only ever
-    /// adds edges, so while a page renders to the list recorded here every
-    /// one of its edges is in the graph and
+    /// object vertex, by slot — the renderer's own, shared. Registration
+    /// only ever adds edges, so while a page renders to the list recorded
+    /// here every one of its edges is in the graph and
     /// [`TriggerMonitor::register_render`] has nothing to do.
     /// Other edges are written only under the graph lock, together with
     /// the vertex they describe (another list of the same edges at any
     /// time); read on its own, never while taking the graph lock.
-    registered: Mutex<FxHashMap<PageKey, Arc<[Dependency]>>>,
+    registered: Mutex<Vec<Option<Arc<[Dependency]>>>>,
     renderer: Renderer,
     fleet: Arc<CacheFleet>,
     registry: Arc<PageRegistry>,
@@ -189,13 +217,14 @@ impl TriggerMonitor {
         registry: Arc<PageRegistry>,
         policy: ConsistencyPolicy,
     ) -> Self {
+        let space = *registry.space();
         TriggerMonitor {
             graph: Mutex::new(GraphState {
                 dup: DupEngine::new(),
                 names: Interner::new(),
-                pages: Vec::new(),
+                space,
             }),
-            registered: Mutex::new(FxHashMap::default()),
+            registered: Mutex::new(vec![None; space.len() as usize]),
             renderer,
             fleet,
             registry,
@@ -261,12 +290,12 @@ impl TriggerMonitor {
             .iter()
             .map(|&(key, _)| self.renderer.render_remembered(key))
             .collect();
-        let mut url = String::new();
+        let space = self.registry.space();
         for (&(key, _), out) in pages.iter().zip(rendered) {
-            url.clear();
-            key.push_url(&mut url);
             self.register_render(key, &out);
-            self.fleet.distribute(&url, out.body, out.cost_ms);
+            if let Some(slot) = space.slot(key) {
+                self.fleet.distribute(slot, out.body, out.cost_ms);
+            }
         }
         // A bounded fleet may have evicted a page for a later one, and is
         // disturbed if it did: the renderer must not hold on to a body the
@@ -274,9 +303,8 @@ impl TriggerMonitor {
         if !self.fleet.undisturbed() {
             let mut forgotten = 0;
             for &(key, _) in pages {
-                url.clear();
-                key.push_url(&mut url);
-                if self.fleet.distributed(&url).is_none() {
+                let slot = space.slot(key);
+                if slot.and_then(|slot| self.fleet.distributed(slot)).is_none() {
                     forgotten += u64::from(self.renderer.forget(key));
                 }
             }
@@ -287,9 +315,13 @@ impl TriggerMonitor {
 
     /// Register a rendered page's dependencies in the ODG (idempotent;
     /// re-registering after regeneration refreshes edges for pages whose
-    /// composition changed). The one entry to the graph's edges.
+    /// composition changed). The one entry to the graph's edges. A key
+    /// with no slot is not a page of the site and has no vertex.
     pub fn register_render(&self, key: PageKey, out: &RenderOutput) {
-        match self.registered.lock().get_mut(&key) {
+        let Some(slot) = self.registry.space().slot(key) else {
+            return;
+        };
+        match self.registered.lock()[slot as usize].as_mut() {
             Some(last) if Arc::ptr_eq(last, &out.deps) => return,
             // The same edges in another list: keep that one, which is the
             // one the renderer will hand out until the edges change.
@@ -300,17 +332,12 @@ impl TriggerMonitor {
             _ => {}
         }
         let mut g = self.graph.lock();
-        let object = g.names.intern(&key.object_key());
-        let slot = object.0 as usize;
-        if g.pages.len() <= slot {
-            g.pages.resize(slot + 1, None);
-        }
-        g.pages[slot] = Some(key);
+        let object = NodeId(slot);
         g.dup
             .graph_mut()
             .ensure_node(object, nagano_odg::NodeKind::Object);
         for dep in out.deps.iter() {
-            let data = g.names.intern(&dep.data_key);
+            let data = g.intern(&dep.data_key);
             // A non-finite/non-positive weight is a renderer bug; keep
             // the invalidation edge alive with unit weight rather than
             // panicking the serving path over a bad number.
@@ -318,7 +345,7 @@ impl TriggerMonitor {
                 let _ = g.dup.add_dependency(data, object, 1.0);
             }
         }
-        self.registered.lock().insert(key, Arc::clone(&out.deps));
+        self.registered.lock()[slot as usize] = Some(Arc::clone(&out.deps));
     }
 
     /// Process one committed transaction (at sim time zero; callers with
@@ -476,7 +503,9 @@ impl TriggerMonitor {
     /// Drop `key` from every serving cache, and the renderer's reference
     /// to the body it last made of it with them.
     fn invalidate_everywhere(&self, key: PageKey) {
-        self.fleet.invalidate_everywhere(&key.to_url());
+        if let Some(slot) = self.registry.space().slot(key) {
+            self.fleet.invalidate_everywhere(slot);
+        }
         self.renderer.forget(key);
     }
 
@@ -488,7 +517,8 @@ impl TriggerMonitor {
 
     /// Hotness for the hybrid ranking: the page's own traffic.
     fn hotness(&self, key: PageKey, minute: u64) -> f64 {
-        self.fleet.hotness(&key.to_url(), minute)
+        let slot = self.registry.space().slot(key);
+        slot.map_or(0.0, |slot| self.fleet.hotness(slot, minute))
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
@@ -527,15 +557,16 @@ impl TriggerMonitor {
             keys: keys.to_vec(),
             ..Default::default()
         };
-        let mut url = String::new();
+        // Every key here is a page vertex's, which is its slot.
+        let space = self.registry.space();
+        let held = |key: PageKey| {
+            space
+                .slot(key)
+                .and_then(|slot| self.fleet.distributed(slot))
+        };
         let undisturbed = self.fleet.undisturbed();
         let unmoved = self.renderer.answer_unmoved(keys, |key, body| {
-            undisturbed || {
-                url.clear();
-                key.push_url(&mut url);
-                let held = self.fleet.distributed(&url);
-                held.is_some_and(|held| held.is_everywhere(body))
-            }
+            undisturbed || held(key).is_some_and(|held| held.is_everywhere(body))
         });
         let mut forgotten = 0;
         for (&key, unmoved) in keys.iter().zip(unmoved) {
@@ -544,9 +575,7 @@ impl TriggerMonitor {
                 regen.revalidated += 1;
                 continue;
             }
-            url.clear();
-            key.push_url(&mut url);
-            let held = self.fleet.distributed(&url);
+            let held = held(key);
             if held.is_none() {
                 // Evicted: the renderer's reference to the body it made
                 // last must not outlive the fleet's by more than this.
@@ -561,8 +590,9 @@ impl TriggerMonitor {
             regen.patched += usize::from(out.patched);
             // Handed back the allocation every member holds: a
             // distribution would keep every entry as it is.
-            if !held.is_some_and(|h| h.is_everywhere(&out.body)) {
-                regen.changed += usize::from(self.fleet.distribute(&url, out.body, out.cost_ms));
+            let kept = held.is_some_and(|h| h.is_everywhere(&out.body));
+            if let Some(slot) = space.slot(key).filter(|_| !kept) {
+                regen.changed += usize::from(self.fleet.distribute(slot, out.body, out.cost_ms));
             }
         }
         self.clear_stale_marks(&regen.keys);
@@ -731,9 +761,12 @@ impl TriggerMonitor {
         let sections: FxHashSet<&'static str> =
             affected_pages.iter().map(|k| k.category()).collect();
         let mut invalidated = Vec::new();
+        let space = self.registry.space();
         for (key, meta) in self.registry.pages() {
             if meta.dynamic && sections.contains(key.category()) {
-                self.fleet.invalidate_everywhere(&key.to_url());
+                if let Some(slot) = space.slot(*key) {
+                    self.fleet.invalidate_everywhere(slot);
+                }
                 invalidated.push(*key);
             }
         }
@@ -801,7 +834,7 @@ impl TriggerMonitor {
             self.stats.set_deferred_depth(queue.len() as u64);
         }
         let mut g = self.graph.lock();
-        let Some(id) = g.names.get(&key.object_key()) else {
+        let Some(id) = g.space.slot(key).map(NodeId) else {
             return false;
         };
         // The records go with the edges: the page's own, and — a fragment
@@ -812,29 +845,28 @@ impl TriggerMonitor {
         // invalidation), or it would answer them unmoved, unregistered.
         {
             let mut registered = self.registered.lock();
-            registered.remove(&key);
+            registered[id.0 as usize] = None;
             for edge in g.dup.graph().successors(id) {
                 if let Some(page) = g.page_of(edge.to) {
-                    registered.remove(&page);
+                    registered[edge.to.0 as usize] = None;
                     self.renderer.forget(page);
                 }
             }
-        }
-        if let Some(page) = g.pages.get_mut(id.0 as usize) {
-            *page = None;
         }
         g.dup.graph_mut().remove_node(id).is_ok()
     }
 
     /// Demand-miss path used by server programs: render `key`, register
     /// its dependencies, and fill **one** serving cache (the node that
-    /// took the miss).
+    /// took the miss). A key with no slot is not a page of the site: it
+    /// is rendered, but neither registered nor cached (version 0).
     pub fn demand_fill(&self, node: usize, key: PageKey) -> DemandFill {
         let out = self.renderer.render(key);
         self.register_render(key, &out);
-        let version = self
-            .fleet
-            .put_local(node, &key.to_url(), out.body.clone(), out.cost_ms);
+        let version = self.registry.space().slot(key).map_or(0, |slot| {
+            self.fleet
+                .put_local(node, slot, out.body.clone(), out.cost_ms)
+        });
         // The page is fresh again (at least where the miss landed); the
         // staleness clock stops for it.
         self.stale_since.lock().remove(&key);
@@ -855,13 +887,20 @@ mod tests {
     use nagano_pagegen::FragmentKey;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
-        setup_on(CacheFleet::new(2, CacheConfig::default()), policy)
+        setup_on(2, CacheConfig::default(), policy)
     }
 
-    fn setup_on(fleet: CacheFleet, policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
+    /// A monitor over a fleet of `members` caches of `config`, whose pages
+    /// the tests name by URL.
+    fn setup_on(
+        members: usize,
+        config: CacheConfig,
+        policy: ConsistencyPolicy,
+    ) -> (Arc<OlympicDb>, TriggerMonitor) {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
+        let fleet = CacheFleet::with_keys(members, config, crate::PageUrls::of(&registry));
         let renderer = Renderer::new(Arc::clone(&db));
         let monitor = TriggerMonitor::new(renderer, Arc::new(fleet), registry, policy);
         (db, monitor)
@@ -943,7 +982,7 @@ mod tests {
         // Two shards of two members, each a few pages' worth: prewarm
         // evicts most of what it distributes.
         let small = CacheConfig::bounded(60_000, ReplacementPolicy::Lru).with_shards(1);
-        let (db, monitor) = setup_on(CacheFleet::new(2, small), ConsistencyPolicy::UpdateInPlace);
+        let (db, monitor) = setup_on(2, small, ConsistencyPolicy::UpdateInPlace);
         let warmed = monitor.prewarm();
         let registry = PageRegistry::build(&db, 16);
         let member = monitor.fleet().member(0);
@@ -1081,7 +1120,7 @@ mod tests {
     fn demand_fill_reports_the_version_its_put_was_given() {
         // One shard that holds one page: whatever is put next evicts it.
         let one_page = CacheConfig::bounded(12_000, ReplacementPolicy::Lru).with_shards(1);
-        let (_db, monitor) = setup_on(CacheFleet::new(1, one_page), ConsistencyPolicy::Invalidate);
+        let (_db, monitor) = setup_on(1, one_page, ConsistencyPolicy::Invalidate);
         let (medals, welcome) = (PageKey::Medals, PageKey::Welcome);
         assert_eq!(monitor.demand_fill(0, medals).version, 1);
         let fill = monitor.demand_fill(0, medals);
@@ -1259,8 +1298,7 @@ mod tests {
         // oversized pages below evict.
         const BUDGET: u64 = 64 << 20;
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
-        let fleet = CacheFleet::new(2, bounded);
-        let (db, monitor) = setup_on(fleet, ConsistencyPolicy::UpdateInPlace);
+        let (db, monitor) = setup_on(2, bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         assert!(monitor.fleet().undisturbed());
         let key = unmoved_by_the_first_final(&db);
@@ -1273,7 +1311,8 @@ mod tests {
             if fleet.distributed(&url).is_none() {
                 break;
             }
-            fleet.distribute(&format!("/junk/{n}"), fill.clone(), 1.0);
+            // Stories never filed: pages of the site no member holds.
+            fleet.distribute(&format!("/news/{}", 1_500 + n), fill.clone(), 1.0);
         }
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.stats().snapshot().pages_forgotten >= 1);

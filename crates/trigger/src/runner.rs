@@ -144,7 +144,8 @@ mod tests {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = Arc::new(CacheFleet::new(1, CacheConfig::default()));
+        let urls = crate::PageUrls::of(&registry);
+        let fleet = Arc::new(CacheFleet::with_keys(1, CacheConfig::default(), urls));
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)),
             Arc::clone(&fleet),
@@ -232,7 +233,8 @@ mod tests {
         for &(key, _) in registry.pages() {
             let out = normal.render(key);
             monitor.register_render(key, &out);
-            fleet.distribute(&key.to_url(), out.body, out.cost_ms);
+            let slot = registry.space().slot(key).unwrap();
+            fleet.distribute(slot, out.body, out.cost_ms);
         }
         let runner = TriggerRunner::spawn(monitor, db.subscribe());
         let ev = db.events()[0].clone();

@@ -16,7 +16,7 @@ use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{FragmentKey, PageKey, PageRegistry, Renderer};
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
+use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
 
 fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
     let db = Arc::new(OlympicDb::new());
@@ -24,7 +24,11 @@ fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::new(CacheFleet::new(2, CacheConfig::default())),
+        Arc::new(CacheFleet::with_keys(
+            2,
+            CacheConfig::default(),
+            PageUrls::of(&registry),
+        )),
         registry,
         policy,
     );

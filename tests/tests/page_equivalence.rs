@@ -46,7 +46,7 @@ use nagano_db::{
 use nagano_pagegen::{Dependency, FragmentKey, PageKey, PageRegistry, Renderer};
 use nagano_simcore::sync::blocking;
 use nagano_simcore::{DeterministicRng, SimTime};
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
+use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
 use nagano_workload::UpdateSchedule;
 
 fn seeded_db(games: &GamesConfig) -> Arc<OlympicDb> {
@@ -70,10 +70,12 @@ fn monitor_on(
     config: CacheConfig,
     policy: ConsistencyPolicy,
 ) -> TriggerMonitor {
+    let registry = Arc::new(PageRegistry::build(db, 16));
+    let fleet = CacheFleet::with_keys(2, config, PageUrls::of(&registry));
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(db)),
-        Arc::new(CacheFleet::new(2, config)),
-        Arc::new(PageRegistry::build(db, 16)),
+        Arc::new(fleet),
+        registry,
         policy,
     );
     monitor.prewarm();
@@ -1232,7 +1234,8 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
                 monitor.demand_fill(node, pages[rng.index(pages.len())]);
             }
             Disturbance::Eviction => {
-                let junk = format!("/junk/{i}");
+                // A story never filed: a page of the site no member holds.
+                let junk = format!("/news/{}", 1_500 + i);
                 let before = fleet.member(node).len();
                 fleet.put_local(node, &junk, fill.clone(), 1.0);
                 assert!(fleet.member(node).invalidate(&junk));

@@ -16,7 +16,7 @@ use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TxnOutcome};
+use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor, TxnOutcome};
 
 fn fresh_db() -> Arc<OlympicDb> {
     let db = Arc::new(OlympicDb::new());
@@ -27,7 +27,8 @@ fn fresh_db() -> Arc<OlympicDb> {
 /// A prewarmed monitor over `db` with a two-member fleet.
 fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
-    let fleet = Arc::new(CacheFleet::new(2, CacheConfig::default()));
+    let urls = PageUrls::of(&registry);
+    let fleet = Arc::new(CacheFleet::with_keys(2, CacheConfig::default(), urls));
     let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), fleet, registry, policy);
     monitor.prewarm();
     monitor

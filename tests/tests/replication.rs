@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, GamesConfig, OlympicDb, Replica};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
+use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
 
 struct SiteUnderTest {
     replica: Replica,
@@ -16,7 +16,8 @@ struct SiteUnderTest {
 
 impl SiteUnderTest {
     fn new(replica: Replica, registry: Arc<PageRegistry>) -> Self {
-        let fleet = Arc::new(CacheFleet::new(1, CacheConfig::default()));
+        let urls = PageUrls::of(&registry);
+        let fleet = Arc::new(CacheFleet::with_keys(1, CacheConfig::default(), urls));
         let monitor = TriggerMonitor::new(
             Renderer::new(Arc::clone(replica.db())),
             fleet,

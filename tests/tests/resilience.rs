@@ -26,7 +26,7 @@ fn stale_cache() -> Arc<PageCache> {
 /// `followers` threads pile onto the same miss while it is open.
 /// Returns the number of actual regenerations (body renders) the round
 /// performed — the property is that this is always exactly 1.
-fn stampede_round(cache: &Arc<PageCache>, key: &str, followers: usize, fresh: &str) -> usize {
+fn stampede_round(cache: &Arc<PageCache>, key: u32, followers: usize, fresh: &str) -> usize {
     let token = match cache.join_or_lead(key, Duration::from_secs(5)) {
         FlightOutcome::Lead(t) => t,
         other => panic!("first miss must lead the flight, got {other:?}"),
@@ -34,8 +34,7 @@ fn stampede_round(cache: &Arc<PageCache>, key: &str, followers: usize, fresh: &s
     let handles: Vec<_> = (0..followers)
         .map(|_| {
             let c = Arc::clone(cache);
-            let key = key.to_string();
-            thread::spawn(move || c.join_or_lead(&key, Duration::from_secs(5)))
+            thread::spawn(move || c.join_or_lead(key, Duration::from_secs(5)))
         })
         .collect();
     // Let followers attach, then render once and publish.
@@ -87,7 +86,8 @@ proptest! {
         rounds in 1usize..4,
     ) {
         let cache = stale_cache();
-        let key = "/results/jump";
+        // A page's slot.
+        let key = 17;
         let mut regens = 0usize;
         for round in 0..rounds {
             if round > 0 {
@@ -147,12 +147,13 @@ proptest! {
 
 #[test]
 fn stale_copies_respect_the_age_bound() {
+    const MEDALS: u32 = 48;
     let cache = PageCache::new(CacheConfig::default().with_stale(StalePolicy::bounded(60.0)));
     cache.set_now_secs(0.0);
-    cache.put("/medals", Bytes::from_static(b"gold: 1"), 1.0);
-    cache.invalidate("/medals");
+    cache.put(MEDALS, Bytes::from_static(b"gold: 1"), 1.0);
+    cache.invalidate(MEDALS);
     cache.set_now_secs(59.0);
-    let copy = cache.serve_stale("/medals").expect("within the bound");
+    let copy = cache.serve_stale(MEDALS).expect("within the bound");
     assert_eq!(&copy.body[..], b"gold: 1");
     assert!(copy.age_secs <= 60.0);
     // Past the bound the heartbeat prune retires the tombstone: the
@@ -160,7 +161,7 @@ fn stale_copies_respect_the_age_bound() {
     cache.set_now_secs(61.0);
     cache.prune_stale();
     assert!(
-        cache.serve_stale("/medals").is_none(),
+        cache.serve_stale(MEDALS).is_none(),
         "over-age stale copy must not be served"
     );
 }

@@ -10,12 +10,14 @@
 //! assertions composes every page it keeps and finishes every page it
 //! writes over afresh, to compare — so CI also runs this file with
 //! `--release`; the registration and the distribution of a kept page
-//! allocate nothing in either build.
+//! allocate nothing in either build. Nor does a warm hit on the serving
+//! path, from the request path to the cached body.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use nagano::{ServingSite, SiteConfig};
 use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -95,10 +97,12 @@ fn a_revalidated_regeneration_allocates_nothing() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
     let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let registry = Arc::new(PageRegistry::build(&db, 16));
+    let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
         Arc::clone(&fleet),
-        Arc::new(PageRegistry::build(&db, 16)),
+        registry,
         ConsistencyPolicy::UpdateInPlace,
     );
     monitor.prewarm();
@@ -110,18 +114,16 @@ fn a_revalidated_regeneration_allocates_nothing() {
     let countries = db.countries();
     let regenerate_countries = || -> Vec<bool> {
         let fresh = Renderer::new(Arc::clone(&db));
-        let mut url = String::with_capacity(64);
         let regenerate = |country: &nagano_db::Country| {
             let key = PageKey::Country(country.id);
-            url.clear();
-            key.push_url(&mut url);
-            let held = fleet.distributed(&url).expect("update in place").body;
+            let slot = space.slot(key).unwrap();
+            let held = fleet.distributed(slot).expect("update in place").body;
             let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
             let (changed, behind) = counted(|| {
                 monitor.register_render(key, &out);
-                fleet.distribute(&url, out.body, out.cost_ms)
+                fleet.distribute(slot, out.body, out.cost_ms)
             });
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
@@ -171,10 +173,12 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
     let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let registry = Arc::new(PageRegistry::build(&db, 16));
+    let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
         Arc::clone(&fleet),
-        Arc::new(PageRegistry::build(&db, 16)),
+        registry,
         ConsistencyPolicy::UpdateInPlace,
     );
     monitor.prewarm();
@@ -187,7 +191,6 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     let placed = podium(&db, event.id);
     let regenerating = monitor.renderer();
     let fresh = Renderer::new(Arc::clone(&db));
-    let mut url = String::with_capacity(64);
     let mut large = Vec::new();
     for posting in 0..4 {
         let scores: Vec<_> = placed
@@ -197,15 +200,14 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
         db.record_results(event.id, &scores, false, event.day);
         for &(athlete, _) in &placed {
             let key = PageKey::Athlete(athlete);
-            url.clear();
-            key.push_url(&mut url);
-            let held = fleet.distributed(&url).expect("update in place").body;
+            let slot = space.slot(key).unwrap();
+            let held = fleet.distributed(slot).expect("update in place").body;
             let (out, allocated) = counted_large(|| {
                 let out = regenerating.render_onto(key, Some(&held));
                 monitor.register_render(key, &out);
                 let body = out.body.clone();
                 assert!(
-                    fleet.distribute(&url, out.body, out.cost_ms),
+                    fleet.distribute(slot, out.body, out.cost_ms),
                     "{key} changed"
                 );
                 body
@@ -229,10 +231,12 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
     let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let registry = Arc::new(PageRegistry::build(&db, 16));
+    let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
         Arc::clone(&fleet),
-        Arc::new(PageRegistry::build(&db, 16)),
+        registry,
         ConsistencyPolicy::UpdateInPlace,
     );
     monitor.prewarm();
@@ -244,19 +248,17 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
     // render allocated.
     let regenerating = Renderer::new(Arc::clone(&db));
     let fresh = Renderer::new(Arc::clone(&db));
-    let mut url = String::with_capacity(64);
-    let mut regenerate_home_pages = |event: &nagano_db::Event| -> Vec<(u32, bool, u64)> {
+    let regenerate_home_pages = |event: &nagano_db::Event| -> Vec<(u32, bool, u64)> {
         db.record_results(event.id, &podium(&db, event.id), true, event.day);
         let pages = (1..=16).map(|day| {
             let key = PageKey::Home(day);
-            url.clear();
-            key.push_url(&mut url);
-            let held = fleet.distributed(&url).expect("update in place").body;
+            let slot = space.slot(key).unwrap();
+            let held = fleet.distributed(slot).expect("update in place").body;
             let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             monitor.register_render(key, &out);
             assert!(
-                fleet.distribute(&url, out.body, out.cost_ms),
+                fleet.distribute(slot, out.body, out.cost_ms),
                 "{key} changed"
             );
             (day, out.patched, rendering)
@@ -284,5 +286,21 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
                 assert_eq!(allocated, 0, "day {day}: {pages:?}");
             }
         }
+    }
+}
+
+#[test]
+fn a_warm_hit_allocates_nothing() {
+    let site = ServingSite::build(SiteConfig::small());
+    let paths = ["/medals", "/day/3/", "/athletes/7", "/fragments/results/2"];
+    // The first hit on a page marks it for the hotness window, which may
+    // grow that list; a hit on a page already marked writes a count.
+    for path in paths {
+        assert!(site.handle(0, path).unwrap().cache_hit, "{path}");
+    }
+    for path in paths {
+        let (page, allocated) = counted(|| site.handle(0, path));
+        assert!(page.unwrap().cache_hit, "{path}");
+        assert_eq!(allocated, 0, "{path}: a hit allocated");
     }
 }
