@@ -5,8 +5,10 @@
 //! shares one allocation). The caches of a fleet are the columns of one
 //! sharded table: a row per page with a cell per member, and beside a
 //! shard's rows each member's own eviction queue, byte count, tombstones
-//! and flights. Slot `s` lives in shard `s & mask`, at index `s >> shift`
-//! of that shard's rows. A [`PageCache`] is one column of a table — a
+//! and flights. A row also keeps its distributor's [`Memo`] of one body for
+//! exactly as long as some cell holds that very allocation. Slot `s` lives
+//! in shard `s & mask`, at index `s >> shift` of that shard's rows. A
+//! [`PageCache`] is one column of a table — a
 //! standalone cache the only column of its own — so a lookup takes one
 //! shard lock and indexes one vector, and so does a distribution to every
 //! member ([`crate::CacheFleet::distribute`]). The lock per shard is a
@@ -21,9 +23,10 @@
 //! Stamps come from a counter that only grows, so the queue is in
 //! eviction order without being sorted. An unbounded cache keeps no queue.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +82,7 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Unbounded cache with `n` shards.
+    /// Unbounded cache with the default shard count.
     pub fn unbounded() -> Self {
         Self::default()
     }
@@ -212,16 +215,46 @@ impl Entry {
     }
 }
 
+/// What a distributor keeps of a body beside it in the page's row
+/// ([`crate::CacheFleet::distribute_with`]). Opaque to the cache.
+pub type Memo = Box<dyn Any + Send + Sync>;
+
+/// An allocation, by address and length.
+type At = (usize, usize);
+
+fn at(body: &Bytes) -> At {
+    (body.as_ptr() as usize, body.len())
+}
+
+/// Whether `cell` holds the allocation at `at`.
+fn holds(cell: &Option<Entry>, at: At) -> bool {
+    cell.as_ref().is_some_and(|e| self::at(&e.body) == at)
+}
+
 /// One page across the fleet: a cell per member, side by side, so that
 /// what a distribution finds on every member is read off one row. A row
 /// lives as long as one of its cells is filled.
 struct Row {
     cells: Box<[Option<Entry>]>,
+    /// The memo of the allocation at `At`: kept while some cell holds it,
+    /// so no other allocation can come to lie there.
+    memo: Option<(At, Memo)>,
 }
 
 impl Row {
     fn is_empty(&self) -> bool {
         self.cells.iter().all(Option::is_none)
+    }
+
+    /// After cells let bodies go: drop the memo if no cell holds the body
+    /// it is of. Returns whether the row is empty.
+    fn settle(&mut self) -> bool {
+        if let Some((at, _)) = self.memo {
+            if !self.cells.iter().any(|c| holds(c, at)) {
+                self.memo = None;
+            }
+        }
+        self.is_empty()
     }
 }
 
@@ -254,14 +287,16 @@ impl Rows {
         }
         self.at[i].get_or_insert_with(|| Row {
             cells: (0..members).map(|_| None).collect(),
+            memo: None,
         })
     }
 
-    /// Drop `slot`'s row if no cell of it is filled.
-    fn remove_if_empty(&mut self, slot: u32) {
+    /// After cells of `slot`'s row let bodies go: [`Row::settle`] it, and
+    /// drop it if no cell of it is filled.
+    fn settle(&mut self, slot: u32) {
         let i = self.index(slot);
         if let Some(row) = self.at.get_mut(i) {
-            if row.as_ref().is_some_and(Row::is_empty) {
+            if row.as_mut().is_some_and(Row::settle) {
                 *row = None;
             }
         }
@@ -370,7 +405,6 @@ impl Shard {
         stats: &CacheStats,
         protect: u32,
         stale_now: Option<u64>,
-        let_go: &LetGo,
     ) {
         let column = &mut self.columns[c];
         while column.bytes > budget {
@@ -388,12 +422,11 @@ impl Shard {
             let Some(e) = cell.take_if(|e| e.stamp == stamp) else {
                 continue; // stale record
             };
-            self.rows.remove_if_empty(slot);
+            self.rows.settle(slot);
             let size = e.body.len() as u64;
             column.bytes -= size;
             column.entries -= 1;
             stats.evict(size);
-            let_go.note();
             if let Some(now_us) = stale_now {
                 column.tombstone(slot, e.body, e.version, now_us);
             }
@@ -441,7 +474,6 @@ pub(crate) struct Table {
     per_shard_budget: Option<u64>,
     stale: Option<StalePolicy>,
     members: Box<[Member]>,
-    let_go: LetGo,
 }
 
 impl std::fmt::Debug for Table {
@@ -479,7 +511,6 @@ impl Table {
             per_shard_budget: config.max_bytes.map(|b| b / n as u64),
             stale: config.stale,
             members: (0..members).map(|_| Member::default()).collect(),
-            let_go: LetGo::default(),
         })
     }
 
@@ -518,6 +549,9 @@ impl Table {
     /// and off one probe. Returns whether any entry was written, and the
     /// version the last of those members has the page at.
     ///
+    /// A `memo` of `body`, handed with a distribution to every member,
+    /// becomes the row's, of the allocation the first member then holds.
+    ///
     /// Cells written one after the other share what can be shared. The
     /// body: a member asked to keep an allocation other than the one
     /// passed in hands its own on, so a cell that is then written joins
@@ -531,6 +565,7 @@ impl Table {
         cost: f64,
         columns: Range<usize>,
         how: Put,
+        memo: Option<Memo>,
     ) -> (bool, u64) {
         let size = body.len() as u64;
         // Declared before the lock is taken, so that the body this holds
@@ -599,31 +634,49 @@ impl Table {
             }
             changed = true;
         }
-        if how != Put::Distributed {
-            self.let_go.note();
+        match memo {
+            Some(memo) => {
+                debug_assert!(how == Put::Distributed && row.cells.len() == self.members.len());
+                row.memo = row.cells[0].as_ref().map(|e| (at(&e.body), memo));
+            }
+            None if changed => _ = row.settle(),
+            None => {}
         }
         if let Some(budget) = self.per_shard_budget {
             for c in written {
                 let stats = &self.members[c].stats;
                 let now = self.stale_now(c);
-                shard.evict_to(c, budget, stats, slot, now, &self.let_go);
+                shard.evict_to(c, budget, stats, slot, now);
             }
         }
         (changed, version)
     }
 
-    /// The first member's body for `slot`, and whether every member holds
-    /// that very allocation: one look at the page's row, counting and
-    /// touching nothing.
-    pub(crate) fn distributed(&self, slot: u32) -> Option<(Bytes, bool)> {
+    /// The first member's body for `slot`, with the row's memo taken out
+    /// of the row if it is of that very allocation.
+    pub(crate) fn take_held(&self, slot: u32) -> Option<(Bytes, Option<Memo>)> {
+        let mut shard = self.shard_for(slot).lock();
+        let row = shard.rows.get_mut(slot)?;
+        let first = row.cells[0].as_ref()?.body.clone();
+        let memo = row.memo.take_if(|&mut (at, _)| holds(&row.cells[0], at));
+        Some((first, memo.map(|(_, memo)| memo)))
+    }
+
+    /// `f` of the first member's body for `slot` and the row's memo, under
+    /// the shard's lock, if every member holds the body the memo is of.
+    pub(crate) fn with_memo<T>(&self, slot: u32, f: impl FnOnce(&Bytes, &Memo) -> T) -> Option<T> {
         let shard = self.shard_for(slot).lock();
         let row = shard.rows.get(slot)?;
+        let (at, memo) = row.memo.as_ref()?;
         let first = &row.cells[0].as_ref()?.body;
-        let held = |cell: &Option<Entry>| {
-            cell.as_ref()
-                .is_some_and(|e| same_allocation(&e.body, first))
-        };
-        Some((first.clone(), row.cells.iter().all(held)))
+        let everywhere = row.cells.iter().all(|c| holds(c, *at));
+        everywhere.then(|| f(first, memo))
+    }
+
+    /// Whether `slot`'s row keeps a memo: of a body some member holds.
+    pub(crate) fn has_memo(&self, slot: u32) -> bool {
+        let shard = self.shard_for(slot).lock();
+        shard.rows.get(slot).is_some_and(|row| row.memo.is_some())
     }
 
     /// Remove `slot` from each member in `columns`; returns how many held
@@ -651,39 +704,8 @@ impl Table {
                 held += 1;
             }
         }
-        if held > 0 {
-            self.let_go.note();
-        }
-        rows.remove_if_empty(slot);
+        rows.settle(slot);
         held
-    }
-
-    /// Whether every member holds, of every page it holds, the body the
-    /// last distribution gave it, and every page distributed since it was
-    /// built: see [`LetGo`].
-    pub(crate) fn undisturbed(&self) -> bool {
-        !self.let_go.0.load(Relaxed)
-    }
-}
-
-/// Set for good the first time a member lets a page go — invalidated,
-/// evicted, cleared — or is given bytes for one outside a distribution: a
-/// local fill or a restore. Until then every member holds every page
-/// distributed to it as the bytes distributed last, so a distributor that
-/// remembers those need not ask the fleet ([`crate::CacheFleet::undisturbed`]).
-#[derive(Default)]
-struct LetGo(AtomicBool);
-
-impl LetGo {
-    /// Read before it is written, so that a bounded fleet's misses do not
-    /// each write a line every core reads. `Relaxed`: it publishes nothing
-    /// — a distributor that finds it set asks the fleet, under its locks —
-    /// and a note racing a regeneration may go unseen by it, as a local
-    /// fill racing one always could land after its probe.
-    fn note(&self) {
-        if !self.0.load(Relaxed) {
-            self.0.store(true, Relaxed);
-        }
     }
 }
 
@@ -842,7 +864,7 @@ impl PageCache {
     pub fn put(&self, key: impl PageRef, body: Bytes, cost: f64) -> u64 {
         let slot = self.table.slot_to_write(key);
         let only = self.column..self.column + 1;
-        self.table.place(slot, body, cost, only, Put::Local).1
+        self.table.place(slot, body, cost, only, Put::Local, None).1
     }
 
     /// Remove `key`; returns whether it was present. Under a
@@ -913,9 +935,8 @@ impl PageCache {
                     column.bytes -= size;
                     column.entries -= 1;
                     stats.invalidate(size);
-                    self.table.let_go.note();
                 }
-                if row.is_empty() {
+                if row.settle() {
                     *cell = None;
                 }
             }
@@ -980,7 +1001,7 @@ impl PageCache {
         let slot = self.table.slot_to_write(key);
         let only = self.column..self.column + 1;
         self.table
-            .place(slot, body, cost, only, Put::Restored(version));
+            .place(slot, body, cost, only, Put::Restored(version), None);
     }
 
     // ---- stale tombstones -------------------------------------------------

@@ -7,34 +7,20 @@
 //! update/invalidate operations. The members are the columns of one table
 //! (see [`crate::cache`]), so a broadcast takes one lock and indexes one
 //! row whatever the fleet's size, and `Bytes` bodies are
-//! reference-counted, so a distributed page costs one allocation.
+//! reference-counted, so a distributed page costs one allocation. The
+//! distributor's [`Memo`] of a body rides with the body's distribution and
+//! lives in the page's row for as long as some member holds that body.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rustc_hash::FxHashMap;
 
-use crate::cache::{CacheConfig, CachedPage, PageCache, Put, Table};
+use crate::cache::{CacheConfig, CachedPage, Memo, PageCache, Put, Table};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::key::{KeySpace, PageRef};
 use crate::stats::StatsSnapshot;
-
-/// A page as the fleet holds it ([`CacheFleet::distributed`]).
-#[derive(Debug, Clone)]
-pub struct Distributed {
-    /// The first member's body.
-    pub body: Bytes,
-    /// Whether every member holds that very allocation.
-    pub everywhere: bool,
-}
-
-impl Distributed {
-    /// Whether `body` is the allocation every member holds: a
-    /// distribution of it would keep every entry as it is.
-    pub fn is_everywhere(&self, body: &Bytes) -> bool {
-        self.everywhere && std::ptr::eq::<[u8]>(&*self.body, &**body)
-    }
-}
 
 /// A set of replicated serving caches fed by one distributor.
 #[derive(Debug)]
@@ -103,14 +89,11 @@ impl CacheFleet {
         self.members[i].get(key)
     }
 
-    /// What the last distribution of `key` left on the fleet, read off the
-    /// page's row counting and touching nothing: the first member's body —
-    /// what a regeneration renders onto — and whether every member holds
-    /// that very allocation, in which case a distribution of it would keep
-    /// every entry as it is.
-    pub fn distributed(&self, key: impl PageRef) -> Option<Distributed> {
-        let (body, everywhere) = self.table.distributed(self.table.slot(key)?)?;
-        Some(Distributed { body, everywhere })
+    /// The first member's body for `key`, counting and touching nothing:
+    /// what the last distribution left on the fleet, unless that member
+    /// let it go or took another.
+    pub fn distributed(&self, key: impl PageRef) -> Option<Bytes> {
+        self.members[0].peek_body(key)
     }
 
     /// Distribute a freshly rendered page to every member (the trigger
@@ -130,20 +113,57 @@ impl CacheFleet {
     ///
     /// If `key` is a name outside the key space: it names no slot.
     pub fn distribute(&self, key: impl PageRef, body: Bytes, cost: f64) -> bool {
-        let slot = self.table.slot_to_write(key);
-        let all = 0..self.members.len();
-        self.table.place(slot, body, cost, all, Put::Distributed).0
+        self.distribute_with(key, body, cost, None)
     }
 
-    /// Whether nothing but [`CacheFleet::distribute`] has written to the
-    /// fleet since it was built, nor has a member let a page go: no
-    /// invalidation, eviction, [`CacheFleet::put_local`], restore or clear
-    /// (so no [`CacheFleet::resync`]). While it holds, every member holds
-    /// every page distributed to it as the bytes distributed last, and a
-    /// distributor that remembers those need not ask. Once false, false
-    /// for good. One load.
-    pub fn undisturbed(&self) -> bool {
-        self.table.undisturbed()
+    /// [`CacheFleet::distribute`], keeping `memo`, if any, in the page's row
+    /// as the memo of the body every member then holds, until the last
+    /// member to hold that allocation lets it go.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space, as [`CacheFleet::distribute`].
+    pub fn distribute_with(
+        &self,
+        key: impl PageRef,
+        body: Bytes,
+        cost: f64,
+        memo: Option<Memo>,
+    ) -> bool {
+        let slot = self.table.slot_to_write(key);
+        let all = 0..self.members.len();
+        self.table
+            .place(slot, body, cost, all, Put::Distributed, memo)
+            .0
+    }
+
+    /// The first member's body for `key`, with the memo the page's row
+    /// keeps of that very allocation taken out of the row (and dropped if
+    /// it is not an `M`): what a regeneration renders onto and hands back
+    /// with its distribution.
+    pub fn take_held<M: Any>(&self, key: impl PageRef) -> Option<(Bytes, Option<Box<M>>)> {
+        let (body, memo) = self.table.take_held(self.table.slot(key)?)?;
+        Some((body, memo.and_then(|memo| memo.downcast().ok())))
+    }
+
+    /// `f` of the first member's body for `key` and the memo of type `M`
+    /// the page's row keeps, under the row's lock, if every member holds
+    /// the allocation the memo is of. Counts and touches nothing.
+    pub fn with_memo<M: Any, T>(
+        &self,
+        key: impl PageRef,
+        f: impl FnOnce(&Bytes, &M) -> T,
+    ) -> Option<T> {
+        let slot = self.table.slot(key)?;
+        let f = |body: &Bytes, memo: &Memo| Some(f(body, memo.downcast_ref()?));
+        self.table.with_memo(slot, f)?
+    }
+
+    /// Whether the page's row keeps a memo: of a body some member holds.
+    pub fn has_memo(&self, key: impl PageRef) -> bool {
+        self.table
+            .slot(key)
+            .is_some_and(|slot| self.table.has_memo(slot))
     }
 
     /// Broadcast an invalidation; returns how many members held the key.
@@ -253,8 +273,6 @@ mod tests {
     const B: u32 = 2;
     const C: u32 = 3;
     const X: u32 = 4;
-    const Y: u32 = 5;
-    const Z: u32 = 6;
     const MEDALS: u32 = 7;
     const TODAY: u32 = 8;
     const EVENT: u32 = 9;
@@ -296,9 +314,8 @@ mod tests {
         let updates = fleet.aggregate_stats().updates;
         // The same bytes in a new allocation, then in the held one.
         let held = fleet.distributed(MEDALS).unwrap();
-        assert!(held.is_everywhere(&first));
-        assert!(!held.is_everywhere(&body("standings")));
-        for again in [body("standings"), held.body] {
+        assert_eq!(held.as_ptr(), first.as_ptr());
+        for again in [body("standings"), held] {
             assert!(!fleet.distribute(MEDALS, again, 9.0));
         }
         assert_eq!(fleet.aggregate_stats().updates, updates);
@@ -311,11 +328,7 @@ mod tests {
         // distribution, though it is of the bytes the others hold — and
         // brought back to the allocation they share.
         fleet.put_local(5, MEDALS, body("a local fill"), 1.0);
-        let held = fleet.distributed(MEDALS).unwrap();
-        assert!(!held.everywhere, "member 5 holds its own fill");
-        assert_eq!(held.body.as_ptr(), first.as_ptr());
         assert!(fleet.distribute(MEDALS, body("standings"), 1.0));
-        assert!(fleet.distributed(MEDALS).unwrap().is_everywhere(&first));
         assert!(fleet.distributed(NOWHERE).is_none());
         let versions: Vec<u64> = (0..8)
             .map(|i| fleet.member(i).peek(MEDALS).unwrap().version)
@@ -326,41 +339,33 @@ mod tests {
     }
 
     #[test]
-    fn anything_but_a_distribution_disturbs_the_fleet_for_good() {
-        let disturb: [fn(&CacheFleet); 6] = [
-            |f| {
-                f.put_local(1, A, body("local"), 1.0);
-            },
-            |f| f.member(2).restore_entry(B, body("/b"), 1.0, 1),
-            |f| assert_eq!(f.invalidate_everywhere(A), 3),
-            |f| assert!(f.member(0).invalidate(B)),
-            |f| f.member(1).clear(),
-            |f| {
-                f.resync(0, 2);
-            },
-        ];
-        for (i, disturb) in disturb.into_iter().enumerate() {
-            let fleet = CacheFleet::new(3, CacheConfig::default());
-            for key in [A, B] {
-                fleet.distribute(key, body(&key.to_string()), 1.0);
-            }
-            fleet.distribute(A, body("/a, again"), 1.0);
-            assert!(fleet.invalidate_everywhere(NOWHERE) == 0 && fleet.undisturbed());
-            disturb(&fleet);
-            assert!(!fleet.undisturbed(), "disturbance {i}");
-            fleet.distribute(A, body("/a"), 1.0);
-            assert!(!fleet.undisturbed(), "disturbance {i}: for good");
-        }
-
-        // Two shards of one 10-byte page per member: a third page evicts.
-        let bounded = CacheConfig::bounded(20, crate::ReplacementPolicy::Lru).with_shards(1);
-        let fleet = CacheFleet::new(2, bounded);
-        fleet.distribute(X, body("0123456789"), 1.0);
-        assert!(fleet.undisturbed());
-        for key in [Y, Z] {
-            fleet.distribute(key, body("0123456789"), 1.0);
-        }
-        assert!(fleet.aggregate_stats().evictions > 0 && !fleet.undisturbed());
+    fn a_row_keeps_its_memo_while_a_member_holds_its_body() {
+        let memo = || -> Option<Memo> { Some(Box::new(7_u8)) };
+        let everywhere = |f: &CacheFleet| f.with_memo(A, |_, &m: &u8| m) == Some(7);
+        let fleet = CacheFleet::new(3, CacheConfig::default());
+        let first = body("/a");
+        assert!(fleet.distribute_with(A, first.clone(), 1.0, memo()) && everywhere(&fleet));
+        // Taken out with the body it is of, and handed back with it.
+        let (held, taken) = fleet.take_held::<u8>(A).unwrap();
+        assert!(held.as_ptr() == first.as_ptr() && !fleet.has_memo(A));
+        assert!(!fleet.distribute_with(A, held, 1.0, taken.map(|m| m as Memo)));
+        // Kept by a distribution of the bytes held, by a peer's resync and
+        // while one member holds the body; handed out only while all do.
+        assert!(!fleet.distribute(A, body("/a"), 1.0));
+        fleet.resync(0, 2);
+        assert!(everywhere(&fleet));
+        fleet.put_local(0, A, body("a local fill"), 1.0);
+        fleet.member(1).restore_entry(A, body("/a"), 1.0, 1);
+        assert!(fleet.has_memo(A) && !everywhere(&fleet));
+        assert!(fleet.take_held::<u8>(A).unwrap().1.is_none());
+        fleet.member(2).clear();
+        assert!(!fleet.has_memo(A));
+        // Dropped with a body no member holds any more.
+        fleet.distribute_with(A, first, 1.0, memo());
+        assert!(fleet.distribute(A, body("/a, again"), 1.0) && !fleet.has_memo(A));
+        fleet.distribute_with(A, body("/a"), 1.0, memo());
+        fleet.invalidate_everywhere(A);
+        assert!(!fleet.has_memo(A));
     }
 
     #[test]

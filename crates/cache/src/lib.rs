@@ -17,7 +17,9 @@
 //!   overflow ... the system never had to apply a cache replacement
 //!   algorithm" — the unbounded default.
 //! * [`CacheFleet`] — the eight per-frame serving caches fed by the
-//!   trigger monitor's distributor (Figure 6).
+//!   trigger monitor's distributor (Figure 6). A page's row also keeps the
+//!   distributor's [`Memo`] of the body its members hold, for as long as
+//!   one of them holds it.
 //! * [`hotness`] — per-page EWMA access frequency, folded from the
 //!   members' hit counters once per sim minute; the hybrid propagation
 //!   policy uses it to regenerate hot pages and invalidate the cold tail
@@ -40,9 +42,9 @@ pub mod policy;
 pub mod stats;
 
 pub use cache::{
-    CacheConfig, CachedPage, FlightOutcome, FlightToken, PageCache, StaleCopy, StalePolicy,
+    CacheConfig, CachedPage, FlightOutcome, FlightToken, Memo, PageCache, StaleCopy, StalePolicy,
 };
-pub use fleet::{CacheFleet, Distributed};
+pub use fleet::CacheFleet;
 pub use hotness::HotnessTracker;
 pub use key::{KeySpace, PageRef};
 pub use policy::ReplacementPolicy;

@@ -8,8 +8,10 @@
 //! invalidations, crashes, restores, resyncs and evictions, every member
 //! must hold what a map applying "bytes differ ⇒ version + 1, else
 //! untouched" holds — body and version — whether it is a standalone
-//! `PageCache`, the only member of a fleet or one of eight.
-//! And the table holds a row for exactly the pages some member holds.
+//! `PageCache`, the only member of a fleet or one of eight — allocation
+//! included. The table holds a row for exactly the pages some member holds,
+//! and a memo handed with a distribution for exactly as long as some member
+//! holds the allocation it is of: the first member's, when it was handed.
 //!
 //! The last test races lookups, a local writer and two distributors on
 //! one key, for what one lock per row has to guarantee.
@@ -43,7 +45,8 @@ enum Body {
 
 #[derive(Debug, Clone)]
 enum Op {
-    Distribute(u8, Body),
+    /// A distribution, with a memo if `true`.
+    Distribute(u8, Body, bool),
     PutLocal(usize, u8, u8),
     Get(usize, u8),
     Invalidate(usize, u8),
@@ -59,7 +62,7 @@ fn distribute_strategy() -> impl Strategy<Value = Op> {
         (0..MEMBERS).prop_map(Body::EqualTo),
         Just(Body::Held),
     ];
-    (0..KEYS, body).prop_map(|(k, b)| Op::Distribute(k, b))
+    (0..KEYS, body, any::<bool>()).prop_map(|(k, b, memo)| Op::Distribute(k, b, memo))
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -87,22 +90,38 @@ fn content(key: u8, choice: u8) -> Vec<u8> {
     vec![b'a' + choice; 8 + (key as usize + choice as usize) % 5]
 }
 
-/// One naive member: slot → (body, version).
-type Naive = BTreeMap<u32, (Vec<u8>, u64)>;
+/// One naive member: slot → (body, version), the body the very
+/// allocation the member holds.
+type Naive = BTreeMap<u32, (Bytes, u64)>;
 
-fn naive_put(member: &mut Naive, key: u32, body: &[u8], keep_equal: bool) -> bool {
-    match member.get_mut(&key) {
-        Some((held, _)) if keep_equal && held == body => false,
-        Some((held, version)) => {
-            *held = body.to_vec();
-            *version += 1;
-            true
-        }
-        None => {
-            member.insert(key, (body.to_vec(), 1));
-            true
+/// A put on one member: always a new version.
+fn naive_put(member: &mut Naive, key: u32, body: Bytes) {
+    let version = member.get(&key).map_or(0, |&(_, version)| version);
+    member.insert(key, (body, version + 1));
+}
+
+/// A distribution of `body` to every member in turn: a member that holds
+/// those bytes keeps its entry and hands its allocation on to the members
+/// written after it. Returns whether any entry was written.
+fn naive_distribute(model: &mut [Naive], key: u32, mut body: Bytes) -> bool {
+    let mut changed = false;
+    for member in model {
+        match member.get(&key) {
+            Some((held, _)) if *held == body => body = held.clone(),
+            _ => {
+                naive_put(member, key, body.clone());
+                changed = true;
+            }
         }
     }
+    changed
+}
+
+/// Whether `member` holds the very allocation `body` for `key`.
+fn holds(member: &Naive, key: u32, body: &Bytes) -> bool {
+    member
+        .get(&key)
+        .is_some_and(|(held, _)| held.as_ptr() == body.as_ptr())
 }
 
 /// What the operations are driven through: a fleet, or a cache built on
@@ -170,10 +189,13 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
     let subject = Subject::new(config, members);
     let n = subject.members().len();
     let mut model: Vec<Naive> = vec![Naive::new(); n];
+    // The memo of each page the table keeps one for: the allocation it is
+    // of, and the step that handed it.
+    let mut memos: BTreeMap<u32, (Bytes, usize)> = BTreeMap::new();
     for (step, op) in ops.iter().enumerate() {
         let mut written: Option<u32> = None;
         match op {
-            Op::Distribute(k, body) => {
+            Op::Distribute(k, body, memo) => {
                 let key = slot(*k);
                 let body = match body {
                     Body::Fresh(c) => Bytes::from(content(*k, *c)),
@@ -185,25 +207,30 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
                         .peek_body(key)
                         .unwrap_or_else(|| Bytes::from(content(*k, 1))),
                 };
-                let mut expected = false;
-                for member in &mut model {
-                    expected |= naive_put(member, key, &body, true);
-                }
-                let changed = subject.distribute(key, body, 1.0 + f64::from(*k));
+                let expected = naive_distribute(&mut model, key, body.clone());
+                let cost = 1.0 + f64::from(*k);
+                let changed = match &subject {
+                    // A cache on its own keeps no memo.
+                    Subject::Fleet(fleet) if *memo => {
+                        memos.insert(key, (model[0][&key].0.clone(), step));
+                        fleet.distribute_with(key, body, cost, Some(Box::new(step)))
+                    }
+                    _ => subject.distribute(key, body, cost),
+                };
                 prop_assert_eq!(changed, expected, "step {}: {:?}", step, op);
                 written = Some(key);
             }
             Op::PutLocal(m, k, c) => {
                 let key = slot(*k);
-                let body = content(*k, *c);
-                naive_put(&mut model[m % n], key, &body, false);
-                let version = subject.members()[m % n].put(key, Bytes::from(body), 2.0);
+                let body = Bytes::from(content(*k, *c));
+                naive_put(&mut model[m % n], key, body.clone());
+                let version = subject.members()[m % n].put(key, body, 2.0);
                 prop_assert_eq!(version, model[m % n][&key].1, "step {}: {:?}", step, op);
                 written = Some(key);
             }
             Op::Get(m, k) => {
                 let page = subject.members()[m % n].get(slot(*k));
-                let page = page.map(|page| (page.body.to_vec(), page.version));
+                let page = page.map(|page| (page.body, page.version));
                 prop_assert_eq!(page.as_ref(), model[m % n].get(&slot(*k)), "step {}", step);
             }
             Op::Invalidate(m, k) => {
@@ -223,9 +250,9 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
             }
             Op::Restore(m, k, c, version) => {
                 let key = slot(*k);
-                let body = content(*k, *c);
+                let body = Bytes::from(content(*k, *c));
                 model[m % n].insert(key, (body.clone(), *version));
-                subject.members()[m % n].restore_entry(key, Bytes::from(body), 2.0, *version);
+                subject.members()[m % n].restore_entry(key, body, 2.0, *version);
                 written = Some(key);
             }
             Op::Resync(from, to) => {
@@ -243,9 +270,13 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
             let held: Naive = real
                 .entries()
                 .into_iter()
-                .map(|(key, body, _cost, version)| (key, (body.to_vec(), version)))
+                .map(|(key, body, _cost, version)| (key, (body, version)))
                 .collect();
             prop_assert_eq!(&held, &*naive, "step {}: {:?}: member {}", step, op, m);
+            for (&key, (body, _)) in &held {
+                let same = holds(naive, key, body);
+                prop_assert!(same, "step {}: {:?}: member {}: {}", step, op, m, key);
+            }
             prop_assert_eq!(real.len(), naive.len(), "step {}: member {}", step, m);
             let bytes: usize = naive.values().map(|(body, _)| body.len()).sum();
             prop_assert_eq!(real.bytes(), bytes as u64, "step {}: member {}", step, m);
@@ -255,6 +286,21 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
         let pages: BTreeSet<&u32> = model.iter().flat_map(Naive::keys).collect();
         for real in subject.members() {
             prop_assert_eq!(real.rows(), pages.len(), "step {}: {:?}", step, op);
+        }
+        // A memo lives while some member holds the allocation it is of, and
+        // is handed out while every member does.
+        memos.retain(|&key, (of, _)| model.iter().any(|member| holds(member, key, of)));
+        let Subject::Fleet(fleet) = &subject else {
+            continue;
+        };
+        for key in (0..KEYS).map(slot) {
+            let memo = memos.get(&key);
+            prop_assert_eq!(fleet.has_memo(key), memo.is_some(), "step {}", step);
+            let everywhere =
+                memo.filter(|(of, _)| model.iter().all(|member| holds(member, key, of)));
+            let expected = everywhere.map(|(of, handed)| (of.as_ptr(), *handed));
+            let real = fleet.with_memo(key, |body, &handed: &usize| (body.as_ptr(), handed));
+            prop_assert_eq!(real, expected, "step {}: {:?}: {}", step, op, key);
         }
     }
     Ok(())

@@ -453,8 +453,8 @@ impl ServingSite {
         out.push_str(&format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
-             \"pages_changed\":{},\"pages_revalidated\":{},\"pages_forgotten\":{},\
-             \"pages_patched\":{},\"deferred_depth\":{},\"deferred_shed\":{}}},\
+             \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{},\
+             \"deferred_depth\":{},\"deferred_shed\":{}}},\
              \"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\"caches\":[",
             self.registry.len(),
             odg_nodes,
@@ -464,7 +464,6 @@ impl ServingSite {
             trig.pages_regenerated,
             trig.pages_changed,
             trig.pages_revalidated,
-            trig.pages_forgotten,
             trig.pages_patched,
             trig.deferred_depth,
             trig.deferred_shed,
@@ -778,11 +777,10 @@ mod tests {
         let status = s.status_json();
         assert!(status.contains(&format!(
             "\"pages_regenerated\":{},\"pages_changed\":{},\"pages_revalidated\":{},\
-             \"pages_forgotten\":{},\"pages_patched\":{}",
+             \"pages_patched\":{}",
             trigger.pages_regenerated,
             trigger.pages_changed,
             trigger.pages_revalidated,
-            trigger.pages_forgotten,
             trigger.pages_patched
         )));
         // Kept by their stamps and patched are two ways of not composing.

@@ -43,6 +43,6 @@ pub mod structure;
 pub use cost::CostModel;
 pub use key::{FragmentKey, PageKey};
 pub use registry::{PageMeta, PageRegistry};
-pub use render::{Dependency, RenderOutput, Renderer};
+pub use render::{Dependency, PageMemo, RenderOutput, Renderer};
 pub use space::PageSpace;
 pub use structure::{NavigationModel, SiteStructure};

@@ -22,6 +22,7 @@
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -114,13 +115,13 @@ struct SectionMemo {
 /// One section a page spliced at its top level: the stamp of the
 /// section's source its HTML was rendered at, where that HTML lies in the
 /// page — in the inner HTML while the page is composed, in the finished
-/// body once the page memo keeps it — and which of the lists its memo
+/// body once a [`PageMemo`] keeps it — and which of the lists its memo
 /// entry held the page registered ([`SectionMemo::edges`]).
 ///
 /// 32 bytes, offsets in `u32`: a list of splices is then allocated in the
 /// size classes the dependency list of every compose passes through, and
 /// takes a chunk one of those left free. At 40 bytes, the lists the page
-/// memo keeps raised the peak RSS of a process that regenerates on a
+/// memos keep raised the peak RSS of a process that regenerates on a
 /// thread of its own by a quarter (DESIGN.md §14a, "Memory").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Splice {
@@ -141,29 +142,49 @@ impl Splice {
     }
 }
 
-/// What [`Renderer::render_onto`] last made of a page it was given a body
-/// for: the body and dependency list it returned, and what covered the
-/// reads behind them — the page's own reads, and its splices at their
-/// offsets in the body.
+/// What [`Renderer::render_onto`] made of a page: what covered the reads
+/// behind the body it returned — the page's own reads, and its splices at
+/// their offsets in the body — and the dependency list and cost it
+/// returned with it. The renderer keeps none: its caller keeps the memo
+/// beside the body (a fleet, in the page's row) and hands both to the next
+/// render of the page onto that body, which answers from the memo and
+/// hands it back brought up to what it returns.
 #[derive(Debug)]
-struct PageMemo {
+pub struct PageMemo {
+    /// The renderer that made it: a splice names an edge list of that
+    /// renderer's section memo ([`Splice::edges`]).
+    renderer: u64,
     coverage: Coverage,
-    /// A reference, not a copy: while it is held, no other allocation can
-    /// come to lie at its address, nor can it be written over.
-    body: Body,
+    /// Bytes of head and inner HTML in the body.
+    content_len: usize,
     deps: Arc<[Dependency]>,
     /// The page's modelled cost, which the model spells the page's URL
     /// out to work out: kept so that a kept page allocates nothing and a
     /// composed one does not hash its URL again.
     cost_ms: f64,
-    /// Bumped by every store: a patch stores only over the entry it was
-    /// worked out from.
-    generation: u64,
 }
 
-/// A finished page's body, as the page memo holds it and as it is parked
-/// once a regeneration replaced it, to be written over by the next page
-/// of its size when nothing else holds it any more.
+impl PageMemo {
+    /// Bring the memo of a body up to that body as `patched`: the moved
+    /// splices at their new stamps and every splice where it now lies.
+    fn patched(&mut self, patched: &Patched<'_>) {
+        let (mut grown, mut shrunk) = (0, 0);
+        let mut moved = patched.moved.iter().peekable();
+        for (index, splice) in self.coverage.splices_mut().iter_mut().enumerate() {
+            splice.start = splice.start - shrunk + grown;
+            if let Some(m) = moved.next_if(|m| m.index == index) {
+                let len = m.fresh.len() as u32;
+                (grown, shrunk) = (grown + len, shrunk + splice.len);
+                (splice.revision, splice.len) = (m.now, len);
+            }
+        }
+        self.content_len = patched.len();
+    }
+}
+
+/// A finished page's body as it is parked once a regeneration replaced
+/// it, to be written over by the next page of its size when nothing else
+/// holds it any more.
 #[derive(Debug)]
 struct Body {
     bytes: Bytes,
@@ -172,25 +193,19 @@ struct Body {
     content_len: usize,
 }
 
-/// How [`Renderer::render_onto`] answers a page it is handed a body for.
+/// How [`Renderer::render_onto`] answers a page it is handed a body and
+/// its memo for.
+#[derive(Clone, Copy, PartialEq)]
 enum Answer {
     /// Nothing the held body was made from moved: it is the page.
-    Unmoved(Kept),
+    Unmoved,
     /// Only sections the page splices moved, and each one's memo entry
     /// stands — or was brought — at its new stamp with the edges the page
     /// registered from it: the page is the held body with those sections
     /// rewritten.
-    Patch(Kept),
+    Patch,
     /// Neither: the page is composed.
     Compose,
-}
-
-/// What the page memo kept beside the body a render was handed.
-struct Kept {
-    deps: Arc<[Dependency]>,
-    cost_ms: f64,
-    content_len: usize,
-    generation: u64,
 }
 
 /// A spliced section a patch rewrites.
@@ -267,13 +282,14 @@ thread_local! {
 /// section's source data — read from that same view — is the one it was
 /// rendered at; a section render is a pure function of that data, so a
 /// long-lived renderer and a fresh one return the same bytes. A page
-/// rendered onto the body this renderer last returned for it — or
-/// prewarmed with [`Renderer::render_remembered`] — is not composed at all
-/// while the stamps of everything it read stand where they stood, nor
-/// while only sections it splices moved and each of them still lists the
-/// edges it had: that body is patched instead.
+/// rendered onto a body with the [`PageMemo`] this renderer returned with
+/// it is not composed at all while the stamps of everything it read stand
+/// where they stood, nor while only sections it splices moved and each of
+/// them still lists the edges it had: that body is patched instead.
 #[derive(Debug)]
 pub struct Renderer {
+    /// Which renderer this is, for the page memos it makes.
+    id: u64,
     db: Arc<OlympicDb>,
     cost: CostModel,
     /// When `Some(scale)`, rendering burns `cost_ms * scale` of real CPU
@@ -283,23 +299,23 @@ pub struct Renderer {
     /// Only ever locked for a lookup or a store — never across a render,
     /// never before taking a view.
     sections: Mutex<FxHashMap<Section, SectionMemo>>,
-    /// One entry per page ever rendered onto a body: at most a body per
-    /// page. Locked like `sections`, and never while `sections` is held.
-    pages: Mutex<FxHashMap<PageKey, PageMemo>>,
     /// At most one replaced body per `target_bytes` value. Locked on its
-    /// own: never while `sections` or `pages` is held.
+    /// own: never while `sections` is held.
     parked: Mutex<FxHashMap<usize, Body>>,
 }
+
+/// Renderers made so far: each one's id.
+static RENDERERS: AtomicU64 = AtomicU64::new(0);
 
 impl Renderer {
     /// New renderer over `db` with the default cost model.
     pub fn new(db: Arc<OlympicDb>) -> Self {
         Renderer {
+            id: RENDERERS.fetch_add(1, Relaxed),
             db,
             cost: CostModel::new(),
             cpu_scale: None,
             sections: Mutex::default(),
-            pages: Mutex::default(),
             parked: Mutex::default(),
         }
     }
@@ -321,66 +337,69 @@ impl Renderer {
         &self.cost
     }
 
-    /// Render `key`. The page memo neither reads nor keeps anything of it:
-    /// what a caller that hands the body to one holder, or to none, asks.
+    /// Render `key`, making no [`PageMemo`] of it: what a caller that
+    /// hands the body to one holder, or to none, asks.
     pub fn render(&self, key: PageKey) -> RenderOutput {
-        self.render_with(key, None, false)
+        self.render_with(key, None, None, false).0
     }
 
-    /// Render `key` for a caller that hands the body to every holder it
-    /// will render the page onto next — prewarming a fleet: as
-    /// [`Renderer::render`], and the page memo keeps the body, as it keeps
-    /// what [`Renderer::render_onto`] returns, so that the page's first
-    /// regeneration is answered like every later one.
-    pub fn render_remembered(&self, key: PageKey) -> RenderOutput {
-        self.render_with(key, None, true)
-    }
-
-    /// Render `key` for a caller that holds `previous`, the body the page
-    /// had so far: when the page comes out as those very bytes, the body
-    /// returned *is* `previous` — the same allocation, told apart from a
-    /// new one by address — and no new one is finished. Whatever
-    /// `previous` holds, the body returned is byte for byte what
-    /// [`Renderer::render`] returns, and dependencies and cost are those
-    /// of that render.
+    /// Render `key` for a caller that holds `held`: the body the page had
+    /// so far, if any, with the memo this renderer returned with it, if it
+    /// kept that. Returns the page and the memo of its body, to keep beside
+    /// it and hand to the next render onto it. When the page comes out as
+    /// the held bytes, the body returned *is* the held one — the same
+    /// allocation — and no new one is finished; whatever is held, the body,
+    /// dependencies and cost are byte for byte those of [`Renderer::render`].
     ///
-    /// When `previous` is the allocation this renderer returned for the
-    /// page last time, the revision stamps logged by the reads behind it
-    /// are read in this render's snapshot first, and the page may not be
-    /// composed at all. If they all read what they read then, the page is
-    /// `previous`: a compose would make the same reads and get the same
-    /// rows. If only stamps of sections the page splices moved, the page
-    /// is `previous` with those sections' bytes replaced — each rendered
-    /// under this snapshot if its memo entry is behind — as long as each
-    /// lists the edges the page registered from it: a compose would make
-    /// the same reads of its own and splice the same sections, those ones
-    /// as they read now. Otherwise the page is composed and, before it is
-    /// finished, compared with `previous` in place: head, inner HTML and
-    /// padding.
-    ///
-    /// A page that changed is written over the body its size's last
-    /// replaced page was parked with when nothing holds that any more, and
-    /// into a buffer of its own length otherwise.
-    pub fn render_onto(&self, key: PageKey, previous: Option<&Bytes>) -> RenderOutput {
-        self.render_with(key, previous, previous.is_some())
+    /// With a memo, the revision stamps logged by the reads behind the held
+    /// body are read in this render's snapshot first. If they all read what
+    /// they read then, the page is the held body: a compose would make the
+    /// same reads and get the same rows. If only stamps of sections the
+    /// page splices moved, the page is the held body with those sections
+    /// rewritten — each rendered under this snapshot if its memo entry is
+    /// behind — as long as each lists the edges the page registered from
+    /// it; the memo is refilled in place. Otherwise — or with no memo, or
+    /// another renderer's, whose splices name that one's section lists —
+    /// the page is composed and compared with the held body in place before
+    /// it is finished. A page that changed is written over the body parked
+    /// for its size when nothing holds that any more, else into a buffer of
+    /// its own; the held body is parked in its turn.
+    pub fn render_onto(
+        &self,
+        key: PageKey,
+        held: Option<(&Bytes, Option<Box<PageMemo>>)>,
+    ) -> (RenderOutput, Box<PageMemo>) {
+        let (previous, memo) = held.map_or((None, None), |(body, memo)| (Some(body), memo));
+        let (out, memo) = self.render_with(key, previous, memo, true);
+        (
+            out,
+            memo.expect("a render that keeps its coverage makes a memo"),
+        )
     }
 
-    /// The one render: onto `previous`, if any, and with `keep` remembered
-    /// in the page memo for the next render onto the body returned.
-    fn render_with(&self, key: PageKey, previous: Option<&Bytes>, keep: bool) -> RenderOutput {
+    /// The one render: onto `previous`, answered from `memo` if it is this
+    /// renderer's, with a memo of the body returned if `keep`.
+    fn render_with(
+        &self,
+        key: PageKey,
+        previous: Option<&Bytes>,
+        memo: Option<Box<PageMemo>>,
+        keep: bool,
+    ) -> (RenderOutput, Option<Box<PageMemo>>) {
         let (mut html, mut moved) = (SCRATCH.take(), MOVED.take());
         html.clear();
         moved.clear();
         let mut deps: Vec<Dependency> = Vec::new();
         // What covers the reads is of use to the next render onto the body
-        // this one returns, if it is to be remembered.
+        // this one returns, if it is to be kept.
         let mut coverage = keep.then(Coverage::default);
         // A page that is not composed is composed all the same in a build
         // with debug assertions, into a buffer of its own, to compare.
         let mut oracle = String::new();
+        let last = memo.as_deref().filter(|m| m.renderer == self.id);
         let (answer, title) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
-            let answer = match previous {
-                Some(held) => self.answer(r, key, held, &mut html, &mut moved),
+            let answer = match last.filter(|_| previous.is_some()) {
+                Some(last) => self.answer(r, last, &mut html, &mut moved),
                 None => Answer::Compose,
             };
             let title = match answer {
@@ -394,51 +413,60 @@ impl Renderer {
             (answer, title)
         });
         let target = target_bytes(key);
-        let out = match (answer, previous) {
-            (Answer::Unmoved(kept), Some(held)) => RenderOutput {
-                body: held.clone(),
-                deps: kept.deps,
-                cost_ms: kept.cost_ms,
-                revalidated: true,
-                patched: false,
-            },
-            (Answer::Patch(kept), Some(held)) => {
+        let (revalidated, patched) = (answer == Answer::Unmoved, answer == Answer::Patch);
+        let held_len = memo.as_ref().map(|memo| memo.content_len);
+        let (body, memo) = match (answer, previous, memo) {
+            (Answer::Unmoved, Some(held), memo) => (held.clone(), memo),
+            (Answer::Patch, Some(held), Some(mut memo)) => {
                 let patched = Patched {
-                    held: &held[..kept.content_len],
+                    held: &held[..memo.content_len],
                     fresh: html.as_bytes(),
                     moved: &moved,
                 };
-                RenderOutput {
-                    body: self.patch(key, held, &patched, kept.generation),
-                    deps: kept.deps,
-                    cost_ms: kept.cost_ms,
-                    revalidated: false,
-                    patched: true,
-                }
+                // The held body itself when every moved section came out as
+                // the bytes it replaces.
+                let body = if patched.is_held() {
+                    held.clone()
+                } else {
+                    self.finish(&patched, target)
+                };
+                memo.patched(&patched);
+                (body, Some(memo))
             }
-            _ => {
+            (_, previous, memo) => {
                 let content = Content::new(&title, &html);
                 let body = match previous.filter(|held| is_page(held, &content, target)) {
                     Some(held) => held.clone(),
                     None => self.finish(&content, target),
                 };
-                let deps = std::mem::take(&mut deps);
-                let (deps, cost_ms) = match coverage {
-                    Some(mut coverage) => {
-                        coverage.offset(content.len() - html.len());
-                        self.remember(key, &body, content.len(), deps, coverage, previous)
-                    }
-                    None => (deps.into(), self.cost.cost_ms(key)),
-                };
-                debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: composed");
-                RenderOutput {
-                    body,
-                    deps,
-                    cost_ms,
-                    revalidated: false,
-                    patched: false,
-                }
+                let memo = coverage.map(|mut coverage| {
+                    coverage.offset(content.len() - html.len());
+                    let deps = std::mem::take(&mut deps);
+                    self.remember(key, content.len(), deps, coverage, memo)
+                });
+                (body, memo)
             }
+        };
+        // The held body this one replaces is parked, with the content length
+        // its memo kept — or, one that came with none (a demand fill's, a
+        // restored one), what it held unknown.
+        if let Some(held) = previous.filter(|held| held.as_ptr() != body.as_ptr()) {
+            if let Some(content_len) = held_len.or_else(|| unknown_content(held)) {
+                let bytes = held.clone();
+                self.park(target, Body { bytes, content_len });
+            }
+        }
+        let (deps_out, cost_ms) = match &memo {
+            Some(memo) => (Arc::clone(&memo.deps), memo.cost_ms),
+            None => (std::mem::take(&mut deps).into(), self.cost.cost_ms(key)),
+        };
+        debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}");
+        let out = RenderOutput {
+            body,
+            deps: deps_out,
+            cost_ms,
+            revalidated,
+            patched,
         };
         if COMPOSE_WHAT_IS_KEPT && (out.revalidated || out.patched) {
             let how = if out.patched {
@@ -449,53 +477,34 @@ impl Renderer {
             let composed = finished(&Content::new(&title, &oracle), target);
             assert!(composed == *out.body, "{key}: {how}, but not as composed");
             assert_eq!(deps[..], out.deps[..], "{key}: {how}");
-            assert_eq!(out.cost_ms, self.cost.cost_ms(key), "{key}: {how}");
         }
         SCRATCH.set(html);
         MOVED.set(moved);
         if let Some(scale) = self.cpu_scale {
             spin_for(out.cost_ms, scale);
         }
-        out
+        (out, memo)
     }
 
-    /// How a render of `key` onto `held` is answered in `r`'s snapshot,
-    /// from what the page memo kept of the body it last returned for the
-    /// page — if `held` is that body: that allocation, not its bytes. A
-    /// patch leaves the moved sections' HTML in `fresh` and says in
-    /// `moved` where it goes. A moved section memoised behind its stamp is
-    /// rendered here, under the same snapshot, and memoised at its new
-    /// stamp; one that then lists other edges than the page registered
-    /// from it makes the page composed.
+    /// How a render onto the body `last` is the memo of is answered in
+    /// `r`'s snapshot. A patch leaves the moved sections' HTML in `fresh`
+    /// and says in `moved` where it goes. A moved section memoised behind
+    /// its stamp is rendered here, under the same snapshot, and memoised at
+    /// its new stamp; one that then lists other edges than the page
+    /// registered from it makes the page composed.
     fn answer(
         &self,
         r: &Reads<'_>,
-        key: PageKey,
-        held: &Bytes,
+        last: &PageMemo,
         fresh: &mut String,
         moved: &mut Vec<Moved>,
     ) -> Answer {
-        let kept = {
-            let pages = self.pages.checked_lock().expect(MEMO_POISONED);
-            let Some(last) = pages.get(&key) else {
-                return Answer::Compose;
-            };
-            if !std::ptr::eq::<[u8]>(&*last.body.bytes, &**held) {
-                return Answer::Compose;
-            }
-            let Some(now) = moved_splices(r, last) else {
-                return Answer::Compose;
-            };
-            moved.extend(now);
-            Kept {
-                deps: Arc::clone(&last.deps),
-                cost_ms: last.cost_ms,
-                content_len: last.body.content_len,
-                generation: last.generation,
-            }
+        let Some(now) = moved_splices(r, last) else {
+            return Answer::Compose;
         };
+        moved.extend(now);
         if moved.is_empty() {
-            return Answer::Unmoved(kept);
+            return Answer::Unmoved;
         }
         for m in moved.iter_mut() {
             let (section, start) = (m.was.section, fresh.len());
@@ -517,46 +526,7 @@ impl Renderer {
             }
             m.fresh = start..fresh.len();
         }
-        Answer::Patch(kept)
-    }
-
-    /// The page `held` becomes as `patched`: `held` itself when every
-    /// moved section came out as the bytes it replaces, else written over
-    /// the body parked for its size, or into one of its own. The page memo
-    /// entry the patch was worked out from — at `generation` — then keeps
-    /// it in place of `held`, which is parked, with the moved splices at
-    /// their new stamps and every splice where it now lies.
-    fn patch(&self, key: PageKey, held: &Bytes, patched: &Patched<'_>, generation: u64) -> Bytes {
-        let target = target_bytes(key);
-        let body = if patched.is_held() {
-            held.clone()
-        } else {
-            self.finish(patched, target)
-        };
-        let mut pages = self.pages.checked_lock().expect(MEMO_POISONED);
-        // A render of the page that stored since leaves its own entry.
-        let Some(last) = pages.get_mut(&key).filter(|l| l.generation == generation) else {
-            return body;
-        };
-        let (mut grown, mut shrunk) = (0, 0);
-        let mut moved = patched.moved.iter().peekable();
-        for (index, splice) in last.coverage.splices_mut().iter_mut().enumerate() {
-            splice.start = splice.start - shrunk + grown;
-            if let Some(m) = moved.next_if(|m| m.index == index) {
-                let len = m.fresh.len() as u32;
-                (grown, shrunk) = (grown + len, shrunk + splice.len);
-                (splice.revision, splice.len) = (m.now, len);
-            }
-        }
-        last.generation += 1;
-        let bytes = body.clone();
-        let content_len = patched.len();
-        let replaced = std::mem::replace(&mut last.body, Body { bytes, content_len });
-        drop(pages);
-        if !std::ptr::eq::<[u8]>(&*replaced.bytes, &*body) {
-            self.park(target, replaced);
-        }
-        body
+        Answer::Patch
     }
 
     /// The body of a page that changed: written over the body parked for
@@ -568,8 +538,8 @@ impl Renderer {
             .expect(MEMO_POISONED)
             .remove(&target);
         if let Some(Body { bytes, content_len }) = parked {
-            // No fleet cell, tombstone, page memo or response in flight
-            // can see the bytes change: none of them holds the buffer.
+            // No fleet cell, tombstone, held body or response in flight can
+            // see the bytes change: none of them holds the buffer.
             if let Ok(mut page) = bytes.try_into_mut() {
                 if write_over(&mut page, content_len, content) {
                     let body = page.freeze();
@@ -604,122 +574,72 @@ impl Renderer {
         }
     }
 
-    /// Keep what a compose of `key` came to for [`Renderer::answer`], in
-    /// place of what the last one did, and return the dependency list to
-    /// hand out — the one kept so far when `deps` lists what it lists —
-    /// and the page's cost, worked out when the page is first kept. A body
-    /// it replaces is parked: the one kept so far, or, when the page is
-    /// first kept, the `previous` one its caller held.
+    /// The memo of a compose of `key`, from what covered its reads and the
+    /// dependency list they came to: `memo`, when one was handed in,
+    /// refilled — nothing of a page's is allocated anew per revision but a
+    /// list that changed — else a new one, whose cost is worked out then.
     fn remember(
         &self,
         key: PageKey,
-        body: &Bytes,
         content_len: usize,
         deps: Vec<Dependency>,
         coverage: Coverage,
-        previous: Option<&Bytes>,
-    ) -> (Arc<[Dependency]>, f64) {
-        use std::collections::hash_map::Entry;
-        let mut pages = self.pages.checked_lock().expect(MEMO_POISONED);
-        let (last, replaced) = match pages.entry(key) {
-            // Refilled like a section's entry: nothing of a page's is
-            // allocated anew per revision but a list that changed.
-            Entry::Occupied(entry) => {
-                let last = entry.into_mut();
-                last.coverage.refill(&coverage);
-                last.generation += 1;
-                let bytes = body.clone();
-                let replaced = std::mem::replace(&mut last.body, Body { bytes, content_len });
-                if last.deps[..] != deps[..] {
-                    last.deps = deps.into();
-                }
-                (last, Some(replaced))
-            }
-            Entry::Vacant(entry) => {
-                let bytes = body.clone();
-                let last = entry.insert(PageMemo {
-                    coverage,
-                    body: Body { bytes, content_len },
-                    deps: deps.into(),
-                    cost_ms: self.cost.cost_ms(key),
-                    generation: 0,
-                });
-                // A body this renderer never returned — a demand fill's, or
-                // one of a page it forgot — is superseded all the same,
-                // what it held unknown.
-                let held = previous.and_then(|held| {
-                    let bytes = held.clone();
-                    unknown_content(held).map(|content_len| Body { bytes, content_len })
-                });
-                (last, held)
-            }
+        memo: Option<Box<PageMemo>>,
+    ) -> Box<PageMemo> {
+        let Some(mut memo) = memo else {
+            return Box::new(PageMemo {
+                renderer: self.id,
+                coverage,
+                content_len,
+                deps: deps.into(),
+                cost_ms: self.cost.cost_ms(key),
+            });
         };
-        let kept = (Arc::clone(&last.deps), last.cost_ms);
-        drop(pages);
-        if let Some(replaced) = replaced.filter(|old| !std::ptr::eq(&*old.bytes, &**body)) {
-            self.park(target_bytes(key), replaced);
+        if memo.renderer != self.id {
+            (memo.renderer, memo.cost_ms) = (self.id, self.cost.cost_ms(key));
         }
-        kept
+        memo.coverage.refill(&coverage);
+        memo.content_len = content_len;
+        if memo.deps[..] != deps[..] {
+            memo.deps = deps.into();
+        }
+        memo
     }
 
-    /// Let go of the body last returned for `key`: for a caller that no
-    /// longer holds it and will not render the page onto it again. Returns
-    /// whether there was one.
-    pub fn forget(&self, key: PageKey) -> bool {
-        self.pages
-            .checked_lock()
-            .expect(MEMO_POISONED)
-            .remove(&key)
-            .is_some()
-    }
-
-    /// Whether the page memo holds a body for `key`: one returned by
-    /// [`Renderer::render_onto`] or [`Renderer::render_remembered`] and not
-    /// forgotten since.
-    pub fn remembers(&self, key: PageKey) -> bool {
-        self.pages
-            .checked_lock()
-            .expect(MEMO_POISONED)
-            .contains_key(&key)
-    }
-
-    /// Answer, in one pass over one snapshot and under one lock of the page
-    /// memo, every page of `keys` this renderer remembers whose revision
-    /// stamps all stand where they stood — its own reads' and every spliced
-    /// section's, the rule [`Renderer::render_onto`] answers a page
-    /// [`RenderOutput::revalidated`] by: such a page is the body this
-    /// renderer last returned for it. Returns, in `keys`' order, the cost
-    /// the memo kept for each page so answered and `None` for the others,
-    /// which the caller renders as before.
-    ///
-    /// `held(key, body)` says whether the caller still holds `body`, the
-    /// body last returned for the page, as its bytes: a page it does not
-    /// is not answered. It is asked under the memo's lock, of unmoved
-    /// pages only.
+    /// Answer, in one pass over one snapshot, every page of `keys` whose
+    /// revision stamps all stand where they stood when this renderer made
+    /// the memo `find` hands over for it — the rule [`Renderer::render_onto`]
+    /// answers a page [`RenderOutput::revalidated`] by: such a page is the
+    /// body the memo is of. Returns, in `keys`' order, the cost the memo
+    /// kept for each page so answered and `None` for the others. `find(key,
+    /// answer)` returns what `answer` makes of the body every holder holds
+    /// for the page and the memo kept of it, or `None` without such a pair;
+    /// it is called inside the snapshot.
     pub fn answer_unmoved(
         &self,
         keys: &[PageKey],
-        mut held: impl FnMut(PageKey, &Bytes) -> bool,
+        mut find: impl FnMut(PageKey, &mut dyn FnMut(&Bytes, &PageMemo) -> Option<f64>) -> Option<f64>,
     ) -> Vec<Option<f64>> {
         let answers: Vec<Option<f64>> = Reads::over(&self.db, &mut Vec::new(), None, |r| {
             // What a build with debug assertions composes to compare.
             let mut kept = Vec::new();
-            let answers = {
-                let pages = self.pages.checked_lock().expect(MEMO_POISONED);
-                let answer = |key: &PageKey| {
-                    let last = pages.get(key)?;
+            let answers = keys.iter().map(|&key| {
+                find(key, &mut |body, last| {
+                    if last.renderer != self.id {
+                        return None;
+                    }
                     let mut moved = moved_splices(r, last)?;
-                    if moved.next().is_some() || !held(*key, &last.body.bytes) {
+                    if moved.next().is_some() {
                         return None;
                     }
                     if COMPOSE_WHAT_IS_KEPT {
                         let deps = Arc::clone(&last.deps);
-                        kept.push((*key, last.body.bytes.clone(), deps, last.cost_ms));
+                        kept.push((key, body.clone(), deps, last.cost_ms));
                     }
                     Some(last.cost_ms)
-                };
-                keys.iter().map(answer).collect()
-            };
+                })
+            });
+            let answers = answers.collect();
             for (key, body, deps, cost_ms) in kept {
                 let (mut html, mut own) = (String::new(), Vec::new());
                 let title = self.compose(&mut r.section(&mut own, None), key, &mut html);
@@ -999,10 +919,10 @@ fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
     keyed("News for Day ", day)
 }
 
-/// The one rule by which a page the memo remembers as `last` is answered
-/// without being composed, in `r`'s snapshot: `None` when a read of its own
-/// moved, else the splices whose sections' stamps moved, each with its
-/// stamp now — none: the page is `last`'s body.
+/// The one rule by which a page `last` is the memo of is answered without
+/// being composed, in `r`'s snapshot: `None` when a read of its own moved,
+/// else the splices whose sections' stamps moved, each with its stamp now
+/// — none: the page is the body `last` is of.
 fn moved_splices<'m>(
     r: &'m Reads<'m>,
     last: &'m PageMemo,

@@ -10,7 +10,9 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use nagano_cache::CacheFleet;
 use nagano_db::Transaction;
 use nagano_odg::{DupEngine, Interner, NodeId, StalenessPolicy};
-use nagano_pagegen::{Dependency, PageKey, PageRegistry, PageSpace, RenderOutput, Renderer};
+use nagano_pagegen::{
+    Dependency, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
+};
 use nagano_simcore::sync::Mutex;
 use nagano_simcore::{SimDuration, SimTime};
 
@@ -275,9 +277,10 @@ impl TriggerMonitor {
     /// (i.e. the OS page cache); holding them in the serving cache is the
     /// equivalent steady state.
     ///
-    /// Every body goes to the whole fleet, so the renderer remembers it
-    /// ([`Renderer::render_remembered`]): a page's first regeneration is
-    /// answered by its stamps or patched like every later one.
+    /// Every body goes to the whole fleet with the renderer's memo of it
+    /// ([`Renderer::render_onto`]), so a page's first regeneration is
+    /// answered by its stamps or patched like every later one. A bounded
+    /// fleet that evicts a page for a later one drops its memo with it.
     ///
     /// Returns the number of pages warmed.
     pub fn prewarm(&self) -> usize {
@@ -286,29 +289,17 @@ impl TriggerMonitor {
         // interleaving the steps per page cost ~0.8 ms more CPU on a
         // ~7.8 ms full-Games prewarm (2-vCPU guest), each pass keeping its
         // own tables in cache.
-        let rendered: Vec<RenderOutput> = pages
+        let rendered: Vec<(RenderOutput, Box<PageMemo>)> = pages
             .iter()
-            .map(|&(key, _)| self.renderer.render_remembered(key))
+            .map(|&(key, _)| self.renderer.render_onto(key, None))
             .collect();
         let space = self.registry.space();
-        for (&(key, _), out) in pages.iter().zip(rendered) {
+        for (&(key, _), (out, memo)) in pages.iter().zip(rendered) {
             self.register_render(key, &out);
             if let Some(slot) = space.slot(key) {
-                self.fleet.distribute(slot, out.body, out.cost_ms);
+                self.fleet
+                    .distribute_with(slot, out.body, out.cost_ms, Some(memo));
             }
-        }
-        // A bounded fleet may have evicted a page for a later one, and is
-        // disturbed if it did: the renderer must not hold on to a body the
-        // fleet let go of.
-        if !self.fleet.undisturbed() {
-            let mut forgotten = 0;
-            for &(key, _) in pages {
-                let slot = space.slot(key);
-                if slot.and_then(|slot| self.fleet.distributed(slot)).is_none() {
-                    forgotten += u64::from(self.renderer.forget(key));
-                }
-            }
-            self.stats.record_pages_forgotten(forgotten);
         }
         pages.len()
     }
@@ -500,13 +491,11 @@ impl TriggerMonitor {
         }
     }
 
-    /// Drop `key` from every serving cache, and the renderer's reference
-    /// to the body it last made of it with them.
+    /// Drop `key` from every serving cache, and its memo with it.
     fn invalidate_everywhere(&self, key: PageKey) {
         if let Some(slot) = self.registry.space().slot(key) {
             self.fleet.invalidate_everywhere(slot);
         }
-        self.renderer.forget(key);
     }
 
     /// Modelled CPU to refresh `key` right now: its whole-page render. This
@@ -522,33 +511,29 @@ impl TriggerMonitor {
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
-    /// onto the body the fleet holds for it, and distribute it. Every page
-    /// the renderer remembers whose stamps all stand is answered first, in
-    /// one pass ([`Renderer::answer_unmoved`]) that renders, registers and
-    /// distributes nothing: while nothing but distributions has written to
-    /// the fleet ([`CacheFleet::undisturbed`]) every member holds the bytes
-    /// remembered, and such a page costs a check; after, a check and a
-    /// probe of the fleet, which must hold them everywhere. Of the others,
-    /// a page that comes out as the bytes the fleet holds is recognised
-    /// before a body is built for it ([`Renderer::render_onto`]) and costs
-    /// the fleet nothing when every member holds the very allocation
-    /// handed back ([`CacheFleet::distributed`]), a comparison otherwise
-    /// ([`CacheFleet::distribute`]). Adds the summed modelled
-    /// CPU to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
-    /// bytes changed in `nagano_trigger_pages_changed_total`, the keys
-    /// that were not composed in `nagano_trigger_pages_revalidated_total`
-    /// and the keys patched in `nagano_trigger_pages_patched_total`.
+    /// onto the body the fleet holds for it, and distribute it.
     ///
-    /// Sequential by design: a page is probed, rendered, registered and
-    /// distributed before the next is probed, so no more than one new body
+    /// A page's row keeps the renderer's memo of the body its members hold
+    /// for as long as one of them holds that allocation. Every page whose
+    /// memo every member holds and whose stamps all stand is answered
+    /// first, in one pass over the rows ([`Renderer::answer_unmoved`]) that
+    /// renders, registers and distributes nothing. Each other page is
+    /// rendered onto the first member's body with the memo taken out of its
+    /// row ([`CacheFleet::take_held`]) and distributed with the memo of
+    /// what came out ([`CacheFleet::distribute_with`]), which every member
+    /// that holds those bytes keeps as it is. Adds the summed modelled CPU
+    /// to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
+    /// bytes changed in `nagano_trigger_pages_changed_total`, the keys that
+    /// were not composed in `nagano_trigger_pages_revalidated_total` and
+    /// the keys patched in `nagano_trigger_pages_patched_total`.
+    ///
+    /// Sequential by design: a page is taken, rendered, registered and
+    /// distributed before the next is taken, so no more than one new body
     /// is alive at a time and a kept page never leaves this thread's cache
-    /// lines. The `par_iter` this replaced ran sequentially under the
-    /// vendored `rayon` shim; under the real crate it would fork ~44
-    /// renders of ~1 µs each per transaction, which two regeneration
-    /// threads did not repay on the 2-vCPU guest this was measured on
-    /// (DESIGN §13a). A renderer that models render CPU
-    /// ([`Renderer::with_simulated_cpu`]) spins here one page after the
-    /// other.
+    /// lines; two regeneration threads did not repay forking ~44 renders of
+    /// ~1 µs each per transaction on a 2-vCPU guest (DESIGN §13a). A
+    /// renderer that models render CPU ([`Renderer::with_simulated_cpu`])
+    /// spins here one page after the other.
     fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
         if keys.is_empty() {
             return Regenerated::default();
@@ -559,40 +544,29 @@ impl TriggerMonitor {
         };
         // Every key here is a page vertex's, which is its slot.
         let space = self.registry.space();
-        let held = |key: PageKey| {
-            space
-                .slot(key)
-                .and_then(|slot| self.fleet.distributed(slot))
-        };
-        let undisturbed = self.fleet.undisturbed();
-        let unmoved = self.renderer.answer_unmoved(keys, |key, body| {
-            undisturbed || held(key).is_some_and(|held| held.is_everywhere(body))
-        });
-        let mut forgotten = 0;
+        let unmoved = self
+            .renderer
+            .answer_unmoved(keys, |key, answer| self.with_memo(key, answer).flatten());
         for (&key, unmoved) in keys.iter().zip(unmoved) {
             if let Some(cost_ms) = unmoved {
                 regen.render_ms += cost_ms;
                 regen.revalidated += 1;
                 continue;
             }
-            let held = held(key);
-            if held.is_none() {
-                // Evicted: the renderer's reference to the body it made
-                // last must not outlive the fleet's by more than this.
-                forgotten += u64::from(self.renderer.forget(key));
-            }
-            let out = self
+            let slot = space.slot(key);
+            let (held, memo) = slot.and_then(|slot| self.fleet.take_held(slot)).unzip();
+            let (out, memo) = self
                 .renderer
-                .render_onto(key, held.as_ref().map(|h| &h.body));
+                .render_onto(key, held.as_ref().map(|b| (b, memo.flatten())));
             self.register_render(key, &out);
             regen.render_ms += out.cost_ms;
             regen.revalidated += usize::from(out.revalidated);
             regen.patched += usize::from(out.patched);
-            // Handed back the allocation every member holds: a
-            // distribution would keep every entry as it is.
-            let kept = held.is_some_and(|h| h.is_everywhere(&out.body));
-            if let Some(slot) = space.slot(key).filter(|_| !kept) {
-                regen.changed += usize::from(self.fleet.distribute(slot, out.body, out.cost_ms));
+            if let Some(slot) = slot {
+                let changed = self
+                    .fleet
+                    .distribute_with(slot, out.body, out.cost_ms, Some(memo));
+                regen.changed += usize::from(changed);
             }
         }
         self.clear_stale_marks(&regen.keys);
@@ -601,8 +575,24 @@ impl TriggerMonitor {
         self.stats
             .record_pages_revalidated(regen.revalidated as u64);
         self.stats.record_pages_patched(regen.patched as u64);
-        self.stats.record_pages_forgotten(forgotten);
         regen
+    }
+
+    /// `f` of the body every member holds for `key` and the memo its row
+    /// keeps of it, if the page is registered: what the one pass of
+    /// [`TriggerMonitor::regenerate`] answers a page from.
+    fn with_memo<T>(&self, key: PageKey, f: impl FnOnce(&Bytes, &PageMemo) -> T) -> Option<T> {
+        let slot = self.registry.space().slot(key)?;
+        // A page a retired fragment fed registers every edge anew at its
+        // next render, which this is not.
+        self.registered.lock()[slot as usize].as_ref()?;
+        self.fleet.with_memo(slot, f)
+    }
+
+    /// Whether a regeneration may answer `key` from the memo in its row,
+    /// unmoved: every member holds its body, and the page is registered.
+    pub fn remembers(&self, key: PageKey) -> bool {
+        self.with_memo(key, |_, _| ()).is_some()
     }
 
     /// Park hot-but-over-budget pages on the deferred queue. The queue is
@@ -840,16 +830,15 @@ impl TriggerMonitor {
         // The records go with the edges: the page's own, and — a fragment
         // is a hybrid vertex — those of the pages it feeds, whose edge
         // from it is removed too. Their next render must find nothing to
-        // compare against and register every edge anew; so the renderer
-        // forgets the fed pages too (the page's own memo went with its
-        // invalidation), or it would answer them unmoved, unregistered.
+        // compare against and register every edge anew; so the one pass
+        // leaves a fed page to it (the page's own memo went with its
+        // invalidation), or it would answer the page unmoved, unregistered.
         {
             let mut registered = self.registered.lock();
             registered[id.0 as usize] = None;
             for edge in g.dup.graph().successors(id) {
-                if let Some(page) = g.page_of(edge.to) {
+                if g.page_of(edge.to).is_some() {
                     registered[edge.to.0 as usize] = None;
-                    self.renderer.forget(page);
                 }
             }
         }
@@ -935,7 +924,7 @@ mod tests {
         monitor.prewarm();
         let registry = PageRegistry::build(&db, 16);
         for &(key, _) in registry.pages() {
-            assert!(monitor.renderer().remembers(key), "{key} not remembered");
+            assert!(monitor.remembers(key), "{key} not remembered");
         }
         let ev = db.events()[0].clone();
         let before = db.medal_standings();
@@ -989,13 +978,17 @@ mod tests {
         let held = |key: PageKey| member.peek(&key.to_url()).is_some();
         let (mut kept, mut evicted) = (0, 0);
         for &(key, _) in registry.pages() {
-            assert_eq!(monitor.renderer().remembers(key), held(key), "{key}");
+            assert_eq!(monitor.fleet().has_memo(&key.to_url()), held(key), "{key}");
             kept += usize::from(held(key));
             evicted += usize::from(!held(key));
         }
         assert_eq!(kept + evicted, warmed);
         assert!(kept > 0 && evicted > 0, "{kept} kept, {evicted} evicted");
-        assert_eq!(monitor.stats().snapshot().pages_forgotten, evicted as u64);
+        let memos = registry
+            .pages()
+            .iter()
+            .filter(|(k, _)| monitor.fleet().has_memo(&k.to_url()));
+        assert_eq!(memos.count(), kept);
     }
 
     #[test]
@@ -1212,8 +1205,9 @@ mod tests {
         assert!(monitor.retire_page(table));
         monitor.demand_fill(0, table);
         // A photo of the day's event marks its home page and moves none of
-        // its stamps: forgotten with its record, the page is composed and
-        // registers every edge it reads, the medal table's among them.
+        // its stamps: without its record, the page is left out of the one
+        // pass, and registers every edge it reads, the medal table's among
+        // them.
         let photo = db.add_photo(Photo {
             id: PhotoId(7_001),
             day: ev.day,
@@ -1248,7 +1242,7 @@ mod tests {
     /// no longer holds the page as the monitor left it, and check that every
     /// member then holds a fresh render of it.
     fn the_first_final_refreshes(db: &Arc<OlympicDb>, monitor: &TriggerMonitor, key: PageKey) {
-        assert!(!monitor.fleet().undisturbed());
+        assert!(!monitor.remembers(key));
         let ev = db.events()[0].clone();
         let txn = db.record_results(ev.id, &podium(db, ev.id), true, ev.day);
         assert!(monitor.process_txn(&txn).regenerated.contains(&key));
@@ -1289,7 +1283,7 @@ mod tests {
         let key = unmoved_by_the_first_final(&db);
         assert_eq!(monitor.fleet().invalidate_everywhere(&key.to_url()), 2);
         the_first_final_refreshes(&db, &monitor, key);
-        assert_eq!(monitor.stats().snapshot().pages_forgotten, 1);
+        assert!(monitor.remembers(key));
     }
 
     #[test]
@@ -1300,7 +1294,7 @@ mod tests {
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
         let (db, monitor) = setup_on(2, bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
-        assert!(monitor.fleet().undisturbed());
+        assert!(monitor.remembers(unmoved_by_the_first_final(&db)));
         let key = unmoved_by_the_first_final(&db);
         let (url, fleet) = (key.to_url(), monitor.fleet());
         // A page of a shard's whole budget evicts every other page of its
@@ -1315,7 +1309,24 @@ mod tests {
             fleet.distribute(&format!("/news/{}", 1_500 + n), fill.clone(), 1.0);
         }
         the_first_final_refreshes(&db, &monitor, key);
-        assert!(monitor.stats().snapshot().pages_forgotten >= 1);
+        assert!(monitor.remembers(key));
+    }
+
+    #[test]
+    fn a_body_evicted_behind_the_monitors_back_is_freed() {
+        const BUDGET: u64 = 64 << 20;
+        let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
+        let (db, monitor) = setup_on(2, bounded, ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let (url, fleet) = (unmoved_by_the_first_final(&db).to_url(), monitor.fleet());
+        let evicted = fleet.distributed(&url).expect("prewarmed");
+        // Oversized pages until one evicts it, as in the test above.
+        let fill = Bytes::from(vec![0; (BUDGET / (16 * 2)) as usize]);
+        for n in (1_500..).take_while(|_| fleet.distributed(&url).is_some()) {
+            fleet.distribute(&format!("/news/{n}"), fill.clone(), 1.0);
+        }
+        // No member holds it, nor does a memo of it anywhere: only this.
+        assert!(evicted.try_into_mut().is_ok(), "{url}: still held");
     }
 
     #[test]

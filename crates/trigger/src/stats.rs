@@ -22,8 +22,6 @@ pub struct TriggerStats {
     /// Regenerated pages the renderer patched: the sections that moved
     /// rewritten in the body held, the page not composed.
     pages_patched: Counter,
-    /// Page memos dropped because the fleet no longer held the page.
-    pages_forgotten: Counter,
     pages_invalidated: Counter,
     pages_tolerated: Counter,
     nodes_visited: Counter,
@@ -58,7 +56,6 @@ impl Default for TriggerStats {
             pages_changed: Counter::new(),
             pages_revalidated: Counter::new(),
             pages_patched: Counter::new(),
-            pages_forgotten: Counter::new(),
             pages_invalidated: Counter::new(),
             pages_tolerated: Counter::new(),
             nodes_visited: Counter::new(),
@@ -93,10 +90,6 @@ pub struct TriggerStatsSnapshot {
     /// Pages patched rather than composed: only sections they splice had
     /// moved, and those were rewritten in the body held. Changed or not.
     pub pages_patched: u64,
-    /// Pages whose memo the renderer dropped because the fleet no longer
-    /// held them — evicted during prewarm, or found gone from the first
-    /// member when regenerated: why such a page was composed.
-    pub pages_forgotten: u64,
     /// Pages invalidated.
     pub pages_invalidated: u64,
     /// Affected pages left in place under a staleness threshold.
@@ -218,11 +211,6 @@ impl TriggerStats {
         self.pages_patched.add(pages);
     }
 
-    /// Record page memos dropped because the fleet no longer held the page.
-    pub fn record_pages_forgotten(&self, pages: u64) {
-        self.pages_forgotten.add(pages);
-    }
-
     /// Record pages regenerated outside a transaction record (the
     /// deferred-queue drain path).
     pub fn record_drained_regen(&self, pages: u64) {
@@ -259,11 +247,6 @@ impl TriggerStats {
             "nagano_trigger_pages_patched_total",
             labels,
             &self.pages_patched,
-        );
-        registry.bind_counter(
-            "nagano_trigger_pages_forgotten_total",
-            labels,
-            &self.pages_forgotten,
         );
         registry.bind_counter(
             "nagano_trigger_pages_invalidated_total",
@@ -325,7 +308,6 @@ impl TriggerStats {
             pages_changed: self.pages_changed.get(),
             pages_revalidated: self.pages_revalidated.get(),
             pages_patched: self.pages_patched.get(),
-            pages_forgotten: self.pages_forgotten.get(),
             pages_invalidated: self.pages_invalidated.get(),
             pages_tolerated: self.pages_tolerated.get(),
             nodes_visited: self.nodes_visited.get(),
@@ -406,7 +388,6 @@ mod tests {
         s.record_pages_changed(1);
         s.record_pages_revalidated(4);
         s.record_pages_patched(5);
-        s.record_pages_forgotten(6);
         s.record_weighted_staleness(30.0);
         s.record_weighted_staleness(90.0);
         let snap = s.snapshot();
@@ -417,7 +398,6 @@ mod tests {
         assert_eq!(snap.pages_changed, 1);
         assert_eq!(snap.pages_revalidated, 4);
         assert_eq!(snap.pages_patched, 5);
-        assert_eq!(snap.pages_forgotten, 6);
         assert_eq!(snap.weighted_staleness_count, 2);
         // The sum is mean * count; the log-bucketed histogram makes it
         // approximate, not exact.
@@ -434,7 +414,6 @@ mod tests {
         assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
         assert!(text.contains("nagano_trigger_pages_revalidated_total{site=\"tokyo\"} 4"));
         assert!(text.contains("nagano_trigger_pages_patched_total{site=\"tokyo\"} 5"));
-        assert!(text.contains("nagano_trigger_pages_forgotten_total{site=\"tokyo\"} 6"));
         assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
     }
 

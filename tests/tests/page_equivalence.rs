@@ -43,7 +43,9 @@ use nagano_db::{
     seed_games, Athlete, AthleteId, Event, EventPhase, GamesConfig, NewsArticle, NewsId, OlympicDb,
     Photo, PhotoId, Transaction,
 };
-use nagano_pagegen::{Dependency, FragmentKey, PageKey, PageRegistry, Renderer};
+use nagano_pagegen::{
+    Dependency, FragmentKey, PageKey, PageMemo, PageRegistry, RenderOutput, Renderer,
+};
 use nagano_simcore::sync::blocking;
 use nagano_simcore::{DeterministicRng, SimTime};
 use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
@@ -211,8 +213,8 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
 /// nothing stale after any update ([`replay_schedule`]) and nothing but the
-/// monitor's distributions writing to the fleet, so that a regeneration
-/// never asks it about a page it answers unmoved. Returns
+/// monitor's distributions writing to the fleet, so that the row of every
+/// page held keeps the memo of the body every member holds. Returns
 /// (updates, pages regenerated, pages that came out as other bytes, pages
 /// answered from their stamps, pages patched, the fleet digest): the
 /// digest is FNV-1a-64 over member 0's entries after the replay, sorted by
@@ -221,7 +223,10 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let replay = replay_schedule(&db, &monitor, seed, true, |_| {});
-    assert!(monitor.fleet().undisturbed(), "schedule seed {seed}");
+    let held = monitor.fleet().member(0).export_entries();
+    let remembered =
+        |(url, ..): &(String, _, _, _)| monitor.remembers(PageKey::parse(url).unwrap());
+    assert!(held.iter().all(remembered), "schedule seed {seed}");
     replay
 }
 
@@ -412,18 +417,31 @@ fn home_and_welcome_pages_compose_identically() {
     check_category(txns, &monitor, &db, &["/day/", "/welcome"], 2);
 }
 
+/// What an update-in-place cache holds for each page: a body, and the memo
+/// the renderer returned with it if the cache kept that.
+type Held = BTreeMap<PageKey, (Bytes, Option<Box<PageMemo>>)>;
+
+/// Render `key` onto what `held` holds and hold what comes back, memo and
+/// all; returns the render, and the body it was rendered onto.
+fn render_held(warm: &Renderer, held: &mut Held, key: PageKey) -> (RenderOutput, Option<Bytes>) {
+    let (previous, memo) = held.remove(&key).unzip();
+    let (out, memo) = warm.render_onto(key, previous.as_ref().map(|b| (b, memo.flatten())));
+    held.insert(key, (out.body.clone(), Some(memo)));
+    (out, previous)
+}
+
 /// The renderer differential: `warm` has rendered every earlier state of
 /// `db`, a fresh renderer none. For every registered page — fragment
 /// pages included — they must return the same bytes and the same
 /// dependencies. `held` is what an update-in-place cache would hold: the
-/// body `warm` returned for each page one state ago. Rendering onto it
-/// returns the fresh render's bytes too, and returns `held`'s own
-/// allocation exactly when those are its bytes.
+/// body `warm` returned for each page one state ago, with its memo.
+/// Rendering onto it returns the fresh render's bytes too, and returns
+/// `held`'s own allocation exactly when those are its bytes.
 fn assert_warm_equals_fresh(
     warm: &Renderer,
     db: &Arc<OlympicDb>,
     registry: &PageRegistry,
-    held: &mut BTreeMap<PageKey, Bytes>,
+    held: &mut Held,
     at: &str,
 ) {
     // A new oracle per page: nothing it splices was rendered for another.
@@ -433,17 +451,16 @@ fn assert_warm_equals_fresh(
         assert_eq!(w.body, f.body, "{at}: {key:?}: warm render diverges");
         assert_eq!(w.deps, f.deps, "{at}: {key:?}: warm deps diverge");
 
-        let onto = warm.render_onto(key, held.get(&key));
+        let (onto, previous) = render_held(warm, held, key);
         assert_eq!(onto.body, f.body, "{at}: {key:?}: render onto diverges");
         assert_eq!(onto.deps, f.deps, "{at}: {key:?}: deps onto diverge");
-        if let Some(previous) = held.get(&key) {
+        if let Some(previous) = previous {
             assert_eq!(
                 onto.body.as_ptr() == previous.as_ptr(),
-                *previous == f.body,
+                previous == f.body,
                 "{at}: {key:?}: the held body comes back iff the page is unchanged"
             );
         }
-        held.insert(key, onto.body);
     }
 }
 
@@ -462,7 +479,7 @@ fn assert_render_onto_compares_every_byte(
     for key in registry.pages().iter().map(|(k, _)| *k) {
         let page = warm.render(key).body;
         let copy = Bytes::copy_from_slice(&page);
-        let onto = warm.render_onto(key, Some(&copy)).body;
+        let onto = warm.render_onto(key, Some((&copy, None))).0.body;
         assert_eq!(
             onto.as_ptr(),
             copy.as_ptr(),
@@ -492,7 +509,7 @@ fn assert_render_onto_compares_every_byte(
         }));
         for other in others {
             let other = Bytes::from(other);
-            let onto = warm.render_onto(key, Some(&other)).body;
+            let onto = warm.render_onto(key, Some((&other, None))).0.body;
             assert_eq!(onto, page, "{at}: {key:?}: rendered onto other bytes");
             assert_ne!(onto.as_ptr(), other.as_ptr(), "{at}: {key:?}");
         }
@@ -594,10 +611,8 @@ fn check_renderer_differential(seed: u64, n: usize) {
 /// whether anything the page was made from had moved: whether the renderer
 /// composed or patched it rather than hand the held body back by its
 /// stamps.
-fn moved(warm: &Renderer, held: &mut BTreeMap<PageKey, Bytes>, key: PageKey) -> bool {
-    let out = warm.render_onto(key, held.get(&key));
-    held.insert(key, out.body);
-    !out.revalidated
+fn moved(warm: &Renderer, held: &mut Held, key: PageKey) -> bool {
+    !render_held(warm, held, key).0.revalidated
 }
 
 /// How [`answered`] found a page answered.
@@ -617,23 +632,15 @@ enum Answer {
 /// Render `key` onto the body held for it, hold what comes back — which
 /// must be what a fresh renderer makes of `db` — and say how the renderer
 /// answered.
-fn answered(
-    warm: &Renderer,
-    db: &Arc<OlympicDb>,
-    held: &mut BTreeMap<PageKey, Bytes>,
-    key: PageKey,
-) -> Answer {
-    let out = warm.render_onto(key, held.get(&key));
+fn answered(warm: &Renderer, db: &Arc<OlympicDb>, held: &mut Held, key: PageKey) -> Answer {
+    let (out, previous) = render_held(warm, held, key);
     let fresh = Renderer::new(Arc::clone(db)).render(key);
     assert_eq!(out.body, fresh.body, "{key}: diverges from a fresh render");
     assert_eq!(
         out.deps, fresh.deps,
         "{key}: deps diverge from a fresh render"
     );
-    let same = held
-        .get(&key)
-        .is_some_and(|h| h.as_ptr() == out.body.as_ptr());
-    held.insert(key, out.body);
+    let same = previous.is_some_and(|h| h.as_ptr() == out.body.as_ptr());
     match (out.revalidated, out.patched, same) {
         (true, _, _) => Answer::Kept,
         (false, true, true) => Answer::PatchedToHeld,
@@ -644,7 +651,7 @@ fn answered(
 
 /// `warm` and the body it last returned for every page, which it knows to
 /// be that: the state an update-in-place site regenerates from.
-fn warm_site(db: &Arc<OlympicDb>, registry: &PageRegistry) -> (Renderer, BTreeMap<PageKey, Bytes>) {
+fn warm_site(db: &Arc<OlympicDb>, registry: &PageRegistry) -> (Renderer, Held) {
     let warm = Renderer::new(Arc::clone(db));
     let mut held = BTreeMap::new();
     assert_warm_equals_fresh(&warm, db, registry, &mut held, "prewarm");
@@ -659,14 +666,15 @@ fn a_final_is_composed_for_its_podium_countries_only() {
     let countries: Vec<_> = db.countries().iter().map(|c| c.id).collect();
     let warm = Renderer::new(Arc::clone(&db));
     let mut held = BTreeMap::new();
-    let composed_now = |held: &mut BTreeMap<PageKey, Bytes>| -> Vec<bool> {
+    let composed_now = |held: &mut Held| -> Vec<bool> {
         let pages = countries.iter().map(|&c| PageKey::Country(c));
         pages.map(|key| moved(&warm, held, key)).collect()
     };
-    // Onto nothing, and onto a body the renderer has not been seen to
-    // return for the page: composed. From then on, not.
+    // Onto nothing, and onto a body held without the memo it came with:
+    // composed. From then on, not.
     assert!(composed_now(&mut held).iter().all(|&c| c), "no body held");
-    assert!(composed_now(&mut held).iter().all(|&c| c), "unknown body");
+    held.values_mut().for_each(|(_, memo)| *memo = None);
+    assert!(composed_now(&mut held).iter().all(|&c| c), "no memo held");
     assert!(composed_now(&mut held).iter().all(|&c| !c), "nothing moved");
 
     let ev = db.events()[0].clone();
@@ -678,11 +686,12 @@ fn a_final_is_composed_for_its_podium_countries_only() {
     };
     let expected: Vec<bool> = countries.iter().map(|&c| on_podium(c)).collect();
     assert!(expected.contains(&true) && expected.contains(&false));
-    let before = held.clone();
+    let before: BTreeMap<PageKey, *const u8> =
+        held.iter().map(|(&k, (b, _))| (k, b.as_ptr())).collect();
     assert_eq!(composed_now(&mut held), expected, "after a final");
     for (&c, &moved) in countries.iter().zip(&expected) {
         let key = PageKey::Country(c);
-        assert_eq!(held[&key].as_ptr() != before[&key].as_ptr(), moved, "{key}");
+        assert_eq!(held[&key].0.as_ptr() != before[&key], moved, "{key}");
     }
     assert!(composed_now(&mut held).iter().all(|&c| !c), "settled again");
     assert_warm_equals_fresh(&warm, &db, &registry, &mut held, "after the final");
@@ -808,19 +817,18 @@ fn after_a_final_the_other_days_home_pages_are_patched() {
         .collect();
     let lists: Vec<Arc<[Dependency]>> = others
         .iter()
-        .map(|key| warm.render_onto(*key, held.get(key)).deps)
+        .map(|&key| render_held(&warm, &mut held, key).0.deps)
         .collect();
     db.record_results(ev.id, &final_podium(&db, ev.id), true, ev.day);
     for (&key, list) in others.iter().zip(&lists) {
-        let out = warm.render_onto(key, held.get(&key));
+        let (out, previous) = render_held(&warm, &mut held, key);
         let fresh = Renderer::new(Arc::clone(&db)).render(key).body;
         assert!(out.body == fresh, "{key}: diverges from a fresh render");
-        assert_ne!(out.body.as_ptr(), held[&key].as_ptr(), "{key} changed");
+        assert_ne!(Some(out.body), previous, "{key} changed");
         assert_eq!((out.patched, out.revalidated), (true, false), "{key}");
         assert!(Arc::ptr_eq(&out.deps, list), "{key}: the list it had");
-        held.insert(key, out.body);
     }
-    let patched = warm.render_onto(others[1], held.get(&others[1]));
+    let patched = render_held(&warm, &mut held, others[1]).0;
     assert!(patched.revalidated, "a patched body is kept by its stamps");
     assert_warm_equals_fresh(&warm, &db, &registry, &mut held, "after the final");
 }
@@ -912,7 +920,7 @@ fn a_result_table_that_grows_a_row_is_patched_into_its_sport_page() {
         let at = page.match_indices("<table class=\"results\">");
         at.map(|(at, _)| at).collect()
     };
-    let before = tables(&held[&sport]);
+    let before = tables(&held[&sport].0);
     let athlete = db.athletes_of_sport(ev.sport)[0].id;
     db.record_results(ev.id, &[(athlete, 9.5)], false, ev.day);
     let fragment = PageKey::Fragment(FragmentKey::ResultTable(ev.id));
@@ -920,7 +928,7 @@ fn a_result_table_that_grows_a_row_is_patched_into_its_sport_page() {
     assert_eq!(answer(sport), Answer::Patched, "{sport}");
     assert_eq!(answer(fragment), Answer::Patched, "{fragment}");
     assert_eq!(answer(PageKey::Home(ev.day)), Answer::Patched);
-    let after = tables(&held[&sport]);
+    let after = tables(&held[&sport].0);
     let grown = after[1] - before[1];
     assert!(after[0] == before[0] && grown > 0, "{before:?} → {after:?}");
     let shifted: Vec<usize> = before[1..].iter().map(|at| at + grown).collect();
@@ -1050,7 +1058,7 @@ fn held_bodies_come_back_only_for_the_state_seen_while_finals_land() {
         let (db, landed, states) = (Arc::clone(&db), Arc::clone(&landed), Arc::clone(&states));
         move || {
             let warm = Renderer::new(db);
-            let mut held: Vec<Option<Bytes>> = vec![None; keys.len()];
+            let mut held: Vec<Option<(Bytes, Box<PageMemo>)>> = keys.map(|_| None).into();
             let (mut kept, mut verdict) = (0, Ok(()));
             let mut done = false;
             while !done && verdict.is_ok() {
@@ -1058,7 +1066,8 @@ fn held_bodies_come_back_only_for_the_state_seen_while_finals_land() {
                 done = landed.load(SeqCst) == FINALS;
                 for (page, key) in keys.iter().enumerate() {
                     let lo = landed.load(SeqCst);
-                    let out = warm.render_onto(*key, held[page].as_ref());
+                    let (previous, memo) = held[page].take().unzip();
+                    let (out, memo) = warm.render_onto(*key, previous.as_ref().map(|b| (b, memo)));
                     let hi = begun.load(SeqCst);
                     if !(lo..=hi).any(|k| states[k][page] == out.body) {
                         verdict = Err(format!("{key} is of no state between {lo} and {hi}"));
@@ -1066,8 +1075,8 @@ fn held_bodies_come_back_only_for_the_state_seen_while_finals_land() {
                         break;
                     }
                     let is_held = |h: &Bytes| h.as_ptr() == out.body.as_ptr();
-                    kept += usize::from(held[page].as_ref().is_some_and(is_held));
-                    held[page] = Some(out.body);
+                    kept += usize::from(previous.as_ref().is_some_and(is_held));
+                    held[page] = Some((out.body, memo));
                     renders.fetch_add(1, SeqCst);
                 }
             }
@@ -1086,9 +1095,9 @@ fn held_bodies_come_back_only_for_the_state_seen_while_finals_land() {
         .expect("renderer panicked")
         .unwrap_or_else(|why| panic!("{why}"));
     assert!(kept > 0, "no render was handed its held body back");
-    for (page, body) in held.iter().enumerate() {
+    for (page, held) in held.iter().enumerate() {
         assert!(
-            body.as_ref() == Some(&states[FINALS][page]),
+            held.as_ref().map(|(body, _)| body) == Some(&states[FINALS][page]),
             "{}: not the last state",
             keys[page]
         );
@@ -1146,11 +1155,11 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule() {
     // stamp that does not cover it fails the renderer's debug-build
     // oracle, which composes every page it keeps or patches.) `patched`
     // counts pages patched to new bytes and back to the held body alike.
-    // Prewarm leaves the page memo knowing every body it distributed, and a
-    // patch brings a section whose memo is behind up itself, so a page's
-    // first regeneration and the first splicer of a moved section are
-    // answered like every later one: a moved edge list is what still
-    // composes a page that splices.
+    // Prewarm distributes every body with its memo, and a patch brings a
+    // section whose memo is behind up itself, so a page's first
+    // regeneration and the first splicer of a moved section are answered
+    // like every later one: a moved edge list is what still composes a
+    // page that splices.
     // The fleet digest pins the served bytes and versions themselves: the
     // full replay's is the one DESIGN.md §13a's ledger records.
     assert_eq!(
@@ -1184,10 +1193,11 @@ enum Disturbance {
 #[test]
 fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet() {
     // The full replay, with the fleet disturbed behind the monitor's back
-    // every eight updates from the eighth on: from there a regeneration
-    // must ask the fleet before it answers a page unmoved, and retiring a
-    // fragment must forget the pages it fed, or it answers them from a
-    // memo no member holds, or unregistered (DESIGN.md §14a, "Page
+    // every eight updates from the eighth on: from there a row must keep
+    // its memo no longer than some member holds the body it is of, and the
+    // pages a retired fragment fed must stay out of the one pass until
+    // they register anew, or a regeneration answers them from a memo not
+    // every member holds, or unregistered (DESIGN.md §14a, "Page
     // freshness").
     const EVERY: usize = 8;
     const SHARDS: usize = 16;
@@ -1263,7 +1273,7 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
                     .collect();
                 assert!(monitor.retire_page(fragment), "update {i}: {fragment}");
                 for key in [fragment].into_iter().chain(embedders) {
-                    assert!(!monitor.renderer().remembers(key), "update {i}: {key}");
+                    assert!(!monitor.remembers(key), "update {i}: {key}");
                     monitor.demand_fill(node, key);
                 }
             }
@@ -1271,7 +1281,7 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
     });
     assert_eq!(replay.0, 304);
     assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
-    assert!(!fleet.undisturbed());
+    assert!(!pages.iter().all(|&key| monitor.remembers(key)));
 }
 
 proptest! {

@@ -117,13 +117,14 @@ fn a_revalidated_regeneration_allocates_nothing() {
         let regenerate = |country: &nagano_db::Country| {
             let key = PageKey::Country(country.id);
             let slot = space.slot(key).unwrap();
-            let held = fleet.distributed(slot).expect("update in place").body;
-            let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
+            let (held, memo) = fleet.take_held(slot).expect("update in place");
+            let ((out, memo), rendering) =
+                counted(|| regenerating.render_onto(key, Some((&held, memo))));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
             let (changed, behind) = counted(|| {
                 monitor.register_render(key, &out);
-                fleet.distribute(slot, out.body, out.cost_ms)
+                fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo))
             });
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
@@ -138,8 +139,9 @@ fn a_revalidated_regeneration_allocates_nothing() {
         countries.iter().map(regenerate).collect()
     };
 
-    // The first final finds the renderer knowing nothing of the bodies
-    // the fleet was prewarmed with; the second finds it knowing them all.
+    // The first final finds the fleet prewarmed with the memos of the
+    // monitor's renderer, which are of no use to this one: it knows nothing
+    // of those bodies. The second finds the memos it made itself.
     let events = db.events();
     let placed = |event| -> Vec<_> {
         let placed = podium(&db, event);
@@ -184,9 +186,8 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     monitor.prewarm();
     // Every posting of an event's results adds a row to the page of each
     // athlete it places: every one of those pages changes, and all are of
-    // one size. They are rendered by the monitor's own renderer, whose page
-    // memo holds a reference to every body prewarm distributed: no other
-    // renderer could ever write over one of those.
+    // one size. They are rendered by the monitor's own renderer, onto the
+    // bodies prewarm distributed with its memos.
     let event = db.events()[0].clone();
     let placed = podium(&db, event.id);
     let regenerating = monitor.renderer();
@@ -201,13 +202,13 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
         for &(athlete, _) in &placed {
             let key = PageKey::Athlete(athlete);
             let slot = space.slot(key).unwrap();
-            let held = fleet.distributed(slot).expect("update in place").body;
+            let (held, memo) = fleet.take_held(slot).expect("update in place");
             let (out, allocated) = counted_large(|| {
-                let out = regenerating.render_onto(key, Some(&held));
+                let (out, memo) = regenerating.render_onto(key, Some((&held, memo)));
                 monitor.register_render(key, &out);
                 let body = out.body.clone();
                 assert!(
-                    fleet.distribute(slot, out.body, out.cost_ms),
+                    fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo)),
                     "{key} changed"
                 );
                 body
@@ -217,8 +218,8 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
         }
     }
     // Every page's old body is parked as it is replaced — on a page's
-    // first regeneration the prewarmed body, which the page memo kept with
-    // its content length — and the next page is written over it: all but
+    // first regeneration the prewarmed body, whose memo kept its content
+    // length — and the next page is written over it: all but
     // the very first page, which found none parked yet.
     assert!(large[0] >= 1, "{large:?}");
     if !cfg!(debug_assertions) {
@@ -253,20 +254,21 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
         let pages = (1..=16).map(|day| {
             let key = PageKey::Home(day);
             let slot = space.slot(key).unwrap();
-            let held = fleet.distributed(slot).expect("update in place").body;
-            let (out, rendering) = counted(|| regenerating.render_onto(key, Some(&held)));
+            let (held, memo) = fleet.take_held(slot).expect("update in place");
+            let ((out, memo), rendering) =
+                counted(|| regenerating.render_onto(key, Some((&held, memo))));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             monitor.register_render(key, &out);
             assert!(
-                fleet.distribute(slot, out.body, out.cost_ms),
+                fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo)),
                 "{key} changed"
             );
             (day, out.patched, rendering)
         });
         pages.collect()
     };
-    // The first final finds the renderer knowing no body the fleet holds:
-    // every page is composed. In the next two every page is patched. The
+    // The first final finds the fleet prewarmed with the memos of the
+    // monitor's renderer, of no use to this one: every page is composed. In the next two every page is patched. The
     // first page to splice the moved table brings the table's memo up
     // inside its patch, and the page of the final's own day its event's
     // block and result table: each may allocate what rendering a section
