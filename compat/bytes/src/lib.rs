@@ -6,7 +6,8 @@
 //! view never copies. Like the real crate, `Bytes::from(Vec<u8>)` takes
 //! the vector's allocation over — spare capacity included — instead of
 //! copying it, and `try_into_mut` hands a buffer nobody else holds back
-//! for writing in place.
+//! for writing in place. An empty buffer holds no allocation at all, so
+//! making, cloning and dropping one allocates and counts nothing.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -19,14 +20,15 @@ use std::sync::Arc;
 /// over the same allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Shared>,
+    /// `None` for a buffer that never held an allocation: [`Bytes::new`]
+    /// and the conversion of a vector that has none.
+    data: Option<Arc<Shared>>,
     start: usize,
     end: usize,
 }
 
 /// What the clones and slices of one buffer share: the adopted vector,
 /// behind a reference count in a small allocation of its own.
-#[derive(Default)]
 struct Shared {
     buf: Vec<u8>,
     /// Sizes that allocation (136 bytes with the counts) past glibc's
@@ -41,9 +43,14 @@ struct Shared {
 }
 
 impl Bytes {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Bytes::default()
+    /// Empty buffer, holding no allocation: like the real crate's
+    /// `const fn new`, it allocates nothing.
+    pub const fn new() -> Self {
+        Bytes {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Buffer borrowing a static slice (copied once into shared storage —
@@ -69,7 +76,10 @@ impl Bytes {
 
     /// The visible window of the underlying allocation.
     fn as_slice(&self) -> &[u8] {
-        &self.data.buf[self.start..self.end]
+        match &self.data {
+            Some(shared) => &shared.buf[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// A zero-copy subview of `range` (indices relative to this view):
@@ -92,7 +102,7 @@ impl Bytes {
             "slice {begin}..{end} out of bounds for Bytes of length {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -102,7 +112,7 @@ impl Bytes {
     /// anywhere; otherwise `self`, unchanged. Nothing can see the bytes
     /// change while the `BytesMut` is written.
     pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
-        if Arc::get_mut(&mut self.data).is_some() {
+        if self.data.as_mut().is_none_or(|shared| Arc::get_mut(shared).is_some()) {
             Ok(BytesMut { owned: self })
         } else {
             Err(self)
@@ -136,7 +146,10 @@ impl Deref for BytesMut {
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
         let Bytes { data, start, end } = &mut self.owned;
-        let shared = Arc::get_mut(data).expect("a BytesMut is the one handle to its buffer");
+        let Some(shared) = data else {
+            return &mut [];
+        };
+        let shared = Arc::get_mut(shared).expect("a BytesMut is the one handle to its buffer");
         &mut shared.buf[*start..*end]
     }
 }
@@ -163,13 +176,17 @@ impl Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     /// Shares `v`'s allocation: no copy, and whatever capacity `v` has
     /// beyond its length stays allocated for as long as the buffer lives.
+    /// A vector without an allocation makes [`Bytes::new`].
     fn from(v: Vec<u8>) -> Self {
+        if v.capacity() == 0 {
+            return Bytes::new();
+        }
         let end = v.len();
         Bytes {
-            data: Arc::new(Shared {
+            data: Some(Arc::new(Shared {
                 buf: v,
                 _past_fastbins: [0; 12],
-            }),
+            })),
             start: 0,
             end,
         }
@@ -334,6 +351,27 @@ mod tests {
             assert_eq!(&empty[..], b"");
             assert!(empty.slice(..).is_empty());
         }
+    }
+
+    #[test]
+    fn an_empty_buffer_holds_no_allocation() {
+        const EMPTY: Bytes = Bytes::new();
+        let adopted = Bytes::from(Vec::new());
+        let slice = Bytes::from_static(b"abc").slice(1..1);
+        for empty in [EMPTY, Bytes::default(), adopted.clone(), adopted] {
+            assert!(empty.data.is_none(), "no shared count to touch");
+            assert!(empty.clone().data.is_none());
+            assert!(empty.slice(..).data.is_none());
+            let mut m = empty.try_into_mut().expect("nobody else holds it");
+            let writable: &mut [u8] = &mut m;
+            assert!(writable.is_empty());
+            assert!(m.freeze().data.is_none());
+        }
+        // A window of a buffer, even an empty one, still shares it, and
+        // an empty vector with room keeps its allocation, as it would
+        // with any length.
+        assert!(slice.data.is_some() && slice.is_empty());
+        assert!(Bytes::from(Vec::with_capacity(8)).data.is_some());
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! * [`faults`] — deterministic data-plane fault plans: lossy / delayed /
 //!   reordered / partitioned replication edges and trigger-monitor
 //!   crash/recovery, scheduled on the sim clock.
+//! * [`resilience`] — the circuit breaker and seeded retry backoff that
+//!   the serving plan's backend outages exercise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@
 
 pub mod faults;
 pub mod remote;
+pub mod resilience;
 pub mod sim;
 pub mod state;
 pub mod topology;
@@ -39,6 +42,7 @@ pub use faults::{
     REPLICATION_EDGES,
 };
 pub use remote::RemoteSite;
+pub use resilience::{BreakerConfig, CircuitBreaker, RetryBackoff};
 pub use sim::{
     random_soak_plan, ClusterConfig, ClusterReport, ClusterSim, ConvergenceRecord,
     FailurePlanEntry, ServingResilience,

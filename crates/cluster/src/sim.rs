@@ -11,7 +11,6 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use nagano::serve::{self, Decision, Observation, Render};
-use nagano::{BreakerConfig, CircuitBreaker, RetryBackoff};
 use nagano_cache::{CacheConfig, CacheFleet, PageCache, StaleCopy, StalePolicy, StatsSnapshot};
 use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, Transaction, TxnId};
 use nagano_httpd::HttpdMetrics;
@@ -31,6 +30,7 @@ use crate::faults::{
     DataFaultKind, DataFaultPlanEntry, LinkFault, ServingFaultKind, ServingFaultPlanEntry,
     CATCHUP_BASE_BACKOFF_SECS, DR_EDGE, MAX_CATCHUP_RETRIES, PRIMARY_FEED, REPLICATION_EDGES,
 };
+use crate::resilience::{BreakerConfig, CircuitBreaker, RetryBackoff};
 use crate::state::{ClusterState, FailureKind};
 use crate::topology::{region_latency_ms, Msirp, RouteDecision, SITES};
 
@@ -143,11 +143,12 @@ impl ClusterConfig {
     }
 }
 
-/// Serving-path resilience knobs, mirroring what the in-process
-/// [`nagano::ServingSite`] runs: a [`StalePolicy`] installed on every
+/// Serving-path resilience knobs: a [`StalePolicy`] installed on every
 /// site's serving cache (evicted/invalidated bodies become bounded-age
-/// tombstones), a per-request deadline, seeded retry backoff for failed
-/// regenerations, and a circuit breaker per site backend.
+/// tombstones) and a per-request deadline, as the in-process
+/// [`nagano::ServingSite`] runs them; then seeded retry backoff for failed
+/// regenerations and a circuit breaker per site backend, which only the
+/// simulation has, because only its backends fail.
 #[derive(Debug, Clone)]
 pub struct ServingResilience {
     /// Tombstone policy for every site's serving cache.

@@ -57,11 +57,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
-pub mod resilience;
 pub mod serve;
 pub mod site;
 
-pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, RetryBackoff};
 pub use site::{PumpOutcome, ServedPage, ServingSite, SiteConfig, SiteMetrics};
 
 // Re-export the component crates under stable names.

@@ -2,12 +2,14 @@
 //! cache alone cannot answer it.
 //!
 //! One pure table, shared by both drivers. [`crate::ServingSite`] fills an
-//! [`Observation`] from the wall clock and its cache's real single-flight
-//! map; the cluster simulation fills one from sim time and its flight
-//! map. Neither decides anything itself: it asks [`decide`] (and, after
-//! rendering, [`after_render`]) and carries out the answer. Nothing here
-//! reads a clock, a socket or a lock. DESIGN.md §11a has the table; the
-//! test below spells out every combination of its inputs.
+//! [`Observation`] from its cache's real single-flight map, with the
+//! breaker admitting and the backend reachable: its in-process renderer
+//! cannot fail. The cluster simulation fills one from sim time, its flight
+//! map, its breaker and its fault plan. Neither decides anything itself:
+//! it asks [`decide`] (and, after rendering, [`after_render`]) and
+//! carries out the answer. Nothing here reads a clock, a socket or a lock.
+//! DESIGN.md §11a has the table; the test below spells out every
+//! combination of its inputs.
 
 /// Everything the table reads, as the caller observed it.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,7 +2,6 @@
 //! system — database, renderer, trigger monitor, and a fleet of serving
 //! caches — behind a small API.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,15 +11,13 @@ use nagano_cache::{
     CacheConfig, CacheFleet, FlightOutcome, FlightToken, PageCache, StaleCopy, StatsSnapshot,
 };
 use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
-use nagano_httpd::{none_match, Handler, Request, Response, RetryAfterHint, Server, ServerConfig};
+use nagano_httpd::{none_match, Handler, Request, Response, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
-use nagano_simcore::sync::Mutex;
 use nagano_trigger::{
     ConsistencyPolicy, PageUrls, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot,
 };
 
-use crate::resilience::CircuitBreaker;
 use crate::serve::{self, Decision, Observation, Render};
 
 /// Configuration for a serving site.
@@ -138,16 +135,7 @@ pub struct ServingSite {
     fleet: Arc<CacheFleet>,
     txn_rx: crossbeam::channel::Receiver<Arc<nagano_db::Transaction>>,
     marquee: (EventId, EventId),
-    /// Breaker around the render/db backend, visible in `/status`. The
-    /// live site has no wall clock: breaker time is the request tick
-    /// count, so `open_secs: 10` means "fail fast for ten requests".
-    breaker: Mutex<CircuitBreaker>,
-    /// Monotonic request counter doubling as the breaker's clock.
-    ticks: AtomicU64,
     request_budget_secs: f64,
-    /// Live `Retry-After` advisory for shed 503s, derived from breaker
-    /// state; installed into servers bound via [`ServingSite::serve_http`].
-    retry_hint: RetryAfterHint,
 }
 
 impl ServingSite {
@@ -178,10 +166,7 @@ impl ServingSite {
             fleet,
             txn_rx,
             marquee,
-            breaker: Mutex::new(CircuitBreaker::default()),
-            ticks: AtomicU64::new(0),
             request_budget_secs: config.request_budget_secs,
-            retry_hint: RetryAfterHint::default(),
         }
     }
 
@@ -216,12 +201,12 @@ impl ServingSite {
     /// Serve one request path from serving node `node` — the FastCGI
     /// server-program path: check the cache; on a miss, coalesce onto any
     /// in-flight regeneration of the same page (single-flight), otherwise
-    /// generate, cache locally, and register dependencies. When the
-    /// breaker is open, or a coalesced wait or the render overruns the
-    /// request budget, a tombstoned stale copy is served instead
-    /// (`stale: true`; [`crate::serve`] has the table). Returns `None` for
-    /// paths that are not part of the site: a path that does not parse,
-    /// or names a day, entity or story the Games do not have.
+    /// generate, cache locally, and register dependencies. When a
+    /// coalesced wait or the render overruns the request budget, a
+    /// tombstoned stale copy is served instead (`stale: true`;
+    /// [`crate::serve`] has the table). Returns `None` for paths that are
+    /// not part of the site: a path that does not parse, or names a day,
+    /// entity or story the Games do not have.
     pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
         let (key, slot) = self.page(path)?;
         Some(self.serve(node, key, slot))
@@ -234,31 +219,29 @@ impl ServingSite {
     }
 
     /// The one lookup behind [`ServingSite::handle`] and
-    /// [`ServingSite::respond`]: take a request tick, look page `key`, in
-    /// `slot`, up on `node`, and answer a miss as
-    /// [`ServingSite::handle_miss`] does.
+    /// [`ServingSite::respond`]: look page `key`, in `slot`, up on `node`,
+    /// and answer a miss as [`ServingSite::handle_miss`] does.
     fn serve(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
-        let now = self.ticks.fetch_add(1, Relaxed) as f64;
         match self.fleet.get_from(node, slot) {
             Some(page) => ServedPage {
                 cache_hit: true,
                 ..ServedPage::cached(page.body, page.version, false)
             },
-            None => self.handle_miss(node, key, slot, now),
+            None => self.handle_miss(node, key, slot),
         }
     }
 
     /// The slow path of [`ServingSite::serve`]: observe the key's flight,
-    /// freshness, tombstone and breaker, and do what [`serve::decide`] says
-    /// (DESIGN.md §11a). `now` is the request tick observed before the
-    /// cache lookup.
-    fn handle_miss(&self, node: usize, key: PageKey, slot: u32, now: f64) -> ServedPage {
+    /// freshness and tombstone, and do what [`serve::decide`] says
+    /// (DESIGN.md §11a). The in-process renderer cannot fail, so the
+    /// breaker and the backend are observed as they always are here:
+    /// admitting and reachable.
+    fn handle_miss(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
         let member = self.fleet.member(node);
         let budget_secs = self.request_budget_secs;
         loop {
             let flight = member.join_or_lead(slot, Duration::from_secs_f64(budget_secs));
             let (fresh, stale) = (member.peek(slot), member.peek_stale(slot));
-            let breaker_admits = self.breaker.lock().allow(now);
             let observed = Observation {
                 fresh: fresh.is_some(),
                 // A follower has waited already: its flight landed, or it
@@ -269,8 +252,8 @@ impl ServingSite {
                     FlightOutcome::TimedOut => Some(f64::INFINITY),
                 },
                 tombstone: stale.is_some(),
-                breaker_admits,
-                backend_reachable: true, // the in-process renderer cannot fail
+                breaker_admits: true,
+                backend_reachable: true,
                 budget_secs,
             };
             match (serve::decide(&observed), flight) {
@@ -301,10 +284,9 @@ impl ServingSite {
         }
     }
 
-    /// Lead the regeneration of `key`: demand-fill it on `node`, record
-    /// the success in the breaker (the in-process renderer cannot fail;
-    /// the failure edges are the cluster simulation's), hand the page to
-    /// the flight's followers, and answer as [`serve::after_render`] says.
+    /// Lead the regeneration of `key`: demand-fill it on `node`, hand the
+    /// page to the flight's followers, and answer as
+    /// [`serve::after_render`] says.
     fn fill(
         &self,
         node: usize,
@@ -320,8 +302,6 @@ impl ServingSite {
         let started = Instant::now();
         let fill = self.monitor.demand_fill(node, key);
         let secs = started.elapsed().as_secs_f64();
-        self.breaker.lock().record_success();
-        self.publish_retry_after();
         let member = self.fleet.member(node);
         member.complete_flight(token, member.peek(slot));
         let budget = self.request_budget_secs;
@@ -356,33 +336,6 @@ impl ServingSite {
         response
     }
 
-    /// Run `f` against the backend circuit breaker (status inspection,
-    /// fault injection in tests). Republish the `Retry-After` hint
-    /// afterwards so shed responses reflect the new state.
-    pub fn with_breaker<R>(&self, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
-        let r = f(&mut self.breaker.lock());
-        self.publish_retry_after();
-        r
-    }
-
-    /// The live `Retry-After` advisory derived from breaker state. An
-    /// open breaker advertises its remaining open window; a healthy site
-    /// advertises [`RetryAfterHint::HEALTHY_SECS`].
-    pub fn retry_after_hint(&self) -> RetryAfterHint {
-        self.retry_hint.clone()
-    }
-
-    fn publish_retry_after(&self) {
-        let now = self.ticks.load(Relaxed) as f64;
-        let window = self.breaker.lock().retry_after_secs(now);
-        let secs = if window > 0.0 {
-            window.ceil() as u32
-        } else {
-            RetryAfterHint::HEALTHY_SECS
-        };
-        self.retry_hint.set_secs(secs);
-    }
-
     /// Synchronously process every transaction committed since the last
     /// pump (tests and replay harnesses; live deployments use
     /// [`ServingSite::spawn_trigger_runner`]).
@@ -413,25 +366,14 @@ impl ServingSite {
         Arc::new(move |req: &Request| site.respond(node, req))
     }
 
-    /// Bind an HTTP server for serving node `node`. Shed 503s advertise
-    /// the site's live breaker-derived `Retry-After`, which replaces the
-    /// config's [`ServerConfig::retry_after`].
+    /// Bind an HTTP server for serving node `node`.
     pub fn serve_http(
         self: &Arc<Self>,
         addr: &str,
         node: usize,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let config = self.install_retry_hint(config);
         Server::bind(addr, self.http_handler(node), config)
-    }
-
-    /// `config` advertising the site's live `Retry-After` hint.
-    fn install_retry_hint(&self, config: ServerConfig) -> ServerConfig {
-        ServerConfig {
-            retry_after: self.retry_hint.clone(),
-            ..config
-        }
     }
 
     /// The `/status` JSON document: registry size, ODG dimensions,
@@ -445,17 +387,12 @@ impl ServingSite {
     pub fn status_json(&self) -> String {
         let trig = self.monitor.stats().snapshot();
         let (odg_nodes, odg_edges) = self.monitor.graph_size();
-        let (breaker_state, breaker_trips) = {
-            let b = self.breaker.lock();
-            (b.state_name(), b.trips())
-        };
         let mut out = String::with_capacity(512);
         out.push_str(&format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
              \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{},\
-             \"deferred_depth\":{},\"deferred_shed\":{}}},\
-             \"breaker\":{{\"state\":\"{}\",\"trips\":{}}},\"caches\":[",
+             \"deferred_depth\":{},\"deferred_shed\":{}}},\"caches\":[",
             self.registry.len(),
             odg_nodes,
             odg_edges,
@@ -467,8 +404,6 @@ impl ServingSite {
             trig.pages_patched,
             trig.deferred_depth,
             trig.deferred_shed,
-            breaker_state,
-            breaker_trips,
         ));
         for (i, member) in self.fleet.members().iter().enumerate() {
             if i > 0 {
@@ -513,7 +448,6 @@ impl ServingSite {
         registry: Arc<nagano_telemetry::MetricsRegistry>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let config = self.install_retry_hint(config);
         Server::bind(addr, self.admin_handler(node, registry), config)
     }
 
@@ -958,87 +892,10 @@ mod tests {
         let doc = s.status_json();
         assert!(doc.starts_with(&format!("{{\"pages\":{}", s.registry().len())));
         assert!(doc.contains("\"deferred_depth\":0"));
-        assert!(doc.contains("\"breaker\":{\"state\":\"closed\",\"trips\":0}"));
         assert!(doc.contains("\"node\":0") && doc.contains("\"node\":1"));
         assert!(doc.contains("\"hits\":1"));
         // Deterministic: identical state, identical bytes.
         assert_eq!(doc, s.status_json());
-        // A tripped breaker shows up.
-        s.with_breaker(|b| {
-            for _ in 0..10 {
-                b.record_failure(0.0);
-            }
-        });
-        assert!(s
-            .status_json()
-            .contains("\"breaker\":{\"state\":\"open\",\"trips\":1}"));
-    }
-
-    #[test]
-    fn open_breaker_serves_stale_copy() {
-        let mut cfg = SiteConfig::small();
-        cfg.cache = CacheConfig::default().with_stale(nagano_cache::StalePolicy::bounded(3600.0));
-        let s = ServingSite::build(cfg);
-        let url = PageKey::parse("/medals").unwrap().to_url();
-        let before = s.handle(0, "/medals").unwrap();
-        assert!(before.cache_hit && !before.stale);
-        // Invalidate the page (tombstoning it) and trip the breaker.
-        s.fleet().invalidate_everywhere(&url);
-        s.with_breaker(|b| {
-            for _ in 0..10 {
-                b.record_failure(0.0);
-            }
-        });
-        assert!(s.with_breaker(|b| b.state_name() == "open"));
-        let page = s.handle(0, "/medals").unwrap();
-        assert!(page.stale, "open breaker falls back to the stale copy");
-        assert!(!page.cache_hit);
-        assert_eq!(page.body, before.body);
-        assert_eq!(s.metrics().cache.stale_served, 1);
-    }
-
-    #[test]
-    fn retry_after_hint_tracks_breaker_state() {
-        let s = Arc::new(site());
-        let config = ServerConfig {
-            retry_after: RetryAfterHint::new(7),
-            ..Default::default()
-        };
-        let server = s.serve_http("127.0.0.1:0", 0, config).unwrap();
-        let hint = s.retry_after_hint();
-        assert_eq!(hint.get_secs(), 2, "healthy: 2 s, not the config's");
-        // Breaker opens (default window 10 tick-seconds): the hint now
-        // advertises the remaining open window.
-        s.with_breaker(|b| {
-            for _ in 0..10 {
-                b.record_failure(0.0);
-            }
-        });
-        assert_eq!(hint.get_secs(), 10);
-        // Recovery closes it; the hint returns to the floor.
-        s.with_breaker(|b| {
-            let now = 1e9; // far past the open window
-            assert!(b.allow(now));
-            b.record_success();
-            b.record_success();
-        });
-        assert_eq!(hint.get_secs(), 2);
-        server.shutdown();
-    }
-
-    #[test]
-    fn open_breaker_without_stale_copy_still_serves() {
-        let s = cold(SiteConfig::small());
-        s.with_breaker(|b| {
-            for _ in 0..10 {
-                b.record_failure(0.0);
-            }
-        });
-        // No stale policy, nothing cached: availability wins — the
-        // request is rendered anyway rather than turned away.
-        let page = s.handle(0, "/medals").unwrap();
-        assert!(!page.stale && !page.cache_hit);
-        assert!(!page.body.is_empty());
     }
 
     #[test]

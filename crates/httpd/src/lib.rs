@@ -41,4 +41,4 @@ pub use http::{
 };
 pub use log::{AccessLog, LogAnalysis, LogEntry};
 pub use metrics::HttpdMetrics;
-pub use server::{Handler, RequestObserver, RetryAfterHint, Server, ServerConfig};
+pub use server::{Handler, RequestObserver, Server, ServerConfig};

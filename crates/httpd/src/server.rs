@@ -7,7 +7,7 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,41 +37,8 @@ where
     }
 }
 
-/// A live, shared `Retry-After` value for shed (503) responses.
-///
-/// The serving site updates it from current breaker/backoff state (an
-/// open breaker advertises its remaining open window; a healthy site
-/// advertises [`RetryAfterHint::HEALTHY_SECS`]), so shed clients are told
-/// when a retry actually has a chance — instead of a static constant.
-#[derive(Debug, Clone)]
-pub struct RetryAfterHint(Arc<AtomicU32>);
-
-impl Default for RetryAfterHint {
-    fn default() -> Self {
-        RetryAfterHint::new(Self::HEALTHY_SECS)
-    }
-}
-
-impl RetryAfterHint {
-    /// What a server with nothing wrong advertises, and the default.
-    pub const HEALTHY_SECS: u32 = 2;
-
-    /// A hint starting at `secs`.
-    pub fn new(secs: u32) -> Self {
-        RetryAfterHint(Arc::new(AtomicU32::new(secs)))
-    }
-
-    /// Publish a new advisory value (clamped to at least 1 second —
-    /// `Retry-After: 0` invites an immediate stampede).
-    pub fn set_secs(&self, secs: u32) {
-        self.0.store(secs.max(1), Relaxed);
-    }
-
-    /// The current advisory value.
-    pub fn get_secs(&self) -> u32 {
-        self.0.load(Relaxed)
-    }
-}
+/// `Retry-After`, in seconds, advertised on shed (503) responses.
+const SHED_RETRY_AFTER_SECS: u32 = 2;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -83,10 +50,6 @@ pub struct ServerConfig {
     pub backlog: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
-    /// `Retry-After` advertised on shed (503) responses, read at shed
-    /// time: a fixed 2 s by default. A serving site installs its live,
-    /// breaker-derived hint here.
-    pub retry_after: RetryAfterHint,
 }
 
 impl Default for ServerConfig {
@@ -95,7 +58,6 @@ impl Default for ServerConfig {
             workers: 8,
             backlog: 128,
             read_timeout: Duration::from_secs(5),
-            retry_after: RetryAfterHint::default(),
         }
     }
 }
@@ -158,7 +120,6 @@ impl Server {
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_shed = Arc::clone(&shed);
-        let retry_after = config.retry_after.clone();
         let accept_thread = std::thread::Builder::new()
             .name("httpd-accept".into())
             .spawn(move || {
@@ -183,7 +144,7 @@ impl Server {
                                     // it unboundedly (load shedding is the
                                     // fault tier below a node outage).
                                     accept_shed.fetch_add(1, Relaxed);
-                                    shed_connection(s, retry_after.get_secs());
+                                    shed_connection(s);
                                 }
                                 Err(TrySendError::Disconnected(_)) => break,
                             }
@@ -275,9 +236,9 @@ impl Drop for Server {
 /// Reply 503 + Retry-After on the accept thread and close. The request
 /// is deliberately not read: shedding must stay O(1) no matter how slow
 /// the shed client is.
-fn shed_connection(stream: TcpStream, retry_after_secs: u32) {
+fn shed_connection(stream: TcpStream) {
     let mut writer = BufWriter::new(stream);
-    let _ = Response::overloaded(retry_after_secs).write_to(&mut writer, false);
+    let _ = Response::overloaded(SHED_RETRY_AFTER_SECS).write_to(&mut writer, false);
     let _ = writer.flush();
 }
 
@@ -548,7 +509,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 backlog: 1,
-                retry_after: RetryAfterHint::new(7),
                 ..Default::default()
             },
         )
@@ -581,7 +541,7 @@ mod tests {
             raw.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{raw}"
         );
-        assert!(raw.contains("Retry-After: 7\r\n"), "{raw}");
+        assert!(raw.contains("Retry-After: 2\r\n"), "{raw}");
         assert!(raw.contains("Connection: close"), "{raw}");
         assert_eq!(server.shed(), 1);
 
@@ -592,69 +552,6 @@ mod tests {
         assert_eq!(&body[..], b"slow");
         drop(queued);
         assert_eq!(server.served(), 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn retry_after_hint_clamps_zero() {
-        let hint = RetryAfterHint::new(5);
-        assert_eq!(hint.get_secs(), 5);
-        hint.set_secs(0);
-        assert_eq!(hint.get_secs(), 1, "0 would invite an instant stampede");
-        hint.set_secs(30);
-        assert_eq!(hint.get_secs(), 30);
-    }
-
-    #[test]
-    fn shed_reads_the_live_retry_after_hint() {
-        use crossbeam::channel;
-        use std::io::Read;
-
-        let (started_tx, started_rx) = channel::bounded::<()>(1);
-        let (release_tx, release_rx) = channel::bounded::<()>(1);
-        let handler: Arc<dyn Handler> = Arc::new(move |_req: &Request| {
-            let _ = blocking!(started_tx.send(()));
-            let _ = blocking!(release_rx.recv());
-            Response::html(Bytes::from_static(b"slow"))
-        });
-        let hint = RetryAfterHint::new(2);
-        let server = Server::bind(
-            "127.0.0.1:0",
-            handler,
-            ServerConfig {
-                workers: 1,
-                backlog: 1,
-                retry_after: hint.clone(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
-        let busy = std::thread::spawn(move || {
-            let mut client = HttpClient::connect(addr).unwrap();
-            client.get("/slow").unwrap()
-        });
-        blocking!(started_rx.recv_timeout(Duration::from_secs(5))).expect("handler never started");
-        let queued = TcpStream::connect(addr).unwrap();
-        assert!(server.wait_for_pending(1, Duration::from_secs(10)));
-
-        // The breaker opened meanwhile: the site publishes a new value,
-        // and the next shed advertises it — not the static 7.
-        hint.set_secs(42);
-        let shed_stream = TcpStream::connect(addr).unwrap();
-        shed_stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut raw = String::new();
-        BufReader::new(shed_stream)
-            .read_to_string(&mut raw)
-            .unwrap();
-        assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-        assert!(raw.contains("Retry-After: 42\r\n"), "{raw}");
-
-        blocking!(release_tx.send(())).unwrap();
-        blocking!(busy.join()).unwrap();
-        drop(queued);
         server.shutdown();
     }
 

@@ -11,8 +11,7 @@ use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{
-    AdminPlane, Handler, HttpClient, Request, Response, RetryAfterHint, Server, ServerConfig,
-    Status, StatusFn,
+    AdminPlane, Handler, HttpClient, Request, Response, Server, ServerConfig, Status, StatusFn,
 };
 use nagano_simcore::sync::blocking;
 use nagano_telemetry::{parse_prometheus_line, MetricsRegistry};
@@ -104,7 +103,6 @@ fn admin_plane_leaves_overload_shedding_untouched() {
         ServerConfig {
             workers: 1,
             backlog: 1,
-            retry_after: RetryAfterHint::new(3),
             ..Default::default()
         },
     )
@@ -134,7 +132,7 @@ fn admin_plane_leaves_overload_shedding_untouched() {
         raw.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
         "{raw}"
     );
-    assert!(raw.contains("Retry-After: 3\r\n"), "{raw}");
+    assert!(raw.contains("Retry-After: 2\r\n"), "{raw}");
     assert_eq!(server.shed(), 1);
 
     // Release the worker; the queued connection and fresh admin scrapes

@@ -10,8 +10,8 @@ use std::thread;
 use std::time::Duration;
 
 use bytes::Bytes;
-use nagano::{BreakerConfig, CircuitBreaker, RetryBackoff};
 use nagano_cache::{CacheConfig, FlightOutcome, PageCache, StalePolicy};
+use nagano_cluster::{BreakerConfig, CircuitBreaker, RetryBackoff};
 use nagano_simcore::sync::blocking;
 use nagano_simcore::DeterministicRng;
 use proptest::prelude::*;

@@ -10,8 +10,9 @@
 //! assertions composes every page it keeps and finishes every page it
 //! writes over afresh, to compare — so CI also runs this file with
 //! `--release`; the registration and the distribution of a kept page
-//! allocate nothing in either build. Nor does a warm hit on the serving
-//! path, from the request path to the cached body.
+//! allocate nothing in either build. Nor does the per-request work of a
+//! warm hit on the socket path: reading the head off the wire, answering
+//! it `200` or `304`, and framing the answer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +21,7 @@ use std::sync::Arc;
 use nagano::{ServingSite, SiteConfig};
 use nagano_cache::{CacheConfig, CacheFleet};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
+use nagano_httpd::{Request, RequestReader, Status};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
 
@@ -304,5 +306,30 @@ fn a_warm_hit_allocates_nothing() {
         let (page, allocated) = counted(|| site.handle(0, path));
         assert!(page.unwrap().cache_hit, "{path}");
         assert_eq!(allocated, 0, "{path}: a hit allocated");
+    }
+    // A worker's scratch, reused for every request it reads and answers.
+    let mut parse = RequestReader::new();
+    let mut request = Request::empty();
+    let mut head = Vec::new();
+    for path in paths {
+        let version = site.handle(0, path).unwrap().version;
+        let fetch = format!("GET {path} HTTP/1.1\r\nHost: nagano\r\n\r\n");
+        let revalidate =
+            format!("GET {path} HTTP/1.1\r\nHost: nagano\r\nIf-None-Match: \"v{version}\"\r\n\r\n");
+        for (wire, status) in [(fetch, Status::Ok), (revalidate, Status::NotModified)] {
+            // The first pass grows the scratch to this request's size.
+            for pass in 0..2 {
+                let mut wire = wire.as_bytes();
+                let (read, reading) = counted(|| parse.read_into(&mut wire, &mut request));
+                assert!(read.is_ok() && wire.is_empty(), "{path}");
+                let (response, responding) = counted(|| site.respond(0, &request));
+                assert_eq!(response.status, status, "{path}");
+                let ((), framing) = counted(|| response.serialize_head(true, &mut head));
+                if pass == 1 {
+                    let counts = (reading, responding, framing);
+                    assert_eq!(counts, (0, 0, 0), "{path}: {status:?} allocated");
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
-use nagano_httpd::{Handler, Request, Response, RetryAfterHint, Server, ServerConfig, Status};
+use nagano_httpd::{Handler, Request, Response, Server, ServerConfig, Status};
 use nagano_simcore::sync::blocking;
 
 /// One parsed raw response: status code, headers (lowercased names), and
@@ -176,7 +176,6 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
         ServerConfig {
             workers: 1,
             backlog: 1,
-            retry_after: RetryAfterHint::new(4),
             ..Default::default()
         },
     )
@@ -202,7 +201,7 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
     let mut shed_reader = BufReader::new(shed.try_clone().unwrap());
     let resp = read_raw_response(&mut shed_reader);
     assert_eq!(resp.code, 503);
-    assert_eq!(resp.header("retry-after"), Some("4"));
+    assert_eq!(resp.header("retry-after"), Some("2"));
     let mut rest = Vec::new();
     shed_reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "shed connection must close after the 503");
