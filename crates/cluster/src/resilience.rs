@@ -186,19 +186,9 @@ impl RetryBackoff {
         Some(rng.range_f64(0.0, ceiling))
     }
 
-    /// Retries consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Retries remaining.
     pub fn remaining(&self) -> u32 {
         self.max_attempts - self.attempt
-    }
-
-    /// Reset to attempt 0 (after a success).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
     }
 }
 
@@ -291,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_caps_at_max_and_resets() {
+    fn backoff_caps_at_max() {
         let mut rng = DeterministicRng::seed_from_u64(7);
         let mut bo = RetryBackoff::new(1.0, 3.0, 40);
         for _ in 0..40 {
@@ -299,8 +289,5 @@ mod tests {
             assert!(d < 3.0, "per-sleep cap holds even at huge exponents");
         }
         assert!(bo.next_delay(&mut rng).is_none());
-        bo.reset();
-        assert_eq!(bo.attempts(), 0);
-        assert!(bo.next_delay(&mut rng).is_some());
     }
 }

@@ -553,6 +553,8 @@ struct Complex {
     replica: Replica,
     lag: Gauge,
     staleness: HistogramHandle,
+    /// [`trigger_latency`] of every batch the monitor processed.
+    trigger_latency: HistogramHandle,
     /// While the monitor is down the replica still advances its log; DUP
     /// runs at recovery.
     monitor_up: bool,
@@ -951,6 +953,11 @@ impl<'a> SimState<'a> {
     ) {
         let complex = &mut self.complexes[s];
         complex.last_apply_minute = at.minute_index() as i64;
+        // A recovery with nothing past the watermark processed nothing.
+        if !txns.is_empty() {
+            let secs = trigger_latency(outcome).as_micros() as f64 / 1e6;
+            complex.trigger_latency.record(secs);
+        }
         let day_idx = at.day().min(self.cfg.end_day) as usize - 1;
         self.report.regen_per_day[day_idx] += outcome.regenerated.len() as u64;
         let mut applied_at = at;
@@ -1460,6 +1467,23 @@ fn serve_stale(member: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
     (copy.body.len() as u64, latency_ms, false)
 }
 
+/// Modelled trigger-monitor service time of one processed batch: a
+/// propagation visit per ODG node, an invalidation message per dropped
+/// page, and the regeneration CPU spread over the SMP's render workers.
+/// Calibrated to the paper's trigger-monitor throughput figures; a pure
+/// function of the work done, so same-seed runs export identical
+/// `nagano_trigger_latency_seconds` distributions.
+fn trigger_latency(outcome: &TxnOutcome) -> SimDuration {
+    const VISIT_COST_US: u64 = 20;
+    const INVALIDATE_COST_US: u64 = 50;
+    const RENDER_WORKERS: u64 = 8;
+    let render_us = (outcome.render_ms * 1_000.0 / RENDER_WORKERS as f64).round() as u64;
+    let invalidated = outcome.invalidated.len() as u64;
+    SimDuration::from_micros(
+        outcome.visited as u64 * VISIT_COST_US + invalidated * INVALIDATE_COST_US + render_us,
+    )
+}
+
 /// The Hybrid scheduler's children of a streamed apply span: the
 /// hot/cold ranking, and the pages it deferred.
 fn hybrid_spans(t: &mut Trace, apply: usize, site: &str, outcome: &TxnOutcome, at: SimTime) {
@@ -1506,12 +1530,14 @@ fn complexes(
             let httpd = HttpdMetrics::new();
             httpd.bind(reg, &labels);
             let staleness = "nagano_cluster_staleness_seconds";
+            let trigger_latency = "nagano_trigger_latency_seconds";
             Complex {
                 monitor,
                 httpd,
                 replica,
                 lag: reg.gauge("nagano_cluster_replication_lag_txns", &labels),
                 staleness: reg.histogram(staleness, &labels, 1e-3, 100_000.0),
+                trigger_latency: reg.histogram(trigger_latency, &labels, 1e-6, 600.0),
                 monitor_up: true,
                 catchup_pending: false,
                 catchup_attempts: 0,
@@ -1843,6 +1869,20 @@ mod tests {
         assert_eq!(a.total_requests, b.total_requests);
         assert_eq!(a.cache.hits, b.cache.hits);
         assert_eq!(a.per_site_totals(), b.per_site_totals());
+    }
+
+    #[test]
+    fn trigger_latency_is_a_function_of_the_work_done() {
+        let outcome = TxnOutcome {
+            visited: 3,
+            invalidated: vec![PageKey::Medals],
+            render_ms: 8.0,
+            ..TxnOutcome::default()
+        };
+        // 3 visits, 1 invalidation, 8 ms of renders over 8 workers.
+        let expected = SimDuration::from_micros(3 * 20 + 50 + 1_000);
+        assert_eq!(trigger_latency(&outcome), expected);
+        assert_eq!(trigger_latency(&TxnOutcome::default()), SimDuration::ZERO);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! cache alone cannot answer it.
 //!
 //! One pure table, shared by both drivers. [`crate::ServingSite`] fills an
-//! [`Observation`] from its cache's real single-flight map, with the
-//! breaker admitting and the backend reachable: its in-process renderer
-//! cannot fail. The cluster simulation fills one from sim time, its flight
-//! map, its breaker and its fault plan. Neither decides anything itself:
-//! it asks [`decide`] (and, after rendering, [`after_render`]) and
-//! carries out the answer. Nothing here reads a clock, a socket or a lock.
-//! DESIGN.md §11a has the table; the test below spells out every
-//! combination of its inputs.
+//! [`Observation`] from its cache's real single-flight map, with no
+//! tombstone (it keeps none), the breaker admitting and the backend
+//! reachable (its in-process renderer cannot fail), so it meets only the
+//! rows that answer Hit, Join or Fill. The cluster simulation fills one
+//! from sim time, its flight map, its tombstones, its breaker and its
+//! fault plan, and after rendering asks [`after_render`] too. Neither
+//! decides anything itself: each asks and carries out the answer.
+//! Nothing here reads a clock, a socket or a lock. DESIGN.md §11a has the
+//! table; the tests below spell out every combination of its inputs.
 
 /// Everything the table reads, as the caller observed it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,6 +203,30 @@ mod tests {
             assert!(TABLE.iter().any(|row| row.0 == rule), "{rule} has no row");
         }
         assert!(AFTER_RENDER.iter().any(|row| row.0 == "(d)"));
+    }
+
+    /// The rows the site reaches: no tombstone, the breaker admitting,
+    /// the backend reachable, and a flight absent, landed or timed out.
+    #[test]
+    fn the_sites_observations_are_answered_hit_join_or_fill() {
+        for flight in [None, Some(0.0), Some(f64::INFINITY)] {
+            for fresh in [false, true] {
+                let observed = Observation {
+                    fresh,
+                    flight,
+                    tombstone: false,
+                    breaker_admits: true,
+                    backend_reachable: true,
+                    budget_secs: BUDGET,
+                };
+                let expected = match flight {
+                    None if fresh => Hit,
+                    None => Fill,
+                    Some(_) => Join,
+                };
+                assert_eq!(decide(&observed), expected, "{observed:?}");
+            }
+        }
     }
 
     #[test]

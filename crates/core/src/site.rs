@@ -3,13 +3,11 @@
 //! caches — behind a small API.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
-use nagano_cache::{
-    CacheConfig, CacheFleet, FlightOutcome, FlightToken, PageCache, StaleCopy, StatsSnapshot,
-};
+use nagano_cache::{CacheConfig, CacheFleet, FlightOutcome, FlightToken, StatsSnapshot};
 use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
 use nagano_httpd::{none_match, Handler, Request, Response, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
@@ -18,7 +16,12 @@ use nagano_trigger::{
     ConsistencyPolicy, PageUrls, TriggerMonitor, TriggerRunner, TriggerStatsSnapshot,
 };
 
-use crate::serve::{self, Decision, Observation, Render};
+use crate::serve::{self, Decision, Observation};
+
+/// How long a miss waits on another request's regeneration of its page
+/// before presuming that leader dead and leading or joining the
+/// replacement (DESIGN.md §11a, row (c)).
+const FOLLOWER_PATIENCE: Duration = Duration::from_secs(2);
 
 /// Configuration for a serving site.
 #[derive(Debug, Clone)]
@@ -34,11 +37,6 @@ pub struct SiteConfig {
     pub policy: ConsistencyPolicy,
     /// DUP staleness policy.
     pub staleness: StalenessPolicy,
-    /// Per-request latency budget in seconds: a miss that coalesces onto
-    /// another node-local regeneration waits at most this long before
-    /// falling back to a stale copy, and a miss whose own render takes
-    /// longer is answered from the stale copy (DESIGN.md §11a).
-    pub request_budget_secs: f64,
 }
 
 impl SiteConfig {
@@ -50,7 +48,6 @@ impl SiteConfig {
             cache: CacheConfig::default(),
             policy: ConsistencyPolicy::UpdateInPlace,
             staleness: StalenessPolicy::Strict,
-            request_budget_secs: 2.0,
         }
     }
 
@@ -79,27 +76,17 @@ pub struct ServedPage {
     /// client holding it is answered `304` for as long as the page reads
     /// the same, however often DUP had the page re-derived in between.
     pub version: u64,
-    /// Whether the body is a tombstoned stale copy served because fresh
-    /// regeneration was unavailable within budget (serve-stale-on-error).
-    pub stale: bool,
 }
 
 impl ServedPage {
     /// A page answered from what a cache holds, as a miss.
-    fn cached(body: Bytes, version: u64, stale: bool) -> Self {
+    fn cached(body: Bytes, version: u64) -> Self {
         ServedPage {
             body,
             cache_hit: false,
             cost_ms: 0.5,
             version,
-            stale,
         }
-    }
-
-    /// A miss answered from `member`'s tombstone, counted as a stale serve.
-    fn stale(member: &PageCache, copy: StaleCopy) -> Self {
-        member.stats_handle().stale_serve();
-        ServedPage::cached(copy.body, copy.version, true)
     }
 }
 
@@ -135,13 +122,22 @@ pub struct ServingSite {
     fleet: Arc<CacheFleet>,
     txn_rx: crossbeam::channel::Receiver<Arc<nagano_db::Transaction>>,
     marquee: (EventId, EventId),
-    request_budget_secs: f64,
 }
 
 impl ServingSite {
     /// Seed the Games, build the registry, construct the trigger monitor,
     /// and prewarm every page (the production prefetch).
+    ///
+    /// # Panics
+    ///
+    /// If `config.cache` carries a [`nagano_cache::StalePolicy`]: the site
+    /// updates its pages in place and has no clock to age a tombstone by,
+    /// so it keeps none (DESIGN.md §11a).
     pub fn build(config: SiteConfig) -> Self {
+        assert!(
+            config.cache.stale.is_none(),
+            "a serving site keeps no stale copies: build it without a StalePolicy"
+        );
         let db = Arc::new(OlympicDb::new());
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
@@ -166,7 +162,6 @@ impl ServingSite {
             fleet,
             txn_rx,
             marquee,
-            request_budget_secs: config.request_budget_secs,
         }
     }
 
@@ -201,10 +196,8 @@ impl ServingSite {
     /// Serve one request path from serving node `node` — the FastCGI
     /// server-program path: check the cache; on a miss, coalesce onto any
     /// in-flight regeneration of the same page (single-flight), otherwise
-    /// generate, cache locally, and register dependencies. When a
-    /// coalesced wait or the render overruns the request budget, a
-    /// tombstoned stale copy is served instead (`stale: true`;
-    /// [`crate::serve`] has the table). Returns `None` for paths that are
+    /// generate, cache locally, and register dependencies
+    /// ([`crate::serve`] has the table). Returns `None` for paths that are
     /// not part of the site: a path that does not parse, or names a day,
     /// entity or story the Games do not have.
     pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
@@ -225,93 +218,67 @@ impl ServingSite {
         match self.fleet.get_from(node, slot) {
             Some(page) => ServedPage {
                 cache_hit: true,
-                ..ServedPage::cached(page.body, page.version, false)
+                ..ServedPage::cached(page.body, page.version)
             },
             None => self.handle_miss(node, key, slot),
         }
     }
 
-    /// The slow path of [`ServingSite::serve`]: observe the key's flight,
-    /// freshness and tombstone, and do what [`serve::decide`] says
-    /// (DESIGN.md §11a). The in-process renderer cannot fail, so the
-    /// breaker and the backend are observed as they always are here:
-    /// admitting and reachable.
+    /// The slow path of [`ServingSite::serve`]: observe the key's flight
+    /// and freshness, and do what [`serve::decide`] says (DESIGN.md §11a).
+    /// The site keeps no tombstone, and its in-process renderer cannot
+    /// fail, so the breaker and the backend are observed as they always
+    /// are here: admitting and reachable. The table then answers only
+    /// Hit, Join or Fill.
     fn handle_miss(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
         let member = self.fleet.member(node);
-        let budget_secs = self.request_budget_secs;
         loop {
-            let flight = member.join_or_lead(slot, Duration::from_secs_f64(budget_secs));
-            let (fresh, stale) = (member.peek(slot), member.peek_stale(slot));
+            let flight = member.join_or_lead(slot, FOLLOWER_PATIENCE);
+            let fresh = member.peek(slot);
             let observed = Observation {
                 fresh: fresh.is_some(),
                 // A follower has waited already: its flight landed, or it
-                // did not within the budget.
+                // did not within the patience.
                 flight: match flight {
                     FlightOutcome::Lead(_) => None,
                     FlightOutcome::Joined(_) => Some(0.0),
                     FlightOutcome::TimedOut => Some(f64::INFINITY),
                 },
-                tombstone: stale.is_some(),
+                tombstone: false,
                 breaker_admits: true,
                 backend_reachable: true,
-                budget_secs,
+                budget_secs: FOLLOWER_PATIENCE.as_secs_f64(),
             };
             match (serve::decide(&observed), flight) {
                 (Decision::Join, FlightOutcome::Joined(page)) => {
-                    return ServedPage::cached(page.body, page.version, false)
+                    return ServedPage::cached(page.body, page.version)
                 }
                 // (c) Lead the flight's replacement, or join the follower
                 // that leads it.
                 (Decision::Join, FlightOutcome::TimedOut) => continue,
                 (Decision::Fill, FlightOutcome::Lead(token)) => {
-                    return self.fill(node, key, slot, token, stale)
+                    return self.fill(node, key, slot, token)
                 }
                 // Filled between this request's miss and its lead.
                 (Decision::Hit, FlightOutcome::Lead(token)) => {
                     member.complete_flight(token, fresh.clone());
                     let page = fresh.expect("the table hits only a fresh entry");
-                    return ServedPage::cached(page.body, page.version, false);
-                }
-                (Decision::ServeStale, flight) => {
-                    if let FlightOutcome::Lead(token) = flight {
-                        member.complete_flight(token, None);
-                    }
-                    let copy = stale.expect("the table serves only a held tombstone");
-                    return ServedPage::stale(member, copy);
+                    return ServedPage::cached(page.body, page.version);
                 }
                 (decision, _) => unreachable!("{decision:?} for a site's miss"),
             }
         }
     }
 
-    /// Lead the regeneration of `key`: demand-fill it on `node`, hand the
-    /// page to the flight's followers, and answer as
-    /// [`serve::after_render`] says.
-    fn fill(
-        &self,
-        node: usize,
-        key: PageKey,
-        slot: u32,
-        token: FlightToken,
-        stale: Option<StaleCopy>,
-    ) -> ServedPage {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the request budget is a promise to a real client, kept in host time"
-        )]
-        let started = Instant::now();
+    /// Lead the regeneration of `key`: demand-fill it on `node` and hand
+    /// the page to the flight's followers.
+    fn fill(&self, node: usize, key: PageKey, slot: u32, token: FlightToken) -> ServedPage {
         let fill = self.monitor.demand_fill(node, key);
-        let secs = started.elapsed().as_secs_f64();
         let member = self.fleet.member(node);
         member.complete_flight(token, member.peek(slot));
-        let budget = self.request_budget_secs;
-        let decision = serve::after_render(Render::Done { secs }, stale.is_some(), budget);
-        match (decision, stale) {
-            (Decision::ServeStale, Some(copy)) => ServedPage::stale(member, copy),
-            _ => ServedPage {
-                cost_ms: fill.cost_ms,
-                ..ServedPage::cached(fill.body, fill.version, false)
-            },
+        ServedPage {
+            cost_ms: fill.cost_ms,
+            ..ServedPage::cached(fill.body, fill.version)
         }
     }
 
@@ -327,13 +294,11 @@ impl ServingSite {
         };
         let page = self.serve(node, key, slot);
         let validator = req.if_none_match.as_deref();
-        let mut response = if validator.is_some_and(|field| none_match(field, page.version)) {
+        if validator.is_some_and(|field| none_match(field, page.version)) {
             Response::not_modified(page.version)
         } else {
             Response::page(page.body, page.version)
-        };
-        response.stale = page.stale;
-        response
+        }
     }
 
     /// Synchronously process every transaction committed since the last
@@ -462,7 +427,7 @@ impl ServingSite {
     }
 
     /// Register this site's live metric cells — trigger counters, the
-    /// propagation-latency histogram, and per-node cache statistics —
+    /// weighted-staleness histogram, and per-node cache statistics —
     /// into a telemetry registry. Counters appear under the
     /// `nagano_trigger_*` / `nagano_cache_*` names with the given labels
     /// (cache cells additionally carry a `node` label per fleet member),
@@ -900,13 +865,10 @@ mod tests {
 
     #[test]
     fn followers_past_the_budget_without_a_tombstone_render_once() {
-        let s = Arc::new(cold(SiteConfig {
-            request_budget_secs: 0.05,
-            ..SiteConfig::small()
-        }));
+        let s = Arc::new(cold(SiteConfig::small()));
         let member = Arc::clone(s.fleet().member(0));
         let cold = member.stats();
-        // A leader that outlives every follower's budget.
+        // A leader that outlives every follower's patience.
         let FlightOutcome::Lead(token) = member.join_or_lead("/medals", Duration::from_secs(1))
         else {
             panic!("nothing was in flight");
@@ -928,26 +890,19 @@ mod tests {
         let filled = (stats.inserts - cold.inserts, stats.updates - cold.updates);
         assert_eq!(filled, (1, 0), "{stats:?}");
         for page in pages {
-            assert!(!page.stale && !page.body.is_empty());
+            assert!(!page.body.is_empty());
             assert_eq!(page.version, 1);
         }
     }
 
     #[test]
-    fn a_render_past_the_budget_is_answered_from_the_tombstone() {
-        let mut cfg = SiteConfig::small();
-        cfg.cache = CacheConfig::default().with_stale(nagano_cache::StalePolicy::bounded(3600.0));
-        cfg.request_budget_secs = 0.0;
-        let s = ServingSite::build(cfg);
-        let before = s.handle(0, "/medals").unwrap();
-        s.fleet().invalidate_everywhere("/medals");
-        let page = s.handle(0, "/medals").unwrap();
-        assert!(page.stale, "no render fits a zero budget");
-        assert_eq!(page.body, before.body);
-        assert_eq!(s.metrics().cache.stale_served, 1);
-        // The fresh body landed for the next request.
-        let next = s.handle(0, "/medals").unwrap();
-        assert!(next.cache_hit && !next.stale);
+    #[should_panic(expected = "keeps no stale copies")]
+    fn a_site_with_a_stale_policy_is_refused() {
+        let stale = nagano_cache::StalePolicy::bounded(3600.0);
+        ServingSite::build(SiteConfig {
+            cache: CacheConfig::default().with_stale(stale),
+            ..SiteConfig::small()
+        });
     }
 
     #[test]
@@ -968,6 +923,8 @@ mod tests {
         assert_eq!(code, 200);
         let text = String::from_utf8(body.to_vec()).unwrap();
         assert!(text.contains("nagano_cache_hits_total"));
+        // The trigger-latency model is the simulation's, not a measurement.
+        assert!(!text.contains("nagano_trigger_latency_seconds"), "{text}");
         let (code, body) = client.get("/status").unwrap();
         assert_eq!(code, 200);
         assert!(body.starts_with(b"{\"pages\":"));

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use nagano_telemetry::{prometheus_text, Counter, MetricsRegistry};
 
-use crate::http::{Request, Response, Status};
+use crate::http::{canned, Request, Response, Status};
 use crate::server::Handler;
 
 /// Produces the `/status` JSON document on demand. Injected rather than
@@ -76,7 +76,7 @@ impl Handler for AdminPlane {
                 resp.content_type = METRICS_CONTENT_TYPE;
                 resp
             }
-            "/healthz" => Response::text(Status::Ok, "ok\n"),
+            "/healthz" => Response::canned(Status::Ok, canned!("ok\n")),
             "/status" => {
                 self.scrapes.incr();
                 let mut resp = Response::text(Status::Ok, &(self.status)());

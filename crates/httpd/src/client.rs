@@ -72,7 +72,9 @@ impl HttpClient {
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed connection",
             ),
-            ParseError::Malformed(m) => std::io::Error::new(std::io::ErrorKind::InvalidData, m),
+            ParseError::Malformed(m) => {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, m.text())
+            }
         })
     }
 }

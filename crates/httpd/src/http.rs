@@ -3,8 +3,49 @@
 //! keep-alive negotiation.
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
+use std::sync::OnceLock;
 
 use bytes::Bytes;
+
+/// The body of a canned plain-text answer, built on first use and shared
+/// from then on: every answer after the first is a refcount bump of one
+/// buffer, not an allocation.
+#[derive(Debug)]
+pub struct Canned {
+    text: &'static str,
+    body: OnceLock<Bytes>,
+}
+
+impl Canned {
+    /// The answer `text`, not built yet.
+    pub const fn new(text: &'static str) -> Self {
+        Canned {
+            text,
+            body: OnceLock::new(),
+        }
+    }
+
+    /// The text.
+    pub fn text(&self) -> &'static str {
+        self.text
+    }
+
+    /// The shared body.
+    pub fn body(&self) -> Bytes {
+        self.body
+            .get_or_init(|| Bytes::from_static(self.text.as_bytes()))
+            .clone()
+    }
+}
+
+/// A `&'static Canned` of the literal `$text`, one per call site.
+macro_rules! canned {
+    ($text:literal) => {{
+        static CANNED: $crate::http::Canned = $crate::http::Canned::new($text);
+        &CANNED
+    }};
+}
+pub(crate) use canned;
 
 /// Response status codes used by the site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +127,9 @@ pub struct Request {
 pub enum ParseError {
     /// Peer closed before a full request arrived.
     ConnectionClosed,
-    /// Malformed request line or headers.
-    Malformed(&'static str),
+    /// Malformed request line or headers: what is wrong, which is also
+    /// the body of the 400 answer.
+    Malformed(&'static Canned),
     /// Underlying I/O failure.
     Io(io::Error),
 }
@@ -164,7 +206,7 @@ impl RequestReader {
                 .read_until(b'\n', &mut self.head)?;
             if self.head.len() > MAX_HEAD_BYTES {
                 self.reset();
-                return Err(ParseError::Malformed("request head too large"));
+                return Err(ParseError::Malformed(canned!("request head too large")));
             }
             if read == 0 {
                 self.reset();
@@ -188,7 +230,8 @@ impl RequestReader {
 /// `req`, writing its validator into the buffer of the last one, or into
 /// `spare`, which keeps the buffer when the request sends none.
 fn parse_head(head: &[u8], req: &mut Request, spare: &mut String) -> Result<(), ParseError> {
-    let head = std::str::from_utf8(head).map_err(|_| ParseError::Malformed("head is not UTF-8"))?;
+    let head = std::str::from_utf8(head)
+        .map_err(|_| ParseError::Malformed(canned!("head is not UTF-8")))?;
     let mut lines = head.split('\n');
     req.method.clear();
     req.path.clear();
@@ -202,13 +245,15 @@ fn parse_head(head: &[u8], req: &mut Request, spare: &mut String) -> Result<(), 
         let mut parts = lines.next().unwrap_or_default().split_whitespace();
         let method = parts
             .next()
-            .ok_or(ParseError::Malformed("missing method"))?;
-        let path = parts.next().ok_or(ParseError::Malformed("missing path"))?;
+            .ok_or(ParseError::Malformed(canned!("missing method")))?;
+        let path = parts
+            .next()
+            .ok_or(ParseError::Malformed(canned!("missing path")))?;
         let version = parts.next().unwrap_or("HTTP/1.0");
         req.minor_version = match version {
             "HTTP/1.1" => 1,
             "HTTP/1.0" => 0,
-            _ => return Err(ParseError::Malformed("unsupported version")),
+            _ => return Err(ParseError::Malformed(canned!("unsupported version"))),
         };
         req.method.push_str(method);
         req.path.push_str(path);
@@ -238,7 +283,7 @@ fn parse_head(head: &[u8], req: &mut Request, spare: &mut String) -> Result<(), 
                 validated = true;
             }
         } else {
-            return Err(ParseError::Malformed("bad header"));
+            return Err(ParseError::Malformed(canned!("bad header")));
         }
     }
     if validated {
@@ -272,9 +317,6 @@ pub struct Response {
     /// `Retry-After` header in seconds (load-shedding 503s tell the
     /// client when to come back).
     pub retry_after: Option<u32>,
-    /// Whether the page answered with is a tombstoned stale copy
-    /// (serve-stale-on-error). Not on the wire: for the access log.
-    pub stale: bool,
 }
 
 impl Response {
@@ -286,7 +328,6 @@ impl Response {
             body,
             version: None,
             retry_after: None,
-            stale: false,
         }
     }
 
@@ -307,30 +348,41 @@ impl Response {
         }
     }
 
-    /// Plain-text response with the given status.
+    /// Plain-text response with the given status, its body a copy of
+    /// `body`.
     pub fn text(status: Status, body: &str) -> Self {
+        Response::plain(status, Bytes::copy_from_slice(body.as_bytes()))
+    }
+
+    /// Plain-text response with the given status and canned body.
+    pub fn canned(status: Status, body: &'static Canned) -> Self {
+        Response::plain(status, body.body())
+    }
+
+    fn plain(status: Status, body: Bytes) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: Bytes::copy_from_slice(body.as_bytes()),
+            body,
             version: None,
             retry_after: None,
-            stale: false,
         }
     }
 
     /// 404 page.
     pub fn not_found() -> Self {
-        Response::text(Status::NotFound, "not found\n")
+        Response::canned(Status::NotFound, canned!("not found\n"))
     }
 
     /// 503 shed response telling the client to retry after
     /// `retry_after_secs` seconds (the paper's elegant-degradation tier
     /// zero: refuse one request rather than melt a node).
     pub fn overloaded(retry_after_secs: u32) -> Self {
-        let mut resp = Response::text(Status::ServiceUnavailable, "server overloaded; retry\n");
-        resp.retry_after = Some(retry_after_secs);
-        resp
+        let body = canned!("server overloaded; retry\n");
+        Response {
+            retry_after: Some(retry_after_secs),
+            ..Response::canned(Status::ServiceUnavailable, body)
+        }
     }
 
     /// Serialise the status line and every header (through the blank
@@ -510,7 +562,7 @@ pub fn read_response_full<R: BufRead>(
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or(ParseError::Malformed("bad status line"))?;
+        .ok_or(ParseError::Malformed(canned!("bad status line")))?;
     let mut content_length = 0usize;
     let mut etag = None;
     loop {
@@ -527,7 +579,7 @@ pub fn read_response_full<R: BufRead>(
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| ParseError::Malformed("bad content-length"))?;
+                    .map_err(|_| ParseError::Malformed(canned!("bad content-length")))?;
             } else if name.eq_ignore_ascii_case("etag") {
                 etag = Some(value.trim().to_string());
             }

@@ -37,7 +37,7 @@ pub mod server;
 pub use admin::{AdminPlane, StatusFn};
 pub use client::HttpClient;
 pub use http::{
-    none_match, read_response_full, ParseError, Request, RequestReader, Response, Status,
+    none_match, read_response_full, Canned, ParseError, Request, RequestReader, Response, Status,
 };
 pub use log::{AccessLog, LogAnalysis, LogEntry};
 pub use metrics::HttpdMetrics;

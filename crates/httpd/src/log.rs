@@ -31,10 +31,6 @@ pub struct LogEntry {
     pub status: u16,
     /// Response body bytes.
     pub bytes: u64,
-    /// Whether the body was a tombstoned stale copy (serve-stale-on-
-    /// error, DESIGN.md §11). Rendered as a trailing `stale` token, so
-    /// fresh lines stay plain CLF.
-    pub stale: bool,
 }
 
 /// Percent-encode the characters that would break CLF framing: `%`
@@ -97,7 +93,6 @@ impl LogEntry {
             path: req.path.clone(),
             status: resp.status.code(),
             bytes: resp.body.len() as u64,
-            stale: resp.stale,
         }
     }
 
@@ -117,9 +112,6 @@ impl LogEntry {
             self.status,
             self.bytes
         );
-        if self.stale {
-            line.push_str(" stale");
-        }
         line
     }
 
@@ -140,7 +132,6 @@ impl LogEntry {
         let mut tail_parts = tail.split_whitespace();
         let status = tail_parts.next()?.parse().ok()?;
         let bytes = tail_parts.next()?.parse().ok()?;
-        let stale = tail_parts.next() == Some("stale");
         Some(LogEntry {
             host,
             epoch_secs,
@@ -148,7 +139,6 @@ impl LogEntry {
             path,
             status,
             bytes,
-            stale,
         })
     }
 }
@@ -194,8 +184,6 @@ pub struct LogAnalysis {
     pub by_path: FxHashMap<String, u64>,
     /// Requests per hour-of-epoch bucket.
     pub by_hour: FxHashMap<u64, u64>,
-    /// Requests answered with a tombstoned stale copy.
-    pub stale: u64,
     /// Lines that failed to parse.
     pub malformed: u64,
 }
@@ -221,26 +209,9 @@ impl LogAnalysis {
     pub fn push(&mut self, e: &LogEntry) {
         self.total += 1;
         self.bytes += e.bytes;
-        if e.stale {
-            self.stale += 1;
-        }
         *self.by_status.entry(e.status).or_insert(0) += 1;
         *self.by_path.entry(e.path.clone()).or_insert(0) += 1;
         *self.by_hour.entry(e.epoch_secs / 3_600).or_insert(0) += 1;
-    }
-
-    /// Requests answered with a fresh body (total minus stale serves).
-    pub fn fresh(&self) -> u64 {
-        self.total - self.stale
-    }
-
-    /// Fraction of requests answered stale, in `[0, 1]`.
-    pub fn stale_share(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.stale as f64 / self.total as f64
-        }
     }
 
     /// The `n` most-requested paths, descending (ties by path for
@@ -298,7 +269,6 @@ mod tests {
             path: path.into(),
             status,
             bytes,
-            stale: false,
         }
     }
 
@@ -330,28 +300,6 @@ mod tests {
             );
             assert_eq!(LogEntry::parse_clf(&line), Some(e), "line {line:?}");
         }
-    }
-
-    #[test]
-    fn stale_marker_roundtrip_and_counting() {
-        let mut e = entry("/medals", 60, 200, 9_000);
-        e.stale = true;
-        let line = e.to_clf();
-        assert_eq!(
-            line,
-            "203.0.113.7 - - [60] \"GET /medals HTTP/1.1\" 200 9000 stale"
-        );
-        assert_eq!(LogEntry::parse_clf(&line), Some(e.clone()));
-        // Fresh lines carry no marker — byte-identical to plain CLF.
-        let fresh = entry("/medals", 60, 200, 9_000);
-        assert!(!fresh.to_clf().ends_with("stale"));
-        let mut a = LogAnalysis::default();
-        a.push(&e);
-        a.push(&fresh);
-        a.push(&fresh);
-        assert_eq!(a.stale, 1);
-        assert_eq!(a.fresh(), 2);
-        assert!((a.stale_share() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nagano_telemetry::sync::blocking;
 
-use crate::http::{ParseError, Request, RequestReader, Response, Status};
+use crate::http::{canned, ParseError, Request, RequestReader, Response, Status};
 
 /// A request handler (the FastCGI-attached "server program").
 pub trait Handler: Send + Sync + 'static {
@@ -292,7 +292,7 @@ fn worker_loop(
                 }
                 Err(ParseError::Io(_)) => break,
                 Err(ParseError::Malformed(msg)) => {
-                    let _ = Response::text(Status::BadRequest, msg).write_with_scratch(
+                    let _ = Response::canned(Status::BadRequest, msg).write_with_scratch(
                         &mut stream,
                         false,
                         &mut head,
@@ -306,10 +306,11 @@ fn worker_loop(
                 // tier above a failed request).
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(&request)))
                     .unwrap_or_else(|_| {
-                        Response::text(Status::InternalError, "internal server error\n")
+                        let body = canned!("internal server error\n");
+                        Response::canned(Status::InternalError, body)
                     })
             } else {
-                Response::text(Status::MethodNotAllowed, "only GET/HEAD\n")
+                Response::canned(Status::MethodNotAllowed, canned!("only GET/HEAD\n"))
             };
             served.fetch_add(1, Relaxed);
             if let Some(obs) = &observer {

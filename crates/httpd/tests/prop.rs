@@ -192,7 +192,6 @@ proptest! {
         path in "/[ -~]{0,60}",
         status in 100..600u16,
         bytes in any::<u64>(),
-        stale in any::<bool>(),
     ) {
         let entry = LogEntry {
             host,
@@ -201,7 +200,6 @@ proptest! {
             path,
             status,
             bytes,
-            stale,
         };
         let line = entry.to_clf();
         prop_assert_eq!(LogEntry::parse_clf(&line), Some(entry));

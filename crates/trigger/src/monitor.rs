@@ -14,7 +14,7 @@ use nagano_pagegen::{
     Dependency, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
 };
 use nagano_simcore::sync::Mutex;
-use nagano_simcore::{SimDuration, SimTime};
+use nagano_simcore::SimTime;
 
 use crate::policy::ConsistencyPolicy;
 use crate::stats::TriggerStats;
@@ -49,11 +49,8 @@ pub struct TxnOutcome {
     pub deferred: Vec<PageKey>,
     /// ODG nodes visited by the propagation.
     pub visited: usize,
-    /// Modeled processing latency on the sim clock — a deterministic
-    /// function of the work done (see `modeled_latency`), never the
-    /// host wall clock, so same-seed runs export identical latency
-    /// distributions.
-    pub latency: SimDuration,
+    /// Modelled CPU of the pages regenerated, in milliseconds.
+    pub render_ms: f64,
 }
 
 impl TxnOutcome {
@@ -61,23 +58,6 @@ impl TxnOutcome {
     pub fn affected(&self) -> usize {
         self.regenerated.len() + self.invalidated.len() + self.tolerated.len() + self.deferred.len()
     }
-}
-
-/// Modeled trigger-monitor service time: a propagation visit per ODG
-/// node, an invalidation message per dropped page, and regeneration CPU
-/// (the renderer's modeled cost) spread over a worker pool. Calibrated
-/// to the paper's trigger-monitor throughput figures; the point is that
-/// it is a pure function of the work done, so the exported
-/// `nagano_trigger_latency_seconds` distribution is identical across
-/// same-seed runs.
-fn modeled_latency(visited: usize, invalidated: usize, render_ms: f64) -> SimDuration {
-    const VISIT_COST_US: u64 = 20;
-    const INVALIDATE_COST_US: u64 = 50;
-    const RENDER_WORKERS: u64 = 8;
-    let render_us = (render_ms * 1_000.0 / RENDER_WORKERS as f64).round() as u64;
-    SimDuration::from_micros(
-        visited as u64 * VISIT_COST_US + invalidated as u64 * INVALIDATE_COST_US + render_us,
-    )
 }
 
 /// State shared behind one mutex: the graph and the name interner change
@@ -386,7 +366,6 @@ impl TriggerMonitor {
             outcome.invalidated.len() as u64,
             outcome.tolerated.len() as u64,
             outcome.visited as u64,
-            outcome.latency.as_micros(),
         );
         outcome
     }
@@ -416,7 +395,7 @@ impl TriggerMonitor {
                     patched: regen.patched,
                     tolerated,
                     visited,
-                    latency: modeled_latency(visited, 0, regen.render_ms),
+                    render_ms: regen.render_ms,
                     ..Default::default()
                 }
             }
@@ -429,7 +408,6 @@ impl TriggerMonitor {
                 }
                 self.stats.record_regen_saved(saved_ms);
                 TxnOutcome {
-                    latency: modeled_latency(visited, stale.len(), 0.0),
                     invalidated: stale,
                     tolerated,
                     visited,
@@ -476,7 +454,6 @@ impl TriggerMonitor {
                 let deferred = self.defer(overflow, now, &mut invalidated, &mut saved_ms);
                 self.stats.record_regen_saved(saved_ms);
                 TxnOutcome {
-                    latency: modeled_latency(visited, invalidated.len(), regen.render_ms),
                     regenerated: regen.keys,
                     changed: regen.changed,
                     revalidated: regen.revalidated,
@@ -485,6 +462,7 @@ impl TriggerMonitor {
                     tolerated,
                     deferred,
                     visited,
+                    render_ms: regen.render_ms,
                 }
             }
             ConsistencyPolicy::Conservative96 => unreachable!("handled by caller"),
@@ -761,7 +739,6 @@ impl TriggerMonitor {
             }
         }
         TxnOutcome {
-            latency: modeled_latency(visited, invalidated.len(), 0.0),
             invalidated,
             visited,
             ..Default::default()
@@ -874,6 +851,7 @@ mod tests {
     use nagano_cache::{CacheConfig, ReplacementPolicy};
     use nagano_db::{seed_games, AthleteId, CountryId, GamesConfig, OlympicDb};
     use nagano_pagegen::FragmentKey;
+    use nagano_simcore::SimDuration;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
         setup_on(2, CacheConfig::default(), policy)
@@ -1396,8 +1374,6 @@ mod tests {
         assert_eq!(s.txns, 3);
         assert!(s.pages_regenerated > 0);
         assert!(s.nodes_visited > 0);
-        assert!(s.latency_count == 3);
-        assert!(s.max_latency_ms() >= s.mean_latency_ms());
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Trigger-monitor statistics: counters plus a freshness distribution
-//! (latency from transaction receipt to all caches updated).
+//! Trigger-monitor statistics: counts of the work done, plus the
+//! traffic-weighted staleness distribution.
 //!
-//! The counters are [`nagano_telemetry`] cells and the latency accumulator
-//! is a log-bucketed [`HistogramHandle`], so the paper's "update freshness"
-//! metric reports full percentiles (p50/p95/p99/p999), not just mean/max,
-//! and [`bind`](TriggerStats::bind) exposes the live cells to exporters.
+//! The counters are [`nagano_telemetry`] cells and the staleness
+//! accumulator is a log-bucketed [`HistogramHandle`];
+//! [`bind`](TriggerStats::bind) exposes the live cells to exporters. What
+//! the work costs in time is not recorded here: the cluster simulation
+//! models it from each [`crate::TxnOutcome`].
 
 use nagano_telemetry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
@@ -39,8 +40,6 @@ pub struct TriggerStats {
     /// Modeled regeneration CPU avoided by invalidating cold pages
     /// instead of rerendering them, in milliseconds.
     regen_saved_ms: Counter,
-    /// Processing latency in seconds, 1 µs .. 600 s buckets.
-    latency: HistogramHandle,
     /// Traffic-weighted staleness in seconds: one sample per request that
     /// found its page stale-or-missing due to propagation, valued at how
     /// long the page had been stale. Hot pages sample often, cold pages
@@ -65,7 +64,6 @@ impl Default for TriggerStats {
             deferred_shed: Counter::new(),
             regen_cpu_ms: Counter::new(),
             regen_saved_ms: Counter::new(),
-            latency: HistogramHandle::for_latency(),
             // 1 ms .. ~55 h staleness buckets: marks survive at most a
             // day-scale outage, requests observe them at minute scale.
             weighted_staleness: HistogramHandle::new(1e-3, 200_000.0),
@@ -73,8 +71,7 @@ impl Default for TriggerStats {
     }
 }
 
-/// Point-in-time copy of the counters and the latency distribution's
-/// summary statistics (milliseconds).
+/// Point-in-time copy of the counters and the weighted-staleness sum.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TriggerStatsSnapshot {
     /// Transactions processed.
@@ -115,51 +112,16 @@ pub struct TriggerStatsSnapshot {
     pub weighted_staleness_count: u64,
     /// Sum of observed staleness over those samples, in seconds.
     pub weighted_staleness_sum_secs: f64,
-    /// Freshness samples recorded.
-    pub latency_count: u64,
-    /// Mean processing latency in milliseconds (exact).
-    pub mean_ms: f64,
-    /// Worst processing latency in milliseconds (exact).
-    pub max_ms: f64,
-    /// Median processing latency in milliseconds (~5% relative error).
-    pub p50_ms: f64,
-    /// 95th-percentile processing latency in milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile processing latency in milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th-percentile processing latency in milliseconds.
-    pub p999_ms: f64,
-}
-
-impl TriggerStatsSnapshot {
-    /// Mean processing latency in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.mean_ms
-    }
-
-    /// Worst processing latency in milliseconds.
-    pub fn max_latency_ms(&self) -> f64 {
-        self.max_ms
-    }
 }
 
 impl TriggerStats {
-    /// Record one processed transaction with its outcome sizes and
-    /// processing latency.
-    pub fn record_txn(
-        &self,
-        regenerated: u64,
-        invalidated: u64,
-        tolerated: u64,
-        visited: u64,
-        latency_us: u64,
-    ) {
+    /// Record one processed transaction with its outcome sizes.
+    pub fn record_txn(&self, regenerated: u64, invalidated: u64, tolerated: u64, visited: u64) {
         self.txns.incr();
         self.pages_regenerated.add(regenerated);
         self.pages_invalidated.add(invalidated);
         self.pages_tolerated.add(tolerated);
         self.nodes_visited.add(visited);
-        self.latency.record(latency_us as f64 / 1e6);
     }
 
     /// Record one completed crash/restart recovery (the monitor replayed
@@ -289,7 +251,6 @@ impl TriggerStats {
             labels,
             &self.regen_saved_ms,
         );
-        registry.bind_histogram("nagano_trigger_latency_seconds", labels, &self.latency);
         registry.bind_histogram(
             "nagano_trigger_weighted_staleness_seconds",
             labels,
@@ -297,10 +258,8 @@ impl TriggerStats {
         );
     }
 
-    /// Copy the counters and summarise the latency distribution.
+    /// Copy the counters and sum the weighted staleness.
     pub fn snapshot(&self) -> TriggerStatsSnapshot {
-        let count = self.latency.count();
-        let ms = |secs: f64| if secs.is_finite() { secs * 1e3 } else { 0.0 };
         let staleness_count = self.weighted_staleness.count();
         TriggerStatsSnapshot {
             txns: self.txns.get(),
@@ -323,21 +282,6 @@ impl TriggerStats {
             } else {
                 self.weighted_staleness.mean() * staleness_count as f64
             },
-            latency_count: count,
-            mean_ms: if count == 0 {
-                0.0
-            } else {
-                ms(self.latency.mean())
-            },
-            max_ms: if count == 0 {
-                0.0
-            } else {
-                ms(self.latency.max())
-            },
-            p50_ms: ms(self.latency.percentile(50.0)),
-            p95_ms: ms(self.latency.percentile(95.0)),
-            p99_ms: ms(self.latency.percentile(99.0)),
-            p999_ms: ms(self.latency.percentile(99.9)),
         }
     }
 }
@@ -349,17 +293,14 @@ mod tests {
     #[test]
     fn accumulates() {
         let s = TriggerStats::default();
-        s.record_txn(10, 2, 1, 40, 1_500);
-        s.record_txn(5, 0, 0, 20, 500);
+        s.record_txn(10, 2, 1, 40);
+        s.record_txn(5, 0, 0, 20);
         let snap = s.snapshot();
         assert_eq!(snap.txns, 2);
         assert_eq!(snap.pages_regenerated, 15);
         assert_eq!(snap.pages_invalidated, 2);
         assert_eq!(snap.pages_tolerated, 1);
         assert_eq!(snap.nodes_visited, 60);
-        assert_eq!(snap.latency_count, 2);
-        assert!((snap.mean_latency_ms() - 1.0).abs() < 1e-9);
-        assert!((snap.max_latency_ms() - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -438,40 +379,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_latency_is_zero() {
-        let s = TriggerStats::default();
-        let snap = s.snapshot();
-        assert_eq!(snap.mean_latency_ms(), 0.0);
-        assert_eq!(snap.max_latency_ms(), 0.0);
-        assert_eq!(snap.p99_ms, 0.0);
-    }
-
-    #[test]
-    fn percentiles_track_the_distribution() {
-        let s = TriggerStats::default();
-        for i in 1..=1_000u64 {
-            // 1 ms .. 1000 ms uniform.
-            s.record_txn(1, 0, 0, 1, i * 1_000);
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.latency_count, 1_000);
-        assert!(
-            (snap.p50_ms - 500.0).abs() / 500.0 < 0.08,
-            "p50 {}",
-            snap.p50_ms
-        );
-        assert!(
-            (snap.p95_ms - 950.0).abs() / 950.0 < 0.08,
-            "p95 {}",
-            snap.p95_ms
-        );
-        assert!(
-            (snap.p99_ms - 990.0).abs() / 990.0 < 0.08,
-            "p99 {}",
-            snap.p99_ms
-        );
-        assert!(snap.p50_ms <= snap.p95_ms && snap.p95_ms <= snap.p99_ms);
-        assert!(snap.p999_ms <= snap.max_ms * 1.06);
+    fn an_idle_monitor_snapshots_zeroes() {
+        let snap = TriggerStats::default().snapshot();
+        assert_eq!(snap, TriggerStatsSnapshot::default());
     }
 
     #[test]
@@ -480,9 +390,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         let s = TriggerStats::default();
         s.bind(&reg, &[("site", "tokyo")]);
-        s.record_txn(3, 1, 0, 12, 2_000);
+        s.record_txn(3, 1, 0, 12);
+        s.record_weighted_staleness(2.0);
         let text = prometheus_text(&reg);
         assert!(text.contains("nagano_trigger_txns_total{site=\"tokyo\"} 1"));
-        assert!(text.contains("nagano_trigger_latency_seconds_count{site=\"tokyo\"} 1"));
+        assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 1"));
+        // Time spent is modelled by the simulation, not recorded here.
+        assert!(!text.contains("nagano_trigger_latency_seconds"), "{text}");
     }
 }

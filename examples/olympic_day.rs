@@ -77,11 +77,6 @@ fn main() {
         m.cache.hits,
         m.cache.misses
     );
-    println!(
-        "update latency:       mean {:.1} ms, max {:.1} ms",
-        m.trigger.mean_latency_ms(),
-        m.trigger.max_latency_ms()
-    );
 
     // Show the final medal table as clients saw it.
     let medals = site.handle(0, &PageKey::Medals.to_url()).unwrap();

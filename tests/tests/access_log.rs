@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use nagano::cache::{CacheConfig, StalePolicy};
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{
     AccessLog, HttpClient, LogAnalysis, LogEntry, RequestObserver, Server, ServerConfig,
@@ -46,19 +45,6 @@ fn log_text(server: Server, log: Log) -> String {
     String::from_utf8(buf).unwrap()
 }
 
-/// A site that keeps invalidated pages as stale copies for an hour and
-/// gives a request no time to render: once `/medals` is invalidated
-/// everywhere (tombstoning it), the next read of it is answered from the
-/// stale copy while the fresh render lands for the read after
-/// (DESIGN.md §11a, row (d)).
-fn stale_site() -> ServingSite {
-    ServingSite::build(SiteConfig {
-        cache: CacheConfig::default().with_stale(StalePolicy::bounded(3600.0)),
-        request_budget_secs: 0.0,
-        ..SiteConfig::small()
-    })
-}
-
 #[test]
 fn served_requests_are_logged_and_analyzable() {
     let site = Arc::new(ServingSite::build(SiteConfig::small()));
@@ -90,65 +76,31 @@ fn served_requests_are_logged_and_analyzable() {
         "mean {}",
         analysis.mean_bytes()
     );
-    // No resilience fallback was involved: everything served fresh.
-    assert_eq!(analysis.stale, 0);
-    assert_eq!(analysis.fresh(), 9);
 }
 
 #[test]
-fn stale_serves_are_counted_separately_from_fresh() {
-    let site = stale_site();
-    let log = AccessLog::new(Vec::new());
-    let serve_and_log = |path: &str, secs: u64| {
-        let page = site.handle(0, path).expect("served");
-        log.log(&LogEntry {
-            host: "203.0.113.9".into(),
-            epoch_secs: secs,
-            method: "GET".into(),
-            path: path.into(),
-            status: 200,
-            bytes: page.body.len() as u64,
-            stale: page.stale,
-        })
-        .unwrap();
-    };
-
-    serve_and_log("/medals", 0); // fresh hit
-    serve_and_log("/day/3/", 1); // fresh hit
-
-    site.fleet().invalidate_everywhere("/medals");
-    serve_and_log("/medals", 2); // stale serve
-
-    let analysis = LogAnalysis::from_reader(BufReader::new(&log.into_inner()[..])).unwrap();
-    assert_eq!(analysis.total, 3);
-    assert_eq!(analysis.stale, 1, "one request answered from a stale copy");
-    assert_eq!(analysis.fresh(), 2);
-    assert!((analysis.stale_share() - 1.0 / 3.0).abs() < 1e-12);
-    // The stale marker round-trips through the CLF text.
-    assert_eq!(analysis.malformed, 0);
-}
-
-#[test]
-fn a_stale_serve_through_the_live_server_is_logged_stale() {
-    let site = Arc::new(stale_site());
+fn an_invalidated_page_is_served_fresh_and_logged_plain() {
+    let site = Arc::new(ServingSite::build(SiteConfig::small()));
     let (server, log) = logged_server(&site);
     let mut client = HttpClient::connect(server.addr()).unwrap();
-    let (code, fresh) = client.get("/medals").unwrap();
+    let (code, before) = client.get("/medals").unwrap();
     assert_eq!(code, 200);
     site.fleet().invalidate_everywhere("/medals");
-    let (code, stale) = client.get("/medals").unwrap();
+    let renders = site.metrics().cache.inserts;
+    let (code, after) = client.get("/medals").unwrap();
     assert_eq!(
-        (code, &stale),
-        (200, &fresh),
-        "the stale copy is the page as it was"
+        (code, &after),
+        (200, &before),
+        "rendered from the same data"
     );
+    assert_eq!(site.metrics().cache.inserts, renders + 1, "a fresh render");
     drop(client);
 
     let text = log_text(server, log);
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 2, "{text}");
-    assert!(!lines[0].ends_with(" stale"), "{}", lines[0]);
-    assert!(lines[1].ends_with(" stale"), "{}", lines[1]);
-    let analysis = LogAnalysis::from_reader(BufReader::new(text.as_bytes())).unwrap();
-    assert_eq!((analysis.stale, analysis.fresh()), (1, 1));
+    for line in lines {
+        let bytes = before.len();
+        assert!(line.ends_with(&format!("\" 200 {bytes}")), "{line}");
+    }
 }

@@ -1,20 +1,21 @@
 //! Every reference to a numbered section of DESIGN.md — `DESIGN.md` or
 //! `DESIGN`, a space, `§` and the number — in the crates, the tests, the
-//! examples, the benchmark harness, CI and `clippy.toml` names a heading
-//! DESIGN.md has. A section renumbered or cut without its references
+//! examples, the benchmark harness, CI, `clippy.toml` and `README.md`
+//! names a heading DESIGN.md has. A section renumbered or cut without its references
 //! fails here.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Where references are looked for, from the repository root.
-const SCANNED: [&str; 6] = [
+const SCANNED: [&str; 7] = [
     "crates",
     "tests",
     "examples",
     "benchmark/src",
     ".github",
     "clippy.toml",
+    "README.md",
 ];
 
 fn root() -> PathBuf {

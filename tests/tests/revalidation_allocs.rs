@@ -332,4 +332,17 @@ fn a_warm_hit_allocates_nothing() {
             }
         }
     }
+    // A path the site does not have is answered from a canned body.
+    for path in ["/no/such/page", "/athletes/99999999"] {
+        request.path.clear();
+        request.path.push_str(path);
+        request.if_none_match = None;
+        for pass in 0..2 {
+            let (response, responding) = counted(|| site.respond(0, &request));
+            assert_eq!(response.status, Status::NotFound, "{path}");
+            if pass == 1 {
+                assert_eq!(responding, 0, "{path}: a 404 allocated");
+            }
+        }
+    }
 }
