@@ -16,10 +16,10 @@ use std::sync::Arc;
 
 use nagano_simcore::sync::{RwLock, RwLockReadGuard};
 
+use crate::key::Datum;
 use crate::schema::{
-    medals_data_key, today_data_key, Athlete, AthleteId, Country, CountryId, Event, EventId,
-    EventPhase, MedalCount, NewsArticle, NewsId, Photo, PhotoId, ResultId, ResultRow, Sport,
-    SportId,
+    Athlete, AthleteId, Country, CountryId, Event, EventId, EventPhase, MedalCount, NewsArticle,
+    NewsId, Photo, PhotoId, ResultId, ResultRow, Sport, SportId,
 };
 use crate::table::{Counters, Index, Slot, Table};
 use crate::txn::{RecordChange, Transaction, TxnLog};
@@ -229,14 +229,14 @@ impl OlympicDb {
                     score,
                     is_final,
                 });
-                changes.push(RecordChange::update(athlete.data_key()));
+                changes.push(RecordChange::update(Datum::Athlete(athlete)));
                 if let Some(a) = t.athletes.get(athlete) {
-                    changes.push(RecordChange::update(a.country.data_key()));
+                    changes.push(RecordChange::update(Datum::Country(a.country)));
                 }
             }
-            changes.push(RecordChange::update(event.data_key()));
+            changes.push(RecordChange::update(Datum::Event(event)));
             if let Some(e) = t.events.get(event) {
-                changes.push(RecordChange::update(e.sport.data_key()));
+                changes.push(RecordChange::update(Datum::Sport(e.sport)));
             }
             let mut phase_moved = false;
             if is_final {
@@ -261,7 +261,7 @@ impl OlympicDb {
                     t.revisions.medal_rows.bump(c);
                 }
                 t.revisions.medals += 1;
-                changes.push(RecordChange::update(medals_data_key()));
+                changes.push(RecordChange::update(Datum::Medals));
             } else if let Some(e) = t.events.get_mut(event) {
                 if e.phase == EventPhase::Scheduled {
                     phase_moved = true;
@@ -273,7 +273,7 @@ impl OlympicDb {
             if phase_moved || !placements.is_empty() {
                 t.revisions.results.bump(event);
             }
-            changes.push(RecordChange::update(today_data_key(day)));
+            changes.push(RecordChange::update(Datum::Today(day)));
         }
         changes.dedup_by(|a, b| a.data_key == b.data_key);
         self.log.append(changes, label, day)
@@ -283,11 +283,11 @@ impl OlympicDb {
     pub fn publish_news(&self, article: NewsArticle) -> Arc<Transaction> {
         let day = article.day;
         let mut changes = vec![
-            RecordChange::insert(article.id.data_key()),
-            RecordChange::update(today_data_key(day)),
+            RecordChange::insert(Datum::News(article.id)),
+            RecordChange::update(Datum::Today(day)),
         ];
         if let Some(ev) = article.about_event {
-            changes.push(RecordChange::update(ev.data_key()));
+            changes.push(RecordChange::update(Datum::Event(ev)));
         }
         let label = format!("news: {}", article.title);
         self.tables.write().put_news(article);
@@ -297,9 +297,9 @@ impl OlympicDb {
     /// File a classified photo.
     pub fn add_photo(&self, photo: Photo) -> Arc<Transaction> {
         let day = photo.day;
-        let mut changes = vec![RecordChange::insert(photo.id.data_key())];
+        let mut changes = vec![RecordChange::insert(Datum::Photo(photo.id))];
         if let Some(ev) = photo.about_event {
-            changes.push(RecordChange::update(ev.data_key()));
+            changes.push(RecordChange::update(Datum::Event(ev)));
         }
         let label = format!("photo {}", photo.id);
         self.tables.write().put_photo(photo);
@@ -644,7 +644,8 @@ mod tests {
         let txn = db.record_results(EventId(1), &[(AthleteId(1), 50.0)], false, 3);
         assert_eq!(db.medal_standings()[0].1.total(), 0);
         assert_eq!(db.event(EventId(1)).unwrap().phase, EventPhase::InProgress);
-        assert!(!txn.changes.iter().any(|c| c.data_key == medals_data_key()));
+        let mut data = txn.changes.iter().map(|c| c.data_key.datum());
+        assert!(!data.any(|d| d == Datum::Medals));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!    through [`DbView`] snapshots: one lock, borrowed rows, indexed
 //!    by-column queries, revision stamps for the renderer's section memo.
 //! 2. **A transaction log**: every committed mutation appends a
-//!    [`txn::Transaction`] carrying the canonical *data keys* of the
-//!    changed records (the identities that become underlying-data vertices
-//!    in the ODG), and subscribers (the trigger monitor, replication links)
-//!    are notified — [`txn`], [`database`].
+//!    [`txn::Transaction`] carrying the typed *data keys* of the changed
+//!    records ([`key`]: the identities that become underlying-data
+//!    vertices in the ODG), and subscribers (the trigger monitor,
+//!    replication links) are notified — [`txn`], [`database`].
 //! 3. **Log-shipping replication** between sites — [`replication`].
 //!
 //! [`seed`] generates a deterministic synthetic Winter Games: the event
@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod database;
+pub mod key;
 pub mod replication;
 pub mod schema;
 pub mod seed;
@@ -30,6 +31,7 @@ pub mod table;
 pub mod txn;
 
 pub use database::{DbView, OlympicDb};
+pub use key::{DataKey, Datum, FragmentKey};
 pub use replication::{DeliverOutcome, Replica};
 pub use schema::{
     Athlete, AthleteId, Country, CountryId, Event, EventId, EventPhase, MedalCount, NewsArticle,

@@ -1,33 +1,35 @@
 //! Domain rows for a Winter Games: the entities the 1998 site's nine
 //! content categories were built from (§3.1).
 //!
-//! Every row type knows its canonical **data key** — the string identity
-//! under which its changes are registered as underlying-data vertices in
-//! the object dependence graph.
+//! A row's identity in the object dependence graph is its **data key**
+//! ([`crate::DataKey`]): a family and the row's id.
 
 use serde::{Deserialize, Serialize};
 
-/// Append `n` in decimal without going through `fmt`: a data key is
-/// spelled once per changed record of every commit and once per read of
-/// every render, and ids, days and ranks once per link or row of every
-/// regenerated page.
-pub fn push_decimal(out: &mut String, n: impl Into<u64>) {
-    let mut n = n.into();
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
+/// `n` in decimal, written to the end of `buf`, without going through
+/// `fmt`: ids, days and ranks are spelled once per link or row of every
+/// regenerated page, and an id once per new data key.
+pub(crate) fn digits(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
     loop {
         i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
+        buf[i] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    &buf[i..]
 }
 
-/// `prefix` followed by `n`, allocated once: a data key, or a title that
-/// counts.
+/// Append `n` in decimal to `out`, without going through `fmt`.
+pub fn push_decimal(out: &mut String, n: impl Into<u64>) {
+    let mut buf = [0; 20];
+    let digits = digits(n.into(), &mut buf);
+    out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+}
+
+/// `prefix` followed by `n`, allocated once: a title that counts.
 pub fn keyed(prefix: &str, n: u32) -> String {
     let mut key = String::with_capacity(prefix.len() + 10);
     key.push_str(prefix);
@@ -42,13 +44,6 @@ macro_rules! id_type {
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
         )]
         pub struct $name(pub u32);
-
-        impl $name {
-            /// Canonical data-key string for this record.
-            pub fn data_key(self) -> String {
-                keyed(concat!("data:", $prefix, ":"), self.0)
-            }
-        }
 
         impl crate::table::Slot for $name {
             fn slot(self) -> usize {
@@ -229,40 +224,9 @@ pub struct Photo {
     pub bytes: u32,
 }
 
-/// The medal-standings data key (a single logical record: the whole
-/// standings table).
-pub fn medals_data_key() -> String {
-    "data:medals:standings".to_string()
-}
-
-/// The data key for a per-day "today" summary record.
-pub fn today_data_key(day: u32) -> String {
-    keyed("data:today:", day)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn data_keys_are_canonical() {
-        assert_eq!(EventId(12).data_key(), "data:event:12");
-        assert_eq!(AthleteId(7).data_key(), "data:athlete:7");
-        assert_eq!(medals_data_key(), "data:medals:standings");
-        assert_eq!(today_data_key(3), "data:today:3");
-        // Every family, at both ends of the id space.
-        for n in [0, u32::MAX] {
-            assert_eq!(SportId(n).data_key(), format!("data:sport:{n}"));
-            assert_eq!(EventId(n).data_key(), format!("data:event:{n}"));
-            assert_eq!(AthleteId(n).data_key(), format!("data:athlete:{n}"));
-            assert_eq!(CountryId(n).data_key(), format!("data:country:{n}"));
-            assert_eq!(ResultId(n).data_key(), format!("data:result:{n}"));
-            assert_eq!(NewsId(n).data_key(), format!("data:news:{n}"));
-            assert_eq!(PhotoId(n).data_key(), format!("data:photo:{n}"));
-            assert_eq!(today_data_key(n), format!("data:today:{n}"));
-        }
-        assert_eq!(today_data_key(u32::MAX), "data:today:4294967295");
-    }
 
     #[test]
     fn push_decimal_matches_fmt() {

@@ -1,14 +1,17 @@
 //! Transactions and the transaction log.
 //!
 //! Every committed mutation appends a [`Transaction`] that names the
-//! changed records by their canonical **data keys**. The trigger monitor
-//! subscribes to this log: each data key becomes (or is resolved to) an
-//! underlying-data vertex in the object dependence graph and fed to DUP.
+//! changed records by their **data keys** ([`DataKey`]). The trigger
+//! monitor subscribes to this log: each data key is resolved, by
+//! arithmetic, to its underlying-data vertex in the object dependence
+//! graph and fed to DUP.
 
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nagano_simcore::sync::Mutex;
+
+use crate::key::{DataKey, Datum};
 
 /// Default bound on a subscriber's pending-transaction queue. A consumer
 /// that falls further behind than this is **disconnected** rather than
@@ -34,27 +37,27 @@ pub enum ChangeOp {
 }
 
 /// One changed record inside a transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordChange {
-    /// Canonical data key (e.g. `data:event:12`).
-    pub data_key: String,
+    /// The record's data key (e.g. `data:event:12`).
+    pub data_key: DataKey,
     /// The operation applied.
     pub op: ChangeOp,
 }
 
 impl RecordChange {
     /// Shorthand constructor for an update.
-    pub fn update(data_key: impl Into<String>) -> Self {
+    pub fn update(datum: Datum) -> Self {
         RecordChange {
-            data_key: data_key.into(),
+            data_key: DataKey::new(datum),
             op: ChangeOp::Update,
         }
     }
 
     /// Shorthand constructor for an insert.
-    pub fn insert(data_key: impl Into<String>) -> Self {
+    pub fn insert(datum: Datum) -> Self {
         RecordChange {
-            data_key: data_key.into(),
+            data_key: DataKey::new(datum),
             op: ChangeOp::Insert,
         }
     }
@@ -165,7 +168,8 @@ mod tests {
     #[test]
     fn append_assigns_sequential_ids() {
         let log = TxnLog::new();
-        let a = log.append(vec![RecordChange::update("data:event:1")], "a".into(), 1);
+        let change = RecordChange::update(Datum::Event(crate::EventId(1)));
+        let a = log.append(vec![change], "a".into(), 1);
         let b = log.append(vec![], "b".into(), 1);
         assert_eq!(a.id, TxnId(1));
         assert_eq!(b.id, TxnId(2));
@@ -192,7 +196,7 @@ mod tests {
         let log = TxnLog::new();
         let rx = log.subscribe();
         log.append(
-            vec![RecordChange::update("data:medals:standings")],
+            vec![RecordChange::update(Datum::Medals)],
             "medals".into(),
             2,
         );

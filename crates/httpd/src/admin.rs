@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use nagano_telemetry::{prometheus_text, Counter, MetricsRegistry};
 
 use crate::http::{canned, Request, Response, Status};
@@ -72,16 +73,12 @@ impl Handler for AdminPlane {
         match req.path.as_str() {
             "/metrics" => {
                 self.scrapes.incr();
-                let mut resp = Response::text(Status::Ok, &prometheus_text(&self.registry));
-                resp.content_type = METRICS_CONTENT_TYPE;
-                resp
+                scrape(prometheus_text(&self.registry), METRICS_CONTENT_TYPE)
             }
             "/healthz" => Response::canned(Status::Ok, canned!("ok\n")),
             "/status" => {
                 self.scrapes.incr();
-                let mut resp = Response::text(Status::Ok, &(self.status)());
-                resp.content_type = "application/json; charset=utf-8";
-                resp
+                scrape((self.status)(), "application/json; charset=utf-8")
             }
             _ => match &self.inner {
                 Some(h) => h.handle(req),
@@ -91,10 +88,18 @@ impl Handler for AdminPlane {
     }
 }
 
+/// A 200 of `content_type` whose body is the rendered text's own buffer.
+fn scrape(text: String, content_type: &'static str) -> Response {
+    Response {
+        content_type,
+        ..Response::plain(Status::Ok, Bytes::from(text))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     fn req(path: &str) -> Request {
         Request {
@@ -146,6 +151,21 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.content_type, "application/json; charset=utf-8");
         assert_eq!(&resp.body[..], b"{\"ok\":true}");
+    }
+
+    #[test]
+    fn a_scrape_answers_with_the_rendered_buffer_itself() {
+        let rendered = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&rendered);
+        let status: StatusFn = Arc::new(move || {
+            let text = "{\"ok\":true}".to_string();
+            seen.store(text.as_ptr() as usize, Relaxed);
+            text
+        });
+        let plane = AdminPlane::new(Arc::new(MetricsRegistry::new()), status);
+        let resp = plane.handle(&req("/status"));
+        assert_eq!(&resp.body[..], b"{\"ok\":true}");
+        assert_eq!(resp.body.as_ptr() as usize, rendered.load(Relaxed));
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl Response {
         Response::plain(status, body.body())
     }
 
-    fn plain(status: Status, body: Bytes) -> Self {
+    pub(crate) fn plain(status: Status, body: Bytes) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",

@@ -1,5 +1,9 @@
 //! String interning: external identities (page URLs, database record keys)
-//! to dense [`NodeId`]s used throughout the graph.
+//! to dense [`NodeId`]s, for a graph whose vertices have only names — the
+//! benchmark harness's mirror of the trigger monitor's graph, built from
+//! each page's dependency text, and the examples. The monitor itself
+//! interns nothing: a page's vertex is its slot, a datum's is computed
+//! from its typed key.
 
 use std::sync::Arc;
 

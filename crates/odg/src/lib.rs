@@ -19,7 +19,10 @@
 //!
 //! This crate provides:
 //! * [`Interner`] — maps external string identities (URLs, record keys) to
-//!   dense [`NodeId`]s.
+//!   dense [`NodeId`]s, for a graph whose vertices have only names: the
+//!   benchmark harness's mirror of the trigger monitor's graph and the
+//!   examples. The trigger monitor interns nothing: it numbers its
+//!   vertices by arithmetic over typed page and data keys.
 //! * [`Odg`] — the mutable dependence graph with weighted edges.
 //! * [`DupEngine`] — the propagation algorithm: affected-set computation,
 //!   weighted staleness accumulation and cycle handling, in one traversal

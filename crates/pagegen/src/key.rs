@@ -3,33 +3,18 @@
 //! Every servable URL on the site maps to one [`PageKey`]; every key has a
 //! canonical URL (`to_url`) and parses back (`parse`). Below the parser a
 //! page is keyed by its slot in the page space ([`crate::PageSpace`]); a
-//! dependency on a fragment names it by [`PageKey::object_key`].
+//! dependency on a fragment names it by its data key, whose text is the
+//! fragment's [`PageKey::object_key`].
 
 use nagano_db::schema::push_decimal;
 use nagano_db::{AthleteId, CountryId, EventId, NewsId, SportId};
 use serde::{Deserialize, Serialize};
 
-/// A cacheable page fragment (Figure 15 of the paper).
-///
-/// Fragments are *hybrid* ODG vertices: they are cached objects in their
-/// own right and underlying data for the composed pages that embed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FragmentKey {
-    /// Result table for one event.
-    ResultTable(EventId),
-    /// The medal-standings table.
-    MedalTable,
-    /// News headline strip for one day.
-    Headlines(u32),
-}
-
-impl FragmentKey {
-    /// Canonical URL of the fragment (fragments are servable, e.g. for
-    /// the CBS feed the paper mentions).
-    pub fn to_url(self) -> String {
-        PageKey::Fragment(self).to_url()
-    }
-}
+/// A cacheable page fragment (Figure 15 of the paper): a page of its own,
+/// and data of the pages that embed it — whose dependency on it is the
+/// data key `Datum::Fragment`, spelled as the fragment's
+/// [`PageKey::object_key`].
+pub use nagano_db::FragmentKey;
 
 /// Identity of one servable page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -105,12 +90,6 @@ impl PageKey {
         out.push_str("page:");
         self.push_url(&mut out);
         out
-    }
-
-    /// The page whose object-vertex name `name` is ([`PageKey::object_key`]),
-    /// if it is one: a dependency on it is the hybrid edge of Figure 15.
-    pub fn from_object_key(name: &str) -> Option<PageKey> {
-        PageKey::parse(name.strip_prefix("page:")?)
     }
 
     /// Parse a URL path back into a key. Returns `None` for unknown paths.
@@ -238,10 +217,8 @@ mod tests {
         assert_eq!(PageKey::Medals.object_key(), "page:/medals");
         assert_eq!(PageKey::Event(EventId(3)).object_key(), "page:/events/3");
         for key in all_sample_keys() {
-            assert_eq!(PageKey::from_object_key(&key.object_key()), Some(key));
+            assert_eq!(key.object_key(), format!("page:{}", key.to_url()));
         }
-        assert_eq!(PageKey::from_object_key("/medals"), None);
-        assert_eq!(PageKey::from_object_key("data:medals"), None);
     }
 
     #[test]
@@ -274,7 +251,6 @@ mod tests {
             assert_eq!(buf.strip_prefix("page:"), Some(url), "{key:?}");
             assert_eq!(key.object_key(), buf, "{key:?}");
         }
-        assert_eq!(FragmentKey::Headlines(5).to_url(), "/fragments/headlines/5");
     }
 
     #[test]

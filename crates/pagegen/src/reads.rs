@@ -33,13 +33,12 @@
 //! stand, a section that moved changes those bytes of the page and no
 //! others.
 
-use nagano_db::schema::{medals_data_key, today_data_key};
 use nagano_db::{
-    Athlete, AthleteId, Country, CountryId, DbView, Event, EventId, EventPhase, MedalCount,
-    NewsArticle, NewsId, OlympicDb, Photo, ResultRow, Sport, SportId,
+    Athlete, AthleteId, Country, CountryId, DataKey, Datum, DbView, Event, EventId, EventPhase,
+    MedalCount, NewsArticle, NewsId, OlympicDb, Photo, ResultRow, Sport, SportId,
 };
 
-use crate::key::{FragmentKey, PageKey};
+use crate::key::FragmentKey;
 use crate::render::{Dependency, Splice};
 
 /// The typed revision stamp of `nagano-db` that covers a read: the one a
@@ -227,7 +226,7 @@ impl<'v> Reads<'v> {
     /// without its edge. The splice of `f` is logged as this page's all
     /// the same: its bytes become this page's.
     pub(crate) fn inline_fragment(&mut self, f: FragmentKey, weight: f64) -> Reads<'_> {
-        self.push(PageKey::Fragment(f).object_key(), weight);
+        self.push(Datum::Fragment(f), weight);
         Reads {
             view: self.view,
             deps: None,
@@ -270,18 +269,24 @@ impl<'v> Reads<'v> {
     /// Register edges a section was memoised with.
     pub(crate) fn register(&mut self, deps: &[Dependency]) {
         for d in deps {
-            self.push(&d.data_key, d.weight);
+            self.add(d.data_key.datum(), d.weight, || d.data_key);
         }
     }
 
-    /// A list names a key once, at the weight it was first read at.
-    fn push(&mut self, data_key: impl AsRef<str> + Into<String>, weight: f64) {
+    /// Register the edge from `datum`.
+    fn push(&mut self, datum: Datum, weight: f64) {
+        self.add(datum, weight, || DataKey::new(datum));
+    }
+
+    /// A list names a datum once, at the weight it was first read at: its
+    /// key is made only then.
+    fn add(&mut self, datum: Datum, weight: f64, key: impl FnOnce() -> DataKey) {
         let Some(deps) = self.deps.as_deref_mut() else {
             return;
         };
-        if deps.iter().all(|d| d.data_key != data_key.as_ref()) {
+        if deps.iter().all(|d| d.data_key.datum() != datum) {
             deps.push(Dependency {
-                data_key: data_key.into(),
+                data_key: key(),
                 weight,
             });
         }
@@ -295,7 +300,7 @@ impl<'v> Reads<'v> {
         day: u32,
         weight: f64,
     ) -> impl Iterator<Item = EventInfo<'v>> + 'v {
-        self.push(today_data_key(day), weight);
+        self.push(Datum::Today(day), weight);
         self.rows(Some(Source::Loads))
             .events_on_day(day)
             .map(EventInfo::of)
@@ -306,7 +311,7 @@ impl<'v> Reads<'v> {
         &mut self,
         sport: SportId,
     ) -> impl Iterator<Item = EventInfo<'v>> + 'v {
-        self.push(sport.data_key(), 1.0);
+        self.push(Datum::Sport(sport), 1.0);
         self.rows(Some(Source::Loads))
             .events_of_sport(sport)
             .map(EventInfo::of)
@@ -314,7 +319,7 @@ impl<'v> Reads<'v> {
 
     /// The phase `event` is in: `data:event:id`.
     pub(crate) fn phase(&mut self, event: &EventInfo<'_>) -> EventPhase {
-        self.push(event.id.data_key(), 1.0);
+        self.push(Datum::Event(event.id), 1.0);
         self.rows(Some(Source::Results(event.id)));
         event.phase
     }
@@ -324,7 +329,7 @@ impl<'v> Reads<'v> {
         &mut self,
         event: EventId,
     ) -> impl Iterator<Item = &'v ResultRow> + 'v {
-        self.push(event.data_key(), 1.0);
+        self.push(Datum::Event(event), 1.0);
         self.rows(Some(Source::Results(event)))
             .results_for_event(event)
     }
@@ -334,13 +339,13 @@ impl<'v> Reads<'v> {
         &mut self,
         athlete: AthleteId,
     ) -> impl Iterator<Item = &'v ResultRow> + 'v {
-        self.push(athlete.data_key(), 1.0);
+        self.push(Datum::Athlete(athlete), 1.0);
         self.rows(None).results_for_athlete(athlete)
     }
 
     /// Medal standings, best first: `data:medals:standings`.
     pub(crate) fn medal_standings(&mut self) -> Vec<(CountryId, MedalCount)> {
-        self.push(medals_data_key(), 1.0);
+        self.push(Datum::Medals, 1.0);
         self.rows(Some(Source::Medals)).medal_standings()
     }
 
@@ -348,15 +353,15 @@ impl<'v> Reads<'v> {
     /// quarter — a change to them slightly affects every country page, and
     /// a weight below 1 lets the threshold policy tolerate it.
     pub(crate) fn medals_of(&mut self, country: CountryId) -> Option<MedalCount> {
-        self.push(country.data_key(), 1.0);
-        self.push(medals_data_key(), 0.25);
+        self.push(Datum::Country(country), 1.0);
+        self.push(Datum::Medals, 0.25);
         self.rows(Some(Source::MedalRow(country)))
             .medals_of(country)
     }
 
     /// A story: `data:news:id`.
     pub(crate) fn news(&mut self, id: NewsId) -> Option<&'v NewsArticle> {
-        self.push(id.data_key(), 1.0);
+        self.push(Datum::News(id), 1.0);
         self.rows(None).news(id)
     }
 
@@ -370,10 +375,10 @@ impl<'v> Reads<'v> {
         day_weight: f64,
         story_weight: f64,
     ) -> impl Iterator<Item = &'v NewsArticle> + '_ {
-        self.push(today_data_key(day), day_weight);
+        self.push(Datum::Today(day), day_weight);
         self.rows(Some(Source::News(day)))
             .news_on_day(day)
-            .inspect(move |story| self.push(story.id.data_key(), story_weight))
+            .inspect(move |story| self.push(Datum::News(story.id), story_weight))
     }
 
     /// Photos about an event, id order: `data:photo:id` for each as it is
@@ -386,7 +391,7 @@ impl<'v> Reads<'v> {
     ) -> impl Iterator<Item = &'v Photo> + '_ {
         self.rows(None)
             .photos_for_event(event)
-            .inspect(move |photo| self.push(photo.id.data_key(), weight))
+            .inspect(move |photo| self.push(Datum::Photo(photo.id), weight))
     }
 
     // ----- lookups of what only seeding writes: no edge -------------------

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use nagano_db::schema::{keyed, push_decimal};
-use nagano_db::{AthleteId, CountryId, EventId, EventPhase, NewsId, OlympicDb, SportId};
+use nagano_db::{AthleteId, CountryId, DataKey, EventId, EventPhase, NewsId, OlympicDb, SportId};
 use nagano_simcore::sync::Mutex;
 use rustc_hash::FxHashMap;
 
@@ -38,10 +38,10 @@ use crate::plan::{finished, is_page, unknown_content, write_over, Content, Parts
 use crate::reads::{Coverage, Reads, Source};
 
 /// One dependency edge to register with DUP: `data_key → this page`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dependency {
-    /// The underlying-data (or hybrid fragment) vertex name.
-    pub data_key: String,
+    /// The underlying datum (or hybrid fragment) the page read.
+    pub data_key: DataKey,
     /// Importance weight for the edge.
     pub weight: f64,
 }

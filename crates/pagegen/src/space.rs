@@ -22,8 +22,14 @@
 //! Games can file, and a story filed mid-Games has a slot from the start.
 //! A key outside the space — a day, entity or story the Games do not have
 //! — has no slot: it is not a page of the site.
+//!
+//! The data a page reads have vertices too ([`PageSpace::vertex`]), by the
+//! same kind of arithmetic over what their keys name ([`Datum`]), above
+//! every slot: a family of data per run of 2^28 ids — sport, event,
+//! athlete, country, news, photo, today, medals — from `len()` up. A
+//! fragment is the one exception: it is a page, and its vertex is its slot.
 
-use nagano_db::OlympicDb;
+use nagano_db::{Datum, OlympicDb};
 
 use crate::key::{FragmentKey, PageKey};
 
@@ -39,6 +45,8 @@ const SINGLES: [PageKey; 5] = [
 ];
 /// News ids one day can file (`day × 1000 + seq`).
 const NEWS_PER_DAY: u32 = 1_000;
+/// Ids per family of data vertices: the eight families fill `2^31`.
+const FAMILY_IDS: u32 = 1 << 28;
 
 /// The slot layout of one seeded Games. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +146,28 @@ impl PageSpace {
                 (at < NEWS_PER_DAY * self.days).then(|| self.news_base + at)
             }
         }
+    }
+
+    /// The vertex of `datum` in the object dependence graph: a fragment's
+    /// slot, or `len() + family × 2^28 + id` above every page. `None` for a
+    /// fragment the Games do not have, and for an id of `2^28` or more —
+    /// no Games file that many rows of a family.
+    pub fn vertex(&self, datum: Datum) -> Option<u32> {
+        let (family, id) = match datum {
+            Datum::Fragment(f) => return self.slot(PageKey::Fragment(f)),
+            Datum::Sport(s) => (0, s.0),
+            Datum::Event(e) => (1, e.0),
+            Datum::Athlete(a) => (2, a.0),
+            Datum::Country(c) => (3, c.0),
+            Datum::News(n) => (4, n.0),
+            Datum::Photo(p) => (5, p.0),
+            Datum::Today(day) => (6, day),
+            Datum::Medals => (7, 0),
+        };
+        if id >= FAMILY_IDS {
+            return None;
+        }
+        self.len.checked_add(family * FAMILY_IDS + id)
     }
 
     /// The page in `slot`, or `None` past the last slot.

@@ -1,12 +1,13 @@
 //! Property tests for the page layer: URL round-trips, parser totality,
-//! the page space's slots, renderer determinism, and dependency-derivation
-//! invariants.
+//! the page space's slots and data vertices, renderer determinism, and
+//! dependency-derivation invariants.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use nagano_db::{
-    seed_games, AthleteId, CountryId, EventId, GamesConfig, NewsId, OlympicDb, SportId,
+    seed_games, AthleteId, CountryId, DataKey, Datum, EventId, GamesConfig, NewsId, OlympicDb,
+    PhotoId, SportId,
 };
 use nagano_pagegen::{FragmentKey, PageKey, PageRegistry, PageSpace, Renderer};
 
@@ -119,8 +120,103 @@ fn any_id_key() -> impl Strategy<Value = PageKey> {
     ]
 }
 
+/// A datum of any kind with id `n`, and the text its key is spelled as.
+fn datum(kind: usize, n: u32) -> (Datum, String) {
+    match kind {
+        0 => (Datum::Sport(SportId(n)), format!("data:sport:{n}")),
+        1 => (Datum::Event(EventId(n)), format!("data:event:{n}")),
+        2 => (Datum::Athlete(AthleteId(n)), format!("data:athlete:{n}")),
+        3 => (Datum::Country(CountryId(n)), format!("data:country:{n}")),
+        4 => (Datum::News(NewsId(n)), format!("data:news:{n}")),
+        5 => (Datum::Photo(PhotoId(n)), format!("data:photo:{n}")),
+        6 => (Datum::Today(n), format!("data:today:{n}")),
+        7 => (Datum::Medals, "data:medals:standings".into()),
+        8 => {
+            let f = FragmentKey::ResultTable(EventId(n));
+            (Datum::Fragment(f), format!("page:/fragments/results/{n}"))
+        }
+        9 => (
+            Datum::Fragment(FragmentKey::MedalTable),
+            "page:/fragments/medals".into(),
+        ),
+        _ => {
+            let f = FragmentKey::Headlines(n);
+            (Datum::Fragment(f), format!("page:/fragments/headlines/{n}"))
+        }
+    }
+}
+
+/// The kinds [`datum`] makes.
+const KINDS: usize = 11;
+
+/// What holds of one datum's key in `space`: its text is the canonical
+/// one — a fragment's its page's object key — and its vertex, if it has
+/// one, is its slot for a fragment and above every slot for the rest.
+fn check_datum(space: &PageSpace, datum: Datum, text: &str) -> Option<u32> {
+    let key = DataKey::new(datum);
+    assert_eq!(&*key, text, "{datum:?}");
+    let vertex = space.vertex(datum);
+    match datum {
+        Datum::Fragment(f) => {
+            assert_eq!(PageKey::Fragment(f).object_key(), text);
+            assert_eq!(vertex, space.slot(PageKey::Fragment(f)), "{text}");
+        }
+        _ => assert!(
+            vertex.is_none_or(|v| v >= space.len()),
+            "{text}: {vertex:?}"
+        ),
+    }
+    vertex
+}
+
+#[test]
+fn data_keys_are_spelled_canonically_and_never_share_a_vertex() {
+    // Every kind at every id up to 4,095 — more than any family of the
+    // Games has rows — at the ends of its id range, and across the edges of
+    // a family's run of vertices.
+    let space = small_space();
+    let edges = [(1 << 28) - 1, 1 << 28, u32::MAX - 1, u32::MAX];
+    let mut taken = std::collections::BTreeMap::new();
+    for kind in 0..KINDS {
+        for n in (0..4_096).chain(edges) {
+            let (datum, text) = datum(kind, n);
+            if let Some(vertex) = check_datum(&space, datum, &text) {
+                let other = taken.insert(vertex, datum);
+                assert!(
+                    other.is_none_or(|d| d == datum),
+                    "{other:?} and {datum:?}: {vertex}"
+                );
+            }
+        }
+    }
+    // Medals and the medal table have one key each; no id reaches a vertex
+    // past its run.
+    let (max, _) = datum(0, u32::MAX);
+    assert_eq!(space.vertex(max), None);
+    assert_eq!(
+        space.vertex(Datum::Medals),
+        Some(space.len() + 7 * (1 << 28))
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two data keys of any kinds and ids: each spelled canonically, and
+    /// on one vertex only if they are one key.
+    #[test]
+    fn two_data_keys_share_a_vertex_only_if_they_are_one(
+        a in (0..KINDS, prop_oneof![0..64u32, 0..(1u32 << 28), any::<u32>()]),
+        b in (0..KINDS, prop_oneof![0..64u32, 0..(1u32 << 28), any::<u32>()]),
+    ) {
+        let space = small_space();
+        let ((da, ta), (db, tb)) = (datum(a.0, a.1), datum(b.0, b.1));
+        let (va, vb) = (check_datum(&space, da, &ta), check_datum(&space, db, &tb));
+        if va.is_some() && va == vb {
+            prop_assert_eq!(da, db);
+        }
+        prop_assert_eq!(DataKey::new(da) == DataKey::new(db), da == db);
+    }
 
     /// Any id of any family maps to no slot or to a slot in range that
     /// maps back to it; no slot past the end maps to a page.

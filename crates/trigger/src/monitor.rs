@@ -8,8 +8,9 @@ use bytes::Bytes;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use nagano_cache::CacheFleet;
-use nagano_db::Transaction;
-use nagano_odg::{DupEngine, Interner, NodeId, StalenessPolicy};
+use nagano_db::{DataKey, Transaction};
+use nagano_odg::graph::OdgSnapshot;
+use nagano_odg::{DupEngine, NodeId, StalenessPolicy};
 use nagano_pagegen::{
     Dependency, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
 };
@@ -60,16 +61,11 @@ impl TxnOutcome {
     }
 }
 
-/// State shared behind one mutex: the graph and the name interner change
-/// together (registering a render adds names *and* edges), so a single
-/// lock avoids ordering bugs between them.
-///
-/// A page's vertex is its slot in the page space; the data vertices are
-/// interned above that range, `space.len()` plus the name's interned id.
+/// The graph, and the page space its vertices are numbered by: a page's
+/// vertex is its slot, a datum's is computed from its key
+/// ([`PageSpace::vertex`]). Nothing is interned.
 struct GraphState {
     dup: DupEngine,
-    /// Names of the data vertices.
-    names: Interner,
     space: PageSpace,
 }
 
@@ -79,46 +75,22 @@ impl GraphState {
         self.space.key(id.0)
     }
 
-    /// The page vertex named `name`, if it is a page's object name
-    /// ([`PageKey::object_key`]): a dependency on it is the hybrid edge of
-    /// Figure 15, from a fragment to the pages that embed it.
-    fn page_vertex(&self, name: &str) -> Option<NodeId> {
-        let key = PageKey::from_object_key(name)?;
-        self.space.slot(key).map(NodeId)
-    }
-
-    /// The vertex of the data the interner numbered `id`.
-    fn data_vertex(&self, id: NodeId) -> NodeId {
-        NodeId(self.space.len() + id.0)
-    }
-
-    /// `name`'s vertex, if it has one.
-    fn find(&self, name: &str) -> Option<NodeId> {
-        self.page_vertex(name)
-            .or_else(|| Some(self.data_vertex(self.names.get(name)?)))
-    }
-
-    /// `name`'s vertex, a data vertex interned if it is new.
-    fn intern(&mut self, name: &str) -> NodeId {
-        match self.page_vertex(name) {
-            Some(id) => id,
-            None => {
-                let id = self.names.intern(name);
-                self.data_vertex(id)
-            }
-        }
+    /// `key`'s vertex, if it has one.
+    fn vertex(&self, key: &DataKey) -> Option<NodeId> {
+        self.space.vertex(key.datum()).map(NodeId)
     }
 
     /// The vertices `txns` changed, for a unit-magnitude propagation: the
     /// propagation adds a magnitude per occurrence, so each key counts
     /// once per transaction that names it, however often that one lists
-    /// it (`record_results` lists a country per placed athlete). Keys no
-    /// page ever depended on are skipped.
+    /// it (`record_results` lists a country per placed athlete). A vertex
+    /// no page ever depended on is not in the graph, and the propagation
+    /// passes it by.
     fn changed_ids(&self, txns: &[&Transaction]) -> Vec<NodeId> {
         let mut changed = Vec::new();
         for txn in txns {
             let first = changed.len();
-            for id in txn.changes.iter().filter_map(|c| self.find(&c.data_key)) {
+            for id in txn.changes.iter().filter_map(|c| self.vertex(&c.data_key)) {
                 if !changed[first..].contains(&id) {
                     changed.push(id);
                 }
@@ -203,7 +175,6 @@ impl TriggerMonitor {
         TriggerMonitor {
             graph: Mutex::new(GraphState {
                 dup: DupEngine::new(),
-                names: Interner::new(),
                 space,
             }),
             registered: Mutex::new(vec![None; space.len() as usize]),
@@ -250,6 +221,12 @@ impl TriggerMonitor {
         (g.dup.graph().node_count(), g.dup.graph().edge_count())
     }
 
+    /// A sorted copy of the ODG: a page's vertex is its slot, a datum's
+    /// what [`PageSpace::vertex`] makes of its key.
+    pub fn graph_snapshot(&self) -> OdgSnapshot {
+        self.graph.lock().dup.graph().snapshot()
+    }
+
     /// Render every registered page once, distribute it to the fleet, and
     /// register its dependencies — the prefetch pass that lets the site
     /// start with a warm cache and a complete ODG. Static pages are
@@ -287,7 +264,9 @@ impl TriggerMonitor {
     /// Register a rendered page's dependencies in the ODG (idempotent;
     /// re-registering after regeneration refreshes edges for pages whose
     /// composition changed). The one entry to the graph's edges. A key
-    /// with no slot is not a page of the site and has no vertex.
+    /// with no slot is not a page of the site and has no vertex; nor has a
+    /// datum [`PageSpace::vertex`] gives none, and no edge is registered
+    /// from it.
     pub fn register_render(&self, key: PageKey, out: &RenderOutput) {
         let Some(slot) = self.registry.space().slot(key) else {
             return;
@@ -308,7 +287,9 @@ impl TriggerMonitor {
             .graph_mut()
             .ensure_node(object, nagano_odg::NodeKind::Object);
         for dep in out.deps.iter() {
-            let data = g.intern(&dep.data_key);
+            let Some(data) = g.vertex(&dep.data_key) else {
+                continue;
+            };
             // A non-finite/non-positive weight is a renderer bug; keep
             // the invalidation edge alive with unit weight rather than
             // panicking the serving path over a bad number.
@@ -700,11 +681,16 @@ impl TriggerMonitor {
         self.stale_since.lock().entry(key).or_insert(now);
     }
 
+    /// Stop the staleness clock of `keys`. Update-in-place marks nothing
+    /// stale: with no mark there is no key to hash.
     fn clear_stale_marks(&self, keys: &[PageKey]) {
         if keys.is_empty() {
             return;
         }
         let mut marks = self.stale_since.lock();
+        if marks.is_empty() {
+            return;
+        }
         for key in keys {
             marks.remove(key);
         }

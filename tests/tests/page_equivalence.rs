@@ -16,7 +16,9 @@
 //! schedule (the benchmark's `check_site`, after every update) — once more
 //! on a fleet disturbed behind the monitor's back — and each
 //! content category also gets a plain named driver so a regression
-//! pinpoints the page family that broke.
+//! pinpoints the page family that broke. Over the same schedule, the
+//! monitor's dependence graph, numbered by arithmetic over typed keys, is
+//! held against the one the benchmark harness interns from their text.
 //!
 //! The same generators drive the renderer differential at the bottom: a
 //! long-lived `Renderer` (warm section memo: fragments, country rosters,
@@ -40,11 +42,13 @@ use proptest::prelude::*;
 use bytes::Bytes;
 use nagano_cache::{CacheConfig, CacheFleet, ReplacementPolicy};
 use nagano_db::{
-    seed_games, Athlete, AthleteId, Event, EventPhase, GamesConfig, NewsArticle, NewsId, OlympicDb,
-    Photo, PhotoId, Transaction,
+    seed_games, Athlete, AthleteId, Datum, Event, EventPhase, GamesConfig, NewsArticle, NewsId,
+    OlympicDb, Photo, PhotoId, Transaction,
 };
+use nagano_odg::graph::OdgSnapshot;
+use nagano_odg::{DupEngine, Interner, NodeId, NodeKind};
 use nagano_pagegen::{
-    Dependency, FragmentKey, PageKey, PageMemo, PageRegistry, RenderOutput, Renderer,
+    Dependency, FragmentKey, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
 };
 use nagano_simcore::sync::blocking;
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -1172,6 +1176,115 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule() {
     );
 }
 
+/// The graph the benchmark harness mirrors the monitor's with: every
+/// vertex a name — a page's object key, a datum's key text — interned, and
+/// each page's dependencies registered as `TriggerMonitor::register_render`
+/// registers them. Beside it, the name of each vertex the monitor numbers
+/// a datum by, which no two names may share.
+#[derive(Default)]
+struct NamedGraph {
+    dup: DupEngine,
+    names: Interner,
+    monitors: BTreeMap<u32, String>,
+}
+
+impl NamedGraph {
+    fn register(&mut self, space: &PageSpace, key: PageKey, deps: &[Dependency]) {
+        let object = self.names.intern(&key.object_key());
+        self.dup.graph_mut().ensure_node(object, NodeKind::Object);
+        for dep in deps {
+            let data = self.names.intern(&dep.data_key);
+            if self.dup.add_dependency(data, object, dep.weight).is_err() {
+                let _ = self.dup.add_dependency(data, object, 1.0);
+            }
+            let datum = dep.data_key.datum();
+            let vertex = space.vertex(datum).expect("every datum read has a vertex");
+            assert_eq!(
+                vertex < space.len(),
+                matches!(datum, Datum::Fragment(_)),
+                "{datum:?}: vertex {vertex}"
+            );
+            let name = self
+                .monitors
+                .entry(vertex)
+                .or_insert_with(|| dep.data_key.to_string());
+            assert_eq!(name, &*dep.data_key, "two keys share vertex {vertex}");
+        }
+    }
+
+    /// Its vertices and edges by name.
+    fn named(&self) -> Named {
+        named(self.dup.graph().snapshot(), |id| {
+            self.names.name(NodeId(id)).expect("interned").to_string()
+        })
+    }
+
+    /// The monitor's vertices and edges, by the same names.
+    fn monitors(&self, monitor: &TriggerMonitor, space: &PageSpace) -> Named {
+        named(monitor.graph_snapshot(), |id| match space.key(id) {
+            Some(page) => page.object_key(),
+            None => self.monitors.get(&id).expect("a datum read").clone(),
+        })
+    }
+}
+
+/// A graph's vertices `(name, kind)` and edges `(from, to, weight)`, each
+/// sorted by name.
+type Named = (Vec<(String, NodeKind)>, Vec<(String, String, f64)>);
+
+fn named(graph: OdgSnapshot, name: impl Fn(u32) -> String) -> Named {
+    let mut nodes: Vec<_> = graph
+        .nodes
+        .into_iter()
+        .map(|(id, kind)| (name(id), kind))
+        .collect();
+    nodes.sort_by(|a, b| a.0.cmp(&b.0));
+    let edges = graph.edges.into_iter();
+    let mut edges: Vec<_> = edges
+        .map(|(from, to, w)| (name(from), name(to), w))
+        .collect();
+    edges.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+    (nodes, edges)
+}
+
+#[test]
+fn the_monitors_graph_is_the_graph_of_every_pages_dependency_text() {
+    // The monitor numbers a datum's vertex by arithmetic over its typed
+    // key; the harness's mirror interns the key's text. After prewarm, and
+    // after every update of the full Games, the two are one graph: edge
+    // for edge, weight for weight, no two keys on one vertex, and no datum
+    // but a fragment in the page range.
+    let db = seeded_db(&GamesConfig::full());
+    let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
+    let registry = PageRegistry::build(&db, 16);
+    let space = *registry.space();
+    let fresh = Renderer::new(Arc::clone(&db));
+    let mut named = NamedGraph::default();
+    for &(key, _) in registry.pages() {
+        named.register(&space, key, &fresh.render(key).deps);
+    }
+    let prewarmed = named.named();
+    assert!(prewarmed.1.len() > 2_000, "{} edges", prewarmed.1.len());
+    assert!(
+        named.monitors(&monitor, &space) == prewarmed,
+        "after prewarm"
+    );
+    let schedule = UpdateSchedule::generate(
+        &db,
+        &mut DeterministicRng::seed_from_u64(1998 ^ 0x5550_4441_5445),
+    );
+    let mut rng = DeterministicRng::seed_from_u64(1998 ^ 0x0041_5050_4c59);
+    for update in schedule.updates() {
+        let txn = UpdateSchedule::apply(update, &db, &mut rng);
+        for &key in &monitor.process_txn(&txn).regenerated {
+            named.register(&space, key, &fresh.render(key).deps);
+        }
+    }
+    let after = named.named();
+    assert!(after.1.len() > prewarmed.1.len(), "the Games add edges");
+    assert!(named.monitors(&monitor, &space) == after, "after the Games");
+}
+
 /// The ways a fleet comes to hold other than what the monitor last
 /// distributed, taken in turn by the disturbed replay.
 #[derive(Debug, Clone, Copy)]
@@ -1264,13 +1377,17 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
             }
             Disturbance::Retirement => {
                 let fragment = fragments[rng.index(fragments.len())];
-                let edge = fragment.object_key();
+                let PageKey::Fragment(f) = fragment else {
+                    unreachable!("{fragment} is a fragment")
+                };
                 let fresh = Renderer::new(Arc::clone(&db));
-                let embedders: Vec<PageKey> = pages
-                    .iter()
-                    .copied()
-                    .filter(|&k| fresh.render(k).deps.iter().any(|d| d.data_key == edge))
-                    .collect();
+                let embeds = |k| {
+                    let deps = fresh.render(k).deps;
+                    deps.iter()
+                        .any(|d| d.data_key.datum() == Datum::Fragment(f))
+                };
+                let embedders: Vec<PageKey> =
+                    pages.iter().copied().filter(|&k| embeds(k)).collect();
                 assert!(monitor.retire_page(fragment), "update {i}: {fragment}");
                 for key in [fragment].into_iter().chain(embedders) {
                     assert!(!monitor.remembers(key), "update {i}: {key}");

@@ -3,7 +3,8 @@
 //! allocates nothing in the renderer once warm (DESIGN.md §14a, "Page
 //! freshness"); one whose bytes change allocates no body once a body of
 //! its page's size is parked to be written over (DESIGN.md §14a, "One
-//! body buffer").
+//! body buffer"); one it composes allocates no data key, nor does a
+//! commit (DESIGN.md §14, "Reading is registering").
 //!
 //! A binary of its own, because it counts through the global allocator.
 //! The render halves hold of an optimised build only — a build with debug
@@ -20,7 +21,7 @@ use std::sync::Arc;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_cache::{CacheConfig, CacheFleet};
-use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
+use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, NewsArticle, NewsId, OlympicDb};
 use nagano_httpd::{Request, RequestReader, Status};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
@@ -345,4 +346,51 @@ fn a_warm_hit_allocates_nothing() {
             }
         }
     }
+}
+
+#[test]
+fn a_composed_page_and_a_commit_allocate_no_key_per_datum() {
+    // A data key spells its text in place: a compose allocates for its
+    // dependency list, not for each key on it, and a commit for its list
+    // of changes, not for each change. Fifty-one stories on one day give
+    // that day's news index fifty-one dependencies; a result posting of
+    // thirty athletes names some sixty records.
+    let db = Arc::new(OlympicDb::new());
+    seed_games(&db, &GamesConfig::small());
+    let day = 3;
+    for seq in 0..51 {
+        db.publish_news(NewsArticle {
+            id: NewsId(day * 1_000 + seq),
+            day,
+            title: format!("Story {seq}"),
+            body: "Filed from Nagano.".into(),
+            about_event: None,
+        });
+    }
+    // Composed onto the page's own body, without a memo to answer from;
+    // the first time warms the renderer's section memo and scratch.
+    let renderer = Renderer::new(Arc::clone(&db));
+    let key = PageKey::NewsIndex(day);
+    let held = renderer.render(key).body;
+    let composing = || renderer.render_onto(key, Some((&held, None)));
+    composing();
+    let ((out, _), allocated) = counted(composing);
+    assert!(!out.revalidated && !out.patched, "composed");
+    assert_eq!(out.deps.len(), 52);
+    if !cfg!(debug_assertions) {
+        assert!(allocated < 52 / 4, "{allocated} allocations, 52 keys");
+    }
+    // The second posting of the same placements: the tables' indexes hold
+    // room for it.
+    let event = db.events()[0].id;
+    let athletes = db.athletes();
+    let placed: Vec<_> = athletes.iter().take(30).map(|a| (a.id, 1.0)).collect();
+    db.record_results(event, &placed, false, day);
+    let (txn, allocated) = counted(|| db.record_results(event, &placed, false, day));
+    let changes = txn.changes.len();
+    assert!(changes >= 40, "{changes} changes");
+    assert!(
+        allocated < changes as u64 / 4,
+        "{allocated} allocations, {changes} changes"
+    );
 }
