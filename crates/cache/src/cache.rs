@@ -3,10 +3,11 @@
 //! Keys are page slots ([`crate::key`]); values are immutable rendered
 //! bodies ([`bytes::Bytes`], so distributing a page to eight serving caches
 //! shares one allocation). The caches of a fleet are the columns of one
-//! sharded table: a row per page with a cell per member, and beside a
-//! shard's rows each member's own eviction queue, byte count, tombstones
-//! and flights. A row also keeps its distributor's [`Memo`] of one body for
-//! exactly as long as some cell holds that very allocation. Slot `s` lives
+//! sharded table: a row per page holding the members' body once, with a
+//! cell per member, and beside a shard's rows each member's own eviction
+//! queue, byte count, tombstones and flights. A row also keeps its
+//! distributor's [`Memo`] of that body for exactly as long as some member
+//! holds it. Slot `s` lives
 //! in shard `s & mask`, at index `s >> shift` of that shard's rows. A
 //! [`PageCache`] is one column of a table — a
 //! standalone cache the only column of its own — so a lookup takes one
@@ -190,12 +191,19 @@ struct StaleEntry {
     since_us: u64,
 }
 
-/// One member's copy of a page: a cell of the page's [`Row`].
+/// What one member keeps of a page: a cell of the page's [`Row`]. Its body
+/// is the row's, unless the member got other bytes by a fill or a restore
+/// of its own. Its version and cost are what they were when the row's
+/// `bumps` stood at `at`: each bump since put it a version ahead, at the
+/// row's cost ([`Row::entry`]).
 #[derive(Debug)]
-struct Entry {
-    body: Bytes,
+struct Cell {
+    /// The member's body when it is not the row's.
+    own: Option<Bytes>,
     version: u64,
     cost: f64,
+    /// The row's `bumps` when `version` and `cost` were written.
+    at: u64,
     /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
     /// input to the fleet-level EWMA hotness tracker.
     window_hits: u64,
@@ -206,11 +214,17 @@ struct Entry {
     stamp: u64,
 }
 
-impl Entry {
-    fn page(&self) -> CachedPage {
-        CachedPage {
-            body: self.body.clone(),
-            version: self.version,
+impl Cell {
+    /// A cell at no version yet, holding its row's body, in a row that has
+    /// counted `at` distributions.
+    fn new(cost: f64, at: u64) -> Self {
+        Cell {
+            own: None,
+            version: 0,
+            cost,
+            at,
+            window_hits: 0,
+            stamp: 0,
         }
     }
 }
@@ -219,42 +233,132 @@ impl Entry {
 /// ([`crate::CacheFleet::distribute_with`]). Opaque to the cache.
 pub type Memo = Box<dyn Any + Send + Sync>;
 
-/// An allocation, by address and length.
-type At = (usize, usize);
-
-fn at(body: &Bytes) -> At {
-    (body.as_ptr() as usize, body.len())
-}
-
-/// Whether `cell` holds the allocation at `at`.
-fn holds(cell: &Option<Entry>, at: At) -> bool {
-    cell.as_ref().is_some_and(|e| self::at(&e.body) == at)
-}
-
-/// One page across the fleet: a cell per member, side by side, so that
-/// what a distribution finds on every member is read off one row. A row
-/// lives as long as one of its cells is filled.
+/// One page across the fleet: a cell per member, side by side, and the
+/// body they hold, once. A row lives as long as one of its cells is filled.
 struct Row {
-    cells: Box<[Option<Entry>]>,
-    /// The memo of the allocation at `At`: kept while some cell holds it,
-    /// so no other allocation can come to lie there.
-    memo: Option<(At, Memo)>,
+    /// The body the cells without one of their own hold: one allocation
+    /// however many members hold it, empty while none does.
+    body: Bytes,
+    /// How many cells hold `body`.
+    holders: usize,
+    /// The memo of `body`, kept while a member holds it.
+    memo: Option<Memo>,
+    /// Distributions that filled the row or found it settled and changed
+    /// its body: each put every member a version ahead, at the last one's
+    /// `cost`, without a write to any cell.
+    bumps: u64,
+    cost: f64,
+    cells: Box<[Option<Cell>]>,
 }
 
 impl Row {
+    fn new(members: usize) -> Self {
+        Row {
+            body: Bytes::new(),
+            holders: 0,
+            memo: None,
+            bumps: 0,
+            cost: 0.0,
+            cells: (0..members).map(|_| None).collect(),
+        }
+    }
+
     fn is_empty(&self) -> bool {
         self.cells.iter().all(Option::is_none)
     }
 
-    /// After cells let bodies go: drop the memo if no cell holds the body
-    /// it is of. Returns whether the row is empty.
-    fn settle(&mut self) -> bool {
-        if let Some((at, _)) = self.memo {
-            if !self.cells.iter().any(|c| holds(c, at)) {
-                self.memo = None;
+    /// Whether every member holds the row's body.
+    fn is_settled(&self) -> bool {
+        self.holders == self.cells.len()
+    }
+
+    /// What member `c` holds: body, version and cost.
+    fn entry(&self, c: usize) -> Option<(&Bytes, u64, f64)> {
+        let cell = self.cells[c].as_ref()?;
+        let body = cell.own.as_ref().unwrap_or(&self.body);
+        let version = cell.version + (self.bumps - cell.at);
+        let cost = if cell.at == self.bumps {
+            cell.cost
+        } else {
+            self.cost
+        };
+        Some((body, version, cost))
+    }
+
+    /// Cell `c`, made at `cost` if it is empty, with its version and cost
+    /// as of now written into it: what a write to that member alone
+    /// starts from.
+    fn own_books(&mut self, c: usize, cost: f64) -> &mut Cell {
+        let (version, cost) = self.entry(c).map_or((0, cost), |(_, v, cost)| (v, cost));
+        let cell = self.cells[c].get_or_insert_with(|| Cell::new(cost, 0));
+        (cell.version, cell.cost, cell.at) = (version, cost, self.bumps);
+        cell
+    }
+
+    /// Empty cell `c`; returns the body it held and its version. The last
+    /// member to hold the row's body takes it, and its memo, with it.
+    fn remove(&mut self, c: usize) -> Option<(Bytes, u64)> {
+        let version = self.entry(c)?.1;
+        let cell = self.cells[c].take()?;
+        let body = match cell.own {
+            Some(own) => own,
+            None => {
+                self.holders -= 1;
+                if self.holders > 0 {
+                    self.body.clone()
+                } else {
+                    self.memo = None;
+                    std::mem::take(&mut self.body)
+                }
+            }
+        };
+        Some((body, version))
+    }
+
+    /// Give every cell a body of its own: what a write other than a
+    /// distribution to a settled row works on. Returns the row's body and
+    /// its memo.
+    fn unshare(&mut self) -> Option<(Bytes, Option<Memo>)> {
+        if self.holders == 0 {
+            return None;
+        }
+        for cell in self.cells.iter_mut().flatten() {
+            if cell.own.is_none() {
+                cell.own = Some(self.body.clone());
             }
         }
-        self.is_empty()
+        self.holders = 0;
+        Some((std::mem::take(&mut self.body), self.memo.take()))
+    }
+
+    /// Make one body the row's again after [`Row::unshare`] and a write:
+    /// with a memo (of a distribution), the first member's, which the memo
+    /// is of; else the row's before, and its memo, if a member still holds
+    /// it; else the first filled cell's.
+    fn share(&mut self, before: Option<(Bytes, Option<Memo>)>, memo: Option<Memo>) {
+        let held = |body: &Bytes, cells: &[Option<Cell>]| {
+            let holds = |cell: &Cell| cell.own.as_ref().is_some_and(|b| same_allocation(b, body));
+            cells.iter().flatten().any(holds)
+        };
+        let (body, memo) = match (before, memo) {
+            (Some((body, kept)), None) if held(&body, &self.cells) => (body, kept),
+            (_, memo) => {
+                let first = self
+                    .cells
+                    .iter()
+                    .flatten()
+                    .find_map(|cell| cell.own.clone());
+                let Some(first) = first else { return };
+                (first, memo)
+            }
+        };
+        for cell in self.cells.iter_mut().flatten() {
+            if cell.own.as_ref().is_some_and(|b| same_allocation(b, &body)) {
+                cell.own = None;
+                self.holders += 1;
+            }
+        }
+        (self.body, self.memo) = (body, memo);
     }
 }
 
@@ -285,18 +389,14 @@ impl Rows {
         if i >= self.at.len() {
             self.at.resize_with(i + 1, || None);
         }
-        self.at[i].get_or_insert_with(|| Row {
-            cells: (0..members).map(|_| None).collect(),
-            memo: None,
-        })
+        self.at[i].get_or_insert_with(|| Row::new(members))
     }
 
-    /// After cells of `slot`'s row let bodies go: [`Row::settle`] it, and
-    /// drop it if no cell of it is filled.
-    fn settle(&mut self, slot: u32) {
+    /// Drop `slot`'s row if no cell of it is filled.
+    fn prune(&mut self, slot: u32) {
         let i = self.index(slot);
         if let Some(row) = self.at.get_mut(i) {
-            if row.as_mut().is_some_and(Row::settle) {
+            if row.as_ref().is_some_and(Row::is_empty) {
                 *row = None;
             }
         }
@@ -362,10 +462,10 @@ impl Column {
         );
     }
 
-    /// Stamp `entry` with the next tick and push its touch at the back.
-    fn touch(&mut self, slot: u32, entry: &mut Entry) {
+    /// Stamp `cell` with the next tick and push its touch at the back.
+    fn touch(&mut self, slot: u32, cell: &mut Cell) {
         self.tick += 1;
-        entry.stamp = self.tick;
+        cell.stamp = self.tick;
         self.touches.push_back((self.tick, slot));
     }
 
@@ -414,38 +514,40 @@ impl Shard {
             let Some(row) = self.rows.get_mut(slot) else {
                 continue; // stale record
             };
-            let cell = &mut row.cells[c];
-            if slot == protect && cell.as_ref().is_some_and(|e| e.stamp == stamp) {
+            if row.cells[c].as_ref().is_none_or(|e| e.stamp != stamp) {
+                continue; // stale record
+            }
+            if slot == protect {
                 column.touches.push_front((stamp, slot));
                 break;
             }
-            let Some(e) = cell.take_if(|e| e.stamp == stamp) else {
-                continue; // stale record
+            let Some((body, version)) = row.remove(c) else {
+                continue;
             };
-            self.rows.settle(slot);
-            let size = e.body.len() as u64;
+            self.rows.prune(slot);
+            let size = body.len() as u64;
             column.bytes -= size;
             column.entries -= 1;
             stats.evict(size);
             if let Some(now_us) = stale_now {
-                column.tombstone(slot, e.body, e.version, now_us);
+                column.tombstone(slot, body, version, now_us);
             }
         }
         column.trim(&self.rows, c);
     }
 }
 
-/// How a body comes to a member ([`Table::place`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Put {
-    /// By a fleet distribution: a member that holds these bytes already
-    /// keeps its entry as it is — allocation, version, cost, recency,
-    /// statistics.
-    Distributed,
-    /// By a fill of that member alone: always a new version.
-    Local,
-    /// From a peer, at the peer's version.
-    Restored(u64),
+/// What one visit to a page's row made of it
+/// ([`crate::CacheFleet::answer_or_take`]).
+#[derive(Debug)]
+pub enum Visit<T, M> {
+    /// What the visitor made of the body every member holds and the memo
+    /// the row keeps of it; the row is as it was.
+    Answered(T),
+    /// The first member's body, with the memo the row kept of that very
+    /// allocation, taken out of the row; `None` if the first member does
+    /// not hold the page.
+    Taken(Option<(Bytes, Option<M>)>),
 }
 
 /// What a member has of its own outside the shards.
@@ -545,132 +647,200 @@ impl Table {
         self.stale.map(|_| self.members[c].now_us.load(Relaxed))
     }
 
-    /// Put `body` under `key` on each member in `columns`, under one lock
-    /// and off one probe. Returns whether any entry was written, and the
-    /// version the last of those members has the page at.
-    ///
-    /// A `memo` of `body`, handed with a distribution to every member,
-    /// becomes the row's, of the allocation the first member then holds.
-    ///
-    /// Cells written one after the other share what can be shared. The
-    /// body: a member asked to keep an allocation other than the one
-    /// passed in hands its own on, so a cell that is then written joins
-    /// the allocation its neighbours hold. The comparison: cells as a rule
-    /// hold one allocation, and the one a cell was just found to differ
-    /// in is not compared again.
-    pub(crate) fn place(
+    /// Member `c`'s books, its column of `slot`'s shard and its
+    /// statistics, after its cell took a body of `size` bytes in place of
+    /// one of `old` bytes (`None`: the cell was empty). A bounded member's
+    /// cell is touched.
+    fn account(
         &self,
+        c: usize,
+        column: &mut Column,
         slot: u32,
-        mut body: Bytes,
-        cost: f64,
-        columns: Range<usize>,
-        how: Put,
-        memo: Option<Memo>,
-    ) -> (bool, u64) {
-        let size = body.len() as u64;
-        // Declared before the lock is taken, so that the body this holds
-        // last is freed after the lock is released.
-        let mut replaced: Option<Bytes> = None;
-        let mut shard = self.shard_for(slot).lock();
-        let Shard {
-            rows,
-            columns: state,
-        } = &mut *shard;
-        let row = rows.get_or_insert(slot, self.members.len());
-        let mut version = 0;
-        // Only a bounded table evicts, and only there is this filled.
-        let mut written: Vec<usize> = Vec::new();
-        let mut changed = false;
-        for c in columns {
-            let cell = &mut row.cells[c];
-            if let Some(e) = cell.as_ref().filter(|_| how == Put::Distributed) {
-                let differs = replaced
-                    .as_ref()
-                    .is_some_and(|r| same_allocation(r, &e.body));
-                if !differs && same_bytes(&e.body, &body) {
-                    if !same_allocation(&e.body, &body) {
-                        body = e.body.clone();
-                    }
-                    version = e.version;
-                    continue;
+        cell: Option<&mut Cell>,
+        old: Option<u64>,
+        size: u64,
+    ) {
+        let stats = &self.members[c].stats;
+        match old {
+            // A padded page keeps its length: the common replacement
+            // leaves the column's count, and its cache line, alone.
+            Some(old) => {
+                if old != size {
+                    column.bytes = column.bytes - old + size;
                 }
+                stats.update(old, size);
             }
-            let member = &self.members[c];
-            let column = &mut state[c];
-            version = match how {
-                Put::Restored(version) => version,
-                _ => cell.as_ref().map_or(0, |e| e.version) + 1,
-            };
-            let e = match cell {
-                Some(e) => {
-                    let old = std::mem::replace(&mut e.body, body.clone());
-                    e.version = version;
-                    e.cost = cost;
-                    column.bytes = column.bytes - old.len() as u64 + size;
-                    member.stats.update(old.len() as u64, size);
-                    replaced = Some(old);
-                    e
-                }
-                None => {
-                    column.bytes += size;
-                    column.entries += 1;
-                    member.stats.insert(size);
-                    cell.insert(Entry {
-                        body: body.clone(),
-                        version,
-                        cost,
-                        window_hits: 0,
-                        stamp: 0,
-                    })
-                }
-            };
-            if self.per_shard_budget.is_some() {
-                column.touch(slot, e);
-                written.push(c);
+            None => {
+                column.bytes += size;
+                column.entries += 1;
+                stats.insert(size);
             }
-            // A fresh body supersedes any tombstoned stale copy of the page.
-            if self.stale.is_some() {
-                column.stale.remove(&slot);
-            }
-            changed = true;
         }
-        match memo {
-            Some(memo) => {
-                debug_assert!(how == Put::Distributed && row.cells.len() == self.members.len());
-                row.memo = row.cells[0].as_ref().map(|e| (at(&e.body), memo));
-            }
-            None if changed => _ = row.settle(),
-            None => {}
+        if let Some(cell) = cell.filter(|_| self.per_shard_budget.is_some()) {
+            column.touch(slot, cell);
         }
+        // A fresh body supersedes any tombstoned stale copy of the page.
+        if self.stale.is_some() {
+            column.stale.remove(&slot);
+        }
+    }
+
+    /// Bring each member in `written` back within its budget, if it has
+    /// one, sparing `slot`.
+    fn evict_after(&self, shard: &mut Shard, slot: u32, written: impl IntoIterator<Item = usize>) {
         if let Some(budget) = self.per_shard_budget {
             for c in written {
                 let stats = &self.members[c].stats;
-                let now = self.stale_now(c);
-                shard.evict_to(c, budget, stats, slot, now);
+                shard.evict_to(c, budget, stats, slot, self.stale_now(c));
             }
         }
-        (changed, version)
     }
 
-    /// The first member's body for `slot`, with the row's memo taken out
-    /// of the row if it is of that very allocation.
-    pub(crate) fn take_held(&self, slot: u32) -> Option<(Bytes, Option<Memo>)> {
+    /// Distribute `body` to every member, under one lock and off one
+    /// probe: a member that holds those bytes keeps its entry as it is,
+    /// every other takes the body at its next version. Returns whether any
+    /// entry was written. A `memo` of `body` becomes the row's, of the
+    /// allocation the first member then holds.
+    ///
+    /// A settled row — every member holds the row's body, as a
+    /// distribution leaves them — takes one comparison, and where the
+    /// bytes differ one body swapped and one count bumped, which puts every
+    /// cell a version ahead at `cost` without writing to it, whatever the
+    /// fleet's size. Any other row is written cell after cell: a member
+    /// that holds bytes equal to `body` in another allocation hands its
+    /// own on, so a cell written after it joins the allocation it holds.
+    pub(crate) fn distribute(&self, slot: u32, body: Bytes, cost: f64, memo: Option<Memo>) -> bool {
+        let size = body.len() as u64;
+        // Declared before the lock is taken, so that the body this holds
+        // last is freed after the lock is released.
+        let mut _replaced: Option<Bytes> = None;
+        // Only a bounded table evicts, and only there is this filled.
+        let mut written: Vec<usize> = Vec::new();
+        let bounded = self.per_shard_budget.is_some();
         let mut shard = self.shard_for(slot).lock();
-        let row = shard.rows.get_mut(slot)?;
-        let first = row.cells[0].as_ref()?.body.clone();
-        let memo = row.memo.take_if(|&mut (at, _)| holds(&row.cells[0], at));
-        Some((first, memo.map(|(_, memo)| memo)))
+        let Shard { rows, columns } = &mut *shard;
+        let row = rows.get_or_insert(slot, self.members.len());
+        let fresh = row.is_empty();
+        let changed = if row.is_settled() || fresh {
+            let changed = fresh || !same_bytes(&row.body, &body);
+            if changed {
+                let old = (!fresh).then_some(row.body.len() as u64);
+                _replaced = Some(std::mem::replace(&mut row.body, body));
+                row.holders = row.cells.len();
+                if fresh {
+                    for cell in row.cells.iter_mut() {
+                        *cell = Some(Cell::new(cost, row.bumps));
+                    }
+                }
+                (row.bumps, row.cost) = (row.bumps + 1, cost);
+                for c in 0..row.cells.len() {
+                    // An unbounded member's cell is not so much as read.
+                    let cell = if bounded { row.cells[c].as_mut() } else { None };
+                    self.account(c, &mut columns[c], slot, cell, old, size);
+                }
+                if bounded {
+                    written.extend(0..row.cells.len());
+                }
+            }
+            // The memo of a body no member holds any more goes with it.
+            if changed || memo.is_some() {
+                row.memo = memo;
+            }
+            changed
+        } else {
+            let before = row.unshare();
+            let mut body = body;
+            let mut changed = false;
+            for c in 0..row.cells.len() {
+                let held = row.entry(c).map(|(held, ..)| held);
+                if let Some(held) = held.filter(|held| same_bytes(held, &body)) {
+                    if !same_allocation(held, &body) {
+                        body = held.clone();
+                    }
+                    continue;
+                }
+                let old = held.map(|held| held.len() as u64);
+                let cell = row.own_books(c, cost);
+                (cell.version, cell.cost) = (cell.version + 1, cost);
+                _replaced = cell.own.replace(body.clone());
+                self.account(c, &mut columns[c], slot, Some(cell), old, size);
+                if bounded {
+                    written.push(c);
+                }
+                changed = true;
+            }
+            row.share(before, memo);
+            changed
+        };
+        self.evict_after(&mut shard, slot, written);
+        changed
     }
 
-    /// `f` of the first member's body for `slot` and the row's memo, under
-    /// the shard's lock, if every member holds the body the memo is of.
+    /// Put `body` under `slot` on member `c` alone: at `version`, or
+    /// else at the member's next. Returns the version the member has the
+    /// page at.
+    pub(crate) fn put(
+        &self,
+        slot: u32,
+        body: Bytes,
+        cost: f64,
+        c: usize,
+        version: Option<u64>,
+    ) -> u64 {
+        let size = body.len() as u64;
+        let mut shard = self.shard_for(slot).lock();
+        let Shard { rows, columns } = &mut *shard;
+        let row = rows.get_or_insert(slot, self.members.len());
+        let old = row.entry(c).map(|(held, ..)| held.len() as u64);
+        let before = row.unshare();
+        let cell = row.own_books(c, cost);
+        (cell.version, cell.cost) = (version.unwrap_or(cell.version + 1), cost);
+        let version = cell.version;
+        let replaced = cell.own.replace(body);
+        self.account(c, &mut columns[c], slot, Some(cell), old, size);
+        row.share(before, None);
+        self.evict_after(&mut shard, slot, [c]);
+        // What the cell held is freed after the lock is released.
+        drop(shard);
+        drop(replaced);
+        version
+    }
+
+    /// One visit to `slot`'s row, under its shard's lock: what `answer`
+    /// makes of the body every member holds and the row's memo of it, if
+    /// there are such and it makes something; else the first member's
+    /// body, with the row's memo taken out of the row if that member holds
+    /// the body it is of.
+    pub(crate) fn visit<T>(
+        &self,
+        slot: u32,
+        answer: impl FnOnce(&Bytes, &Memo) -> Option<T>,
+    ) -> Visit<T, Memo> {
+        let mut shard = self.shard_for(slot).lock();
+        let Some(row) = shard.rows.get_mut(slot) else {
+            return Visit::Taken(None);
+        };
+        if let Some(memo) = row.memo.as_ref().filter(|_| row.is_settled()) {
+            if let Some(answered) = answer(&row.body, memo) {
+                return Visit::Answered(answered);
+            }
+        }
+        let Some(first) = &row.cells[0] else {
+            return Visit::Taken(None);
+        };
+        Visit::Taken(Some(match &first.own {
+            Some(own) => (own.clone(), None),
+            None => (row.body.clone(), row.memo.take()),
+        }))
+    }
+
+    /// `f` of the body every member holds for `slot` and the row's memo of
+    /// it, under the shard's lock, if there are such.
     pub(crate) fn with_memo<T>(&self, slot: u32, f: impl FnOnce(&Bytes, &Memo) -> T) -> Option<T> {
         let shard = self.shard_for(slot).lock();
         let row = shard.rows.get(slot)?;
-        let (at, memo) = row.memo.as_ref()?;
-        let first = &row.cells[0].as_ref()?.body;
-        let everywhere = row.cells.iter().all(|c| holds(c, *at));
-        everywhere.then(|| f(first, memo))
+        let memo = row.memo.as_ref().filter(|_| row.is_settled())?;
+        Some(f(&row.body, memo))
     }
 
     /// Whether `slot`'s row keeps a memo: of a body some member holds.
@@ -693,18 +863,18 @@ impl Table {
         };
         let mut held = 0;
         for c in columns {
-            if let Some(e) = row.cells[c].take() {
-                let size = e.body.len() as u64;
+            if let Some((body, version)) = row.remove(c) {
+                let size = body.len() as u64;
                 state[c].bytes -= size;
                 state[c].entries -= 1;
                 self.members[c].stats.invalidate(size);
                 if let Some(now_us) = self.stale_now(c) {
-                    state[c].tombstone(slot, e.body, e.version, now_us);
+                    state[c].tombstone(slot, body, version, now_us);
                 }
                 held += 1;
             }
         }
-        rows.settle(slot);
+        rows.prune(slot);
         held
     }
 }
@@ -785,12 +955,13 @@ impl PageCache {
         }
     }
 
-    /// Run `f` on this member's entry for `key`, if it has one.
-    fn with_entry<T>(&self, key: impl PageRef, f: impl FnOnce(&Entry) -> T) -> Option<T> {
+    /// Run `f` on this member's entry for `key` — body, version, cost —
+    /// if it has one.
+    fn with_entry<T>(&self, key: impl PageRef, f: impl FnOnce(&Bytes, u64) -> T) -> Option<T> {
         let slot = self.table.slot(key)?;
         let shard = self.table.shard_for(slot).lock();
-        let entry = shard.rows.get(slot)?.cells[self.column].as_ref()?;
-        Some(f(entry))
+        let (body, version, _) = shard.rows.get(slot)?.entry(self.column)?;
+        Some(f(body, version))
     }
 
     /// Advance the cache clock (monotonic micros derived from `secs`).
@@ -820,12 +991,17 @@ impl PageCache {
         let bounded = self.table.per_shard_budget.is_some();
         let page = self.table.slot(key).and_then(|slot| {
             self.with_shard(slot, |rows, column| {
-                let e = rows.get_mut(slot)?.cells[self.column].as_mut()?;
+                let row = rows.get_mut(slot)?;
+                let (body, version, _) = row.entry(self.column)?;
+                let page = CachedPage {
+                    body: body.clone(),
+                    version,
+                };
+                let e = row.cells[self.column].as_mut()?;
                 if e.window_hits == 0 {
                     column.dirty.push(slot);
                 }
                 e.window_hits += 1;
-                let page = e.page();
                 // Recency orders a bounded member's eviction queue and
                 // nothing else: a hit on an unbounded one writes none.
                 if bounded {
@@ -845,13 +1021,16 @@ impl PageCache {
     /// Look up without counting a hit/miss or touching recency — used by
     /// the trigger monitor to inspect state without skewing measurements.
     pub fn peek(&self, key: impl PageRef) -> Option<CachedPage> {
-        self.with_entry(key, Entry::page)
+        self.with_entry(key, |body, version| CachedPage {
+            body: body.clone(),
+            version,
+        })
     }
 
     /// Look up `key`'s body alone, like [`PageCache::peek`] counting and
     /// touching nothing.
     pub fn peek_body(&self, key: impl PageRef) -> Option<Bytes> {
-        self.with_entry(key, |e| e.body.clone())
+        self.with_entry(key, |body, _| body.clone())
     }
 
     /// Insert or update-in-place. Returns the entry's new version (1 for a
@@ -863,8 +1042,7 @@ impl PageCache {
     /// If `key` is a name outside the key space: it names no slot.
     pub fn put(&self, key: impl PageRef, body: Bytes, cost: f64) -> u64 {
         let slot = self.table.slot_to_write(key);
-        let only = self.column..self.column + 1;
-        self.table.place(slot, body, cost, only, Put::Local, None).1
+        self.table.put(slot, body, cost, self.column, None)
     }
 
     /// Remove `key`; returns whether it was present. Under a
@@ -878,17 +1056,17 @@ impl PageCache {
 
     /// Whether `key` is cached.
     pub fn contains(&self, key: impl PageRef) -> bool {
-        self.with_entry(key, |_| ()).is_some()
+        self.with_entry(key, |_, _| ()).is_some()
     }
 
     /// This member's entries, shard by shard in index order, each shard's
     /// in slot order, as `f` sees them.
-    fn collect_entries<T>(&self, mut f: impl FnMut(u32, &Entry) -> T) -> Vec<T> {
+    fn collect_entries<T>(&self, mut f: impl FnMut(u32, &Bytes, f64, u64) -> T) -> Vec<T> {
         let mut out = Vec::new();
         self.for_each_shard(|i, rows, _| {
             for (slot, row) in rows.iter(i) {
-                if let Some(e) = &row.cells[self.column] {
-                    out.push(f(slot, e));
+                if let Some((body, version, cost)) = row.entry(self.column) {
+                    out.push(f(slot, body, cost, version));
                 }
             }
         });
@@ -928,16 +1106,16 @@ impl PageCache {
     pub fn clear(&self) {
         let stats = &self.member().stats;
         self.for_each_shard(|_, rows, column| {
-            for cell in rows.at.iter_mut() {
-                let Some(row) = cell else { continue };
-                if let Some(e) = row.cells[self.column].take() {
-                    let size = e.body.len() as u64;
+            for at in rows.at.iter_mut() {
+                let Some(row) = at else { continue };
+                if let Some((body, _)) = row.remove(self.column) {
+                    let size = body.len() as u64;
                     column.bytes -= size;
                     column.entries -= 1;
                     stats.invalidate(size);
                 }
-                if row.settle() {
-                    *cell = None;
+                if row.is_empty() {
+                    *at = None;
                 }
             }
             column.touches.clear();
@@ -950,21 +1128,24 @@ impl PageCache {
     /// The slots of every cached page (for diagnostics; takes each shard
     /// lock in turn).
     pub fn slots(&self) -> Vec<u32> {
-        self.collect_entries(|slot, _| slot)
+        self.collect_entries(|slot, _, _, _| slot)
     }
 
     /// Every entry: `(slot, body, cost, version)`. Bodies are refcounted
     /// views, so listing them is cheap. Used to resynchronise a recovered
     /// serving node from a healthy peer.
     pub fn entries(&self) -> Vec<(u32, Bytes, f64, u64)> {
-        self.collect_entries(|slot, e| (slot, e.body.clone(), e.cost, e.version))
+        self.collect_entries(|slot, body, cost, version| (slot, body.clone(), cost, version))
     }
 
     /// [`PageCache::entries`] with each page named: `(name, body, cost,
     /// version)`, the name its key space gives the slot (the slot in
     /// decimal without one) — the adapter for callers that hold URLs.
     pub fn export_entries(&self) -> Vec<(String, Bytes, f64, u64)> {
-        self.collect_entries(|slot, e| (self.table.name(slot), e.body.clone(), e.cost, e.version))
+        let named = |slot, body: &Bytes, cost, version| {
+            (self.table.name(slot), body.clone(), cost, version)
+        };
+        self.collect_entries(named)
     }
 
     /// Collect and reset per-entry hit counts accumulated since the last
@@ -999,9 +1180,7 @@ impl PageCache {
     /// If `key` is a name outside the key space, as [`PageCache::put`].
     pub fn restore_entry(&self, key: impl PageRef, body: Bytes, cost: f64, version: u64) {
         let slot = self.table.slot_to_write(key);
-        let only = self.column..self.column + 1;
-        self.table
-            .place(slot, body, cost, only, Put::Restored(version), None);
+        self.table.put(slot, body, cost, self.column, Some(version));
     }
 
     // ---- stale tombstones -------------------------------------------------

@@ -12,12 +12,13 @@
 //! lives in the page's row for as long as some member holds that body.
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rustc_hash::FxHashMap;
 
-use crate::cache::{CacheConfig, CachedPage, Memo, PageCache, Put, Table};
+use crate::cache::{CacheConfig, CachedPage, Memo, PageCache, Table, Visit};
 use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::key::{KeySpace, PageRef};
 use crate::stats::StatsSnapshot;
@@ -131,10 +132,7 @@ impl CacheFleet {
         memo: Option<Memo>,
     ) -> bool {
         let slot = self.table.slot_to_write(key);
-        let all = 0..self.members.len();
-        self.table
-            .place(slot, body, cost, all, Put::Distributed, memo)
-            .0
+        self.table.distribute(slot, body, cost, memo)
     }
 
     /// The first member's body for `key`, with the memo the page's row
@@ -142,8 +140,32 @@ impl CacheFleet {
     /// it is not an `M`): what a regeneration renders onto and hands back
     /// with its distribution.
     pub fn take_held<M: Any>(&self, key: impl PageRef) -> Option<(Bytes, Option<Box<M>>)> {
-        let (body, memo) = self.table.take_held(self.table.slot(key)?)?;
-        Some((body, memo.and_then(|memo| memo.downcast().ok())))
+        match self.answer_or_take(key, |_, _: &M| None::<Infallible>) {
+            Visit::Taken(held) => held,
+            Visit::Answered(never) => match never {},
+        }
+    }
+
+    /// One visit to the page's row, under its lock: what `answer` makes of
+    /// the body every member holds and the memo of type `M` the row keeps
+    /// of it, if there are such and it makes something; else
+    /// [`CacheFleet::take_held`]'s body and memo, taken out in the same
+    /// visit. Counts and touches nothing.
+    pub fn answer_or_take<M: Any, T>(
+        &self,
+        key: impl PageRef,
+        answer: impl FnOnce(&Bytes, &M) -> Option<T>,
+    ) -> Visit<T, Box<M>> {
+        let Some(slot) = self.table.slot(key) else {
+            return Visit::Taken(None);
+        };
+        let answer = |body: &Bytes, memo: &Memo| answer(body, memo.downcast_ref()?);
+        match self.table.visit(slot, answer) {
+            Visit::Answered(answered) => Visit::Answered(answered),
+            Visit::Taken(held) => Visit::Taken(
+                held.map(|(body, memo)| (body, memo.and_then(|memo| memo.downcast().ok()))),
+            ),
+        }
     }
 
     /// `f` of the first member's body for `key` and the memo of type `M`

@@ -43,6 +43,7 @@ pub mod stats;
 
 pub use cache::{
     CacheConfig, CachedPage, FlightOutcome, FlightToken, Memo, PageCache, StaleCopy, StalePolicy,
+    Visit,
 };
 pub use fleet::CacheFleet;
 pub use hotness::HotnessTracker;

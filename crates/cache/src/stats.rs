@@ -145,6 +145,18 @@ impl CacheStats {
     /// `site=<name>`). The registry shares the cells — subsequent events
     /// show up in exports without copying.
     pub fn bind(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+        self.bind_fresh(registry, labels);
+        registry.bind_counter(
+            "nagano_cache_stale_served_total",
+            labels,
+            &self.stale_served,
+        );
+    }
+
+    /// [`CacheStats::bind`] without `nagano_cache_stale_served_total`:
+    /// the series of a cache that keeps no stale copy to serve (no
+    /// [`StalePolicy`](crate::StalePolicy)), where it could only read 0.
+    pub fn bind_fresh(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.bind_counter("nagano_cache_hits_total", labels, &self.hits);
         registry.bind_counter("nagano_cache_misses_total", labels, &self.misses);
         registry.bind_counter("nagano_cache_inserts_total", labels, &self.inserts);
@@ -155,11 +167,6 @@ impl CacheStats {
             &self.invalidations,
         );
         registry.bind_counter("nagano_cache_evictions_total", labels, &self.evictions);
-        registry.bind_counter(
-            "nagano_cache_stale_served_total",
-            labels,
-            &self.stale_served,
-        );
         registry.bind_counter("nagano_cache_coalesced_total", labels, &self.coalesced);
         registry.bind_gauge("nagano_cache_bytes_current", labels, &self.bytes_current);
         registry.bind_gauge("nagano_cache_bytes_peak", labels, &self.bytes_peak);

@@ -7,9 +7,11 @@
 //! byte-equal and pointer-equal bodies), local fills, lookups,
 //! invalidations, crashes, restores, resyncs and evictions, every member
 //! must hold what a map applying "bytes differ ⇒ version + 1, else
-//! untouched" holds — body and version — whether it is a standalone
+//! untouched" holds — body, version and cost — whether it is a standalone
 //! `PageCache`, the only member of a fleet or one of eight — allocation
-//! included. The table holds a row for exactly the pages some member holds,
+//! included — and must have counted what the map counts: hits, misses,
+//! inserts, updates, invalidations, evictions and bytes, member by member.
+//! The table holds a row for exactly the pages some member holds,
 //! and a memo handed with a distribution for exactly as long as some member
 //! holds the allocation it is of: the first member's, when it was handed.
 //!
@@ -90,26 +92,88 @@ fn content(key: u8, choice: u8) -> Vec<u8> {
     vec![b'a' + choice; 8 + (key as usize + choice as usize) % 5]
 }
 
-/// One naive member: slot → (body, version), the body the very
+/// One naive member: slot → (body, version, cost), the body the very
 /// allocation the member holds.
-type Naive = BTreeMap<u32, (Bytes, u64)>;
+type Naive = BTreeMap<u32, (Bytes, u64, f64)>;
+
+/// What a naive member has counted, as a cache's statistics count it.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    updates: u64,
+    invalidations: u64,
+    evictions: u64,
+    bytes_current: u64,
+}
+
+impl Counts {
+    /// A write of `body` over `old`, if the member held one.
+    fn write(&mut self, old: Option<&Bytes>, body: &Bytes) {
+        match old {
+            Some(old) => {
+                self.updates += 1;
+                self.bytes_current -= old.len() as u64;
+            }
+            None => self.inserts += 1,
+        }
+        self.bytes_current += body.len() as u64;
+    }
+
+    /// An entry of `body` gone by invalidation, or else by eviction.
+    fn remove(&mut self, body: &Bytes, invalidated: bool) {
+        match invalidated {
+            true => self.invalidations += 1,
+            false => self.evictions += 1,
+        }
+        self.bytes_current -= body.len() as u64;
+    }
+}
+
+/// A write on one member at `version`, or else at the member's next.
+fn naive_write(
+    member: &mut Naive,
+    counts: &mut Counts,
+    key: u32,
+    (body, version, cost): (Bytes, Option<u64>, f64),
+) {
+    let old = member.get(&key);
+    counts.write(old.map(|(body, ..)| body), &body);
+    let version = version.unwrap_or(old.map_or(0, |&(_, version, _)| version) + 1);
+    member.insert(key, (body, version, cost));
+}
 
 /// A put on one member: always a new version.
-fn naive_put(member: &mut Naive, key: u32, body: Bytes) {
-    let version = member.get(&key).map_or(0, |&(_, version)| version);
-    member.insert(key, (body, version + 1));
+fn naive_put(member: &mut Naive, counts: &mut Counts, key: u32, body: Bytes, cost: f64) {
+    naive_write(member, counts, key, (body, None, cost));
+}
+
+/// Remove `key` from `member`, counted as an invalidation.
+fn naive_invalidate(member: &mut Naive, counts: &mut Counts, key: u32) -> bool {
+    let removed = member.remove(&key);
+    if let Some((body, ..)) = &removed {
+        counts.remove(body, true);
+    }
+    removed.is_some()
 }
 
 /// A distribution of `body` to every member in turn: a member that holds
 /// those bytes keeps its entry and hands its allocation on to the members
 /// written after it. Returns whether any entry was written.
-fn naive_distribute(model: &mut [Naive], key: u32, mut body: Bytes) -> bool {
+fn naive_distribute(
+    model: &mut [Naive],
+    counts: &mut [Counts],
+    key: u32,
+    mut body: Bytes,
+    cost: f64,
+) -> bool {
     let mut changed = false;
-    for member in model {
+    for (member, counts) in model.iter_mut().zip(counts) {
         match member.get(&key) {
-            Some((held, _)) if *held == body => body = held.clone(),
+            Some((held, ..)) if *held == body => body = held.clone(),
             _ => {
-                naive_put(member, key, body.clone());
+                naive_put(member, counts, key, body.clone(), cost);
                 changed = true;
             }
         }
@@ -121,7 +185,7 @@ fn naive_distribute(model: &mut [Naive], key: u32, mut body: Bytes) -> bool {
 fn holds(member: &Naive, key: u32, body: &Bytes) -> bool {
     member
         .get(&key)
-        .is_some_and(|(held, _)| held.as_ptr() == body.as_ptr())
+        .is_some_and(|(held, ..)| held.as_ptr() == body.as_ptr())
 }
 
 /// What the operations are driven through: a fleet, or a cache built on
@@ -189,6 +253,7 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
     let subject = Subject::new(config, members);
     let n = subject.members().len();
     let mut model: Vec<Naive> = vec![Naive::new(); n];
+    let mut counts: Vec<Counts> = vec![Counts::default(); n];
     // The memo of each page the table keeps one for: the allocation it is
     // of, and the step that handed it.
     let mut memos: BTreeMap<u32, (Bytes, usize)> = BTreeMap::new();
@@ -207,8 +272,8 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
                         .peek_body(key)
                         .unwrap_or_else(|| Bytes::from(content(*k, 1))),
                 };
-                let expected = naive_distribute(&mut model, key, body.clone());
                 let cost = 1.0 + f64::from(*k);
+                let expected = naive_distribute(&mut model, &mut counts, key, body.clone(), cost);
                 let changed = match &subject {
                     // A cache on its own keeps no memo.
                     Subject::Fleet(fleet) if *memo => {
@@ -223,35 +288,54 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
             Op::PutLocal(m, k, c) => {
                 let key = slot(*k);
                 let body = Bytes::from(content(*k, *c));
-                naive_put(&mut model[m % n], key, body.clone());
+                naive_put(
+                    &mut model[m % n],
+                    &mut counts[m % n],
+                    key,
+                    body.clone(),
+                    2.0,
+                );
                 let version = subject.members()[m % n].put(key, body, 2.0);
                 prop_assert_eq!(version, model[m % n][&key].1, "step {}: {:?}", step, op);
                 written = Some(key);
             }
             Op::Get(m, k) => {
                 let page = subject.members()[m % n].get(slot(*k));
+                let counted = &mut counts[m % n];
+                match page {
+                    Some(_) => counted.hits += 1,
+                    None => counted.misses += 1,
+                }
                 let page = page.map(|page| (page.body, page.version));
-                prop_assert_eq!(page.as_ref(), model[m % n].get(&slot(*k)), "step {}", step);
+                let naive = model[m % n].get(&slot(*k));
+                let naive = naive.map(|(body, version, _)| (body.clone(), *version));
+                prop_assert_eq!(page, naive, "step {}", step);
             }
             Op::Invalidate(m, k) => {
                 let was = subject.members()[m % n].invalidate(slot(*k));
-                prop_assert_eq!(was, model[m % n].remove(&slot(*k)).is_some());
+                let naive = naive_invalidate(&mut model[m % n], &mut counts[m % n], slot(*k));
+                prop_assert_eq!(was, naive);
             }
             Op::InvalidateEverywhere(k) => {
                 let held = model
                     .iter_mut()
-                    .filter_map(|member| member.remove(&slot(*k)))
+                    .zip(&mut counts)
+                    .map(|(member, counts)| naive_invalidate(member, counts, slot(*k)))
+                    .filter(|&held| held)
                     .count();
                 prop_assert_eq!(subject.invalidate_everywhere(slot(*k)), held);
             }
             Op::Clear(m) => {
                 subject.members()[m % n].clear();
-                model[m % n].clear();
+                for (body, ..) in std::mem::take(&mut model[m % n]).values() {
+                    counts[m % n].remove(body, true);
+                }
             }
             Op::Restore(m, k, c, version) => {
                 let key = slot(*k);
                 let body = Bytes::from(content(*k, *c));
-                model[m % n].insert(key, (body.clone(), *version));
+                let restored = (body.clone(), Some(*version), 2.0);
+                naive_write(&mut model[m % n], &mut counts[m % n], key, restored);
                 subject.members()[m % n].restore_entry(key, body, 2.0, *version);
                 written = Some(key);
             }
@@ -259,27 +343,68 @@ fn check(config: CacheConfig, members: Option<usize>, ops: &[Op]) -> Result<(), 
                 let (from, to) = (from % n, to % n);
                 if from != to {
                     subject.resync(from, to);
-                    model[to] = model[from].clone();
+                    // A clear of the member, then a restore of each entry.
+                    for (body, ..) in std::mem::take(&mut model[to]).values() {
+                        counts[to].remove(body, true);
+                    }
+                    let entries = model[from].clone();
+                    for (&key, (body, version, cost)) in &entries {
+                        let written = (body.clone(), Some(*version), *cost);
+                        naive_write(&mut model[to], &mut counts[to], key, written);
+                    }
                 }
             }
         }
-        for (m, (real, naive)) in subject.members().iter().zip(&mut model).enumerate() {
+        let members = subject.members().iter().zip(&mut model).zip(&mut counts);
+        for (m, ((real, naive), counted)) in members.enumerate() {
             if bounded {
-                naive.retain(|&key, _| Some(key) == written || real.contains(key));
+                naive.retain(|&key, (body, ..)| {
+                    let kept = Some(key) == written || real.contains(key);
+                    if !kept {
+                        counted.remove(body, false);
+                    }
+                    kept
+                });
             }
             let held: Naive = real
                 .entries()
                 .into_iter()
-                .map(|(key, body, _cost, version)| (key, (body, version)))
+                .map(|(key, body, cost, version)| (key, (body, version, cost)))
                 .collect();
             prop_assert_eq!(&held, &*naive, "step {}: {:?}: member {}", step, op, m);
-            for (&key, (body, _)) in &held {
+            for (&key, (body, ..)) in &held {
                 let same = holds(naive, key, body);
                 prop_assert!(same, "step {}: {:?}: member {}: {}", step, op, m, key);
             }
             prop_assert_eq!(real.len(), naive.len(), "step {}: member {}", step, m);
-            let bytes: usize = naive.values().map(|(body, _)| body.len()).sum();
+            let bytes: usize = naive.values().map(|(body, ..)| body.len()).sum();
             prop_assert_eq!(real.bytes(), bytes as u64, "step {}: member {}", step, m);
+            // Each member counted what its map did: no count moved between
+            // members.
+            let stats = real.stats();
+            let real_counts = Counts {
+                hits: stats.hits,
+                misses: stats.misses,
+                inserts: stats.inserts,
+                updates: stats.updates,
+                invalidations: stats.invalidations,
+                evictions: stats.evictions,
+                bytes_current: stats.bytes_current,
+            };
+            prop_assert_eq!(
+                &real_counts,
+                &*counted,
+                "step {}: {:?}: member {}",
+                step,
+                op,
+                m
+            );
+            prop_assert!(
+                stats.bytes_peak >= stats.bytes_current,
+                "step {}: member {}",
+                step,
+                m
+            );
         }
         // No row outlives its last cell: the table has a row for every
         // page some member holds, and for no other.

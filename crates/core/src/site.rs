@@ -431,7 +431,8 @@ impl ServingSite {
     /// into a telemetry registry. Counters appear under the
     /// `nagano_trigger_*` / `nagano_cache_*` names with the given labels
     /// (cache cells additionally carry a `node` label per fleet member),
-    /// so one registry can hold several sites distinguished by label.
+    /// so one registry can hold several sites distinguished by label. A
+    /// site keeps no stale copy, so it exports no count of stale serves.
     pub fn bind_telemetry(
         &self,
         registry: &nagano_telemetry::MetricsRegistry,
@@ -442,7 +443,7 @@ impl ServingSite {
             let node = i.to_string();
             let mut node_labels: Vec<(&str, &str)> = labels.to_vec();
             node_labels.push(("node", node.as_str()));
-            member.stats_handle().bind(registry, &node_labels);
+            member.stats_handle().bind_fresh(registry, &node_labels);
         }
     }
 
@@ -848,6 +849,10 @@ mod tests {
         let text = prometheus_text(&registry);
         assert!(text.contains("nagano_cache_hits_total{node=\"0\",site=\"test\"} 2"));
         assert!(text.contains("nagano_trigger_txns_total{site=\"test\"} 0"));
+        assert!(text.contains("nagano_cache_coalesced_total{node=\"1\",site=\"test\"} 0"));
+        // The site refuses a stale policy: a series of stale serves could
+        // only read 0.
+        assert!(!text.contains("nagano_cache_stale_served_total"), "{text}");
     }
 
     #[test]

@@ -608,23 +608,26 @@ impl Renderer {
 
     /// Answer, in one pass over one snapshot, every page of `keys` whose
     /// revision stamps all stand where they stood when this renderer made
-    /// the memo `find` hands over for it — the rule [`Renderer::render_onto`]
+    /// the memo handed over for it — the rule [`Renderer::render_onto`]
     /// answers a page [`RenderOutput::revalidated`] by: such a page is the
-    /// body the memo is of. Returns, in `keys`' order, the cost the memo
-    /// kept for each page so answered and `None` for the others. `find(key,
-    /// answer)` returns what `answer` makes of the body every holder holds
-    /// for the page and the memo kept of it, or `None` without such a pair;
-    /// it is called inside the snapshot.
-    pub fn answer_unmoved(
+    /// body the memo is of, at the cost the memo kept. `visit(key, answer)`
+    /// is called once per key, in `keys`' order, inside the snapshot: it
+    /// hands `answer` the body every holder holds for the page and the
+    /// memo kept of it, if there are such, and makes what it will of the
+    /// answer. Returns what each visit made.
+    pub fn answer_unmoved<V>(
         &self,
         keys: &[PageKey],
-        mut find: impl FnMut(PageKey, &mut dyn FnMut(&Bytes, &PageMemo) -> Option<f64>) -> Option<f64>,
-    ) -> Vec<Option<f64>> {
-        let answers: Vec<Option<f64>> = Reads::over(&self.db, &mut Vec::new(), None, |r| {
+        mut visit: impl FnMut(PageKey, &mut dyn FnMut(&Bytes, &PageMemo) -> Option<f64>) -> V,
+    ) -> Vec<V> {
+        // The cost of each page answered, to spin for once the snapshot is
+        // let go of.
+        let mut answered = Vec::new();
+        let visits = Reads::over(&self.db, &mut Vec::new(), None, |r| {
             // What a build with debug assertions composes to compare.
             let mut kept = Vec::new();
-            let answers = keys.iter().map(|&key| {
-                find(key, &mut |body, last| {
+            let visits = keys.iter().map(|&key| {
+                visit(key, &mut |body, last| {
                     if last.renderer != self.id {
                         return None;
                     }
@@ -636,10 +639,13 @@ impl Renderer {
                         let deps = Arc::clone(&last.deps);
                         kept.push((key, body.clone(), deps, last.cost_ms));
                     }
+                    if self.cpu_scale.is_some() {
+                        answered.push(last.cost_ms);
+                    }
                     Some(last.cost_ms)
                 })
             });
-            let answers = answers.collect();
+            let visits = visits.collect();
             for (key, body, deps, cost_ms) in kept {
                 let (mut html, mut own) = (String::new(), Vec::new());
                 let title = self.compose(&mut r.section(&mut own, None), key, &mut html);
@@ -648,14 +654,14 @@ impl Renderer {
                 assert_eq!(own[..], deps[..], "{key}: unmoved");
                 assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: unmoved");
             }
-            answers
+            visits
         });
         if let Some(scale) = self.cpu_scale {
-            for &cost_ms in answers.iter().flatten() {
+            for cost_ms in answered {
                 spin_for(cost_ms, scale);
             }
         }
-        answers
+        visits
     }
 
     /// Build the page's inner HTML; returns the title.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use nagano_cache::CacheFleet;
+use nagano_cache::{CacheFleet, Visit};
 use nagano_db::{DataKey, Transaction};
 use nagano_odg::graph::OdgSnapshot;
 use nagano_odg::{DupEngine, NodeId, StalenessPolicy};
@@ -141,7 +141,9 @@ pub struct TriggerMonitor {
     /// [`TriggerMonitor::register_render`] has nothing to do.
     /// Other edges are written only under the graph lock, together with
     /// the vertex they describe (another list of the same edges at any
-    /// time); read on its own, never while taking the graph lock.
+    /// time); read on its own, or held across a regeneration's one pass
+    /// (the view, then each row's shard), never while taking the graph
+    /// lock.
     registered: Mutex<Vec<Option<Arc<[Dependency]>>>>,
     renderer: Renderer,
     fleet: Arc<CacheFleet>,
@@ -473,26 +475,29 @@ impl TriggerMonitor {
     /// onto the body the fleet holds for it, and distribute it.
     ///
     /// A page's row keeps the renderer's memo of the body its members hold
-    /// for as long as one of them holds that allocation. Every page whose
-    /// memo every member holds and whose stamps all stand is answered
-    /// first, in one pass over the rows ([`Renderer::answer_unmoved`]) that
-    /// renders, registers and distributes nothing. Each other page is
-    /// rendered onto the first member's body with the memo taken out of its
-    /// row ([`CacheFleet::take_held`]) and distributed with the memo of
-    /// what came out ([`CacheFleet::distribute_with`]), which every member
-    /// that holds those bytes keeps as it is. Adds the summed modelled CPU
-    /// to `nagano_trigger_regen_cpu_ms_total` and counts the keys whose
-    /// bytes changed in `nagano_trigger_pages_changed_total`, the keys that
-    /// were not composed in `nagano_trigger_pages_revalidated_total` and
-    /// the keys patched in `nagano_trigger_pages_patched_total`.
+    /// for as long as one of them holds that allocation. One pass over the
+    /// rows ([`Renderer::answer_unmoved`]) visits each page once
+    /// ([`CacheFleet::answer_or_take`]): a registered page whose memo every
+    /// member holds and whose stamps all stand is answered there, and
+    /// rendered, registered and distributed not at all; from every other
+    /// the first member's body is taken, with the memo of it out of its
+    /// row. That page is then rendered onto that body and distributed with
+    /// the memo of what came out ([`CacheFleet::distribute_with`]), which
+    /// every member that holds those bytes keeps as it is. Adds the summed
+    /// modelled CPU to `nagano_trigger_regen_cpu_ms_total` and counts the
+    /// keys whose bytes changed in `nagano_trigger_pages_changed_total`,
+    /// the keys that were not composed in
+    /// `nagano_trigger_pages_revalidated_total` and the keys patched in
+    /// `nagano_trigger_pages_patched_total`.
     ///
-    /// Sequential by design: a page is taken, rendered, registered and
-    /// distributed before the next is taken, so no more than one new body
-    /// is alive at a time and a kept page never leaves this thread's cache
-    /// lines; two regeneration threads did not repay forking ~44 renders of
-    /// ~1 µs each per transaction on a 2-vCPU guest (DESIGN §13a). A
-    /// renderer that models render CPU ([`Renderer::with_simulated_cpu`])
-    /// spins here one page after the other.
+    /// Sequential by design: a page is rendered, registered and
+    /// distributed before the next is rendered, so no more than one new
+    /// body is alive at a time and a kept page never leaves this thread's
+    /// cache lines; two regeneration threads did not repay forking ~44
+    /// renders of ~1 µs each per transaction on a 2-vCPU guest (DESIGN
+    /// §13a). A renderer that models render CPU
+    /// ([`Renderer::with_simulated_cpu`]) spins here one page after the
+    /// other.
     fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
         if keys.is_empty() {
             return Regenerated::default();
@@ -503,17 +508,30 @@ impl TriggerMonitor {
         };
         // Every key here is a page vertex's, which is its slot.
         let space = self.registry.space();
-        let unmoved = self
-            .renderer
-            .answer_unmoved(keys, |key, answer| self.with_memo(key, answer).flatten());
-        for (&key, unmoved) in keys.iter().zip(unmoved) {
-            if let Some(cost_ms) = unmoved {
-                regen.render_ms += cost_ms;
-                regen.revalidated += 1;
-                continue;
-            }
+        let visits = {
+            let registered = self.registered.lock();
+            self.renderer.answer_unmoved(keys, |key, answer| {
+                let Some(slot) = space.slot(key) else {
+                    return Visit::Taken(None);
+                };
+                self.fleet.answer_or_take(slot, |body, memo| {
+                    // A page a retired fragment fed registers every edge
+                    // anew at its next render, which this is not.
+                    registered[slot as usize].as_ref()?;
+                    answer(body, memo)
+                })
+            })
+        };
+        for (&key, visit) in keys.iter().zip(visits) {
+            let (held, memo) = match visit {
+                Visit::Answered(cost_ms) => {
+                    regen.render_ms += cost_ms;
+                    regen.revalidated += 1;
+                    continue;
+                }
+                Visit::Taken(held) => held.unzip(),
+            };
             let slot = space.slot(key);
-            let (held, memo) = slot.and_then(|slot| self.fleet.take_held(slot)).unzip();
             let (out, memo) = self
                 .renderer
                 .render_onto(key, held.as_ref().map(|b| (b, memo.flatten())));
@@ -537,21 +555,14 @@ impl TriggerMonitor {
         regen
     }
 
-    /// `f` of the body every member holds for `key` and the memo its row
-    /// keeps of it, if the page is registered: what the one pass of
-    /// [`TriggerMonitor::regenerate`] answers a page from.
-    fn with_memo<T>(&self, key: PageKey, f: impl FnOnce(&Bytes, &PageMemo) -> T) -> Option<T> {
-        let slot = self.registry.space().slot(key)?;
-        // A page a retired fragment fed registers every edge anew at its
-        // next render, which this is not.
-        self.registered.lock()[slot as usize].as_ref()?;
-        self.fleet.with_memo(slot, f)
-    }
-
     /// Whether a regeneration may answer `key` from the memo in its row,
     /// unmoved: every member holds its body, and the page is registered.
     pub fn remembers(&self, key: PageKey) -> bool {
-        self.with_memo(key, |_, _| ()).is_some()
+        let Some(slot) = self.registry.space().slot(key) else {
+            return false;
+        };
+        let registered = self.registered.lock()[slot as usize].is_some();
+        registered && self.fleet.with_memo(slot, |_, _: &PageMemo| ()).is_some()
     }
 
     /// Park hot-but-over-budget pages on the deferred queue. The queue is

@@ -4,7 +4,10 @@
 //! freshness"); one whose bytes change allocates no body once a body of
 //! its page's size is parked to be written over (DESIGN.md §14a, "One
 //! body buffer"); one it composes allocates no data key, nor does a
-//! commit (DESIGN.md §14, "Reading is registering").
+//! commit (DESIGN.md §14, "Reading is registering"). Nor does a
+//! distribution of a changed page to a fleet whose row holds one body for
+//! every member, nor the one visit that answers a page unmoved or takes
+//! its body and memo out of its row (DESIGN.md §14a, "The row").
 //!
 //! A binary of its own, because it counts through the global allocator.
 //! The render halves hold of an optimised build only — a build with debug
@@ -19,8 +22,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use nagano::{ServingSite, SiteConfig};
-use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_cache::{CacheConfig, CacheFleet, Memo, Visit};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, NewsArticle, NewsId, OlympicDb};
 use nagano_httpd::{Request, RequestReader, Status};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -171,6 +175,91 @@ fn a_revalidated_regeneration_allocates_nothing() {
         .collect();
     assert!(expected.contains(&true) && expected.contains(&false));
     assert_eq!(regenerate_countries(), expected);
+}
+
+#[test]
+fn a_distribution_and_a_visit_to_a_settled_row_allocate_nothing() {
+    // Eight members whose row for the page holds one body for them all.
+    const PAGE: u32 = 48;
+    let fleet = CacheFleet::new(8, CacheConfig::default());
+    let bodies: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![b'a' + i; 6_000])).collect();
+    fleet.distribute(PAGE, bodies[0].clone(), 1.0);
+    for body in &bodies[1..] {
+        let (changed, allocated) = counted(|| fleet.distribute(PAGE, body.clone(), 1.0));
+        assert!(changed, "the bytes changed");
+        assert_eq!(allocated, 0, "a changed page's distribution allocated");
+    }
+    let memo: Memo = Box::new(7_u8);
+    let (changed, allocated) =
+        counted(|| fleet.distribute_with(PAGE, bodies[0].clone(), 1.0, Some(memo)));
+    assert!(changed && allocated == 0, "{allocated} allocations");
+    for m in fleet.members() {
+        let page = m.peek(PAGE).unwrap();
+        assert_eq!((page.body.as_ptr(), page.version), (bodies[0].as_ptr(), 5));
+    }
+    // The cache's half of the one visit a regeneration makes: the page
+    // answered from the body and memo every member holds, or its body and
+    // memo taken out of the row.
+    let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, &memo: &u8| Some(memo)));
+    assert!(matches!(visit, Visit::Answered(7)) && allocated == 0);
+    let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, _: &u8| None::<()>));
+    let Visit::Taken(Some((held, Some(memo)))) = visit else {
+        panic!("the first member holds the page and the memo of it");
+    };
+    assert!(held.as_ptr() == bodies[0].as_ptr() && *memo == 7 && allocated == 0);
+    assert!(!fleet.has_memo(PAGE));
+}
+
+#[test]
+fn the_one_visit_of_a_regeneration_allocates_nothing() {
+    let db = Arc::new(OlympicDb::new());
+    seed_games(&db, &GamesConfig::small());
+    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let registry = Arc::new(PageRegistry::build(&db, 16));
+    let space = *registry.space();
+    let monitor = TriggerMonitor::new(
+        Renderer::new(Arc::clone(&db)),
+        Arc::clone(&fleet),
+        registry,
+        ConsistencyPolicy::UpdateInPlace,
+    );
+    monitor.prewarm();
+    // Every country page visited as `TriggerMonitor::regenerate` visits
+    // it, inside the monitor's renderer's one pass: per page, whether it
+    // was answered unmoved, and how often the visit allocated — the
+    // renderer's answer and the cache's visit to the row together.
+    let countries: Vec<PageKey> = db
+        .countries()
+        .iter()
+        .map(|c| PageKey::Country(c.id))
+        .collect();
+    let visit_countries = || -> Vec<(bool, u64)> {
+        monitor
+            .renderer()
+            .answer_unmoved(&countries, |key, answer| {
+                let slot = space.slot(key).unwrap();
+                let (visit, allocated) =
+                    counted(|| fleet.answer_or_take(slot, |b, m| answer(b, m)));
+                (matches!(visit, Visit::Answered(_)), allocated)
+            })
+    };
+    // Nothing moved since prewarm: every page is answered.
+    let visits = visit_countries();
+    assert!(visits.iter().all(|&(answered, _)| answered), "{visits:?}");
+    // A final moves the pages of the countries it places: theirs are taken
+    // out, the others answered.
+    let event = db.events()[0].clone();
+    db.record_results(event.id, &podium(&db, event.id), true, event.day);
+    let again = visit_countries();
+    assert!(again.iter().any(|&(answered, _)| answered), "{again:?}");
+    assert!(again.iter().any(|&(answered, _)| !answered), "{again:?}");
+    // A build with debug assertions keeps each page it answers, to compose
+    // and compare.
+    if !cfg!(debug_assertions) {
+        for (answered, allocated) in visits.into_iter().chain(again) {
+            assert_eq!(allocated, 0, "answered: {answered}");
+        }
+    }
 }
 
 #[test]
