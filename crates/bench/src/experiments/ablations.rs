@@ -62,10 +62,10 @@ pub fn staleness(config: &ExpConfig) -> ExpResult {
     let mut json_rows = Vec::new();
     let mut strict_regen = 0u64;
     for (i, (label, policy)) in thresholds.iter().enumerate() {
-        let mut cfg = SiteConfig::small();
-        cfg.staleness = *policy;
-        cfg.fleet_size = 1;
-        let site = ServingSite::build(cfg);
+        let site = ServingSite::build(SiteConfig {
+            staleness: *policy,
+            ..SiteConfig::small()
+        });
         let (_, regenerated, tolerated) = run_updates(&site, rounds);
         if i == 0 {
             strict_regen = regenerated;

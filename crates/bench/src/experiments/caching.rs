@@ -351,16 +351,14 @@ pub fn odg_scaling(config: &ExpConfig) -> ExpResult {
 
 /// Cache memory footprint: one copy of every cached object.
 pub fn memory(config: &ExpConfig) -> ExpResult {
-    let mut cfg = if config.quick {
+    let site = ServingSite::build(if config.quick {
         SiteConfig::small()
     } else {
         SiteConfig::full()
-    };
-    cfg.fleet_size = 1;
-    let site = ServingSite::build(cfg);
+    });
     let m = site.metrics();
     let bytes = m.cache.bytes_current;
-    let pages = site.fleet().member(0).len();
+    let pages = site.fleet().cache().len();
     let mut table = TextTable::new(["metric", "value"]);
     table
         .row([

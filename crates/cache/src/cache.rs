@@ -1,32 +1,30 @@
 //! The sharded concurrent page cache.
 //!
 //! Keys are page slots ([`crate::key`]); values are immutable rendered
-//! bodies ([`bytes::Bytes`], so distributing a page to eight serving caches
-//! shares one allocation). The caches of a fleet are the columns of one
-//! sharded table: a row per page holding the members' body once, with a
-//! cell per member, and beside a shard's rows each member's own eviction
-//! queue, byte count, tombstones and flights. A row also keeps its
-//! distributor's [`Memo`] of that body for exactly as long as some member
-//! holds it. Slot `s` lives
-//! in shard `s & mask`, at index `s >> shift` of that shard's rows. A
-//! [`PageCache`] is one column of a table — a
-//! standalone cache the only column of its own — so a lookup takes one
-//! shard lock and indexes one vector, and so does a distribution to every
-//! member ([`crate::CacheFleet::distribute`]). The lock per shard is a
-//! `sync::Mutex`; a table has [`CacheConfig::shards`] of them per
-//! member, and with the default 16 and short critical sections contention
-//! is negligible next to page generation costs.
+//! bodies ([`bytes::Bytes`], so a body handed to a request or kept by its
+//! distributor shares one allocation). A [`PageCache`] is one sharded
+//! table with one entry per page: its body, its version, the
+//! distributor's [`Memo`] of that body, its window hits and its LRU
+//! stamp. Beside a shard's entries sit the shard's own eviction queue,
+//! byte count, tombstones and flights. Slot `s` lives in shard `s & mask`,
+//! at index `s >> shift` of that shard's entries, so a lookup takes one
+//! shard lock and indexes one vector, and so does a distribution
+//! ([`crate::CacheFleet::distribute_with`]). The lock per shard is a
+//! `sync::Mutex`; a cache has [`CacheConfig::shards`] of them, and with
+//! the default 16 and short critical sections contention is negligible
+//! next to page generation costs. A shard keeps its books inline, so
+//! neighbouring shards' locks are some 200 bytes apart, never on one
+//! cache line.
 //!
-//! A bounded cache evicts the least recently used entry. Each member and
-//! shard keeps a queue of touches, oldest first: every write and every
-//! hit pushes a `(stamp, slot)` record at the back, eviction pops from the
-//! front, and a record whose stamp its entry no longer carries is skipped.
-//! Stamps come from a counter that only grows, so the queue is in
-//! eviction order without being sorted. An unbounded cache keeps no queue.
+//! A bounded cache evicts the least recently used entry. Each shard keeps
+//! a queue of touches, oldest first: every write and every hit pushes a
+//! `(stamp, slot)` record at the back, eviction pops from the front, and a
+//! record whose stamp its entry no longer carries is skipped. Stamps come
+//! from a counter that only grows, so the queue is in eviction order
+//! without being sorted. An unbounded cache keeps no queue.
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,10 +58,9 @@ impl StalePolicy {
 /// Configuration for a [`PageCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Number of shards per cache (min 1; a table's count — this times
-    /// its members — is rounded up to a power of two).
+    /// Number of shards (min 1, rounded up to a power of two).
     pub shards: usize,
-    /// One cache's total byte budget across all shards; `None` =
+    /// The cache's total byte budget across all shards; `None` =
     /// unbounded (the paper's production configuration). A bounded cache
     /// evicts the least recently used entry.
     pub max_bytes: Option<u64>,
@@ -110,13 +107,8 @@ impl CacheConfig {
     }
 }
 
-/// Whether two buffers are one allocation.
-fn same_allocation(a: &Bytes, b: &Bytes) -> bool {
-    a.as_ptr() == b.as_ptr() && a.len() == b.len()
-}
-
 /// Byte equality, by address before content: a regeneration that changed
-/// nothing hands back the very allocation the fleet holds.
+/// nothing hands back the very allocation the cache holds.
 fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
     a.len() == b.len() && (a.as_ptr() == b.as_ptr() || a[..] == b[..])
 }
@@ -128,9 +120,9 @@ pub struct CachedPage {
     pub body: Bytes,
     /// Monotonic per-entry version: 1 on insert, +1 whenever the body is
     /// replaced. A distribution of byte-equal content replaces nothing
-    /// ([`crate::CacheFleet::distribute`]), so on an update-in-place site
-    /// the version — the HTTP `ETag` — changes iff the bytes change. A
-    /// node-local [`PageCache::put`] is always a new version.
+    /// ([`crate::CacheFleet::distribute_with`]), so on an update-in-place
+    /// site the version — the HTTP `ETag` — changes iff the bytes change.
+    /// A [`PageCache::put`] is always a new version.
     pub version: u64,
 }
 
@@ -191,179 +183,28 @@ struct StaleEntry {
     since_us: u64,
 }
 
-/// What one member keeps of a page: a cell of the page's [`Row`]. Its body
-/// is the row's, unless the member got other bytes by a fill or a restore
-/// of its own. Its version and cost are what they were when the row's
-/// `bumps` stood at `at`: each bump since put it a version ahead, at the
-/// row's cost ([`Row::entry`]).
-#[derive(Debug)]
-struct Cell {
-    /// The member's body when it is not the row's.
-    own: Option<Bytes>,
+/// What a distributor keeps of a body beside it in the page's entry
+/// ([`crate::CacheFleet::distribute_with`]). Opaque to the cache.
+pub type Memo = Box<dyn Any + Send + Sync>;
+
+/// One page's entry.
+struct Row {
+    body: Bytes,
     version: u64,
-    cost: f64,
-    /// The row's `bumps` when `version` and `cost` were written.
-    at: u64,
+    /// The distributor's memo of `body`; a write of other bytes drops it.
+    memo: Option<Memo>,
     /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
     /// input to the fleet-level EWMA hotness tracker.
     window_hits: u64,
     /// Identity of the entry's newest touch record, drawn from its
-    /// column's monotonic tick so stale records — including ones
+    /// shard's monotonic tick so stale records — including ones
     /// surviving from a previous incarnation of the same page — never
     /// match.
     stamp: u64,
 }
 
-impl Cell {
-    /// A cell at no version yet, holding its row's body, in a row that has
-    /// counted `at` distributions.
-    fn new(cost: f64, at: u64) -> Self {
-        Cell {
-            own: None,
-            version: 0,
-            cost,
-            at,
-            window_hits: 0,
-            stamp: 0,
-        }
-    }
-}
-
-/// What a distributor keeps of a body beside it in the page's row
-/// ([`crate::CacheFleet::distribute_with`]). Opaque to the cache.
-pub type Memo = Box<dyn Any + Send + Sync>;
-
-/// One page across the fleet: a cell per member, side by side, and the
-/// body they hold, once. A row lives as long as one of its cells is filled.
-struct Row {
-    /// The body the cells without one of their own hold: one allocation
-    /// however many members hold it, empty while none does.
-    body: Bytes,
-    /// How many cells hold `body`.
-    holders: usize,
-    /// The memo of `body`, kept while a member holds it.
-    memo: Option<Memo>,
-    /// Distributions that filled the row or found it settled and changed
-    /// its body: each put every member a version ahead, at the last one's
-    /// `cost`, without a write to any cell.
-    bumps: u64,
-    cost: f64,
-    cells: Box<[Option<Cell>]>,
-}
-
-impl Row {
-    fn new(members: usize) -> Self {
-        Row {
-            body: Bytes::new(),
-            holders: 0,
-            memo: None,
-            bumps: 0,
-            cost: 0.0,
-            cells: (0..members).map(|_| None).collect(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.cells.iter().all(Option::is_none)
-    }
-
-    /// Whether every member holds the row's body.
-    fn is_settled(&self) -> bool {
-        self.holders == self.cells.len()
-    }
-
-    /// What member `c` holds: body, version and cost.
-    fn entry(&self, c: usize) -> Option<(&Bytes, u64, f64)> {
-        let cell = self.cells[c].as_ref()?;
-        let body = cell.own.as_ref().unwrap_or(&self.body);
-        let version = cell.version + (self.bumps - cell.at);
-        let cost = if cell.at == self.bumps {
-            cell.cost
-        } else {
-            self.cost
-        };
-        Some((body, version, cost))
-    }
-
-    /// Cell `c`, made at `cost` if it is empty, with its version and cost
-    /// as of now written into it: what a write to that member alone
-    /// starts from.
-    fn own_books(&mut self, c: usize, cost: f64) -> &mut Cell {
-        let (version, cost) = self.entry(c).map_or((0, cost), |(_, v, cost)| (v, cost));
-        let cell = self.cells[c].get_or_insert_with(|| Cell::new(cost, 0));
-        (cell.version, cell.cost, cell.at) = (version, cost, self.bumps);
-        cell
-    }
-
-    /// Empty cell `c`; returns the body it held and its version. The last
-    /// member to hold the row's body takes it, and its memo, with it.
-    fn remove(&mut self, c: usize) -> Option<(Bytes, u64)> {
-        let version = self.entry(c)?.1;
-        let cell = self.cells[c].take()?;
-        let body = match cell.own {
-            Some(own) => own,
-            None => {
-                self.holders -= 1;
-                if self.holders > 0 {
-                    self.body.clone()
-                } else {
-                    self.memo = None;
-                    std::mem::take(&mut self.body)
-                }
-            }
-        };
-        Some((body, version))
-    }
-
-    /// Give every cell a body of its own: what a write other than a
-    /// distribution to a settled row works on. Returns the row's body and
-    /// its memo.
-    fn unshare(&mut self) -> Option<(Bytes, Option<Memo>)> {
-        if self.holders == 0 {
-            return None;
-        }
-        for cell in self.cells.iter_mut().flatten() {
-            if cell.own.is_none() {
-                cell.own = Some(self.body.clone());
-            }
-        }
-        self.holders = 0;
-        Some((std::mem::take(&mut self.body), self.memo.take()))
-    }
-
-    /// Make one body the row's again after [`Row::unshare`] and a write:
-    /// with a memo (of a distribution), the first member's, which the memo
-    /// is of; else the row's before, and its memo, if a member still holds
-    /// it; else the first filled cell's.
-    fn share(&mut self, before: Option<(Bytes, Option<Memo>)>, memo: Option<Memo>) {
-        let held = |body: &Bytes, cells: &[Option<Cell>]| {
-            let holds = |cell: &Cell| cell.own.as_ref().is_some_and(|b| same_allocation(b, body));
-            cells.iter().flatten().any(holds)
-        };
-        let (body, memo) = match (before, memo) {
-            (Some((body, kept)), None) if held(&body, &self.cells) => (body, kept),
-            (_, memo) => {
-                let first = self
-                    .cells
-                    .iter()
-                    .flatten()
-                    .find_map(|cell| cell.own.clone());
-                let Some(first) = first else { return };
-                (first, memo)
-            }
-        };
-        for cell in self.cells.iter_mut().flatten() {
-            if cell.own.as_ref().is_some_and(|b| same_allocation(b, &body)) {
-                cell.own = None;
-                self.holders += 1;
-            }
-        }
-        (self.body, self.memo) = (body, memo);
-    }
-}
-
-/// A shard's rows, by `slot >> shift`; `None` where no member holds the
-/// page.
+/// A shard's entries, by `slot >> shift`; `None` where the page is not
+/// cached.
 struct Rows {
     at: Vec<Option<Row>>,
     shift: u32,
@@ -383,26 +224,22 @@ impl Rows {
         self.at.get_mut(i)?.as_mut()
     }
 
-    /// `slot`'s row, made with `members` empty cells if it has none.
-    fn get_or_insert(&mut self, slot: u32, members: usize) -> &mut Row {
+    /// `slot`'s place, made if the vector does not reach it.
+    fn place(&mut self, slot: u32) -> &mut Option<Row> {
         let i = self.index(slot);
         if i >= self.at.len() {
             self.at.resize_with(i + 1, || None);
         }
-        self.at[i].get_or_insert_with(|| Row::new(members))
+        &mut self.at[i]
     }
 
-    /// Drop `slot`'s row if no cell of it is filled.
-    fn prune(&mut self, slot: u32) {
+    /// Take `slot`'s entry out.
+    fn remove(&mut self, slot: u32) -> Option<Row> {
         let i = self.index(slot);
-        if let Some(row) = self.at.get_mut(i) {
-            if row.as_ref().is_some_and(Row::is_empty) {
-                *row = None;
-            }
-        }
+        self.at.get_mut(i)?.take()
     }
 
-    /// The rows held, each with its slot, in slot order; `shard` is the
+    /// The entries held, each with its slot, in slot order; `shard` is the
     /// shard's index, the low bits of each slot.
     fn iter(&self, shard: u32) -> impl Iterator<Item = (u32, &Row)> {
         self.at
@@ -412,19 +249,18 @@ impl Rows {
     }
 }
 
-/// Stale records a column's touch queue may hold beyond twice its
-/// entries before [`Column::trim`] drops them.
+/// Stale records a shard's touch queue may hold beyond twice its entries
+/// before [`Shard::trim`] drops them.
 const TOUCH_SLACK: usize = 16;
 
-/// One member's state in one shard, beside the rows its cells are in.
-#[derive(Default)]
-struct Column {
-    /// A bounded member's touches, `(stamp, slot)`, oldest first: the
+/// One shard: its entries, and the books kept beside them.
+struct Shard {
+    rows: Rows,
+    /// A bounded cache's touches, `(stamp, slot)`, oldest first: the
     /// front is the next eviction candidate unless its stamp is stale.
     touches: VecDeque<(u64, u32)>,
     tick: u64,
     bytes: u64,
-    /// The member's entries in this shard.
     entries: usize,
     /// Slots whose `window_hits` went 0 → nonzero since the last drain, so
     /// draining walks only touched entries rather than every row.
@@ -442,7 +278,54 @@ struct Column {
     flights: FxHashMap<u32, Arc<Flight>>,
 }
 
-impl Column {
+impl Shard {
+    fn new(shift: u32) -> Self {
+        Shard {
+            rows: Rows {
+                at: Vec::new(),
+                shift,
+            },
+            touches: VecDeque::new(),
+            tick: 0,
+            bytes: 0,
+            entries: 0,
+            dirty: Vec::new(),
+            stale: FxHashMap::default(),
+            stale_epochs: FxHashMap::default(),
+            flights: FxHashMap::default(),
+        }
+    }
+
+    /// Stamp `slot`'s entry with the next tick and push its touch at the
+    /// back.
+    fn touch(&mut self, slot: u32) {
+        self.tick += 1;
+        if let Some(row) = self.rows.get_mut(slot) {
+            row.stamp = self.tick;
+        }
+        self.touches.push_back((self.tick, slot));
+    }
+
+    /// Drop the stale records once they outnumber the live ones by more
+    /// than [`TOUCH_SLACK`], so a cache whose pages fit does not grow its
+    /// queue with every hit. Order is kept; what is left is one record
+    /// per entry.
+    fn trim(&mut self) {
+        if self.touches.len() > 2 * self.entries + TOUCH_SLACK {
+            let rows = &self.rows;
+            self.touches
+                .retain(|&(stamp, slot)| rows.get(slot).is_some_and(|e| e.stamp == stamp));
+        }
+    }
+
+    /// Take `slot`'s entry out of the books; returns its body and version.
+    fn remove(&mut self, slot: u32) -> Option<(Bytes, u64)> {
+        let row = self.rows.remove(slot)?;
+        self.bytes -= row.body.len() as u64;
+        self.entries -= 1;
+        Some((row.body, row.version))
+    }
+
     /// Move a removed entry's body into the stale tombstone store,
     /// bumping the page's stale epoch.
     fn tombstone(&mut self, slot: u32, body: Bytes, version: u64, now_us: u64) {
@@ -461,422 +344,18 @@ impl Column {
             },
         );
     }
-
-    /// Stamp `cell` with the next tick and push its touch at the back.
-    fn touch(&mut self, slot: u32, cell: &mut Cell) {
-        self.tick += 1;
-        cell.stamp = self.tick;
-        self.touches.push_back((self.tick, slot));
-    }
-
-    /// Drop the stale records once they outnumber the live ones by more
-    /// than [`TOUCH_SLACK`], so a member whose pages fit does not grow
-    /// its queue with every hit. Order is kept; what is left is one
-    /// record per entry (`c` is this column's index in a row's cells).
-    fn trim(&mut self, rows: &Rows, c: usize) {
-        if self.touches.len() > 2 * self.entries + TOUCH_SLACK {
-            self.touches.retain(|&(stamp, slot)| {
-                let cell = rows.get(slot).and_then(|row| row.cells[c].as_ref());
-                cell.is_some_and(|e| e.stamp == stamp)
-            });
-        }
-    }
 }
 
-struct Shard {
-    rows: Rows,
-    /// Indexed like a row's cells.
-    columns: Box<[Column]>,
-}
-
-impl Shard {
-    /// Pop column `c`'s least recently used entries until its
-    /// `bytes <= budget` or only `protect` is left.
-    ///
-    /// `protect` is the entry that triggered the eviction, the page just
-    /// written: a put never evicts it, so an entry larger than the budget
-    /// stays until the next put. Its record is the queue's last.
-    /// With `stale_now` set (a [`StalePolicy`] is active, value = current
-    /// cache-clock micros), victims are tombstoned instead of dropped.
-    fn evict_to(
-        &mut self,
-        c: usize,
-        budget: u64,
-        stats: &CacheStats,
-        protect: u32,
-        stale_now: Option<u64>,
-    ) {
-        let column = &mut self.columns[c];
-        while column.bytes > budget {
-            let Some((stamp, slot)) = column.touches.pop_front() else {
-                break;
-            };
-            let Some(row) = self.rows.get_mut(slot) else {
-                continue; // stale record
-            };
-            if row.cells[c].as_ref().is_none_or(|e| e.stamp != stamp) {
-                continue; // stale record
-            }
-            if slot == protect {
-                column.touches.push_front((stamp, slot));
-                break;
-            }
-            let Some((body, version)) = row.remove(c) else {
-                continue;
-            };
-            self.rows.prune(slot);
-            let size = body.len() as u64;
-            column.bytes -= size;
-            column.entries -= 1;
-            stats.evict(size);
-            if let Some(now_us) = stale_now {
-                column.tombstone(slot, body, version, now_us);
-            }
-        }
-        column.trim(&self.rows, c);
-    }
-}
-
-/// What one visit to a page's row made of it
+/// What one visit to a page's entry made of it
 /// ([`crate::CacheFleet::answer_or_take`]).
 #[derive(Debug)]
 pub enum Visit<T, M> {
-    /// What the visitor made of the body every member holds and the memo
-    /// the row keeps of it; the row is as it was.
+    /// What the visitor made of the body and the memo the entry keeps of
+    /// it; the entry is as it was.
     Answered(T),
-    /// The first member's body, with the memo the row kept of that very
-    /// allocation, taken out of the row; `None` if the first member does
-    /// not hold the page.
+    /// The body, with the memo the entry kept of it taken out of the
+    /// entry; `None` if the page is not cached.
     Taken(Option<(Bytes, Option<M>)>),
-}
-
-/// What a member has of its own outside the shards.
-#[derive(Default)]
-struct Member {
-    /// Cache-clock time in microseconds, advanced by the owner via
-    /// [`PageCache::set_now_secs`]; stale ages are measured against it.
-    /// Simulations feed it sim time, real deployments wall time — the
-    /// cache itself never reads a clock (determinism contract, DESIGN §10).
-    now_us: AtomicU64,
-    stats: Arc<CacheStats>,
-}
-
-/// The store behind a fleet's caches: one sharded table from page slot to
-/// [`Row`], a column per member. A shard's lock covers its rows and every
-/// member's [`Column`] beside them, so whatever is done to one page — on
-/// one member or on all of them — is done under one lock, and a reader of
-/// any member sees a distribution either whole or not at all.
-pub(crate) struct Table {
-    shards: Box<[Mutex<Shard>]>,
-    mask: usize,
-    /// The names [`PageRef`]s other than slots are resolved in.
-    keys: Option<Arc<dyn KeySpace>>,
-    /// A member's byte budget for its column of one shard; `None` for
-    /// an unbounded table, which keeps no touch queue.
-    per_shard_budget: Option<u64>,
-    stale: Option<StalePolicy>,
-    members: Box<[Member]>,
-}
-
-impl std::fmt::Debug for Table {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Table")
-            .field("shards", &self.shards.len())
-            .field("members", &self.members.len())
-            .field("per_shard_budget", &self.per_shard_budget)
-            .finish()
-    }
-}
-
-impl Table {
-    /// A table for `members` caches of `config` each. It has
-    /// `config.shards` locks per member — what that many caches of their
-    /// own would have between them — and splits each member's byte budget
-    /// evenly over them. Page names resolve in `keys`, if given.
-    pub(crate) fn new(
-        config: &CacheConfig,
-        members: usize,
-        keys: Option<Arc<dyn KeySpace>>,
-    ) -> Arc<Self> {
-        let n = (config.shards.max(1) * members).next_power_of_two();
-        let shard = || Shard {
-            rows: Rows {
-                at: Vec::new(),
-                shift: n.trailing_zeros(),
-            },
-            columns: (0..members).map(|_| Column::default()).collect(),
-        };
-        Arc::new(Table {
-            shards: (0..n).map(|_| Mutex::new(shard())).collect(),
-            mask: n - 1,
-            keys,
-            per_shard_budget: config.max_bytes.map(|b| b / n as u64),
-            stale: config.stale,
-            members: (0..members).map(|_| Member::default()).collect(),
-        })
-    }
-
-    fn shard_for(&self, slot: u32) -> &Mutex<Shard> {
-        &self.shards[slot as usize & self.mask]
-    }
-
-    /// The slot `key` names; `None` for a name outside the key space.
-    pub(crate) fn slot(&self, key: impl PageRef) -> Option<u32> {
-        key.slot_in(self.keys.as_deref())
-    }
-
-    /// The slot `key` names, which a write must have.
-    pub(crate) fn slot_to_write(&self, key: impl PageRef) -> u32 {
-        match self.slot(key) {
-            Some(slot) => slot,
-            None => panic!("a page is written by slot, or by a name in the fleet's key space"),
-        }
-    }
-
-    /// The name of the page in `slot`: its key space's, or the slot in
-    /// decimal.
-    pub(crate) fn name(&self, slot: u32) -> String {
-        match &self.keys {
-            Some(keys) => keys.name(slot),
-            None => slot.to_string(),
-        }
-    }
-
-    /// Member `c`'s cache-clock micros when a stale policy is active.
-    fn stale_now(&self, c: usize) -> Option<u64> {
-        self.stale.map(|_| self.members[c].now_us.load(Relaxed))
-    }
-
-    /// Member `c`'s books, its column of `slot`'s shard and its
-    /// statistics, after its cell took a body of `size` bytes in place of
-    /// one of `old` bytes (`None`: the cell was empty). A bounded member's
-    /// cell is touched.
-    fn account(
-        &self,
-        c: usize,
-        column: &mut Column,
-        slot: u32,
-        cell: Option<&mut Cell>,
-        old: Option<u64>,
-        size: u64,
-    ) {
-        let stats = &self.members[c].stats;
-        match old {
-            // A padded page keeps its length: the common replacement
-            // leaves the column's count, and its cache line, alone.
-            Some(old) => {
-                if old != size {
-                    column.bytes = column.bytes - old + size;
-                }
-                stats.update(old, size);
-            }
-            None => {
-                column.bytes += size;
-                column.entries += 1;
-                stats.insert(size);
-            }
-        }
-        if let Some(cell) = cell.filter(|_| self.per_shard_budget.is_some()) {
-            column.touch(slot, cell);
-        }
-        // A fresh body supersedes any tombstoned stale copy of the page.
-        if self.stale.is_some() {
-            column.stale.remove(&slot);
-        }
-    }
-
-    /// Bring each member in `written` back within its budget, if it has
-    /// one, sparing `slot`.
-    fn evict_after(&self, shard: &mut Shard, slot: u32, written: impl IntoIterator<Item = usize>) {
-        if let Some(budget) = self.per_shard_budget {
-            for c in written {
-                let stats = &self.members[c].stats;
-                shard.evict_to(c, budget, stats, slot, self.stale_now(c));
-            }
-        }
-    }
-
-    /// Distribute `body` to every member, under one lock and off one
-    /// probe: a member that holds those bytes keeps its entry as it is,
-    /// every other takes the body at its next version. Returns whether any
-    /// entry was written. A `memo` of `body` becomes the row's, of the
-    /// allocation the first member then holds.
-    ///
-    /// A settled row — every member holds the row's body, as a
-    /// distribution leaves them — takes one comparison, and where the
-    /// bytes differ one body swapped and one count bumped, which puts every
-    /// cell a version ahead at `cost` without writing to it, whatever the
-    /// fleet's size. Any other row is written cell after cell: a member
-    /// that holds bytes equal to `body` in another allocation hands its
-    /// own on, so a cell written after it joins the allocation it holds.
-    pub(crate) fn distribute(&self, slot: u32, body: Bytes, cost: f64, memo: Option<Memo>) -> bool {
-        let size = body.len() as u64;
-        // Declared before the lock is taken, so that the body this holds
-        // last is freed after the lock is released.
-        let mut _replaced: Option<Bytes> = None;
-        // Only a bounded table evicts, and only there is this filled.
-        let mut written: Vec<usize> = Vec::new();
-        let bounded = self.per_shard_budget.is_some();
-        let mut shard = self.shard_for(slot).lock();
-        let Shard { rows, columns } = &mut *shard;
-        let row = rows.get_or_insert(slot, self.members.len());
-        let fresh = row.is_empty();
-        let changed = if row.is_settled() || fresh {
-            let changed = fresh || !same_bytes(&row.body, &body);
-            if changed {
-                let old = (!fresh).then_some(row.body.len() as u64);
-                _replaced = Some(std::mem::replace(&mut row.body, body));
-                row.holders = row.cells.len();
-                if fresh {
-                    for cell in row.cells.iter_mut() {
-                        *cell = Some(Cell::new(cost, row.bumps));
-                    }
-                }
-                (row.bumps, row.cost) = (row.bumps + 1, cost);
-                for c in 0..row.cells.len() {
-                    // An unbounded member's cell is not so much as read.
-                    let cell = if bounded { row.cells[c].as_mut() } else { None };
-                    self.account(c, &mut columns[c], slot, cell, old, size);
-                }
-                if bounded {
-                    written.extend(0..row.cells.len());
-                }
-            }
-            // The memo of a body no member holds any more goes with it.
-            if changed || memo.is_some() {
-                row.memo = memo;
-            }
-            changed
-        } else {
-            let before = row.unshare();
-            let mut body = body;
-            let mut changed = false;
-            for c in 0..row.cells.len() {
-                let held = row.entry(c).map(|(held, ..)| held);
-                if let Some(held) = held.filter(|held| same_bytes(held, &body)) {
-                    if !same_allocation(held, &body) {
-                        body = held.clone();
-                    }
-                    continue;
-                }
-                let old = held.map(|held| held.len() as u64);
-                let cell = row.own_books(c, cost);
-                (cell.version, cell.cost) = (cell.version + 1, cost);
-                _replaced = cell.own.replace(body.clone());
-                self.account(c, &mut columns[c], slot, Some(cell), old, size);
-                if bounded {
-                    written.push(c);
-                }
-                changed = true;
-            }
-            row.share(before, memo);
-            changed
-        };
-        self.evict_after(&mut shard, slot, written);
-        changed
-    }
-
-    /// Put `body` under `slot` on member `c` alone: at `version`, or
-    /// else at the member's next. Returns the version the member has the
-    /// page at.
-    pub(crate) fn put(
-        &self,
-        slot: u32,
-        body: Bytes,
-        cost: f64,
-        c: usize,
-        version: Option<u64>,
-    ) -> u64 {
-        let size = body.len() as u64;
-        let mut shard = self.shard_for(slot).lock();
-        let Shard { rows, columns } = &mut *shard;
-        let row = rows.get_or_insert(slot, self.members.len());
-        let old = row.entry(c).map(|(held, ..)| held.len() as u64);
-        let before = row.unshare();
-        let cell = row.own_books(c, cost);
-        (cell.version, cell.cost) = (version.unwrap_or(cell.version + 1), cost);
-        let version = cell.version;
-        let replaced = cell.own.replace(body);
-        self.account(c, &mut columns[c], slot, Some(cell), old, size);
-        row.share(before, None);
-        self.evict_after(&mut shard, slot, [c]);
-        // What the cell held is freed after the lock is released.
-        drop(shard);
-        drop(replaced);
-        version
-    }
-
-    /// One visit to `slot`'s row, under its shard's lock: what `answer`
-    /// makes of the body every member holds and the row's memo of it, if
-    /// there are such and it makes something; else the first member's
-    /// body, with the row's memo taken out of the row if that member holds
-    /// the body it is of.
-    pub(crate) fn visit<T>(
-        &self,
-        slot: u32,
-        answer: impl FnOnce(&Bytes, &Memo) -> Option<T>,
-    ) -> Visit<T, Memo> {
-        let mut shard = self.shard_for(slot).lock();
-        let Some(row) = shard.rows.get_mut(slot) else {
-            return Visit::Taken(None);
-        };
-        if let Some(memo) = row.memo.as_ref().filter(|_| row.is_settled()) {
-            if let Some(answered) = answer(&row.body, memo) {
-                return Visit::Answered(answered);
-            }
-        }
-        let Some(first) = &row.cells[0] else {
-            return Visit::Taken(None);
-        };
-        Visit::Taken(Some(match &first.own {
-            Some(own) => (own.clone(), None),
-            None => (row.body.clone(), row.memo.take()),
-        }))
-    }
-
-    /// `f` of the body every member holds for `slot` and the row's memo of
-    /// it, under the shard's lock, if there are such.
-    pub(crate) fn with_memo<T>(&self, slot: u32, f: impl FnOnce(&Bytes, &Memo) -> T) -> Option<T> {
-        let shard = self.shard_for(slot).lock();
-        let row = shard.rows.get(slot)?;
-        let memo = row.memo.as_ref().filter(|_| row.is_settled())?;
-        Some(f(&row.body, memo))
-    }
-
-    /// Whether `slot`'s row keeps a memo: of a body some member holds.
-    pub(crate) fn has_memo(&self, slot: u32) -> bool {
-        let shard = self.shard_for(slot).lock();
-        shard.rows.get(slot).is_some_and(|row| row.memo.is_some())
-    }
-
-    /// Remove `slot` from each member in `columns`; returns how many held
-    /// it. Under a [`StalePolicy`] a removed body is kept as that member's
-    /// servable tombstone.
-    pub(crate) fn invalidate(&self, slot: u32, columns: Range<usize>) -> usize {
-        let mut shard = self.shard_for(slot).lock();
-        let Shard {
-            rows,
-            columns: state,
-        } = &mut *shard;
-        let Some(row) = rows.get_mut(slot) else {
-            return 0;
-        };
-        let mut held = 0;
-        for c in columns {
-            if let Some((body, version)) = row.remove(c) {
-                let size = body.len() as u64;
-                state[c].bytes -= size;
-                state[c].entries -= 1;
-                self.members[c].stats.invalidate(size);
-                if let Some(now_us) = self.stale_now(c) {
-                    state[c].tombstone(slot, body, version, now_us);
-                }
-                held += 1;
-            }
-        }
-        rows.prune(slot);
-        held
-    }
 }
 
 /// A concurrent cache of rendered pages, keyed by page slot.
@@ -888,30 +367,41 @@ impl Table {
 /// // A page's slot is its key: the site's page space numbers every page.
 /// const MEDALS: u32 = 48;
 /// let cache = PageCache::default();
-/// cache.put(MEDALS, Bytes::from_static(b"<html>v1</html>"), 150.0);
+/// cache.put(MEDALS, Bytes::from_static(b"<html>v1</html>"));
 /// assert_eq!(cache.get(MEDALS).unwrap().version, 1);
 ///
 /// // The trigger monitor updates stale pages *in place*: the entry is
 /// // replaced, never missing, and its version bumps (the HTTP ETag).
-/// cache.put(MEDALS, Bytes::from_static(b"<html>v2</html>"), 150.0);
+/// cache.put(MEDALS, Bytes::from_static(b"<html>v2</html>"));
 /// let page = cache.get(MEDALS).unwrap();
 /// assert_eq!(&page.body[..], b"<html>v2</html>");
 /// assert_eq!(page.version, 2);
 /// assert_eq!(cache.stats().misses, 0);
 /// ```
 ///
-/// Every call that takes a page takes a [`PageRef`]: a slot, or — on a
-/// member of a fleet built with a [`KeySpace`] — a name it resolves.
+/// Every call that takes a page takes a [`PageRef`]: a slot, or — on the
+/// cache of a fleet built with a [`KeySpace`] — a name it resolves.
 pub struct PageCache {
-    table: Arc<Table>,
-    /// Which of the table's members this is.
-    column: usize,
+    shards: Box<[Mutex<Shard>]>,
+    mask: usize,
+    /// The names [`PageRef`]s other than slots are resolved in.
+    keys: Option<Arc<dyn KeySpace>>,
+    /// The byte budget of one shard; `None` for an unbounded cache, which
+    /// keeps no touch queue.
+    per_shard_budget: Option<u64>,
+    stale: Option<StalePolicy>,
+    /// Cache-clock time in microseconds, advanced by the owner via
+    /// [`PageCache::set_now_secs`]; stale ages are measured against it.
+    /// Simulations feed it sim time, real deployments wall time — the
+    /// cache itself never reads a clock (determinism contract, DESIGN §10).
+    now_us: AtomicU64,
+    stats: Arc<CacheStats>,
 }
 
 impl std::fmt::Debug for PageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
-            .field("shards", &self.table.shards.len())
+            .field("shards", &self.shards.len())
             .field("len", &self.len())
             .finish()
     }
@@ -924,44 +414,199 @@ impl Default for PageCache {
 }
 
 impl PageCache {
-    /// Create a cache from `config`: the one member of a table of its own.
+    /// Create a cache from `config`. Its byte budget, if it has one, is
+    /// split evenly over its shards.
     pub fn new(config: CacheConfig) -> Self {
-        Self::member_of(Table::new(&config, 1, None), 0)
+        Self::with_keys(config, None)
     }
 
-    /// Member `column` of `table`.
-    pub(crate) fn member_of(table: Arc<Table>, column: usize) -> Self {
-        PageCache { table, column }
-    }
-
-    fn member(&self) -> &Member {
-        &self.table.members[self.column]
-    }
-
-    /// Run `f` on `slot`'s shard: its rows and this member's column.
-    fn with_shard<T>(&self, slot: u32, f: impl FnOnce(&mut Rows, &mut Column) -> T) -> T {
-        let mut shard = self.table.shard_for(slot).lock();
-        let Shard { rows, columns } = &mut *shard;
-        f(rows, &mut columns[self.column])
-    }
-
-    /// Run `f` on every shard in index order, as [`PageCache::with_shard`]
-    /// does on one, with the shard's index.
-    fn for_each_shard(&self, mut f: impl FnMut(u32, &mut Rows, &mut Column)) {
-        for (i, s) in self.table.shards.iter().enumerate() {
-            let mut shard = s.lock();
-            let Shard { rows, columns } = &mut *shard;
-            f(i as u32, rows, &mut columns[self.column]);
+    /// [`PageCache::new`] whose pages may also be named in `keys`.
+    pub(crate) fn with_keys(config: CacheConfig, keys: Option<Arc<dyn KeySpace>>) -> Self {
+        let n = config.shards.max(1).next_power_of_two();
+        let shift = n.trailing_zeros();
+        PageCache {
+            shards: (0..n).map(|_| Mutex::new(Shard::new(shift))).collect(),
+            mask: n - 1,
+            keys,
+            per_shard_budget: config.max_bytes.map(|b| b / n as u64),
+            stale: config.stale,
+            now_us: AtomicU64::new(0),
+            stats: Arc::default(),
         }
     }
 
-    /// Run `f` on this member's entry for `key` — body, version, cost —
-    /// if it has one.
+    fn shard_for(&self, slot: u32) -> &Mutex<Shard> {
+        &self.shards[slot as usize & self.mask]
+    }
+
+    /// Run `f` on every shard in index order, with the shard's index.
+    fn for_each_shard(&self, mut f: impl FnMut(u32, &mut Shard)) {
+        for (i, s) in self.shards.iter().enumerate() {
+            f(i as u32, &mut s.lock());
+        }
+    }
+
+    /// The slot `key` names; `None` for a name outside the key space.
+    pub(crate) fn slot(&self, key: impl PageRef) -> Option<u32> {
+        key.slot_in(self.keys.as_deref())
+    }
+
+    /// The slot `key` names, which a write must have.
+    pub(crate) fn slot_to_write(&self, key: impl PageRef) -> u32 {
+        match self.slot(key) {
+            Some(slot) => slot,
+            None => panic!("a page is written by slot, or by a name in the cache's key space"),
+        }
+    }
+
+    /// The name of the page in `slot`: its key space's, or the slot in
+    /// decimal.
+    fn name(&self, slot: u32) -> String {
+        match &self.keys {
+            Some(keys) => keys.name(slot),
+            None => slot.to_string(),
+        }
+    }
+
+    /// Run `f` on the entry for `key` — body, version — if there is one.
     fn with_entry<T>(&self, key: impl PageRef, f: impl FnOnce(&Bytes, u64) -> T) -> Option<T> {
-        let slot = self.table.slot(key)?;
-        let shard = self.table.shard_for(slot).lock();
-        let (body, version, _) = shard.rows.get(slot)?.entry(self.column)?;
-        Some(f(body, version))
+        let slot = self.slot(key)?;
+        let shard = self.shard_for(slot).lock();
+        let row = shard.rows.get(slot)?;
+        Some(f(&row.body, row.version))
+    }
+
+    /// Write `body` into `slot`'s entry of `shard` at its next version,
+    /// with `memo` as the memo of it, and bring the shard back within its
+    /// budget, sparing the entry. Returns the version written and the
+    /// body replaced, which the caller frees after the lock is released.
+    fn write(
+        &self,
+        shard: &mut Shard,
+        slot: u32,
+        body: Bytes,
+        memo: Option<Memo>,
+    ) -> (u64, Option<Bytes>) {
+        let size = body.len() as u64;
+        let (version, replaced) = match shard.rows.place(slot) {
+            Some(row) => {
+                let old = row.body.len() as u64;
+                // A padded page keeps its length: the common replacement
+                // leaves the shard's count, and its cache line, alone.
+                if old != size {
+                    shard.bytes = shard.bytes - old + size;
+                }
+                self.stats.update(old, size);
+                row.version += 1;
+                row.memo = memo;
+                (row.version, Some(std::mem::replace(&mut row.body, body)))
+            }
+            place => {
+                *place = Some(Row {
+                    body,
+                    version: 1,
+                    memo,
+                    window_hits: 0,
+                    stamp: 0,
+                });
+                shard.bytes += size;
+                shard.entries += 1;
+                self.stats.insert(size);
+                (1, None)
+            }
+        };
+        // A fresh body supersedes any tombstoned stale copy of the page.
+        if self.stale.is_some() {
+            shard.stale.remove(&slot);
+        }
+        if let Some(budget) = self.per_shard_budget {
+            shard.touch(slot);
+            self.evict_to(shard, budget, slot);
+        }
+        (version, replaced)
+    }
+
+    /// Pop `shard`'s least recently used entries until its
+    /// `bytes <= budget` or only `protect` is left.
+    ///
+    /// `protect` is the entry that triggered the eviction, the page just
+    /// written: a write never evicts it, so an entry larger than the
+    /// budget stays until the next write. Its record is the queue's last.
+    /// Under a [`StalePolicy`], victims are tombstoned instead of dropped.
+    fn evict_to(&self, shard: &mut Shard, budget: u64, protect: u32) {
+        while shard.bytes > budget {
+            let Some((stamp, slot)) = shard.touches.pop_front() else {
+                break;
+            };
+            if shard.rows.get(slot).is_none_or(|e| e.stamp != stamp) {
+                continue; // stale record
+            }
+            if slot == protect {
+                shard.touches.push_front((stamp, slot));
+                break;
+            }
+            let Some((body, version)) = shard.remove(slot) else {
+                continue;
+            };
+            self.stats.evict(body.len() as u64);
+            if let Some(now_us) = self.stale_now() {
+                shard.tombstone(slot, body, version, now_us);
+            }
+        }
+        shard.trim();
+    }
+
+    /// The cache-clock micros when a stale policy is active.
+    fn stale_now(&self) -> Option<u64> {
+        self.stale.map(|_| self.now_us.load(Relaxed))
+    }
+
+    /// Write `body` into `slot`'s entry unless it holds those bytes
+    /// already, under one lock: returns whether it wrote. A `memo` of
+    /// `body` becomes the entry's either way; an entry that takes other
+    /// bytes without one keeps none.
+    pub(crate) fn distribute(&self, slot: u32, body: Bytes, memo: Option<Memo>) -> bool {
+        let mut shard = self.shard_for(slot).lock();
+        if let Some(row) = shard.rows.get_mut(slot) {
+            if same_bytes(&row.body, &body) {
+                if memo.is_some() {
+                    row.memo = memo;
+                }
+                return false;
+            }
+        }
+        let (_, replaced) = self.write(&mut shard, slot, body, memo);
+        // What the entry held is freed after the lock is released.
+        drop(shard);
+        drop(replaced);
+        true
+    }
+
+    /// One visit to `slot`'s entry, under its shard's lock: what `answer`
+    /// makes of the body and the entry's memo of it, if there is one and
+    /// it makes something; else the body, with the memo taken out of the
+    /// entry.
+    pub(crate) fn visit<T>(
+        &self,
+        slot: u32,
+        answer: impl FnOnce(&Bytes, &Memo) -> Option<T>,
+    ) -> Visit<T, Memo> {
+        let mut shard = self.shard_for(slot).lock();
+        let Some(row) = shard.rows.get_mut(slot) else {
+            return Visit::Taken(None);
+        };
+        if let Some(answered) = row.memo.as_ref().and_then(|memo| answer(&row.body, memo)) {
+            return Visit::Answered(answered);
+        }
+        Visit::Taken(Some((row.body.clone(), row.memo.take())))
+    }
+
+    /// `f` of `slot`'s body and the entry's memo of it, under the shard's
+    /// lock, if there are such.
+    pub(crate) fn with_memo<T>(&self, slot: u32, f: impl FnOnce(&Bytes, &Memo) -> T) -> Option<T> {
+        let shard = self.shard_for(slot).lock();
+        let row = shard.rows.get(slot)?;
+        Some(f(&row.body, row.memo.as_ref()?))
     }
 
     /// Advance the cache clock (monotonic micros derived from `secs`).
@@ -969,51 +614,44 @@ impl PageCache {
     /// decides what "time" means — sim time in the cluster simulation.
     pub fn set_now_secs(&self, secs: f64) {
         let us = (secs.max(0.0) * 1e6) as u64;
-        self.member().now_us.fetch_max(us, Relaxed);
-    }
-
-    fn now_us(&self) -> u64 {
-        self.member().now_us.load(Relaxed)
+        self.now_us.fetch_max(us, Relaxed);
     }
 
     /// Shared handle to the statistics block.
     pub fn stats_handle(&self) -> Arc<CacheStats> {
-        Arc::clone(&self.member().stats)
+        Arc::clone(&self.stats)
     }
 
     /// Snapshot of the statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.member().stats.snapshot()
+        self.stats.snapshot()
     }
 
     /// Look up `key`, recording a hit or miss and touching recency state.
     pub fn get(&self, key: impl PageRef) -> Option<CachedPage> {
-        let bounded = self.table.per_shard_budget.is_some();
-        let page = self.table.slot(key).and_then(|slot| {
-            self.with_shard(slot, |rows, column| {
-                let row = rows.get_mut(slot)?;
-                let (body, version, _) = row.entry(self.column)?;
-                let page = CachedPage {
-                    body: body.clone(),
-                    version,
-                };
-                let e = row.cells[self.column].as_mut()?;
-                if e.window_hits == 0 {
-                    column.dirty.push(slot);
-                }
-                e.window_hits += 1;
-                // Recency orders a bounded member's eviction queue and
-                // nothing else: a hit on an unbounded one writes none.
-                if bounded {
-                    column.touch(slot, e);
-                    column.trim(rows, self.column);
-                }
-                Some(page)
-            })
+        let page = self.slot(key).and_then(|slot| {
+            let mut guard = self.shard_for(slot).lock();
+            let shard = &mut *guard;
+            let row = shard.rows.get_mut(slot)?;
+            let page = CachedPage {
+                body: row.body.clone(),
+                version: row.version,
+            };
+            row.window_hits += 1;
+            if row.window_hits == 1 {
+                shard.dirty.push(slot);
+            }
+            // Recency orders a bounded cache's eviction queue and nothing
+            // else: a hit on an unbounded one writes none.
+            if self.per_shard_budget.is_some() {
+                shard.touch(slot);
+                shard.trim();
+            }
+            Some(page)
         });
         match page {
-            Some(_) => self.member().stats.hit(),
-            None => self.member().stats.miss(),
+            Some(_) => self.stats.hit(),
+            None => self.stats.miss(),
         }
         page
     }
@@ -1033,25 +671,36 @@ impl PageCache {
         self.with_entry(key, |body, _| body.clone())
     }
 
-    /// Insert or update-in-place. Returns the entry's new version (1 for a
-    /// fresh insert). `cost` is the page's generation cost in milliseconds,
-    /// kept with the entry and handed on by [`PageCache::export_entries`].
+    /// Insert or update-in-place, dropping the entry's memo. Returns the
+    /// entry's new version (1 for a fresh insert).
     ///
     /// # Panics
     ///
     /// If `key` is a name outside the key space: it names no slot.
-    pub fn put(&self, key: impl PageRef, body: Bytes, cost: f64) -> u64 {
-        let slot = self.table.slot_to_write(key);
-        self.table.put(slot, body, cost, self.column, None)
+    pub fn put(&self, key: impl PageRef, body: Bytes) -> u64 {
+        let slot = self.slot_to_write(key);
+        let mut shard = self.shard_for(slot).lock();
+        let (version, replaced) = self.write(&mut shard, slot, body, None);
+        drop(shard);
+        drop(replaced);
+        version
     }
 
     /// Remove `key`; returns whether it was present. Under a
     /// [`StalePolicy`] the removed body is kept as a servable tombstone.
     pub fn invalidate(&self, key: impl PageRef) -> bool {
-        let only = self.column..self.column + 1;
-        self.table
-            .slot(key)
-            .is_some_and(|slot| self.table.invalidate(slot, only) == 1)
+        let Some(slot) = self.slot(key) else {
+            return false;
+        };
+        let mut shard = self.shard_for(slot).lock();
+        let Some((body, version)) = shard.remove(slot) else {
+            return false;
+        };
+        self.stats.invalidate(body.len() as u64);
+        if let Some(now_us) = self.stale_now() {
+            shard.tombstone(slot, body, version, now_us);
+        }
+        true
     }
 
     /// Whether `key` is cached.
@@ -1059,15 +708,13 @@ impl PageCache {
         self.with_entry(key, |_, _| ()).is_some()
     }
 
-    /// This member's entries, shard by shard in index order, each shard's
-    /// in slot order, as `f` sees them.
-    fn collect_entries<T>(&self, mut f: impl FnMut(u32, &Bytes, f64, u64) -> T) -> Vec<T> {
+    /// The entries, shard by shard in index order, each shard's in slot
+    /// order, as `f` sees them.
+    fn collect_entries<T>(&self, mut f: impl FnMut(u32, &Bytes, u64) -> T) -> Vec<T> {
         let mut out = Vec::new();
-        self.for_each_shard(|i, rows, _| {
-            for (slot, row) in rows.iter(i) {
-                if let Some((body, version, cost)) = row.entry(self.column) {
-                    out.push(f(slot, body, cost, version));
-                }
+        self.for_each_shard(|i, shard| {
+            for (slot, row) in shard.rows.iter(i) {
+                out.push(f(slot, &row.body, row.version));
             }
         });
         out
@@ -1076,7 +723,7 @@ impl PageCache {
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         let mut total = 0;
-        self.for_each_shard(|_, _, column| total += column.entries);
+        self.for_each_shard(|_, shard| total += shard.entries);
         total
     }
 
@@ -1085,18 +732,10 @@ impl PageCache {
         self.len() == 0
     }
 
-    /// Rows of the table this cache is a column of: the pages that this
-    /// member or another of its fleet holds (for diagnostics).
-    pub fn rows(&self) -> usize {
-        let mut total = 0;
-        self.for_each_shard(|i, rows, _| total += rows.iter(i).count());
-        total
-    }
-
     /// Bytes currently cached.
     pub fn bytes(&self) -> u64 {
         let mut total = 0;
-        self.for_each_shard(|_, _, column| total += column.bytes);
+        self.for_each_shard(|_, shard| total += shard.bytes);
         total
     }
 
@@ -1104,47 +743,37 @@ impl PageCache {
     /// restart: stale tombstones and in-flight regenerations are wiped
     /// too, so a crashed shard recovers with nothing to serve stale from.
     pub fn clear(&self) {
-        let stats = &self.member().stats;
-        self.for_each_shard(|_, rows, column| {
-            for at in rows.at.iter_mut() {
-                let Some(row) = at else { continue };
-                if let Some((body, _)) = row.remove(self.column) {
-                    let size = body.len() as u64;
-                    column.bytes -= size;
-                    column.entries -= 1;
-                    stats.invalidate(size);
-                }
-                if row.is_empty() {
-                    *at = None;
-                }
+        self.for_each_shard(|_, shard| {
+            for row in shard.rows.at.drain(..).flatten() {
+                self.stats.invalidate(row.body.len() as u64);
             }
-            column.touches.clear();
-            column.stale.clear();
-            column.stale_epochs.clear();
-            column.flights.clear();
+            (shard.bytes, shard.entries) = (0, 0);
+            shard.touches.clear();
+            shard.dirty.clear();
+            shard.stale.clear();
+            shard.stale_epochs.clear();
+            shard.flights.clear();
         });
     }
 
     /// The slots of every cached page (for diagnostics; takes each shard
     /// lock in turn).
     pub fn slots(&self) -> Vec<u32> {
-        self.collect_entries(|slot, _, _, _| slot)
+        self.collect_entries(|slot, _, _| slot)
     }
 
-    /// Every entry: `(slot, body, cost, version)`. Bodies are refcounted
-    /// views, so listing them is cheap. Used to resynchronise a recovered
-    /// serving node from a healthy peer.
+    /// Every entry: `(slot, body, 0.0, version)`. Bodies are refcounted
+    /// views, so listing them is cheap. The third place, once a
+    /// generation cost, reads 0 since the cache keeps none.
     pub fn entries(&self) -> Vec<(u32, Bytes, f64, u64)> {
-        self.collect_entries(|slot, body, cost, version| (slot, body.clone(), cost, version))
+        self.collect_entries(|slot, body, version| (slot, body.clone(), 0.0, version))
     }
 
-    /// [`PageCache::entries`] with each page named: `(name, body, cost,
+    /// [`PageCache::entries`] with each page named: `(name, body, 0.0,
     /// version)`, the name its key space gives the slot (the slot in
     /// decimal without one) — the adapter for callers that hold URLs.
     pub fn export_entries(&self) -> Vec<(String, Bytes, f64, u64)> {
-        let named = |slot, body: &Bytes, cost, version| {
-            (self.table.name(slot), body.clone(), cost, version)
-        };
+        let named = |slot, body: &Bytes, version| (self.name(slot), body.clone(), 0.0, version);
         self.collect_entries(named)
     }
 
@@ -1157,30 +786,15 @@ impl PageCache {
     /// index order, pages in first-hit order within a shard.
     pub fn drain_window_hits(&self) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        self.for_each_shard(|_, rows, column| {
-            for slot in std::mem::take(&mut column.dirty) {
-                let cell = rows
-                    .get_mut(slot)
-                    .and_then(|row| row.cells[self.column].as_mut());
-                if let Some(e) = cell.filter(|e| e.window_hits > 0) {
+        self.for_each_shard(|_, shard| {
+            for slot in std::mem::take(&mut shard.dirty) {
+                let row = shard.rows.get_mut(slot);
+                if let Some(e) = row.filter(|e| e.window_hits > 0) {
                     out.push((slot, std::mem::take(&mut e.window_hits)));
                 }
             }
         });
         out
-    }
-
-    /// Restore an entry with an explicit version (peer resync). Unlike
-    /// [`PageCache::put`], the version is copied rather than bumped, so a
-    /// resynced node agrees with its peers' entity tags. Counted as an
-    /// insert or update in the statistics.
-    ///
-    /// # Panics
-    ///
-    /// If `key` is a name outside the key space, as [`PageCache::put`].
-    pub fn restore_entry(&self, key: impl PageRef, body: Bytes, cost: f64, version: u64) {
-        let slot = self.table.slot_to_write(key);
-        self.table.put(slot, body, cost, self.column, Some(version));
     }
 
     // ---- stale tombstones -------------------------------------------------
@@ -1191,7 +805,7 @@ impl PageCache {
     /// always `None`.
     pub fn serve_stale(&self, key: impl PageRef) -> Option<StaleCopy> {
         let copy = self.lookup_stale(key, true)?;
-        self.member().stats.stale_serve();
+        self.stats.stale_serve();
         Some(copy)
     }
 
@@ -1202,24 +816,23 @@ impl PageCache {
     }
 
     fn lookup_stale(&self, key: impl PageRef, prune_expired: bool) -> Option<StaleCopy> {
-        let policy = self.table.stale?;
-        let slot = self.table.slot(key)?;
-        let now_us = self.now_us();
-        self.with_shard(slot, |_, column| {
-            let e = column.stale.get(&slot)?;
-            let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
-            if age_secs > policy.max_age_secs {
-                if prune_expired {
-                    column.stale.remove(&slot);
-                }
-                return None;
+        let policy = self.stale?;
+        let slot = self.slot(key)?;
+        let now_us = self.now_us.load(Relaxed);
+        let mut shard = self.shard_for(slot).lock();
+        let e = shard.stale.get(&slot)?;
+        let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
+        if age_secs > policy.max_age_secs {
+            if prune_expired {
+                shard.stale.remove(&slot);
             }
-            Some(StaleCopy {
-                body: e.body.clone(),
-                version: e.version,
-                epoch: e.epoch,
-                age_secs,
-            })
+            return None;
+        }
+        Some(StaleCopy {
+            body: e.body.clone(),
+            version: e.version,
+            epoch: e.epoch,
+            age_secs,
         })
     }
 
@@ -1228,30 +841,30 @@ impl PageCache {
     /// Single-flight regeneration is pinned to "exactly one per
     /// (page, stale-epoch)" by the resilience property tests.
     pub fn stale_epoch(&self, key: impl PageRef) -> u64 {
-        let Some(slot) = self.table.slot(key) else {
+        let Some(slot) = self.slot(key) else {
             return 0;
         };
-        self.with_shard(slot, |_, column| column.stale_epochs.get(&slot).copied())
-            .unwrap_or(0)
+        let shard = self.shard_for(slot).lock();
+        shard.stale_epochs.get(&slot).copied().unwrap_or(0)
     }
 
     /// Number of tombstoned stale copies currently held.
     pub fn stale_len(&self) -> usize {
         let mut total = 0;
-        self.for_each_shard(|_, _, column| total += column.stale.len());
+        self.for_each_shard(|_, shard| total += shard.stale.len());
         total
     }
 
     /// Drop every tombstone older than the policy's age bound. Called by
     /// the owner's heartbeat so dead pages do not accumulate.
     pub fn prune_stale(&self) {
-        let Some(policy) = self.table.stale else {
+        let Some(policy) = self.stale else {
             return;
         };
         let horizon_us = (policy.max_age_secs * 1e6) as u64;
-        let now_us = self.now_us();
-        self.for_each_shard(|_, _, column| {
-            column
+        let now_us = self.now_us.load(Relaxed);
+        self.for_each_shard(|_, shard| {
+            shard
                 .stale
                 .retain(|_, e| now_us.saturating_sub(e.since_us) <= horizon_us);
         });
@@ -1275,20 +888,19 @@ impl PageCache {
     ///
     /// If `key` is a name outside the key space, as [`PageCache::put`].
     pub fn join_or_lead(&self, key: impl PageRef, deadline: Duration) -> FlightOutcome {
-        let slot = self.table.slot_to_write(key);
-        let joined = self.with_shard(slot, |_, column| match column.flights.get(&slot) {
-            Some(f) => Ok(Arc::clone(f)),
-            None => {
-                let f = Arc::new(Flight::default());
-                column.flights.insert(slot, Arc::clone(&f));
-                Err(FlightToken { slot, flight: f })
+        let slot = self.slot_to_write(key);
+        let flight = {
+            let mut shard = self.shard_for(slot).lock();
+            match shard.flights.get(&slot) {
+                Some(f) => Arc::clone(f),
+                None => {
+                    let flight = Arc::new(Flight::default());
+                    shard.flights.insert(slot, Arc::clone(&flight));
+                    return FlightOutcome::Lead(FlightToken { slot, flight });
+                }
             }
-        });
-        let flight = match joined {
-            Ok(flight) => flight,
-            Err(token) => return FlightOutcome::Lead(token),
         };
-        self.member().stats.coalesce();
+        self.stats.coalesce();
         let (state, waited) = flight
             .cv
             .wait_timeout_while(flight.state.lock(), deadline, |s| !s.done);
@@ -1324,15 +936,14 @@ impl PageCache {
 
     /// Take `flight` off `slot`, unless another has taken its place.
     fn retire_flight(&self, slot: u32, flight: &Arc<Flight>) {
-        self.with_shard(slot, |_, column| {
-            if column
-                .flights
-                .get(&slot)
-                .is_some_and(|f| Arc::ptr_eq(f, flight))
-            {
-                column.flights.remove(&slot);
-            }
-        });
+        let mut shard = self.shard_for(slot).lock();
+        if shard
+            .flights
+            .get(&slot)
+            .is_some_and(|f| Arc::ptr_eq(f, flight))
+        {
+            shard.flights.remove(&slot);
+        }
     }
 }
 
@@ -1363,7 +974,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let c = PageCache::default();
         assert!(c.get(HOME).is_none());
-        let v = c.put(HOME, body("<html>day 1</html>"), 50.0);
+        let v = c.put(HOME, body("<html>day 1</html>"));
         assert_eq!(v, 1);
         let page = c.get(HOME).unwrap();
         assert_eq!(&page.body[..], b"<html>day 1</html>");
@@ -1375,8 +986,8 @@ mod tests {
     #[test]
     fn update_in_place_bumps_version() {
         let c = PageCache::default();
-        c.put(MEDALS, body("gold: 0"), 10.0);
-        let v2 = c.put(MEDALS, body("gold: 1"), 10.0);
+        c.put(MEDALS, body("gold: 0"));
+        let v2 = c.put(MEDALS, body("gold: 1"));
         assert_eq!(v2, 2);
         let page = c.get(MEDALS).unwrap();
         assert_eq!(&page.body[..], b"gold: 1");
@@ -1389,7 +1000,7 @@ mod tests {
     #[test]
     fn invalidate_removes() {
         let c = PageCache::default();
-        c.put(A, body("x"), 1.0);
+        c.put(A, body("x"));
         assert!(c.invalidate(A));
         assert!(!c.invalidate(A));
         assert!(c.get(A).is_none());
@@ -1400,7 +1011,7 @@ mod tests {
     #[test]
     fn peek_does_not_count() {
         let c = PageCache::default();
-        c.put(A, body("1"), 1.0);
+        c.put(A, body("1"));
         c.peek(A);
         c.peek(NOWHERE);
         let s = c.stats();
@@ -1410,10 +1021,10 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_sizes() {
         let c = PageCache::default();
-        c.put(A, body("1234"), 1.0);
-        c.put(B, body("12345678"), 1.0);
+        c.put(A, body("1234"));
+        c.put(B, body("12345678"));
         assert_eq!(c.bytes(), 12);
-        c.put(A, body("12"), 1.0); // shrink in place
+        c.put(A, body("12")); // shrink in place
         assert_eq!(c.bytes(), 10);
         assert_eq!(c.stats().bytes_current, 10);
         assert_eq!(c.stats().bytes_peak, 12);
@@ -1423,11 +1034,11 @@ mod tests {
     fn lru_evicts_least_recent() {
         // Single shard so the budget applies globally.
         let c = PageCache::new(CacheConfig::bounded(30, ReplacementPolicy::Lru).with_shards(1));
-        c.put(A, body("aaaaaaaaaa"), 1.0); // 10 bytes
-        c.put(B, body("bbbbbbbbbb"), 1.0);
-        c.put(C, body("cccccccccc"), 1.0);
+        c.put(A, body("aaaaaaaaaa")); // 10 bytes
+        c.put(B, body("bbbbbbbbbb"));
+        c.put(C, body("cccccccccc"));
         c.get(A); // /b is now least recent
-        c.put(D, body("dddddddddd"), 1.0); // forces one eviction
+        c.put(D, body("dddddddddd")); // forces one eviction
         assert!(c.contains(A));
         assert!(!c.contains(B));
         assert!(c.contains(C));
@@ -1438,13 +1049,12 @@ mod tests {
     #[test]
     fn an_unbounded_hit_writes_no_recency() {
         let recency = |c: &PageCache| {
-            c.with_shard(A, |rows, column| {
-                let e = rows.get(A).unwrap().cells[0].as_ref().unwrap();
-                (column.tick, e.stamp, column.touches.len())
-            })
+            let shard = c.shard_for(A).lock();
+            let e = shard.rows.get(A).unwrap();
+            (shard.tick, e.stamp, shard.touches.len())
         };
         let c = PageCache::default();
-        c.put(A, body("1"), 1.0);
+        c.put(A, body("1"));
         let before = recency(&c);
         for _ in 0..3 {
             assert!(c.get(A).is_some());
@@ -1453,9 +1063,9 @@ mod tests {
         // The hotness window still counts every hit.
         let hits = c.drain_window_hits();
         assert_eq!((hits.len(), hits[0].1), (1, 3));
-        // A bounded member's hit ranks the entry anew.
+        // A bounded cache's hit ranks the entry anew.
         let b = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
-        b.put(A, body("1"), 1.0);
+        b.put(A, body("1"));
         let (tick, _, queued) = recency(&b);
         b.get(A);
         assert_eq!(recency(&b), (tick + 1, tick + 1, queued + 1));
@@ -1466,12 +1076,12 @@ mod tests {
         let c =
             PageCache::new(CacheConfig::bounded(1 << 20, ReplacementPolicy::Lru).with_shards(1));
         for i in 0..10 {
-            c.put(i, body("page"), 1.0);
+            c.put(i, body("page"));
         }
         for i in 0..100_000 {
             assert!(c.get(i % 10).is_some());
         }
-        let queued = c.with_shard(0, |_, column| column.touches.len());
+        let queued = c.shard_for(0).lock().touches.len();
         assert!(queued <= 2 * 10 + TOUCH_SLACK, "{queued} touch records");
         assert_eq!(c.stats().evictions, 0);
     }
@@ -1486,7 +1096,7 @@ mod tests {
             .with_shards(1),
         );
         for i in 0..10 {
-            c.put(i, Bytes::from(vec![b'x'; 16]), 1.0);
+            c.put(i, Bytes::from(vec![b'x'; 16]));
         }
         let held = c.bytes();
         assert!(held <= 64, "{held} bytes under a 64-byte budget");
@@ -1496,7 +1106,7 @@ mod tests {
     #[test]
     fn oversized_entry_does_not_loop() {
         let c = PageCache::new(CacheConfig::bounded(5, ReplacementPolicy::Lru).with_shards(1));
-        c.put(BIG, body("0123456789"), 1.0);
+        c.put(BIG, body("0123456789"));
         // Entry itself exceeds the budget: the eviction loop removes it
         // and stops (nothing left to evict).
         assert!(c.bytes() <= 10);
@@ -1506,7 +1116,7 @@ mod tests {
     fn clear_empties_everything() {
         let c = PageCache::default();
         for i in 0..100 {
-            c.put(i, body("data"), 1.0);
+            c.put(i, body("data"));
         }
         assert_eq!(c.len(), 100);
         c.clear();
@@ -1518,8 +1128,8 @@ mod tests {
     #[test]
     fn keys_lists_all() {
         let c = PageCache::default();
-        c.put(A, body("1"), 1.0);
-        c.put(B, body("2"), 1.0);
+        c.put(A, body("1"));
+        c.put(B, body("2"));
         let mut slots = c.slots();
         slots.sort();
         assert_eq!(slots, vec![A, B]);
@@ -1528,9 +1138,9 @@ mod tests {
     #[test]
     fn drain_window_hits_collects_and_resets() {
         let c = PageCache::default();
-        c.put(A, body("1"), 1.0);
-        c.put(B, body("2"), 1.0);
-        c.put(C, body("3"), 1.0);
+        c.put(A, body("1"));
+        c.put(B, body("2"));
+        c.put(C, body("3"));
         for _ in 0..3 {
             c.get(A);
         }
@@ -1552,12 +1162,12 @@ mod tests {
     #[test]
     fn drain_window_hits_skips_invalidated_entries() {
         let c = PageCache::default();
-        c.put(A, body("1"), 1.0);
+        c.put(A, body("1"));
         c.get(A);
         c.invalidate(A);
         assert!(c.drain_window_hits().is_empty());
         // Re-inserting and hitting again re-enters the dirty list cleanly.
-        c.put(A, body("2"), 1.0);
+        c.put(A, body("2"));
         c.get(A);
         assert_eq!(c.drain_window_hits().len(), 1);
     }
@@ -1574,7 +1184,7 @@ mod tests {
                     let key = (i * 7 + t) % 50;
                     match i % 4 {
                         0 => {
-                            c.put(key, Bytes::from(vec![b'x'; 64]), 5.0);
+                            c.put(key, Bytes::from(vec![b'x'; 64]));
                         }
                         3 if i % 16 == 3 => {
                             c.invalidate(key);
@@ -1606,8 +1216,8 @@ mod tests {
     #[test]
     fn invalidation_tombstones_under_stale_policy() {
         let c = PageCache::new(stale_config(60.0));
-        c.put(A, body("v1"), 1.0);
-        c.put(A, body("v2"), 1.0);
+        c.put(A, body("v1"));
+        c.put(A, body("v2"));
         assert!(c.invalidate(A));
         assert!(c.get(A).is_none(), "live entry is gone");
         let copy = c.serve_stale(A).unwrap();
@@ -1616,7 +1226,7 @@ mod tests {
         assert_eq!(copy.epoch, 1);
         assert_eq!(c.stats().stale_served, 1);
         // A fresh body supersedes the tombstone.
-        c.put(A, body("v3"), 1.0);
+        c.put(A, body("v3"));
         assert!(c.serve_stale(A).is_none());
         assert_eq!(c.stale_len(), 0);
     }
@@ -1625,10 +1235,10 @@ mod tests {
     fn stale_epoch_counts_live_to_stale_transitions() {
         let c = PageCache::new(stale_config(60.0));
         assert_eq!(c.stale_epoch(A), 0);
-        c.put(A, body("v1"), 1.0);
+        c.put(A, body("v1"));
         c.invalidate(A);
         assert_eq!(c.stale_epoch(A), 1);
-        c.put(A, body("v2"), 1.0);
+        c.put(A, body("v2"));
         c.invalidate(A);
         assert_eq!(c.stale_epoch(A), 2);
     }
@@ -1636,7 +1246,7 @@ mod tests {
     #[test]
     fn stale_age_is_bounded_by_the_policy() {
         let c = PageCache::new(stale_config(30.0));
-        c.put(A, body("v1"), 1.0);
+        c.put(A, body("v1"));
         c.set_now_secs(100.0);
         c.invalidate(A);
         c.set_now_secs(120.0);
@@ -1651,10 +1261,10 @@ mod tests {
     #[test]
     fn prune_stale_drops_expired_tombstones() {
         let c = PageCache::new(stale_config(10.0));
-        c.put(OLD, body("x"), 1.0);
+        c.put(OLD, body("x"));
         c.invalidate(OLD);
         c.set_now_secs(5.0);
-        c.put(NEW, body("y"), 1.0);
+        c.put(NEW, body("y"));
         c.invalidate(NEW);
         c.set_now_secs(11.0);
         c.prune_stale();
@@ -1669,9 +1279,9 @@ mod tests {
                 .with_shards(1)
                 .with_stale(StalePolicy::bounded(60.0)),
         );
-        c.put(A, body("aaaaaaaaaa"), 1.0);
-        c.put(B, body("bbbbbbbbbb"), 1.0);
-        c.put(C, body("cccccccccc"), 1.0); // evicts /a
+        c.put(A, body("aaaaaaaaaa"));
+        c.put(B, body("bbbbbbbbbb"));
+        c.put(C, body("cccccccccc")); // evicts /a
         assert!(!c.contains(A));
         let copy = c.serve_stale(A).unwrap();
         assert_eq!(&copy.body[..], b"aaaaaaaaaa");
@@ -1681,7 +1291,7 @@ mod tests {
     #[test]
     fn clear_is_a_cold_restart() {
         let c = PageCache::new(stale_config(60.0));
-        c.put(A, body("v1"), 1.0);
+        c.put(A, body("v1"));
         c.invalidate(A);
         assert_eq!(c.stale_len(), 1);
         c.clear();
@@ -1692,7 +1302,7 @@ mod tests {
     #[test]
     fn without_stale_policy_nothing_is_tombstoned() {
         let c = PageCache::default();
-        c.put(A, body("v1"), 1.0);
+        c.put(A, body("v1"));
         c.invalidate(A);
         assert!(c.serve_stale(A).is_none());
         assert_eq!(c.stale_epoch(A), 0);
@@ -1744,7 +1354,7 @@ mod tests {
         }
         // Give followers a moment to attach, then publish.
         blocking!(thread::sleep(Duration::from_millis(20)));
-        c.put(PAGE, body("fresh"), 1.0);
+        c.put(PAGE, body("fresh"));
         let page = c.peek(PAGE).unwrap();
         c.complete_flight(token, Some(page));
         for j in joiners {
@@ -1807,7 +1417,7 @@ mod tests {
     fn eviction_respects_total_budget_across_fill() {
         let c = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
         for i in 0..200 {
-            c.put(i, Bytes::from(vec![0u8; 50]), 1.0);
+            c.put(i, Bytes::from(vec![0u8; 50]));
         }
         assert!(c.bytes() <= 1_000, "bytes {}", c.bytes());
         assert!(c.len() <= 20);

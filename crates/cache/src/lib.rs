@@ -10,18 +10,20 @@
 //! * [`key`] — pages are keyed by a dense `u32` slot the caller assigns;
 //!   a fleet may carry a [`KeySpace`] that resolves names (URLs) to slots
 //!   for callers that hold only those.
-//! * [`PageCache`] — a sharded concurrent table from page slots to
-//!   immutable byte bodies, with statistics and optional capacity bounds.
+//! * [`PageCache`] — a sharded concurrent table with one entry per page
+//!   slot: an immutable byte body and its version, with statistics and
+//!   optional capacity bounds.
 //! * [`policy`] — the replacement rule of a bounded cache: LRU. At the
 //!   Olympics site "all dynamic pages could be cached in memory without
 //!   overflow ... the system never had to apply a cache replacement
 //!   algorithm" — the unbounded default.
-//! * [`CacheFleet`] — the eight per-frame serving caches fed by the
-//!   trigger monitor's distributor (Figure 6). A page's row also keeps the
-//!   distributor's [`Memo`] of the body its members hold, for as long as
-//!   one of them holds it.
+//! * [`CacheFleet`] — a serving complex's cache as the trigger monitor's
+//!   distributor sees it (Figure 6): the simulation models a complex's
+//!   serving nodes as this one cache, and a socket site is one node. A
+//!   page's entry also keeps the distributor's [`Memo`] of its body, for
+//!   as long as it holds that body.
 //! * [`hotness`] — per-page EWMA access frequency, folded from the
-//!   members' hit counters once per sim minute; the hybrid propagation
+//!   cache's hit counters once per sim minute; the hybrid propagation
 //!   policy uses it to regenerate hot pages and invalidate the cold tail
 //!   (DESIGN.md §12).
 //! * Serving-path resilience (DESIGN.md §11): per-shard *single-flight*

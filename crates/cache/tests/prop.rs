@@ -35,7 +35,7 @@ proptest! {
                 Op::Put(k, s) => {
                     let key = u32::from(k);
                     let data = vec![k; s as usize];
-                    let v = cache.put(key, Bytes::from(data.clone()), 1.0);
+                    let v = cache.put(key, Bytes::from(data.clone()));
                     model.insert(key, data);
                     let expect = versions.entry(key).or_insert(0);
                     *expect += 1;
@@ -75,7 +75,7 @@ proptest! {
             match op {
                 Op::Put(k, _) => {
                     let key = u32::from(k);
-                    cache.put(key, Bytes::from(vec![k; ENTRY]), 1.0);
+                    cache.put(key, Bytes::from(vec![k; ENTRY]));
                     order.retain(|x| x != &key);
                     order.push(key);
                     while order.len() * ENTRY > BUDGET as usize {
@@ -114,7 +114,7 @@ proptest! {
             CacheConfig::bounded(64, ReplacementPolicy::Lru).with_shards(1),
         );
         for (k, s) in ops {
-            cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]), k as f64);
+            cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]));
             prop_assert!(cache.bytes() <= 64, "bytes {}", cache.bytes());
         }
     }
@@ -128,7 +128,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Put(k, s) => {
-                    cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]), 1.0);
+                    cache.put(u32::from(k), Bytes::from(vec![0u8; s as usize]));
                 }
                 Op::Get(k) => {
                     cache.get(u32::from(k));

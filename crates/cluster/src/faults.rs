@@ -234,15 +234,16 @@ pub enum ServingFaultKind {
         /// Site index.
         site: usize,
     },
-    /// One member cache at `site` cold-restarts: live entries, stale
-    /// tombstones, and in-flight coalescing state are all wiped — the
-    /// stampede-on-restart scenario single-flight exists for. A point
-    /// event: the crash *is* the fault, so plan entries carry `up: false`
-    /// and no heal.
+    /// A serving node at `site` cold-restarts: the complex's cache loses
+    /// its live entries, stale tombstones, and in-flight coalescing state
+    /// — the stampede-on-restart scenario single-flight exists for. A
+    /// point event: the crash *is* the fault, so plan entries carry
+    /// `up: false` and no heal.
     CacheShardCrash {
         /// Site index.
         site: usize,
-        /// Fleet member index within the site.
+        /// The node that crashed. A complex's nodes are modelled as its
+        /// one cache, so whichever node it is, that cache restarts.
         node: usize,
     },
 }

@@ -93,7 +93,7 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::default_slo_rules`].
     pub slo_rules: Vec<SloRule>,
     /// After the run, re-render every registry page and compare against
-    /// each site's cache fleet, counting mismatches into
+    /// each site's cache, counting mismatches into
     /// [`ClusterReport::stale_pages`]. Off by default (it costs one full
     /// render sweep per site); the convergence property tests turn it on.
     pub audit_convergence: bool,
@@ -965,13 +965,13 @@ impl<'a> SimState<'a> {
             // Visible-latency model: replication delay (already elapsed
             // at `at`) plus regeneration spread over the SMP's render
             // workers (DESIGN.md §6).
-            let member = complex.monitor.fleet().member(0);
+            let cache = complex.monitor.fleet().cache();
             let space = self.registry.space();
             let held = outcome
                 .regenerated
                 .iter()
                 .filter_map(|&k| space.slot(k))
-                .filter(|&slot| member.contains(slot))
+                .filter(|&slot| cache.contains(slot))
                 .count();
             applied_at = at + SimDuration::from_secs_f64(held as f64 * 150.0 / 8.0 / 1_000.0);
             let visible = (applied_at - self.commit_times[txns[0].id.0 as usize - 1]).as_secs_f64();
@@ -1052,13 +1052,12 @@ impl<'a> SimState<'a> {
             ServingFaultKind::BackendOutage { site } => {
                 self.complexes[site].backend_down = !entry.up;
             }
-            ServingFaultKind::CacheShardCrash { site, node } => {
+            ServingFaultKind::CacheShardCrash { site, .. } => {
                 // Cold restart: live entries, tombstones, and coalescing
                 // state all vanish — the stampede window single-flight
                 // flattens.
                 let c = &mut self.complexes[site];
-                let fleet = c.monitor.fleet();
-                fleet.member(node.min(fleet.len() - 1)).clear();
+                c.monitor.fleet().cache().clear();
                 c.inflight.clear();
             }
         }
@@ -1079,13 +1078,13 @@ impl<'a> SimState<'a> {
     /// deferred work and catch-up pulls cannot be stranded.
     fn heartbeat(&mut self, minute: u64, minute_end: SimTime) {
         for c in &mut self.complexes {
-            // Hotness: fold each fleet's window-hit counters into its
+            // Hotness: fold each cache's window-hit counters into its
             // EWMA, then give the Hybrid deferred queue a budgeted drain
             // slice (no-op under other policies).
             c.monitor.fleet().fold_hotness(minute);
             // Expire over-age tombstones so the stale maps stay bounded
             // by the policy, not the run length.
-            c.monitor.fleet().member(0).prune_stale();
+            c.monitor.fleet().cache().prune_stale();
             if c.monitor_up {
                 let drained = c.monitor.drain_deferred(minute_end);
                 if !drained.is_empty() {
@@ -1244,8 +1243,8 @@ impl<'a> SimState<'a> {
     fn serve_request(&mut self, s: usize, page: PageKey, slot: u32, t: SimTime) -> Option<Served> {
         let c = &mut self.complexes[s];
         c.monitor.observe_request(page, t);
-        let member = Arc::clone(c.monitor.fleet().member(0));
-        let cached = member.get(slot);
+        let cache = Arc::clone(c.monitor.fleet().cache());
+        let cached = cache.get(slot);
         if cached.is_none() {
             // A demand fill caches its body at once and keeps the flight
             // open for as long as the render takes: with the body gone,
@@ -1255,9 +1254,9 @@ impl<'a> SimState<'a> {
         let lands_in = c.inflight.get(&slot).filter(|&&done| done > t);
         let lands_in = lands_in.map(|&done| (done - t).as_secs_f64());
         if lands_in.is_some() {
-            member.stats_handle().coalesce();
+            cache.stats_handle().coalesce();
         }
-        let stale = member.peek_stale(slot);
+        let stale = cache.peek_stale(slot);
         let observed = Observation {
             fresh: cached.is_some(),
             flight: lands_in,
@@ -1270,7 +1269,7 @@ impl<'a> SimState<'a> {
         match serve::decide(&observed) {
             Decision::Hit => cached.map(|page| (page.body.len() as u64, 0.5, true)),
             Decision::Join => cached.map(|page| (page.body.len() as u64, 0.5 + wait_ms, false)),
-            Decision::ServeStale => stale.map(|copy| serve_stale(&member, copy, 0.5)),
+            Decision::ServeStale => stale.map(|copy| serve_stale(&cache, copy, 0.5)),
             Decision::Fill => self.fill(s, page, slot, t, stale),
             Decision::Fail => None,
         }
@@ -1292,7 +1291,7 @@ impl<'a> SimState<'a> {
         let res = &self.cfg.resilience;
         let budget = res.request_budget_secs;
         let c = &mut self.complexes[s];
-        let member = Arc::clone(c.monitor.fleet().member(0));
+        let cache = Arc::clone(c.monitor.fleet().cache());
         if c.backend_down {
             let (base, max) = (res.retry_base_secs, res.retry_max_secs);
             let mut backoff = RetryBackoff::new(base, max, res.retry_max_attempts);
@@ -1309,13 +1308,13 @@ impl<'a> SimState<'a> {
                         latency_ms += 5.0 + delay.expect("an attempt is left") * 1_000.0;
                     }
                     Decision::ServeStale => {
-                        return stale.map(|copy| serve_stale(&member, copy, latency_ms))
+                        return stale.map(|copy| serve_stale(&cache, copy, latency_ms))
                     }
                     _ => return None,
                 }
             }
         }
-        let out = c.monitor.demand_fill(0, page);
+        let out = c.monitor.demand_fill(page);
         self.report.demand_fills += 1;
         c.breaker.record_success();
         if let Some(copy) = &stale {
@@ -1329,7 +1328,7 @@ impl<'a> SimState<'a> {
         c.inflight.insert(slot, lands);
         let decision = serve::after_render(Render::Done { secs }, tombstone, budget);
         match (decision, stale) {
-            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&member, copy, 0.5)),
+            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&cache, copy, 0.5)),
             _ => Some((out.body.len() as u64, cost_ms, false)),
         }
     }
@@ -1384,7 +1383,7 @@ impl<'a> SimState<'a> {
         }
         let report = &mut self.report;
         for c in &self.complexes {
-            report.cache += c.monitor.fleet().aggregate_stats();
+            report.cache += c.monitor.fleet().cache().stats();
             let s = c.monitor.stats().snapshot();
             report.regen_cpu_ms += s.regen_cpu_ms;
             report.regen_saved_ms += s.regen_saved_ms;
@@ -1425,7 +1424,7 @@ impl<'a> SimState<'a> {
                 continue;
             };
             for c in &self.complexes {
-                if let Some(cached) = c.monitor.fleet().member(0).peek(slot) {
+                if let Some(cached) = c.monitor.fleet().cache().peek(slot) {
                     if cached.body != fresh.body {
                         stale += 1;
                     }
@@ -1460,10 +1459,10 @@ impl<'a> SimState<'a> {
     }
 }
 
-/// A request answered from `member`'s tombstone after `latency_ms`,
+/// A request answered from `cache`'s tombstone after `latency_ms`,
 /// counted as a stale serve.
-fn serve_stale(member: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
-    member.stats_handle().stale_serve();
+fn serve_stale(cache: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
+    cache.stats_handle().stale_serve();
     (copy.body.len() as u64, latency_ms, false)
 }
 
@@ -1496,8 +1495,8 @@ fn hybrid_spans(t: &mut Trace, apply: usize, site: &str, outcome: &TxnOutcome, a
     }
 }
 
-/// The four complexes in site order: a trigger monitor over a one-member
-/// cache fleet each, its cells bound into the registry under a `site`
+/// The four complexes in site order: a trigger monitor over one cache
+/// each — the complex's serving nodes, modelled as one — its cells bound into the registry under a `site`
 /// label, and the Figure-5 replicas in pull mode, so that the simulated
 /// links decide exactly which transactions arrive (and when): master
 /// feeds Schaumburg and Tokyo; Columbus and Bethesda chain off Schaumburg.
@@ -1520,13 +1519,13 @@ fn complexes(
             let labels = [("site", spec.name)];
             let monitor = TriggerMonitor::new(
                 Renderer::new(Arc::clone(db)),
-                Arc::new(CacheFleet::new(1, cache_config.clone())),
+                Arc::new(CacheFleet::new(cache_config.clone())),
                 Arc::clone(registry),
                 cfg.policy,
             );
             monitor.prewarm();
             monitor.stats().bind(reg, &labels);
-            monitor.fleet().member(0).stats_handle().bind(reg, &labels);
+            monitor.fleet().cache().stats_handle().bind(reg, &labels);
             let httpd = HttpdMetrics::new();
             httpd.bind(reg, &labels);
             let staleness = "nagano_cluster_staleness_seconds";
@@ -1578,7 +1577,7 @@ impl ClusterSim {
             // on sim time, not wall time.
             let secs = SimTime::from_mins(minute).as_secs_f64();
             for c in &sim.complexes {
-                c.monitor.fleet().set_now_secs(secs);
+                c.monitor.fleet().cache().set_now_secs(secs);
             }
             while let Some((at, ev)) = sim.queue.pop_before(minute_end) {
                 match ev {

@@ -12,11 +12,11 @@
 //!
 //! // Build a site over a small synthetic Games: seeds the database,
 //! // renders every page, registers the object dependence graph, and
-//! // warms the serving caches.
+//! // warms the serving cache.
 //! let site = ServingSite::build(SiteConfig::small());
 //!
-//! // Serve a page (node 0 of the serving fleet). It's a cache hit.
-//! let medal_page = site.handle(0, "/medals").expect("served");
+//! // Serve a page. It's a cache hit.
+//! let medal_page = site.handle("/medals").expect("served");
 //! assert!(medal_page.cache_hit);
 //!
 //! // New results arrive: the trigger monitor runs DUP and refreshes
@@ -32,7 +32,7 @@
 //! );
 //! let outcome = site.pump();
 //! assert!(outcome.regenerated > 0);
-//! let updated = site.handle(0, "/medals").expect("served");
+//! let updated = site.handle("/medals").expect("served");
 //! assert!(updated.cache_hit);
 //! assert_ne!(updated.body, medal_page.body);
 //! ```

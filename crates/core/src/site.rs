@@ -1,6 +1,6 @@
-//! The [`ServingSite`] facade: one SP2-complex worth of the production
-//! system — database, renderer, trigger monitor, and a fleet of serving
-//! caches — behind a small API.
+//! The [`ServingSite`] facade: one serving node of the production system —
+//! database, renderer, trigger monitor and the node's serving cache —
+//! behind a small API.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,10 +28,7 @@ const FOLLOWER_PATIENCE: Duration = Duration::from_secs(2);
 pub struct SiteConfig {
     /// Synthetic Games dimensions.
     pub games: GamesConfig,
-    /// Number of serving caches (the production SP2 had eight serving
-    /// UPs per frame).
-    pub fleet_size: usize,
-    /// Per-cache configuration.
+    /// The serving cache's configuration.
     pub cache: CacheConfig,
     /// Consistency policy for the trigger monitor.
     pub policy: ConsistencyPolicy,
@@ -40,11 +37,10 @@ pub struct SiteConfig {
 }
 
 impl SiteConfig {
-    /// Paper-scale Games, eight serving caches, update-in-place.
+    /// Paper-scale Games, an unbounded cache, update-in-place.
     pub fn full() -> Self {
         SiteConfig {
             games: GamesConfig::full(),
-            fleet_size: 8,
             cache: CacheConfig::default(),
             policy: ConsistencyPolicy::UpdateInPlace,
             staleness: StalenessPolicy::Strict,
@@ -55,7 +51,6 @@ impl SiteConfig {
     pub fn small() -> Self {
         SiteConfig {
             games: GamesConfig::small(),
-            fleet_size: 2,
             ..Self::full()
         }
     }
@@ -104,7 +99,7 @@ pub struct PumpOutcome {
 /// Point-in-time metrics for the site.
 #[derive(Debug, Clone, Copy)]
 pub struct SiteMetrics {
-    /// Aggregated cache statistics over the fleet.
+    /// The serving cache's statistics.
     pub cache: StatsSnapshot,
     /// Trigger-monitor statistics.
     pub trigger: TriggerStatsSnapshot,
@@ -114,7 +109,10 @@ pub struct SiteMetrics {
     pub pages: usize,
 }
 
-/// One serving complex: database + trigger monitor + cache fleet.
+/// One serving node: database + trigger monitor + serving cache. The
+/// paper's complex had several such nodes behind one trigger monitor; the
+/// cluster simulation models them as one cache per complex, and a site on a
+/// socket is one node.
 pub struct ServingSite {
     db: Arc<OlympicDb>,
     registry: Arc<PageRegistry>,
@@ -142,7 +140,6 @@ impl ServingSite {
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
         let fleet = Arc::new(CacheFleet::with_keys(
-            config.fleet_size,
             config.cache.clone(),
             PageUrls::of(&registry),
         ));
@@ -180,9 +177,10 @@ impl ServingSite {
         &self.monitor
     }
 
-    /// The serving cache fleet. Its pages are keyed by slot in the
-    /// registry's page space ([`PageRegistry::space`]); a URL names one
-    /// through the fleet's [`PageUrls`] key space.
+    /// The serving cache, as the trigger monitor distributes to it. Its
+    /// pages are keyed by slot in the registry's page space
+    /// ([`PageRegistry::space`]); a URL names one through the cache's
+    /// [`PageUrls`] key space.
     pub fn fleet(&self) -> &Arc<CacheFleet> {
         &self.fleet
     }
@@ -193,16 +191,15 @@ impl ServingSite {
         self.marquee
     }
 
-    /// Serve one request path from serving node `node` — the FastCGI
-    /// server-program path: check the cache; on a miss, coalesce onto any
-    /// in-flight regeneration of the same page (single-flight), otherwise
-    /// generate, cache locally, and register dependencies
-    /// ([`crate::serve`] has the table). Returns `None` for paths that are
-    /// not part of the site: a path that does not parse, or names a day,
-    /// entity or story the Games do not have.
-    pub fn handle(&self, node: usize, path: &str) -> Option<ServedPage> {
+    /// Serve one request path — the FastCGI server-program path: check
+    /// the cache; on a miss, coalesce onto any in-flight regeneration of
+    /// the same page (single-flight), otherwise generate, cache, and
+    /// register dependencies ([`crate::serve`] has the table). Returns
+    /// `None` for paths that are not part of the site: a path that does
+    /// not parse, or names a day, entity or story the Games do not have.
+    pub fn handle(&self, path: &str) -> Option<ServedPage> {
         let (key, slot) = self.page(path)?;
-        Some(self.serve(node, key, slot))
+        Some(self.serve(key, slot))
     }
 
     /// The page `path` names and its slot, if it is a page of the site.
@@ -212,15 +209,15 @@ impl ServingSite {
     }
 
     /// The one lookup behind [`ServingSite::handle`] and
-    /// [`ServingSite::respond`]: look page `key`, in `slot`, up on `node`,
-    /// and answer a miss as [`ServingSite::handle_miss`] does.
-    fn serve(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
-        match self.fleet.get_from(node, slot) {
+    /// [`ServingSite::respond`]: look page `key`, in `slot`, up, and
+    /// answer a miss as [`ServingSite::handle_miss`] does.
+    fn serve(&self, key: PageKey, slot: u32) -> ServedPage {
+        match self.fleet.cache().get(slot) {
             Some(page) => ServedPage {
                 cache_hit: true,
                 ..ServedPage::cached(page.body, page.version)
             },
-            None => self.handle_miss(node, key, slot),
+            None => self.handle_miss(key, slot),
         }
     }
 
@@ -230,11 +227,11 @@ impl ServingSite {
     /// fail, so the breaker and the backend are observed as they always
     /// are here: admitting and reachable. The table then answers only
     /// Hit, Join or Fill.
-    fn handle_miss(&self, node: usize, key: PageKey, slot: u32) -> ServedPage {
-        let member = self.fleet.member(node);
+    fn handle_miss(&self, key: PageKey, slot: u32) -> ServedPage {
+        let cache = self.fleet.cache();
         loop {
-            let flight = member.join_or_lead(slot, FOLLOWER_PATIENCE);
-            let fresh = member.peek(slot);
+            let flight = cache.join_or_lead(slot, FOLLOWER_PATIENCE);
+            let fresh = cache.peek(slot);
             let observed = Observation {
                 fresh: fresh.is_some(),
                 // A follower has waited already: its flight landed, or it
@@ -256,12 +253,10 @@ impl ServingSite {
                 // (c) Lead the flight's replacement, or join the follower
                 // that leads it.
                 (Decision::Join, FlightOutcome::TimedOut) => continue,
-                (Decision::Fill, FlightOutcome::Lead(token)) => {
-                    return self.fill(node, key, slot, token)
-                }
+                (Decision::Fill, FlightOutcome::Lead(token)) => return self.fill(key, slot, token),
                 // Filled between this request's miss and its lead.
                 (Decision::Hit, FlightOutcome::Lead(token)) => {
-                    member.complete_flight(token, fresh.clone());
+                    cache.complete_flight(token, fresh.clone());
                     let page = fresh.expect("the table hits only a fresh entry");
                     return ServedPage::cached(page.body, page.version);
                 }
@@ -270,29 +265,32 @@ impl ServingSite {
         }
     }
 
-    /// Lead the regeneration of `key`: demand-fill it on `node` and hand
-    /// the page to the flight's followers.
-    fn fill(&self, node: usize, key: PageKey, slot: u32, token: FlightToken) -> ServedPage {
-        let fill = self.monitor.demand_fill(node, key);
-        let member = self.fleet.member(node);
-        member.complete_flight(token, member.peek(slot));
+    /// Lead the regeneration of `key`: demand-fill it and hand the page to
+    /// the flight's followers.
+    fn fill(&self, key: PageKey, slot: u32, token: FlightToken) -> ServedPage {
+        let fill = self.monitor.demand_fill(key);
+        let cache = self.fleet.cache();
+        cache.complete_flight(token, cache.peek(slot));
         ServedPage {
             cost_ms: fill.cost_ms,
             ..ServedPage::cached(fill.body, fill.version)
         }
     }
 
-    /// Serve one parsed HTTP request from serving node `node` — the path
-    /// behind [`ServingSite::http_handler`]: the page as
-    /// [`ServingSite::handle`] serves it, its body a refcount bump of the
-    /// cached buffer, answered `304` when the `If-None-Match` validator
-    /// names its version (so revalidating a hit never touches the render
-    /// pool) and `200` with that version as the entity tag otherwise.
-    pub fn respond(&self, node: usize, req: &Request) -> Response {
+    /// Serve one parsed HTTP request — the path behind
+    /// [`ServingSite::http_handler`]: the page as [`ServingSite::handle`]
+    /// serves it, its body a refcount bump of the cached buffer, answered
+    /// `304` when the `If-None-Match` validator names its version (so
+    /// revalidating a hit never touches the render pool) and `200` with
+    /// that version as the entity tag otherwise.
+    ///
+    /// The site is one serving node: `node` is ignored. It stays for the
+    /// wall-clock harness, which passes 0, until ROADMAP 1(h).
+    pub fn respond(&self, _node: usize, req: &Request) -> Response {
         let Some((key, slot)) = self.page(&req.path) else {
             return Response::not_found();
         };
-        let page = self.serve(node, key, slot);
+        let page = self.serve(key, slot);
         let validator = req.if_none_match.as_deref();
         if validator.is_some_and(|field| none_match(field, page.version)) {
             Response::not_modified(page.version)
@@ -322,23 +320,24 @@ impl ServingSite {
         TriggerRunner::spawn(Arc::clone(&self.monitor), self.db.subscribe())
     }
 
-    /// An HTTP handler serving this site from node `node`, with
-    /// ETag/If-None-Match revalidation: the cache version is the entity
-    /// tag, so browser caches revalidate dynamic pages with a 55-byte 304
-    /// instead of a 55 KB transfer — until DUP bumps the version.
-    pub fn http_handler(self: &Arc<Self>, node: usize) -> Arc<dyn Handler> {
+    /// An HTTP handler serving this site, with ETag/If-None-Match
+    /// revalidation: the cache version is the entity tag, so browser
+    /// caches revalidate dynamic pages with a 55-byte 304 instead of a
+    /// 55 KB transfer — until DUP bumps the version.
+    pub fn http_handler(self: &Arc<Self>) -> Arc<dyn Handler> {
         let site = Arc::clone(self);
-        Arc::new(move |req: &Request| site.respond(node, req))
+        Arc::new(move |req: &Request| site.respond(0, req))
     }
 
-    /// Bind an HTTP server for serving node `node`.
+    /// Bind an HTTP server for this site. `node` is ignored, as
+    /// [`ServingSite::respond`]'s is.
     pub fn serve_http(
         self: &Arc<Self>,
         addr: &str,
-        node: usize,
+        _node: usize,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::bind(addr, self.http_handler(node), config)
+        Server::bind(addr, self.http_handler(), config)
     }
 
     /// The `/status` JSON document: registry size, ODG dimensions,
@@ -346,18 +345,20 @@ impl ServingSite {
     /// regenerated and how many of them changed — the rest is the no-op
     /// share of update-in-place — were answered by their stamps, and were
     /// patched rather than composed, deferred-regeneration queue depth and
-    /// shed count), and per-node cache occupancy. Hand-assembled with
+    /// shed count), and the cache's occupancy. Hand-assembled with
     /// deterministic key order so same-state sites produce byte-identical
     /// documents.
     pub fn status_json(&self) -> String {
         let trig = self.monitor.stats().snapshot();
         let (odg_nodes, odg_edges) = self.monitor.graph_size();
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
+        let cache = self.fleet.cache();
+        let stats = cache.stats();
+        format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
              \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{},\
-             \"deferred_depth\":{},\"deferred_shed\":{}}},\"caches\":[",
+             \"deferred_depth\":{},\"deferred_shed\":{}}},\"cache\":{{\"entries\":{},\
+             \"bytes\":{},\"hits\":{},\"misses\":{}}}}}",
             self.registry.len(),
             odg_nodes,
             odg_edges,
@@ -369,88 +370,60 @@ impl ServingSite {
             trig.pages_patched,
             trig.deferred_depth,
             trig.deferred_shed,
-        ));
-        for (i, member) in self.fleet.members().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = member.stats();
-            out.push_str(&format!(
-                "{{\"node\":{},\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{}}}",
-                i,
-                member.len(),
-                member.bytes(),
-                s.hits,
-                s.misses,
-            ));
-        }
-        out.push_str("]}");
-        out
+            cache.len(),
+            cache.bytes(),
+            stats.hits,
+            stats.misses,
+        )
     }
 
-    /// The page handler for `node` wrapped in an [`nagano_httpd::AdminPlane`]:
+    /// The page handler wrapped in an [`nagano_httpd::AdminPlane`]:
     /// `/metrics` scrapes `registry` as Prometheus text, `/healthz`
     /// probes liveness, `/status` returns [`ServingSite::status_json`],
     /// and every other path serves pages as [`ServingSite::http_handler`].
     pub fn admin_handler(
         self: &Arc<Self>,
-        node: usize,
         registry: Arc<nagano_telemetry::MetricsRegistry>,
     ) -> Arc<dyn Handler> {
         let site = Arc::clone(self);
         let status: nagano_httpd::StatusFn = Arc::new(move || site.status_json());
-        Arc::new(
-            nagano_httpd::AdminPlane::new(registry, status).with_inner(self.http_handler(node)),
-        )
+        Arc::new(nagano_httpd::AdminPlane::new(registry, status).with_inner(self.http_handler()))
     }
 
-    /// Bind an HTTP server for serving node `node` with the admin plane
-    /// attached, scrapeable over TCP while the site serves page traffic.
+    /// Bind an HTTP server for this site with the admin plane attached,
+    /// scrapeable over TCP while the site serves page traffic.
     pub fn serve_admin_http(
         self: &Arc<Self>,
         addr: &str,
-        node: usize,
         registry: Arc<nagano_telemetry::MetricsRegistry>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::bind(addr, self.admin_handler(node, registry), config)
-    }
-
-    /// Bring a recovered serving node back: resynchronise its cache from
-    /// a healthy peer so it rejoins rotation warm and version-consistent.
-    /// Returns the number of pages copied.
-    pub fn recover_node(&self, node: usize) -> usize {
-        let donor = (0..self.fleet.len())
-            .find(|&i| i != node)
-            .expect("fleet has another member");
-        self.fleet.resync(donor, node)
+        Server::bind(addr, self.admin_handler(registry), config)
     }
 
     /// Register this site's live metric cells — trigger counters, the
-    /// weighted-staleness histogram, and per-node cache statistics —
-    /// into a telemetry registry. Counters appear under the
-    /// `nagano_trigger_*` / `nagano_cache_*` names with the given labels
-    /// (cache cells additionally carry a `node` label per fleet member),
-    /// so one registry can hold several sites distinguished by label. A
-    /// site keeps no stale copy, so it exports no count of stale serves.
+    /// weighted-staleness histogram, and the cache's statistics — into a
+    /// telemetry registry. They appear under the `nagano_trigger_*` /
+    /// `nagano_cache_*` names with the given labels, as a complex's do in
+    /// the cluster simulation, so one registry can hold several sites
+    /// distinguished by label. A site keeps no stale copy, so it exports
+    /// no count of stale serves.
     pub fn bind_telemetry(
         &self,
         registry: &nagano_telemetry::MetricsRegistry,
         labels: &[(&str, &str)],
     ) {
         self.monitor.stats().bind(registry, labels);
-        for (i, member) in self.fleet.members().iter().enumerate() {
-            let node = i.to_string();
-            let mut node_labels: Vec<(&str, &str)> = labels.to_vec();
-            node_labels.push(("node", node.as_str()));
-            member.stats_handle().bind_fresh(registry, &node_labels);
-        }
+        self.fleet
+            .cache()
+            .stats_handle()
+            .bind_fresh(registry, labels);
     }
 
     /// Current metrics.
     pub fn metrics(&self) -> SiteMetrics {
         SiteMetrics {
-            cache: self.fleet.aggregate_stats(),
+            cache: self.fleet.cache().stats(),
             trigger: self.monitor.stats().snapshot(),
             odg: self.monitor.graph_size(),
             pages: self.registry.len(),
@@ -472,35 +445,35 @@ mod tests {
     fn build_prewarms_everything() {
         let s = site();
         let m = s.metrics();
-        assert_eq!(m.cache.inserts as usize, m.pages * 2); // 2 fleet members
+        assert_eq!(m.cache.inserts as usize, m.pages);
         assert!(m.odg.0 > 0 && m.odg.1 > 0);
     }
 
     #[test]
     fn handle_serves_cache_hits() {
         let s = site();
-        let page = s.handle(0, "/medals").unwrap();
+        let page = s.handle("/medals").unwrap();
         assert!(page.cache_hit);
         assert!(page.cost_ms < 1.0);
-        assert!(s.handle(1, "/day/3/").unwrap().cache_hit);
-        assert!(s.handle(0, "/nonexistent").is_none());
+        assert!(s.handle("/day/3/").unwrap().cache_hit);
+        assert!(s.handle("/nonexistent").is_none());
     }
 
     #[test]
     fn ids_the_games_do_not_have_are_not_pages() {
         let s = site();
-        let (rows, graph) = (s.fleet().member(0).len(), s.monitor().graph_size());
+        let (rows, graph) = (s.fleet().cache().len(), s.monitor().graph_size());
         let mut paths: Vec<String> = ["/athletes/4294967295", "/day/0/", "/news/99999"]
             .into_iter()
             .map(String::from)
             .collect();
         paths.extend((1_000_000..1_000_100).map(|id| format!("/athletes/{id}")));
         for path in &paths {
-            assert!(s.handle(0, path).is_none(), "{path}");
+            assert!(s.handle(path).is_none(), "{path}");
             let response = s.respond(0, &get_request(path, None));
             assert_eq!(response.status, nagano_httpd::Status::NotFound, "{path}");
         }
-        assert_eq!(s.fleet().member(0).len(), rows, "nothing cached");
+        assert_eq!(s.fleet().cache().len(), rows, "nothing cached");
         assert_eq!(s.monitor().graph_size(), graph, "nothing registered");
     }
 
@@ -532,36 +505,34 @@ mod tests {
             // A distribution by URL lands in the page's slot.
             let body = Bytes::from(format!("{url}, again"));
             assert!(fleet.distribute(&url, body.clone(), 1.0), "{url}");
-            assert_eq!(fleet.member(1).peek(slot).unwrap().body, body, "{url}");
+            assert_eq!(fleet.cache().peek(slot).unwrap().body, body, "{url}");
         }
         assert!(fleet.get_from(0, "/athletes/4294967295").is_none());
     }
 
-    /// A site built from `config` whose fleet then lets every page go.
+    /// A site built from `config` whose cache then lets every page go.
     fn cold(config: SiteConfig) -> ServingSite {
         let s = ServingSite::build(config);
-        s.fleet().clear();
+        s.fleet().cache().clear();
         s
     }
 
     #[test]
     fn cold_site_demand_fills() {
         let s = cold(SiteConfig::small());
-        let first = s.handle(0, "/medals").unwrap();
+        let first = s.handle("/medals").unwrap();
         assert!(!first.cache_hit);
         assert!(first.cost_ms > 10.0);
-        let second = s.handle(0, "/medals").unwrap();
+        let second = s.handle("/medals").unwrap();
         assert!(second.cache_hit);
-        // Demand fill is node-local.
-        let other_node = s.handle(1, "/medals").unwrap();
-        assert!(!other_node.cache_hit);
+        assert_eq!(second.version, first.version);
     }
 
     #[test]
     fn update_flow_refreshes_in_place() {
         let s = site();
         let ev = s.db().events()[0].clone();
-        let before = s.handle(0, &PageKey::Event(ev.id).to_url()).unwrap();
+        let before = s.handle(&PageKey::Event(ev.id).to_url()).unwrap();
         let athletes = s.db().athletes_of_sport(ev.sport);
         s.db().record_results(
             ev.id,
@@ -577,7 +548,7 @@ mod tests {
         assert_eq!(outcome.txns, 1);
         assert!(outcome.regenerated > 5);
         assert_eq!(outcome.invalidated, 0);
-        let after = s.handle(0, &PageKey::Event(ev.id).to_url()).unwrap();
+        let after = s.handle(&PageKey::Event(ev.id).to_url()).unwrap();
         assert!(after.cache_hit, "updated in place, not invalidated");
         assert_ne!(after.body, before.body);
         // Pump with nothing queued is a no-op.
@@ -642,17 +613,13 @@ mod tests {
         let winner = podium[0].country;
         let bystander = countries.iter().map(|c| c.id).find(|&c| !on_podium(c));
         let bystander = bystander.expect("a country off the podium");
-        let tags = |path: &str| -> Vec<u64> {
-            (0..s.fleet().len())
-                .map(|node| s.handle(node, path).unwrap().version)
-                .collect()
-        };
+        let tag = |path: &str| s.handle(path).unwrap().version;
         let paths = [
             PageKey::Country(bystander).to_url(),
             PageKey::Country(winner).to_url(),
             "/medals".to_string(),
         ];
-        let before = paths.each_ref().map(|p| tags(p));
+        let before = paths.each_ref().map(|p| tag(p));
 
         let placements: Vec<_> = podium
             .iter()
@@ -664,7 +631,7 @@ mod tests {
 
         // DUP had every country page re-derived; the medal box of all but
         // the podium's came out as it was, and the client that holds the
-        // old tag is answered 304 by every node.
+        // old tag is answered 304.
         let regenerated_countries = countries.len() as u64;
         assert!(outcome.regenerated > regenerated_countries);
         let trigger = s.metrics().trigger;
@@ -689,19 +656,17 @@ mod tests {
             "{trigger:?}"
         );
         assert!(trigger.pages_revalidated >= regenerated_countries - 3);
-        for (path, before) in paths.iter().zip(&before) {
+        for (path, &before) in paths.iter().zip(&before) {
             let moved = *path != paths[0];
-            for (node, version) in before.iter().enumerate() {
-                let tag = format!("\"v{version}\"");
-                let resp = s.respond(node, &get_request(path, Some(&tag)));
-                let expected = if moved {
-                    nagano_httpd::Status::Ok
-                } else {
-                    nagano_httpd::Status::NotModified
-                };
-                assert_eq!(resp.status, expected, "{path} on node {node}");
-            }
-            assert_eq!(tags(path) != *before, moved, "{path}");
+            let old = format!("\"v{before}\"");
+            let resp = s.respond(0, &get_request(path, Some(&old)));
+            let expected = if moved {
+                nagano_httpd::Status::Ok
+            } else {
+                nagano_httpd::Status::NotModified
+            };
+            assert_eq!(resp.status, expected, "{path}");
+            assert_eq!(tag(path) != before, moved, "{path}");
         }
     }
 
@@ -740,7 +705,7 @@ mod tests {
         // which fills version 1 — the version every prewarmed page has.
         let fields = ["W/\"v1\"", "\"v0\", \"v1\"", "*"];
         for (field, path) in fields.into_iter().zip(["/medals", "/welcome", "/day/3/"]) {
-            assert!(cold.fleet().member(0).peek(path).is_none(), "{path}");
+            assert!(cold.fleet().cache().peek(path).is_none(), "{path}");
             for (s, how) in [(&cold, "miss"), (&warm, "hit")] {
                 let resp = s.respond(0, &get_request(path, Some(field)));
                 assert_eq!(resp.status, nagano_httpd::Status::NotModified, "{how}");
@@ -752,42 +717,9 @@ mod tests {
     }
 
     #[test]
-    fn every_node_serves_its_own_version_after_a_shared_distribution() {
-        let s = site();
-        // A demand fill on node 1 alone: its entry now runs one version
-        // ahead of node 0's, and stays ahead through every distribution,
-        // which shares one body between them.
-        s.monitor().demand_fill(1, PageKey::Medals);
-        let ev = s.db().events()[0].clone();
-        let a = s.db().athletes_of_sport(ev.sport)[0].clone();
-        s.db().record_results(ev.id, &[(a.id, 9.0)], true, ev.day);
-        s.pump();
-        for (node, etag, other) in [(0, "\"v2\"", "\"v3\""), (1, "\"v3\"", "\"v2\"")] {
-            let cached = s.fleet().member(node).peek("/medals").unwrap();
-            let resp = s.respond(node, &get_request("/medals", None));
-            let mut wire = Vec::new();
-            resp.write_to(&mut wire, true).unwrap();
-            let split = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-            let head = std::str::from_utf8(&wire[..split]).unwrap();
-            assert!(
-                head.contains(&format!("ETag: {etag}\r\n")),
-                "node {node}: {head}"
-            );
-            let length = format!("Content-Length: {}\r\n", cached.body.len());
-            assert!(head.contains(&length), "node {node}: {head}");
-            assert_eq!(&wire[split..], &cached.body[..], "node {node}");
-            // The tag it served revalidates on this node; the other's not.
-            let resp = s.respond(node, &get_request("/medals", Some(etag)));
-            assert_eq!(resp.status, nagano_httpd::Status::NotModified);
-            let resp = s.respond(node, &get_request("/medals", Some(other)));
-            assert_eq!(resp.status, nagano_httpd::Status::Ok);
-        }
-    }
-
-    #[test]
     fn respond_reuses_cached_body_allocation() {
         let s = site();
-        let cached = s.fleet().member(0).peek("/medals").unwrap().body;
+        let cached = s.fleet().cache().peek("/medals").unwrap().body;
         let resp = s.respond(0, &get_request("/medals", None));
         assert_eq!(
             resp.body.as_ptr(),
@@ -805,29 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn recovered_node_rejoins_warm_and_consistent() {
-        let s = site();
-        // Node 1 "fails": loses its cache.
-        s.fleet().member(1).clear();
-        assert!(
-            !s.handle(1, "/medals").unwrap().cache_hit,
-            "cold after failure"
-        );
-        // Recovery resyncs from node 0.
-        let copied = s.recover_node(1);
-        assert_eq!(copied, s.registry().len());
-        let a = s.handle(0, "/day/3/").unwrap();
-        let b = s.handle(1, "/day/3/").unwrap();
-        assert!(b.cache_hit);
-        assert_eq!(a.body, b.body);
-        assert_eq!(a.version, b.version, "entity tags agree after resync");
-    }
-
-    #[test]
     fn metrics_track_activity() {
         let s = site();
-        s.handle(0, "/medals");
-        s.handle(0, "/medals");
+        s.handle("/medals");
+        s.handle("/medals");
         let m = s.metrics();
         assert_eq!(m.cache.hits, 2);
         assert_eq!(m.trigger.txns, 0);
@@ -839,17 +752,15 @@ mod tests {
         let s = site();
         let registry = MetricsRegistry::new();
         s.bind_telemetry(&registry, &[("site", "test")]);
-        s.handle(0, "/medals");
-        s.handle(0, "/medals");
-        let hits = registry.counter(
-            "nagano_cache_hits_total",
-            &[("site", "test"), ("node", "0")],
-        );
+        s.handle("/medals");
+        s.handle("/medals");
+        let hits = registry.counter("nagano_cache_hits_total", &[("site", "test")]);
         assert_eq!(hits.get(), 2);
         let text = prometheus_text(&registry);
-        assert!(text.contains("nagano_cache_hits_total{node=\"0\",site=\"test\"} 2"));
+        assert!(text.contains("nagano_cache_hits_total{site=\"test\"} 2"));
         assert!(text.contains("nagano_trigger_txns_total{site=\"test\"} 0"));
-        assert!(text.contains("nagano_cache_coalesced_total{node=\"1\",site=\"test\"} 0"));
+        assert!(text.contains("nagano_cache_coalesced_total{site=\"test\"} 0"));
+        assert!(!text.contains("node="), "{text}");
         // The site refuses a stale policy: a series of stale serves could
         // only read 0.
         assert!(!text.contains("nagano_cache_stale_served_total"), "{text}");
@@ -858,12 +769,17 @@ mod tests {
     #[test]
     fn status_json_reports_live_state() {
         let s = site();
-        s.handle(0, "/medals");
+        s.handle("/medals");
         let doc = s.status_json();
         assert!(doc.starts_with(&format!("{{\"pages\":{}", s.registry().len())));
         assert!(doc.contains("\"deferred_depth\":0"));
-        assert!(doc.contains("\"node\":0") && doc.contains("\"node\":1"));
-        assert!(doc.contains("\"hits\":1"));
+        let cache = s.fleet().cache();
+        let expected = format!(
+            "\"cache\":{{\"entries\":{},\"bytes\":{},\"hits\":1,\"misses\":0}}}}",
+            cache.len(),
+            cache.bytes()
+        );
+        assert!(doc.ends_with(&expected), "{doc}");
         // Deterministic: identical state, identical bytes.
         assert_eq!(doc, s.status_json());
     }
@@ -871,27 +787,27 @@ mod tests {
     #[test]
     fn followers_past_the_budget_without_a_tombstone_render_once() {
         let s = Arc::new(cold(SiteConfig::small()));
-        let member = Arc::clone(s.fleet().member(0));
-        let cold = member.stats();
+        let cache = Arc::clone(s.fleet().cache());
+        let cold = cache.stats();
         // A leader that outlives every follower's patience.
-        let FlightOutcome::Lead(token) = member.join_or_lead("/medals", Duration::from_secs(1))
+        let FlightOutcome::Lead(token) = cache.join_or_lead("/medals", Duration::from_secs(1))
         else {
             panic!("nothing was in flight");
         };
         let followers: Vec<_> = (0..4)
             .map(|_| {
                 let s = Arc::clone(&s);
-                std::thread::spawn(move || s.handle(0, "/medals").unwrap())
+                std::thread::spawn(move || s.handle("/medals").unwrap())
             })
             .collect();
         let pages: Vec<ServedPage> = followers
             .into_iter()
             .map(|t| blocking!(t.join()).unwrap())
             .collect();
-        member.complete_flight(token, None);
+        cache.complete_flight(token, None);
         // One follower led the replacement flight and the others joined
         // it: one render, so one insert at version 1 and no update.
-        let stats = member.stats();
+        let stats = cache.stats();
         let filled = (stats.inserts - cold.inserts, stats.updates - cold.updates);
         assert_eq!(filled, (1, 0), "{stats:?}");
         for page in pages {
@@ -918,7 +834,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         s.bind_telemetry(&registry, &[("site", "t")]);
         let server = s
-            .serve_admin_http("127.0.0.1:0", 0, registry, ServerConfig::default())
+            .serve_admin_http("127.0.0.1:0", registry, ServerConfig::default())
             .unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (code, body) = client.get("/medals").unwrap();

@@ -29,7 +29,7 @@
 //!
 //!   A page is keyed by its slot in the registry's page space
 //!   ([`nagano_pagegen::PageSpace`]) from there on: its vertex in the
-//!   graph, its registered dependency list, and its row in the fleet.
+//!   graph, its registered dependency list, and its entry in the cache.
 //! * [`runner`] — a background thread driving the monitor from a
 //!   transaction subscription (the live deployment shape).
 //! * [`stats`] — counters and freshness tracking (event recorded → page

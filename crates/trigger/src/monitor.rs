@@ -30,15 +30,15 @@ const DEFERRED_CAP: usize = 4096;
 pub struct TxnOutcome {
     /// Pages regenerated and distributed.
     pub regenerated: Vec<PageKey>,
-    /// How many of `regenerated` came out as other bytes than a serving
+    /// How many of `regenerated` came out as other bytes than the serving
     /// cache held: the rest were re-derived, found unchanged, and kept
-    /// their version on every node.
+    /// their version.
     pub changed: usize,
     /// How many of the others were not composed either: the renderer
     /// answered them from the revision stamps of what they read.
     pub revalidated: usize,
     /// How many of `regenerated` the renderer patched instead of composing:
-    /// it rewrote, in the body the fleet held, the spliced sections that
+    /// it rewrote, in the body the cache held, the spliced sections that
     /// had moved. Changed or not.
     pub patched: usize,
     /// Pages invalidated.
@@ -115,9 +115,8 @@ struct Regenerated {
     patched: usize,
 }
 
-/// One demand fill's result: the body now cached on the node that took
-/// the miss, the version that cache gave it, the registered dependencies
-/// and the modelled CPU spent.
+/// One demand fill's result: the body now cached, the version the cache
+/// gave it, the registered dependencies and the modelled CPU spent.
 #[derive(Debug, Clone)]
 pub struct DemandFill {
     /// The finished page body.
@@ -166,7 +165,7 @@ pub struct TriggerMonitor {
 
 impl TriggerMonitor {
     /// Build a monitor. `renderer` reads the site database; `fleet` is the
-    /// set of serving caches updates are distributed to.
+    /// serving cache updates are distributed to.
     pub fn new(
         renderer: Renderer,
         fleet: Arc<CacheFleet>,
@@ -207,7 +206,7 @@ impl TriggerMonitor {
         Arc::clone(&self.stats)
     }
 
-    /// The serving cache fleet.
+    /// The serving cache, as its distributor sees it.
     pub fn fleet(&self) -> &Arc<CacheFleet> {
         &self.fleet
     }
@@ -229,17 +228,17 @@ impl TriggerMonitor {
         self.graph.lock().dup.graph().snapshot()
     }
 
-    /// Render every registered page once, distribute it to the fleet, and
+    /// Render every registered page once, distribute it to the cache, and
     /// register its dependencies — the prefetch pass that lets the site
     /// start with a warm cache and a complete ODG. Static pages are
     /// preloaded too: the production site served them from the filesystem
     /// (i.e. the OS page cache); holding them in the serving cache is the
     /// equivalent steady state.
     ///
-    /// Every body goes to the whole fleet with the renderer's memo of it
+    /// Every body goes to the cache with the renderer's memo of it
     /// ([`Renderer::render_onto`]), so a page's first regeneration is
     /// answered by its stamps or patched like every later one. A bounded
-    /// fleet that evicts a page for a later one drops its memo with it.
+    /// cache that evicts a page for a later one drops its memo with it.
     ///
     /// Returns the number of pages warmed.
     pub fn prewarm(&self) -> usize {
@@ -256,8 +255,7 @@ impl TriggerMonitor {
         for (&(key, _), (out, memo)) in pages.iter().zip(rendered) {
             self.register_render(key, &out);
             if let Some(slot) = space.slot(key) {
-                self.fleet
-                    .distribute_with(slot, out.body, out.cost_ms, Some(memo));
+                self.fleet.distribute_with(slot, out.body, Some(memo));
             }
         }
         pages.len()
@@ -386,7 +384,7 @@ impl TriggerMonitor {
                 let mut saved_ms = 0.0;
                 for key in &stale {
                     saved_ms += self.regen_cost_ms(*key);
-                    self.invalidate_everywhere(*key);
+                    self.invalidate(*key);
                     self.mark_stale(*key, now);
                 }
                 self.stats.record_regen_saved(saved_ms);
@@ -419,7 +417,7 @@ impl TriggerMonitor {
                     if hot < threshold {
                         // Cold tail: drop it, save the render.
                         saved_ms += self.regen_cost_ms(key);
-                        self.invalidate_everywhere(key);
+                        self.invalidate(key);
                         self.mark_stale(key, now);
                         invalidated.push(key);
                     } else if budget.is_none_or(|b| planned_ms < b) {
@@ -452,10 +450,10 @@ impl TriggerMonitor {
         }
     }
 
-    /// Drop `key` from every serving cache, and its memo with it.
-    fn invalidate_everywhere(&self, key: PageKey) {
+    /// Drop `key` from the serving cache, and its memo with it.
+    fn invalidate(&self, key: PageKey) {
         if let Some(slot) = self.registry.space().slot(key) {
-            self.fleet.invalidate_everywhere(slot);
+            self.fleet.cache().invalidate(slot);
         }
     }
 
@@ -472,18 +470,18 @@ impl TriggerMonitor {
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
-    /// onto the body the fleet holds for it, and distribute it.
+    /// onto the body the cache holds for it, and distribute it.
     ///
-    /// A page's row keeps the renderer's memo of the body its members hold
-    /// for as long as one of them holds that allocation. One pass over the
-    /// rows ([`Renderer::answer_unmoved`]) visits each page once
-    /// ([`CacheFleet::answer_or_take`]): a registered page whose memo every
-    /// member holds and whose stamps all stand is answered there, and
-    /// rendered, registered and distributed not at all; from every other
-    /// the first member's body is taken, with the memo of it out of its
-    /// row. That page is then rendered onto that body and distributed with
-    /// the memo of what came out ([`CacheFleet::distribute_with`]), which
-    /// every member that holds those bytes keeps as it is. Adds the summed
+    /// A page's entry keeps the renderer's memo of its body for as long as
+    /// it holds that allocation. One pass over the entries
+    /// ([`Renderer::answer_unmoved`]) visits each page once
+    /// ([`CacheFleet::answer_or_take`]): a registered page with a memo
+    /// whose stamps all stand is answered there, and rendered, registered
+    /// and distributed not at all; from every other the body is taken,
+    /// with the memo of it out of its entry. That page is then rendered
+    /// onto that body and distributed with the memo of what came out
+    /// ([`CacheFleet::distribute_with`]), which an entry that holds those
+    /// bytes keeps as it is. Adds the summed
     /// modelled CPU to `nagano_trigger_regen_cpu_ms_total` and counts the
     /// keys whose bytes changed in `nagano_trigger_pages_changed_total`,
     /// the keys that were not composed in
@@ -540,9 +538,7 @@ impl TriggerMonitor {
             regen.revalidated += usize::from(out.revalidated);
             regen.patched += usize::from(out.patched);
             if let Some(slot) = slot {
-                let changed = self
-                    .fleet
-                    .distribute_with(slot, out.body, out.cost_ms, Some(memo));
+                let changed = self.fleet.distribute_with(slot, out.body, Some(memo));
                 regen.changed += usize::from(changed);
             }
         }
@@ -555,8 +551,8 @@ impl TriggerMonitor {
         regen
     }
 
-    /// Whether a regeneration may answer `key` from the memo in its row,
-    /// unmoved: every member holds its body, and the page is registered.
+    /// Whether a regeneration may answer `key` from the memo in its entry,
+    /// unmoved: the page is cached with a memo, and registered.
     pub fn remembers(&self, key: PageKey) -> bool {
         let Some(slot) = self.registry.space().slot(key) else {
             return false;
@@ -592,7 +588,7 @@ impl TriggerMonitor {
             }
             if queue.len() >= DEFERRED_CAP {
                 *saved_ms += self.regen_cost_ms(key);
-                self.invalidate_everywhere(key);
+                self.invalidate(key);
                 invalidated.push(key);
                 shed += 1;
             } else {
@@ -730,7 +726,7 @@ impl TriggerMonitor {
         for (key, meta) in self.registry.pages() {
             if meta.dynamic && sections.contains(key.category()) {
                 if let Some(slot) = space.slot(*key) {
-                    self.fleet.invalidate_everywhere(slot);
+                    self.fleet.cache().invalidate(slot);
                 }
                 invalidated.push(*key);
             }
@@ -780,7 +776,7 @@ impl TriggerMonitor {
         outcome
     }
 
-    /// Retire a page: drop it from every serving cache and remove its
+    /// Retire a page: drop it from the serving cache and remove its
     /// object vertex (with all incident edges) from the ODG, so future
     /// propagations no longer touch it. The production site retired
     /// CBS-feed fragments and per-day pages after the Games; "ODGs are
@@ -788,7 +784,7 @@ impl TriggerMonitor {
     ///
     /// Returns whether the page was known to the graph.
     pub fn retire_page(&self, key: PageKey) -> bool {
-        self.invalidate_everywhere(key);
+        self.invalidate(key);
         // A retired page is gone on purpose, not stale: drop any pending
         // mark or deferred regeneration.
         self.stale_since.lock().remove(&key);
@@ -820,18 +816,18 @@ impl TriggerMonitor {
     }
 
     /// Demand-miss path used by server programs: render `key`, register
-    /// its dependencies, and fill **one** serving cache (the node that
-    /// took the miss). A key with no slot is not a page of the site: it
-    /// is rendered, but neither registered nor cached (version 0).
-    pub fn demand_fill(&self, node: usize, key: PageKey) -> DemandFill {
+    /// its dependencies, and fill the serving cache. A key with no slot is
+    /// not a page of the site: it is rendered, but neither registered nor
+    /// cached (version 0).
+    pub fn demand_fill(&self, key: PageKey) -> DemandFill {
         let out = self.renderer.render(key);
         self.register_render(key, &out);
-        let version = self.registry.space().slot(key).map_or(0, |slot| {
-            self.fleet
-                .put_local(node, slot, out.body.clone(), out.cost_ms)
-        });
-        // The page is fresh again (at least where the miss landed); the
-        // staleness clock stops for it.
+        let version = self
+            .registry
+            .space()
+            .slot(key)
+            .map_or(0, |slot| self.fleet.cache().put(slot, out.body.clone()));
+        // The page is fresh again; the staleness clock stops for it.
         self.stale_since.lock().remove(&key);
         DemandFill {
             body: out.body,
@@ -851,20 +847,19 @@ mod tests {
     use nagano_simcore::SimDuration;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
-        setup_on(2, CacheConfig::default(), policy)
+        setup_on(CacheConfig::default(), policy)
     }
 
-    /// A monitor over a fleet of `members` caches of `config`, whose pages
-    /// the tests name by URL.
+    /// A monitor over a cache of `config`, whose pages the tests name by
+    /// URL.
     fn setup_on(
-        members: usize,
         config: CacheConfig,
         policy: ConsistencyPolicy,
     ) -> (Arc<OlympicDb>, TriggerMonitor) {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = CacheFleet::with_keys(members, config, crate::PageUrls::of(&registry));
+        let fleet = CacheFleet::with_keys(config, crate::PageUrls::of(&registry));
         let renderer = Renderer::new(Arc::clone(&db));
         let monitor = TriggerMonitor::new(renderer, Arc::new(fleet), registry, policy);
         (db, monitor)
@@ -885,9 +880,7 @@ mod tests {
         let (_db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         let warmed = monitor.prewarm();
         assert!(warmed > 50);
-        let fleet = monitor.fleet();
-        assert_eq!(fleet.member(0).len(), warmed);
-        assert_eq!(fleet.member(1).len(), warmed);
+        assert_eq!(monitor.fleet().cache().len(), warmed);
         let (nodes, edges) = monitor.graph_size();
         assert!(nodes > warmed, "graph has data + object nodes");
         assert!(edges > 0);
@@ -943,14 +936,14 @@ mod tests {
 
     #[test]
     fn prewarm_leaves_no_page_memo_for_a_page_the_fleet_evicted() {
-        // Two shards of two members, each a few pages' worth: prewarm
-        // evicts most of what it distributes.
+        // One shard, a few pages' worth: prewarm evicts most of what it
+        // distributes.
         let small = CacheConfig::bounded(60_000, ReplacementPolicy::Lru).with_shards(1);
-        let (db, monitor) = setup_on(2, small, ConsistencyPolicy::UpdateInPlace);
+        let (db, monitor) = setup_on(small, ConsistencyPolicy::UpdateInPlace);
         let warmed = monitor.prewarm();
         let registry = PageRegistry::build(&db, 16);
-        let member = monitor.fleet().member(0);
-        let held = |key: PageKey| member.peek(&key.to_url()).is_some();
+        let cache = monitor.fleet().cache();
+        let held = |key: PageKey| cache.peek(&key.to_url()).is_some();
         let (mut kept, mut evicted) = (0, 0);
         for &(key, _) in registry.pages() {
             assert_eq!(monitor.fleet().has_memo(&key.to_url()), held(key), "{key}");
@@ -972,7 +965,7 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        let before = monitor.fleet().member(0).peek(&url).unwrap();
+        let before = monitor.fleet().cache().peek(&url).unwrap();
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
@@ -983,12 +976,9 @@ mod tests {
         assert!(outcome.regenerated.contains(&PageKey::Home(ev.day)));
         assert!(outcome.invalidated.is_empty());
         // Cache entry was replaced in place with new content, not dropped.
-        let after = monitor.fleet().member(0).peek(&url).unwrap();
+        let after = monitor.fleet().cache().peek(&url).unwrap();
         assert!(after.version > before.version);
         assert_ne!(after.body, before.body);
-        // Both fleet members updated.
-        let after1 = monitor.fleet().member(1).peek(&url).unwrap();
-        assert_eq!(after1.body, after.body);
     }
 
     #[test]
@@ -1019,13 +1009,12 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        assert!(monitor.fleet().member(0).peek(&url).is_some());
+        assert!(monitor.fleet().cache().peek(&url).is_some());
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(outcome.regenerated.is_empty());
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
-        assert!(monitor.fleet().member(0).peek(&url).is_none());
-        assert!(monitor.fleet().member(1).peek(&url).is_none());
+        assert!(monitor.fleet().cache().peek(&url).is_none());
     }
 
     #[test]
@@ -1053,7 +1042,7 @@ mod tests {
         let untouched_event = db.events().last().unwrap().id;
         assert!(monitor
             .fleet()
-            .member(0)
+            .cache()
             .peek(&PageKey::Event(untouched_event).to_url())
             .is_none());
     }
@@ -1077,9 +1066,12 @@ mod tests {
     fn demand_fill_is_local_and_registers_deps() {
         let (db, monitor) = setup(ConsistencyPolicy::Invalidate);
         let key = PageKey::Event(db.events()[0].id);
-        monitor.demand_fill(0, key);
-        assert!(monitor.fleet().member(0).peek(&key.to_url()).is_some());
-        assert!(monitor.fleet().member(1).peek(&key.to_url()).is_none());
+        monitor.demand_fill(key);
+        assert!(monitor.fleet().cache().peek(&key.to_url()).is_some());
+        assert!(
+            !monitor.fleet().has_memo(&key.to_url()),
+            "a fill keeps no memo"
+        );
         let (nodes, edges) = monitor.graph_size();
         assert!(nodes >= 2 && edges >= 1);
     }
@@ -1088,20 +1080,20 @@ mod tests {
     fn demand_fill_reports_the_version_its_put_was_given() {
         // One shard that holds one page: whatever is put next evicts it.
         let one_page = CacheConfig::bounded(12_000, ReplacementPolicy::Lru).with_shards(1);
-        let (_db, monitor) = setup_on(1, one_page, ConsistencyPolicy::Invalidate);
+        let (_db, monitor) = setup_on(one_page, ConsistencyPolicy::Invalidate);
         let (medals, welcome) = (PageKey::Medals, PageKey::Welcome);
-        assert_eq!(monitor.demand_fill(0, medals).version, 1);
-        let fill = monitor.demand_fill(0, medals);
+        assert_eq!(monitor.demand_fill(medals).version, 1);
+        let fill = monitor.demand_fill(medals);
         assert_eq!(fill.version, 2, "a second fill updates the entry in place");
         // The put of another fill lands before anyone looks the first up:
         // a lookup now finds nothing to read a version from.
-        monitor.demand_fill(0, welcome);
-        let member = monitor.fleet().member(0);
-        assert!(member.peek(&medals.to_url()).is_none(), "evicted");
-        assert_eq!(member.peek(&welcome.to_url()).unwrap().version, 1);
+        monitor.demand_fill(welcome);
+        let cache = monitor.fleet().cache();
+        assert!(cache.peek(&medals.to_url()).is_none(), "evicted");
+        assert_eq!(cache.peek(&welcome.to_url()).unwrap().version, 1);
         // The page's later, genuine version 1 is another representation
         // than the one that was tagged 2.
-        assert_eq!(monitor.demand_fill(0, medals).version, 1);
+        assert_eq!(monitor.demand_fill(medals).version, 1);
     }
 
     #[test]
@@ -1112,7 +1104,7 @@ mod tests {
         let key = PageKey::Event(ev.id);
         let (nodes_before, edges_before) = monitor.graph_size();
         assert!(monitor.retire_page(key));
-        assert!(monitor.fleet().member(0).peek(&key.to_url()).is_none());
+        assert!(monitor.fleet().cache().peek(&key.to_url()).is_none());
         let (nodes_after, edges_after) = monitor.graph_size();
         assert_eq!(nodes_after, nodes_before - 1);
         assert!(edges_after < edges_before);
@@ -1120,7 +1112,7 @@ mod tests {
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(!outcome.regenerated.contains(&key));
-        assert!(monitor.fleet().member(0).peek(&key.to_url()).is_none());
+        assert!(monitor.fleet().cache().peek(&key.to_url()).is_none());
         // Other affected pages still regenerate.
         assert!(outcome.regenerated.contains(&PageKey::Medals));
         // Retiring again (or an unknown page) reports false.
@@ -1128,8 +1120,8 @@ mod tests {
         // A retired page can come back via a demand fill, which re-links
         // its dependencies — every one of them, although the page renders
         // to the dependency list it was last registered with.
-        monitor.demand_fill(0, key);
-        assert!(monitor.fleet().member(0).peek(&key.to_url()).is_some());
+        monitor.demand_fill(key);
+        assert!(monitor.fleet().cache().peek(&key.to_url()).is_some());
         assert_eq!(monitor.graph_size(), (nodes_before, edges_before));
         let txn = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let outcome = monitor.process_txn(&txn);
@@ -1148,10 +1140,10 @@ mod tests {
         // edge into every page that embeds it.
         let table = PageKey::Fragment(FragmentKey::MedalTable);
         assert!(monitor.retire_page(table));
-        monitor.demand_fill(0, table);
+        monitor.demand_fill(table);
         let ev = db.events()[0].clone();
         for page in [PageKey::Medals, PageKey::Home(ev.day)] {
-            monitor.demand_fill(0, page);
+            monitor.demand_fill(page);
         }
         assert_eq!(monitor.graph_size().0, before.0);
         // Every home page embeds the table; only two have been filled.
@@ -1178,7 +1170,7 @@ mod tests {
             PageKey::Home(ev.day),
         );
         assert!(monitor.retire_page(table));
-        monitor.demand_fill(0, table);
+        monitor.demand_fill(table);
         // A photo of the day's event marks its home page and moves none of
         // its stamps: without its record, the page is left out of the one
         // pass, and registers every edge it reads, the medal table's among
@@ -1213,19 +1205,17 @@ mod tests {
         PageKey::Country(off.id)
     }
 
-    /// Process the first event's final, which marks `key`, on a fleet that
-    /// no longer holds the page as the monitor left it, and check that every
-    /// member then holds a fresh render of it.
+    /// Process the first event's final, which marks `key`, on a cache that
+    /// no longer holds the page as the monitor left it, and check that it
+    /// then holds a fresh render of it.
     fn the_first_final_refreshes(db: &Arc<OlympicDb>, monitor: &TriggerMonitor, key: PageKey) {
         assert!(!monitor.remembers(key));
         let ev = db.events()[0].clone();
         let txn = db.record_results(ev.id, &podium(db, ev.id), true, ev.day);
         assert!(monitor.process_txn(&txn).regenerated.contains(&key));
         let fresh = Renderer::new(Arc::clone(db)).render(key).body;
-        for (i, member) in monitor.fleet().members().iter().enumerate() {
-            let held = member.peek(&key.to_url()).map(|p| p.body);
-            assert_eq!(held.as_ref(), Some(&fresh), "member {i}: {key}");
-        }
+        let held = monitor.fleet().cache().peek(&key.to_url()).map(|p| p.body);
+        assert_eq!(held.as_ref(), Some(&fresh), "{key}");
     }
 
     #[test]
@@ -1234,7 +1224,7 @@ mod tests {
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
         let other = Bytes::from_static(b"a fill of other bytes");
-        monitor.fleet().put_local(1, &key.to_url(), other, 1.0);
+        monitor.fleet().cache().put(&key.to_url(), other);
         the_first_final_refreshes(&db, &monitor, key);
     }
 
@@ -1243,11 +1233,11 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        let other = Bytes::from_static(b"a copy of other bytes");
-        monitor
-            .fleet()
-            .member(1)
-            .restore_entry(&key.to_url(), other, 1.0, 9);
+        // A copy of the very bytes held, put back: the memo was of the
+        // allocation it replaced.
+        let cache = monitor.fleet().cache();
+        let held = cache.peek_body(&key.to_url()).unwrap();
+        cache.put(&key.to_url(), Bytes::copy_from_slice(&held));
         the_first_final_refreshes(&db, &monitor, key);
     }
 
@@ -1256,7 +1246,7 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        assert_eq!(monitor.fleet().invalidate_everywhere(&key.to_url()), 2);
+        assert!(monitor.fleet().cache().invalidate(&key.to_url()));
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
     }
@@ -1267,21 +1257,20 @@ mod tests {
         // oversized pages below evict.
         const BUDGET: u64 = 64 << 20;
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
-        let (db, monitor) = setup_on(2, bounded, ConsistencyPolicy::UpdateInPlace);
+        let (db, monitor) = setup_on(bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         assert!(monitor.remembers(unmoved_by_the_first_final(&db)));
         let key = unmoved_by_the_first_final(&db);
         let (url, fleet) = (key.to_url(), monitor.fleet());
         // A page of a shard's whole budget evicts every other page of its
         // shard: distribute such pages until one lands in the page's.
-        let shards = (16 * 2) as u64;
-        let fill = Bytes::from(vec![0; (BUDGET / shards) as usize]);
+        let fill = Bytes::from(vec![0; (BUDGET / 16) as usize]);
         for n in 0.. {
             if fleet.distributed(&url).is_none() {
                 break;
             }
-            // Stories never filed: pages of the site no member holds.
-            fleet.distribute(&format!("/news/{}", 1_500 + n), fill.clone(), 1.0);
+            // Stories never filed: pages of the site the cache does not hold.
+            fleet.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None);
         }
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
@@ -1291,16 +1280,16 @@ mod tests {
     fn a_body_evicted_behind_the_monitors_back_is_freed() {
         const BUDGET: u64 = 64 << 20;
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
-        let (db, monitor) = setup_on(2, bounded, ConsistencyPolicy::UpdateInPlace);
+        let (db, monitor) = setup_on(bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let (url, fleet) = (unmoved_by_the_first_final(&db).to_url(), monitor.fleet());
         let evicted = fleet.distributed(&url).expect("prewarmed");
         // Oversized pages until one evicts it, as in the test above.
-        let fill = Bytes::from(vec![0; (BUDGET / (16 * 2)) as usize]);
+        let fill = Bytes::from(vec![0; (BUDGET / 16) as usize]);
         for n in (1_500..).take_while(|_| fleet.distributed(&url).is_some()) {
-            fleet.distribute(&format!("/news/{n}"), fill.clone(), 1.0);
+            fleet.distribute_with(&format!("/news/{n}"), fill.clone(), None);
         }
-        // No member holds it, nor does a memo of it anywhere: only this.
+        // The cache does not hold it, nor does a memo of it: only this.
         assert!(evicted.try_into_mut().is_ok(), "{url}: still held");
     }
 
@@ -1309,7 +1298,7 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        monitor.fleet().member(1).clear();
+        monitor.fleet().cache().clear();
         the_first_final_refreshes(&db, &monitor, key);
     }
 
@@ -1435,12 +1424,12 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        let before = monitor.fleet().member(0).peek(&url).unwrap();
+        let before = monitor.fleet().cache().peek(&url).unwrap();
         // The monitor processes t1, then "crashes"; t2 and t3 commit
         // while it is down.
         let t1 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         monitor.process_txn(&t1);
-        let after_t1 = monitor.fleet().member(0).peek(&url).unwrap();
+        let after_t1 = monitor.fleet().cache().peek(&url).unwrap();
         let t2 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let t3 = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         // Restart: replay the log tail. t1 is at the watermark and must
@@ -1448,7 +1437,7 @@ mod tests {
         let missed = vec![t1, t2, t3];
         let outcome = monitor.recover(&missed);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
-        let after = monitor.fleet().member(0).peek(&url).unwrap();
+        let after = monitor.fleet().cache().peek(&url).unwrap();
         assert!(after.version > after_t1.version, "page rewarmed");
         assert!(after.version > before.version);
         assert_eq!(monitor.watermark(), missed[2].id.0);
@@ -1468,23 +1457,23 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        assert!(monitor.fleet().member(0).peek(&url).is_some());
+        assert!(monitor.fleet().cache().peek(&url).is_some());
         // Commit while the monitor is down, then recover.
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.recover(&[txn]);
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(
-            monitor.fleet().member(0).peek(&url).is_none(),
+            monitor.fleet().cache().peek(&url).is_none(),
             "stale page must not survive recovery"
         );
     }
 
-    /// Drive enough traffic at `urls` (via fleet member 0) that they are
-    /// tracked hot as of minute 1.
+    /// Drive enough traffic at `urls` that they are tracked hot as of
+    /// minute 1.
     fn heat_pages(monitor: &TriggerMonitor, urls: &[String], hits: usize) {
         for url in urls {
             for _ in 0..hits {
-                monitor.fleet().get_from(0, url);
+                monitor.fleet().cache().get(url);
             }
         }
         monitor.fleet().fold_hotness(1);
@@ -1514,12 +1503,12 @@ mod tests {
         // Hot pages were replaced in place, never missing.
         assert!(monitor
             .fleet()
-            .member(0)
+            .cache()
             .peek(&PageKey::Event(ev.id).to_url())
             .is_some());
         // Cold pages are gone until demand refills them.
         let cold = outcome.invalidated[0];
-        assert!(monitor.fleet().member(0).peek(&cold.to_url()).is_none());
+        assert!(monitor.fleet().cache().peek(&cold.to_url()).is_none());
         let snap = monitor.stats().snapshot();
         assert!(snap.regen_cpu_ms > 0);
         assert!(snap.regen_saved_ms > 0, "cold invalidations save CPU");
@@ -1553,7 +1542,7 @@ mod tests {
         // Deferred pages keep serving stale bytes (update-in-place never
         // dropped them) and carry a stale mark.
         let parked = outcome.deferred[0];
-        assert!(monitor.fleet().member(0).peek(&parked.to_url()).is_some());
+        assert!(monitor.fleet().cache().peek(&parked.to_url()).is_some());
         monitor.observe_request(parked, now + SimDuration::from_mins(3));
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 1);
         // Ticking the drain clears the queue completely in finite time.
@@ -1616,7 +1605,7 @@ mod tests {
             snap.weighted_staleness_sum_secs
         );
         // A demand fill stops the clock.
-        monitor.demand_fill(0, key);
+        monitor.demand_fill(key);
         monitor.observe_request(key, t0 + SimDuration::from_mins(60));
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 2);
     }

@@ -78,8 +78,8 @@ pub struct TriggerStatsSnapshot {
     pub txns: u64,
     /// Pages regenerated and distributed (update-in-place path).
     pub pages_regenerated: u64,
-    /// Of those, the pages that came out as other bytes than a serving
-    /// cache held (the others kept their version on every node).
+    /// Of those, the pages that came out as other bytes than the serving
+    /// cache held (the others kept their version).
     pub pages_changed: u64,
     /// Of the others, the pages that were not even composed: every
     /// revision stamp their last render read under stood where it stood.

@@ -38,7 +38,7 @@ fn main() {
     };
     let server = Server::bind_with_observer(
         "127.0.0.1:0",
-        site.http_handler(0),
+        site.http_handler(),
         ServerConfig::default(),
         Some(observer),
     )

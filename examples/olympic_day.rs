@@ -54,7 +54,7 @@ fn main() {
         let n = model.sample_minute_count(t, &mut rng);
         for _ in 0..n {
             let req = model.sample_request(t, &mut rng);
-            if site.handle(0, &req.page.to_url()).is_some() {
+            if site.handle(&req.page.to_url()).is_some() {
                 served += 1;
             }
         }
@@ -79,7 +79,7 @@ fn main() {
     );
 
     // Show the final medal table as clients saw it.
-    let medals = site.handle(0, &PageKey::Medals.to_url()).unwrap();
+    let medals = site.handle(&PageKey::Medals.to_url()).unwrap();
     println!(
         "\n/medals is a cache {} ({} bytes) — standings held in cache all day, always fresh",
         if medals.cache_hit { "HIT" } else { "MISS" },

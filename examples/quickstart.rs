@@ -12,15 +12,12 @@ fn main() {
     println!("== nagano quickstart ==\n");
 
     // 1. Build the site: seed a synthetic Games, render every page,
-    //    register the object dependence graph, warm the caches.
+    //    register the object dependence graph, warm the cache.
     let site = Arc::new(nagano::ServingSite::build(SiteConfig::small()));
     let m = site.metrics();
     println!(
-        "site built: {} pages, ODG {} nodes / {} edges, {} bytes cached per node",
-        m.pages,
-        m.odg.0,
-        m.odg.1,
-        m.cache.bytes_current / site.fleet().len() as u64,
+        "site built: {} pages, ODG {} nodes / {} edges, {} bytes cached",
+        m.pages, m.odg.0, m.odg.1, m.cache.bytes_current,
     );
 
     // 2. Serve it over real HTTP.

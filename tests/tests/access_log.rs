@@ -27,7 +27,7 @@ fn logged_server(site: &Arc<ServingSite>) -> (Server, Log) {
     };
     let server = Server::bind_with_observer(
         "127.0.0.1:0",
-        site.http_handler(0),
+        site.http_handler(),
         ServerConfig::default(),
         Some(observer),
     )
@@ -85,7 +85,7 @@ fn an_invalidated_page_is_served_fresh_and_logged_plain() {
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let (code, before) = client.get("/medals").unwrap();
     assert_eq!(code, 200);
-    site.fleet().invalidate_everywhere("/medals");
+    site.fleet().cache().invalidate("/medals");
     let renders = site.metrics().cache.inserts;
     let (code, after) = client.get("/medals").unwrap();
     assert_eq!(

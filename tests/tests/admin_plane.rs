@@ -22,7 +22,7 @@ fn metrics_and_status_scrape_over_tcp_mid_run() {
     let registry = Arc::new(MetricsRegistry::new());
     site.bind_telemetry(&registry, &[("site", "tokyo")]);
     let server = site
-        .serve_admin_http("127.0.0.1:0", 0, registry, ServerConfig::default())
+        .serve_admin_http("127.0.0.1:0", registry, ServerConfig::default())
         .unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
@@ -56,7 +56,7 @@ fn metrics_and_status_scrape_over_tcp_mid_run() {
     }
     assert!(parsed > 10, "expected a real scrape, got {parsed} samples");
     assert!(text.contains("nagano_trigger_txns_total{site=\"tokyo\"} 1"));
-    assert!(text.contains("nagano_cache_hits_total{node=\"0\",site=\"tokyo\"}"));
+    assert!(text.contains("nagano_cache_hits_total{site=\"tokyo\"} 2"));
     assert!(text.contains("nagano_httpd_admin_scrapes_total 1"));
 
     // /status: the JSON document tracks the same run.
@@ -64,11 +64,11 @@ fn metrics_and_status_scrape_over_tcp_mid_run() {
     assert_eq!(code, 200);
     let doc = String::from_utf8(body.to_vec()).unwrap();
     assert!(doc.starts_with("{\"pages\":"), "{doc}");
-    assert!(doc.ends_with("]}"), "{doc}");
+    assert!(doc.ends_with("\"hits\":2,\"misses\":0}}"), "{doc}");
     assert!(doc.contains("\"txns\":1"), "{doc}");
     assert!(doc.contains("\"watermark\":1"), "{doc}");
     assert!(doc.contains("\"deferred_depth\":0"), "{doc}");
-    assert!(doc.contains("\"node\":1"), "{doc}");
+    assert!(doc.contains("\"cache\":{\"entries\":"), "{doc}");
 
     // /healthz: liveness while all of the above was in flight.
     let (code, body) = client.get("/healthz").unwrap();

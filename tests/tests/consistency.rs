@@ -20,8 +20,8 @@ use nagano_trigger::ConsistencyPolicy;
 enum Op {
     /// Record results for event index `e` (mod events), `final` flag.
     Results(u8, bool),
-    /// Serve some pages from node `n`.
-    Browse(u8),
+    /// Serve some pages.
+    Browse,
     /// Process pending transactions.
     Pump,
     /// Publish a news story.
@@ -31,7 +31,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..12u8, any::<bool>()).prop_map(|(e, f)| Op::Results(e, f)),
-        (0..2u8).prop_map(Op::Browse),
+        Just(Op::Browse),
         Just(Op::Pump),
         (0..20u8).prop_map(Op::News),
     ]
@@ -58,7 +58,7 @@ fn check_consistency(site: &ServingSite) {
         .take(40)
         .collect();
     for key in probes {
-        if let Some(cached) = site.fleet().member(0).peek(&key.to_url()) {
+        if let Some(cached) = site.fleet().cache().peek(&key.to_url()) {
             let fresh = renderer.render(key);
             assert_eq!(
                 cached.body, fresh.body,
@@ -87,13 +87,13 @@ fn run_scenario(policy: ConsistencyPolicy, ops: &[Op]) {
                 site.db()
                     .record_results(ev.id, &placements, *is_final, ev.day);
             }
-            Op::Browse(node) => {
+            Op::Browse => {
                 for key in [
                     PageKey::Medals,
                     PageKey::Home(3),
                     PageKey::Event(events[0].id),
                 ] {
-                    site.handle(*node as usize, &key.to_url());
+                    site.handle(&key.to_url());
                 }
             }
             Op::Pump => {
@@ -160,7 +160,7 @@ fn hit_rate_ordering_matches_the_paper() {
                     2 => PageKey::Event(events[(i % 8) as usize].id),
                     _ => PageKey::Athlete(nagano_db::AthleteId(i % 20 + 1)),
                 };
-                site.handle(0, &key.to_url());
+                site.handle(&key.to_url());
             }
             let ev = &events[(round % 8) as usize];
             let pool = site.db().athletes_of_sport(ev.sport);

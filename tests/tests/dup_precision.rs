@@ -25,7 +25,6 @@ fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
         Arc::new(CacheFleet::with_keys(
-            2,
             CacheConfig::default(),
             PageUrls::of(&registry),
         )),
@@ -81,7 +80,7 @@ fn single_result_txn_rerenders_exactly_one_fragment() {
     assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
     let cached = monitor
         .fleet()
-        .member(0)
+        .cache()
         .peek(&PageKey::Event(ev.id).to_url())
         .unwrap();
     assert_eq!(
@@ -129,7 +128,7 @@ fn medal_table_shared_by_many_pages_renders_once() {
     // And the fan-out still serves fresh standings everywhere.
     let fresh = Renderer::new(Arc::clone(&db));
     for key in [PageKey::Medals, PageKey::Home(ev.day)] {
-        let cached = monitor.fleet().member(0).peek(&key.to_url()).unwrap();
+        let cached = monitor.fleet().cache().peek(&key.to_url()).unwrap();
         assert_eq!(cached.body, fresh.render(key).body, "{key:?}");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nagano::{ServingSite, SiteConfig};
 use nagano_db::AthleteId;
 use nagano_httpd::{HttpClient, ServerConfig};
-use nagano_pagegen::PageKey;
+use nagano_pagegen::{PageKey, Renderer};
 
 fn podium(site: &ServingSite, event: nagano_db::EventId) -> Vec<(AthleteId, f64)> {
     let ev = site.db().event(event).unwrap();
@@ -86,17 +86,23 @@ fn all_fleet_nodes_serve_identical_content_after_updates() {
     site.db()
         .record_results(ev.id, &podium(&site, ev.id), true, ev.day);
     site.pump();
-    // Both serving nodes hold the same bytes for every affected page.
+    // The site is one serving node: what it serves, and what every member
+    // the fleet lists holds, is a fresh render of every affected page.
+    let renderer = Renderer::new(Arc::clone(site.db()));
     for key in [
         PageKey::Event(ev.id),
         PageKey::Medals,
         PageKey::Home(ev.day),
         PageKey::Sport(ev.sport),
     ] {
-        let a = site.handle(0, &key.to_url()).unwrap();
-        let b = site.handle(1, &key.to_url()).unwrap();
-        assert!(a.cache_hit && b.cache_hit, "{key}");
-        assert_eq!(a.body, b.body, "{key}: fleet members diverged");
+        let fresh = renderer.render(key).body;
+        let served = site.handle(&key.to_url()).unwrap();
+        assert!(served.cache_hit, "{key}");
+        assert_eq!(served.body, fresh, "{key}: served stale");
+        for member in site.fleet().members() {
+            let held = member.peek(&key.to_url()).unwrap().body;
+            assert_eq!(held, fresh, "{key}: a member diverged");
+        }
     }
 }
 
@@ -106,7 +112,7 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
     let runner = site.spawn_trigger_runner();
     let ev = site.db().events()[2].clone();
     let url = PageKey::Event(ev.id).to_url();
-    let v0 = site.fleet().member(0).peek(&url).unwrap().version;
+    let v0 = site.fleet().cache().peek(&url).unwrap().version;
     for round in 0..5 {
         site.db()
             .record_results(ev.id, &podium(&site, ev.id), round == 4, ev.day);
@@ -117,7 +123,7 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
     // once per database state the runner derived it from — five if it
     // kept up, fewer if it trailed: a transaction processed after a later
     // one committed reproduces the cached bytes and keeps the version.
-    let cached = site.fleet().member(0).peek(&url).unwrap();
+    let cached = site.fleet().cache().peek(&url).unwrap();
     assert!(
         (v0 + 1..=v0 + 5).contains(&cached.version),
         "version {v0} -> {}",
@@ -130,7 +136,7 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
     );
     // Final results awarded medals; the standings page shows a country
     // with gold.
-    let medals = site.handle(0, "/medals").unwrap();
+    let medals = site.handle("/medals").unwrap();
     assert!(medals.cache_hit);
     let standings = site.db().medal_standings();
     assert!(standings[0].1.gold >= 1);
@@ -147,10 +153,10 @@ fn invalidation_policy_serves_fresh_content_via_demand_miss() {
         .record_results(ev.id, &podium(&site, ev.id), true, ev.day);
     site.pump();
     // Page was dropped; the next request regenerates it fresh.
-    let served = site.handle(0, &url).unwrap();
+    let served = site.handle(&url).unwrap();
     assert!(!served.cache_hit);
     let html = String::from_utf8(served.body.to_vec()).unwrap();
     assert!(html.contains("<table class=\"results\">"));
     // And it is cached again afterwards.
-    assert!(site.handle(0, &url).unwrap().cache_hit);
+    assert!(site.handle(&url).unwrap().cache_hit);
 }

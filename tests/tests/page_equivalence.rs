@@ -6,8 +6,8 @@
 //! of that may change a single served byte. The property: for an
 //! arbitrary seed and transaction prefix — result batches, news stories
 //! (new, and re-published under their id on another day), photos — after
-//! *each* transaction the monitor processes, every entry of every fleet
-//! member is byte-identical to what a fresh `Renderer` makes of the
+//! *each* transaction the monitor processes, every entry of the serving
+//! cache is byte-identical to what a fresh `Renderer` makes of the
 //! database. Under update-in-place every registered page is there to be
 //! compared; under invalidation every entry still present is. A page DUP
 //! failed to mark, an edge a regeneration failed to register, a memoised
@@ -65,19 +65,19 @@ fn fresh_db() -> Arc<OlympicDb> {
     seeded_db(&GamesConfig::small())
 }
 
-/// A prewarmed monitor over `db` with a two-member fleet.
+/// A prewarmed monitor over `db`.
 fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
     monitor_on(db, CacheConfig::default(), policy)
 }
 
-/// A prewarmed monitor over `db` with a two-member fleet of `config`.
+/// A prewarmed monitor over `db` with a cache of `config`.
 fn monitor_on(
     db: &Arc<OlympicDb>,
     config: CacheConfig,
     policy: ConsistencyPolicy,
 ) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
-    let fleet = CacheFleet::with_keys(2, config, PageUrls::of(&registry));
+    let fleet = CacheFleet::with_keys(config, PageUrls::of(&registry));
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(db)),
         Arc::new(fleet),
@@ -140,10 +140,10 @@ fn next_txn(
     }
 }
 
-/// Every entry of every member of `monitor`'s fleet is what a renderer
-/// that has rendered nothing before makes of `db` now; with
-/// `never_missing` (update-in-place) every registered page is an entry.
-/// Returns the number of entries compared.
+/// Every entry of `monitor`'s cache is what a renderer that has rendered
+/// nothing before makes of `db` now; with `never_missing`
+/// (update-in-place) every registered page is an entry. Returns the
+/// number of entries compared.
 fn assert_cache_is_fresh(
     monitor: &TriggerMonitor,
     db: &Arc<OlympicDb>,
@@ -151,40 +151,20 @@ fn assert_cache_is_fresh(
     at: &str,
 ) -> usize {
     let fresh = Renderer::new(Arc::clone(db));
-    // The cached body last found fresh, by url: members share one
-    // allocation per distributed page, so all but the first are as a
-    // rule compared by address.
-    let mut found_fresh: BTreeMap<String, Bytes> = BTreeMap::new();
-    let mut compared = 0;
-    for (node, member) in monitor.fleet().members().iter().enumerate() {
-        if let Some(registry) = never_missing {
-            assert_eq!(
-                member.len(),
-                registry.len(),
-                "{at}: node {node}: pages missing"
-            );
-        }
-        for (url, body, _cost, _version) in member.export_entries() {
-            compared += 1;
-            if found_fresh
-                .get(&url)
-                .is_some_and(|seen| seen.as_ptr() == body.as_ptr())
-            {
-                continue;
-            }
-            let key = PageKey::parse(&url).unwrap_or_else(|| panic!("{at}: cached key {url}"));
-            assert!(
-                body == fresh.render(key).body,
-                "{at}: node {node}: {key} is stale"
-            );
-            found_fresh.insert(url, body);
-        }
+    let cache = monitor.fleet().cache();
+    if let Some(registry) = never_missing {
+        assert_eq!(cache.len(), registry.len(), "{at}: pages missing");
     }
-    compared
+    let entries = cache.export_entries();
+    for (url, body, _cost, _version) in &entries {
+        let key = PageKey::parse(url).unwrap_or_else(|| panic!("{at}: cached key {url}"));
+        assert!(*body == fresh.render(key).body, "{at}: {key} is stale");
+    }
+    entries.len()
 }
 
 /// The core property: commit a transaction, process it, and find nothing
-/// stale in any serving cache — `n` times over. With `batched`, the whole
+/// stale in the serving cache — `n` times over. With `batched`, the whole
 /// prefix is committed first and processed as one batch (one propagation
 /// over the union of the changes, as a recovering monitor does).
 fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batched: bool) {
@@ -217,17 +197,17 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
 /// every final, news — replayed on a site of `games` dimensions the way
 /// the benchmark's `update_storm` replays it (commit, then process), with
 /// nothing stale after any update ([`replay_schedule`]) and nothing but the
-/// monitor's distributions writing to the fleet, so that the row of every
-/// page held keeps the memo of the body every member holds. Returns
-/// (updates, pages regenerated, pages that came out as other bytes, pages
-/// answered from their stamps, pages patched, the fleet digest): the
-/// digest is FNV-1a-64 over member 0's entries after the replay, sorted by
-/// url, each as url, body and version (8 bytes, little-endian).
+/// monitor's distributions writing to the cache, so that the entry of
+/// every page held keeps the memo of its body. Returns (updates, pages
+/// regenerated, pages that came out as other bytes, pages answered from
+/// their stamps, pages patched, the fleet digest): the digest is
+/// FNV-1a-64 over the cache's entries after the replay, sorted by url,
+/// each as url, body and version (8 bytes, little-endian).
 fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let replay = replay_schedule(&db, &monitor, seed, true, |_| {});
-    let held = monitor.fleet().member(0).export_entries();
+    let held = monitor.fleet().cache().export_entries();
     let remembered =
         |(url, ..): &(String, _, _, _)| monitor.remembers(PageKey::parse(url).unwrap());
     assert!(held.iter().all(remembered), "schedule seed {seed}");
@@ -236,7 +216,7 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
 
 /// Replay the schedule of seed `seed` on `monitor`'s site, calling
 /// `disturb` with an update's index before the update is committed. After
-/// every update, every body a member holds is a fresh render; with
+/// every update, every body the cache holds is a fresh render; with
 /// `complete`, every registered page is held.
 fn replay_schedule(
     db: &Arc<OlympicDb>,
@@ -272,7 +252,7 @@ fn replay_schedule(
         ),
         (changed as u64, revalidated as u64, patched as u64)
     );
-    let mut entries = monitor.fleet().member(0).export_entries();
+    let mut entries = monitor.fleet().cache().export_entries();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for (url, body, _cost, version) in &entries {
@@ -308,7 +288,7 @@ fn check_category(
     let fresh = Renderer::new(Arc::clone(db));
     let mut compared = 0usize;
     let mut updated = 0usize;
-    for (url, body, _cost, version) in monitor.fleet().member(0).export_entries() {
+    for (url, body, _cost, version) in monitor.fleet().cache().export_entries() {
         if prefixes.iter().any(|p| url.starts_with(p)) {
             let key = PageKey::parse(&url).unwrap();
             assert_eq!(
@@ -868,7 +848,7 @@ fn a_standings_move_off_the_medal_table_is_patched_back_to_the_held_body() {
         .map(PageKey::Home)
         .chain([PageKey::Medals, PageKey::Fragment(FragmentKey::MedalTable)])
         .collect();
-    let entry = |key: PageKey| fleet.member(0).peek(&key.to_url()).unwrap();
+    let entry = |key: PageKey| fleet.cache().peek(&key.to_url()).unwrap();
     let table = || db.medal_standings()[..15].to_vec();
     let rows = table();
     let off_table_final = |medallists| db.record_results(ev.id, &podium(medallists), true, ev.day);
@@ -1285,18 +1265,18 @@ fn the_monitors_graph_is_the_graph_of_every_pages_dependency_text() {
     assert!(named.monitors(&monitor, &space) == after, "after the Games");
 }
 
-/// The ways a fleet comes to hold other than what the monitor last
+/// The ways the cache comes to hold other than what the monitor last
 /// distributed, taken in turn by the disturbed replay.
 #[derive(Debug, Clone, Copy)]
 enum Disturbance {
-    /// A demand fill of one page on one member.
-    LocalFill,
-    /// An oversized fill that evicts every other page of its shard on one
-    /// member, invalidated again.
+    /// A demand fill of one page.
+    DemandFill,
+    /// An oversized fill that evicts every other page of its shard,
+    /// invalidated again.
     Eviction,
-    /// One member cleared and resynchronised from the other.
-    ClearAndResync,
-    /// One page invalidated on every member.
+    /// The cache cleared, as a serving node's cold restart.
+    Clear,
+    /// One page invalidated.
     Invalidation,
     /// A fragment retired, and demand-filled again with every page that
     /// embeds it, which registers their edges anew.
@@ -1305,19 +1285,18 @@ enum Disturbance {
 
 #[test]
 fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet() {
-    // The full replay, with the fleet disturbed behind the monitor's back
-    // every eight updates from the eighth on: from there a row must keep
-    // its memo no longer than some member holds the body it is of, and the
-    // pages a retired fragment fed must stay out of the one pass until
-    // they register anew, or a regeneration answers them from a memo not
-    // every member holds, or unregistered (DESIGN.md §14a, "Page
-    // freshness").
+    // The full replay, with the cache disturbed behind the monitor's back
+    // every eight updates from the eighth on: from there an entry must
+    // keep its memo no longer than it holds the body the memo is of, and
+    // the pages a retired fragment fed must stay out of the one pass until
+    // they register anew, or a regeneration answers them from a memo of
+    // other bytes, or unregistered (DESIGN.md §14a, "Page freshness").
     const EVERY: usize = 8;
     const SHARDS: usize = 16;
     const KINDS: [Disturbance; 5] = [
-        Disturbance::LocalFill,
+        Disturbance::DemandFill,
         Disturbance::Eviction,
-        Disturbance::ClearAndResync,
+        Disturbance::Clear,
         Disturbance::Invalidation,
         Disturbance::Retirement,
     ];
@@ -1333,10 +1312,8 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
         .sum::<u64>();
     let config = CacheConfig::bounded(budget, ReplacementPolicy::Lru).with_shards(SHARDS);
     let monitor = monitor_on(&db, config, ConsistencyPolicy::UpdateInPlace);
-    let fleet = Arc::clone(monitor.fleet());
-    let members = fleet.members().len();
-    let shards = (SHARDS * members).next_power_of_two() as u64;
-    let fill = Bytes::from(vec![b'x'; (budget / shards) as usize]);
+    let cache = Arc::clone(monitor.fleet().cache());
+    let fill = Bytes::from(vec![b'x'; (budget / SHARDS as u64) as usize]);
     let pages: Vec<PageKey> = registry.pages().iter().map(|&(k, _)| k).collect();
     let fragments: Vec<PageKey> = pages
         .iter()
@@ -1351,29 +1328,23 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
         }
         let kind = (i / EVERY) % KINDS.len();
         seen[kind] += 1;
-        let node = rng.index(members);
         match KINDS[kind] {
-            Disturbance::LocalFill => {
-                monitor.demand_fill(node, pages[rng.index(pages.len())]);
+            Disturbance::DemandFill => {
+                monitor.demand_fill(pages[rng.index(pages.len())]);
             }
             Disturbance::Eviction => {
-                // A story never filed: a page of the site no member holds.
+                // A story never filed: a page of the site the cache does
+                // not hold.
                 let junk = format!("/news/{}", 1_500 + i);
-                let before = fleet.member(node).len();
-                fleet.put_local(node, &junk, fill.clone(), 1.0);
-                assert!(fleet.member(node).invalidate(&junk));
-                assert!(
-                    fleet.member(node).len() < before,
-                    "update {i}: nothing evicted"
-                );
+                let before = cache.len();
+                cache.put(&junk, fill.clone());
+                assert!(cache.invalidate(&junk));
+                assert!(cache.len() < before, "update {i}: nothing evicted");
             }
-            Disturbance::ClearAndResync => {
-                fleet.member(node).clear();
-                fleet.resync(1 - node, node);
-            }
+            Disturbance::Clear => cache.clear(),
             Disturbance::Invalidation => {
                 let key = pages[rng.index(pages.len())];
-                fleet.invalidate_everywhere(&key.to_url());
+                cache.invalidate(&key.to_url());
             }
             Disturbance::Retirement => {
                 let fragment = fragments[rng.index(fragments.len())];
@@ -1391,7 +1362,7 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
                 assert!(monitor.retire_page(fragment), "update {i}: {fragment}");
                 for key in [fragment].into_iter().chain(embedders) {
                     assert!(!monitor.remembers(key), "update {i}: {key}");
-                    monitor.demand_fill(node, key);
+                    monitor.demand_fill(key);
                 }
             }
         }

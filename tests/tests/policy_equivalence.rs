@@ -24,11 +24,11 @@ fn fresh_db() -> Arc<OlympicDb> {
     db
 }
 
-/// A prewarmed monitor over `db` with a two-member fleet.
+/// A prewarmed monitor over `db`.
 fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
     let urls = PageUrls::of(&registry);
-    let fleet = Arc::new(CacheFleet::with_keys(2, CacheConfig::default(), urls));
+    let fleet = Arc::new(CacheFleet::with_keys(CacheConfig::default(), urls));
     let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), fleet, registry, policy);
     monitor.prewarm();
     monitor
@@ -59,11 +59,11 @@ fn generate_txns(
         .collect()
 }
 
-/// Canonical cache view of fleet member `member`: url → (body, version).
-fn cache_state(monitor: &TriggerMonitor, member: usize) -> BTreeMap<String, (Vec<u8>, u64)> {
+/// Canonical view of the monitor's cache: url → (body, version).
+fn cache_state(monitor: &TriggerMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
     monitor
         .fleet()
-        .member(member)
+        .cache()
         .export_entries()
         .into_iter()
         .map(|(key, body, _cost, version)| (key, (body.to_vec(), version)))
@@ -73,10 +73,10 @@ fn cache_state(monitor: &TriggerMonitor, member: usize) -> BTreeMap<String, (Vec
 /// Like [`cache_state`] but without versions — batch coalescing is
 /// allowed to regenerate a page fewer times than sequential processing,
 /// so only keys and bodies must agree.
-fn cache_contents(monitor: &TriggerMonitor, member: usize) -> BTreeMap<String, Vec<u8>> {
+fn cache_contents(monitor: &TriggerMonitor) -> BTreeMap<String, Vec<u8>> {
     monitor
         .fleet()
-        .member(member)
+        .cache()
         .export_entries()
         .into_iter()
         .map(|(key, body, _cost, _version)| (key, body.to_vec()))
@@ -137,13 +137,11 @@ fn check_degenerate_equivalence(
         0,
         "degenerate hybrid must never defer"
     );
-    for member in 0..2 {
-        assert_eq!(
-            cache_state(&hybrid_monitor, member),
-            cache_state(&pure_monitor, member),
-            "member {member}: final cache state diverges ({hybrid:?} vs {pure:?})"
-        );
-    }
+    assert_eq!(
+        cache_state(&hybrid_monitor),
+        cache_state(&pure_monitor),
+        "final cache state diverges ({hybrid:?} vs {pure:?})"
+    );
 }
 
 /// Hybrid with everything hot and no budget regenerates exactly what
@@ -167,9 +165,7 @@ fn check_hybrid_full_hot_is_update_in_place(seed: u64, n: usize) {
         assert!(h.invalidated.is_empty(), "txn {i}: full-hot invalidated");
         assert!(h.deferred.is_empty(), "txn {i}: unbounded budget deferred");
     }
-    for member in 0..2 {
-        assert_eq!(cache_state(&hybrid, member), cache_state(&uip, member));
-    }
+    assert_eq!(cache_state(&hybrid), cache_state(&uip));
 }
 
 /// Hybrid with everything cold invalidates exactly what `Invalidate`
@@ -192,9 +188,7 @@ fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
         assert!(h.regenerated.is_empty(), "txn {i}: full-cold regenerated");
         assert!(h.deferred.is_empty(), "txn {i}: full-cold deferred");
     }
-    for member in 0..2 {
-        assert_eq!(cache_state(&hybrid, member), cache_state(&inv, member));
-    }
+    assert_eq!(cache_state(&hybrid), cache_state(&inv));
 }
 
 /// Give a monitor's hotness tracker a deterministic traffic profile so a
@@ -202,7 +196,7 @@ fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
 fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
     let keys: Vec<String> = monitor
         .fleet()
-        .member(0)
+        .cache()
         .export_entries()
         .into_iter()
         .map(|(key, ..)| key)
@@ -263,13 +257,11 @@ fn check_batch_matches_sequential(seed: u64, n: usize) {
                 assert!(guard < 100_000, "deferred queue failed to drain");
             }
         }
-        for member in 0..2 {
-            assert_eq!(
-                cache_contents(&batched, member),
-                cache_contents(&sequential, member),
-                "member {member}: batch vs sequential state diverges under {policy:?}"
-            );
-        }
+        assert_eq!(
+            cache_contents(&batched),
+            cache_contents(&sequential),
+            "batch vs sequential state diverges under {policy:?}"
+        );
     }
 }
 

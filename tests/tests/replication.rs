@@ -17,7 +17,7 @@ struct SiteUnderTest {
 impl SiteUnderTest {
     fn new(replica: Replica, registry: Arc<PageRegistry>) -> Self {
         let urls = PageUrls::of(&registry);
-        let fleet = Arc::new(CacheFleet::with_keys(1, CacheConfig::default(), urls));
+        let fleet = Arc::new(CacheFleet::with_keys(CacheConfig::default(), urls));
         let monitor = TriggerMonitor::new(
             Renderer::new(Arc::clone(replica.db())),
             fleet,
@@ -47,7 +47,7 @@ impl SiteUnderTest {
     fn page_version(&self, key: PageKey) -> u64 {
         self.monitor
             .fleet()
-            .member(0)
+            .cache()
             .peek(&key.to_url())
             .map(|p| p.version)
             .unwrap_or(0)
@@ -98,19 +98,19 @@ fn updates_propagate_down_the_chain_in_order() {
     let a = schaumburg
         .monitor
         .fleet()
-        .member(0)
+        .cache()
         .peek(&event_page.to_url())
         .unwrap();
     let b = columbus
         .monitor
         .fleet()
-        .member(0)
+        .cache()
         .peek(&event_page.to_url())
         .unwrap();
     let c = tokyo
         .monitor
         .fleet()
-        .member(0)
+        .cache()
         .peek(&event_page.to_url())
         .unwrap();
     assert_eq!(a.body, b.body);

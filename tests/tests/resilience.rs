@@ -39,7 +39,7 @@ fn stampede_round(cache: &Arc<PageCache>, key: u32, followers: usize, fresh: &st
         .collect();
     // Let followers attach, then render once and publish.
     blocking!(thread::sleep(Duration::from_millis(10)));
-    cache.put(key, Bytes::copy_from_slice(fresh.as_bytes()), 1.0);
+    cache.put(key, Bytes::copy_from_slice(fresh.as_bytes()));
     let page = cache.peek(key).expect("leader just inserted the body");
     cache.complete_flight(token, Some(page));
     let renders = 1usize;
@@ -150,7 +150,7 @@ fn stale_copies_respect_the_age_bound() {
     const MEDALS: u32 = 48;
     let cache = PageCache::new(CacheConfig::default().with_stale(StalePolicy::bounded(60.0)));
     cache.set_now_secs(0.0);
-    cache.put(MEDALS, Bytes::from_static(b"gold: 1"), 1.0);
+    cache.put(MEDALS, Bytes::from_static(b"gold: 1"));
     cache.invalidate(MEDALS);
     cache.set_now_secs(59.0);
     let copy = cache.serve_stale(MEDALS).expect("within the bound");

@@ -5,9 +5,9 @@
 //! its page's size is parked to be written over (DESIGN.md §14a, "One
 //! body buffer"); one it composes allocates no data key, nor does a
 //! commit (DESIGN.md §14, "Reading is registering"). Nor does a
-//! distribution of a changed page to a fleet whose row holds one body for
-//! every member, nor the one visit that answers a page unmoved or takes
-//! its body and memo out of its row (DESIGN.md §14a, "The row").
+//! distribution of a changed page, nor the one visit that answers a page
+//! unmoved or takes its body and memo out of its entry (DESIGN.md §14a,
+//! "The row").
 //!
 //! A binary of its own, because it counts through the global allocator.
 //! The render halves hold of an optimised build only — a build with debug
@@ -103,7 +103,7 @@ fn podium(db: &OlympicDb, event: EventId) -> Vec<(AthleteId, f64)> {
 fn a_revalidated_regeneration_allocates_nothing() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
@@ -131,7 +131,7 @@ fn a_revalidated_regeneration_allocates_nothing() {
             let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
             let (changed, behind) = counted(|| {
                 monitor.register_render(key, &out);
-                fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo))
+                fleet.distribute_with(slot, out.body, Some(memo))
             });
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
@@ -179,32 +179,30 @@ fn a_revalidated_regeneration_allocates_nothing() {
 
 #[test]
 fn a_distribution_and_a_visit_to_a_settled_row_allocate_nothing() {
-    // Eight members whose row for the page holds one body for them all.
+    // A page the cache holds, whose entry the distributions write over.
     const PAGE: u32 = 48;
-    let fleet = CacheFleet::new(8, CacheConfig::default());
+    let fleet = CacheFleet::new(CacheConfig::default());
     let bodies: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![b'a' + i; 6_000])).collect();
-    fleet.distribute(PAGE, bodies[0].clone(), 1.0);
+    fleet.distribute_with(PAGE, bodies[0].clone(), None);
     for body in &bodies[1..] {
-        let (changed, allocated) = counted(|| fleet.distribute(PAGE, body.clone(), 1.0));
+        let (changed, allocated) = counted(|| fleet.distribute_with(PAGE, body.clone(), None));
         assert!(changed, "the bytes changed");
         assert_eq!(allocated, 0, "a changed page's distribution allocated");
     }
     let memo: Memo = Box::new(7_u8);
     let (changed, allocated) =
-        counted(|| fleet.distribute_with(PAGE, bodies[0].clone(), 1.0, Some(memo)));
+        counted(|| fleet.distribute_with(PAGE, bodies[0].clone(), Some(memo)));
     assert!(changed && allocated == 0, "{allocated} allocations");
-    for m in fleet.members() {
-        let page = m.peek(PAGE).unwrap();
-        assert_eq!((page.body.as_ptr(), page.version), (bodies[0].as_ptr(), 5));
-    }
+    let page = fleet.cache().peek(PAGE).unwrap();
+    assert_eq!((page.body.as_ptr(), page.version), (bodies[0].as_ptr(), 5));
     // The cache's half of the one visit a regeneration makes: the page
-    // answered from the body and memo every member holds, or its body and
-    // memo taken out of the row.
+    // answered from its body and memo, or its body and memo taken out of
+    // its entry.
     let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, &memo: &u8| Some(memo)));
     assert!(matches!(visit, Visit::Answered(7)) && allocated == 0);
     let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, _: &u8| None::<()>));
     let Visit::Taken(Some((held, Some(memo)))) = visit else {
-        panic!("the first member holds the page and the memo of it");
+        panic!("the cache holds the page and the memo of it");
     };
     assert!(held.as_ptr() == bodies[0].as_ptr() && *memo == 7 && allocated == 0);
     assert!(!fleet.has_memo(PAGE));
@@ -214,7 +212,7 @@ fn a_distribution_and_a_visit_to_a_settled_row_allocate_nothing() {
 fn the_one_visit_of_a_regeneration_allocates_nothing() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
@@ -266,7 +264,7 @@ fn the_one_visit_of_a_regeneration_allocates_nothing() {
 fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
@@ -300,7 +298,7 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
                 monitor.register_render(key, &out);
                 let body = out.body.clone();
                 assert!(
-                    fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo)),
+                    fleet.distribute_with(slot, out.body, Some(memo)),
                     "{key} changed"
                 );
                 body
@@ -323,7 +321,7 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
 fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(8, CacheConfig::default()));
+    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
@@ -352,7 +350,7 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             monitor.register_render(key, &out);
             assert!(
-                fleet.distribute_with(slot, out.body, out.cost_ms, Some(memo)),
+                fleet.distribute_with(slot, out.body, Some(memo)),
                 "{key} changed"
             );
             (day, out.patched, rendering)
@@ -390,10 +388,10 @@ fn a_warm_hit_allocates_nothing() {
     // The first hit on a page marks it for the hotness window, which may
     // grow that list; a hit on a page already marked writes a count.
     for path in paths {
-        assert!(site.handle(0, path).unwrap().cache_hit, "{path}");
+        assert!(site.handle(path).unwrap().cache_hit, "{path}");
     }
     for path in paths {
-        let (page, allocated) = counted(|| site.handle(0, path));
+        let (page, allocated) = counted(|| site.handle(path));
         assert!(page.unwrap().cache_hit, "{path}");
         assert_eq!(allocated, 0, "{path}: a hit allocated");
     }
@@ -402,7 +400,7 @@ fn a_warm_hit_allocates_nothing() {
     let mut request = Request::empty();
     let mut head = Vec::new();
     for path in paths {
-        let version = site.handle(0, path).unwrap().version;
+        let version = site.handle(path).unwrap().version;
         let fetch = format!("GET {path} HTTP/1.1\r\nHost: nagano\r\n\r\n");
         let revalidate =
             format!("GET {path} HTTP/1.1\r\nHost: nagano\r\nIf-None-Match: \"v{version}\"\r\n\r\n");

@@ -8,7 +8,9 @@
 //! The sources: one quick Hybrid day under the scripted chaos and
 //! serving-fault plans, exported to disk (`metrics.prom`,
 //! `traces.jsonl`), and a socket site's cells bound into a registry
-//! behind its admin plane.
+//! behind its admin plane. The two export a cache's signals alike: every
+//! `nagano_cache_*` series of a bound site is one the simulation exports,
+//! under the same label keys.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -18,7 +20,7 @@ use nagano::{ServingSite, SiteConfig};
 use nagano_cluster::{scripted_chaos_plan, scripted_serving_plan, ClusterConfig, ClusterSim};
 use nagano_db::GamesConfig;
 use nagano_simcore::SimTime;
-use nagano_telemetry::MetricsRegistry;
+use nagano_telemetry::{parse_prometheus_line, MetricsRegistry};
 use nagano_trigger::ConsistencyPolicy;
 
 /// The segment allowed directly after `nagano_`.
@@ -42,7 +44,12 @@ const SUBSYSTEMS: &[&str] = &[
 struct Names {
     metrics: BTreeSet<String>,
     spans: BTreeSet<String>,
+    /// Every series the simulation exported, as its name and label keys.
+    sim_series: BTreeSet<Series>,
 }
+
+/// A series' name and the keys of its labels, in order.
+type Series = (String, Vec<String>);
 
 fn names() -> &'static Names {
     static NAMES: OnceLock<Names> = OnceLock::new();
@@ -69,11 +76,17 @@ fn names() -> &'static Names {
         let read = |name: &str| {
             std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
         };
-        let mut metrics: BTreeSet<String> = read("metrics.prom")
+        let prom = read("metrics.prom");
+        let mut metrics: BTreeSet<String> = prom
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
             .filter_map(|l| l.split(' ').next())
             .map(str::to_string)
+            .collect();
+        let sim_series = prom
+            .lines()
+            .filter_map(parse_prometheus_line)
+            .map(|(name, labels, _)| (name, labels.into_iter().map(|(k, _)| k).collect()))
             .collect();
         let spans = read("traces.jsonl")
             .split("\"name\":\"")
@@ -85,9 +98,13 @@ fn names() -> &'static Names {
         let site = Arc::new(ServingSite::build(SiteConfig::small()));
         let registry = Arc::new(MetricsRegistry::new());
         site.bind_telemetry(&registry, &[]);
-        let _admin = site.admin_handler(0, Arc::clone(&registry));
+        let _admin = site.admin_handler(Arc::clone(&registry));
         metrics.extend(registry.samples().into_iter().map(|s| s.name));
-        Names { metrics, spans }
+        Names {
+            metrics,
+            spans,
+            sim_series,
+        }
     })
 }
 
@@ -168,5 +185,26 @@ fn every_metric_is_documented_in_design() {
     assert!(
         missing.is_empty(),
         "metrics missing from DESIGN.md's metric table: {missing:?}"
+    );
+}
+
+#[test]
+fn a_sites_cache_series_are_the_simulations() {
+    // Bound as the simulation binds a complex's: under a `site` label.
+    let site = ServingSite::build(SiteConfig::small());
+    let registry = MetricsRegistry::new();
+    site.bind_telemetry(&registry, &[("site", "socket")]);
+    let cache: Vec<Series> = registry
+        .samples()
+        .into_iter()
+        .filter(|s| s.name.starts_with("nagano_cache_"))
+        .map(|s| (s.name, s.labels.into_iter().map(|(k, _)| k).collect()))
+        .collect();
+    assert!(cache.len() >= 9, "{cache:?}");
+    let sim = &names().sim_series;
+    let missing: Vec<&Series> = cache.iter().filter(|s| !sim.contains(*s)).collect();
+    assert!(
+        missing.is_empty(),
+        "cache series a site exports and the simulation does not: {missing:?}"
     );
 }
