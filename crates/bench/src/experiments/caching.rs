@@ -358,7 +358,7 @@ pub fn memory(config: &ExpConfig) -> ExpResult {
     });
     let m = site.metrics();
     let bytes = m.cache.bytes_current;
-    let pages = site.fleet().cache().len();
+    let pages = site.fleet().len();
     let mut table = TextTable::new(["metric", "value"]);
     table
         .row([

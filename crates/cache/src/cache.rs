@@ -4,16 +4,16 @@
 //! bodies ([`bytes::Bytes`], so a body handed to a request or kept by its
 //! distributor shares one allocation). A [`PageCache`] is one sharded
 //! table with one entry per page: its body, its version, the
-//! distributor's [`Memo`] of that body, its window hits and its LRU
-//! stamp. Beside a shard's entries sit the shard's own eviction queue,
-//! byte count, tombstones and flights. Slot `s` lives in shard `s & mask`,
+//! distributor's [`Memo`] of that body and its LRU stamp. Beside a
+//! shard's entries sit the shard's own eviction queue, byte count,
+//! tombstones and flights. Slot `s` lives in shard `s & mask`,
 //! at index `s >> shift` of that shard's entries, so a lookup takes one
 //! shard lock and indexes one vector, and so does a distribution
-//! ([`crate::CacheFleet::distribute_with`]). The lock per shard is a
+//! ([`PageCache::distribute_with`]). The lock per shard is a
 //! `sync::Mutex`; a cache has [`CacheConfig::shards`] of them, and with
 //! the default 16 and short critical sections contention is negligible
 //! next to page generation costs. A shard keeps its books inline, so
-//! neighbouring shards' locks are some 200 bytes apart, never on one
+//! neighbouring shards' locks are some 190 bytes apart, never on one
 //! cache line.
 //!
 //! A bounded cache evicts the least recently used entry. Each shard keeps
@@ -25,6 +25,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,7 +121,7 @@ pub struct CachedPage {
     pub body: Bytes,
     /// Monotonic per-entry version: 1 on insert, +1 whenever the body is
     /// replaced. A distribution of byte-equal content replaces nothing
-    /// ([`crate::CacheFleet::distribute_with`]), so on an update-in-place
+    /// ([`PageCache::distribute_with`]), so on an update-in-place
     /// site the version — the HTTP `ETag` — changes iff the bytes change.
     /// A [`PageCache::put`] is always a new version.
     pub version: u64,
@@ -184,7 +185,7 @@ struct StaleEntry {
 }
 
 /// What a distributor keeps of a body beside it in the page's entry
-/// ([`crate::CacheFleet::distribute_with`]). Opaque to the cache.
+/// ([`PageCache::distribute_with`]). Opaque to the cache.
 pub type Memo = Box<dyn Any + Send + Sync>;
 
 /// One page's entry.
@@ -193,9 +194,6 @@ struct Row {
     version: u64,
     /// The distributor's memo of `body`; a write of other bytes drops it.
     memo: Option<Memo>,
-    /// Hits since the last [`PageCache::drain_window_hits`] call — the raw
-    /// input to the fleet-level EWMA hotness tracker.
-    window_hits: u64,
     /// Identity of the entry's newest touch record, drawn from its
     /// shard's monotonic tick so stale records — including ones
     /// surviving from a previous incarnation of the same page — never
@@ -262,9 +260,6 @@ struct Shard {
     tick: u64,
     bytes: u64,
     entries: usize,
-    /// Slots whose `window_hits` went 0 → nonzero since the last drain, so
-    /// draining walks only touched entries rather than every row.
-    dirty: Vec<u32>,
     /// Tombstoned stale copies (only populated under a [`StalePolicy`]).
     /// Not charged against the byte budget: bodies are refcounted views
     /// and the store is bounded by the policy's max age via pruning.
@@ -289,7 +284,6 @@ impl Shard {
             tick: 0,
             bytes: 0,
             entries: 0,
-            dirty: Vec::new(),
             stale: FxHashMap::default(),
             stale_epochs: FxHashMap::default(),
             flights: FxHashMap::default(),
@@ -347,7 +341,7 @@ impl Shard {
 }
 
 /// What one visit to a page's entry made of it
-/// ([`crate::CacheFleet::answer_or_take`]).
+/// ([`PageCache::answer_or_take`]).
 #[derive(Debug)]
 pub enum Visit<T, M> {
     /// What the visitor made of the body and the memo the entry keeps of
@@ -379,8 +373,9 @@ pub enum Visit<T, M> {
 /// assert_eq!(cache.stats().misses, 0);
 /// ```
 ///
-/// Every call that takes a page takes a [`PageRef`]: a slot, or — on the
-/// cache of a fleet built with a [`KeySpace`] — a name it resolves.
+/// Every call that takes a page takes a [`PageRef`]: a slot, or — on a
+/// cache built with a [`KeySpace`] ([`PageCache::with_keys`]) — a name it
+/// resolves.
 pub struct PageCache {
     shards: Box<[Mutex<Shard>]>,
     mask: usize,
@@ -417,11 +412,17 @@ impl PageCache {
     /// Create a cache from `config`. Its byte budget, if it has one, is
     /// split evenly over its shards.
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_keys(config, None)
+        Self::build(config, None)
     }
 
-    /// [`PageCache::new`] whose pages may also be named in `keys`.
-    pub(crate) fn with_keys(config: CacheConfig, keys: Option<Arc<dyn KeySpace>>) -> Self {
+    /// [`PageCache::new`] whose pages may also be named in `keys`: every
+    /// call that takes a [`PageRef`] resolves a name there, and
+    /// [`PageCache::export_entries`] names each slot by it.
+    pub fn with_keys(config: CacheConfig, keys: Arc<dyn KeySpace>) -> Self {
+        Self::build(config, Some(keys))
+    }
+
+    fn build(config: CacheConfig, keys: Option<Arc<dyn KeySpace>>) -> Self {
         let n = config.shards.max(1).next_power_of_two();
         let shift = n.trailing_zeros();
         PageCache {
@@ -447,12 +448,12 @@ impl PageCache {
     }
 
     /// The slot `key` names; `None` for a name outside the key space.
-    pub(crate) fn slot(&self, key: impl PageRef) -> Option<u32> {
+    fn slot(&self, key: impl PageRef) -> Option<u32> {
         key.slot_in(self.keys.as_deref())
     }
 
     /// The slot `key` names, which a write must have.
-    pub(crate) fn slot_to_write(&self, key: impl PageRef) -> u32 {
+    fn slot_to_write(&self, key: impl PageRef) -> u32 {
         match self.slot(key) {
             Some(slot) => slot,
             None => panic!("a page is written by slot, or by a name in the cache's key space"),
@@ -506,7 +507,6 @@ impl PageCache {
                     body,
                     version: 1,
                     memo,
-                    window_hits: 0,
                     stamp: 0,
                 });
                 shard.bytes += size;
@@ -561,11 +561,22 @@ impl PageCache {
         self.stale.map(|_| self.now_us.load(Relaxed))
     }
 
-    /// Write `body` into `slot`'s entry unless it holds those bytes
-    /// already, under one lock: returns whether it wrote. A `memo` of
-    /// `body` becomes the entry's either way; an entry that takes other
-    /// bytes without one keeps none.
-    pub(crate) fn distribute(&self, slot: u32, body: Bytes, memo: Option<Memo>) -> bool {
+    /// Distribute a freshly rendered page (the trigger monitor's
+    /// prefetch/update-in-place path); returns whether the cache's bytes
+    /// changed.
+    ///
+    /// An entry that holds `body`'s bytes already is kept as it is —
+    /// allocation, version, recency — so a regeneration that changed
+    /// nothing changes no `ETag`; any other takes `body` at its next
+    /// version, under the one lock a lookup of the page takes. `memo`, if
+    /// any, becomes the entry's memo of the body it then holds, until a
+    /// write of other bytes or the entry's removal drops it.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space, as [`PageCache::put`].
+    pub fn distribute_with(&self, key: impl PageRef, body: Bytes, memo: Option<Memo>) -> bool {
+        let slot = self.slot_to_write(key);
         let mut shard = self.shard_for(slot).lock();
         if let Some(row) = shard.rows.get_mut(slot) {
             if same_bytes(&row.body, &body) {
@@ -582,31 +593,104 @@ impl PageCache {
         true
     }
 
-    /// One visit to `slot`'s entry, under its shard's lock: what `answer`
-    /// makes of the body and the entry's memo of it, if there is one and
-    /// it makes something; else the body, with the memo taken out of the
-    /// entry.
-    pub(crate) fn visit<T>(
-        &self,
-        slot: u32,
-        answer: impl FnOnce(&Bytes, &Memo) -> Option<T>,
-    ) -> Visit<T, Memo> {
-        let mut shard = self.shard_for(slot).lock();
-        let Some(row) = shard.rows.get_mut(slot) else {
-            return Visit::Taken(None);
-        };
-        if let Some(answered) = row.memo.as_ref().and_then(|memo| answer(&row.body, memo)) {
-            return Visit::Answered(answered);
+    /// The body cached for `key`, with the memo of type `M` the entry
+    /// keeps of it taken out of the entry (and dropped if it is not an
+    /// `M`): what a regeneration renders onto and hands back with its
+    /// distribution.
+    pub fn take_held<M: Any>(&self, key: impl PageRef) -> Option<(Bytes, Option<Box<M>>)> {
+        match self.answer_or_take(key, |_, _: &M| None::<Infallible>) {
+            Visit::Taken(held) => held,
+            Visit::Answered(never) => match never {},
         }
-        Visit::Taken(Some((row.body.clone(), row.memo.take())))
     }
 
-    /// `f` of `slot`'s body and the entry's memo of it, under the shard's
-    /// lock, if there are such.
-    pub(crate) fn with_memo<T>(&self, slot: u32, f: impl FnOnce(&Bytes, &Memo) -> T) -> Option<T> {
+    /// One visit to the page's entry, under its lock: what `answer` makes
+    /// of the body and the memo of type `M` the entry keeps of it, if
+    /// there are such and it makes something; else
+    /// [`PageCache::take_held`]'s body and memo, taken out in the same
+    /// visit. Counts and touches nothing.
+    pub fn answer_or_take<M: Any, T>(
+        &self,
+        key: impl PageRef,
+        answer: impl FnOnce(&Bytes, &M) -> Option<T>,
+    ) -> Visit<T, Box<M>> {
+        let Some(slot) = self.slot(key) else {
+            return Visit::Taken(None);
+        };
+        let (body, memo) = {
+            let mut shard = self.shard_for(slot).lock();
+            let Some(row) = shard.rows.get_mut(slot) else {
+                return Visit::Taken(None);
+            };
+            let memo = row.memo.as_ref().and_then(|memo| memo.downcast_ref());
+            if let Some(answered) = memo.and_then(|memo| answer(&row.body, memo)) {
+                return Visit::Answered(answered);
+            }
+            (row.body.clone(), row.memo.take())
+        };
+        Visit::Taken(Some((body, memo.and_then(|memo| memo.downcast().ok()))))
+    }
+
+    /// `f` of the body cached for `key` and the memo of type `M` the entry
+    /// keeps of it, under the entry's lock, if there are such. Counts and
+    /// touches nothing.
+    pub fn with_memo<M: Any, T>(
+        &self,
+        key: impl PageRef,
+        f: impl FnOnce(&Bytes, &M) -> T,
+    ) -> Option<T> {
+        let slot = self.slot(key)?;
         let shard = self.shard_for(slot).lock();
         let row = shard.rows.get(slot)?;
-        Some(f(&row.body, row.memo.as_ref()?))
+        Some(f(&row.body, row.memo.as_ref()?.downcast_ref()?))
+    }
+
+    /// Whether the page's entry keeps a memo.
+    pub fn has_memo(&self, key: impl PageRef) -> bool {
+        let Some(slot) = self.slot(key) else {
+            return false;
+        };
+        let shard = self.shard_for(slot).lock();
+        shard.rows.get(slot).is_some_and(|row| row.memo.is_some())
+    }
+
+    // ---- adapters for callers that walk a fleet ---------------------------
+    //
+    // The wall-clock harness still addresses the serving nodes of a
+    // complex by index; a cache is one node. These go with ROADMAP 1(h).
+
+    /// The cache, as a slice of one member.
+    pub fn members(self: &Arc<Self>) -> &[Arc<PageCache>] {
+        std::slice::from_ref(self)
+    }
+
+    /// `members()[i]`: the cache itself for `i == 0`.
+    ///
+    /// # Panics
+    ///
+    /// For any other `i`.
+    pub fn member(self: &Arc<Self>, i: usize) -> &Arc<PageCache> {
+        &self.members()[i]
+    }
+
+    /// [`PageCache::get`] on `member(i)`.
+    ///
+    /// # Panics
+    ///
+    /// For any `i` but 0, as [`PageCache::member`].
+    pub fn get_from(&self, i: usize, key: impl PageRef) -> Option<CachedPage> {
+        assert_eq!(i, 0, "a cache is one member");
+        self.get(key)
+    }
+
+    /// [`PageCache::distribute_with`] without a memo. The third argument,
+    /// once the page's generation cost, is ignored.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name outside the key space: it names no slot.
+    pub fn distribute(&self, key: impl PageRef, body: Bytes, _: f64) -> bool {
+        self.distribute_with(key, body, None)
     }
 
     /// Advance the cache clock (monotonic micros derived from `secs`).
@@ -630,17 +714,12 @@ impl PageCache {
     /// Look up `key`, recording a hit or miss and touching recency state.
     pub fn get(&self, key: impl PageRef) -> Option<CachedPage> {
         let page = self.slot(key).and_then(|slot| {
-            let mut guard = self.shard_for(slot).lock();
-            let shard = &mut *guard;
-            let row = shard.rows.get_mut(slot)?;
+            let mut shard = self.shard_for(slot).lock();
+            let row = shard.rows.get(slot)?;
             let page = CachedPage {
                 body: row.body.clone(),
                 version: row.version,
             };
-            row.window_hits += 1;
-            if row.window_hits == 1 {
-                shard.dirty.push(slot);
-            }
             // Recency orders a bounded cache's eviction queue and nothing
             // else: a hit on an unbounded one writes none.
             if self.per_shard_budget.is_some() {
@@ -749,7 +828,6 @@ impl PageCache {
             }
             (shard.bytes, shard.entries) = (0, 0);
             shard.touches.clear();
-            shard.dirty.clear();
             shard.stale.clear();
             shard.stale_epochs.clear();
             shard.flights.clear();
@@ -775,26 +853,6 @@ impl PageCache {
     pub fn export_entries(&self) -> Vec<(String, Bytes, f64, u64)> {
         let named = |slot, body: &Bytes, version| (self.name(slot), body.clone(), 0.0, version);
         self.collect_entries(named)
-    }
-
-    /// Collect and reset per-entry hit counts accumulated since the last
-    /// drain: `(slot, hits)` for every entry touched in the window. Walks
-    /// only the per-shard dirty lists, so cost is proportional to the
-    /// number of *distinct* pages hit, not the cache size. Pages evicted
-    /// or invalidated since they were hit are silently dropped (their
-    /// window counts die with the entry). Order is deterministic: shards in
-    /// index order, pages in first-hit order within a shard.
-    pub fn drain_window_hits(&self) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        self.for_each_shard(|_, shard| {
-            for slot in std::mem::take(&mut shard.dirty) {
-                let row = shard.rows.get_mut(slot);
-                if let Some(e) = row.filter(|e| e.window_hits > 0) {
-                    out.push((slot, std::mem::take(&mut e.window_hits)));
-                }
-            }
-        });
-        out
     }
 
     // ---- stale tombstones -------------------------------------------------
@@ -1060,9 +1118,6 @@ mod tests {
             assert!(c.get(A).is_some());
         }
         assert_eq!(recency(&c), before);
-        // The hotness window still counts every hit.
-        let hits = c.drain_window_hits();
-        assert_eq!((hits.len(), hits[0].1), (1, 3));
         // A bounded cache's hit ranks the entry anew.
         let b = PageCache::new(CacheConfig::bounded(1_000, ReplacementPolicy::Lru).with_shards(1));
         b.put(A, body("1"));
@@ -1136,43 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_window_hits_collects_and_resets() {
-        let c = PageCache::default();
-        c.put(A, body("1"));
-        c.put(B, body("2"));
-        c.put(C, body("3"));
-        for _ in 0..3 {
-            c.get(A);
-        }
-        c.get(B);
-        c.peek(C); // peek must not count as traffic
-        c.get(NOWHERE); // miss must not count as traffic
-        let mut hits = c.drain_window_hits();
-        hits.sort();
-        assert_eq!(hits, vec![(A, 3), (B, 1)]);
-        // The drain resets the window: nothing new means nothing drained.
-        assert!(c.drain_window_hits().is_empty());
-        // A fresh window starts counting from zero.
-        c.get(A);
-        let again = c.drain_window_hits();
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0], (A, 1));
-    }
-
-    #[test]
-    fn drain_window_hits_skips_invalidated_entries() {
-        let c = PageCache::default();
-        c.put(A, body("1"));
-        c.get(A);
-        c.invalidate(A);
-        assert!(c.drain_window_hits().is_empty());
-        // Re-inserting and hitting again re-enters the dirty list cleanly.
-        c.put(A, body("2"));
-        c.get(A);
-        assert_eq!(c.drain_window_hits().len(), 1);
-    }
-
-    #[test]
     fn concurrent_mixed_workload_is_consistent() {
         use std::thread;
         let c = Arc::new(PageCache::new(CacheConfig::default().with_shards(8)));
@@ -1207,6 +1225,112 @@ mod tests {
             .sum();
         assert_eq!(c.bytes(), live_bytes);
         assert_eq!(c.stats().bytes_current, live_bytes);
+    }
+
+    #[test]
+    fn distribute_shares_the_body_allocation() {
+        let c = PageCache::default();
+        let b = body("shared");
+        c.distribute_with(PAGE, b.clone(), None);
+        // Bytes clones are refcounted views of one buffer.
+        let got = c.peek(PAGE).unwrap().body;
+        assert_eq!(got.as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn a_distribution_that_changes_nothing_keeps_every_entry() {
+        let c = PageCache::default();
+        let first = body("standings");
+        assert!(c.distribute_with(MEDALS, first.clone(), None));
+        let updates = c.stats().updates;
+        // The same bytes in a new allocation, then in the held one.
+        let held = c.peek_body(MEDALS).unwrap();
+        assert_eq!(held.as_ptr(), first.as_ptr());
+        for again in [body("standings"), held] {
+            assert!(!c.distribute_with(MEDALS, again, None));
+        }
+        assert_eq!(c.stats().updates, updates);
+        let page = c.peek(MEDALS).unwrap();
+        assert_eq!(page.version, 1);
+        assert_eq!(page.body.as_ptr(), first.as_ptr());
+        // An entry a fill changed behind the distributor's back is brought
+        // back by the next distribution, at its next version.
+        c.put(MEDALS, body("a demand fill"));
+        assert!(c.distribute_with(MEDALS, body("standings"), None));
+        assert!(c.peek_body(NOWHERE).is_none());
+        assert_eq!(c.peek(MEDALS).unwrap().version, 3);
+    }
+
+    #[test]
+    fn an_entry_keeps_its_memo_while_it_holds_its_body() {
+        let memo = || -> Option<Memo> { Some(Box::new(7_u8)) };
+        let remembered = |c: &PageCache| c.with_memo(A, |_, &m: &u8| m) == Some(7);
+        let c = PageCache::default();
+        let first = body("/a");
+        assert!(c.distribute_with(A, first.clone(), memo()) && remembered(&c));
+        // Taken out with the body it is of, and handed back with it.
+        let (held, taken) = c.take_held::<u8>(A).unwrap();
+        assert!(held.as_ptr() == first.as_ptr() && !c.has_memo(A));
+        assert!(!c.distribute_with(A, held, taken.map(|m| m as Memo)));
+        // Kept by a distribution of the bytes held, and of no other type.
+        assert!(!c.distribute_with(A, body("/a"), None));
+        assert!(remembered(&c) && c.with_memo(A, |_, _: &u16| ()).is_none());
+        // Dropped by a fill, by a distribution of other bytes, by an
+        // invalidation and by a clear.
+        c.put(A, body("/a"));
+        assert!(!c.has_memo(A));
+        c.distribute_with(A, first.clone(), memo());
+        assert!(c.distribute_with(A, body("/a, again"), None) && !c.has_memo(A));
+        c.distribute_with(A, body("/a"), memo());
+        c.invalidate(A);
+        assert!(!c.has_memo(A));
+        c.distribute_with(A, first, memo());
+        c.clear();
+        assert!(!c.has_memo(A) && c.take_held::<u8>(A).is_none());
+    }
+
+    /// Names slot `n` `/p{n}`.
+    #[derive(Debug)]
+    struct Numbered;
+
+    impl KeySpace for Numbered {
+        fn slot(&self, name: &str) -> Option<u32> {
+            name.strip_prefix("/p")?.parse().ok()
+        }
+
+        fn name(&self, slot: u32) -> String {
+            format!("/p{slot}")
+        }
+    }
+
+    #[test]
+    fn names_resolve_in_the_key_space() {
+        let c = Arc::new(PageCache::with_keys(
+            CacheConfig::default(),
+            Arc::new(Numbered),
+        ));
+        assert!(c.distribute("/p7", body("seven"), 1.0));
+        assert_eq!(&c.get_from(0, 7).unwrap().body[..], b"seven");
+        assert!(c.contains("/p7") && c.contains(7));
+        assert!(c.get_from(0, "/nowhere").is_none());
+        // The adapters' one member is the cache itself.
+        assert!(Arc::ptr_eq(c.member(0), &c) && c.members().len() == 1);
+        let entries = c.member(0).export_entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].0.as_str(), entries[0].3), ("/p7", 1));
+        // Without a key space no name resolves, and a slot exports as
+        // itself.
+        let plain = PageCache::default();
+        plain.distribute_with(7, body("seven"), None);
+        assert!(plain.get_from(0, "/p7").is_none());
+        assert_eq!(plain.export_entries()[0].0, "7");
+    }
+
+    #[test]
+    #[should_panic(expected = "key space")]
+    fn a_name_outside_the_key_space_is_not_written() {
+        let c = PageCache::with_keys(CacheConfig::default(), Arc::new(Numbered));
+        c.distribute("/nowhere", body("x"), 1.0);
     }
 
     fn stale_config(max_age_secs: f64) -> CacheConfig {

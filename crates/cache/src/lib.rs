@@ -8,24 +8,21 @@
 //!
 //! Layout:
 //! * [`key`] — pages are keyed by a dense `u32` slot the caller assigns;
-//!   a fleet may carry a [`KeySpace`] that resolves names (URLs) to slots
+//!   a cache may carry a [`KeySpace`] that resolves names (URLs) to slots
 //!   for callers that hold only those.
 //! * [`PageCache`] — a sharded concurrent table with one entry per page
 //!   slot: an immutable byte body and its version, with statistics and
-//!   optional capacity bounds.
+//!   optional capacity bounds. It is a serving complex's cache as the
+//!   trigger monitor distributes to it (Figure 6): the simulation models
+//!   a complex's serving nodes as one cache, and a socket site is one
+//!   node. A page's entry also keeps the distributor's [`Memo`] of its
+//!   body, for as long as it holds that body. The cache counts hits,
+//!   misses and recency; how often a page is requested is the trigger
+//!   monitor's to count.
 //! * [`policy`] — the replacement rule of a bounded cache: LRU. At the
 //!   Olympics site "all dynamic pages could be cached in memory without
 //!   overflow ... the system never had to apply a cache replacement
 //!   algorithm" — the unbounded default.
-//! * [`CacheFleet`] — a serving complex's cache as the trigger monitor's
-//!   distributor sees it (Figure 6): the simulation models a complex's
-//!   serving nodes as this one cache, and a socket site is one node. A
-//!   page's entry also keeps the distributor's [`Memo`] of its body, for
-//!   as long as it holds that body.
-//! * [`hotness`] — per-page EWMA access frequency, folded from the
-//!   cache's hit counters once per sim minute; the hybrid propagation
-//!   policy uses it to regenerate hot pages and invalidate the cold tail
-//!   (DESIGN.md §12).
 //! * Serving-path resilience (DESIGN.md §11): per-shard *single-flight*
 //!   maps so concurrent misses for one page coalesce into one
 //!   regeneration ([`PageCache::join_or_lead`]), and an optional
@@ -37,8 +34,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
-pub mod fleet;
-pub mod hotness;
 pub mod key;
 pub mod policy;
 pub mod stats;
@@ -47,8 +42,6 @@ pub use cache::{
     CacheConfig, CachedPage, FlightOutcome, FlightToken, Memo, PageCache, StaleCopy, StalePolicy,
     Visit,
 };
-pub use fleet::CacheFleet;
-pub use hotness::HotnessTracker;
 pub use key::{KeySpace, PageRef};
 pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -47,7 +47,9 @@ pub struct StatsSnapshot {
     pub coalesced: u64,
     /// Bytes currently cached.
     pub bytes_current: u64,
-    /// High-water mark of cached bytes.
+    /// High-water mark of cached bytes. Of several caches taken together
+    /// (`+=`), the largest one cache's: their peaks fell at different
+    /// times, so no sum of them was ever held.
     pub bytes_peak: u64,
 }
 
@@ -63,7 +65,8 @@ impl StatsSnapshot {
     }
 }
 
-/// Field-wise sum: the statistics of several caches taken together.
+/// The statistics of several caches taken together: every field summed,
+/// but `bytes_peak`, which is the largest of the peaks.
 impl std::ops::AddAssign for StatsSnapshot {
     fn add_assign(&mut self, s: StatsSnapshot) {
         self.hits += s.hits;
@@ -75,7 +78,7 @@ impl std::ops::AddAssign for StatsSnapshot {
         self.stale_served += s.stale_served;
         self.coalesced += s.coalesced;
         self.bytes_current += s.bytes_current;
-        self.bytes_peak += s.bytes_peak;
+        self.bytes_peak = self.bytes_peak.max(s.bytes_peak);
     }
 }
 
@@ -228,6 +231,19 @@ mod tests {
         assert_eq!((a.bytes_current, a.bytes_peak), (100, 140));
         assert_eq!((b.bytes_current, b.bytes_peak), (100, 140));
         assert_eq!(a.updates, 1);
+    }
+
+    #[test]
+    fn caches_taken_together_sum_their_counts_and_keep_the_largest_peak() {
+        let (a, b) = (CacheStats::default(), CacheStats::default());
+        a.insert(100);
+        a.invalidate(100);
+        b.insert(60);
+        b.hit();
+        let mut both = a.snapshot();
+        both += b.snapshot();
+        assert_eq!((both.inserts, both.invalidations, both.hits), (2, 1, 1));
+        assert_eq!((both.bytes_current, both.bytes_peak), (60, 100));
     }
 
     #[test]

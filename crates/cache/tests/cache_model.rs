@@ -1,15 +1,14 @@
 //! The cache against a naive map.
 //!
-//! `CacheFleet::distribute_with` finds a page's entry once, keeps it when
+//! `PageCache::distribute_with` finds a page's entry once, keeps it when
 //! it already holds the distributed bytes, and compares bytes by address
 //! where it can. None of that may show: after any sequence of
 //! distributions (of fresh, byte-equal and pointer-equal bodies), fills,
 //! lookups, visits, invalidations, clears and evictions, the cache must
 //! hold what a map applying "bytes differ ⇒ version + 1, else untouched"
-//! holds — body and version, allocation included — whether it is a
-//! standalone `PageCache` or a fleet's, and must have counted what the map
-//! counts: hits, misses, inserts, updates, invalidations, evictions and
-//! bytes. A memo handed with a distribution lives for exactly as long as
+//! holds — body and version, allocation included — and must have counted
+//! what the map counts: hits, misses, inserts, updates, invalidations,
+//! evictions and bytes. A memo handed with a distribution lives for exactly as long as
 //! the entry holds the allocation it is of, and no visit has taken it out.
 //!
 //! The last test races lookups, a writer and two distributors on one key,
@@ -23,7 +22,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use nagano_cache::{CacheConfig, CacheFleet, PageCache, ReplacementPolicy, Visit};
+use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy, Visit};
 use nagano_telemetry::sync::blocking;
 
 const KEYS: u8 = 10;
@@ -140,34 +139,14 @@ fn naive_distribute(model: &mut Naive, counts: &mut Counts, key: u32, body: Byte
     !held
 }
 
-/// What the operations are driven through: a fleet, or a cache built on
-/// its own, which has no memo.
-enum Subject {
-    Fleet(CacheFleet),
-    Standalone(PageCache),
-}
-
-impl Subject {
-    fn cache(&self) -> &PageCache {
-        match self {
-            Subject::Fleet(fleet) => fleet.cache(),
-            Subject::Standalone(cache) => cache,
-        }
-    }
-}
-
-/// Drive `ops` through a cache of `config` — a fleet's if `fleet` — and
-/// through the naive map. Eviction is taken from the subject as an input,
-/// not predicted: a key other than the one an operation wrote that has
-/// gone from the cache has gone from the map too. The written key itself
-/// is never its own write's victim, so for it the comparison is strict.
-fn check(config: CacheConfig, fleet: bool, ops: &[Op]) -> Result<(), TestCaseError> {
+/// Drive `ops` through a cache of `config` and through the naive map.
+/// Eviction is taken from the cache as an input, not predicted: a key
+/// other than the one an operation wrote that has gone from the cache has
+/// gone from the map too. The written key itself is never its own write's
+/// victim, so for it the comparison is strict.
+fn check(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
     let bounded = config.max_bytes.is_some();
-    let subject = match fleet {
-        true => Subject::Fleet(CacheFleet::new(config)),
-        false => Subject::Standalone(PageCache::new(config)),
-    };
-    let cache = subject.cache();
+    let cache = PageCache::new(config);
     let mut model = Naive::new();
     let mut counts = Counts::default();
     // The memo of each page the cache keeps one for: the allocation it is
@@ -187,24 +166,13 @@ fn check(config: CacheConfig, fleet: bool, ops: &[Op]) -> Result<(), TestCaseErr
                     Body::Held => cache.peek_body(key).unwrap_or_else(fallback),
                 };
                 let expected = naive_distribute(&mut model, &mut counts, key, body.clone());
-                let changed = match &subject {
-                    Subject::Fleet(fleet) => {
-                        let memo = memo.then(|| Box::new(step) as nagano_cache::Memo);
-                        if memo.is_some() {
-                            memos.insert(key, (model[&key].0.clone(), step));
-                        } else if expected {
-                            memos.remove(&key);
-                        }
-                        fleet.distribute_with(key, body, memo)
-                    }
-                    Subject::Standalone(cache) => {
-                        let held = cache.peek_body(key).is_some_and(|held| held == body);
-                        if !held {
-                            cache.put(key, body);
-                        }
-                        !held
-                    }
-                };
+                let memo = memo.then(|| Box::new(step) as nagano_cache::Memo);
+                if memo.is_some() {
+                    memos.insert(key, (model[&key].0.clone(), step));
+                } else if expected {
+                    memos.remove(&key);
+                }
+                let changed = cache.distribute_with(key, body, memo);
                 prop_assert_eq!(changed, expected, "step {}: {:?}", step, op);
                 written = Some(key);
             }
@@ -227,12 +195,9 @@ fn check(config: CacheConfig, fleet: bool, ops: &[Op]) -> Result<(), TestCaseErr
                 prop_assert_eq!(page, model.get(&slot(*k)).cloned(), "step {}", step);
             }
             Op::Visit(k, answer) => {
-                let Subject::Fleet(fleet) = &subject else {
-                    continue;
-                };
                 let key = slot(*k);
                 let visit =
-                    fleet.answer_or_take(key, |_, &handed: &usize| answer.then_some(handed));
+                    cache.answer_or_take(key, |_, &handed: &usize| answer.then_some(handed));
                 let memo = memos.get(&key).map(|&(_, handed)| handed);
                 match visit {
                     Visit::Answered(handed) => {
@@ -309,14 +274,11 @@ fn check(config: CacheConfig, fleet: bool, ops: &[Op]) -> Result<(), TestCaseErr
                 .get(key)
                 .is_some_and(|(b, _)| b.as_ptr() == of.as_ptr())
         });
-        let Subject::Fleet(fleet) = &subject else {
-            continue;
-        };
         for key in (0..KEYS).map(slot) {
             let expected = memos.get(&key).map(|(of, handed)| (of.as_ptr(), *handed));
-            let real = fleet.with_memo(key, |body, &handed: &usize| (body.as_ptr(), handed));
+            let real = cache.with_memo(key, |body, &handed: &usize| (body.as_ptr(), handed));
             prop_assert_eq!(real, expected, "step {}: {:?}: {}", step, op, key);
-            prop_assert_eq!(fleet.has_memo(key), expected.is_some(), "step {}", step);
+            prop_assert_eq!(cache.has_memo(key), expected.is_some(), "step {}", step);
         }
     }
     Ok(())
@@ -327,9 +289,7 @@ proptest! {
 
     #[test]
     fn an_unbounded_cache_is_a_map(ops in proptest::collection::vec(op_strategy(), 1..250)) {
-        for fleet in [false, true] {
-            check(CacheConfig::unbounded().with_shards(2), fleet, &ops)?;
-        }
+        check(CacheConfig::unbounded().with_shards(2), &ops)?;
     }
 
     /// One lock with a budget of about four entries: most writes evict.
@@ -338,9 +298,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..250),
     ) {
         let lru = CacheConfig::bounded(40, ReplacementPolicy::Lru).with_shards(1);
-        for fleet in [false, true] {
-            check(lru.clone(), fleet, &ops)?;
-        }
+        check(lru, &ops)?;
     }
 }
 
@@ -356,22 +314,21 @@ fn lookups_local_writes_and_distributions_of_one_key_race() {
     const KEY: u32 = 48;
     let (done, watchdog) = mpsc::channel();
     let race = std::thread::spawn(move || {
-        let fleet = CacheFleet::new(CacheConfig::default());
-        let cache = fleet.cache();
+        let cache = &PageCache::new(CacheConfig::default());
         let distributed = |who: usize, round: usize| format!("distributor {who} round {round:06}");
         let length = distributed(0, 0).len();
-        fleet.distribute_with(KEY, Bytes::from(distributed(0, 0)), None);
+        cache.distribute_with(KEY, Bytes::from(distributed(0, 0)), None);
         let start = Barrier::new(5);
         std::thread::scope(|s| {
             for who in 0..2 {
-                let (fleet, start) = (&fleet, &start);
+                let start = &start;
                 s.spawn(move || {
                     start.wait();
                     for round in 1..=ROUNDS {
                         // Every other round the bytes of the round before:
                         // the keep path races too.
                         let body = Bytes::from(distributed(who, round & !1));
-                        fleet.distribute_with(KEY, body, Some(Box::new(round)));
+                        cache.distribute_with(KEY, body, Some(Box::new(round)));
                     }
                 });
             }
@@ -418,10 +375,10 @@ fn lookups_local_writes_and_distributions_of_one_key_race() {
         assert_eq!(cache.len(), usize::from(held.is_some()));
         assert_eq!(stats.inserts, stats.invalidations + cache.len() as u64);
         let last = Bytes::from_static(b"the last distribution");
-        fleet.distribute_with(KEY, last.clone(), Some(Box::new(0_usize)));
+        cache.distribute_with(KEY, last.clone(), Some(Box::new(0_usize)));
         let page = cache.peek(KEY).expect("distributed");
         assert_eq!(page.body.as_ptr(), last.as_ptr());
-        assert_eq!(fleet.with_memo(KEY, |_, &m: &usize| m), Some(0));
+        assert_eq!(cache.with_memo(KEY, |_, &m: &usize| m), Some(0));
         let _ = done.send(());
     });
     if let Err(mpsc::RecvTimeoutError::Timeout) = watchdog.recv_timeout(Duration::from_secs(60)) {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use nagano::serve::{self, Decision, Observation, Render};
-use nagano_cache::{CacheConfig, CacheFleet, PageCache, StaleCopy, StalePolicy, StatsSnapshot};
+use nagano_cache::{CacheConfig, PageCache, StaleCopy, StalePolicy, StatsSnapshot};
 use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, Transaction, TxnId};
 use nagano_httpd::HttpdMetrics;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -234,7 +234,8 @@ pub struct ClusterReport {
     pub service_near_updates: Welford,
     /// Server-side service time (ms) for all other requests.
     pub service_away_from_updates: Welford,
-    /// Aggregated cache statistics across all sites.
+    /// Aggregated cache statistics across all sites: counts summed,
+    /// `bytes_peak` the largest one site's cache reached.
     pub cache: StatsSnapshot,
     /// Pages regenerated per day across sites (index 0 = day 1).
     pub regen_per_day: Vec<u64>,
@@ -965,7 +966,7 @@ impl<'a> SimState<'a> {
             // Visible-latency model: replication delay (already elapsed
             // at `at`) plus regeneration spread over the SMP's render
             // workers (DESIGN.md §6).
-            let cache = complex.monitor.fleet().cache();
+            let cache = complex.monitor.cache();
             let space = self.registry.space();
             let held = outcome
                 .regenerated
@@ -1057,7 +1058,7 @@ impl<'a> SimState<'a> {
                 // state all vanish — the stampede window single-flight
                 // flattens.
                 let c = &mut self.complexes[site];
-                c.monitor.fleet().cache().clear();
+                c.monitor.cache().clear();
                 c.inflight.clear();
             }
         }
@@ -1078,13 +1079,13 @@ impl<'a> SimState<'a> {
     /// deferred work and catch-up pulls cannot be stranded.
     fn heartbeat(&mut self, minute: u64, minute_end: SimTime) {
         for c in &mut self.complexes {
-            // Hotness: fold each cache's window-hit counters into its
-            // EWMA, then give the Hybrid deferred queue a budgeted drain
-            // slice (no-op under other policies).
-            c.monitor.fleet().fold_hotness(minute);
+            // Hotness: fold the minute's answered requests into each
+            // monitor's EWMA, then give the Hybrid deferred queue a
+            // budgeted drain slice (no-op under other policies).
+            c.monitor.fold_hotness(minute);
             // Expire over-age tombstones so the stale maps stay bounded
             // by the policy, not the run length.
-            c.monitor.fleet().cache().prune_stale();
+            c.monitor.cache().prune_stale();
             if c.monitor_up {
                 let drained = c.monitor.drain_deferred(minute_end);
                 if !drained.is_empty() {
@@ -1242,9 +1243,9 @@ impl<'a> SimState<'a> {
     /// is a 503.
     fn serve_request(&mut self, s: usize, page: PageKey, slot: u32, t: SimTime) -> Option<Served> {
         let c = &mut self.complexes[s];
-        c.monitor.observe_request(page, t);
-        let cache = Arc::clone(c.monitor.fleet().cache());
+        let cache = Arc::clone(c.monitor.cache());
         let cached = cache.get(slot);
+        c.monitor.observe_request(page, t, cached.is_some());
         if cached.is_none() {
             // A demand fill caches its body at once and keeps the flight
             // open for as long as the render takes: with the body gone,
@@ -1291,7 +1292,7 @@ impl<'a> SimState<'a> {
         let res = &self.cfg.resilience;
         let budget = res.request_budget_secs;
         let c = &mut self.complexes[s];
-        let cache = Arc::clone(c.monitor.fleet().cache());
+        let cache = Arc::clone(c.monitor.cache());
         if c.backend_down {
             let (base, max) = (res.retry_base_secs, res.retry_max_secs);
             let mut backoff = RetryBackoff::new(base, max, res.retry_max_attempts);
@@ -1383,7 +1384,7 @@ impl<'a> SimState<'a> {
         }
         let report = &mut self.report;
         for c in &self.complexes {
-            report.cache += c.monitor.fleet().cache().stats();
+            report.cache += c.monitor.cache().stats();
             let s = c.monitor.stats().snapshot();
             report.regen_cpu_ms += s.regen_cpu_ms;
             report.regen_saved_ms += s.regen_saved_ms;
@@ -1424,7 +1425,7 @@ impl<'a> SimState<'a> {
                 continue;
             };
             for c in &self.complexes {
-                if let Some(cached) = c.monitor.fleet().cache().peek(slot) {
+                if let Some(cached) = c.monitor.cache().peek(slot) {
                     if cached.body != fresh.body {
                         stale += 1;
                     }
@@ -1519,13 +1520,13 @@ fn complexes(
             let labels = [("site", spec.name)];
             let monitor = TriggerMonitor::new(
                 Renderer::new(Arc::clone(db)),
-                Arc::new(CacheFleet::new(cache_config.clone())),
+                Arc::new(PageCache::new(cache_config.clone())),
                 Arc::clone(registry),
                 cfg.policy,
             );
             monitor.prewarm();
             monitor.stats().bind(reg, &labels);
-            monitor.fleet().cache().stats_handle().bind(reg, &labels);
+            monitor.cache().stats_handle().bind(reg, &labels);
             let httpd = HttpdMetrics::new();
             httpd.bind(reg, &labels);
             let staleness = "nagano_cluster_staleness_seconds";
@@ -1577,7 +1578,7 @@ impl ClusterSim {
             // on sim time, not wall time.
             let secs = SimTime::from_mins(minute).as_secs_f64();
             for c in &sim.complexes {
-                c.monitor.fleet().cache().set_now_secs(secs);
+                c.monitor.cache().set_now_secs(secs);
             }
             while let Some((at, ev)) = sim.queue.pop_before(minute_end) {
                 match ev {

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use nagano_cache::{CacheConfig, CacheFleet, FlightOutcome, FlightToken, StatsSnapshot};
+use nagano_cache::{CacheConfig, FlightOutcome, FlightToken, PageCache, StatsSnapshot};
 use nagano_db::{seed_games, EventId, GamesConfig, OlympicDb};
 use nagano_httpd::{none_match, Handler, Request, Response, Server, ServerConfig};
 use nagano_odg::StalenessPolicy;
@@ -117,7 +117,7 @@ pub struct ServingSite {
     db: Arc<OlympicDb>,
     registry: Arc<PageRegistry>,
     monitor: Arc<TriggerMonitor>,
-    fleet: Arc<CacheFleet>,
+    cache: Arc<PageCache>,
     txn_rx: crossbeam::channel::Receiver<Arc<nagano_db::Transaction>>,
     marquee: (EventId, EventId),
 }
@@ -130,22 +130,30 @@ impl ServingSite {
     ///
     /// If `config.cache` carries a [`nagano_cache::StalePolicy`]: the site
     /// updates its pages in place and has no clock to age a tombstone by,
-    /// so it keeps none (DESIGN.md §11a).
+    /// so it keeps none (DESIGN.md §11a). If `config.policy` is
+    /// [`ConsistencyPolicy::Hybrid`]: its hotness is folded and its
+    /// deferred queue drained by the simulation's heartbeat, which a site
+    /// has not, so on a site it would invalidate every stale page or park
+    /// pages it never regenerates (DESIGN.md §12).
     pub fn build(config: SiteConfig) -> Self {
         assert!(
             config.cache.stale.is_none(),
             "a serving site keeps no stale copies: build it without a StalePolicy"
         );
+        assert!(
+            !matches!(config.policy, ConsistencyPolicy::Hybrid(_)),
+            "a serving site has no heartbeat to rank pages by hotness: build it without Hybrid"
+        );
         let db = Arc::new(OlympicDb::new());
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
-        let fleet = Arc::new(CacheFleet::with_keys(
+        let cache = Arc::new(PageCache::with_keys(
             config.cache.clone(),
             PageUrls::of(&registry),
         ));
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)),
-            Arc::clone(&fleet),
+            Arc::clone(&cache),
             Arc::clone(&registry),
             config.policy,
         ));
@@ -156,7 +164,7 @@ impl ServingSite {
             db,
             registry,
             monitor,
-            fleet,
+            cache,
             txn_rx,
             marquee,
         }
@@ -180,9 +188,10 @@ impl ServingSite {
     /// The serving cache, as the trigger monitor distributes to it. Its
     /// pages are keyed by slot in the registry's page space
     /// ([`PageRegistry::space`]); a URL names one through the cache's
-    /// [`PageUrls`] key space.
-    pub fn fleet(&self) -> &Arc<CacheFleet> {
-        &self.fleet
+    /// [`PageUrls`] key space. Named for the fleet of serving nodes the
+    /// wall-clock harness still walks (ROADMAP 1(h)).
+    pub fn fleet(&self) -> &Arc<PageCache> {
+        &self.cache
     }
 
     /// The marquee event ids `(figure_skating, ski_jumping)` pinned by the
@@ -212,7 +221,7 @@ impl ServingSite {
     /// [`ServingSite::respond`]: look page `key`, in `slot`, up, and
     /// answer a miss as [`ServingSite::handle_miss`] does.
     fn serve(&self, key: PageKey, slot: u32) -> ServedPage {
-        match self.fleet.cache().get(slot) {
+        match self.cache.get(slot) {
             Some(page) => ServedPage {
                 cache_hit: true,
                 ..ServedPage::cached(page.body, page.version)
@@ -228,7 +237,7 @@ impl ServingSite {
     /// are here: admitting and reachable. The table then answers only
     /// Hit, Join or Fill.
     fn handle_miss(&self, key: PageKey, slot: u32) -> ServedPage {
-        let cache = self.fleet.cache();
+        let cache = &self.cache;
         loop {
             let flight = cache.join_or_lead(slot, FOLLOWER_PATIENCE);
             let fresh = cache.peek(slot);
@@ -269,7 +278,7 @@ impl ServingSite {
     /// the flight's followers.
     fn fill(&self, key: PageKey, slot: u32, token: FlightToken) -> ServedPage {
         let fill = self.monitor.demand_fill(key);
-        let cache = self.fleet.cache();
+        let cache = &self.cache;
         cache.complete_flight(token, cache.peek(slot));
         ServedPage {
             cost_ms: fill.cost_ms,
@@ -344,20 +353,20 @@ impl ServingSite {
     /// trigger progress (transactions, replication watermark, pages
     /// regenerated and how many of them changed — the rest is the no-op
     /// share of update-in-place — were answered by their stamps, and were
-    /// patched rather than composed, deferred-regeneration queue depth and
-    /// shed count), and the cache's occupancy. Hand-assembled with
-    /// deterministic key order so same-state sites produce byte-identical
-    /// documents.
+    /// patched rather than composed), and the cache's occupancy. A site
+    /// refuses the hybrid policy, so it reports no deferred queue.
+    /// Hand-assembled with deterministic key order so same-state sites
+    /// produce byte-identical documents.
     pub fn status_json(&self) -> String {
         let trig = self.monitor.stats().snapshot();
         let (odg_nodes, odg_edges) = self.monitor.graph_size();
-        let cache = self.fleet.cache();
+        let cache = &self.cache;
         let stats = cache.stats();
         format!(
             "{{\"pages\":{},\"odg\":{{\"nodes\":{},\"edges\":{}}},\
              \"trigger\":{{\"txns\":{},\"watermark\":{},\"pages_regenerated\":{},\
-             \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{},\
-             \"deferred_depth\":{},\"deferred_shed\":{}}},\"cache\":{{\"entries\":{},\
+             \"pages_changed\":{},\"pages_revalidated\":{},\"pages_patched\":{}}},\
+             \"cache\":{{\"entries\":{},\
              \"bytes\":{},\"hits\":{},\"misses\":{}}}}}",
             self.registry.len(),
             odg_nodes,
@@ -368,8 +377,6 @@ impl ServingSite {
             trig.pages_changed,
             trig.pages_revalidated,
             trig.pages_patched,
-            trig.deferred_depth,
-            trig.deferred_shed,
             cache.len(),
             cache.bytes(),
             stats.hits,
@@ -414,16 +421,13 @@ impl ServingSite {
         labels: &[(&str, &str)],
     ) {
         self.monitor.stats().bind(registry, labels);
-        self.fleet
-            .cache()
-            .stats_handle()
-            .bind_fresh(registry, labels);
+        self.cache.stats_handle().bind_fresh(registry, labels);
     }
 
     /// Current metrics.
     pub fn metrics(&self) -> SiteMetrics {
         SiteMetrics {
-            cache: self.fleet.cache().stats(),
+            cache: self.cache.stats(),
             trigger: self.monitor.stats().snapshot(),
             odg: self.monitor.graph_size(),
             pages: self.registry.len(),
@@ -462,7 +466,7 @@ mod tests {
     #[test]
     fn ids_the_games_do_not_have_are_not_pages() {
         let s = site();
-        let (rows, graph) = (s.fleet().cache().len(), s.monitor().graph_size());
+        let (rows, graph) = (s.fleet().len(), s.monitor().graph_size());
         let mut paths: Vec<String> = ["/athletes/4294967295", "/day/0/", "/news/99999"]
             .into_iter()
             .map(String::from)
@@ -473,7 +477,7 @@ mod tests {
             let response = s.respond(0, &get_request(path, None));
             assert_eq!(response.status, nagano_httpd::Status::NotFound, "{path}");
         }
-        assert_eq!(s.fleet().cache().len(), rows, "nothing cached");
+        assert_eq!(s.fleet().len(), rows, "nothing cached");
         assert_eq!(s.monitor().graph_size(), graph, "nothing registered");
     }
 
@@ -505,7 +509,7 @@ mod tests {
             // A distribution by URL lands in the page's slot.
             let body = Bytes::from(format!("{url}, again"));
             assert!(fleet.distribute(&url, body.clone(), 1.0), "{url}");
-            assert_eq!(fleet.cache().peek(slot).unwrap().body, body, "{url}");
+            assert_eq!(fleet.peek(slot).unwrap().body, body, "{url}");
         }
         assert!(fleet.get_from(0, "/athletes/4294967295").is_none());
     }
@@ -513,7 +517,7 @@ mod tests {
     /// A site built from `config` whose cache then lets every page go.
     fn cold(config: SiteConfig) -> ServingSite {
         let s = ServingSite::build(config);
-        s.fleet().cache().clear();
+        s.fleet().clear();
         s
     }
 
@@ -705,7 +709,7 @@ mod tests {
         // which fills version 1 — the version every prewarmed page has.
         let fields = ["W/\"v1\"", "\"v0\", \"v1\"", "*"];
         for (field, path) in fields.into_iter().zip(["/medals", "/welcome", "/day/3/"]) {
-            assert!(cold.fleet().cache().peek(path).is_none(), "{path}");
+            assert!(cold.fleet().peek(path).is_none(), "{path}");
             for (s, how) in [(&cold, "miss"), (&warm, "hit")] {
                 let resp = s.respond(0, &get_request(path, Some(field)));
                 assert_eq!(resp.status, nagano_httpd::Status::NotModified, "{how}");
@@ -719,7 +723,7 @@ mod tests {
     #[test]
     fn respond_reuses_cached_body_allocation() {
         let s = site();
-        let cached = s.fleet().cache().peek("/medals").unwrap().body;
+        let cached = s.fleet().peek("/medals").unwrap().body;
         let resp = s.respond(0, &get_request("/medals", None));
         assert_eq!(
             resp.body.as_ptr(),
@@ -772,8 +776,10 @@ mod tests {
         s.handle("/medals");
         let doc = s.status_json();
         assert!(doc.starts_with(&format!("{{\"pages\":{}", s.registry().len())));
-        assert!(doc.contains("\"deferred_depth\":0"));
-        let cache = s.fleet().cache();
+        // The trigger object ends at the patch count: a site refuses the
+        // hybrid policy, so it reports no deferred queue.
+        assert!(doc.contains("\"pages_patched\":0},\"cache\":"), "{doc}");
+        let cache = s.fleet();
         let expected = format!(
             "\"cache\":{{\"entries\":{},\"bytes\":{},\"hits\":1,\"misses\":0}}}}",
             cache.len(),
@@ -787,7 +793,7 @@ mod tests {
     #[test]
     fn followers_past_the_budget_without_a_tombstone_render_once() {
         let s = Arc::new(cold(SiteConfig::small()));
-        let cache = Arc::clone(s.fleet().cache());
+        let cache = Arc::clone(s.fleet());
         let cold = cache.stats();
         // A leader that outlives every follower's patience.
         let FlightOutcome::Lead(token) = cache.join_or_lead("/medals", Duration::from_secs(1))
@@ -822,6 +828,15 @@ mod tests {
         let stale = nagano_cache::StalePolicy::bounded(3600.0);
         ServingSite::build(SiteConfig {
             cache: CacheConfig::default().with_stale(stale),
+            ..SiteConfig::small()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "without Hybrid")]
+    fn a_site_with_the_hybrid_policy_is_refused() {
+        ServingSite::build(SiteConfig {
+            policy: ConsistencyPolicy::hybrid(1.0, Some(400)),
             ..SiteConfig::small()
         });
     }

@@ -5,7 +5,7 @@
 //! cache in place", while cold objects could simply be invalidated. To
 //! make that split deterministic and measurable, [`HotnessTracker`] keeps
 //! one exponentially weighted moving average per page, folded once per
-//! sim minute from the caches' window-hit counters:
+//! sim minute from the requests the serving cache answered in it:
 //!
 //! ```text
 //! H(m) = (1 - alpha) * H(m - 1) + alpha * hits(m)
@@ -18,20 +18,26 @@
 //!   factor `(1 - alpha)^(m - last_minute)` is applied only when the cell
 //!   is next folded into or read, via `f64::powi` (exactly reproducible,
 //!   unlike a per-minute running product in a different fold order).
-//! * **Windowed input.** The caches accumulate hits per entry and hand
-//!   over only the touched pages ([`crate::PageCache::drain_window_hits`]).
+//! * **Windowed input.** [`HotnessTracker::count`] tallies each answered
+//!   request by page, and a fold walks only the pages tallied since the
+//!   last one.
+//!
+//! How often a page is requested is a fact about the request stream, so
+//! the tally is kept here, by the trigger monitor that ranks pages by it,
+//! and not in the page's cache entry: a request counted before the page
+//! is invalidated, evicted or cleared still counts at the minute's fold.
 //!
 //! Everything here is driven by the sim clock (a minute index) and seeded
 //! request order — no wall clock, no OS entropy — so same-seed runs
 //! produce bit-identical hotness values (DESIGN.md §10).
 
-use nagano_telemetry::sync::Mutex;
+use nagano_simcore::sync::Mutex;
 use rustc_hash::FxHashMap;
 
-/// The per-minute EWMA smoothing factor used fleet-wide. 0.3 weights the
-/// last ~10 minutes of traffic (weight of a minute `k` minutes ago is
+/// The per-minute EWMA smoothing factor. 0.3 weights the last ~10
+/// minutes of traffic (weight of a minute `k` minutes ago is
 /// `0.3 * 0.7^k`), matching the cadence at which Olympics scores changed.
-pub const EWMA_ALPHA: f64 = 0.3;
+pub(crate) const EWMA_ALPHA: f64 = 0.3;
 
 /// Decayed values below this are dropped during the periodic prune: after
 /// a few hours cold, a page is indistinguishable from never-accessed.
@@ -62,15 +68,30 @@ impl Cell {
 
 /// EWMA hotness per page slot, with lazy decay. See the module docs.
 #[derive(Debug, Default)]
-pub struct HotnessTracker {
+pub(crate) struct HotnessTracker {
     cells: Mutex<FxHashMap<u32, Cell>>,
+    /// Requests answered since the last fold, by slot. Taken and released
+    /// before `cells` is locked: the two locks are never held together.
+    window: Mutex<FxHashMap<u32, u64>>,
 }
 
 impl HotnessTracker {
-    /// Fold one window of hit counts observed at `minute` into the EWMA,
-    /// decaying each touched cell forward first. `alpha` is the EWMA
+    /// Tally one answered request for the page in `slot`.
+    pub(crate) fn count(&self, slot: u32) {
+        *self.window.lock().entry(slot).or_insert(0) += 1;
+    }
+
+    /// Fold the requests tallied since the last fold into the EWMA as of
+    /// `minute`, and start the next window empty.
+    pub(crate) fn fold_window(&self, minute: u64) {
+        let window = std::mem::take(&mut *self.window.lock());
+        self.fold(window, minute, EWMA_ALPHA);
+    }
+
+    /// Fold one window of request counts observed at `minute` into the
+    /// EWMA, decaying each touched cell forward first. `alpha` is the EWMA
     /// smoothing factor in `(0, 1]`.
-    pub fn fold<I>(&self, hits: I, minute: u64, alpha: f64)
+    fn fold<I>(&self, hits: I, minute: u64, alpha: f64)
     where
         I: IntoIterator<Item = (u32, u64)>,
     {
@@ -93,22 +114,12 @@ impl HotnessTracker {
     }
 
     /// Current hotness of `slot` as of `minute` (0.0 if never tracked).
-    pub fn get(&self, slot: u32, minute: u64, alpha: f64) -> f64 {
+    pub(crate) fn get(&self, slot: u32, minute: u64, alpha: f64) -> f64 {
         self.cells
             .lock()
             .get(&slot)
             .map(|c| c.decayed(minute, alpha))
             .unwrap_or(0.0)
-    }
-
-    /// Number of tracked pages.
-    pub fn len(&self) -> usize {
-        self.cells.lock().len()
-    }
-
-    /// Whether nothing is tracked yet.
-    pub fn is_empty(&self) -> bool {
-        self.cells.lock().is_empty()
     }
 
     /// The hotness value of the k-th hottest tracked page, where `k` is
@@ -123,7 +134,7 @@ impl HotnessTracker {
     ///
     /// Ties at the threshold value all count as hot; the caller's ranking
     /// breaks exact ties deterministically by page.
-    pub fn threshold(&self, hot_permille: u16, minute: u64, alpha: f64) -> f64 {
+    pub(crate) fn threshold(&self, hot_permille: u16, minute: u64, alpha: f64) -> f64 {
         if hot_permille == 0 {
             return f64::INFINITY;
         }
@@ -202,10 +213,91 @@ mod tests {
     fn prune_drops_long_cold_pages() {
         let t = HotnessTracker::default();
         t.fold([(1, 1)], 1, 0.5);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.cells.lock().len(), 1);
         // Hours later a fold at a prune-cadence minute sweeps it out.
         t.fold([(2, 1)], 600, 0.5);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.cells.lock().len(), 1);
         assert_eq!(t.get(1, 600, 0.5), 0.0);
+    }
+
+    mod over_the_monitor {
+        use std::sync::Arc;
+
+        use nagano_cache::{CacheConfig, PageCache};
+        use nagano_db::{seed_games, GamesConfig, OlympicDb};
+        use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+        use nagano_simcore::SimTime;
+
+        use super::EWMA_ALPHA;
+        use crate::{ConsistencyPolicy, TriggerMonitor};
+
+        /// A monitor under `policy` over the small Games, its cache warm.
+        fn warm(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
+            let db = Arc::new(OlympicDb::new());
+            seed_games(&db, &GamesConfig::small());
+            let registry = Arc::new(PageRegistry::build(&db, 16));
+            let cache = Arc::new(PageCache::new(CacheConfig::default()));
+            let renderer = Renderer::new(Arc::clone(&db));
+            let monitor = TriggerMonitor::new(renderer, cache, registry, policy);
+            monitor.prewarm();
+            (db, monitor)
+        }
+
+        #[test]
+        fn hotness_folds_the_requests_the_cache_answered() {
+            let (_db, monitor) = warm(ConsistencyPolicy::UpdateInPlace);
+            let (hot, cold, missed) = (PageKey::Medals, PageKey::Home(1), PageKey::Home(2));
+            let t = SimTime::from_mins(1);
+            for _ in 0..10 {
+                monitor.observe_request(hot, t, true);
+            }
+            monitor.observe_request(cold, t, true);
+            // A request the cache did not answer counts nothing.
+            monitor.observe_request(missed, t, false);
+            // Nothing counts before the fold.
+            assert_eq!(monitor.hotness(hot, 1), 0.0);
+            monitor.fold_hotness(1);
+            assert_eq!(monitor.hotness(hot, 1), EWMA_ALPHA * 10.0);
+            assert_eq!(monitor.hotness(cold, 1), EWMA_ALPHA);
+            assert_eq!(monitor.hotness(missed, 1), 0.0);
+            // The fold empties the window: an idle minute only decays.
+            monitor.fold_hotness(2);
+            assert_eq!(
+                monitor.hotness(hot, 2),
+                EWMA_ALPHA * 10.0 * (1.0 - EWMA_ALPHA)
+            );
+        }
+
+        #[test]
+        fn a_request_answered_before_an_invalidation_counts_at_the_fold() {
+            let (db, monitor) = warm(ConsistencyPolicy::Invalidate);
+            let ev = db.events()[0].clone();
+            let page = PageKey::Event(ev.id);
+            let t = SimTime::from_mins(1);
+            for _ in 0..3 {
+                monitor.observe_request(page, t, true);
+            }
+            // The update drops the page's cache entry within the minute.
+            let field: Vec<_> = db
+                .athletes_of_sport(ev.sport)
+                .iter()
+                .take(3)
+                .map(|a| a.id)
+                .collect();
+            let results: Vec<_> = field
+                .iter()
+                .zip([3.0, 2.0, 1.0])
+                .map(|(&a, s)| (a, s))
+                .collect();
+            let txn = db.record_results(ev.id, &results, true, ev.day);
+            let outcome = monitor.process_txn_at(&txn, t);
+            assert!(outcome.invalidated.contains(&page));
+            // So does a cold restart of the cache.
+            monitor.observe_request(PageKey::Medals, t, true);
+            monitor.cache().clear();
+            monitor.fold_hotness(1);
+            assert_eq!(monitor.hotness(page, 1), EWMA_ALPHA * 3.0);
+            assert_eq!(monitor.hotness(PageKey::Medals, 1), EWMA_ALPHA);
+        }
     }
 }

@@ -18,7 +18,12 @@
 //!     next demand miss);
 //!   - `Hybrid` — hotness-aware split (DESIGN.md §12): regenerate stale
 //!     pages hottest-first under a per-batch budget, invalidate the cold
-//!     tail, defer overflow to a bounded queue drained on later ticks;
+//!     tail, defer overflow to a bounded queue drained on later ticks.
+//!     The monitor keeps the per-page EWMA hotness it ranks by (the
+//!     crate-private `hotness` module), counted from the requests
+//!     [`TriggerMonitor::observe_request`] reports and folded by
+//!     [`TriggerMonitor::fold_hotness`]: the simulation's clock drives
+//!     both, so the policy runs there and a socket site refuses it;
 //!   - `Conservative96` — the 1996 baseline: invalidate entire content
 //!     sections, "significantly more pages ... than were necessary".
 //!
@@ -34,13 +39,14 @@
 //!   transaction subscription (the live deployment shape).
 //! * [`stats`] — counters and freshness tracking (event recorded → page
 //!   visible), backing the `fresh` and `regen` experiments.
-//! * [`urls`] — [`PageUrls`], the page space as a fleet's key space, for
+//! * [`urls`] — [`PageUrls`], the page space as a cache's key space, for
 //!   callers that name pages by URL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+mod hotness;
 pub mod monitor;
 pub mod policy;
 pub mod runner;

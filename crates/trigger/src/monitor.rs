@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use nagano_cache::{CacheFleet, Visit};
+use nagano_cache::{PageCache, Visit};
 use nagano_db::{DataKey, Transaction};
 use nagano_odg::graph::OdgSnapshot;
 use nagano_odg::{DupEngine, NodeId, StalenessPolicy};
@@ -17,6 +17,7 @@ use nagano_pagegen::{
 use nagano_simcore::sync::Mutex;
 use nagano_simcore::SimTime;
 
+use crate::hotness::{HotnessTracker, EWMA_ALPHA};
 use crate::policy::ConsistencyPolicy;
 use crate::stats::TriggerStats;
 
@@ -145,7 +146,7 @@ pub struct TriggerMonitor {
     /// lock.
     registered: Mutex<Vec<Option<Arc<[Dependency]>>>>,
     renderer: Renderer,
-    fleet: Arc<CacheFleet>,
+    cache: Arc<PageCache>,
     registry: Arc<PageRegistry>,
     policy: ConsistencyPolicy,
     stats: Arc<TriggerStats>,
@@ -154,21 +155,25 @@ pub struct TriggerMonitor {
     watermark: AtomicU64,
     /// When each currently stale-or-missing page went stale (earliest
     /// mark wins). Fed by the invalidate/defer paths, cleared whenever a
-    /// fresh body reaches the fleet; [`TriggerMonitor::observe_request`]
+    /// fresh body reaches the cache; [`TriggerMonitor::observe_request`]
     /// turns it into traffic-weighted staleness samples.
     stale_since: Mutex<FxHashMap<PageKey, SimTime>>,
     /// The hybrid policy's bounded backpressure queue: hot stale pages
     /// whose regeneration missed the per-batch budget, drained
     /// hottest-first by [`TriggerMonitor::drain_deferred`].
     deferred: Mutex<FxHashSet<PageKey>>,
+    /// EWMA hotness the hybrid policy ranks pages by, counted from the
+    /// requests [`TriggerMonitor::observe_request`] is told the cache
+    /// answered and folded by [`TriggerMonitor::fold_hotness`].
+    hotness: HotnessTracker,
 }
 
 impl TriggerMonitor {
-    /// Build a monitor. `renderer` reads the site database; `fleet` is the
+    /// Build a monitor. `renderer` reads the site database; `cache` is the
     /// serving cache updates are distributed to.
     pub fn new(
         renderer: Renderer,
-        fleet: Arc<CacheFleet>,
+        cache: Arc<PageCache>,
         registry: Arc<PageRegistry>,
         policy: ConsistencyPolicy,
     ) -> Self {
@@ -180,13 +185,14 @@ impl TriggerMonitor {
             }),
             registered: Mutex::new(vec![None; space.len() as usize]),
             renderer,
-            fleet,
+            cache,
             registry,
             policy,
             stats: Arc::new(TriggerStats::default()),
             watermark: AtomicU64::new(0),
             stale_since: Mutex::new(FxHashMap::default()),
             deferred: Mutex::new(FxHashSet::default()),
+            hotness: HotnessTracker::default(),
         }
     }
 
@@ -206,12 +212,12 @@ impl TriggerMonitor {
         Arc::clone(&self.stats)
     }
 
-    /// The serving cache, as its distributor sees it.
-    pub fn fleet(&self) -> &Arc<CacheFleet> {
-        &self.fleet
+    /// The serving cache updates are distributed to.
+    pub fn cache(&self) -> &Arc<PageCache> {
+        &self.cache
     }
 
-    /// The renderer regenerations render onto the fleet's bodies with.
+    /// The renderer regenerations render onto the cache's bodies with.
     pub fn renderer(&self) -> &Renderer {
         &self.renderer
     }
@@ -255,7 +261,7 @@ impl TriggerMonitor {
         for (&(key, _), (out, memo)) in pages.iter().zip(rendered) {
             self.register_render(key, &out);
             if let Some(slot) = space.slot(key) {
-                self.fleet.distribute_with(slot, out.body, Some(memo));
+                self.cache.distribute_with(slot, out.body, Some(memo));
             }
         }
         pages.len()
@@ -397,7 +403,7 @@ impl TriggerMonitor {
             }
             ConsistencyPolicy::Hybrid(cfg) => {
                 let minute = now.minute_index();
-                let threshold = self.fleet.hotness_threshold(cfg.hot_permille, minute);
+                let threshold = self.hotness.threshold(cfg.hot_permille, minute, EWMA_ALPHA);
                 // Deterministic priority order: hotness descending
                 // (total_cmp — no NaNs can occur, but no unwrap either),
                 // then PageKey ascending to break exact ties.
@@ -453,7 +459,7 @@ impl TriggerMonitor {
     /// Drop `key` from the serving cache, and its memo with it.
     fn invalidate(&self, key: PageKey) {
         if let Some(slot) = self.registry.space().slot(key) {
-            self.fleet.cache().invalidate(slot);
+            self.cache.invalidate(slot);
         }
     }
 
@@ -464,9 +470,9 @@ impl TriggerMonitor {
     }
 
     /// Hotness for the hybrid ranking: the page's own traffic.
-    fn hotness(&self, key: PageKey, minute: u64) -> f64 {
+    pub(crate) fn hotness(&self, key: PageKey, minute: u64) -> f64 {
         let slot = self.registry.space().slot(key);
-        slot.map_or(0.0, |slot| self.fleet.hotness(slot, minute))
+        slot.map_or(0.0, |slot| self.hotness.get(slot, minute, EWMA_ALPHA))
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
@@ -475,12 +481,12 @@ impl TriggerMonitor {
     /// A page's entry keeps the renderer's memo of its body for as long as
     /// it holds that allocation. One pass over the entries
     /// ([`Renderer::answer_unmoved`]) visits each page once
-    /// ([`CacheFleet::answer_or_take`]): a registered page with a memo
+    /// ([`PageCache::answer_or_take`]): a registered page with a memo
     /// whose stamps all stand is answered there, and rendered, registered
     /// and distributed not at all; from every other the body is taken,
     /// with the memo of it out of its entry. That page is then rendered
     /// onto that body and distributed with the memo of what came out
-    /// ([`CacheFleet::distribute_with`]), which an entry that holds those
+    /// ([`PageCache::distribute_with`]), which an entry that holds those
     /// bytes keeps as it is. Adds the summed
     /// modelled CPU to `nagano_trigger_regen_cpu_ms_total` and counts the
     /// keys whose bytes changed in `nagano_trigger_pages_changed_total`,
@@ -512,7 +518,7 @@ impl TriggerMonitor {
                 let Some(slot) = space.slot(key) else {
                     return Visit::Taken(None);
                 };
-                self.fleet.answer_or_take(slot, |body, memo| {
+                self.cache.answer_or_take(slot, |body, memo| {
                     // A page a retired fragment fed registers every edge
                     // anew at its next render, which this is not.
                     registered[slot as usize].as_ref()?;
@@ -538,7 +544,7 @@ impl TriggerMonitor {
             regen.revalidated += usize::from(out.revalidated);
             regen.patched += usize::from(out.patched);
             if let Some(slot) = slot {
-                let changed = self.fleet.distribute_with(slot, out.body, Some(memo));
+                let changed = self.cache.distribute_with(slot, out.body, Some(memo));
                 regen.changed += usize::from(changed);
             }
         }
@@ -558,7 +564,7 @@ impl TriggerMonitor {
             return false;
         };
         let registered = self.registered.lock()[slot as usize].is_some();
-        registered && self.fleet.with_memo(slot, |_, _: &PageMemo| ()).is_some()
+        registered && self.cache.with_memo(slot, |_, _: &PageMemo| ()).is_some()
     }
 
     /// Park hot-but-over-budget pages on the deferred queue. The queue is
@@ -669,17 +675,33 @@ impl TriggerMonitor {
         self.deferred.lock().len()
     }
 
-    /// Record that a request for `key` arrived at `now`: if the page is
-    /// currently stale-or-missing due to propagation, one traffic-weighted
-    /// staleness sample (seconds since it went stale) lands in
+    /// Record that a request for `key` arrived at `now`, and whether the
+    /// serving cache `answered` it (a hit, or a wait on another request's
+    /// fill of the page). An answered request counts towards the page's
+    /// hotness at the next [`TriggerMonitor::fold_hotness`], whatever
+    /// becomes of its cache entry in between. If the page is currently
+    /// stale-or-missing due to propagation, one traffic-weighted staleness
+    /// sample (seconds since it went stale) lands in
     /// `nagano_trigger_weighted_staleness_seconds`. Hot pages therefore
     /// weigh on the histogram in proportion to their traffic.
-    pub fn observe_request(&self, key: PageKey, now: SimTime) {
+    pub fn observe_request(&self, key: PageKey, now: SimTime, answered: bool) {
+        match self.registry.space().slot(key) {
+            Some(slot) if answered => self.hotness.count(slot),
+            _ => {}
+        }
         let since = self.stale_since.lock().get(&key).copied();
         if let Some(t) = since {
             self.stats
                 .record_weighted_staleness(now.since(t).as_secs_f64());
         }
+    }
+
+    /// Fold the requests counted since the last fold into each page's
+    /// EWMA hotness as of sim minute `minute`. The cluster heartbeat calls
+    /// it once a minute; nothing else does, so the hybrid policy runs only
+    /// in the simulation.
+    pub fn fold_hotness(&self, minute: u64) {
+        self.hotness.fold_window(minute);
     }
 
     fn mark_stale(&self, key: PageKey, now: SimTime) {
@@ -726,7 +748,7 @@ impl TriggerMonitor {
         for (key, meta) in self.registry.pages() {
             if meta.dynamic && sections.contains(key.category()) {
                 if let Some(slot) = space.slot(*key) {
-                    self.fleet.cache().invalidate(slot);
+                    self.cache.invalidate(slot);
                 }
                 invalidated.push(*key);
             }
@@ -826,7 +848,7 @@ impl TriggerMonitor {
             .registry
             .space()
             .slot(key)
-            .map_or(0, |slot| self.fleet.cache().put(slot, out.body.clone()));
+            .map_or(0, |slot| self.cache.put(slot, out.body.clone()));
         // The page is fresh again; the staleness clock stops for it.
         self.stale_since.lock().remove(&key);
         DemandFill {
@@ -859,9 +881,9 @@ mod tests {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = CacheFleet::with_keys(config, crate::PageUrls::of(&registry));
+        let cache = PageCache::with_keys(config, crate::PageUrls::of(&registry));
         let renderer = Renderer::new(Arc::clone(&db));
-        let monitor = TriggerMonitor::new(renderer, Arc::new(fleet), registry, policy);
+        let monitor = TriggerMonitor::new(renderer, Arc::new(cache), registry, policy);
         (db, monitor)
     }
 
@@ -880,7 +902,7 @@ mod tests {
         let (_db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         let warmed = monitor.prewarm();
         assert!(warmed > 50);
-        assert_eq!(monitor.fleet().cache().len(), warmed);
+        assert_eq!(monitor.cache().len(), warmed);
         let (nodes, edges) = monitor.graph_size();
         assert!(nodes > warmed, "graph has data + object nodes");
         assert!(edges > 0);
@@ -942,11 +964,11 @@ mod tests {
         let (db, monitor) = setup_on(small, ConsistencyPolicy::UpdateInPlace);
         let warmed = monitor.prewarm();
         let registry = PageRegistry::build(&db, 16);
-        let cache = monitor.fleet().cache();
+        let cache = monitor.cache();
         let held = |key: PageKey| cache.peek(&key.to_url()).is_some();
         let (mut kept, mut evicted) = (0, 0);
         for &(key, _) in registry.pages() {
-            assert_eq!(monitor.fleet().has_memo(&key.to_url()), held(key), "{key}");
+            assert_eq!(monitor.cache().has_memo(&key.to_url()), held(key), "{key}");
             kept += usize::from(held(key));
             evicted += usize::from(!held(key));
         }
@@ -955,7 +977,7 @@ mod tests {
         let memos = registry
             .pages()
             .iter()
-            .filter(|(k, _)| monitor.fleet().has_memo(&k.to_url()));
+            .filter(|(k, _)| monitor.cache().has_memo(&k.to_url()));
         assert_eq!(memos.count(), kept);
     }
 
@@ -965,7 +987,7 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        let before = monitor.fleet().cache().peek(&url).unwrap();
+        let before = monitor.cache().peek(&url).unwrap();
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
@@ -976,7 +998,7 @@ mod tests {
         assert!(outcome.regenerated.contains(&PageKey::Home(ev.day)));
         assert!(outcome.invalidated.is_empty());
         // Cache entry was replaced in place with new content, not dropped.
-        let after = monitor.fleet().cache().peek(&url).unwrap();
+        let after = monitor.cache().peek(&url).unwrap();
         assert!(after.version > before.version);
         assert_ne!(after.body, before.body);
     }
@@ -1009,12 +1031,12 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        assert!(monitor.fleet().cache().peek(&url).is_some());
+        assert!(monitor.cache().peek(&url).is_some());
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(outcome.regenerated.is_empty());
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
-        assert!(monitor.fleet().cache().peek(&url).is_none());
+        assert!(monitor.cache().peek(&url).is_none());
     }
 
     #[test]
@@ -1041,7 +1063,6 @@ mod tests {
         // Every Sports-section page is gone, touched or not.
         let untouched_event = db.events().last().unwrap().id;
         assert!(monitor
-            .fleet()
             .cache()
             .peek(&PageKey::Event(untouched_event).to_url())
             .is_none());
@@ -1067,9 +1088,9 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::Invalidate);
         let key = PageKey::Event(db.events()[0].id);
         monitor.demand_fill(key);
-        assert!(monitor.fleet().cache().peek(&key.to_url()).is_some());
+        assert!(monitor.cache().peek(&key.to_url()).is_some());
         assert!(
-            !monitor.fleet().has_memo(&key.to_url()),
+            !monitor.cache().has_memo(&key.to_url()),
             "a fill keeps no memo"
         );
         let (nodes, edges) = monitor.graph_size();
@@ -1088,7 +1109,7 @@ mod tests {
         // The put of another fill lands before anyone looks the first up:
         // a lookup now finds nothing to read a version from.
         monitor.demand_fill(welcome);
-        let cache = monitor.fleet().cache();
+        let cache = monitor.cache();
         assert!(cache.peek(&medals.to_url()).is_none(), "evicted");
         assert_eq!(cache.peek(&welcome.to_url()).unwrap().version, 1);
         // The page's later, genuine version 1 is another representation
@@ -1104,7 +1125,7 @@ mod tests {
         let key = PageKey::Event(ev.id);
         let (nodes_before, edges_before) = monitor.graph_size();
         assert!(monitor.retire_page(key));
-        assert!(monitor.fleet().cache().peek(&key.to_url()).is_none());
+        assert!(monitor.cache().peek(&key.to_url()).is_none());
         let (nodes_after, edges_after) = monitor.graph_size();
         assert_eq!(nodes_after, nodes_before - 1);
         assert!(edges_after < edges_before);
@@ -1112,7 +1133,7 @@ mod tests {
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn(&txn);
         assert!(!outcome.regenerated.contains(&key));
-        assert!(monitor.fleet().cache().peek(&key.to_url()).is_none());
+        assert!(monitor.cache().peek(&key.to_url()).is_none());
         // Other affected pages still regenerate.
         assert!(outcome.regenerated.contains(&PageKey::Medals));
         // Retiring again (or an unknown page) reports false.
@@ -1121,7 +1142,7 @@ mod tests {
         // its dependencies — every one of them, although the page renders
         // to the dependency list it was last registered with.
         monitor.demand_fill(key);
-        assert!(monitor.fleet().cache().peek(&key.to_url()).is_some());
+        assert!(monitor.cache().peek(&key.to_url()).is_some());
         assert_eq!(monitor.graph_size(), (nodes_before, edges_before));
         let txn = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let outcome = monitor.process_txn(&txn);
@@ -1214,7 +1235,7 @@ mod tests {
         let txn = db.record_results(ev.id, &podium(db, ev.id), true, ev.day);
         assert!(monitor.process_txn(&txn).regenerated.contains(&key));
         let fresh = Renderer::new(Arc::clone(db)).render(key).body;
-        let held = monitor.fleet().cache().peek(&key.to_url()).map(|p| p.body);
+        let held = monitor.cache().peek(&key.to_url()).map(|p| p.body);
         assert_eq!(held.as_ref(), Some(&fresh), "{key}");
     }
 
@@ -1224,7 +1245,7 @@ mod tests {
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
         let other = Bytes::from_static(b"a fill of other bytes");
-        monitor.fleet().cache().put(&key.to_url(), other);
+        monitor.cache().put(&key.to_url(), other);
         the_first_final_refreshes(&db, &monitor, key);
     }
 
@@ -1235,7 +1256,7 @@ mod tests {
         let key = unmoved_by_the_first_final(&db);
         // A copy of the very bytes held, put back: the memo was of the
         // allocation it replaced.
-        let cache = monitor.fleet().cache();
+        let cache = monitor.cache();
         let held = cache.peek_body(&key.to_url()).unwrap();
         cache.put(&key.to_url(), Bytes::copy_from_slice(&held));
         the_first_final_refreshes(&db, &monitor, key);
@@ -1246,7 +1267,7 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        assert!(monitor.fleet().cache().invalidate(&key.to_url()));
+        assert!(monitor.cache().invalidate(&key.to_url()));
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
     }
@@ -1261,16 +1282,16 @@ mod tests {
         monitor.prewarm();
         assert!(monitor.remembers(unmoved_by_the_first_final(&db)));
         let key = unmoved_by_the_first_final(&db);
-        let (url, fleet) = (key.to_url(), monitor.fleet());
+        let (url, cache) = (key.to_url(), monitor.cache());
         // A page of a shard's whole budget evicts every other page of its
         // shard: distribute such pages until one lands in the page's.
         let fill = Bytes::from(vec![0; (BUDGET / 16) as usize]);
         for n in 0.. {
-            if fleet.distributed(&url).is_none() {
+            if cache.peek_body(&url).is_none() {
                 break;
             }
             // Stories never filed: pages of the site the cache does not hold.
-            fleet.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None);
+            cache.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None);
         }
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
@@ -1282,12 +1303,12 @@ mod tests {
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
         let (db, monitor) = setup_on(bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
-        let (url, fleet) = (unmoved_by_the_first_final(&db).to_url(), monitor.fleet());
-        let evicted = fleet.distributed(&url).expect("prewarmed");
+        let (url, cache) = (unmoved_by_the_first_final(&db).to_url(), monitor.cache());
+        let evicted = cache.peek_body(&url).expect("prewarmed");
         // Oversized pages until one evicts it, as in the test above.
         let fill = Bytes::from(vec![0; (BUDGET / 16) as usize]);
-        for n in (1_500..).take_while(|_| fleet.distributed(&url).is_some()) {
-            fleet.distribute_with(&format!("/news/{n}"), fill.clone(), None);
+        for n in (1_500..).take_while(|_| cache.peek_body(&url).is_some()) {
+            cache.distribute_with(&format!("/news/{n}"), fill.clone(), None);
         }
         // The cache does not hold it, nor does a memo of it: only this.
         assert!(evicted.try_into_mut().is_ok(), "{url}: still held");
@@ -1298,7 +1319,7 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        monitor.fleet().cache().clear();
+        monitor.cache().clear();
         the_first_final_refreshes(&db, &monitor, key);
     }
 
@@ -1424,12 +1445,12 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        let before = monitor.fleet().cache().peek(&url).unwrap();
+        let before = monitor.cache().peek(&url).unwrap();
         // The monitor processes t1, then "crashes"; t2 and t3 commit
         // while it is down.
         let t1 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         monitor.process_txn(&t1);
-        let after_t1 = monitor.fleet().cache().peek(&url).unwrap();
+        let after_t1 = monitor.cache().peek(&url).unwrap();
         let t2 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let t3 = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         // Restart: replay the log tail. t1 is at the watermark and must
@@ -1437,7 +1458,7 @@ mod tests {
         let missed = vec![t1, t2, t3];
         let outcome = monitor.recover(&missed);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
-        let after = monitor.fleet().cache().peek(&url).unwrap();
+        let after = monitor.cache().peek(&url).unwrap();
         assert!(after.version > after_t1.version, "page rewarmed");
         assert!(after.version > before.version);
         assert_eq!(monitor.watermark(), missed[2].id.0);
@@ -1457,26 +1478,26 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
-        assert!(monitor.fleet().cache().peek(&url).is_some());
+        assert!(monitor.cache().peek(&url).is_some());
         // Commit while the monitor is down, then recover.
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.recover(&[txn]);
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(
-            monitor.fleet().cache().peek(&url).is_none(),
+            monitor.cache().peek(&url).is_none(),
             "stale page must not survive recovery"
         );
     }
 
-    /// Drive enough traffic at `urls` that they are tracked hot as of
-    /// minute 1.
-    fn heat_pages(monitor: &TriggerMonitor, urls: &[String], hits: usize) {
-        for url in urls {
+    /// Drive enough answered requests at `keys` that they are tracked hot
+    /// as of minute 1.
+    fn heat_pages(monitor: &TriggerMonitor, keys: &[PageKey], hits: usize) {
+        for &key in keys {
             for _ in 0..hits {
-                monitor.fleet().cache().get(url);
+                monitor.observe_request(key, SimTime::from_mins(1), true);
             }
         }
-        monitor.fleet().fold_hotness(1);
+        monitor.fold_hotness(1);
     }
 
     #[test]
@@ -1486,12 +1507,12 @@ mod tests {
         let ev = db.events()[0].clone();
         // Make the event page (and a couple of fan-out targets) hot; the
         // rest of the affected set stays cold.
-        let hot_urls = vec![
-            PageKey::Event(ev.id).to_url(),
-            PageKey::Medals.to_url(),
-            PageKey::Home(ev.day).to_url(),
+        let hot = [
+            PageKey::Event(ev.id),
+            PageKey::Medals,
+            PageKey::Home(ev.day),
         ];
-        heat_pages(&monitor, &hot_urls, 10);
+        heat_pages(&monitor, &hot, 10);
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn_at(&txn, SimTime::from_mins(2));
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
@@ -1502,13 +1523,12 @@ mod tests {
         );
         // Hot pages were replaced in place, never missing.
         assert!(monitor
-            .fleet()
             .cache()
             .peek(&PageKey::Event(ev.id).to_url())
             .is_some());
         // Cold pages are gone until demand refills them.
         let cold = outcome.invalidated[0];
-        assert!(monitor.fleet().cache().peek(&cold.to_url()).is_none());
+        assert!(monitor.cache().peek(&cold.to_url()).is_none());
         let snap = monitor.stats().snapshot();
         assert!(snap.regen_cpu_ms > 0);
         assert!(snap.regen_saved_ms > 0, "cold invalidations save CPU");
@@ -1542,8 +1562,8 @@ mod tests {
         // Deferred pages keep serving stale bytes (update-in-place never
         // dropped them) and carry a stale mark.
         let parked = outcome.deferred[0];
-        assert!(monitor.fleet().cache().peek(&parked.to_url()).is_some());
-        monitor.observe_request(parked, now + SimDuration::from_mins(3));
+        assert!(monitor.cache().peek(&parked.to_url()).is_some());
+        monitor.observe_request(parked, now + SimDuration::from_mins(3), false);
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 1);
         // Ticking the drain clears the queue completely in finite time.
         let mut drained = Vec::new();
@@ -1560,7 +1580,7 @@ mod tests {
         assert_eq!(drained, expected);
         // Regenerated pages lose their stale marks: a later request
         // records no staleness sample.
-        monitor.observe_request(parked, tick + SimDuration::from_mins(1));
+        monitor.observe_request(parked, tick + SimDuration::from_mins(1), false);
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 1);
         // An empty queue drains to nothing, and the depth gauge went back
         // to zero with the last requeue.
@@ -1574,7 +1594,7 @@ mod tests {
         monitor.prewarm();
         let ev = db.events()[0].clone();
         // Medals is the hottest affected page by a wide margin.
-        heat_pages(&monitor, &[PageKey::Medals.to_url()], 50);
+        heat_pages(&monitor, &[PageKey::Medals], 50);
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
         let outcome = monitor.process_txn_at(&txn, SimTime::from_mins(2));
         assert_eq!(
@@ -1595,8 +1615,8 @@ mod tests {
         let outcome = monitor.process_txn_at(&txn, t0);
         assert!(outcome.invalidated.contains(&key));
         // Two requests at +60s and +120s observe 60 and 120 stale-seconds.
-        monitor.observe_request(key, t0 + SimDuration::from_secs(60));
-        monitor.observe_request(key, t0 + SimDuration::from_secs(120));
+        monitor.observe_request(key, t0 + SimDuration::from_secs(60), false);
+        monitor.observe_request(key, t0 + SimDuration::from_secs(120), false);
         let snap = monitor.stats().snapshot();
         assert_eq!(snap.weighted_staleness_count, 2);
         assert!(
@@ -1606,7 +1626,7 @@ mod tests {
         );
         // A demand fill stops the clock.
         monitor.demand_fill(key);
-        monitor.observe_request(key, t0 + SimDuration::from_mins(60));
+        monitor.observe_request(key, t0 + SimDuration::from_mins(60), false);
         assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 2);
     }
 

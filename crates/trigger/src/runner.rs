@@ -135,7 +135,7 @@ impl Drop for TriggerRunner {
 mod tests {
     use super::*;
     use crate::policy::ConsistencyPolicy;
-    use nagano_cache::{CacheConfig, CacheFleet};
+    use nagano_cache::{CacheConfig, PageCache};
     use nagano_db::{seed_games, GamesConfig, OlympicDb};
     use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 
@@ -145,10 +145,10 @@ mod tests {
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
         let urls = crate::PageUrls::of(&registry);
-        let fleet = Arc::new(CacheFleet::with_keys(CacheConfig::default(), urls));
+        let cache = Arc::new(PageCache::with_keys(CacheConfig::default(), urls));
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)),
-            Arc::clone(&fleet),
+            Arc::clone(&cache),
             registry,
             ConsistencyPolicy::UpdateInPlace,
         ));
@@ -159,7 +159,7 @@ mod tests {
         let ev = db.events()[0].clone();
         let athletes = db.athletes_of_sport(ev.sport);
         let url = PageKey::Event(ev.id).to_url();
-        let v0 = fleet.cache().peek(&url).unwrap().version;
+        let v0 = cache.peek(&url).unwrap().version;
         for _ in 0..3 {
             db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
         }
@@ -169,7 +169,7 @@ mod tests {
         // per state the runner saw, and the runner saw the last. A
         // transaction processed after a later one committed re-derives
         // what is cached and keeps the version.
-        let v1 = fleet.cache().peek(&url).unwrap().version;
+        let v1 = cache.peek(&url).unwrap().version;
         assert!((v0 + 1..=v0 + 3).contains(&v1), "v0 {v0} v1 {v1}");
         let stats = monitor.stats().snapshot();
         assert_eq!(stats.txns, 3);
@@ -201,10 +201,10 @@ mod tests {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+        let cache = Arc::new(PageCache::new(CacheConfig::default()));
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)),
-            fleet,
+            cache,
             registry,
             ConsistencyPolicy::Invalidate,
         ));
@@ -219,13 +219,13 @@ mod tests {
         let db = Arc::new(OlympicDb::new());
         seed_games(&db, &GamesConfig::small());
         let registry = Arc::new(PageRegistry::build(&db, 16));
-        let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+        let cache = Arc::new(PageCache::new(CacheConfig::default()));
         // An infinite CPU budget panics in `spin_for` on the first
         // regeneration; the pages are registered from a normal renderer's
         // output, the way `prewarm` registers its own.
         let monitor = Arc::new(TriggerMonitor::new(
             Renderer::new(Arc::clone(&db)).with_simulated_cpu(f64::INFINITY),
-            Arc::clone(&fleet),
+            Arc::clone(&cache),
             Arc::clone(&registry),
             ConsistencyPolicy::UpdateInPlace,
         ));
@@ -234,7 +234,7 @@ mod tests {
             let out = normal.render(key);
             monitor.register_render(key, &out);
             let slot = registry.space().slot(key).unwrap();
-            fleet.distribute_with(slot, out.body, None);
+            cache.distribute_with(slot, out.body, None);
         }
         let runner = TriggerRunner::spawn(monitor, db.subscribe());
         let ev = db.events()[0].clone();

@@ -125,7 +125,7 @@ impl TriggerStats {
     }
 
     /// Record one completed crash/restart recovery (the monitor replayed
-    /// its missed transactions and the cache fleet is consistent again).
+    /// its missed transactions and the cache is consistent again).
     pub fn record_recovery(&self) {
         self.recoveries.incr();
     }

@@ -1,4 +1,4 @@
-//! A site's page URLs as its fleet's key space.
+//! A site's page URLs as its cache's key space.
 
 use std::sync::Arc;
 
@@ -6,9 +6,9 @@ use nagano_cache::KeySpace;
 use nagano_pagegen::{PageKey, PageRegistry, PageSpace};
 
 /// The URLs of a site's pages, resolved to their slots in its page space:
-/// the [`KeySpace`] a site's fleet is built with, so that a caller holding
+/// the [`KeySpace`] a site's cache is built with, so that a caller holding
 /// only a URL — the benchmark harness, a test — can name a page to the
-/// fleet. The serving and update paths name pages by slot.
+/// cache. The serving and update paths name pages by slot.
 #[derive(Debug, Clone, Copy)]
 pub struct PageUrls(pub PageSpace);
 

@@ -85,7 +85,7 @@ fn an_invalidated_page_is_served_fresh_and_logged_plain() {
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let (code, before) = client.get("/medals").unwrap();
     assert_eq!(code, 200);
-    site.fleet().cache().invalidate("/medals");
+    site.fleet().invalidate("/medals");
     let renders = site.metrics().cache.inserts;
     let (code, after) = client.get("/medals").unwrap();
     assert_eq!(

@@ -58,7 +58,7 @@ fn check_consistency(site: &ServingSite) {
         .take(40)
         .collect();
     for key in probes {
-        if let Some(cached) = site.fleet().cache().peek(&key.to_url()) {
+        if let Some(cached) = site.fleet().peek(&key.to_url()) {
             let fresh = renderer.render(key);
             assert_eq!(
                 cached.body, fresh.body,

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_cache::{CacheConfig, PageCache};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, OlympicDb};
 use nagano_odg::StalenessPolicy;
 use nagano_pagegen::{FragmentKey, PageKey, PageRegistry, Renderer};
@@ -24,7 +24,7 @@ fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::new(CacheFleet::with_keys(
+        Arc::new(PageCache::with_keys(
             CacheConfig::default(),
             PageUrls::of(&registry),
         )),
@@ -79,7 +79,6 @@ fn single_result_txn_rerenders_exactly_one_fragment() {
     // through the fragment it embeds, and lands the correct bytes.
     assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
     let cached = monitor
-        .fleet()
         .cache()
         .peek(&PageKey::Event(ev.id).to_url())
         .unwrap();
@@ -128,7 +127,7 @@ fn medal_table_shared_by_many_pages_renders_once() {
     // And the fan-out still serves fresh standings everywhere.
     let fresh = Renderer::new(Arc::clone(&db));
     for key in [PageKey::Medals, PageKey::Home(ev.day)] {
-        let cached = monitor.fleet().cache().peek(&key.to_url()).unwrap();
+        let cached = monitor.cache().peek(&key.to_url()).unwrap();
         assert_eq!(cached.body, fresh.render(key).body, "{key:?}");
     }
 }

@@ -112,7 +112,7 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
     let runner = site.spawn_trigger_runner();
     let ev = site.db().events()[2].clone();
     let url = PageKey::Event(ev.id).to_url();
-    let v0 = site.fleet().cache().peek(&url).unwrap().version;
+    let v0 = site.fleet().peek(&url).unwrap().version;
     for round in 0..5 {
         site.db()
             .record_results(ev.id, &podium(&site, ev.id), round == 4, ev.day);
@@ -123,7 +123,7 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
     // once per database state the runner derived it from — five if it
     // kept up, fewer if it trailed: a transaction processed after a later
     // one committed reproduces the cached bytes and keeps the version.
-    let cached = site.fleet().cache().peek(&url).unwrap();
+    let cached = site.fleet().peek(&url).unwrap();
     assert!(
         (v0 + 1..=v0 + 5).contains(&cached.version),
         "version {v0} -> {}",

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bytes::Bytes;
-use nagano_cache::{CacheConfig, CacheFleet, ReplacementPolicy};
+use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy};
 use nagano_db::{
     seed_games, Athlete, AthleteId, Datum, Event, EventPhase, GamesConfig, NewsArticle, NewsId,
     OlympicDb, Photo, PhotoId, Transaction,
@@ -77,10 +77,10 @@ fn monitor_on(
     policy: ConsistencyPolicy,
 ) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
-    let fleet = CacheFleet::with_keys(config, PageUrls::of(&registry));
+    let cache = PageCache::with_keys(config, PageUrls::of(&registry));
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(db)),
-        Arc::new(fleet),
+        Arc::new(cache),
         registry,
         policy,
     );
@@ -151,7 +151,7 @@ fn assert_cache_is_fresh(
     at: &str,
 ) -> usize {
     let fresh = Renderer::new(Arc::clone(db));
-    let cache = monitor.fleet().cache();
+    let cache = monitor.cache();
     if let Some(registry) = never_missing {
         assert_eq!(cache.len(), registry.len(), "{at}: pages missing");
     }
@@ -207,7 +207,7 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let db = seeded_db(games);
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let replay = replay_schedule(&db, &monitor, seed, true, |_| {});
-    let held = monitor.fleet().cache().export_entries();
+    let held = monitor.cache().export_entries();
     let remembered =
         |(url, ..): &(String, _, _, _)| monitor.remembers(PageKey::parse(url).unwrap());
     assert!(held.iter().all(remembered), "schedule seed {seed}");
@@ -252,7 +252,7 @@ fn replay_schedule(
         ),
         (changed as u64, revalidated as u64, patched as u64)
     );
-    let mut entries = monitor.fleet().cache().export_entries();
+    let mut entries = monitor.cache().export_entries();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for (url, body, _cost, version) in &entries {
@@ -288,7 +288,7 @@ fn check_category(
     let fresh = Renderer::new(Arc::clone(db));
     let mut compared = 0usize;
     let mut updated = 0usize;
-    for (url, body, _cost, version) in monitor.fleet().cache().export_entries() {
+    for (url, body, _cost, version) in monitor.cache().export_entries() {
         if prefixes.iter().any(|p| url.starts_with(p)) {
             let key = PageKey::parse(&url).unwrap();
             assert_eq!(
@@ -822,7 +822,7 @@ fn after_a_final_the_other_days_home_pages_are_patched() {
 /// leaves every row of the table as it was. Every page that splices the
 /// table but the final's own day — the other days' home pages, the medals
 /// page, the table's fragment page — is then patched back to the body the
-/// fleet holds: the same allocation, the same version.
+/// cache holds: the same allocation, the same version.
 #[test]
 fn a_standings_move_off_the_medal_table_is_patched_back_to_the_held_body() {
     let db = seeded_db(&GamesConfig::full());
@@ -842,17 +842,17 @@ fn a_standings_move_off_the_medal_table_is_patched_back_to_the_held_body() {
         db.record_results(ev.id, &podium(medallists), true, ev.day);
     }
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
-    let fleet = monitor.fleet();
+    let cache = monitor.cache();
     let pages: Vec<PageKey> = (1..=16)
         .filter(|&day| day != ev.day)
         .map(PageKey::Home)
         .chain([PageKey::Medals, PageKey::Fragment(FragmentKey::MedalTable)])
         .collect();
-    let entry = |key: PageKey| fleet.cache().peek(&key.to_url()).unwrap();
+    let entry = |key: PageKey| cache.peek(&key.to_url()).unwrap();
     let table = || db.medal_standings()[..15].to_vec();
     let rows = table();
     let off_table_final = |medallists| db.record_results(ev.id, &podium(medallists), true, ev.day);
-    // Prewarm left the renderer knowing the body the fleet holds for every
+    // Prewarm left the renderer knowing the body the cache holds for every
     // page: the first such final is answered like the second.
     let mut patched = 0;
     for medallists in [[off[0], off[1], off[2]], [off[1], off[2], off[0]]] {
@@ -1312,7 +1312,7 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
         .sum::<u64>();
     let config = CacheConfig::bounded(budget, ReplacementPolicy::Lru).with_shards(SHARDS);
     let monitor = monitor_on(&db, config, ConsistencyPolicy::UpdateInPlace);
-    let cache = Arc::clone(monitor.fleet().cache());
+    let cache = Arc::clone(monitor.cache());
     let fill = Bytes::from(vec![b'x'; (budget / SHARDS as u64) as usize]);
     let pages: Vec<PageKey> = registry.pages().iter().map(|&(k, _)| k).collect();
     let fragments: Vec<PageKey> = pages

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_cache::{CacheConfig, PageCache};
 use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -28,8 +28,8 @@ fn fresh_db() -> Arc<OlympicDb> {
 fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
     let urls = PageUrls::of(&registry);
-    let fleet = Arc::new(CacheFleet::with_keys(CacheConfig::default(), urls));
-    let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), fleet, registry, policy);
+    let cache = Arc::new(PageCache::with_keys(CacheConfig::default(), urls));
+    let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), cache, registry, policy);
     monitor.prewarm();
     monitor
 }
@@ -62,7 +62,6 @@ fn generate_txns(
 /// Canonical view of the monitor's cache: url → (body, version).
 fn cache_state(monitor: &TriggerMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
     monitor
-        .fleet()
         .cache()
         .export_entries()
         .into_iter()
@@ -75,7 +74,6 @@ fn cache_state(monitor: &TriggerMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
 /// so only keys and bodies must agree.
 fn cache_contents(monitor: &TriggerMonitor) -> BTreeMap<String, Vec<u8>> {
     monitor
-        .fleet()
         .cache()
         .export_entries()
         .into_iter()
@@ -192,16 +190,16 @@ fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
 }
 
 /// Give a monitor's hotness tracker a deterministic traffic profile so a
-/// mid-range hot fraction produces a non-trivial hot/cold split.
+/// mid-range hot fraction produces a non-trivial hot/cold split: requests
+/// the cache answered, for every page it holds, folded as of minute 1.
 fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
-    let keys: Vec<String> = monitor
-        .fleet()
+    let keys: Vec<PageKey> = monitor
         .cache()
         .export_entries()
         .into_iter()
-        .map(|(key, ..)| key)
+        .map(|(url, ..)| PageKey::parse(&url).expect("a cached page's URL"))
         .collect();
-    for key in &keys {
+    for &key in &keys {
         // Zipf-ish: a few pages get many hits, most get few or none.
         let hits = if rng.chance(0.2) {
             20 + rng.index(30)
@@ -209,13 +207,13 @@ fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
             rng.index(3)
         };
         for _ in 0..hits {
-            monitor.fleet().get_from(0, key);
+            monitor.observe_request(key, SimTime::from_mins(1), true);
         }
     }
-    monitor.fleet().fold_hotness(1);
+    monitor.fold_hotness(1);
 }
 
-/// `process_batch` must leave the fleet in the same final *state* as
+/// `process_batch` must leave the cache in the same final *state* as
 /// sequential `process_txn` calls under every policy (coalescing may
 /// skip duplicate work, never change content). Bounded-budget hybrids
 /// drain their deferred queues before comparison.

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use nagano_cache::{CacheConfig, CacheFleet};
+use nagano_cache::{CacheConfig, PageCache};
 use nagano_db::{seed_games, GamesConfig, OlympicDb, Replica};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
@@ -17,10 +17,10 @@ struct SiteUnderTest {
 impl SiteUnderTest {
     fn new(replica: Replica, registry: Arc<PageRegistry>) -> Self {
         let urls = PageUrls::of(&registry);
-        let fleet = Arc::new(CacheFleet::with_keys(CacheConfig::default(), urls));
+        let cache = Arc::new(PageCache::with_keys(CacheConfig::default(), urls));
         let monitor = TriggerMonitor::new(
             Renderer::new(Arc::clone(replica.db())),
-            fleet,
+            cache,
             registry,
             ConsistencyPolicy::UpdateInPlace,
         );
@@ -46,7 +46,6 @@ impl SiteUnderTest {
 
     fn page_version(&self, key: PageKey) -> u64 {
         self.monitor
-            .fleet()
             .cache()
             .peek(&key.to_url())
             .map(|p| p.version)
@@ -97,22 +96,11 @@ fn updates_propagate_down_the_chain_in_order() {
     // All sites hold byte-identical content.
     let a = schaumburg
         .monitor
-        .fleet()
         .cache()
         .peek(&event_page.to_url())
         .unwrap();
-    let b = columbus
-        .monitor
-        .fleet()
-        .cache()
-        .peek(&event_page.to_url())
-        .unwrap();
-    let c = tokyo
-        .monitor
-        .fleet()
-        .cache()
-        .peek(&event_page.to_url())
-        .unwrap();
+    let b = columbus.monitor.cache().peek(&event_page.to_url()).unwrap();
+    let c = tokyo.monitor.cache().peek(&event_page.to_url()).unwrap();
     assert_eq!(a.body, b.body);
     assert_eq!(a.body, c.body);
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use nagano::{ServingSite, SiteConfig};
-use nagano_cache::{CacheConfig, CacheFleet, Memo, Visit};
+use nagano_cache::{CacheConfig, Memo, PageCache, Visit};
 use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, NewsArticle, NewsId, OlympicDb};
 use nagano_httpd::{Request, RequestReader, Status};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -103,12 +103,12 @@ fn podium(db: &OlympicDb, event: EventId) -> Vec<(AthleteId, f64)> {
 fn a_revalidated_regeneration_allocates_nothing() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+    let cache = Arc::new(PageCache::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::clone(&fleet),
+        Arc::clone(&cache),
         registry,
         ConsistencyPolicy::UpdateInPlace,
     );
@@ -124,14 +124,14 @@ fn a_revalidated_regeneration_allocates_nothing() {
         let regenerate = |country: &nagano_db::Country| {
             let key = PageKey::Country(country.id);
             let slot = space.slot(key).unwrap();
-            let (held, memo) = fleet.take_held(slot).expect("update in place");
+            let (held, memo) = cache.take_held(slot).expect("update in place");
             let ((out, memo), rendering) =
                 counted(|| regenerating.render_onto(key, Some((&held, memo))));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
             let (changed, behind) = counted(|| {
                 monitor.register_render(key, &out);
-                fleet.distribute_with(slot, out.body, Some(memo))
+                cache.distribute_with(slot, out.body, Some(memo))
             });
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
@@ -146,7 +146,7 @@ fn a_revalidated_regeneration_allocates_nothing() {
         countries.iter().map(regenerate).collect()
     };
 
-    // The first final finds the fleet prewarmed with the memos of the
+    // The first final finds the cache prewarmed with the memos of the
     // monitor's renderer, which are of no use to this one: it knows nothing
     // of those bodies. The second finds the memos it made itself.
     let events = db.events();
@@ -181,43 +181,43 @@ fn a_revalidated_regeneration_allocates_nothing() {
 fn a_distribution_and_a_visit_to_a_settled_row_allocate_nothing() {
     // A page the cache holds, whose entry the distributions write over.
     const PAGE: u32 = 48;
-    let fleet = CacheFleet::new(CacheConfig::default());
+    let cache = PageCache::new(CacheConfig::default());
     let bodies: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![b'a' + i; 6_000])).collect();
-    fleet.distribute_with(PAGE, bodies[0].clone(), None);
+    cache.distribute_with(PAGE, bodies[0].clone(), None);
     for body in &bodies[1..] {
-        let (changed, allocated) = counted(|| fleet.distribute_with(PAGE, body.clone(), None));
+        let (changed, allocated) = counted(|| cache.distribute_with(PAGE, body.clone(), None));
         assert!(changed, "the bytes changed");
         assert_eq!(allocated, 0, "a changed page's distribution allocated");
     }
     let memo: Memo = Box::new(7_u8);
     let (changed, allocated) =
-        counted(|| fleet.distribute_with(PAGE, bodies[0].clone(), Some(memo)));
+        counted(|| cache.distribute_with(PAGE, bodies[0].clone(), Some(memo)));
     assert!(changed && allocated == 0, "{allocated} allocations");
-    let page = fleet.cache().peek(PAGE).unwrap();
+    let page = cache.peek(PAGE).unwrap();
     assert_eq!((page.body.as_ptr(), page.version), (bodies[0].as_ptr(), 5));
     // The cache's half of the one visit a regeneration makes: the page
     // answered from its body and memo, or its body and memo taken out of
     // its entry.
-    let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, &memo: &u8| Some(memo)));
+    let (visit, allocated) = counted(|| cache.answer_or_take(PAGE, |_, &memo: &u8| Some(memo)));
     assert!(matches!(visit, Visit::Answered(7)) && allocated == 0);
-    let (visit, allocated) = counted(|| fleet.answer_or_take(PAGE, |_, _: &u8| None::<()>));
+    let (visit, allocated) = counted(|| cache.answer_or_take(PAGE, |_, _: &u8| None::<()>));
     let Visit::Taken(Some((held, Some(memo)))) = visit else {
         panic!("the cache holds the page and the memo of it");
     };
     assert!(held.as_ptr() == bodies[0].as_ptr() && *memo == 7 && allocated == 0);
-    assert!(!fleet.has_memo(PAGE));
+    assert!(!cache.has_memo(PAGE));
 }
 
 #[test]
 fn the_one_visit_of_a_regeneration_allocates_nothing() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+    let cache = Arc::new(PageCache::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::clone(&fleet),
+        Arc::clone(&cache),
         registry,
         ConsistencyPolicy::UpdateInPlace,
     );
@@ -237,7 +237,7 @@ fn the_one_visit_of_a_regeneration_allocates_nothing() {
             .answer_unmoved(&countries, |key, answer| {
                 let slot = space.slot(key).unwrap();
                 let (visit, allocated) =
-                    counted(|| fleet.answer_or_take(slot, |b, m| answer(b, m)));
+                    counted(|| cache.answer_or_take(slot, |b, m| answer(b, m)));
                 (matches!(visit, Visit::Answered(_)), allocated)
             })
     };
@@ -264,12 +264,12 @@ fn the_one_visit_of_a_regeneration_allocates_nothing() {
 fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+    let cache = Arc::new(PageCache::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::clone(&fleet),
+        Arc::clone(&cache),
         registry,
         ConsistencyPolicy::UpdateInPlace,
     );
@@ -292,13 +292,13 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
         for &(athlete, _) in &placed {
             let key = PageKey::Athlete(athlete);
             let slot = space.slot(key).unwrap();
-            let (held, memo) = fleet.take_held(slot).expect("update in place");
+            let (held, memo) = cache.take_held(slot).expect("update in place");
             let (out, allocated) = counted_large(|| {
                 let (out, memo) = regenerating.render_onto(key, Some((&held, memo)));
                 monitor.register_render(key, &out);
                 let body = out.body.clone();
                 assert!(
-                    fleet.distribute_with(slot, out.body, Some(memo)),
+                    cache.distribute_with(slot, out.body, Some(memo)),
                     "{key} changed"
                 );
                 body
@@ -321,12 +321,12 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
 fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
-    let fleet = Arc::new(CacheFleet::new(CacheConfig::default()));
+    let cache = Arc::new(PageCache::new(CacheConfig::default()));
     let registry = Arc::new(PageRegistry::build(&db, 16));
     let space = *registry.space();
     let monitor = TriggerMonitor::new(
         Renderer::new(Arc::clone(&db)),
-        Arc::clone(&fleet),
+        Arc::clone(&cache),
         registry,
         ConsistencyPolicy::UpdateInPlace,
     );
@@ -344,20 +344,20 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
         let pages = (1..=16).map(|day| {
             let key = PageKey::Home(day);
             let slot = space.slot(key).unwrap();
-            let (held, memo) = fleet.take_held(slot).expect("update in place");
+            let (held, memo) = cache.take_held(slot).expect("update in place");
             let ((out, memo), rendering) =
                 counted(|| regenerating.render_onto(key, Some((&held, memo))));
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             monitor.register_render(key, &out);
             assert!(
-                fleet.distribute_with(slot, out.body, Some(memo)),
+                cache.distribute_with(slot, out.body, Some(memo)),
                 "{key} changed"
             );
             (day, out.patched, rendering)
         });
         pages.collect()
     };
-    // The first final finds the fleet prewarmed with the memos of the
+    // The first final finds the cache prewarmed with the memos of the
     // monitor's renderer, of no use to this one: every page is composed. In the next two every page is patched. The
     // first page to splice the moved table brings the table's memo up
     // inside its patch, and the page of the final's own day its event's

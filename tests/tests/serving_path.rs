@@ -240,7 +240,7 @@ fn every_page_goes_out_as_the_literal_response_for_its_entry() {
     // names that version, 200 otherwise, 404 off the site.
     let expected = |path: &str, etag: Option<&str>| -> Vec<u8> {
         let key = nagano::pagegen::PageKey::parse(path);
-        let Some(page) = key.and_then(|key| site.fleet().cache().peek(&key.to_url())) else {
+        let Some(page) = key.and_then(|key| site.fleet().peek(&key.to_url())) else {
             return b"HTTP/1.1 404 Not Found\r\n\
                      Content-Type: text/plain; charset=utf-8\r\n\
                      Content-Length: 10\r\n\

@@ -92,7 +92,7 @@ fn live_updates_under_http_load_lose_nothing() {
 
     // Update-in-place: the load never caused a miss on node 0 beyond the
     // (zero) expected — everything stayed resident.
-    let stats = site.fleet().cache().stats();
+    let stats = site.fleet().stats();
     assert_eq!(stats.misses, 0, "hot pages must never miss");
     assert!(stats.updates > 0, "pages were updated in place during load");
 
