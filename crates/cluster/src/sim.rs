@@ -1498,8 +1498,8 @@ fn hybrid_spans(t: &mut Trace, apply: usize, site: &str, outcome: &TxnOutcome, a
 
 /// The four complexes in site order: a trigger monitor over one cache
 /// each — the complex's serving nodes, modelled as one — its cells bound into the registry under a `site`
-/// label, and the Figure-5 replicas in pull mode, so that the simulated
-/// links decide exactly which transactions arrive (and when): master
+/// label, and the Figure-5 replicas, which only the simulated links
+/// deliver to, so that those decide which transactions arrive (and when): master
 /// feeds Schaumburg and Tokyo; Columbus and Bethesda chain off Schaumburg.
 fn complexes(
     cfg: &ClusterConfig,
@@ -1508,10 +1508,10 @@ fn complexes(
     telemetry: &Telemetry,
 ) -> Vec<Complex> {
     let cache_config = CacheConfig::default().with_stale(cfg.resilience.stale);
-    let schaumburg = Replica::attach_pull(SITES[0].name, Arc::clone(db));
-    let columbus = Replica::attach_downstream_pull(SITES[1].name, &schaumburg);
-    let bethesda = Replica::attach_downstream_pull(SITES[2].name, &schaumburg);
-    let tokyo = Replica::attach_pull(SITES[3].name, Arc::clone(db));
+    let schaumburg = Replica::attach(SITES[0].name, Arc::clone(db));
+    let columbus = Replica::attach_downstream(SITES[1].name, &schaumburg);
+    let bethesda = Replica::attach_downstream(SITES[2].name, &schaumburg);
+    let tokyo = Replica::attach(SITES[3].name, Arc::clone(db));
     let reg = &telemetry.registry;
     SITES
         .iter()

@@ -408,19 +408,20 @@ impl ServingSite {
         Server::bind(addr, self.admin_handler(registry), config)
     }
 
-    /// Register this site's live metric cells — trigger counters, the
-    /// weighted-staleness histogram, and the cache's statistics — into a
-    /// telemetry registry. They appear under the `nagano_trigger_*` /
-    /// `nagano_cache_*` names with the given labels, as a complex's do in
-    /// the cluster simulation, so one registry can hold several sites
-    /// distinguished by label. A site keeps no stale copy, so it exports
-    /// no count of stale serves.
+    /// Register this site's live metric cells — trigger counters and the
+    /// cache's statistics — into a telemetry registry. They appear under
+    /// the `nagano_trigger_*` / `nagano_cache_*` names with the given
+    /// labels, as a complex's do in the cluster simulation, so one registry
+    /// can hold several sites distinguished by label. A site keeps no stale
+    /// copy, defers no regeneration (it refuses the hybrid policy) and
+    /// weighs no request by staleness, so it exports no series of those,
+    /// which could only read 0.
     pub fn bind_telemetry(
         &self,
         registry: &nagano_telemetry::MetricsRegistry,
         labels: &[(&str, &str)],
     ) {
-        self.monitor.stats().bind(registry, labels);
+        self.monitor.stats().bind_eager(registry, labels);
         self.cache.stats_handle().bind_fresh(registry, labels);
     }
 

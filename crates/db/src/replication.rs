@@ -19,6 +19,10 @@
 //! `nagano-cluster`'s fault plan). The replica end is built so that *any*
 //! such fault is recoverable from the applied watermark alone:
 //!
+//! A replica is driven from outside: the caller delivers each transaction
+//! the link carries and recovers with a catch-up, so that link faults
+//! control exactly which transactions arrive.
+//!
 //! * [`Replica::deliver`] applies a pushed transaction only when it is
 //!   the next in sequence; anything already applied is a [`DeliverOutcome::Duplicate`]
 //!   and anything further ahead is a [`DeliverOutcome::Gap`] — the replica
@@ -32,7 +36,6 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use nagano_simcore::sync::Mutex;
 
 use crate::database::OlympicDb;
@@ -73,9 +76,6 @@ pub struct Replica {
     /// Locally re-published log; downstream replicas chain off this.
     log: Arc<TxnLog>,
     applied: Mutex<TxnId>,
-    /// Streaming subscription (push path); `None` for pull-only replicas
-    /// driven entirely by [`Replica::deliver`]/[`Replica::catch_up`].
-    incoming: Option<Receiver<Arc<Transaction>>>,
     /// The configured upstream.
     primary: Feed,
     /// The feed currently in use (differs from `primary` after
@@ -84,53 +84,28 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Attach directly to the master database's log.
+    /// Attach directly to the master database's log: the caller pushes
+    /// with [`Replica::deliver`] and recovers with [`Replica::catch_up`].
     pub fn attach(name: impl Into<String>, master: Arc<OlympicDb>) -> Self {
-        let incoming = master.subscribe();
-        Self::build(name, master, Some(incoming), Feed::Master)
+        Self::build(name, master, Feed::Master)
     }
 
-    /// Attach downstream of another replica (e.g. Columbus off Schaumburg).
+    /// Attach downstream of another replica (e.g. Columbus off
+    /// Schaumburg): a catch-up pulls from that replica's re-published log.
     pub fn attach_downstream(name: impl Into<String>, upstream: &Replica) -> Self {
-        let incoming = upstream.log.subscribe();
         Self::build(
             name,
             Arc::clone(&upstream.master),
-            Some(incoming),
             Feed::Peer(Arc::clone(&upstream.log)),
         )
     }
 
-    /// Attach to the master in pull mode: no streaming subscription; the
-    /// caller pushes with [`Replica::deliver`] and recovers with
-    /// [`Replica::catch_up`]. This is what the cluster simulation uses so
-    /// that link faults control exactly which transactions arrive.
-    pub fn attach_pull(name: impl Into<String>, master: Arc<OlympicDb>) -> Self {
-        Self::build(name, master, None, Feed::Master)
-    }
-
-    /// Pull-mode equivalent of [`Replica::attach_downstream`].
-    pub fn attach_downstream_pull(name: impl Into<String>, upstream: &Replica) -> Self {
-        Self::build(
-            name,
-            Arc::clone(&upstream.master),
-            None,
-            Feed::Peer(Arc::clone(&upstream.log)),
-        )
-    }
-
-    fn build(
-        name: impl Into<String>,
-        master: Arc<OlympicDb>,
-        incoming: Option<Receiver<Arc<Transaction>>>,
-        primary: Feed,
-    ) -> Self {
+    fn build(name: impl Into<String>, master: Arc<OlympicDb>, primary: Feed) -> Self {
         Replica {
             name: name.into(),
             master,
             log: Arc::new(TxnLog::new()),
             applied: Mutex::new(TxnId(0)),
-            incoming,
             current: Mutex::new(primary.clone()),
             primary,
         }
@@ -146,35 +121,10 @@ impl Replica {
         &self.master
     }
 
-    /// Apply every transaction currently queued; returns how many were
-    /// applied. Applied transactions are re-published on this replica's
-    /// own log for chained downstream replicas and the local trigger
-    /// monitor. Pull-mode replicas have no queue and always return 0.
-    pub fn pump(&self) -> usize {
-        self.pump_n(usize::MAX)
-    }
-
-    /// Apply at most `limit` queued transactions (lets tests and the
-    /// simulation model partial replication progress).
-    pub fn pump_n(&self, limit: usize) -> usize {
-        let Some(incoming) = &self.incoming else {
-            return 0;
-        };
-        let mut n = 0;
-        while n < limit {
-            match incoming.try_recv() {
-                Ok(txn) => {
-                    self.apply(&txn);
-                    n += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        n
-    }
-
     /// Push one transaction at this replica (the simulated link delivers
     /// it). Applies only the next-in-sequence id; see [`DeliverOutcome`].
+    /// Applied transactions are re-published on this replica's own log,
+    /// for chained downstream replicas.
     pub fn deliver(&self, txn: &Arc<Transaction>) -> DeliverOutcome {
         let applied = *self.applied.lock();
         if txn.id.0 <= applied.0 {
@@ -244,12 +194,6 @@ impl Replica {
         (self.master.log().len() as u64).saturating_sub(self.applied().0)
     }
 
-    /// Subscribe to this site's local replicated stream (the local trigger
-    /// monitor does this).
-    pub fn subscribe(&self) -> Receiver<Arc<Transaction>> {
-        self.log.subscribe()
-    }
-
     /// This site's re-published log.
     pub fn local_log(&self) -> &TxnLog {
         &self.log
@@ -293,14 +237,22 @@ mod tests {
         Arc::new(db)
     }
 
+    /// Commit `n` result postings to `m`; returns them, in log order.
+    fn commit(m: &OlympicDb, n: usize) -> Vec<Arc<Transaction>> {
+        (0..n)
+            .map(|i| m.record_results(EventId(1), &[(AthleteId(1), i as f64)], false, 2))
+            .collect()
+    }
+
     #[test]
     fn replica_applies_in_order() {
         let m = master();
         let tokyo = Replica::attach("tokyo", Arc::clone(&m));
-        m.record_results(EventId(1), &[(AthleteId(1), 9.0)], false, 2);
-        m.record_results(EventId(1), &[(AthleteId(1), 10.0)], true, 2);
+        let txns = commit(&m, 2);
         assert_eq!(tokyo.lag(), 2);
-        assert_eq!(tokyo.pump(), 2);
+        for txn in &txns {
+            assert_eq!(tokyo.deliver(txn), DeliverOutcome::Applied);
+        }
         assert_eq!(tokyo.applied(), TxnId(2));
         assert_eq!(tokyo.lag(), 0);
         assert_eq!(tokyo.local_log().len(), 2);
@@ -311,11 +263,13 @@ mod tests {
         let m = master();
         let schaumburg = Replica::attach("schaumburg", Arc::clone(&m));
         let columbus = Replica::attach_downstream("columbus", &schaumburg);
-        m.record_results(EventId(1), &[(AthleteId(1), 10.0)], true, 2);
+        let txns = commit(&m, 1);
         // Columbus sees nothing until Schaumburg applies.
-        assert_eq!(columbus.pump(), 0);
-        assert_eq!(schaumburg.pump(), 1);
-        assert_eq!(columbus.pump(), 1);
+        assert!(columbus.catch_up().is_empty());
+        assert_eq!(schaumburg.deliver(&txns[0]), DeliverOutcome::Applied);
+        let relayed = columbus.catch_up();
+        assert_eq!(relayed.len(), 1);
+        assert_eq!(relayed[0].changes, txns[0].changes);
         assert_eq!(columbus.applied(), TxnId(1));
     }
 
@@ -323,13 +277,13 @@ mod tests {
     fn partial_pump_tracks_watermark() {
         let m = master();
         let site = Replica::attach("bethesda", Arc::clone(&m));
-        for _ in 0..5 {
-            m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
+        let txns = commit(&m, 5);
+        for txn in &txns[..2] {
+            site.deliver(txn);
         }
-        assert_eq!(site.pump_n(2), 2);
         assert_eq!(site.applied(), TxnId(2));
         assert_eq!(site.lag(), 3);
-        assert_eq!(site.pump_n(100), 3);
+        assert_eq!(site.catch_up().len(), 3);
         assert_eq!(site.lag(), 0);
     }
 
@@ -337,10 +291,13 @@ mod tests {
     fn local_subscribers_see_replicated_stream() {
         let m = master();
         let site = Replica::attach("tokyo", Arc::clone(&m));
-        let trigger_rx = site.subscribe();
-        m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
-        assert!(trigger_rx.try_recv().is_err(), "not visible before pump");
-        site.pump();
+        let trigger_rx = site.local_log().subscribe();
+        let txns = commit(&m, 1);
+        assert!(
+            trigger_rx.try_recv().is_err(),
+            "not visible before delivery"
+        );
+        assert_eq!(site.deliver(&txns[0]), DeliverOutcome::Applied);
         let txn = trigger_rx.try_recv().unwrap();
         assert!(txn.changes.iter().any(|c| c.data_key == "data:event:1"));
     }
@@ -348,7 +305,7 @@ mod tests {
     #[test]
     fn deliver_applies_in_sequence_and_flags_gaps_and_duplicates() {
         let m = master();
-        let site = Replica::attach_pull("schaumburg", Arc::clone(&m));
+        let site = Replica::attach("schaumburg", Arc::clone(&m));
         for _ in 0..3 {
             m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
         }
@@ -375,7 +332,7 @@ mod tests {
     #[test]
     fn catch_up_closes_the_gap_from_the_watermark() {
         let m = master();
-        let site = Replica::attach_pull("tokyo", Arc::clone(&m));
+        let site = Replica::attach("tokyo", Arc::clone(&m));
         for _ in 0..4 {
             m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
         }
@@ -394,8 +351,8 @@ mod tests {
     #[test]
     fn fail_over_pulls_from_the_peer_and_restore_returns_to_primary() {
         let m = master();
-        let tokyo = Replica::attach_pull("tokyo", Arc::clone(&m));
-        let schaumburg = Replica::attach_pull("schaumburg", Arc::clone(&m));
+        let tokyo = Replica::attach("tokyo", Arc::clone(&m));
+        let schaumburg = Replica::attach("schaumburg", Arc::clone(&m));
         for _ in 0..3 {
             m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
         }
@@ -420,8 +377,8 @@ mod tests {
     #[test]
     fn chained_pull_replicas_catch_up_through_the_chain() {
         let m = master();
-        let schaumburg = Replica::attach_pull("schaumburg", Arc::clone(&m));
-        let columbus = Replica::attach_downstream_pull("columbus", &schaumburg);
+        let schaumburg = Replica::attach("schaumburg", Arc::clone(&m));
+        let columbus = Replica::attach_downstream("columbus", &schaumburg);
         for _ in 0..2 {
             m.record_results(EventId(1), &[(AthleteId(1), 1.0)], false, 2);
         }

@@ -7,6 +7,7 @@
 //! needs to burn real CPU (the server-throughput experiment) it calls
 //! [`spin_for`] with a scale factor.
 
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -35,7 +36,7 @@ impl CostModel {
     /// 2–10 ms band, keyed by the page identity.
     pub fn static_cost_ms(&self, key: PageKey) -> f64 {
         // Cheap deterministic hash → [0, 1).
-        let h = fxhash_key(&key.to_url());
+        let h = url_hash(key);
         2.0 + 8.0 * (h % 1024) as f64 / 1024.0
     }
 
@@ -66,7 +67,7 @@ impl CostModel {
             }
         };
         // ±20% deterministic jitter so pages of one family differ.
-        let h = fxhash_key(&key.to_url());
+        let h = url_hash(key);
         let jitter = 0.8 + 0.4 * (h % 4096) as f64 / 4096.0;
         base * jitter * self.dynamic_scale
     }
@@ -77,6 +78,23 @@ impl CostModel {
     pub fn cache_hit_cost_ms(&self) -> f64 {
         0.5
     }
+}
+
+thread_local! {
+    /// The buffer a page's URL is spelled into to be hashed, one per
+    /// thread: cleared, never freed, so a cost lookup allocates nothing
+    /// once the thread's longest URL has grown it.
+    static URL: Cell<String> = const { Cell::new(String::new()) };
+}
+
+/// The hash of `key`'s URL, the bytes [`PageKey::push_url`] writes.
+fn url_hash(key: PageKey) -> u64 {
+    let mut url = URL.take();
+    url.clear();
+    key.push_url(&mut url);
+    let h = fxhash_key(&url);
+    URL.set(url);
+    h
 }
 
 fn fxhash_key(s: &str) -> u64 {

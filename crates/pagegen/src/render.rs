@@ -29,6 +29,7 @@ use bytes::Bytes;
 use nagano_db::schema::{keyed, push_decimal};
 use nagano_db::{AthleteId, CountryId, DataKey, EventId, EventPhase, NewsId, OlympicDb, SportId};
 use nagano_simcore::sync::Mutex;
+use nagano_simcore::uncounted::Uncounted;
 use rustc_hash::FxHashMap;
 
 use crate::cost::{spin_for, CostModel};
@@ -159,8 +160,8 @@ pub struct PageMemo {
     content_len: usize,
     deps: Arc<[Dependency]>,
     /// The page's modelled cost, which the model spells the page's URL
-    /// out to work out: kept so that a kept page allocates nothing and a
-    /// composed one does not hash its URL again.
+    /// out to work out: kept so that neither a kept page nor a composed one
+    /// spells and hashes its URL again.
     cost_ms: f64,
 }
 
@@ -393,11 +394,8 @@ impl Renderer {
         // What covers the reads is of use to the next render onto the body
         // this one returns, if it is to be kept.
         let mut coverage = keep.then(Coverage::default);
-        // A page that is not composed is composed all the same in a build
-        // with debug assertions, into a buffer of its own, to compare.
-        let mut oracle = String::new();
         let last = memo.as_deref().filter(|m| m.renderer == self.id);
-        let (answer, title) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
+        let (answer, title, oracle) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
             let answer = match last.filter(|_| previous.is_some()) {
                 Some(last) => self.answer(r, last, &mut html, &mut moved),
                 None => Answer::Compose,
@@ -407,11 +405,18 @@ impl Renderer {
                     html.clear();
                     self.compose(r, key, &mut html)
                 }
-                _ if COMPOSE_WHAT_IS_KEPT => self.compose(r, key, &mut oracle),
                 _ => String::new(),
             };
-            (answer, title)
+            // A page that is not composed is composed all the same in a
+            // build with debug assertions, to compare.
+            let oracle =
+                (COMPOSE_WHAT_IS_KEPT && answer != Answer::Compose).then(|| self.composed(r, key));
+            (answer, title, oracle)
         });
+        debug_assert!(
+            answer == Answer::Compose || deps.is_empty(),
+            "{key}: answered uncomposed, but read into the render's list"
+        );
         let target = target_bytes(key);
         let (revalidated, patched) = (answer == Answer::Unmoved, answer == Answer::Patch);
         let held_len = memo.as_ref().map(|memo| memo.content_len);
@@ -468,15 +473,14 @@ impl Renderer {
             revalidated,
             patched,
         };
-        if COMPOSE_WHAT_IS_KEPT && (out.revalidated || out.patched) {
+        if let Some((composed, composed_deps)) = oracle {
             let how = if out.patched {
                 "patched"
             } else {
                 "kept by its stamps"
             };
-            let composed = finished(&Content::new(&title, &oracle), target);
             assert!(composed == *out.body, "{key}: {how}, but not as composed");
-            assert_eq!(deps[..], out.deps[..], "{key}: {how}");
+            assert_eq!(composed_deps[..], out.deps[..], "{key}: {how}");
         }
         SCRATCH.set(html);
         MOVED.set(moved);
@@ -544,6 +548,7 @@ impl Renderer {
                 if write_over(&mut page, content_len, content) {
                     let body = page.freeze();
                     if COMPOSE_WHAT_IS_KEPT {
+                        let _checking = Uncounted::enter();
                         let afresh = finished(content, target);
                         assert!(
                             body == afresh,
@@ -636,6 +641,7 @@ impl Renderer {
                         return None;
                     }
                     if COMPOSE_WHAT_IS_KEPT {
+                        let _checking = Uncounted::enter();
                         let deps = Arc::clone(&last.deps);
                         kept.push((key, body.clone(), deps, last.cost_ms));
                     }
@@ -647,9 +653,7 @@ impl Renderer {
             });
             let visits = visits.collect();
             for (key, body, deps, cost_ms) in kept {
-                let (mut html, mut own) = (String::new(), Vec::new());
-                let title = self.compose(&mut r.section(&mut own, None), key, &mut html);
-                let composed = finished(&Content::new(&title, &html), target_bytes(key));
+                let (composed, own) = self.composed(r, key);
                 assert!(composed == *body, "{key}: unmoved, but not as composed");
                 assert_eq!(own[..], deps[..], "{key}: unmoved");
                 assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}: unmoved");
@@ -662,6 +666,19 @@ impl Renderer {
             }
         }
         visits
+    }
+
+    /// The oracle of a page answered without a compose: `key` composed in
+    /// `r`'s snapshot through a handle of its own — the render's
+    /// dependency list and coverage stay as an optimised build leaves
+    /// them — finished, with the dependency list its reads registered, to
+    /// compare with the answer. The oracle's work: uncounted.
+    fn composed(&self, r: &Reads<'_>, key: PageKey) -> (Vec<u8>, Vec<Dependency>) {
+        let _checking = Uncounted::enter();
+        let (mut html, mut deps) = (String::new(), Vec::new());
+        let title = self.compose(&mut r.section(&mut deps, None), key, &mut html);
+        let body = finished(&Content::new(&title, &html), target_bytes(key));
+        (body, deps)
     }
 
     /// Build the page's inner HTML; returns the title.
@@ -958,7 +975,9 @@ const MEMO_POISONED: &str = "a render panicked while holding a memo";
 /// view, and panics unless that comes to the bytes, the dependency list and
 /// the cost it answered with — a page patched back to the held body
 /// included; and finishes each page it writes over a parked body afresh,
-/// and panics unless the two agree. An optimised build compiles none of it.
+/// and panics unless the two agree. That work runs [`Uncounted`], so an
+/// allocation count holds of both builds; an optimised build compiles none
+/// of it.
 const COMPOSE_WHAT_IS_KEPT: bool = cfg!(debug_assertions);
 
 /// Render `section` from `r`: the pure function of the section's source
@@ -1121,6 +1140,27 @@ mod tests {
         let db = Arc::new(OlympicDb::new());
         let (fs, _) = seed_games(&db, &GamesConfig::small());
         (db, fs)
+    }
+
+    #[test]
+    fn the_oracle_of_a_kept_page_reads_into_a_list_of_its_own() {
+        let (db, _) = seeded();
+        let r = Renderer::new(Arc::clone(&db));
+        let key = PageKey::Home(1);
+        let (first, memo) = r.render_onto(key, None);
+        let (kept, _) = r.render_onto(key, Some((&first.body, Some(memo))));
+        assert!(kept.revalidated, "answered from its stamps");
+        // What a render answered from its stamps composes, in a build with
+        // debug assertions, to compare: the page, without a read into the
+        // render's own list or coverage, which stay as an optimised build
+        // leaves them.
+        let (mut deps, mut coverage) = (Vec::new(), Coverage::default());
+        let (composed, own) = Reads::over(&db, &mut deps, Some(&mut coverage), |reads| {
+            r.composed(reads, key)
+        });
+        assert!(composed == *kept.body);
+        assert_eq!(own[..], kept.deps[..]);
+        assert!(deps.is_empty() && coverage.splices().is_empty());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   external-congestion injection) used by Tables 1–2 and Figure 22.
 //! * [`sync`] — the workspace's locks and its one way to block
 //!   ([`blocking!`]), which check lock order in a debug build.
+//! * [`uncounted`] — the thread-local mark a debug-build checker's own
+//!   work runs under, which allocation counts leave out.
 //!
 //! Everything is deterministic given a seed: no wall-clock reads, no global
 //! RNG state.
@@ -32,6 +34,7 @@ pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod time;
+pub mod uncounted;
 
 pub use events::EventQueue;
 pub use link::{LinkClass, LinkModel, TransferEstimate};

@@ -14,6 +14,8 @@
 //!   deadlock. The checker panics before it waits, naming both creation
 //!   sites. It also panics when a thread takes a lock it already holds, or
 //!   nests two locks of one class, since no order is defined between them.
+//!   Recording an edge allocates; that is the checker's own work and runs
+//!   [`Uncounted`](crate::uncounted::Uncounted).
 //! * **No guard across a blocking call (L002).** `blocking!` panics when
 //!   the thread holds any lock; a [`Condvar`] wait tolerates only the guard
 //!   it releases.
@@ -487,8 +489,9 @@ mod order {
     }
 
     /// Record `before` → `after` in [`EDGES`], panicking if it closes a
-    /// cycle.
+    /// cycle. The checker's own work: what it allocates is uncounted.
     fn add_edge(before: Class, after: Class, at: Class) {
+        let _checking = crate::uncounted::Uncounted::enter();
         let mut cycle = Vec::new();
         {
             let mut edges = EDGES.lock().unwrap_or_else(PoisonError::into_inner);

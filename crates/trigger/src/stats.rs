@@ -189,6 +189,34 @@ impl TriggerStats {
     /// `nagano_trigger_*` names, tagged with `labels` (typically
     /// `site=<name>`).
     pub fn bind(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+        self.bind_eager(registry, labels);
+        registry.bind_counter(
+            "nagano_trigger_pages_deferred_total",
+            labels,
+            &self.pages_deferred,
+        );
+        registry.bind_gauge(
+            "nagano_trigger_regen_deferred_depth",
+            labels,
+            &self.deferred_depth,
+        );
+        registry.bind_counter(
+            "nagano_trigger_regen_deferred_shed_total",
+            labels,
+            &self.deferred_shed,
+        );
+        registry.bind_histogram(
+            "nagano_trigger_weighted_staleness_seconds",
+            labels,
+            &self.weighted_staleness,
+        );
+    }
+
+    /// [`TriggerStats::bind`] without the deferral series and the
+    /// weighted-staleness histogram: the series of a monitor that defers
+    /// no regeneration (no Hybrid policy) and is told of no request's
+    /// staleness, where those could only read 0.
+    pub fn bind_eager(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.bind_counter("nagano_trigger_txns_total", labels, &self.txns);
         registry.bind_counter(
             "nagano_trigger_pages_regenerated_total",
@@ -227,21 +255,6 @@ impl TriggerStats {
         );
         registry.bind_counter("nagano_trigger_recoveries_total", labels, &self.recoveries);
         registry.bind_counter(
-            "nagano_trigger_pages_deferred_total",
-            labels,
-            &self.pages_deferred,
-        );
-        registry.bind_gauge(
-            "nagano_trigger_regen_deferred_depth",
-            labels,
-            &self.deferred_depth,
-        );
-        registry.bind_counter(
-            "nagano_trigger_regen_deferred_shed_total",
-            labels,
-            &self.deferred_shed,
-        );
-        registry.bind_counter(
             "nagano_trigger_regen_cpu_ms_total",
             labels,
             &self.regen_cpu_ms,
@@ -250,11 +263,6 @@ impl TriggerStats {
             "nagano_trigger_regen_saved_ms_total",
             labels,
             &self.regen_saved_ms,
-        );
-        registry.bind_histogram(
-            "nagano_trigger_weighted_staleness_seconds",
-            labels,
-            &self.weighted_staleness,
         );
     }
 

@@ -4,14 +4,13 @@
 use std::sync::Arc;
 
 use nagano_cache::{CacheConfig, PageCache};
-use nagano_db::{seed_games, GamesConfig, OlympicDb, Replica};
+use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, TxnId};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
 
 struct SiteUnderTest {
     replica: Replica,
     monitor: TriggerMonitor,
-    rx: crossbeam::channel::Receiver<Arc<nagano_db::Transaction>>,
 }
 
 impl SiteUnderTest {
@@ -25,23 +24,16 @@ impl SiteUnderTest {
             ConsistencyPolicy::UpdateInPlace,
         );
         monitor.prewarm();
-        let rx = replica.subscribe();
-        SiteUnderTest {
-            replica,
-            monitor,
-            rx,
-        }
+        SiteUnderTest { replica, monitor }
     }
 
     /// Apply replication then run the local trigger monitor.
     fn sync(&self) -> usize {
-        self.replica.pump();
-        let mut n = 0;
-        while let Ok(txn) = self.rx.try_recv() {
-            self.monitor.process_txn(&txn);
-            n += 1;
+        let pulled = self.replica.catch_up();
+        for txn in &pulled {
+            self.monitor.process_txn(txn);
         }
-        n
+        pulled.len()
     }
 
     fn page_version(&self, key: PageKey) -> u64 {
@@ -128,7 +120,10 @@ fn replica_watermarks_track_application() {
         master.record_results(ev.id, &[(pool[0].id, 5.0)], false, ev.day);
     }
     assert_eq!(schaumburg.replica.lag(), 4);
-    schaumburg.replica.pump_n(2);
+    for id in 1..=2 {
+        let txn = master.log().get(TxnId(id)).expect("committed");
+        assert_eq!(schaumburg.replica.deliver(&txn), DeliverOutcome::Applied);
+    }
     assert_eq!(schaumburg.replica.applied().0, 2);
     assert_eq!(schaumburg.replica.lag(), 2);
     // Tokyo is independent of Schaumburg's progress.

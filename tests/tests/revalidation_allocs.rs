@@ -9,14 +9,16 @@
 //! unmoved or takes its body and memo out of its entry (DESIGN.md §14a,
 //! "The row").
 //!
+//! Nor does the per-request work of a warm hit on the socket path: reading
+//! the head off the wire, answering it `200` or `304`, and framing the
+//! answer. Nor does a cost lookup.
+//!
 //! A binary of its own, because it counts through the global allocator.
-//! The render halves hold of an optimised build only — a build with debug
-//! assertions composes every page it keeps and finishes every page it
-//! writes over afresh, to compare — so CI also runs this file with
-//! `--release`; the registration and the distribution of a kept page
-//! allocate nothing in either build. Nor does the per-request work of a
-//! warm hit on the socket path: reading the head off the wire, answering
-//! it `200` or `304`, and framing the answer.
+//! Every count holds of both builds: a build with debug assertions also
+//! composes every page it keeps and finishes every page it writes over
+//! afresh, to compare, and records each lock-order edge the first time it
+//! is taken, but that work runs `Uncounted`
+//! (`nagano_simcore::uncounted`), and the counter skips it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,9 +27,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use nagano::{ServingSite, SiteConfig};
 use nagano_cache::{CacheConfig, Memo, PageCache, Visit};
-use nagano_db::{seed_games, AthleteId, EventId, GamesConfig, NewsArticle, NewsId, OlympicDb};
+use nagano_db::{
+    seed_games, AthleteId, EventId, GamesConfig, NewsArticle, NewsId, OlympicDb, SportId,
+};
 use nagano_httpd::{Request, RequestReader, Status};
-use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+use nagano_pagegen::{CostModel, FragmentKey, PageKey, PageRegistry, Renderer};
+use nagano_simcore::uncounted::is_uncounted;
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
 
 thread_local! {
@@ -45,6 +50,10 @@ struct Counting;
 
 impl Counting {
     fn count(size: usize) {
+        // A checker's work is not the path's it checks.
+        if is_uncounted() {
+            return;
+        }
         // A thread that is being torn down has nowhere left to count.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         if size >= LARGE {
@@ -53,8 +62,9 @@ impl Counting {
     }
 }
 
-// SAFETY: every call is handed to `System` unchanged; the counter is a
-// `const`-initialised thread-local `Cell`, which allocates nothing itself.
+// SAFETY: every call is handed to `System` unchanged; the counters, and
+// the depth `is_uncounted` reads, are `const`-initialised thread-local
+// `Cell`s, which allocate nothing themselves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::count(layout.size());
@@ -136,9 +146,7 @@ fn a_revalidated_regeneration_allocates_nothing() {
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
                 assert!(kept, "{key}");
-                if !cfg!(debug_assertions) {
-                    assert_eq!(rendering, 0, "{key}: allocated while revalidating");
-                }
+                assert_eq!(rendering, 0, "{key}: allocated while revalidating");
                 assert_eq!(behind, 0, "{key}: allocated behind the renderer");
             }
             !revalidated
@@ -251,12 +259,8 @@ fn the_one_visit_of_a_regeneration_allocates_nothing() {
     let again = visit_countries();
     assert!(again.iter().any(|&(answered, _)| answered), "{again:?}");
     assert!(again.iter().any(|&(answered, _)| !answered), "{again:?}");
-    // A build with debug assertions keeps each page it answers, to compose
-    // and compare.
-    if !cfg!(debug_assertions) {
-        for (answered, allocated) in visits.into_iter().chain(again) {
-            assert_eq!(allocated, 0, "answered: {answered}");
-        }
+    for (answered, allocated) in visits.into_iter().chain(again) {
+        assert_eq!(allocated, 0, "answered: {answered}");
     }
 }
 
@@ -312,9 +316,7 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     // length — and the next page is written over it: all but
     // the very first page, which found none parked yet.
     assert!(large[0] >= 1, "{large:?}");
-    if !cfg!(debug_assertions) {
-        assert!(large[1..].iter().all(|&n| n == 0), "{large:?}");
-    }
+    assert!(large[1..].iter().all(|&n| n == 0), "{large:?}");
 }
 
 #[test]
@@ -374,7 +376,7 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
         for &(day, patched, allocated) in &pages {
             assert!(patched, "{pages:?}");
             let brings_a_section_up = day == 1 || day == event.day;
-            if i == 1 && !brings_a_section_up && !cfg!(debug_assertions) {
+            if i == 1 && !brings_a_section_up {
                 assert_eq!(allocated, 0, "day {day}: {pages:?}");
             }
         }
@@ -464,9 +466,7 @@ fn a_composed_page_and_a_commit_allocate_no_key_per_datum() {
     let ((out, _), allocated) = counted(composing);
     assert!(!out.revalidated && !out.patched, "composed");
     assert_eq!(out.deps.len(), 52);
-    if !cfg!(debug_assertions) {
-        assert!(allocated < 52 / 4, "{allocated} allocations, 52 keys");
-    }
+    assert!(allocated < 52 / 4, "{allocated} allocations, 52 keys");
     // The second posting of the same placements: the tables' indexes hold
     // room for it.
     let event = db.events()[0].id;
@@ -480,4 +480,25 @@ fn a_composed_page_and_a_commit_allocate_no_key_per_datum() {
         allocated < changes as u64 / 4,
         "{allocated} allocations, {changes} changes"
     );
+}
+
+#[test]
+fn a_cost_lookup_allocates_nothing() {
+    // The cost is keyed by the bytes of the page's URL, spelled into a
+    // buffer of the thread's own: the first lookup grows it to the longest
+    // URL here, and none allocates after.
+    let model = CostModel::new();
+    let keys = [
+        PageKey::Welcome,
+        PageKey::Venue(SportId(2)),
+        PageKey::Home(3),
+        PageKey::Athlete(AthleteId(1_234)),
+        PageKey::Fragment(FragmentKey::Headlines(9)),
+        PageKey::Fragment(FragmentKey::ResultTable(EventId(17))),
+    ];
+    let costs: Vec<f64> = keys.iter().map(|&key| model.cost_ms(key)).collect();
+    for (&key, &cost) in keys.iter().zip(&costs) {
+        let (again, allocated) = counted(|| model.cost_ms(key));
+        assert_eq!((again, allocated), (cost, 0), "{key}");
+    }
 }

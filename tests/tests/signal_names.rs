@@ -8,9 +8,10 @@
 //! The sources: one quick Hybrid day under the scripted chaos and
 //! serving-fault plans, exported to disk (`metrics.prom`,
 //! `traces.jsonl`), and a socket site's cells bound into a registry
-//! behind its admin plane. The two export a cache's signals alike: every
-//! `nagano_cache_*` series of a bound site is one the simulation exports,
-//! under the same label keys.
+//! behind its admin plane. The two export a cache's and a trigger
+//! monitor's signals alike: every `nagano_cache_*` and `nagano_trigger_*`
+//! series of a bound site is one the simulation exports, under the same
+//! label keys, and a site exports none that could only read 0 there.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -188,18 +189,23 @@ fn every_metric_is_documented_in_design() {
     );
 }
 
-#[test]
-fn a_sites_cache_series_are_the_simulations() {
-    // Bound as the simulation binds a complex's: under a `site` label.
+/// The series a socket site exports under `prefix` once bound as the
+/// simulation binds a complex's: under a `site` label.
+fn site_series(prefix: &str) -> Vec<Series> {
     let site = ServingSite::build(SiteConfig::small());
     let registry = MetricsRegistry::new();
     site.bind_telemetry(&registry, &[("site", "socket")]);
-    let cache: Vec<Series> = registry
+    registry
         .samples()
         .into_iter()
-        .filter(|s| s.name.starts_with("nagano_cache_"))
+        .filter(|s| s.name.starts_with(prefix))
         .map(|s| (s.name, s.labels.into_iter().map(|(k, _)| k).collect()))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn a_sites_cache_series_are_the_simulations() {
+    let cache = site_series("nagano_cache_");
     assert!(cache.len() >= 9, "{cache:?}");
     let sim = &names().sim_series;
     let missing: Vec<&Series> = cache.iter().filter(|s| !sim.contains(*s)).collect();
@@ -207,4 +213,33 @@ fn a_sites_cache_series_are_the_simulations() {
         missing.is_empty(),
         "cache series a site exports and the simulation does not: {missing:?}"
     );
+}
+
+#[test]
+fn a_sites_trigger_series_are_the_simulations() {
+    let trigger = site_series("nagano_trigger_");
+    assert!(trigger.len() >= 11, "{trigger:?}");
+    let sim = &names().sim_series;
+    let missing: Vec<&Series> = trigger.iter().filter(|s| !sim.contains(*s)).collect();
+    assert!(
+        missing.is_empty(),
+        "trigger series a site exports and the simulation does not: {missing:?}"
+    );
+    // A site refuses the hybrid policy, so it defers nothing, and nothing
+    // tells its monitor what staleness a request saw.
+    for zero in [
+        "nagano_trigger_pages_deferred_total",
+        "nagano_trigger_regen_deferred_depth",
+        "nagano_trigger_regen_deferred_shed_total",
+        "nagano_trigger_weighted_staleness_seconds",
+    ] {
+        assert!(
+            trigger.iter().all(|(name, _)| !name.starts_with(zero)),
+            "a site exports {zero}"
+        );
+        assert!(
+            sim.iter().any(|(name, _)| name.starts_with(zero)),
+            "the simulation exports no {zero}"
+        );
+    }
 }
