@@ -411,8 +411,8 @@ pub fn resilience(config: &ExpConfig) -> ExpResult {
         ])
         .row([
             "stale serves".to_string(),
-            thousands(clean.cache.stale_served as f64),
-            thousands(report.cache.stale_served as f64),
+            thousands(clean.stale_served as f64),
+            thousands(report.stale_served as f64),
         ])
         .row([
             "stale-serve rate".to_string(),
@@ -462,7 +462,7 @@ pub fn resilience(config: &ExpConfig) -> ExpResult {
          {:.1} ms clean vs {:.1} ms faulted.",
         report.availability() * 100.0,
         floor_met,
-        report.cache.stale_served,
+        report.stale_served,
         report.stale_serve_rate() * 100.0,
         report.cache.coalesced,
         report.regens_per_stale_key(),
@@ -483,7 +483,7 @@ pub fn resilience(config: &ExpConfig) -> ExpResult {
             "availability_floor_met": floor_met,
             "failed_requests_clean": clean.failed_requests,
             "failed_requests_faulted": report.failed_requests,
-            "stale_served": report.cache.stale_served,
+            "stale_served": report.stale_served,
             "stale_serve_rate": report.stale_serve_rate(),
             "coalesced": report.cache.coalesced,
             "demand_fills_clean": clean.demand_fills,

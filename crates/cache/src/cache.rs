@@ -5,16 +5,16 @@
 //! distributor shares one allocation). A [`PageCache`] is one sharded
 //! table with one entry per page: its body, its version, the
 //! distributor's [`Memo`] of that body and its LRU stamp. Beside a
-//! shard's entries sit the shard's own eviction queue, byte count,
-//! tombstones and flights. Slot `s` lives in shard `s & mask`,
+//! shard's entries sit the shard's own eviction queue, byte count and
+//! flights. Slot `s` lives in shard `s & mask`,
 //! at index `s >> shift` of that shard's entries, so a lookup takes one
 //! shard lock and indexes one vector, and so does a distribution
 //! ([`PageCache::distribute_with`]). The lock per shard is a
 //! `sync::Mutex`; a cache has [`CacheConfig::shards`] of them, and with
 //! the default 16 and short critical sections contention is negligible
 //! next to page generation costs. A shard keeps its books inline, so
-//! neighbouring shards' locks are some 190 bytes apart, never on one
-//! cache line.
+//! neighbouring shards' locks are 128 bytes apart in an optimised build
+//! (`size_of::<Mutex<Shard>>()`), never on one cache line.
 //!
 //! A bounded cache evicts the least recently used entry. Each shard keeps
 //! a queue of touches, oldest first: every write and every hit pushes a
@@ -26,7 +26,6 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,24 +37,6 @@ use crate::key::{KeySpace, PageRef};
 use crate::policy::ReplacementPolicy;
 use crate::stats::{CacheStats, StatsSnapshot};
 
-/// Retention policy for stale copies: evicted or invalidated bodies are
-/// kept as *tombstones* so the serving path can fall back to a bounded-age
-/// stale copy when regeneration is slow or the backend is down
-/// (serve-stale-on-error / stale-while-revalidate).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StalePolicy {
-    /// Maximum age, in seconds of cache-clock time (see
-    /// [`PageCache::set_now_secs`]), a stale copy may still be served.
-    pub max_age_secs: f64,
-}
-
-impl StalePolicy {
-    /// Keep stale copies servable for up to `max_age_secs`.
-    pub fn bounded(max_age_secs: f64) -> Self {
-        StalePolicy { max_age_secs }
-    }
-}
-
 /// Configuration for a [`PageCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
@@ -65,9 +46,6 @@ pub struct CacheConfig {
     /// unbounded (the paper's production configuration). A bounded cache
     /// evicts the least recently used entry.
     pub max_bytes: Option<u64>,
-    /// When set, evicted/invalidated bodies become servable stale
-    /// tombstones; `None` (the default) drops them outright.
-    pub stale: Option<StalePolicy>,
 }
 
 impl Default for CacheConfig {
@@ -75,7 +53,6 @@ impl Default for CacheConfig {
         CacheConfig {
             shards: 16,
             max_bytes: None,
-            stale: None,
         }
     }
 }
@@ -100,12 +77,6 @@ impl CacheConfig {
         self.shards = shards.max(1);
         self
     }
-
-    /// Keep evicted/invalidated bodies as stale tombstones under `policy`.
-    pub fn with_stale(mut self, policy: StalePolicy) -> Self {
-        self.stale = Some(policy);
-        self
-    }
 }
 
 /// Byte equality, by address before content: a regeneration that changed
@@ -125,20 +96,6 @@ pub struct CachedPage {
     /// site the version — the HTTP `ETag` — changes iff the bytes change.
     /// A [`PageCache::put`] is always a new version.
     pub version: u64,
-}
-
-/// A stale copy served in place of a fresh body.
-#[derive(Debug, Clone)]
-pub struct StaleCopy {
-    /// The last body the entry held before eviction/invalidation.
-    pub body: Bytes,
-    /// The version that body carried.
-    pub version: u64,
-    /// Stale epoch: increments every time the page goes live → stale, so
-    /// single-flight can pin "one regeneration per (page, stale-epoch)".
-    pub epoch: u64,
-    /// Seconds of cache-clock time the copy has been stale.
-    pub age_secs: f64,
 }
 
 /// One in-flight regeneration that concurrent misses coalesce onto.
@@ -174,14 +131,6 @@ pub enum FlightOutcome {
     Joined(CachedPage),
     /// The wait deadline expired (or the leader failed) with no result.
     TimedOut,
-}
-
-#[derive(Debug)]
-struct StaleEntry {
-    body: Bytes,
-    version: u64,
-    epoch: u64,
-    since_us: u64,
 }
 
 /// What a distributor keeps of a body beside it in the page's entry
@@ -260,15 +209,6 @@ struct Shard {
     tick: u64,
     bytes: u64,
     entries: usize,
-    /// Tombstoned stale copies (only populated under a [`StalePolicy`]).
-    /// Not charged against the byte budget: bodies are refcounted views
-    /// and the store is bounded by the policy's max age via pruning.
-    stale: FxHashMap<u32, StaleEntry>,
-    /// Count of live → stale transitions per page. Kept separately from
-    /// `stale` so the epoch survives a fresh body superseding (and
-    /// removing) the tombstone — single-flight pins "one regeneration per
-    /// (page, stale-epoch)" against this counter.
-    stale_epochs: FxHashMap<u32, u64>,
     /// In-flight single-flight regenerations by page.
     flights: FxHashMap<u32, Arc<Flight>>,
 }
@@ -284,8 +224,6 @@ impl Shard {
             tick: 0,
             bytes: 0,
             entries: 0,
-            stale: FxHashMap::default(),
-            stale_epochs: FxHashMap::default(),
             flights: FxHashMap::default(),
         }
     }
@@ -312,31 +250,12 @@ impl Shard {
         }
     }
 
-    /// Take `slot`'s entry out of the books; returns its body and version.
-    fn remove(&mut self, slot: u32) -> Option<(Bytes, u64)> {
+    /// Take `slot`'s entry out of the books; returns its body.
+    fn remove(&mut self, slot: u32) -> Option<Bytes> {
         let row = self.rows.remove(slot)?;
         self.bytes -= row.body.len() as u64;
         self.entries -= 1;
-        Some((row.body, row.version))
-    }
-
-    /// Move a removed entry's body into the stale tombstone store,
-    /// bumping the page's stale epoch.
-    fn tombstone(&mut self, slot: u32, body: Bytes, version: u64, now_us: u64) {
-        let epoch = {
-            let e = self.stale_epochs.entry(slot).or_insert(0);
-            *e += 1;
-            *e
-        };
-        self.stale.insert(
-            slot,
-            StaleEntry {
-                body,
-                version,
-                epoch,
-                since_us: now_us,
-            },
-        );
+        Some(row.body)
     }
 }
 
@@ -384,12 +303,6 @@ pub struct PageCache {
     /// The byte budget of one shard; `None` for an unbounded cache, which
     /// keeps no touch queue.
     per_shard_budget: Option<u64>,
-    stale: Option<StalePolicy>,
-    /// Cache-clock time in microseconds, advanced by the owner via
-    /// [`PageCache::set_now_secs`]; stale ages are measured against it.
-    /// Simulations feed it sim time, real deployments wall time — the
-    /// cache itself never reads a clock (determinism contract, DESIGN §10).
-    now_us: AtomicU64,
     stats: Arc<CacheStats>,
 }
 
@@ -430,8 +343,6 @@ impl PageCache {
             mask: n - 1,
             keys,
             per_shard_budget: config.max_bytes.map(|b| b / n as u64),
-            stale: config.stale,
-            now_us: AtomicU64::new(0),
             stats: Arc::default(),
         }
     }
@@ -515,10 +426,6 @@ impl PageCache {
                 (1, None)
             }
         };
-        // A fresh body supersedes any tombstoned stale copy of the page.
-        if self.stale.is_some() {
-            shard.stale.remove(&slot);
-        }
         if let Some(budget) = self.per_shard_budget {
             shard.touch(slot);
             self.evict_to(shard, budget, slot);
@@ -532,7 +439,6 @@ impl PageCache {
     /// `protect` is the entry that triggered the eviction, the page just
     /// written: a write never evicts it, so an entry larger than the
     /// budget stays until the next write. Its record is the queue's last.
-    /// Under a [`StalePolicy`], victims are tombstoned instead of dropped.
     fn evict_to(&self, shard: &mut Shard, budget: u64, protect: u32) {
         while shard.bytes > budget {
             let Some((stamp, slot)) = shard.touches.pop_front() else {
@@ -545,20 +451,11 @@ impl PageCache {
                 shard.touches.push_front((stamp, slot));
                 break;
             }
-            let Some((body, version)) = shard.remove(slot) else {
-                continue;
-            };
-            self.stats.evict(body.len() as u64);
-            if let Some(now_us) = self.stale_now() {
-                shard.tombstone(slot, body, version, now_us);
+            if let Some(body) = shard.remove(slot) {
+                self.stats.evict(body.len() as u64);
             }
         }
         shard.trim();
-    }
-
-    /// The cache-clock micros when a stale policy is active.
-    fn stale_now(&self) -> Option<u64> {
-        self.stale.map(|_| self.now_us.load(Relaxed))
     }
 
     /// Distribute a freshly rendered page (the trigger monitor's
@@ -693,14 +590,6 @@ impl PageCache {
         self.distribute_with(key, body, None)
     }
 
-    /// Advance the cache clock (monotonic micros derived from `secs`).
-    /// Stale-copy ages are measured against this clock, so the owner
-    /// decides what "time" means — sim time in the cluster simulation.
-    pub fn set_now_secs(&self, secs: f64) {
-        let us = (secs.max(0.0) * 1e6) as u64;
-        self.now_us.fetch_max(us, Relaxed);
-    }
-
     /// Shared handle to the statistics block.
     pub fn stats_handle(&self) -> Arc<CacheStats> {
         Arc::clone(&self.stats)
@@ -765,21 +654,15 @@ impl PageCache {
         version
     }
 
-    /// Remove `key`; returns whether it was present. Under a
-    /// [`StalePolicy`] the removed body is kept as a servable tombstone.
-    pub fn invalidate(&self, key: impl PageRef) -> bool {
-        let Some(slot) = self.slot(key) else {
-            return false;
-        };
+    /// Remove `key`; returns the body it held, if it was present, as
+    /// `HashMap::remove` does: the caller may keep it, or let it go after
+    /// the lock is released.
+    pub fn invalidate(&self, key: impl PageRef) -> Option<Bytes> {
+        let slot = self.slot(key)?;
         let mut shard = self.shard_for(slot).lock();
-        let Some((body, version)) = shard.remove(slot) else {
-            return false;
-        };
+        let body = shard.remove(slot)?;
         self.stats.invalidate(body.len() as u64);
-        if let Some(now_us) = self.stale_now() {
-            shard.tombstone(slot, body, version, now_us);
-        }
-        true
+        Some(body)
     }
 
     /// Whether `key` is cached.
@@ -819,8 +702,7 @@ impl PageCache {
     }
 
     /// Drop every entry (counted as invalidations). This is a *cold*
-    /// restart: stale tombstones and in-flight regenerations are wiped
-    /// too, so a crashed shard recovers with nothing to serve stale from.
+    /// restart: in-flight regenerations are wiped too.
     pub fn clear(&self) {
         self.for_each_shard(|_, shard| {
             for row in shard.rows.at.drain(..).flatten() {
@@ -828,8 +710,6 @@ impl PageCache {
             }
             (shard.bytes, shard.entries) = (0, 0);
             shard.touches.clear();
-            shard.stale.clear();
-            shard.stale_epochs.clear();
             shard.flights.clear();
         });
     }
@@ -855,79 +735,6 @@ impl PageCache {
         self.collect_entries(named)
     }
 
-    // ---- stale tombstones -------------------------------------------------
-
-    /// Serve the tombstoned stale copy of `key`, if one exists within the
-    /// policy's age bound. Counts a stale serve; an over-age copy is
-    /// pruned and `None` returned. Without a [`StalePolicy`] this is
-    /// always `None`.
-    pub fn serve_stale(&self, key: impl PageRef) -> Option<StaleCopy> {
-        let copy = self.lookup_stale(key, true)?;
-        self.stats.stale_serve();
-        Some(copy)
-    }
-
-    /// Like [`PageCache::serve_stale`] but without counting a stale serve
-    /// — used to *check* fallback coverage without skewing measurements.
-    pub fn peek_stale(&self, key: impl PageRef) -> Option<StaleCopy> {
-        self.lookup_stale(key, false)
-    }
-
-    fn lookup_stale(&self, key: impl PageRef, prune_expired: bool) -> Option<StaleCopy> {
-        let policy = self.stale?;
-        let slot = self.slot(key)?;
-        let now_us = self.now_us.load(Relaxed);
-        let mut shard = self.shard_for(slot).lock();
-        let e = shard.stale.get(&slot)?;
-        let age_secs = now_us.saturating_sub(e.since_us) as f64 / 1e6;
-        if age_secs > policy.max_age_secs {
-            if prune_expired {
-                shard.stale.remove(&slot);
-            }
-            return None;
-        }
-        Some(StaleCopy {
-            body: e.body.clone(),
-            version: e.version,
-            epoch: e.epoch,
-            age_secs,
-        })
-    }
-
-    /// The page's current stale epoch: 0 while it has never been
-    /// tombstoned, otherwise the number of live → stale transitions.
-    /// Single-flight regeneration is pinned to "exactly one per
-    /// (page, stale-epoch)" by the resilience property tests.
-    pub fn stale_epoch(&self, key: impl PageRef) -> u64 {
-        let Some(slot) = self.slot(key) else {
-            return 0;
-        };
-        let shard = self.shard_for(slot).lock();
-        shard.stale_epochs.get(&slot).copied().unwrap_or(0)
-    }
-
-    /// Number of tombstoned stale copies currently held.
-    pub fn stale_len(&self) -> usize {
-        let mut total = 0;
-        self.for_each_shard(|_, shard| total += shard.stale.len());
-        total
-    }
-
-    /// Drop every tombstone older than the policy's age bound. Called by
-    /// the owner's heartbeat so dead pages do not accumulate.
-    pub fn prune_stale(&self) {
-        let Some(policy) = self.stale else {
-            return;
-        };
-        let horizon_us = (policy.max_age_secs * 1e6) as u64;
-        let now_us = self.now_us.load(Relaxed);
-        self.for_each_shard(|_, shard| {
-            shard
-                .stale
-                .retain(|_, e| now_us.saturating_sub(e.since_us) <= horizon_us);
-        });
-    }
-
     // ---- single-flight regeneration ---------------------------------------
 
     /// Coalesce a miss for `key` onto any in-flight regeneration.
@@ -937,8 +744,7 @@ impl PageCache {
     /// arriving while the flight is open are *followers*: they count one
     /// coalesced miss, block up to `deadline`, and either observe the
     /// leader's result ([`FlightOutcome::Joined`]) or give up
-    /// ([`FlightOutcome::TimedOut`] — typically falling back to
-    /// [`PageCache::serve_stale`]). A follower whose wait expires while
+    /// ([`FlightOutcome::TimedOut`]). A follower whose wait expires while
     /// the flight is still open removes the (presumed dead) flight so the
     /// next miss can lead again.
     ///
@@ -1019,8 +825,6 @@ mod tests {
     const K: u32 = 7;
     const PAGE: u32 = 8;
     const BIG: u32 = 9;
-    const OLD: u32 = 10;
-    const NEW: u32 = 11;
     const NOWHERE: u32 = 999;
     use nagano_telemetry::sync::blocking;
 
@@ -1059,8 +863,8 @@ mod tests {
     fn invalidate_removes() {
         let c = PageCache::default();
         c.put(A, body("x"));
-        assert!(c.invalidate(A));
-        assert!(!c.invalidate(A));
+        assert_eq!(c.invalidate(A).as_deref(), Some(&b"x"[..]));
+        assert!(c.invalidate(A).is_none());
         assert!(c.get(A).is_none());
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.bytes(), 0);
@@ -1333,104 +1137,21 @@ mod tests {
         c.distribute("/nowhere", body("x"), 1.0);
     }
 
-    fn stale_config(max_age_secs: f64) -> CacheConfig {
-        CacheConfig::default().with_stale(StalePolicy::bounded(max_age_secs))
-    }
-
-    #[test]
-    fn invalidation_tombstones_under_stale_policy() {
-        let c = PageCache::new(stale_config(60.0));
-        c.put(A, body("v1"));
-        c.put(A, body("v2"));
-        assert!(c.invalidate(A));
-        assert!(c.get(A).is_none(), "live entry is gone");
-        let copy = c.serve_stale(A).unwrap();
-        assert_eq!(&copy.body[..], b"v2");
-        assert_eq!(copy.version, 2);
-        assert_eq!(copy.epoch, 1);
-        assert_eq!(c.stats().stale_served, 1);
-        // A fresh body supersedes the tombstone.
-        c.put(A, body("v3"));
-        assert!(c.serve_stale(A).is_none());
-        assert_eq!(c.stale_len(), 0);
-    }
-
-    #[test]
-    fn stale_epoch_counts_live_to_stale_transitions() {
-        let c = PageCache::new(stale_config(60.0));
-        assert_eq!(c.stale_epoch(A), 0);
-        c.put(A, body("v1"));
-        c.invalidate(A);
-        assert_eq!(c.stale_epoch(A), 1);
-        c.put(A, body("v2"));
-        c.invalidate(A);
-        assert_eq!(c.stale_epoch(A), 2);
-    }
-
-    #[test]
-    fn stale_age_is_bounded_by_the_policy() {
-        let c = PageCache::new(stale_config(30.0));
-        c.put(A, body("v1"));
-        c.set_now_secs(100.0);
-        c.invalidate(A);
-        c.set_now_secs(120.0);
-        let copy = c.peek_stale(A).unwrap();
-        assert!((copy.age_secs - 20.0).abs() < 1e-9);
-        c.set_now_secs(131.0); // 31 s stale > 30 s bound
-        assert!(c.serve_stale(A).is_none());
-        assert_eq!(c.stale_len(), 0, "expired tombstone pruned on lookup");
-        assert_eq!(c.stats().stale_served, 0, "expired copy never counted");
-    }
-
-    #[test]
-    fn prune_stale_drops_expired_tombstones() {
-        let c = PageCache::new(stale_config(10.0));
-        c.put(OLD, body("x"));
-        c.invalidate(OLD);
-        c.set_now_secs(5.0);
-        c.put(NEW, body("y"));
-        c.invalidate(NEW);
-        c.set_now_secs(11.0);
-        c.prune_stale();
-        assert_eq!(c.stale_len(), 1);
-        assert!(c.peek_stale(NEW).is_some());
-    }
-
-    #[test]
-    fn eviction_tombstones_under_stale_policy() {
-        let c = PageCache::new(
-            CacheConfig::bounded(20, ReplacementPolicy::Lru)
-                .with_shards(1)
-                .with_stale(StalePolicy::bounded(60.0)),
-        );
-        c.put(A, body("aaaaaaaaaa"));
-        c.put(B, body("bbbbbbbbbb"));
-        c.put(C, body("cccccccccc")); // evicts /a
-        assert!(!c.contains(A));
-        let copy = c.serve_stale(A).unwrap();
-        assert_eq!(&copy.body[..], b"aaaaaaaaaa");
-        assert_eq!(c.stats().evictions, 1);
-    }
-
     #[test]
     fn clear_is_a_cold_restart() {
-        let c = PageCache::new(stale_config(60.0));
-        c.put(A, body("v1"));
-        c.invalidate(A);
-        assert_eq!(c.stale_len(), 1);
-        c.clear();
-        assert_eq!(c.stale_len(), 0);
-        assert!(c.serve_stale(A).is_none());
-    }
-
-    #[test]
-    fn without_stale_policy_nothing_is_tombstoned() {
         let c = PageCache::default();
         c.put(A, body("v1"));
-        c.invalidate(A);
-        assert!(c.serve_stale(A).is_none());
-        assert_eq!(c.stale_epoch(A), 0);
-        assert_eq!(c.stale_len(), 0);
+        let FlightOutcome::Lead(token) = c.join_or_lead(K, Duration::from_millis(1)) else {
+            panic!("nothing was in flight");
+        };
+        c.clear();
+        assert!(c.is_empty() && c.get(A).is_none());
+        // The open flight went with the entries: the next miss leads.
+        assert!(matches!(
+            c.join_or_lead(K, Duration::from_millis(1)),
+            FlightOutcome::Lead(_)
+        ));
+        drop(token);
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!   algorithm" — the unbounded default.
 //! * Serving-path resilience (DESIGN.md §11): per-shard *single-flight*
 //!   maps so concurrent misses for one page coalesce into one
-//!   regeneration ([`PageCache::join_or_lead`]), and an optional
-//!   [`StalePolicy`] that tombstones evicted/invalidated bodies for
-//!   bounded-age serve-stale-on-error ([`PageCache::serve_stale`]).
+//!   regeneration ([`PageCache::join_or_lead`]). The cache keeps no stale
+//!   copy and reads no clock: [`PageCache::invalidate`] hands the body it
+//!   removed back, and a caller that serves stale copies keeps them
+//!   (the cluster simulation, beside its circuit breaker).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,10 +39,7 @@ pub mod key;
 pub mod policy;
 pub mod stats;
 
-pub use cache::{
-    CacheConfig, CachedPage, FlightOutcome, FlightToken, Memo, PageCache, StaleCopy, StalePolicy,
-    Visit,
-};
+pub use cache::{CacheConfig, CachedPage, FlightOutcome, FlightToken, Memo, PageCache, Visit};
 pub use key::{KeySpace, PageRef};
 pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -18,7 +18,6 @@ pub struct CacheStats {
     updates: Counter,
     invalidations: Counter,
     evictions: Counter,
-    stale_served: Counter,
     coalesced: Counter,
     bytes_current: Gauge,
     bytes_peak: Gauge,
@@ -39,9 +38,6 @@ pub struct StatsSnapshot {
     pub invalidations: u64,
     /// Capacity evictions.
     pub evictions: u64,
-    /// Lookups answered from a tombstoned stale copy (serve-stale-on-error
-    /// / stale-while-revalidate under the [`StalePolicy`](crate::StalePolicy)).
-    pub stale_served: u64,
     /// Misses that coalesced onto an in-flight regeneration instead of
     /// starting their own (single-flight followers).
     pub coalesced: u64,
@@ -75,7 +71,6 @@ impl std::ops::AddAssign for StatsSnapshot {
         self.updates += s.updates;
         self.invalidations += s.invalidations;
         self.evictions += s.evictions;
-        self.stale_served += s.stale_served;
         self.coalesced += s.coalesced;
         self.bytes_current += s.bytes_current;
         self.bytes_peak = self.bytes_peak.max(s.bytes_peak);
@@ -123,11 +118,6 @@ impl CacheStats {
         self.shrink(bytes);
     }
 
-    /// Record a lookup answered from a stale tombstone.
-    pub fn stale_serve(&self) {
-        self.stale_served.incr();
-    }
-
     /// Record a miss that coalesced onto an in-flight regeneration.
     pub fn coalesce(&self) {
         self.coalesced.incr();
@@ -148,18 +138,6 @@ impl CacheStats {
     /// `site=<name>`). The registry shares the cells — subsequent events
     /// show up in exports without copying.
     pub fn bind(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        self.bind_fresh(registry, labels);
-        registry.bind_counter(
-            "nagano_cache_stale_served_total",
-            labels,
-            &self.stale_served,
-        );
-    }
-
-    /// [`CacheStats::bind`] without `nagano_cache_stale_served_total`:
-    /// the series of a cache that keeps no stale copy to serve (no
-    /// [`StalePolicy`](crate::StalePolicy)), where it could only read 0.
-    pub fn bind_fresh(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.bind_counter("nagano_cache_hits_total", labels, &self.hits);
         registry.bind_counter("nagano_cache_misses_total", labels, &self.misses);
         registry.bind_counter("nagano_cache_inserts_total", labels, &self.inserts);
@@ -184,7 +162,6 @@ impl CacheStats {
             updates: self.updates.get(),
             invalidations: self.invalidations.get(),
             evictions: self.evictions.get(),
-            stale_served: self.stale_served.get(),
             coalesced: self.coalesced.get(),
             bytes_current: self.bytes_current.get(),
             bytes_peak: self.bytes_peak.get(),

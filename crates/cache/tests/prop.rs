@@ -48,8 +48,8 @@ proptest! {
                 }
                 Op::Invalidate(k) => {
                     let key = u32::from(k);
-                    let was = cache.invalidate(key);
-                    prop_assert_eq!(was, model.remove(&key).is_some());
+                    let was = cache.invalidate(key).map(|body| body.to_vec());
+                    prop_assert_eq!(was, model.remove(&key));
                     versions.remove(&key);
                 }
             }
@@ -94,7 +94,7 @@ proptest! {
                 }
                 Op::Invalidate(k) => {
                     let key = u32::from(k);
-                    let was = cache.invalidate(key);
+                    let was = cache.invalidate(key).is_some();
                     let model_was = order.contains(&key);
                     order.retain(|x| x != &key);
                     prop_assert_eq!(was, model_was);

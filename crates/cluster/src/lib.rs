@@ -22,8 +22,8 @@
 //! * [`faults`] — deterministic data-plane fault plans: lossy / delayed /
 //!   reordered / partitioned replication edges and trigger-monitor
 //!   crash/recovery, scheduled on the sim clock.
-//! * [`resilience`] — the circuit breaker and seeded retry backoff that
-//!   the serving plan's backend outages exercise.
+//! * [`resilience`] — the circuit breaker, seeded retry backoff and stale
+//!   copies that the serving plan's backend outages exercise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,7 @@ pub use faults::{
     REPLICATION_EDGES,
 };
 pub use remote::RemoteSite;
-pub use resilience::{BreakerConfig, CircuitBreaker, RetryBackoff};
+pub use resilience::{BreakerConfig, CircuitBreaker, RetryBackoff, Tombstones};
 pub use sim::{
     random_soak_plan, ClusterConfig, ClusterReport, ClusterSim, ConvergenceRecord,
     FailurePlanEntry, ServingResilience,

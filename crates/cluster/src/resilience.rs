@@ -1,6 +1,6 @@
 //! Serving-path resilience primitives of the simulation (DESIGN.md §11).
 //!
-//! Two small, clock-free building blocks behind the fault plan's backend
+//! Three small, clock-free building blocks behind the fault plan's backend
 //! outages (the request budget is compared in one place, [`nagano::serve`]):
 //!
 //! * [`CircuitBreaker`] — a three-state (Closed → Open → HalfOpen)
@@ -9,8 +9,13 @@
 //! * [`RetryBackoff`] — bounded exponential backoff with full jitter
 //!   drawn from a caller-supplied [`DeterministicRng`], so retry
 //!   schedules are reproducible under a fixed seed.
+//! * [`Tombstones`] — the last body each invalidation took out of a
+//!   complex's cache, servable while younger than an age bound. Time is
+//!   passed in as [`SimTime`].
 
-use nagano_simcore::DeterministicRng;
+use bytes::Bytes;
+use nagano_simcore::{DeterministicRng, SimTime};
+use rustc_hash::FxHashMap;
 
 /// Breaker state, in the order transitions happen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,6 +197,80 @@ impl RetryBackoff {
     }
 }
 
+/// A stale copy of a page: the body an invalidation took out of the
+/// cache.
+#[derive(Debug, Clone)]
+pub struct Tombstone {
+    /// The body the entry held when it was removed.
+    pub body: Bytes,
+    /// The page's stale epoch when it was removed: 1 for its first
+    /// live → stale transition, counted up from there.
+    pub epoch: u64,
+    since: SimTime,
+}
+
+/// One complex's stale copies, by page slot: a request the cache cannot
+/// answer may still be served one of them while it is no older than the
+/// age bound (serve-stale-on-error). A fresh body of the page supersedes
+/// its copy; a cold restart wipes every copy and every epoch.
+///
+/// Only invalidations leave copies: the simulation's caches are
+/// unbounded, so nothing is evicted.
+#[derive(Debug)]
+pub struct Tombstones {
+    max_age_secs: f64,
+    copies: FxHashMap<u32, Tombstone>,
+    /// Live → stale transitions per page. Kept apart from `copies`, so a
+    /// page's epoch outlives the copy a fresh body supersedes.
+    epochs: FxHashMap<u32, u64>,
+}
+
+impl Tombstones {
+    /// An empty store whose copies may be served up to `max_age_secs`
+    /// after they were kept.
+    pub fn new(max_age_secs: f64) -> Self {
+        Tombstones {
+            max_age_secs,
+            copies: FxHashMap::default(),
+            epochs: FxHashMap::default(),
+        }
+    }
+
+    /// Keep `body`, which an invalidation took out of `slot`'s entry at
+    /// `now`, as the page's stale copy, in the page's next stale epoch.
+    pub fn keep(&mut self, slot: u32, body: Bytes, now: SimTime) {
+        let epoch = self.epochs.entry(slot).or_insert(0);
+        *epoch += 1;
+        let epoch = *epoch;
+        self.copies.insert(
+            slot,
+            Tombstone {
+                body,
+                epoch,
+                since: now,
+            },
+        );
+    }
+
+    /// A fresh body of `slot` is cached: its stale copy is superseded.
+    pub fn supersede(&mut self, slot: u32) {
+        self.copies.remove(&slot);
+    }
+
+    /// `slot`'s stale copy, if it is no older than the bound at `now`.
+    pub fn get(&self, slot: u32, now: SimTime) -> Option<&Tombstone> {
+        let copy = self.copies.get(&slot)?;
+        let age_secs = now.since(copy.since).as_secs_f64();
+        (age_secs <= self.max_age_secs).then_some(copy)
+    }
+
+    /// A cold restart: every copy and every epoch goes.
+    pub fn clear(&mut self) {
+        self.copies.clear();
+        self.epochs.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,5 +368,69 @@ mod tests {
             assert!(d < 3.0, "per-sleep cap holds even at huge exponents");
         }
         assert!(bo.next_delay(&mut rng).is_none());
+    }
+
+    const MEDALS: u32 = 48;
+
+    fn at_secs(secs: u64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
+    #[test]
+    fn an_invalidation_is_kept_in_the_pages_next_epoch() {
+        let mut t = Tombstones::new(900.0);
+        assert!(t.get(MEDALS, at_secs(0)).is_none());
+        t.keep(MEDALS, Bytes::from_static(b"gold: 1"), at_secs(0));
+        let copy = t.get(MEDALS, at_secs(0)).unwrap();
+        assert_eq!((&copy.body[..], copy.epoch), (&b"gold: 1"[..], 1));
+        t.keep(MEDALS, Bytes::from_static(b"gold: 2"), at_secs(60));
+        let copy = t.get(MEDALS, at_secs(60)).unwrap();
+        assert_eq!((&copy.body[..], copy.epoch), (&b"gold: 2"[..], 2));
+    }
+
+    #[test]
+    fn a_copy_is_served_up_to_the_age_bound_on_the_clock_it_is_handed() {
+        let mut t = Tombstones::new(900.0);
+        // Kept in minute 10; served on the minute clock while the bound
+        // holds, at 15 minutes exactly too, and not a minute later.
+        t.keep(
+            MEDALS,
+            Bytes::from_static(b"gold: 1"),
+            SimTime::from_mins(10),
+        );
+        assert!(t.get(MEDALS, SimTime::from_mins(24)).is_some());
+        assert!(t.get(MEDALS, SimTime::from_mins(25)).is_some());
+        assert!(t.get(MEDALS, SimTime::from_mins(26)).is_none());
+        // Aged on the time it was kept, not on a later one: a copy kept at
+        // minute 25 is fresh at minute 26.
+        t.keep(
+            MEDALS,
+            Bytes::from_static(b"gold: 2"),
+            SimTime::from_mins(25),
+        );
+        assert!(t.get(MEDALS, SimTime::from_mins(26)).is_some());
+        assert!(t.get(MEDALS, SimTime::from_mins(41)).is_none());
+    }
+
+    #[test]
+    fn a_fresh_body_supersedes_the_copy_but_not_the_epoch() {
+        let mut t = Tombstones::new(900.0);
+        t.keep(MEDALS, Bytes::from_static(b"gold: 1"), at_secs(0));
+        t.supersede(MEDALS);
+        assert!(t.get(MEDALS, at_secs(0)).is_none());
+        // The next invalidation is the page's second live → stale.
+        t.keep(MEDALS, Bytes::from_static(b"gold: 2"), at_secs(0));
+        assert_eq!(t.get(MEDALS, at_secs(0)).unwrap().epoch, 2);
+    }
+
+    #[test]
+    fn a_cold_restart_wipes_copies_and_epochs() {
+        let mut t = Tombstones::new(900.0);
+        t.keep(MEDALS, Bytes::from_static(b"gold: 1"), at_secs(0));
+        t.clear();
+        assert!(t.get(MEDALS, at_secs(0)).is_none());
+        // Counted from the first epoch again.
+        t.keep(MEDALS, Bytes::from_static(b"gold: 2"), at_secs(0));
+        assert_eq!(t.get(MEDALS, at_secs(0)).unwrap().epoch, 1);
     }
 }

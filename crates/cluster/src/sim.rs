@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use nagano::serve::{self, Decision, Observation, Render};
-use nagano_cache::{CacheConfig, PageCache, StaleCopy, StalePolicy, StatsSnapshot};
+use nagano_cache::{PageCache, StatsSnapshot};
 use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, Transaction, TxnId};
 use nagano_httpd::HttpdMetrics;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
@@ -30,7 +30,7 @@ use crate::faults::{
     DataFaultKind, DataFaultPlanEntry, LinkFault, ServingFaultKind, ServingFaultPlanEntry,
     CATCHUP_BASE_BACKOFF_SECS, DR_EDGE, MAX_CATCHUP_RETRIES, PRIMARY_FEED, REPLICATION_EDGES,
 };
-use crate::resilience::{BreakerConfig, CircuitBreaker, RetryBackoff};
+use crate::resilience::{BreakerConfig, CircuitBreaker, RetryBackoff, Tombstone, Tombstones};
 use crate::state::{ClusterState, FailureKind};
 use crate::topology::{region_latency_ms, Msirp, RouteDecision, SITES};
 
@@ -70,7 +70,7 @@ pub struct ClusterConfig {
     /// and cache cold-restarts (see [`crate::faults::ServingFaultKind`]).
     /// Empty by default.
     pub serving_fault_plan: Vec<ServingFaultPlanEntry>,
-    /// Serving-path resilience: stale tombstones, per-request deadlines,
+    /// Serving-path resilience: stale copies, per-request deadlines,
     /// seeded retry backoff, and a per-site circuit breaker (DESIGN.md
     /// §11). On a fault-free run none of it is ever taken: no stale
     /// serve, no trip, no retry.
@@ -143,19 +143,19 @@ impl ClusterConfig {
     }
 }
 
-/// Serving-path resilience knobs: a [`StalePolicy`] installed on every
-/// site's serving cache (evicted/invalidated bodies become bounded-age
-/// tombstones) and a per-request deadline, as the in-process
-/// [`nagano::ServingSite`] runs them; then seeded retry backoff for failed
-/// regenerations and a circuit breaker per site backend, which only the
-/// simulation has, because only its backends fail.
+/// Serving-path resilience knobs: a per-request deadline (a socket
+/// site's followers wait a fixed 2 s), then what only the simulation has,
+/// because only its backends fail: the age bound of each complex's stale
+/// copies ([`Tombstones`]), seeded retry backoff for failed regenerations
+/// and a circuit breaker per site backend.
 #[derive(Debug, Clone)]
 pub struct ServingResilience {
-    /// Tombstone policy for every site's serving cache.
-    pub stale: StalePolicy,
+    /// How long (seconds of sim time) the body an invalidation took out
+    /// of a complex's cache may still be served.
+    pub stale_max_age_secs: f64,
     /// Per-request deadline (seconds): a regeneration slower than this
-    /// answers from the stale tombstone when one exists, and the fresh
-    /// body lands in the background.
+    /// answers from the stale copy when one exists, and the fresh body
+    /// lands in the background.
     pub request_budget_secs: f64,
     /// Breaker guarding each site's render/db backend.
     pub breaker: BreakerConfig,
@@ -171,7 +171,7 @@ pub struct ServingResilience {
 impl Default for ServingResilience {
     fn default() -> Self {
         ServingResilience {
-            stale: StalePolicy::bounded(900.0),
+            stale_max_age_secs: 900.0,
             request_budget_secs: 2.0,
             breaker: BreakerConfig::default(),
             retry_base_secs: 0.05,
@@ -237,6 +237,8 @@ pub struct ClusterReport {
     /// Aggregated cache statistics across all sites: counts summed,
     /// `bytes_peak` the largest one site's cache reached.
     pub cache: StatsSnapshot,
+    /// Requests answered from a stale copy, summed across sites.
+    pub stale_served: u64,
     /// Pages regenerated per day across sites (index 0 = day 1).
     pub regen_per_day: Vec<u64>,
     /// Modeled render CPU spent on trigger-driven regeneration (ms),
@@ -293,7 +295,7 @@ pub struct ClusterReport {
     /// Demand regenerations performed on the serving path (cache misses
     /// that rendered, on either serving path).
     pub demand_fills: u64,
-    /// Demand regenerations that replaced a stale tombstone — the work
+    /// Demand regenerations that replaced a stale copy — the work
     /// the single-flight map is supposed to keep at one per stale epoch.
     pub stale_regens: u64,
     /// Distinct `(site, page, stale-epoch)` tuples behind
@@ -368,13 +370,13 @@ impl ClusterReport {
         self.stale_regens as f64 / self.stale_regen_keys as f64
     }
 
-    /// Fraction of served responses answered from a stale tombstone.
+    /// Fraction of served responses answered from a stale copy.
     pub fn stale_serve_rate(&self) -> f64 {
         let served = self.total_requests - self.failed_requests;
         if served == 0 {
             return 0.0;
         }
-        self.cache.stale_served as f64 / served as f64
+        self.stale_served as f64 / served as f64
     }
 
     /// Requests per day (paper-scale millions), from the minute series.
@@ -406,6 +408,7 @@ impl ClusterReport {
             service_near_updates: Welford::new(),
             service_away_from_updates: Welford::new(),
             cache: StatsSnapshot::default(),
+            stale_served: 0,
             regen_per_day: vec![0; cfg.end_day as usize],
             regen_cpu_ms: 0,
             regen_saved_ms: 0,
@@ -568,6 +571,11 @@ struct Complex {
     slowdown: f64,
     backend_down: bool,
     breaker: CircuitBreaker,
+    /// The bodies invalidations took out of the cache, servable stale.
+    tombstones: Tombstones,
+    /// `nagano_cache_stale_served_total`: requests answered from
+    /// `tombstones`.
+    stale_served: Counter,
     /// In-flight regenerations: page slot → when the render lands. Requests
     /// arriving before then coalesce onto the flight instead of rendering
     /// again (the DES view of the per-shard single-flight maps in
@@ -608,6 +616,9 @@ struct SimState<'a> {
     slo_engine: SloEngine,
     /// Data-plane faults active on the five replication edges.
     edge_fault: [Option<LinkFault>; 5],
+    /// The start of the minute whose events and requests are running: the
+    /// clock stale copies are kept and aged on.
+    clock: SimTime,
     failed_over: bool,
     /// Master commit time per txn id (index id-1), for staleness and
     /// freshness accounting on every delivery path.
@@ -677,6 +688,7 @@ impl<'a> SimState<'a> {
             queue: EventQueue::new(),
             slo_engine,
             edge_fault: [None; 5],
+            clock: SimTime::ZERO,
             failed_over: false,
             commit_times: Vec::new(),
             watches: Vec::new(),
@@ -961,6 +973,15 @@ impl<'a> SimState<'a> {
         }
         let day_idx = at.day().min(self.cfg.end_day) as usize - 1;
         self.report.regen_per_day[day_idx] += outcome.regenerated.len() as u64;
+        // Aged on the run loop's minute, not on a catch-up's later `at`.
+        for (slot, body) in &outcome.removed {
+            complex.tombstones.keep(*slot, body.clone(), self.clock);
+        }
+        supersede(
+            &mut complex.tombstones,
+            &self.registry,
+            &outcome.regenerated,
+        );
         let mut applied_at = at;
         if let Via::Stream = via {
             // Visible-latency model: replication delay (already elapsed
@@ -1054,11 +1075,12 @@ impl<'a> SimState<'a> {
                 self.complexes[site].backend_down = !entry.up;
             }
             ServingFaultKind::CacheShardCrash { site, .. } => {
-                // Cold restart: live entries, tombstones, and coalescing
+                // Cold restart: live entries, stale copies, and coalescing
                 // state all vanish — the stampede window single-flight
                 // flattens.
                 let c = &mut self.complexes[site];
                 c.monitor.cache().clear();
+                c.tombstones.clear();
                 c.inflight.clear();
             }
         }
@@ -1083,11 +1105,9 @@ impl<'a> SimState<'a> {
             // monitor's EWMA, then give the Hybrid deferred queue a
             // budgeted drain slice (no-op under other policies).
             c.monitor.fold_hotness(minute);
-            // Expire over-age tombstones so the stale maps stay bounded
-            // by the policy, not the run length.
-            c.monitor.cache().prune_stale();
             if c.monitor_up {
                 let drained = c.monitor.drain_deferred(minute_end);
+                supersede(&mut c.tombstones, &self.registry, &drained);
                 if !drained.is_empty() {
                     let day_idx = minute_end.day().min(self.cfg.end_day) as usize - 1;
                     self.report.regen_per_day[day_idx] += drained.len() as u64;
@@ -1157,7 +1177,6 @@ impl<'a> SimState<'a> {
         if self.cluster.site_mut(site).pick_node().is_none() {
             return self.fail(Some(s), trace);
         }
-        let url = sample.page.to_url();
         // The request model samples pages of the site, each with a slot.
         let slot = self.registry.space().slot(sample.page);
         let served = slot.and_then(|slot| self.serve_request(s, sample.page, slot, t_mid));
@@ -1190,12 +1209,12 @@ impl<'a> SimState<'a> {
         let day = t_mid.day();
         self.report.bytes_per_day[day.min(self.cfg.end_day) as usize - 1] += bytes as f64;
         self.complexes[s].httpd.observe(200, bytes);
-        self.close_lineage(s, sample.page, &url, t_mid);
+        self.close_lineage(s, sample.page, t_mid);
         if let (Some(mut t), Some(route)) = (trace, route) {
             let done = t_mid + SimDuration::from_secs_f64(server_ms / 1_000.0);
             let lookup_label = if cache_hit { "hit" } else { "miss" };
             let lookup = t.add_child(route, "nagano_cache_lookup", lookup_label, t_mid, t_mid);
-            let render = format!("url={url} bytes={bytes}");
+            let render = format!("url={} bytes={bytes}", sample.page);
             t.add_child(lookup, "nagano_pagegen_render", render, t_mid, done);
             self.telemetry.serving.push(t);
         }
@@ -1257,7 +1276,7 @@ impl<'a> SimState<'a> {
         if lands_in.is_some() {
             cache.stats_handle().coalesce();
         }
-        let stale = cache.peek_stale(slot);
+        let stale = c.tombstones.get(slot, self.clock).cloned();
         let observed = Observation {
             fresh: cached.is_some(),
             flight: lands_in,
@@ -1270,7 +1289,7 @@ impl<'a> SimState<'a> {
         match serve::decide(&observed) {
             Decision::Hit => cached.map(|page| (page.body.len() as u64, 0.5, true)),
             Decision::Join => cached.map(|page| (page.body.len() as u64, 0.5 + wait_ms, false)),
-            Decision::ServeStale => stale.map(|copy| serve_stale(&cache, copy, 0.5)),
+            Decision::ServeStale => stale.map(|copy| serve_stale(&c.stale_served, &copy, 0.5)),
             Decision::Fill => self.fill(s, page, slot, t, stale),
             Decision::Fail => None,
         }
@@ -1286,13 +1305,12 @@ impl<'a> SimState<'a> {
         page: PageKey,
         slot: u32,
         t: SimTime,
-        stale: Option<StaleCopy>,
+        stale: Option<Tombstone>,
     ) -> Option<Served> {
         let (now, tombstone) = (t.as_secs_f64(), stale.is_some());
         let res = &self.cfg.resilience;
         let budget = res.request_budget_secs;
         let c = &mut self.complexes[s];
-        let cache = Arc::clone(c.monitor.cache());
         if c.backend_down {
             let (base, max) = (res.retry_base_secs, res.retry_max_secs);
             let mut backoff = RetryBackoff::new(base, max, res.retry_max_attempts);
@@ -1309,13 +1327,14 @@ impl<'a> SimState<'a> {
                         latency_ms += 5.0 + delay.expect("an attempt is left") * 1_000.0;
                     }
                     Decision::ServeStale => {
-                        return stale.map(|copy| serve_stale(&cache, copy, latency_ms))
+                        return stale.map(|copy| serve_stale(&c.stale_served, &copy, latency_ms))
                     }
                     _ => return None,
                 }
             }
         }
         let out = c.monitor.demand_fill(page);
+        c.tombstones.supersede(slot);
         self.report.demand_fills += 1;
         c.breaker.record_success();
         if let Some(copy) = &stale {
@@ -1329,7 +1348,7 @@ impl<'a> SimState<'a> {
         c.inflight.insert(slot, lands);
         let decision = serve::after_render(Render::Done { secs }, tombstone, budget);
         match (decision, stale) {
-            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&cache, copy, 0.5)),
+            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&c.stale_served, &copy, 0.5)),
             _ => Some((out.body.len() as u64, cost_ms, false)),
         }
     }
@@ -1340,7 +1359,7 @@ impl<'a> SimState<'a> {
     /// freshness sample. Requests are generated at the minute midpoint,
     /// so a request can precede an apply recorded later in the same
     /// minute — leave the entry for the next request in that case.
-    fn close_lineage(&mut self, s: usize, page: PageKey, url: &str, t: SimTime) {
+    fn close_lineage(&mut self, s: usize, page: PageKey, t: SimTime) {
         let waiting = &mut self.complexes[s].fresh_waiting;
         let Some(&txn_id) = waiting.get(&page) else {
             return;
@@ -1360,7 +1379,7 @@ impl<'a> SimState<'a> {
         waiting.remove(&page);
         p.served[s] = true;
         let commit_at = self.commit_times[txn_id.0 as usize - 1];
-        let label = format!("site={} url={url}", SITES[s].name);
+        let label = format!("site={} url={page}", SITES[s].name);
         let leaf = "nagano_cache_first_fresh_hit";
         p.trace.add_child(apply, leaf, label, apply_end, t);
         let update_to_serve = (t - commit_at).as_secs_f64();
@@ -1385,6 +1404,7 @@ impl<'a> SimState<'a> {
         let report = &mut self.report;
         for c in &self.complexes {
             report.cache += c.monitor.cache().stats();
+            report.stale_served += c.stale_served.get();
             let s = c.monitor.stats().snapshot();
             report.regen_cpu_ms += s.regen_cpu_ms;
             report.regen_saved_ms += s.regen_saved_ms;
@@ -1460,11 +1480,21 @@ impl<'a> SimState<'a> {
     }
 }
 
-/// A request answered from `cache`'s tombstone after `latency_ms`,
-/// counted as a stale serve.
-fn serve_stale(cache: &PageCache, copy: StaleCopy, latency_ms: f64) -> Served {
-    cache.stats_handle().stale_serve();
+/// A request answered from a stale copy after `latency_ms`, counted in
+/// `served`.
+fn serve_stale(served: &Counter, copy: &Tombstone, latency_ms: f64) -> Served {
+    served.incr();
     (copy.body.len() as u64, latency_ms, false)
+}
+
+/// The pages in `keys` were regenerated: a fresh body supersedes each
+/// one's stale copy.
+fn supersede(tombstones: &mut Tombstones, registry: &PageRegistry, keys: &[PageKey]) {
+    for &key in keys {
+        if let Some(slot) = registry.space().slot(key) {
+            tombstones.supersede(slot);
+        }
+    }
 }
 
 /// Modelled trigger-monitor service time of one processed batch: a
@@ -1507,7 +1537,6 @@ fn complexes(
     registry: &Arc<PageRegistry>,
     telemetry: &Telemetry,
 ) -> Vec<Complex> {
-    let cache_config = CacheConfig::default().with_stale(cfg.resilience.stale);
     let schaumburg = Replica::attach(SITES[0].name, Arc::clone(db));
     let columbus = Replica::attach_downstream(SITES[1].name, &schaumburg);
     let bethesda = Replica::attach_downstream(SITES[2].name, &schaumburg);
@@ -1520,13 +1549,14 @@ fn complexes(
             let labels = [("site", spec.name)];
             let monitor = TriggerMonitor::new(
                 Renderer::new(Arc::clone(db)),
-                Arc::new(PageCache::new(cache_config.clone())),
+                Arc::new(PageCache::default()),
                 Arc::clone(registry),
                 cfg.policy,
             );
             monitor.prewarm();
             monitor.stats().bind(reg, &labels);
             monitor.cache().stats_handle().bind(reg, &labels);
+            let stale_served = reg.counter("nagano_cache_stale_served_total", &labels);
             let httpd = HttpdMetrics::new();
             httpd.bind(reg, &labels);
             let staleness = "nagano_cluster_staleness_seconds";
@@ -1546,6 +1576,8 @@ fn complexes(
                 slowdown: 1.0,
                 backend_down: false,
                 breaker: CircuitBreaker::new(cfg.resilience.breaker),
+                tombstones: Tombstones::new(cfg.resilience.stale_max_age_secs),
+                stale_served,
                 inflight: FxHashMap::default(),
                 fresh_waiting: FxHashMap::default(),
             }
@@ -1574,12 +1606,7 @@ impl ClusterSim {
         let end_min = cfg.end_day as u64 * 1440;
         for minute in start_min..end_min + SETTLE_MINUTES {
             let minute_end = SimTime::from_mins(minute + 1);
-            // Advance the cache clocks: stale-tombstone ages are measured
-            // on sim time, not wall time.
-            let secs = SimTime::from_mins(minute).as_secs_f64();
-            for c in &sim.complexes {
-                c.monitor.cache().set_now_secs(secs);
-            }
+            sim.clock = SimTime::from_mins(minute);
             while let Some((at, ev)) = sim.queue.pop_before(minute_end) {
                 match ev {
                     SimEvent::MasterUpdate(i) => sim.on_master_update(i, at),
@@ -2208,7 +2235,7 @@ mod tests {
             report.availability()
         );
         assert!(
-            report.cache.stale_served > 0,
+            report.stale_served > 0,
             "the outage never answered from a tombstone"
         );
         assert!(report.breaker_trips > 0, "the breaker never opened");
@@ -2227,6 +2254,27 @@ mod tests {
             "stampede: {} regens per stale key",
             report.regens_per_stale_key()
         );
+    }
+
+    #[test]
+    fn a_catch_ups_invalidations_age_from_the_minute_it_ran_in() {
+        let cfg = resilience_config();
+        let mut sim = SimState::new(&cfg);
+        let minute = SimTime::at(10, 9, 0);
+        sim.clock = minute;
+        // A pull over a delayed link applies three minutes past the
+        // minute the run loop is in.
+        let outcome = TxnOutcome {
+            removed: vec![(7, bytes::Bytes::from_static(b"old standings"))],
+            ..TxnOutcome::default()
+        };
+        let applied_at = minute + SimDuration::from_mins(3);
+        sim.record_apply(0, &[], &outcome, applied_at, Via::CatchUp);
+        let copies = &sim.complexes[0].tombstones;
+        let max_age = SimDuration::from_secs_f64(cfg.resilience.stale_max_age_secs);
+        assert!(copies.get(7, minute + max_age).is_some());
+        let a_minute_past = minute + max_age + SimDuration::from_mins(1);
+        assert!(copies.get(7, a_minute_past).is_none(), "aged on the apply");
     }
 
     #[test]
@@ -2261,7 +2309,7 @@ mod tests {
         );
         // Staleness is bounded by the policy: a served tombstone can
         // never be older than the configured max age.
-        let max_age = ServingResilience::default().stale.max_age_secs;
+        let max_age = ServingResilience::default().stale_max_age_secs;
         assert!(report.serve_latency.count() > 0);
         assert!(max_age <= 900.0);
         // p99 latency stays visible (and finite) through the slowdown.
@@ -2276,7 +2324,7 @@ mod tests {
         let b = ClusterSim::new(cfg).run();
         assert_eq!(a.total_requests, b.total_requests);
         assert_eq!(a.failed_requests, b.failed_requests);
-        assert_eq!(a.cache.stale_served, b.cache.stale_served);
+        assert_eq!(a.stale_served, b.stale_served);
         assert_eq!(a.cache.coalesced, b.cache.coalesced);
         assert_eq!(a.demand_fills, b.demand_fills);
         assert_eq!(a.stale_regens, b.stale_regens);
@@ -2328,10 +2376,10 @@ mod tests {
         // (a) For the hours the open window outlasts the outage, a miss
         // with a tombstone is answered from it instead of rendered.
         assert!(
-            long.cache.stale_served > short.cache.stale_served,
+            long.stale_served > short.stale_served,
             "{} vs {}",
-            long.cache.stale_served,
-            short.cache.stale_served
+            long.stale_served,
+            short.stale_served
         );
         assert!(long.demand_fills < short.demand_fills);
         assert!(long.stale_regens < short.stale_regens);
@@ -2342,14 +2390,14 @@ mod tests {
         assert_eq!(slow.render_retries, long.render_retries);
         assert_eq!(slow.demand_fills, long.demand_fills);
         assert_eq!(slow.stale_regens, long.stale_regens);
-        assert!(slow.cache.stale_served > long.cache.stale_served);
+        assert!(slow.stale_served > long.stale_served);
         assert!(slow.cache.coalesced > long.cache.coalesced);
     }
 
     #[test]
     fn a_fault_free_run_keeps_the_serving_counters_quiet() {
         let report = ClusterSim::new(quick_config()).run();
-        assert_eq!(report.cache.stale_served, 0);
+        assert_eq!(report.stale_served, 0);
         assert_eq!(report.cache.coalesced, 0);
         assert_eq!(report.stale_regens, 0);
         assert_eq!(report.breaker_trips, 0);

@@ -128,18 +128,11 @@ impl ServingSite {
     ///
     /// # Panics
     ///
-    /// If `config.cache` carries a [`nagano_cache::StalePolicy`]: the site
-    /// updates its pages in place and has no clock to age a tombstone by,
-    /// so it keeps none (DESIGN.md §11a). If `config.policy` is
-    /// [`ConsistencyPolicy::Hybrid`]: its hotness is folded and its
+    /// If `config.policy` is [`ConsistencyPolicy::Hybrid`]: its hotness is folded and its
     /// deferred queue drained by the simulation's heartbeat, which a site
     /// has not, so on a site it would invalidate every stale page or park
     /// pages it never regenerates (DESIGN.md §12).
     pub fn build(config: SiteConfig) -> Self {
-        assert!(
-            config.cache.stale.is_none(),
-            "a serving site keeps no stale copies: build it without a StalePolicy"
-        );
         assert!(
             !matches!(config.policy, ConsistencyPolicy::Hybrid(_)),
             "a serving site has no heartbeat to rank pages by hotness: build it without Hybrid"
@@ -422,7 +415,7 @@ impl ServingSite {
         labels: &[(&str, &str)],
     ) {
         self.monitor.stats().bind_eager(registry, labels);
-        self.cache.stats_handle().bind_fresh(registry, labels);
+        self.cache.stats_handle().bind(registry, labels);
     }
 
     /// Current metrics.
@@ -766,8 +759,7 @@ mod tests {
         assert!(text.contains("nagano_trigger_txns_total{site=\"test\"} 0"));
         assert!(text.contains("nagano_cache_coalesced_total{site=\"test\"} 0"));
         assert!(!text.contains("node="), "{text}");
-        // The site refuses a stale policy: a series of stale serves could
-        // only read 0.
+        // The cache keeps no stale copy: it has no series of stale serves.
         assert!(!text.contains("nagano_cache_stale_served_total"), "{text}");
     }
 
@@ -821,16 +813,6 @@ mod tests {
             assert!(!page.body.is_empty());
             assert_eq!(page.version, 1);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "keeps no stale copies")]
-    fn a_site_with_a_stale_policy_is_refused() {
-        let stale = nagano_cache::StalePolicy::bounded(3600.0);
-        ServingSite::build(SiteConfig {
-            cache: CacheConfig::default().with_stale(stale),
-            ..SiteConfig::small()
-        });
     }
 
     #[test]

@@ -59,29 +59,35 @@ impl PageKey {
     /// Append the canonical URL path to `out` — the renderer writes the
     /// links of a page into its body without a `String` per link.
     pub fn push_url(self, out: &mut String) {
-        let (prefix, id) = match self {
-            PageKey::Home(d) => {
-                out.push_str("/day/");
-                push_decimal(out, d);
-                return out.push('/');
-            }
-            PageKey::Welcome => return out.push_str("/welcome"),
-            PageKey::News(n) => ("/news/", n.0),
-            PageKey::NewsIndex(d) => ("/news/day/", d),
-            PageKey::Venue(s) => ("/venues/", s.0),
-            PageKey::Sport(s) => ("/sports/", s.0),
-            PageKey::Event(e) => ("/events/", e.0),
-            PageKey::Country(c) => ("/countries/", c.0),
-            PageKey::Athlete(a) => ("/athletes/", a.0),
-            PageKey::Medals => return out.push_str("/medals"),
-            PageKey::Nagano => return out.push_str("/nagano"),
-            PageKey::Fun => return out.push_str("/fun"),
-            PageKey::Fragment(FragmentKey::ResultTable(e)) => ("/fragments/results/", e.0),
-            PageKey::Fragment(FragmentKey::MedalTable) => return out.push_str("/fragments/medals"),
-            PageKey::Fragment(FragmentKey::Headlines(d)) => ("/fragments/headlines/", d),
-        };
+        let (prefix, id, suffix) = self.url_parts();
         out.push_str(prefix);
-        push_decimal(out, id);
+        if let Some(id) = id {
+            push_decimal(out, id);
+        }
+        out.push_str(suffix);
+    }
+
+    /// The canonical URL path in three parts: the text before the page's
+    /// id, the id if the page has one, and the text after it.
+    fn url_parts(self) -> (&'static str, Option<u32>, &'static str) {
+        let (prefix, id) = match self {
+            PageKey::Home(d) => return ("/day/", Some(d), "/"),
+            PageKey::Welcome => ("/welcome", None),
+            PageKey::News(n) => ("/news/", Some(n.0)),
+            PageKey::NewsIndex(d) => ("/news/day/", Some(d)),
+            PageKey::Venue(s) => ("/venues/", Some(s.0)),
+            PageKey::Sport(s) => ("/sports/", Some(s.0)),
+            PageKey::Event(e) => ("/events/", Some(e.0)),
+            PageKey::Country(c) => ("/countries/", Some(c.0)),
+            PageKey::Athlete(a) => ("/athletes/", Some(a.0)),
+            PageKey::Medals => ("/medals", None),
+            PageKey::Nagano => ("/nagano", None),
+            PageKey::Fun => ("/fun", None),
+            PageKey::Fragment(FragmentKey::ResultTable(e)) => ("/fragments/results/", Some(e.0)),
+            PageKey::Fragment(FragmentKey::MedalTable) => ("/fragments/medals", None),
+            PageKey::Fragment(FragmentKey::Headlines(d)) => ("/fragments/headlines/", Some(d)),
+        };
+        (prefix, id, "")
     }
 
     /// The ODG object-vertex name for this page.
@@ -159,9 +165,15 @@ impl PageKey {
     }
 }
 
+/// The canonical URL path, written straight into the formatter.
 impl std::fmt::Display for PageKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_url())
+        let (prefix, id, suffix) = self.url_parts();
+        f.write_str(prefix)?;
+        if let Some(id) = id {
+            write!(f, "{id}")?;
+        }
+        f.write_str(suffix)
     }
 }
 
@@ -286,6 +298,9 @@ mod tests {
     #[test]
     fn display_is_url() {
         assert_eq!(PageKey::Home(3).to_string(), "/day/3/");
+        for key in all_sample_keys() {
+            assert_eq!(key.to_string(), key.to_url(), "{key:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub struct TxnOutcome {
     pub patched: usize,
     /// Pages invalidated.
     pub invalidated: Vec<PageKey>,
+    /// The bodies those invalidations took out of the cache, by page
+    /// slot: what a caller that serves stale copies keeps. Empty under
+    /// update-in-place.
+    pub removed: Vec<(u32, Bytes)>,
     /// Affected pages tolerated as slightly stale (threshold policy).
     pub tolerated: Vec<PageKey>,
     /// Hot pages past the hybrid regen budget, parked on the deferred
@@ -151,7 +155,7 @@ pub struct TriggerMonitor {
     policy: ConsistencyPolicy,
     stats: Arc<TriggerStats>,
     /// Highest transaction id this monitor has processed — the resume
-    /// point after a crash ([`TriggerMonitor::recover`]).
+    /// point after a crash ([`TriggerMonitor::recover_at`]).
     watermark: AtomicU64,
     /// When each currently stale-or-missing page went stale (earliest
     /// mark wins). Fed by the invalidate/defer paths, cleared whenever a
@@ -320,13 +324,6 @@ impl TriggerMonitor {
     }
 
     /// Process a batch of transactions with a **single** DUP propagation
-    /// over the union of their changed data (at sim time zero; callers
-    /// with a clock should prefer [`TriggerMonitor::process_batch_at`]).
-    pub fn process_batch(&self, txns: &[impl std::borrow::Borrow<Transaction>]) -> TxnOutcome {
-        self.process_batch_at(txns, SimTime::ZERO)
-    }
-
-    /// Process a batch of transactions with a **single** DUP propagation
     /// over the union of their changed data, at sim time `now`.
     ///
     /// The production trigger monitor coalesced updates arriving close
@@ -388,14 +385,16 @@ impl TriggerMonitor {
             }
             ConsistencyPolicy::Invalidate => {
                 let mut saved_ms = 0.0;
+                let mut removed = Vec::new();
                 for key in &stale {
                     saved_ms += self.regen_cost_ms(*key);
-                    self.invalidate(*key);
+                    removed.extend(self.invalidate(*key));
                     self.mark_stale(*key, now);
                 }
                 self.stats.record_regen_saved(saved_ms);
                 TxnOutcome {
                     invalidated: stale,
+                    removed,
                     tolerated,
                     visited,
                     ..Default::default()
@@ -417,13 +416,14 @@ impl TriggerMonitor {
                 let mut to_regen = Vec::new();
                 let mut overflow = Vec::new();
                 let mut invalidated = Vec::new();
+                let mut removed = Vec::new();
                 let mut planned_ms = 0.0;
                 let mut saved_ms = 0.0;
                 for (key, hot) in ranked {
                     if hot < threshold {
                         // Cold tail: drop it, save the render.
                         saved_ms += self.regen_cost_ms(key);
-                        self.invalidate(key);
+                        removed.extend(self.invalidate(key));
                         self.mark_stale(key, now);
                         invalidated.push(key);
                     } else if budget.is_none_or(|b| planned_ms < b) {
@@ -438,7 +438,8 @@ impl TriggerMonitor {
                 }
 
                 let regen = self.regenerate(&to_regen);
-                let deferred = self.defer(overflow, now, &mut invalidated, &mut saved_ms);
+                let deferred =
+                    self.defer(overflow, now, &mut invalidated, &mut removed, &mut saved_ms);
                 self.stats.record_regen_saved(saved_ms);
                 TxnOutcome {
                     regenerated: regen.keys,
@@ -446,6 +447,7 @@ impl TriggerMonitor {
                     revalidated: regen.revalidated,
                     patched: regen.patched,
                     invalidated,
+                    removed,
                     tolerated,
                     deferred,
                     visited,
@@ -456,11 +458,11 @@ impl TriggerMonitor {
         }
     }
 
-    /// Drop `key` from the serving cache, and its memo with it.
-    fn invalidate(&self, key: PageKey) {
-        if let Some(slot) = self.registry.space().slot(key) {
-            self.cache.invalidate(slot);
-        }
+    /// Drop `key` from the serving cache, and its memo with it; returns
+    /// the page's slot and the body removed, if it was cached.
+    fn invalidate(&self, key: PageKey) -> Option<(u32, Bytes)> {
+        let slot = self.registry.space().slot(key)?;
+        Some((slot, self.cache.invalidate(slot)?))
     }
 
     /// Modelled CPU to refresh `key` right now: its whole-page render. This
@@ -569,8 +571,9 @@ impl TriggerMonitor {
 
     /// Park hot-but-over-budget pages on the deferred queue. The queue is
     /// capped at [`DEFERRED_CAP`]: overflow beyond the cap sheds to
-    /// invalidation (appended to `invalidated`, render cost to
-    /// `saved_ms`) so backpressure never turns into unbounded memory.
+    /// invalidation (appended to `invalidated`, the body it removed to
+    /// `removed`, render cost to `saved_ms`) so backpressure never turns
+    /// into unbounded memory.
     /// Every parked page is marked stale — it serves old bytes until a
     /// drain or a later batch refreshes it.
     fn defer(
@@ -578,6 +581,7 @@ impl TriggerMonitor {
         overflow: Vec<PageKey>,
         now: SimTime,
         invalidated: &mut Vec<PageKey>,
+        removed: &mut Vec<(u32, Bytes)>,
         saved_ms: &mut f64,
     ) -> Vec<PageKey> {
         if overflow.is_empty() {
@@ -594,7 +598,7 @@ impl TriggerMonitor {
             }
             if queue.len() >= DEFERRED_CAP {
                 *saved_ms += self.regen_cost_ms(key);
-                self.invalidate(key);
+                removed.extend(self.invalidate(key));
                 invalidated.push(key);
                 shed += 1;
             } else {
@@ -744,17 +748,16 @@ impl TriggerMonitor {
         let sections: FxHashSet<&'static str> =
             affected_pages.iter().map(|k| k.category()).collect();
         let mut invalidated = Vec::new();
-        let space = self.registry.space();
+        let mut removed = Vec::new();
         for (key, meta) in self.registry.pages() {
             if meta.dynamic && sections.contains(key.category()) {
-                if let Some(slot) = space.slot(*key) {
-                    self.cache.invalidate(slot);
-                }
+                removed.extend(self.invalidate(*key));
                 invalidated.push(*key);
             }
         }
         TxnOutcome {
             invalidated,
+            removed,
             visited,
             ..Default::default()
         }
@@ -763,25 +766,19 @@ impl TriggerMonitor {
     /// Highest transaction id processed so far (0 before any work). A
     /// restarted monitor resumes from here: everything in the site's
     /// replicated log after this id is replayed by
-    /// [`TriggerMonitor::recover`].
+    /// [`TriggerMonitor::recover_at`].
     pub fn watermark(&self) -> u64 {
         self.watermark.load(Relaxed)
     }
 
-    /// Crash/restart recovery: re-run DUP over the transactions missed
-    /// while the monitor was down. `missed` is the tail of the site's
-    /// replicated log; anything at or below the watermark is skipped, the
-    /// rest is processed as **one** batch (a single propagation), which
-    /// rewarms (update-in-place) or invalidates every affected page so no
-    /// stale entry survives the outage. Increments
-    /// `nagano_trigger_recoveries_total`.
-    pub fn recover(&self, missed: &[impl std::borrow::Borrow<Transaction>]) -> TxnOutcome {
-        self.recover_at(missed, SimTime::ZERO)
-    }
-
-    /// [`TriggerMonitor::recover`] with an explicit sim clock, so pages
-    /// invalidated during replay are stale-marked at the recovery time
-    /// rather than time zero.
+    /// Crash/restart recovery at sim time `now`: re-run DUP over the
+    /// transactions missed while the monitor was down. `missed` is the
+    /// tail of the site's replicated log; anything at or below the
+    /// watermark is skipped, the rest is processed as **one** batch (a
+    /// single propagation), which rewarms (update-in-place) or
+    /// invalidates every affected page so no stale entry survives the
+    /// outage; pages invalidated during replay are stale-marked at `now`.
+    /// Increments `nagano_trigger_recoveries_total`.
     pub fn recover_at(
         &self,
         missed: &[impl std::borrow::Borrow<Transaction>],
@@ -1267,7 +1264,7 @@ mod tests {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
         let key = unmoved_by_the_first_final(&db);
-        assert!(monitor.cache().invalidate(&key.to_url()));
+        assert!(monitor.cache().invalidate(&key.to_url()).is_some());
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
     }
@@ -1392,7 +1389,7 @@ mod tests {
         let txns: Vec<_> = (0..3)
             .map(|i| db.record_results(ev.id, &podium(&db, ev.id), i == 2, ev.day))
             .collect();
-        let batch = monitor.process_batch(&txns);
+        let batch = monitor.process_batch_at(&txns, SimTime::ZERO);
         // One propagation: the event page appears exactly once.
         let event_count = batch
             .regenerated
@@ -1419,7 +1416,10 @@ mod tests {
         );
         // Empty batch is a no-op.
         let empty: Vec<Arc<nagano_db::Transaction>> = Vec::new();
-        assert_eq!(monitor.process_batch(&empty).affected(), 0);
+        assert_eq!(
+            monitor.process_batch_at(&empty, SimTime::ZERO).affected(),
+            0
+        );
     }
 
     #[test]
@@ -1456,7 +1456,7 @@ mod tests {
         // Restart: replay the log tail. t1 is at the watermark and must
         // be skipped; t2/t3 are processed as one batch.
         let missed = vec![t1, t2, t3];
-        let outcome = monitor.recover(&missed);
+        let outcome = monitor.recover_at(&missed, SimTime::ZERO);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
         let after = monitor.cache().peek(&url).unwrap();
         assert!(after.version > after_t1.version, "page rewarmed");
@@ -1467,7 +1467,7 @@ mod tests {
         // t1's processing + one batched recovery record.
         assert_eq!(s.txns, 2);
         // Recovering with nothing new still counts (a clean restart).
-        let outcome = monitor.recover(&missed);
+        let outcome = monitor.recover_at(&missed, SimTime::ZERO);
         assert_eq!(outcome.affected(), 0);
         assert_eq!(monitor.stats().snapshot().recoveries, 2);
     }
@@ -1481,7 +1481,7 @@ mod tests {
         assert!(monitor.cache().peek(&url).is_some());
         // Commit while the monitor is down, then recover.
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.recover(&[txn]);
+        let outcome = monitor.recover_at(&[txn], SimTime::ZERO);
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(
             monitor.cache().peek(&url).is_none(),

@@ -1338,7 +1338,7 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
                 let junk = format!("/news/{}", 1_500 + i);
                 let before = cache.len();
                 cache.put(&junk, fill.clone());
-                assert!(cache.invalidate(&junk));
+                assert!(cache.invalidate(&junk).is_some());
                 assert!(cache.len() < before, "update {i}: nothing evicted");
             }
             Disturbance::Clear => cache.clear(),

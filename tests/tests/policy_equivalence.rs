@@ -213,7 +213,7 @@ fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
     monitor.fold_hotness(1);
 }
 
-/// `process_batch` must leave the cache in the same final *state* as
+/// `process_batch_at` must leave the cache in the same final *state* as
 /// sequential `process_txn` calls under every policy (coalescing may
 /// skip duplicate work, never change content). Bounded-budget hybrids
 /// drain their deferred queues before comparison.

@@ -1,26 +1,20 @@
 //! Serving-path resilience properties (DESIGN.md §11a): the
 //! single-flight stampede pin — **exactly one regeneration per
-//! (key, stale-epoch)** no matter how many concurrent misses race —
-//! plus the serve-stale guarantees: a follower observes the fresh body
-//! or a within-budget stale copy, never an error while a stale copy
-//! exists, and tombstones respect the staleness age bound.
+//! (key, stale-epoch)**, an epoch being each invalidation of the key, no
+//! matter how many concurrent misses race — where every follower observes
+//! the leader's fresh body; plus the breaker's and the retry schedule's
+//! bounds, and the simulation's stale copies' age bound.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use bytes::Bytes;
-use nagano_cache::{CacheConfig, FlightOutcome, PageCache, StalePolicy};
-use nagano_cluster::{BreakerConfig, CircuitBreaker, RetryBackoff};
+use nagano_cache::{FlightOutcome, PageCache};
+use nagano_cluster::{BreakerConfig, CircuitBreaker, RetryBackoff, Tombstones};
 use nagano_simcore::sync::blocking;
-use nagano_simcore::DeterministicRng;
+use nagano_simcore::{DeterministicRng, SimTime};
 use proptest::prelude::*;
-
-fn stale_cache() -> Arc<PageCache> {
-    Arc::new(PageCache::new(
-        CacheConfig::default().with_stale(StalePolicy::bounded(900.0)),
-    ))
-}
 
 /// One stampede round: the main thread leads a flight for `key`, then
 /// `followers` threads pile onto the same miss while it is open.
@@ -56,18 +50,8 @@ fn stampede_round(cache: &Arc<PageCache>, key: u32, followers: usize, fresh: &st
                 assert_eq!(&cached.body[..], fresh.as_bytes());
                 cache.complete_flight(t, Some(cached));
             }
-            // Never an error while a stale copy exists: a timed-out
-            // follower must have a within-budget fallback.
-            FlightOutcome::TimedOut => {
-                let copy = cache
-                    .serve_stale(key)
-                    .expect("timed-out follower must find a stale copy to serve");
-                assert!(
-                    copy.age_secs <= 900.0,
-                    "stale fallback beyond the policy bound: {} s",
-                    copy.age_secs
-                );
-            }
+            // The leader published well within every follower's patience.
+            FlightOutcome::TimedOut => panic!("a follower timed out"),
         }
     }
     renders
@@ -85,20 +69,20 @@ proptest! {
         followers in 2usize..6,
         rounds in 1usize..4,
     ) {
-        let cache = stale_cache();
+        let cache = Arc::new(PageCache::default());
         // A page's slot.
         let key = 17;
-        let mut regens = 0usize;
+        let (mut regens, mut invalidations) = (0usize, 0usize);
         for round in 0..rounds {
             if round > 0 {
-                // live → stale transition bumps the epoch and leaves a
-                // tombstone behind.
-                prop_assert!(cache.invalidate(key));
-                prop_assert_eq!(cache.stale_epoch(key), round as u64);
+                // A live → stale transition: the last round's body leaves.
+                let gone = cache.invalidate(key).map(|body| body.to_vec());
+                prop_assert_eq!(gone, Some(format!("body-{}", round - 1).into_bytes()));
+                invalidations += 1;
             }
             regens += stampede_round(&cache, key, followers, &format!("body-{round}"));
         }
-        prop_assert_eq!(regens, rounds, "one regeneration per (key, stale-epoch)");
+        prop_assert_eq!(regens, invalidations + 1, "one regeneration per (key, stale-epoch)");
     }
 
     /// The retry schedule is part of the deterministic surface: the
@@ -148,20 +132,18 @@ proptest! {
 #[test]
 fn stale_copies_respect_the_age_bound() {
     const MEDALS: u32 = 48;
-    let cache = PageCache::new(CacheConfig::default().with_stale(StalePolicy::bounded(60.0)));
-    cache.set_now_secs(0.0);
+    let cache = PageCache::default();
     cache.put(MEDALS, Bytes::from_static(b"gold: 1"));
-    cache.invalidate(MEDALS);
-    cache.set_now_secs(59.0);
-    let copy = cache.serve_stale(MEDALS).expect("within the bound");
+    let mut copies = Tombstones::new(60.0);
+    let body = cache.invalidate(MEDALS).expect("cached");
+    copies.keep(MEDALS, body, SimTime::ZERO);
+    let copy = copies
+        .get(MEDALS, SimTime::from_secs(59))
+        .expect("within the bound");
     assert_eq!(&copy.body[..], b"gold: 1");
-    assert!(copy.age_secs <= 60.0);
-    // Past the bound the heartbeat prune retires the tombstone: the
-    // caller sees a miss, never an over-age body.
-    cache.set_now_secs(61.0);
-    cache.prune_stale();
+    // Past the bound the caller sees a miss, never an over-age body.
     assert!(
-        cache.serve_stale(MEDALS).is_none(),
+        copies.get(MEDALS, SimTime::from_secs(61)).is_none(),
         "over-age stale copy must not be served"
     );
 }

@@ -11,7 +11,8 @@
 //!
 //! Nor does the per-request work of a warm hit on the socket path: reading
 //! the head off the wire, answering it `200` or `304`, and framing the
-//! answer. Nor does a cost lookup.
+//! answer. Nor does a cost lookup, nor writing a page's URL through its
+//! `Display`.
 //!
 //! A binary of its own, because it counts through the global allocator.
 //! Every count holds of both builds: a build with debug assertions also
@@ -387,11 +388,8 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
 fn a_warm_hit_allocates_nothing() {
     let site = ServingSite::build(SiteConfig::small());
     let paths = ["/medals", "/day/3/", "/athletes/7", "/fragments/results/2"];
-    // The first hit on a page marks it for the hotness window, which may
-    // grow that list; a hit on a page already marked writes a count.
-    for path in paths {
-        assert!(site.handle(path).unwrap().cache_hit, "{path}");
-    }
+    // Every page is prewarmed and a hit records no recency on an unbounded
+    // cache, so nothing is owed a warm-up: the very first hit is counted.
     for path in paths {
         let (page, allocated) = counted(|| site.handle(path));
         assert!(page.unwrap().cache_hit, "{path}");
@@ -500,5 +498,23 @@ fn a_cost_lookup_allocates_nothing() {
     for (&key, &cost) in keys.iter().zip(&costs) {
         let (again, allocated) = counted(|| model.cost_ms(key));
         assert_eq!((again, allocated), (cost, 0), "{key}");
+    }
+}
+
+#[test]
+fn a_key_displays_without_allocating() {
+    use std::fmt::Write;
+    let keys = [
+        PageKey::Welcome,
+        PageKey::Home(3),
+        PageKey::Athlete(AthleteId(1_234)),
+        PageKey::Fragment(FragmentKey::ResultTable(EventId(17))),
+    ];
+    let mut buf = String::with_capacity(64);
+    for key in keys {
+        buf.clear();
+        let (written, allocated) = counted(|| write!(buf, "{key}"));
+        assert!(written.is_ok() && buf == key.to_url(), "{key:?}");
+        assert_eq!(allocated, 0, "{key:?}");
     }
 }
