@@ -9,7 +9,7 @@ use nagano::{ServingSite, SiteConfig};
 use nagano_cluster::{ClusterState, Msirp, RouteDecision};
 use nagano_db::AthleteId;
 use nagano_odg::StalenessPolicy;
-use nagano_simcore::{DeterministicRng, SimTime};
+use nagano_simcore::DeterministicRng;
 use nagano_workload::GeoMix;
 
 use crate::fmt::TextTable;
@@ -139,7 +139,7 @@ pub fn batching(config: &ExpConfig) -> ExpResult {
 
     let site_b = ServingSite::build(SiteConfig::small());
     let txns_b = make_burst(&site_b);
-    let batch_out = site_b.monitor().process_batch_at(&txns_b, SimTime::ZERO);
+    let batch_out = site_b.monitor().process_batch(&txns_b);
     let batch_regen = batch_out.regenerated.len() as u64;
 
     let mut table = TextTable::new(["strategy", "transactions", "pages regenerated"]);

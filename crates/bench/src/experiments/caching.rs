@@ -9,12 +9,12 @@ use std::time::Instant;
 use serde_json::json;
 
 use nagano::{ServingSite, SiteConfig};
+use nagano_cluster::ConsistencyPolicy;
 use nagano_db::{seed_games, OlympicDb};
 use nagano_httpd::{Handler, HttpClient, Request, Response, Server, ServerConfig};
 use nagano_odg::{DupEngine, NodeId};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimDuration, SimTime};
-use nagano_trigger::ConsistencyPolicy;
 use nagano_workload::RequestModel;
 use rustc_hash::FxHashMap;
 

@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use serde_json::json;
 
+use nagano_cluster::ConsistencyPolicy;
 use nagano_db::{seed_games, OlympicDb};
 use nagano_pagegen::PageRegistry;
-use nagano_trigger::ConsistencyPolicy;
 use nagano_workload::RequestModel;
 
 use crate::fmt::TextTable;

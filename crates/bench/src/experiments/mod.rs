@@ -12,10 +12,10 @@ use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxHashMap;
 
+use nagano_cluster::ConsistencyPolicy;
 use nagano_cluster::{ClusterConfig, ClusterReport, ClusterSim, ServingResilience};
 use nagano_db::GamesConfig;
 use nagano_simcore::sync::Mutex;
-use nagano_trigger::ConsistencyPolicy;
 
 use crate::ExpConfig;
 

@@ -12,7 +12,7 @@
 use serde_json::json;
 
 use nagano_cluster::ClusterConfig;
-use nagano_trigger::ConsistencyPolicy;
+use nagano_cluster::ConsistencyPolicy;
 
 use crate::fmt::TextTable;
 use crate::{ExpConfig, ExpResult};

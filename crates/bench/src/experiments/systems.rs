@@ -4,13 +4,13 @@
 
 use serde_json::json;
 
+use nagano_cluster::ConsistencyPolicy;
 use nagano_cluster::{
     random_fault_plan, random_soak_plan, scripted_chaos_plan, scripted_serving_plan, ClusterSim,
     FailureKind, FailurePlanEntry, SITES,
 };
 use nagano_pagegen::{NavigationModel, SiteStructure};
 use nagano_simcore::{DeterministicRng, SimTime};
-use nagano_trigger::ConsistencyPolicy;
 
 use super::{cluster_config, full_report};
 use crate::fmt::{thousands, TextTable};

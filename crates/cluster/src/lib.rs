@@ -16,7 +16,14 @@
 //! * [`sim`] — the 16-day discrete-event driver combining the workload
 //!   model, per-site trigger monitors with replication delays, routing,
 //!   and measurement (the source of Figures 18, 20–23 and the peak /
-//!   availability / freshness experiments).
+//!   availability / freshness experiments). In debug builds it checks
+//!   every response it serves against the contract of a fresh body or a
+//!   bounded-age copy (DESIGN.md §11a).
+//! * [`policy`] and [`monitor`] — the consistency policies each complex's
+//!   trigger monitor runs: update-in-place and invalidation, which a
+//!   serving site runs too, and the hotness-ranked hybrid and the 1996
+//!   section invalidation, which need the simulation's request clock and
+//!   drive the monitor's mark / refresh / invalidate steps themselves.
 //! * [`remote`] — parameterised models of the *other* web sites measured
 //!   in Tables 1–2 (competitor ISP home pages).
 //! * [`faults`] — deterministic data-plane fault plans: lossy / delayed /
@@ -30,6 +37,11 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod faults;
+mod hotness;
+pub mod monitor;
+#[cfg(debug_assertions)]
+mod oracle;
+pub mod policy;
 pub mod remote;
 pub mod resilience;
 pub mod sim;
@@ -41,6 +53,8 @@ pub use faults::{
     DataFaultPlanEntry, EdgeSpec, LinkFault, ServingFaultKind, ServingFaultPlanEntry,
     REPLICATION_EDGES,
 };
+pub use monitor::SiteMonitor;
+pub use policy::{ConsistencyPolicy, HybridConfig};
 pub use remote::RemoteSite;
 pub use resilience::{BreakerConfig, CircuitBreaker, RetryBackoff, Tombstones};
 pub use sim::{

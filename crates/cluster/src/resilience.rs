@@ -209,6 +209,13 @@ pub struct Tombstone {
     since: SimTime,
 }
 
+impl Tombstone {
+    /// Seconds from when the copy was kept to `now`.
+    pub fn age_secs(&self, now: SimTime) -> f64 {
+        now.since(self.since).as_secs_f64()
+    }
+}
+
 /// One complex's stale copies, by page slot: a request the cache cannot
 /// answer may still be served one of them while it is no older than the
 /// age bound (serve-stale-on-error). A fresh body of the page supersedes
@@ -260,8 +267,7 @@ impl Tombstones {
     /// `slot`'s stale copy, if it is no older than the bound at `now`.
     pub fn get(&self, slot: u32, now: SimTime) -> Option<&Tombstone> {
         let copy = self.copies.get(&slot)?;
-        let age_secs = now.since(copy.since).as_secs_f64();
-        (age_secs <= self.max_age_secs).then_some(copy)
+        (copy.age_secs(now) <= self.max_age_secs).then_some(copy)
     }
 
     /// A cold restart: every copy and every epoch goes.

@@ -23,13 +23,15 @@ use nagano_telemetry::{
     json_snapshot, prometheus_text, slo_json, Counter, Gauge, HistogramHandle, Objective,
     SloEngine, SloOutcome, SloRule, Telemetry, Trace, TraceKind,
 };
-use nagano_trigger::{ConsistencyPolicy, TriggerMonitor, TxnOutcome};
+use nagano_trigger::TxnOutcome;
 use nagano_workload::{Region, RequestModel, UpdateSchedule};
 
 use crate::faults::{
     DataFaultKind, DataFaultPlanEntry, LinkFault, ServingFaultKind, ServingFaultPlanEntry,
     CATCHUP_BASE_BACKOFF_SECS, DR_EDGE, MAX_CATCHUP_RETRIES, PRIMARY_FEED, REPLICATION_EDGES,
 };
+use crate::monitor::{Processed, SiteMonitor};
+use crate::policy::ConsistencyPolicy;
 use crate::resilience::{BreakerConfig, CircuitBreaker, RetryBackoff, Tombstone, Tombstones};
 use crate::state::{ClusterState, FailureKind};
 use crate::topology::{region_latency_ms, Msirp, RouteDecision, SITES};
@@ -239,6 +241,11 @@ pub struct ClusterReport {
     pub cache: StatsSnapshot,
     /// Requests answered from a stale copy, summed across sites.
     pub stale_served: u64,
+    /// The largest age (seconds, on the minute clock) of any stale copy
+    /// served; 0 when none was.
+    pub stale_age_max_secs: f64,
+    /// Responses by the row of the serve table that answered them.
+    pub responses: Responses,
     /// Pages regenerated per day across sites (index 0 = day 1).
     pub regen_per_day: Vec<u64>,
     /// Modeled render CPU spent on trigger-driven regeneration (ms),
@@ -390,6 +397,35 @@ impl ClusterReport {
     }
 }
 
+/// Served responses counted by the [`Decision`] that answered them: a
+/// fill that ended in a stale copy or a 503 counts as that.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Responses {
+    /// Answered by the cache outright.
+    pub hit: u64,
+    /// Answered from another request's regeneration of the page.
+    pub join: u64,
+    /// Answered from a stale copy.
+    pub stale: u64,
+    /// Answered by a demand fill.
+    pub fill: u64,
+    /// Answered 503.
+    pub fail: u64,
+}
+
+impl Responses {
+    fn count(&mut self, decision: Decision) {
+        let cell = match decision {
+            Decision::Hit => &mut self.hit,
+            Decision::Join => &mut self.join,
+            Decision::ServeStale => &mut self.stale,
+            Decision::Fill => &mut self.fill,
+            Decision::Fail => &mut self.fail,
+        };
+        *cell += 1;
+    }
+}
+
 impl ClusterReport {
     /// A report with nothing counted yet, sized for `cfg`'s horizon.
     fn empty(cfg: &ClusterConfig, telemetry: &Arc<Telemetry>) -> Self {
@@ -409,6 +445,8 @@ impl ClusterReport {
             service_away_from_updates: Welford::new(),
             cache: StatsSnapshot::default(),
             stale_served: 0,
+            stale_age_max_secs: 0.0,
+            responses: Responses::default(),
             regen_per_day: vec![0; cfg.end_day as usize],
             regen_cpu_ms: 0,
             regen_saved_ms: 0,
@@ -547,11 +585,38 @@ enum Via {
 /// whether the cache answered it outright.
 type Served = (u64, f64, bool);
 
-/// One serving complex as the driver sees it: trigger monitor and cache,
-/// replica of the master log, and the fault and resilience state of both
-/// planes.
+/// The body a request is answered with, and the server time (ms) it took.
+pub(crate) enum Answer {
+    /// The cache entry's body at `version`; `hit` when the cache answered
+    /// it outright.
+    Fresh {
+        body: bytes::Bytes,
+        #[cfg_attr(
+            not(debug_assertions),
+            expect(dead_code, reason = "the response oracle reads it")
+        )]
+        version: u64,
+        ms: f64,
+        hit: bool,
+    },
+    /// A stale copy.
+    Stale { copy: Tombstone, ms: f64 },
+}
+
+impl Answer {
+    fn served(self) -> Served {
+        match self {
+            Answer::Fresh { body, ms, hit, .. } => (body.len() as u64, ms, hit),
+            Answer::Stale { copy, ms } => (copy.body.len() as u64, ms, false),
+        }
+    }
+}
+
+/// One serving complex as the driver sees it: trigger monitor under the
+/// run's policy and its cache, replica of the master log, and the fault
+/// and resilience state of both planes.
 struct Complex {
-    monitor: TriggerMonitor,
+    monitor: SiteMonitor,
     /// The simulated httpd front end's request counters.
     httpd: HttpdMetrics,
     replica: Replica,
@@ -639,6 +704,9 @@ struct SimState<'a> {
     fault_rng: DeterministicRng,
     /// Serving-plane backoff jitter, drawn only on failed-render retries.
     resilience_rng: DeterministicRng,
+    /// The debug build's check of every response served.
+    #[cfg(debug_assertions)]
+    oracle: crate::oracle::ResponseOracle,
 }
 
 impl<'a> SimState<'a> {
@@ -699,6 +767,8 @@ impl<'a> SimState<'a> {
             apply_rng,
             fault_rng,
             resilience_rng,
+            #[cfg(debug_assertions)]
+            oracle: crate::oracle::ResponseOracle::new(cfg.resilience.stale_max_age_secs),
         };
         sim.seed_queue();
         sim
@@ -788,9 +858,9 @@ impl<'a> SimState<'a> {
                 self.report.updates_applied += 1;
                 self.counters.applied.incr();
                 if self.complexes[s].monitor_up {
-                    let outcome = self.complexes[s].monitor.process_txn_at(txn, at);
+                    let processed = self.complexes[s].monitor.process_txn(txn, at);
                     let txns = std::slice::from_ref(txn);
-                    self.record_apply(s, txns, &outcome, at, Via::Stream);
+                    self.record_apply(s, txns, &processed, at, Via::Stream);
                 }
                 // Schaumburg re-publishes to its chained sites.
                 if s == 0 {
@@ -889,9 +959,9 @@ impl<'a> SimState<'a> {
         if self.complexes[s].monitor_up {
             // One DUP propagation over the union of the pulled
             // transactions.
-            let monitor = &self.complexes[s].monitor;
-            let outcome = monitor.process_batch_at(&missed, applied_at);
-            self.record_apply(s, &missed, &outcome, applied_at, Via::CatchUp);
+            let monitor = &mut self.complexes[s].monitor;
+            let processed = monitor.process_batch(&missed, applied_at);
+            self.record_apply(s, &missed, &processed, applied_at, Via::CatchUp);
         }
         if s == 0 {
             for txn in &missed {
@@ -932,10 +1002,11 @@ impl<'a> SimState<'a> {
                 // replay the local log tail through DUP so no stale page
                 // survives recovery. The replica already held the tail
                 // (distribution happened while the monitor was down).
-                let missed = c.replica.local_log().since(TxnId(c.monitor.watermark()));
-                let outcome = c.monitor.recover_at(&missed, at);
+                let watermark = c.monitor.trigger().watermark();
+                let missed = c.replica.local_log().since(TxnId(watermark));
+                let processed = c.monitor.recover(&missed, at);
                 self.report.recoveries += 1;
-                self.record_apply(site, &missed, &outcome, at, Via::Recovery);
+                self.record_apply(site, &missed, &processed, at, Via::Recovery);
                 self.record_staleness(site, &missed, at);
                 self.watch(format!("monitor-crash {}", SITES[site].name), site, at);
             }
@@ -953,14 +1024,15 @@ impl<'a> SimState<'a> {
     }
 
     /// Book the DUP pass that applied `txns` at site `s` at `at`: apply
-    /// clock, the day's regenerations, each traced transaction's lineage
-    /// branch, the pages whose first fresh serve closes it (claimed by
-    /// the newest transaction), and a streamed one's freshness sample.
+    /// clock, the day's regenerations, the stale copies its invalidations
+    /// left, each traced transaction's lineage branch, the pages whose
+    /// first fresh serve closes it (claimed by the newest transaction),
+    /// and a streamed one's freshness sample.
     fn record_apply(
         &mut self,
         s: usize,
         txns: &[Arc<Transaction>],
-        outcome: &TxnOutcome,
+        (outcome, deferred): &Processed,
         at: SimTime,
         via: Via,
     ) {
@@ -976,18 +1048,23 @@ impl<'a> SimState<'a> {
         // Aged on the run loop's minute, not on a catch-up's later `at`.
         for (slot, body) in &outcome.removed {
             complex.tombstones.keep(*slot, body.clone(), self.clock);
+            #[cfg(debug_assertions)]
+            self.oracle.removed(s, *slot, body, self.clock);
         }
         supersede(
             &mut complex.tombstones,
             &self.registry,
             &outcome.regenerated,
         );
+        #[cfg(debug_assertions)]
+        self.oracle
+            .refreshed(s, &self.registry, &outcome.regenerated);
         let mut applied_at = at;
         if let Via::Stream = via {
             // Visible-latency model: replication delay (already elapsed
             // at `at`) plus regeneration spread over the SMP's render
             // workers (DESIGN.md §6).
-            let cache = complex.monitor.cache();
+            let cache = complex.monitor.trigger().cache();
             let space = self.registry.space();
             let held = outcome
                 .regenerated
@@ -1024,7 +1101,7 @@ impl<'a> SimState<'a> {
                     );
                     let apply = t.add_child(odg, "nagano_cache_apply", counts, at, applied_at);
                     if hybrid {
-                        hybrid_spans(t, apply, site, outcome, at);
+                        hybrid_spans(t, apply, site, outcome, deferred.len(), at);
                     }
                     apply
                 }
@@ -1079,9 +1156,11 @@ impl<'a> SimState<'a> {
                 // state all vanish — the stampede window single-flight
                 // flattens.
                 let c = &mut self.complexes[site];
-                c.monitor.cache().clear();
+                c.monitor.trigger().cache().clear();
                 c.tombstones.clear();
                 c.inflight.clear();
+                #[cfg(debug_assertions)]
+                self.oracle.crashed(site);
             }
         }
     }
@@ -1100,7 +1179,8 @@ impl<'a> SimState<'a> {
     /// The per-minute heartbeat, run during the settle tail too so that
     /// deferred work and catch-up pulls cannot be stranded.
     fn heartbeat(&mut self, minute: u64, minute_end: SimTime) {
-        for c in &mut self.complexes {
+        for s in 0..self.complexes.len() {
+            let c = &mut self.complexes[s];
             // Hotness: fold the minute's answered requests into each
             // monitor's EWMA, then give the Hybrid deferred queue a
             // budgeted drain slice (no-op under other policies).
@@ -1108,6 +1188,8 @@ impl<'a> SimState<'a> {
             if c.monitor_up {
                 let drained = c.monitor.drain_deferred(minute_end);
                 supersede(&mut c.tombstones, &self.registry, &drained);
+                #[cfg(debug_assertions)]
+                self.oracle.refreshed(s, &self.registry, &drained);
                 if !drained.is_empty() {
                     let day_idx = minute_end.day().min(self.cfg.end_day) as usize - 1;
                     self.report.regen_per_day[day_idx] += drained.len() as u64;
@@ -1133,7 +1215,7 @@ impl<'a> SimState<'a> {
         for w in self.watches.iter_mut().filter(|w| w.converged_at.is_none()) {
             let c = &self.complexes[w.site];
             let applied = c.replica.applied().0;
-            if c.monitor_up && applied == master_len && c.monitor.watermark() == applied {
+            if c.monitor_up && applied == master_len && c.monitor.trigger().watermark() == applied {
                 w.converged_at = Some(minute_end);
             }
         }
@@ -1259,10 +1341,12 @@ impl<'a> SimState<'a> {
     /// Serve `page` at complex `s` at sim time `t` — the DES driver of
     /// [`nagano::serve`]: observe the cache, the flight map, the breaker
     /// and the backend, ask the table, and carry out its answer. `None`
-    /// is a 503.
+    /// is a 503. Every response is counted by the decision that answered
+    /// it, and a stale copy by its age; a debug build checks each one
+    /// against the contract (`crate::oracle`).
     fn serve_request(&mut self, s: usize, page: PageKey, slot: u32, t: SimTime) -> Option<Served> {
         let c = &mut self.complexes[s];
-        let cache = Arc::clone(c.monitor.cache());
+        let cache = Arc::clone(c.monitor.trigger().cache());
         let cached = cache.get(slot);
         c.monitor.observe_request(page, t, cached.is_some());
         if cached.is_none() {
@@ -1286,19 +1370,45 @@ impl<'a> SimState<'a> {
             budget_secs: self.cfg.resilience.request_budget_secs,
         };
         let wait_ms = lands_in.unwrap_or(0.0) * 1_000.0;
-        match serve::decide(&observed) {
-            Decision::Hit => cached.map(|page| (page.body.len() as u64, 0.5, true)),
-            Decision::Join => cached.map(|page| (page.body.len() as u64, 0.5 + wait_ms, false)),
-            Decision::ServeStale => stale.map(|copy| serve_stale(&c.stale_served, &copy, 0.5)),
+        let fresh = |ms: f64, hit: bool| {
+            let page = cached.clone()?;
+            let (body, version) = (page.body, page.version);
+            Some(Answer::Fresh {
+                body,
+                version,
+                ms,
+                hit,
+            })
+        };
+        let (decision, render, answer) = match serve::decide(&observed) {
+            Decision::Hit => (Decision::Hit, None, fresh(0.5, true)),
+            Decision::Join => (Decision::Join, None, fresh(0.5 + wait_ms, false)),
+            Decision::ServeStale => {
+                let answer = stale.map(|copy| Answer::Stale { copy, ms: 0.5 });
+                (Decision::ServeStale, None, answer)
+            }
             Decision::Fill => self.fill(s, page, slot, t, stale),
-            Decision::Fail => None,
+            Decision::Fail => (Decision::Fail, None, None),
+        };
+        self.report.responses.count(decision);
+        if let Some(Answer::Stale { copy, .. }) = &answer {
+            self.complexes[s].stale_served.incr();
+            let age_secs = copy.age_secs(self.clock);
+            self.report.stale_age_max_secs = self.report.stale_age_max_secs.max(age_secs);
         }
+        #[cfg(debug_assertions)]
+        self.oracle
+            .served(s, slot, self.clock, &observed, render, answer.as_ref());
+        #[cfg(not(debug_assertions))]
+        let _ = render;
+        answer.map(Answer::served)
     }
 
     /// Render `page` for a request at complex `s`: a demand fill that
     /// opens a flight for its (slowdown-stretched) modelled cost, or —
     /// the backend being down — a failed attempt and its bounded, seeded
-    /// retries. [`serve::after_render`] says what the request gets.
+    /// retries. [`serve::after_render`] says what the request gets; the
+    /// last render it was asked about is returned beside its answer.
     fn fill(
         &mut self,
         s: usize,
@@ -1306,7 +1416,7 @@ impl<'a> SimState<'a> {
         slot: u32,
         t: SimTime,
         stale: Option<Tombstone>,
-    ) -> Option<Served> {
+    ) -> (Decision, Option<Render>, Option<Answer>) {
         let (now, tombstone) = (t.as_secs_f64(), stale.is_some());
         let res = &self.cfg.resilience;
         let budget = res.request_budget_secs;
@@ -1318,8 +1428,10 @@ impl<'a> SimState<'a> {
             // The lookup's 0.5 ms, then 5 ms an attempt.
             let mut latency_ms = 5.5;
             loop {
-                let retries_left = backoff.remaining() > 0;
-                match serve::after_render(Render::Failed { retries_left }, tombstone, budget) {
+                let render = Render::Failed {
+                    retries_left: backoff.remaining() > 0,
+                };
+                match serve::after_render(render, tombstone, budget) {
                     Decision::Fill => {
                         let delay = backoff.next_delay(&mut self.resilience_rng);
                         c.breaker.record_failure(now);
@@ -1327,9 +1439,13 @@ impl<'a> SimState<'a> {
                         latency_ms += 5.0 + delay.expect("an attempt is left") * 1_000.0;
                     }
                     Decision::ServeStale => {
-                        return stale.map(|copy| serve_stale(&c.stale_served, &copy, latency_ms))
+                        let answer = stale.map(|copy| Answer::Stale {
+                            copy,
+                            ms: latency_ms,
+                        });
+                        return (Decision::ServeStale, Some(render), answer);
                     }
-                    _ => return None,
+                    decision => return (decision, Some(render), None),
                 }
             }
         }
@@ -1346,10 +1462,21 @@ impl<'a> SimState<'a> {
         let secs = cost_ms / 1_000.0;
         let lands = t + SimDuration::from_secs_f64(secs);
         c.inflight.insert(slot, lands);
-        let decision = serve::after_render(Render::Done { secs }, tombstone, budget);
-        match (decision, stale) {
-            (Decision::ServeStale, Some(copy)) => Some(serve_stale(&c.stale_served, &copy, 0.5)),
-            _ => Some((out.body.len() as u64, cost_ms, false)),
+        let render = Render::Done { secs };
+        match (serve::after_render(render, tombstone, budget), stale) {
+            (Decision::ServeStale, Some(copy)) => {
+                let answer = Answer::Stale { copy, ms: 0.5 };
+                (Decision::ServeStale, Some(render), Some(answer))
+            }
+            _ => {
+                let answer = Answer::Fresh {
+                    body: out.body,
+                    version: out.version,
+                    ms: cost_ms,
+                    hit: false,
+                };
+                (Decision::Fill, Some(render), Some(answer))
+            }
         }
     }
 
@@ -1403,13 +1530,14 @@ impl<'a> SimState<'a> {
         }
         let report = &mut self.report;
         for c in &self.complexes {
-            report.cache += c.monitor.cache().stats();
+            report.cache += c.monitor.trigger().cache().stats();
             report.stale_served += c.stale_served.get();
-            let s = c.monitor.stats().snapshot();
+            let s = c.monitor.trigger().stats().snapshot();
             report.regen_cpu_ms += s.regen_cpu_ms;
             report.regen_saved_ms += s.regen_saved_ms;
-            report.weighted_staleness_sum_secs += s.weighted_staleness_sum_secs;
-            report.weighted_staleness_samples += s.weighted_staleness_count;
+            let (samples, sum_secs) = c.monitor.weighted_staleness();
+            report.weighted_staleness_sum_secs += sum_secs;
+            report.weighted_staleness_samples += samples;
         }
         report.stale_regen_keys = self.stale_regen_pairs.len() as u64;
         report.breaker_trips = self.complexes.iter().map(|c| c.breaker.trips()).sum();
@@ -1419,7 +1547,7 @@ impl<'a> SimState<'a> {
         report.master_txns = self.db.log().len() as u64;
         for (s, c) in self.complexes.iter().enumerate() {
             report.site_watermarks[s] = c.replica.applied().0;
-            report.monitor_watermarks[s] = c.monitor.watermark();
+            report.monitor_watermarks[s] = c.monitor.trigger().watermark();
         }
         report.convergence = std::mem::take(&mut self.watches);
         if self.cfg.audit_convergence {
@@ -1445,7 +1573,7 @@ impl<'a> SimState<'a> {
                 continue;
             };
             for c in &self.complexes {
-                if let Some(cached) = c.monitor.cache().peek(slot) {
+                if let Some(cached) = c.monitor.trigger().cache().peek(slot) {
                     if cached.body != fresh.body {
                         stale += 1;
                     }
@@ -1480,13 +1608,6 @@ impl<'a> SimState<'a> {
     }
 }
 
-/// A request answered from a stale copy after `latency_ms`, counted in
-/// `served`.
-fn serve_stale(served: &Counter, copy: &Tombstone, latency_ms: f64) -> Served {
-    served.incr();
-    (copy.body.len() as u64, latency_ms, false)
-}
-
 /// The pages in `keys` were regenerated: a fresh body supersedes each
 /// one's stale copy.
 fn supersede(tombstones: &mut Tombstones, registry: &PageRegistry, keys: &[PageKey]) {
@@ -1515,13 +1636,20 @@ fn trigger_latency(outcome: &TxnOutcome) -> SimDuration {
 }
 
 /// The Hybrid scheduler's children of a streamed apply span: the
-/// hot/cold ranking, and the pages it deferred.
-fn hybrid_spans(t: &mut Trace, apply: usize, site: &str, outcome: &TxnOutcome, at: SimTime) {
-    let hot = outcome.regenerated.len() + outcome.deferred.len();
+/// hot/cold ranking, and the `deferred` pages it parked.
+fn hybrid_spans(
+    t: &mut Trace,
+    apply: usize,
+    site: &str,
+    outcome: &TxnOutcome,
+    deferred: usize,
+    at: SimTime,
+) {
+    let hot = outcome.regenerated.len() + deferred;
     let rank = format!("site={site} hot={hot} cold={}", outcome.invalidated.len());
     t.add_child(apply, "nagano_trigger_rank", rank, at, at);
-    if !outcome.deferred.is_empty() {
-        let pages = format!("site={site} pages={}", outcome.deferred.len());
+    if deferred > 0 {
+        let pages = format!("site={site} pages={deferred}");
         t.add_child(apply, "nagano_trigger_defer", pages, at, at);
     }
 }
@@ -1547,15 +1675,15 @@ fn complexes(
         .zip([schaumburg, columbus, bethesda, tokyo])
         .map(|(spec, replica)| {
             let labels = [("site", spec.name)];
-            let monitor = TriggerMonitor::new(
+            let monitor = SiteMonitor::new(
+                cfg.policy,
                 Renderer::new(Arc::clone(db)),
                 Arc::new(PageCache::default()),
                 Arc::clone(registry),
-                cfg.policy,
             );
-            monitor.prewarm();
-            monitor.stats().bind(reg, &labels);
-            monitor.cache().stats_handle().bind(reg, &labels);
+            monitor.trigger().prewarm();
+            monitor.bind(reg, &labels);
+            monitor.trigger().cache().stats_handle().bind(reg, &labels);
             let stale_served = reg.counter("nagano_cache_stale_served_total", &labels);
             let httpd = HttpdMetrics::new();
             httpd.bind(reg, &labels);
@@ -2269,7 +2397,7 @@ mod tests {
             ..TxnOutcome::default()
         };
         let applied_at = minute + SimDuration::from_mins(3);
-        sim.record_apply(0, &[], &outcome, applied_at, Via::CatchUp);
+        sim.record_apply(0, &[], &(outcome, Vec::new()), applied_at, Via::CatchUp);
         let copies = &sim.complexes[0].tombstones;
         let max_age = SimDuration::from_secs_f64(cfg.resilience.stale_max_age_secs);
         assert!(copies.get(7, minute + max_age).is_some());
@@ -2301,19 +2429,95 @@ mod tests {
     fn scripted_serving_plan_meets_the_availability_floor() {
         let mut cfg = resilience_config();
         cfg.serving_fault_plan = crate::faults::scripted_serving_plan(10);
+        let max_age = cfg.resilience.stale_max_age_secs;
         let report = ClusterSim::new(cfg).run();
         assert!(
             report.availability() >= 0.99,
             "availability {}",
             report.availability()
         );
-        // Staleness is bounded by the policy: a served tombstone can
-        // never be older than the configured max age.
-        let max_age = ServingResilience::default().stale_max_age_secs;
+        // Staleness is bounded by the policy: stale copies were served,
+        // and none older than the configured max age.
+        assert!(report.stale_served > 0, "{:?}", report.responses);
+        assert_eq!(report.responses.stale, report.stale_served);
+        assert!(
+            report.stale_age_max_secs <= max_age,
+            "a copy {} s old served",
+            report.stale_age_max_secs
+        );
         assert!(report.serve_latency.count() > 0);
-        assert!(max_age <= 900.0);
         // p99 latency stays visible (and finite) through the slowdown.
         assert!(report.serve_latency.percentile(99.0).is_finite());
+    }
+
+    /// A day and a half of serving faults on Schaumburg, longer than the
+    /// scripted day: a four-hour backend outage that outlives the stale
+    /// copies' age bound, a cold restart, and a render slowdown past the
+    /// request budget.
+    fn long_serving_plan() -> Vec<ServingFaultPlanEntry> {
+        let window = |kind, from, to| {
+            [(from, false), (to, true)].map(|(at, up)| ServingFaultPlanEntry { at, kind, up })
+        };
+        let outage = ServingFaultKind::BackendOutage { site: 0 };
+        let crash = ServingFaultKind::CacheShardCrash { site: 0, node: 0 };
+        let slow = ServingFaultKind::RenderSlowdown {
+            site: 0,
+            factor: 2_000.0,
+        };
+        let mut plan = window(outage, SimTime::at(10, 8, 0), SimTime::at(10, 12, 0)).to_vec();
+        plan.push(ServingFaultPlanEntry {
+            at: SimTime::at(10, 14, 0),
+            kind: crash,
+            up: false,
+        });
+        plan.extend(window(slow, SimTime::at(10, 18, 0), SimTime::at(11, 12, 0)));
+        plan
+    }
+
+    /// Run `base` under each of five policies, with every response held
+    /// to the contract by the debug build's oracle (`crate::oracle`),
+    /// which panics on a violation. On a `faulted` plan, each policy that
+    /// drops pages must have served stale copies, so that the stale
+    /// checks cannot pass vacuously; update-in-place keeps no copy.
+    fn check_every_response(base: ClusterConfig, faulted: bool) {
+        for policy in [
+            ConsistencyPolicy::UpdateInPlace,
+            ConsistencyPolicy::Invalidate,
+            ConsistencyPolicy::Conservative96,
+            ConsistencyPolicy::hybrid(0.5, Some(400)),
+            ConsistencyPolicy::hybrid(0.25, Some(50)),
+        ] {
+            let mut cfg = base.clone();
+            cfg.policy = policy;
+            let max_age = cfg.resilience.stale_max_age_secs;
+            let report = ClusterSim::new(cfg).run();
+            let r = report.responses;
+            let answered = r.hit + r.join + r.stale + r.fill + r.fail;
+            assert_eq!(answered, report.total_requests, "{policy:?}: {r:?}");
+            assert_eq!(r.fail, report.failed_requests, "{policy:?}: {r:?}");
+            assert_eq!(r.stale, report.stale_served, "{policy:?}: {r:?}");
+            assert!(report.stale_age_max_secs <= max_age, "{policy:?}");
+            if faulted && policy != ConsistencyPolicy::UpdateInPlace {
+                assert!(r.stale > 0, "{policy:?} served no stale copy: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_response_holds_to_the_contract_on_the_scripted_plan() {
+        let mut cfg = fault_config();
+        cfg.serving_fault_plan = crate::faults::scripted_serving_plan(10);
+        check_every_response(cfg, false);
+    }
+
+    /// At ten times the traffic of the other runs, so that copies are
+    /// served at every age up to the bound.
+    #[test]
+    fn every_response_holds_to_the_contract_on_a_long_faulted_plan() {
+        let mut cfg = fault_config();
+        cfg.scale = 2_000.0;
+        cfg.serving_fault_plan = long_serving_plan();
+        check_every_response(cfg, true);
     }
 
     #[test]

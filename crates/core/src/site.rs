@@ -125,18 +125,7 @@ pub struct ServingSite {
 impl ServingSite {
     /// Seed the Games, build the registry, construct the trigger monitor,
     /// and prewarm every page (the production prefetch).
-    ///
-    /// # Panics
-    ///
-    /// If `config.policy` is [`ConsistencyPolicy::Hybrid`]: its hotness is folded and its
-    /// deferred queue drained by the simulation's heartbeat, which a site
-    /// has not, so on a site it would invalidate every stale page or park
-    /// pages it never regenerates (DESIGN.md §12).
     pub fn build(config: SiteConfig) -> Self {
-        assert!(
-            !matches!(config.policy, ConsistencyPolicy::Hybrid(_)),
-            "a serving site has no heartbeat to rank pages by hotness: build it without Hybrid"
-        );
         let db = Arc::new(OlympicDb::new());
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
@@ -346,9 +335,9 @@ impl ServingSite {
     /// trigger progress (transactions, replication watermark, pages
     /// regenerated and how many of them changed — the rest is the no-op
     /// share of update-in-place — were answered by their stamps, and were
-    /// patched rather than composed), and the cache's occupancy. A site
-    /// refuses the hybrid policy, so it reports no deferred queue.
-    /// Hand-assembled with deterministic key order so same-state sites
+    /// patched rather than composed), and the cache's occupancy. A site's
+    /// monitor keeps no deferred queue: only the simulation's hybrid policy
+    /// defers. Hand-assembled with deterministic key order so same-state sites
     /// produce byte-identical documents.
     pub fn status_json(&self) -> String {
         let trig = self.monitor.stats().snapshot();
@@ -406,15 +395,15 @@ impl ServingSite {
     /// the `nagano_trigger_*` / `nagano_cache_*` names with the given
     /// labels, as a complex's do in the cluster simulation, so one registry
     /// can hold several sites distinguished by label. A site keeps no stale
-    /// copy, defers no regeneration (it refuses the hybrid policy) and
-    /// weighs no request by staleness, so it exports no series of those,
-    /// which could only read 0.
+    /// copy, defers no regeneration and weighs no request by staleness:
+    /// those are the cluster simulation's (DESIGN.md §12), so it exports
+    /// no series of them.
     pub fn bind_telemetry(
         &self,
         registry: &nagano_telemetry::MetricsRegistry,
         labels: &[(&str, &str)],
     ) {
-        self.monitor.stats().bind_eager(registry, labels);
+        self.monitor.stats().bind(registry, labels);
         self.cache.stats_handle().bind(registry, labels);
     }
 
@@ -769,8 +758,8 @@ mod tests {
         s.handle("/medals");
         let doc = s.status_json();
         assert!(doc.starts_with(&format!("{{\"pages\":{}", s.registry().len())));
-        // The trigger object ends at the patch count: a site refuses the
-        // hybrid policy, so it reports no deferred queue.
+        // The trigger object ends at the patch count: a site defers
+        // nothing, so it reports no deferred queue.
         assert!(doc.contains("\"pages_patched\":0},\"cache\":"), "{doc}");
         let cache = s.fleet();
         let expected = format!(
@@ -813,15 +802,6 @@ mod tests {
             assert!(!page.body.is_empty());
             assert_eq!(page.version, 1);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "without Hybrid")]
-    fn a_site_with_the_hybrid_policy_is_refused() {
-        ServingSite::build(SiteConfig {
-            policy: ConsistencyPolicy::hybrid(1.0, Some(400)),
-            ..SiteConfig::small()
-        });
     }
 
     #[test]

@@ -74,6 +74,15 @@ pub(crate) struct Coverage {
 }
 
 impl Coverage {
+    /// An empty record with room for all that the reads of a section
+    /// memoised under a source may log: that source, and the loads.
+    pub(crate) fn for_section() -> Self {
+        Coverage {
+            sources: Vec::with_capacity(2),
+            ..Coverage::default()
+        }
+    }
+
     fn log(&mut self, view: &DbView<'_>, source: Option<Source>) {
         match source {
             None => self.uncovered = true,

@@ -866,7 +866,14 @@ impl Renderer {
         let source = section.source();
         let start = html.len();
         let mut own: Vec<Dependency> = Vec::new();
-        let mut within = cfg!(debug_assertions).then(Coverage::default);
+        // The check's own record, made uncounted with room for every
+        // source a section may read under: logging its reads allocates
+        // nothing, so a counted section render allocates alike in both
+        // builds.
+        let mut within = cfg!(debug_assertions).then(|| {
+            let _checking = Uncounted::enter();
+            Coverage::for_section()
+        });
         section_html(&mut r.section(&mut own, within.as_mut()), section, html);
         debug_assert!(
             within.as_ref().is_some_and(|w| w.is_within(source)),

@@ -8,24 +8,22 @@
 //!
 //! This crate implements that pipeline:
 //!
-//! * [`monitor::TriggerMonitor`] — consumes database transactions, resolves
-//!   changed records to ODG vertices, runs DUP, and applies a
-//!   [`policy::ConsistencyPolicy`]:
+//! * [`monitor::TriggerMonitor`] — consumes database transactions in three
+//!   steps: [`mark`](TriggerMonitor::mark) resolves changed records to ODG
+//!   vertices and runs DUP, [`refresh`](TriggerMonitor::refresh)
+//!   regenerates marked pages onto the bodies the cache holds and
+//!   distributes them, and [`invalidate`](TriggerMonitor::invalidate) drops
+//!   them. [`process_batch`](TriggerMonitor::process_batch) composes the
+//!   steps for a [`ConsistencyPolicy`]:
 //!   - `UpdateInPlace` — regenerate affected pages one after the other
-//!     and push each into every serving cache; pages are never missing,
+//!     and push each into the serving cache; pages are never missing,
 //!     which is how the 1998 site reached ~100% hit rates;
 //!   - `Invalidate` — precise DUP invalidation (pages regenerate on the
-//!     next demand miss);
-//!   - `Hybrid` — hotness-aware split (DESIGN.md §12): regenerate stale
-//!     pages hottest-first under a per-batch budget, invalidate the cold
-//!     tail, defer overflow to a bounded queue drained on later ticks.
-//!     The monitor keeps the per-page EWMA hotness it ranks by (the
-//!     crate-private `hotness` module), counted from the requests
-//!     [`TriggerMonitor::observe_request`] reports and folded by
-//!     [`TriggerMonitor::fold_hotness`]: the simulation's clock drives
-//!     both, so the policy runs there and a socket site refuses it;
-//!   - `Conservative96` — the 1996 baseline: invalidate entire content
-//!     sections, "significantly more pages ... than were necessary".
+//!     next demand miss).
+//!
+//!   The hotness-ranked hybrid and the 1996 section invalidation drive the
+//!   same steps from the cluster simulation (DESIGN.md §12), which keeps
+//!   the request clock they need.
 //!
 //!   Page fragments are registered pages of their own and hybrid ODG
 //!   vertices (DESIGN.md §14): a data change marks the fragment, the
@@ -37,8 +35,7 @@
 //!   graph, its registered dependency list, and its entry in the cache.
 //! * [`runner`] — a background thread driving the monitor from a
 //!   transaction subscription (the live deployment shape).
-//! * [`stats`] — counters and freshness tracking (event recorded → page
-//!   visible), backing the `fresh` and `regen` experiments.
+//! * [`stats`] — counters of the work done.
 //! * [`urls`] — [`PageUrls`], the page space as a cache's key space, for
 //!   callers that name pages by URL.
 
@@ -46,15 +43,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-mod hotness;
 pub mod monitor;
-pub mod policy;
 pub mod runner;
 pub mod stats;
 pub mod urls;
 
-pub use monitor::{DemandFill, TriggerMonitor, TxnOutcome};
-pub use policy::{ConsistencyPolicy, HybridConfig};
+pub use monitor::{ConsistencyPolicy, DemandFill, Refreshed, TriggerMonitor, TxnOutcome};
 pub use runner::TriggerRunner;
 pub use stats::{TriggerStats, TriggerStatsSnapshot};
 pub use urls::PageUrls;

@@ -1,11 +1,18 @@
-//! The trigger monitor core: DB transaction → DUP → regenerate/invalidate
-//! → distribute.
+//! The trigger monitor core: DB transaction → DUP marks the stale pages →
+//! refresh or invalidate them → distribute.
+//!
+//! The monitor offers the three steps, [`TriggerMonitor::mark`],
+//! [`TriggerMonitor::refresh`] and [`TriggerMonitor::invalidate`], and
+//! composes them for its [`ConsistencyPolicy`] in
+//! [`TriggerMonitor::process_batch`]. Policies that rank or widen the
+//! marked set drive the same steps from outside (the cluster simulation's
+//! hybrid and 1996 baseline).
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 use nagano_cache::{PageCache, Visit};
 use nagano_db::{DataKey, Transaction};
@@ -15,16 +22,21 @@ use nagano_pagegen::{
     Dependency, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
 };
 use nagano_simcore::sync::Mutex;
-use nagano_simcore::SimTime;
 
-use crate::hotness::{HotnessTracker, EWMA_ALPHA};
-use crate::policy::ConsistencyPolicy;
 use crate::stats::TriggerStats;
 
-/// Upper bound on the hybrid policy's deferred queue. Overflow beyond
-/// this sheds to invalidation instead of queueing, so a regen storm can
-/// never accumulate unbounded catch-up work (backpressure, not memory).
-const DEFERRED_CAP: usize = 4096;
+/// What the trigger monitor does with the pages DUP marks stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ConsistencyPolicy {
+    /// Regenerate stale pages immediately and update them in place in
+    /// the serving cache — the 1998 production policy. Hot pages are
+    /// never invalidated, so they never miss.
+    #[default]
+    UpdateInPlace,
+    /// Invalidate exactly the stale pages (precise DUP); the next request
+    /// pays the regeneration cost.
+    Invalidate,
+}
 
 /// Outcome of processing one transaction.
 #[derive(Debug, Clone, Default)]
@@ -50,9 +62,6 @@ pub struct TxnOutcome {
     pub removed: Vec<(u32, Bytes)>,
     /// Affected pages tolerated as slightly stale (threshold policy).
     pub tolerated: Vec<PageKey>,
-    /// Hot pages past the hybrid regen budget, parked on the deferred
-    /// queue for a later [`TriggerMonitor::drain_deferred`] tick.
-    pub deferred: Vec<PageKey>,
     /// ODG nodes visited by the propagation.
     pub visited: usize,
     /// Modelled CPU of the pages regenerated, in milliseconds.
@@ -62,7 +71,35 @@ pub struct TxnOutcome {
 impl TxnOutcome {
     /// Total pages affected by this transaction.
     pub fn affected(&self) -> usize {
-        self.regenerated.len() + self.invalidated.len() + self.tolerated.len() + self.deferred.len()
+        self.regenerated.len() + self.invalidated.len() + self.tolerated.len()
+    }
+}
+
+/// What one [`TriggerMonitor::refresh`] did.
+#[derive(Debug, Clone, Default)]
+pub struct Refreshed {
+    /// The keys distributed, in the caller's order.
+    pub keys: Vec<PageKey>,
+    /// Summed modelled CPU, in milliseconds.
+    pub render_ms: f64,
+    /// How many of `keys` changed the serving cache's bytes.
+    pub changed: usize,
+    /// How many of `keys` the renderer did not compose.
+    pub revalidated: usize,
+    /// How many of `keys` the renderer patched.
+    pub patched: usize,
+}
+
+impl From<Refreshed> for TxnOutcome {
+    fn from(r: Refreshed) -> Self {
+        TxnOutcome {
+            regenerated: r.keys,
+            changed: r.changed,
+            revalidated: r.revalidated,
+            patched: r.patched,
+            render_ms: r.render_ms,
+            ..TxnOutcome::default()
+        }
     }
 }
 
@@ -91,11 +128,12 @@ impl GraphState {
     /// it (`record_results` lists a country per placed athlete). A vertex
     /// no page ever depended on is not in the graph, and the propagation
     /// passes it by.
-    fn changed_ids(&self, txns: &[&Transaction]) -> Vec<NodeId> {
+    fn changed_ids(&self, txns: &[impl Borrow<Transaction>]) -> Vec<NodeId> {
         let mut changed = Vec::new();
         for txn in txns {
             let first = changed.len();
-            for id in txn.changes.iter().filter_map(|c| self.vertex(&c.data_key)) {
+            let keys = txn.borrow().changes.iter();
+            for id in keys.filter_map(|c| self.vertex(&c.data_key)) {
                 if !changed[first..].contains(&id) {
                     changed.push(id);
                 }
@@ -103,21 +141,6 @@ impl GraphState {
         }
         changed
     }
-}
-
-/// What one refresh of a stale set did.
-#[derive(Default)]
-struct Regenerated {
-    /// The keys distributed, in the caller's order.
-    keys: Vec<PageKey>,
-    /// Summed modelled CPU.
-    render_ms: f64,
-    /// How many of `keys` changed a serving cache's bytes.
-    changed: usize,
-    /// How many of `keys` the renderer did not compose.
-    revalidated: usize,
-    /// How many of `keys` the renderer patched.
-    patched: usize,
 }
 
 /// One demand fill's result: the body now cached, the version the cache
@@ -154,22 +177,9 @@ pub struct TriggerMonitor {
     registry: Arc<PageRegistry>,
     policy: ConsistencyPolicy,
     stats: Arc<TriggerStats>,
-    /// Highest transaction id this monitor has processed — the resume
-    /// point after a crash ([`TriggerMonitor::recover_at`]).
+    /// Highest transaction id this monitor has marked — the resume point
+    /// after a crash ([`TriggerMonitor::recover`]).
     watermark: AtomicU64,
-    /// When each currently stale-or-missing page went stale (earliest
-    /// mark wins). Fed by the invalidate/defer paths, cleared whenever a
-    /// fresh body reaches the cache; [`TriggerMonitor::observe_request`]
-    /// turns it into traffic-weighted staleness samples.
-    stale_since: Mutex<FxHashMap<PageKey, SimTime>>,
-    /// The hybrid policy's bounded backpressure queue: hot stale pages
-    /// whose regeneration missed the per-batch budget, drained
-    /// hottest-first by [`TriggerMonitor::drain_deferred`].
-    deferred: Mutex<FxHashSet<PageKey>>,
-    /// EWMA hotness the hybrid policy ranks pages by, counted from the
-    /// requests [`TriggerMonitor::observe_request`] is told the cache
-    /// answered and folded by [`TriggerMonitor::fold_hotness`].
-    hotness: HotnessTracker,
 }
 
 impl TriggerMonitor {
@@ -194,9 +204,6 @@ impl TriggerMonitor {
             policy,
             stats: Arc::new(TriggerStats::default()),
             watermark: AtomicU64::new(0),
-            stale_since: Mutex::new(FxHashMap::default()),
-            deferred: Mutex::new(FxHashSet::default()),
-            hotness: HotnessTracker::default(),
         }
     }
 
@@ -310,40 +317,43 @@ impl TriggerMonitor {
         self.registered.lock()[slot as usize] = Some(Arc::clone(&out.deps));
     }
 
-    /// Process one committed transaction (at sim time zero; callers with
-    /// a clock should prefer [`TriggerMonitor::process_txn_at`]).
+    /// Process one committed transaction.
     pub fn process_txn(&self, txn: &Transaction) -> TxnOutcome {
-        self.process_txn_at(txn, SimTime::ZERO)
-    }
-
-    /// Process one committed transaction at sim time `now` — the
-    /// timestamp feeds hotness decay, staleness marking, and the hybrid
-    /// budget scheduler.
-    pub fn process_txn_at(&self, txn: &Transaction, now: SimTime) -> TxnOutcome {
-        self.process_batch_at(std::slice::from_ref(txn), now)
+        self.process_batch(std::slice::from_ref(txn))
     }
 
     /// Process a batch of transactions with a **single** DUP propagation
-    /// over the union of their changed data, at sim time `now`.
+    /// over the union of their changed data: [`TriggerMonitor::mark`],
+    /// then [`TriggerMonitor::refresh`] the stale pages (update-in-place)
+    /// or [`TriggerMonitor::invalidate`] them, counting the render each
+    /// invalidation saves in `nagano_trigger_regen_saved_ms_total`.
     ///
     /// The production trigger monitor coalesced updates arriving close
     /// together: a page affected by five transactions in one burst is
     /// regenerated once, not five times. The `batching` ablation
     /// quantifies the saving.
-    pub fn process_batch_at(
-        &self,
-        txns: &[impl std::borrow::Borrow<Transaction>],
-        now: SimTime,
-    ) -> TxnOutcome {
+    pub fn process_batch(&self, txns: &[impl Borrow<Transaction>]) -> TxnOutcome {
         if txns.is_empty() {
             return TxnOutcome::default();
         }
-        let merged: Vec<&Transaction> = txns.iter().map(|t| t.borrow()).collect();
-        let hi = merged.iter().map(|t| t.id.0).max().unwrap_or(0);
-        self.watermark.fetch_max(hi, Relaxed);
+        let (stale, tolerated, visited) = self.mark(txns);
         let outcome = match self.policy {
-            ConsistencyPolicy::Conservative96 => self.process_conservative(&merged),
-            _ => self.process_precise(&merged, now),
+            ConsistencyPolicy::UpdateInPlace => TxnOutcome {
+                tolerated,
+                visited,
+                ..self.refresh(&stale).into()
+            },
+            ConsistencyPolicy::Invalidate => {
+                let saved_ms = stale.iter().map(|&key| self.regen_cost_ms(key)).sum();
+                self.stats.record_regen_saved(saved_ms);
+                TxnOutcome {
+                    removed: self.invalidate(&stale),
+                    invalidated: stale,
+                    tolerated,
+                    visited,
+                    ..TxnOutcome::default()
+                }
+            }
         };
         self.stats.record_txn(
             outcome.regenerated.len() as u64,
@@ -354,127 +364,42 @@ impl TriggerMonitor {
         outcome
     }
 
-    fn process_precise(&self, txns: &[&Transaction], now: SimTime) -> TxnOutcome {
-        let (stale, tolerated, visited) = {
-            let mut g = self.graph.lock();
-            let changed = g.changed_ids(txns);
-            let prop = g.dup.propagate_ids(&changed);
-            let to_pages = |pairs: &[(NodeId, f64)], g: &GraphState| -> Vec<PageKey> {
-                pairs.iter().filter_map(|&(id, _)| g.page_of(id)).collect()
-            };
-            (
-                to_pages(&prop.stale, &g),
-                to_pages(&prop.tolerated, &g),
-                prop.visited,
-            )
+    /// The first step: one DUP propagation over the union of what `txns`
+    /// changed, and the watermark moved past them. Returns the pages whose
+    /// staleness reached the DUP threshold, those tolerated below it, and
+    /// the ODG nodes visited. Touches no cache and counts nothing: what is
+    /// done with the marks is the caller's.
+    pub fn mark(&self, txns: &[impl Borrow<Transaction>]) -> (Vec<PageKey>, Vec<PageKey>, usize) {
+        let hi = txns.iter().map(|t| t.borrow().id.0).max().unwrap_or(0);
+        self.watermark.fetch_max(hi, Relaxed);
+        let mut g = self.graph.lock();
+        let changed = g.changed_ids(txns);
+        let prop = g.dup.propagate_ids(&changed);
+        let to_pages = |pairs: &[(NodeId, f64)]| -> Vec<PageKey> {
+            pairs.iter().filter_map(|&(id, _)| g.page_of(id)).collect()
         };
-
-        match self.policy {
-            ConsistencyPolicy::UpdateInPlace => {
-                let regen = self.regenerate(&stale);
-                TxnOutcome {
-                    regenerated: regen.keys,
-                    changed: regen.changed,
-                    revalidated: regen.revalidated,
-                    patched: regen.patched,
-                    tolerated,
-                    visited,
-                    render_ms: regen.render_ms,
-                    ..Default::default()
-                }
-            }
-            ConsistencyPolicy::Invalidate => {
-                let mut saved_ms = 0.0;
-                let mut removed = Vec::new();
-                for key in &stale {
-                    saved_ms += self.regen_cost_ms(*key);
-                    removed.extend(self.invalidate(*key));
-                    self.mark_stale(*key, now);
-                }
-                self.stats.record_regen_saved(saved_ms);
-                TxnOutcome {
-                    invalidated: stale,
-                    removed,
-                    tolerated,
-                    visited,
-                    ..Default::default()
-                }
-            }
-            ConsistencyPolicy::Hybrid(cfg) => {
-                let minute = now.minute_index();
-                let threshold = self.hotness.threshold(cfg.hot_permille, minute, EWMA_ALPHA);
-                // Deterministic priority order: hotness descending
-                // (total_cmp — no NaNs can occur, but no unwrap either),
-                // then PageKey ascending to break exact ties.
-                let mut ranked: Vec<(PageKey, f64)> = stale
-                    .iter()
-                    .map(|&k| (k, self.hotness(k, minute)))
-                    .collect();
-                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-                let budget = cfg.budget_ms();
-                let mut to_regen = Vec::new();
-                let mut overflow = Vec::new();
-                let mut invalidated = Vec::new();
-                let mut removed = Vec::new();
-                let mut planned_ms = 0.0;
-                let mut saved_ms = 0.0;
-                for (key, hot) in ranked {
-                    if hot < threshold {
-                        // Cold tail: drop it, save the render.
-                        saved_ms += self.regen_cost_ms(key);
-                        removed.extend(self.invalidate(key));
-                        self.mark_stale(key, now);
-                        invalidated.push(key);
-                    } else if budget.is_none_or(|b| planned_ms < b) {
-                        // Strict `<` admits the hottest page even when it
-                        // alone exceeds the budget: progress is
-                        // guaranteed, starvation is impossible.
-                        planned_ms += self.regen_cost_ms(key);
-                        to_regen.push(key);
-                    } else {
-                        overflow.push(key);
-                    }
-                }
-
-                let regen = self.regenerate(&to_regen);
-                let deferred =
-                    self.defer(overflow, now, &mut invalidated, &mut removed, &mut saved_ms);
-                self.stats.record_regen_saved(saved_ms);
-                TxnOutcome {
-                    regenerated: regen.keys,
-                    changed: regen.changed,
-                    revalidated: regen.revalidated,
-                    patched: regen.patched,
-                    invalidated,
-                    removed,
-                    tolerated,
-                    deferred,
-                    visited,
-                    render_ms: regen.render_ms,
-                }
-            }
-            ConsistencyPolicy::Conservative96 => unreachable!("handled by caller"),
-        }
+        (
+            to_pages(&prop.stale),
+            to_pages(&prop.tolerated),
+            prop.visited,
+        )
     }
 
-    /// Drop `key` from the serving cache, and its memo with it; returns
-    /// the page's slot and the body removed, if it was cached.
-    fn invalidate(&self, key: PageKey) -> Option<(u32, Bytes)> {
-        let slot = self.registry.space().slot(key)?;
-        Some((slot, self.cache.invalidate(slot)?))
+    /// Drop each of `keys` from the serving cache, and its memo with it;
+    /// returns the slot and the body removed of each that was cached.
+    pub fn invalidate(&self, keys: &[PageKey]) -> Vec<(u32, Bytes)> {
+        let space = self.registry.space();
+        let removed = keys.iter().filter_map(|&key| {
+            let slot = space.slot(key)?;
+            Some((slot, self.cache.invalidate(slot)?))
+        });
+        removed.collect()
     }
 
     /// Modelled CPU to refresh `key` right now: its whole-page render. This
-    /// is the currency of the hybrid budget and of `regen_saved_ms`.
-    fn regen_cost_ms(&self, key: PageKey) -> f64 {
+    /// is the currency of a regeneration budget and of `regen_saved_ms`.
+    pub fn regen_cost_ms(&self, key: PageKey) -> f64 {
         self.renderer.cost_model().cost_ms(key)
-    }
-
-    /// Hotness for the hybrid ranking: the page's own traffic.
-    pub(crate) fn hotness(&self, key: PageKey, minute: u64) -> f64 {
-        let slot = self.registry.space().slot(key);
-        slot.map_or(0.0, |slot| self.hotness.get(slot, minute, EWMA_ALPHA))
     }
 
     /// Re-derive each of `keys` from the database, in the given order,
@@ -504,11 +429,11 @@ impl TriggerMonitor {
     /// §13a). A renderer that models render CPU
     /// ([`Renderer::with_simulated_cpu`]) spins here one page after the
     /// other.
-    fn regenerate(&self, keys: &[PageKey]) -> Regenerated {
+    pub fn refresh(&self, keys: &[PageKey]) -> Refreshed {
         if keys.is_empty() {
-            return Regenerated::default();
+            return Refreshed::default();
         }
-        let mut regen = Regenerated {
+        let mut regen = Refreshed {
             keys: keys.to_vec(),
             ..Default::default()
         };
@@ -550,7 +475,6 @@ impl TriggerMonitor {
                 regen.changed += usize::from(changed);
             }
         }
-        self.clear_stale_marks(&regen.keys);
         self.stats.record_regen_cpu(regen.render_ms);
         self.stats.record_pages_changed(regen.changed as u64);
         self.stats
@@ -569,228 +493,29 @@ impl TriggerMonitor {
         registered && self.cache.with_memo(slot, |_, _: &PageMemo| ()).is_some()
     }
 
-    /// Park hot-but-over-budget pages on the deferred queue. The queue is
-    /// capped at [`DEFERRED_CAP`]: overflow beyond the cap sheds to
-    /// invalidation (appended to `invalidated`, the body it removed to
-    /// `removed`, render cost to `saved_ms`) so backpressure never turns
-    /// into unbounded memory.
-    /// Every parked page is marked stale — it serves old bytes until a
-    /// drain or a later batch refreshes it.
-    fn defer(
-        &self,
-        overflow: Vec<PageKey>,
-        now: SimTime,
-        invalidated: &mut Vec<PageKey>,
-        removed: &mut Vec<(u32, Bytes)>,
-        saved_ms: &mut f64,
-    ) -> Vec<PageKey> {
-        if overflow.is_empty() {
-            return Vec::new();
-        }
-        let mut deferred = Vec::new();
-        let mut shed = 0u64;
-        let mut queue = self.deferred.lock();
-        for key in overflow {
-            self.mark_stale(key, now);
-            if queue.contains(&key) {
-                // Already queued from an earlier batch; don't double-count.
-                continue;
-            }
-            if queue.len() >= DEFERRED_CAP {
-                *saved_ms += self.regen_cost_ms(key);
-                removed.extend(self.invalidate(key));
-                invalidated.push(key);
-                shed += 1;
-            } else {
-                queue.insert(key);
-                deferred.push(key);
-            }
-        }
-        self.stats.record_deferred(deferred.len() as u64);
-        self.stats.record_deferred_shed(shed);
-        self.stats.set_deferred_depth(queue.len() as u64);
-        deferred
-    }
-
-    /// Drain the hybrid deferred queue at sim time `now`: re-rank the
-    /// parked pages by *current* hotness, regenerate hottest-first under
-    /// the same per-batch budget, and park the remainder again for the
-    /// next tick. Pages refreshed since they were parked (demand fill,
-    /// retirement, or a later batch) are dropped without work. Returns
-    /// the pages regenerated this tick.
-    ///
-    /// Any tick with a non-empty queue regenerates at least one page
-    /// (strict budget admission), so the queue always drains to empty in
-    /// the absence of new updates — bounded catch-up, no regen storm.
-    pub fn drain_deferred(&self, now: SimTime) -> Vec<PageKey> {
-        let ConsistencyPolicy::Hybrid(cfg) = self.policy else {
-            return Vec::new();
-        };
-        let pending: Vec<PageKey> = {
-            let mut queue = self.deferred.lock();
-            if queue.is_empty() {
-                return Vec::new();
-            }
-            queue.drain().collect()
-        };
-        let still_stale: Vec<PageKey> = {
-            let marks = self.stale_since.lock();
-            pending
-                .into_iter()
-                .filter(|k| marks.contains_key(k))
-                .collect()
-        };
-        let minute = now.minute_index();
-        let mut ranked: Vec<(PageKey, f64)> = still_stale
-            .into_iter()
-            .map(|k| {
-                let hot = self.hotness(k, minute);
-                (k, hot)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-        let budget = cfg.budget_ms();
-        let mut selected = Vec::new();
-        let mut planned_ms = 0.0;
-        let mut requeue = Vec::new();
-        for (key, _) in ranked {
-            // The first page is admitted unconditionally (even under a
-            // zero budget) so every non-empty drain makes progress.
-            if selected.is_empty() || budget.is_none_or(|b| planned_ms < b) {
-                planned_ms += self.regen_cost_ms(key);
-                selected.push(key);
-            } else {
-                requeue.push(key);
-            }
-        }
-        {
-            let mut queue = self.deferred.lock();
-            queue.extend(requeue);
-            self.stats.set_deferred_depth(queue.len() as u64);
-        }
-        let regenerated = self.regenerate(&selected).keys;
-        self.stats.record_drained_regen(regenerated.len() as u64);
-        regenerated
-    }
-
-    /// Number of pages currently parked on the hybrid deferred queue.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.lock().len()
-    }
-
-    /// Record that a request for `key` arrived at `now`, and whether the
-    /// serving cache `answered` it (a hit, or a wait on another request's
-    /// fill of the page). An answered request counts towards the page's
-    /// hotness at the next [`TriggerMonitor::fold_hotness`], whatever
-    /// becomes of its cache entry in between. If the page is currently
-    /// stale-or-missing due to propagation, one traffic-weighted staleness
-    /// sample (seconds since it went stale) lands in
-    /// `nagano_trigger_weighted_staleness_seconds`. Hot pages therefore
-    /// weigh on the histogram in proportion to their traffic.
-    pub fn observe_request(&self, key: PageKey, now: SimTime, answered: bool) {
-        match self.registry.space().slot(key) {
-            Some(slot) if answered => self.hotness.count(slot),
-            _ => {}
-        }
-        let since = self.stale_since.lock().get(&key).copied();
-        if let Some(t) = since {
-            self.stats
-                .record_weighted_staleness(now.since(t).as_secs_f64());
-        }
-    }
-
-    /// Fold the requests counted since the last fold into each page's
-    /// EWMA hotness as of sim minute `minute`. The cluster heartbeat calls
-    /// it once a minute; nothing else does, so the hybrid policy runs only
-    /// in the simulation.
-    pub fn fold_hotness(&self, minute: u64) {
-        self.hotness.fold_window(minute);
-    }
-
-    fn mark_stale(&self, key: PageKey, now: SimTime) {
-        // Earliest mark wins: a page invalidated twice has been stale
-        // since the first drop.
-        self.stale_since.lock().entry(key).or_insert(now);
-    }
-
-    /// Stop the staleness clock of `keys`. Update-in-place marks nothing
-    /// stale: with no mark there is no key to hash.
-    fn clear_stale_marks(&self, keys: &[PageKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut marks = self.stale_since.lock();
-        if marks.is_empty() {
-            return;
-        }
-        for key in keys {
-            marks.remove(key);
-        }
-    }
-
-    /// The 1996 baseline: find which *content sections* the change touches
-    /// (via the same propagation, used only as a section oracle) and
-    /// invalidate every dynamic page in those sections.
-    fn process_conservative(&self, txns: &[&Transaction]) -> TxnOutcome {
-        let (affected_pages, visited) = {
-            let mut g = self.graph.lock();
-            let changed = g.changed_ids(txns);
-            let prop = g.dup.propagate_ids(&changed);
-            let pages: Vec<PageKey> = prop
-                .stale
-                .iter()
-                .chain(prop.tolerated.iter())
-                .filter_map(|&(id, _)| g.page_of(id))
-                .collect();
-            (pages, prop.visited)
-        };
-        let sections: FxHashSet<&'static str> =
-            affected_pages.iter().map(|k| k.category()).collect();
-        let mut invalidated = Vec::new();
-        let mut removed = Vec::new();
-        for (key, meta) in self.registry.pages() {
-            if meta.dynamic && sections.contains(key.category()) {
-                removed.extend(self.invalidate(*key));
-                invalidated.push(*key);
-            }
-        }
-        TxnOutcome {
-            invalidated,
-            removed,
-            visited,
-            ..Default::default()
-        }
-    }
-
-    /// Highest transaction id processed so far (0 before any work). A
+    /// Highest transaction id marked so far (0 before any work). A
     /// restarted monitor resumes from here: everything in the site's
     /// replicated log after this id is replayed by
-    /// [`TriggerMonitor::recover_at`].
+    /// [`TriggerMonitor::recover`].
     pub fn watermark(&self) -> u64 {
         self.watermark.load(Relaxed)
     }
 
-    /// Crash/restart recovery at sim time `now`: re-run DUP over the
-    /// transactions missed while the monitor was down. `missed` is the
-    /// tail of the site's replicated log; anything at or below the
-    /// watermark is skipped, the rest is processed as **one** batch (a
-    /// single propagation), which rewarms (update-in-place) or
-    /// invalidates every affected page so no stale entry survives the
-    /// outage; pages invalidated during replay are stale-marked at `now`.
-    /// Increments `nagano_trigger_recoveries_total`.
-    pub fn recover_at(
-        &self,
-        missed: &[impl std::borrow::Borrow<Transaction>],
-        now: SimTime,
-    ) -> TxnOutcome {
+    /// Crash/restart recovery: re-run DUP over the transactions missed
+    /// while the monitor was down. `missed` is the tail of the site's
+    /// replicated log; anything at or below the watermark is skipped, the
+    /// rest is processed as **one** batch (a single propagation), which
+    /// rewarms (update-in-place) or invalidates every affected page so no
+    /// stale entry survives the outage. Increments
+    /// `nagano_trigger_recoveries_total`.
+    pub fn recover(&self, missed: &[impl Borrow<Transaction>]) -> TxnOutcome {
         let watermark = self.watermark.load(Relaxed);
         let fresh: Vec<&Transaction> = missed
             .iter()
             .map(|t| t.borrow())
             .filter(|t| t.id.0 > watermark)
             .collect();
-        let outcome = self.process_batch_at(&fresh, now);
+        let outcome = self.process_batch(&fresh);
         self.stats.record_recovery();
         outcome
     }
@@ -803,15 +528,7 @@ impl TriggerMonitor {
     ///
     /// Returns whether the page was known to the graph.
     pub fn retire_page(&self, key: PageKey) -> bool {
-        self.invalidate(key);
-        // A retired page is gone on purpose, not stale: drop any pending
-        // mark or deferred regeneration.
-        self.stale_since.lock().remove(&key);
-        {
-            let mut queue = self.deferred.lock();
-            queue.remove(&key);
-            self.stats.set_deferred_depth(queue.len() as u64);
-        }
+        self.invalidate(&[key]);
         let mut g = self.graph.lock();
         let Some(id) = g.space.slot(key).map(NodeId) else {
             return false;
@@ -846,8 +563,6 @@ impl TriggerMonitor {
             .space()
             .slot(key)
             .map_or(0, |slot| self.cache.put(slot, out.body.clone()));
-        // The page is fresh again; the staleness clock stops for it.
-        self.stale_since.lock().remove(&key);
         DemandFill {
             body: out.body,
             version,
@@ -863,7 +578,6 @@ mod tests {
     use nagano_cache::{CacheConfig, ReplacementPolicy};
     use nagano_db::{seed_games, AthleteId, CountryId, GamesConfig, OlympicDb};
     use nagano_pagegen::FragmentKey;
-    use nagano_simcore::SimDuration;
 
     fn setup(policy: ConsistencyPolicy) -> (Arc<OlympicDb>, TriggerMonitor) {
         setup_on(CacheConfig::default(), policy)
@@ -1034,35 +748,6 @@ mod tests {
         assert!(outcome.regenerated.is_empty());
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(monitor.cache().peek(&url).is_none());
-    }
-
-    #[test]
-    fn conservative_invalidates_whole_sections() {
-        let (db, monitor) = setup(ConsistencyPolicy::Conservative96);
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let precise = {
-            // For comparison: what precise DUP would have touched.
-            let (db2, m2) = setup(ConsistencyPolicy::UpdateInPlace);
-            m2.prewarm();
-            let ev2 = db2.events()[0].clone();
-            let txn2 = db2.record_results(ev2.id, &podium(&db2, ev2.id), true, ev2.day);
-            m2.process_txn(&txn2).affected()
-        };
-        let outcome = monitor.process_txn(&txn);
-        assert!(
-            outcome.invalidated.len() > precise * 2,
-            "conservative {} vs precise {}",
-            outcome.invalidated.len(),
-            precise
-        );
-        // Every Sports-section page is gone, touched or not.
-        let untouched_event = db.events().last().unwrap().id;
-        assert!(monitor
-            .cache()
-            .peek(&PageKey::Event(untouched_event).to_url())
-            .is_none());
     }
 
     #[test]
@@ -1389,7 +1074,7 @@ mod tests {
         let txns: Vec<_> = (0..3)
             .map(|i| db.record_results(ev.id, &podium(&db, ev.id), i == 2, ev.day))
             .collect();
-        let batch = monitor.process_batch_at(&txns, SimTime::ZERO);
+        let batch = monitor.process_batch(&txns);
         // One propagation: the event page appears exactly once.
         let event_count = batch
             .regenerated
@@ -1416,10 +1101,7 @@ mod tests {
         );
         // Empty batch is a no-op.
         let empty: Vec<Arc<nagano_db::Transaction>> = Vec::new();
-        assert_eq!(
-            monitor.process_batch_at(&empty, SimTime::ZERO).affected(),
-            0
-        );
+        assert_eq!(monitor.process_batch(&empty).affected(), 0);
     }
 
     #[test]
@@ -1456,7 +1138,7 @@ mod tests {
         // Restart: replay the log tail. t1 is at the watermark and must
         // be skipped; t2/t3 are processed as one batch.
         let missed = vec![t1, t2, t3];
-        let outcome = monitor.recover_at(&missed, SimTime::ZERO);
+        let outcome = monitor.recover(&missed);
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
         let after = monitor.cache().peek(&url).unwrap();
         assert!(after.version > after_t1.version, "page rewarmed");
@@ -1467,7 +1149,7 @@ mod tests {
         // t1's processing + one batched recovery record.
         assert_eq!(s.txns, 2);
         // Recovering with nothing new still counts (a clean restart).
-        let outcome = monitor.recover_at(&missed, SimTime::ZERO);
+        let outcome = monitor.recover(&missed);
         assert_eq!(outcome.affected(), 0);
         assert_eq!(monitor.stats().snapshot().recoveries, 2);
     }
@@ -1481,153 +1163,12 @@ mod tests {
         assert!(monitor.cache().peek(&url).is_some());
         // Commit while the monitor is down, then recover.
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.recover_at(&[txn], SimTime::ZERO);
+        let outcome = monitor.recover(&[txn]);
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(
             monitor.cache().peek(&url).is_none(),
             "stale page must not survive recovery"
         );
-    }
-
-    /// Drive enough answered requests at `keys` that they are tracked hot
-    /// as of minute 1.
-    fn heat_pages(monitor: &TriggerMonitor, keys: &[PageKey], hits: usize) {
-        for &key in keys {
-            for _ in 0..hits {
-                monitor.observe_request(key, SimTime::from_mins(1), true);
-            }
-        }
-        monitor.fold_hotness(1);
-    }
-
-    #[test]
-    fn hybrid_regenerates_hot_and_invalidates_cold() {
-        let (db, monitor) = setup(ConsistencyPolicy::hybrid(0.5, None));
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        // Make the event page (and a couple of fan-out targets) hot; the
-        // rest of the affected set stays cold.
-        let hot = [
-            PageKey::Event(ev.id),
-            PageKey::Medals,
-            PageKey::Home(ev.day),
-        ];
-        heat_pages(&monitor, &hot, 10);
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn_at(&txn, SimTime::from_mins(2));
-        assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
-        assert!(outcome.regenerated.contains(&PageKey::Medals));
-        assert!(
-            !outcome.invalidated.is_empty(),
-            "cold tail should be invalidated"
-        );
-        // Hot pages were replaced in place, never missing.
-        assert!(monitor
-            .cache()
-            .peek(&PageKey::Event(ev.id).to_url())
-            .is_some());
-        // Cold pages are gone until demand refills them.
-        let cold = outcome.invalidated[0];
-        assert!(monitor.cache().peek(&cold.to_url()).is_none());
-        let snap = monitor.stats().snapshot();
-        assert!(snap.regen_cpu_ms > 0);
-        assert!(snap.regen_saved_ms > 0, "cold invalidations save CPU");
-    }
-
-    #[test]
-    fn hybrid_budget_defers_overflow_and_drains_it() {
-        // Everything is hot (fraction 1.0) but the budget is tiny, so most
-        // of the affected set lands on the deferred queue.
-        let (db, monitor) = setup(ConsistencyPolicy::hybrid(1.0, Some(1)));
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let now = SimTime::from_mins(2);
-        let outcome = monitor.process_txn_at(&txn, now);
-        // Strict admission: at least one page regenerates per batch.
-        assert!(!outcome.regenerated.is_empty());
-        assert!(!outcome.deferred.is_empty(), "budget overflow must defer");
-        assert!(outcome.invalidated.is_empty(), "nothing is cold");
-        assert_eq!(monitor.deferred_len(), outcome.deferred.len());
-        assert_eq!(
-            monitor.stats().snapshot().pages_deferred,
-            outcome.deferred.len() as u64
-        );
-        // The FIFO depth gauge tracks the live queue; nothing hit the cap.
-        assert_eq!(
-            monitor.stats().snapshot().deferred_depth,
-            outcome.deferred.len() as u64
-        );
-        assert_eq!(monitor.stats().snapshot().deferred_shed, 0);
-        // Deferred pages keep serving stale bytes (update-in-place never
-        // dropped them) and carry a stale mark.
-        let parked = outcome.deferred[0];
-        assert!(monitor.cache().peek(&parked.to_url()).is_some());
-        monitor.observe_request(parked, now + SimDuration::from_mins(3), false);
-        assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 1);
-        // Ticking the drain clears the queue completely in finite time.
-        let mut drained = Vec::new();
-        let mut tick = now;
-        while monitor.deferred_len() > 0 {
-            tick += SimDuration::from_mins(1);
-            let got = monitor.drain_deferred(tick);
-            assert!(!got.is_empty(), "non-empty queue must make progress");
-            drained.extend(got);
-        }
-        let mut expected: Vec<PageKey> = outcome.deferred.clone();
-        expected.sort();
-        drained.sort();
-        assert_eq!(drained, expected);
-        // Regenerated pages lose their stale marks: a later request
-        // records no staleness sample.
-        monitor.observe_request(parked, tick + SimDuration::from_mins(1), false);
-        assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 1);
-        // An empty queue drains to nothing, and the depth gauge went back
-        // to zero with the last requeue.
-        assert!(monitor.drain_deferred(tick).is_empty());
-        assert_eq!(monitor.stats().snapshot().deferred_depth, 0);
-    }
-
-    #[test]
-    fn hybrid_priority_is_hottest_first() {
-        let (db, monitor) = setup(ConsistencyPolicy::hybrid(1.0, Some(1)));
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        // Medals is the hottest affected page by a wide margin.
-        heat_pages(&monitor, &[PageKey::Medals], 50);
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn_at(&txn, SimTime::from_mins(2));
-        assert_eq!(
-            outcome.regenerated.first(),
-            Some(&PageKey::Medals),
-            "hottest page must be admitted first"
-        );
-    }
-
-    #[test]
-    fn hybrid_cold_pages_accrue_weighted_staleness_until_refilled() {
-        let (db, monitor) = setup(ConsistencyPolicy::hybrid(0.0, None));
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        let key = PageKey::Event(ev.id);
-        let t0 = SimTime::from_mins(10);
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn_at(&txn, t0);
-        assert!(outcome.invalidated.contains(&key));
-        // Two requests at +60s and +120s observe 60 and 120 stale-seconds.
-        monitor.observe_request(key, t0 + SimDuration::from_secs(60), false);
-        monitor.observe_request(key, t0 + SimDuration::from_secs(120), false);
-        let snap = monitor.stats().snapshot();
-        assert_eq!(snap.weighted_staleness_count, 2);
-        assert!(
-            (snap.weighted_staleness_sum_secs - 180.0).abs() / 180.0 < 0.1,
-            "sum {}",
-            snap.weighted_staleness_sum_secs
-        );
-        // A demand fill stops the clock.
-        monitor.demand_fill(key);
-        monitor.observe_request(key, t0 + SimDuration::from_mins(60), false);
-        assert_eq!(monitor.stats().snapshot().weighted_staleness_count, 2);
     }
 
     #[test]

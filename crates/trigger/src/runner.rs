@@ -134,7 +134,7 @@ impl Drop for TriggerRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ConsistencyPolicy;
+    use crate::ConsistencyPolicy;
     use nagano_cache::{CacheConfig, PageCache};
     use nagano_db::{seed_games, GamesConfig, OlympicDb};
     use nagano_pagegen::{PageKey, PageRegistry, Renderer};

@@ -1,13 +1,11 @@
-//! Trigger-monitor statistics: counts of the work done, plus the
-//! traffic-weighted staleness distribution.
+//! Trigger-monitor statistics: counts of the work done.
 //!
-//! The counters are [`nagano_telemetry`] cells and the staleness
-//! accumulator is a log-bucketed [`HistogramHandle`];
+//! The counters are [`nagano_telemetry`] cells;
 //! [`bind`](TriggerStats::bind) exposes the live cells to exporters. What
 //! the work costs in time is not recorded here: the cluster simulation
 //! models it from each [`crate::TxnOutcome`].
 
-use nagano_telemetry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
+use nagano_telemetry::{Counter, MetricsRegistry};
 
 /// Shared counters for one trigger monitor.
 #[derive(Debug)]
@@ -28,23 +26,11 @@ pub struct TriggerStats {
     nodes_visited: Counter,
     /// Crash/restart recoveries completed ([`recoveries`](TriggerStats::record_recovery)).
     recoveries: Counter,
-    /// Hot pages pushed to the hybrid policy's deferred queue (regen
-    /// budget exhausted for the batch).
-    pages_deferred: Counter,
-    /// Live depth of the bounded deferral FIFO (capped at 4096 entries).
-    deferred_depth: Gauge,
-    /// Pages shed to invalidation because the deferral FIFO was full.
-    deferred_shed: Counter,
     /// Modeled regeneration CPU actually spent, in milliseconds.
     regen_cpu_ms: Counter,
-    /// Modeled regeneration CPU avoided by invalidating cold pages
-    /// instead of rerendering them, in milliseconds.
+    /// Modeled regeneration CPU avoided by invalidating pages instead of
+    /// rerendering them, in milliseconds.
     regen_saved_ms: Counter,
-    /// Traffic-weighted staleness in seconds: one sample per request that
-    /// found its page stale-or-missing due to propagation, valued at how
-    /// long the page had been stale. Hot pages sample often, cold pages
-    /// rarely — exactly the weighting the hybrid split optimises for.
-    weighted_staleness: HistogramHandle,
 }
 
 impl Default for TriggerStats {
@@ -59,20 +45,14 @@ impl Default for TriggerStats {
             pages_tolerated: Counter::new(),
             nodes_visited: Counter::new(),
             recoveries: Counter::new(),
-            pages_deferred: Counter::new(),
-            deferred_depth: Gauge::new(),
-            deferred_shed: Counter::new(),
             regen_cpu_ms: Counter::new(),
             regen_saved_ms: Counter::new(),
-            // 1 ms .. ~55 h staleness buckets: marks survive at most a
-            // day-scale outage, requests observe them at minute scale.
-            weighted_staleness: HistogramHandle::new(1e-3, 200_000.0),
         }
     }
 }
 
-/// Point-in-time copy of the counters and the weighted-staleness sum.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Point-in-time copy of the counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TriggerStatsSnapshot {
     /// Transactions processed.
     pub txns: u64,
@@ -95,23 +75,11 @@ pub struct TriggerStatsSnapshot {
     pub nodes_visited: u64,
     /// Crash/restart recoveries completed.
     pub recoveries: u64,
-    /// Hot pages deferred past the hybrid regeneration budget.
-    pub pages_deferred: u64,
-    /// Pages currently parked on the deferral FIFO (point-in-time depth).
-    pub deferred_depth: u64,
-    /// Pages shed to invalidation because the deferral FIFO was at
-    /// capacity.
-    pub deferred_shed: u64,
     /// Modeled regeneration CPU spent, in milliseconds.
     pub regen_cpu_ms: u64,
-    /// Modeled regeneration CPU avoided via cold-page invalidation, in
+    /// Modeled regeneration CPU avoided via invalidation, in
     /// milliseconds.
     pub regen_saved_ms: u64,
-    /// Traffic-weighted staleness samples (requests that observed a
-    /// stale-or-missing page).
-    pub weighted_staleness_count: u64,
-    /// Sum of observed staleness over those samples, in seconds.
-    pub weighted_staleness_sum_secs: f64,
 }
 
 impl TriggerStats {
@@ -141,23 +109,6 @@ impl TriggerStats {
         self.regen_saved_ms.add(ms.round() as u64);
     }
 
-    /// Record hot pages pushed to the deferred queue.
-    pub fn record_deferred(&self, pages: u64) {
-        self.pages_deferred.add(pages);
-    }
-
-    /// Publish the deferral FIFO's current depth (call after any queue
-    /// mutation; last write wins).
-    pub fn set_deferred_depth(&self, depth: u64) {
-        self.deferred_depth.set(depth);
-    }
-
-    /// Record pages shed to invalidation because the deferral FIFO was
-    /// full.
-    pub fn record_deferred_shed(&self, pages: u64) {
-        self.deferred_shed.add(pages);
-    }
-
     /// Record regenerated pages whose bytes changed in a serving cache.
     pub fn record_pages_changed(&self, pages: u64) {
         self.pages_changed.add(pages);
@@ -173,50 +124,16 @@ impl TriggerStats {
         self.pages_patched.add(pages);
     }
 
-    /// Record pages regenerated outside a transaction record (the
-    /// deferred-queue drain path).
+    /// Record pages regenerated outside a transaction record (a deferred
+    /// regeneration's later drain).
     pub fn record_drained_regen(&self, pages: u64) {
         self.pages_regenerated.add(pages);
-    }
-
-    /// Record one request observing a page `secs` stale (traffic-weighted
-    /// staleness sample).
-    pub fn record_weighted_staleness(&self, secs: f64) {
-        self.weighted_staleness.record(secs);
     }
 
     /// Register this monitor's live cells into `registry` under the
     /// `nagano_trigger_*` names, tagged with `labels` (typically
     /// `site=<name>`).
     pub fn bind(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        self.bind_eager(registry, labels);
-        registry.bind_counter(
-            "nagano_trigger_pages_deferred_total",
-            labels,
-            &self.pages_deferred,
-        );
-        registry.bind_gauge(
-            "nagano_trigger_regen_deferred_depth",
-            labels,
-            &self.deferred_depth,
-        );
-        registry.bind_counter(
-            "nagano_trigger_regen_deferred_shed_total",
-            labels,
-            &self.deferred_shed,
-        );
-        registry.bind_histogram(
-            "nagano_trigger_weighted_staleness_seconds",
-            labels,
-            &self.weighted_staleness,
-        );
-    }
-
-    /// [`TriggerStats::bind`] without the deferral series and the
-    /// weighted-staleness histogram: the series of a monitor that defers
-    /// no regeneration (no Hybrid policy) and is told of no request's
-    /// staleness, where those could only read 0.
-    pub fn bind_eager(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.bind_counter("nagano_trigger_txns_total", labels, &self.txns);
         registry.bind_counter(
             "nagano_trigger_pages_regenerated_total",
@@ -266,9 +183,8 @@ impl TriggerStats {
         );
     }
 
-    /// Copy the counters and sum the weighted staleness.
+    /// Copy the counters.
     pub fn snapshot(&self) -> TriggerStatsSnapshot {
-        let staleness_count = self.weighted_staleness.count();
         TriggerStatsSnapshot {
             txns: self.txns.get(),
             pages_regenerated: self.pages_regenerated.get(),
@@ -279,17 +195,8 @@ impl TriggerStats {
             pages_tolerated: self.pages_tolerated.get(),
             nodes_visited: self.nodes_visited.get(),
             recoveries: self.recoveries.get(),
-            pages_deferred: self.pages_deferred.get(),
-            deferred_depth: self.deferred_depth.get(),
-            deferred_shed: self.deferred_shed.get(),
             regen_cpu_ms: self.regen_cpu_ms.get(),
             regen_saved_ms: self.regen_saved_ms.get(),
-            weighted_staleness_count: staleness_count,
-            weighted_staleness_sum_secs: if staleness_count == 0 {
-                0.0
-            } else {
-                self.weighted_staleness.mean() * staleness_count as f64
-            },
         }
     }
 }
@@ -322,6 +229,8 @@ mod tests {
         assert_eq!(s.snapshot().recoveries, 2);
         let text = prometheus_text(&reg);
         assert!(text.contains("nagano_trigger_recoveries_total{site=\"tokyo\"} 2"));
+        // Time spent is modelled by the simulation, not recorded here.
+        assert!(!text.contains("nagano_trigger_latency_seconds"), "{text}");
     }
 
     #[test]
@@ -332,78 +241,36 @@ mod tests {
         s.bind(&reg, &[("site", "tokyo")]);
         s.record_regen_cpu(120.4);
         s.record_regen_saved(80.6);
-        s.record_deferred(3);
         s.record_drained_regen(2);
         s.record_pages_changed(1);
         s.record_pages_revalidated(4);
         s.record_pages_patched(5);
-        s.record_weighted_staleness(30.0);
-        s.record_weighted_staleness(90.0);
         let snap = s.snapshot();
         assert_eq!(snap.regen_cpu_ms, 120);
         assert_eq!(snap.regen_saved_ms, 81);
-        assert_eq!(snap.pages_deferred, 3);
         assert_eq!(snap.pages_regenerated, 2);
         assert_eq!(snap.pages_changed, 1);
         assert_eq!(snap.pages_revalidated, 4);
         assert_eq!(snap.pages_patched, 5);
-        assert_eq!(snap.weighted_staleness_count, 2);
-        // The sum is mean * count; the log-bucketed histogram makes it
-        // approximate, not exact.
-        assert!(
-            (snap.weighted_staleness_sum_secs - 120.0).abs() / 120.0 < 0.1,
-            "sum {}",
-            snap.weighted_staleness_sum_secs
-        );
         let text = prometheus_text(&reg);
         assert!(text.contains("nagano_trigger_regen_saved_ms_total{site=\"tokyo\"} 81"));
         assert!(text.contains("nagano_trigger_regen_cpu_ms_total{site=\"tokyo\"} 120"));
-        assert!(text.contains("nagano_trigger_pages_deferred_total{site=\"tokyo\"} 3"));
         assert!(text.contains("nagano_trigger_pages_regenerated_total{site=\"tokyo\"} 2"));
         assert!(text.contains("nagano_trigger_pages_changed_total{site=\"tokyo\"} 1"));
         assert!(text.contains("nagano_trigger_pages_revalidated_total{site=\"tokyo\"} 4"));
         assert!(text.contains("nagano_trigger_pages_patched_total{site=\"tokyo\"} 5"));
-        assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 2"));
-    }
-
-    #[test]
-    fn deferral_fifo_depth_and_shed_export() {
-        use nagano_telemetry::{prometheus_text, MetricsRegistry};
-        let reg = MetricsRegistry::new();
-        let s = TriggerStats::default();
-        s.bind(&reg, &[("site", "tokyo")]);
-        s.set_deferred_depth(4096);
-        s.record_deferred_shed(7);
-        s.record_deferred_shed(0);
-        let snap = s.snapshot();
-        assert_eq!(snap.deferred_depth, 4096);
-        assert_eq!(snap.deferred_shed, 7);
-        // Depth is a gauge: it goes back down when the queue drains.
-        s.set_deferred_depth(12);
-        assert_eq!(s.snapshot().deferred_depth, 12);
-        let text = prometheus_text(&reg);
-        assert!(text.contains("nagano_trigger_regen_deferred_depth{site=\"tokyo\"} 12"));
-        assert!(text.contains("nagano_trigger_regen_deferred_shed_total{site=\"tokyo\"} 7"));
+        // The deferral and weighted-staleness series are the policy
+        // layer's that keeps a deferred queue and stale marks.
+        assert!(!text.contains("deferred"), "{text}");
+        assert!(
+            !text.contains("nagano_trigger_weighted_staleness"),
+            "{text}"
+        );
     }
 
     #[test]
     fn an_idle_monitor_snapshots_zeroes() {
         let snap = TriggerStats::default().snapshot();
         assert_eq!(snap, TriggerStatsSnapshot::default());
-    }
-
-    #[test]
-    fn bind_exposes_histogram() {
-        use nagano_telemetry::{prometheus_text, MetricsRegistry};
-        let reg = MetricsRegistry::new();
-        let s = TriggerStats::default();
-        s.bind(&reg, &[("site", "tokyo")]);
-        s.record_txn(3, 1, 0, 12);
-        s.record_weighted_staleness(2.0);
-        let text = prometheus_text(&reg);
-        assert!(text.contains("nagano_trigger_txns_total{site=\"tokyo\"} 1"));
-        assert!(text.contains("nagano_trigger_weighted_staleness_seconds_count{site=\"tokyo\"} 1"));
-        // Time spent is modelled by the simulation, not recorded here.
-        assert!(!text.contains("nagano_trigger_latency_seconds"), "{text}");
     }
 }

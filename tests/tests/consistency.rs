@@ -6,15 +6,110 @@
 //!
 //! This is exactly what the paper's system guarantees: cached dynamic
 //! pages never serve content older than the last processed database
-//! change, whether the policy regenerates in place or invalidates.
+//! change, whether the policy regenerates in place or invalidates. The
+//! two policies a serving site runs are checked on a site; the 1996
+//! baseline, which only the cluster simulation runs, on its policy layer
+//! over a monitor and its cache.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use crossbeam::channel::Receiver;
 use nagano::{ServingSite, SiteConfig};
-use nagano_db::AthleteId;
-use nagano_pagegen::{PageKey, Renderer};
-use nagano_trigger::ConsistencyPolicy;
+use nagano_cache::{CacheConfig, PageCache};
+use nagano_cluster::{ConsistencyPolicy, SiteMonitor};
+use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
+use nagano_pagegen::{PageKey, PageRegistry, Renderer};
+use nagano_simcore::SimTime;
+use nagano_trigger::PageUrls;
+
+/// What the checks drive under a policy: a serving site for the two it
+/// can be built with, else the simulation's policy layer, served as a
+/// site serves — a hit, or a demand fill — and fed the site database's
+/// transactions as a site's pump is.
+enum Node {
+    Site(ServingSite),
+    Layer {
+        db: Arc<OlympicDb>,
+        registry: Arc<PageRegistry>,
+        monitor: Box<SiteMonitor>,
+        txns: Receiver<Arc<Transaction>>,
+    },
+}
+
+impl Node {
+    /// The small Games, prewarmed, under `policy`.
+    fn build(policy: ConsistencyPolicy) -> Node {
+        if let ConsistencyPolicy::UpdateInPlace | ConsistencyPolicy::Invalidate = policy {
+            let mut cfg = SiteConfig::small();
+            cfg.policy = policy.on_monitor();
+            return Node::Site(ServingSite::build(cfg));
+        }
+        let db = Arc::new(OlympicDb::new());
+        let games = GamesConfig::small();
+        seed_games(&db, &games);
+        let registry = Arc::new(PageRegistry::build(&db, games.days));
+        let cache = PageCache::with_keys(CacheConfig::default(), PageUrls::of(&registry));
+        let renderer = Renderer::new(Arc::clone(&db));
+        let monitor = SiteMonitor::new(policy, renderer, Arc::new(cache), Arc::clone(&registry));
+        let txns = db.subscribe();
+        monitor.trigger().prewarm();
+        Node::Layer {
+            db,
+            registry,
+            monitor: Box::new(monitor),
+            txns,
+        }
+    }
+
+    fn db(&self) -> &Arc<OlympicDb> {
+        match self {
+            Node::Site(site) => site.db(),
+            Node::Layer { db, .. } => db,
+        }
+    }
+
+    fn registry(&self) -> &Arc<PageRegistry> {
+        match self {
+            Node::Site(site) => site.registry(),
+            Node::Layer { registry, .. } => registry,
+        }
+    }
+
+    fn cache(&self) -> &Arc<PageCache> {
+        match self {
+            Node::Site(site) => site.fleet(),
+            Node::Layer { monitor, .. } => monitor.trigger().cache(),
+        }
+    }
+
+    fn handle(&mut self, key: PageKey) {
+        match self {
+            Node::Site(site) => {
+                site.handle(&key.to_url());
+            }
+            Node::Layer { monitor, .. } => {
+                if monitor.trigger().cache().get(&key.to_url()).is_none() {
+                    monitor.demand_fill(key);
+                }
+            }
+        }
+    }
+
+    /// Process every transaction committed since the last pump.
+    fn pump(&mut self) {
+        match self {
+            Node::Site(site) => {
+                site.pump();
+            }
+            Node::Layer { monitor, txns, .. } => {
+                while let Ok(txn) = txns.try_recv() {
+                    monitor.process_txn(&txn, SimTime::ZERO);
+                }
+            }
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -37,10 +132,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn check_consistency(site: &ServingSite) {
+fn check_consistency(node: &Node) {
     // After a pump, every cached body must equal a fresh render.
-    let renderer = Renderer::new(Arc::clone(site.db()));
-    let probes: Vec<PageKey> = site
+    let renderer = Renderer::new(Arc::clone(node.db()));
+    let probes: Vec<PageKey> = node
         .registry()
         .pages()
         .iter()
@@ -58,7 +153,7 @@ fn check_consistency(site: &ServingSite) {
         .take(40)
         .collect();
     for key in probes {
-        if let Some(cached) = site.fleet().peek(&key.to_url()) {
+        if let Some(cached) = node.cache().peek(&key.to_url()) {
             let fresh = renderer.render(key);
             assert_eq!(
                 cached.body, fresh.body,
@@ -69,23 +164,21 @@ fn check_consistency(site: &ServingSite) {
 }
 
 fn run_scenario(policy: ConsistencyPolicy, ops: &[Op]) {
-    let mut cfg = SiteConfig::small();
-    cfg.policy = policy;
-    let site = ServingSite::build(cfg);
-    let events = site.db().events();
+    let mut node = Node::build(policy);
+    let db = Arc::clone(node.db());
+    let events = db.events();
     for op in ops {
         match op {
             Op::Results(e, is_final) => {
                 let ev = &events[*e as usize % events.len()];
-                let pool = site.db().athletes_of_sport(ev.sport);
+                let pool = db.athletes_of_sport(ev.sport);
                 let placements: Vec<(AthleteId, f64)> = pool
                     .iter()
                     .take(4)
                     .enumerate()
                     .map(|(i, a)| (a.id, 50.0 - i as f64))
                     .collect();
-                site.db()
-                    .record_results(ev.id, &placements, *is_final, ev.day);
+                db.record_results(ev.id, &placements, *is_final, ev.day);
             }
             Op::Browse => {
                 for key in [
@@ -93,15 +186,15 @@ fn run_scenario(policy: ConsistencyPolicy, ops: &[Op]) {
                     PageKey::Home(3),
                     PageKey::Event(events[0].id),
                 ] {
-                    site.handle(&key.to_url());
+                    node.handle(key);
                 }
             }
             Op::Pump => {
-                site.pump();
-                check_consistency(&site);
+                node.pump();
+                check_consistency(&node);
             }
             Op::News(n) => {
-                site.db().publish_news(nagano_db::NewsArticle {
+                db.publish_news(nagano_db::NewsArticle {
                     id: nagano_db::NewsId(5_000 + *n as u32),
                     day: 3,
                     title: format!("story {n}"),
@@ -111,8 +204,8 @@ fn run_scenario(policy: ConsistencyPolicy, ops: &[Op]) {
             }
         }
     }
-    site.pump();
-    check_consistency(&site);
+    node.pump();
+    check_consistency(&node);
 }
 
 proptest! {
@@ -147,10 +240,9 @@ fn hit_rate_ordering_matches_the_paper() {
         ConsistencyPolicy::Invalidate,
         ConsistencyPolicy::Conservative96,
     ] {
-        let mut cfg = SiteConfig::small();
-        cfg.policy = policy;
-        let site = ServingSite::build(cfg);
-        let events = site.db().events();
+        let mut node = Node::build(policy);
+        let db = Arc::clone(node.db());
+        let events = db.events();
         // Interleave: browse 40 pages, then an update, 10 rounds.
         for round in 0..10u32 {
             for i in 0..40u32 {
@@ -160,20 +252,20 @@ fn hit_rate_ordering_matches_the_paper() {
                     2 => PageKey::Event(events[(i % 8) as usize].id),
                     _ => PageKey::Athlete(nagano_db::AthleteId(i % 20 + 1)),
                 };
-                site.handle(&key.to_url());
+                node.handle(key);
             }
             let ev = &events[(round % 8) as usize];
-            let pool = site.db().athletes_of_sport(ev.sport);
+            let pool = db.athletes_of_sport(ev.sport);
             let placements: Vec<(AthleteId, f64)> = pool
                 .iter()
                 .take(3)
                 .enumerate()
                 .map(|(i, a)| (a.id, 10.0 - i as f64))
                 .collect();
-            site.db().record_results(ev.id, &placements, false, ev.day);
-            site.pump();
+            db.record_results(ev.id, &placements, false, ev.day);
+            node.pump();
         }
-        rates.push((policy.label(), site.metrics().cache.hit_rate()));
+        rates.push((policy.label(), node.cache().stats().hit_rate()));
     }
     assert!(
         rates[0].1 >= rates[1].1 && rates[1].1 > rates[2].1,

@@ -6,7 +6,7 @@
 use std::path::Path;
 
 /// The most lines DESIGN.md may have.
-const MAX_LINES: usize = 2_282;
+const MAX_LINES: usize = 2_281;
 
 #[test]
 fn design_md_stays_within_its_line_cap() {

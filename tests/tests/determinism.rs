@@ -125,7 +125,7 @@ fn run_hybrid_exporting(seed: u64, tag: &str) -> PathBuf {
         games: GamesConfig::small(),
         start_day: 10,
         end_day: 10,
-        policy: nagano_trigger::ConsistencyPolicy::hybrid(0.5, Some(400)),
+        policy: nagano_cluster::ConsistencyPolicy::hybrid(0.5, Some(400)),
         export_dir: Some(dir.clone()),
         ..Default::default()
     })
@@ -174,7 +174,7 @@ fn run_resilience_exporting(seed: u64, tag: &str) -> PathBuf {
         games: GamesConfig::small(),
         start_day: 10,
         end_day: 10,
-        policy: nagano_trigger::ConsistencyPolicy::Invalidate,
+        policy: nagano_cluster::ConsistencyPolicy::Invalidate,
         serving_fault_plan: scripted_serving_plan(10),
         export_dir: Some(dir.clone()),
         ..Default::default()

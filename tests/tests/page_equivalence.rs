@@ -51,7 +51,7 @@ use nagano_pagegen::{
     Dependency, FragmentKey, PageKey, PageMemo, PageRegistry, PageSpace, RenderOutput, Renderer,
 };
 use nagano_simcore::sync::blocking;
-use nagano_simcore::{DeterministicRng, SimTime};
+use nagano_simcore::DeterministicRng;
 use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor};
 use nagano_workload::UpdateSchedule;
 
@@ -174,19 +174,18 @@ fn check_cache_equals_fresh(seed: u64, n: usize, policy: ConsistencyPolicy, batc
     let monitor = monitor_for(&db, policy);
     let registry = PageRegistry::build(&db, 16);
     let never_missing = (policy == ConsistencyPolicy::UpdateInPlace).then_some(&registry);
-    let now = SimTime::from_mins(5);
     if batched {
         let txns: Vec<_> = (0..n)
             .map(|i| next_txn(&db, &mut rng, &events, i))
             .collect();
-        monitor.process_batch_at(&txns, now);
+        monitor.process_batch(&txns);
         let at = format!("seed {seed}, {policy:?}, batch of {n}");
         assert_cache_is_fresh(&monitor, &db, never_missing, &at);
         return;
     }
     for i in 0..n {
         let txn = next_txn(&db, &mut rng, &events, i);
-        monitor.process_txn_at(&txn, now);
+        monitor.process_txn(&txn);
         let at = format!("seed {seed}, {policy:?}, txn {i} ({:?})", txn.changes);
         let compared = assert_cache_is_fresh(&monitor, &db, never_missing, &at);
         assert!(compared > 0, "{at}: nothing left to compare");
@@ -281,9 +280,8 @@ fn check_category(
     prefixes: &[&str],
     min_pages: usize,
 ) {
-    let now = SimTime::from_mins(5);
     for txn in txns {
-        monitor.process_txn_at(&txn, now);
+        monitor.process_txn(&txn);
     }
     let fresh = Renderer::new(Arc::clone(db));
     let mut compared = 0usize;

@@ -1,4 +1,5 @@
-//! Propagation policy equivalence suite (ISSUE 5).
+//! Propagation policy equivalence suite, over the cluster simulation's
+//! policy layer ([`SiteMonitor`]) and the trigger monitor it drives.
 //!
 //! The `Hybrid` scheduler must *degenerate* exactly: with every page hot
 //! and no budget it is `UpdateInPlace`; with every page cold it is
@@ -13,10 +14,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use nagano_cache::{CacheConfig, PageCache};
+use nagano_cluster::{ConsistencyPolicy, SiteMonitor};
 use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
-use nagano_trigger::{ConsistencyPolicy, PageUrls, TriggerMonitor, TxnOutcome};
+use nagano_trigger::{PageUrls, TxnOutcome};
 
 fn fresh_db() -> Arc<OlympicDb> {
     let db = Arc::new(OlympicDb::new());
@@ -25,12 +27,12 @@ fn fresh_db() -> Arc<OlympicDb> {
 }
 
 /// A prewarmed monitor over `db`.
-fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> TriggerMonitor {
+fn monitor_for(db: &Arc<OlympicDb>, policy: ConsistencyPolicy) -> SiteMonitor {
     let registry = Arc::new(PageRegistry::build(db, 16));
     let urls = PageUrls::of(&registry);
     let cache = Arc::new(PageCache::with_keys(CacheConfig::default(), urls));
-    let monitor = TriggerMonitor::new(Renderer::new(Arc::clone(db)), cache, registry, policy);
-    monitor.prewarm();
+    let monitor = SiteMonitor::new(policy, Renderer::new(Arc::clone(db)), cache, registry);
+    monitor.trigger().prewarm();
     monitor
 }
 
@@ -60,8 +62,9 @@ fn generate_txns(
 }
 
 /// Canonical view of the monitor's cache: url → (body, version).
-fn cache_state(monitor: &TriggerMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
+fn cache_state(monitor: &SiteMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
     monitor
+        .trigger()
         .cache()
         .export_entries()
         .into_iter()
@@ -72,8 +75,9 @@ fn cache_state(monitor: &TriggerMonitor) -> BTreeMap<String, (Vec<u8>, u64)> {
 /// Like [`cache_state`] but without versions — batch coalescing is
 /// allowed to regenerate a page fewer times than sequential processing,
 /// so only keys and bodies must agree.
-fn cache_contents(monitor: &TriggerMonitor) -> BTreeMap<String, Vec<u8>> {
+fn cache_contents(monitor: &SiteMonitor) -> BTreeMap<String, Vec<u8>> {
     monitor
+        .trigger()
         .cache()
         .export_entries()
         .into_iter()
@@ -86,14 +90,15 @@ fn sorted(mut keys: Vec<PageKey>) -> Vec<PageKey> {
     keys
 }
 
-/// The pages an outcome *touched* (regenerated ∪ invalidated ∪ deferred),
-/// sorted — the per-txn set the degenerate hybrids must reproduce.
-fn touched(outcome: &TxnOutcome) -> Vec<PageKey> {
+/// The pages an outcome *touched* (regenerated ∪ invalidated ∪
+/// `deferred`), sorted — the per-txn set the degenerate hybrids must
+/// reproduce.
+fn touched(outcome: &TxnOutcome, deferred: &[PageKey]) -> Vec<PageKey> {
     let mut keys: Vec<PageKey> = outcome
         .regenerated
         .iter()
         .chain(&outcome.invalidated)
-        .chain(&outcome.deferred)
+        .chain(deferred)
         .copied()
         .collect();
     keys.sort();
@@ -113,15 +118,15 @@ fn check_degenerate_equivalence(
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid_monitor = monitor_for(&db, hybrid);
-    let pure_monitor = monitor_for(&db, pure);
+    let mut hybrid_monitor = monitor_for(&db, hybrid);
+    let mut pure_monitor = monitor_for(&db, pure);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
-        let h = hybrid_monitor.process_txn_at(txn, now);
-        let p = pure_monitor.process_txn_at(txn, now);
+        let (h, h_deferred) = hybrid_monitor.process_txn(txn, now);
+        let (p, p_deferred) = pure_monitor.process_txn(txn, now);
         assert_eq!(
-            touched(&h),
-            touched(&p),
+            touched(&h, &h_deferred),
+            touched(&p, &p_deferred),
             "txn {i}: touched page sets diverge ({hybrid:?} vs {pure:?})"
         );
         assert_eq!(
@@ -149,19 +154,19 @@ fn check_hybrid_full_hot_is_update_in_place(seed: u64, n: usize) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(1.0, None));
-    let uip = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
+    let mut hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(1.0, None));
+    let mut uip = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
-        let h = hybrid.process_txn_at(txn, now);
-        let p = uip.process_txn_at(txn, now);
+        let (h, h_deferred) = hybrid.process_txn(txn, now);
+        let (p, _) = uip.process_txn(txn, now);
         assert_eq!(
             sorted(h.regenerated.clone()),
             sorted(p.regenerated.clone()),
             "txn {i}: regenerated sets diverge"
         );
         assert!(h.invalidated.is_empty(), "txn {i}: full-hot invalidated");
-        assert!(h.deferred.is_empty(), "txn {i}: unbounded budget deferred");
+        assert!(h_deferred.is_empty(), "txn {i}: unbounded budget deferred");
     }
     assert_eq!(cache_state(&hybrid), cache_state(&uip));
 }
@@ -172,19 +177,19 @@ fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
     let txns = generate_txns(&db, &mut rng, n);
-    let hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(0.0, Some(400)));
-    let inv = monitor_for(&db, ConsistencyPolicy::Invalidate);
+    let mut hybrid = monitor_for(&db, ConsistencyPolicy::hybrid(0.0, Some(400)));
+    let mut inv = monitor_for(&db, ConsistencyPolicy::Invalidate);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
-        let h = hybrid.process_txn_at(txn, now);
-        let p = inv.process_txn_at(txn, now);
+        let (h, h_deferred) = hybrid.process_txn(txn, now);
+        let (p, _) = inv.process_txn(txn, now);
         assert_eq!(
             sorted(h.invalidated.clone()),
             sorted(p.invalidated.clone()),
             "txn {i}: invalidated sets diverge"
         );
         assert!(h.regenerated.is_empty(), "txn {i}: full-cold regenerated");
-        assert!(h.deferred.is_empty(), "txn {i}: full-cold deferred");
+        assert!(h_deferred.is_empty(), "txn {i}: full-cold deferred");
     }
     assert_eq!(cache_state(&hybrid), cache_state(&inv));
 }
@@ -192,8 +197,9 @@ fn check_hybrid_full_cold_is_invalidate(seed: u64, n: usize) {
 /// Give a monitor's hotness tracker a deterministic traffic profile so a
 /// mid-range hot fraction produces a non-trivial hot/cold split: requests
 /// the cache answered, for every page it holds, folded as of minute 1.
-fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
+fn heat(monitor: &mut SiteMonitor, rng: &mut DeterministicRng) {
     let keys: Vec<PageKey> = monitor
+        .trigger()
         .cache()
         .export_entries()
         .into_iter()
@@ -213,7 +219,7 @@ fn heat(monitor: &TriggerMonitor, rng: &mut DeterministicRng) {
     monitor.fold_hotness(1);
 }
 
-/// `process_batch_at` must leave the cache in the same final *state* as
+/// `process_batch` must leave the cache in the same final *state* as
 /// sequential `process_txn` calls under every policy (coalescing may
 /// skip duplicate work, never change content). Bounded-budget hybrids
 /// drain their deferred queues before comparison.
@@ -229,25 +235,25 @@ fn check_batch_matches_sequential(seed: u64, n: usize) {
         let db = fresh_db();
         let mut rng = DeterministicRng::seed_from_u64(seed);
         let txns = generate_txns(&db, &mut rng, n);
-        let batched = monitor_for(&db, policy);
-        let sequential = monitor_for(&db, policy);
+        let mut batched = monitor_for(&db, policy);
+        let mut sequential = monitor_for(&db, policy);
         // Identical traffic on both monitors: the hot/cold split is a
         // pure function of the (shared) hotness profile, so it cannot
         // depend on batching.
         let mut heat_rng = DeterministicRng::seed_from_u64(seed ^ 0xbeef);
-        heat(&batched, &mut heat_rng);
+        heat(&mut batched, &mut heat_rng);
         let mut heat_rng = DeterministicRng::seed_from_u64(seed ^ 0xbeef);
-        heat(&sequential, &mut heat_rng);
+        heat(&mut sequential, &mut heat_rng);
 
         let now = SimTime::from_mins(5);
-        batched.process_batch_at(&txns, now);
+        batched.process_batch(&txns, now);
         for txn in &txns {
-            sequential.process_txn_at(txn, now);
+            sequential.process_txn(txn, now);
         }
         // Budget overflow parks pages instead of dropping them; pump the
         // drain tick until both queues are empty (progress per tick is
         // guaranteed, so this terminates).
-        for monitor in [&batched, &sequential] {
+        for monitor in [&mut batched, &mut sequential] {
             let mut guard = 0;
             while monitor.deferred_len() > 0 {
                 monitor.drain_deferred(now);

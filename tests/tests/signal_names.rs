@@ -18,11 +18,12 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use nagano::{ServingSite, SiteConfig};
-use nagano_cluster::{scripted_chaos_plan, scripted_serving_plan, ClusterConfig, ClusterSim};
+use nagano_cluster::{
+    scripted_chaos_plan, scripted_serving_plan, ClusterConfig, ClusterSim, ConsistencyPolicy,
+};
 use nagano_db::GamesConfig;
 use nagano_simcore::SimTime;
 use nagano_telemetry::{parse_prometheus_line, MetricsRegistry};
-use nagano_trigger::ConsistencyPolicy;
 
 /// The segment allowed directly after `nagano_`.
 const SUBSYSTEMS: &[&str] = &[
@@ -225,8 +226,8 @@ fn a_sites_trigger_series_are_the_simulations() {
         missing.is_empty(),
         "trigger series a site exports and the simulation does not: {missing:?}"
     );
-    // A site refuses the hybrid policy, so it defers nothing, and nothing
-    // tells its monitor what staleness a request saw.
+    // A site cannot run the hybrid policy, so it defers nothing, and
+    // nothing tells its monitor what staleness a request saw.
     for zero in [
         "nagano_trigger_pages_deferred_total",
         "nagano_trigger_regen_deferred_depth",
