@@ -79,10 +79,15 @@ impl CacheConfig {
     }
 }
 
+/// Whether `a` and `b` are one view of one allocation.
+fn same_allocation(a: &Bytes, b: &Bytes) -> bool {
+    a.as_ptr() == b.as_ptr() && a.len() == b.len()
+}
+
 /// Byte equality, by address before content: a regeneration that changed
 /// nothing hands back the very allocation the cache holds.
 fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
-    a.len() == b.len() && (a.as_ptr() == b.as_ptr() || a[..] == b[..])
+    same_allocation(a, b) || (a.len() == b.len() && a[..] == b[..])
 }
 
 /// A successful cache lookup.
@@ -90,11 +95,14 @@ fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
 pub struct CachedPage {
     /// The rendered page body.
     pub body: Bytes,
-    /// Monotonic per-entry version: 1 on insert, +1 whenever the body is
-    /// replaced. A distribution of byte-equal content replaces nothing
-    /// ([`PageCache::distribute_with`]), so on an update-in-place
-    /// site the version — the HTTP `ETag` — changes iff the bytes change.
-    /// A [`PageCache::put`] is always a new version.
+    /// Monotonic per-page version: +1 whenever the body is replaced, and
+    /// one past the last version the page's entry had when an entry is
+    /// made anew (1 for a page never cached), so no removal, eviction or
+    /// [`PageCache::clear`] brings a version back. A distribution of
+    /// byte-equal content replaces nothing ([`PageCache::distribute_with`]),
+    /// so on an update-in-place site the version — the HTTP `ETag` —
+    /// changes iff the bytes change. A [`PageCache::put`] is always a new
+    /// version.
     pub version: u64,
 }
 
@@ -154,6 +162,9 @@ struct Row {
 /// cached.
 struct Rows {
     at: Vec<Option<Row>>,
+    /// The version each slot's entry had when it was last removed, by the
+    /// same index: the next entry of the slot counts on from there.
+    floors: Vec<u64>,
     shift: u32,
 }
 
@@ -180,10 +191,35 @@ impl Rows {
         &mut self.at[i]
     }
 
+    /// The version `slot`'s next new entry is one past.
+    fn floor(&self, slot: u32) -> u64 {
+        self.floors.get(self.index(slot)).copied().unwrap_or(0)
+    }
+
+    /// Keep `row`'s version as the floor of the entry at index `i`.
+    fn keep_floor(floors: &mut Vec<u64>, i: usize, row: &Row) {
+        if i >= floors.len() {
+            floors.resize(i + 1, 0);
+        }
+        floors[i] = row.version;
+    }
+
     /// Take `slot`'s entry out.
     fn remove(&mut self, slot: u32) -> Option<Row> {
         let i = self.index(slot);
-        self.at.get_mut(i)?.take()
+        let row = self.at.get_mut(i)?.take()?;
+        Self::keep_floor(&mut self.floors, i, &row);
+        Some(row)
+    }
+
+    /// Take every entry out, handing each to `removed`.
+    fn clear(&mut self, mut removed: impl FnMut(Row)) {
+        for (i, place) in self.at.iter_mut().enumerate() {
+            if let Some(row) = place.take() {
+                Self::keep_floor(&mut self.floors, i, &row);
+                removed(row);
+            }
+        }
     }
 
     /// The entries held, each with its slot, in slot order; `shard` is the
@@ -218,6 +254,7 @@ impl Shard {
         Shard {
             rows: Rows {
                 at: Vec::new(),
+                floors: Vec::new(),
                 shift,
             },
             touches: VecDeque::new(),
@@ -400,6 +437,7 @@ impl PageCache {
         memo: Option<Memo>,
     ) -> (u64, Option<Bytes>) {
         let size = body.len() as u64;
+        let floor = shard.rows.floor(slot);
         let (version, replaced) = match shard.rows.place(slot) {
             Some(row) => {
                 let old = row.body.len() as u64;
@@ -416,14 +454,14 @@ impl PageCache {
             place => {
                 *place = Some(Row {
                     body,
-                    version: 1,
+                    version: floor + 1,
                     memo,
                     stamp: 0,
                 });
                 shard.bytes += size;
                 shard.entries += 1;
                 self.stats.insert(size);
-                (1, None)
+                (floor + 1, None)
             }
         };
         if let Some(budget) = self.per_shard_budget {
@@ -469,14 +507,31 @@ impl PageCache {
     /// any, becomes the entry's memo of the body it then holds, until a
     /// write of other bytes or the entry's removal drops it.
     ///
+    /// `held` is the body `body` was rendered onto, if any, on the
+    /// renderer's contract that `body` is that very allocation if and only
+    /// if its bytes are `held`'s. While the entry still holds `held`, that
+    /// address is the verdict and no byte is compared; an entry that moved
+    /// on since — a fill, an invalidation, a clear, another distribution —
+    /// and a distribution with no `held` compare bytes.
+    ///
     /// # Panics
     ///
     /// If `key` is a name outside the key space, as [`PageCache::put`].
-    pub fn distribute_with(&self, key: impl PageRef, body: Bytes, memo: Option<Memo>) -> bool {
+    pub fn distribute_with(
+        &self,
+        key: impl PageRef,
+        body: Bytes,
+        held: Option<&Bytes>,
+        memo: Option<Memo>,
+    ) -> bool {
         let slot = self.slot_to_write(key);
         let mut shard = self.shard_for(slot).lock();
         if let Some(row) = shard.rows.get_mut(slot) {
-            if same_bytes(&row.body, &body) {
+            let unchanged = match held {
+                Some(held) if same_allocation(&row.body, held) => same_allocation(held, &body),
+                _ => same_bytes(&row.body, &body),
+            };
+            if unchanged {
                 if memo.is_some() {
                     row.memo = memo;
                 }
@@ -587,7 +642,7 @@ impl PageCache {
     ///
     /// If `key` is a name outside the key space: it names no slot.
     pub fn distribute(&self, key: impl PageRef, body: Bytes, _: f64) -> bool {
-        self.distribute_with(key, body, None)
+        self.distribute_with(key, body, None, None)
     }
 
     /// Shared handle to the statistics block.
@@ -702,12 +757,13 @@ impl PageCache {
     }
 
     /// Drop every entry (counted as invalidations). This is a *cold*
-    /// restart: in-flight regenerations are wiped too.
+    /// restart: in-flight regenerations are wiped too. Each page's next
+    /// entry counts its versions on from the one dropped.
     pub fn clear(&self) {
         self.for_each_shard(|_, shard| {
-            for row in shard.rows.at.drain(..).flatten() {
-                self.stats.invalidate(row.body.len() as u64);
-            }
+            shard
+                .rows
+                .clear(|row| self.stats.invalidate(row.body.len() as u64));
             (shard.bytes, shard.entries) = (0, 0);
             shard.touches.clear();
             shard.flights.clear();
@@ -1035,7 +1091,7 @@ mod tests {
     fn distribute_shares_the_body_allocation() {
         let c = PageCache::default();
         let b = body("shared");
-        c.distribute_with(PAGE, b.clone(), None);
+        c.distribute_with(PAGE, b.clone(), None, None);
         // Bytes clones are refcounted views of one buffer.
         let got = c.peek(PAGE).unwrap().body;
         assert_eq!(got.as_ptr(), b.as_ptr());
@@ -1045,13 +1101,13 @@ mod tests {
     fn a_distribution_that_changes_nothing_keeps_every_entry() {
         let c = PageCache::default();
         let first = body("standings");
-        assert!(c.distribute_with(MEDALS, first.clone(), None));
+        assert!(c.distribute_with(MEDALS, first.clone(), None, None));
         let updates = c.stats().updates;
         // The same bytes in a new allocation, then in the held one.
         let held = c.peek_body(MEDALS).unwrap();
         assert_eq!(held.as_ptr(), first.as_ptr());
         for again in [body("standings"), held] {
-            assert!(!c.distribute_with(MEDALS, again, None));
+            assert!(!c.distribute_with(MEDALS, again, None, None));
         }
         assert_eq!(c.stats().updates, updates);
         let page = c.peek(MEDALS).unwrap();
@@ -1060,7 +1116,7 @@ mod tests {
         // An entry a fill changed behind the distributor's back is brought
         // back by the next distribution, at its next version.
         c.put(MEDALS, body("a demand fill"));
-        assert!(c.distribute_with(MEDALS, body("standings"), None));
+        assert!(c.distribute_with(MEDALS, body("standings"), None, None));
         assert!(c.peek_body(NOWHERE).is_none());
         assert_eq!(c.peek(MEDALS).unwrap().version, 3);
     }
@@ -1071,24 +1127,24 @@ mod tests {
         let remembered = |c: &PageCache| c.with_memo(A, |_, &m: &u8| m) == Some(7);
         let c = PageCache::default();
         let first = body("/a");
-        assert!(c.distribute_with(A, first.clone(), memo()) && remembered(&c));
+        assert!(c.distribute_with(A, first.clone(), None, memo()) && remembered(&c));
         // Taken out with the body it is of, and handed back with it.
         let (held, taken) = c.take_held::<u8>(A).unwrap();
         assert!(held.as_ptr() == first.as_ptr() && !c.has_memo(A));
-        assert!(!c.distribute_with(A, held, taken.map(|m| m as Memo)));
+        assert!(!c.distribute_with(A, held, None, taken.map(|m| m as Memo)));
         // Kept by a distribution of the bytes held, and of no other type.
-        assert!(!c.distribute_with(A, body("/a"), None));
+        assert!(!c.distribute_with(A, body("/a"), None, None));
         assert!(remembered(&c) && c.with_memo(A, |_, _: &u16| ()).is_none());
         // Dropped by a fill, by a distribution of other bytes, by an
         // invalidation and by a clear.
         c.put(A, body("/a"));
         assert!(!c.has_memo(A));
-        c.distribute_with(A, first.clone(), memo());
-        assert!(c.distribute_with(A, body("/a, again"), None) && !c.has_memo(A));
-        c.distribute_with(A, body("/a"), memo());
+        c.distribute_with(A, first.clone(), None, memo());
+        assert!(c.distribute_with(A, body("/a, again"), None, None) && !c.has_memo(A));
+        c.distribute_with(A, body("/a"), None, memo());
         c.invalidate(A);
         assert!(!c.has_memo(A));
-        c.distribute_with(A, first, memo());
+        c.distribute_with(A, first, None, memo());
         c.clear();
         assert!(!c.has_memo(A) && c.take_held::<u8>(A).is_none());
     }
@@ -1125,7 +1181,7 @@ mod tests {
         // Without a key space no name resolves, and a slot exports as
         // itself.
         let plain = PageCache::default();
-        plain.distribute_with(7, body("seven"), None);
+        plain.distribute_with(7, body("seven"), None, None);
         assert!(plain.get_from(0, "/p7").is_none());
         assert_eq!(plain.export_entries()[0].0, "7");
     }

@@ -49,8 +49,8 @@ proptest! {
                 Op::Invalidate(k) => {
                     let key = u32::from(k);
                     let was = cache.invalidate(key).map(|body| body.to_vec());
+                    // The page's next entry counts its versions on.
                     prop_assert_eq!(was, model.remove(&key));
-                    versions.remove(&key);
                 }
             }
             // Byte accounting invariant holds after every operation.

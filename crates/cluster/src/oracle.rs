@@ -15,10 +15,9 @@
 //!   site removed, no fresh body of the page has been written since
 //!   (a request that led a fill is answered before its fill counts), and
 //!   its age on the minute clock is within the bound.
-//! * **Fresh.** Within one life of the cache entry — an invalidation
-//!   ends one, and the next write counts versions from 1 again — a
-//!   version names one body, and versions never go backwards. A
-//!   `CacheShardCrash` ends every life at the site.
+//! * **Fresh.** A version names one body of the page at the site, and
+//!   versions never go backwards: a page's next entry counts on from the
+//!   version an invalidation, an eviction or a `CacheShardCrash` dropped.
 //!
 //! Not checked: that a converged site's fresh body equals a fresh render
 //! of the database (ROADMAP item 21).
@@ -35,10 +34,8 @@ use crate::sim::Answer;
 /// What the oracle knows of one page at one site.
 #[derive(Default)]
 struct Page {
-    /// Lives of the cache entry ended by an invalidation.
-    life: u64,
-    /// The last fresh body served: its life, version and bytes.
-    served: Option<(u64, u64, Bytes)>,
+    /// The last fresh body served: its version and bytes.
+    served: Option<(u64, Bytes)>,
     /// The body the page's latest invalidation removed, and when, until a
     /// fresh body supersedes it.
     removed: Option<(Bytes, SimTime)>,
@@ -60,10 +57,9 @@ impl ResponseOracle {
     }
 
     /// An invalidation at site `s` took `body` out of `slot`'s entry at
-    /// `now`: that life of the entry is over.
+    /// `now`.
     pub(crate) fn removed(&mut self, s: usize, slot: u32, body: &Bytes, now: SimTime) {
         let page = self.pages.entry((s, slot)).or_default();
-        page.life += 1;
         page.removed = Some((body.clone(), now));
     }
 
@@ -77,9 +73,12 @@ impl ResponseOracle {
         }
     }
 
-    /// Site `s`'s cache cold-restarted: every entry and stale copy is gone.
+    /// Site `s`'s cache cold-restarted: every entry and stale copy is
+    /// gone, and the versions count on.
     pub(crate) fn crashed(&mut self, s: usize) {
-        self.pages.retain(|&(site, _), _| site != s);
+        for (_, page) in self.pages.iter_mut().filter(|((site, _), _)| *site == s) {
+            page.removed = None;
+        }
     }
 
     /// Check the response to a request for `slot` at site `s`, served at
@@ -129,21 +128,19 @@ impl ResponseOracle {
                     "{}: a fresh body where the table answers {expected:?}",
                     at()
                 );
-                if let Some((life, last, last_body)) = &page.served {
-                    if *life == page.life {
-                        assert!(
-                            version >= last,
-                            "{}: version {version} served after {last}",
-                            at()
-                        );
-                        assert!(
-                            version != last || body == last_body,
-                            "{}: version {version} names two bodies",
-                            at()
-                        );
-                    }
+                if let Some((last, last_body)) = &page.served {
+                    assert!(
+                        version >= last,
+                        "{}: version {version} served after {last}",
+                        at()
+                    );
+                    assert!(
+                        version != last || body == last_body,
+                        "{}: version {version} names two bodies",
+                        at()
+                    );
                 }
-                page.served = Some((page.life, *version, body.clone()));
+                page.served = Some((*version, body.clone()));
             }
         }
         // The request's own fill wrote a fresh body: from the next

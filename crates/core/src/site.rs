@@ -591,6 +591,33 @@ mod tests {
     }
 
     #[test]
+    fn an_invalidated_page_filled_again_never_reuses_a_tag() {
+        let s = ServingSite::build(SiteConfig {
+            policy: ConsistencyPolicy::Invalidate,
+            ..SiteConfig::small()
+        });
+        let before = s.handle("/medals").unwrap();
+        let old = format!("\"v{}\"", before.version);
+        // A final moves the standings: the pump drops the page, and the
+        // next request fills it anew.
+        let ev = s.db().events()[0].clone();
+        let podium: Vec<_> = s.db().athletes_of_sport(ev.sport)[..3]
+            .iter()
+            .zip([9.0, 8.0, 7.0])
+            .map(|(a, score)| (a.id, score))
+            .collect();
+        s.db().record_results(ev.id, &podium, true, ev.day);
+        s.pump();
+        assert!(s.fleet().peek("/medals").is_none(), "invalidated");
+        let resp = s.respond(0, &get_request("/medals", Some(&old)));
+        assert_eq!(resp.status, nagano_httpd::Status::Ok);
+        let fresh = Renderer::new(Arc::clone(s.db())).render(PageKey::Medals);
+        assert!(resp.body == fresh.body && resp.body != before.body);
+        let after = s.fleet().peek("/medals").unwrap().version;
+        assert!(after > before.version, "{after} after {}", before.version);
+    }
+
+    #[test]
     fn a_final_changes_the_etag_of_podium_countries_only() {
         let s = site();
         let ev = s.db().events()[0].clone();
@@ -689,11 +716,19 @@ mod tests {
         let warm = site();
         let cold = cold(SiteConfig::small());
         // A first request for a page a cold site holds nowhere is a miss,
-        // which fills version 1 — the version every prewarmed page has.
-        let fields = ["W/\"v1\"", "\"v0\", \"v1\"", "*"];
-        for (field, path) in fields.into_iter().zip(["/medals", "/welcome", "/day/3/"]) {
+        // which fills the version after the one the cold restart dropped:
+        // 2, where every prewarmed page has 1.
+        let fields = |v: u64| {
+            [
+                format!("W/\"v{v}\""),
+                format!("\"v0\", \"v{v}\""),
+                "*".into(),
+            ]
+        };
+        for (i, path) in ["/medals", "/welcome", "/day/3/"].into_iter().enumerate() {
             assert!(cold.fleet().peek(path).is_none(), "{path}");
-            for (s, how) in [(&cold, "miss"), (&warm, "hit")] {
+            for (s, version, how) in [(&cold, 2, "miss"), (&warm, 1, "hit")] {
+                let field = &fields(version)[i];
                 let resp = s.respond(0, &get_request(path, Some(field)));
                 assert_eq!(resp.status, nagano_httpd::Status::NotModified, "{how}");
                 assert!(resp.body.is_empty(), "{field} on a {how}");
@@ -794,13 +829,14 @@ mod tests {
             .collect();
         cache.complete_flight(token, None);
         // One follower led the replacement flight and the others joined
-        // it: one render, so one insert at version 1 and no update.
+        // it: one render, so one insert and no update, at the version after
+        // the one the cold restart dropped.
         let stats = cache.stats();
         let filled = (stats.inserts - cold.inserts, stats.updates - cold.updates);
         assert_eq!(filled, (1, 0), "{stats:?}");
         for page in pages {
             assert!(!page.body.is_empty());
-            assert_eq!(page.version, 1);
+            assert_eq!(page.version, 2);
         }
     }
 

@@ -29,14 +29,6 @@ pub fn push_decimal(out: &mut String, n: impl Into<u64>) {
     out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
 }
 
-/// `prefix` followed by `n`, allocated once: a title that counts.
-pub fn keyed(prefix: &str, n: u32) -> String {
-    let mut key = String::with_capacity(prefix.len() + 10);
-    key.push_str(prefix);
-    push_decimal(&mut key, n);
-    key
-}
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*

@@ -11,6 +11,13 @@
 //! page?" ([`is_page`]) without building anything, which is what lets a
 //! regeneration that changed nothing hand the held body back.
 //!
+//! Neither padding nor close holds a newline, so the last newline of a
+//! finished page is the one right behind its head and inner HTML, padded or
+//! not: the length of that content is a function of the page's bytes. Two
+//! contents of different lengths never make the same page, which is what
+//! lets a regeneration whose content length moved know, from the length
+//! alone, that its page changed.
+//!
 //! What a page begins with is a list of [`Parts`]: the head and the inner
 //! HTML of a composed page ([`Content`]), or the runs of a held body
 //! between the sections a patch rewrites and those sections' new HTML.
@@ -26,6 +33,22 @@ const PAGE_CLOSE: &str = "</body></html>";
 
 /// The gap before the first filler is shorter than one.
 const SPACES: [u8; FILLER.len()] = [b' '; FILLER.len()];
+
+/// Whether `text` holds no newline.
+const fn no_newline(text: &str) -> bool {
+    let bytes = text.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'\n' {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+// What makes a page's content length a function of its bytes.
+const _: () = assert!(no_newline(FILLER) && no_newline(PAGE_CLOSE));
 
 /// Fillers in the shared padding block: enough to pad an empty page of
 /// the largest family (the 55 KB home page) with one slice.
@@ -252,6 +275,58 @@ mod tests {
             let mut over = finished(&old, target);
             if over.len() == target && write_over(&mut over, old.len(), &runs) {
                 prop_assert!(over == page);
+            }
+        }
+    }
+
+    /// Inner HTML of `len` bytes with a newline every `every`: content may
+    /// hold newlines of its own.
+    fn lined(len: usize, every: usize) -> String {
+        let byte = |i| if i % every == every - 1 { '\n' } else { 'x' };
+        (0..len).map(byte).collect()
+    }
+
+    /// Where a page's content ends, read off its bytes: its last newline.
+    fn content_end(page: &[u8]) -> Option<usize> {
+        page.iter().rposition(|&b| b == b'\n')
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Two contents of different lengths never make the same page,
+        /// finished or written over a finished page of its size, for any
+        /// target, padded or overflowing it unpadded: a page's last newline
+        /// is the one right behind its content.
+        #[test]
+        fn pages_of_contents_of_different_lengths_differ(
+            target in prop_oneof![
+                Just(2_000usize), Just(3_000), Just(5_000), Just(6_000), Just(8_000),
+                Just(10_000), Just(12_000), Just(15_000), Just(55_000), 0..120_000usize,
+            ],
+            at in (0.0..1.2f64, 0.0..1.2f64, 0.0..1.2f64),
+            near in prop_oneof![Just(None), (1..2 * F + 2).prop_map(Some)],
+            every in 1..90usize,
+        ) {
+            let (a_at, b_at, old_at) = at;
+            let scaled = |at: f64| (at * target as f64) as usize;
+            let a_len = scaled(a_at);
+            let b_len = near.map_or(scaled(b_at), |d| a_len + d);
+            let (a_html, b_html) = (lined(a_len, every), lined(b_len, every + 1));
+            let (a, b) = (Content::new("t", &a_html), Content::new("t", &b_html));
+            let (a_page, b_page) = (finished(&a, target), finished(&b, target));
+            prop_assert_eq!(content_end(&a_page), Some(a.len()));
+            prop_assert_eq!(content_end(&b_page), Some(b.len()));
+            if a.len() != b.len() {
+                prop_assert!(a_page != b_page, "{} and {} bytes, target {}", a.len(), b.len(), target);
+            }
+            let old_html = lined(scaled(old_at), every);
+            let old = Content::new("t", &old_html);
+            for content in [&a, &b] {
+                let mut over = finished(&old, target);
+                if over.len() == target && write_over(&mut over, old.len(), content) {
+                    prop_assert_eq!(content_end(&over), Some(content.len()));
+                }
             }
         }
     }

@@ -74,6 +74,24 @@ pub(crate) struct Coverage {
 }
 
 impl Coverage {
+    /// An empty record.
+    pub(crate) const fn new() -> Self {
+        Coverage {
+            sources: Vec::new(),
+            stamps: 0,
+            uncovered: false,
+            splices: Vec::new(),
+        }
+    }
+
+    /// Empty the record, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.sources.clear();
+        self.stamps = 0;
+        self.uncovered = false;
+        self.splices.clear();
+    }
+
     /// An empty record with room for all that the reads of a section
     /// memoised under a source may log: that source, and the loads.
     pub(crate) fn for_section() -> Self {

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use nagano_db::schema::{keyed, push_decimal};
+use nagano_db::schema::push_decimal;
 use nagano_db::{AthleteId, CountryId, DataKey, EventId, EventPhase, NewsId, OlympicDb, SportId};
 use nagano_simcore::sync::Mutex;
 use nagano_simcore::uncounted::Uncounted;
@@ -145,11 +145,12 @@ impl Splice {
 
 /// What [`Renderer::render_onto`] made of a page: what covered the reads
 /// behind the body it returned — the page's own reads, and its splices at
-/// their offsets in the body — and the dependency list and cost it
-/// returned with it. The renderer keeps none: its caller keeps the memo
-/// beside the body (a fleet, in the page's row) and hands both to the next
-/// render of the page onto that body, which answers from the memo and
-/// hands it back brought up to what it returns.
+/// their offsets in the body — the length of the body's head and inner
+/// HTML, and the dependency list and cost it returned with it. The
+/// renderer keeps none: its caller keeps the memo beside the body (the
+/// cache, in the page's entry) and hands both to the next render of the
+/// page onto that body, which answers from the memo and hands it back
+/// brought up to what it returns.
 #[derive(Debug)]
 pub struct PageMemo {
     /// The renderer that made it: a splice names an edge list of that
@@ -241,9 +242,36 @@ impl Patched<'_> {
         &self.held[moved.was.range()]
     }
 
-    /// Whether every moved section came out as the bytes it replaces.
+    /// Whether the patched page is the held one, byte for byte. Its content
+    /// length decides when it moved (`plan`); else, while every moved
+    /// section keeps its length, each one's bytes do, in place. Sections
+    /// that traded lengths leave the page the held body's own bytes at
+    /// unchanged offsets outside the span from the first of them to the
+    /// last, so that span is compared.
     fn is_held(&self) -> bool {
-        self.moved.iter().all(|m| self.now(m) == self.was(m))
+        if self.len() != self.held.len() {
+            return false;
+        }
+        let kept_lengths = self
+            .moved
+            .iter()
+            .all(|m| m.fresh.len() == m.was.range().len());
+        if kept_lengths {
+            return self.moved.iter().all(|m| self.now(m) == self.was(m));
+        }
+        let (Some(first), Some(last)) = (self.moved.first(), self.moved.last()) else {
+            return true;
+        };
+        let mut from = first.was.range().start;
+        let mut rest = Some(&self.held[from..last.was.range().end]);
+        for m in self.moved {
+            let was = m.was.range();
+            for part in [&self.held[from..was.start], self.now(m)] {
+                rest = rest.and_then(|rest| rest.strip_prefix(part));
+            }
+            from = was.end;
+        }
+        rest.is_some_and(<[u8]>::is_empty)
     }
 }
 
@@ -265,14 +293,49 @@ impl Parts for Patched<'_> {
     }
 }
 
+/// The buffers a render works in, one set per rendering thread: cleared,
+/// never freed, so rendering allocates only while a thread's largest page
+/// is still growing one of them.
+#[derive(Default)]
+struct Scratch {
+    /// The page's inner HTML as it is composed, or the moved sections' HTML
+    /// a patch copies.
+    html: String,
+    /// The sections a patch rewrites.
+    moved: Vec<Moved>,
+    /// A compose's title.
+    title: String,
+    /// The dependency list a compose's reads register: a list of its own
+    /// is allocated only for a memo whose edges changed.
+    deps: Vec<Dependency>,
+    /// What covered a kept compose's reads, copied into the buffers of the
+    /// page's memo.
+    coverage: Coverage,
+}
+
+impl Scratch {
+    /// This thread's buffers, cleared.
+    fn take() -> Scratch {
+        let mut scratch = SCRATCH.take();
+        scratch.html.clear();
+        scratch.moved.clear();
+        scratch.title.clear();
+        scratch.deps.clear();
+        scratch.coverage.clear();
+        scratch
+    }
+}
+
 thread_local! {
-    /// The buffer a page's inner HTML is composed in — or a patch copies
-    /// the moved sections' HTML into — one per rendering thread: cleared,
-    /// never freed, so rendering allocates only while a thread's largest
-    /// page is still growing it.
-    static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
-    /// The sections a patch rewrites, kept like `SCRATCH`.
-    static MOVED: Cell<Vec<Moved>> = const { Cell::new(Vec::new()) };
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            html: String::new(),
+            moved: Vec::new(),
+            title: String::new(),
+            deps: Vec::new(),
+            coverage: Coverage::new(),
+        })
+    };
 }
 
 /// Renders pages from a database.
@@ -345,12 +408,14 @@ impl Renderer {
     }
 
     /// Render `key` for a caller that holds `held`: the body the page had
-    /// so far, if any, with the memo this renderer returned with it, if it
+    /// so far, if any, with the memo a renderer returned with it, if it
     /// kept that. Returns the page and the memo of its body, to keep beside
-    /// it and hand to the next render onto it. When the page comes out as
-    /// the held bytes, the body returned *is* the held one — the same
-    /// allocation — and no new one is finished; whatever is held, the body,
-    /// dependencies and cost are byte for byte those of [`Renderer::render`].
+    /// it and hand to the next render onto it. The body returned *is* the
+    /// held one — the same allocation, and no new one is finished — if and
+    /// only if the page comes out as the held bytes: a caller learns
+    /// whether the page changed from the address alone. Whatever is held,
+    /// the body, dependencies and cost are byte for byte those of
+    /// [`Renderer::render`].
     ///
     /// With a memo, the revision stamps logged by the reads behind the held
     /// body are read in this render's snapshot first. If they all read what
@@ -361,10 +426,12 @@ impl Renderer {
     /// behind — as long as each lists the edges the page registered from
     /// it; the memo is refilled in place. Otherwise — or with no memo, or
     /// another renderer's, whose splices name that one's section lists —
-    /// the page is composed and compared with the held body in place before
-    /// it is finished. A page that changed is written over the body parked
-    /// for its size when nothing holds that any more, else into a buffer of
-    /// its own; the held body is parked in its turn.
+    /// the page is composed. Whether a patched or composed page is the held
+    /// body is decided once: by its content length where the memo kept the
+    /// held one's (`plan`), else by comparing it with the held body in place
+    /// before it is finished. A page that changed is written over the body
+    /// parked for its size when nothing holds that any more, else into a
+    /// buffer of its own; the held body is parked in its turn.
     pub fn render_onto(
         &self,
         key: PageKey,
@@ -387,31 +454,32 @@ impl Renderer {
         memo: Option<Box<PageMemo>>,
         keep: bool,
     ) -> (RenderOutput, Option<Box<PageMemo>>) {
-        let (mut html, mut moved) = (SCRATCH.take(), MOVED.take());
-        html.clear();
-        moved.clear();
-        let mut deps: Vec<Dependency> = Vec::new();
+        let mut scratch = Scratch::take();
+        let Scratch {
+            html,
+            moved,
+            title,
+            deps,
+            coverage,
+        } = &mut scratch;
         // What covers the reads is of use to the next render onto the body
         // this one returns, if it is to be kept.
-        let mut coverage = keep.then(Coverage::default);
+        let mut coverage = keep.then_some(coverage);
         let last = memo.as_deref().filter(|m| m.renderer == self.id);
-        let (answer, title, oracle) = Reads::over(&self.db, &mut deps, coverage.as_mut(), |r| {
+        let (answer, oracle) = Reads::over(&self.db, deps, coverage.as_deref_mut(), |r| {
             let answer = match last.filter(|_| previous.is_some()) {
-                Some(last) => self.answer(r, last, &mut html, &mut moved),
+                Some(last) => self.answer(r, last, html, moved),
                 None => Answer::Compose,
             };
-            let title = match answer {
-                Answer::Compose => {
-                    html.clear();
-                    self.compose(r, key, &mut html)
-                }
-                _ => String::new(),
-            };
+            if answer == Answer::Compose {
+                html.clear();
+                self.compose(r, key, html, title);
+            }
             // A page that is not composed is composed all the same in a
             // build with debug assertions, to compare.
             let oracle =
                 (COMPOSE_WHAT_IS_KEPT && answer != Answer::Compose).then(|| self.composed(r, key));
-            (answer, title, oracle)
+            (answer, oracle)
         });
         debug_assert!(
             answer == Answer::Compose || deps.is_empty(),
@@ -426,10 +494,10 @@ impl Renderer {
                 let patched = Patched {
                     held: &held[..memo.content_len],
                     fresh: html.as_bytes(),
-                    moved: &moved,
+                    moved,
                 };
-                // The held body itself when every moved section came out as
-                // the bytes it replaces.
+                // The held body itself exactly when the patch rebuilt its
+                // bytes.
                 let body = if patched.is_held() {
                     held.clone()
                 } else {
@@ -439,14 +507,19 @@ impl Renderer {
                 (body, Some(memo))
             }
             (_, previous, memo) => {
-                let content = Content::new(&title, &html);
-                let body = match previous.filter(|held| is_page(held, &content, target)) {
+                let content = Content::new(title, html);
+                // A content length other than the held body's is a page
+                // that changed (`plan`): its bytes need no reading.
+                let held = previous.filter(|held| {
+                    held_len.is_none_or(|len| len == content.len())
+                        && is_page(held, &content, target)
+                });
+                let body = match held {
                     Some(held) => held.clone(),
                     None => self.finish(&content, target),
                 };
-                let memo = coverage.map(|mut coverage| {
+                let memo = coverage.map(|coverage| {
                     coverage.offset(content.len() - html.len());
-                    let deps = std::mem::take(&mut deps);
                     self.remember(key, content.len(), deps, coverage, memo)
                 });
                 (body, memo)
@@ -463,7 +536,7 @@ impl Renderer {
         }
         let (deps_out, cost_ms) = match &memo {
             Some(memo) => (Arc::clone(&memo.deps), memo.cost_ms),
-            None => (std::mem::take(&mut deps).into(), self.cost.cost_ms(key)),
+            None => (Arc::from(&deps[..]), self.cost.cost_ms(key)),
         };
         debug_assert_eq!(cost_ms, self.cost.cost_ms(key), "{key}");
         let out = RenderOutput {
@@ -473,17 +546,8 @@ impl Renderer {
             revalidated,
             patched,
         };
-        if let Some((composed, composed_deps)) = oracle {
-            let how = if out.patched {
-                "patched"
-            } else {
-                "kept by its stamps"
-            };
-            assert!(composed == *out.body, "{key}: {how}, but not as composed");
-            assert_eq!(composed_deps[..], out.deps[..], "{key}: {how}");
-        }
-        SCRATCH.set(html);
-        MOVED.set(moved);
+        check(key, previous, &out, oracle);
+        SCRATCH.set(scratch);
         if let Some(scale) = self.cpu_scale {
             spin_for(out.cost_ms, scale);
         }
@@ -542,8 +606,8 @@ impl Renderer {
             .expect(MEMO_POISONED)
             .remove(&target);
         if let Some(Body { bytes, content_len }) = parked {
-            // No fleet cell, tombstone, held body or response in flight can
-            // see the bytes change: none of them holds the buffer.
+            // No cache entry, held body, stale copy or response in flight
+            // can see the bytes change: none of them holds the buffer.
             if let Ok(mut page) = bytes.try_into_mut() {
                 if write_over(&mut page, content_len, content) {
                     let body = page.freeze();
@@ -587,14 +651,14 @@ impl Renderer {
         &self,
         key: PageKey,
         content_len: usize,
-        deps: Vec<Dependency>,
-        coverage: Coverage,
+        deps: &[Dependency],
+        coverage: &mut Coverage,
         memo: Option<Box<PageMemo>>,
     ) -> Box<PageMemo> {
         let Some(mut memo) = memo else {
             return Box::new(PageMemo {
                 renderer: self.id,
-                coverage,
+                coverage: std::mem::take(coverage),
                 content_len,
                 deps: deps.into(),
                 cost_ms: self.cost.cost_ms(key),
@@ -603,9 +667,9 @@ impl Renderer {
         if memo.renderer != self.id {
             (memo.renderer, memo.cost_ms) = (self.id, self.cost.cost_ms(key));
         }
-        memo.coverage.refill(&coverage);
+        memo.coverage.refill(coverage);
         memo.content_len = content_len;
-        if memo.deps[..] != deps[..] {
+        if memo.deps[..] != *deps {
             memo.deps = deps.into();
         }
         memo
@@ -675,60 +739,68 @@ impl Renderer {
     /// compare with the answer. The oracle's work: uncounted.
     fn composed(&self, r: &Reads<'_>, key: PageKey) -> (Vec<u8>, Vec<Dependency>) {
         let _checking = Uncounted::enter();
-        let (mut html, mut deps) = (String::new(), Vec::new());
-        let title = self.compose(&mut r.section(&mut deps, None), key, &mut html);
+        let (mut html, mut title, mut deps) = (String::new(), String::new(), Vec::new());
+        self.compose(&mut r.section(&mut deps, None), key, &mut html, &mut title);
         let body = finished(&Content::new(&title, &html), target_bytes(key));
         (body, deps)
     }
 
-    /// Build the page's inner HTML; returns the title.
+    /// Build the page's inner HTML in `html` and its title in `title`.
     ///
     /// `r` is the render's one read snapshot, and the page's dependency
     /// list with it. Nothing below may reach for `self.db`: a second read
     /// lock on this thread deadlocks behind a waiting commit.
-    fn compose(&self, r: &mut Reads<'_>, key: PageKey, html: &mut String) -> String {
+    fn compose(&self, r: &mut Reads<'_>, key: PageKey, html: &mut String, title: &mut String) {
         match key {
-            PageKey::Home(day) => self.home(r, day, html),
+            PageKey::Home(day) => {
+                self.home(r, day, html);
+                title.push_str("Nagano 1998 — Day ");
+                push_decimal(title, day);
+            }
             PageKey::Medals => {
                 html.push_str("<h2>Medal Standings</h2>\n");
                 self.inline_fragment(r, FragmentKey::MedalTable, 1.0, html);
-                "Medal Standings".to_string()
+                title.push_str("Medal Standings");
             }
-            PageKey::Sport(s) => self.sport(r, s, html),
-            PageKey::Event(e) => self.event(r, e, html),
-            PageKey::Country(c) => self.country(r, c, html),
-            PageKey::Athlete(a) => athlete(r, a, html),
-            PageKey::News(n) => story(r, n, html),
-            PageKey::NewsIndex(day) => news_index(r, day, html),
+            PageKey::Sport(s) => self.sport(r, s, html, title),
+            PageKey::Event(e) => self.event(r, e, html, title),
+            PageKey::Country(c) => self.country(r, c, html, title),
+            PageKey::Athlete(a) => athlete(r, a, html, title),
+            PageKey::News(n) => story(r, n, html, title),
+            PageKey::NewsIndex(day) => {
+                news_index(r, day, html);
+                title.push_str("News for Day ");
+                push_decimal(title, day);
+            }
             PageKey::Venue(s) => {
                 let venue = r.sport(s).map_or("", |x| x.venue.as_str());
                 html.push_str("<h2>");
                 html.push_str(venue);
                 html.push_str("</h2><p>Venue guide and transport.</p>\n");
-                venue.to_string()
+                title.push_str(venue);
             }
             PageKey::Welcome => {
                 html.push_str("<h2>Welcome</h2><p>How to use this site.</p>\n");
-                "Welcome".into()
+                title.push_str("Welcome");
             }
             PageKey::Nagano => {
                 html.push_str("<h2>Nagano, Japan</h2><p>Host city guide.</p>\n");
-                "Nagano".into()
+                title.push_str("Nagano");
             }
             PageKey::Fun => {
                 html.push_str("<h2>Fun &amp; Games</h2><p>Activities for children.</p>\n");
-                "Fun".into()
+                title.push_str("Fun");
             }
             PageKey::Fragment(f) => {
                 self.compose_fragment(r, Section::Fragment(f), html);
-                fragment_title(f)
+                push_fragment_title(title, f);
             }
         }
     }
 
     /// The home page of `day`: the medal table, the day's headlines, and
     /// per event concluding that day its result table and its block.
-    fn home(&self, r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
+    fn home(&self, r: &mut Reads<'_>, day: u32, html: &mut String) {
         let events = r.events_on_day(day, 2.0);
         html.push_str("<h2>Day ");
         push_decimal(html, day);
@@ -743,11 +815,10 @@ impl Renderer {
             // until results arrive for this very event.
             self.compose_fragment(r, Section::HomeEvent(event.id), html);
         }
-        keyed("Nagano 1998 — Day ", day)
     }
 
     /// A sport's page: per event its result table and a line linking it.
-    fn sport(&self, r: &mut Reads<'_>, s: SportId, html: &mut String) -> String {
+    fn sport(&self, r: &mut Reads<'_>, s: SportId, html: &mut String, title: &mut String) {
         let events = r.events_of_sport(s);
         let name = r.sport(s).map_or("Unknown sport", |x| x.name.as_str());
         push_heading(html, name);
@@ -759,11 +830,11 @@ impl Renderer {
             push_decimal(html, event.day);
             html.push_str(")</div>\n");
         }
-        name.to_string()
+        title.push_str(name);
     }
 
     /// An event's page: its result table, its photos, and cross-links.
-    fn event(&self, r: &mut Reads<'_>, e: EventId, html: &mut String) -> String {
+    fn event(&self, r: &mut Reads<'_>, e: EventId, html: &mut String, title: &mut String) {
         self.inline_fragment(r, FragmentKey::ResultTable(e), 1.0, html);
         let event = r.event(e);
         let name = event.map_or("Unknown event", |x| x.name);
@@ -783,11 +854,11 @@ impl Renderer {
             push_decimal(html, ev.sport.0);
             html.push_str(" results</a> <a href=\"/medals\">Medals</a></nav>\n");
         }
-        name.to_string()
+        title.push_str(name);
     }
 
     /// A country's page: its medal box and its roster.
-    fn country(&self, r: &mut Reads<'_>, c: CountryId, html: &mut String) -> String {
+    fn country(&self, r: &mut Reads<'_>, c: CountryId, html: &mut String, title: &mut String) {
         let medals = r.medals_of(c);
         let name = r.country(c).map_or("Unknown", |x| x.name.as_str());
         push_heading(html, name);
@@ -803,7 +874,7 @@ impl Renderer {
         // The roster is what a medal change regenerating every country
         // page leaves alone.
         self.compose_fragment(r, Section::Roster(c), html);
-        name.to_string()
+        title.push_str(name);
     }
 
     /// Splice fragment `f` into a composed page, which then depends on the
@@ -897,8 +968,33 @@ impl Renderer {
     }
 }
 
+/// The debug oracle's checks of `out`, rendered onto `previous`: the body
+/// is the held allocation if and only if it is the held bytes, and a page
+/// not composed is `composed`, the page composed all the same.
+fn check(
+    key: PageKey,
+    previous: Option<&Bytes>,
+    out: &RenderOutput,
+    composed: Option<(Vec<u8>, Vec<Dependency>)>,
+) {
+    if let Some(held) = previous.filter(|_| COMPOSE_WHAT_IS_KEPT) {
+        let _checking = Uncounted::enter();
+        let (is_held, as_held) = (out.body.as_ptr() == held.as_ptr(), out.body == *held);
+        assert_eq!(is_held, as_held, "{key}: held body returned iff its bytes");
+    }
+    if let Some((composed, composed_deps)) = composed {
+        let how = if out.patched {
+            "patched"
+        } else {
+            "kept by its stamps"
+        };
+        assert!(composed == *out.body, "{key}: {how}, but not as composed");
+        assert_eq!(composed_deps[..], out.deps[..], "{key}: {how}");
+    }
+}
+
 /// An athlete's page: every result, and a link to the team page.
-fn athlete(r: &mut Reads<'_>, a: AthleteId, html: &mut String) -> String {
+fn athlete(r: &mut Reads<'_>, a: AthleteId, html: &mut String, title: &mut String) {
     let results = r.results_for_athlete(a);
     let athlete = r.athlete(a);
     let name = athlete.map_or("Unknown", |x| x.name.as_str());
@@ -917,13 +1013,14 @@ fn athlete(r: &mut Reads<'_>, a: AthleteId, html: &mut String) -> String {
     if let Some(at) = athlete {
         push_nav(html, PageKey::Country(at.country), "Team page");
     }
-    name.to_string()
+    title.push_str(name);
 }
 
 /// A story's page.
-fn story(r: &mut Reads<'_>, n: NewsId, html: &mut String) -> String {
+fn story(r: &mut Reads<'_>, n: NewsId, html: &mut String, title: &mut String) {
     let Some(article) = r.news(n) else {
-        return "Story not found".to_string();
+        title.push_str("Story not found");
+        return;
     };
     html.push_str("<h2>");
     html.push_str(&article.title);
@@ -933,11 +1030,11 @@ fn story(r: &mut Reads<'_>, n: NewsId, html: &mut String) -> String {
     if let Some(ev) = article.about_event {
         push_nav(html, PageKey::Event(ev), "Event results");
     }
-    article.title.clone()
+    title.push_str(&article.title);
 }
 
 /// The news index of `day`: a link per story.
-fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
+fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) {
     html.push_str("<h2>News — Day ");
     push_decimal(html, day);
     html.push_str("</h2>\n");
@@ -946,7 +1043,6 @@ fn news_index(r: &mut Reads<'_>, day: u32, html: &mut String) -> String {
         push_link(html, PageKey::News(article.id), &article.title);
         html.push_str("</div>\n");
     }
-    keyed("News for Day ", day)
 }
 
 /// The one rule by which a page `last` is the memo of is answered without
@@ -1076,12 +1172,16 @@ fn section_html(r: &mut Reads<'_>, section: Section, html: &mut String) {
     }
 }
 
-/// The fragment page's title.
-fn fragment_title(f: FragmentKey) -> String {
-    match f {
-        FragmentKey::ResultTable(e) => keyed("Results ", e.0),
-        FragmentKey::MedalTable => "Medal Table".into(),
-        FragmentKey::Headlines(day) => keyed("Headlines Day ", day),
+/// Append the fragment page's title to `title`.
+fn push_fragment_title(title: &mut String, f: FragmentKey) {
+    let (text, n) = match f {
+        FragmentKey::ResultTable(e) => ("Results ", Some(e.0)),
+        FragmentKey::MedalTable => ("Medal Table", None),
+        FragmentKey::Headlines(day) => ("Headlines Day ", Some(day)),
+    };
+    title.push_str(text);
+    if let Some(n) = n {
+        push_decimal(title, n);
     }
 }
 

@@ -272,7 +272,7 @@ impl TriggerMonitor {
         for (&(key, _), (out, memo)) in pages.iter().zip(rendered) {
             self.register_render(key, &out);
             if let Some(slot) = space.slot(key) {
-                self.cache.distribute_with(slot, out.body, Some(memo));
+                self.cache.distribute_with(slot, out.body, None, Some(memo));
             }
         }
         pages.len()
@@ -412,9 +412,11 @@ impl TriggerMonitor {
     /// whose stamps all stand is answered there, and rendered, registered
     /// and distributed not at all; from every other the body is taken,
     /// with the memo of it out of its entry. That page is then rendered
-    /// onto that body and distributed with the memo of what came out
-    /// ([`PageCache::distribute_with`]), which an entry that holds those
-    /// bytes keeps as it is. Adds the summed
+    /// onto that body and distributed with the memo of what came out and
+    /// the body it was rendered onto ([`PageCache::distribute_with`]): an
+    /// entry that still holds that body takes the renderer's verdict from
+    /// the address it hands back, and one that holds the bytes keeps them
+    /// as they are. Adds the summed
     /// modelled CPU to `nagano_trigger_regen_cpu_ms_total` and counts the
     /// keys whose bytes changed in `nagano_trigger_pages_changed_total`,
     /// the keys that were not composed in
@@ -471,7 +473,9 @@ impl TriggerMonitor {
             regen.revalidated += usize::from(out.revalidated);
             regen.patched += usize::from(out.patched);
             if let Some(slot) = slot {
-                let changed = self.cache.distribute_with(slot, out.body, Some(memo));
+                let changed = self
+                    .cache
+                    .distribute_with(slot, out.body, held.as_ref(), Some(memo));
                 regen.changed += usize::from(changed);
             }
         }
@@ -794,9 +798,9 @@ mod tests {
         let cache = monitor.cache();
         assert!(cache.peek(&medals.to_url()).is_none(), "evicted");
         assert_eq!(cache.peek(&welcome.to_url()).unwrap().version, 1);
-        // The page's later, genuine version 1 is another representation
-        // than the one that was tagged 2.
-        assert_eq!(monitor.demand_fill(medals).version, 1);
+        // The page's next entry counts on from the version it was evicted
+        // at: no version names two representations.
+        assert_eq!(monitor.demand_fill(medals).version, 3);
     }
 
     #[test]
@@ -973,7 +977,7 @@ mod tests {
                 break;
             }
             // Stories never filed: pages of the site the cache does not hold.
-            cache.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None);
+            cache.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None, None);
         }
         the_first_final_refreshes(&db, &monitor, key);
         assert!(monitor.remembers(key));
@@ -990,7 +994,7 @@ mod tests {
         // Oversized pages until one evicts it, as in the test above.
         let fill = Bytes::from(vec![0; (BUDGET / 16) as usize]);
         for n in (1_500..).take_while(|_| cache.peek_body(&url).is_some()) {
-            cache.distribute_with(&format!("/news/{n}"), fill.clone(), None);
+            cache.distribute_with(&format!("/news/{n}"), fill.clone(), None, None);
         }
         // The cache does not hold it, nor does a memo of it: only this.
         assert!(evicted.try_into_mut().is_ok(), "{url}: still held");

@@ -234,7 +234,7 @@ mod tests {
             let out = normal.render(key);
             monitor.register_render(key, &out);
             let slot = registry.space().slot(key).unwrap();
-            cache.distribute_with(slot, out.body, None);
+            cache.distribute_with(slot, out.body, None, None);
         }
         let runner = TriggerRunner::spawn(monitor, db.subscribe());
         let ev = db.events()[0].clone();

@@ -6,7 +6,7 @@
 use std::path::Path;
 
 /// The most lines DESIGN.md may have.
-const MAX_LINES: usize = 2_281;
+const MAX_LINES: usize = 2_280;
 
 #[test]
 fn design_md_stays_within_its_line_cap() {

@@ -3,8 +3,10 @@
 //! allocates nothing in the renderer once warm (DESIGN.md §14a, "Page
 //! freshness"); one whose bytes change allocates no body once a body of
 //! its page's size is parked to be written over (DESIGN.md §14a, "One
-//! body buffer"); one it composes allocates no data key, nor does a
-//! commit (DESIGN.md §14, "Reading is registering"). Nor does a
+//! body buffer"), and a changed athlete page's — render, registration and
+//! distribution — allocates nothing at all once warm; one it composes
+//! allocates no data key, nor does a commit (DESIGN.md §14, "Reading is
+//! registering"). Nor does a
 //! distribution of a changed page, nor the one visit that answers a page
 //! unmoved or takes its body and memo out of its entry (DESIGN.md §14a,
 //! "The row").
@@ -142,7 +144,7 @@ fn a_revalidated_regeneration_allocates_nothing() {
             let (kept, revalidated) = (out.body.as_ptr() == held.as_ptr(), out.revalidated);
             let (changed, behind) = counted(|| {
                 monitor.register_render(key, &out);
-                cache.distribute_with(slot, out.body, Some(memo))
+                cache.distribute_with(slot, out.body, Some(&held), Some(memo))
             });
             assert_eq!(changed, !kept, "{key}");
             if revalidated {
@@ -192,15 +194,16 @@ fn a_distribution_and_a_visit_to_a_settled_row_allocate_nothing() {
     const PAGE: u32 = 48;
     let cache = PageCache::new(CacheConfig::default());
     let bodies: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![b'a' + i; 6_000])).collect();
-    cache.distribute_with(PAGE, bodies[0].clone(), None);
+    cache.distribute_with(PAGE, bodies[0].clone(), None, None);
     for body in &bodies[1..] {
-        let (changed, allocated) = counted(|| cache.distribute_with(PAGE, body.clone(), None));
+        let (changed, allocated) =
+            counted(|| cache.distribute_with(PAGE, body.clone(), None, None));
         assert!(changed, "the bytes changed");
         assert_eq!(allocated, 0, "a changed page's distribution allocated");
     }
     let memo: Memo = Box::new(7_u8);
     let (changed, allocated) =
-        counted(|| cache.distribute_with(PAGE, bodies[0].clone(), Some(memo)));
+        counted(|| cache.distribute_with(PAGE, bodies[0].clone(), None, Some(memo)));
     assert!(changed && allocated == 0, "{allocated} allocations");
     let page = cache.peek(PAGE).unwrap();
     assert_eq!((page.body.as_ptr(), page.version), (bodies[0].as_ptr(), 5));
@@ -266,7 +269,7 @@ fn the_one_visit_of_a_regeneration_allocates_nothing() {
 }
 
 #[test]
-fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
+fn a_changed_athlete_page_regenerates_without_allocating_once_warm() {
     let db = Arc::new(OlympicDb::new());
     seed_games(&db, &GamesConfig::small());
     let cache = Arc::new(PageCache::new(CacheConfig::default()));
@@ -279,15 +282,17 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
         ConsistencyPolicy::UpdateInPlace,
     );
     monitor.prewarm();
-    // Every posting of an event's results adds a row to the page of each
+    // Every posting of an event's results writes a row on the page of each
     // athlete it places: every one of those pages changes, and all are of
     // one size. They are rendered by the monitor's own renderer, onto the
-    // bodies prewarm distributed with its memos.
+    // bodies prewarm distributed with its memos, and composed: an athlete
+    // page is. Per page, how often its regeneration — render, register
+    // and distribute — allocated, and how often a large block.
     let event = db.events()[0].clone();
     let placed = podium(&db, event.id);
     let regenerating = monitor.renderer();
     let fresh = Renderer::new(Arc::clone(&db));
-    let mut large = Vec::new();
+    let (mut large, mut all) = (Vec::new(), Vec::new());
     for posting in 0..4 {
         let scores: Vec<_> = placed
             .iter()
@@ -298,18 +303,22 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
             let key = PageKey::Athlete(athlete);
             let slot = space.slot(key).unwrap();
             let (held, memo) = cache.take_held(slot).expect("update in place");
-            let (out, allocated) = counted_large(|| {
-                let (out, memo) = regenerating.render_onto(key, Some((&held, memo)));
-                monitor.register_render(key, &out);
-                let body = out.body.clone();
-                assert!(
-                    cache.distribute_with(slot, out.body, Some(memo)),
-                    "{key} changed"
-                );
-                body
+            let ((out, allocated_large), allocated) = counted(|| {
+                counted_large(|| {
+                    let (out, memo) = regenerating.render_onto(key, Some((&held, memo)));
+                    assert!(!out.revalidated && !out.patched, "{key} is composed");
+                    monitor.register_render(key, &out);
+                    let body = out.body.clone();
+                    assert!(
+                        cache.distribute_with(slot, out.body, Some(&held), Some(memo)),
+                        "{key} changed"
+                    );
+                    body
+                })
             });
             assert!(out == fresh.render(key).body, "{key} is stale");
-            large.push(allocated);
+            large.push(allocated_large);
+            all.push(allocated);
         }
     }
     // Every page's old body is parked as it is replaced — on a page's
@@ -318,6 +327,13 @@ fn a_changed_regeneration_allocates_no_body_once_one_is_parked() {
     // the very first page, which found none parked yet.
     assert!(large[0] >= 1, "{large:?}");
     assert!(large[1..].iter().all(|&n| n == 0), "{large:?}");
+    // The first posting gives each page the edge of its new row, and
+    // warms the thread's scratch; from the second on, a changed compose
+    // writes its inner HTML, title, dependency list and coverage into the
+    // scratch, keeps the memo's list, which lists the same edges, and is
+    // written over a parked body: nothing is allocated.
+    let warm = placed.len();
+    assert!(all[warm..].iter().all(|&n| n == 0), "{all:?}");
 }
 
 #[test]
@@ -353,7 +369,7 @@ fn a_patched_regeneration_allocates_nothing_in_the_renderer_once_warm() {
             assert!(out.body == fresh.render(key).body, "{key} is stale");
             monitor.register_render(key, &out);
             assert!(
-                cache.distribute_with(slot, out.body, Some(memo)),
+                cache.distribute_with(slot, out.body, Some(&held), Some(memo)),
                 "{key} changed"
             );
             (day, out.patched, rendering)
