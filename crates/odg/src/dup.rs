@@ -116,8 +116,8 @@ struct Cell {
 /// that one allocates nothing but its result.
 ///
 /// A propagation starts by taking the next epoch, which un-reaches every
-/// slot at once — those of vertices added since, and one a removed vertex
-/// left to a new one, included — without touching any.
+/// slot at once — those of vertices added since included — without
+/// touching any.
 #[derive(Debug, Default)]
 struct Scratch {
     epoch: u32,
@@ -253,7 +253,7 @@ impl DupEngine {
     /// that of the changes and of the edge lists: no hash decides it.
     fn traverse(&mut self, changes: impl Iterator<Item = (NodeId, f64)>) -> Propagation {
         let (odg, scratch) = (&self.odg, &mut self.scratch);
-        scratch.begin(odg.slot_count());
+        scratch.begin(odg.node_count());
         for (id, magnitude) in changes {
             if let Some(slot) = odg.slot_of(id) {
                 scratch.reach(slot).acc += magnitude;
@@ -325,23 +325,9 @@ mod tests {
         NodeId(i)
     }
 
-    /// The Figure 1 graph (see `graph::tests::figure1`).
+    /// The Figure 1 graph.
     fn figure1_engine() -> DupEngine {
-        let mut g = Odg::new();
-        for i in 1..=4 {
-            g.add_node(n(i), NodeKind::UnderlyingData).unwrap();
-        }
-        g.add_node(n(5), NodeKind::Hybrid).unwrap();
-        g.add_node(n(6), NodeKind::Hybrid).unwrap();
-        g.add_node(n(7), NodeKind::Object).unwrap();
-        g.add_edge(n(1), n(5), 5.0).unwrap();
-        g.add_edge(n(2), n(5), 1.0).unwrap();
-        g.add_edge(n(2), n(6), 1.0).unwrap();
-        g.add_edge(n(3), n(6), 1.0).unwrap();
-        g.add_edge(n(4), n(7), 1.0).unwrap();
-        g.add_edge(n(5), n(7), 1.0).unwrap();
-        g.add_edge(n(6), n(7), 1.0).unwrap();
-        DupEngine::with_graph(g)
+        DupEngine::with_graph(crate::graph::tests::figure1())
     }
 
     #[test]
@@ -440,11 +426,9 @@ mod tests {
         // Regression: a change to an *object* node in a simple graph must
         // mark that object stale, whether or not any data feeds it.
         let mut e = DupEngine::new();
-        e.graph_mut()
-            .add_node(n(1), NodeKind::UnderlyingData)
-            .unwrap();
-        e.graph_mut().add_node(n(2), NodeKind::Object).unwrap();
-        e.graph_mut().add_node(n(3), NodeKind::Object).unwrap();
+        e.graph_mut().ensure_node(n(1), NodeKind::UnderlyingData);
+        e.graph_mut().ensure_node(n(2), NodeKind::Object);
+        e.graph_mut().ensure_node(n(3), NodeKind::Object);
         e.graph_mut().add_edge(n(1), n(2), 1.0).unwrap();
         assert_eq!(e.propagate_ids(&[n(3)]).stale, vec![(n(3), 1.0)]);
         assert_eq!(e.propagate_ids(&[n(2)]).stale, vec![(n(2), 1.0)]);
@@ -455,9 +439,9 @@ mod tests {
         let mut e = DupEngine::new();
         let g = e.graph_mut();
         for i in 1..=3 {
-            g.add_node(n(i), NodeKind::Hybrid).unwrap();
+            g.ensure_node(n(i), NodeKind::Hybrid);
         }
-        g.add_node(n(4), NodeKind::Object).unwrap();
+        g.ensure_node(n(4), NodeKind::Object);
         g.add_edge(n(1), n(2), 1.0).unwrap();
         g.add_edge(n(2), n(3), 1.0).unwrap();
         g.add_edge(n(3), n(1), 1.0).unwrap(); // cycle
@@ -558,9 +542,7 @@ mod tests {
     #[test]
     fn change_with_no_dependents() {
         let mut e = DupEngine::new();
-        e.graph_mut()
-            .add_node(n(1), NodeKind::UnderlyingData)
-            .unwrap();
+        e.graph_mut().ensure_node(n(1), NodeKind::UnderlyingData);
         let p = e.propagate_ids(&[n(1)]);
         assert_eq!(p.affected_count(), 0);
     }

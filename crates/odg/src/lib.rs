@@ -23,7 +23,9 @@
 //!   benchmark harness's mirror of the trigger monitor's graph and the
 //!   examples. The trigger monitor interns nothing: it numbers its
 //!   vertices by arithmetic over typed page and data keys.
-//! * [`Odg`] — the mutable dependence graph with weighted edges.
+//! * [`Odg`] — the dependence graph with weighted edges. It only grows:
+//!   registration adds vertices and edges as pages are rendered, and
+//!   nothing takes one away.
 //! * [`DupEngine`] — the propagation algorithm: affected-set computation,
 //!   weighted staleness accumulation and cycle handling, in one traversal
 //!   for every graph shape; on the paper's **simple ODG** (bipartite,

@@ -7,9 +7,9 @@
 //! that loses an edge, or scratch that remembers a propagation too many,
 //! cannot mislead both sides. Engine and reference are driven by the same
 //! random histories — sparse and huge ids, hybrids, weights, cycles,
-//! vertices and edges removed and re-added between propagations, both
-//! staleness policies — and must agree on everything a propagation
-//! reports, after every step.
+//! vertices and edges added between propagations, both staleness
+//! policies — and must agree on everything a propagation reports, after
+//! every step.
 //!
 //! Weights and magnitudes are powers of two, so every staleness is exact
 //! and the order two traversals add contributions in cannot show.
@@ -88,23 +88,6 @@ impl Reference {
         self.ensure_node(object, NodeKind::Object);
         self.add_edge(data, object, weight)
             .expect("both ends ensured");
-    }
-
-    fn remove_node(&mut self, id: NodeId) -> bool {
-        let known = self.nodes.remove(&id).is_some();
-        for node in self.nodes.values_mut() {
-            node.out.retain(|e| e.0 != id);
-        }
-        known
-    }
-
-    fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let Some(node) = self.nodes.get_mut(&from) else {
-            return false;
-        };
-        let before = node.out.len();
-        node.out.retain(|e| e.0 != to);
-        node.out.len() != before
     }
 
     fn successors(&self, id: NodeId) -> &[(NodeId, f64)] {
@@ -255,7 +238,8 @@ struct Coverage {
 
 impl Coverage {
     fn count(&mut self, engine: &DupEngine, prop: &Propagation, changes: &[(NodeId, f64)]) {
-        self.hybrids += usize::from(engine.graph().stats().hybrid_nodes > 0);
+        let kinds = engine.graph().snapshot().nodes;
+        self.hybrids += usize::from(kinds.iter().any(|&(_, k)| k == NodeKind::Hybrid));
         self.cycles += usize::from(prop.cycle_fallback);
         self.tolerated += prop.tolerated.len();
         self.transitive += prop
@@ -291,7 +275,6 @@ fn run_history(shape: Shape, ops: &[(u8, u32, u32, u32)]) -> Coverage {
     let mut coverage = Coverage::default();
     let mut engine = DupEngine::new();
     let mut reference = Reference::default();
-    let pick = |i: u32| IDS[i as usize % IDS.len()];
     for &(op, a, b, c) in ops {
         let (mut from, mut to) = (a as usize % IDS.len(), b as usize % IDS.len());
         match shape {
@@ -324,19 +307,6 @@ fn run_history(shape: Shape, ops: &[(u8, u32, u32, u32)]) -> Coverage {
                 reference.add_dependency(from, to, weight);
             }
             4 => {
-                let id = pick(a);
-                assert_eq!(
-                    engine.graph_mut().remove_node(id).is_ok(),
-                    reference.remove_node(id)
-                );
-            }
-            5 => {
-                assert_eq!(
-                    engine.graph_mut().remove_edge(from, to),
-                    reference.remove_edge(from, to)
-                );
-            }
-            6 => {
                 let policy = match c % 5 {
                     4 => StalenessPolicy::Strict,
                     t => StalenessPolicy::Threshold(THRESHOLDS[t as usize]),
@@ -380,7 +350,7 @@ fn run_history(shape: Shape, ops: &[(u8, u32, u32, u32)]) -> Coverage {
 }
 
 fn history() -> impl Strategy<Value = Vec<(u8, u32, u32, u32)>> {
-    proptest::collection::vec((0..10u8, 0..4096u32, 0..4096u32, 0..60u32), 1..160)
+    proptest::collection::vec((0..8u8, 0..4096u32, 0..4096u32, 0..60u32), 1..160)
 }
 
 proptest! {
@@ -409,10 +379,10 @@ fn histories_reach_hybrids_cycles_and_tolerance() {
     let ops: Vec<(u8, u32, u32, u32)> = (0..600u32)
         .map(|i| {
             let x = i.wrapping_mul(2_654_435_761);
-            ((x >> 7) as u8 % 10, x >> 3, x >> 11, x >> 17)
+            ((x >> 7) as u8 % 8, x >> 3, x >> 11, x >> 17)
         })
         .collect();
-    let propagations = ops.iter().filter(|op| op.0 >= 7).count();
+    let propagations = ops.iter().filter(|op| op.0 >= 5).count();
     let bipartite = run_history(Shape::Bipartite, &ops);
     assert_eq!(bipartite.hybrids + bipartite.cycles, 0, "{bipartite:?}");
     assert!(
@@ -448,13 +418,4 @@ fn a_vertex_added_after_a_propagation_is_reached_by_the_next() {
         vec![(n(2), 0.5), (n(1_000_000), 0.25), (n(u32::MAX), 1.0)]
     );
     assert_eq!(p.visited, 4);
-    // A vertex that takes over a removed one's slot starts unreached, and
-    // with nothing of what the slot accumulated.
-    e.graph_mut().remove_node(n(2)).unwrap();
-    e.add_dependency(n(7), n(8), 0.5).unwrap();
-    let p = e.propagate_ids(&[n(7)]);
-    assert_eq!(p.stale, vec![(n(8), 0.5)]);
-    let p = e.propagate_ids(&[n(1)]);
-    assert_eq!(p.stale, vec![(n(1_000_000), 0.25)]);
-    assert_eq!(p.visited, 2);
 }

@@ -1555,4 +1555,170 @@ mod tests {
             Ok(EVENTS as usize)
         );
     }
+
+    /// What a cache entry keeps for a page: the body and its memo.
+    type Held = Option<(Bytes, Box<PageMemo>)>;
+
+    /// Render `key` onto the body `held` keeps for it, with its memo, and
+    /// keep what comes back. Returns the render and whether its body is the
+    /// held allocation — which it must be exactly when it is the held
+    /// bytes, and whatever it is, a fresh render of the page.
+    fn onto(r: &Renderer, key: PageKey, held: &mut Held) -> (RenderOutput, bool) {
+        let (body, memo) = held.take().unzip();
+        let (out, memo) = r.render_onto(key, body.as_ref().map(|body| (body, memo)));
+        let fresh = Renderer::new(Arc::clone(r.db())).render(key).body;
+        assert!(out.body == fresh, "{key}: not as a fresh render");
+        let is_held = body
+            .as_ref()
+            .is_some_and(|b| b.as_ptr() == out.body.as_ptr());
+        let as_held = body.is_some_and(|b| b == out.body);
+        assert_eq!(is_held, as_held, "{key}: the held body iff the held bytes");
+        *held = Some((out.body.clone(), memo));
+        (out, is_held)
+    }
+
+    /// How `out` was answered: by its stamps, patched, or composed.
+    fn arm(out: &RenderOutput) -> (bool, bool) {
+        (out.revalidated, out.patched)
+    }
+
+    /// The content length of the body `held` keeps, as its memo has it.
+    fn content_len(held: &Held) -> Option<usize> {
+        held.as_ref().map(|(_, memo)| memo.content_len)
+    }
+
+    const UNMOVED: (bool, bool) = (true, false);
+    const PATCHED: (bool, bool) = (false, true);
+    const COMPOSED: (bool, bool) = (false, false);
+
+    #[test]
+    fn an_unmoved_page_is_the_held_body() {
+        let (db, _) = seeded();
+        let r = Renderer::new(db);
+        let mut held = None;
+        let key = PageKey::Home(1);
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (COMPOSED, false), "onto nothing");
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (UNMOVED, true));
+    }
+
+    /// A story on `day`, which its home page lists in its headline strip.
+    fn headline(day: u32, title: &str) -> NewsArticle {
+        NewsArticle {
+            id: NewsId(9_000),
+            day,
+            title: title.into(),
+            body: "A story of the day".into(),
+            about_event: None,
+        }
+    }
+
+    #[test]
+    fn a_patch_that_keeps_each_sections_length_is_the_held_body_iff_its_bytes_are() {
+        let (db, _) = seeded();
+        let r = Renderer::new(Arc::clone(&db));
+        let (day, mut held) = (3, None);
+        let key = PageKey::Home(day);
+        db.publish_news(headline(day, "Stop-press"));
+        onto(&r, key, &mut held);
+        // Published again as it was, the story moves the strip's stamp and
+        // none of its bytes; under another title of the title's length, it
+        // moves bytes and no length.
+        for (title, changed) in [("Stop-press", false), ("Stop-prest", true)] {
+            db.publish_news(headline(day, title));
+            let (out, is_held) = onto(&r, key, &mut held);
+            assert_eq!((arm(&out), is_held), (PATCHED, !changed), "{title}");
+        }
+    }
+
+    #[test]
+    fn a_patch_that_moves_the_content_length_is_a_new_body() {
+        let (db, _) = seeded();
+        let ev = db.events()[0].clone();
+        let r = Renderer::new(Arc::clone(&db));
+        let (key, mut held) = (PageKey::Sport(ev.sport), None);
+        onto(&r, key, &mut held);
+        let before = content_len(&held);
+        // A posting adds a row to one result table the page splices.
+        let athlete = db.athletes_of_sport(ev.sport)[0].id;
+        db.record_results(ev.id, &[(athlete, 9.5)], false, ev.day);
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (PATCHED, false));
+        assert_ne!(content_len(&held), before);
+    }
+
+    #[test]
+    fn a_patch_whose_sections_trade_lengths_is_a_new_body() {
+        let (db, _) = seeded();
+        let events = db.events();
+        let ev = events.iter().find(|e| e.phase == EventPhase::Scheduled);
+        let ev = ev.expect("a scheduled event").clone();
+        let r = Renderer::new(Arc::clone(&db));
+        let (key, mut held) = (PageKey::Home(ev.day), None);
+        db.publish_news(headline(ev.day, "Stop-press"));
+        onto(&r, key, &mut held);
+        let before = content_len(&held);
+        // The event's block grows by two ("scheduled" → "in progress") and
+        // the headline strip shrinks by two: the page keeps its length.
+        db.record_results(ev.id, &[], false, ev.day);
+        db.publish_news(headline(ev.day, "Stop-pre"));
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (PATCHED, false));
+        assert_eq!(content_len(&held), before);
+    }
+
+    /// Sections' HTML begins and ends with its markup, so no two moved
+    /// sections of a page can trade lengths and leave its bytes as they
+    /// were: the verdict's one arm no render reaches is taken here, on the
+    /// patch itself. The held bytes are `x-x-x`; the runs at 0 (`x`) and 2
+    /// (`x-x`) are rewritten as `x-x` and `x`, and as `x-y` and `x`.
+    #[test]
+    fn a_patch_whose_sections_trade_lengths_and_rebuild_the_held_bytes_is_the_held_body() {
+        let splice = |start, len| Splice {
+            section: Section::Roster(CountryId(1)),
+            revision: 1,
+            edges: 0,
+            start,
+            len,
+        };
+        let moved = |index, was, fresh| Moved {
+            index,
+            was,
+            now: 2,
+            fresh,
+        };
+        let moved = [moved(0, splice(0, 1), 0..3), moved(1, splice(2, 3), 3..4)];
+        for (fresh, is_held) in [(b"x-xx", true), (b"x-yx", false)] {
+            let patched = Patched {
+                held: b"x-x-x",
+                fresh,
+                moved: &moved,
+            };
+            let mut bytes = Vec::new();
+            patched.each(|part| bytes.extend_from_slice(part));
+            assert_eq!(bytes == b"x-x-x", is_held);
+            assert_eq!(patched.is_held(), is_held);
+        }
+    }
+
+    #[test]
+    fn a_compose_is_the_held_body_iff_it_comes_to_the_held_bytes() {
+        let (db, _) = seeded();
+        let ev = db.events()[0].clone();
+        let athlete = db.athletes_of_sport(ev.sport)[0].id;
+        let r = Renderer::new(Arc::clone(&db));
+        let (key, mut held) = (PageKey::Athlete(athlete), None);
+        onto(&r, key, &mut held);
+        // An athlete's page reads rows no stamp covers: it is composed at
+        // every render, to the held bytes while nothing it shows moved, and
+        // to a page of another content length once a result row is added.
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (COMPOSED, true));
+        let before = content_len(&held);
+        db.record_results(ev.id, &[(athlete, 9.5)], false, ev.day);
+        let (out, is_held) = onto(&r, key, &mut held);
+        assert_eq!((arm(&out), is_held), (COMPOSED, false));
+        assert_ne!(content_len(&held), before);
+    }
 }

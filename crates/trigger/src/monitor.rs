@@ -162,15 +162,13 @@ pub struct DemandFill {
 pub struct TriggerMonitor {
     graph: Mutex<GraphState>,
     /// The dependency list last registered for each page that has an
-    /// object vertex, by slot — the renderer's own, shared. Registration
-    /// only ever adds edges, so while a page renders to the list recorded
-    /// here every one of its edges is in the graph and
-    /// [`TriggerMonitor::register_render`] has nothing to do.
-    /// Other edges are written only under the graph lock, together with
-    /// the vertex they describe (another list of the same edges at any
-    /// time); read on its own, or held across a regeneration's one pass
-    /// (the view, then each row's shard), never while taking the graph
-    /// lock.
+    /// object vertex, by slot — the renderer's own, shared. The graph only
+    /// grows, so while a page renders to the list recorded here every one
+    /// of its edges is in the graph and
+    /// [`TriggerMonitor::register_render`] has nothing to do. Other edges
+    /// are written only under the graph lock, together with the vertex
+    /// they describe (another list of the same edges at any time); read on
+    /// its own, never while taking the graph lock.
     registered: Mutex<Vec<Option<Arc<[Dependency]>>>>,
     renderer: Renderer,
     cache: Arc<PageCache>,
@@ -406,22 +404,23 @@ impl TriggerMonitor {
     /// onto the body the cache holds for it, and distribute it.
     ///
     /// A page's entry keeps the renderer's memo of its body for as long as
-    /// it holds that allocation. One pass over the entries
-    /// ([`Renderer::answer_unmoved`]) visits each page once
-    /// ([`PageCache::answer_or_take`]): a registered page with a memo
-    /// whose stamps all stand is answered there, and rendered, registered
-    /// and distributed not at all; from every other the body is taken,
-    /// with the memo of it out of its entry. That page is then rendered
-    /// onto that body and distributed with the memo of what came out and
-    /// the body it was rendered onto ([`PageCache::distribute_with`]): an
-    /// entry that still holds that body takes the renderer's verdict from
-    /// the address it hands back, and one that holds the bytes keeps them
-    /// as they are. Adds the summed
-    /// modelled CPU to `nagano_trigger_regen_cpu_ms_total` and counts the
-    /// keys whose bytes changed in `nagano_trigger_pages_changed_total`,
-    /// the keys that were not composed in
-    /// `nagano_trigger_pages_revalidated_total` and the keys patched in
-    /// `nagano_trigger_pages_patched_total`.
+    /// it holds that allocation, and only a body registered here or by
+    /// [`TriggerMonitor::prewarm`] comes with one: a page with a memo has
+    /// every edge of the render it is of in the graph, which only grows.
+    /// One pass over the entries ([`Renderer::answer_unmoved`]) visits each
+    /// page once ([`PageCache::answer_or_take`]): a page with a memo whose
+    /// stamps all stand is answered there, and rendered, registered and
+    /// distributed not at all; from every other the body is taken, with
+    /// the memo of it out of its entry. That page is then rendered onto
+    /// that body and distributed with the memo of what came out and the
+    /// body it was rendered onto ([`PageCache::distribute_with`]): an entry
+    /// that still holds that body takes the renderer's verdict from the
+    /// address it hands back, and one that holds the bytes keeps them as
+    /// they are. Adds the summed modelled CPU to
+    /// `nagano_trigger_regen_cpu_ms_total` and counts the keys whose bytes
+    /// changed in `nagano_trigger_pages_changed_total`, the keys that were
+    /// not composed in `nagano_trigger_pages_revalidated_total` and the
+    /// keys patched in `nagano_trigger_pages_patched_total`.
     ///
     /// Sequential by design: a page is rendered, registered and
     /// distributed before the next is rendered, so no more than one new
@@ -441,20 +440,12 @@ impl TriggerMonitor {
         };
         // Every key here is a page vertex's, which is its slot.
         let space = self.registry.space();
-        let visits = {
-            let registered = self.registered.lock();
-            self.renderer.answer_unmoved(keys, |key, answer| {
-                let Some(slot) = space.slot(key) else {
-                    return Visit::Taken(None);
-                };
-                self.cache.answer_or_take(slot, |body, memo| {
-                    // A page a retired fragment fed registers every edge
-                    // anew at its next render, which this is not.
-                    registered[slot as usize].as_ref()?;
-                    answer(body, memo)
-                })
-            })
-        };
+        let visits = self.renderer.answer_unmoved(keys, |key, answer| {
+            let Some(slot) = space.slot(key) else {
+                return Visit::Taken(None);
+            };
+            self.cache.answer_or_take(slot, answer)
+        });
         for (&key, visit) in keys.iter().zip(visits) {
             let (held, memo) = match visit {
                 Visit::Answered(cost_ms) => {
@@ -487,16 +478,6 @@ impl TriggerMonitor {
         regen
     }
 
-    /// Whether a regeneration may answer `key` from the memo in its entry,
-    /// unmoved: the page is cached with a memo, and registered.
-    pub fn remembers(&self, key: PageKey) -> bool {
-        let Some(slot) = self.registry.space().slot(key) else {
-            return false;
-        };
-        let registered = self.registered.lock()[slot as usize].is_some();
-        registered && self.cache.with_memo(slot, |_, _: &PageMemo| ()).is_some()
-    }
-
     /// Highest transaction id marked so far (0 before any work). A
     /// restarted monitor resumes from here: everything in the site's
     /// replicated log after this id is replayed by
@@ -522,37 +503,6 @@ impl TriggerMonitor {
         let outcome = self.process_batch(&fresh);
         self.stats.record_recovery();
         outcome
-    }
-
-    /// Retire a page: drop it from the serving cache and remove its
-    /// object vertex (with all incident edges) from the ODG, so future
-    /// propagations no longer touch it. The production site retired
-    /// CBS-feed fragments and per-day pages after the Games; "ODGs are
-    /// constantly changing" covers removal as much as addition.
-    ///
-    /// Returns whether the page was known to the graph.
-    pub fn retire_page(&self, key: PageKey) -> bool {
-        self.invalidate(&[key]);
-        let mut g = self.graph.lock();
-        let Some(id) = g.space.slot(key).map(NodeId) else {
-            return false;
-        };
-        // The records go with the edges: the page's own, and — a fragment
-        // is a hybrid vertex — those of the pages it feeds, whose edge
-        // from it is removed too. Their next render must find nothing to
-        // compare against and register every edge anew; so the one pass
-        // leaves a fed page to it (the page's own memo went with its
-        // invalidation), or it would answer the page unmoved, unregistered.
-        {
-            let mut registered = self.registered.lock();
-            registered[id.0 as usize] = None;
-            for edge in g.dup.graph().successors(id) {
-                if g.page_of(edge.to).is_some() {
-                    registered[edge.to.0 as usize] = None;
-                }
-            }
-        }
-        g.dup.graph_mut().remove_node(id).is_ok()
     }
 
     /// Demand-miss path used by server programs: render `key`, register
@@ -629,7 +579,10 @@ mod tests {
         monitor.prewarm();
         let registry = PageRegistry::build(&db, 16);
         for &(key, _) in registry.pages() {
-            assert!(monitor.remembers(key), "{key} not remembered");
+            assert!(
+                monitor.cache().has_memo(&key.to_url()),
+                "{key} not remembered"
+            );
         }
         let ev = db.events()[0].clone();
         let before = db.medal_standings();
@@ -803,102 +756,6 @@ mod tests {
         assert_eq!(monitor.demand_fill(medals).version, 3);
     }
 
-    #[test]
-    fn retired_pages_leave_the_graph_and_caches() {
-        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
-        monitor.prewarm();
-        let ev = db.events()[0].clone();
-        let key = PageKey::Event(ev.id);
-        let (nodes_before, edges_before) = monitor.graph_size();
-        assert!(monitor.retire_page(key));
-        assert!(monitor.cache().peek(&key.to_url()).is_none());
-        let (nodes_after, edges_after) = monitor.graph_size();
-        assert_eq!(nodes_after, nodes_before - 1);
-        assert!(edges_after < edges_before);
-        // Future updates no longer regenerate the retired page.
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(!outcome.regenerated.contains(&key));
-        assert!(monitor.cache().peek(&key.to_url()).is_none());
-        // Other affected pages still regenerate.
-        assert!(outcome.regenerated.contains(&PageKey::Medals));
-        // Retiring again (or an unknown page) reports false.
-        assert!(!monitor.retire_page(key));
-        // A retired page can come back via a demand fill, which re-links
-        // its dependencies — every one of them, although the page renders
-        // to the dependency list it was last registered with.
-        monitor.demand_fill(key);
-        assert!(monitor.cache().peek(&key.to_url()).is_some());
-        assert_eq!(monitor.graph_size(), (nodes_before, edges_before));
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(
-            outcome.regenerated.contains(&key),
-            "re-registered after refill"
-        );
-    }
-
-    #[test]
-    fn a_retired_fragment_comes_back_for_the_pages_that_embed_it() {
-        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
-        monitor.prewarm();
-        let before = monitor.graph_size();
-        // The medal table is a hybrid vertex: retiring it also removes its
-        // edge into every page that embeds it.
-        let table = PageKey::Fragment(FragmentKey::MedalTable);
-        assert!(monitor.retire_page(table));
-        monitor.demand_fill(table);
-        let ev = db.events()[0].clone();
-        for page in [PageKey::Medals, PageKey::Home(ev.day)] {
-            monitor.demand_fill(page);
-        }
-        assert_eq!(monitor.graph_size().0, before.0);
-        // Every home page embeds the table; only two have been filled.
-        assert!(monitor.graph_size().1 < before.1);
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(outcome.regenerated.contains(&table));
-        assert!(
-            outcome.regenerated.contains(&PageKey::Medals),
-            "the medals page depends on nothing but the fragment: its edge must be back"
-        );
-    }
-
-    #[test]
-    fn a_retired_fragments_embedders_register_it_again_at_their_next_mark() {
-        use nagano_db::{Photo, PhotoId};
-        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
-        monitor.prewarm();
-        let events = db.events();
-        let ev = events[0].clone();
-        let other = events.iter().find(|e| e.day != ev.day).unwrap().clone();
-        let (table, home) = (
-            PageKey::Fragment(FragmentKey::MedalTable),
-            PageKey::Home(ev.day),
-        );
-        assert!(monitor.retire_page(table));
-        monitor.demand_fill(table);
-        // A photo of the day's event marks its home page and moves none of
-        // its stamps: without its record, the page is left out of the one
-        // pass, and registers every edge it reads, the medal table's among
-        // them.
-        let photo = db.add_photo(Photo {
-            id: PhotoId(7_001),
-            day: ev.day,
-            about_event: Some(ev.id),
-            bytes: 40_000,
-        });
-        let outcome = monitor.process_txn(&photo);
-        assert!(outcome.regenerated.contains(&home), "{outcome:?}");
-        // A final of another day reaches the page through the table alone.
-        let txn = db.record_results(other.id, &podium(&db, other.id), true, other.day);
-        let outcome = monitor.process_txn(&txn);
-        assert!(
-            outcome.regenerated.contains(&home),
-            "the medal table's edge into the home page is back"
-        );
-    }
-
     /// A country page the first event's final marks and leaves as it was —
     /// one off its podium: the one pass answers it while its memo stands.
     fn unmoved_by_the_first_final(db: &OlympicDb) -> PageKey {
@@ -916,7 +773,7 @@ mod tests {
     /// no longer holds the page as the monitor left it, and check that it
     /// then holds a fresh render of it.
     fn the_first_final_refreshes(db: &Arc<OlympicDb>, monitor: &TriggerMonitor, key: PageKey) {
-        assert!(!monitor.remembers(key));
+        assert!(!monitor.cache().has_memo(&key.to_url()));
         let ev = db.events()[0].clone();
         let txn = db.record_results(ev.id, &podium(db, ev.id), true, ev.day);
         assert!(monitor.process_txn(&txn).regenerated.contains(&key));
@@ -955,7 +812,7 @@ mod tests {
         let key = unmoved_by_the_first_final(&db);
         assert!(monitor.cache().invalidate(&key.to_url()).is_some());
         the_first_final_refreshes(&db, &monitor, key);
-        assert!(monitor.remembers(key));
+        assert!(monitor.cache().has_memo(&key.to_url()));
     }
 
     #[test]
@@ -966,7 +823,9 @@ mod tests {
         let bounded = CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru);
         let (db, monitor) = setup_on(bounded, ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
-        assert!(monitor.remembers(unmoved_by_the_first_final(&db)));
+        assert!(monitor
+            .cache()
+            .has_memo(&unmoved_by_the_first_final(&db).to_url()));
         let key = unmoved_by_the_first_final(&db);
         let (url, cache) = (key.to_url(), monitor.cache());
         // A page of a shard's whole budget evicts every other page of its
@@ -980,7 +839,7 @@ mod tests {
             cache.distribute_with(&format!("/news/{}", 1_500 + n), fill.clone(), None, None);
         }
         the_first_final_refreshes(&db, &monitor, key);
-        assert!(monitor.remembers(key));
+        assert!(monitor.cache().has_memo(&key.to_url()));
     }
 
     #[test]

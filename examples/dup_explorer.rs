@@ -15,38 +15,34 @@ fn main() {
     let ids: Vec<_> = (1..=7).map(|i| names.intern(&format!("go{i}"))).collect();
     let id = |i: usize| ids[i - 1];
 
+    // Each edge registered as a dependency: go5 and go6, fed and feeding,
+    // turn hybrid.
     let mut engine = DupEngine::new();
-    {
-        let g = engine.graph_mut();
-        for i in 1..=4 {
-            g.add_node(id(i), NodeKind::UnderlyingData).unwrap();
-        }
-        g.add_node(id(5), NodeKind::Hybrid).unwrap();
-        g.add_node(id(6), NodeKind::Hybrid).unwrap();
-        g.add_node(id(7), NodeKind::Object).unwrap();
-        g.add_edge(id(1), id(5), 5.0).unwrap();
-        g.add_edge(id(2), id(5), 1.0).unwrap();
-        g.add_edge(id(2), id(6), 1.0).unwrap();
-        g.add_edge(id(3), id(6), 1.0).unwrap();
-        g.add_edge(id(4), id(7), 1.0).unwrap();
-        g.add_edge(id(5), id(7), 1.0).unwrap();
-        g.add_edge(id(6), id(7), 1.0).unwrap();
+    let edges = [
+        (1, 5, 5.0),
+        (2, 5, 1.0),
+        (2, 6, 1.0),
+        (3, 6, 1.0),
+        (4, 7, 1.0),
+        (5, 7, 1.0),
+        (6, 7, 1.0),
+    ];
+    for (from, to, weight) in edges {
+        engine.add_dependency(id(from), id(to), weight).unwrap();
     }
-    let stats = engine.graph().stats();
+    let graph = engine.graph().snapshot();
+    let kinds = |kind| graph.nodes.iter().filter(|&&(_, k)| k == kind).count();
     println!(
         "graph: {} nodes ({} data, {} hybrid, {} object), {} edges ({} weighted)",
-        stats.nodes,
-        stats.data_nodes,
-        stats.hybrid_nodes,
-        stats.object_nodes,
-        stats.edges,
-        stats.weighted_edges
+        graph.nodes.len(),
+        kinds(NodeKind::UnderlyingData),
+        kinds(NodeKind::Hybrid),
+        kinds(NodeKind::Object),
+        graph.edges.len(),
+        graph.edges.iter().filter(|e| e.2 != 1.0).count()
     );
     engine.graph().validate().expect("graph invariants hold");
-    println!(
-        "max fan-out {}, max fan-in {}\n",
-        stats.max_out_degree, stats.max_in_degree
-    );
+    println!();
 
     // The paper's walkthrough: go2 changes.
     println!("-- go2 changes (strict policy) --");
@@ -116,8 +112,8 @@ fn main() {
     let mut cyclic = DupEngine::new();
     let a = nagano_odg::NodeId(100);
     let b = nagano_odg::NodeId(101);
-    cyclic.graph_mut().add_node(a, NodeKind::Hybrid).unwrap();
-    cyclic.graph_mut().add_node(b, NodeKind::Hybrid).unwrap();
+    cyclic.graph_mut().ensure_node(a, NodeKind::Hybrid);
+    cyclic.graph_mut().ensure_node(b, NodeKind::Hybrid);
     cyclic.graph_mut().add_edge(a, b, 1.0).unwrap();
     cyclic.graph_mut().add_edge(b, a, 1.0).unwrap();
     let prop = cyclic.propagate_ids(&[a]);

@@ -6,7 +6,7 @@
 use std::path::Path;
 
 /// The most lines DESIGN.md may have.
-const MAX_LINES: usize = 2_280;
+const MAX_LINES: usize = 2_273;
 
 #[test]
 fn design_md_stays_within_its_line_cap() {

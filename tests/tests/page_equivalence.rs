@@ -207,8 +207,7 @@ fn check_schedule_replay(games: &GamesConfig, seed: u64) -> Replay {
     let monitor = monitor_for(&db, ConsistencyPolicy::UpdateInPlace);
     let replay = replay_schedule(&db, &monitor, seed, true, |_| {});
     let held = monitor.cache().export_entries();
-    let remembered =
-        |(url, ..): &(String, _, _, _)| monitor.remembers(PageKey::parse(url).unwrap());
+    let remembered = |(url, ..): &(String, _, _, _)| monitor.cache().has_memo(url);
     assert!(held.iter().all(remembered), "schedule seed {seed}");
     replay
 }
@@ -1276,27 +1275,22 @@ enum Disturbance {
     Clear,
     /// One page invalidated.
     Invalidation,
-    /// A fragment retired, and demand-filled again with every page that
-    /// embeds it, which registers their edges anew.
-    Retirement,
 }
 
 #[test]
 fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet() {
     // The full replay, with the cache disturbed behind the monitor's back
     // every eight updates from the eighth on: from there an entry must
-    // keep its memo no longer than it holds the body the memo is of, and
-    // the pages a retired fragment fed must stay out of the one pass until
-    // they register anew, or a regeneration answers them from a memo of
-    // other bytes, or unregistered (DESIGN.md §14a, "Page freshness").
+    // keep its memo no longer than it holds the body the memo is of, or a
+    // regeneration answers the page from a memo of other bytes (DESIGN.md
+    // §14a, "Page freshness").
     const EVERY: usize = 8;
     const SHARDS: usize = 16;
-    const KINDS: [Disturbance; 5] = [
+    const KINDS: [Disturbance; 4] = [
         Disturbance::DemandFill,
         Disturbance::Eviction,
         Disturbance::Clear,
         Disturbance::Invalidation,
-        Disturbance::Retirement,
     ];
     let seed = 1998;
     let db = seeded_db(&GamesConfig::full());
@@ -1313,11 +1307,6 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
     let cache = Arc::clone(monitor.cache());
     let fill = Bytes::from(vec![b'x'; (budget / SHARDS as u64) as usize]);
     let pages: Vec<PageKey> = registry.pages().iter().map(|&(k, _)| k).collect();
-    let fragments: Vec<PageKey> = pages
-        .iter()
-        .copied()
-        .filter(|k| matches!(k, PageKey::Fragment(_)))
-        .collect();
     let mut rng = DeterministicRng::seed_from_u64(seed ^ 0x4449_5354);
     let mut seen = [0; KINDS.len()];
     let replay = replay_schedule(&db, &monitor, seed, false, |i| {
@@ -1344,30 +1333,11 @@ fn no_page_is_stale_after_any_update_of_the_games_schedule_on_a_disturbed_fleet(
                 let key = pages[rng.index(pages.len())];
                 cache.invalidate(&key.to_url());
             }
-            Disturbance::Retirement => {
-                let fragment = fragments[rng.index(fragments.len())];
-                let PageKey::Fragment(f) = fragment else {
-                    unreachable!("{fragment} is a fragment")
-                };
-                let fresh = Renderer::new(Arc::clone(&db));
-                let embeds = |k| {
-                    let deps = fresh.render(k).deps;
-                    deps.iter()
-                        .any(|d| d.data_key.datum() == Datum::Fragment(f))
-                };
-                let embedders: Vec<PageKey> =
-                    pages.iter().copied().filter(|&k| embeds(k)).collect();
-                assert!(monitor.retire_page(fragment), "update {i}: {fragment}");
-                for key in [fragment].into_iter().chain(embedders) {
-                    assert!(!monitor.remembers(key), "update {i}: {key}");
-                    monitor.demand_fill(key);
-                }
-            }
         }
     });
     assert_eq!(replay.0, 304);
     assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
-    assert!(!pages.iter().all(|&key| monitor.remembers(key)));
+    assert!(!pages.iter().all(|&key| cache.has_memo(&key.to_url())));
 }
 
 proptest! {
