@@ -118,7 +118,6 @@ pub struct ServingSite {
     registry: Arc<PageRegistry>,
     monitor: Arc<TriggerMonitor>,
     cache: Arc<PageCache>,
-    txn_rx: crossbeam::channel::Receiver<Arc<nagano_db::Transaction>>,
     marquee: (EventId, EventId),
 }
 
@@ -140,14 +139,12 @@ impl ServingSite {
             config.policy,
         ));
         monitor.set_staleness_policy(config.staleness);
-        let txn_rx = db.subscribe();
         monitor.prewarm();
         ServingSite {
             db,
             registry,
             monitor,
             cache,
-            txn_rx,
             marquee,
         }
     }
@@ -290,13 +287,13 @@ impl ServingSite {
         }
     }
 
-    /// Synchronously process every transaction committed since the last
-    /// pump (tests and replay harnesses; live deployments use
-    /// [`ServingSite::spawn_trigger_runner`]).
+    /// Synchronously process every transaction of the site database's log
+    /// past the monitor's watermark (tests and replay harnesses; live
+    /// deployments use [`ServingSite::spawn_trigger_runner`], which steps
+    /// the same watermark: what either has processed, the other skips).
     pub fn pump(&self) -> PumpOutcome {
         let mut outcome = PumpOutcome::default();
-        while let Ok(txn) = self.txn_rx.try_recv() {
-            let o = self.monitor.process_txn(&txn);
+        while let Some(o) = self.monitor.process_next(self.db.log()) {
             outcome.txns += 1;
             outcome.regenerated += o.regenerated.len() as u64;
             outcome.invalidated += o.invalidated.len() as u64;
@@ -304,11 +301,13 @@ impl ServingSite {
         outcome
     }
 
-    /// Spawn the background trigger monitor thread over a fresh
-    /// subscription (live-deployment shape). Updates committed *after*
-    /// this call are processed automatically until the runner is dropped.
+    /// Spawn the background trigger monitor thread over the site
+    /// database's log (live-deployment shape). Until the runner is dropped
+    /// it processes every commit past the watermark it shares with
+    /// [`ServingSite::pump`]: those made before this call and not pumped
+    /// too.
     pub fn spawn_trigger_runner(&self) -> TriggerRunner {
-        TriggerRunner::spawn(Arc::clone(&self.monitor), self.db.subscribe())
+        TriggerRunner::spawn(Arc::clone(&self.monitor), Arc::clone(&self.db))
     }
 
     /// An HTTP handler serving this site, with ETag/If-None-Match

@@ -12,8 +12,9 @@
 //! 2. **A transaction log**: every committed mutation appends a
 //!    [`txn::Transaction`] carrying the typed *data keys* of the changed
 //!    records ([`key`]: the identities that become underlying-data
-//!    vertices in the ODG), and subscribers (the trigger monitor,
-//!    replication links) are notified — [`txn`], [`database`].
+//!    vertices in the ODG). The log is the one record of commits: the
+//!    trigger monitor and the replicas read it past their watermarks —
+//!    [`txn`], [`database`].
 //! 3. **Log-shipping replication** between sites — [`replication`].
 //!
 //! [`seed`] generates a deterministic synthetic Winter Games: the event
@@ -38,4 +39,4 @@ pub use schema::{
     NewsId, Photo, PhotoId, ResultId, ResultRow, Sport, SportId,
 };
 pub use seed::{seed_games, GamesConfig};
-pub use txn::{ChangeOp, RecordChange, Transaction, TxnId, TxnLog, SUBSCRIBER_CAPACITY};
+pub use txn::{ChangeOp, RecordChange, Transaction, TxnId, TxnLog};

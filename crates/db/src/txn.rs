@@ -1,25 +1,19 @@
 //! Transactions and the transaction log.
 //!
 //! Every committed mutation appends a [`Transaction`] that names the
-//! changed records by their **data keys** ([`DataKey`]). The trigger
-//! monitor subscribes to this log: each data key is resolved, by
-//! arithmetic, to its underlying-data vertex in the object dependence
-//! graph and fed to DUP.
+//! changed records by their **data keys** ([`DataKey`]). The log is the
+//! one record of commits: a trigger monitor reads it past its watermark,
+//! resolves each data key, by arithmetic, to its underlying-data vertex in
+//! the object dependence graph and feeds it to DUP, and a replica pulls it
+//! the same way.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use nagano_simcore::sync::Mutex;
+use nagano_simcore::sync::{Condvar, Mutex};
 
 use crate::key::{DataKey, Datum};
-
-/// Default bound on a subscriber's pending-transaction queue. A consumer
-/// that falls further behind than this is **disconnected** rather than
-/// buffered without limit (DESIGN §10 bans unbounded queues): it must
-/// notice the gap between its applied watermark and the log and catch up
-/// with [`TxnLog::since`] — the same recovery path a rejoining replica
-/// uses.
-pub const SUBSCRIBER_CAPACITY: usize = 1024;
 
 /// Monotonic transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -77,16 +71,23 @@ pub struct Transaction {
     pub day: u32,
 }
 
-/// Append-only transaction log with subscriber fan-out.
+/// Append-only transaction log. A consumer reads on from the last
+/// transaction it took ([`TxnLog::get`], [`TxnLog::since`]), so it misses
+/// none; one with nothing to read waits ([`TxnLog::wait_past`]).
 #[derive(Debug, Default)]
 pub struct TxnLog {
     inner: Mutex<LogInner>,
+    /// `inner`'s entry count, polled without the lock.
+    committed: AtomicU64,
+    /// Woken by an append while a thread waits in [`TxnLog::wait_past`].
+    appended: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct LogInner {
     entries: Vec<Arc<Transaction>>,
-    subscribers: Vec<Sender<Arc<Transaction>>>,
+    /// Threads in [`TxnLog::wait_past`]: with none, an append wakes none.
+    waiting: usize,
 }
 
 impl TxnLog {
@@ -95,43 +96,31 @@ impl TxnLog {
         Self::default()
     }
 
-    /// Append a transaction, assigning its id. Subscribers are notified;
-    /// disconnected subscribers — and subscribers whose bounded queue is
-    /// full (they fell [`SUBSCRIBER_CAPACITY`] behind) — are pruned. A
-    /// pruned consumer recovers by pulling [`TxnLog::since`] its watermark.
+    /// Append a transaction, assigning its id, and wake the threads
+    /// waiting for it.
     pub fn append(&self, changes: Vec<RecordChange>, label: String, day: u32) -> Arc<Transaction> {
-        let mut inner = self.inner.lock();
-        let id = TxnId(inner.entries.len() as u64 + 1);
-        let txn = Arc::new(Transaction {
-            id,
-            changes,
-            label,
-            day,
-        });
-        inner.entries.push(Arc::clone(&txn));
-        inner
-            .subscribers
-            .retain(|s| s.try_send(Arc::clone(&txn)).is_ok());
+        let (txn, waiting) = {
+            let mut inner = self.inner.lock();
+            let id = TxnId(inner.entries.len() as u64 + 1);
+            let txn = Arc::new(Transaction {
+                id,
+                changes,
+                label,
+                day,
+            });
+            inner.entries.push(Arc::clone(&txn));
+            self.committed.store(id.0, Ordering::Release);
+            (txn, inner.waiting)
+        };
+        if waiting > 0 {
+            self.appended.notify_all();
+        }
         txn
     }
 
-    /// Subscribe to future transactions (and nothing retroactive), with
-    /// the default [`SUBSCRIBER_CAPACITY`] queue bound.
-    pub fn subscribe(&self) -> Receiver<Arc<Transaction>> {
-        self.subscribe_with_capacity(SUBSCRIBER_CAPACITY)
-    }
-
-    /// Subscribe with an explicit queue bound. Falling more than
-    /// `capacity` transactions behind disconnects the subscription.
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> Receiver<Arc<Transaction>> {
-        let (tx, rx) = bounded(capacity.max(1));
-        self.inner.lock().subscribers.push(tx);
-        rx
-    }
-
-    /// Number of committed transactions.
+    /// Number of committed transactions; takes no lock.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.committed.load(Ordering::Acquire) as usize
     }
 
     /// Whether the log is empty.
@@ -159,6 +148,18 @@ impl TxnLog {
             .cloned()
             .collect()
     }
+
+    /// Wait until the log holds a transaction past `after`, or `timeout`
+    /// has passed. A blocking call: make it through
+    /// `nagano_simcore::sync::blocking!`.
+    pub fn wait_past(&self, after: TxnId, timeout: Duration) {
+        let mut inner = self.inner.lock();
+        inner.waiting += 1;
+        let (mut inner, _) = self.appended.wait_timeout_while(inner, timeout, |inner| {
+            inner.entries.len() as u64 <= after.0
+        });
+        inner.waiting -= 1;
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +186,7 @@ mod tests {
         assert_eq!(log.get(TxnId(3)).unwrap().label, "t2");
         assert!(log.get(TxnId(0)).is_none());
         assert!(log.get(TxnId(6)).is_none());
+        assert_eq!(log.len(), 5);
         let tail = log.since(TxnId(3));
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].id, TxnId(4));
@@ -192,58 +194,37 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_receive_appends() {
-        let log = TxnLog::new();
-        let rx = log.subscribe();
-        log.append(
-            vec![RecordChange::update(Datum::Medals)],
-            "medals".into(),
-            2,
-        );
-        let txn = rx.try_recv().unwrap();
-        assert_eq!(txn.changes[0].data_key, "data:medals:standings");
-        assert_eq!(txn.day, 2);
-    }
-
-    #[test]
-    fn dropped_subscribers_are_pruned() {
-        let log = TxnLog::new();
-        let rx = log.subscribe();
-        drop(rx);
-        // Must not error or leak; next append prunes.
-        log.append(vec![], "x".into(), 1);
-        let rx2 = log.subscribe();
-        log.append(vec![], "y".into(), 1);
-        assert_eq!(rx2.try_recv().unwrap().label, "y");
-    }
-
-    #[test]
-    fn overflowing_subscriber_is_disconnected_and_catches_up_via_since() {
-        let log = TxnLog::new();
-        let rx = log.subscribe_with_capacity(2);
-        for i in 0..5 {
-            log.append(vec![], format!("t{i}"), 1);
-        }
-        // The first two fit the queue; the third overflowed and pruned
-        // the subscriber (bounded back-pressure).
-        let mut streamed = Vec::new();
-        while let Ok(txn) = rx.try_recv() {
-            streamed.push(txn.id);
-        }
-        assert_eq!(streamed, vec![TxnId(1), TxnId(2)]);
-        // Recovery path: pull the gap from the log by watermark.
-        let watermark = *streamed.last().unwrap();
-        let missed = log.since(watermark);
-        assert_eq!(missed.len(), 3);
-        assert_eq!(missed[0].id, TxnId(3));
-        assert_eq!(missed[2].id, TxnId(5));
-    }
-
-    #[test]
-    fn subscription_is_not_retroactive() {
-        let log = TxnLog::new();
-        log.append(vec![], "before".into(), 1);
-        let rx = log.subscribe();
-        assert!(rx.try_recv().is_err());
+    fn wait_past_returns_at_once_when_the_log_is_past_and_else_at_an_append() {
+        use nagano_simcore::sync::blocking;
+        let log = Arc::new(TxnLog::new());
+        // Whether a wait for a transaction past `after` ended before its
+        // timeout: a lost wake-up would sit it out.
+        let woken = |after| {
+            let long = Duration::from_secs(10);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounds a real thread's wait in host time; nothing modelled reads it"
+            )]
+            let started = std::time::Instant::now();
+            blocking!(log.wait_past(TxnId(after), long));
+            started.elapsed() < long
+        };
+        log.append(vec![], "a".into(), 1);
+        assert!(woken(0), "the log is past already");
+        blocking!(log.wait_past(TxnId(1), Duration::from_millis(1)));
+        let appender = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                // Append once the waiter is parked.
+                while log.inner.lock().waiting == 0 {
+                    std::hint::spin_loop();
+                }
+                log.append(vec![], "b".into(), 1);
+            })
+        };
+        assert!(woken(1), "the append wakes the waiter");
+        assert_eq!(log.len(), 2);
+        blocking!(appender.join()).unwrap();
+        assert_eq!(log.inner.lock().waiting, 0);
     }
 }

@@ -33,8 +33,8 @@
 //!   A page is keyed by its slot in the registry's page space
 //!   ([`nagano_pagegen::PageSpace`]) from there on: its vertex in the
 //!   graph, its registered dependency list, and its entry in the cache.
-//! * [`runner`] — a background thread driving the monitor from a
-//!   transaction subscription (the live deployment shape).
+//! * [`runner`] — a background thread driving the monitor from the site
+//!   database's transaction log (the live deployment shape).
 //! * [`stats`] — counters of the work done.
 //! * [`urls`] — [`PageUrls`], the page space as a cache's key space, for
 //!   callers that name pages by URL.

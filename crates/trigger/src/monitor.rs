@@ -4,7 +4,8 @@
 //! The monitor offers the three steps, [`TriggerMonitor::mark`],
 //! [`TriggerMonitor::refresh`] and [`TriggerMonitor::invalidate`], and
 //! composes them for its [`ConsistencyPolicy`] in
-//! [`TriggerMonitor::process_batch`]. Policies that rank or widen the
+//! [`TriggerMonitor::process_batch`], fed from a transaction log by
+//! [`TriggerMonitor::process_next`]. Policies that rank or widen the
 //! marked set drive the same steps from outside (the cluster simulation's
 //! hybrid and 1996 baseline).
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use nagano_cache::{PageCache, Visit};
-use nagano_db::{DataKey, Transaction};
+use nagano_db::{DataKey, Transaction, TxnId, TxnLog};
 use nagano_odg::graph::OdgSnapshot;
 use nagano_odg::{DupEngine, NodeId, StalenessPolicy};
 use nagano_pagegen::{
@@ -175,8 +176,8 @@ pub struct TriggerMonitor {
     registry: Arc<PageRegistry>,
     policy: ConsistencyPolicy,
     stats: Arc<TriggerStats>,
-    /// Highest transaction id this monitor has marked — the resume point
-    /// after a crash ([`TriggerMonitor::recover`]).
+    /// Highest transaction id this monitor has marked — where it reads on
+    /// in the log ([`TriggerMonitor::process_next`]).
     watermark: AtomicU64,
 }
 
@@ -320,6 +321,16 @@ impl TriggerMonitor {
         self.process_batch(std::slice::from_ref(txn))
     }
 
+    /// The log step: process the transaction next past the watermark in
+    /// `log` (the site database's, or a replica's local log), if there is
+    /// one. Stepping until `None` processes every commit, however many.
+    /// Threads that step one monitor share its watermark; two that read it
+    /// at once process one transaction twice, which re-derives the pages.
+    pub fn process_next(&self, log: &TxnLog) -> Option<TxnOutcome> {
+        let txn = log.get(TxnId(self.watermark() + 1))?;
+        Some(self.process_txn(&txn))
+    }
+
     /// Process a batch of transactions with a **single** DUP propagation
     /// over the union of their changed data: [`TriggerMonitor::mark`],
     /// then [`TriggerMonitor::refresh`] the stale pages (update-in-place)
@@ -461,7 +472,9 @@ impl TriggerMonitor {
                 .render_onto(key, held.as_ref().map(|b| (b, memo.flatten())));
             self.register_render(key, &out);
             regen.render_ms += out.cost_ms;
-            regen.revalidated += usize::from(out.revalidated);
+            // Stamps only move on, so a page the pass did not answer is
+            // not answered by its stamps here either.
+            debug_assert!(!out.revalidated, "{key}: unmoved, but not answered");
             regen.patched += usize::from(out.patched);
             if let Some(slot) = slot {
                 let changed = self
@@ -479,30 +492,10 @@ impl TriggerMonitor {
     }
 
     /// Highest transaction id marked so far (0 before any work). A
-    /// restarted monitor resumes from here: everything in the site's
-    /// replicated log after this id is replayed by
-    /// [`TriggerMonitor::recover`].
+    /// monitor that was away resumes from here: everything in its log
+    /// after this id is still to process ([`TriggerMonitor::process_next`]).
     pub fn watermark(&self) -> u64 {
         self.watermark.load(Relaxed)
-    }
-
-    /// Crash/restart recovery: re-run DUP over the transactions missed
-    /// while the monitor was down. `missed` is the tail of the site's
-    /// replicated log; anything at or below the watermark is skipped, the
-    /// rest is processed as **one** batch (a single propagation), which
-    /// rewarms (update-in-place) or invalidates every affected page so no
-    /// stale entry survives the outage. Increments
-    /// `nagano_trigger_recoveries_total`.
-    pub fn recover(&self, missed: &[impl Borrow<Transaction>]) -> TxnOutcome {
-        let watermark = self.watermark.load(Relaxed);
-        let fresh: Vec<&Transaction> = missed
-            .iter()
-            .map(|t| t.borrow())
-            .filter(|t| t.id.0 > watermark)
-            .collect();
-        let outcome = self.process_batch(&fresh);
-        self.stats.record_recovery();
-        outcome
     }
 
     /// Demand-miss path used by server programs: render `key`, register
@@ -988,33 +981,28 @@ mod tests {
     fn recover_replays_missed_txns_and_rewarms_the_fleet() {
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
+        assert!(monitor.process_next(db.log()).is_none());
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
         let before = monitor.cache().peek(&url).unwrap();
-        // The monitor processes t1, then "crashes"; t2 and t3 commit
-        // while it is down.
-        let t1 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
-        monitor.process_txn(&t1);
+        // The monitor steps to t1, then is away while t2 and t3 commit.
+        db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
+        let first = monitor.process_next(db.log()).expect("t1");
+        assert!(first.regenerated.contains(&PageKey::Event(ev.id)));
         let after_t1 = monitor.cache().peek(&url).unwrap();
         let t2 = db.record_results(ev.id, &podium(&db, ev.id), false, ev.day);
         let t3 = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        // Restart: replay the log tail. t1 is at the watermark and must
-        // be skipped; t2/t3 are processed as one batch.
-        let missed = vec![t1, t2, t3];
-        let outcome = monitor.recover(&missed);
-        assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
+        // Back: the log step takes t2, then t3, then finds nothing.
+        for txn in [&t2, &t3] {
+            let outcome = monitor.process_next(db.log()).expect("a missed txn");
+            assert_eq!(monitor.watermark(), txn.id.0);
+            assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
+        }
+        assert!(monitor.process_next(db.log()).is_none());
         let after = monitor.cache().peek(&url).unwrap();
         assert!(after.version > after_t1.version, "page rewarmed");
         assert!(after.version > before.version);
-        assert_eq!(monitor.watermark(), missed[2].id.0);
-        let s = monitor.stats().snapshot();
-        assert_eq!(s.recoveries, 1);
-        // t1's processing + one batched recovery record.
-        assert_eq!(s.txns, 2);
-        // Recovering with nothing new still counts (a clean restart).
-        let outcome = monitor.recover(&missed);
-        assert_eq!(outcome.affected(), 0);
-        assert_eq!(monitor.stats().snapshot().recoveries, 2);
+        assert_eq!(monitor.stats().snapshot().txns, 3);
     }
 
     #[test]
@@ -1024,14 +1012,29 @@ mod tests {
         let ev = db.events()[0].clone();
         let url = PageKey::Event(ev.id).to_url();
         assert!(monitor.cache().peek(&url).is_some());
-        // Commit while the monitor is down, then recover.
-        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        let outcome = monitor.recover(&[txn]);
+        // Commit while the monitor is away, then step.
+        db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
+        let outcome = monitor.process_next(db.log()).expect("the final");
         assert!(outcome.invalidated.contains(&PageKey::Event(ev.id)));
         assert!(
             monitor.cache().peek(&url).is_none(),
             "stale page must not survive recovery"
         );
+    }
+
+    #[test]
+    fn the_log_step_reads_the_log_it_is_given() {
+        // The renderer reads the master; the commits come by a replica.
+        let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
+        monitor.prewarm();
+        let replica = nagano_db::Replica::attach("tokyo", Arc::clone(&db));
+        let ev = db.events()[0].clone();
+        let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
+        assert!(monitor.process_next(replica.local_log()).is_none());
+        replica.deliver(&txn);
+        let outcome = monitor.process_next(replica.local_log()).unwrap();
+        assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
+        assert!(monitor.process_next(db.log()).is_none(), "past txn 1");
     }
 
     #[test]

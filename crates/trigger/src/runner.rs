@@ -1,21 +1,20 @@
-//! Background runner: drives a [`TriggerMonitor`] from a transaction
-//! subscription on its own thread, the way the production monitor ran on
-//! each SP2's SMP node.
+//! Background runner: drives a [`TriggerMonitor`] from the site
+//! database's transaction log on its own thread, the way the production
+//! monitor ran on each SP2's SMP node.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use nagano_db::Transaction;
+use nagano_db::{OlympicDb, TxnId, TxnLog};
 use nagano_simcore::sync::blocking;
 
 use crate::monitor::TriggerMonitor;
 
 /// How long the runner polls for the next transaction after finishing
-/// one, before it parks on the channel. Updates arrive in bursts (a final
-/// is a run of result rows, then medals, then news), and a parked thread
-/// is woken through the kernel: on a two-vCPU guest that wake-up cost the
+/// one, before it waits on the log. Updates arrive in bursts (a final is
+/// a run of result rows, then medals, then news), and a waiting thread is
+/// woken through the kernel: on a two-vCPU guest that wake-up cost the
 /// median transaction 20–110 µs of its 200–300 µs from commit to visible,
 /// depending on what else the host was doing (DESIGN §13a). Polling
 /// through the gap between two transactions of a burst takes the wake-up,
@@ -23,8 +22,7 @@ use crate::monitor::TriggerMonitor;
 /// still sleeps, it only falls asleep this much later.
 const POLL_AFTER_TXN: Duration = Duration::from_micros(400);
 
-/// Processor pauses between two looks at the channel while polling, so
-/// that the committing thread hardly ever finds the channel's lock taken.
+/// Processor pauses between two looks at the log while polling.
 const PAUSES_PER_POLL: u32 = 64;
 
 /// Handle to a running background trigger monitor.
@@ -34,10 +32,10 @@ pub struct TriggerRunner {
 }
 
 impl TriggerRunner {
-    /// Spawn a thread consuming `rx` and feeding `monitor`, one
-    /// transaction at a time. The thread exits when the runner is
-    /// stopped/dropped or the sender side of `rx` disconnects.
-    pub fn spawn(monitor: Arc<TriggerMonitor>, rx: Receiver<Arc<Transaction>>) -> Self {
+    /// Spawn a thread feeding `monitor` the transactions of `db`'s log past
+    /// its watermark, those committed before the spawn too, one at a time
+    /// ([`TriggerMonitor::process_next`]) until the runner is stopped.
+    pub fn spawn(monitor: Arc<TriggerMonitor>, db: Arc<OlympicDb>) -> Self {
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
         #[expect(
             clippy::expect_used,
@@ -46,34 +44,24 @@ impl TriggerRunner {
         let handle = std::thread::Builder::new()
             .name("trigger-monitor".into())
             .spawn(move || {
+                let log = db.log();
                 let mut processed = 0u64;
-                let mut process = |txn: Arc<Transaction>| {
-                    monitor.process_txn(&txn);
-                    processed += 1;
-                };
-                // A transaction was processed just now: poll before parking.
-                let mut in_burst = false;
                 loop {
-                    if stop_rx.try_recv().is_ok() {
-                        // Drain whatever is already queued, then exit.
-                        while let Ok(txn) = rx.try_recv() {
-                            process(txn);
-                        }
+                    // Seen before the log is read to its end, a stop finds
+                    // every commit made before it processed.
+                    let stopping = stop_rx.try_recv().is_ok();
+                    let mut in_burst = false;
+                    while monitor.process_next(log).is_some() {
+                        processed += 1;
+                        in_burst = true;
+                    }
+                    if stopping {
                         return processed;
                     }
-                    let polled = in_burst.then(|| poll(&rx, POLL_AFTER_TXN)).flatten();
-                    in_burst = false;
-                    let next = match polled {
-                        Some(txn) => Ok(txn),
-                        None => blocking!(rx.recv_timeout(Duration::from_millis(10))),
-                    };
-                    match next {
-                        Ok(txn) => {
-                            process(txn);
-                            in_burst = true;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => return processed,
+                    // Poll before waiting if a transaction was just processed.
+                    let after = TxnId(monitor.watermark());
+                    if !(in_burst && poll(log, after, POLL_AFTER_TXN)) {
+                        blocking!(log.wait_past(after, Duration::from_millis(10)));
                     }
                 }
             })
@@ -84,9 +72,10 @@ impl TriggerRunner {
         }
     }
 
-    /// Stop the thread after it drains pending transactions; returns the
-    /// number processed over its lifetime. A panic on the thread is
-    /// raised again here, not read as nothing processed.
+    /// Stop the thread after it has processed every transaction committed
+    /// before the call; returns the number it processed over its
+    /// lifetime. A panic on the thread is raised again here, not read as
+    /// nothing processed.
     pub fn stop(mut self) -> u64 {
         let _ = blocking!(self.stop.send(()));
         match blocking!(self.handle.take().map(JoinHandle::join)) {
@@ -97,21 +86,20 @@ impl TriggerRunner {
     }
 }
 
-/// Look at `rx` until a transaction is there or `patience` has run out.
-/// An empty and a disconnected channel both come back as `None`: the
-/// blocking receive that follows tells them apart.
-fn poll(rx: &Receiver<Arc<Transaction>>, patience: Duration) -> Option<Arc<Transaction>> {
+/// Look at `log`'s committed count, without its lock, until it holds a
+/// transaction past `after` or `patience` runs out; returns whether it does.
+fn poll(log: &TxnLog, after: TxnId, patience: Duration) -> bool {
     #[expect(
         clippy::disallowed_methods,
-        reason = "bounds a busy-wait of a real thread in host time, like the `recv_timeout` it precedes; nothing modelled reads it"
+        reason = "bounds a busy-wait of a real thread in host time, like the wait on the log it precedes; nothing modelled reads it"
     )]
     let started = Instant::now();
     loop {
-        if let Ok(txn) = rx.try_recv() {
-            return Some(txn);
+        if log.len() as u64 > after.0 {
+            return true;
         }
         if started.elapsed() >= patience {
-            return None;
+            return false;
         }
         for _ in 0..PAUSES_PER_POLL {
             std::hint::spin_loop();
@@ -153,18 +141,17 @@ mod tests {
             ConsistencyPolicy::UpdateInPlace,
         ));
         monitor.prewarm();
-        let rx = db.subscribe();
-        let runner = TriggerRunner::spawn(Arc::clone(&monitor), rx);
-
         let ev = db.events()[0].clone();
         let athletes = db.athletes_of_sport(ev.sport);
         let url = PageKey::Event(ev.id).to_url();
         let v0 = cache.peek(&url).unwrap().version;
-        for _ in 0..3 {
-            db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
-        }
-        let processed = runner.stop();
-        assert_eq!(processed, 3);
+        let commit = || db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
+        // The runner takes a commit made before it was spawned too.
+        commit();
+        let runner = TriggerRunner::spawn(Arc::clone(&monitor), Arc::clone(&db));
+        commit();
+        commit();
+        assert_eq!(runner.stop(), 3);
         // Each commit appends a row to the page: its bytes change once
         // per state the runner saw, and the runner saw the last. A
         // transaction processed after a later one committed re-derives
@@ -175,43 +162,20 @@ mod tests {
         assert_eq!(stats.txns, 3);
         assert!(stats.pages_regenerated >= 3, "{stats:?}");
         assert!((1..stats.pages_regenerated).contains(&stats.pages_changed));
+        // A runner spawned after them has nothing left to take.
+        let runner = TriggerRunner::spawn(Arc::clone(&monitor), Arc::clone(&db));
+        assert_eq!(runner.stop(), 0);
     }
 
     #[test]
     fn poll_takes_what_is_queued_and_gives_up_when_patience_runs_out() {
-        let db = Arc::new(OlympicDb::new());
-        seed_games(&db, &GamesConfig::small());
-        let rx = db.subscribe();
+        let log = TxnLog::new();
         let soon = Duration::from_millis(2);
-        assert!(poll(&rx, soon).is_none(), "nothing committed yet");
-        let ev = db.events()[0].clone();
-        let athletes = db.athletes_of_sport(ev.sport);
-        db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);
-        // Queued: found even with no patience at all.
-        assert!(poll(&rx, Duration::ZERO).is_some());
-        assert!(poll(&rx, soon).is_none());
-        // A disconnected channel reads as empty; `recv_timeout` reports it.
-        let (tx, gone) = crossbeam::channel::bounded::<Arc<Transaction>>(1);
-        drop(tx);
-        assert!(poll(&gone, soon).is_none());
-    }
-
-    #[test]
-    fn runner_exits_on_disconnect() {
-        let db = Arc::new(OlympicDb::new());
-        seed_games(&db, &GamesConfig::small());
-        let registry = Arc::new(PageRegistry::build(&db, 16));
-        let cache = Arc::new(PageCache::new(CacheConfig::default()));
-        let monitor = Arc::new(TriggerMonitor::new(
-            Renderer::new(Arc::clone(&db)),
-            cache,
-            registry,
-            ConsistencyPolicy::Invalidate,
-        ));
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        let runner = TriggerRunner::spawn(monitor, rx);
-        drop(tx); // disconnect; thread must exit on its own
-        assert_eq!(runner.stop(), 0);
+        assert!(!poll(&log, TxnId(0), soon), "nothing committed yet");
+        log.append(vec![], "t1".into(), 1);
+        // Committed: found even with no patience at all.
+        assert!(poll(&log, TxnId(0), Duration::ZERO));
+        assert!(!poll(&log, TxnId(1), soon), "nothing past the first");
     }
 
     #[test]
@@ -236,7 +200,7 @@ mod tests {
             let slot = registry.space().slot(key).unwrap();
             cache.distribute_with(slot, out.body, None, None);
         }
-        let runner = TriggerRunner::spawn(monitor, db.subscribe());
+        let runner = TriggerRunner::spawn(monitor, Arc::clone(&db));
         let ev = db.events()[0].clone();
         let athletes = db.athletes_of_sport(ev.sport);
         db.record_results(ev.id, &[(athletes[0].id, 50.0)], false, ev.day);

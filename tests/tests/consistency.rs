@@ -14,11 +14,10 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use nagano::{ServingSite, SiteConfig};
 use nagano_cache::{CacheConfig, PageCache};
 use nagano_cluster::{ConsistencyPolicy, SiteMonitor};
-use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, Transaction};
+use nagano_db::{seed_games, AthleteId, GamesConfig, OlympicDb, TxnId};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::SimTime;
 use nagano_trigger::PageUrls;
@@ -33,7 +32,6 @@ enum Node {
         db: Arc<OlympicDb>,
         registry: Arc<PageRegistry>,
         monitor: Box<SiteMonitor>,
-        txns: Receiver<Arc<Transaction>>,
     },
 }
 
@@ -52,13 +50,11 @@ impl Node {
         let cache = PageCache::with_keys(CacheConfig::default(), PageUrls::of(&registry));
         let renderer = Renderer::new(Arc::clone(&db));
         let monitor = SiteMonitor::new(policy, renderer, Arc::new(cache), Arc::clone(&registry));
-        let txns = db.subscribe();
         monitor.trigger().prewarm();
         Node::Layer {
             db,
             registry,
             monitor: Box::new(monitor),
-            txns,
         }
     }
 
@@ -102,8 +98,9 @@ impl Node {
             Node::Site(site) => {
                 site.pump();
             }
-            Node::Layer { monitor, txns, .. } => {
-                while let Ok(txn) = txns.try_recv() {
+            Node::Layer { db, monitor, .. } => {
+                let next = |m: &SiteMonitor| TxnId(m.trigger().watermark() + 1);
+                while let Some(txn) = db.log().get(next(monitor)) {
                     monitor.process_txn(&txn, SimTime::ZERO);
                 }
             }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use nagano::{ServingSite, SiteConfig};
-use nagano_db::AthleteId;
+use nagano_db::{AthleteId, Photo, PhotoId};
 use nagano_httpd::{HttpClient, ServerConfig};
 use nagano_pagegen::{PageKey, Renderer};
 
@@ -129,17 +129,56 @@ fn background_runner_keeps_site_fresh_under_live_updates() {
         "version {v0} -> {}",
         cached.version
     );
-    let fresh = nagano_pagegen::Renderer::new(Arc::clone(site.db())).render(PageKey::Event(ev.id));
-    assert_eq!(
-        cached.body, fresh.body,
-        "cached page matches a fresh render"
-    );
+    assert_fresh(&site, PageKey::Event(ev.id));
     // Final results awarded medals; the standings page shows a country
     // with gold.
     let medals = site.handle("/medals").unwrap();
     assert!(medals.cache_hit);
     let standings = site.db().medal_standings();
     assert!(standings[0].1.gold >= 1);
+}
+
+/// Commit into `site` more photos than a queue of commits used to hold,
+/// each of no event (it marks no page), then a final; returns its page.
+fn burst_then_final(site: &ServingSite) -> PageKey {
+    let db = site.db();
+    for i in 0..BURST {
+        let (id, bytes) = (PhotoId(1_000_000 + i), 40_000);
+        db.add_photo(Photo {
+            id,
+            day: 1,
+            about_event: None,
+            bytes,
+        });
+    }
+    let ev = db.events()[0].clone();
+    db.record_results(ev.id, &podium(site, ev.id), true, ev.day);
+    PageKey::Event(ev.id)
+}
+
+const BURST: u32 = 1_100;
+
+fn assert_fresh(site: &ServingSite, key: PageKey) {
+    let cached = site.fleet().peek(&key.to_url()).unwrap();
+    let fresh = Renderer::new(Arc::clone(site.db())).render(key);
+    assert_eq!(cached.body, fresh.body, "{key} is stale");
+}
+
+#[test]
+fn one_pump_processes_every_commit_of_a_long_burst() {
+    let site = ServingSite::build(SiteConfig::small());
+    let key = burst_then_final(&site);
+    assert_eq!(site.pump().txns, u64::from(BURST) + 1);
+    assert_fresh(&site, key);
+}
+
+#[test]
+fn a_runner_processes_every_commit_of_a_long_burst() {
+    let site = ServingSite::build(SiteConfig::small());
+    let runner = site.spawn_trigger_runner();
+    let key = burst_then_final(&site);
+    assert_eq!(runner.stop(), u64::from(BURST) + 1);
+    assert_fresh(&site, key);
 }
 
 #[test]
