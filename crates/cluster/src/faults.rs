@@ -7,8 +7,8 @@
 //! faults (drop / delay / reorder / full partition) on each replication
 //! edge plus crash/restart faults on per-site trigger monitors. The simulation applies them and
 //! every component behind the fault recovers from its watermark:
-//! replicas pull the gap with `TxnLog::since`, Schaumburg fails over to
-//! the Tokyo re-feed when its primary feed is partitioned, and a
+//! replicas pull the gap with `TxnLog::catch_up`, Schaumburg pulls from
+//! Tokyo's replica when its primary feed is partitioned, and a
 //! restarted monitor re-runs DUP over the transactions it missed.
 
 use nagano_simcore::{DeterministicRng, SimTime};
@@ -50,7 +50,7 @@ pub enum DataFaultKind {
         fault: LinkFault,
     },
     /// The site's trigger monitor crashes (down) or restarts (up). While
-    /// down, the replica keeps applying transactions to its local log but
+    /// down, the site's replica keeps taking transactions but
     /// no DUP runs, so the site's caches go stale until recovery replays
     /// the log tail past the monitor's watermark.
     MonitorCrash {

@@ -162,15 +162,6 @@ impl SiteMonitor {
         (outcome, deferred)
     }
 
-    /// Crash/restart recovery at sim time `now`: `missed`, the log past
-    /// the monitor's watermark, processed as one batch under this policy.
-    /// Increments `nagano_trigger_recoveries_total`.
-    pub fn recover(&mut self, missed: &[impl Borrow<Transaction>], now: SimTime) -> Processed {
-        let processed = self.process_batch(missed, now);
-        self.trigger.stats().record_recovery();
-        processed
-    }
-
     /// The hotness-aware split: regenerate the marked pages hottest-first
     /// while the batch's budget lasts, invalidate those below the hot
     /// fraction's threshold, and park the hot overflow.

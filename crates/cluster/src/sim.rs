@@ -12,7 +12,7 @@ use rustc_hash::FxHashMap;
 
 use nagano::serve::{self, Decision, Observation, Render};
 use nagano_cache::{PageCache, StatsSnapshot};
-use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Replica, Transaction, TxnId};
+use nagano_db::{seed_games, DeliverOutcome, GamesConfig, OlympicDb, Transaction, TxnId, TxnLog};
 use nagano_httpd::HttpdMetrics;
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{
@@ -577,7 +577,7 @@ enum Via {
     Stream,
     /// Pulled by a watermark catch-up.
     CatchUp,
-    /// Replayed from the local log by a restarted monitor.
+    /// Replayed from the replica by a restarted monitor.
     Recovery,
 }
 
@@ -619,13 +619,16 @@ struct Complex {
     monitor: SiteMonitor,
     /// The simulated httpd front end's request counters.
     httpd: HttpdMetrics,
-    replica: Replica,
+    /// The master's transactions this site holds, under the master's ids:
+    /// its length is the site's watermark. [`SimState::feed_log`] is the
+    /// log it pulls from.
+    replica: TxnLog,
     lag: Gauge,
     staleness: HistogramHandle,
     /// [`trigger_latency`] of every batch the monitor processed.
     trigger_latency: HistogramHandle,
-    /// While the monitor is down the replica still advances its log; DUP
-    /// runs at recovery.
+    /// While the monitor is down the replica still advances; the monitor
+    /// reads the replica past its watermark when it is back.
     monitor_up: bool,
     catchup_pending: bool,
     catchup_attempts: u32,
@@ -857,12 +860,8 @@ impl<'a> SimState<'a> {
             DeliverOutcome::Applied => {
                 self.report.updates_applied += 1;
                 self.counters.applied.incr();
-                if self.complexes[s].monitor_up {
-                    let processed = self.complexes[s].monitor.process_txn(txn, at);
-                    let txns = std::slice::from_ref(txn);
-                    self.record_apply(s, txns, &processed, at, Via::Stream);
-                }
-                // Schaumburg re-publishes to its chained sites.
+                self.process_log(s, at, Via::Stream);
+                // Schaumburg ships on to its chained sites.
                 if s == 0 {
                     for chained in [2, 3] {
                         self.ship(chained, at, txn);
@@ -897,19 +896,40 @@ impl<'a> SimState<'a> {
         }
     }
 
+    /// The log a pull over `edge` reads: the master's, or the feeding
+    /// site's replica.
+    fn feed_log(&self, edge: usize) -> &TxnLog {
+        match REPLICATION_EDGES[edge].from {
+            None => self.db.log(),
+            Some(site) => &self.complexes[site].replica,
+        }
+    }
+
+    /// While `s`'s monitor is up, process its replica past the monitor's
+    /// watermark as one batch at `at`, and book it as arrived `via`; the
+    /// one way a transaction reaches a monitor. Returns what it processed.
+    fn process_log(&mut self, s: usize, at: SimTime, via: Via) -> Vec<Arc<Transaction>> {
+        let c = &mut self.complexes[s];
+        if !c.monitor_up {
+            return Vec::new();
+        }
+        let txns = c.replica.since(TxnId(c.monitor.trigger().watermark()));
+        let processed = c.monitor.process_batch(&txns, at);
+        self.record_apply(s, &txns, &processed, at, via);
+        txns
+    }
+
     fn on_catch_up(&mut self, s: usize, at: SimTime) {
         self.complexes[s].catchup_pending = false;
         let mut edge = self.feed_edge(s);
         let partitioned = |fault: Option<LinkFault>| matches!(fault, Some(LinkFault::Partition));
         // A partitioned primary Schaumburg feed triggers the paper's
-        // disaster-recovery path: re-feed from Tokyo's re-published log.
+        // disaster-recovery path: re-feed from Tokyo's replica.
         if s == 0
             && !self.failed_over
             && partitioned(self.edge_fault[edge])
             && !partitioned(self.edge_fault[DR_EDGE])
         {
-            let (schaumburg, tokyo) = (&self.complexes[0], &self.complexes[3]);
-            schaumburg.replica.fail_over(&tokyo.replica);
             self.failed_over = true;
             edge = DR_EDGE;
         }
@@ -946,7 +966,7 @@ impl<'a> SimState<'a> {
             pull_secs += extra_secs;
         }
         let applied_at = at + SimDuration::from_secs(pull_secs);
-        let missed = c.replica.catch_up();
+        let missed = self.complexes[s].replica.catch_up(self.feed_log(edge));
         if missed.is_empty() {
             return;
         }
@@ -956,13 +976,8 @@ impl<'a> SimState<'a> {
         self.report.catch_up_applied += pulled;
         self.counters.catch_up.add(pulled);
         self.record_staleness(s, &missed, applied_at);
-        if self.complexes[s].monitor_up {
-            // One DUP propagation over the union of the pulled
-            // transactions.
-            let monitor = &mut self.complexes[s].monitor;
-            let processed = monitor.process_batch(&missed, applied_at);
-            self.record_apply(s, &missed, &processed, applied_at, Via::CatchUp);
-        }
+        // One DUP propagation over the union of the pulled transactions.
+        self.process_log(s, applied_at, Via::CatchUp);
         if s == 0 {
             for txn in &missed {
                 for chained in [2, 3] {
@@ -978,8 +993,7 @@ impl<'a> SimState<'a> {
             DataFaultKind::Link { edge, fault } if !entry.up => self.edge_fault[edge] = Some(fault),
             DataFaultKind::Link { edge, fault } => {
                 self.edge_fault[edge] = None;
-                if edge == 0 && self.failed_over {
-                    self.complexes[0].replica.restore_primary();
+                if edge == 0 {
                     self.failed_over = false;
                 }
                 let s = REPLICATION_EDGES[edge].to;
@@ -996,17 +1010,15 @@ impl<'a> SimState<'a> {
                 self.complexes[site].monitor_up = false;
             }
             DataFaultKind::MonitorCrash { site } => {
+                // Restart: the monitor reads the replica past its watermark
+                // through DUP, so no stale page survives recovery. The
+                // replica already held that tail (distribution went on
+                // while the monitor was down).
                 let c = &mut self.complexes[site];
                 c.monitor_up = true;
-                // Restart: resume from the monitor's processed watermark —
-                // replay the local log tail through DUP so no stale page
-                // survives recovery. The replica already held the tail
-                // (distribution happened while the monitor was down).
-                let watermark = c.monitor.trigger().watermark();
-                let missed = c.replica.local_log().since(TxnId(watermark));
-                let processed = c.monitor.recover(&missed, at);
+                c.monitor.trigger().stats().record_recovery();
+                let missed = self.process_log(site, at, Via::Recovery);
                 self.report.recoveries += 1;
-                self.record_apply(site, &missed, &processed, at, Via::Recovery);
                 self.record_staleness(site, &missed, at);
                 self.watch(format!("monitor-crash {}", SITES[site].name), site, at);
             }
@@ -1201,20 +1213,27 @@ impl<'a> SimState<'a> {
         // faulted feeds (and across the DR re-feed while failed over — it
         // is pull-only, nothing streams on it), and close convergence
         // watches.
-        for s in 0..SITES.len() {
+        let master_len = self.db.log().len() as u64;
+        for (s, site) in SITES.iter().enumerate() {
             let feed = self.feed_edge(s);
             let c = &self.complexes[s];
-            c.lag.set(c.replica.lag());
-            let behind = c.replica.feed_len() > c.replica.applied().0;
+            // Every batch the replica took while the monitor was up, the
+            // monitor processed there and then.
+            debug_assert!(
+                !c.monitor_up || c.monitor.trigger().watermark() == c.replica.len() as u64,
+                "{}'s monitor is behind its replica",
+                site.name
+            );
+            c.lag.set(master_len - c.replica.len() as u64);
+            let behind = self.feed_log(feed).len() > c.replica.len();
             let pull_needed = (s == 0 && self.failed_over) || self.edge_fault[feed].is_some();
             if behind && pull_needed && !c.catchup_pending && !c.gave_up {
                 self.schedule_pull(s, minute_end);
             }
         }
-        let master_len = self.db.log().len() as u64;
         for w in self.watches.iter_mut().filter(|w| w.converged_at.is_none()) {
             let c = &self.complexes[w.site];
-            let applied = c.replica.applied().0;
+            let applied = c.replica.len() as u64;
             if c.monitor_up && applied == master_len && c.monitor.trigger().watermark() == applied {
                 w.converged_at = Some(minute_end);
             }
@@ -1546,7 +1565,7 @@ impl<'a> SimState<'a> {
         report.slo = self.slo_engine.finish(&self.telemetry.registry);
         report.master_txns = self.db.log().len() as u64;
         for (s, c) in self.complexes.iter().enumerate() {
-            report.site_watermarks[s] = c.replica.applied().0;
+            report.site_watermarks[s] = c.replica.len() as u64;
             report.monitor_watermarks[s] = c.monitor.trigger().watermark();
         }
         report.convergence = std::mem::take(&mut self.watches);
@@ -1656,24 +1675,18 @@ fn hybrid_spans(
 
 /// The four complexes in site order: a trigger monitor over one cache
 /// each — the complex's serving nodes, modelled as one — its cells bound into the registry under a `site`
-/// label, and the Figure-5 replicas, which only the simulated links
-/// deliver to, so that those decide which transactions arrive (and when): master
-/// feeds Schaumburg and Tokyo; Columbus and Bethesda chain off Schaumburg.
+/// label, and an empty replica, which only the simulated links fill, so
+/// that those decide which transactions arrive (and when).
 fn complexes(
     cfg: &ClusterConfig,
     db: &Arc<OlympicDb>,
     registry: &Arc<PageRegistry>,
     telemetry: &Telemetry,
 ) -> Vec<Complex> {
-    let schaumburg = Replica::attach(SITES[0].name, Arc::clone(db));
-    let columbus = Replica::attach_downstream(SITES[1].name, &schaumburg);
-    let bethesda = Replica::attach_downstream(SITES[2].name, &schaumburg);
-    let tokyo = Replica::attach(SITES[3].name, Arc::clone(db));
     let reg = &telemetry.registry;
     SITES
         .iter()
-        .zip([schaumburg, columbus, bethesda, tokyo])
-        .map(|(spec, replica)| {
+        .map(|spec| {
             let labels = [("site", spec.name)];
             let monitor = SiteMonitor::new(
                 cfg.policy,
@@ -1692,7 +1705,7 @@ fn complexes(
             Complex {
                 monitor,
                 httpd,
-                replica,
+                replica: TxnLog::new(),
                 lag: reg.gauge("nagano_cluster_replication_lag_txns", &labels),
                 staleness: reg.histogram(staleness, &labels, 1e-3, 100_000.0),
                 trigger_latency: reg.histogram(trigger_latency, &labels, 1e-6, 600.0),
@@ -2218,6 +2231,45 @@ mod tests {
             "nagano_cluster_replication_dropped_total {}",
             report.replication_dropped
         )));
+    }
+
+    #[test]
+    fn the_dr_re_feed_takes_only_what_tokyo_holds() {
+        let mut cfg = fault_config();
+        cfg.audit_convergence = true;
+        // Both master edges go down at 08:00; Schaumburg's heals at 11:00,
+        // Tokyo's at 12:00. Tokyo is stuck at 08:00 meanwhile, so the
+        // re-feed Schaumburg fails over to has nothing newer to give.
+        let (down, schaumburg_up) = (SimTime::at(10, 8, 0), SimTime::at(10, 11, 0));
+        let entry = |edge, at, up| DataFaultPlanEntry {
+            at,
+            kind: DataFaultKind::Link {
+                edge,
+                fault: LinkFault::Partition,
+            },
+            up,
+        };
+        cfg.fault_plan = vec![
+            entry(0, down, false),
+            entry(1, down, false),
+            entry(0, schaumburg_up, true),
+            entry(1, SimTime::at(10, 12, 0), true),
+        ];
+        let report = ClusterSim::new(cfg).run();
+        let labels = [("site", SITES[0].name)];
+        let stalest = report
+            .telemetry
+            .registry
+            .histogram("nagano_cluster_staleness_seconds", &labels, 1e-3, 100_000.0)
+            .max();
+        let window = (schaumburg_up - down).as_secs_f64();
+        assert!(
+            stalest > 0.75 * window,
+            "Schaumburg's stalest pull is {stalest} s of a {window} s partition"
+        );
+        assert_eq!(report.site_watermarks, [report.master_txns; 4]);
+        assert_eq!(report.monitor_watermarks, [report.master_txns; 4]);
+        assert_eq!(report.stale_pages, Some(0));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!    [`txn::Transaction`] carrying the typed *data keys* of the changed
 //!    records ([`key`]: the identities that become underlying-data
 //!    vertices in the ODG). The log is the one record of commits: the
-//!    trigger monitor and the replicas read it past their watermarks —
-//!    [`txn`], [`database`].
-//! 3. **Log-shipping replication** between sites — [`replication`].
+//!    trigger monitor reads it past its watermark — [`txn`], [`database`].
+//! 3. **Log shipping** between sites: a site's replica is a [`TxnLog`]
+//!    whose ids are the master's, taking each transaction delivered to it
+//!    in sequence ([`TxnLog::deliver`]) and pulling what it missed from
+//!    whichever log feeds it ([`TxnLog::catch_up`]) — [`txn`].
 //!
 //! [`seed`] generates a deterministic synthetic Winter Games: the event
 //! schedule drives the update workload of every experiment.
@@ -25,7 +27,6 @@
 
 pub mod database;
 pub mod key;
-pub mod replication;
 pub mod schema;
 pub mod seed;
 pub mod table;
@@ -33,10 +34,9 @@ pub mod txn;
 
 pub use database::{DbView, OlympicDb};
 pub use key::{DataKey, Datum, FragmentKey};
-pub use replication::{DeliverOutcome, Replica};
 pub use schema::{
     Athlete, AthleteId, Country, CountryId, Event, EventId, EventPhase, MedalCount, NewsArticle,
     NewsId, Photo, PhotoId, ResultId, ResultRow, Sport, SportId,
 };
 pub use seed::{seed_games, GamesConfig};
-pub use txn::{ChangeOp, RecordChange, Transaction, TxnId, TxnLog};
+pub use txn::{ChangeOp, DeliverOutcome, RecordChange, Transaction, TxnId, TxnLog};

@@ -4,9 +4,18 @@
 //! changed records by their **data keys** ([`DataKey`]). The log is the
 //! one record of commits: a trigger monitor reads it past its watermark,
 //! resolves each data key, by arithmetic, to its underlying-data vertex in
-//! the object dependence graph and feeds it to DUP, and a replica pulls it
-//! the same way.
+//! the object dependence graph and feeds it to DUP.
+//!
+//! A site's replica (Figure 5 of the paper) is a log too, one whose ids
+//! are the master's: its watermark is its length. It takes a transaction
+//! shipped to it only when that is next in sequence ([`TxnLog::deliver`]),
+//! so it never holds one out of order, and closes a gap by pulling past
+//! its length from whichever log feeds it ([`TxnLog::catch_up`]): the
+//! master's, or an upstream site's. Either step keeps the master's
+//! allocation of each transaction. Row payloads live in shared storage:
+//! what is replicated per site is the stream of commits.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,6 +80,23 @@ pub struct Transaction {
     pub day: u32,
 }
 
+/// What a replica did with one transaction shipped to it
+/// ([`TxnLog::deliver`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeliverOutcome {
+    /// Next in sequence: pushed onto the log.
+    Applied,
+    /// At or below the log's length (a reordered or re-sent message that
+    /// already arrived another way); ignored.
+    Duplicate,
+    /// Ahead of the next id: an earlier message was lost. The log stays as
+    /// it is; a [`TxnLog::catch_up`] fills the gap.
+    Gap {
+        /// The id the log takes next.
+        expected: TxnId,
+    },
+}
+
 /// Append-only transaction log. A consumer reads on from the last
 /// transaction it took ([`TxnLog::get`], [`TxnLog::since`]), so it misses
 /// none; one with nothing to read waits ([`TxnLog::wait_past`]).
@@ -99,23 +125,64 @@ impl TxnLog {
     /// Append a transaction, assigning its id, and wake the threads
     /// waiting for it.
     pub fn append(&self, changes: Vec<RecordChange>, label: String, day: u32) -> Arc<Transaction> {
-        let (txn, waiting) = {
-            let mut inner = self.inner.lock();
-            let id = TxnId(inner.entries.len() as u64 + 1);
-            let txn = Arc::new(Transaction {
+        let Ok(txn) = self.push::<Infallible>(|id| {
+            Ok(Arc::new(Transaction {
                 id,
                 changes,
                 label,
                 day,
-            });
-            inner.entries.push(Arc::clone(&txn));
-            self.committed.store(id.0, Ordering::Release);
-            (txn, inner.waiting)
+            }))
+        });
+        txn
+    }
+
+    /// Take `txn`, a transaction of the master's log shipped to this
+    /// replica, if it is next in sequence; see [`DeliverOutcome`].
+    pub fn deliver(&self, txn: &Arc<Transaction>) -> DeliverOutcome {
+        let pushed = self.push(|next| {
+            if txn.id == next {
+                Ok(Arc::clone(txn))
+            } else if txn.id < next {
+                Err(DeliverOutcome::Duplicate)
+            } else {
+                Err(DeliverOutcome::Gap { expected: next })
+            }
+        });
+        pushed.map_or_else(|outcome| outcome, |_| DeliverOutcome::Applied)
+    }
+
+    /// Pull what `upstream` holds past this replica's length and take it
+    /// in order; returns the transactions taken. `upstream` is whichever
+    /// log feeds this one: the master's, or another replica's.
+    pub fn catch_up(&self, upstream: &TxnLog) -> Vec<Arc<Transaction>> {
+        // Read upstream first and let go of its lock: two logs' locks never nest.
+        let mut missed = upstream.since(TxnId(self.len() as u64));
+        missed.retain(|txn| self.deliver(txn) == DeliverOutcome::Applied);
+        missed
+    }
+
+    /// The one way onto the log: under its lock `next` is handed the id
+    /// the log takes next and returns the transaction to push there, or
+    /// why it pushes none. A push moves the committed count on and wakes
+    /// the threads waiting for it.
+    fn push<E>(
+        &self,
+        next: impl FnOnce(TxnId) -> Result<Arc<Transaction>, E>,
+    ) -> Result<Arc<Transaction>, E> {
+        let (pushed, waiting) = {
+            let mut inner = self.inner.lock();
+            let id = TxnId(inner.entries.len() as u64 + 1);
+            let pushed = next(id);
+            if let Ok(txn) = &pushed {
+                inner.entries.push(Arc::clone(txn));
+                self.committed.store(id.0, Ordering::Release);
+            }
+            (pushed, inner.waiting)
         };
-        if waiting > 0 {
+        if pushed.is_ok() && waiting > 0 {
             self.appended.notify_all();
         }
-        txn
+        pushed
     }
 
     /// Number of committed transactions; takes no lock.
@@ -191,6 +258,148 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].id, TxnId(4));
         assert!(log.since(TxnId(5)).is_empty());
+    }
+
+    /// Commit `n` transactions to `master`; returns them, in log order.
+    fn commit(master: &TxnLog, n: usize) -> Vec<Arc<Transaction>> {
+        let change = RecordChange::update(Datum::Event(crate::EventId(1)));
+        (0..n)
+            .map(|i| master.append(vec![change], format!("t{i}"), 2))
+            .collect()
+    }
+
+    /// Master transactions `replica` does not hold yet.
+    fn lag(master: &TxnLog, replica: &TxnLog) -> usize {
+        master.len() - replica.len()
+    }
+
+    #[test]
+    fn replica_applies_in_order() {
+        let (master, tokyo) = (TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 2);
+        assert_eq!(lag(&master, &tokyo), 2);
+        for txn in &txns {
+            assert_eq!(tokyo.deliver(txn), DeliverOutcome::Applied);
+        }
+        assert_eq!(tokyo.len(), 2);
+        assert_eq!(lag(&master, &tokyo), 0);
+    }
+
+    #[test]
+    fn a_shipped_transaction_is_the_masters_allocation() {
+        let (master, schaumburg, columbus) = (TxnLog::new(), TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 2);
+        assert_eq!(schaumburg.deliver(&txns[0]), DeliverOutcome::Applied);
+        assert_eq!(schaumburg.catch_up(&master).len(), 1);
+        assert_eq!(columbus.catch_up(&schaumburg).len(), 2);
+        for (id, txn) in (1..).zip(&txns) {
+            for log in [&schaumburg, &columbus] {
+                let held = log.get(TxnId(id)).expect("shipped");
+                assert!(Arc::ptr_eq(&held, txn), "a copy of txn {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn chained_replication_fans_out() {
+        let (master, schaumburg, columbus) = (TxnLog::new(), TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 1);
+        // Columbus sees nothing until Schaumburg applies.
+        assert!(columbus.catch_up(&schaumburg).is_empty());
+        assert_eq!(schaumburg.deliver(&txns[0]), DeliverOutcome::Applied);
+        let relayed = columbus.catch_up(&schaumburg);
+        assert_eq!(relayed.len(), 1);
+        assert_eq!(relayed[0].changes, txns[0].changes);
+        assert_eq!(columbus.len(), 1);
+    }
+
+    #[test]
+    fn partial_pump_tracks_watermark() {
+        let (master, site) = (TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 5);
+        for txn in &txns[..2] {
+            site.deliver(txn);
+        }
+        assert_eq!(site.len(), 2);
+        assert_eq!(lag(&master, &site), 3);
+        assert_eq!(site.catch_up(&master).len(), 3);
+        assert_eq!(lag(&master, &site), 0);
+    }
+
+    #[test]
+    fn the_replica_log_holds_the_delivered_stream() {
+        let (master, site) = (TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 1);
+        assert!(site.get(TxnId(1)).is_none(), "not visible before delivery");
+        assert_eq!(site.deliver(&txns[0]), DeliverOutcome::Applied);
+        let txn = site.get(TxnId(1)).unwrap();
+        assert!(txn.changes.iter().any(|c| c.data_key == "data:event:1"));
+    }
+
+    #[test]
+    fn deliver_applies_in_sequence_and_flags_gaps_and_duplicates() {
+        let (master, site) = (TxnLog::new(), TxnLog::new());
+        let [t1, t2, t3] = <[_; 3]>::try_from(commit(&master, 3)).unwrap();
+        assert_eq!(site.deliver(&t1), DeliverOutcome::Applied);
+        // Lost t2, t3 arrives first: gap, length unmoved.
+        assert_eq!(
+            site.deliver(&t3),
+            DeliverOutcome::Gap { expected: TxnId(2) }
+        );
+        assert_eq!(site.len(), 1);
+        // t2 arrives late (reordered): applied, then t3 again: applied.
+        assert_eq!(site.deliver(&t2), DeliverOutcome::Applied);
+        assert_eq!(site.deliver(&t3), DeliverOutcome::Applied);
+        // A re-sent old message is a duplicate.
+        assert_eq!(site.deliver(&t1), DeliverOutcome::Duplicate);
+        assert_eq!(site.len(), 3);
+    }
+
+    #[test]
+    fn catch_up_closes_the_gap_from_the_watermark() {
+        let (master, site) = (TxnLog::new(), TxnLog::new());
+        let txns = commit(&master, 4);
+        site.deliver(&txns[0]);
+        let missed = site.catch_up(&master);
+        assert_eq!(missed.len(), 3);
+        assert_eq!(missed[0].id, TxnId(2));
+        // The replica's ids stay aligned with the master's.
+        assert_eq!(site.len(), 4);
+        assert_eq!(site.get(TxnId(4)).unwrap().id, TxnId(4));
+        assert!(
+            site.catch_up(&master).is_empty(),
+            "idempotent when caught up"
+        );
+    }
+
+    #[test]
+    fn catch_up_reads_whichever_upstream_it_is_handed() {
+        let (master, tokyo, schaumburg) = (TxnLog::new(), TxnLog::new(), TxnLog::new());
+        commit(&master, 3);
+        // Tokyo is healthy and holds everything; Schaumburg's own feed is
+        // partitioned, so it pulls Tokyo's log (the DR re-feed).
+        assert_eq!(tokyo.catch_up(&master).len(), 3);
+        let missed = schaumburg.catch_up(&tokyo);
+        assert_eq!(missed.len(), 3);
+        assert_eq!(schaumburg.len(), 3);
+        // A pull from Tokyo takes only what Tokyo holds.
+        commit(&master, 1);
+        assert!(schaumburg.catch_up(&tokyo).is_empty());
+        // Back on the master's log, the new commit flows.
+        assert_eq!(schaumburg.catch_up(&master).len(), 1);
+        assert_eq!(schaumburg.len(), 4);
+    }
+
+    #[test]
+    fn chained_pull_replicas_catch_up_through_the_chain() {
+        let (master, schaumburg, columbus) = (TxnLog::new(), TxnLog::new(), TxnLog::new());
+        commit(&master, 2);
+        // Columbus's feed is Schaumburg's log: empty until Schaumburg applies.
+        assert!(columbus.catch_up(&schaumburg).is_empty());
+        assert_eq!(schaumburg.catch_up(&master).len(), 2);
+        let missed = columbus.catch_up(&schaumburg);
+        assert_eq!(missed.len(), 2);
+        assert_eq!(columbus.len(), 2);
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl TriggerMonitor {
     }
 
     /// The log step: process the transaction next past the watermark in
-    /// `log` (the site database's, or a replica's local log), if there is
+    /// `log` (the site database's, or a replica's), if there is
     /// one. Stepping until `None` processes every commit, however many.
     /// Threads that step one monitor share its watermark; two that read it
     /// at once process one transaction twice, which re-derives the pages.
@@ -1027,12 +1027,12 @@ mod tests {
         // The renderer reads the master; the commits come by a replica.
         let (db, monitor) = setup(ConsistencyPolicy::UpdateInPlace);
         monitor.prewarm();
-        let replica = nagano_db::Replica::attach("tokyo", Arc::clone(&db));
+        let replica = nagano_db::TxnLog::new();
         let ev = db.events()[0].clone();
         let txn = db.record_results(ev.id, &podium(&db, ev.id), true, ev.day);
-        assert!(monitor.process_next(replica.local_log()).is_none());
+        assert!(monitor.process_next(&replica).is_none());
         replica.deliver(&txn);
-        let outcome = monitor.process_next(replica.local_log()).unwrap();
+        let outcome = monitor.process_next(&replica).unwrap();
         assert!(outcome.regenerated.contains(&PageKey::Event(ev.id)));
         assert!(monitor.process_next(db.log()).is_none(), "past txn 1");
     }
